@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Performance gate over the compute-baseline benchmark.
+# Performance gate over a committed `BENCH_*.json` baseline.
 #
 #   ci/bench_gate.sh [BASELINE.json] [NEW.json]
 #
-# Compares a fresh `bench_hpcc` run against the committed baseline and
-# fails when any *relative* metric — the speedup-vs-seed and scaling
+# Compares a fresh bench run (`bench_hpcc` by default; CI also passes
+# the `bench_sched` pair) against the committed baseline and fails when
+# any *relative* metric — the speedup-vs-seed, scaling and `_over_`
 # ratios, which are machine-independent enough to gate on — regresses
-# by more than 15%. Absolute Gflop/s and GB/s numbers vary with the
-# host and are reported but never gated.
+# by more than 15%. Absolute Gflop/s, GB/s and events/s numbers vary
+# with the host and are reported but never gated.
 #
 # A ratio metric present in the baseline but absent from the new run is
 # only an error when the new run should have produced it: metrics from

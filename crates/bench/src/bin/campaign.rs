@@ -197,22 +197,8 @@ fn run_cell_worker() {
     }
 }
 
-/// The high-rank virtual slice: real benchmark code at `procs`
-/// cooperative ranks on the exascale extension model — worlds far past
-/// the host's OS-thread budget. Barrier and the rooted collectives keep
-/// per-rank state O(bytes), so even 100k-rank worlds fit on one host.
 fn highrank_records(procs: usize) -> Vec<Record> {
-    let reg = hpcbench::registry();
-    let plan = RunPlan {
-        backend: Backend::Local,
-        modes: vec![Mode::Virtual],
-        machines: vec![systems::exascale_cluster()],
-        procs: ProcGrid::List(vec![procs]),
-        bytes: vec![1024],
-        workloads: Some(vec!["PingPong", "Barrier", "Bcast", "Allreduce"]),
-        runner: Runner::fixed(1),
-    };
-    plan.execute(&reg)
+    RunPlan::high_rank(procs).execute(&hpcbench::registry())
 }
 
 fn paper_records(

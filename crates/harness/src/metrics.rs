@@ -59,28 +59,27 @@ impl MetricSink {
     /// Merges a prior run: every `(name, value)` pair is re-emitted as
     /// `<name>_baseline`, and names present in the current run also get
     /// a `<name>_speedup` ratio (higher-is-better; names ending in `_us`
-    /// or `_s` are treated as times, where lower is better). Returns the
-    /// speedups that were emitted.
+    /// or `_s` are treated as times, where lower is better — except
+    /// `_per_s`, which is a rate). Returns the speedups that were emitted.
     pub fn merge_baseline(&mut self, baseline: &[(String, f64)]) -> Vec<(String, f64)> {
-        let current: Vec<(String, f64)> = self
+        let current: Vec<(String, f64, &'static str)> = self
             .metrics
             .iter()
-            .map(|m| (m.name.clone(), m.value))
+            .map(|m| (m.name.clone(), m.value, m.unit))
             .collect();
         let mut speedups = Vec::new();
         for (name, value) in baseline {
-            let unit = if name.ends_with("_us") || name.ends_with("_s") {
-                "us"
-            } else {
-                "MB/s"
+            let is_time =
+                (name.ends_with("_us") || name.ends_with("_s")) && !name.ends_with("_per_s");
+            let now = current.iter().find(|(n, _, _)| n == name);
+            let unit = match now {
+                Some(&(_, _, unit)) => unit,
+                None if is_time => "us",
+                None => "MB/s",
             };
             self.push(format!("{name}_baseline"), *value, unit);
-            if let Some((_, now)) = current.iter().find(|(n, _)| n == name) {
-                let speedup = if name.ends_with("_us") || name.ends_with("_s") {
-                    value / now
-                } else {
-                    now / value
-                };
+            if let Some(&(_, now, _)) = now {
+                let speedup = if is_time { value / now } else { now / value };
                 self.push(format!("{name}_speedup"), speedup, "x");
                 speedups.push((name.clone(), speedup));
             }
@@ -182,15 +181,20 @@ mod tests {
         let mut sink = MetricSink::new("s");
         sink.push("a_us", 2.0, "us");
         sink.push("b_mbs", 200.0, "MB/s");
+        sink.push("c_per_s", 200.0, "switch/s");
         let speedups = sink.merge_baseline(&[
             ("a_us".into(), 4.0),
             ("b_mbs".into(), 100.0),
+            ("c_per_s".into(), 100.0),
             ("gone".into(), 1.0),
         ]);
-        // Lower time and higher bandwidth both read as 2x.
-        assert_eq!(speedups.len(), 2);
-        assert!((speedups[0].1 - 2.0).abs() < 1e-12);
-        assert!((speedups[1].1 - 2.0).abs() < 1e-12);
+        // Lower time, higher bandwidth and higher rate all read as 2x
+        // (`_per_s` ends in `_s` but is not a time).
+        assert_eq!(speedups.len(), 3);
+        assert!(speedups.iter().all(|(_, s)| (s - 2.0).abs() < 1e-12));
+        assert!(sink
+            .to_json()
+            .contains("\"c_per_s_baseline\": { \"value\": 100.0000, \"unit\": \"switch/s\" }"));
         assert_eq!(sink.get("a_us_baseline"), Some(4.0));
         assert_eq!(sink.get("gone_baseline"), Some(1.0));
         assert!(sink.get("gone_speedup").is_none());

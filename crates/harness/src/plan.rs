@@ -102,6 +102,22 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
+    /// The high-rank virtual slice: real benchmark code at `procs`
+    /// cooperative ranks on the exascale extension model — worlds far past
+    /// the host's OS-thread budget. Barrier and the rooted collectives keep
+    /// per-rank state O(bytes), so even 100k-rank worlds fit on one host.
+    pub fn high_rank(procs: usize) -> RunPlan {
+        RunPlan {
+            backend: Backend::Local,
+            modes: vec![Mode::Virtual],
+            machines: vec![machines::systems::exascale_cluster()],
+            procs: ProcGrid::List(vec![procs]),
+            bytes: vec![1024],
+            workloads: Some(vec!["PingPong", "Barrier", "Bcast", "Allreduce"]),
+            runner: Runner::fixed(1),
+        }
+    }
+
     /// Executes the plan, returning every record it produced, in
     /// deterministic (workload, mode, machine, procs, bytes) order.
     ///

@@ -83,12 +83,15 @@ impl BenchState {
         let bytes = bytes as usize;
         let words = bytes / 8;
         let (sbuf, rbuf, fsend, frecv, counts) = match benchmark {
-            Benchmark::PingPong | Benchmark::PingPing => {
-                (vec![1u8; bytes], vec![0u8; bytes], vec![], vec![], vec![])
+            // Only the first two ranks take part; an idle rank that
+            // allocated too would cost a 65536-rank world 128 GiB at 1 MiB.
+            Benchmark::PingPong | Benchmark::PingPing if comm.rank() >= 2 => {
+                (vec![], vec![], vec![], vec![], vec![])
             }
-            Benchmark::Sendrecv | Benchmark::Exchange => {
-                (vec![1u8; bytes], vec![0u8; bytes], vec![], vec![], vec![])
-            }
+            Benchmark::PingPong
+            | Benchmark::PingPing
+            | Benchmark::Sendrecv
+            | Benchmark::Exchange => (vec![1u8; bytes], vec![0u8; bytes], vec![], vec![], vec![]),
             Benchmark::Barrier => (vec![], vec![], vec![], vec![], vec![]),
             Benchmark::Bcast => (vec![1u8; bytes], vec![], vec![], vec![], vec![]),
             Benchmark::Allgather | Benchmark::Allgatherv => (
@@ -263,6 +266,26 @@ mod tests {
         let m = run_native(Benchmark::Barrier, 4, 0, 5);
         assert!(m.t_max_us() > 0.0);
         assert_eq!(m.bytes, None);
+    }
+
+    #[test]
+    fn pingpong_idle_ranks_allocate_nothing() {
+        for b in [Benchmark::PingPong, Benchmark::PingPing] {
+            let out = mp::run(4, move |comm| {
+                let state = BenchState::new(comm, b, 1024);
+                let empty = state.sbuf.capacity() == 0 && state.rbuf.capacity() == 0;
+                assert_eq!(empty, !state.participates(comm));
+                (empty, run_on(comm, b, 1024, 3))
+            });
+            let empty: Vec<bool> = out.iter().map(|(empty, _)| *empty).collect();
+            assert_eq!(empty, [false, false, true, true], "{b}");
+            // Idle ranks never touched their buffers: the record is the
+            // one every rank has always returned.
+            for (_, rec) in &out {
+                assert_eq!((rec.procs, rec.bytes), (4, Some(1024)), "{b}");
+                assert!(rec.t_min_us() > 0.0, "{b}");
+            }
+        }
     }
 
     #[test]

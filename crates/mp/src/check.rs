@@ -30,7 +30,6 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::comm::Comm;
-use crate::mailbox::Handoff;
 use crate::runtime::World;
 
 /// Configuration of one instrumented run.
@@ -302,9 +301,9 @@ pub struct Checked<R> {
 
 struct Wait {
     on: WaitOn,
-    /// The hand-off slot a blocked receive parks on; the detector probes
-    /// it to rule out a wake already in flight.
-    slot: Option<Arc<Handoff>>,
+    /// Ticket id of the posted receive a blocked receive waits on; the
+    /// detector probes it to rule out a wake already in flight.
+    ticket: Option<u64>,
 }
 
 #[derive(Default)]
@@ -387,9 +386,9 @@ impl Inspector {
         self.events[rank].lock().push(event);
     }
 
-    pub(crate) fn begin_wait(&self, rank: usize, on: WaitOn, slot: Option<Arc<Handoff>>) {
+    pub(crate) fn begin_wait(&self, rank: usize, on: WaitOn, ticket: Option<u64>) {
         let mut st = self.ranks[rank].lock();
-        st.waiting = Some(Wait { on, slot });
+        st.waiting = Some(Wait { on, ticket });
         drop(st);
         self.activity.fetch_add(1, Ordering::Release);
     }
@@ -552,7 +551,7 @@ fn splitmix64(mut x: u64) -> u64 {
 pub(crate) fn diagnose(world: &World, insp: &Inspector) -> Option<Arc<Deadlock>> {
     let n = world.n;
     let mut waits: Vec<WaitSnapshot> = Vec::new();
-    let mut slots: Vec<Option<Arc<Handoff>>> = Vec::new();
+    let mut tickets: Vec<Option<u64>> = Vec::new();
     for (rank, st) in insp.ranks.iter().enumerate() {
         let st = st.lock();
         if st.finished {
@@ -566,7 +565,7 @@ pub(crate) fn diagnose(world: &World, insp: &Inspector) -> Option<Arc<Deadlock>>
                     on: w.on.clone(),
                     coll: st.coll,
                 });
-                slots.push(w.slot.clone());
+                tickets.push(w.ticket);
             }
         }
     }
@@ -574,9 +573,9 @@ pub(crate) fn diagnose(world: &World, insp: &Inspector) -> Option<Arc<Deadlock>>
         return None;
     }
     // Rule out wakes already in flight.
-    for (w, slot) in waits.iter().zip(&slots) {
-        if let Some(slot) = slot {
-            if slot.has_arrived() {
+    for (w, ticket) in waits.iter().zip(&tickets) {
+        if let Some(id) = *ticket {
+            if world.mailboxes[w.rank].ticket_filled(id) {
                 return None;
             }
         }
@@ -621,7 +620,7 @@ pub(crate) fn snapshot_ranks(
     ranks: &[usize],
 ) -> Option<Vec<WaitSnapshot>> {
     let mut waits: Vec<WaitSnapshot> = Vec::new();
-    let mut slots: Vec<Option<Arc<Handoff>>> = Vec::new();
+    let mut tickets: Vec<Option<u64>> = Vec::new();
     for &rank in ranks {
         let st = insp.ranks[rank].lock();
         if st.finished {
@@ -635,13 +634,13 @@ pub(crate) fn snapshot_ranks(
                     on: w.on.clone(),
                     coll: st.coll,
                 });
-                slots.push(w.slot.clone());
+                tickets.push(w.ticket);
             }
         }
     }
-    for (w, slot) in waits.iter().zip(&slots) {
-        if let Some(slot) = slot {
-            if slot.has_arrived() {
+    for (w, ticket) in waits.iter().zip(&tickets) {
+        if let Some(id) = *ticket {
+            if world.mailboxes[w.rank].ticket_filled(id) {
                 return None;
             }
         }

@@ -36,9 +36,9 @@ pub struct Comm {
     world: Arc<World>,
     /// Local rank -> global rank.
     group: Arc<Vec<usize>>,
-    /// Global rank -> local rank (the inverse of `group`), precomputed so
-    /// wildcard receives translate sources in O(1) instead of scanning.
-    inverse: Arc<HashMap<usize, usize>>,
+    /// Global rank -> local rank (the inverse of `group`), so receives
+    /// translate sources in O(1) instead of scanning.
+    inverse: Inverse,
     rank: usize,
     id: u32,
     coll_seq: Cell<u32>,
@@ -50,22 +50,33 @@ pub struct Comm {
     scratch: RefCell<Vec<u8>>,
 }
 
-fn invert(group: &[usize]) -> Arc<HashMap<usize, usize>> {
-    Arc::new(group.iter().enumerate().map(|(l, &g)| (g, l)).collect())
+/// The inverse of a communicator's group. The world group is the
+/// identity, so its inverse needs no table: a table costs n hashed
+/// inserts per world and a hashed probe per receive, which a 65536-rank
+/// world pays for nothing.
+#[derive(Clone)]
+enum Inverse {
+    Identity,
+    Table(Arc<HashMap<usize, usize>>),
+}
+
+fn invert(group: &[usize]) -> Inverse {
+    Inverse::Table(Arc::new(
+        group.iter().enumerate().map(|(l, &g)| (g, l)).collect(),
+    ))
 }
 
 impl Comm {
     /// The world communicator for `rank` (all ranks, identity mapping).
-    /// The group and its inverse are shared tables built once per world:
-    /// building them per rank was O(n²) memory, which at 65536 ranks is
-    /// fatal long before the compute is.
+    /// The group is a shared table built once per world: building it per
+    /// rank was O(n²) memory, which at 65536 ranks is fatal long before
+    /// the compute is.
     pub(crate) fn world(world: Arc<World>, rank: usize) -> Comm {
         let group = Arc::clone(&world.world_group);
-        let inverse = Arc::clone(&world.world_inverse);
         Comm {
             world,
             group,
-            inverse,
+            inverse: Inverse::Identity,
             rank,
             id: 0,
             coll_seq: Cell::new(0),
@@ -100,10 +111,12 @@ impl Comm {
     }
 
     fn local_of_global(&self, global: usize) -> usize {
-        *self
-            .inverse
-            .get(&global)
-            .expect("message from a rank outside this communicator")
+        match &self.inverse {
+            Inverse::Identity => global,
+            Inverse::Table(table) => *table
+                .get(&global)
+                .expect("message from a rank outside this communicator"),
+        }
     }
 
     /// Schedule-perturbation hook: a deterministic yield/delay at this
@@ -165,9 +178,10 @@ impl Comm {
         // Under virtual execution, price the message and stamp its
         // simulated arrival before delivery.
         let arrival = self.world.virtual_net.as_ref().map(|net| {
-            let mut clock = self.world.virtual_clocks[gsrc].lock();
-            let cost = net.p2p(gsrc, gdst, data.len() as u64, *clock);
-            *clock = clock.max(cost.sender_done);
+            let clock = &self.world.virtual_clocks[gsrc];
+            let ready = clock.get();
+            let cost = net.p2p(gsrc, gdst, data.len() as u64, ready);
+            clock.set(ready.max(cost.sender_done));
             cost.arrival
         });
         let msg = Message {
@@ -219,8 +233,7 @@ impl Comm {
     /// simulated arrival (no-op natively).
     fn observe_arrival(&self, arrival: Option<simnet::Time>) {
         if let Some(arr) = arrival {
-            let mut clock = self.world.virtual_clocks[self.group[self.rank]].lock();
-            *clock = clock.max(arr);
+            self.set_virtual_clock_at_least(arr);
         }
     }
 
@@ -511,7 +524,7 @@ impl Comm {
         Comm {
             world: Arc::clone(&self.world),
             group: Arc::clone(&self.group),
-            inverse: Arc::clone(&self.inverse),
+            inverse: self.inverse.clone(),
             rank: self.rank,
             id: mix32(self.id, seq, DUP_MARKER),
             coll_seq: Cell::new(0),
@@ -538,8 +551,7 @@ impl Comm {
         self.world
             .virtual_clocks
             .get(self.group[self.rank])
-            .map(|m| *m.lock())
-            .unwrap_or(simnet::Time::ZERO)
+            .map_or(simnet::Time::ZERO, crate::virt::Clock::get)
     }
 
     /// The world's virtual net, if executing virtually.
@@ -549,17 +561,15 @@ impl Comm {
 
     /// Adds `dt` to this rank's virtual clock (no-op natively).
     pub(crate) fn advance_virtual_clock(&self, dt: simnet::Time) {
-        if let Some(m) = self.world.virtual_clocks.get(self.group[self.rank]) {
-            let mut clock = m.lock();
-            *clock += dt;
+        if let Some(clock) = self.world.virtual_clocks.get(self.group[self.rank]) {
+            clock.set(clock.get() + dt);
         }
     }
 
     /// Raises this rank's virtual clock to at least `t`.
     pub(crate) fn set_virtual_clock_at_least(&self, t: simnet::Time) {
-        if let Some(m) = self.world.virtual_clocks.get(self.group[self.rank]) {
-            let mut clock = m.lock();
-            *clock = clock.max(t);
+        if let Some(clock) = self.world.virtual_clocks.get(self.group[self.rank]) {
+            clock.set(clock.get().max(t));
         }
     }
 

@@ -231,7 +231,11 @@ impl Drop for BatonGuard {
 }
 
 /// FIFO run queue of rank ids, shared by wakers and the engine draining
-/// it. Pushes coalesce: a rank already enqueued is not enqueued twice.
+/// it. The queue owns liveness: it only ever holds live (unfinished)
+/// ranks, each at most once — [`push`](RunQueue::push) drops wakes for
+/// finished or already-queued ranks, and [`finish`](RunQueue::finish)
+/// clears the finishing rank's own entry. Push and FIFO pop are O(1); a
+/// controller pick copies the ready set, so it is O(ready).
 pub(crate) struct RunQueue {
     state: Mutex<QueueState>,
 }
@@ -239,6 +243,21 @@ pub(crate) struct RunQueue {
 struct QueueState {
     queue: VecDeque<usize>,
     enqueued: Vec<bool>,
+    finished: Vec<bool>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Queue entries examined by pops, picks and finishes on this thread.
+    static EXAMINED: Cell<u64> = const { Cell::new(0) };
+    /// Wakes that actually enqueued a rank on this thread.
+    static PUSHES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Test-only complexity accounting: adds `n` to a per-thread counter.
+#[cfg(test)]
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>, n: usize) {
+    counter.with(|c| c.set(c.get() + n as u64));
 }
 
 impl RunQueue {
@@ -247,61 +266,79 @@ impl RunQueue {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(n),
                 enqueued: vec![false; n],
+                finished: vec![false; n],
             }),
         })
     }
 
     fn push(&self, rank: usize) {
         let mut st = self.state.lock();
-        if !st.enqueued[rank] {
+        if !st.enqueued[rank] && !st.finished[rank] {
             st.enqueued[rank] = true;
             st.queue.push_back(rank);
+            #[cfg(test)]
+            count(&PUSHES, 1);
         }
     }
 
     fn pop(&self) -> Option<usize> {
-        let mut st = self.state.lock();
-        let rank = st.queue.pop_front()?;
-        st.enqueued[rank] = false;
-        Some(rank)
+        self.pop_controlled(None)
     }
 
-    /// Pops the next rank to poll. Finished ranks (stale wakes) are
-    /// dropped first so a controller only ever chooses among live tasks;
-    /// with no controller — or fewer than two live candidates — this is
-    /// exactly FIFO [`pop`](RunQueue::pop).
-    fn pop_controlled(
-        &self,
-        ctl: Option<&Arc<dyn ScheduleController>>,
-        live: &dyn Fn(usize) -> bool,
-    ) -> Option<usize> {
+    /// Pops the next rank to poll: the controller's pick when one is
+    /// given and there is a real choice (two or more ready ranks), the
+    /// queue front otherwise.
+    fn pop_controlled(&self, ctl: Option<&Arc<dyn ScheduleController>>) -> Option<usize> {
         let mut st = self.state.lock();
-        let mut i = 0;
-        while i < st.queue.len() {
-            let r = st.queue[i];
-            if live(r) {
-                i += 1;
-            } else {
-                st.enqueued[r] = false;
-                st.queue.remove(i);
-            }
-        }
-        let idx = match ctl {
+        let rank = match ctl {
             Some(ctl) if st.queue.len() >= 2 => {
                 let ready: Vec<usize> = st.queue.iter().copied().collect();
+                #[cfg(test)]
+                count(&EXAMINED, ready.len());
                 let pick = ctl.pick_ready(&ready);
                 assert!(
                     pick < ready.len(),
                     "controller ready pick {pick} out of range (ready set of {})",
                     ready.len()
                 );
-                pick
+                st.queue.remove(pick)
             }
-            _ => 0,
-        };
-        let rank = st.queue.remove(idx)?;
+            _ => {
+                #[cfg(test)]
+                count(&EXAMINED, 1);
+                st.queue.pop_front()
+            }
+        }?;
         st.enqueued[rank] = false;
         Some(rank)
+    }
+
+    /// Marks `rank` finished: later wakes for it are dropped, and a wake
+    /// that already queued it (a self-wake during its final poll) is
+    /// cleared. Returns false if the rank had already finished.
+    fn finish(&self, rank: usize) -> bool {
+        let mut st = self.state.lock();
+        if std::mem::replace(&mut st.finished[rank], true) {
+            return false;
+        }
+        if std::mem::replace(&mut st.enqueued[rank], false) {
+            // The self-wake was pushed during the poll that just ended,
+            // so the entry sits at (or near) the back.
+            let idx = st.queue.iter().rposition(|&r| r == rank);
+            #[cfg(test)]
+            count(&EXAMINED, st.queue.len() - idx.unwrap_or(0));
+            st.queue
+                .remove(idx.expect("an enqueued rank is in the queue"));
+        }
+        true
+    }
+
+    /// The unfinished ranks, ascending.
+    fn live(&self) -> Vec<usize> {
+        let st = self.state.lock();
+        (0..st.finished.len())
+            .filter(|&r| !st.finished[r])
+            .collect()
     }
 }
 
@@ -426,10 +463,10 @@ where
         // drained polls only unwind, so their order is not a schedule
         // decision an explorer should enumerate.
         let step_ctl = if poisoned_drain { None } else { ctl.as_ref() };
-        while let Some(rank) = queue.pop_controlled(step_ctl, &|r| tasks[r].is_some()) {
-            let Some(task) = tasks[rank].as_mut() else {
-                continue;
-            };
+        while let Some(rank) = queue.pop_controlled(step_ctl) {
+            let task = tasks[rank]
+                .as_mut()
+                .expect("the run queue holds only live ranks");
             if let Some(ctl) = step_ctl {
                 ctl.note_step(rank);
             }
@@ -444,6 +481,7 @@ where
                 Ok(Poll::Pending) => {}
                 Ok(Poll::Ready(())) => {
                     tasks[rank] = None;
+                    queue.finish(rank);
                     remaining -= 1;
                     if let Some(insp) = &insp {
                         insp.finish(rank);
@@ -451,6 +489,7 @@ where
                 }
                 Err(e) => {
                     tasks[rank] = None;
+                    queue.finish(rank);
                     remaining -= 1;
                     let msg = panic_message(&*e).to_string();
                     match &insp {
@@ -471,7 +510,7 @@ where
         // The queue is empty with unfinished ranks: on a single-threaded
         // executor that is a definitive deadlock (wakes happen during
         // polls; none are in flight).
-        let blocked: Vec<usize> = (0..n).filter(|&r| tasks[r].is_some()).collect();
+        let blocked = queue.live();
         match &insp {
             None => panic!("{}", stall_message(world, &blocked)),
             Some(insp) => match check::diagnose(world, insp) {
@@ -550,39 +589,20 @@ where
         Some(Arc::clone(&explore.controller)),
     );
     if let Some(net) = net {
-        world.virtual_net = Some(net);
-        world.virtual_clocks = (0..n).map(|_| Mutex::new(Time::ZERO)).collect();
+        world.price_with(net);
     }
     let world = Arc::new(world);
     let (results, panics) = execute(&world, f);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank tasks completed");
-    let mut leftover = Vec::new();
-    for mb in &world.mailboxes {
-        leftover.extend(mb.inventory());
-    }
-    let (events, dropped) = inspector.drain_events();
-    let deadlock = inspector.poisoned();
-    (explore.sink)(RunLog {
-        n,
-        seed,
-        events,
-        dropped,
-        leftover,
-        deadlock: deadlock.clone(),
-    });
+    let log = world.run_log(&inspector, seed);
+    let deadlock = log.deadlock.clone();
+    (explore.sink)(log);
     if let Some(d) = deadlock {
         panic!("{}{d}", check::POISON_MARK);
     }
     if let Some((rank, msg)) = panics.first() {
         panic!("rank {rank} panicked: {msg}");
     }
-    let clocks = world
-        .virtual_clocks
-        .into_iter()
-        .map(Mutex::into_inner)
-        .collect();
+    let clocks = world.final_clocks();
     (results, clocks)
 }
 
@@ -633,18 +653,10 @@ where
         return (results, clocks);
     }
     let mut world = World::new(n, false, None);
-    world.virtual_net = Some(net);
-    world.virtual_clocks = (0..n).map(|_| Mutex::new(Time::ZERO)).collect();
+    world.price_with(net);
     let world = Arc::new(world);
     let (results, _) = execute(&world, &f);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank tasks completed");
-    let clocks = world
-        .virtual_clocks
-        .into_iter()
-        .map(Mutex::into_inner)
-        .collect();
+    let clocks = world.final_clocks();
     let results = results
         .into_iter()
         .map(|r| r.expect("uninstrumented cooperative runs panic on rank failure"))
@@ -667,32 +679,10 @@ where
     let inspector = Arc::new(check::Inspector::new(n, settings));
     let world = Arc::new(World::new(n, false, Some(Arc::clone(&inspector))));
     let (results, panics) = execute(&world, &f);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank tasks completed");
-    let mut leftover = Vec::new();
-    for mb in &world.mailboxes {
-        leftover.extend(mb.inventory());
-    }
-    let (events, dropped) = inspector.drain_events();
-    let deadlock = inspector.poisoned();
-    let complete = results.iter().all(Option::is_some);
     Checked {
-        results: complete.then(|| {
-            results
-                .into_iter()
-                .map(|r| r.expect("checked above"))
-                .collect()
-        }),
+        results: results.into_iter().collect(),
         panics,
-        log: RunLog {
-            n,
-            seed,
-            events,
-            dropped,
-            leftover,
-            deadlock,
-        },
+        log: world.run_log(&inspector, seed),
     }
 }
 
@@ -729,32 +719,10 @@ where
         Some(controller),
     ));
     let (results, panics) = execute(&world, &f);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank tasks completed");
-    let mut leftover = Vec::new();
-    for mb in &world.mailboxes {
-        leftover.extend(mb.inventory());
-    }
-    let (events, dropped) = inspector.drain_events();
-    let deadlock = inspector.poisoned();
-    let complete = results.iter().all(Option::is_some);
     Checked {
-        results: complete.then(|| {
-            results
-                .into_iter()
-                .map(|r| r.expect("checked above"))
-                .collect()
-        }),
+        results: results.into_iter().collect(),
         panics,
-        log: RunLog {
-            n,
-            seed,
-            events,
-            dropped,
-            leftover,
-            deadlock,
-        },
+        log: world.run_log(&inspector, seed),
     }
 }
 
@@ -795,7 +763,6 @@ pub(crate) struct Baton {
 struct BatonState {
     current: Option<usize>,
     running: bool,
-    finished: Vec<bool>,
     unfinished: usize,
     poison: Option<BatonPoison>,
 }
@@ -813,7 +780,6 @@ impl Baton {
             state: Mutex::new(BatonState {
                 current: None,
                 running: false,
-                finished: vec![false; n],
                 unfinished: n,
                 poison: None,
             }),
@@ -893,8 +859,7 @@ impl Baton {
         if st.current == Some(rank) {
             st.current = None;
         }
-        if !st.finished[rank] {
-            st.finished[rank] = true;
+        if self.queue.finish(rank) {
             st.unfinished -= 1;
         }
         if st.unfinished > 0 {
@@ -911,8 +876,7 @@ impl Baton {
         if st.current == Some(rank) {
             st.current = None;
         }
-        if !st.finished[rank] {
-            st.finished[rank] = true;
+        if self.queue.finish(rank) {
             st.unfinished -= 1;
         }
         if st.poison.is_none() {
@@ -937,25 +901,14 @@ impl Baton {
         }
     }
 
-    /// Grants the baton to the next queued unfinished rank; with an
-    /// empty queue and unfinished ranks, diagnoses the stall and poisons
-    /// the world (instant deadlock detection, same as the executor).
+    /// Grants the baton to the next queued rank; with an empty queue
+    /// and unfinished ranks, diagnoses the stall and poisons the world
+    /// (instant deadlock detection, same as the executor).
     fn grant_next(&self, st: &mut BatonState) {
-        while let Some(next) = self.queue.pop() {
-            if !st.finished[next] {
-                st.current = Some(next);
-                return;
-            }
-        }
-        if st.unfinished > 0 && st.poison.is_none() {
-            let blocked: Vec<usize> = st
-                .finished
-                .iter()
-                .enumerate()
-                .filter(|(_, &done)| !done)
-                .map(|(r, _)| r)
-                .collect();
-            st.poison = Some(BatonPoison::Stall((self.diag)(&blocked)));
+        if let Some(next) = self.queue.pop() {
+            st.current = Some(next);
+        } else if st.unfinished > 0 && st.poison.is_none() {
+            st.poison = Some(BatonPoison::Stall((self.diag)(&self.queue.live())));
         }
     }
 }
@@ -1110,19 +1063,23 @@ mod tests {
         assert_eq!(c_thread, c_coop, "virtual clocks must be byte-identical");
     }
 
-    /// Tentpole parity pin: a run driven by the trivial [`FifoController`]
-    /// must be byte-identical to the uncontrolled default — same results
-    /// and same virtual clocks (clocks are schedule-order-sensitive, so
-    /// equality here means the interleaving itself was identical).
+    /// Parity pin of the one-queue design: a run driven by the trivial
+    /// [`FifoController`] must be byte-identical to the uncontrolled
+    /// default — same results and same virtual clocks (clocks are
+    /// schedule-order-sensitive, so equality here means the interleaving
+    /// itself was identical). 256 ranks keeps hundreds of ranks ready at
+    /// once on both pop paths; the controller path is O(ready) per pick
+    /// by design, so no larger.
     #[test]
     fn fifo_controller_is_byte_identical_to_default() {
+        const RANKS: usize = 256;
         async fn body(comm: Comm) -> Vec<f64> {
             let mut x = vec![comm.rank() as f64 + 1.0; 3];
             comm.allreduce_async(&mut x, crate::reduce::Op::Sum).await;
             comm.v_sync_async().await;
             x
         }
-        let (r_plain, c_plain) = run_virtual_coop(4, Box::new(TestNet), body);
+        let (r_plain, c_plain) = run_virtual_coop(RANKS, Box::new(TestNet), body);
         let logs: Arc<Mutex<Vec<RunLog>>> = Arc::new(Mutex::new(Vec::new()));
         let sink_logs = Arc::clone(&logs);
         let guard = install_explore(ScopedExplore {
@@ -1130,7 +1087,7 @@ mod tests {
             settings: Settings::default(),
             sink: Arc::new(move |log| sink_logs.lock().push(log)),
         });
-        let (r_ctl, c_ctl) = run_virtual_coop(4, Box::new(TestNet), body);
+        let (r_ctl, c_ctl) = run_virtual_coop(RANKS, Box::new(TestNet), body);
         drop(guard);
         assert_eq!(r_plain, r_ctl);
         assert_eq!(
@@ -1144,6 +1101,62 @@ mod tests {
             "the controlled run hands its log to the sink"
         );
         assert!(logs[0].deadlock.is_none());
+    }
+
+    /// The run-queue invariant: only live ranks are queued. A wake for a
+    /// finished rank — including a self-wake during its final poll, which
+    /// is already queued when the rank finishes — is never yielded.
+    #[test]
+    fn run_queue_drops_stale_wakes() {
+        let q = RunQueue::new(3);
+        for rank in 0..3 {
+            q.push(rank);
+        }
+        assert_eq!(q.pop(), Some(0));
+        q.push(0); // self-wake during the final poll...
+        assert!(q.finish(0)); // ...which then completes
+        assert!(!q.finish(0), "a second finish is a no-op");
+        assert_eq!(q.pop(), Some(1));
+        q.push(0); // stale wake from a peer
+        q.push(1);
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), None, "rank 0 was never yielded again");
+        assert_eq!(q.live(), vec![1, 2]);
+    }
+
+    /// The same stale wake through the executor: the final poll of every
+    /// rank wakes itself before returning `Ready`.
+    #[test]
+    fn self_wake_during_final_poll_is_harmless() {
+        let out = run_coop(4, |comm| async move {
+            std::future::poll_fn(|cx| {
+                cx.waker().wake_by_ref();
+                Poll::Ready(())
+            })
+            .await;
+            comm.rank()
+        });
+        assert_eq!(out, vec![0, 1, 2, 3]);
+    }
+
+    /// Scheduling work is linear in wakes, by count rather than by
+    /// wall-clock: every FIFO pop examines one entry, so a 4096-rank
+    /// barrier examines at most twice as many queue entries as it pushes
+    /// (the parent's per-pop liveness scan examined ~n per pop).
+    #[test]
+    fn barrier_examines_linear_queue_entries() {
+        let (examined0, pushes0) = (EXAMINED.with(Cell::get), PUSHES.with(Cell::get));
+        run_coop(4096, |comm| async move {
+            comm.barrier_async().await;
+        });
+        let examined = EXAMINED.with(Cell::get) - examined0;
+        let pushes = PUSHES.with(Cell::get) - pushes0;
+        assert!(pushes >= 4096, "every rank is queued at least once");
+        assert!(
+            examined <= 2 * pushes,
+            "{examined} queue entries examined for {pushes} pushes"
+        );
     }
 
     /// A controller's wildcard pick really selects the matched message:

@@ -5,10 +5,14 @@
 //! guarantee by construction) and every message carries a global arrival
 //! sequence number, so wildcard receives fall back to a scan over lane
 //! fronts in true arrival order. Blocked receivers register in a
-//! posted-receive table; a matching send hands its message directly to the
-//! oldest matching posted receive and wakes *that receiver only* (each
-//! posted receive owns its condvar), replacing the previous linear rescans
-//! of one shared queue under `notify_all` thundering-herd wakeups.
+//! posted-receive table; a matching send fills the oldest matching posted
+//! receive in place, under the one mailbox lock, and wakes its receiver:
+//! the parked waker of a cooperative task, or the mailbox condvar when the
+//! owning rank's thread is parked on it. A mailbox is only ever waited on
+//! by the rank that owns it, so one condvar per mailbox wakes exactly the
+//! receiver — and a send to a world with no parked thread (every
+//! cooperative world) costs no allocation, no second lock and no
+//! `notify` syscall per receive.
 //!
 //! Posted receives may also carry a destination byte buffer sized to the
 //! expected message: a large send that finds such a posted receive encodes
@@ -64,44 +68,31 @@ pub(crate) fn deadlock_timeout() -> Duration {
 /// Lane address: (global source rank, packed comm id + tag).
 type LaneKey = (usize, u64);
 
+/// A nonempty FIFO lane of unexpected messages. Most lanes hold exactly
+/// one message between a send and its receive, so the front lives inline
+/// in the lane table and only a backlog behind it allocates.
+struct Lane {
+    front: Arrived,
+    rest: VecDeque<Arrived>,
+}
+
+impl Lane {
+    fn one(front: Arrived) -> Lane {
+        Lane {
+            front,
+            rest: VecDeque::new(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Arrived> {
+        std::iter::once(&self.front).chain(&self.rest)
+    }
+}
+
 /// A queued message stamped with its global arrival order.
 pub(crate) struct Arrived {
     seq: u64,
     msg: Message,
-}
-
-/// Hand-off cell owned by one posted receive. The sender fills it while
-/// holding the mailbox lock and wakes exactly this receiver.
-pub(crate) struct Handoff {
-    state: Mutex<HandoffState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct HandoffState {
-    /// The matched message, once a sender delivers it.
-    arrived: Option<Arrived>,
-    /// A rendezvous buffer returned unused (the message arrived through
-    /// the eager path instead); the receiver recycles it.
-    spare: Option<Vec<u8>>,
-    /// Waker of a cooperative task (or baton-serialised thread) blocked
-    /// on this slot; the sender takes and fires it on fill.
-    waker: Option<Waker>,
-}
-
-impl Handoff {
-    fn new() -> Arc<Handoff> {
-        Arc::new(Handoff {
-            state: Mutex::new(HandoffState::default()),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Whether a sender has filled this slot (the deadlock detector
-    /// probes this to rule out a wake already in flight).
-    pub(crate) fn has_arrived(&self) -> bool {
-        self.state.lock().arrived.is_some()
-    }
 }
 
 /// One entry in the posted-receive table.
@@ -109,15 +100,34 @@ struct PostedRecv {
     id: u64,
     filter: Match,
     /// Rendezvous destination: a buffer of exactly the expected encoded
-    /// size that a matching large send writes into directly.
+    /// size that a matching large send writes into directly. Still here
+    /// once `arrived` is set if the message came through the eager path
+    /// instead; the receiver recycles it.
     buf: Option<Vec<u8>>,
-    slot: Arc<Handoff>,
+    /// The matched message, once a sender delivers it. A filled entry
+    /// stays in the table, invisible to matching, until its receiver
+    /// collects it.
+    arrived: Option<Arrived>,
+    /// Waker of a cooperative task (or baton-serialised thread) blocked
+    /// on this receive; the sender takes and fires it on fill.
+    waker: Option<Waker>,
+}
+
+impl PostedRecv {
+    /// Completes this receive with its matched message and fires the
+    /// waker parked on it, if any.
+    fn fill(&mut self, arrived: Arrived) {
+        self.arrived = Some(arrived);
+        if let Some(w) = self.waker.take() {
+            w.wake();
+        }
+    }
 }
 
 #[derive(Default)]
 struct Inner {
     /// Per-(source, comm+tag) FIFO lanes of unexpected messages.
-    lanes: HashMap<LaneKey, VecDeque<Arrived>>,
+    lanes: HashMap<LaneKey, Lane>,
     /// Global arrival counter (stamps wildcard ordering).
     seq: u64,
     /// Queued message count across all lanes.
@@ -125,6 +135,10 @@ struct Inner {
     /// Posted receives in posting order (the MPI matching order).
     posted: Vec<PostedRecv>,
     next_posted_id: u64,
+    /// Threads parked on the mailbox condvar. Counted under this lock
+    /// just before a wait releases it, so a sender that fills a posted
+    /// receive knows whether anyone needs the signal.
+    parked: usize,
 }
 
 impl Inner {
@@ -144,22 +158,16 @@ impl Inner {
         let (key, candidates): (LaneKey, u32) = if filter.is_exact() {
             let src = filter.src.expect("exact filter");
             let tag = filter.tag.expect("exact filter");
-            let key = (src, crate::msg::pack_tag(filter.comm_id, tag));
-            if !self.lanes.contains_key(&key) {
-                return None;
-            }
-            (key, 1)
+            ((src, crate::msg::pack_tag(filter.comm_id, tag)), 1)
         } else if let Some((ctl, rank)) = ctl {
             // Controlled wildcard: materialise every matching lane front
             // in arrival order and let the controller pick. Index 0 (the
             // oldest) reproduces the default engine behaviour.
             let mut fronts: Vec<(u64, LaneKey)> = Vec::new();
-            for ((src, full_tag), q) in &self.lanes {
-                let Some(front) = q.front() else { continue };
-                if !filter.accepts_parts(*src, *full_tag) {
-                    continue;
+            for ((src, full_tag), lane) in &self.lanes {
+                if filter.accepts_parts(*src, *full_tag) {
+                    fronts.push((lane.front.seq, (*src, *full_tag)));
                 }
-                fronts.push((front.seq, (*src, *full_tag)));
             }
             if fronts.is_empty() {
                 return None;
@@ -191,33 +199,30 @@ impl Inner {
             // among matching lanes' fronts (lanes are FIFO).
             let mut candidates = 0u32;
             let mut best: Option<(LaneKey, u64)> = None;
-            for ((src, full_tag), q) in &self.lanes {
-                let Some(front) = q.front() else { continue };
+            for ((src, full_tag), lane) in &self.lanes {
                 if !filter.accepts_parts(*src, *full_tag) {
                     continue;
                 }
                 candidates += 1;
                 let older = match best {
                     None => true,
-                    Some((_, seq)) => front.seq < seq,
+                    Some((_, seq)) => lane.front.seq < seq,
                 };
                 if older {
-                    best = Some(((*src, *full_tag), front.seq));
+                    best = Some(((*src, *full_tag), lane.front.seq));
                 }
             }
             (best?.0, candidates)
         };
-        match self.lanes.entry(key) {
-            Entry::Occupied(mut lane) => {
-                let arrived = lane.get_mut().pop_front()?;
-                if lane.get().is_empty() {
-                    lane.remove();
-                }
-                self.queued -= 1;
-                Some((arrived, candidates))
-            }
-            Entry::Vacant(_) => None,
-        }
+        let Entry::Occupied(mut lane) = self.lanes.entry(key) else {
+            return None;
+        };
+        let arrived = match lane.get_mut().rest.pop_front() {
+            Some(next) => std::mem::replace(&mut lane.get_mut().front, next),
+            None => lane.remove().front,
+        };
+        self.queued -= 1;
+        Some((arrived, candidates))
     }
 
     /// Reinserts a previously-matched message at the front of its lane;
@@ -225,75 +230,107 @@ impl Inner {
     /// valid for a message that was the oldest match of its filter (which
     /// every [`take_queued`](Inner::take_queued)/hand-off result is).
     fn requeue_front(&mut self, arrived: Arrived) {
-        let key = (arrived.msg.src, arrived.msg.full_tag);
-        self.lanes.entry(key).or_default().push_front(arrived);
+        match self.lanes.entry((arrived.msg.src, arrived.msg.full_tag)) {
+            Entry::Occupied(mut lane) => {
+                let lane = lane.get_mut();
+                let second = std::mem::replace(&mut lane.front, arrived);
+                lane.rest.push_front(second);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Lane::one(arrived));
+            }
+        }
         self.queued += 1;
     }
 
-    /// Registers a posted receive and returns its table id.
-    fn register(&mut self, filter: Match, buf: Option<Vec<u8>>, slot: Arc<Handoff>) -> u64 {
+    /// Registers a posted receive and returns its claim ticket.
+    fn register(&mut self, filter: Match, buf: Option<Vec<u8>>) -> Ticket {
         let id = self.next_posted_id;
         self.next_posted_id += 1;
+        if self.posted.capacity() == 0 {
+            // A rank nearly always has exactly one receive posted; the
+            // first growth of a `Vec` would take four entries per mailbox.
+            self.posted.reserve_exact(1);
+        }
         self.posted.push(PostedRecv {
             id,
             filter,
             buf,
-            slot,
+            arrived: None,
+            waker: None,
         });
-        id
+        Ticket { id }
     }
 
-    /// Removes a posted receive by id; false if a sender already matched
-    /// (and therefore filled) it.
-    fn deregister(&mut self, id: u64) -> bool {
-        match self.posted.iter().position(|p| p.id == id) {
-            Some(idx) => {
-                self.posted.remove(idx);
-                true
-            }
-            None => false,
-        }
+    /// The oldest unfilled posted receive accepting `(src, full_tag)` —
+    /// the one MPI matching would pick.
+    fn oldest_posted(&mut self, src: usize, full_tag: u64) -> Option<&mut PostedRecv> {
+        self.posted
+            .iter_mut()
+            .find(|p| p.arrived.is_none() && p.filter.accepts_parts(src, full_tag))
     }
 
-    /// Delivers `arrived` to the oldest matching posted receive, if any.
-    /// Must be called before lane insertion so posted receives match in
-    /// MPI order. Fills the hand-off (returning any unused rendezvous
-    /// buffer with it) and wakes exactly that receiver.
-    fn try_handoff(&mut self, arrived: Arrived) -> Result<(), Arrived> {
-        let Some(idx) = self
-            .posted
+    /// Table index of the posted receive behind `ticket`.
+    fn index_of(&self, ticket: &Ticket) -> usize {
+        self.posted
             .iter()
-            .position(|p| p.filter.accepts(&arrived.msg))
-        else {
-            return Err(arrived);
-        };
-        let p = self.posted.remove(idx);
-        let mut st = p.slot.state.lock();
-        st.arrived = Some(arrived);
-        st.spare = p.buf;
-        let waker = st.waker.take();
-        drop(st);
-        if let Some(w) = waker {
-            w.wake();
-        }
-        p.slot.ready.notify_one();
-        Ok(())
+            .position(|p| p.id == ticket.id)
+            .expect("a posted receive stays in the table until its ticket resolves")
     }
 
-    fn enqueue(&mut self, msg: Message) {
+    /// Removes the posted receive behind `ticket` and returns it.
+    fn withdraw(&mut self, ticket: &Ticket) -> PostedRecv {
+        let idx = self.index_of(ticket);
+        self.posted.remove(idx)
+    }
+
+    /// Collects the posted receive behind `ticket` if a sender has filled
+    /// it: the message and the rendezvous buffer it did not use, if any.
+    /// Otherwise parks `waker` (a task's; threads park on the condvar) in
+    /// the entry and returns `None`.
+    fn collect(
+        &mut self,
+        ticket: &Ticket,
+        waker: Option<&Waker>,
+    ) -> Option<(Arrived, Option<Vec<u8>>)> {
+        let idx = self.index_of(ticket);
+        if self.posted[idx].arrived.is_none() {
+            self.posted[idx].waker = waker.cloned();
+            return None;
+        }
+        let p = self.posted.remove(idx);
+        Some((p.arrived.expect("checked above"), p.buf))
+    }
+
+    /// Delivers `msg`: to the oldest matching posted receive if there is
+    /// one (before lane insertion, so posted receives match in MPI
+    /// order), else onto its lane. Returns whether to signal the condvar.
+    fn enqueue(&mut self, msg: Message) -> bool {
         self.seq += 1;
         let arrived = Arrived { seq: self.seq, msg };
-        if let Err(arrived) = self.try_handoff(arrived) {
-            let key = (arrived.msg.src, arrived.msg.full_tag);
-            self.lanes.entry(key).or_default().push_back(arrived);
-            self.queued += 1;
+        if let Some(posted) = self.oldest_posted(arrived.msg.src, arrived.msg.full_tag) {
+            posted.fill(arrived);
+            return self.parked > 0;
         }
+        match self.lanes.entry((arrived.msg.src, arrived.msg.full_tag)) {
+            Entry::Occupied(mut lane) => lane.get_mut().rest.push_back(arrived),
+            Entry::Vacant(slot) => {
+                slot.insert(Lane::one(arrived));
+            }
+        }
+        self.queued += 1;
+        false
     }
 }
 
 /// A rank's incoming-message queue (see the module docs).
 pub(crate) struct Mailbox {
     inner: Mutex<Inner>,
+    /// Signalled when a posted receive is filled while a thread is parked.
+    /// `notify_all`, since every waiter re-checks its own ticket: the one
+    /// waiter is normally the owning rank's thread, but a communicator
+    /// moved to a helper thread could add a second.
+    ready: Condvar,
     /// The owning rank (0 for standalone test mailboxes).
     rank: usize,
     /// Instrumentation registry of a checked run, if any.
@@ -316,7 +353,6 @@ pub(crate) enum PostedHandle {
 /// Claim ticket for a pending posted receive.
 pub(crate) struct Ticket {
     id: u64,
-    slot: Arc<Handoff>,
 }
 
 impl Mailbox {
@@ -335,6 +371,7 @@ impl Mailbox {
     ) -> Mailbox {
         Mailbox {
             inner: Mutex::new(Inner::default()),
+            ready: Condvar::new(),
             rank,
             inspector,
             controller,
@@ -362,14 +399,13 @@ impl Mailbox {
         let mut out: Vec<LaneInfo> = inner
             .lanes
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|((src, full_tag), q)| LaneInfo {
+            .map(|((src, full_tag), lane)| LaneInfo {
                 dst: self.rank,
                 src: *src,
                 comm: (full_tag >> 32) as u32,
                 tag: (full_tag & 0xFFFF_FFFF) as u32,
-                queued: q.len(),
-                bytes: q.iter().map(|a| a.msg.data.len()).sum(),
+                queued: 1 + lane.rest.len(),
+                bytes: lane.iter().map(|a| a.msg.data.len()).sum(),
             })
             .collect();
         out.sort_by_key(|l| (l.src, l.comm, l.tag));
@@ -396,7 +432,21 @@ impl Mailbox {
     /// Delivers a message (called from the sending rank's thread): direct
     /// hand-off to the oldest matching posted receive, else lane-enqueue.
     pub fn push(&self, msg: Message) {
-        self.inner.lock().enqueue(msg);
+        let signal = self.inner.lock().enqueue(msg);
+        if signal {
+            self.ready.notify_all();
+        }
+    }
+
+    /// Whether a sender has filled the posted receive behind ticket `id`
+    /// (the deadlock detector probes this to rule out a wake already in
+    /// flight). False once the receive has been collected or cancelled.
+    pub(crate) fn ticket_filled(&self, id: u64) -> bool {
+        let inner = self.inner.lock();
+        inner
+            .posted
+            .iter()
+            .any(|p| p.id == id && p.arrived.is_some())
     }
 
     /// Rendezvous fast path for large typed sends: if the oldest posted
@@ -419,24 +469,19 @@ impl Mailbox {
     ) -> bool {
         let bytes = words.len() * T::SIZE;
         let mut inner = self.inner.lock();
+        let seq = inner.seq + 1;
         // The *oldest* matching entry is the one MPI matching would pick;
         // if it cannot take a rendezvous delivery we must not skip past it.
-        let Some(idx) = inner
-            .posted
-            .iter()
-            .position(|p| p.filter.accepts_parts(src, full_tag))
-        else {
+        let Some(posted) = inner.oldest_posted(src, full_tag) else {
             return false;
         };
-        if inner.posted[idx].buf.as_ref().map(Vec::len) != Some(bytes) {
+        if posted.buf.as_ref().map(Vec::len) != Some(bytes) {
             return false;
         }
-        let p = inner.posted.remove(idx);
-        let mut buf = p.buf.expect("checked above");
+        let mut buf = posted.buf.take().expect("checked above");
         T::encode_slice(words, &mut buf);
-        inner.seq += 1;
         let arrived = Arrived {
-            seq: inner.seq,
+            seq,
             msg: Message {
                 src,
                 full_tag,
@@ -444,14 +489,13 @@ impl Mailbox {
                 arrival,
             },
         };
-        let mut st = p.slot.state.lock();
-        st.arrived = Some(arrived);
-        let waker = st.waker.take();
-        drop(st);
-        if let Some(w) = waker {
-            w.wake();
+        posted.fill(arrived);
+        inner.seq = seq;
+        let signal = inner.parked > 0;
+        drop(inner);
+        if signal {
+            self.ready.notify_all();
         }
-        p.slot.ready.notify_one();
         true
     }
 
@@ -464,11 +508,10 @@ impl Mailbox {
         if let Some((arrived, candidates)) = inner.take_queued(filter, self.ctl()) {
             return PostedHandle::Ready(arrived, candidates);
         }
-        let slot = Handoff::new();
-        let id = inner.register(filter, buf, Arc::clone(&slot));
+        let ticket = inner.register(filter, buf);
         drop(inner);
         self.note_touch();
-        PostedHandle::Pending(Ticket { id, slot })
+        PostedHandle::Pending(ticket)
     }
 
     /// Cancels a posted receive. Any message it already matched is put
@@ -497,7 +540,6 @@ impl Mailbox {
         if let Some((baton, rank)) = crate::coop::current_baton() {
             return self.wait_ticket_baton(ticket, filter, &baton, rank);
         }
-        let Ticket { id, slot } = ticket;
         if let Some(insp) = &self.inspector {
             insp.begin_wait(
                 self.rank,
@@ -506,15 +548,14 @@ impl Mailbox {
                     src: filter.src,
                     tag: filter.tag,
                 },
-                Some(Arc::clone(&slot)),
+                Some(ticket.id),
             );
         }
         let mut waited = Duration::ZERO;
-        let mut st = slot.state.lock();
+        let mut inner = self.inner.lock();
         loop {
-            if let Some(arrived) = st.arrived.take() {
-                let spare = st.spare.take();
-                drop(st);
+            if let Some((arrived, spare)) = inner.collect(&ticket, None) {
+                drop(inner);
                 if let Some(insp) = &self.inspector {
                     insp.end_wait(self.rank);
                 }
@@ -526,60 +567,54 @@ impl Mailbox {
             }
             if let Some(insp) = &self.inspector {
                 if let Some(diagnosis) = insp.poisoned() {
-                    drop(st);
-                    self.inner.lock().deregister(id);
+                    inner.withdraw(&ticket);
+                    drop(inner);
                     panic!("{}{diagnosis}", crate::check::POISON_MARK);
                 }
             }
             let timeout = deadlock_timeout();
+            if waited >= timeout {
+                // Still unmatched after the timeout: declare deadlock.
+                inner.withdraw(&ticket);
+                let queued = inner.queued;
+                drop(inner);
+                let mut lanes = String::new();
+                for lane in self.inventory() {
+                    lanes.push_str("\n  ");
+                    lanes.push_str(&lane.to_string());
+                }
+                panic!(
+                    "mp: rank {} waited {}s for a message matching {filter:?}; \
+                     likely deadlock ({} unmatched messages queued{}{}). Tune via \
+                     MP_DEADLOCK_TIMEOUT_SECS.",
+                    self.rank,
+                    timeout.as_secs(),
+                    queued,
+                    if lanes.is_empty() { "" } else { ":" },
+                    lanes,
+                );
+            }
             let slice = if self.inspector.is_some() {
                 INSTRUMENTED_WAIT_SLICE.min(timeout)
             } else {
                 timeout
             };
-            if slot.ready.wait_for(&mut st, slice).timed_out() {
+            inner.parked += 1;
+            let timed_out = self.ready.wait_for(&mut inner, slice).timed_out();
+            inner.parked -= 1;
+            if timed_out {
                 waited += slice;
-                if waited < timeout {
-                    continue;
-                }
-                drop(st);
-                let mut inner = self.inner.lock();
-                if inner.deregister(id) {
-                    // Still unmatched after the timeout: declare deadlock.
-                    let queued = inner.queued;
-                    drop(inner);
-                    let mut lanes = String::new();
-                    for lane in self.inventory() {
-                        lanes.push_str("\n  ");
-                        lanes.push_str(&lane.to_string());
-                    }
-                    panic!(
-                        "mp: rank {} waited {}s for a message matching {filter:?}; \
-                         likely deadlock ({} unmatched messages queued{}{}). Tune via \
-                         MP_DEADLOCK_TIMEOUT_SECS.",
-                        self.rank,
-                        timeout.as_secs(),
-                        queued,
-                        if lanes.is_empty() { "" } else { ":" },
-                        lanes,
-                    );
-                }
-                // A sender matched us concurrently with the timeout; the
-                // fill happened under the mailbox lock we just held, so
-                // the hand-off is complete.
-                drop(inner);
-                st = slot.state.lock();
             }
         }
     }
 
-    /// Baton-serialised wait: instead of parking on the hand-off condvar
+    /// Baton-serialised wait: instead of parking on the mailbox condvar
     /// (which would wedge the whole serialised world — no other rank
     /// thread may run until this one yields), install a queue waker and
     /// hand the baton over. Re-granted only after a sender fills the
-    /// slot and fires the waker; no lost wakeup is possible because the
-    /// fill happens under the slot lock and no peer thread runs between
-    /// the waker install and the baton hand-over.
+    /// posted receive and fires the waker; no lost wakeup is possible
+    /// because the fill happens under the mailbox lock and no peer thread
+    /// runs between the waker install and the baton hand-over.
     fn wait_ticket_baton(
         &self,
         ticket: Ticket,
@@ -587,17 +622,13 @@ impl Mailbox {
         baton: &Arc<crate::coop::Baton>,
         rank: usize,
     ) -> (Message, Option<Vec<u8>>) {
-        let Ticket { id: _, slot } = ticket;
+        let waker = baton.waker_for(rank);
         loop {
-            let mut st = slot.state.lock();
-            if let Some(arrived) = st.arrived.take() {
-                let spare = st.spare.take();
-                drop(st);
+            let collected = self.inner.lock().collect(&ticket, Some(&waker));
+            if let Some((arrived, spare)) = collected {
                 self.record_recv(&arrived, filter, 1);
                 return (arrived.msg, spare);
             }
-            st.waker = Some(baton.waker_for(rank));
-            drop(st);
             baton.block_current(rank);
         }
     }
@@ -619,11 +650,9 @@ impl Mailbox {
             self.record_recv(&arrived, filter, candidates);
             return (arrived.msg, buf);
         }
-        let slot = Handoff::new();
-        let id = inner.register(filter, buf, Arc::clone(&slot));
+        let ticket = inner.register(filter, buf);
         drop(inner);
         self.note_touch();
-        let ticket = Ticket { id, slot };
         if crate::coop::in_coop() {
             TicketWait::new(self, ticket, filter).await
         } else {
@@ -679,14 +708,8 @@ impl Mailbox {
     /// original arrival stamp preserved), exactly as if it had never been
     /// matched.
     pub fn cancel_ticket(&self, ticket: Ticket) {
-        let Ticket { id, slot } = ticket;
         let mut inner = self.inner.lock();
-        if inner.deregister(id) {
-            return;
-        }
-        let mut st = slot.state.lock();
-        if let Some(arrived) = st.arrived.take() {
-            drop(st);
+        if let Some(arrived) = inner.withdraw(&ticket).arrived {
             inner.requeue_front(arrived);
         }
     }
@@ -712,9 +735,9 @@ impl Mailbox {
 /// The cooperative executor's blocking point: a future that resolves
 /// when the posted receive behind `ticket` is matched. Each poll checks
 /// the detector poison first and publishes the wait edge *before*
-/// probing the slot (the same lock order `check::diagnose` uses —
-/// rank-state, then slot — so the two can never deadlock each other),
-/// then either takes the arrival or parks its waker in the slot.
+/// probing the posted receive (rank-state and mailbox locks are never
+/// held together, here or in `check::diagnose`), then either takes the
+/// arrival or parks its waker in the table entry.
 /// Dropping an unresolved wait cancels the posting, requeueing any
 /// message it had already matched.
 struct TicketWait<'a> {
@@ -742,8 +765,8 @@ impl Future for TicketWait<'_> {
         let this = self.get_mut();
         if let Some(insp) = &this.mailbox.inspector {
             if let Some(diagnosis) = insp.poisoned() {
-                let Ticket { id, .. } = this.ticket.take().expect("polled after completion");
-                this.mailbox.inner.lock().deregister(id);
+                let ticket = this.ticket.take().expect("polled after completion");
+                this.mailbox.inner.lock().withdraw(&ticket);
                 panic!("{}{diagnosis}", crate::check::POISON_MARK);
             }
             if !this.registered_wait {
@@ -755,16 +778,14 @@ impl Future for TicketWait<'_> {
                         src: this.filter.src,
                         tag: this.filter.tag,
                     },
-                    Some(Arc::clone(&ticket.slot)),
+                    Some(ticket.id),
                 );
                 this.registered_wait = true;
             }
         }
         let ticket = this.ticket.as_ref().expect("polled after completion");
-        let mut st = ticket.slot.state.lock();
-        if let Some(arrived) = st.arrived.take() {
-            let spare = st.spare.take();
-            drop(st);
+        let collected = this.mailbox.inner.lock().collect(ticket, Some(cx.waker()));
+        if let Some((arrived, spare)) = collected {
             if this.registered_wait {
                 if let Some(insp) = &this.mailbox.inspector {
                     insp.end_wait(this.mailbox.rank);
@@ -776,8 +797,6 @@ impl Future for TicketWait<'_> {
             this.ticket = None;
             return Poll::Ready((arrived.msg, spare));
         }
-        st.waker = Some(cx.waker().clone());
-        drop(st);
         Poll::Pending
     }
 }

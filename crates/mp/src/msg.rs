@@ -43,12 +43,6 @@ pub(crate) struct Match {
 }
 
 impl Match {
-    /// Whether `msg` satisfies this filter.
-    #[inline]
-    pub fn accepts(&self, msg: &Message) -> bool {
-        self.accepts_parts(msg.src, msg.full_tag)
-    }
-
     /// Whether a message with the given envelope (global source + packed
     /// tag) satisfies this filter — the key-level form the indexed mailbox
     /// matches lanes and posted receives against without needing a
@@ -100,7 +94,7 @@ mod tests {
             src: Some(3),
             tag: Some(42),
         };
-        assert!(f.accepts(&m));
+        assert!(f.accepts_parts(m.src, m.full_tag));
     }
 
     #[test]
@@ -111,7 +105,7 @@ mod tests {
             src: None,
             tag: None,
         };
-        assert!(!f.accepts(&m));
+        assert!(!f.accepts_parts(m.src, m.full_tag));
     }
 
     #[test]
@@ -122,31 +116,31 @@ mod tests {
             src: None,
             tag: Some(42)
         }
-        .accepts(&m));
+        .accepts_parts(m.src, m.full_tag));
         assert!(Match {
             comm_id: 7,
             src: Some(3),
             tag: None
         }
-        .accepts(&m));
+        .accepts_parts(m.src, m.full_tag));
         assert!(Match {
             comm_id: 7,
             src: None,
             tag: None
         }
-        .accepts(&m));
+        .accepts_parts(m.src, m.full_tag));
         assert!(!Match {
             comm_id: 7,
             src: Some(4),
             tag: None
         }
-        .accepts(&m));
+        .accepts_parts(m.src, m.full_tag));
         assert!(!Match {
             comm_id: 7,
             src: None,
             tag: Some(41)
         }
-        .accepts(&m));
+        .accepts_parts(m.src, m.full_tag));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::check::{self, Checked, Inspector, RunLog, Settings};
 use crate::comm::Comm;
 use crate::mailbox::Mailbox;
 use crate::msg::Message;
-use crate::virt::VirtualNet;
+use crate::virt::{Clock, VirtualNet};
 
 /// Default per-rank thread stack: far below the 8 MiB thread default —
 /// rank bodies here are benchmark kernels, not deep recursions — so a
@@ -126,8 +126,6 @@ pub(crate) struct World {
     /// ranks is the difference between one 512 KiB table and an O(n²)
     /// allocation storm.
     pub world_group: Arc<Vec<usize>>,
-    /// Global rank -> local rank inverse of `world_group`.
-    pub world_inverse: Arc<HashMap<usize, usize>>,
     /// When tracing, every point-to-point payload is recorded here as a
     /// (global src, global dst, bytes) transfer.
     pub trace: Option<Mutex<Vec<Transfer>>>,
@@ -139,7 +137,7 @@ pub(crate) struct World {
     /// Virtual-execution pricing model (None for native runs).
     pub virtual_net: Option<Box<dyn VirtualNet>>,
     /// Per-rank virtual clocks (empty for native runs).
-    pub virtual_clocks: Vec<Mutex<Time>>,
+    pub virtual_clocks: Vec<Clock>,
     /// Instrumentation registry of a checked run (None otherwise).
     pub inspector: Option<Arc<Inspector>>,
     /// Schedule controller of a controlled cooperative run (None
@@ -165,8 +163,6 @@ impl World {
         controller: Option<Arc<dyn crate::coop::ScheduleController>>,
     ) -> World {
         let world_group: Arc<Vec<usize>> = Arc::new((0..n).collect());
-        let world_inverse: Arc<HashMap<usize, usize>> =
-            Arc::new(world_group.iter().map(|&g| (g, g)).collect());
         World {
             n,
             mailboxes: (0..n)
@@ -175,7 +171,6 @@ impl World {
                 })
                 .collect(),
             world_group,
-            world_inverse,
             trace: traced.then(|| Mutex::new(Vec::new())),
             rendezvous: Mutex::new(HashMap::new()),
             rendezvous_cv: Condvar::new(),
@@ -185,6 +180,33 @@ impl World {
             controller,
             remote: None,
         }
+    }
+
+    /// Switches the world to virtual execution: every message is priced
+    /// by `net` against per-rank clocks starting at zero.
+    pub(crate) fn price_with(&mut self, net: Box<dyn VirtualNet>) {
+        self.virtual_net = Some(net);
+        self.virtual_clocks = (0..self.n).map(|_| Clock::default()).collect();
+    }
+
+    /// The run log of a finished instrumented world: its event rings, the
+    /// unmatched traffic left in its mailboxes and, if it stalled, the
+    /// deadlock diagnosis.
+    pub(crate) fn run_log(&self, inspector: &Inspector, seed: u64) -> RunLog {
+        let (events, dropped) = inspector.drain_events();
+        RunLog {
+            n: self.n,
+            seed,
+            events,
+            dropped,
+            leftover: self.mailboxes.iter().flat_map(Mailbox::inventory).collect(),
+            deadlock: inspector.poisoned(),
+        }
+    }
+
+    /// The per-rank virtual clocks, read once every rank has finished.
+    pub(crate) fn final_clocks(&self) -> Vec<Time> {
+        self.virtual_clocks.iter().map(Clock::get).collect()
     }
 
     /// Delivers `msg` to global rank `dst`, recording it if tracing.
@@ -345,8 +367,7 @@ where
     assert!(n > 0, "an SPMD world needs at least one rank");
     crate::transport::assert_no_session("run_virtual");
     let mut world = World::new(n, false, None);
-    world.virtual_net = Some(net);
-    world.virtual_clocks = (0..n).map(|_| Mutex::new(Time::ZERO)).collect();
+    world.price_with(net);
     let world = Arc::new(world);
     let f = &f;
     let diag_world = Arc::clone(&world);
@@ -416,15 +437,7 @@ where
     if let Some(stall) = baton.take_stall() {
         panic!("{stall}");
     }
-    drop(baton);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank threads joined");
-    let clocks = world
-        .virtual_clocks
-        .into_iter()
-        .map(Mutex::into_inner)
-        .collect();
+    let clocks = world.final_clocks();
     let results = results
         .drain(..)
         .map(|r| r.expect("no panic and no stall, so every rank completed"))
@@ -666,15 +679,6 @@ where
         done.store(true, Ordering::Release);
         outcomes
     });
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank threads joined");
-    let mut leftover = Vec::new();
-    for mb in &world.mailboxes {
-        leftover.extend(mb.inventory());
-    }
-    let (events, dropped) = inspector.drain_events();
-    let deadlock = inspector.poisoned();
     let mut results = Vec::with_capacity(n);
     let mut panics = Vec::new();
     let mut complete = true;
@@ -695,14 +699,7 @@ where
     Checked {
         results: complete.then_some(results),
         panics,
-        log: RunLog {
-            n,
-            seed,
-            events,
-            dropped,
-            leftover,
-            deadlock,
-        },
+        log: world.run_log(&inspector, seed),
     }
 }
 

@@ -22,6 +22,8 @@
 //! reservation timelines (see `simnet::resource`) and produce
 //! byte-identical per-rank clocks — run to run and engine to engine.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use simnet::schedule::P2pCost;
 use simnet::Time;
 
@@ -41,6 +43,23 @@ pub trait VirtualNet: Send + Sync {
 
     /// Prices a memory-streaming phase of `bytes` on one rank.
     fn stream(&self, bytes: f64) -> Time;
+}
+
+/// One rank's virtual clock. Only the owning rank writes it (sends
+/// charge the sender, receives advance the receiver) and the value
+/// publishes no other data, so relaxed loads and stores suffice; whoever
+/// reads the final clocks has joined or finished every rank first.
+#[derive(Default)]
+pub(crate) struct Clock(AtomicU64);
+
+impl Clock {
+    pub(crate) fn get(&self) -> Time {
+        Time::from_secs(f64::from_bits(self.0.load(Ordering::Relaxed)))
+    }
+
+    pub(crate) fn set(&self, t: Time) {
+        self.0.store(t.as_secs().to_bits(), Ordering::Relaxed);
+    }
 }
 
 /// Runs `f` as an SPMD program over `n` ranks on the virtual fabric

@@ -10,7 +10,7 @@
 
 use crate::resource::Resource;
 use crate::time::Time;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{LinkId, NodeId, Topology};
 
 /// Bandwidth/latency parameters of a fabric.
 #[derive(Clone, Copy, Debug)]
@@ -81,6 +81,9 @@ pub struct Fabric {
     inject: Vec<Resource>,
     eject: Vec<Resource>,
     links: Vec<Resource>,
+    /// Route of the message being priced; one buffer reused by every
+    /// [`transfer`](Fabric::transfer) so pricing allocates nothing.
+    route: Vec<LinkId>,
     transfers: u64,
     bytes: f64,
 }
@@ -105,6 +108,7 @@ impl Fabric {
             inject,
             eject,
             links,
+            route: Vec::new(),
             transfers: 0,
             bytes: 0.0,
         }
@@ -136,14 +140,15 @@ impl Fabric {
     /// Panics if `src == dst`; intra-node traffic never touches the fabric.
     pub fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, ready: Time) -> Time {
         assert_ne!(src, dst, "intra-node traffic must not enter the fabric");
-        let route = self.topo.route(src, dst);
+        self.route.clear();
+        self.topo.route_into(src, dst, &mut self.route);
         let latency = self.latency(src, dst);
 
         // Cut-through pipeline: the head of the message proceeds to the next
         // resource as soon as the previous one starts serving; each resource
         // is occupied for its full serialisation time.
         let (mut head, mut done) = self.inject[src].reserve(ready, bytes);
-        for l in route {
+        for &l in &self.route {
             let (s, e) = self.links[l].reserve(head, bytes);
             head = s;
             done = done.max(e);

@@ -89,19 +89,16 @@ impl Topology for Clos {
         1.0
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
         assert!(src < self.n && dst < self.n, "node out of range");
-        if src == dst {
-            return Vec::new();
-        }
         let (es, ed) = (self.edge_of(src), self.edge_of(dst));
         if es == ed {
             // Same edge crossbar: non-blocking, no spine traversal.
-            return Vec::new();
+            return;
         }
         // Deterministic, direction-symmetric spine selection.
         let m = (src + dst) % self.num_middle;
-        vec![self.up(es, m), self.dn(ed, m)]
+        route.extend([self.up(es, m), self.dn(ed, m)]);
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

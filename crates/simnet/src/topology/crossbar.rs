@@ -40,9 +40,8 @@ impl Topology for Crossbar {
         1.0
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, _route: &mut Vec<LinkId>) {
         assert!(src < self.n && dst < self.n, "node out of range");
-        Vec::new()
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

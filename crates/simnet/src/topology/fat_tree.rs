@@ -141,25 +141,25 @@ impl Topology for FatTree {
         }
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
         assert!(src < self.n && dst < self.n, "node out of range");
-        if src == dst {
-            return Vec::new();
-        }
-        let mut up_path = Vec::new();
-        let mut down_path = Vec::new();
+        // Up from `src` to the common ancestor, then the way up from
+        // `dst` walked backwards.
         let (mut a, mut b) = (src, dst);
         let mut level = 0;
         while a != b {
-            up_path.push(self.up(level, a));
-            down_path.push(self.down(level, b));
+            route.push(self.up(level, a));
             a /= self.arity;
             b /= self.arity;
             level += 1;
         }
-        down_path.reverse();
-        up_path.extend(down_path);
-        up_path
+        let top = route.len();
+        let mut b = dst;
+        for l in 0..level {
+            route.push(self.down(l, b));
+            b /= self.arity;
+        }
+        route[top..].reverse();
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

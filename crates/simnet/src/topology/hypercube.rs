@@ -62,20 +62,18 @@ impl Topology for Hypercube {
         1.0
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
         assert!(src < self.n && dst < self.n, "node out of range");
         let mut cur = src;
-        let mut path = Vec::with_capacity((src ^ dst).count_ones() as usize);
         // Dimension-ordered (e-cube) routing: correct bits lowest-first.
         for dim in 0..self.dims {
             let bit = 1usize << dim;
             if (cur ^ dst) & bit != 0 {
-                path.push(self.link(cur, dim));
+                route.push(self.link(cur, dim));
                 cur ^= bit;
             }
         }
         debug_assert_eq!(cur, dst);
-        path
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

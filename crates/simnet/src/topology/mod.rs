@@ -41,9 +41,18 @@ pub trait Topology: Send + Sync {
     /// Capacity of `link` relative to the base link bandwidth.
     fn link_capacity_scale(&self, link: LinkId) -> f64;
 
-    /// Directed interior links traversed from `src` to `dst`, in order.
-    /// `src == dst` yields an empty route. Routes are deterministic.
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId>;
+    /// Appends to `route` the directed interior links traversed from
+    /// `src` to `dst`, in order; nothing when `src == dst`. Routes are
+    /// deterministic. Writing into the caller's buffer lets a fabric
+    /// price every message out of one allocation.
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>);
+
+    /// The route from `src` to `dst` as a fresh vector.
+    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut route = Vec::new();
+        self.route_into(src, dst, &mut route);
+        route
+    }
 
     /// Switch hops between `src` and `dst` (used for per-hop latency).
     /// At least 1 for distinct nodes even when the interior is non-blocking.

@@ -96,17 +96,16 @@ impl Topology for Torus3D {
         1.0
     }
 
-    fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
         assert!(src < self.n && dst < self.n, "node out of range");
         let mut cur = self.coords(src);
         let to = self.coords(dst);
-        let mut path = Vec::new();
         // Dimension-ordered, shortest wraparound direction per dimension.
         for d in 0..3 {
             let mut steps = self.signed_dist(d, cur[d], to[d]);
             while steps != 0 {
                 let dir = 2 * d + usize::from(steps < 0);
-                path.push(self.link(self.node_at(cur), dir));
+                route.push(self.link(self.node_at(cur), dir));
                 let dim = self.dims[d];
                 cur[d] = if steps > 0 {
                     (cur[d] + 1) % dim
@@ -117,7 +116,6 @@ impl Topology for Torus3D {
             }
         }
         debug_assert_eq!(cur, to);
-        path
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

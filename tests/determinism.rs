@@ -46,6 +46,20 @@ fn simulated_measurements_are_deterministic() {
     }
 }
 
+/// The `campaign --high-rank` plan at 4096 cooperative ranks, twice:
+/// the FIFO run queue fixes the order messages hit the fabric timelines,
+/// so the virtual records are byte-identical run to run.
+#[test]
+fn highrank_virtual_slice_is_deterministic() {
+    let run = || {
+        let records = harness::RunPlan::high_rank(4096).execute(&hpcbench::registry());
+        assert_eq!(records.len(), 4);
+        assert!(records.iter().all(|r| r.passed));
+        harness::records_json(&records)
+    };
+    assert_eq!(run(), run());
+}
+
 #[test]
 fn native_results_are_value_deterministic() {
     // Wall-clock timings vary; computed *values* must not.
