@@ -8,17 +8,17 @@
 # Enforced invariants:
 #
 #   1. Wall-clock time (`std::time::Instant`) appears only in
-#      `crates/harness` (plus the vendored criterion shim, which times
-#      bench iterations by design). The runtime and kernel crates must
-#      stay wall-clock-free so simulated and virtual execution remain
+#      `crates/harness`. The runtime and kernel crates must stay
+#      wall-clock-free so simulated and virtual execution remain
 #      deterministic and the mpcheck schedule perturbation stays
 #      reproducible.
 #   2. `std::thread::sleep` and `std::time::SystemTime` stay out of
 #      non-test code everywhere except the harness, `mp::check` (the
 #      perturbation delays and the watchdog poll), the process
 #      transports/launcher (which wait on real OS processes), and the
-#      vendored shims. A sleep anywhere else would desynchronise the
-#      deterministic schedules the DPOR explorer enumerates.
+#      vendored `parking_lot` shim. A sleep anywhere else would
+#      desynchronise the deterministic schedules the DPOR explorer
+#      enumerates.
 #   3. Every workspace crate opts into the shared `[workspace.lints]`
 #      policy via `[lints] workspace = true`, so a new crate cannot
 #      silently skip `forbid(unsafe_code)`.
@@ -153,10 +153,9 @@ scan() {
         '
 }
 
-# --- 1. Instant stays inside the harness (and the criterion shim) -------
+# --- 1. Instant stays inside the harness --------------------------------
 offenders=$(scan 'time::Instant|Instant::now' \
-    | grep -v '^crates/harness/' \
-    | grep -v '^crates/criterion/' || true)
+    | grep -v '^crates/harness/' || true)
 if [ -n "$offenders" ]; then
     err "std::time::Instant outside crates/harness (wall-clock belongs to the harness only):
 $offenders"
@@ -167,7 +166,6 @@ offenders=$(scan 'thread::sleep|time::SystemTime|SystemTime::now' \
     | grep -v '^crates/harness/' \
     | grep -v '^crates/mp/src/check\.rs' \
     | grep -v '^crates/mp/src/transport/' \
-    | grep -v '^crates/criterion/' \
     | grep -v '^crates/parking_lot/' || true)
 if [ -n "$offenders" ]; then
     err "thread::sleep / SystemTime outside the harness, mp::check and the transports \

@@ -34,7 +34,7 @@ pub enum Mode {
     /// Closed-form / schedule-replay pricing on a machine model.
     Simulated,
     /// The real benchmark code executed on a modelled machine under
-    /// virtual clocks (`mp::run_virtual`).
+    /// virtual clocks (`mp::run_virtual_coop`).
     Virtual,
 }
 

@@ -2,9 +2,7 @@
 //! (same component table as [`crate::suite`]) running on a modelled
 //! machine via [`mp::run_virtual_coop`], with communication priced by
 //! virtual clocks. Each rank is a resumable cooperative task, not an OS
-//! thread, so virtual worlds scale to tens of thousands of ranks; the
-//! thread-backed engine survives as [`run_virtual_components_threads`]
-//! and the parity tests assert both produce byte-identical records.
+//! thread, so virtual worlds scale to tens of thousands of ranks.
 //! This gives HPCC the same third execution mode the IMB suite has had,
 //! so the harness registry can run both suites natively, simulated and
 //! virtually.
@@ -42,76 +40,25 @@ pub fn run_virtual_components(
     cfg: &SuiteConfig,
     components: &[Component],
 ) -> Vec<Record> {
-    run_virtual_engine(machine, procs, cfg, components, true).0
-}
-
-/// Thread-backed variant of [`run_virtual_components`]: one OS thread
-/// per rank, serialized by the run-queue baton. Kept as the reference
-/// engine for the cooperative/threaded parity tests; prefer
-/// [`run_virtual_components`] for real sweeps.
-pub fn run_virtual_components_threads(
-    machine: &Machine,
-    procs: usize,
-    cfg: &SuiteConfig,
-    components: &[Component],
-) -> Vec<Record> {
-    run_virtual_engine(machine, procs, cfg, components, false).0
-}
-
-/// Runs the given components under virtual time on the chosen engine
-/// and returns the records together with the per-rank final virtual
-/// clocks — the differential hook behind the cooperative/threaded
-/// parity tests.
-pub fn run_virtual_components_clocked(
-    machine: &Machine,
-    procs: usize,
-    cfg: &SuiteConfig,
-    components: &[Component],
-    cooperative: bool,
-) -> (Vec<Record>, Vec<simnet::Time>) {
-    run_virtual_engine(machine, procs, cfg, components, cooperative)
-}
-
-fn run_virtual_engine(
-    machine: &Machine,
-    procs: usize,
-    cfg: &SuiteConfig,
-    components: &[Component],
-    coop: bool,
-) -> (Vec<Record>, Vec<simnet::Time>) {
     let cfg = *cfg;
     let list: Vec<Component> = components.to_vec();
     let net = SharedClusterNet::new(machine, procs);
     // Each rank times every component between virtual-clock syncs.
-    let (per_rank, clocks) = if coop {
-        mp::run_virtual_coop(procs, Box::new(net), move |comm| {
-            let list = list.clone();
-            async move {
-                let mut times = Vec::with_capacity(list.len());
-                for &c in &list {
-                    let t0 = comm.v_sync_async().await;
-                    let recs = crate::suite::run_component_on_async(&comm, c, &cfg).await;
-                    let t1 = comm.v_sync_async().await;
-                    let passed = recs.iter().all(|r| r.passed);
-                    times.push(((t1 - t0).as_us(), passed));
-                }
-                times
-            }
-        })
-    } else {
-        mp::run_virtual(procs, Box::new(net), move |comm| {
+    let (per_rank, _) = mp::run_virtual_coop(procs, Box::new(net), move |comm| {
+        let list = list.clone();
+        async move {
             let mut times = Vec::with_capacity(list.len());
             for &c in &list {
-                let t0 = comm.v_sync();
-                let recs = crate::suite::run_component_on(comm, c, &cfg);
-                let t1 = comm.v_sync();
+                let t0 = comm.v_sync_async().await;
+                let recs = crate::suite::run_component_on_async(&comm, c, &cfg).await;
+                let t1 = comm.v_sync_async().await;
                 let passed = recs.iter().all(|r| r.passed);
                 times.push(((t1 - t0).as_us(), passed));
             }
             times
-        })
-    };
-    let records: Vec<Record> = components
+        }
+    });
+    components
         .iter()
         .enumerate()
         .map(|(i, &c)| {
@@ -132,8 +79,7 @@ fn run_virtual_engine(
                 passed,
             }
         })
-        .collect();
-    (records, clocks)
+        .collect()
 }
 
 #[cfg(test)]

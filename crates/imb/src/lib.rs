@@ -26,4 +26,4 @@ pub use benchmark::{default_repetitions, standard_sizes, Benchmark, Class};
 pub use ext::{ExtBenchmark, ExtMeasurement, SyncScheme};
 pub use harness::{MetricKind, Mode, Record, Stats};
 pub use native::{run_native, run_native_with};
-pub use virtual_run::{run_virtual, run_virtual_with, run_virtual_with_threads};
+pub use virtual_run::{run_virtual, run_virtual_with};

@@ -56,12 +56,8 @@ pub(crate) fn bench_state(comm: &Comm, benchmark: Benchmark, bytes: u64) -> Benc
     BenchState::new(comm, benchmark, bytes)
 }
 
-/// Runs one iteration of a benchmark (shared with virtual execution).
-pub(crate) fn bench_iterate(state: &mut BenchState, comm: &Comm, iter: usize) {
-    state.iterate(comm, iter);
-}
-
-/// Awaitable mirror of [`bench_iterate`], for cooperative rank tasks.
+/// Runs one iteration of a benchmark as a cooperative rank task (shared
+/// with virtual execution).
 pub(crate) async fn bench_iterate_async(state: &mut BenchState, comm: &Comm, iter: usize) {
     state.iterate_async(comm, iter).await;
 }

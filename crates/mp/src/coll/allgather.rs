@@ -82,6 +82,13 @@ pub async fn recursive_doubling_async<T: Word>(comm: &Comm, send: &[T], recv: &m
     }
 }
 
+/// The [`auto`] dispatch test, shared with the `sched::allgather`
+/// generator: recursive doubling when `n` blocks of `block_bytes` gather
+/// to a short result and the group is a power of two.
+pub(crate) fn picks_recursive_doubling(n: usize, block_bytes: usize) -> bool {
+    n.is_power_of_two() && block_bytes * n < LONG_MSG_THRESHOLD
+}
+
 /// Size- and shape-dispatched allgather: recursive doubling for short
 /// blocks on power-of-two groups, ring otherwise.
 pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
@@ -90,8 +97,7 @@ pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
 
 /// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    let n = comm.size();
-    if n.is_power_of_two() && send.len() * T::SIZE * n < LONG_MSG_THRESHOLD {
+    if picks_recursive_doubling(comm.size(), send.len() * T::SIZE) {
         recursive_doubling_async(comm, send, recv).await;
     } else {
         ring_async(comm, send, recv).await;

@@ -188,6 +188,13 @@ pub async fn rabenseifner_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) 
     fold_out(comm, buf, &fold, tag, newrank.is_some()).await;
 }
 
+/// The [`auto`] dispatch test, shared with the `sched::allreduce`
+/// generator: Rabenseifner when the vector of `elems` elements is long
+/// (`bytes`) and divides evenly over the folded power-of-two group.
+pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
+    n > 1 && bytes >= LONG_MSG_THRESHOLD && elems.is_multiple_of(Fold::new(n).pow2)
+}
+
 /// Size-dispatched allreduce: Rabenseifner for long divisible vectors,
 /// recursive doubling otherwise.
 pub fn auto<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
@@ -196,9 +203,7 @@ pub fn auto<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
 
 /// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    let n = comm.size();
-    let fold = Fold::new(n);
-    if n > 1 && buf.len() * T::SIZE >= LONG_MSG_THRESHOLD && buf.len().is_multiple_of(fold.pow2) {
+    if picks_rabenseifner(comm.size(), buf.len() * T::SIZE, buf.len()) {
         rabenseifner_async(comm, buf, op).await;
     } else {
         recursive_doubling_async(comm, buf, op).await;

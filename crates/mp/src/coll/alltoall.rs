@@ -5,8 +5,6 @@
 use crate::comm::Comm;
 use crate::datatype::{decode_into, encode, Word};
 
-use super::LONG_MSG_THRESHOLD;
-
 /// Pairwise-exchange alltoall: `n-1` rounds; in round `s` each rank
 /// exchanges one block with the rank at offset `s` (XOR-pairing on
 /// power-of-two groups, rotation otherwise). The standard long-message
@@ -122,6 +120,13 @@ pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     }
 }
 
+/// The [`auto`] dispatch test, shared with the `sched::alltoall`
+/// generator: Bruck when per-destination blocks are short and the group
+/// is large enough for its log-round count to pay.
+pub(crate) fn picks_bruck(n: usize, block_bytes: usize) -> bool {
+    block_bytes < 256 && n > 8
+}
+
 /// Size-dispatched alltoall: Bruck for short blocks, pairwise for long.
 pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     crate::coop::block_on(auto_async(comm, send, recv));
@@ -134,11 +139,9 @@ pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
         recv.copy_from_slice(send);
         return;
     }
-    let block_bytes = send.len() / n * T::SIZE;
-    if block_bytes < 256 && n > 8 {
+    if picks_bruck(n, send.len() / n * T::SIZE) {
         bruck_async(comm, send, recv).await;
     } else {
-        let _ = LONG_MSG_THRESHOLD;
         pairwise_async(comm, send, recv).await;
     }
 }

@@ -116,6 +116,13 @@ pub async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: 
     decode_into(&data, buf);
 }
 
+/// The [`auto`] dispatch test, shared with the `sched::bcast` generator:
+/// scatter+allgather when the payload is long and the group is big
+/// enough to scatter over.
+pub(crate) fn picks_scatter_allgather(n: usize, bytes: usize) -> bool {
+    bytes >= LONG_MSG_THRESHOLD && n > 2
+}
+
 /// Size-dispatched broadcast: binomial for short payloads, scatter+allgather
 /// for long ones.
 pub fn auto<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
@@ -124,7 +131,7 @@ pub fn auto<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
 
 /// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
-    if buf.len() * T::SIZE >= LONG_MSG_THRESHOLD && comm.size() > 2 {
+    if picks_scatter_allgather(comm.size(), buf.len() * T::SIZE) {
         scatter_allgather_async(comm, buf, root).await;
     } else {
         binomial_async(comm, buf, root).await;

@@ -77,6 +77,12 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut 
     }
 }
 
+/// The [`auto`] dispatch test, shared with the `sched::gather`
+/// generator: a tree has nothing to save below three ranks.
+pub(crate) fn picks_linear(n: usize) -> bool {
+    n <= 2
+}
+
 /// Size-dispatched gather (binomial; linear for 2 ranks).
 pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
     crate::coop::block_on(auto_async(comm, send, recv, root));
@@ -84,7 +90,7 @@ pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usiz
 
 /// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
-    if comm.size() <= 2 {
+    if picks_linear(comm.size()) {
         linear_async(comm, send, recv, root).await;
     } else {
         binomial_async(comm, send, recv, root).await;

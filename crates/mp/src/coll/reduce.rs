@@ -154,6 +154,13 @@ pub async fn rabenseifner_async<T: Numeric>(
     }
 }
 
+/// The [`auto`] dispatch test, shared with the `sched::reduce`
+/// generator: Rabenseifner when the vector of `elems` elements is long
+/// (`bytes`) and divides evenly over a power-of-two group.
+pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
+    n.is_power_of_two() && n > 1 && elems.is_multiple_of(n) && bytes >= LONG_MSG_THRESHOLD
+}
+
 /// Size-dispatched reduce: Rabenseifner when the shape allows and the
 /// vector is long, binomial otherwise.
 pub fn auto<T: Numeric>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize, op: Op) {
@@ -168,12 +175,7 @@ pub async fn auto_async<T: Numeric>(
     root: usize,
     op: Op,
 ) {
-    let n = comm.size();
-    if n.is_power_of_two()
-        && n > 1
-        && send.len().is_multiple_of(n)
-        && send.len() * T::SIZE >= LONG_MSG_THRESHOLD
-    {
+    if picks_rabenseifner(comm.size(), send.len() * T::SIZE, send.len()) {
         rabenseifner_async(comm, send, recv, root, op).await;
     } else {
         binomial_async(comm, send, recv, root, op).await;

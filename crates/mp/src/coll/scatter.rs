@@ -86,6 +86,12 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut
     decode_into(&data[..bw], recv);
 }
 
+/// The [`auto`] dispatch test, shared with the `sched::scatter`
+/// generator: a tree has nothing to save below three ranks.
+pub(crate) fn picks_linear(n: usize) -> bool {
+    n <= 2
+}
+
 /// Size-dispatched scatter (binomial; linear for 2 ranks).
 pub fn auto<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
     crate::coop::block_on(auto_async(comm, send, recv, root));
@@ -93,7 +99,7 @@ pub fn auto<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usiz
 
 /// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
-    if comm.size() <= 2 {
+    if picks_linear(comm.size()) {
         linear_async(comm, send, recv, root).await;
     } else {
         binomial_async(comm, send, recv, root).await;

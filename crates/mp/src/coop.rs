@@ -2,35 +2,26 @@
 //!
 //! Host limits (pid_max, vm.max_map_count, per-thread stacks) cap the
 //! thread-per-rank runtime at a few thousand ranks; the paper-scale
-//! virtual sweeps need 16k–100k. This module supplies two engines that
-//! share one deterministic FIFO run-queue discipline:
-//!
-//! * the **cooperative executor** ([`run_coop`], [`run_traced_coop`],
-//!   [`run_virtual_coop`], [`run_checked_coop`]): each rank body is an
-//!   `async` future, polled on the caller's thread; every blocking
-//!   receive ([`Mailbox::wait_ticket`](crate::mailbox) and friends)
-//!   becomes a yield point. One OS thread hosts the whole world, so a
-//!   100k-rank virtual run is just 100k boxed futures.
-//! * the **baton engine** ([`Baton`]): the legacy thread-backed
-//!   `run_with_virtual` path keeps its real threads but serialises them
-//!   through the *same* FIFO queue — exactly one rank thread runs at a
-//!   time, handing the baton over at the same blocking points where a
-//!   cooperative task would yield. Both engines therefore produce the
-//!   same rank interleaving, which makes virtual clocks byte-identical
-//!   across them (the `simnet` first-fit reservation timelines are
-//!   order-dependent under contention, so schedule determinism is what
-//!   buys clock determinism).
+//! virtual sweeps need 16k–100k. The **cooperative executor**
+//! ([`run_coop`], [`run_traced_coop`], [`run_virtual_coop`],
+//! [`run_checked_coop`]) hosts the whole world on the caller's thread:
+//! each rank body is an `async` future, and every blocking receive
+//! ([`Mailbox::wait_ticket`](crate::mailbox) and friends) becomes a yield
+//! point, so a 100k-rank virtual run is just 100k boxed futures. Ranks
+//! are polled off one deterministic FIFO run queue; the `simnet`
+//! first-fit reservation timelines are order-dependent under contention,
+//! so schedule determinism is what buys byte-identical virtual clocks
+//! run to run. It is the only engine virtual worlds run on.
 //!
 //! Task states (see DESIGN.md "Cooperative scheduler"): *queued* (rank id
-//! in the run queue), *running* (being polled / holding the baton),
-//! *blocked* (pending on a receive, waker parked in the hand-off slot),
-//! *finished*. A blocked rank is woken by the sender that fills its
-//! hand-off slot; wakes push the rank id back onto the FIFO queue.
-//! Deadlock detection is *instant* in both engines — an empty queue with
-//! unfinished ranks is definitive, no wall-clock timeout needed — and
-//! composes with `mp::check`'s wait edges: a checked cooperative run
-//! calls [`check::diagnose`] at the stall and unwinds the blocked tasks
-//! with the cycle diagnosis.
+//! in the run queue), *running* (being polled), *blocked* (pending on a
+//! receive, waker parked in the hand-off slot), *finished*. A blocked
+//! rank is woken by the sender that fills its hand-off slot; wakes push
+//! the rank id back onto the FIFO queue. Deadlock detection is *instant*
+//! — an empty queue with unfinished ranks is definitive, no wall-clock
+//! timeout needed — and composes with `mp::check`'s wait edges: a checked
+//! cooperative run calls [`check::diagnose`] at the stall and unwinds the
+//! blocked tasks with the cycle diagnosis.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -39,7 +30,7 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use simnet::{Time, Transfer};
 
 use crate::check::{self, Checked, Event, RunLog, Settings};
@@ -50,8 +41,6 @@ use crate::virt::VirtualNet;
 thread_local! {
     /// True while this thread is polling a cooperative task.
     static IN_COOP: Cell<bool> = const { Cell::new(false) };
-    /// The baton serialising this rank thread, if any (legacy virtual path).
-    static CURRENT_BATON: RefCell<Option<(Arc<Baton>, usize)>> = const { RefCell::new(None) };
     /// Ambient exploration configuration (see [`install_explore`]).
     static EXPLORE: RefCell<Option<ScopedExplore>> = const { RefCell::new(None) };
 }
@@ -182,12 +171,6 @@ pub(crate) fn in_coop() -> bool {
     IN_COOP.with(Cell::get)
 }
 
-/// The baton (and rank) installed on this thread, if it is a
-/// baton-serialised rank thread.
-pub(crate) fn current_baton() -> Option<(Arc<Baton>, usize)> {
-    CURRENT_BATON.with(|b| b.borrow().clone())
-}
-
 /// RAII: marks the current thread as polling a cooperative task. Also
 /// pins the ambient worker pool to size 1 for the duration: a
 /// cooperative world hosts up to 65k ranks on one OS thread, and a
@@ -211,22 +194,6 @@ impl Drop for CoopGuard {
     fn drop(&mut self) {
         let prev = self.prev;
         IN_COOP.with(|c| c.set(prev));
-    }
-}
-
-/// RAII: installs a baton + rank on the current thread.
-pub(crate) struct BatonGuard;
-
-impl BatonGuard {
-    pub fn install(baton: Arc<Baton>, rank: usize) -> BatonGuard {
-        CURRENT_BATON.with(|b| *b.borrow_mut() = Some((baton, rank)));
-        BatonGuard
-    }
-}
-
-impl Drop for BatonGuard {
-    fn drop(&mut self) {
-        CURRENT_BATON.with(|b| *b.borrow_mut() = None);
     }
 }
 
@@ -279,10 +246,6 @@ impl RunQueue {
             #[cfg(test)]
             count(&PUSHES, 1);
         }
-    }
-
-    fn pop(&self) -> Option<usize> {
-        self.pop_controlled(None)
     }
 
     /// Pops the next rank to poll: the controller's pick when one is
@@ -381,9 +344,9 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
 }
 
 /// Formats the instant-stall diagnosis of an uninstrumented cooperative
-/// or baton run: which ranks are blocked and what unmatched traffic the
+/// run: which ranks are blocked and what unmatched traffic the
 /// world still holds.
-pub(crate) fn stall_message(world: &World, blocked: &[usize]) -> String {
+fn stall_message(world: &World, blocked: &[usize]) -> String {
     use std::fmt::Write;
     let mut msg = format!(
         "mp: deadlock: {} rank(s) blocked in receives with no runnable rank (ranks ",
@@ -631,12 +594,11 @@ where
     (results, trace)
 }
 
-/// Cooperative mirror of [`crate::run_virtual`]: runs `f` over `n` rank
-/// tasks with every message priced by `net`, and returns the per-rank
-/// results and final virtual clocks. Deterministic: the FIFO schedule
-/// fixes the order in which messages hit the simulated resource
-/// timelines, so clocks are byte-identical run to run (and identical to
-/// the baton-serialised thread-backed path).
+/// Virtual-execution entry point (see [`crate::virt`]): runs `f` over
+/// `n` rank tasks with every message priced by `net`, and returns the
+/// per-rank results and final virtual clocks. Deterministic: the FIFO
+/// schedule fixes the order in which messages hit the simulated resource
+/// timelines, so clocks are byte-identical run to run.
 pub fn run_virtual_coop<R, F, Fut>(n: usize, net: Box<dyn VirtualNet>, f: F) -> (Vec<R>, Vec<Time>)
 where
     F: Fn(Comm) -> Fut,
@@ -726,202 +688,6 @@ where
     }
 }
 
-// ---------------------------------------------------------------------
-// Baton engine: serialise real rank threads onto the same FIFO schedule
-// ---------------------------------------------------------------------
-
-/// Unwind payload prefix of a baton teardown (stall or peer panic):
-/// the join loop filters these so only the real panic propagates.
-pub(crate) const TEARDOWN_MARK: &str = "mp: world torn down\n";
-
-/// Why a baton world is being torn down.
-enum BatonPoison {
-    /// No rank is runnable but some are unfinished (the message holds
-    /// the full stall diagnosis).
-    Stall(String),
-    /// A rank body panicked; peers unwind and the join loop reports it.
-    Abort,
-}
-
-/// Builds the stall diagnosis from the set of blocked ranks.
-pub(crate) type StallDiag = Box<dyn Fn(&[usize]) -> String + Send + Sync>;
-
-/// Serialises the rank threads of a thread-backed run through the
-/// cooperative FIFO schedule: exactly one thread runs at a time, and the
-/// baton changes hands at the blocking points where a cooperative task
-/// would yield. See the module docs for why this determinism matters.
-pub(crate) struct Baton {
-    queue: Arc<RunQueue>,
-    state: Mutex<BatonState>,
-    cv: Condvar,
-    /// Builds the stall diagnosis (captures the world for its mailbox
-    /// inventory); boxed so `runtime` can construct it without exposing
-    /// `World` here.
-    diag: StallDiag,
-}
-
-struct BatonState {
-    current: Option<usize>,
-    running: bool,
-    unfinished: usize,
-    poison: Option<BatonPoison>,
-}
-
-impl Baton {
-    /// A baton for `n` rank threads; all ranks start queued in rank
-    /// order. Call [`open`](Baton::open) once every thread is spawned.
-    pub fn new(n: usize, diag: StallDiag) -> Arc<Baton> {
-        let queue = RunQueue::new(n);
-        for rank in 0..n {
-            queue.push(rank);
-        }
-        Arc::new(Baton {
-            queue,
-            state: Mutex::new(BatonState {
-                current: None,
-                running: false,
-                unfinished: n,
-                poison: None,
-            }),
-            cv: Condvar::new(),
-            diag,
-        })
-    }
-
-    /// Starts the world: grants the baton to the first queued rank.
-    pub fn open(&self) {
-        let mut st = self.state.lock();
-        st.running = true;
-        self.grant_next(&mut st);
-        self.cv.notify_all();
-    }
-
-    /// Parks the calling rank thread until it is granted the baton for
-    /// the first time. Unwinds with a teardown panic if the world is
-    /// poisoned before that happens.
-    pub fn wait_initial(&self, rank: usize) {
-        let mut st = self.state.lock();
-        loop {
-            if st.poison.is_some() {
-                teardown_panic(&st);
-            }
-            if st.running && st.current == Some(rank) {
-                return;
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Gives up the baton (the rank is blocking on a receive) and parks
-    /// until re-granted — which happens only after this rank's waker has
-    /// pushed it back onto the queue, i.e. after its message arrived.
-    pub fn block_current(&self, rank: usize) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.current, Some(rank), "only the running rank may block");
-        st.current = None;
-        self.grant_next(&mut st);
-        self.cv.notify_all();
-        loop {
-            if st.poison.is_some() {
-                teardown_panic(&st);
-            }
-            if st.current == Some(rank) {
-                return;
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Requeues the calling rank and hands the baton to the next queued
-    /// rank, parking until re-granted. Used by polling waits (rendezvous
-    /// storage) that have no waker hook.
-    pub fn yield_now(&self, rank: usize) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.current, Some(rank), "only the running rank may yield");
-        self.queue.push(rank);
-        st.current = None;
-        self.grant_next(&mut st);
-        self.cv.notify_all();
-        loop {
-            if st.poison.is_some() {
-                teardown_panic(&st);
-            }
-            if st.current == Some(rank) {
-                return;
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Marks the calling rank finished and passes the baton on.
-    pub fn finish(&self, rank: usize) {
-        let mut st = self.state.lock();
-        if st.current == Some(rank) {
-            st.current = None;
-        }
-        if self.queue.finish(rank) {
-            st.unfinished -= 1;
-        }
-        if st.unfinished > 0 {
-            self.grant_next(&mut st);
-        }
-        self.cv.notify_all();
-    }
-
-    /// Marks the calling rank finished after a panic and poisons the
-    /// world so every parked peer unwinds. An existing stall poison is
-    /// preserved (teardown unwinds also land here via `catch_unwind`).
-    pub fn abort(&self, rank: usize) {
-        let mut st = self.state.lock();
-        if st.current == Some(rank) {
-            st.current = None;
-        }
-        if self.queue.finish(rank) {
-            st.unfinished -= 1;
-        }
-        if st.poison.is_none() {
-            st.poison = Some(BatonPoison::Abort);
-        }
-        self.cv.notify_all();
-    }
-
-    /// A waker for `rank` that pushes it back onto this baton's queue.
-    pub fn waker_for(&self, rank: usize) -> Waker {
-        Waker::from(Arc::new(TaskWaker {
-            queue: Arc::clone(&self.queue),
-            rank,
-        }))
-    }
-
-    /// Takes the stall diagnosis, if the world stalled.
-    pub fn take_stall(&self) -> Option<String> {
-        match self.state.lock().poison.take() {
-            Some(BatonPoison::Stall(msg)) => Some(msg),
-            _ => None,
-        }
-    }
-
-    /// Grants the baton to the next queued rank; with an empty queue
-    /// and unfinished ranks, diagnoses the stall and poisons the world
-    /// (instant deadlock detection, same as the executor).
-    fn grant_next(&self, st: &mut BatonState) {
-        if let Some(next) = self.queue.pop() {
-            st.current = Some(next);
-        } else if st.unfinished > 0 && st.poison.is_none() {
-            st.poison = Some(BatonPoison::Stall((self.diag)(&self.queue.live())));
-        }
-    }
-}
-
-/// Unwinds the calling rank thread with a marked teardown panic.
-fn teardown_panic(st: &BatonState) -> ! {
-    let reason = match &st.poison {
-        Some(BatonPoison::Stall(msg)) => msg.clone(),
-        _ => "a peer rank panicked".to_string(),
-    };
-    panic!("{TEARDOWN_MARK}{reason}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -998,7 +764,7 @@ mod tests {
         assert_eq!(t_thread, t_coop);
     }
 
-    /// Fixed-cost pricing for clock-parity tests (mirrors virt.rs).
+    /// Fixed-cost pricing for clock tests (mirrors virt.rs).
     struct TestNet;
 
     impl VirtualNet for TestNet {
@@ -1041,26 +807,6 @@ mod tests {
             "clock {} vs {expect}",
             clocks[0].as_us()
         );
-    }
-
-    #[test]
-    fn virtual_coop_clocks_match_threaded_virtual() {
-        // Satellite: byte-identical clocks across the two engines.
-        let body_sync = |comm: &Comm| {
-            let mut x = vec![comm.rank() as f64 + 1.0; 3];
-            comm.allreduce(&mut x, crate::reduce::Op::Sum);
-            comm.v_sync();
-            x
-        };
-        let (r_thread, c_thread) = crate::virt::run_virtual(4, Box::new(TestNet), body_sync);
-        let (r_coop, c_coop) = run_virtual_coop(4, Box::new(TestNet), |comm| async move {
-            let mut x = vec![comm.rank() as f64 + 1.0; 3];
-            comm.allreduce_async(&mut x, crate::reduce::Op::Sum).await;
-            comm.v_sync_async().await;
-            x
-        });
-        assert_eq!(r_thread, r_coop);
-        assert_eq!(c_thread, c_coop, "virtual clocks must be byte-identical");
     }
 
     /// Parity pin of the one-queue design: a run driven by the trivial
@@ -1112,16 +858,20 @@ mod tests {
         for rank in 0..3 {
             q.push(rank);
         }
-        assert_eq!(q.pop(), Some(0));
+        assert_eq!(q.pop_controlled(None), Some(0));
         q.push(0); // self-wake during the final poll...
         assert!(q.finish(0)); // ...which then completes
         assert!(!q.finish(0), "a second finish is a no-op");
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop_controlled(None), Some(1));
         q.push(0); // stale wake from a peer
         q.push(1);
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None, "rank 0 was never yielded again");
+        assert_eq!(q.pop_controlled(None), Some(2));
+        assert_eq!(q.pop_controlled(None), Some(1));
+        assert_eq!(
+            q.pop_controlled(None),
+            None,
+            "rank 0 was never yielded again"
+        );
         assert_eq!(q.live(), vec![1, 2]);
     }
 

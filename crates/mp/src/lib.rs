@@ -1,12 +1,18 @@
-//! `mp` — a thread-based SPMD message-passing runtime ("mini-MPI").
+//! `mp` — an in-process SPMD message-passing runtime ("mini-MPI").
 //!
 //! The HPCC and IMB benchmark suites are MPI programs; this crate supplies
-//! the message-passing substrate they run on in this workspace. One OS
-//! thread per rank, eager in-process message delivery with MPI matching
-//! semantics (source + tag, non-overtaking), communicators with
-//! `split`/`dup`, and the full family of collective operations in the
-//! classical algorithm variants (binomial, recursive doubling/halving,
-//! ring, pairwise, Bruck, Rabenseifner).
+//! the message-passing substrate they run on in this workspace. Eager
+//! in-process message delivery with MPI matching semantics (source + tag,
+//! non-overtaking), communicators with `split`/`dup`, and the full family
+//! of collective operations in the classical algorithm variants (binomial,
+//! recursive doubling/halving, ring, pairwise, Bruck, Rabenseifner).
+//!
+//! Ranks run one of two ways. Native worlds ([`run`], [`run_traced`]) give
+//! every rank an OS thread, so kernels and wake-ups cost what they cost on
+//! the host. Cooperative worlds ([`run_coop`], [`run_traced_coop`],
+//! [`run_virtual_coop`]) host every rank as an `async` task on the calling
+//! thread; virtual execution (messages priced by a [`VirtualNet`]) runs
+//! only there, on one deterministic FIFO schedule.
 //!
 //! # Quickstart
 //!
@@ -54,4 +60,4 @@ pub use reduce::{Numeric, Op};
 pub use rma::Window;
 pub use runtime::{run, run_traced};
 pub use transport::{Backend, Proc};
-pub use virt::{run_virtual, VirtualNet};
+pub use virt::VirtualNet;

@@ -108,8 +108,8 @@ struct PostedRecv {
     /// stays in the table, invisible to matching, until its receiver
     /// collects it.
     arrived: Option<Arrived>,
-    /// Waker of a cooperative task (or baton-serialised thread) blocked
-    /// on this receive; the sender takes and fires it on fill.
+    /// Waker of a cooperative task blocked on this receive; the sender
+    /// takes and fires it on fill.
     waker: Option<Waker>,
 }
 
@@ -537,9 +537,6 @@ impl Mailbox {
             !crate::coop::in_coop(),
             "mp: synchronous receive inside a cooperative task; use the async receive API"
         );
-        if let Some((baton, rank)) = crate::coop::current_baton() {
-            return self.wait_ticket_baton(ticket, filter, &baton, rank);
-        }
         if let Some(insp) = &self.inspector {
             insp.begin_wait(
                 self.rank,
@@ -605,31 +602,6 @@ impl Mailbox {
             if timed_out {
                 waited += slice;
             }
-        }
-    }
-
-    /// Baton-serialised wait: instead of parking on the mailbox condvar
-    /// (which would wedge the whole serialised world — no other rank
-    /// thread may run until this one yields), install a queue waker and
-    /// hand the baton over. Re-granted only after a sender fills the
-    /// posted receive and fires the waker; no lost wakeup is possible
-    /// because the fill happens under the mailbox lock and no peer thread
-    /// runs between the waker install and the baton hand-over.
-    fn wait_ticket_baton(
-        &self,
-        ticket: Ticket,
-        filter: Match,
-        baton: &Arc<crate::coop::Baton>,
-        rank: usize,
-    ) -> (Message, Option<Vec<u8>>) {
-        let waker = baton.waker_for(rank);
-        loop {
-            let collected = self.inner.lock().collect(&ticket, Some(&waker));
-            if let Some((arrived, spare)) = collected {
-                self.record_recv(&arrived, filter, 1);
-                return (arrived.msg, spare);
-            }
-            baton.block_current(rank);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use simnet::{Round, Schedule, Transfer};
 
-use crate::coll::LONG_MSG_THRESHOLD;
+use crate::coll::allgather::picks_recursive_doubling;
 
 /// Ring allgather: `n-1` rounds; every rank passes one block of
 /// `block_bytes` to its right neighbour each round.
@@ -45,7 +45,7 @@ pub fn recursive_doubling(n: usize, block_bytes: u64) -> Schedule {
 
 /// Mirrors [`crate::coll::allgather::auto`]'s dispatch.
 pub fn auto(n: usize, block_bytes: u64) -> Schedule {
-    if n.is_power_of_two() && (block_bytes as usize) * n < LONG_MSG_THRESHOLD {
+    if picks_recursive_doubling(n, block_bytes as usize) {
         recursive_doubling(n, block_bytes)
     } else {
         ring(n, block_bytes)

@@ -2,7 +2,7 @@
 
 use simnet::{LocalWork, Round, Schedule, Transfer};
 
-use crate::coll::LONG_MSG_THRESHOLD;
+use crate::coll::allreduce::picks_rabenseifner;
 
 /// The non-power-of-two fold parameters (mirrors the private `Fold` in the
 /// real implementation).
@@ -158,9 +158,7 @@ pub fn rabenseifner(n: usize, bytes: u64) -> Schedule {
 /// Mirrors [`crate::coll::allreduce::auto`]'s dispatch (`elem_size` as in
 /// [`super::reduce::auto`]).
 pub fn auto(n: usize, bytes: u64, elem_size: u64) -> Schedule {
-    let (pow2, _) = fold_params(n);
-    let elems = bytes / elem_size;
-    if n > 1 && bytes as usize >= LONG_MSG_THRESHOLD && elems.is_multiple_of(pow2 as u64) {
+    if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
         rabenseifner(n, bytes)
     } else {
         recursive_doubling(n, bytes)

@@ -2,6 +2,8 @@
 
 use simnet::{Round, Schedule, Transfer};
 
+use crate::coll::alltoall::picks_bruck;
+
 /// Pairwise-exchange alltoall: `n-1` rounds; XOR pairing on power-of-two
 /// groups, rotation otherwise.
 pub fn pairwise(n: usize, block_bytes: u64) -> Schedule {
@@ -71,7 +73,7 @@ pub fn linear(n: usize, block_bytes: u64) -> Schedule {
 pub fn auto(n: usize, block_bytes: u64) -> Schedule {
     if n == 1 {
         Schedule::new(1)
-    } else if block_bytes < 256 && n > 8 {
+    } else if picks_bruck(n, block_bytes as usize) {
         bruck(n, block_bytes)
     } else {
         pairwise(n, block_bytes)

@@ -2,7 +2,8 @@
 
 use simnet::{Round, Schedule, Transfer};
 
-use crate::coll::{unvrank, LONG_MSG_THRESHOLD};
+use crate::coll::bcast::picks_scatter_allgather;
+use crate::coll::unvrank;
 
 /// Binomial-tree broadcast of `bytes` from `root`.
 pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
@@ -63,7 +64,7 @@ pub fn scatter_allgather(n: usize, root: usize, bytes: u64) -> Schedule {
 
 /// Mirrors [`crate::coll::bcast::auto`]'s size dispatch.
 pub fn auto(n: usize, root: usize, bytes: u64) -> Schedule {
-    if bytes as usize >= LONG_MSG_THRESHOLD && n > 2 {
+    if picks_scatter_allgather(n, bytes as usize) {
         scatter_allgather(n, root, bytes)
     } else {
         binomial(n, root, bytes)

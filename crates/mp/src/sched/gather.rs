@@ -2,6 +2,7 @@
 
 use simnet::{Round, Schedule, Transfer};
 
+use crate::coll::gather::picks_linear;
 use crate::coll::unvrank;
 
 /// Linear gather: every non-root rank sends its block straight to the root.
@@ -43,7 +44,7 @@ pub fn binomial(n: usize, root: usize, block_bytes: u64) -> Schedule {
 
 /// Mirrors [`crate::coll::gather::auto`] (linear for n <= 2, else binomial).
 pub fn auto(n: usize, root: usize, block_bytes: u64) -> Schedule {
-    if n <= 2 {
+    if picks_linear(n) {
         linear(n, root, block_bytes)
     } else {
         binomial(n, root, block_bytes)

@@ -2,7 +2,8 @@
 
 use simnet::{LocalWork, Round, Schedule, Transfer};
 
-use crate::coll::{unvrank, LONG_MSG_THRESHOLD};
+use crate::coll::reduce::picks_rabenseifner;
+use crate::coll::unvrank;
 
 /// Binomial-tree reduce of `bytes` to `root`: the broadcast tree run
 /// upwards, folding at every parent.
@@ -88,12 +89,7 @@ pub fn rabenseifner(n: usize, root: usize, bytes: u64) -> Schedule {
 /// datatype width used for the divisibility check (8 for the `f64`
 /// vectors the IMB benchmarks reduce).
 pub fn auto(n: usize, root: usize, bytes: u64, elem_size: u64) -> Schedule {
-    let elems = bytes / elem_size;
-    if n.is_power_of_two()
-        && n > 1
-        && elems.is_multiple_of(n as u64)
-        && bytes as usize >= LONG_MSG_THRESHOLD
-    {
+    if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
         rabenseifner(n, root, bytes)
     } else {
         binomial(n, root, bytes)

@@ -2,6 +2,7 @@
 
 use simnet::{Round, Schedule, Transfer};
 
+use crate::coll::scatter::picks_linear;
 use crate::coll::unvrank;
 
 /// Linear scatter: the root sends every non-root rank its block in one
@@ -44,7 +45,7 @@ pub fn binomial(n: usize, root: usize, block_bytes: u64) -> Schedule {
 
 /// Mirrors [`crate::coll::scatter::auto`] (linear for n <= 2, else binomial).
 pub fn auto(n: usize, root: usize, block_bytes: u64) -> Schedule {
-    if n <= 2 {
+    if picks_linear(n) {
         linear(n, root, block_bytes)
     } else {
         binomial(n, root, block_bytes)

@@ -1,26 +1,23 @@
 //! Virtual-time execution: run any `mp` program on a *simulated* fabric.
 //!
-//! [`run_virtual`] spawns the usual rank threads, but every message is
-//! priced by a [`VirtualNet`] (supplied by the `machines` crate's
-//! models): sends advance the sender's virtual clock by its overhead,
-//! receives advance the receiver's clock to the message's simulated
-//! arrival, and compute phases are charged explicitly via
-//! [`Comm::v_compute`]. The program's real data still moves — results
-//! stay bit-identical to a native run — while [`Comm::v_time`] reads the
-//! timeline of the modelled machine.
+//! [`run_virtual_coop`](crate::run_virtual_coop) hosts the ranks as
+//! cooperative tasks, with every message priced by a [`VirtualNet`]
+//! (supplied by the `machines` crate's models): sends advance the
+//! sender's virtual clock by its overhead, receives advance the
+//! receiver's clock to the message's simulated arrival, and compute
+//! phases are charged explicitly via [`Comm::v_compute`]. The program's
+//! real data still moves — results stay bit-identical to a native run —
+//! while [`Comm::v_time`] reads the timeline of the modelled machine.
 //!
 //! This is a third execution mode alongside native timing and
 //! schedule-replay simulation, and the integration tests use it to
 //! cross-validate the other two: a benchmark *executed* under virtual
 //! time must land near the price of its generated schedule.
 //!
-//! Determinism: virtual runs are scheduled deterministically. The
-//! thread-backed path serializes its rank threads behind a run-queue
-//! baton, and the cooperative path ([`crate::run_virtual_coop`]) polls
-//! resumable rank tasks off the same FIFO discipline, so both engines
-//! replay the identical message order into the net's first-fit
-//! reservation timelines (see `simnet::resource`) and produce
-//! byte-identical per-rank clocks — run to run and engine to engine.
+//! Determinism: the cooperative executor polls the rank tasks off one
+//! FIFO run queue, so every run replays the identical message order into
+//! the net's first-fit reservation timelines (see `simnet::resource`) and
+//! produces byte-identical per-rank clocks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,7 +25,6 @@ use simnet::schedule::P2pCost;
 use simnet::Time;
 
 use crate::comm::Comm;
-use crate::runtime;
 
 /// A pricing model for virtual execution. Implemented by
 /// `machines::SharedClusterNet` for the paper's machine models.
@@ -62,17 +58,6 @@ impl Clock {
     }
 }
 
-/// Runs `f` as an SPMD program over `n` ranks on the virtual fabric
-/// `net`. Returns the per-rank results and the per-rank final virtual
-/// clocks.
-pub fn run_virtual<R, F>(n: usize, net: Box<dyn VirtualNet>, f: F) -> (Vec<R>, Vec<Time>)
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    runtime::run_with_virtual(n, net, f)
-}
-
 impl Comm {
     /// This rank's current virtual time. Zero outside virtual execution.
     pub fn v_time(&self) -> Time {
@@ -100,15 +85,6 @@ impl Comm {
     /// Synchronises this rank's virtual clock with a barrier: all ranks
     /// leave with the maximum clock. (A convenience for benchmark
     /// timing; the barrier itself is also priced as messages.)
-    pub fn v_sync(&self) -> Time {
-        let mut t = [self.v_time().as_secs()];
-        self.allreduce(&mut t, crate::reduce::Op::Max);
-        let target = Time::from_secs(t[0]);
-        self.set_virtual_clock_at_least(target);
-        target
-    }
-
-    /// Awaitable [`v_sync`](Comm::v_sync), for cooperative tasks.
     pub async fn v_sync_async(&self) -> Time {
         let mut t = [self.v_time().as_secs()];
         self.allreduce_async(&mut t, crate::reduce::Op::Max).await;
@@ -121,6 +97,7 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_virtual_coop;
     use std::sync::Arc;
 
     /// A fixed-cost test net: latency 10 us, 1 GB/s, full overlap.
@@ -145,17 +122,17 @@ mod tests {
     #[test]
     fn ping_pong_accumulates_latency() {
         let iters = 5;
-        let (_, clocks) = run_virtual(2, Box::new(TestNet), |comm| {
+        let (_, clocks) = run_virtual_coop(2, Box::new(TestNet), move |comm| async move {
             let me = comm.rank();
             let buf = [0u8; 0];
             for _ in 0..iters {
                 if me == 0 {
                     comm.send(&buf, 1, 1);
                     let mut r = [0u8; 0];
-                    comm.recv(&mut r, 1, 1);
+                    comm.recv_async(&mut r, 1, 1).await;
                 } else {
                     let mut r = [0u8; 0];
-                    comm.recv(&mut r, 0, 1);
+                    comm.recv_async(&mut r, 0, 1).await;
                     comm.send(&buf, 0, 1);
                 }
             }
@@ -177,9 +154,9 @@ mod tests {
             comm.allreduce(&mut x, crate::Op::Sum);
             x
         });
-        let (virt, clocks) = run_virtual(4, Box::new(TestNet), |comm| {
+        let (virt, clocks) = run_virtual_coop(4, Box::new(TestNet), |comm| async move {
             let mut x = vec![comm.rank() as f64 + 1.0; 3];
-            comm.allreduce(&mut x, crate::Op::Sum);
+            comm.allreduce_async(&mut x, crate::Op::Sum).await;
             x
         });
         assert_eq!(native, virt);
@@ -191,11 +168,11 @@ mod tests {
 
     #[test]
     fn compute_charging_and_sync() {
-        let (_, clocks) = run_virtual(3, Box::new(TestNet), |comm| {
+        let (_, clocks) = run_virtual_coop(3, Box::new(TestNet), |comm| async move {
             if comm.rank() == 1 {
                 comm.v_compute(5e9, 1.0); // 5 seconds
             }
-            comm.v_sync();
+            comm.v_sync_async().await;
         });
         for c in &clocks {
             assert!(c.as_secs() >= 5.0, "sync must propagate the slowest clock");
@@ -214,12 +191,12 @@ mod tests {
     #[test]
     fn bandwidth_term_scales_with_bytes() {
         let run_bytes = |bytes: usize| -> f64 {
-            let (_, clocks) = run_virtual(2, Box::new(TestNet), move |comm| {
+            let (_, clocks) = run_virtual_coop(2, Box::new(TestNet), move |comm| async move {
                 if comm.rank() == 0 {
                     comm.send(&vec![1u8; bytes], 1, 2);
                 } else {
                     let mut r = vec![0u8; bytes];
-                    comm.recv(&mut r, 0, 2);
+                    comm.recv_async(&mut r, 0, 2).await;
                 }
             });
             clocks[1].as_us()
@@ -246,8 +223,9 @@ mod tests {
         }
         let shared = Arc::new(TestNet);
         for _ in 0..3 {
-            let (_, clocks) = run_virtual(2, Box::new(ArcNet(Arc::clone(&shared))), |comm| {
-                comm.barrier()
+            let net = Box::new(ArcNet(Arc::clone(&shared)));
+            let (_, clocks) = run_virtual_coop(2, net, |comm| async move {
+                comm.barrier_async().await;
             });
             assert!(clocks[0].as_us() > 0.0);
         }

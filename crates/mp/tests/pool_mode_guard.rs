@@ -41,12 +41,11 @@ fn coop_world_pins_pool_to_one_at_4096_ranks() {
     assert!(sizes.iter().all(|&s| s == 1));
 }
 
-/// The baton-serialised virtual engine (legacy thread-backed path) gets
-/// the same serial guard.
+/// A virtual world gets the same serial guard.
 #[test]
 fn virtual_world_pins_pool_to_one() {
     let machine = machines_stub();
-    let (sizes, _clocks) = mp::run_virtual(8, machine, |comm| {
+    let (sizes, _clocks) = mp::run_virtual_coop(8, machine, |comm| async move {
         let _ = comm.rank();
         smp::Pool::current().size()
     });
@@ -74,7 +73,7 @@ fn native_ranks_share_cores_evenly() {
     }
 }
 
-/// Zero-latency stand-in network: enough to drive the baton engine.
+/// Zero-latency stand-in network: enough to drive a virtual world.
 fn machines_stub() -> Box<dyn mp::VirtualNet> {
     struct Net;
     impl mp::VirtualNet for Net {

@@ -164,8 +164,10 @@ fn virtual_execution_agrees_with_schedule_replay() {
 #[test]
 fn hpcc_verifies_under_virtual_execution() {
     let net = machines::SharedClusterNet::new(&machines::systems::dell_xeon(), 4);
-    let (results, clocks) = mp::run_virtual(4, Box::new(net), |comm| {
-        hpcc::ptrans::run(comm, &hpcc::ptrans::PtransConfig { n: 32 }).passed
+    let (results, clocks) = mp::run_virtual_coop(4, Box::new(net), |comm| async move {
+        hpcc::ptrans::run_async(&comm, &hpcc::ptrans::PtransConfig { n: 32 })
+            .await
+            .passed
     });
     assert!(
         results.iter().all(|&ok| ok),

@@ -127,6 +127,50 @@ fn one_plan_runs_all_three_modes_through_one_registry() {
     assert!(records.iter().all(|r| r.passed));
 }
 
+/// Differential pin of the one virtual engine, over two paths that both
+/// ship: the virtual closure of every registry workload (all 19, see
+/// `registry_covers_both_suites_completely`) run plainly (the default
+/// FIFO queue) and run under the schedule explorer's hook with the
+/// trivial [`mp::FifoController`] must produce the same records —
+/// every field, full f64 precision via the round-trippable Debug form.
+/// Virtual clocks are schedule-order-sensitive, so equality means the
+/// interleaving itself was identical. Each run is one `mp` world, so the
+/// sink sees exactly one run log per workload, and none deadlocked.
+#[test]
+fn virtual_runs_are_identical_under_the_fifo_controller() {
+    use std::sync::{Arc, Mutex};
+
+    let reg = registry();
+    let machine = machines::systems::dell_xeon();
+    let runner = Runner::fixed(2);
+    for w in reg.iter() {
+        let name = w.meta.name;
+        let bytes = w.meta.sized.then_some(4096);
+        let run = || {
+            w.run(Mode::Virtual, &runner, Some(&machine), 4, bytes)
+                .unwrap_or_else(|| panic!("{name} virtual at p=4"))
+        };
+        let plain = run();
+        let logs = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&logs);
+        let guard = mp::install_explore(mp::ScopedExplore {
+            controller: Arc::new(mp::FifoController),
+            settings: mp::check::Settings::default(),
+            sink: Arc::new(move |log| sink.lock().unwrap().push(log)),
+        });
+        let controlled = run();
+        drop(guard);
+        assert_eq!(
+            format!("{plain:?}"),
+            format!("{controlled:?}"),
+            "{name}: records diverge under the FIFO controller"
+        );
+        let logs = logs.lock().unwrap();
+        assert_eq!(logs.len(), 1, "{name}: one run log per world");
+        assert!(logs[0].deadlock.is_none(), "{name}: {:?}", logs[0].deadlock);
+    }
+}
+
 // ----------------------------------------------------------------------
 // Statistics invariants (property-based)
 // ----------------------------------------------------------------------
