@@ -25,6 +25,12 @@
 #   4. No source file re-enables a workspace-forbidden lint with
 #      `#[allow(...)]` / `#[expect(...)]` — the forbidden set is read
 #      from the root manifest, not hard-coded here.
+#   5. Under `crates/mp/src/sched/`, `Transfer {` and `LocalWork {`
+#      literals appear only in `p2p.rs` (IMB patterns with no collective
+#      twin) and `build.rs` (the step-bucketing builder). Every other
+#      schedule is the builder run over the `*_steps` function its
+#      `mp::coll` body loops over; a literal elsewhere is a second,
+#      hand-written encoding of an algorithm's geometry growing back.
 #
 # Test modules (everything at or below a column-0 `#[cfg(test)]`) are
 # exempt from the source scans: tests may sleep to provoke blocking
@@ -83,6 +89,14 @@ mod tests {
     }
 }
 EOF
+    # The builder may write transfers; that is its job.
+    mkdir -p "$pass/crates/mp/src/sched"
+    cat > "$pass/crates/mp/src/sched/build.rs" <<'EOF'
+pub fn push(round: &mut Round) {
+    round.transfers.push(Transfer { src: 0, dst: 1, bytes: 8 });
+    round.work.push(LocalWork { rank: 1, bytes: 8 });
+}
+EOF
     if ! "$self" --root "$pass" > "$tmp/pass.log" 2>&1; then
         echo "arch_lint --self-test: compliant fixture was rejected:" >&2
         cat "$tmp/pass.log" >&2
@@ -113,12 +127,19 @@ pub fn f() {
     std::thread::sleep(std::time::Duration::from_millis(1));
 }
 EOF
+    # A hand-written schedule generator beside the builder.
+    mkdir -p "$bad/crates/mp/src/sched"
+    cat > "$bad/crates/mp/src/sched/allgather.rs" <<'EOF'
+pub fn ring(n: usize, bytes: u64) -> Round {
+    Round::of((0..n).map(|i| Transfer { src: i, dst: (i + 1) % n, bytes }).collect())
+}
+EOF
     if "$self" --root "$bad" > "$tmp/bad.log" 2>&1; then
         echo "arch_lint --self-test: violating fixture was accepted" >&2
         exit 1
     fi
     for needle in "Instant" "thread::sleep" "SystemTime" "does not opt into" \
-        "allow(unsafe_code)"; do
+        "allow(unsafe_code)" "hand-written schedule"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -199,6 +220,17 @@ for lint in $forbidden; do
 $optouts"
     fi
 done
+
+# --- 5. One geometry per collective: schedules come from the builder ----
+offenders=$(scan 'Transfer \{|LocalWork \{' \
+    | grep '^crates/mp/src/sched/' \
+    | grep -v '^crates/mp/src/sched/p2p\.rs' \
+    | grep -v '^crates/mp/src/sched/build\.rs' || true)
+if [ -n "$offenders" ]; then
+    err "hand-written schedule in crates/mp/src/sched (derive it from the mp::coll \
+*_steps function through sched::build instead):
+$offenders"
+fi
 
 if [ "$fail" -ne 0 ]; then
     exit 1

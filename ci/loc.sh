@@ -1,18 +1,28 @@
 #!/usr/bin/env bash
 # Tracked Rust line counts, the number behind ROADMAP aim 2 ("net line
-# count is a tracked metric"): per crate, lines under src/ and in the
-# whole crate (src/ + tests/), then the umbrella package, from
-# `git ls-files` so build outputs and untracked scratch never count.
+# count is a tracked metric"): per crate, lines under src/, the non-test
+# share of those (everything above a file's first column-0 `#[cfg(test)]`
+# — the only lines that count as a reduction), and lines in the whole
+# crate (src/ + tests/); then the umbrella package. From `git ls-files`,
+# so build outputs and untracked scratch never count.
 set -eu
 cd "$(dirname "$0")/.."
-count() { git ls-files -z -- "$@" | grep -z '\.rs$' | xargs -0 -r cat | wc -l; }
+files() { git ls-files -z -- "$@" | grep -z '\.rs$'; }
+count() { files "$@" | xargs -0 -r cat | wc -l; }
+nontest() {
+    files "$@" | xargs -0 -r awk '
+        FNR == 1 { intest = 0 }
+        /^#\[cfg\(test\)\]/ { intest = 1 }
+        !intest { n++ }
+        END { print n + 0 }'
+}
 total=0
 row() { # name, src dir, every path of the package
     all=$(count "${@:3}")
-    printf '%-12s %8d %8d\n' "$1" "$(count "$2")" "$all"
+    printf '%-12s %8d %8d %8d\n' "$1" "$(count "$2")" "$(nontest "$2")" "$all"
     total=$((total + all))
 }
-printf '%-12s %8s %8s\n' crate src all
+printf '%-12s %8s %8s %8s\n' crate src non-test all
 for dir in crates/*/; do row "$(basename "$dir")" "${dir}src" "$dir"; done
 row umbrella src src tests examples
-printf '%-12s %8s %8d\n' total "" "$total"
+printf '%-12s %8s %8s %8d\n' total "" "" "$total"

@@ -65,7 +65,6 @@ pub(crate) async fn bench_iterate_async(state: &mut BenchState, comm: &Comm, ite
 /// Preallocated buffers + the per-iteration body for one benchmark.
 pub(crate) struct BenchState {
     benchmark: Benchmark,
-    bytes: usize,
     sbuf: Vec<u8>,
     rbuf: Vec<u8>,
     fsend: Vec<f64>,
@@ -128,7 +127,6 @@ impl BenchState {
         };
         BenchState {
             benchmark,
-            bytes,
             sbuf,
             rbuf,
             fsend,
@@ -215,7 +213,6 @@ impl BenchState {
                     .await;
             }
         }
-        let _ = self.bytes;
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::comm::Comm;
 use crate::datatype::{decode_into, encode, Word};
 
-use super::LONG_MSG_THRESHOLD;
+use super::{ceil_log2, Step, LONG_MSG_THRESHOLD};
 
 /// Ring allgather: `n-1` rounds; each round every rank passes one block to
 /// its right neighbour. Bandwidth-optimal for long blocks and valid for any
@@ -14,6 +14,11 @@ use super::LONG_MSG_THRESHOLD;
 /// re-encode), decoding a copy into the local result as it passes through.
 pub fn ring<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     crate::coop::block_on(ring_async(comm, send, recv));
+}
+
+/// [`ring`]'s steps over the gathered buffer of `n` blocks.
+pub(crate) fn ring_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
+    super::ring_steps(me, n, 0, move |b| b * block..(b + 1) * block)
 }
 
 /// Awaitable mirror of [`ring`].
@@ -28,21 +33,13 @@ pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     );
     let me = comm.rank();
     recv[me * block..(me + 1) * block].copy_from_slice(send);
-    if n == 1 {
-        return;
-    }
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
     let mut outgoing = crate::payload::Payload::from_vec(encode(send));
-    for k in 0..n - 1 {
-        let recv_block = (me + n - k - 1) % n;
+    for step in ring_steps(me, n, block) {
+        let ((right, _), (left, take)) = step.exchange();
         let got = comm
             .sendrecv_payload_coll_async(outgoing, right, left, tag)
             .await;
-        decode_into(
-            &got,
-            &mut recv[recv_block * block..(recv_block + 1) * block],
-        );
+        decode_into(&got, &mut recv[take]);
         outgoing = got;
     }
 }
@@ -54,32 +51,39 @@ pub fn recursive_doubling<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     crate::coop::block_on(recursive_doubling_async(comm, send, recv));
 }
 
+/// [`recursive_doubling`]'s steps over the gathered buffer: round `k`
+/// swaps the `2^k`-aligned group of blocks a rank holds for its partner's.
+pub(crate) fn recursive_doubling_steps(
+    me: usize,
+    n: usize,
+    block: usize,
+) -> impl Iterator<Item = Step> {
+    assert!(n.is_power_of_two(), "recursive doubling needs 2^k ranks");
+    (0..ceil_log2(n)).map(move |k| {
+        let span = 1 << k;
+        let partner = me ^ span;
+        let group =
+            |rank: usize| (rank & !(span - 1)) * block..((rank & !(span - 1)) + span) * block;
+        Step::at(k)
+            .send(partner, group(me))
+            .recv(partner, group(partner))
+    })
+}
+
 /// Awaitable mirror of [`recursive_doubling`].
 pub async fn recursive_doubling_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
-    assert!(n.is_power_of_two(), "recursive doubling needs 2^k ranks");
     let tag = comm.next_coll_tag();
     let block = send.len();
+    let me = comm.rank();
+    let mut steps = recursive_doubling_steps(me, n, block);
     assert_eq!(
         recv.len(),
         block * n,
         "allgather receive buffer size mismatch"
     );
-    let me = comm.rank();
     recv[me * block..(me + 1) * block].copy_from_slice(send);
-
-    let mut span = 1;
-    while span < n {
-        let partner = me ^ span;
-        let base = me & !(span - 1); // start of the 2^k-aligned group I hold
-        let pbase = partner & !(span - 1);
-        let out = encode(&recv[base * block..(base + span) * block]);
-        let bytes = comm
-            .sendrecv_bytes_coll_async(out, partner, partner, tag)
-            .await;
-        decode_into(&bytes, &mut recv[pbase * block..(pbase + span) * block]);
-        span <<= 1;
-    }
+    super::run_in_place(comm, tag, recv, &mut steps, super::no_fold).await;
 }
 
 /// The [`auto`] dispatch test, shared with the `sched::allgather`

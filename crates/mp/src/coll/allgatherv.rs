@@ -2,17 +2,17 @@
 //! vector variant of allgather with per-rank block sizes.
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::Word;
 
-/// Per-rank displacements (prefix sums of `counts`).
-fn displs(counts: &[usize]) -> Vec<usize> {
-    let mut d = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0;
-    for &c in counts {
-        d.push(acc);
-        acc += c;
-    }
-    d.push(acc);
+use super::Step;
+
+/// Per-rank displacements (prefix sums of `counts`, ending on the total).
+pub(crate) fn displs(counts: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut d = vec![0];
+    d.extend(counts.into_iter().scan(0, |acc, c| {
+        *acc += c;
+        Some(*acc)
+    }));
     d
 }
 
@@ -24,28 +24,23 @@ pub fn ring<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) 
     crate::coop::block_on(ring_async(comm, send, recv, counts));
 }
 
+/// [`ring`]'s steps over the gathered buffer, whose block boundaries are
+/// `displs` (one more entry than ranks).
+pub(crate) fn ring_steps(me: usize, displs: &[usize]) -> impl Iterator<Item = Step> + '_ {
+    super::ring_steps(me, displs.len() - 1, 0, |b| displs[b]..displs[b + 1])
+}
+
 /// Awaitable mirror of [`ring`].
 pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     assert_eq!(counts.len(), n, "one count per rank required");
-    let d = displs(counts);
+    let d = displs(counts.iter().copied());
     assert_eq!(recv.len(), d[n], "allgatherv receive buffer size mismatch");
     let me = comm.rank();
     assert_eq!(send.len(), counts[me], "send buffer must match my count");
     recv[d[me]..d[me + 1]].copy_from_slice(send);
-    if n == 1 {
-        return;
-    }
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    for k in 0..n - 1 {
-        let sb = (me + n - k) % n;
-        let rb = (me + n - k - 1) % n;
-        let out = encode(&recv[d[sb]..d[sb + 1]]);
-        let bytes = comm.sendrecv_bytes_coll_async(out, right, left, tag).await;
-        decode_into(&bytes, &mut recv[d[rb]..d[rb + 1]]);
-    }
+    super::run_in_place(comm, tag, recv, &mut ring_steps(me, &d), super::no_fold).await;
 }
 
 /// The default allgatherv (ring).
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn displacements_are_prefix_sums() {
-        assert_eq!(super::displs(&[2, 0, 5]), vec![0, 2, 2, 7]);
-        assert_eq!(super::displs(&[]), vec![0]);
+        assert_eq!(super::displs([2, 0, 5]), vec![0, 2, 2, 7]);
+        assert_eq!(super::displs([]), vec![0]);
     }
 }

@@ -2,18 +2,16 @@
 //! for vector norms and time step sizes in time-dependent simulations".
 
 use crate::comm::Comm;
-use crate::datatype::{decode, decode_into, encode};
-use crate::msg::Tag;
 use crate::reduce::{Numeric, Op};
 
-use super::LONG_MSG_THRESHOLD;
+use super::{allgather, reduce_scatter, run_in_place, Step, LONG_MSG_THRESHOLD};
 
 /// Folds a non-power-of-two group down to `2^k` participants.
 ///
 /// With `r = n - 2^k` extra ranks, the first `2r` ranks pair up: each odd
 /// rank absorbs its even neighbour's vector and partakes in the
 /// power-of-two phase; even ranks sit out and get the result afterwards.
-/// Returns this rank's participant index, or `None` if it sits out.
+#[derive(Clone, Copy)]
 struct Fold {
     pow2: usize,
     rem: usize,
@@ -21,11 +19,7 @@ struct Fold {
 
 impl Fold {
     fn new(n: usize) -> Fold {
-        let pow2 = if n.is_power_of_two() {
-            n
-        } else {
-            n.next_power_of_two() / 2
-        };
+        let pow2 = 1 << n.ilog2();
         Fold {
             pow2,
             rem: n - pow2,
@@ -40,44 +34,39 @@ impl Fold {
             newrank + self.rem
         }
     }
-}
 
-async fn fold_in<T: Numeric>(
-    comm: &Comm,
-    acc: &mut [T],
-    op: Op,
-    fold: &Fold,
-    tag: Tag,
-) -> Option<usize> {
-    let me = comm.rank();
-    if me < 2 * fold.rem {
-        if me.is_multiple_of(2) {
-            comm.send_bytes(encode(acc), me + 1, tag);
-            None
-        } else {
-            let operand: Vec<T> = decode(&comm.recv_bytes_async(me - 1, tag).await);
-            op.fold_into(acc, &operand);
-            Some(me / 2)
-        }
-    } else {
-        Some(me - fold.rem)
-    }
-}
-
-async fn fold_out<T: Numeric>(
-    comm: &Comm,
-    acc: &mut [T],
-    fold: &Fold,
-    tag: Tag,
-    participated: bool,
-) {
-    let me = comm.rank();
-    if me < 2 * fold.rem {
-        if participated {
-            comm.send_bytes(encode(acc), me - 1, tag);
-        } else {
-            decode_into(&comm.recv_bytes_async(me + 1, tag).await, acc);
-        }
+    /// Rank `me`'s steps on a vector of `len`: the fold-in round if the
+    /// group needs one, then `inner(p)` — the `rounds`-round power-of-two
+    /// algorithm as participant `p` sees it — renamed to real ranks, then
+    /// the fold-out round.
+    fn steps<I: Iterator<Item = Step>>(
+        self,
+        me: usize,
+        len: usize,
+        rounds: usize,
+        inner: impl FnOnce(usize) -> I,
+    ) -> impl Iterator<Item = Step> {
+        let pre = usize::from(self.rem > 0);
+        let last = pre + rounds;
+        // In the folded prefix a rank pairs with `me ^ 1`; the odd one absorbs.
+        let pair = (me < 2 * self.rem).then_some((me ^ 1, me % 2 == 1));
+        let participant = match pair {
+            None => Some(me - self.rem),
+            Some((_, absorbs)) => absorbs.then_some(me / 2),
+        };
+        let fold_in = pair.into_iter().map(move |(peer, absorbs)| match absorbs {
+            true => Step::at(0).recv(peer, 0..len).folding(1),
+            false => Step::at(0).send(peer, 0..len),
+        });
+        let fold_out = pair.into_iter().map(move |(peer, absorbs)| match absorbs {
+            true => Step::at(last).send(peer, 0..len),
+            false => Step::at(last).recv(peer, 0..len),
+        });
+        // A rank that sits out takes none of the inner steps.
+        let inner = inner(participant.unwrap_or(0))
+            .take(if participant.is_some() { usize::MAX } else { 0 })
+            .map(move |step| step.later(pre).rename(|p| self.oldrank(p)));
+        fold_in.chain(inner).chain(fold_out)
     }
 }
 
@@ -87,29 +76,29 @@ pub fn recursive_doubling<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     crate::coop::block_on(recursive_doubling_async(comm, buf, op));
 }
 
+/// [`recursive_doubling`]'s steps on the vector of `len`.
+pub(crate) fn recursive_doubling_steps(
+    me: usize,
+    n: usize,
+    len: usize,
+) -> impl Iterator<Item = Step> {
+    let fold = Fold::new(n);
+    let rounds = fold.pow2.ilog2() as usize;
+    fold.steps(me, len, rounds, move |p| {
+        (0..rounds).map(move |k| {
+            Step::at(k)
+                .send(p ^ (1 << k), 0..len)
+                .recv(p ^ (1 << k), 0..len)
+                .folding(1)
+        })
+    })
+}
+
 /// Awaitable mirror of [`recursive_doubling`].
 pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    let n = comm.size();
     let tag = comm.next_coll_tag();
-    if n == 1 {
-        return;
-    }
-    let fold = Fold::new(n);
-    let newrank = fold_in(comm, buf, op, &fold, tag).await;
-
-    if let Some(p) = newrank {
-        let mut span = 1;
-        while span < fold.pow2 {
-            let partner = fold.oldrank(p ^ span);
-            let bytes = comm
-                .sendrecv_bytes_coll_async(encode(buf), partner, partner, tag)
-                .await;
-            let operand: Vec<T> = decode(&bytes);
-            op.fold_into(buf, &operand);
-            span <<= 1;
-        }
-    }
-    fold_out(comm, buf, &fold, tag, newrank.is_some()).await;
+    let mut steps = recursive_doubling_steps(comm.rank(), comm.size(), buf.len());
+    run_in_place(comm, tag, buf, &mut steps, |acc, x| op.fold_into(acc, x)).await;
 }
 
 /// Rabenseifner allreduce: after the fold, a recursive-halving
@@ -124,68 +113,29 @@ pub fn rabenseifner<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     crate::coop::block_on(rabenseifner_async(comm, buf, op));
 }
 
-/// Awaitable mirror of [`rabenseifner`].
-pub async fn rabenseifner_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    let n = comm.size();
-    let tag = comm.next_coll_tag();
-    if n == 1 {
-        return;
-    }
+/// [`rabenseifner`]'s steps on the vector of `len`: the participants run
+/// [`reduce_scatter::recursive_halving_steps`], then
+/// [`allgather::recursive_doubling_steps`] over the reduced slices.
+pub(crate) fn rabenseifner_steps(me: usize, n: usize, len: usize) -> impl Iterator<Item = Step> {
     let fold = Fold::new(n);
     let p = fold.pow2;
-    let len = buf.len();
-    assert_eq!(len % p, 0, "vector must divide among participants");
-    let slice = len / p;
-    let newrank = fold_in(comm, buf, op, &fold, tag).await;
+    let halvings = p.ilog2() as usize;
+    fold.steps(me, len, 2 * halvings, move |v| {
+        reduce_scatter::recursive_halving_steps(v, p, len).chain(
+            allgather::recursive_doubling_steps(v, p, len / p)
+                .map(move |step| step.later(halvings)),
+        )
+    })
+}
 
-    if let Some(v) = newrank {
-        // Reduce-scatter by recursive halving.
-        let (mut lo, mut hi) = (0usize, len);
-        let mut group = p;
-        while group > 1 {
-            let gbase = v & !(group - 1);
-            let mid_rank = gbase + group / 2;
-            let mid = (lo + hi) / 2;
-            let in_lower = v < mid_rank;
-            let partner = fold.oldrank(if in_lower {
-                v + group / 2
-            } else {
-                v - group / 2
-            });
-            let (keep, give) = if in_lower {
-                (lo..mid, mid..hi)
-            } else {
-                (mid..hi, lo..mid)
-            };
-            let out = encode(&buf[give]);
-            let bytes = comm
-                .sendrecv_bytes_coll_async(out, partner, partner, tag)
-                .await;
-            let operand: Vec<T> = decode(&bytes);
-            op.fold_into(&mut buf[keep.clone()], &operand);
-            lo = keep.start;
-            hi = keep.end;
-            group /= 2;
-        }
-        debug_assert_eq!((lo, hi), (v * slice, (v + 1) * slice));
-
-        // Allgather by recursive doubling (inverse order: smallest spans
-        // first so gathered ranges stay contiguous).
-        let mut span_ranks = 1;
-        while span_ranks < p {
-            let partner = fold.oldrank(v ^ span_ranks);
-            let base = (v & !(span_ranks - 1)) * slice;
-            let pbase = ((v ^ span_ranks) & !(span_ranks - 1)) * slice;
-            let count = span_ranks * slice;
-            let out = encode(&buf[base..base + count]);
-            let bytes = comm
-                .sendrecv_bytes_coll_async(out, partner, partner, tag)
-                .await;
-            decode_into(&bytes, &mut buf[pbase..pbase + count]);
-            span_ranks <<= 1;
-        }
-    }
-    fold_out(comm, buf, &fold, tag, newrank.is_some()).await;
+/// Awaitable mirror of [`rabenseifner`].
+pub async fn rabenseifner_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
+    let (n, len) = (comm.size(), buf.len());
+    let tag = comm.next_coll_tag();
+    let pow2 = Fold::new(n).pow2;
+    assert_eq!(len % pow2, 0, "vector must divide among participants");
+    let mut steps = rabenseifner_steps(comm.rank(), n, len);
+    run_in_place(comm, tag, buf, &mut steps, |acc, x| op.fold_into(acc, x)).await;
 }
 
 /// The [`auto`] dispatch test, shared with the `sched::allreduce`

@@ -3,7 +3,9 @@
 //! bandwidth of the computing system".
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::{decode_into, Word};
+
+use super::{ceil_log2, run_between, Step};
 
 /// Pairwise-exchange alltoall: `n-1` rounds; in round `s` each rank
 /// exchanges one block with the rank at offset `s` (XOR-pairing on
@@ -11,6 +13,20 @@ use crate::datatype::{decode_into, encode, Word};
 /// algorithm: every block travels exactly once.
 pub fn pairwise<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     crate::coop::block_on(pairwise_async(comm, send, recv));
+}
+
+/// [`pairwise`]'s steps: give block `dst` of the send buffer, take block
+/// `src` of the receive buffer.
+pub(crate) fn pairwise_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
+    let at = move |r: usize| r * block..(r + 1) * block;
+    (1..n).map(move |s| {
+        let (dst, src) = if n.is_power_of_two() {
+            (me ^ s, me ^ s)
+        } else {
+            ((me + s) % n, (me + n - s) % n)
+        };
+        Step::at(s - 1).send(dst, at(dst)).recv(src, at(src))
+    })
 }
 
 /// Awaitable mirror of [`pairwise`].
@@ -22,16 +38,7 @@ pub async fn pairwise_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let block = send.len() / n;
     let me = comm.rank();
     recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
-    for s in 1..n {
-        let (dst, src) = if n.is_power_of_two() {
-            (me ^ s, me ^ s)
-        } else {
-            ((me + s) % n, (me + n - s) % n)
-        };
-        let out = encode(&send[dst * block..(dst + 1) * block]);
-        let bytes = comm.sendrecv_bytes_coll_async(out, dst, src, tag).await;
-        decode_into(&bytes, &mut recv[src * block..(src + 1) * block]);
-    }
+    run_between(comm, tag, send, recv, &mut pairwise_steps(me, n, block)).await;
 }
 
 /// Bruck alltoall: `ceil(log2 n)` rounds, each moving about half the
@@ -44,6 +51,20 @@ pub async fn pairwise_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
 /// rotation.
 pub fn bruck<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     crate::coop::block_on(bruck_async(comm, send, recv));
+}
+
+/// [`bruck`]'s steps. A round's message is not one range of the slot
+/// space but the packing of every slot with bit `round` set; the ranges
+/// here index that packed message, `0..moving slots * block`.
+pub(crate) fn bruck_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
+    (0..ceil_log2(n)).map(move |k| {
+        let step = 1 << k;
+        let moving = n / (2 * step) * step + (n % (2 * step)).saturating_sub(step);
+        let packed = 0..moving * block;
+        Step::at(k)
+            .send((me + step) % n, packed.clone())
+            .recv((me + n - step) % n, packed)
+    })
 }
 
 /// Awaitable mirror of [`bruck`].
@@ -67,21 +88,20 @@ pub async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     }
 
     // Phase 2: log-round combining exchanges.
-    let mut step = 1usize;
-    while step < n {
-        let dst = (me + step) % n;
-        let src = (me + n - step) % n;
-        let moving: Vec<usize> = (0..n).filter(|i| i & step != 0).collect();
-        let mut out = Vec::with_capacity(moving.len() * bw);
-        for &i in &moving {
+    for step in bruck_steps(me, n, bw) {
+        let bit = 1 << step.round;
+        let moving = (0..n).filter(move |i| i & bit != 0);
+        let ((dst, packed), (src, _)) = step.exchange();
+        let mut out = Vec::with_capacity(packed.len());
+        for i in moving.clone() {
             out.extend_from_slice(&slots[i * bw..(i + 1) * bw]);
         }
-        let bytes = comm.sendrecv_bytes_coll_async(out, dst, src, tag).await;
-        assert_eq!(bytes.len(), moving.len() * bw, "bruck round size mismatch");
-        for (j, &i) in moving.iter().enumerate() {
+        comm.send_bytes(out, dst, tag);
+        let bytes = comm.recv_bytes_async(src, tag).await;
+        assert_eq!(bytes.len(), packed.len(), "bruck round size mismatch");
+        for (j, i) in moving.enumerate() {
             slots[i * bw..(i + 1) * bw].copy_from_slice(&bytes[j * bw..(j + 1) * bw]);
         }
-        step <<= 1;
     }
 
     // Phase 3: inverse rotation — slot j holds the block from (me - j).
@@ -100,6 +120,15 @@ pub fn linear<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     crate::coop::block_on(linear_async(comm, send, recv));
 }
 
+/// [`linear`]'s steps, all in one round: give block `dst` of the send
+/// buffer, take block `src` of the receive buffer.
+pub(crate) fn linear_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
+    let at = move |r: usize| r * block..(r + 1) * block;
+    let fire = (1..n).map(move |off| Step::at(0).send((me + off) % n, at((me + off) % n)));
+    let drain = (1..n).map(move |off| Step::at(0).recv((me + n - off) % n, at((me + n - off) % n)));
+    fire.chain(drain)
+}
+
 /// Awaitable mirror of [`linear`].
 pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
@@ -109,15 +138,7 @@ pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let block = send.len() / n;
     let me = comm.rank();
     recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
-    for off in 1..n {
-        let dst = (me + off) % n;
-        comm.send_bytes(encode(&send[dst * block..(dst + 1) * block]), dst, tag);
-    }
-    for off in 1..n {
-        let src = (me + n - off) % n;
-        let bytes = comm.recv_bytes_async(src, tag).await;
-        decode_into(&bytes, &mut recv[src * block..(src + 1) * block]);
-    }
+    run_between(comm, tag, send, recv, &mut linear_steps(me, n, block)).await;
 }
 
 /// The [`auto`] dispatch test, shared with the `sched::alltoall`
@@ -135,10 +156,6 @@ pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
 /// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
-    if n == 1 {
-        recv.copy_from_slice(send);
-        return;
-    }
     if picks_bruck(n, send.len() / n * T::SIZE) {
         bruck_async(comm, send, recv).await;
     } else {

@@ -2,6 +2,8 @@
 
 use crate::comm::Comm;
 
+use super::{bcast, ceil_log2, no_fold, run_in_place, Step};
+
 /// Dissemination barrier: `ceil(log2 n)` rounds; in round `k` every rank
 /// signals `(rank + 2^k) mod n` and waits for `(rank - 2^k) mod n`.
 /// This is the classic algorithm behind most MPI barrier implementations.
@@ -9,22 +11,21 @@ pub fn dissemination(comm: &Comm) {
     crate::coop::block_on(dissemination_async(comm));
 }
 
+/// [`dissemination`]'s steps (zero-byte messages).
+pub(crate) fn dissemination_steps(me: usize, n: usize) -> impl Iterator<Item = Step> {
+    (0..ceil_log2(n)).map(move |k| {
+        let d = 1 << k;
+        Step::at(k)
+            .send((me + d) % n, 0..0)
+            .recv((me + n - d) % n, 0..0)
+    })
+}
+
 /// Awaitable mirror of [`dissemination`].
 pub async fn dissemination_async(comm: &Comm) {
-    let n = comm.size();
     let tag = comm.next_coll_tag();
-    if n == 1 {
-        return;
-    }
-    let me = comm.rank();
-    let mut k = 1;
-    while k < n {
-        let dst = (me + k) % n;
-        let src = (me + n - k) % n;
-        comm.send_bytes(Vec::new(), dst, tag);
-        let _ = comm.recv_bytes_async(src, tag).await;
-        k <<= 1;
-    }
+    let mut steps = dissemination_steps(comm.rank(), comm.size());
+    run_in_place::<u8>(comm, tag, &mut [], &mut steps, no_fold).await;
 }
 
 /// Tree barrier: a zero-byte binomial reduce to rank 0 followed by a
@@ -34,37 +35,23 @@ pub fn tree(comm: &Comm) {
     crate::coop::block_on(tree_async(comm));
 }
 
+/// [`tree`]'s steps: [`bcast::binomial_steps`] from rank 0 backwards (the
+/// fan-in: hear from every child, then signal the parent), then forwards
+/// (the fan-out: wait for the parent's release, then release the children).
+pub(crate) fn tree_steps(me: usize, n: usize) -> impl Iterator<Item = Step> {
+    let rounds = ceil_log2(n);
+    let fan_out = move || bcast::binomial_steps(me, n, 0, 0);
+    fan_out()
+        .rev()
+        .map(move |step| step.reversed(rounds))
+        .chain(fan_out().map(move |step| step.later(rounds)))
+}
+
 /// Awaitable mirror of [`tree`].
 pub async fn tree_async(comm: &Comm) {
-    let n = comm.size();
     let tag = comm.next_coll_tag();
-    if n == 1 {
-        return;
-    }
-    let v = comm.rank(); // root is always 0: vrank == rank
-
-    // Fan-in: receive from every child, then signal the parent.
-    let node = super::binomial_node(v);
-    let mut peers: Vec<usize> = Vec::new();
-    let mut k = node.first_send_round;
-    while (1usize << k) < n {
-        let peer = v + (1 << k);
-        if peer < n {
-            peers.push(peer);
-        }
-        k += 1;
-    }
-    for &c in peers.iter().rev() {
-        let _ = comm.recv_bytes_async(c, tag).await;
-    }
-    if let Some((parent, _)) = node.parent {
-        comm.send_bytes(Vec::new(), parent, tag);
-        // Fan-out: wait for release from the parent.
-        let _ = comm.recv_bytes_async(parent, tag).await;
-    }
-    for &c in &peers {
-        comm.send_bytes(Vec::new(), c, tag);
-    }
+    let mut steps = tree_steps(comm.rank(), comm.size());
+    run_in_place::<u8>(comm, tag, &mut [], &mut steps, no_fold).await;
 }
 
 /// The default barrier (dissemination).

@@ -4,7 +4,9 @@ use crate::comm::Comm;
 use crate::datatype::{decode_into, encode, Word};
 use crate::payload::Payload;
 
-use super::{binomial_node, halving_tree, unvrank, vrank, LONG_MSG_THRESHOLD};
+use super::{
+    binomial_edges, ceil_log2, ring_steps, scatter, unvrank, vrank, Step, LONG_MSG_THRESHOLD,
+};
 
 /// Binomial-tree broadcast: `ceil(log2 n)` rounds, the whole payload on
 /// every edge. Latency-optimal; the standard short-message algorithm.
@@ -15,6 +17,22 @@ pub fn binomial<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     crate::coop::block_on(binomial_async(comm, buf, root));
 }
 
+/// [`binomial`]'s steps on the buffer of `len`: take it from the parent,
+/// then feed a child a round.
+pub(crate) fn binomial_steps(
+    me: usize,
+    n: usize,
+    len: usize,
+    root: usize,
+) -> impl DoubleEndedIterator<Item = Step> {
+    let (parent, children) = binomial_edges(vrank(me, root, n), n);
+    let arrive = parent
+        .into_iter()
+        .map(move |(p, k)| Step::at(k).recv(unvrank(p, root, n), 0..len));
+    let feed = children.map(move |(c, k)| Step::at(k).send(unvrank(c, root, n), 0..len));
+    arrive.chain(feed)
+}
+
 /// Awaitable mirror of [`binomial`].
 pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     let n = comm.size();
@@ -22,24 +40,16 @@ pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     if n == 1 {
         return;
     }
-    let v = vrank(comm.rank(), root, n);
-    let node = binomial_node(v);
-
-    let data = if let Some((parent, _)) = node.parent {
-        let payload = comm.recv_payload_async(unvrank(parent, root, n), tag).await;
-        decode_into(&payload, buf);
-        payload
-    } else {
-        Payload::from_vec(encode(buf))
-    };
-
-    let mut k = node.first_send_round;
-    while (1usize << k) < n {
-        let peer = v + (1 << k);
-        if peer < n {
-            comm.send_payload(data.clone(), unvrank(peer, root, n), tag);
+    let me = comm.rank();
+    let mut data = Payload::from_vec(if me == root { encode(buf) } else { Vec::new() });
+    for Step { send, recv, .. } in binomial_steps(me, n, buf.len(), root) {
+        if let Some((src, _)) = recv {
+            data = comm.recv_payload_async(src, tag).await;
+            decode_into(&data, buf);
         }
-        k += 1;
+        if let Some((dst, _)) = send {
+            comm.send_payload(data.clone(), dst, tag);
+        }
     }
 }
 
@@ -57,6 +67,22 @@ pub fn scatter_allgather<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     crate::coop::block_on(scatter_allgather_async(comm, buf, root));
 }
 
+/// [`scatter_allgather`]'s steps on the encoded payload of `total` bytes,
+/// cut into `n` blocks in root-relative rank order:
+/// [`scatter::binomial_steps`], then [`ring_steps`] around the
+/// root-relative ring. The ring sends block `v - k` in round `k` —
+/// exactly the block received the round before.
+pub(crate) fn scatter_allgather_steps(
+    me: usize,
+    n: usize,
+    total: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    let cut = move |b: usize| b * total / n;
+    let block = move |rank: usize| cut(vrank(rank, root, n))..cut(vrank(rank, root, n) + 1);
+    scatter::binomial_steps(me, n, root, cut).chain(ring_steps(me, n, ceil_log2(n), block))
+}
+
 /// Awaitable mirror of [`scatter_allgather`].
 pub async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     let n = comm.size();
@@ -64,55 +90,32 @@ pub async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: 
         return;
     }
     let tag = comm.next_coll_tag();
-    let v = vrank(comm.rank(), root, n);
+    let me = comm.rank();
     let total = buf.len() * T::SIZE;
-    // Block b covers bytes [cut(b), cut(b+1)) of the encoded payload.
-    let cut = |b: usize| -> usize { b * total / n };
 
-    // Phase 1: binomial scatter down the halving tree (by vrank ranges).
-    // Everything except this rank's own block v is re-received during the
-    // ring phase, so only that block goes into the assembly buffer now.
-    let (parent, children) = halving_tree(v, n);
+    // `held` is the payload in hand, bytes `at` of the whole: the subtree's
+    // blocks from the scatter parent (the whole buffer at the root), then
+    // each ring arrival. Every send is a slice of it. The ring forwards
+    // every block but the last to arrive, so copying what it sends and
+    // that last arrival assembles the whole; the scatter copies nothing.
+    let mut held = Payload::from_vec(if me == root { encode(buf) } else { Vec::new() });
+    let mut at = 0..total;
     let mut data = vec![0u8; total];
-    let own: Payload = if let Some((p, range)) = parent {
-        debug_assert_eq!(range.start, v, "halving tree keeps own block first");
-        let incoming = comm.recv_payload_async(unvrank(p, root, n), tag).await;
-        let base = cut(range.start);
-        for (child, crange) in children {
-            comm.send_payload(
-                incoming.slice(cut(crange.start) - base..cut(crange.end) - base),
-                unvrank(child, root, n),
-                tag,
-            );
+    for Step { send, recv, .. } in scatter_allgather_steps(me, n, total, root) {
+        let ring = recv.is_some();
+        if let Some((dst, give)) = send {
+            let out = held.slice(give.start - at.start..give.end - at.start);
+            if ring {
+                data[give].copy_from_slice(&out);
+            }
+            comm.send_payload(out, dst, tag);
         }
-        incoming.slice(0..cut(v + 1) - base)
-    } else {
-        let full = Payload::from_vec(encode(buf));
-        for (child, crange) in children {
-            comm.send_payload(
-                full.slice(cut(crange.start)..cut(crange.end)),
-                unvrank(child, root, n),
-                tag,
-            );
+        if let Some((src, take)) = recv {
+            held = comm.recv_payload_async(src, tag).await;
+            at = take;
         }
-        full.slice(cut(v)..cut(v + 1))
-    };
-    data[cut(v)..cut(v + 1)].copy_from_slice(&own);
-
-    // Phase 2: ring allgather of the n blocks (vrank ring). Round k sends
-    // block (v - k) mod n — exactly the block received in round k-1 — so
-    // each round forwards the just-received payload unchanged.
-    let right = unvrank((v + 1) % n, root, n);
-    let left = unvrank((v + n - 1) % n, root, n);
-    let mut outgoing = own;
-    for k in 0..n - 1 {
-        let recv_block = (v + n - k - 1) % n;
-        let got = comm
-            .sendrecv_payload_coll_async(outgoing, right, left, tag)
-            .await;
-        data[cut(recv_block)..cut(recv_block + 1)].copy_from_slice(&got);
-        outgoing = got;
     }
+    data[at].copy_from_slice(&held);
     decode_into(&data, buf);
 }
 

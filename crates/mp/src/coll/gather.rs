@@ -3,11 +3,27 @@
 use crate::comm::Comm;
 use crate::datatype::{decode_into, encode, Word};
 
-use super::{halving_tree, unvrank, vrank};
+pub(crate) use super::scatter::picks_linear;
+use super::{ceil_log2, run_between, scatter, unvrank, vrank, Step};
 
 /// Linear gather: every rank sends directly to the root.
 pub fn linear<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
     crate::coop::block_on(linear_async(comm, send, recv, root));
+}
+
+/// [`linear`]'s steps: the whole of every other rank's buffer, into
+/// blocks of the root's.
+pub(crate) fn linear_steps(
+    me: usize,
+    n: usize,
+    block: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    let at = move |r: usize| r * block..(r + 1) * block;
+    let collect = (0..n)
+        .filter(move |&r| me == root && r != root)
+        .map(move |r| Step::at(0).recv(r, at(r)));
+    collect.chain((me != root).then(|| Step::at(0).send(root, 0..block)))
 }
 
 /// Awaitable mirror of [`linear`].
@@ -15,17 +31,16 @@ pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T
     let n = comm.size();
     let tag = comm.next_coll_tag();
     let block = send.len();
-    if comm.rank() == root {
+    let me = comm.rank();
+    let recv = if me == root {
         let recv = recv.expect("root must supply a receive buffer");
         assert_eq!(recv.len(), block * n, "gather receive buffer size mismatch");
         recv[root * block..(root + 1) * block].copy_from_slice(send);
-        for r in (0..n).filter(|&r| r != root) {
-            let bytes = comm.recv_bytes_async(r, tag).await;
-            decode_into(&bytes, &mut recv[r * block..(r + 1) * block]);
-        }
+        recv
     } else {
-        comm.send_bytes(encode(send), root, tag);
-    }
+        &mut []
+    };
+    run_between(comm, tag, send, recv, &mut linear_steps(me, n, block, root)).await;
 }
 
 /// Binomial-tree gather: the mirror image of binomial scatter. Each node
@@ -35,36 +50,42 @@ pub fn binomial<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: 
     crate::coop::block_on(binomial_async(comm, send, recv, root));
 }
 
+/// [`binomial`]'s steps over the `n` blocks in root-relative rank order:
+/// [`scatter::binomial_steps`] backwards. So a node takes its children
+/// from the innermost (smallest, earliest-finished subtree) outwards, their
+/// ranges arriving in ascending order right after its own block, then
+/// sends the lot.
+pub(crate) fn binomial_steps(
+    me: usize,
+    n: usize,
+    block: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    scatter::binomial_steps(me, n, root, move |b| b * block)
+        .rev()
+        .map(move |step| step.reversed(ceil_log2(n)))
+}
+
 /// Awaitable mirror of [`binomial`].
 pub async fn binomial_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     let block = send.len();
-    if n == 1 {
-        let recv = recv.expect("root must supply a receive buffer");
-        recv[..block].copy_from_slice(send);
-        return;
-    }
-    let v = vrank(comm.rank(), root, n);
-    let (parent, children) = halving_tree(v, n);
+    let me = comm.rank();
 
     // My subtree's blocks in vrank order, my own block first.
     let bw = block * T::SIZE;
-    let hi = parent.as_ref().map(|(_, r)| r.end).unwrap_or(n);
-    let mut data = vec![0u8; (hi - v) * bw];
-    crate::datatype::encode_into(send, &mut data[..bw]);
-
-    // Children split ranges from the outside in; collect the innermost
-    // (smallest, earliest-finished subtree) first.
-    for (child, range) in children.iter().rev() {
-        let bytes = comm.recv_bytes_async(unvrank(*child, root, n), tag).await;
-        let off = (range.start - v) * bw;
-        data[off..off + bytes.len()].copy_from_slice(&bytes);
+    let mut data = encode(send);
+    for step in binomial_steps(me, n, bw, root) {
+        if let Some((src, take)) = step.recv {
+            debug_assert_eq!(take.start, vrank(me, root, n) * bw + data.len());
+            data.extend_from_slice(&comm.recv_bytes_async(src, tag).await);
+        }
+        if let Some((dst, _)) = step.send {
+            comm.send_bytes(std::mem::take(&mut data), dst, tag);
+        }
     }
-
-    if let Some((p, _)) = parent {
-        comm.send_bytes(data, unvrank(p, root, n), tag);
-    } else {
+    if me == root {
         let recv = recv.expect("root must supply a receive buffer");
         assert_eq!(recv.len(), block * n, "gather receive buffer size mismatch");
         for vv in 0..n {
@@ -75,12 +96,6 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut 
             );
         }
     }
-}
-
-/// The [`auto`] dispatch test, shared with the `sched::gather`
-/// generator: a tree has nothing to save below three ranks.
-pub(crate) fn picks_linear(n: usize) -> bool {
-    n <= 2
 }
 
 /// Size-dispatched gather (binomial; linear for 2 ranks).

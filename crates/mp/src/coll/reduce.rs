@@ -1,16 +1,32 @@
 //! Rooted reduction (`MPI_Reduce`, IMB `Reduce`, paper Fig. 8).
 
 use crate::comm::Comm;
-use crate::datatype::{decode, encode};
 use crate::reduce::{Numeric, Op};
 
-use super::{binomial_node, halving_tree, unvrank, vrank, LONG_MSG_THRESHOLD};
+use super::{
+    bcast, ceil_log2, gather, reduce_scatter, run_in_place, unvrank, vrank, Step,
+    LONG_MSG_THRESHOLD,
+};
 
 /// Binomial-tree reduce: the mirror of binomial broadcast. Each node folds
 /// its children's full vectors into its accumulator, then forwards to its
 /// parent. `ceil(log2 n)` rounds; every edge carries the whole vector.
 pub fn binomial<T: Numeric>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize, op: Op) {
     crate::coop::block_on(binomial_async(comm, send, recv, root, op));
+}
+
+/// [`binomial`]'s steps on the accumulator of `len`:
+/// [`bcast::binomial_steps`] run upwards. A node folds its children in
+/// broadcast order, then sends to its parent.
+pub(crate) fn binomial_steps(
+    me: usize,
+    n: usize,
+    len: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    let mut tree = bcast::binomial_steps(me, n, len, root).map(move |s| s.reversed(ceil_log2(n)));
+    let up = if me == root { None } else { tree.next() };
+    tree.map(|fold| fold.folding(1)).chain(up)
 }
 
 /// Awaitable mirror of [`binomial`].
@@ -21,39 +37,11 @@ pub async fn binomial_async<T: Numeric>(
     root: usize,
     op: Op,
 ) {
-    let n = comm.size();
     let tag = comm.next_coll_tag();
-    let me = comm.rank();
-    if n == 1 {
-        recv.expect("root must supply a receive buffer")
-            .copy_from_slice(send);
-        return;
-    }
-    let v = vrank(me, root, n);
-    let node = binomial_node(v);
-
+    let mut steps = binomial_steps(comm.rank(), comm.size(), send.len(), root);
     let mut acc = send.to_vec();
-    // Children of v (in the binomial broadcast tree) send *to* v here.
-    // Receive them in reverse round order: the largest subtree needs the
-    // most rounds to finish, so it arrives last.
-    let mut children = Vec::new();
-    let mut k = node.first_send_round;
-    while (1usize << k) < n {
-        let peer = v + (1 << k);
-        if peer < n {
-            children.push(peer);
-        }
-        k += 1;
-    }
-    for &c in &children {
-        let bytes = comm.recv_bytes_async(unvrank(c, root, n), tag).await;
-        let operand: Vec<T> = decode(&bytes);
-        op.fold_into(&mut acc, &operand);
-    }
-
-    if let Some((parent, _)) = node.parent {
-        comm.send_bytes(encode(&acc), unvrank(parent, root, n), tag);
-    } else {
+    run_in_place(comm, tag, &mut acc, &mut steps, |a, x| op.fold_into(a, x)).await;
+    if comm.rank() == root {
         recv.expect("root must supply a receive buffer")
             .copy_from_slice(&acc);
     }
@@ -76,6 +64,24 @@ pub fn rabenseifner<T: Numeric>(
     crate::coop::block_on(rabenseifner_async(comm, send, recv, root, op));
 }
 
+/// [`rabenseifner`]'s steps on the accumulator of `len`:
+/// [`reduce_scatter::recursive_halving_steps`] over root-relative ranks,
+/// then [`gather::binomial_steps`] of the reduced slices, which sit in the
+/// accumulator in root-relative rank order.
+pub(crate) fn rabenseifner_steps(
+    me: usize,
+    n: usize,
+    len: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    assert!(n.is_power_of_two(), "rabenseifner reduce needs 2^k ranks");
+    reduce_scatter::recursive_halving_steps(vrank(me, root, n), n, len)
+        .map(move |step| step.rename(|v| unvrank(v, root, n)))
+        .chain(
+            gather::binomial_steps(me, n, len / n, root).map(move |step| step.later(ceil_log2(n))),
+        )
+}
+
 /// Awaitable mirror of [`rabenseifner`].
 pub async fn rabenseifner_async<T: Numeric>(
     comm: &Comm,
@@ -85,72 +91,14 @@ pub async fn rabenseifner_async<T: Numeric>(
     op: Op,
 ) {
     let n = comm.size();
-    assert!(n.is_power_of_two(), "rabenseifner reduce needs 2^k ranks");
-    assert_eq!(send.len() % n, 0, "vector must divide evenly");
-    if n == 1 {
-        comm.next_coll_tag();
-        recv.expect("root must supply a receive buffer")
-            .copy_from_slice(send);
-        return;
-    }
     let tag = comm.next_coll_tag();
-    let me = comm.rank();
-    let v = vrank(me, root, n);
-    let len = send.len();
-    let slice = len / n;
-
-    // Phase 1: recursive-halving reduce-scatter over vranks.
+    let mut steps = rabenseifner_steps(comm.rank(), n, send.len(), root);
+    assert_eq!(send.len() % n, 0, "vector must divide evenly");
     let mut acc = send.to_vec();
-    let (mut lo, mut hi) = (0usize, len);
-    let mut group = n;
-    while group > 1 {
-        let gbase = v & !(group - 1);
-        let mid_rank = gbase + group / 2;
-        let mid = (lo + hi) / 2;
-        let in_lower = v < mid_rank;
-        let partner_v = if in_lower {
-            v + group / 2
-        } else {
-            v - group / 2
-        };
-        let (keep, give) = if in_lower {
-            (lo..mid, mid..hi)
-        } else {
-            (mid..hi, lo..mid)
-        };
-        let out = encode(&acc[give.clone()]);
-        let bytes = comm
-            .sendrecv_bytes_coll_async(
-                out,
-                unvrank(partner_v, root, n),
-                unvrank(partner_v, root, n),
-                tag,
-            )
-            .await;
-        let operand: Vec<T> = decode(&bytes);
-        op.fold_into(&mut acc[keep.clone()], &operand);
-        lo = keep.start;
-        hi = keep.end;
-        group /= 2;
-    }
-    debug_assert_eq!((lo, hi), (v * slice, (v + 1) * slice));
-
-    // Phase 2: binomial gather of the slices to the root (vrank 0).
-    let (parent, children) = halving_tree(v, n);
-    let hi_rank = parent.as_ref().map(|(_, r)| r.end).unwrap_or(n);
-    let mut gathered = vec![T::zero(); (hi_rank - v) * slice];
-    gathered[..slice].copy_from_slice(&acc[lo..hi]);
-    for (child, range) in children.iter().rev() {
-        let bytes = comm.recv_bytes_async(unvrank(*child, root, n), tag).await;
-        let operand: Vec<T> = decode(&bytes);
-        let off = (range.start - v) * slice;
-        gathered[off..off + operand.len()].copy_from_slice(&operand);
-    }
-    if let Some((p, _)) = parent {
-        comm.send_bytes(encode(&gathered), unvrank(p, root, n), tag);
-    } else {
+    run_in_place(comm, tag, &mut acc, &mut steps, |a, x| op.fold_into(a, x)).await;
+    if comm.rank() == root {
         recv.expect("root must supply a receive buffer")
-            .copy_from_slice(&gathered);
+            .copy_from_slice(&acc);
     }
 }
 

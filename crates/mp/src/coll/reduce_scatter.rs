@@ -6,12 +6,28 @@ use crate::comm::Comm;
 use crate::datatype::{decode, encode};
 use crate::reduce::{Numeric, Op};
 
+use super::{allgatherv::displs, ceil_log2, run_in_place, Step};
+
 /// Pairwise reduce-scatter: `n-1` rounds; in round `s` each rank ships the
 /// slice belonging to `(me + s) mod n` and folds the operand for its own
 /// slice arriving from `(me - s) mod n`. Works for any group size and any
 /// per-rank counts; bandwidth-optimal (each rank moves `len - own` once).
 pub fn pairwise<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize], op: Op) {
     crate::coop::block_on(pairwise_async(comm, send, recv, counts, op));
+}
+
+/// [`pairwise`]'s steps over the send vector, whose slice boundaries are
+/// `displs` (one more entry than ranks).
+pub(crate) fn pairwise_steps(me: usize, displs: &[usize]) -> impl Iterator<Item = Step> + '_ {
+    let n = displs.len() - 1;
+    let slice = move |r: usize| displs[r]..displs[r + 1];
+    (1..n).map(move |s| {
+        let (dst, src) = ((me + s) % n, (me + n - s) % n);
+        Step::at(s - 1)
+            .send(dst, slice(dst))
+            .recv(src, slice(me))
+            .folding(1)
+    })
 }
 
 /// Awaitable mirror of [`pairwise`].
@@ -25,29 +41,22 @@ pub async fn pairwise_async<T: Numeric>(
     let n = comm.size();
     let tag = comm.next_coll_tag();
     assert_eq!(counts.len(), n, "one count per rank required");
-    let total: usize = counts.iter().sum();
+    let displ = displs(counts.iter().copied());
     assert_eq!(
         send.len(),
-        total,
+        displ[n],
         "reduce_scatter send buffer size mismatch"
     );
     let me = comm.rank();
     assert_eq!(recv.len(), counts[me], "receive buffer must match my count");
 
-    let mut displ = vec![0usize; n + 1];
-    for r in 0..n {
-        displ[r + 1] = displ[r] + counts[r];
-    }
-
-    let mut acc = send[displ[me]..displ[me + 1]].to_vec();
-    for s in 1..n {
-        let dst = (me + s) % n;
-        let src = (me + n - s) % n;
-        comm.send_bytes(encode(&send[displ[dst]..displ[dst + 1]]), dst, tag);
+    recv.copy_from_slice(&send[displ[me]..displ[me + 1]]);
+    for step in pairwise_steps(me, &displ) {
+        let ((dst, give), (src, _)) = step.exchange();
+        comm.send_bytes(encode(&send[give]), dst, tag);
         let operand: Vec<T> = decode(&comm.recv_bytes_async(src, tag).await);
-        op.fold_into(&mut acc, &operand);
+        op.fold_into(recv, &operand);
     }
-    recv.copy_from_slice(&acc);
 }
 
 /// Recursive-halving reduce-scatter for equal counts on power-of-two
@@ -58,51 +67,55 @@ pub fn recursive_halving<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op
     crate::coop::block_on(recursive_halving_async(comm, send, recv, op));
 }
 
+/// [`recursive_halving`]'s steps on the vector of `len`: each round a rank
+/// gives the half of its active range that its partner keeps and folds
+/// the partner's operand into the half it keeps itself, ending on slice
+/// `me` of `n`.
+pub(crate) fn recursive_halving_steps(
+    me: usize,
+    n: usize,
+    len: usize,
+) -> impl Iterator<Item = Step> {
+    assert!(n.is_power_of_two(), "recursive halving needs 2^k ranks");
+    let mut keep = 0..len;
+    (0..ceil_log2(n)).map(move |k| {
+        let half = n >> (k + 1);
+        let mid = (keep.start + keep.end) / 2;
+        let (give, kept) = if me & half == 0 {
+            (mid..keep.end, keep.start..mid)
+        } else {
+            (keep.start..mid, mid..keep.end)
+        };
+        keep = kept;
+        let partner = me ^ half;
+        Step::at(k)
+            .send(partner, give)
+            .recv(partner, keep.clone())
+            .folding(1)
+    })
+}
+
 /// Awaitable mirror of [`recursive_halving`].
 pub async fn recursive_halving_async<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
     let n = comm.size();
-    assert!(n.is_power_of_two(), "recursive halving needs 2^k ranks");
     let tag = comm.next_coll_tag();
     let me = comm.rank();
     let len = send.len();
+    let mut steps = recursive_halving_steps(me, n, len);
     assert_eq!(len % n, 0, "vector must divide evenly among ranks");
     let slice = len / n;
     assert_eq!(recv.len(), slice, "receive buffer must hold one slice");
-    if n == 1 {
-        recv.copy_from_slice(send);
-        return;
-    }
 
     let mut acc = send.to_vec();
-    let (mut lo, mut hi) = (0usize, len);
-    let mut group = n;
-    while group > 1 {
-        let gbase = me & !(group - 1);
-        let mid_rank = gbase + group / 2;
-        let mid = (lo + hi) / 2;
-        let in_lower = me < mid_rank;
-        let partner = if in_lower {
-            me + group / 2
-        } else {
-            me - group / 2
-        };
-        let (keep, give) = if in_lower {
-            (lo..mid, mid..hi)
-        } else {
-            (mid..hi, lo..mid)
-        };
-        let out = encode(&acc[give]);
-        let bytes = comm
-            .sendrecv_bytes_coll_async(out, partner, partner, tag)
-            .await;
-        let operand: Vec<T> = decode(&bytes);
-        op.fold_into(&mut acc[keep.clone()], &operand);
-        lo = keep.start;
-        hi = keep.end;
-        group /= 2;
-    }
-    debug_assert_eq!((lo, hi), (me * slice, (me + 1) * slice));
-    recv.copy_from_slice(&acc[lo..hi]);
+    run_in_place(comm, tag, &mut acc, &mut steps, |a, x| op.fold_into(a, x)).await;
+    recv.copy_from_slice(&acc[me * slice..(me + 1) * slice]);
+}
+
+/// The [`block_auto`] dispatch test, shared with the
+/// `sched::reduce_scatter` generator: recursive halving when the group is
+/// a power of two and the vector of `elems` elements divides evenly.
+pub(crate) fn picks_recursive_halving(n: usize, elems: usize) -> bool {
+    n.is_power_of_two() && elems.is_multiple_of(n)
 }
 
 /// Dispatched equal-counts reduce-scatter (`MPI_Reduce_scatter_block`):
@@ -114,7 +127,7 @@ pub fn block_auto<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
 /// Awaitable mirror of [`block_auto`].
 pub async fn block_auto_async<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
     let n = comm.size();
-    if n.is_power_of_two() && send.len().is_multiple_of(n) {
+    if picks_recursive_halving(n, send.len()) {
         recursive_halving_async(comm, send, recv, op).await;
     } else {
         let counts = vec![recv.len(); n];

@@ -11,25 +11,34 @@ use crate::comm::Comm;
 use crate::datatype::{decode, encode};
 use crate::reduce::{Numeric, Op};
 
+use super::{ceil_log2, Step};
+
 /// Linear scan: a pipeline along the rank order. `n-1` serial steps.
 pub fn linear<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     crate::coop::block_on(linear_async(comm, buf, op));
 }
 
+/// [`linear`]'s steps on the vector of `len`: fold the prefix arriving
+/// from the left, pass the result right a round later.
+pub(crate) fn linear_steps(me: usize, n: usize, len: usize) -> impl Iterator<Item = Step> {
+    let prefix = (me > 0).then(|| Step::at(me - 1).recv(me - 1, 0..len).folding(1));
+    let pass = (me + 1 < n).then(|| Step::at(me).send(me + 1, 0..len));
+    prefix.into_iter().chain(pass)
+}
+
 /// Awaitable mirror of [`linear`].
 pub async fn linear_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    let n = comm.size();
     let tag = comm.next_coll_tag();
-    let me = comm.rank();
-    if me > 0 {
-        let prefix: Vec<T> = decode(&comm.recv_bytes_async(me - 1, tag).await);
-        // Ordered: earlier ranks' contribution on the left.
-        let mut acc = prefix;
-        op.fold_into(&mut acc, buf);
-        buf.copy_from_slice(&acc);
-    }
-    if me + 1 < n {
-        comm.send_bytes(encode(buf), me + 1, tag);
+    for step in linear_steps(comm.rank(), comm.size(), buf.len()) {
+        if let Some((src, _)) = step.recv {
+            // Ordered: earlier ranks' contribution on the left.
+            let mut acc: Vec<T> = decode(&comm.recv_bytes_async(src, tag).await);
+            op.fold_into(&mut acc, buf);
+            buf.copy_from_slice(&acc);
+        }
+        if let Some((dst, _)) = step.send {
+            comm.send_bytes(encode(buf), dst, tag);
+        }
     }
 }
 
@@ -40,19 +49,35 @@ pub fn recursive_doubling<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     crate::coop::block_on(recursive_doubling_async(comm, buf, op));
 }
 
+/// [`recursive_doubling`]'s steps on the vector of `len`: round `k` ships
+/// the partial `2^k` ranks right; a receiver folds it twice, into its
+/// result and into its partial.
+pub(crate) fn recursive_doubling_steps(
+    me: usize,
+    n: usize,
+    len: usize,
+) -> impl Iterator<Item = Step> {
+    (0..ceil_log2(n)).map(move |k| {
+        let d = 1 << k;
+        Step {
+            round: k,
+            send: (me + d < n).then(|| (me + d, 0..len)),
+            recv: (me >= d).then(|| (me - d, 0..len)),
+            folds: if me >= d { 2 } else { 0 },
+        }
+    })
+}
+
 /// Awaitable mirror of [`recursive_doubling`].
 pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    let n = comm.size();
     let tag = comm.next_coll_tag();
-    let me = comm.rank();
     let mut partial = buf.to_vec();
-    let mut d = 1;
-    while d < n {
-        if me + d < n {
-            comm.send_bytes(encode(&partial), me + d, tag);
+    for step in recursive_doubling_steps(comm.rank(), comm.size(), buf.len()) {
+        if let Some((dst, _)) = step.send {
+            comm.send_bytes(encode(&partial), dst, tag);
         }
-        if me >= d {
-            let incoming: Vec<T> = decode(&comm.recv_bytes_async(me - d, tag).await);
+        if let Some((src, _)) = step.recv {
+            let incoming: Vec<T> = decode(&comm.recv_bytes_async(src, tag).await);
             // incoming covers ranks [me-2d+1 ..= me-d]; keep it on the left.
             let mut r = incoming.clone();
             op.fold_into(&mut r, buf);
@@ -61,7 +86,6 @@ pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op
             op.fold_into(&mut p, &partial);
             partial = p;
         }
-        d <<= 1;
     }
 }
 

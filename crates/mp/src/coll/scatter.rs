@@ -1,9 +1,10 @@
 //! Scatter (`MPI_Scatter`): root distributes one block per rank.
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::{decode_into, Word};
+use crate::payload::Payload;
 
-use super::{halving_tree, unvrank, vrank};
+use super::{halving_tree, run_between, unvrank, vrank, Step, TreeEdge};
 
 /// Linear scatter: the root sends each rank its block directly. Baseline
 /// algorithm (and the fallback for tiny groups).
@@ -11,26 +12,36 @@ pub fn linear<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: us
     crate::coop::block_on(linear_async(comm, send, recv, root));
 }
 
+/// [`linear`]'s steps: blocks of the root's buffer out, into the whole
+/// of every other rank's.
+pub(crate) fn linear_steps(
+    me: usize,
+    n: usize,
+    block: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    let at = move |r: usize| r * block..(r + 1) * block;
+    let deal = (0..n)
+        .filter(move |&r| me == root && r != root)
+        .map(move |r| Step::at(0).send(r, at(r)));
+    deal.chain((me != root).then(|| Step::at(0).recv(root, 0..block)))
+}
+
 /// Awaitable mirror of [`linear`].
 pub async fn linear_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     let block = recv.len();
-    if comm.rank() == root {
+    let me = comm.rank();
+    let send = if me == root {
         let send = send.expect("root must supply a send buffer");
         assert_eq!(send.len(), block * n, "scatter send buffer size mismatch");
-        for r in 0..n {
-            let part = &send[r * block..(r + 1) * block];
-            if r == root {
-                recv.copy_from_slice(part);
-            } else {
-                comm.send_bytes(encode(part), r, tag);
-            }
-        }
+        recv.copy_from_slice(&send[root * block..(root + 1) * block]);
+        send
     } else {
-        let bytes = comm.recv_bytes_async(root, tag).await;
-        decode_into(&bytes, recv);
-    }
+        &[]
+    };
+    run_between(comm, tag, send, recv, &mut linear_steps(me, n, block, root)).await;
 }
 
 /// Binomial-tree scatter down the recursive-halving tree: `ceil(log2 n)`
@@ -41,28 +52,39 @@ pub fn binomial<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: 
     crate::coop::block_on(binomial_async(comm, send, recv, root));
 }
 
+/// [`binomial`]'s steps over the `n` blocks in root-relative rank order,
+/// block `b` starting at `cut(b)`: a node receives its subtree's blocks
+/// (its own first) from its parent in the round of that split's depth,
+/// then hands each child its subtree, outermost split first.
+pub(crate) fn binomial_steps(
+    me: usize,
+    n: usize,
+    root: usize,
+    cut: impl Fn(usize) -> usize + Copy,
+) -> impl DoubleEndedIterator<Item = Step> {
+    let (parent, children) = halving_tree(vrank(me, root, n), n);
+    let blocks = move |e: &TreeEdge| cut(e.range.start)..cut(e.range.end);
+    let arrive = parent
+        .into_iter()
+        .map(move |e| Step::at(e.depth).recv(unvrank(e.peer, root, n), blocks(&e)));
+    let deal = children
+        .into_iter()
+        .map(move |e| Step::at(e.depth).send(unvrank(e.peer, root, n), blocks(&e)));
+    arrive.chain(deal)
+}
+
 /// Awaitable mirror of [`binomial`].
 pub async fn binomial_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     let block = recv.len();
-    if n == 1 {
-        let send = send.expect("root must supply a send buffer");
-        recv.copy_from_slice(&send[..block]);
-        return;
-    }
-    let v = vrank(comm.rank(), root, n);
-    let (parent, children) = halving_tree(v, n);
+    let me = comm.rank();
 
-    // Hold the encoded blocks for my subtree, indexed by vrank.
+    // The encoded blocks of my subtree in vrank order, from byte `base` of
+    // the whole; the root re-orders its buffer into vrank order once.
     let bw = block * T::SIZE;
-    let (data, lo) = if let Some((p, range)) = parent {
-        (
-            comm.recv_payload_async(unvrank(p, root, n), tag).await,
-            range.start,
-        )
-    } else {
-        // Root re-orders its buffer into vrank order once.
+    let (mut data, mut base) = (Payload::from_vec(Vec::new()), 0);
+    if me == root {
         let send = send.expect("root must supply a send buffer");
         assert_eq!(send.len(), block * n, "scatter send buffer size mismatch");
         let mut d = vec![0u8; bw * n];
@@ -73,21 +95,23 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut
                 &mut d[vv * bw..(vv + 1) * bw],
             );
         }
-        (crate::payload::Payload::from_vec(d), 0)
-    };
-
-    for (child, range) in children {
-        let off = (range.start - lo) * bw;
-        let len = (range.end - range.start) * bw;
-        comm.send_payload(data.slice(off..off + len), unvrank(child, root, n), tag);
+        data = Payload::from_vec(d);
     }
-    // My own block sits first in the subtree range (lo == v).
-    debug_assert_eq!(lo, v);
+    for Step { send, recv, .. } in binomial_steps(me, n, root, |b| b * bw) {
+        if let Some((src, take)) = recv {
+            data = comm.recv_payload_async(src, tag).await;
+            base = take.start;
+        }
+        if let Some((dst, give)) = send {
+            comm.send_payload(data.slice(give.start - base..give.end - base), dst, tag);
+        }
+    }
+    // My own block sits first in the subtree range.
     decode_into(&data[..bw], recv);
 }
 
-/// The [`auto`] dispatch test, shared with the `sched::scatter`
-/// generator: a tree has nothing to save below three ranks.
+/// The [`auto`] dispatch test of scatter and gather, shared with their
+/// `sched` generators: a tree has nothing to save below three ranks.
 pub(crate) fn picks_linear(n: usize) -> bool {
     n <= 2
 }

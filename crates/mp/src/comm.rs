@@ -409,18 +409,6 @@ impl Comm {
         self.recv_async(rbuf, src, tag).await;
     }
 
-    /// Internal sendrecv on a collective tag.
-    pub(crate) async fn sendrecv_bytes_coll_async(
-        &self,
-        sdata: Vec<u8>,
-        dst: usize,
-        src: usize,
-        tag: Tag,
-    ) -> Vec<u8> {
-        self.send_bytes(sdata, dst, tag);
-        self.recv_bytes_async(src, tag).await
-    }
-
     /// Payload-level sendrecv on a collective tag: the received payload
     /// stays shared, so ring pipelines can forward it to the next peer
     /// without re-encoding or copying.

@@ -1,141 +1,589 @@
-//! Schedule generators: the communication pattern of every collective
-//! algorithm as a [`simnet::Schedule`].
+//! Schedules: the communication pattern of every collective algorithm as
+//! a [`simnet::Schedule`].
 //!
-//! Each generator mirrors one real implementation in [`crate::coll`] —
-//! same rounds, same peers, same byte counts — so the fabric simulator
-//! prices exactly the pattern the runtime executes. The `auto` generators
-//! replicate the real dispatchers' size/shape heuristics byte-for-byte.
-//!
-//! Tests in this module family assert *trace equivalence*: a traced real
-//! execution ([`crate::run_traced`]) moves exactly the (src, dst, bytes)
-//! multiset the generator predicts.
+//! A schedule is the algorithm's own per-rank steps bucketed by round:
+//! each generator hands `build` the `<algo>_steps` function that the
+//! real implementation in [`crate::coll`] loops over, with lengths in
+//! bytes, so the fabric simulator prices the pattern the runtime executes.
+//! The `auto` generators ask the real dispatchers' `picks_*` predicates.
+//! [`p2p`] holds the IMB transfer patterns, which have no collective twin.
 
-pub mod allgather;
-pub mod allgatherv;
-pub mod allreduce;
-pub mod alltoall;
-pub mod barrier;
-pub mod bcast;
-pub mod gather;
+mod build;
 pub mod p2p;
-pub mod reduce;
-pub mod reduce_scatter;
-pub mod scan;
-pub mod scatter;
 
-use std::ops::Range;
+use simnet::Schedule;
 
-/// BFS levels of the recursive-halving block tree over `[0, n)`:
-/// `levels[d]` lists `(holder, child, child_range)` splits at depth `d`.
-/// Mirrors [`crate::coll::halving_tree`], which walks the same tree from a
-/// single rank's perspective.
-#[allow(clippy::single_range_in_vec_init)] // a worklist seeded with one range
-pub(crate) fn halving_bfs(n: usize) -> Vec<Vec<(usize, usize, Range<usize>)>> {
-    let mut levels = Vec::new();
-    let mut active: Vec<Range<usize>> = vec![0..n];
-    loop {
-        let mut level = Vec::new();
-        let mut next = Vec::new();
-        for r in &active {
-            if r.end - r.start > 1 {
-                let half = (r.end - r.start).next_power_of_two() / 2;
-                let mid = r.start + half;
-                level.push((r.start, mid, mid..r.end));
-                next.push(r.start..mid);
-                next.push(mid..r.end);
-            }
-        }
-        if level.is_empty() {
-            break;
-        }
-        levels.push(level);
-        active = next;
+use build::build;
+
+/// Schedules of [`crate::coll::allgather`]: `n` blocks of `block` bytes.
+pub mod allgather {
+    use super::*;
+    use crate::coll::allgather::*;
+
+    /// [`ring`](crate::coll::allgather::ring): `n-1` rounds of one block.
+    pub fn ring(n: usize, block: u64) -> Schedule {
+        build(n, 0, |me| ring_steps(me, n, block as usize))
     }
-    levels
+
+    /// [`recursive_doubling`](crate::coll::allgather::recursive_doubling).
+    pub fn recursive_doubling(n: usize, block: u64) -> Schedule {
+        build(n, 0, |me| recursive_doubling_steps(me, n, block as usize))
+    }
+
+    /// [`auto`](crate::coll::allgather::auto)'s dispatch.
+    pub fn auto(n: usize, block: u64) -> Schedule {
+        if picks_recursive_doubling(n, block as usize) {
+            recursive_doubling(n, block)
+        } else {
+            ring(n, block)
+        }
+    }
 }
 
-/// Rounds of the binomial broadcast tree over virtual ranks: round `k`
-/// contains an edge `(v, v + 2^k)` for every `v < 2^k` with `v + 2^k < n`.
-pub(crate) fn binomial_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
-    let mut rounds = Vec::new();
-    let mut k = 0;
-    while (1usize << k) < n {
-        let step = 1usize << k;
-        let round: Vec<(usize, usize)> = (0..step)
-            .filter(|v| v + step < n)
-            .map(|v| (v, v + step))
-            .collect();
-        rounds.push(round);
-        k += 1;
+/// Schedules of [`crate::coll::allgatherv`]: `counts` bytes from each rank.
+pub mod allgatherv {
+    use super::*;
+    use crate::coll::allgatherv::*;
+
+    /// [`ring`](crate::coll::allgatherv::ring).
+    pub fn ring(counts: &[u64]) -> Schedule {
+        let displs = displs(counts.iter().map(|&c| c as usize));
+        build(counts.len(), 0, |me| ring_steps(me, &displs))
     }
-    rounds
+
+    /// [`auto`](crate::coll::allgatherv::auto) is the ring.
+    pub use ring as auto;
 }
 
-#[cfg(test)]
-pub(crate) mod testutil {
-    use simnet::{Schedule, Transfer};
+/// Schedules of [`crate::coll::allreduce`] on a vector of `bytes`.
+pub mod allreduce {
+    use super::*;
+    use crate::coll::allreduce::*;
 
-    /// Asserts that a traced execution and a generated schedule move the
-    /// same multiset of (src, dst, bytes) messages.
-    pub fn assert_trace_matches(trace: Vec<Transfer>, schedule: &Schedule) {
-        schedule.validate().expect("generated schedule is invalid");
-        let mut traced = trace;
-        traced.sort_unstable();
-        assert_eq!(
-            traced,
-            schedule.transfer_multiset(),
-            "traced execution and schedule generator disagree"
-        );
+    /// [`recursive_doubling`](crate::coll::allreduce::recursive_doubling).
+    pub fn recursive_doubling(n: usize, bytes: u64) -> Schedule {
+        build(n, 0, |me| recursive_doubling_steps(me, n, bytes as usize))
+    }
+
+    /// [`rabenseifner`](crate::coll::allreduce::rabenseifner): the shape
+    /// behind the paper's 1 MB Allreduce measurements (Fig. 7).
+    pub fn rabenseifner(n: usize, bytes: u64) -> Schedule {
+        build(n, 0, |me| rabenseifner_steps(me, n, bytes as usize))
+    }
+
+    /// [`auto`](crate::coll::allreduce::auto)'s dispatch; `elem_size` as in [`super::reduce::auto`].
+    pub fn auto(n: usize, bytes: u64, elem_size: u64) -> Schedule {
+        if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
+            rabenseifner(n, bytes)
+        } else {
+            recursive_doubling(n, bytes)
+        }
+    }
+}
+
+/// Schedules of [`crate::coll::alltoall`]: `block` bytes per rank pair.
+pub mod alltoall {
+    use super::*;
+    use crate::coll::alltoall::*;
+
+    /// [`pairwise`](crate::coll::alltoall::pairwise): `n-1` rounds.
+    pub fn pairwise(n: usize, block: u64) -> Schedule {
+        build(n, 0, |me| pairwise_steps(me, n, block as usize))
+    }
+
+    /// [`bruck`](crate::coll::alltoall::bruck): `ceil(log2 n)` rounds.
+    pub fn bruck(n: usize, block: u64) -> Schedule {
+        build(n, 0, |me| bruck_steps(me, n, block as usize))
+    }
+
+    /// [`linear`](crate::coll::alltoall::linear): one eager round.
+    pub fn linear(n: usize, block: u64) -> Schedule {
+        build(n, 0, |me| linear_steps(me, n, block as usize))
+    }
+
+    /// [`auto`](crate::coll::alltoall::auto)'s dispatch.
+    pub fn auto(n: usize, block: u64) -> Schedule {
+        if picks_bruck(n, block as usize) {
+            bruck(n, block)
+        } else {
+            pairwise(n, block)
+        }
+    }
+}
+
+/// Schedules of [`crate::coll::barrier`]: zero-byte messages.
+pub mod barrier {
+    use super::*;
+    use crate::coll::barrier::*;
+
+    /// [`dissemination`](crate::coll::barrier::dissemination).
+    pub fn dissemination(n: usize) -> Schedule {
+        build(n, 0, |me| dissemination_steps(me, n))
+    }
+
+    /// [`tree`](crate::coll::barrier::tree): fan-in to rank 0, fan-out.
+    pub fn tree(n: usize) -> Schedule {
+        build(n, 0, |me| tree_steps(me, n))
+    }
+
+    /// [`auto`](crate::coll::barrier::auto) is dissemination.
+    pub use dissemination as auto;
+}
+
+/// Schedules of [`crate::coll::bcast`] of `bytes` from `root`.
+pub mod bcast {
+    use super::*;
+    use crate::coll::bcast::*;
+
+    /// [`binomial`](crate::coll::bcast::binomial).
+    pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
+        build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
+    }
+
+    /// [`scatter_allgather`](crate::coll::bcast::scatter_allgather).
+    pub fn scatter_allgather(n: usize, root: usize, bytes: u64) -> Schedule {
+        build(n, root, |me| {
+            scatter_allgather_steps(me, n, bytes as usize, root)
+        })
+    }
+
+    /// [`auto`](crate::coll::bcast::auto)'s size dispatch.
+    pub fn auto(n: usize, root: usize, bytes: u64) -> Schedule {
+        if picks_scatter_allgather(n, bytes as usize) {
+            scatter_allgather(n, root, bytes)
+        } else {
+            binomial(n, root, bytes)
+        }
+    }
+}
+
+/// Schedules of [`crate::coll::gather`]: a `block` of bytes per rank.
+pub mod gather {
+    use super::*;
+    use crate::coll::gather::*;
+
+    /// [`linear`](crate::coll::gather::linear): one round, senders in rank order.
+    pub fn linear(n: usize, root: usize, block: u64) -> Schedule {
+        build(n, 0, |me| linear_steps(me, n, block as usize, root))
+    }
+
+    /// [`binomial`](crate::coll::gather::binomial).
+    pub fn binomial(n: usize, root: usize, block: u64) -> Schedule {
+        build(n, root, |me| binomial_steps(me, n, block as usize, root))
+    }
+
+    /// [`auto`](crate::coll::gather::auto)'s dispatch.
+    pub fn auto(n: usize, root: usize, block: u64) -> Schedule {
+        if picks_linear(n) {
+            linear(n, root, block)
+        } else {
+            binomial(n, root, block)
+        }
+    }
+}
+
+/// Schedules of [`crate::coll::reduce`] of a vector of `bytes` to `root`.
+pub mod reduce {
+    use super::*;
+    use crate::coll::reduce::*;
+
+    /// [`binomial`](crate::coll::reduce::binomial).
+    pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
+        build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
+    }
+
+    /// [`rabenseifner`](crate::coll::reduce::rabenseifner).
+    pub fn rabenseifner(n: usize, root: usize, bytes: u64) -> Schedule {
+        build(n, root, |me| {
+            rabenseifner_steps(me, n, bytes as usize, root)
+        })
+    }
+
+    /// [`auto`](crate::coll::reduce::auto)'s dispatch. `elem_size` is the datatype width its
+    /// divisibility check uses (8 for the `f64` vectors the IMB benchmarks reduce).
+    pub fn auto(n: usize, root: usize, bytes: u64, elem_size: u64) -> Schedule {
+        if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
+            rabenseifner(n, root, bytes)
+        } else {
+            binomial(n, root, bytes)
+        }
+    }
+}
+
+/// Schedules of [`crate::coll::reduce_scatter`].
+pub mod reduce_scatter {
+    use super::*;
+    use crate::coll::{allgatherv::displs, reduce_scatter::*};
+
+    /// [`pairwise`](crate::coll::reduce_scatter::pairwise) to slices of `counts` bytes.
+    pub fn pairwise(counts: &[u64]) -> Schedule {
+        let displs = displs(counts.iter().map(|&c| c as usize));
+        build(counts.len(), 0, |me| pairwise_steps(me, &displs))
+    }
+
+    /// [`recursive_halving`](crate::coll::reduce_scatter::recursive_halving) of `bytes` in total.
+    pub fn recursive_halving(n: usize, bytes: u64) -> Schedule {
+        build(n, 0, |me| recursive_halving_steps(me, n, bytes as usize))
+    }
+
+    /// [`block_auto`](crate::coll::reduce_scatter::block_auto)'s dispatch for equal slices of
+    /// `block` bytes; `elem_size` as in [`super::reduce::auto`].
+    pub fn block_auto(n: usize, block: u64, elem_size: u64) -> Schedule {
+        let total = block * n as u64;
+        if picks_recursive_halving(n, (total / elem_size) as usize) {
+            recursive_halving(n, total)
+        } else {
+            pairwise(&vec![block; n])
+        }
+    }
+}
+
+/// Schedules of [`crate::coll::scan`] on a vector of `bytes`.
+pub mod scan {
+    use super::*;
+    use crate::coll::scan::*;
+
+    /// [`linear`](crate::coll::scan::linear): a serial pipeline.
+    pub fn linear(n: usize, bytes: u64) -> Schedule {
+        build(n, 0, |me| linear_steps(me, n, bytes as usize))
+    }
+
+    /// [`recursive_doubling`](crate::coll::scan::recursive_doubling): receivers fold twice.
+    pub fn recursive_doubling(n: usize, bytes: u64) -> Schedule {
+        build(n, 0, |me| recursive_doubling_steps(me, n, bytes as usize))
+    }
+
+    /// [`auto`](crate::coll::scan::auto) is recursive doubling.
+    pub use recursive_doubling as auto;
+}
+
+/// Schedules of [`crate::coll::scatter`]: a `block` of bytes per rank.
+pub mod scatter {
+    use super::*;
+    use crate::coll::scatter::*;
+
+    /// [`linear`](crate::coll::scatter::linear): one eager round.
+    pub fn linear(n: usize, root: usize, block: u64) -> Schedule {
+        build(n, 0, |me| linear_steps(me, n, block as usize, root))
+    }
+
+    /// [`binomial`](crate::coll::scatter::binomial).
+    pub fn binomial(n: usize, root: usize, block: u64) -> Schedule {
+        build(n, root, |me| {
+            binomial_steps(me, n, root, |b| b * block as usize)
+        })
+    }
+
+    /// [`auto`](crate::coll::scatter::auto)'s dispatch.
+    pub fn auto(n: usize, root: usize, block: u64) -> Schedule {
+        if picks_linear(n) {
+            linear(n, root, block)
+        } else {
+            binomial(n, root, block)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use simnet::{Schedule, Transfer};
+
     use super::*;
+    use crate::coll;
+    use crate::reduce::Op;
+    use crate::runtime::run_traced;
+    use crate::Comm;
 
+    /// One algorithm: the real collective on `len` words (per block, or in
+    /// the vector) and the schedule for the same `len * 8` bytes.
+    struct Case {
+        name: &'static str,
+        rooted: bool,
+        /// Whether the algorithm accepts `n` ranks and `len` words.
+        fits: fn(usize, usize) -> bool,
+        run: fn(&Comm, usize, usize),
+        schedule: fn(usize, usize, u64) -> Schedule,
+    }
+
+    const SIZES: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16];
+    /// Odd and short, divisible by every power of two in `SIZES`, and past
+    /// `LONG_MSG_THRESHOLD` (so each `auto` takes both its branches).
+    const LENS: [usize; 3] = [17, 240, 8192];
+
+    /// Per-rank counts with empty, short and long blocks.
+    fn ragged(n: usize, len: usize) -> Vec<usize> {
+        (0..n).map(|i| (i + n) % 3 * len).collect()
+    }
+    fn ragged_bytes(n: usize, bytes: u64) -> Vec<u64> {
+        ragged(n, 1)
+            .iter()
+            .map(|&blocks| blocks as u64 * bytes)
+            .collect()
+    }
+
+    fn allgather(algo: fn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
+        algo(c, &vec![c.rank() as u64; len], &mut vec![0; len * c.size()]);
+    }
+    fn alltoall(algo: fn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
+        let total = len * c.size();
+        algo(c, &vec![c.rank() as u64; total], &mut vec![0; total]);
+    }
+    fn gather(
+        algo: fn(&Comm, &[u64], Option<&mut [u64]>, usize),
+        c: &Comm,
+        root: usize,
+        len: usize,
+    ) {
+        let mut recv = (c.rank() == root).then(|| vec![0u64; len * c.size()]);
+        algo(c, &vec![c.rank() as u64; len], recv.as_deref_mut(), root);
+    }
+    fn scatter(
+        algo: fn(&Comm, Option<&[u64]>, &mut [u64], usize),
+        c: &Comm,
+        root: usize,
+        len: usize,
+    ) {
+        let send = (c.rank() == root).then(|| vec![7u64; len * c.size()]);
+        algo(c, send.as_deref(), &mut vec![0; len], root);
+    }
+    type Reduce = fn(&Comm, &[f64], Option<&mut [f64]>, usize, Op);
+    fn reduce(algo: Reduce, c: &Comm, root: usize, len: usize) {
+        let mut recv = (c.rank() == root).then(|| vec![0.0f64; len]);
+        algo(c, &vec![1.0; len], recv.as_deref_mut(), root, Op::Sum);
+    }
+
+    #[rustfmt::skip]
+    const CASES: &[Case] = &[
+        Case { name: "allgather::ring", rooted: false, fits: |_, _| true,
+            run: |c, _, len| allgather(coll::allgather::ring, c, len),
+            schedule: |n, _, b| allgather::ring(n, b) },
+        Case { name: "allgather::recursive_doubling", rooted: false, fits: |n, _| n.is_power_of_two(),
+            run: |c, _, len| allgather(coll::allgather::recursive_doubling, c, len),
+            schedule: |n, _, b| allgather::recursive_doubling(n, b) },
+        Case { name: "allgather::auto", rooted: false, fits: |_, _| true,
+            run: |c, _, len| allgather(coll::allgather::auto, c, len),
+            schedule: |n, _, b| allgather::auto(n, b) },
+        Case { name: "allgatherv::ring", rooted: false, fits: |_, _| true,
+            run: |c, _, len| {
+                let counts = ragged(c.size(), len);
+                let mut recv = vec![0u64; counts.iter().sum()];
+                coll::allgatherv::ring(c, &vec![1; counts[c.rank()]], &mut recv, &counts);
+            },
+            schedule: |n, _, b| allgatherv::auto(&ragged_bytes(n, b)) },
+        Case { name: "allreduce::recursive_doubling", rooted: false, fits: |_, _| true,
+            run: |c, _, len| coll::allreduce::recursive_doubling(c, &mut vec![1.0f64; len], Op::Sum),
+            schedule: |n, _, b| allreduce::recursive_doubling(n, b) },
+        Case { name: "allreduce::rabenseifner", rooted: false,
+            fits: |n, len| len.is_multiple_of(1 << n.ilog2()),
+            run: |c, _, len| coll::allreduce::rabenseifner(c, &mut vec![1.0f64; len], Op::Sum),
+            schedule: |n, _, b| allreduce::rabenseifner(n, b) },
+        Case { name: "allreduce::auto", rooted: false, fits: |_, _| true,
+            run: |c, _, len| coll::allreduce::auto(c, &mut vec![1.0f64; len], Op::Sum),
+            schedule: |n, _, b| allreduce::auto(n, b, 8) },
+        Case { name: "alltoall::pairwise", rooted: false, fits: |_, _| true,
+            run: |c, _, len| alltoall(coll::alltoall::pairwise, c, len),
+            schedule: |n, _, b| alltoall::pairwise(n, b) },
+        Case { name: "alltoall::bruck", rooted: false, fits: |_, _| true,
+            run: |c, _, len| alltoall(coll::alltoall::bruck, c, len),
+            schedule: |n, _, b| alltoall::bruck(n, b) },
+        Case { name: "alltoall::linear", rooted: false, fits: |_, _| true,
+            run: |c, _, len| alltoall(coll::alltoall::linear, c, len),
+            schedule: |n, _, b| alltoall::linear(n, b) },
+        Case { name: "alltoall::auto", rooted: false, fits: |_, _| true,
+            run: |c, _, len| alltoall(coll::alltoall::auto, c, len),
+            schedule: |n, _, b| alltoall::auto(n, b) },
+        Case { name: "barrier::dissemination", rooted: false, fits: |_, _| true,
+            run: |c, _, _| coll::barrier::dissemination(c),
+            schedule: |n, _, _| barrier::auto(n) },
+        Case { name: "barrier::tree", rooted: false, fits: |_, _| true,
+            run: |c, _, _| coll::barrier::tree(c),
+            schedule: |n, _, _| barrier::tree(n) },
+        Case { name: "bcast::binomial", rooted: true, fits: |_, _| true,
+            run: |c, root, len| coll::bcast::binomial(c, &mut vec![1.0f64; len], root),
+            schedule: bcast::binomial },
+        Case { name: "bcast::scatter_allgather", rooted: true, fits: |_, _| true,
+            run: |c, root, len| coll::bcast::scatter_allgather(c, &mut vec![1.0f64; len], root),
+            schedule: bcast::scatter_allgather },
+        Case { name: "bcast::auto", rooted: true, fits: |_, _| true,
+            run: |c, root, len| coll::bcast::auto(c, &mut vec![1.0f64; len], root),
+            schedule: bcast::auto },
+        Case { name: "gather::linear", rooted: true, fits: |_, _| true,
+            run: |c, root, len| gather(coll::gather::linear, c, root, len),
+            schedule: gather::linear },
+        Case { name: "gather::binomial", rooted: true, fits: |_, _| true,
+            run: |c, root, len| gather(coll::gather::binomial, c, root, len),
+            schedule: gather::binomial },
+        Case { name: "gather::auto", rooted: true, fits: |_, _| true,
+            run: |c, root, len| gather(coll::gather::auto, c, root, len),
+            schedule: gather::auto },
+        Case { name: "reduce::binomial", rooted: true, fits: |_, _| true,
+            run: |c, root, len| reduce(coll::reduce::binomial, c, root, len),
+            schedule: reduce::binomial },
+        Case { name: "reduce::rabenseifner", rooted: true, fits: |n, len| n.is_power_of_two() && len.is_multiple_of(n),
+            run: |c, root, len| reduce(coll::reduce::rabenseifner, c, root, len),
+            schedule: reduce::rabenseifner },
+        Case { name: "reduce::auto", rooted: true, fits: |_, _| true,
+            run: |c, root, len| reduce(coll::reduce::auto, c, root, len),
+            schedule: |n, root, b| reduce::auto(n, root, b, 8) },
+        Case { name: "reduce_scatter::pairwise", rooted: false, fits: |_, _| true,
+            run: |c, _, len| {
+                let counts = ragged(c.size(), len);
+                let send = vec![1.0f64; counts.iter().sum()];
+                let mut recv = vec![0.0; counts[c.rank()]];
+                coll::reduce_scatter::auto(c, &send, &mut recv, &counts, Op::Sum);
+            },
+            schedule: |n, _, b| reduce_scatter::pairwise(&ragged_bytes(n, b)) },
+        Case { name: "reduce_scatter::recursive_halving", rooted: false, fits: |n, _| n.is_power_of_two(),
+            run: |c, _, len| {
+                let send = vec![1.0f64; len * c.size()];
+                coll::reduce_scatter::recursive_halving(c, &send, &mut vec![0.0; len], Op::Sum);
+            },
+            schedule: |n, _, b| reduce_scatter::recursive_halving(n, b * n as u64) },
+        Case { name: "reduce_scatter::block_auto", rooted: false, fits: |_, _| true,
+            run: |c, _, len| {
+                let send = vec![1.0f64; len * c.size()];
+                coll::reduce_scatter::block_auto(c, &send, &mut vec![0.0; len], Op::Sum);
+            },
+            schedule: |n, _, b| reduce_scatter::block_auto(n, b, 8) },
+        Case { name: "scan::linear", rooted: false, fits: |_, _| true,
+            run: |c, _, len| coll::scan::linear(c, &mut vec![1.0f64; len], Op::Sum),
+            schedule: |n, _, b| scan::linear(n, b) },
+        Case { name: "scan::recursive_doubling", rooted: false, fits: |_, _| true,
+            run: |c, _, len| coll::scan::auto(c, &mut vec![1.0f64; len], Op::Sum),
+            schedule: |n, _, b| scan::auto(n, b) },
+        Case { name: "scatter::linear", rooted: true, fits: |_, _| true,
+            run: |c, root, len| scatter(coll::scatter::linear, c, root, len),
+            schedule: scatter::linear },
+        Case { name: "scatter::binomial", rooted: true, fits: |_, _| true,
+            run: |c, root, len| scatter(coll::scatter::binomial, c, root, len),
+            schedule: scatter::binomial },
+        Case { name: "scatter::auto", rooted: true, fits: |_, _| true,
+            run: |c, root, len| scatter(coll::scatter::auto, c, root, len),
+            schedule: scatter::auto },
+    ];
+
+    /// A traced real execution of every algorithm moves exactly the
+    /// messages of its schedule, and every rank sends them in the order
+    /// the schedule lists them — the order of its `*_steps`, since
+    /// [`build`] appends a rank's sends as they come and asserts they come
+    /// round by round.
     #[test]
-    fn halving_bfs_covers_all_ranks() {
-        for n in 1..40usize {
-            let levels = halving_bfs(n);
-            let mut received = vec![false; n];
-            received[0] = true;
-            for level in &levels {
-                for (holder, child, range) in level {
-                    assert!(received[*holder], "holder must already have data");
-                    assert!(!received[*child], "child receives once");
-                    assert_eq!(range.start, *child);
-                    received[*child] = true;
+    fn schedules_match_real_execution() {
+        for case in CASES {
+            for n in SIZES {
+                let mut roots = vec![0, n / 3, n / 2, n - 1];
+                roots.dedup();
+                roots.truncate(if case.rooted { 4 } else { 1 });
+                for (root, len) in roots.iter().flat_map(|&r| LENS.map(|len| (r, len))) {
+                    if !(case.fits)(n, len) {
+                        continue;
+                    }
+                    let what = format!("{} n={n} root={root} len={len}", case.name);
+                    let (_, trace) = run_traced(n, |comm| (case.run)(comm, root, len));
+                    let schedule = (case.schedule)(n, root, (len * 8) as u64);
+                    schedule.validate().expect(&what);
+
+                    let mut sorted = trace.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, schedule.transfer_multiset(), "{what}: messages");
+                    let listed = schedule.rounds.iter().flat_map(|r| &r.transfers);
+                    for rank in 0..n {
+                        let sent = |t: &&Transfer| t.src == rank;
+                        assert!(
+                            trace.iter().filter(sent).eq(listed.clone().filter(sent)),
+                            "{what}: rank {rank}'s send order"
+                        );
+                    }
                 }
             }
-            assert!(received.iter().all(|&r| r), "n={n}");
         }
     }
 
     #[test]
-    fn binomial_rounds_cover_all_ranks() {
-        for n in 1..40usize {
-            let rounds = binomial_rounds(n);
-            let mut have = vec![false; n];
-            have[0] = true;
-            for round in &rounds {
-                // All sends in a round come from ranks that already hold data.
-                for &(src, dst) in round {
-                    assert!(have[src], "n={n}: rank {src} sent before receiving");
-                    assert!(!have[dst]);
-                }
-                for &(_, dst) in round {
-                    have[dst] = true;
-                }
-            }
-            assert!(have.iter().all(|&h| h), "n={n}");
-        }
+    fn allgather_algorithms_move_the_same_volume() {
+        // (n-1) blocks arrive at every rank regardless of algorithm.
+        let (n, b) = (16, 100);
+        let ring = allgather::ring(n, b);
+        assert_eq!(
+            ring.total_bytes(),
+            allgather::recursive_doubling(n, b).total_bytes()
+        );
+        assert_eq!(ring.total_bytes(), (n * (n - 1)) as u64 * b);
+        assert_eq!(
+            ring,
+            allgatherv::ring(&[b; 16]),
+            "equal counts are an allgather"
+        );
     }
 
     #[test]
-    fn binomial_round_count_is_log2() {
-        assert_eq!(binomial_rounds(1).len(), 0);
-        assert_eq!(binomial_rounds(2).len(), 1);
-        assert_eq!(binomial_rounds(8).len(), 3);
-        assert_eq!(binomial_rounds(9).len(), 4);
+    fn rabenseifner_bandwidth_advantage() {
+        let (n, bytes) = (16, 1 << 20);
+        // Allreduce by recursive doubling: log2(n) * bytes per rank;
+        // Rabenseifner: ~2 * bytes * (n-1)/n per rank.
+        let rd = allreduce::recursive_doubling(n, bytes);
+        assert!(allreduce::rabenseifner(n, bytes).total_bytes() * 2 < rd.total_bytes());
+        // Reduce: the win is the per-rank critical path (~2*bytes vs
+        // log2(n)*bytes for the binomial tree), not total volume.
+        let critical_path_bytes = |s: &Schedule| -> u64 {
+            s.rounds
+                .iter()
+                .map(|r| r.transfers.iter().map(|t| t.bytes).max().unwrap_or(0))
+                .sum()
+        };
+        let bin = critical_path_bytes(&reduce::binomial(n, 0, bytes));
+        let rab = critical_path_bytes(&reduce::rabenseifner(n, 0, bytes));
+        assert!(
+            rab < bin / 2,
+            "rabenseifner {rab} should beat binomial {bin}"
+        );
+    }
+
+    #[test]
+    fn alltoall_shapes() {
+        let p = alltoall::pairwise(16, 10);
+        assert_eq!(p.total_messages(), 16 * 15, "every block moves once");
+        assert_eq!(p.total_bytes(), 16 * 15 * 10);
+        let b = alltoall::bruck(16, 10);
+        assert!(b.total_messages() < p.total_messages());
+        assert!(b.total_bytes() > p.total_bytes());
+        assert_eq!(b.num_rounds(), 4);
+    }
+
+    #[test]
+    fn round_counts() {
+        assert_eq!(barrier::dissemination(1).num_rounds(), 0);
+        assert_eq!(barrier::dissemination(8).num_rounds(), 3);
+        assert_eq!(barrier::dissemination(9).num_rounds(), 4);
+        // The tree has twice the rounds but half the messages.
+        assert_eq!(barrier::tree(16).num_rounds(), 8);
+        assert!(barrier::tree(16).total_messages() < barrier::dissemination(16).total_messages());
+        assert_eq!(scan::linear(8, 1).num_rounds(), 7);
+        assert_eq!(scan::recursive_doubling(8, 1).num_rounds(), 3);
+    }
+
+    #[test]
+    fn tree_volumes() {
+        let s = bcast::binomial(8, 0, 100);
+        assert_eq!((s.total_messages(), s.total_bytes()), (7, 700));
+        // Scatter moves (n-1)/n of the payload in total, the ring (n-1)
+        // blocks per rank: roughly n payloads altogether.
+        let payloads = bcast::scatter_allgather(8, 0, 8000).total_bytes() as f64 / 8000.0;
+        assert!(payloads > 7.0 && payloads < 9.0, "{payloads}");
+        // Every block crosses each tree level above its rank once.
+        let s = scatter::binomial(8, 0, 10);
+        assert_eq!((s.num_rounds(), s.total_messages()), (3, 7));
+        assert_eq!(s.total_bytes(), (4 + 2 + 1 + 2 + 1 + 1 + 1) * 10);
+    }
+
+    #[test]
+    fn halving_and_pairwise_volumes() {
+        let (n, slice) = (8, 1024u64);
+        let h = reduce_scatter::recursive_halving(n, slice * n as u64);
+        let p = reduce_scatter::pairwise(&vec![slice; n]);
+        // Each rank sends (n-1) slices either way, in fewer rounds by halving.
+        assert_eq!(p.total_bytes(), (n * (n - 1)) as u64 * slice);
+        assert_eq!(h.total_bytes(), p.total_bytes());
+        assert!(h.num_rounds() < p.num_rounds());
     }
 }

@@ -82,3 +82,120 @@ fn native_results_are_value_deterministic() {
         "HPL residual must be bit-identical across runs"
     );
 }
+
+/// FNV-1a over the shape of each schedule: rank and round counts, then
+/// every `(round, src, dst, bytes)` and `(round, rank, work bytes)` in
+/// emission order.
+fn digest(schedules: &[simnet::Schedule]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut push = |words: &[u64]| {
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for s in schedules {
+        push(&[s.nranks as u64, s.rounds.len() as u64]);
+        for (i, round) in s.rounds.iter().enumerate() {
+            for t in &round.transfers {
+                push(&[0, i as u64, t.src as u64, t.dst as u64, t.bytes]);
+            }
+            for w in &round.work {
+                push(&[1, i as u64, w.rank as u64, w.bytes]);
+            }
+        }
+    }
+    h
+}
+
+/// Which round a transfer sits in, and where within the round, decides
+/// its contended price; the trace-equivalence tests compare sorted
+/// multisets and cannot see either. These digests pin both for every
+/// schedule the simulator prices, and for each generator `schedule_for`
+/// does not reach. They were computed from the hand-written generators
+/// that `mp::sched` held before it was derived from `mp::coll`'s steps.
+#[test]
+fn simulated_schedules_keep_their_round_structure() {
+    use mp::sched;
+    const PROCS: [usize; 7] = [2, 3, 7, 8, 13, 64, 128];
+    const BYTES: [u64; 3] = [8, 1 << 10, 1 << 20];
+    const GOLDEN: [(&str, u64); 14] = [
+        ("PingPong", 0x5a8f_842a_3bcb_66a4),
+        ("PingPing", 0x0c08_144c_794b_25be),
+        ("Sendrecv", 0x20b4_e801_c4ba_2473),
+        ("Exchange", 0x33a0_373e_62fb_dd0f),
+        ("Barrier", 0xc9f7_6a39_5c47_82a2),
+        ("Bcast", 0x6133_e9df_f085_0853),
+        ("Allgather", 0x1ad8_7d6f_1186_8e49),
+        ("Allgatherv", 0x7489_e060_ebf8_b7c8),
+        ("Alltoall", 0x7654_f743_1aa3_1841),
+        ("Reduce", 0x181b_e621_81dc_a42b),
+        ("Allreduce", 0x6677_cbc1_a4ef_cf4f),
+        ("Reduce_scatter", 0x1283_0dcf_1938_1ce5),
+        ("rooted", 0xbd61_e929_b181_dc63),
+        ("explicit", 0xe718_4d4a_6dfd_7ec3),
+    ];
+
+    let mut got: Vec<(&str, u64)> = Vec::new();
+    for bench in imb::Benchmark::ALL {
+        let cells = PROCS.iter().flat_map(|&p| BYTES.map(|b| (p, b)));
+        let all: Vec<_> = cells
+            .map(|(procs, bytes)| imb::sim::schedule_for(bench, procs, bytes))
+            .collect();
+        got.push((bench.name(), digest(&all)));
+    }
+
+    // Rooted collectives away from root 0, every algorithm.
+    let mut all = Vec::new();
+    for n in PROCS {
+        for root in [1, n - 1] {
+            for b in BYTES {
+                all.push(sched::bcast::binomial(n, root, b));
+                all.push(sched::bcast::scatter_allgather(n, root, b));
+                all.push(sched::bcast::auto(n, root, b));
+                all.push(sched::reduce::binomial(n, root, b));
+                if n.is_power_of_two() {
+                    all.push(sched::reduce::rabenseifner(n, root, b * n as u64));
+                }
+                all.push(sched::reduce::auto(n, root, b, 8));
+                all.push(sched::gather::linear(n, root, b));
+                all.push(sched::gather::binomial(n, root, b));
+                all.push(sched::gather::auto(n, root, b));
+                all.push(sched::scatter::linear(n, root, b));
+                all.push(sched::scatter::binomial(n, root, b));
+                all.push(sched::scatter::auto(n, root, b));
+            }
+        }
+    }
+    got.push(("rooted", digest(&all)));
+
+    // The unrooted algorithms by name, so the ones no `auto` above picks
+    // (tree barrier, linear alltoall, recursive halving, scan) are pinned.
+    let mut all = Vec::new();
+    for n in PROCS.into_iter().chain([1]) {
+        all.push(sched::barrier::dissemination(n));
+        all.push(sched::barrier::tree(n));
+        for b in BYTES {
+            let pow2 = 1u64 << n.ilog2();
+            let ragged: Vec<u64> = (0..n as u64).map(|i| (i % 3) * b).collect();
+            all.push(sched::allgather::ring(n, b));
+            all.push(sched::allgatherv::ring(&ragged));
+            all.push(sched::allreduce::recursive_doubling(n, b));
+            all.push(sched::allreduce::rabenseifner(n, b * pow2));
+            all.push(sched::alltoall::pairwise(n, b));
+            all.push(sched::alltoall::bruck(n, b));
+            all.push(sched::alltoall::linear(n, b));
+            all.push(sched::alltoall::auto(n, b));
+            all.push(sched::reduce_scatter::pairwise(&ragged));
+            all.push(sched::reduce_scatter::block_auto(n, b, 8));
+            all.push(sched::scan::linear(n, b));
+            all.push(sched::scan::recursive_doubling(n, b));
+            if n.is_power_of_two() {
+                all.push(sched::allgather::recursive_doubling(n, b));
+                all.push(sched::reduce_scatter::recursive_halving(n, b * n as u64));
+            }
+        }
+    }
+    got.push(("explicit", digest(&all)));
+
+    assert_eq!(got, GOLDEN);
+}
