@@ -31,6 +31,10 @@
 #      schedule is the builder run over the `*_steps` function its
 #      `mp::coll` body loops over; a literal elsewhere is a second,
 #      hand-written encoding of an algorithm's geometry growing back.
+#   6. No `bench_*.rs` under `crates/bench/src/bin/` and no
+#      `BENCH_*.json` anywhere outside `target/`. `benchmark/` +
+#      `BENCHMARK.json` are the one measurement system; a lane binary
+#      or a committed per-host baseline is the second one growing back.
 #
 # Test modules (everything at or below a column-0 `#[cfg(test)]`) are
 # exempt from the source scans: tests may sleep to provoke blocking
@@ -97,6 +101,10 @@ pub fn push(round: &mut Round) {
     round.work.push(LocalWork { rank: 1, bytes: 8 });
 }
 EOF
+    # Binaries that are not lane binaries, and the one benchmark spec.
+    mkdir -p "$pass/crates/bench/src/bin"
+    echo 'fn main() {}' > "$pass/crates/bench/src/bin/campaign.rs"
+    echo '{}' > "$pass/BENCHMARK.json"
     if ! "$self" --root "$pass" > "$tmp/pass.log" 2>&1; then
         echo "arch_lint --self-test: compliant fixture was rejected:" >&2
         cat "$tmp/pass.log" >&2
@@ -134,12 +142,17 @@ pub fn ring(n: usize, bytes: u64) -> Round {
     Round::of((0..n).map(|i| Transfer { src: i, dst: (i + 1) % n, bytes }).collect())
 }
 EOF
+    # A lane binary and its committed baseline.
+    mkdir -p "$bad/crates/bench/src/bin"
+    echo 'fn main() {}' > "$bad/crates/bench/src/bin/bench_mp.rs"
+    echo '{}' > "$bad/BENCH_mp.json"
     if "$self" --root "$bad" > "$tmp/bad.log" 2>&1; then
         echo "arch_lint --self-test: violating fixture was accepted" >&2
         exit 1
     fi
     for needle in "Instant" "thread::sleep" "SystemTime" "does not opt into" \
-        "allow(unsafe_code)" "hand-written schedule"; do
+        "allow(unsafe_code)" "hand-written schedule" \
+        "bin/bench_mp.rs" "/BENCH_mp.json"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -229,6 +242,17 @@ offenders=$(scan 'Transfer \{|LocalWork \{' \
 if [ -n "$offenders" ]; then
     err "hand-written schedule in crates/mp/src/sched (derive it from the mp::coll \
 *_steps function through sched::build instead):
+$offenders"
+fi
+
+# --- 6. One measurement system: benchmark/ + BENCHMARK.json -------------
+offenders=$(
+    find crates/bench/src/bin -name 'bench_*.rs' 2>/dev/null
+    find . \( -name target -o -name .git \) -prune -o -name 'BENCH_*.json' -print
+)
+if [ -n "$offenders" ]; then
+    err "second measurement system (add a probe to benchmark/ and a row to \
+BENCHMARK.json instead of a lane binary or a committed baseline):
 $offenders"
 fi
 

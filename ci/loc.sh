@@ -3,8 +3,11 @@
 # count is a tracked metric"): per crate, lines under src/, the non-test
 # share of those (everything above a file's first column-0 `#[cfg(test)]`
 # — the only lines that count as a reduction), and lines in the whole
-# crate (src/ + tests/); then the umbrella package. From `git ls-files`,
-# so build outputs and untracked scratch never count.
+# crate (src/ + tests/); then the umbrella package. The `benchmark`
+# package — the repo's one measurement system — is printed below the
+# total and outside it, so its size is tracked without moving the
+# workspace series. From `git ls-files`, so build outputs and untracked
+# scratch never count.
 set -eu
 cd "$(dirname "$0")/.."
 files() { git ls-files -z -- "$@" | grep -z '\.rs$'; }
@@ -26,3 +29,4 @@ printf '%-12s %8s %8s %8s\n' crate src non-test all
 for dir in crates/*/; do row "$(basename "$dir")" "${dir}src" "$dir"; done
 row umbrella src src tests examples
 printf '%-12s %8s %8s %8d\n' total "" "" "$total"
+row benchmark benchmark/src benchmark

@@ -1,7 +1,7 @@
 //! The workspace's workload registry: one [`Workload`] entry per HPCC
 //! component and per IMB benchmark, wiring each to its native, simulated
 //! and virtual execution paths. This is the single dispatch table behind
-//! the campaign driver, the figure regeneration and the bench binaries —
+//! the campaign driver, the figure regeneration and the `benchmark/` package —
 //! the per-crate dispatch it replaces lived in `hpcc::suite`,
 //! `hpcc::sim`, `imb::native`, `imb::sim` and `imb::virtual_run`.
 

@@ -15,25 +15,21 @@
 //! - [`RunPlan`] — the campaign driver: {machines x modes x workloads x
 //!   proc counts} executed against a registry, yielding one record
 //!   stream that regenerates every paper table and figure.
-//! - [`metrics`] — the `BENCH_*.json` named-metric sink and baseline
-//!   parser shared by the bench binaries.
 //!
 //! The harness sits below `hpcc`/`imb` (it depends only on `mp`,
 //! `simnet` and `machines`); the registry wiring the suites' closures
 //! together lives above them, in `hpcbench::registry`.
 
 pub mod explore;
-pub mod metrics;
 mod plan;
 mod record;
 mod runner;
 pub mod timer;
 mod workload;
 
-pub use metrics::{Metric, MetricSink};
 pub use mp::Backend;
 pub use plan::{Cell, GridFn, ProcGrid, RunPlan};
 pub use record::{records_json, records_json_from_lines, MetricKind, Mode, Record, Stats, Suite};
-pub use runner::{BestOf, RepetitionPolicy, Runner};
+pub use runner::{RepetitionPolicy, Runner};
 pub use timer::Stopwatch;
 pub use workload::{Registry, Workload, WorkloadMeta};

@@ -1,7 +1,7 @@
 //! The unified result schema: one [`Record`] per measurement, shared by
 //! both suites (HPCC, IMB), all three execution modes (native threads,
 //! simulated machines, virtual cluster) and every consumer (campaign
-//! driver, figure regeneration, bench binaries).
+//! driver, figure regeneration, the `benchmark/` package).
 
 use std::fmt;
 use std::fmt::Write as _;

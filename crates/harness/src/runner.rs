@@ -1,6 +1,6 @@
 //! The mode-agnostic runner: warm-up, repetition policy and IMB-style
-//! statistics live here, so neither the benchmark crates nor the bench
-//! binaries hand-roll timing loops or iteration tables.
+//! statistics live here, so neither the benchmark crates nor `tune`
+//! hand-roll timing loops or iteration tables.
 
 use mp::{Comm, Op};
 
@@ -11,8 +11,8 @@ use crate::record::Stats;
 pub enum RepetitionPolicy {
     /// IMB 2.3's rule: 1000 iterations, scaled down for large messages.
     Imb,
-    /// The IMB rule divided by 50 (floor 3): the fast CI mode every
-    /// bench binary's `--smoke` flag maps to.
+    /// The IMB rule divided by 50 (floor 3): the fast CI mode the
+    /// `--smoke` flag of `campaign` and `tune` maps to.
     Smoke,
     /// An explicit iteration count, regardless of message size.
     Fixed(usize),
@@ -34,16 +34,7 @@ impl RepetitionPolicy {
         }
     }
 
-    /// Best-of outer repetitions for noisy native measurements (the
-    /// whole timed loop repeated, minimum kept).
-    pub fn measure_repetitions(&self) -> usize {
-        match self {
-            RepetitionPolicy::Smoke => 1,
-            _ => 3,
-        }
-    }
-
-    /// Scales a bench binary's full-mode best-of count: unchanged at
+    /// Scales `tune`'s full-mode best-of count: unchanged at
     /// full fidelity, clamped to 2 in smoke mode.
     pub fn best_reps(&self, full: usize) -> usize {
         match self {
@@ -61,7 +52,7 @@ impl RepetitionPolicy {
 
 /// Owns warm-up and repetition policy for every execution path. One
 /// `Runner` drives native HPCC components, native IMB loops, virtual
-/// runs and the bench binaries alike.
+/// runs and `tune` alike.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
     /// Untimed warm-up iterations before the timed loop.
@@ -211,48 +202,6 @@ impl Runner {
     }
 }
 
-/// Interleaved best-of accumulator for same-window A/B comparisons. The
-/// caller's repetition loop prepares inputs, then times each competing
-/// kernel back to back through one of the `time*` methods; the per-lane
-/// minimum is kept, so all lanes see the same thermal/cache window.
-pub struct BestOf {
-    best: Vec<f64>,
-}
-
-impl BestOf {
-    /// An accumulator comparing `lanes` competing kernels.
-    pub fn new(lanes: usize) -> BestOf {
-        BestOf {
-            best: vec![f64::INFINITY; lanes],
-        }
-    }
-
-    /// Times one invocation of `f` and folds it into `lane`'s minimum.
-    pub fn time(&mut self, lane: usize, f: impl FnOnce()) {
-        let t = std::time::Instant::now();
-        f();
-        let secs = t.elapsed().as_secs_f64();
-        self.best[lane] = self.best[lane].min(secs);
-    }
-
-    /// Collective variant: barrier, stopwatch, `f`, barrier — every rank
-    /// times the same window, including the slowest rank's finish.
-    pub fn time_collective(&mut self, comm: &Comm, lane: usize, f: impl FnOnce()) {
-        comm.barrier();
-        let clock = crate::timer::Stopwatch::start();
-        f();
-        comm.barrier();
-        let secs = clock.elapsed_secs();
-        self.best[lane] = self.best[lane].min(secs);
-    }
-
-    /// The lane's best time in seconds, floored at 1 ns so derived rates
-    /// stay finite.
-    pub fn secs(&self, lane: usize) -> f64 {
-        self.best[lane].max(1e-9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,8 +218,6 @@ mod tests {
     fn smoke_scales_down_with_floor() {
         assert_eq!(RepetitionPolicy::Smoke.repetitions(1024), 20);
         assert_eq!(RepetitionPolicy::Smoke.repetitions(4 << 20), 3);
-        assert_eq!(RepetitionPolicy::Smoke.measure_repetitions(), 1);
-        assert_eq!(RepetitionPolicy::Imb.measure_repetitions(), 3);
         assert_eq!(RepetitionPolicy::Smoke.best_reps(5), 2);
         assert_eq!(RepetitionPolicy::Imb.best_reps(5), 5);
     }
@@ -307,27 +254,6 @@ mod tests {
             assert_eq!(s.repetitions, 10);
             assert!(s.is_ordered());
         }
-    }
-
-    #[test]
-    fn best_of_keeps_per_lane_minima() {
-        let mut best = BestOf::new(2);
-        for rep in 0..3 {
-            best.time(0, || {
-                std::thread::sleep(std::time::Duration::from_micros(50))
-            });
-            // Lane 1 is instantaneous on one rep only; the fold keeps it.
-            if rep == 1 {
-                best.time(1, || {});
-            } else {
-                best.time(1, || {
-                    std::thread::sleep(std::time::Duration::from_micros(200))
-                });
-            }
-        }
-        assert!(best.secs(0) >= 40e-6);
-        assert!(best.secs(1) < best.secs(0));
-        assert!(best.secs(1) >= 1e-9, "floored at 1 ns");
     }
 
     #[test]

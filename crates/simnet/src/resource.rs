@@ -36,8 +36,8 @@ use crate::time::Time;
 ///   (profiled at 16 384 ranks: 7.1 M reserves, 2.7 M of them
 ///   mid-timeline, lists to 13 818 intervals). A mid insert memmoves
 ///   one chunk (≤ 8 KB) instead of the whole list, where the flat
-///   `Vec` paid an O(n) shift each (see the before/after lanes in
-///   `BENCH_sched.json`).
+///   `Vec` paid an O(n) shift each (`simnet.reserves_per_s` in
+///   `BENCHMARK.json` times this pattern).
 #[derive(Clone, Debug)]
 pub struct Resource {
     bandwidth: f64,
@@ -373,8 +373,7 @@ mod tests {
     }
 
     /// The pre-BTreeMap sorted-`Vec` first-fit, frozen verbatim as a
-    /// semantic oracle (same algorithm `bench_sched` uses as its naive
-    /// reference lane).
+    /// semantic oracle.
     struct NaiveTimeline {
         intervals: Vec<(f64, f64)>,
     }

@@ -41,13 +41,13 @@ thread_local! {
     static AMBIENT: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Process-wide thread-count override (0 = unset). Set by bench binaries'
-/// `--threads` flag; read after the thread-local ambient, before env.
+/// Process-wide thread-count override (0 = unset). The `benchmark/` package
+/// pins it to 1; read after the thread-local ambient, before env.
 static PROCESS_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide worker-thread count override (0 clears it).
 /// Rank-local ambient installs still take precedence, so cooperative
-/// worlds stay serial even under `--threads`.
+/// worlds stay serial even under an override.
 pub fn set_process_threads(n: usize) {
     PROCESS_THREADS.store(n, Ordering::Relaxed);
 }
