@@ -5,7 +5,7 @@
 //! collectives. Results come back as unified [`Record`]s.
 
 use harness::{Mode, Record, Runner};
-use mp::{Comm, Op};
+use mp::{Comm, Ghost, Numeric, Op, Tag};
 
 use crate::benchmark::{record, Benchmark};
 
@@ -43,40 +43,62 @@ pub fn run_on(comm: &Comm, benchmark: Benchmark, bytes: u64, iters: usize) -> Re
 /// rule under [`Runner::standard`], scaled down under [`Runner::smoke`]).
 pub fn run_on_with(comm: &Comm, benchmark: Benchmark, bytes: u64, runner: &Runner) -> Record {
     let iters = runner.repetitions(benchmark.sized().then_some(bytes));
-    let mut state = BenchState::new(comm, benchmark, bytes);
+    let mut state = BenchState::<u8, f64>::new(comm, benchmark, bytes);
     let per_call = runner.time_collective(comm, iters, |it| state.iterate(comm, it));
     let participated = state.participates(comm);
     let stats = Runner::rank_stats(comm, per_call, participated, iters);
     record(benchmark, Mode::Native, "host", comm.size(), bytes, stats)
 }
 
-/// Builds the preallocated state for one benchmark (shared with the
-/// virtual-execution mode).
-pub(crate) fn bench_state(comm: &Comm, benchmark: Benchmark, bytes: u64) -> BenchState {
-    BenchState::new(comm, benchmark, bytes)
+/// The byte-sized word of the transfer benchmarks: how one opaque
+/// `MPI_BYTE` buffer of them is sent and received.
+pub(crate) trait ByteWord: Numeric {
+    fn send(comm: &Comm, buf: &[Self], dst: usize, tag: Tag);
+    async fn recv(comm: &Comm, buf: &mut Vec<Self>, src: usize, tag: Tag);
 }
 
-/// Runs one iteration of a benchmark as a cooperative rank task (shared
-/// with virtual execution).
-pub(crate) async fn bench_iterate_async(state: &mut BenchState, comm: &Comm, iter: usize) {
-    state.iterate_async(comm, iter).await;
+/// Real bytes take the raw path: one payload copy on the send side,
+/// ownership transfer on the receive side.
+impl ByteWord for u8 {
+    fn send(comm: &Comm, buf: &[u8], dst: usize, tag: Tag) {
+        comm.send_raw(buf, dst, tag);
+    }
+    async fn recv(comm: &Comm, buf: &mut Vec<u8>, src: usize, tag: Tag) {
+        comm.recv_raw_async(buf, src, tag).await;
+    }
 }
 
-/// Preallocated buffers + the per-iteration body for one benchmark.
-pub(crate) struct BenchState {
+/// Ghost bytes have nothing to copy or own, so they take the typed path;
+/// under virtual time, where they are used, every send is eager and the
+/// two paths are priced alike.
+impl ByteWord for Ghost<1> {
+    fn send(comm: &Comm, buf: &[Self], dst: usize, tag: Tag) {
+        comm.send(buf, dst, tag);
+    }
+    async fn recv(comm: &Comm, buf: &mut Vec<Self>, src: usize, tag: Tag) {
+        comm.recv_async(buf, src, tag).await;
+    }
+}
+
+/// Preallocated buffers + the per-iteration body for one benchmark, over
+/// a byte word `B` and a float word `F`: `u8` and `f64` natively,
+/// [`Ghost`]s of their sizes under virtual time, where the same body then
+/// moves lengths only.
+pub(crate) struct BenchState<B, F> {
     benchmark: Benchmark,
-    sbuf: Vec<u8>,
-    rbuf: Vec<u8>,
-    fsend: Vec<f64>,
-    frecv: Vec<f64>,
+    sbuf: Vec<B>,
+    rbuf: Vec<B>,
+    fsend: Vec<F>,
+    frecv: Vec<F>,
     counts: Vec<usize>,
 }
 
-impl BenchState {
-    fn new(comm: &Comm, benchmark: Benchmark, bytes: u64) -> BenchState {
+impl<B: ByteWord, F: Numeric> BenchState<B, F> {
+    pub(crate) fn new(comm: &Comm, benchmark: Benchmark, bytes: u64) -> Self {
         let n = comm.size();
         let bytes = bytes as usize;
-        let words = bytes / 8;
+        let words = bytes / F::SIZE;
+        let (one, zero) = (B::one(), B::zero());
         let (sbuf, rbuf, fsend, frecv, counts) = match benchmark {
             // Only the first two ranks take part; an idle rank that
             // allocated too would cost a 65536-rank world 128 GiB at 1 MiB.
@@ -86,19 +108,19 @@ impl BenchState {
             Benchmark::PingPong
             | Benchmark::PingPing
             | Benchmark::Sendrecv
-            | Benchmark::Exchange => (vec![1u8; bytes], vec![0u8; bytes], vec![], vec![], vec![]),
+            | Benchmark::Exchange => (vec![one; bytes], vec![zero; bytes], vec![], vec![], vec![]),
             Benchmark::Barrier => (vec![], vec![], vec![], vec![], vec![]),
-            Benchmark::Bcast => (vec![1u8; bytes], vec![], vec![], vec![], vec![]),
+            Benchmark::Bcast => (vec![one; bytes], vec![], vec![], vec![], vec![]),
             Benchmark::Allgather | Benchmark::Allgatherv => (
-                vec![1u8; bytes],
-                vec![0u8; bytes * n],
+                vec![one; bytes],
+                vec![zero; bytes * n],
                 vec![],
                 vec![],
                 vec![bytes; n],
             ),
             Benchmark::Alltoall => (
-                vec![1u8; bytes * n],
-                vec![0u8; bytes * n],
+                vec![one; bytes * n],
+                vec![zero; bytes * n],
                 vec![],
                 vec![],
                 vec![],
@@ -106,8 +128,8 @@ impl BenchState {
             Benchmark::Reduce | Benchmark::Allreduce => (
                 vec![],
                 vec![],
-                vec![0.5f64; words],
-                vec![0.0f64; words],
+                vec![F::one(); words],
+                vec![F::zero(); words],
                 vec![],
             ),
             Benchmark::ReduceScatter => {
@@ -119,8 +141,8 @@ impl BenchState {
                 (
                     vec![],
                     vec![],
-                    vec![0.5f64; words],
-                    vec![0.0f64; mine],
+                    vec![F::one(); words],
+                    vec![F::zero(); mine],
                     counts,
                 )
             }
@@ -148,35 +170,35 @@ impl BenchState {
         mp::block_on(self.iterate_async(comm, iter));
     }
 
-    async fn iterate_async(&mut self, comm: &Comm, iter: usize) {
+    /// One iteration, as a cooperative rank task.
+    pub(crate) async fn iterate_async(&mut self, comm: &Comm, iter: usize) {
         let n = comm.size();
         let me = comm.rank();
-        const TAG: mp::Tag = 40;
+        const TAG: Tag = 40;
         match self.benchmark {
-            // The transfer benchmarks move opaque `MPI_BYTE` buffers, so
-            // they use the raw byte path: one payload copy on the send
-            // side, ownership transfer on the receive side.
+            // The transfer benchmarks move opaque `MPI_BYTE` buffers, the
+            // way their byte word says (see `ByteWord`).
             Benchmark::PingPong => {
                 if me == 0 {
-                    comm.send_raw(&self.sbuf, 1, TAG);
-                    comm.recv_raw_async(&mut self.rbuf, 1, TAG).await;
+                    B::send(comm, &self.sbuf, 1, TAG);
+                    B::recv(comm, &mut self.rbuf, 1, TAG).await;
                 } else if me == 1 {
-                    comm.recv_raw_async(&mut self.rbuf, 0, TAG).await;
-                    comm.send_raw(&self.sbuf, 0, TAG);
+                    B::recv(comm, &mut self.rbuf, 0, TAG).await;
+                    B::send(comm, &self.sbuf, 0, TAG);
                 }
             }
             Benchmark::PingPing => {
                 if me < 2 {
                     let peer = 1 - me;
-                    comm.send_raw(&self.sbuf, peer, TAG);
-                    comm.recv_raw_async(&mut self.rbuf, peer, TAG).await;
+                    B::send(comm, &self.sbuf, peer, TAG);
+                    B::recv(comm, &mut self.rbuf, peer, TAG).await;
                 }
             }
             Benchmark::Sendrecv => {
                 let right = (me + 1) % n;
                 let left = (me + n - 1) % n;
-                comm.send_raw(&self.sbuf, right, TAG);
-                comm.recv_raw_async(&mut self.rbuf, left, TAG).await;
+                B::send(comm, &self.sbuf, right, TAG);
+                B::recv(comm, &mut self.rbuf, left, TAG).await;
             }
             Benchmark::Exchange => {
                 // IMB semantics: both receives are pre-posted before the
@@ -265,7 +287,7 @@ mod tests {
     fn pingpong_idle_ranks_allocate_nothing() {
         for b in [Benchmark::PingPong, Benchmark::PingPing] {
             let out = mp::run(4, move |comm| {
-                let state = BenchState::new(comm, b, 1024);
+                let state = BenchState::<u8, f64>::new(comm, b, 1024);
                 let empty = state.sbuf.capacity() == 0 && state.rbuf.capacity() == 0;
                 assert_eq!(empty, !state.participates(comm));
                 (empty, run_on(comm, b, 1024, 3))

@@ -4,6 +4,12 @@
 //! clocks. Each rank is a resumable cooperative task, not an OS
 //! thread, so virtual worlds scale to tens of thousands of ranks.
 //!
+//! No virtual clock reads a payload byte and IMB checks no result, so the
+//! bodies run over [`mp::Ghost`] words: every send, receive, tag,
+//! algorithm choice and length check is the native run's, and no user
+//! buffer or message holds memory. (HPCC's virtual mode verifies
+//! residuals, so it keeps real words.)
+//!
 //! This is the third mode beside native timing and schedule-replay
 //! simulation; integration tests cross-validate it against
 //! [`crate::sim::simulate`], closing the loop between "what the program
@@ -11,8 +17,10 @@
 
 use harness::{Mode, Record, Runner, Stats};
 use machines::{Machine, SharedClusterNet};
+use mp::{Ghost, Numeric};
 
 use crate::benchmark::{record, Benchmark};
+use crate::native::{BenchState, ByteWord};
 
 /// Runs `benchmark` on `procs` ranks of the modelled `machine` with an
 /// explicit iteration count.
@@ -40,6 +48,31 @@ pub fn run_virtual_with(
     bytes: u64,
     runner: &Runner,
 ) -> Record {
+    run_virtual_over::<Ghost<1>, Ghost<8>>(machine, benchmark, procs, bytes, runner)
+}
+
+/// [`run_virtual_with`] over real `u8`/`f64` words: every user buffer
+/// allocated, every payload copied and reduced, the same record. The
+/// oracle the parity tests hold the ghost-word run against; nothing else
+/// has a use for it.
+#[doc(hidden)]
+pub fn run_virtual_with_real_words(
+    machine: &Machine,
+    benchmark: Benchmark,
+    procs: usize,
+    bytes: u64,
+    runner: &Runner,
+) -> Record {
+    run_virtual_over::<u8, f64>(machine, benchmark, procs, bytes, runner)
+}
+
+fn run_virtual_over<B: ByteWord, F: Numeric>(
+    machine: &Machine,
+    benchmark: Benchmark,
+    procs: usize,
+    bytes: u64,
+    runner: &Runner,
+) -> Record {
     assert!(
         procs >= benchmark.min_procs(),
         "{benchmark} needs more ranks"
@@ -48,15 +81,15 @@ pub fn run_virtual_with(
     let warmup = runner.warmup.max(1);
     let net = SharedClusterNet::new(machine, procs);
     let (per_rank, _) = mp::run_virtual_coop(procs, Box::new(net), move |comm| async move {
-        let mut state = crate::native::bench_state(&comm, benchmark, bytes);
+        let mut state = BenchState::<B, F>::new(&comm, benchmark, bytes);
         // Warm-up pass(es), then align clocks and time the loop
         // virtually.
         for w in 0..warmup {
-            crate::native::bench_iterate_async(&mut state, &comm, w).await;
+            state.iterate_async(&comm, w).await;
         }
         let t0 = comm.v_sync_async().await;
         for it in 0..iters {
-            crate::native::bench_iterate_async(&mut state, &comm, it).await;
+            state.iterate_async(&comm, it).await;
         }
         let t1 = comm.v_sync_async().await;
         (t1 - t0).as_us() / iters as f64
@@ -142,6 +175,17 @@ mod tests {
         let rec = run_virtual(&m, Benchmark::Barrier, 65_536, 0, 1);
         assert!(rec.t_max_us() > 0.0);
         assert_eq!(rec.procs, 65_536);
+    }
+
+    #[test]
+    #[ignore = "release-scale: 256 ranks x 1 MiB blocks; run with --ignored --release"]
+    fn virtual_alltoall_1mib_at_256_ranks() {
+        // Sizes only: over real words the send and receive buffers alone
+        // are 2 x 256 MiB on each of 256 ranks, 128 GiB. CI runs this
+        // under a 4 GiB address-space limit.
+        let rec = run_virtual(&dell_xeon(), Benchmark::Alltoall, 256, 1 << 20, 1);
+        assert!(rec.t_max_us() > 0.0);
+        assert_eq!((rec.procs, rec.bytes), (256, Some(1 << 20)));
     }
 
     #[test]

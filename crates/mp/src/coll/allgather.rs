@@ -1,7 +1,8 @@
 //! Allgather (`MPI_Allgather`, IMB `Allgather`, paper Fig. 10).
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::Word;
+use crate::payload::Payload;
 
 use super::{ceil_log2, Step, LONG_MSG_THRESHOLD};
 
@@ -33,14 +34,11 @@ pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     );
     let me = comm.rank();
     recv[me * block..(me + 1) * block].copy_from_slice(send);
-    let mut outgoing = crate::payload::Payload::from_vec(encode(send));
+    let mut outgoing = Payload::encode(send);
     for step in ring_steps(me, n, block) {
         let ((right, _), (left, take)) = step.exchange();
-        let got = comm
-            .sendrecv_payload_coll_async(outgoing, right, left, tag)
-            .await;
-        decode_into(&got, &mut recv[take]);
-        outgoing = got;
+        comm.send_payload(outgoing, right, tag);
+        outgoing = comm.recv_into_async(&mut recv[take], left, tag).await;
     }
 }
 

@@ -3,7 +3,8 @@
 //! bandwidth of the computing system".
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, Word};
+use crate::datatype::Word;
+use crate::payload::Payload;
 
 use super::{ceil_log2, run_between, Step};
 
@@ -74,43 +75,33 @@ pub async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     assert_eq!(send.len(), recv.len(), "alltoall buffers must match");
     assert_eq!(send.len() % n, 0, "alltoall buffer not divisible by ranks");
     let block = send.len() / n;
-    let bw = block * T::SIZE;
     let me = comm.rank();
 
     // Phase 1: rotate into slot space.
-    let mut slots = vec![0u8; bw * n];
-    for i in 0..n {
-        let src_block = (me + i) % n;
-        crate::datatype::encode_into(
-            &send[src_block * block..(src_block + 1) * block],
-            &mut slots[i * bw..(i + 1) * bw],
-        );
-    }
+    let (head, tail) = send.split_at(me * block);
+    let mut slots = [tail, head].concat();
 
     // Phase 2: log-round combining exchanges.
-    for step in bruck_steps(me, n, bw) {
+    for step in bruck_steps(me, n, block) {
         let bit = 1 << step.round;
         let moving = (0..n).filter(move |i| i & bit != 0);
         let ((dst, packed), (src, _)) = step.exchange();
         let mut out = Vec::with_capacity(packed.len());
         for i in moving.clone() {
-            out.extend_from_slice(&slots[i * bw..(i + 1) * bw]);
+            out.extend_from_slice(&slots[i * block..(i + 1) * block]);
         }
-        comm.send_bytes(out, dst, tag);
-        let bytes = comm.recv_bytes_async(src, tag).await;
-        assert_eq!(bytes.len(), packed.len(), "bruck round size mismatch");
+        comm.send_payload(Payload::encode(&out), dst, tag);
+        let got: Vec<T> = comm.recv_vec_async(src, tag).await;
+        assert_eq!(got.len(), packed.len(), "bruck round size mismatch");
         for (j, i) in moving.enumerate() {
-            slots[i * bw..(i + 1) * bw].copy_from_slice(&bytes[j * bw..(j + 1) * bw]);
+            slots[i * block..(i + 1) * block].copy_from_slice(&got[j * block..(j + 1) * block]);
         }
     }
 
     // Phase 3: inverse rotation — slot j holds the block from (me - j).
     for j in 0..n {
         let from = (me + n - j) % n;
-        decode_into(
-            &slots[j * bw..(j + 1) * bw],
-            &mut recv[from * block..(from + 1) * block],
-        );
+        recv[from * block..(from + 1) * block].copy_from_slice(&slots[j * block..(j + 1) * block]);
     }
 }
 
@@ -220,6 +211,25 @@ mod tests {
     fn auto_both_paths() {
         check(12, 1, super::auto); // tiny blocks, n > 8 -> bruck
         check(12, 512, super::auto); // long -> pairwise
+    }
+
+    /// A round's message of the wrong size is refused by length even
+    /// when the words it would land in have no memory to overrun.
+    #[test]
+    #[should_panic(expected = "bruck round size mismatch")]
+    fn bruck_checks_round_sizes_of_ghost_words() {
+        use crate::payload::Payload;
+        run(2, |comm| {
+            if comm.rank() == 0 {
+                let send = [crate::Ghost::<4>; 6];
+                super::bruck(comm, &send, &mut [crate::Ghost::<4>; 6]);
+            } else {
+                // Stands in for a peer whose blocks are a word short.
+                let tag = comm.next_coll_tag();
+                comm.send_payload(Payload::from_vec(vec![0; 8]), 0, tag);
+                crate::coop::block_on(comm.recv_payload_async(0, tag));
+            }
+        });
     }
 
     #[test]

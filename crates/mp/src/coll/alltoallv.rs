@@ -2,7 +2,8 @@
 //! per-pair counts.
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::Word;
+use crate::payload::Payload;
 
 /// Prefix sums (displacements) of a count vector.
 pub(crate) fn displs(counts: &[usize]) -> Vec<usize> {
@@ -55,9 +56,9 @@ pub async fn pairwise_async<T: Word>(
     for s in 1..n {
         let dst = (me + s) % n;
         let src = (me + n - s) % n;
-        comm.send_bytes(encode(&send[sd[dst]..sd[dst + 1]]), dst, tag);
-        let bytes = comm.recv_bytes_async(src, tag).await;
-        decode_into(&bytes, &mut recv[rd[src]..rd[src + 1]]);
+        comm.send_payload(Payload::encode(&send[sd[dst]..sd[dst + 1]]), dst, tag);
+        comm.recv_into_async(&mut recv[rd[src]..rd[src + 1]], src, tag)
+            .await;
     }
 }
 

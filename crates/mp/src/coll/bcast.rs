@@ -1,7 +1,7 @@
 //! Broadcast (`MPI_Bcast`, IMB `Bcast`, paper Fig. 15).
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::Word;
 use crate::payload::Payload;
 
 use super::{
@@ -41,11 +41,10 @@ pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
         return;
     }
     let me = comm.rank();
-    let mut data = Payload::from_vec(if me == root { encode(buf) } else { Vec::new() });
+    let mut data = Payload::encode(if me == root { &*buf } else { &[] });
     for Step { send, recv, .. } in binomial_steps(me, n, buf.len(), root) {
         if let Some((src, _)) = recv {
-            data = comm.recv_payload_async(src, tag).await;
-            decode_into(&data, buf);
+            data = comm.recv_into_async(buf, src, tag).await;
         }
         if let Some((dst, _)) = send {
             comm.send_payload(data.clone(), dst, tag);
@@ -98,25 +97,26 @@ pub async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: 
     // each ring arrival. Every send is a slice of it. The ring forwards
     // every block but the last to arrive, so copying what it sends and
     // that last arrival assembles the whole; the scatter copies nothing.
-    let mut held = Payload::from_vec(if me == root { encode(buf) } else { Vec::new() });
+    let mut held = Payload::encode(if me == root { &*buf } else { &[] });
     let mut at = 0..total;
-    let mut data = vec![0u8; total];
+    let mut data = Payload::zeroed::<T>(total);
     for Step { send, recv, .. } in scatter_allgather_steps(me, n, total, root) {
         let ring = recv.is_some();
         if let Some((dst, give)) = send {
             let out = held.slice(give.start - at.start..give.end - at.start);
             if ring {
-                data[give].copy_from_slice(&out);
+                data.put(give.start, &out);
             }
             comm.send_payload(out, dst, tag);
         }
         if let Some((src, take)) = recv {
             held = comm.recv_payload_async(src, tag).await;
+            assert_eq!(held.len(), take.len(), "bcast block size mismatch");
             at = take;
         }
     }
-    data[at].copy_from_slice(&held);
-    decode_into(&data, buf);
+    data.put(at.start, &held);
+    data.decode_into(buf, comm.envelope(root, tag));
 }
 
 /// The [`auto`] dispatch test, shared with the `sched::bcast` generator:

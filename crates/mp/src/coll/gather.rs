@@ -1,10 +1,11 @@
 //! Gather (`MPI_Gather`): root collects one block per rank.
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::Word;
+use crate::payload::Payload;
 
 pub(crate) use super::scatter::picks_linear;
-use super::{ceil_log2, run_between, scatter, unvrank, vrank, Step};
+use super::{ceil_log2, run_between, scatter, vrank, Step};
 
 /// Linear gather: every rank sends directly to the root.
 pub fn linear<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
@@ -74,27 +75,25 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut 
     let me = comm.rank();
 
     // My subtree's blocks in vrank order, my own block first.
-    let bw = block * T::SIZE;
-    let mut data = encode(send);
-    for step in binomial_steps(me, n, bw, root) {
+    let mut data = send.to_vec();
+    for step in binomial_steps(me, n, block, root) {
         if let Some((src, take)) = step.recv {
-            debug_assert_eq!(take.start, vrank(me, root, n) * bw + data.len());
-            data.extend_from_slice(&comm.recv_bytes_async(src, tag).await);
+            let held = data.len();
+            debug_assert_eq!(take.start, vrank(me, root, n) * block + held);
+            data.resize(held + take.len(), T::ZERO);
+            comm.recv_into_async(&mut data[held..], src, tag).await;
         }
         if let Some((dst, _)) = step.send {
-            comm.send_bytes(std::mem::take(&mut data), dst, tag);
+            comm.send_payload(Payload::encode(&data), dst, tag);
         }
     }
     if me == root {
         let recv = recv.expect("root must supply a receive buffer");
         assert_eq!(recv.len(), block * n, "gather receive buffer size mismatch");
-        for vv in 0..n {
-            let r = unvrank(vv, root, n);
-            decode_into(
-                &data[vv * bw..(vv + 1) * bw],
-                &mut recv[r * block..(r + 1) * block],
-            );
-        }
+        // Vrank order is rank order rotated to start at the root.
+        let wrap = (n - root) * block;
+        recv[root * block..].copy_from_slice(&data[..wrap]);
+        recv[..root * block].copy_from_slice(&data[wrap..]);
     }
 }
 

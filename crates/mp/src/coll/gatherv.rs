@@ -2,7 +2,8 @@
 //! collectives with per-rank counts.
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::Word;
+use crate::payload::Payload;
 
 use super::alltoallv::displs;
 
@@ -37,11 +38,11 @@ pub async fn gatherv_async<T: Word>(
         assert_eq!(recv.len(), d[n], "gatherv receive buffer size mismatch");
         recv[d[root]..d[root + 1]].copy_from_slice(send);
         for r in (0..n).filter(|&r| r != root) {
-            let bytes = comm.recv_bytes_async(r, tag).await;
-            decode_into(&bytes, &mut recv[d[r]..d[r + 1]]);
+            comm.recv_into_async(&mut recv[d[r]..d[r + 1]], r, tag)
+                .await;
         }
     } else {
-        comm.send_bytes(encode(send), root, tag);
+        comm.send_payload(Payload::encode(send), root, tag);
     }
 }
 
@@ -74,12 +75,11 @@ pub async fn scatterv_async<T: Word>(
         let send = send.expect("root must supply a send buffer");
         assert_eq!(send.len(), d[n], "scatterv send buffer size mismatch");
         for r in (0..n).filter(|&r| r != root) {
-            comm.send_bytes(encode(&send[d[r]..d[r + 1]]), r, tag);
+            comm.send_payload(Payload::encode(&send[d[r]..d[r + 1]]), r, tag);
         }
         recv.copy_from_slice(&send[d[root]..d[root + 1]]);
     } else {
-        let bytes = comm.recv_bytes_async(root, tag).await;
-        decode_into(&bytes, recv);
+        comm.recv_into_async(recv, root, tag).await;
     }
 }
 

@@ -31,8 +31,9 @@ pub mod scatter;
 use std::ops::Range;
 
 use crate::comm::Comm;
-use crate::datatype::{decode, decode_into, encode, Word};
+use crate::datatype::Word;
 use crate::msg::Tag;
+use crate::payload::Payload;
 
 /// Message-size threshold (bytes) between "short" (latency-optimised) and
 /// "long" (bandwidth-optimised) collective algorithms, matching the era's
@@ -168,14 +169,13 @@ pub(crate) async fn run_in_place<T: Word>(
     } in steps
     {
         if let Some((dst, give)) = send {
-            comm.send_bytes(encode(&buf[give]), dst, tag);
+            comm.send_payload(Payload::encode(&buf[give]), dst, tag);
         }
         if let Some((src, take)) = recv {
-            let bytes = comm.recv_bytes_async(src, tag).await;
             if folds > 0 {
-                fold(&mut buf[take], &decode::<T>(&bytes));
+                fold(&mut buf[take], &comm.recv_vec_async(src, tag).await);
             } else {
-                decode_into(&bytes, &mut buf[take]);
+                comm.recv_into_async(&mut buf[take], src, tag).await;
             }
         }
     }
@@ -197,10 +197,10 @@ pub(crate) async fn run_between<T: Word>(
     } in steps
     {
         if let Some((dst, give)) = to {
-            comm.send_bytes(encode(&send[give]), dst, tag);
+            comm.send_payload(Payload::encode(&send[give]), dst, tag);
         }
         if let Some((src, take)) = from {
-            decode_into(&comm.recv_bytes_async(src, tag).await, &mut recv[take]);
+            comm.recv_into_async(&mut recv[take], src, tag).await;
         }
     }
 }

@@ -3,7 +3,7 @@
 //! followed by an MPI Scatter".
 
 use crate::comm::Comm;
-use crate::datatype::{decode, encode};
+use crate::payload::Payload;
 use crate::reduce::{Numeric, Op};
 
 use super::{allgatherv::displs, ceil_log2, run_in_place, Step};
@@ -53,8 +53,8 @@ pub async fn pairwise_async<T: Numeric>(
     recv.copy_from_slice(&send[displ[me]..displ[me + 1]]);
     for step in pairwise_steps(me, &displ) {
         let ((dst, give), (src, _)) = step.exchange();
-        comm.send_bytes(encode(&send[give]), dst, tag);
-        let operand: Vec<T> = decode(&comm.recv_bytes_async(src, tag).await);
+        comm.send_payload(Payload::encode(&send[give]), dst, tag);
+        let operand: Vec<T> = comm.recv_vec_async(src, tag).await;
         op.fold_into(recv, &operand);
     }
 }

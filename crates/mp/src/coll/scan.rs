@@ -8,7 +8,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::comm::Comm;
-use crate::datatype::{decode, encode};
+use crate::payload::Payload;
 use crate::reduce::{Numeric, Op};
 
 use super::{ceil_log2, Step};
@@ -32,12 +32,12 @@ pub async fn linear_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     for step in linear_steps(comm.rank(), comm.size(), buf.len()) {
         if let Some((src, _)) = step.recv {
             // Ordered: earlier ranks' contribution on the left.
-            let mut acc: Vec<T> = decode(&comm.recv_bytes_async(src, tag).await);
+            let mut acc: Vec<T> = comm.recv_vec_async(src, tag).await;
             op.fold_into(&mut acc, buf);
             buf.copy_from_slice(&acc);
         }
         if let Some((dst, _)) = step.send {
-            comm.send_bytes(encode(buf), dst, tag);
+            comm.send_payload(Payload::encode(buf), dst, tag);
         }
     }
 }
@@ -74,10 +74,10 @@ pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op
     let mut partial = buf.to_vec();
     for step in recursive_doubling_steps(comm.rank(), comm.size(), buf.len()) {
         if let Some((dst, _)) = step.send {
-            comm.send_bytes(encode(&partial), dst, tag);
+            comm.send_payload(Payload::encode(&partial), dst, tag);
         }
         if let Some((src, _)) = step.recv {
-            let incoming: Vec<T> = decode(&comm.recv_bytes_async(src, tag).await);
+            let incoming: Vec<T> = comm.recv_vec_async(src, tag).await;
             // incoming covers ranks [me-2d+1 ..= me-d]; keep it on the left.
             let mut r = incoming.clone();
             op.fold_into(&mut r, buf);
@@ -122,11 +122,10 @@ pub async fn exscan_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
         return;
     }
     if me + 1 < n {
-        comm.send_bytes(crate::datatype::encode(buf), me + 1, tag);
+        comm.send_payload(Payload::encode(buf), me + 1, tag);
     }
     if me > 0 {
-        let bytes = comm.recv_bytes_async(me - 1, tag).await;
-        crate::datatype::decode_into(&bytes, buf);
+        comm.recv_into_async(buf, me - 1, tag).await;
     } else {
         fill_identity(buf, op);
     }

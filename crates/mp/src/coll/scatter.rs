@@ -1,7 +1,7 @@
 //! Scatter (`MPI_Scatter`): root distributes one block per rank.
 
 use crate::comm::Comm;
-use crate::datatype::{decode_into, Word};
+use crate::datatype::Word;
 use crate::payload::Payload;
 
 use super::{halving_tree, run_between, unvrank, vrank, Step, TreeEdge};
@@ -83,19 +83,12 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut
     // The encoded blocks of my subtree in vrank order, from byte `base` of
     // the whole; the root re-orders its buffer into vrank order once.
     let bw = block * T::SIZE;
-    let (mut data, mut base) = (Payload::from_vec(Vec::new()), 0);
+    let (mut data, mut base) = (Payload::encode::<T>(&[]), 0);
     if me == root {
         let send = send.expect("root must supply a send buffer");
         assert_eq!(send.len(), block * n, "scatter send buffer size mismatch");
-        let mut d = vec![0u8; bw * n];
-        for vv in 0..n {
-            let r = unvrank(vv, root, n);
-            crate::datatype::encode_into(
-                &send[r * block..(r + 1) * block],
-                &mut d[vv * bw..(vv + 1) * bw],
-            );
-        }
-        data = Payload::from_vec(d);
+        let (head, tail) = send.split_at(root * block);
+        data = Payload::encode(&[tail, head].concat());
     }
     for Step { send, recv, .. } in binomial_steps(me, n, root, |b| b * bw) {
         if let Some((src, take)) = recv {
@@ -107,7 +100,8 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut
         }
     }
     // My own block sits first in the subtree range.
-    decode_into(&data[..bw], recv);
+    data.slice(0..bw)
+        .decode_into(recv, comm.envelope(root, tag));
 }
 
 /// The [`auto`] dispatch test of scatter and gather, shared with their

@@ -10,7 +10,9 @@
 //! matching receive of the right size, the sender encodes straight into
 //! that receive's buffer — one payload copy end to end and no
 //! intermediate allocation. When no receive is posted, large sends fall
-//! back to the eager path, preserving the no-deadlock property.
+//! back to the eager path, preserving the no-deadlock property. Virtual
+//! sends and sends of [`Ghost`](crate::Ghost) words are always eager, and
+//! receives post a buffer only where a send would look for one.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -19,10 +21,10 @@ use std::time::Duration;
 
 use crate::check::{CollSite, Event, Inspector, WaitOn};
 use crate::coll::LONG_MSG_THRESHOLD;
-use crate::datatype::{decode_into, encode, Word};
+use crate::datatype::{is_ghost, Word};
 use crate::mailbox::PostedHandle;
 use crate::msg::{pack_tag, Match, Message, Tag, COLL_BIT, MAX_USER_TAG};
-use crate::payload::Payload;
+use crate::payload::{Envelope, Payload};
 use crate::runtime::World;
 
 /// A communicator: this rank's view of an ordered group of ranks.
@@ -193,11 +195,6 @@ impl Comm {
         self.world.deliver(gdst, msg);
     }
 
-    /// Sends raw bytes to local rank `dst` with `tag`.
-    pub(crate) fn send_bytes(&self, data: Vec<u8>, dst: usize, tag: Tag) {
-        self.send_payload(Payload::from_vec(data), dst, tag);
-    }
-
     /// Receives a payload from local rank `src` with `tag`, without
     /// forcing ownership of the bytes (zero-copy for forwarding). On rank
     /// threads the receive blocks inside the mailbox and the future
@@ -218,15 +215,43 @@ impl Comm {
         msg.data
     }
 
-    /// Receives raw bytes from local rank `src` with `tag`. Zero-copy when
-    /// the sender's buffer has no other holders (the point-to-point norm).
-    pub(crate) fn recv_bytes(&self, src: usize, tag: Tag) -> Vec<u8> {
-        crate::coop::block_on(self.recv_bytes_async(src, tag))
+    /// Receives from local rank `src` with `tag` into `buf`, which must
+    /// be of the message's length. The payload comes back still shared,
+    /// for forwarding.
+    pub(crate) async fn recv_into_async<T: Word>(
+        &self,
+        buf: &mut [T],
+        src: usize,
+        tag: Tag,
+    ) -> Payload {
+        let data = self.recv_payload_async(src, tag).await;
+        data.decode_into(buf, self.envelope(src, tag));
+        data
     }
 
-    /// Awaitable mirror of [`recv_bytes`](Comm::recv_bytes).
-    pub(crate) async fn recv_bytes_async(&self, src: usize, tag: Tag) -> Vec<u8> {
-        self.recv_payload_async(src, tag).await.into_vec()
+    /// Receives a message of any length from local rank `src` with `tag`
+    /// as a fresh vector of words (a reduction's operand).
+    pub(crate) async fn recv_vec_async<T: Word>(&self, src: usize, tag: Tag) -> Vec<T> {
+        let data = self.recv_payload_async(src, tag).await;
+        data.decode(self.envelope(src, tag))
+    }
+
+    /// The envelope of a message from local rank `src` to this rank.
+    pub(crate) fn envelope(&self, src: usize, tag: Tag) -> Envelope {
+        Envelope {
+            src: self.group[src],
+            dst: self.group[self.rank],
+            tag,
+        }
+    }
+
+    /// The envelope of a received message.
+    fn envelope_of(&self, msg: &Message) -> Envelope {
+        Envelope {
+            src: msg.src,
+            dst: self.group[self.rank],
+            tag: (msg.full_tag & 0xFFFF_FFFF) as Tag,
+        }
     }
 
     /// Advances this rank's virtual clock to a received message's
@@ -244,13 +269,19 @@ impl Comm {
         self.send_words(buf, dst, tag);
     }
 
-    /// Typed send with the rendezvous fast path for large messages (see
-    /// the module docs). Virtual execution always takes the eager path so
-    /// that message pricing stays in one place.
+    /// Whether a typed message of `bytes` may take the rendezvous path
+    /// (see the module docs), which both ends must agree on: the receive
+    /// posts a buffer only for a send that would look for one. Virtual
+    /// execution always sends eagerly so that message pricing stays in one
+    /// place, and ghost words have no bytes to encode into a posted buffer.
+    fn may_rendezvous<T: Word>(&self, bytes: usize) -> bool {
+        bytes >= LONG_MSG_THRESHOLD && self.world.virtual_net.is_none() && !is_ghost::<T>()
+    }
+
+    /// Typed send with the rendezvous fast path for large messages.
     pub(crate) fn send_words<T: Word>(&self, words: &[T], dst: usize, tag: Tag) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
-        let bytes = words.len() * T::SIZE;
-        if bytes >= LONG_MSG_THRESHOLD && self.world.virtual_net.is_none() {
+        if self.may_rendezvous::<T>(words.len() * T::SIZE) {
             let (gsrc, gdst) = (self.group[self.rank], self.group[dst]);
             if self
                 .world
@@ -259,7 +290,7 @@ impl Comm {
                 return;
             }
         }
-        self.send_payload(Payload::from_vec(encode(words)), dst, tag);
+        self.send_payload(Payload::encode(words), dst, tag);
     }
 
     /// Receives exactly `buf.len()` words from local rank `src` with `tag`.
@@ -289,18 +320,16 @@ impl Comm {
         self.perturb();
         let bytes = buf.len() * T::SIZE;
         let mailbox = &self.world.mailboxes[self.group[self.rank]];
-        let (msg, spare) = if bytes >= LONG_MSG_THRESHOLD {
+        let (msg, spare) = if self.may_rendezvous::<T>(bytes) {
             let posted = self.take_scratch(bytes);
             mailbox.recv_posting_async(filter, Some(posted)).await
         } else {
             mailbox.recv_posting_async(filter, None).await
         };
         self.observe_arrival(msg.arrival);
-        decode_into(&msg.data, buf);
-        let envelope = (
-            self.local_of_global(msg.src),
-            (msg.full_tag & 0xFFFF_FFFF) as Tag,
-        );
+        let env = self.envelope_of(&msg);
+        msg.data.decode_into(buf, env);
+        let envelope = (self.local_of_global(env.src), env.tag);
         // Recycle for the next large receive: the unused posted buffer,
         // or the payload itself when we are its only holder.
         if let Some(v) = spare {
@@ -336,7 +365,7 @@ impl Comm {
         let mut v = self.scratch.take();
         v.clear();
         v.extend_from_slice(data);
-        self.send_bytes(v, dst, tag);
+        self.send_payload(Payload::from_vec(v), dst, tag);
     }
 
     /// Receives an untyped byte message from local rank `src`, replacing
@@ -353,7 +382,8 @@ impl Comm {
     /// Awaitable mirror of [`recv_raw`](Comm::recv_raw).
     pub async fn recv_raw_async(&self, buf: &mut Vec<u8>, src: usize, tag: Tag) {
         assert!(tag < MAX_USER_TAG, "tag {tag:#x} is in the reserved range");
-        let old = std::mem::replace(buf, self.recv_payload_async(src, tag).await.into_vec());
+        let data = self.recv_payload_async(src, tag).await;
+        let old = std::mem::replace(buf, data.into_vec(self.envelope(src, tag)));
         self.put_scratch(old);
     }
 
@@ -382,9 +412,8 @@ impl Comm {
             .recv_async(filter)
             .await;
         self.observe_arrival(msg.arrival);
-        let out = crate::datatype::decode(&msg.data);
-        let tag = (msg.full_tag & 0xFFFF_FFFF) as Tag;
-        (out, self.local_of_global(msg.src), tag)
+        let env = self.envelope_of(&msg);
+        (msg.data.decode(env), self.local_of_global(env.src), env.tag)
     }
 
     /// Combined send+receive (both with tag `tag`), the workhorse of ring
@@ -407,20 +436,6 @@ impl Comm {
     ) {
         self.send(sbuf, dst, tag);
         self.recv_async(rbuf, src, tag).await;
-    }
-
-    /// Payload-level sendrecv on a collective tag: the received payload
-    /// stays shared, so ring pipelines can forward it to the next peer
-    /// without re-encoding or copying.
-    pub(crate) async fn sendrecv_payload_coll_async(
-        &self,
-        sdata: Payload,
-        dst: usize,
-        src: usize,
-        tag: Tag,
-    ) -> Payload {
-        self.send_payload(sdata, dst, tag);
-        self.recv_payload_async(src, tag).await
     }
 
     /// Posts a nonblocking receive into the mailbox's posted-receive
@@ -686,7 +701,7 @@ impl<T: Word> RecvHandle<T> {
             .complete_async(posted, self.filter)
             .await;
         comm.observe_arrival(msg.arrival);
-        decode_into(&msg.data, buf);
+        msg.data.decode_into(buf, comm.envelope_of(&msg));
     }
 }
 
@@ -814,6 +829,49 @@ mod tests {
                     .any(|t| t.src == 0 && t.dst == 1 && t.bytes == data_bytes),
                 "large transfer must be traced identically on both paths"
             );
+        }
+    }
+
+    /// A virtual send never looks for a posted buffer, so a virtual
+    /// receive must not take and zero-fill one: the payload that arrived
+    /// is what the receive recycles, not an unused posting.
+    #[test]
+    fn virtual_receives_post_no_rendezvous_buffer() {
+        let words = crate::coll::LONG_MSG_THRESHOLD / 8 + 5;
+        let net = Box::new(crate::virt::tests::TestNet);
+        crate::run_virtual_coop(2, net, move |comm| async move {
+            if comm.rank() == 0 {
+                comm.send(&vec![1.5f64; words], 1, DATA_TAG);
+            } else {
+                let mut buf = vec![0.0f64; words];
+                comm.recv_async(&mut buf, 0, DATA_TAG).await;
+                assert_eq!(buf[words - 1], 1.5);
+                assert_eq!(comm.scratch.borrow()[..8], 1.5f64.to_le_bytes());
+            }
+        });
+    }
+
+    /// Ghost words sent to a receive of real words: the receive names the
+    /// message instead of handing out zeros — on the eager path and past
+    /// the rendezvous threshold, where a posted buffer is waiting.
+    #[test]
+    fn ghost_send_to_a_real_receive_is_named() {
+        for words in [3, crate::coll::LONG_MSG_THRESHOLD / 8] {
+            let err = std::panic::catch_unwind(|| {
+                run(3, move |comm| match comm.rank() {
+                    2 => comm.send(&vec![crate::Ghost::<8>; words], 1, DATA_TAG),
+                    1 => comm.recv(&mut vec![0.0f64; words], 2, DATA_TAG),
+                    _ => {}
+                })
+            })
+            .expect_err("the receive must refuse");
+            let msg = err.downcast_ref::<String>().expect("panic message");
+            let named = format!(
+                "length-only payload of {} bytes from rank 2 to rank 1, tag 0x7 met a receive of \
+                 {words} real words of 8",
+                words * 8
+            );
+            assert!(msg.contains(&named), "{msg}");
         }
     }
 

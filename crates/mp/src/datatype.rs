@@ -6,6 +6,10 @@
 //! [`Word::encode_slice`]/[`Word::decode_slice`] hooks give every type an
 //! optimiser-friendly fixed-width-chunk loop, and `u8` — the payload type
 //! of the byte-oriented IMB transfer benchmarks — a literal `memcpy`.
+//!
+//! A [`Ghost`] is the word of a sizes-only run: it has a wire size and no
+//! memory, so buffers and messages of ghosts have lengths and nothing else
+//! while the program that moves them runs unchanged.
 
 /// A fixed-size scalar that can be carried in a message.
 pub trait Word: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
@@ -112,6 +116,42 @@ impl Word for u8 {
     fn encode_vec(data: &[u8]) -> Vec<u8> {
         data.to_vec()
     }
+}
+
+/// A word with a wire size of `SIZE` bytes and no memory: a `Vec` of
+/// ghosts allocates nothing, a message of ghosts carries its length and no
+/// bytes, and reducing ghosts does nothing. Every send, receive, tag and
+/// length check of a program over ghosts is the one the same program makes
+/// over real words, so the run prices what the real run would — which is
+/// how virtual IMB times 1 MiB messages on hundreds of ranks without
+/// allocating one of them. Whether bytes move is decided per message by its
+/// word type, in every execution mode; a ghost message meeting a real
+/// receive buffer is a named panic, never zeros.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ghost<const SIZE: usize>;
+
+impl<const N: usize> Word for Ghost<N> {
+    const SIZE: usize = {
+        assert!(N > 0, "a ghost word has a nonzero wire size");
+        N
+    };
+    const ZERO: Self = Ghost;
+    #[inline]
+    fn write_le(self, _out: &mut [u8]) {}
+    #[inline]
+    fn read_le(_inp: &[u8]) -> Self {
+        Ghost
+    }
+    #[inline]
+    fn encode_slice(_data: &[Self], _out: &mut [u8]) {}
+    #[inline]
+    fn decode_slice(_bytes: &[u8], _out: &mut [Self]) {}
+}
+
+/// Whether `T` is a ghost word: one without memory has no bytes to move.
+#[inline]
+pub(crate) fn is_ghost<T: Word>() -> bool {
+    std::mem::size_of::<T>() == 0
 }
 
 /// Encodes a slice of words into a fresh byte vector.

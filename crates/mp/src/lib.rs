@@ -54,7 +54,7 @@ pub use coop::{
     run_virtual_coop, ExploreGuard, FifoController, ScheduleController, ScopedExplore,
     WildcardCandidate,
 };
-pub use datatype::Word;
+pub use datatype::{Ghost, Word};
 pub use msg::{Tag, MAX_USER_TAG};
 pub use reduce::{Numeric, Op};
 pub use rma::Window;

@@ -823,8 +823,8 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(1, 5, vec![1]));
         mb.push(msg(1, 5, vec![2]));
-        assert_eq!(mb.recv(exact(1, 5)).data.as_slice(), &[1]);
-        assert_eq!(mb.recv(exact(1, 5)).data.as_slice(), &[2]);
+        assert_eq!(mb.recv(exact(1, 5)).data.bytes().unwrap(), &[1]);
+        assert_eq!(mb.recv(exact(1, 5)).data.bytes().unwrap(), &[2]);
     }
 
     #[test]
@@ -832,9 +832,9 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(2, 9, vec![9]));
         mb.push(msg(1, 5, vec![5]));
-        assert_eq!(mb.recv(exact(1, 5)).data.as_slice(), &[5]);
+        assert_eq!(mb.recv(exact(1, 5)).data.bytes().unwrap(), &[5]);
         assert_eq!(mb.pending(), 1);
-        assert_eq!(mb.recv(exact(2, 9)).data.as_slice(), &[9]);
+        assert_eq!(mb.recv(exact(2, 9)).data.bytes().unwrap(), &[9]);
     }
 
     #[test]
@@ -849,7 +849,7 @@ mod tests {
     fn blocking_recv_wakes_on_push() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let t = std::thread::spawn(move || mb2.recv(exact(3, 1)).data.into_vec());
+        let t = std::thread::spawn(move || mb2.recv(exact(3, 1)).data.bytes().unwrap().to_vec());
         std::thread::sleep(Duration::from_millis(20));
         mb.push(msg(3, 1, vec![42]));
         assert_eq!(t.join().unwrap(), vec![42]);
@@ -926,7 +926,7 @@ mod tests {
             let m = mb.recv(any());
             assert_eq!(m.src, *src);
             assert_eq!((m.full_tag & 0xFFFF_FFFF) as u32, *tag);
-            assert_eq!(m.data.as_slice(), &[i as u8]);
+            assert_eq!(m.data.bytes().unwrap(), &[i as u8]);
         }
     }
 
@@ -939,7 +939,7 @@ mod tests {
         mb.push(msg(1, 7, vec![3]));
         assert_eq!(mb.pending(), 0, "message must go to the posted receive");
         let (m, spare) = mb.wait_ticket(ticket, exact(1, 7));
-        assert_eq!(m.data.as_slice(), &[3]);
+        assert_eq!(m.data.bytes().unwrap(), &[3]);
         assert!(spare.is_none());
     }
 
@@ -949,7 +949,7 @@ mod tests {
         mb.push(msg(1, 7, vec![4]));
         match mb.post(exact(1, 7), None) {
             PostedHandle::Ready(a, candidates) => {
-                assert_eq!(a.msg.data.as_slice(), &[4]);
+                assert_eq!(a.msg.data.bytes().unwrap(), &[4]);
                 assert_eq!(candidates, 1);
             }
             PostedHandle::Pending(_) => panic!("should match the queued message"),
@@ -964,8 +964,8 @@ mod tests {
         let handle = mb.post(exact(1, 7), None);
         assert!(matches!(handle, PostedHandle::Ready(..)));
         mb.cancel(handle);
-        assert_eq!(mb.recv(exact(1, 7)).data.as_slice(), &[1]);
-        assert_eq!(mb.recv(exact(1, 7)).data.as_slice(), &[2]);
+        assert_eq!(mb.recv(exact(1, 7)).data.bytes().unwrap(), &[1]);
+        assert_eq!(mb.recv(exact(1, 7)).data.bytes().unwrap(), &[2]);
     }
 
     #[test]
@@ -979,8 +979,14 @@ mod tests {
         };
         mb.push(msg(1, 7, vec![1]));
         mb.push(msg(1, 7, vec![2]));
-        assert_eq!(mb.wait_ticket(t1, exact(1, 7)).0.data.as_slice(), &[1]);
-        assert_eq!(mb.wait_ticket(t2, exact(1, 7)).0.data.as_slice(), &[2]);
+        assert_eq!(
+            mb.wait_ticket(t1, exact(1, 7)).0.data.bytes().unwrap(),
+            &[1]
+        );
+        assert_eq!(
+            mb.wait_ticket(t2, exact(1, 7)).0.data.bytes().unwrap(),
+            &[2]
+        );
     }
 
     #[test]
@@ -995,8 +1001,8 @@ mod tests {
         mb.cancel_ticket(ticket);
         assert_eq!(mb.pending(), 2);
         // Order restored: the handed-off message is back at the front.
-        assert_eq!(mb.recv(exact(5, 1)).data.as_slice(), &[10]);
-        assert_eq!(mb.recv(exact(5, 1)).data.as_slice(), &[11]);
+        assert_eq!(mb.recv(exact(5, 1)).data.bytes().unwrap(), &[10]);
+        assert_eq!(mb.recv(exact(5, 1)).data.bytes().unwrap(), &[11]);
     }
 
     #[test]
@@ -1009,7 +1015,7 @@ mod tests {
         assert!(mb.rendezvous_send(2, pack_tag(0, 4), &words, None));
         let (m, spare) = mb.wait_ticket(ticket, exact(2, 4));
         assert!(spare.is_none(), "buffer was consumed by the rendezvous");
-        assert_eq!(m.data.as_slice(), &[8, 7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(m.data.bytes().unwrap(), &[8, 7, 6, 5, 4, 3, 2, 1]);
     }
 
     #[test]
@@ -1025,7 +1031,7 @@ mod tests {
         // Eager delivery still reaches it, returning no spare.
         mb.push(msg(2, 4, vec![1]));
         let (m, spare) = mb.wait_ticket(t1, exact(2, 4));
-        assert_eq!(m.data.as_slice(), &[1]);
+        assert_eq!(m.data.bytes().unwrap(), &[1]);
         assert!(spare.is_none());
         // Posted buffer of the wrong size: rendezvous declines.
         let PostedHandle::Pending(t2) = mb.post(exact(2, 4), Some(vec![0u8; 4])) else {
@@ -1050,7 +1056,7 @@ mod tests {
                 h.join().unwrap()
             })
         };
-        assert_eq!(m.data.as_slice(), &[5; 4]);
+        assert_eq!(m.data.bytes().unwrap(), &[5; 4]);
         assert_eq!(spare, Some(vec![0u8; 16]));
     }
 
@@ -1107,7 +1113,7 @@ mod tests {
                         if let (Some(g), Some(w)) = (got, want) {
                             prop_assert_eq!(g.src, w.0);
                             prop_assert_eq!(g.full_tag, w.1);
-                            prop_assert_eq!(g.data.as_slice(), &w.2[..]);
+                            prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
                         }
                     }
                     // Wildcard source (tag pinned).
@@ -1119,7 +1125,7 @@ mod tests {
                         if let (Some(g), Some(w)) = (got, want) {
                             prop_assert_eq!(g.src, w.0);
                             prop_assert_eq!(g.full_tag, w.1);
-                            prop_assert_eq!(g.data.as_slice(), &w.2[..]);
+                            prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
                         }
                     }
                     // Full wildcard.
@@ -1130,7 +1136,7 @@ mod tests {
                         if let (Some(g), Some(w)) = (got, want) {
                             prop_assert_eq!(g.src, w.0);
                             prop_assert_eq!(g.full_tag, w.1);
-                            prop_assert_eq!(g.data.as_slice(), &w.2[..]);
+                            prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
                         }
                     }
                 }
@@ -1144,7 +1150,7 @@ mod tests {
                     (Some(g), Some(w)) => {
                         prop_assert_eq!(g.src, w.0);
                         prop_assert_eq!(g.full_tag, w.1);
-                        prop_assert_eq!(g.data.as_slice(), &w.2[..]);
+                        prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
                     }
                     _ => break,
                 }

@@ -3,7 +3,7 @@
 //! Mirrors the MPI predefined operations used by the paper's benchmarks
 //! (`MPI_SUM` etc.): commutative, associative element-wise combiners.
 
-use crate::datatype::Word;
+use crate::datatype::{Ghost, Word};
 
 /// A scalar type usable in reductions.
 pub trait Numeric: Word {
@@ -50,6 +50,29 @@ macro_rules! impl_numeric_float {
 }
 
 impl_numeric_float!(f32, f64);
+
+/// Reducing ghosts does nothing: there are no values to combine, and no
+/// virtual clock is charged for a fold.
+impl<const N: usize> Numeric for Ghost<N> {
+    fn zero() -> Self {
+        Ghost
+    }
+    fn one() -> Self {
+        Ghost
+    }
+    fn add(self, _: Self) -> Self {
+        Ghost
+    }
+    fn mul(self, _: Self) -> Self {
+        Ghost
+    }
+    fn max_val(self, _: Self) -> Self {
+        Ghost
+    }
+    fn min_val(self, _: Self) -> Self {
+        Ghost
+    }
+}
 
 /// A predefined reduction operation (the MPI_Op of a collective call).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -19,6 +19,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::comm::Comm;
 use crate::datatype::{decode_into, encode_into, Word};
+use crate::msg::Tag;
+use crate::payload::Payload;
 use crate::reduce::{Numeric, Op};
 
 /// Exposed memory regions, one per rank, shared across the SPMD world the
@@ -47,8 +49,8 @@ pub struct Window<'c> {
     /// Dedicated tags for the PSCW handshakes, fixed at creation so that
     /// `post`/`start` and `complete`/`wait` pair up across ranks
     /// regardless of how many epochs each rank has run.
-    post_tag: crate::msg::Tag,
-    complete_tag: crate::msg::Tag,
+    post_tag: Tag,
+    complete_tag: Tag,
 }
 
 impl<'c> Window<'c> {
@@ -63,8 +65,8 @@ impl<'c> Window<'c> {
         // regions, every member receives the same Arc through the
         // runtime's collective rendezvous.
         let storage = WindowExchange::establish(comm, n, bytes);
-        let post_tag = comm.next_coll_tag_public();
-        let complete_tag = comm.next_coll_tag_public();
+        let post_tag = comm.next_coll_tag();
+        let complete_tag = comm.next_coll_tag();
         Window {
             comm,
             storage,
@@ -145,7 +147,7 @@ impl<'c> Window<'c> {
     /// *before* `start`, as MPI programs must.
     pub fn start(&self, targets: &[usize]) {
         for &t in targets {
-            let _ = self.comm.recv_bytes_public(t, self.post_tag);
+            self.await_token(t, self.post_tag);
         }
     }
 
@@ -153,8 +155,7 @@ impl<'c> Window<'c> {
     /// that this origin's accesses are done.
     pub fn complete(&self, targets: &[usize]) {
         for &t in targets {
-            self.comm
-                .send_bytes_public(Vec::new(), t, self.complete_tag);
+            self.signal(t, self.complete_tag);
         }
     }
 
@@ -162,7 +163,7 @@ impl<'c> Window<'c> {
     /// Non-blocking.
     pub fn post(&self, origins: &[usize]) {
         for &o in origins {
-            self.comm.send_bytes_public(Vec::new(), o, self.post_tag);
+            self.signal(o, self.post_tag);
         }
     }
 
@@ -170,8 +171,19 @@ impl<'c> Window<'c> {
     /// origin has completed.
     pub fn wait(&self, origins: &[usize]) {
         for &o in origins {
-            let _ = self.comm.recv_bytes_public(o, self.complete_tag);
+            self.await_token(o, self.complete_tag);
         }
+    }
+
+    /// Sends the zero-byte token of an epoch transition to `peer`.
+    fn signal(&self, peer: usize, tag: Tag) {
+        self.comm
+            .send_payload(Payload::encode::<u8>(&[]), peer, tag);
+    }
+
+    /// Blocks until `peer`'s token arrives.
+    fn await_token(&self, peer: usize, tag: Tag) {
+        crate::coop::block_on(self.comm.recv_payload_async(peer, tag));
     }
 
     // ------------------------------------------------------------------
@@ -216,25 +228,6 @@ impl WindowExchange {
                 locks: (0..n).map(|_| Mutex::new(())).collect(),
             })
         })
-    }
-}
-
-// The rendezvous plumbing lives on Comm (see comm.rs) because it needs
-// the world handle; re-exported trait-style helpers below keep rma.rs
-// self-contained.
-
-impl Comm {
-    /// Internal: reserve a collective tag (public-for-module wrapper).
-    pub(crate) fn next_coll_tag_public(&self) -> crate::msg::Tag {
-        self.next_coll_tag()
-    }
-
-    pub(crate) fn send_bytes_public(&self, data: Vec<u8>, dst: usize, tag: crate::msg::Tag) {
-        self.send_bytes(data, dst, tag);
-    }
-
-    pub(crate) fn recv_bytes_public(&self, src: usize, tag: crate::msg::Tag) -> Vec<u8> {
-        self.recv_bytes(src, tag)
     }
 }
 

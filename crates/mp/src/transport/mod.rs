@@ -550,6 +550,15 @@ impl RemoteWorld {
     pub(crate) fn send_data(&self, dst: usize, msg: &Message) {
         debug_assert!(!self.resident(dst));
         debug_assert!(msg.arrival.is_none(), "virtual worlds are single-process");
+        let payload = msg.data.bytes().unwrap_or_else(|| {
+            panic!(
+                "mp transport: length-only payload of {} bytes from rank {} to rank {dst}, tag \
+                 {:#x} cannot be framed: ghost words never leave their process",
+                msg.data.len(),
+                msg.src,
+                msg.full_tag & 0xFFFF_FFFF,
+            )
+        });
         let frame = Frame {
             kind: FrameKind::Data,
             epoch: self.epoch,
@@ -557,7 +566,7 @@ impl RemoteWorld {
             a: msg.src as u64,
             b: dst as u64,
             c: msg.full_tag,
-            payload: msg.data.as_slice().to_vec(),
+            payload: payload.to_vec(),
         };
         self.sess.data_sent.fetch_add(1, Ordering::Release);
         self.sess
@@ -930,6 +939,34 @@ mod tests {
             assert!(t.proc_of(r) >= t.proc_of(r - 1));
         }
         assert_eq!(t.resident_ranks(), vec![2, 3, 4]);
+    }
+
+    /// Ghost words have no bytes to frame: a length-only payload bound
+    /// for another process stops at the transport, named.
+    #[test]
+    #[should_panic(
+        expected = "length-only payload of 32 bytes from rank 0 to rank 1, tag 0x7 cannot be framed"
+    )]
+    fn a_length_only_payload_never_reaches_a_frame() {
+        let remote = RemoteWorld {
+            sess: Arc::new(Session {
+                topo: Topology::explicit(vec![0, 1], 2, 0),
+                backend: Backend::Local,
+                transport: Box::new(local::LocalTransport),
+                state: Mutex::new(SessState::default()),
+                cv: Condvar::new(),
+                data_sent: AtomicU64::new(0),
+                data_recvd: AtomicU64::new(0),
+            }),
+            epoch: 0,
+        };
+        let msg = Message {
+            src: 0,
+            full_tag: crate::msg::pack_tag(0, 7),
+            data: Payload::encode(&[crate::Ghost::<8>; 4]),
+            arrival: None,
+        };
+        remote.send_data(1, &msg);
     }
 
     #[test]

@@ -5,9 +5,17 @@
 //! (supplied by the `machines` crate's models): sends advance the
 //! sender's virtual clock by its overhead, receives advance the
 //! receiver's clock to the message's simulated arrival, and compute
-//! phases are charged explicitly via [`Comm::v_compute`]. The program's
-//! real data still moves — results stay bit-identical to a native run —
-//! while [`Comm::v_time`] reads the timeline of the modelled machine.
+//! phases are charged explicitly via [`Comm::v_compute`], while
+//! [`Comm::v_time`] reads the timeline of the modelled machine.
+//!
+//! What moves is decided per message by its word type, here as in every
+//! mode: real words move real bytes — results stay bit-identical to a
+//! native run, which is what HPCC's virtual mode verifies residuals on —
+//! and [`Ghost`](crate::Ghost) words move lengths only, priced the same,
+//! which is what IMB's virtual mode runs on since it checks no result.
+//! Virtual time is not a reason to skip the bytes (this module's own
+//! [`Comm::v_sync_async`] reduces a real `f64` among ghost traffic), so
+//! no world flag does.
 //!
 //! This is a third execution mode alongside native timing and
 //! schedule-replay simulation, and the integration tests use it to
@@ -95,13 +103,13 @@ impl Comm {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::run_virtual_coop;
     use std::sync::Arc;
 
     /// A fixed-cost test net: latency 10 us, 1 GB/s, full overlap.
-    struct TestNet;
+    pub(crate) struct TestNet;
 
     impl VirtualNet for TestNet {
         fn p2p(&self, _s: usize, _d: usize, bytes: u64, ready: Time) -> P2pCost {
@@ -164,6 +172,32 @@ mod tests {
             clocks.iter().all(|c| c.as_us() > 0.0),
             "allreduce costs time"
         );
+    }
+
+    #[test]
+    fn ghost_words_keep_every_clock_and_move_no_bytes() {
+        // The same program over real and over ghost words: the nets see
+        // the same messages, so every clock agrees to the bit.
+        async fn program<B: crate::Word, F: crate::Numeric>(comm: Comm) {
+            let n = comm.size();
+            let mut bytes = vec![B::ZERO; 100_000];
+            comm.bcast_async(&mut bytes, 1).await;
+            let mut gathered = vec![B::ZERO; 100_000 * n];
+            comm.allgather_async(&bytes, &mut gathered).await;
+            let mut v = vec![F::one(); 8192];
+            comm.allreduce_async(&mut v, crate::Op::Sum).await;
+            comm.v_sync_async().await;
+        }
+        for n in [3, 8] {
+            let (_, real) = run_virtual_coop(n, Box::new(TestNet), program::<u8, f64>);
+            let (_, ghost) = run_virtual_coop(
+                n,
+                Box::new(TestNet),
+                program::<crate::Ghost<1>, crate::Ghost<8>>,
+            );
+            assert_eq!(real, ghost, "n={n}");
+            assert!(ghost[0].as_us() > 0.0);
+        }
     }
 
     #[test]

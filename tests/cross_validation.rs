@@ -175,3 +175,38 @@ fn hpcc_verifies_under_virtual_execution() {
     );
     assert!(clocks.iter().any(|c| c.as_us() > 0.0));
 }
+
+/// Ghost words run the real program: Bcast, Allreduce and Alltoall over
+/// `mp::Ghost`s put the transfers on the wire that `u8`/`f64` put there —
+/// the same (src, dst, bytes) under tracing and, rank by rank in program
+/// order, the same (dst, communicator, tag, bytes) sends and matched
+/// receives under the checker — at sizes on both sides of every dispatch.
+#[test]
+fn ghost_word_traces_equal_real_word_traces() {
+    use mp::{Ghost, Numeric, Op, Word};
+    async fn program<B: Word, F: Numeric>(comm: mp::Comm, bytes: usize) {
+        let n = comm.size();
+        let mut buf = vec![B::ZERO; bytes];
+        comm.bcast_async(&mut buf, n / 2).await;
+        let mut v = vec![F::one(); bytes / 8];
+        comm.allreduce_async(&mut v, Op::Sum).await;
+        let send = vec![B::ZERO; bytes * n];
+        let mut recv = vec![B::ZERO; bytes * n];
+        comm.alltoall_async(&send, &mut recv).await;
+    }
+    for n in [3, 8, 12] {
+        for bytes in [24, 4096, 128 << 10] {
+            let (_, real) = mp::run_traced_coop(n, |c| program::<u8, f64>(c, bytes));
+            let (_, ghost) = mp::run_traced_coop(n, |c| program::<Ghost<1>, Ghost<8>>(c, bytes));
+            assert!(!real.is_empty());
+            assert_eq!(sorted(ghost), sorted(real), "n={n} bytes={bytes}");
+
+            let settings = mp::check::Settings::default;
+            let real = mp::run_checked_coop(n, settings(), |c| program::<u8, f64>(c, bytes));
+            let ghost =
+                mp::run_checked_coop(n, settings(), |c| program::<Ghost<1>, Ghost<8>>(c, bytes));
+            assert!(ghost.results.is_some() && ghost.log.leftover.is_empty());
+            assert_eq!(ghost.log.events, real.log.events, "n={n} bytes={bytes}");
+        }
+    }
+}

@@ -83,16 +83,62 @@ fn native_results_are_value_deterministic() {
     );
 }
 
+/// Virtual IMB moves ghost words: lengths, no bytes. The same body over
+/// real `u8`/`f64` words — every buffer allocated, every payload copied
+/// and reduced — sends the same messages in the same order, so each
+/// record must come out bit for bit the same, over every dispatch the
+/// sizes reach (Bruck at 24 B on 16 ranks, recursive doubling and ring,
+/// binomial and van de Geijn, Rabenseifner and its fallbacks). The golden
+/// digest was computed at the commit before ghost words existed, when
+/// real words were the only kind.
+#[test]
+fn ghost_words_reproduce_real_word_virtual_records() {
+    const PROCS: [usize; 4] = [2, 5, 8, 16];
+    const BYTES: [u64; 4] = [0, 24, 64 << 10, (1 << 20) + 256];
+    const GOLDEN: u64 = 0x41d8_baa0_ea56_ad93;
+    let machine = machines::systems::dell_xeon();
+    let runner = harness::Runner::fixed(2);
+    let bits = |r: &harness::Record| {
+        let s = r.stats;
+        let times = [r.value, s.t_min_us, s.t_avg_us, s.t_max_us].map(f64::to_bits);
+        (
+            r.identity(),
+            r.machine,
+            r.mode,
+            s.repetitions,
+            times,
+            r.passed,
+        )
+    };
+    let mut h = FNV_OFFSET;
+    for bench in imb::Benchmark::ALL {
+        for (procs, bytes) in PROCS.iter().flat_map(|&p| BYTES.map(|b| (p, b))) {
+            let ghost = imb::run_virtual_with(&machine, bench, procs, bytes, &runner);
+            let real = imb::virtual_run::run_virtual_with_real_words(
+                &machine, bench, procs, bytes, &runner,
+            );
+            assert_eq!(bits(&ghost), bits(&real), "{bench} p={procs} {bytes} B");
+            assert!(ghost.passed && ghost.t_min_us() > 0.0, "{bench} p={procs}");
+            fnv1a(&mut h, &bits(&ghost).4);
+        }
+    }
+    assert_eq!(h, GOLDEN, "{h:#018x}");
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(h: &mut u64, words: &[u64]) {
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
 /// FNV-1a over the shape of each schedule: rank and round counts, then
 /// every `(round, src, dst, bytes)` and `(round, rank, work bytes)` in
 /// emission order.
 fn digest(schedules: &[simnet::Schedule]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut push = |words: &[u64]| {
-        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut push = |words: &[u64]| fnv1a(&mut h, words);
     for s in schedules {
         push(&[s.nranks as u64, s.rounds.len() as u64]);
         for (i, round) in s.rounds.iter().enumerate() {
