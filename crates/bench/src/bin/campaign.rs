@@ -18,8 +18,9 @@
 //! ```
 //!
 //! Full mode replays the paper's simulated campaign over every machine
-//! variant and regenerates all tables and figures from the same registry
-//! (`hpcbench::output::write_all`). Smoke mode exercises every execution
+//! variant and regenerates all tables and figures out of the records it
+//! has just produced (`hpcbench::output::write_from`; a cell the plan did
+//! not cover, under `--workloads` say, is priced then). Smoke mode exercises every execution
 //! path — native, simulated and virtual — on a small cross product so CI
 //! proves all three routes stay wired through the registry and Runner.
 //!
@@ -488,8 +489,8 @@ fn main() {
     }
 
     // Smoke keeps CI fast: records only, the figure sweep has its own test
-    // coverage. The full campaign regenerates the paper artefacts from the
-    // same registry the records came from.
+    // coverage. The full campaign regenerates the paper artefacts from
+    // the records it already holds.
     if with_figures && !smoke {
         let cfg = OutputConfig {
             out_dir,
@@ -500,7 +501,7 @@ fn main() {
             with_extensions: true,
             verbose: true,
         };
-        let report = output::write_all(&cfg).expect("write figure artefacts");
+        let report = output::write_from(&cfg, &records).expect("write figure artefacts");
         println!("done: {}", report.display());
     }
 }

@@ -1,18 +1,23 @@
 //! Regeneration of every figure and table in the paper's evaluation.
 //!
-//! | id | paper content | data source |
+//! | id | paper content | projection of |
 //! |----|----|----|
-//! | table1, table2 | architecture tables | `machines::tables` |
-//! | fig01-fig04 | random-ring / STREAM balance vs HPL | `hpcc::sim` sweeps |
-//! | fig05, table3 | HPL-normalised benchmark comparison | `ratios::kiviat_row` |
-//! | fig06-fig15 | IMB collectives / transfers at 1 MB | `imb::sim` sweeps |
+//! | table1, table2 | architecture tables | `machines::tables` (no records) |
+//! | fig01-fig04 | random-ring / STREAM balance vs HPL | every point of the HPCC sweep ([`balance_figures`]) |
+//! | fig05, table3 | HPL-normalised benchmark comparison | the last point of the five paper systems' HPCC sweeps ([`kiviat_rows_from`]) |
+//! | fig06-fig15 | IMB collectives / transfers at 1 MB | the IMB sweep, one benchmark each (`IMB_FIGURES`) |
 //!
-//! Every sweep routes through the unified workload registry
-//! ([`crate::registry`]) and the harness campaign driver
-//! ([`harness::RunPlan`]); the figures are projections of the resulting
-//! [`harness::Record`] streams.
+//! [`paper_records`] builds the one record set all of these read: every
+//! `(workload, machine, procs, bytes)` cell priced once through the
+//! workload registry ([`crate::registry`]), or taken from records the
+//! caller already has. [`figures_from`] and [`tables_from`] project it
+//! and price nothing. The per-figure entry points (`fig06(&cfg)`,
+//! `hpcc_sweeps(&cfg)`, ...) price just their own cells and project
+//! those — convenient for one figure, wasteful for several, which is what
+//! [`crate::output`] and the `_from` forms are for. The high-rank
+//! extension figures at the end keep their own [`harness::RunPlan`]s.
 
-use harness::{MetricKind, Mode, ProcGrid, RunPlan, Runner};
+use harness::{MetricKind, Mode, ProcGrid, Record, Registry, RunPlan, Runner, Suite};
 use machines::{systems, Machine};
 use simnet::units::MIB;
 
@@ -91,6 +96,188 @@ fn imb_grid(m: &Machine, cap: usize) -> Vec<usize> {
     grid
 }
 
+/// Figs. 1-4 as `(id, title, y label, y of a balance point)`; x is G-HPL.
+type BalanceFigure = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&ratios::BalancePoint) -> f64,
+);
+const BALANCE_FIGURES: [BalanceFigure; 4] = [
+    (
+        "fig01",
+        "Accumulated random ring bandwidth versus HPL performance",
+        "Accumulated random ring bandwidth (GB/s)",
+        |b| b.accum_ring_bw,
+    ),
+    (
+        "fig02",
+        "Accumulated random ring bandwidth ratio versus HPL performance",
+        "Random ring bandwidth / HPL (B/kFlop)",
+        |b| b.b_per_kflop,
+    ),
+    (
+        "fig03",
+        "Accumulated EP stream copy versus HPL performance",
+        "Accumulated EP STREAM copy (GB/s)",
+        |b| b.accum_stream,
+    ),
+    (
+        "fig04",
+        "Accumulated EP stream copy ratio versus HPL performance",
+        "STREAM copy / HPL (B/F)",
+        |b| b.stream_b_per_flop,
+    ),
+];
+
+/// Figs. 6-15 as `(id, benchmark, title)`: every one plots its benchmark
+/// at `imb_bytes` over [`imb_machines`] x [`imb_grid`].
+type ImbFigure = (&'static str, imb::Benchmark, &'static str);
+const IMB_FIGURES: [ImbFigure; 10] = {
+    use imb::Benchmark as B;
+    [
+        (
+            "fig06",
+            B::Barrier,
+            "Execution time of Barrier Benchmark (us/call)",
+        ),
+        (
+            "fig07",
+            B::Allreduce,
+            "Execution time of Allreduce Benchmark for 1 MB message (us/call)",
+        ),
+        (
+            "fig08",
+            B::Reduce,
+            "Execution time of Reduction Benchmark, 1 MB message (us/call)",
+        ),
+        (
+            "fig09",
+            B::ReduceScatter,
+            "Execution time of Reduce_scatter Benchmark, 1 MB message (us/call)",
+        ),
+        (
+            "fig10",
+            B::Allgather,
+            "Execution time of Allgather Benchmark, 1 MB message (us/call)",
+        ),
+        (
+            "fig11",
+            B::Allgatherv,
+            "Execution time of Allgatherv Benchmark, 1 MB message (us/call)",
+        ),
+        (
+            "fig12",
+            B::Alltoall,
+            "Execution time of AlltoAll Benchmark, 1 MB message (us/call)",
+        ),
+        (
+            "fig13",
+            B::Sendrecv,
+            "Bandwidth of Sendrecv Benchmark, 1 MB message (MB/s)",
+        ),
+        (
+            "fig14",
+            B::Exchange,
+            "Bandwidth of Exchange Benchmark, 1 MB message (MB/s)",
+        ),
+        (
+            "fig15",
+            B::Bcast,
+            "Execution time of Broadcast Benchmark, 1 MB message (us/call)",
+        ),
+    ]
+};
+
+/// The machine variants plotted in the IMB figures (the five systems,
+/// with the Cray X1 in both MSP and SSP modes, as in the paper's plots).
+fn imb_machines() -> Vec<Machine> {
+    vec![
+        systems::altix_bx2(),
+        systems::cray_x1_msp(),
+        systems::cray_x1_ssp(),
+        systems::cray_opteron(),
+        systems::dell_xeon(),
+        systems::nec_sx8(),
+    ]
+}
+
+/// Whether `r` is the simulated record of grid point `(m, p, bytes)`.
+fn at(r: &Record, m: &Machine, p: usize, bytes: Option<u64>) -> bool {
+    r.mode == Mode::Simulated && r.machine == m.name && r.procs == p && r.bytes == bytes
+}
+
+/// Prices one cell through the registry. A cell its workload does not
+/// admit has no records, as in a [`harness::RunPlan`].
+fn price(reg: &Registry, name: &str, m: &Machine, p: usize, bytes: Option<u64>) -> Vec<Record> {
+    let workload = reg.get(name).expect("figures name registry entries");
+    workload
+        .run(Mode::Simulated, &Runner::standard(), Some(m), p, bytes)
+        .unwrap_or_default()
+}
+
+/// The HPCC half of the record set: every component on every machine
+/// variant of Figs. 1-4 (including the Altix NUMALINK3 configuration) at
+/// every point of its [`hpcc_grid`]. Fig. 5 and Table 3 read the last
+/// point of the five paper systems out of the same records. A component
+/// `known` holds at a point (a run's first record carries its workload's
+/// name) is taken from there, any other is priced now.
+fn hpcc_records(reg: &Registry, cfg: &FigureConfig, known: &[Record]) -> Vec<Record> {
+    let mut out = Vec::new();
+    for m in systems::all_variants() {
+        for p in hpcc_grid(&m, cfg.max_procs) {
+            let first = out.len();
+            let here = |r: &&Record| r.suite == Suite::Hpcc && at(r, &m, p, None);
+            out.extend(known.iter().filter(here).copied());
+            for name in crate::registry::hpcc_names() {
+                if !out[first..].iter().any(|r| r.benchmark == name) {
+                    out.extend(price(reg, name, &m, p, None));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The IMB half of the record set: each of `figures`' benchmarks on
+/// every [`imb_machines`] variant at every point of its [`imb_grid`],
+/// taken from `known` where it holds the cell and priced otherwise.
+fn imb_records(
+    reg: &Registry,
+    cfg: &FigureConfig,
+    figures: &[ImbFigure],
+    known: &[Record],
+) -> Vec<Record> {
+    let mut out = Vec::new();
+    for &(_, benchmark, _) in figures {
+        let bytes = benchmark.sized().then_some(cfg.imb_bytes);
+        for m in imb_machines() {
+            for p in imb_grid(&m, cfg.max_procs) {
+                let name = benchmark.name();
+                match known
+                    .iter()
+                    .find(|r| r.benchmark == name && at(r, &m, p, bytes))
+                {
+                    Some(r) => out.push(*r),
+                    None => out.extend(price(reg, name, &m, p, bytes)),
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The one record set behind Table 3 and Figs. 1-15: every simulated
+/// cell they read, each exactly once. Cells `known` already holds (a
+/// campaign's records, say) are taken from it; every other cell is priced
+/// through `reg`, so a partial `known` costs time, never a missing point.
+/// Nothing outlives the call: asking again prices again.
+pub fn paper_records(reg: &Registry, cfg: &FigureConfig, known: &[Record]) -> Vec<Record> {
+    let mut set = hpcc_records(reg, cfg, known);
+    set.extend(imb_records(reg, cfg, &IMB_FIGURES, known));
+    set
+}
+
 /// One machine's HPCC sweep.
 #[derive(Clone, Debug)]
 pub struct HpccSweep {
@@ -100,122 +287,77 @@ pub struct HpccSweep {
     pub rows: Vec<hpcc::HpccSummary>,
 }
 
-/// Runs the HPCC model sweep for every machine variant of Figs. 1-4
-/// (including the Altix NUMALINK3 configuration).
-pub fn hpcc_sweeps(cfg: &FigureConfig) -> Vec<HpccSweep> {
-    let reg = crate::registry::registry();
+/// The HPCC sweeps in a record set laid out as [`paper_records`] lays it
+/// out: per machine variant, one summary per run of HPCC records at one
+/// processor count.
+pub fn hpcc_sweeps_from(set: &[Record]) -> Vec<HpccSweep> {
     systems::all_variants()
         .into_iter()
         .map(|machine| {
-            let grid = hpcc_grid(&machine, cfg.max_procs);
-            let plan = RunPlan {
-                backend: harness::Backend::Local,
-                modes: vec![Mode::Simulated],
-                machines: vec![machine.clone()],
-                procs: ProcGrid::List(grid.clone()),
-                bytes: vec![],
-                workloads: Some(crate::registry::hpcc_names()),
-                runner: Runner::standard(),
-            };
-            let records = plan.execute(&reg);
-            let rows = grid
+            let mine: Vec<Record> = set
                 .iter()
-                .map(|&p| {
-                    let at_p: Vec<_> = records.iter().filter(|r| r.procs == p).copied().collect();
-                    hpcc::HpccSummary::from_records(&at_p)
-                })
+                .filter(|r| r.suite == Suite::Hpcc && r.machine == machine.name)
+                .copied()
+                .collect();
+            let rows = mine
+                .chunk_by(|a, b| a.procs == b.procs)
+                .map(hpcc::HpccSummary::from_records)
                 .collect();
             HpccSweep { machine, rows }
         })
         .collect()
 }
 
-fn balance_figure(
-    id: &'static str,
-    title: &str,
-    ylabel: &str,
-    sweeps: &[HpccSweep],
-    f: impl Fn(&ratios::BalancePoint) -> f64,
-) -> Figure {
-    Figure {
-        id,
-        title: title.to_string(),
-        xlabel: "HPL Gflop/s".into(),
-        ylabel: ylabel.into(),
-        series: sweeps
-            .iter()
-            .map(|sw| Series {
-                name: sw.machine.name.to_string(),
-                points: sw
-                    .rows
-                    .iter()
-                    .map(|s| {
-                        let b = ratios::balance_point(s);
-                        (b.hpl_gflops, f(&b))
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
+/// Prices the HPCC model sweep of Figs. 1-5 and Table 3.
+pub fn hpcc_sweeps(cfg: &FigureConfig) -> Vec<HpccSweep> {
+    hpcc_sweeps_from(&hpcc_records(&crate::registry(), cfg, &[]))
 }
 
-/// Fig. 1: accumulated random-ring bandwidth versus HPL performance.
-pub fn fig01_from(sweeps: &[HpccSweep]) -> Figure {
-    balance_figure(
-        "fig01",
-        "Accumulated random ring bandwidth versus HPL performance",
-        "Accumulated random ring bandwidth (GB/s)",
-        sweeps,
-        |b| b.accum_ring_bw,
-    )
-}
-
-/// Fig. 2: accumulated random-ring bandwidth ratio versus HPL.
-pub fn fig02_from(sweeps: &[HpccSweep]) -> Figure {
-    balance_figure(
-        "fig02",
-        "Accumulated random ring bandwidth ratio versus HPL performance",
-        "Random ring bandwidth / HPL (B/kFlop)",
-        sweeps,
-        |b| b.b_per_kflop,
-    )
-}
-
-/// Fig. 3: accumulated EP-STREAM copy versus HPL performance.
-pub fn fig03_from(sweeps: &[HpccSweep]) -> Figure {
-    balance_figure(
-        "fig03",
-        "Accumulated EP stream copy versus HPL performance",
-        "Accumulated EP STREAM copy (GB/s)",
-        sweeps,
-        |b| b.accum_stream,
-    )
-}
-
-/// Fig. 4: accumulated EP-STREAM copy ratio versus HPL performance.
-pub fn fig04_from(sweeps: &[HpccSweep]) -> Figure {
-    balance_figure(
-        "fig04",
-        "Accumulated EP stream copy ratio versus HPL performance",
-        "STREAM copy / HPL (B/F)",
-        sweeps,
-        |b| b.stream_b_per_flop,
-    )
+/// Figs. 1-4 — accumulated random-ring bandwidth and EP-STREAM copy, and
+/// their ratios to HPL, versus HPL performance — one series per sweep.
+pub fn balance_figures(sweeps: &[HpccSweep]) -> Vec<Figure> {
+    BALANCE_FIGURES
+        .iter()
+        .map(|&(id, title, ylabel, y)| Figure {
+            id,
+            title: title.to_string(),
+            xlabel: "HPL Gflop/s".into(),
+            ylabel: ylabel.into(),
+            series: sweeps
+                .iter()
+                .map(|sw| Series {
+                    name: sw.machine.name.to_string(),
+                    points: sw
+                        .rows
+                        .iter()
+                        .map(|s| {
+                            let b = ratios::balance_point(s);
+                            (b.hpl_gflops, y(&b))
+                        })
+                        .collect(),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 /// The Kiviat rows behind Fig. 5 / Table 3: each of the five paper
-/// systems at its largest configuration.
+/// systems at its largest configuration, the last point of its sweep.
 ///
 /// As in the paper, "the global ratios of systems with over 1 TFlop/s
 /// HPL performance are plotted" — the globally-measured columns (G-FFTE,
 /// G-Ptrans, G-RandomAccess) are blanked for smaller systems, whose
 /// easier scaling would otherwise give them "an undue advantage".
-pub fn kiviat_rows(cfg: &FigureConfig) -> Vec<ratios::KiviatRow> {
+pub fn kiviat_rows_from(sweeps: &[HpccSweep]) -> Vec<ratios::KiviatRow> {
     systems::paper_systems()
         .iter()
         .map(|m| {
-            let p = *hpcc_grid(m, cfg.max_procs).last().unwrap();
-            let mut row = ratios::kiviat_row(m, &hpcc::sim::summary(m, p));
+            let largest = sweeps
+                .iter()
+                .find(|sw| sw.machine.name == m.name)
+                .and_then(|sw| sw.rows.last())
+                .expect("the sweeps cover every paper system");
+            let mut row = ratios::kiviat_row(m, largest);
             if row.values[0] < 1.0 {
                 // values[0] is G-HPL in TF/s; columns 2/3/7 are the
                 // global-measurement ratios.
@@ -228,10 +370,15 @@ pub fn kiviat_rows(cfg: &FigureConfig) -> Vec<ratios::KiviatRow> {
         .collect()
 }
 
+/// [`kiviat_rows_from`] a freshly priced sweep.
+pub fn kiviat_rows(cfg: &FigureConfig) -> Vec<ratios::KiviatRow> {
+    kiviat_rows_from(&hpcc_sweeps(cfg))
+}
+
 /// Fig. 5: all benchmarks normalised with the HPL value, column maxima
 /// scaled to 1.
-pub fn fig05(cfg: &FigureConfig) -> Table {
-    let (rows, _) = ratios::normalise(&kiviat_rows(cfg));
+pub fn fig05_from(rows: &[ratios::KiviatRow]) -> Table {
+    let (rows, _) = ratios::normalise(rows);
     Table {
         id: "fig05",
         title: "Comparison of all the benchmarks normalized with HPL value".into(),
@@ -250,8 +397,8 @@ pub fn fig05(cfg: &FigureConfig) -> Table {
 }
 
 /// Table 3: the per-column maxima behind Fig. 5.
-pub fn table3(cfg: &FigureConfig) -> Table {
-    let (_, maxima) = ratios::normalise(&kiviat_rows(cfg));
+pub fn table3_from(rows: &[ratios::KiviatRow]) -> Table {
+    let (_, maxima) = ratios::normalise(rows);
     Table {
         id: "table3",
         title: "Ratio values corresponding to 1 in Fig. 5".into(),
@@ -262,6 +409,16 @@ pub fn table3(cfg: &FigureConfig) -> Table {
             .map(|(c, v)| vec![c.to_string(), fmt_num(*v)])
             .collect(),
     }
+}
+
+/// [`fig05_from`] a freshly priced sweep.
+pub fn fig05(cfg: &FigureConfig) -> Table {
+    fig05_from(&kiviat_rows(cfg))
+}
+
+/// [`table3_from`] a freshly priced sweep.
+pub fn table3(cfg: &FigureConfig) -> Table {
+    table3_from(&kiviat_rows(cfg))
 }
 
 /// Table 1: architecture parameters of the SGI Altix BX2.
@@ -319,39 +476,14 @@ pub fn table2() -> Table {
     }
 }
 
-/// The machine variants plotted in the IMB figures (the five systems,
-/// with the Cray X1 in both MSP and SSP modes, as in the paper's plots).
-fn imb_machines() -> Vec<Machine> {
-    vec![
-        systems::altix_bx2(),
-        systems::cray_x1_msp(),
-        systems::cray_x1_ssp(),
-        systems::cray_opteron(),
-        systems::dell_xeon(),
-        systems::nec_sx8(),
-    ]
-}
-
-fn imb_figure(
-    id: &'static str,
-    benchmark: imb::Benchmark,
-    title: &str,
-    cfg: &FigureConfig,
-) -> Figure {
-    let reg = crate::registry::registry();
-    let cap = cfg.max_procs;
-    let plan = RunPlan {
-        backend: harness::Backend::Local,
-        modes: vec![Mode::Simulated],
-        machines: imb_machines(),
-        procs: ProcGrid::per_workload(move |m, _| {
-            imb_grid(m.expect("simulated sweeps resolve per machine"), cap)
-        }),
-        bytes: vec![cfg.imb_bytes],
-        workloads: Some(vec![benchmark.name()]),
-        runner: Runner::standard(),
-    };
-    let records = plan.execute(&reg);
+/// One of Figs. 6-15 out of a record set: a series per machine, in the
+/// set's order, of its benchmark's records.
+fn imb_figure_from(&(id, benchmark, title): &ImbFigure, set: &[Record]) -> Figure {
+    let records: Vec<Record> = set
+        .iter()
+        .filter(|r| r.benchmark == benchmark.name())
+        .copied()
+        .collect();
     let ylabel = match benchmark.metric() {
         MetricKind::BandwidthMBs => "bandwidth (MB/s)",
         _ => "time per call (us)",
@@ -361,104 +493,60 @@ fn imb_figure(
     figure_from_records(id, title, "processes", ylabel, &records, |r| r.value)
 }
 
+/// One of Figs. 6-15, pricing its own benchmark only.
+fn imb_figure(figure: &ImbFigure, cfg: &FigureConfig) -> Figure {
+    let set = imb_records(&crate::registry(), cfg, std::slice::from_ref(figure), &[]);
+    imb_figure_from(figure, &set)
+}
+
 /// Fig. 6: execution time of the Barrier benchmark.
 pub fn fig06(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig06",
-        imb::Benchmark::Barrier,
-        "Execution time of Barrier Benchmark (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[0], cfg)
 }
 
 /// Fig. 7: Allreduce, 1 MB.
 pub fn fig07(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig07",
-        imb::Benchmark::Allreduce,
-        "Execution time of Allreduce Benchmark for 1 MB message (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[1], cfg)
 }
 
 /// Fig. 8: Reduce, 1 MB.
 pub fn fig08(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig08",
-        imb::Benchmark::Reduce,
-        "Execution time of Reduction Benchmark, 1 MB message (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[2], cfg)
 }
 
 /// Fig. 9: Reduce_scatter, 1 MB.
 pub fn fig09(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig09",
-        imb::Benchmark::ReduceScatter,
-        "Execution time of Reduce_scatter Benchmark, 1 MB message (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[3], cfg)
 }
 
 /// Fig. 10: Allgather, 1 MB.
 pub fn fig10(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig10",
-        imb::Benchmark::Allgather,
-        "Execution time of Allgather Benchmark, 1 MB message (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[4], cfg)
 }
 
 /// Fig. 11: Allgatherv, 1 MB.
 pub fn fig11(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig11",
-        imb::Benchmark::Allgatherv,
-        "Execution time of Allgatherv Benchmark, 1 MB message (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[5], cfg)
 }
 
 /// Fig. 12: AlltoAll, 1 MB.
 pub fn fig12(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig12",
-        imb::Benchmark::Alltoall,
-        "Execution time of AlltoAll Benchmark, 1 MB message (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[6], cfg)
 }
 
 /// Fig. 13: Sendrecv bandwidth, 1 MB.
 pub fn fig13(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig13",
-        imb::Benchmark::Sendrecv,
-        "Bandwidth of Sendrecv Benchmark, 1 MB message (MB/s)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[7], cfg)
 }
 
 /// Fig. 14: Exchange bandwidth, 1 MB.
 pub fn fig14(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig14",
-        imb::Benchmark::Exchange,
-        "Bandwidth of Exchange Benchmark, 1 MB message (MB/s)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[8], cfg)
 }
 
 /// Fig. 15: Broadcast, 1 MB.
 pub fn fig15(cfg: &FigureConfig) -> Figure {
-    imb_figure(
-        "fig15",
-        imb::Benchmark::Bcast,
-        "Execution time of Broadcast Benchmark, 1 MB message (us/call)",
-        cfg,
-    )
+    imb_figure(&IMB_FIGURES[9], cfg)
 }
 
 /// The high-rank scaling grid: the top three octaves below the
@@ -561,30 +649,28 @@ pub fn highrank_figures(cfg: &FigureConfig) -> Vec<Figure> {
     vec![fig_highrank_collectives(cfg), fig_highrank_hpcc(cfg)]
 }
 
-/// Every figure of the paper, in order.
-pub fn all_figures(cfg: &FigureConfig) -> Vec<Figure> {
-    let sweeps = hpcc_sweeps(cfg);
-    vec![
-        fig01_from(&sweeps),
-        fig02_from(&sweeps),
-        fig03_from(&sweeps),
-        fig04_from(&sweeps),
-        fig06(cfg),
-        fig07(cfg),
-        fig08(cfg),
-        fig09(cfg),
-        fig10(cfg),
-        fig11(cfg),
-        fig12(cfg),
-        fig13(cfg),
-        fig14(cfg),
-        fig15(cfg),
-    ]
+/// Every figure of the paper, in order, out of a record set.
+pub fn figures_from(set: &[Record]) -> Vec<Figure> {
+    let mut figures = balance_figures(&hpcc_sweeps_from(set));
+    figures.extend(IMB_FIGURES.iter().map(|f| imb_figure_from(f, set)));
+    figures
 }
 
-/// Every table of the paper (Fig. 5 is tabular here), in order.
+/// Every table of the paper (Fig. 5 is tabular here), in order, out of a
+/// record set.
+pub fn tables_from(set: &[Record]) -> Vec<Table> {
+    let rows = kiviat_rows_from(&hpcc_sweeps_from(set));
+    vec![table1(), table2(), fig05_from(&rows), table3_from(&rows)]
+}
+
+/// [`figures_from`] a freshly priced record set.
+pub fn all_figures(cfg: &FigureConfig) -> Vec<Figure> {
+    figures_from(&paper_records(&crate::registry(), cfg, &[]))
+}
+
+/// [`tables_from`] a freshly priced HPCC sweep.
 pub fn all_tables(cfg: &FigureConfig) -> Vec<Table> {
-    vec![table1(), table2(), fig05(cfg), table3(cfg)]
+    tables_from(&hpcc_records(&crate::registry(), cfg, &[]))
 }
 
 #[cfg(test)]
@@ -605,6 +691,12 @@ mod tests {
     #[test]
     fn quick_figures_have_all_series() {
         let cfg = FigureConfig::quick();
+        let by_number: [fn(&FigureConfig) -> Figure; 10] = [
+            fig06, fig07, fig08, fig09, fig10, fig11, fig12, fig13, fig14, fig15,
+        ];
+        for (n, figure) in (6..).zip(by_number) {
+            assert_eq!(figure(&cfg).id, format!("fig{n:02}"));
+        }
         let f = fig12(&cfg);
         assert_eq!(f.series.len(), 6);
         for s in &f.series {
@@ -618,9 +710,9 @@ mod tests {
     #[test]
     fn quick_balance_figures_are_consistent() {
         let cfg = FigureConfig::quick();
-        let sweeps = hpcc_sweeps(&cfg);
-        let f1 = fig01_from(&sweeps);
-        let f2 = fig02_from(&sweeps);
+        let figures = balance_figures(&hpcc_sweeps(&cfg));
+        let (f1, f2) = (&figures[0], &figures[1]);
+        assert_eq!((f1.id, f2.id), ("fig01", "fig02"));
         assert_eq!(f1.series.len(), 7, "five systems + X1 SSP + Altix NL3");
         // fig2 = fig1 / HPL * 1000 pointwise.
         for (s1, s2) in f1.series.iter().zip(&f2.series) {

@@ -7,9 +7,9 @@
 //! * [`registry`] declares the unified workload table — one entry per
 //!   HPCC component and per IMB benchmark — wiring each to its native,
 //!   simulated and virtual execution paths through the `harness` crate.
-//! * [`figures`] regenerates every table and figure of the paper by
-//!   executing [`harness::RunPlan`] campaigns against the registry and
-//!   projecting the resulting [`harness::Record`] streams.
+//! * [`figures`] regenerates every table and figure of the paper: one
+//!   set of [`harness::Record`]s priced through the registry, each cell
+//!   once, and every table and figure a projection of it.
 //! * [`ratios`] implements the paper's ratio-based analysis (Section
 //!   4.1): communication/computation balance and the HPL-normalised
 //!   Kiviat comparison.

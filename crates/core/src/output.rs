@@ -1,12 +1,17 @@
 //! Output stage shared by the `figures` and `campaign` binaries: writes
 //! every regenerated table and figure (CSV + SVG + combined markdown
-//! report) into a directory. The logic used to live in the `figures`
-//! binary; hoisting it here lets the campaign driver regenerate the
-//! paper's artefacts from one invocation.
+//! report) into a directory. One call builds one record set
+//! ([`figures::paper_records`]) and every table and figure of the paper is
+//! a projection of it, so no cell is priced twice — not by two artefacts
+//! that share it (Fig. 5 and Table 3 read the last points of the sweep
+//! behind Figs. 1-4), and not by a campaign that has priced it already
+//! ([`write_from`]).
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use harness::{Record, Registry};
 
 use crate::extensions;
 use crate::figures::{self, FigureConfig};
@@ -37,10 +42,30 @@ impl OutputConfig {
     }
 }
 
-/// Writes all tables, figures, extensions and the combined `report.md`.
-/// Returns the path of the written report.
+/// Writes all tables, figures, extensions and the combined `report.md`,
+/// pricing every cell they read once. Returns the path of the written
+/// report.
 pub fn write_all(cfg: &OutputConfig) -> io::Result<PathBuf> {
+    write_from(cfg, &[])
+}
+
+/// [`write_all`] for a caller that holds records already: a cell `known`
+/// covers is read from it, any other is priced, and the files come out
+/// byte for byte the same either way.
+pub fn write_from(cfg: &OutputConfig, known: &[Record]) -> io::Result<PathBuf> {
+    write_with(&crate::registry(), cfg, known)
+}
+
+fn write_with(reg: &Registry, cfg: &OutputConfig, known: &[Record]) -> io::Result<PathBuf> {
     fs::create_dir_all(&cfg.out_dir)?;
+    if cfg.verbose {
+        println!(
+            "pricing tables and figures (max_procs = {}, {} records in hand) ...",
+            cfg.figures.max_procs,
+            known.len()
+        );
+    }
+    let set = figures::paper_records(reg, &cfg.figures, known);
     let mut report = String::from(
         "# Regenerated tables and figures\n\nSaini et al., *Performance evaluation of \
          supercomputers using HPCC and IMB Benchmarks* — simulated reproduction.\n\n",
@@ -49,7 +74,7 @@ pub fn write_all(cfg: &OutputConfig) -> io::Result<PathBuf> {
     if cfg.verbose {
         println!("writing tables ...");
     }
-    for table in figures::all_tables(&cfg.figures) {
+    for table in figures::tables_from(&set) {
         fs::write(
             cfg.out_dir.join(format!("{}.csv", table.id)),
             table.to_csv(),
@@ -62,12 +87,9 @@ pub fn write_all(cfg: &OutputConfig) -> io::Result<PathBuf> {
     }
 
     if cfg.verbose {
-        println!(
-            "writing figures (max_procs = {}) ...",
-            cfg.figures.max_procs
-        );
+        println!("writing figures ...");
     }
-    for fig in figures::all_figures(&cfg.figures) {
+    for fig in figures::figures_from(&set) {
         write_figure(&cfg.out_dir, &fig)?;
         report.push_str(&fig.to_markdown());
         report.push('\n');
@@ -113,17 +135,67 @@ fn write_figure(dir: &Path, fig: &crate::Figure) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
+
+    use harness::{Mode, Runner, Workload};
+
+    fn quick(dir: &Path) -> OutputConfig {
+        OutputConfig {
+            out_dir: dir.to_path_buf(),
+            figures: FigureConfig::quick(),
+            with_extensions: false,
+            verbose: false,
+        }
+    }
+
+    /// The whole tree is written from a registry whose every simulated
+    /// entry counts its calls before handing over to the real one: each
+    /// `(workload, machine, procs, bytes)` runs once per `write_all`,
+    /// again on the next call (nothing is remembered between calls), and
+    /// not at all when the caller brings the records.
+    #[test]
+    fn every_cell_is_priced_once_per_call() {
+        type Cell = (&'static str, &'static str, usize, Option<u64>);
+        let real = Arc::new(crate::registry());
+        let runs: Arc<Mutex<HashMap<Cell, usize>>> = Arc::default();
+        let mut counting = Registry::new();
+        for w in real.iter() {
+            let (real, runs, name) = (Arc::clone(&real), Arc::clone(&runs), w.meta.name);
+            counting.register(Workload::new(w.meta).simulated(move |m, p, bytes| {
+                *runs
+                    .lock()
+                    .unwrap()
+                    .entry((name, m.name, p, bytes))
+                    .or_default() += 1;
+                let entry = real.get(name).expect("same names");
+                entry
+                    .run(Mode::Simulated, &Runner::standard(), Some(m), p, bytes)
+                    .expect("admitted once, admitted again")
+            }));
+        }
+        let dir = std::env::temp_dir().join(format!("hpcbench-once-{}", std::process::id()));
+        let cfg = quick(&dir);
+        let all = |n: usize| runs.lock().unwrap().values().all(|&c| c == n);
+
+        write_with(&counting, &cfg, &[]).unwrap();
+        let set = figures::paper_records(&real, &cfg.figures, &[]);
+        let cells = set.iter().filter(|r| real.get(r.benchmark).is_some());
+        assert_eq!(runs.lock().unwrap().len(), cells.count());
+        assert!(all(1), "a cell was priced twice in one call");
+
+        write_with(&counting, &cfg, &[]).unwrap();
+        assert!(all(2), "the second call must price again");
+
+        write_with(&counting, &cfg, &set).unwrap();
+        assert!(all(2), "a cell the caller brought was priced anyway");
+        fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn quick_output_writes_report_and_core_artefacts() {
         let dir = std::env::temp_dir().join(format!("hpcbench-out-{}", std::process::id()));
-        let cfg = OutputConfig {
-            out_dir: dir.clone(),
-            figures: FigureConfig::quick(),
-            with_extensions: false,
-            verbose: false,
-        };
-        let report = write_all(&cfg).unwrap();
+        let report = write_all(&quick(&dir)).unwrap();
         assert!(report.ends_with("report.md"));
         let text = fs::read_to_string(&report).unwrap();
         assert!(text.contains("fig12"));

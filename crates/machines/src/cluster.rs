@@ -95,6 +95,11 @@ impl ClusterSim {
         rank / self.machine.node.cpus
     }
 
+    /// Every rank's clock.
+    pub fn clocks(&self) -> Vec<Time> {
+        self.clocks.borrow().clone()
+    }
+
     /// Current virtual time (the maximum rank clock).
     pub fn time(&self) -> Time {
         self.clocks
@@ -146,9 +151,29 @@ impl ClusterSim {
 
     /// Prices one point-to-point message without touching the rank
     /// clocks — the entry point for virtual execution, where the `mp`
-    /// runtime owns the clocks.
+    /// runtime owns the clocks. Nothing is retired on this path: the
+    /// clocks here stay where they were and say nothing about the
+    /// caller's ready times, so the caller reports its own horizon
+    /// through [`retire_before`](Self::retire_before).
     pub fn price_p2p(&self, src: usize, dst: usize, bytes: u64, ready: Time) -> P2pCost {
         self.p2p(&mut self.res.borrow_mut(), src, dst, bytes, ready)
+    }
+
+    /// Retires every fabric and shared-memory timeline before `t`: the
+    /// caller promises that no later message is ready before `t` (see
+    /// [`simnet::Resource::retire_before`]). Prices are unchanged.
+    pub fn retire_before(&self, t: Time) {
+        let res = &mut *self.res.borrow_mut();
+        res.fabric.retire_before(t);
+        for r in &mut res.shm {
+            r.retire_before(t);
+        }
+    }
+
+    /// Busy intervals held over every timeline (what retirement bounds).
+    pub fn fragments(&self) -> usize {
+        let res = self.res.borrow();
+        res.fabric.fragments() + res.shm.iter().map(Resource::fragments).sum::<usize>()
     }
 
     /// Rate at which one CPU streams reduction arithmetic, bytes/s.
@@ -160,8 +185,23 @@ impl ClusterSim {
     }
 
     /// Replays `schedule` from the current clocks; returns the completion
-    /// time (maximum clock after the schedule).
+    /// time (maximum clock after the schedule). Every round first retires
+    /// the timelines behind the minimum rank clock, which nothing later
+    /// can be ready before: the clocks only ever rise (`advance`, `sync`
+    /// and replay all move them forward; `reset` clears the timelines
+    /// with them).
     pub fn run(&self, schedule: &Schedule) -> Time {
+        self.replay(schedule, true)
+    }
+
+    /// [`run`](Self::run) with every timeline kept whole: the oracle the
+    /// tests hold retirement to, clock for clock.
+    #[doc(hidden)]
+    pub fn run_keeping_timelines(&self, schedule: &Schedule) -> Time {
+        self.replay(schedule, false)
+    }
+
+    fn replay(&self, schedule: &Schedule, retire: bool) -> Time {
         assert_eq!(schedule.nranks, self.nranks, "schedule rank count mismatch");
         let mut clocks = self.clocks.borrow_mut();
         let reduce_bw = self.reduce_bw();
@@ -170,6 +210,11 @@ impl ClusterSim {
             &mut clocks,
             |src, dst, bytes, ready| self.p2p(&mut self.res.borrow_mut(), src, dst, bytes, ready),
             |_rank, bytes, start| start + Time::from_secs(bytes as f64 / reduce_bw),
+            |horizon| {
+                if retire {
+                    self.retire_before(horizon);
+                }
+            },
         )
     }
 

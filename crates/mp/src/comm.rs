@@ -184,6 +184,7 @@ impl Comm {
             let ready = clock.get();
             let cost = net.p2p(gsrc, gdst, data.len() as u64, ready);
             clock.set(ready.max(cost.sender_done));
+            self.world.priced_one(net.as_ref());
             cost.arrival
         });
         let msg = Message {

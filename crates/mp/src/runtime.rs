@@ -17,6 +17,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -138,6 +139,8 @@ pub(crate) struct World {
     pub virtual_net: Option<Box<dyn VirtualNet>>,
     /// Per-rank virtual clocks (empty for native runs).
     pub virtual_clocks: Vec<Clock>,
+    /// Messages priced since the net last heard the minimum clock.
+    virtual_priced: AtomicUsize,
     /// Instrumentation registry of a checked run (None otherwise).
     pub inspector: Option<Arc<Inspector>>,
     /// Schedule controller of a controlled cooperative run (None
@@ -176,6 +179,7 @@ impl World {
             rendezvous_cv: Condvar::new(),
             virtual_net: None,
             virtual_clocks: Vec::new(),
+            virtual_priced: AtomicUsize::new(0),
             inspector,
             controller,
             remote: None,
@@ -187,6 +191,26 @@ impl World {
     pub(crate) fn price_with(&mut self, net: Box<dyn VirtualNet>) {
         self.virtual_net = Some(net);
         self.virtual_clocks = (0..self.n).map(|_| Clock::default()).collect();
+    }
+
+    /// Counts one priced message and, every world-size messages, tells
+    /// `net` the minimum rank clock ([`VirtualNet::retire_before`]): an
+    /// O(ranks) minimum every O(ranks) messages, O(1) a message. The
+    /// count is a cadence and publishes nothing: a plain load and store
+    /// (no read-modify-write on the per-message path) can only lose a
+    /// step under concurrent senders, which delays a report, and a
+    /// horizon read late is only lower than it could be — so relaxed
+    /// ordering suffices throughout.
+    pub(crate) fn priced_one(&self, net: &dyn VirtualNet) {
+        let priced = self.virtual_priced.load(Ordering::Relaxed) + 1;
+        if priced < self.n {
+            self.virtual_priced.store(priced, Ordering::Relaxed);
+            return;
+        }
+        self.virtual_priced.store(0, Ordering::Relaxed);
+        let clocks = self.virtual_clocks.iter().map(Clock::get);
+        let horizon = clocks.reduce(Time::min).expect("a priced world has ranks");
+        net.retire_before(horizon);
     }
 
     /// The run log of a finished instrumented world: its event rings, the

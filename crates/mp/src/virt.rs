@@ -47,6 +47,15 @@ pub trait VirtualNet: Send + Sync {
 
     /// Prices a memory-streaming phase of `bytes` on one rank.
     fn stream(&self, bytes: f64) -> Time;
+
+    /// Hears the minimum virtual clock over all ranks, once every
+    /// world-size messages. A rank's clock never goes back and a message
+    /// is ready at its sender's clock, so no later [`p2p`](Self::p2p) is
+    /// ready before `min_clock` — a rank blocked in a receive, or
+    /// finished, only holds the minimum lower than it need be. A net that
+    /// keeps timelines may forget them behind it; one that keeps none
+    /// ignores the call.
+    fn retire_before(&self, _min_clock: Time) {}
 }
 
 /// One rank's virtual clock. Only the owning rank writes it (sends
@@ -152,6 +161,60 @@ pub(crate) mod tests {
             "clock {} vs {expect}",
             clocks[0].as_us()
         );
+    }
+
+    #[test]
+    fn the_net_hears_the_minimum_clock_every_world_size_messages() {
+        use parking_lot::Mutex;
+
+        /// `TestNet`, logging every ready time and every horizon heard.
+        #[derive(Default)]
+        struct Listening {
+            ready: Mutex<Vec<Time>>,
+            heard: Mutex<Vec<(usize, Time)>>,
+        }
+        struct ArcNet(Arc<Listening>);
+        impl VirtualNet for ArcNet {
+            fn p2p(&self, s: usize, d: usize, bytes: u64, ready: Time) -> P2pCost {
+                self.0.ready.lock().push(ready);
+                TestNet.p2p(s, d, bytes, ready)
+            }
+            fn compute(&self, flops: f64, eff: f64) -> Time {
+                TestNet.compute(flops, eff)
+            }
+            fn stream(&self, bytes: f64) -> Time {
+                TestNet.stream(bytes)
+            }
+            fn retire_before(&self, min_clock: Time) {
+                let priced = self.0.ready.lock().len();
+                self.0.heard.lock().push((priced, min_clock));
+            }
+        }
+
+        let (n, rounds) = (6usize, 10usize);
+        let log = Arc::new(Listening::default());
+        run_virtual_coop(
+            n,
+            Box::new(ArcNet(Arc::clone(&log))),
+            move |comm| async move {
+                let (r, n) = (comm.rank(), comm.size());
+                let mut got = [0u8; 64];
+                for _ in 0..rounds {
+                    comm.send(&[r as u8; 64], (r + 1) % n, 7);
+                    comm.recv_async(&mut got, (r + n - 1) % n, 7).await;
+                }
+            },
+        );
+        let (ready, heard) = (log.ready.lock(), log.heard.lock());
+        assert_eq!(ready.len(), n * rounds);
+        let at: Vec<usize> = heard.iter().map(|&(priced, _)| priced).collect();
+        assert_eq!(at, (1..=rounds).map(|k| k * n).collect::<Vec<_>>());
+        for &(priced, horizon) in heard.iter() {
+            assert!(ready[priced..].iter().all(|&r| r >= horizon));
+        }
+        // The ring moves every clock, so the horizon really advances.
+        assert!(heard.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(heard.last().expect("heard").1 > Time::ZERO);
     }
 
     #[test]

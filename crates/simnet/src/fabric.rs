@@ -169,10 +169,7 @@ impl Fabric {
     /// Traffic statistics since construction or the last [`reset`](Self::reset).
     pub fn stats(&self) -> FabricStats {
         let max_busy = self
-            .inject
-            .iter()
-            .chain(self.eject.iter())
-            .chain(self.links.iter())
+            .resources()
             .map(|r| r.busy_time().as_secs())
             .fold(0.0, f64::max);
         FabricStats {
@@ -207,14 +204,42 @@ impl Fabric {
         all
     }
 
-    /// Clears all occupancy timelines and counters.
-    pub fn reset(&mut self) {
-        for r in self
-            .inject
+    /// Every NIC and link resource.
+    fn resources(&self) -> impl Iterator<Item = &Resource> {
+        self.inject
+            .iter()
+            .chain(self.eject.iter())
+            .chain(self.links.iter())
+    }
+
+    /// Every NIC and link resource, mutably.
+    fn resources_mut(&mut self) -> impl Iterator<Item = &mut Resource> {
+        self.inject
             .iter_mut()
             .chain(self.eject.iter_mut())
             .chain(self.links.iter_mut())
-        {
+    }
+
+    /// Retires every resource's timeline before `t` (see
+    /// [`Resource::retire_before`]): the caller promises that no later
+    /// [`transfer`](Self::transfer) is ready before `t`. Every reserve a
+    /// transfer makes is ready at or after the transfer itself, so the
+    /// promise carries to each resource on its route. Prices and
+    /// [`stats`](Self::stats) are unchanged; only memory is given back.
+    pub fn retire_before(&mut self, t: Time) {
+        for r in self.resources_mut() {
+            r.retire_before(t);
+        }
+    }
+
+    /// Busy intervals held over all resources (what retirement bounds).
+    pub fn fragments(&self) -> usize {
+        self.resources().map(Resource::fragments).sum()
+    }
+
+    /// Clears all occupancy timelines and counters.
+    pub fn reset(&mut self) {
+        for r in self.resources_mut() {
             r.reset();
         }
         self.transfers = 0;
@@ -335,6 +360,37 @@ mod tests {
         assert!(s.max_busy > 0.0);
         f.reset();
         assert_eq!(f.stats(), FabricStats::default());
+    }
+
+    #[test]
+    fn retirement_keeps_prices_and_stats() {
+        // Round after round of shifted all-pairs traffic, each round ready
+        // when the last one finished: one fabric retires behind that
+        // point every round, the other never does.
+        let thin = || Fabric::new(Box::new(FatTree::with_blocking(16, 2, 4.0)), params());
+        let (mut retired, mut kept) = (thin(), thin());
+        let mut ready = Time::ZERO;
+        for round in 0..4000u64 {
+            retired.retire_before(ready);
+            let mut done = ready;
+            for src in 0..16 {
+                let dst = (src + 1 + round as usize % 15) % 16;
+                let bytes = 1 + (round * 7919 + src as u64 * 104_729) % 50_000;
+                let a = retired.transfer(src, dst, bytes, ready);
+                assert_eq!(a, kept.transfer(src, dst, bytes, ready), "round {round}");
+                done = done.max(a);
+            }
+            // Leave idle gaps so the timelines fragment instead of merging.
+            ready = done + Time::from_us(1.0);
+        }
+        assert_eq!(retired.stats(), kept.stats());
+        assert_eq!(retired.hot_spots(5), kept.hot_spots(5));
+        assert!(
+            retired.fragments() * 4 < kept.fragments(),
+            "{} of {} intervals still held",
+            retired.fragments(),
+            kept.fragments()
+        );
     }
 
     #[test]

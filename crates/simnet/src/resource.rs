@@ -38,6 +38,11 @@ use crate::time::Time;
 ///   one chunk (≤ 8 KB) instead of the whole list, where the flat
 ///   `Vec` paid an O(n) shift each (`simnet.reserves_per_s` in
 ///   `BENCHMARK.json` times this pattern).
+///
+/// Chunks are also the unit of [retirement](Resource::retire_before): a
+/// driver whose ready times never go back behind a horizon drops the
+/// chunks that lie wholly before it, so a long run holds the window of
+/// its timeline that can still be hit instead of all of it.
 #[derive(Clone, Debug)]
 pub struct Resource {
     bandwidth: f64,
@@ -101,11 +106,26 @@ impl Resource {
         (Time::from_secs(start), Time::from_secs(end))
     }
 
-    /// Number of disjoint busy intervals in the occupancy timeline (a
-    /// fragmentation gauge).
+    /// Number of disjoint busy intervals the occupancy timeline holds (a
+    /// fragmentation gauge; retired intervals no longer count).
     #[inline]
     pub fn fragments(&self) -> usize {
         self.intervals.len()
+    }
+
+    /// Drops every whole chunk of the timeline that ends at or before
+    /// `t`. The caller promises that no later [`reserve`](Self::reserve)
+    /// is ready before `t`; first-fit starts its scan at the first
+    /// interval ending *after* the ready time, so such a reserve never
+    /// reads what is dropped and every grant stays what it would have
+    /// been. (A new interval starting exactly where a dropped one ended
+    /// is stored on its own instead of merged — the same occupancy.) The
+    /// last chunk always stays: it carries the high-water mark. The
+    /// `busy_time`/`served_bytes`/`reservations` counters are totals and
+    /// are not touched.
+    #[inline]
+    pub fn retire_before(&mut self, t: Time) {
+        self.intervals.retire_before(t.as_secs());
     }
 
     /// The end of the last reservation (the timeline's high-water mark).
@@ -159,6 +179,20 @@ impl Chunks {
     /// End of the last interval (the high-water mark), if any.
     fn last_end(&self) -> Option<f64> {
         self.chunks.last().map(|c| c.last().expect("non-empty").1)
+    }
+
+    /// Drops the leading chunks whose last interval ends at or before
+    /// `t`, never the last chunk.
+    #[inline]
+    fn retire_before(&mut self, t: f64) {
+        // Most timelines a fabric-wide sweep visits are a single chunk.
+        let Some((_, older @ [oldest, ..])) = self.chunks.split_last() else {
+            return;
+        };
+        if oldest.last().expect("non-empty").1 <= t {
+            let dead = older.partition_point(|c| c.last().expect("non-empty").1 <= t);
+            self.chunks.drain(..dead);
+        }
     }
 
     /// Splits chunk `ci` in two if an insert pushed it past capacity.
@@ -447,6 +481,73 @@ mod tests {
             assert!(!c.is_empty(), "empty chunk left behind");
             assert!(c.len() <= MAX_CHUNK, "chunk overgrew its capacity");
         }
+    }
+
+    /// Retirement is invisible: with a horizon that ready times never go
+    /// back behind, a timeline retired at random points up to the horizon
+    /// grants exactly what the never-retired oracle grants, and its totals
+    /// and high-water mark equal a never-retired `Resource`'s.
+    #[test]
+    fn retirement_changes_no_grant() {
+        let mut retired = Resource::new(1e9);
+        let mut kept = Resource::new(1e9);
+        let mut naive = NaiveTimeline {
+            intervals: Vec::new(),
+        };
+        let mut state = 0x1319_8a2e_0370_7344u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        // The horizon creeps forward; ready times jitter over a window
+        // 2000 services wide ahead of it, so the timeline fragments and
+        // backfills mid-window while everything behind the horizon dies.
+        let mut horizon_us = 0.0f64;
+        let mut retirements = 0;
+        for i in 0..60_000u64 {
+            horizon_us += (next() % 9) as f64;
+            if next() % 64 == 0 {
+                // Anywhere at or behind the horizon is a sound argument.
+                let t = horizon_us * (next() % 1001) as f64 / 1000.0;
+                let before = retired.intervals.chunks.len();
+                retired.retire_before(Time::from_us(t));
+                retirements += usize::from(retired.intervals.chunks.len() < before);
+            }
+            let ready = Time::from_us(horizon_us + (next() % 8000) as f64);
+            let bytes = 1 + next() % 4096;
+            let (s, e) = retired.reserve(ready, bytes);
+            kept.reserve(ready, bytes);
+            let (ns, ne) = naive.reserve(ready.as_secs(), bytes as f64 / 1e9);
+            assert_eq!(s.as_secs().to_bits(), ns.to_bits(), "start diverged at {i}");
+            assert_eq!(e.as_secs().to_bits(), ne.to_bits(), "end diverged at {i}");
+        }
+        assert_eq!(kept.fragments(), naive.intervals.len());
+        assert_eq!(retired.busy_time(), kept.busy_time());
+        assert_eq!(retired.served_bytes(), kept.served_bytes());
+        assert_eq!(retired.reservations(), kept.reservations());
+        assert_eq!(retired.next_free(), kept.next_free());
+        assert!(retirements > 10, "only {retirements} calls dropped a chunk");
+        assert!(
+            retired.fragments() * 4 < kept.fragments(),
+            "{} of {} intervals still held",
+            retired.fragments(),
+            kept.fragments()
+        );
+        for c in &retired.intervals.chunks {
+            assert!(!c.is_empty() && c.len() <= MAX_CHUNK);
+        }
+
+        // A horizon past everything keeps the last chunk, and with it the
+        // high-water mark.
+        retired.retire_before(Time::from_secs(1e6));
+        assert_eq!(retired.intervals.chunks.len(), 1);
+        assert_eq!(retired.next_free(), kept.next_free());
+        // And an empty timeline has nothing to retire.
+        let mut empty = Resource::new(1e9);
+        empty.retire_before(Time::from_secs(1.0));
+        assert_eq!(empty.fragments(), 0);
     }
 
     #[test]

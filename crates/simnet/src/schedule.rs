@@ -151,6 +151,12 @@ pub struct P2pCost {
 /// Both callbacks may carry mutable fabric state. Returns the completion
 /// time (the maximum clock over all ranks).
 ///
+/// `retire(t)` is told, at the start of every round, the minimum rank
+/// clock: clocks only rise and a send is ready no earlier than its
+/// sender's round-start clock, so no later `transfer` is ready before `t`
+/// and a pricer may forget its timelines behind it
+/// ([`Fabric::retire_before`](crate::Fabric::retire_before)).
+///
 /// Transfers within a round are *concurrent*: every send becomes ready at
 /// its sender's round-start clock (several sends by one rank in the same
 /// round serialise after one another), matching MPI semantics where a
@@ -159,22 +165,31 @@ pub struct P2pCost {
 /// structure of tree/ring/doubling collectives is preserved: a rank that
 /// receives in round *r* forwards in round *r+1* no earlier than its
 /// arrival.
-pub fn execute<FT, FW>(
+pub fn execute<FT, FW, FR>(
     schedule: &Schedule,
     clocks: &mut [Time],
     mut transfer: FT,
     mut work: FW,
+    mut retire: FR,
 ) -> Time
 where
     FT: FnMut(usize, usize, u64, Time) -> P2pCost,
     FW: FnMut(usize, u64, Time) -> Time,
+    FR: FnMut(Time),
 {
     assert_eq!(clocks.len(), schedule.nranks, "clock vector size mismatch");
     // Send cursors decouple this round's send readiness from this round's
     // arrivals; reused across rounds to avoid per-round allocation.
     let mut send_cursor: Vec<Time> = clocks.to_vec();
     for round in &schedule.rounds {
-        send_cursor.copy_from_slice(clocks);
+        // One pass over the clocks: this round's send cursors, and the
+        // horizon nothing later can be ready before.
+        let mut horizon = clocks.first().copied().unwrap_or(Time::ZERO);
+        for (cursor, &clock) in send_cursor.iter_mut().zip(clocks.iter()) {
+            *cursor = clock;
+            horizon = horizon.min(clock);
+        }
+        retire(horizon);
         for t in &round.transfers {
             let cost = transfer(t.src, t.dst, t.bytes, send_cursor[t.src]);
             send_cursor[t.src] = send_cursor[t.src].max(cost.sender_done);
@@ -205,6 +220,8 @@ mod tests {
     fn no_work(_r: usize, _b: u64, start: Time) -> Time {
         start
     }
+
+    fn keep(_t: Time) {}
 
     #[test]
     fn schedule_accounting() {
@@ -262,7 +279,7 @@ mod tests {
             }]));
         }
         let mut clocks = vec![Time::ZERO; 4];
-        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), no_work);
+        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), no_work, keep);
         assert!((t.as_secs() - 3e-3).abs() < 1e-9);
     }
 
@@ -282,7 +299,7 @@ mod tests {
             },
         ]));
         let mut clocks = vec![Time::ZERO; 4];
-        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), no_work);
+        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), no_work, keep);
         assert!((t.as_secs() - 1e-3).abs() < 1e-9, "one round, not two");
     }
 
@@ -301,11 +318,38 @@ mod tests {
             }],
         });
         let mut clocks = vec![Time::ZERO; 2];
-        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), |_r, bytes, start| {
-            start + Time::from_secs(bytes as f64 / 1e8)
-        });
+        let work = |_r, bytes: u64, start| start + Time::from_secs(bytes as f64 / 1e8);
+        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), work, keep);
         let expected = 1000.0 / 1e9 + 1000.0 / 1e8;
         assert!((t.as_secs() - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn retire_hears_the_minimum_clock_before_every_round() {
+        // 0 -> 1 -> 2 with rank 3 idle: the horizon is the idle rank's
+        // clock, and no transfer is ever ready before the last one heard.
+        let mut s = Schedule::new(4);
+        for i in 0..2 {
+            s.push(Round::of(vec![Transfer {
+                src: i,
+                dst: i + 1,
+                bytes: 1_000_000,
+            }]));
+        }
+        let mut clocks = [3e-3, 2e-3, 1e-3, 5e-4].map(Time::from_secs);
+        let heard = std::cell::RefCell::new(Vec::new());
+        let mut price = fixed_cost(0.0, 1e9);
+        execute(
+            &s,
+            &mut clocks,
+            |src, dst, bytes, ready| {
+                assert!(ready >= *heard.borrow().last().expect("retire runs first"));
+                price(src, dst, bytes, ready)
+            },
+            no_work,
+            |t| heard.borrow_mut().push(t),
+        );
+        assert_eq!(*heard.borrow(), [Time::from_secs(5e-4); 2]);
     }
 
     #[test]

@@ -28,8 +28,9 @@ fn main() {
         println!();
     }
 
-    println!("\n{}", figures::fig05(&cfg).to_markdown());
-    println!("{}", figures::table3(&cfg).to_markdown());
+    let kiviat = figures::kiviat_rows_from(&sweeps);
+    println!("\n{}", figures::fig05_from(&kiviat).to_markdown());
+    println!("{}", figures::table3_from(&kiviat).to_markdown());
 
     // Headline findings of Section 5.1.
     let by_name = |name: &str| {

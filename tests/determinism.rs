@@ -127,10 +127,98 @@ fn ghost_words_reproduce_real_word_virtual_records() {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv1a(h: &mut u64, words: &[u64]) {
-    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+fn fnv1a_bytes(h: &mut u64, bytes: impl IntoIterator<Item = u8>) {
+    for b in bytes {
         *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
+}
+
+fn fnv1a(h: &mut u64, words: &[u64]) {
+    fnv1a_bytes(h, words.iter().flat_map(|w| w.to_le_bytes()));
+}
+
+/// Every file of a written tree, by name: `(name, body)`.
+fn tree(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("the tree was written")
+        .map(|entry| {
+            let path = entry.expect("readable entry").path();
+            let name = path.file_name().expect("a file").to_string_lossy();
+            (
+                name.into_owned(),
+                std::fs::read(&path).expect("readable file"),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Tables and figures are projections of one record set, and a caller's
+/// own records stand in for any part of it: the tree `write_all` writes is
+/// the tree the commit before this wrote with every artefact pricing its
+/// own cells (the golden FNV-1a over each file's name, length and body, in
+/// name order, was computed there), `write_from` a campaign's records
+/// writes the same files, and so does `write_from` a campaign that left
+/// workloads out — the cells of Fig. 12 (Alltoall), the G-FFTE column of
+/// Fig. 5 / Table 3 (G-FFT) and the x axis of Figs. 1-4 (G-HPL) are then
+/// priced by the call instead of read, never dropped.
+#[test]
+fn one_record_set_writes_the_same_tree() {
+    use hpcbench::output::{write_all, write_from, OutputConfig};
+    const GOLDEN: u64 = 0x9d81_386c_2397_ed22;
+    let scratch = std::env::temp_dir().join(format!("hpcbench-tree-{}", std::process::id()));
+    let cfg = |sub: &str| OutputConfig {
+        out_dir: scratch.join(sub),
+        figures: FigureConfig::quick(),
+        with_extensions: false,
+        verbose: false,
+    };
+
+    write_all(&cfg("priced")).unwrap();
+    let priced = tree(&scratch.join("priced"));
+    assert_eq!(priced.len(), 33, "4 tables, 14 figures twice, one report");
+    let mut h = FNV_OFFSET;
+    for (name, body) in &priced {
+        fnv1a_bytes(&mut h, name.bytes());
+        fnv1a(&mut h, &[body.len() as u64]);
+        fnv1a_bytes(&mut h, body.iter().copied());
+    }
+    assert_eq!(h, GOLDEN, "{h:#018x}");
+
+    // `campaign`'s paper plan at this scale: every workload on every
+    // machine variant at the powers of two from 2.
+    let quick = FigureConfig::quick();
+    let campaign = |workloads| harness::RunPlan {
+        backend: harness::Backend::Local,
+        modes: vec![harness::Mode::Simulated],
+        machines: machines::systems::all_variants(),
+        procs: harness::ProcGrid::Pow2Through(quick.max_procs),
+        bytes: vec![quick.imb_bytes],
+        workloads,
+        runner: harness::Runner::standard(),
+    };
+    let registry = hpcbench::registry();
+    let full = campaign(None).execute(&registry);
+    write_from(&cfg("full"), &full).unwrap();
+    assert!(
+        tree(&scratch.join("full")) == priced,
+        "a full campaign's records"
+    );
+
+    let kept: Vec<&'static str> = registry
+        .iter()
+        .map(|w| w.meta.name)
+        .filter(|name| !["Alltoall", "G-FFT", "G-HPL"].contains(name))
+        .collect();
+    let partial = campaign(Some(kept)).execute(&registry);
+    assert!(partial.len() < full.len());
+    write_from(&cfg("partial"), &partial).unwrap();
+    assert!(
+        tree(&scratch.join("partial")) == priced,
+        "a filtered campaign's records"
+    );
+    std::fs::remove_dir_all(&scratch).ok();
 }
 
 /// FNV-1a over the shape of each schedule: rank and round counts, then
