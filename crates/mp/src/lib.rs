@@ -58,6 +58,6 @@ pub use datatype::{Ghost, Word};
 pub use msg::{Tag, MAX_USER_TAG};
 pub use reduce::{Numeric, Op};
 pub use rma::Window;
-pub use runtime::{run, run_traced};
+pub use runtime::{receives_spin, run, run_traced, waiting_regime};
 pub use transport::{Backend, Proc};
 pub use virt::VirtualNet;

@@ -7,12 +7,18 @@
 //! fronts in true arrival order. Blocked receivers register in a
 //! posted-receive table; a matching send fills the oldest matching posted
 //! receive in place, under the one mailbox lock, and wakes its receiver:
-//! the parked waker of a cooperative task, or the mailbox condvar when the
-//! owning rank's thread is parked on it. A mailbox is only ever waited on
-//! by the rank that owns it, so one condvar per mailbox wakes exactly the
-//! receiver — and a send to a world with no parked thread (every
-//! cooperative world) costs no allocation, no second lock and no
-//! `notify` syscall per receive.
+//! the parked waker of a cooperative task, the wake word a rank thread is
+//! watching, or the mailbox condvar when that thread is parked on it. A
+//! mailbox is only ever waited on by the rank that owns it, so one word
+//! and one condvar per mailbox wake exactly the receiver — and a send to
+//! a world with no waiting thread (every cooperative world) costs no
+//! allocation, no second lock, no atomic write and no `notify` syscall
+//! per receive.
+//!
+//! A rank thread waits *spin-then-park* (see
+//! [`wait_ticket`](Mailbox::wait_ticket)): it watches the wake word for
+//! [`SPIN_BUDGET`] before it parks, so a short message never pays a futex
+//! wake — when, and only when, the world's ranks each have a CPU.
 //!
 //! Posted receives may also carry a destination byte buffer sized to the
 //! expected message: a large send that finds such a posted receive encodes
@@ -23,11 +29,12 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::check::{Event, Inspector, LaneInfo, WaitOn};
 use crate::coop::{ScheduleController, WildcardCandidate};
@@ -38,6 +45,19 @@ use crate::payload::Payload;
 /// Wake interval of instrumented waits: short enough that a detector
 /// poison is noticed promptly, long enough to stay off the hot path.
 const INSTRUMENTED_WAIT_SLICE: Duration = Duration::from_millis(25);
+
+/// How long a rank thread watches its mailbox's wake word before it parks
+/// on the condvar, in a world whose ranks each have a CPU (the runtime
+/// hands a mailbox this or zero, see `runtime::receives_spin`). A park and
+/// its cross-CPU futex wake cost about 16 µs on the 2-vCPU reference
+/// container, so the budget is three of them: a reply that is on its way
+/// is caught (8 B ping-pong 17.8 → 1.8 µs), a peer that is busy computing
+/// costs its waiter 50 µs of one CPU and then nothing. Not a tuning
+/// surface: 15, 50 and 200 µs measured the same.
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Wake-word polls between two reads of the clock while spinning.
+const SPIN_POLLS_PER_CLOCK_READ: u32 = 64;
 
 /// Default for how long a blocking receive waits before declaring a
 /// deadlock: generous in production builds, short under `cfg(test)` so a
@@ -55,8 +75,9 @@ const DEFAULT_DEADLOCK_TIMEOUT_SECS: u64 = 20;
 /// via the `MP_DEADLOCK_TIMEOUT_SECS` environment variable, which is read
 /// on *every* wait (not cached into a process-wide static): tests and
 /// long-running drivers may legitimately adjust the timeout between runs,
-/// and a stale first-read value would silently win. Unparsable values
-/// fall back to the default.
+/// and a stale first-read value would silently win. Once per wait, and
+/// only by a wait about to park — the read takes the process environment
+/// lock and allocates. Unparsable values fall back to the default.
 pub(crate) fn deadlock_timeout() -> Duration {
     let secs = std::env::var("MP_DEADLOCK_TIMEOUT_SECS")
         .ok()
@@ -139,6 +160,16 @@ struct Inner {
     /// just before a wait releases it, so a sender that fills a posted
     /// receive knows whether anyone needs the signal.
     parked: usize,
+    /// Threads watching the wake word, announced the same way: a sender
+    /// moves the word only when this is nonzero.
+    spinning: usize,
+    /// Times a rank thread announced itself and watched the wake word.
+    /// With `parked_waits`, the first entries of a per-world counter
+    /// block: plain counts under the lock the waiter already holds.
+    spun: u64,
+    /// Times a rank thread parked on the condvar (an instrumented wait
+    /// parks once per slice).
+    parked_waits: u64,
 }
 
 impl Inner {
@@ -304,13 +335,14 @@ impl Inner {
 
     /// Delivers `msg`: to the oldest matching posted receive if there is
     /// one (before lane insertion, so posted receives match in MPI
-    /// order), else onto its lane. Returns whether to signal the condvar.
+    /// order), else onto its lane. Returns whether a thread waiting on
+    /// the mailbox needs waking.
     fn enqueue(&mut self, msg: Message) -> bool {
         self.seq += 1;
         let arrived = Arrived { seq: self.seq, msg };
         if let Some(posted) = self.oldest_posted(arrived.msg.src, arrived.msg.full_tag) {
             posted.fill(arrived);
-            return self.parked > 0;
+            return self.parked + self.spinning > 0;
         }
         match self.lanes.entry((arrived.msg.src, arrived.msg.full_tag)) {
             Entry::Occupied(mut lane) => lane.get_mut().rest.push_back(arrived),
@@ -331,6 +363,15 @@ pub(crate) struct Mailbox {
     /// waiter is normally the owning rank's thread, but a communicator
     /// moved to a helper thread could add a second.
     ready: Condvar,
+    /// The wake word: moved, under the lock, when a posted receive is
+    /// filled while a thread has announced it is watching, and read by
+    /// that thread *outside* the lock. It publishes nothing — the watcher
+    /// retakes the lock before it looks at its ticket — so every access
+    /// is relaxed.
+    wake: AtomicU32,
+    /// How long a thread watches the wake word before it parks:
+    /// [`SPIN_BUDGET`], or zero in a world with more ranks than CPUs.
+    spin_budget: Duration,
     /// The owning rank (0 for standalone test mailboxes).
     rank: usize,
     /// Instrumentation registry of a checked run, if any.
@@ -356,22 +397,27 @@ pub(crate) struct Ticket {
 }
 
 impl Mailbox {
-    /// A standalone uninstrumented mailbox (unit tests).
+    /// A standalone uninstrumented mailbox whose waits park at once
+    /// (unit tests).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn new() -> Mailbox {
-        Mailbox::with_instrumentation(0, None, None)
+        Mailbox::with_instrumentation(0, None, None, Duration::ZERO)
     }
 
     /// A mailbox owned by `rank`, instrumented when `inspector` is set
-    /// and schedule-controlled when `controller` is set.
+    /// and schedule-controlled when `controller` is set, whose owner
+    /// spins for `spin_budget` before it parks.
     pub fn with_instrumentation(
         rank: usize,
         inspector: Option<Arc<Inspector>>,
         controller: Option<Arc<dyn ScheduleController>>,
+        spin_budget: Duration,
     ) -> Mailbox {
         Mailbox {
             inner: Mutex::new(Inner::default()),
             ready: Condvar::new(),
+            wake: AtomicU32::new(0),
+            spin_budget,
             rank,
             inspector,
             controller,
@@ -432,10 +478,51 @@ impl Mailbox {
     /// Delivers a message (called from the sending rank's thread): direct
     /// hand-off to the oldest matching posted receive, else lane-enqueue.
     pub fn push(&self, msg: Message) {
-        let signal = self.inner.lock().enqueue(msg);
-        if signal {
+        let mut inner = self.inner.lock();
+        if inner.enqueue(msg) {
+            self.wake_threads(inner);
+        }
+    }
+
+    /// Wakes the threads waiting on this mailbox once a posted receive
+    /// has been filled under `inner`: moves the wake word, still under
+    /// the lock, if any thread announced it is watching it, and signals
+    /// the condvar only if one is parked — a spinning receiver costs its
+    /// sender no syscall.
+    fn wake_threads(&self, inner: MutexGuard<'_, Inner>) {
+        if inner.spinning > 0 {
+            self.wake.fetch_add(1, Ordering::Relaxed);
+        }
+        let parked = inner.parked > 0;
+        drop(inner);
+        if parked {
             self.ready.notify_all();
         }
+    }
+
+    /// Watches the wake word until it moves away from `seen` (true) or
+    /// the spin budget runs out (false).
+    fn watch(&self, seen: u32) -> bool {
+        let start = Instant::now();
+        let mut polls = 0u32;
+        while self.wake.load(Ordering::Relaxed) == seen {
+            polls += 1;
+            if polls.is_multiple_of(SPIN_POLLS_PER_CLOCK_READ)
+                && start.elapsed() >= self.spin_budget
+            {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+        true
+    }
+
+    /// How often this mailbox's owner has watched the wake word and how
+    /// often it has parked: `(spun, parked_waits)`.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn wait_counts(&self) -> (u64, u64) {
+        let inner = self.inner.lock();
+        (inner.spun, inner.parked_waits)
     }
 
     /// Whether a sender has filled the posted receive behind ticket `id`
@@ -491,11 +578,7 @@ impl Mailbox {
         };
         posted.fill(arrived);
         inner.seq = seq;
-        let signal = inner.parked > 0;
-        drop(inner);
-        if signal {
-            self.ready.notify_all();
-        }
+        self.wake_threads(inner);
         true
     }
 
@@ -532,6 +615,22 @@ impl Mailbox {
     /// slices, checking the detector's poison flag on every wake: a
     /// diagnosed deadlock unwinds this rank with the diagnosis instead of
     /// waiting out the wall-clock timeout, which is demoted to a backstop.
+    ///
+    /// The wait is spin-then-park. Finding its ticket unfilled, the
+    /// thread announces itself under the lock, drops the lock and watches
+    /// the wake word for the mailbox's spin budget; only then does it
+    /// park, and everything the park path checks is reached at most one
+    /// budget later. Three reasons shape it. *A budget*, because a peer
+    /// that answers within microseconds is the common case worth a CPU
+    /// and a peer that does not is not. *Outside the lock*, because
+    /// [`rendezvous_send`](Mailbox::rendezvous_send) encodes up to 4 MiB
+    /// while holding it: a spinner that polled by locking would go to
+    /// sleep on the mutex instead. *Zero when ranks outnumber CPUs*,
+    /// because then the spinner holds the CPU its sender needs (two ranks
+    /// pinned to one CPU: a forced spin took the `native_mp` benchmark
+    /// pass from 0.92 s to 2.63 s) — so the runtime derives the budget
+    /// from the world, and this is one loop whose budget is sometimes
+    /// zero.
     pub fn wait_ticket(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
         assert!(
             !crate::coop::in_coop(),
@@ -548,6 +647,8 @@ impl Mailbox {
                 Some(ticket.id),
             );
         }
+        let mut spin = !self.spin_budget.is_zero();
+        let mut timeout = None;
         let mut waited = Duration::ZERO;
         let mut inner = self.inner.lock();
         loop {
@@ -562,6 +663,22 @@ impl Mailbox {
                 self.record_recv(&arrived, filter, 1);
                 return (arrived.msg, spare);
             }
+            if spin {
+                // Announced and snapshotted under the lock: a fill before
+                // this point was seen by `collect` above, one after it
+                // finds `spinning` nonzero and moves the word off `seen`.
+                inner.spinning += 1;
+                inner.spun += 1;
+                let seen = self.wake.load(Ordering::Relaxed);
+                drop(inner);
+                // A wake for another ticket of this mailbox is a message
+                // delivered, not a stall: watch again. A spent budget
+                // parks for the rest of this wait.
+                spin = self.watch(seen);
+                inner = self.inner.lock();
+                inner.spinning -= 1;
+                continue;
+            }
             if let Some(insp) = &self.inspector {
                 if let Some(diagnosis) = insp.poisoned() {
                     inner.withdraw(&ticket);
@@ -569,7 +686,7 @@ impl Mailbox {
                     panic!("{}{diagnosis}", crate::check::POISON_MARK);
                 }
             }
-            let timeout = deadlock_timeout();
+            let timeout = *timeout.get_or_insert_with(deadlock_timeout);
             if waited >= timeout {
                 // Still unmatched after the timeout: declare deadlock.
                 inner.withdraw(&ticket);
@@ -597,6 +714,7 @@ impl Mailbox {
                 timeout
             };
             inner.parked += 1;
+            inner.parked_waits += 1;
             let timed_out = self.ready.wait_for(&mut inner, slice).timed_out();
             inner.parked -= 1;
             if timed_out {
@@ -876,7 +994,7 @@ mod tests {
     fn wildcard_candidates_counted_for_race_detection() {
         use crate::check::{Event, Inspector, Settings};
         let insp = Arc::new(Inspector::new(1, Settings::default()));
-        let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None);
+        let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None, Duration::ZERO);
         mb.push(msg(1, 5, vec![1]));
         mb.push(msg(2, 6, vec![2]));
         assert_eq!(mb.recv(any()).src, 1, "oldest arrival wins");
@@ -1058,6 +1176,194 @@ mod tests {
         };
         assert_eq!(m.data.bytes().unwrap(), &[5; 4]);
         assert_eq!(spare, Some(vec![0u8; 16]));
+    }
+
+    /// A standalone mailbox whose owner watches the wake word for `budget`
+    /// before it parks, whatever the host (the runtime would hand it
+    /// [`SPIN_BUDGET`] or zero).
+    fn spinning(budget: Duration) -> Mailbox {
+        Mailbox::with_instrumentation(0, None, None, budget)
+    }
+
+    /// A budget no test outlives: a waiter given it is still watching the
+    /// wake word whenever its sender gets round to sending.
+    const NEVER_PARKS: Duration = Duration::from_secs(60);
+
+    /// How a test message reaches its posted receive.
+    #[derive(Clone, Copy, Debug)]
+    enum Path {
+        /// `push`: the payload arrives already encoded.
+        Eager,
+        /// `rendezvous_send` into the buffer posted with the receive.
+        Rendezvous,
+    }
+
+    /// When, relative to the waiter, the sender delivers.
+    #[derive(Clone, Copy, Debug)]
+    enum When {
+        BeforeTheWait,
+        WhileItSpins,
+        OnceItHasParked,
+    }
+
+    /// Polls `cond` (an observation made under the mailbox lock) until it
+    /// holds, failing the test instead of hanging it.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(10), "never {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Posts one receive on `mb`, waits on it from a second thread and
+    /// delivers its eight bytes by `path` at `when` — the interleaving is
+    /// read off the mailbox's own counters, which move under its lock, not
+    /// guessed with a sleep. Returns `(spun, parked_waits)` afterwards.
+    fn delivered(mb: &Mailbox, path: Path, when: When) -> (u64, u64) {
+        let buf = matches!(path, Path::Rendezvous).then(|| vec![0u8; 8]);
+        let PostedHandle::Pending(ticket) = mb.post(exact(1, 7), buf) else {
+            panic!("nothing queued yet");
+        };
+        let deliver = || match path {
+            Path::Eager => mb.push(msg(1, 7, vec![8, 7, 6, 5, 4, 3, 2, 1])),
+            Path::Rendezvous => {
+                assert!(mb.rendezvous_send(1, pack_tag(0, 7), &[0x0102_0304_0506_0708u64], None))
+            }
+        };
+        let (m, spare) = std::thread::scope(|s| {
+            if matches!(when, When::BeforeTheWait) {
+                deliver();
+            }
+            let waiter = s.spawn(|| mb.wait_ticket(ticket, exact(1, 7)));
+            match when {
+                When::BeforeTheWait => {}
+                When::WhileItSpins => {
+                    until("announced a spin", || mb.wait_counts().0 >= 1);
+                    deliver();
+                }
+                When::OnceItHasParked => {
+                    until("parked", || mb.wait_counts().1 >= 1);
+                    deliver();
+                }
+            }
+            waiter.join().unwrap()
+        });
+        assert_eq!(
+            m.data.bytes().unwrap(),
+            &[8, 7, 6, 5, 4, 3, 2, 1],
+            "{path:?} {when:?}"
+        );
+        assert!(spare.is_none(), "{path:?} {when:?}");
+        mb.wait_counts()
+    }
+
+    #[test]
+    fn a_message_delivered_before_the_wait_is_collected_without_waiting() {
+        for path in [Path::Eager, Path::Rendezvous] {
+            for mb in [Mailbox::new(), spinning(SPIN_BUDGET)] {
+                assert_eq!(
+                    delivered(&mb, path, When::BeforeTheWait),
+                    (0, 0),
+                    "{path:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_message_delivered_while_the_waiter_spins_wakes_it_through_the_word() {
+        for path in [Path::Eager, Path::Rendezvous] {
+            let counts = delivered(&spinning(NEVER_PARKS), path, When::WhileItSpins);
+            assert_eq!(counts, (1, 0), "{path:?}: one spin, caught, never parked");
+        }
+    }
+
+    #[test]
+    fn a_message_delivered_after_the_waiter_parked_wakes_it_through_the_condvar() {
+        for path in [Path::Eager, Path::Rendezvous] {
+            let (spun, parked) = delivered(&Mailbox::new(), path, When::OnceItHasParked);
+            assert_eq!(spun, 0, "{path:?}: a zero budget never watches the word");
+            assert!(parked >= 1, "{path:?}");
+            // The spinning twin: the sender outlasts the budget.
+            let (spun, parked) = delivered(&spinning(SPIN_BUDGET), path, When::OnceItHasParked);
+            assert_eq!(spun, 1, "{path:?}: the budget is spent once per wait");
+            assert!(parked >= 1, "{path:?}");
+        }
+    }
+
+    #[test]
+    fn a_fill_of_another_ticket_leaves_the_spinner_waiting_for_its_own() {
+        let mb = spinning(NEVER_PARKS);
+        let PostedHandle::Pending(other) = mb.post(exact(1, 7), None) else {
+            panic!()
+        };
+        let PostedHandle::Pending(mine) = mb.post(exact(2, 8), None) else {
+            panic!()
+        };
+        let (m, _) = std::thread::scope(|s| {
+            let waiter = s.spawn(|| mb.wait_ticket(mine, exact(2, 8)));
+            until("announced a spin", || mb.wait_counts().0 >= 1);
+            // Moves the wake word, but for the other posted receive: the
+            // waiter looks, finds its own ticket unfilled and watches again.
+            mb.push(msg(1, 7, vec![1]));
+            until("went back to watching", || mb.wait_counts().0 >= 2);
+            assert!(!waiter.is_finished());
+            mb.push(msg(2, 8, vec![2]));
+            waiter.join().unwrap()
+        });
+        assert_eq!(m.data.bytes().unwrap(), &[2], "its own message");
+        assert_eq!(mb.wait_counts(), (2, 0));
+        let (m, _) = mb.wait_ticket(other, exact(1, 7));
+        assert_eq!(m.data.bytes().unwrap(), &[1], "the other one kept its fill");
+    }
+
+    /// 100 000 8-byte round trips between two threads over a pair of
+    /// mailboxes; a lost wake-up ends in the 20 s deadlock panic, a
+    /// mismatched one in the payload check.
+    fn ping_pong(ping: &Mailbox, pong: &Mailbox) {
+        const ROUNDS: u64 = 100_000;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..ROUNDS {
+                    let m = pong.recv(exact(0, 1));
+                    ping.push(msg(1, 1, m.data.bytes().unwrap().to_vec()));
+                    assert_eq!(m.data.bytes().unwrap(), &i.to_le_bytes());
+                }
+            });
+            for i in 0..ROUNDS {
+                pong.push(msg(0, 1, i.to_le_bytes().to_vec()));
+                assert_eq!(
+                    ping.recv(exact(1, 1)).data.bytes().unwrap(),
+                    &i.to_le_bytes()
+                );
+            }
+        });
+    }
+
+    /// Over mailboxes built not to spin, then over ones built to — one
+    /// after the other, so the two pairs of threads do not take turns on
+    /// the same CPUs. The spinning pair gets a budget of about one round
+    /// trip instead of [`SPIN_BUDGET`]: some waits are caught watching
+    /// and most run out (four in five on an idle host), so the hand-over
+    /// from the word to the condvar — where a wake-up could be lost — is
+    /// crossed tens of thousands of times; the full budget would cross it
+    /// a handful (and, beside the other tests of this binary, would burn
+    /// 50 µs a round doing so).
+    #[test]
+    fn ping_pong_loses_no_wakeup_on_either_side_of_the_rule() {
+        let (ping, pong) = (Mailbox::new(), Mailbox::new());
+        ping_pong(&ping, &pong);
+        assert_eq!(ping.wait_counts().0 + pong.wait_counts().0, 0);
+
+        let round_trip = Duration::from_micros(3);
+        let (ping, pong) = (spinning(round_trip), spinning(round_trip));
+        ping_pong(&ping, &pong);
+        let (spun, parked) = (
+            ping.wait_counts().0 + pong.wait_counts().0,
+            ping.wait_counts().1 + pong.wait_counts().1,
+        );
+        assert!(spun > 0 && parked > 0, "{spun} spins, {parked} parks");
     }
 
     /// Reference model: the legacy single linear-scan queue the indexed

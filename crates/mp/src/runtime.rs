@@ -19,6 +19,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use simnet::Transfer;
@@ -27,7 +28,7 @@ use simnet::Time;
 
 use crate::check::{self, Checked, Inspector, RunLog, Settings};
 use crate::comm::Comm;
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Mailbox, SPIN_BUDGET};
 use crate::msg::Message;
 use crate::virt::{Clock, VirtualNet};
 
@@ -118,6 +119,32 @@ fn spawn_failure(rank: usize, n: usize, stack: usize, err: &std::io::Error) -> !
     );
 }
 
+/// Whether a blocked receive in a world of `ranks` ranks on this host
+/// spins on its mailbox's wake word before it parks: exactly when every
+/// rank can have a CPU to itself, `ranks <=
+/// smp::topo::detect().online_cpus` (which honours affinity masks and
+/// cgroup quotas). With more ranks than CPUs a spinner would hold the CPU
+/// its sender needs, so the wait parks at once. `ranks` is the whole
+/// world — the processes of a shm or tcp-loopback fleet share the host.
+/// Derived, never set: there is no knob.
+pub fn receives_spin(ranks: usize) -> bool {
+    ranks <= smp::topo::detect().online_cpus
+}
+
+/// One line naming the regime a native world of `ranks` ranks runs in on
+/// this host — ranks, online CPUs, and how a blocked receive waits — for a
+/// driver to print beside the native numbers it reports: a latency caught
+/// spinning and one that paid a futex wake are different measurements.
+pub fn waiting_regime(ranks: usize) -> String {
+    let cpus = smp::topo::detect().online_cpus;
+    let waits = if receives_spin(ranks) {
+        format!("spin {} us before parking", SPIN_BUDGET.as_micros())
+    } else {
+        "park at once (more ranks than CPUs)".to_string()
+    };
+    format!("{ranks} ranks on {cpus} online CPUs: blocked receives {waits}")
+}
+
 /// Shared state of a running SPMD world.
 pub(crate) struct World {
     pub n: usize,
@@ -166,11 +193,22 @@ impl World {
         controller: Option<Arc<dyn crate::coop::ScheduleController>>,
     ) -> World {
         let world_group: Arc<Vec<usize>> = Arc::new((0..n).collect());
+        // Decided once per world (see `receives_spin`).
+        let spin_budget = if receives_spin(n) {
+            SPIN_BUDGET
+        } else {
+            Duration::ZERO
+        };
         World {
             n,
             mailboxes: (0..n)
                 .map(|rank| {
-                    Mailbox::with_instrumentation(rank, inspector.clone(), controller.clone())
+                    Mailbox::with_instrumentation(
+                        rank,
+                        inspector.clone(),
+                        controller.clone(),
+                        spin_budget,
+                    )
                 })
                 .collect(),
             world_group,
@@ -226,6 +264,17 @@ impl World {
             leftover: self.mailboxes.iter().flat_map(Mailbox::inventory).collect(),
             deadlock: inspector.poisoned(),
         }
+    }
+
+    /// How often this world's rank threads have watched a wake word and
+    /// how often they have parked, summed over its mailboxes:
+    /// `(spun, parked_waits)`.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) fn wait_counts(&self) -> (u64, u64) {
+        self.mailboxes
+            .iter()
+            .map(Mailbox::wait_counts)
+            .fold((0, 0), |(s, p), (spun, parked)| (s + spun, p + parked))
     }
 
     /// The per-rank virtual clocks, read once every rank has finished.
@@ -666,6 +715,55 @@ mod tests {
                 bytes: 16
             }
         );
+    }
+
+    /// `rounds` 8-byte ping-pongs between ranks 0 and 1 of a fresh world
+    /// of `n` ranks (the rest finish at once), run the way `run` runs
+    /// them; returns the world's `(spun, parked_waits)`.
+    fn ping_pong_wait_counts(n: usize, rounds: u64) -> (u64, u64) {
+        let world = Arc::new(World::new(n, false, None));
+        let ranks: Vec<usize> = (0..n).collect();
+        spawn_rank_threads(&world, &ranks, n, |rank, comm| {
+            let mut buf = [0u64];
+            for i in 0..rounds {
+                match rank {
+                    0 => {
+                        comm.send(&[i], 1, 3);
+                        comm.recv(&mut buf, 1, 3);
+                        assert_eq!(buf[0], i);
+                    }
+                    1 => {
+                        comm.recv(&mut buf, 0, 3);
+                        comm.send(&buf, 0, 3);
+                    }
+                    _ => return,
+                }
+            }
+        });
+        world.wait_counts()
+    }
+
+    /// The rule, observed from the counters — whatever else the host is
+    /// doing, which is why *how rarely* a fitting world parks is measured
+    /// by `tests/spin_rule.rs`, alone in its own process: beside the other
+    /// tests of this binary a rank's peer is off its CPU most of the time.
+    #[test]
+    fn a_world_spins_exactly_when_its_ranks_fit_the_cpus() {
+        let cpus = smp::topo::detect().online_cpus;
+        let (spun, _) = ping_pong_wait_counts(cpus.max(2), 1_000);
+        if cpus >= 2 {
+            assert!(
+                receives_spin(cpus) && spun > 0,
+                "{cpus} ranks on {cpus} CPUs"
+            );
+        } else {
+            eprintln!("one online CPU: no two ranks fit it, only the other side is checked");
+            assert_eq!(spun, 0);
+        }
+        let (spun, parked) = ping_pong_wait_counts(cpus + 1, 1_000);
+        assert!(!receives_spin(cpus + 1));
+        assert_eq!(spun, 0, "more ranks than CPUs: the budget is zero");
+        assert!(parked > 0, "its receives park at once, as they always did");
     }
 
     /// Satellite regression: a failed rank spawn must fail cleanly with

@@ -31,6 +31,7 @@ fn main() {
     };
 
     println!("HPCC suite, {ranks} ranks (native, this host)");
+    println!("{}", mp::waiting_regime(ranks));
     println!("---------------------------------------------");
     let s = run_native(ranks, &cfg);
     println!("G-HPL             {:>12.3} Gflop/s", s.ghpl);

@@ -18,6 +18,7 @@ fn main() {
         .filter(|&s| s <= 1 << max_log2)
         .collect();
 
+    println!("# {}", mp::waiting_regime(ranks));
     for bench in Benchmark::ALL {
         let p = ranks.max(bench.min_procs());
         println!("\n#--------------------------------------------------");

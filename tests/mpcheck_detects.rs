@@ -31,20 +31,9 @@ fn sweep() -> CheckOptions {
     }
 }
 
-#[test]
-fn two_rank_head_to_head_receive_cycle() {
-    // The classic send/send deadlock: in mp, sends are eager (they buffer
-    // at the destination and complete immediately), so the textbook
-    // exchange-ordered-wrong bug manifests at the receives — both ranks
-    // block receiving before either sends.
-    let clock = harness::Stopwatch::start();
-    let report = check(2, &fast(), |comm| {
-        let peer = 1 - comm.rank();
-        let mut buf = [0u64];
-        comm.recv(&mut buf, peer, 42);
-        comm.send(&[comm.rank() as u64], peer, 42);
-    });
-    let elapsed = clock.elapsed_secs();
+/// Asserts that `report`, obtained in `elapsed` seconds, diagnoses the
+/// receive cycle between ranks 0 and 1 by name.
+fn assert_two_rank_cycle(report: &mpcheck::Report, elapsed: f64) {
     assert!(
         elapsed < 2.0,
         "diagnosis must come from the wait-for graph, not a timeout ({elapsed:.2}s)"
@@ -63,6 +52,52 @@ fn two_rank_head_to_head_receive_cycle() {
     // The diagnosis names what each rank blocks on.
     assert!(finding.detail.contains("rank 0"), "{}", finding.detail);
     assert!(finding.detail.contains("rank 1"), "{}", finding.detail);
+}
+
+#[test]
+fn two_rank_head_to_head_receive_cycle() {
+    // The classic send/send deadlock: in mp, sends are eager (they buffer
+    // at the destination and complete immediately), so the textbook
+    // exchange-ordered-wrong bug manifests at the receives — both ranks
+    // block receiving before either sends.
+    let clock = harness::Stopwatch::start();
+    let report = check(2, &fast(), |comm| {
+        let peer = 1 - comm.rank();
+        let mut buf = [0u64];
+        comm.recv(&mut buf, peer, 42);
+        comm.send(&[comm.rank() as u64], peer, 42);
+    });
+    assert_two_rank_cycle(&report, clock.elapsed_secs());
+}
+
+#[test]
+fn receive_cycle_in_a_world_that_spins_is_still_a_named_cycle() {
+    // What spin-then-park could have broken: a receive that watches its
+    // wake word before it parks must still publish its wait edge first and
+    // still reach the poison check, or the detector never sees two waiting
+    // ranks, or sees them and cannot unwind them. The exchanges before the
+    // cycle put both ranks through waits that are caught spinning.
+    if !mp::receives_spin(2) {
+        eprintln!("one online CPU: a 2-rank world parks at once, as in the test above");
+    }
+    let clock = harness::Stopwatch::start();
+    let report = check(2, &fast(), |comm| {
+        let peer = 1 - comm.rank();
+        let mut buf = [0u64];
+        for i in 0..1000u64 {
+            if comm.rank() == 0 {
+                comm.send(&[i], peer, 7);
+                comm.recv(&mut buf, peer, 7);
+            } else {
+                comm.recv(&mut buf, peer, 7);
+                comm.send(&buf, peer, 7);
+            }
+            assert_eq!(buf[0], i);
+        }
+        comm.recv(&mut buf, peer, 42);
+        comm.send(&[comm.rank() as u64], peer, 42);
+    });
+    assert_two_rank_cycle(&report, clock.elapsed_secs());
 }
 
 #[test]
