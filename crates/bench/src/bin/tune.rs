@@ -169,6 +169,7 @@ fn main() {
                     &HplConfig {
                         n: hpl_n,
                         nb,
+                        p_rows: 1,
                         lookahead: true,
                     },
                 )

@@ -2,17 +2,35 @@
 //! system by right-looking LU factorisation with partial pivoting,
 //! distributed over `mp` ranks.
 //!
-//! Distribution: 1-D block-cyclic by *column blocks* of width `nb` (block
-//! `j` lives on rank `j mod p`), with every rank holding full columns.
-//! Each iteration the owner factors the panel locally, broadcasts the
-//! factored panel plus pivot indices, and every rank applies the row
-//! interchanges and the rank-`nb` trailing update to its own columns —
-//! the same phase structure as HPL's `pfact / bcast / update` pipeline.
-//! The O(N^2) triangular solve is performed on rank 0 after a gather (the
-//! factorisation dominates at 2/3 N^3 flops).
+//! Distribution: block-cyclic, square blocks of `nb`, over a `P x Q`
+//! process grid with ranks numbered row-major — the ScaLAPACK/HPL layout,
+//! with `P` an input ([`HplConfig::p_rows`]). Each iteration
+//!
+//! 1. the process column owning the panel factors it, one all-gather per
+//!    column choosing the pivot *and* carrying the winning row;
+//! 2. pivots and factored panel travel along process rows in one
+//!    broadcast;
+//! 3. every rank applies the row interchanges to its other columns;
+//! 4. the process row owning the block row solves `L11 U12 = A12` and
+//!    broadcasts U12 down process columns;
+//! 5. every rank applies the rank-`nb` trailing update to its corner —
+//!
+//! HPL's `pfact / bcast / update` pipeline. With `P = 1` every rank holds
+//! full columns and steps 1, 3 and 4 are local: the column-cyclic LU is
+//! the `1 x Q` grid of this code, not a second one. The O(N^2) triangular
+//! solve is performed on rank 0 after a gather (the factorisation
+//! dominates at 2/3 N^3 flops).
+//!
+//! Grid shape and lookahead change the schedule and the messages, never
+//! the arithmetic: pivot ties go to the lowest row on every grid and
+//! every element sees the same operations in the same order, so the
+//! residual is bit-identical across all of them (DESIGN.md "One HPL").
 
-// Index-heavy numeric code: explicit indices mirror the maths.
+// Index-heavy distributed linear algebra: explicit indices mirror the
+// block-cyclic maths.
 #![allow(clippy::needless_range_loop)]
+
+use std::ops::Range;
 
 use mp::Comm;
 
@@ -23,13 +41,16 @@ use crate::kernels::dgemm::gemm_update;
 pub struct HplConfig {
     /// Matrix order.
     pub n: usize,
-    /// Panel (column block) width.
+    /// Block size: panel width and block-cyclic tile edge.
     pub nb: usize,
-    /// Panel lookahead: the owner of panel `k+1` factors it as soon as
-    /// its columns are updated, before finishing the rest of its
-    /// trailing update for panel `k` — overlapping the next factor with
-    /// everyone else's update. The arithmetic per element is identical,
-    /// only the schedule changes.
+    /// Process rows `P`; the grid is `P x Q` with `Q = comm.size() / P`.
+    /// 1 gives every rank full columns.
+    pub p_rows: usize,
+    /// Panel lookahead: the process column owning panel `k+1` factors it
+    /// as soon as its columns are updated, before finishing the rest of
+    /// its trailing update for panel `k` — overlapping the next factor
+    /// with everyone else's update. The arithmetic per element is
+    /// identical, only the schedule changes.
     pub lookahead: bool,
 }
 
@@ -39,7 +60,25 @@ impl Default for HplConfig {
         HplConfig {
             n: 512,
             nb: t.hpl_nb.max(1),
+            p_rows: 1,
             lookahead: t.hpl_lookahead,
+        }
+    }
+}
+
+impl HplConfig {
+    /// Picks the most nearly square grid that tiles `size` ranks (a prime
+    /// world falls back to `1 x size`).
+    pub fn near_square(n: usize, nb: usize, size: usize) -> HplConfig {
+        let mut p = (size as f64).sqrt() as usize;
+        while p > 1 && !size.is_multiple_of(p) {
+            p -= 1;
+        }
+        HplConfig {
+            n,
+            nb,
+            p_rows: p.max(1),
+            ..HplConfig::default()
         }
     }
 }
@@ -75,108 +114,229 @@ pub fn rhs_element(i: usize) -> f64 {
     matrix_element(i, usize::MAX / 2)
 }
 
-/// Column-block owner under 1-D block-cyclic distribution.
-fn owner_of_block(block: usize, p: usize) -> usize {
-    block % p
+/// Global indices owned by coordinate `coord` of a grid axis of `grid`
+/// processes, ascending.
+fn owned(n: usize, nb: usize, grid: usize, coord: usize) -> Vec<usize> {
+    (0..n).filter(|i| (i / nb) % grid == coord).collect()
 }
 
-/// The list of global column indices rank `r` owns for an `n x n` matrix.
-fn owned_columns(n: usize, nb: usize, p: usize, r: usize) -> Vec<usize> {
-    let mut cols = Vec::new();
-    let nblocks = n.div_ceil(nb);
-    for b in (0..nblocks).filter(|b| owner_of_block(*b, p) == r) {
-        for j in b * nb..((b + 1) * nb).min(n) {
-            cols.push(j);
-        }
-    }
-    cols
+/// The global rows and columns of `rank` on a `P x Q` grid.
+fn owned_by(n: usize, nb: usize, (p, q): (usize, usize), rank: usize) -> (Vec<usize>, Vec<usize>) {
+    (owned(n, nb, p, rank / q), owned(n, nb, q, rank % q))
 }
 
-/// Local storage: the rank's owned columns, column-major, each of length n.
-struct LocalPanel {
-    n: usize,
+/// Local block-cyclic storage: the rows and columns this rank owns,
+/// column-major as `data[lc * rows.len() + lr]`. Both index lists
+/// ascend, so "global index `>= g`" is a suffix of either, and a block
+/// (never split across processes) is a contiguous run.
+struct Local {
+    /// Global row index of each local row.
+    rows: Vec<usize>,
+    /// Global column index of each local column.
     cols: Vec<usize>,
     data: Vec<f64>,
 }
 
-impl LocalPanel {
-    fn generate(n: usize, nb: usize, p: usize, r: usize) -> LocalPanel {
-        let cols = owned_columns(n, nb, p, r);
-        let mut data = vec![0.0; cols.len() * n];
+impl Local {
+    fn generate(n: usize, nb: usize, grid: (usize, usize), rank: usize) -> Local {
+        let (rows, cols) = owned_by(n, nb, grid, rank);
+        let lrows = rows.len();
+        let mut data = vec![0.0f64; lrows * cols.len()];
         for (lc, &gc) in cols.iter().enumerate() {
-            for i in 0..n {
-                data[lc * n + i] = matrix_element(i, gc);
+            for (lr, &gr) in rows.iter().enumerate() {
+                data[lc * lrows + lr] = matrix_element(gr, gc);
             }
         }
-        LocalPanel { n, cols, data }
+        Local { rows, cols, data }
     }
 
-    fn col(&self, lc: usize) -> &[f64] {
-        &self.data[lc * self.n..(lc + 1) * self.n]
+    fn lrows(&self) -> usize {
+        self.rows.len()
     }
 
-    fn col_mut(&mut self, lc: usize) -> &mut [f64] {
-        &mut self.data[lc * self.n..(lc + 1) * self.n]
+    /// First local row whose global index is `>= g`.
+    fn lr_from(&self, g: usize) -> usize {
+        self.rows.partition_point(|&gr| gr < g)
     }
 
-    /// Local index of global column `gc`, if owned.
-    fn local_of(&self, gc: usize) -> Option<usize> {
-        self.cols.binary_search(&gc).ok()
+    /// First local column whose global index is `>= g`.
+    fn lc_from(&self, g: usize) -> usize {
+        self.cols.partition_point(|&gc| gc < g)
+    }
+}
+
+/// One axis of the process grid as this rank sees it: the ranks of its
+/// process row or column, indexed by the other coordinate. An axis of one
+/// rank has no communicator — its collectives are identities — so a
+/// `1 x Q` grid puts nothing on the wire the column algorithm does not.
+#[derive(Clone, Copy)]
+struct Axis<'a>(Option<&'a Comm>);
+
+impl<'a> Axis<'a> {
+    /// The degenerate-communicator rule: one rank needs none, an axis as
+    /// long as the world *is* the world, and only a proper `P x Q` grid
+    /// pays for a `split`.
+    fn new(len: usize, split: &'a Option<Comm>, world: &'a Comm) -> Axis<'a> {
+        Axis((len > 1).then(|| split.as_ref().unwrap_or(world)))
+    }
+
+    fn size(self) -> usize {
+        self.0.map_or(1, Comm::size)
+    }
+
+    fn rank(self) -> usize {
+        self.0.map_or(0, Comm::rank)
+    }
+
+    async fn bcast(self, buf: &mut [f64], root: usize) {
+        if let Some(comm) = self.0 {
+            comm.bcast_async(buf, root).await;
+        }
+    }
+
+    async fn allgather(self, mine: &[f64], all: &mut [f64]) {
+        match self.0 {
+            Some(comm) => comm.allgather_async(mine, all).await,
+            None => all.copy_from_slice(mine),
+        }
+    }
+}
+
+/// Swaps global rows `ga` and `gb` across the local columns `lcs`: in
+/// place when one process row owns both, otherwise by exchange between
+/// the two owners. Collective over the process column `col`, which must
+/// pass the same `lcs` on every rank.
+async fn swap_rows(
+    local: &mut Local,
+    col: Axis<'_>,
+    nb: usize,
+    ga: usize,
+    gb: usize,
+    lcs: impl Iterator<Item = usize> + Clone,
+) {
+    const TAG: mp::Tag = 29;
+    if ga == gb {
+        return;
+    }
+    let (owner_a, owner_b) = ((ga / nb) % col.size(), (gb / nb) % col.size());
+    let me = col.rank();
+    if me != owner_a && me != owner_b {
+        return;
+    }
+    let lrows = local.lrows();
+    let (la, lb) = (local.lr_from(ga), local.lr_from(gb));
+    if owner_a == owner_b {
+        for lc in lcs {
+            local.data.swap(lc * lrows + la, lc * lrows + lb);
+        }
+    } else {
+        let (lr, peer) = if me == owner_a {
+            (la, owner_b)
+        } else {
+            (lb, owner_a)
+        };
+        let mine: Vec<f64> = lcs.clone().map(|lc| local.data[lc * lrows + lr]).collect();
+        let mut theirs = vec![0.0f64; mine.len()];
+        col.0
+            .expect("two owners make a communicator")
+            .sendrecv_async(&mine, peer, &mut theirs, peer, TAG)
+            .await;
+        for (lc, v) in lcs.zip(theirs) {
+            local.data[lc * lrows + lr] = v;
+        }
     }
 }
 
 /// Factors the panel `[k0, k1)` in place (partial pivoting, column
-/// scaling, in-panel elimination) and returns the broadcast payload:
-/// `kw` pivot rows followed by the factored panel columns (rows
-/// `k0..n` each). Caller guarantees the panel columns are fully
-/// updated through iteration `k0/nb - 1`.
-fn factor_panel(local: &mut LocalPanel, k0: usize, k1: usize) -> Vec<f64> {
-    let n = local.n;
+/// scaling, in-panel elimination), collectively over the process column
+/// `col` that owns it, and returns the broadcast payload: `kw` pivot rows
+/// followed by the factored panel columns (my rows `>= k0` of each).
+/// Caller guarantees the panel columns are fully updated through
+/// iteration `k0/nb - 1`.
+///
+/// The pivot search is fused with the pivot-row transport: each rank's
+/// all-gather contribution is `[best, best_row, that row of the panel]`,
+/// so once the winner is chosen every rank holds the pivot row — one
+/// collective per column, none on a one-rank axis.
+async fn factor_panel(
+    local: &mut Local,
+    col: Axis<'_>,
+    nb: usize,
+    k0: usize,
+    k1: usize,
+) -> Vec<f64> {
     let kw = k1 - k0;
-    let mut payload = vec![0.0f64; kw + kw * (n - k0)];
-    let lc0 = local.local_of(k0).expect("owner holds the panel");
+    let lrows = local.lrows();
+    // A block lives in one process column: the panel is kw adjacent
+    // local columns.
+    let lc0 = local.lc_from(k0);
+    let stride = 2 + kw;
+    let mut contrib = vec![0.0f64; stride];
+    let mut all = vec![0.0f64; stride * col.size()];
+    let lr_k0 = local.lr_from(k0);
+    let height = lrows - lr_k0;
+    let mut payload = vec![0.0f64; kw + kw * height];
     for j in 0..kw {
         let gj = k0 + j;
-        // Pivot search in column j of the panel, rows gj..n.
-        let (mut piv, mut best) = (gj, 0.0f64);
-        for r in gj..n {
-            let v = local.col(lc0 + j)[r].abs();
-            if v > best {
-                best = v;
-                piv = r;
+        // My pivot candidate in column j: rows gj.. are a local suffix.
+        let lr_j = local.lr_from(gj);
+        let (mut best, mut best_lr) = (-1.0f64, lr_j);
+        for (lr, v) in local.data[(lc0 + j) * lrows..][lr_j..lrows]
+            .iter()
+            .enumerate()
+        {
+            if v.abs() > best {
+                (best, best_lr) = (v.abs(), lr_j + lr);
             }
         }
-        assert!(best > 0.0, "HPL hit an exactly singular pivot");
-        // Swap within the panel columns only; other columns follow
-        // after the broadcast.
-        if piv != gj {
-            for lc in lc0..lc0 + kw {
-                local.data.swap(lc * n + gj, lc * n + piv);
+        contrib[0] = best;
+        if lr_j < lrows {
+            contrib[1] = local.rows[best_lr] as f64;
+            for c in 0..kw {
+                contrib[2 + c] = local.data[(lc0 + c) * lrows + best_lr];
             }
         }
-        payload[j] = piv as f64;
-        // Scale L column and eliminate within the panel.
-        let pv = local.col(lc0 + j)[gj];
-        for r in gj + 1..n {
-            local.col_mut(lc0 + j)[r] /= pv;
+        // Global argmax over the process column; ties to the lowest row,
+        // which is what serial partial pivoting picks.
+        col.allgather(&contrib, &mut all).await;
+        let (mut gbest, mut grow, mut win) = (0.0f64, usize::MAX, 0usize);
+        for c in 0..col.size() {
+            let (v, r) = (all[stride * c], all[stride * c + 1] as usize);
+            if v > gbest || (v == gbest && r < grow) {
+                (gbest, grow, win) = (v, r, c);
+            }
+        }
+        assert!(gbest > 0.0, "HPL hit an exactly singular pivot");
+        payload[j] = grow as f64;
+        let urow = &all[stride * win + 2..][..kw];
+
+        // Swap within the panel columns only; the others follow after
+        // the broadcast.
+        swap_rows(local, col, nb, gj, grow, lc0..lc0 + kw).await;
+
+        // Scale my part of L's column j and eliminate within the panel,
+        // one column at a time (unit stride).
+        let below = local.lr_from(gj + 1);
+        let (left, right) =
+            local.data[lc0 * lrows..(lc0 + kw) * lrows].split_at_mut((j + 1) * lrows);
+        let l = &mut left[j * lrows + below..];
+        // (Scalars hoisted: a load from `all` inside the loops keeps them
+        // from vectorising.)
+        let ajj = urow[j];
+        for v in l.iter_mut() {
+            *v /= ajj;
         }
         for c in j + 1..kw {
-            let mult = local.col(lc0 + c)[gj];
-            if mult != 0.0 {
-                let (lcol, ccol) = {
-                    // Split borrows: copy the L column slice.
-                    let l: Vec<f64> = local.col(lc0 + j)[gj + 1..n].to_vec();
-                    (l, local.col_mut(lc0 + c))
-                };
-                for (r, lv) in (gj + 1..n).zip(lcol.iter()) {
-                    ccol[r] -= mult * lv;
-                }
+            let target = &mut right[(c - j - 1) * lrows + below..(c - j) * lrows];
+            let u = urow[c];
+            for (x, lv) in target.iter_mut().zip(l.iter()) {
+                *x -= u * lv;
             }
         }
     }
     for j in 0..kw {
-        let src = &local.col(lc0 + j)[k0..n];
-        payload[kw + j * (n - k0)..kw + (j + 1) * (n - k0)].copy_from_slice(src);
+        let src = &local.data[(lc0 + j) * lrows + lr_k0..(lc0 + j + 1) * lrows];
+        payload[kw + j * height..][..height].copy_from_slice(src);
     }
     payload
 }
@@ -189,16 +349,36 @@ pub fn run(comm: &Comm, cfg: &HplConfig) -> HplResult {
 /// Awaitable mirror of [`run`], for cooperative rank tasks.
 pub async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
     let (n, nb) = (cfg.n, cfg.nb);
-    assert!(n > 0 && nb > 0, "HPL needs positive n and nb");
-    let p = comm.size();
-    let me = comm.rank();
+    let (size, me) = (comm.size(), comm.rank());
+    assert!(
+        n > 0 && nb > 0,
+        "HPL needs positive n and nb, got n={n} nb={nb}"
+    );
+    assert!(
+        cfg.p_rows >= 1 && size.is_multiple_of(cfg.p_rows),
+        "HPL grid of p_rows={} does not tile {size} ranks",
+        cfg.p_rows
+    );
+    let grid @ (grid_p, grid_q) = (cfg.p_rows, size / cfg.p_rows);
+    let (pi, qj) = (me / grid_q, me % grid_q);
+    let (row_split, col_split) = if grid_p > 1 && grid_q > 1 {
+        (
+            Some(comm.split_async(pi as u32, qj as i64).await),
+            Some(comm.split_async((grid_p + qj) as u32, pi as i64).await),
+        )
+    } else {
+        (None, None)
+    };
+    let row = Axis::new(grid_q, &row_split, comm);
+    let col = Axis::new(grid_p, &col_split, comm);
 
-    let mut local = LocalPanel::generate(n, nb, p, me);
+    let mut local = Local::generate(n, nb, grid, me);
+    let (lrows, lcols) = (local.lrows(), local.cols.len());
     let nblocks = n.div_ceil(nb);
     let mut pivots: Vec<usize> = Vec::with_capacity(n);
     // Lookahead pipeline: the payload for panel `kb` factored one
-    // iteration early (owner rank only, `None` elsewhere and when
-    // lookahead is off).
+    // iteration early (owning process column only, `None` elsewhere and
+    // when lookahead is off).
     let mut pending: Option<Vec<f64>> = None;
 
     comm.barrier_async().await;
@@ -208,134 +388,122 @@ pub async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
         let k0 = kb * nb;
         let k1 = ((kb + 1) * nb).min(n);
         let kw = k1 - k0;
-        let owner = owner_of_block(kb, p);
+        let panel_q = kb % grid_q;
+        let lr_k0 = local.lr_from(k0);
+        let height = lrows - lr_k0;
 
-        // --- Panel factorisation (owner) + broadcast --------------------
+        // --- Panel factorisation (owning column) + broadcast along rows -
         // Payload: kw pivot rows followed by the factored panel columns
-        // (rows k0..n each). With lookahead the owner factored this
-        // panel during the previous iteration's trailing update.
+        // (my rows >= k0 of each). With lookahead the owners factored
+        // this panel during the previous iteration's trailing update.
         let mut payload = match pending.take() {
             Some(ready) => ready,
-            None => {
-                if me == owner {
-                    factor_panel(&mut local, k0, k1)
-                } else {
-                    vec![0.0f64; kw + kw * (n - k0)]
-                }
-            }
+            None if qj == panel_q => factor_panel(&mut local, col, nb, k0, k1).await,
+            None => vec![0.0f64; kw + kw * height],
         };
-        comm.bcast_async(&mut payload, owner).await;
-
-        let panel_pivots: Vec<usize> = payload[..kw].iter().map(|&v| v as usize).collect();
-        let panel = &payload[kw..];
-        let pcol = |j: usize| -> &[f64] { &panel[j * (n - k0)..(j + 1) * (n - k0)] };
+        row.bcast(&mut payload, panel_q).await;
+        let (panel_pivots, panel) = payload.split_at(kw);
 
         // --- Apply row interchanges to all non-panel columns ------------
+        // Panel columns were swapped by their owners while factoring.
+        let panel_lcs: Range<usize> = if qj == panel_q {
+            local.lc_from(k0)..local.lc_from(k1)
+        } else {
+            0..0
+        };
         for (j, &piv) in panel_pivots.iter().enumerate() {
-            let gj = k0 + j;
-            if piv != gj {
-                // Panel columns were swapped at the owner already.
-                let nloc = local.n;
-                for (lc, &gc) in local.cols.iter().enumerate() {
-                    let in_panel = me == owner && (k0..k1).contains(&gc);
-                    if !in_panel {
-                        local.data.swap(lc * nloc + gj, lc * nloc + piv);
-                    }
-                }
-            }
-            pivots.push(piv);
+            let others = (0..panel_lcs.start).chain(panel_lcs.end..lcols);
+            swap_rows(&mut local, col, nb, k0 + j, piv as usize, others).await;
+            pivots.push(piv as usize);
         }
 
         // --- Trailing update on my columns right of the panel -----------
-        // Columns are sorted, so everything right of the panel is the
-        // contiguous suffix starting at the first owned gc >= k1 (panel
-        // columns have gc < k1 and are skipped along with finished ones).
-        let lc_start = local.cols.partition_point(|&gc| gc < k1);
-        let ntrail = local.cols.len() - lc_start;
-        if ntrail > 0 {
-            // U12 = L11^{-1} A12: small unit-lower triangular solve on
-            // the kw panel rows of each trailing column.
-            for lc in lc_start..local.cols.len() {
-                let col = local.col_mut(lc);
+        // Rows and columns ascend, so the trailing submatrix is the
+        // bottom-right corner of the local block. A process column with
+        // nothing right of the panel has no part in the rest.
+        let lc1 = local.lc_from(k1);
+        let ntrail = lcols - lc1;
+        if ntrail == 0 {
+            continue;
+        }
+        // U12 = L11^{-1} A12: unit-lower triangular solve on the kw panel
+        // rows of each trailing column, in place on the process row that
+        // owns them (L11 is the top of its `panel`), copied out row-major
+        // because it aliases the update target's backing store, and
+        // broadcast down process columns.
+        let pi_k = kb % grid_p;
+        let mut u12 = vec![0.0f64; kw * ntrail];
+        if pi == pi_k {
+            for t in 0..ntrail {
+                let u = &mut local.data[(lc1 + t) * lrows + lr_k0..][..kw];
                 for j in 0..kw {
-                    let ujk = col[k0 + j];
-                    if ujk != 0.0 {
-                        let l = pcol(j);
-                        for jj in j + 1..kw {
-                            col[k0 + jj] -= l[jj] * ujk;
-                        }
+                    let ujk = u[j];
+                    let l = &panel[j * height..][..kw];
+                    for jj in j + 1..kw {
+                        u[jj] -= l[jj] * ujk;
                     }
+                    u12[j * ntrail + t] = ujk;
                 }
             }
-            if k1 < n {
-                // A22 -= L21 * U12 as a rectangular GEMM. U12 (the kw
-                // panel rows of the trailing columns) is copied out
-                // because it aliases the update target's backing store.
-                // Its rows live above row k1, so neither the GEMM nor a
-                // lookahead factor invalidates it.
-                let mut u12 = vec![0.0f64; kw * ntrail];
-                for t in 0..ntrail {
-                    for p in 0..kw {
-                        u12[p * ntrail + t] = local.data[(lc_start + t) * n + k0 + p];
-                    }
-                }
-                // Lookahead: if I own the next panel, its columns are my
-                // first `w` trailing columns (block-cyclic keeps them
-                // sorted first). Update just those, factor the panel
-                // early, then finish the rest of the update — the next
-                // iteration broadcasts the stashed payload immediately
-                // while this iteration's big GEMM overlapped the factor
-                // on every other rank.
-                let next_k1 = (k1 + nb).min(n);
-                let w = if cfg.lookahead && me == owner_of_block(kb + 1, p) {
-                    local.cols[lc_start..].partition_point(|&gc| gc < next_k1)
-                } else {
-                    0
-                };
-                // L21 lives in the broadcast panel: rows k1..n of the kw
-                // factored columns (column stride n - k0).
-                let l21 = &panel[k1 - k0..];
-                if w > 0 {
-                    gemm_update(
-                        n - k1,
-                        w,
-                        kw,
-                        -1.0,
-                        l21,
-                        1,
-                        n - k0,
-                        &u12,
-                        ntrail,
-                        1,
-                        &mut local.data[lc_start * n + k1..],
-                        1,
-                        n,
-                    );
-                    pending = Some(factor_panel(&mut local, k1, next_k1));
-                }
-                if ntrail > w {
-                    gemm_update(
-                        n - k1,
-                        ntrail - w,
-                        kw,
-                        -1.0,
-                        l21,
-                        1,
-                        n - k0,
-                        &u12[w..],
-                        ntrail,
-                        1,
-                        &mut local.data[(lc_start + w) * n + k1..],
-                        1,
-                        n,
-                    );
-                }
-            }
+        }
+        col.bcast(&mut u12, pi_k).await;
+
+        // A22 -= L21 * U12 as a rectangular GEMM on column-major views;
+        // L21 is my rows >= k1 of the broadcast panel.
+        //
+        // Lookahead: the process column owning the next panel holds its
+        // columns as its first `w` trailing columns. It updates just
+        // those, factors the panel early, then finishes the rest of the
+        // update — the next iteration broadcasts the stashed payload
+        // immediately, and the factor's latency-bound collectives hide
+        // behind every other column's big GEMM.
+        let lr1 = local.lr_from(k1);
+        let next_k1 = (k1 + nb).min(n);
+        let w = if cfg.lookahead && (kb + 1) % grid_q == qj {
+            local.cols[lc1..].partition_point(|&gc| gc < next_k1)
+        } else {
+            0
+        };
+        let l21 = &panel[lr1 - lr_k0..];
+        if w > 0 {
+            gemm_update(
+                lrows - lr1,
+                w,
+                kw,
+                -1.0,
+                l21,
+                1,
+                height,
+                &u12,
+                ntrail,
+                1,
+                &mut local.data[lc1 * lrows + lr1..],
+                1,
+                lrows,
+            );
+            pending = Some(factor_panel(&mut local, col, nb, k1, next_k1).await);
+        }
+        if ntrail > w {
+            gemm_update(
+                lrows - lr1,
+                ntrail - w,
+                kw,
+                -1.0,
+                l21,
+                1,
+                height,
+                &u12[w..],
+                ntrail,
+                1,
+                &mut local.data[(lc1 + w) * lrows + lr1..],
+                1,
+                lrows,
+            );
         }
     }
 
     // --- Gather the factors to rank 0 and solve -------------------------
-    let x = solve_on_root(comm, &local, &pivots, n, nb).await;
+    let x = solve_on_root(comm, &local, &pivots, cfg).await;
     let time_s = clock.elapsed_secs();
 
     // --- Verification on rank 0, result broadcast ----------------------
@@ -356,36 +524,33 @@ pub async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
     }
 }
 
-/// Gathers the factored columns to rank 0 and performs the P L U solve.
-/// Returns x on rank 0 (empty elsewhere).
-async fn solve_on_root(
-    comm: &Comm,
-    local: &LocalPanel,
-    pivots: &[usize],
-    n: usize,
-    nb: usize,
-) -> Vec<f64> {
-    let p = comm.size();
-    let me = comm.rank();
+/// Gathers the distributed factors to rank 0 and performs the P L U
+/// solve. Returns x on rank 0 (empty elsewhere). The root works out
+/// which rows and columns each rank's block holds from its grid
+/// coordinate, so a rank ships its data and nothing else.
+async fn solve_on_root(comm: &Comm, local: &Local, pivots: &[usize], cfg: &HplConfig) -> Vec<f64> {
     const TAG: mp::Tag = 17;
+    let (n, size) = (cfg.n, comm.size());
 
-    if me != 0 {
+    if comm.rank() != 0 {
         comm.send(&local.data, 0, TAG);
         return Vec::new();
     }
 
     let mut full = vec![0.0f64; n * n]; // column-major
-    let place = |full: &mut [f64], cols: &[usize], data: &[f64]| {
+    let mut place = |rows: &[usize], cols: &[usize], data: &[f64]| {
         for (lc, &gc) in cols.iter().enumerate() {
-            full[gc * n..(gc + 1) * n].copy_from_slice(&data[lc * n..(lc + 1) * n]);
+            for (lr, &gr) in rows.iter().enumerate() {
+                full[gc * n + gr] = data[lc * rows.len() + lr];
+            }
         }
     };
-    place(&mut full, &local.cols, &local.data);
-    for r in 1..p {
-        let cols = owned_columns(n, nb, p, r);
-        let mut data = vec![0.0f64; cols.len() * n];
-        comm.recv_async(&mut data, r, TAG).await;
-        place(&mut full, &cols, &data);
+    place(&local.rows, &local.cols, &local.data);
+    for src in 1..size {
+        let (rows, cols) = owned_by(n, cfg.nb, (cfg.p_rows, size / cfg.p_rows), src);
+        let mut data = vec![0.0f64; rows.len() * cols.len()];
+        comm.recv_async(&mut data, src, TAG).await;
+        place(&rows, &cols, &data);
     }
 
     // b with the recorded row interchanges applied.
@@ -408,7 +573,7 @@ async fn solve_on_root(
         b[j] /= col[j];
         let xj = b[j];
         for r in 0..j {
-            b[r] -= full[j * n + r] * xj;
+            b[r] -= col[r] * xj;
         }
     }
     b
@@ -441,26 +606,77 @@ pub(crate) fn scaled_residual(n: usize, x: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn solve(size: usize, cfg: HplConfig) -> Vec<HplResult> {
+        mp::run(size, move |comm| run(comm, &cfg))
+    }
+
+    /// `(ranks, p_rows, n, nb)`: every shape the LU must solve.
+    const SHAPES: &[(usize, usize, usize, usize)] = &[
+        // Full columns per rank (1 x Q), down to one rank.
+        (1, 1, 64, 8),
+        (1, 1, 48, 8),
+        (2, 1, 64, 8),
+        (3, 1, 65, 8),
+        (4, 1, 96, 16),
+        (5, 1, 50, 7),
+        (1, 1, 50, 7),
+        // One world, every grid: pure column, pure row, square.
+        (4, 1, 64, 8),
+        (4, 4, 64, 8),
+        (4, 2, 64, 8),
+        // Rectangular grids, and block = panel.
+        (6, 2, 60, 8),
+        (6, 3, 60, 8),
+        (8, 2, 64, 16),
+        // n not a multiple of nb or the grid; prime n with odd nb, where
+        // every panel edge is ragged and row/column owners never align.
+        (4, 2, 50, 7),
+        (9, 3, 81, 9),
+        (6, 2, 97, 17),
+        // nb sweep (8 = many small panels, 17 = ragged edges everywhere,
+        // 32 = few wide panels) on a column grid and a square one, where
+        // the lookahead factor is itself a collective.
+        (3, 1, 96, 8),
+        (3, 1, 96, 17),
+        (3, 1, 96, 32),
+        (4, 2, 96, 8),
+        (4, 2, 96, 17),
+        (4, 2, 96, 32),
+        // More ranks than blocks: idle process rows and idle columns.
+        (8, 1, 16, 8),
+        (8, 4, 16, 8),
+        (8, 2, 16, 8),
+        (8, 8, 16, 8),
+        // n < nb: one ragged panel, three of four ranks idle.
+        (1, 1, 5, 8),
+        (4, 1, 5, 8),
+        (4, 2, 5, 8),
+    ];
+
     #[test]
-    fn solves_accurately_various_shapes() {
-        for (p, n, nb) in [(1, 64, 8), (2, 64, 8), (3, 65, 8), (4, 96, 16), (5, 50, 7)] {
-            let results = mp::run(p, |comm| {
-                run(
-                    comm,
-                    &HplConfig {
+    fn solves_every_shape_with_lookahead_on_and_off() {
+        // Grid shape and lookahead are schedule inputs, not numerics
+        // inputs: every run of one (n, nb) returns the same residual bits.
+        let mut bits = std::collections::HashMap::new();
+        for &(size, p_rows, n, nb) in SHAPES {
+            for lookahead in [true, false] {
+                let shape = format!("{size} ranks P={p_rows} n={n} nb={nb} lookahead={lookahead}");
+                let results = solve(
+                    size,
+                    HplConfig {
                         n,
                         nb,
-                        ..HplConfig::default()
+                        p_rows,
+                        lookahead,
                     },
-                )
-            });
-            for res in &results {
-                assert!(
-                    res.passed,
-                    "p={p} n={n} nb={nb}: residual {} too large",
-                    res.residual
                 );
-                assert!(res.gflops > 0.0);
+                for r in &results {
+                    assert!(r.passed, "{shape}: residual {} too large", r.residual);
+                    assert!(r.gflops > 0.0, "{shape}");
+                }
+                let got = results[0].residual.to_bits();
+                let first = *bits.entry((n, nb)).or_insert(got);
+                assert_eq!(got, first, "{shape}: the schedule changed the arithmetic");
             }
         }
     }
@@ -473,16 +689,14 @@ mod tests {
         let residuals: Vec<f64> = [8usize, 17, 32]
             .iter()
             .map(|&nb| {
-                let r = mp::run(2, move |comm| {
-                    run(
-                        comm,
-                        &HplConfig {
-                            n: 128,
-                            nb,
-                            ..HplConfig::default()
-                        },
-                    )
-                })[0];
+                let r = solve(
+                    2,
+                    HplConfig {
+                        n: 128,
+                        nb,
+                        ..HplConfig::default()
+                    },
+                )[0];
                 assert!(r.passed, "nb={nb}: residual {}", r.residual);
                 r.residual
             })
@@ -499,16 +713,14 @@ mod tests {
 
     #[test]
     fn all_ranks_agree_on_the_result() {
-        let results = mp::run(4, |comm| {
-            run(
-                comm,
-                &HplConfig {
-                    n: 48,
-                    nb: 6,
-                    ..HplConfig::default()
-                },
-            )
-        });
+        let results = solve(
+            4,
+            HplConfig {
+                n: 48,
+                nb: 6,
+                ..HplConfig::default()
+            },
+        );
         for r in &results[1..] {
             assert_eq!(r.residual, results[0].residual);
             assert_eq!(r.time_s, results[0].time_s);
@@ -516,16 +728,61 @@ mod tests {
     }
 
     #[test]
-    fn block_cyclic_mapping_partitions_columns() {
-        let (n, nb, p) = (100, 8, 3);
-        let mut seen = vec![false; n];
-        for r in 0..p {
-            for c in owned_columns(n, nb, p, r) {
-                assert!(!seen[c], "column {c} owned twice");
-                seen[c] = true;
+    fn block_cyclic_mapping_partitions_the_matrix() {
+        let (n, nb, grid) = (100, 8, (2, 3));
+        let mut seen = vec![0u32; n * n];
+        for rank in 0..grid.0 * grid.1 {
+            let (rows, cols) = owned_by(n, nb, grid, rank);
+            assert!(rows.is_sorted() && cols.is_sorted());
+            for &c in &cols {
+                for &r in &rows {
+                    seen[c * n + r] += 1;
+                }
             }
         }
-        assert!(seen.iter().all(|&s| s));
+        assert!(
+            seen.iter().all(|&s| s == 1),
+            "an element is owned 0 or 2+ times"
+        );
+    }
+
+    #[test]
+    fn near_square_grid_selection() {
+        assert_eq!(HplConfig::near_square(100, 8, 16).p_rows, 4);
+        assert_eq!(HplConfig::near_square(100, 8, 6).p_rows, 2);
+        assert_eq!(
+            HplConfig::near_square(100, 8, 7).p_rows,
+            1,
+            "prime worlds fall back to 1xN"
+        );
+        assert_eq!(HplConfig::near_square(100, 8, 1).p_rows, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "HPL needs positive n and nb, got n=8 nb=0")]
+    fn zero_block_size_fails_named() {
+        solve(
+            1,
+            HplConfig {
+                n: 8,
+                nb: 0,
+                ..HplConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "HPL grid of p_rows=3 does not tile 4 ranks")]
+    fn grid_that_does_not_tile_the_world_fails_named() {
+        solve(
+            4,
+            HplConfig {
+                n: 8,
+                nb: 2,
+                p_rows: 3,
+                ..HplConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! The general entry point is [`gemm_update`]: a rectangular, arbitrary-
 //! stride `C += alpha * A * B`, which serves row-major kernels (EP-DGEMM)
-//! and the column-major trailing updates of `hpl`/`hpl2d` alike.
+//! and the column-major trailing updates of `hpl`.
 //!
 //! ## Threading and tuning
 //!

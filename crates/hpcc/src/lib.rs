@@ -24,7 +24,6 @@ pub mod beff;
 pub mod ep;
 pub mod fft_dist;
 pub mod hpl;
-pub mod hpl2d;
 pub mod kernels;
 pub mod ptrans;
 pub mod random_access;

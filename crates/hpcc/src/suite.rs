@@ -27,8 +27,8 @@ pub struct SuiteConfig {
     pub dgemm_n: usize,
     /// Ring message bytes.
     pub ring_bytes: usize,
-    /// Use the 2-D process-grid HPL (near-square grid) instead of the
-    /// 1-D column-cyclic variant.
+    /// G-HPL's process grid: near-square `P x Q` when set, `1 x Q` (every
+    /// rank holds full columns) otherwise. One LU either way.
     pub hpl_2d: bool,
 }
 
@@ -45,6 +45,15 @@ impl SuiteConfig {
             dgemm_n: 128,
             ring_bytes: 100_000,
             hpl_2d: false,
+        }
+    }
+
+    /// The G-HPL problem this configuration poses to `size` ranks.
+    pub fn hpl_config(&self, size: usize) -> hpl::HplConfig {
+        let square = hpl::HplConfig::near_square(self.hpl_n, self.hpl_nb, size);
+        hpl::HplConfig {
+            p_rows: if self.hpl_2d { square.p_rows } else { 1 },
+            ..square
         }
     }
 }
@@ -114,23 +123,7 @@ impl Component {
     async fn execute(self, comm: &Comm, cfg: &SuiteConfig) -> ComponentOutput {
         match self {
             Component::Hpl => {
-                let r = if cfg.hpl_2d {
-                    crate::hpl2d::run_async(
-                        comm,
-                        &crate::hpl2d::Hpl2dConfig::near_square(cfg.hpl_n, cfg.hpl_nb, comm.size()),
-                    )
-                    .await
-                } else {
-                    hpl::run_async(
-                        comm,
-                        &hpl::HplConfig {
-                            n: cfg.hpl_n,
-                            nb: cfg.hpl_nb,
-                            ..hpl::HplConfig::default()
-                        },
-                    )
-                    .await
-                };
+                let r = hpl::run_async(comm, &cfg.hpl_config(comm.size())).await;
                 ComponentOutput {
                     values: vec![("G-HPL", MetricKind::RateGflops, r.gflops)],
                     passed: r.passed,

@@ -26,12 +26,20 @@ fn main() {
         fft_log2_n: 18,
         dgemm_n: 384,
         ring_bytes: 2_000_000,
-        // The 2-D process-grid HPL when the rank count tiles a grid.
-        hpl_2d: ranks > 1,
+        // G-HPL on a near-square process grid (1 x ranks on a prime world).
+        hpl_2d: true,
     };
 
     println!("HPCC suite, {ranks} ranks (native, this host)");
     println!("{}", mp::waiting_regime(ranks));
+    let hpl = cfg.hpl_config(ranks);
+    println!(
+        "G-HPL grid {}x{}, n {}, nb {}",
+        hpl.p_rows,
+        ranks / hpl.p_rows,
+        hpl.n,
+        hpl.nb
+    );
     println!("---------------------------------------------");
     let s = run_native(ranks, &cfg);
     println!("G-HPL             {:>12.3} Gflop/s", s.ghpl);
