@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tracked Rust line counts, the number behind ROADMAP aim 2 ("net line
 # count is a tracked metric"): per crate, lines under src/, the non-test
-# share of those (everything above a file's first column-0 `#[cfg(test)]`
-# — the only lines that count as a reduction), and lines in the whole
+# share of those (everything outside a file's test module, as
+# `ci/nontest.awk` reads it — the only lines that count as a reduction;
+# `ci/arch_lint.sh` scans exactly these lines), and lines in the whole
 # crate (src/ + tests/); then the umbrella package. The `benchmark`
 # package — the repo's one measurement system — is printed below the
 # total and outside it, so its size is tracked without moving the
@@ -12,13 +13,7 @@ set -eu
 cd "$(dirname "$0")/.."
 files() { git ls-files -z -- "$@" | grep -z '\.rs$'; }
 count() { files "$@" | xargs -0 -r cat | wc -l; }
-nontest() {
-    files "$@" | xargs -0 -r awk '
-        FNR == 1 { intest = 0 }
-        /^#\[cfg\(test\)\]/ { intest = 1 }
-        !intest { n++ }
-        END { print n + 0 }'
-}
+nontest() { files "$@" | xargs -0 -r awk -f ci/nontest.awk | wc -l; }
 total=0
 row() { # name, src dir, every path of the package
     all=$(count "${@:3}")

@@ -8,9 +8,9 @@
 //! cargo run -p bench --bin campaign -- --records FILE       # records JSON path
 //! cargo run -p bench --bin campaign -- --out DIR            # artefact directory
 //! cargo run -p bench --bin campaign -- --no-figures         # records only
+//! cargo run -p bench --bin campaign -- --no-extensions      # the paper only: no extension studies
 //! cargo run -p bench --bin campaign -- --check              # mpcheck-verify native runs
 //! cargo run -p bench --bin campaign -- --check-report FILE  # mpcheck report JSON path
-//! cargo run -p bench --bin campaign -- --explore            # DPOR schedule exploration
 //! cargo run -p bench --bin campaign -- --high-rank N        # virtual slice at N coop ranks
 //! cargo run -p bench --bin campaign -- --workloads A,B      # registry-name filter
 //! cargo run -p bench --bin campaign -- --smoke --backend shm --nprocs 2
@@ -40,10 +40,6 @@
 //! comparable with a `--backend local` run of the same plan (modulo
 //! timing statistics), which is exactly what the backend-parity test
 //! asserts.
-
-#[path = "../explore_driver.rs"]
-#[allow(dead_code)] // `replay_file` is the mpcheck binary's half of the shared driver.
-mod explore_driver;
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -312,8 +308,8 @@ fn main() {
     let mut check_report_path: Option<PathBuf> = None;
     let mut smoke = false;
     let mut check = false;
-    let mut explore = false;
     let mut with_figures = true;
+    let mut with_extensions = true;
     let mut max_procs = 2048usize;
     let mut backend = Backend::Local;
     let mut nprocs = 2usize;
@@ -327,7 +323,6 @@ fn main() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--check" => check = true,
-            "--explore" => explore = true,
             "--check-report" => {
                 check = true;
                 check_report_path = Some(PathBuf::from(
@@ -335,6 +330,7 @@ fn main() {
                 ));
             }
             "--no-figures" => with_figures = false,
+            "--no-extensions" => with_extensions = false,
             "--out" => out_dir = PathBuf::from(args.next().expect("--out needs a path")),
             "--records" => {
                 records_path = Some(PathBuf::from(args.next().expect("--records needs a path")));
@@ -373,8 +369,8 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument: {other}\n\
-                     usage: campaign [--smoke] [--check] [--explore] [--no-figures] [--max-procs N] \
-                     [--high-rank N] [--backend local|shm|tcp] [--nprocs N] \
+                     usage: campaign [--smoke] [--check] [--no-figures] [--no-extensions] \
+                     [--max-procs N] [--high-rank N] [--backend local|shm|tcp] [--nprocs N] \
                      [--workloads A,B] [--out DIR] [--records FILE] [--check-report FILE]"
                 );
                 std::process::exit(2);
@@ -397,40 +393,6 @@ fn main() {
             })
             .collect()
     });
-
-    // Schedule-space exploration replaces the record sweep: the DPOR
-    // explorer drives the misuse gallery plus small-world virtual slices
-    // of the registry through every meaningfully distinct interleaving,
-    // and the exit code carries the acceptance verdict.
-    if explore {
-        if backend != Backend::Local || check {
-            eprintln!("--explore runs in-process; it does not compose with --check or --backend");
-            std::process::exit(2);
-        }
-        let plan = explore_driver::ExplorePlan {
-            workloads: workloads
-                .as_ref()
-                .map(|names| names.iter().map(|n| n.to_string()).collect()),
-            ..explore_driver::ExplorePlan::default()
-        };
-        let summary = explore_driver::run(&plan, &out_dir).expect("write exploration artefacts");
-        print!("{}", summary.report);
-        let report_path = out_dir.join("mpcheck-explore.json");
-        std::fs::write(&report_path, summary.report.to_json()).expect("write exploration report");
-        println!("wrote {}", report_path.display());
-        println!(
-            "wrote {} counterexample trace(s) under {}",
-            summary.traces.len(),
-            out_dir.join("schedules").display()
-        );
-        if !summary.failures.is_empty() {
-            for failure in &summary.failures {
-                eprintln!("campaign --explore: {failure}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
 
     if backend != Backend::Local {
         if !smoke {
@@ -498,7 +460,7 @@ fn main() {
                 max_procs,
                 ..FigureConfig::default()
             },
-            with_extensions: true,
+            with_extensions,
             verbose: true,
         };
         let report = output::write_from(&cfg, &records).expect("write figure artefacts");

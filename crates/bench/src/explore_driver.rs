@@ -1,12 +1,12 @@
-//! The shared schedule-exploration driver behind the `mpcheck` CLI and
-//! `campaign --explore`: runs the misuse gallery and small-world
+//! The schedule-exploration driver behind `mpcheck explore` and
+//! `mpcheck replay`: runs the misuse gallery and small-world
 //! virtual slices of every registry workload under the DPOR explorer,
 //! merges the per-target reports into one `mpcheck-report-v2` document,
 //! and writes each finding's replayable counterexample as an
 //! `hpcbench-schedule-v1` trace file.
 //!
-//! `bench` deliberately has no library target, so the two binaries
-//! include this module by path.
+//! `bench` deliberately has no library target, so the `mpcheck` binary
+//! includes this module by path.
 
 use std::io;
 use std::path::{Path, PathBuf};

@@ -1,4 +1,4 @@
-//! Output stage shared by the `figures` and `campaign` binaries: writes
+//! Output stage of the `campaign` binary: writes
 //! every regenerated table and figure (CSV + SVG + combined markdown
 //! report) into a directory. One call builds one record set
 //! ([`figures::paper_records`]) and every table and figure of the paper is

@@ -6,6 +6,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
+use mpcheck::json;
+
 /// Which benchmark suite a workload belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Suite {
@@ -215,15 +217,15 @@ impl Record {
             None => "null".into(),
         };
         format!(
-            "{{ \"benchmark\": \"{}\", \"suite\": \"{}\", \"mode\": \"{}\", \
-             \"machine\": \"{}\", \"procs\": {}, \"threads\": {}, \"bytes\": {}, \
+            "{{ \"benchmark\": {}, \"suite\": {}, \"mode\": {}, \
+             \"machine\": {}, \"procs\": {}, \"threads\": {}, \"bytes\": {}, \
              \"metric\": \"{}\", \"value\": {:.6}, \"unit\": \"{}\", \
              \"repetitions\": {}, \"t_min_us\": {:.6}, \"t_avg_us\": {:.6}, \
              \"t_max_us\": {:.6}, \"passed\": {} }}",
-            self.benchmark,
-            self.suite.as_str(),
-            self.mode.as_str(),
-            self.machine,
+            json::string(self.benchmark),
+            json::string(self.suite.as_str()),
+            json::string(self.mode.as_str()),
+            json::string(self.machine),
             self.procs,
             self.threads,
             bytes,
@@ -338,6 +340,17 @@ mod tests {
             records_json(&[]),
             "empty streams agree too"
         );
+    }
+
+    /// Names come from callers (`examples/custom_machine.rs` builds its
+    /// own machine): whatever they hold, the line stays one JSON object.
+    #[test]
+    fn names_with_quotes_and_backslashes_round_trip() {
+        let mut r = rec();
+        r.machine = "a\"b\\c";
+        let parsed = json::parse(&r.to_json()).expect("a record line is JSON");
+        let machine = parsed.get("machine").and_then(|m| m.as_str());
+        assert_eq!(machine, Some(r.machine));
     }
 
     #[test]

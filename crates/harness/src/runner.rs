@@ -108,33 +108,16 @@ impl Runner {
         clock.elapsed_secs() / iters as f64 * 1e6
     }
 
+    /// Blocking [`rank_stats_async`](Runner::rank_stats_async), for rank
+    /// threads.
+    pub fn rank_stats(comm: &Comm, per_call_us: f64, participated: bool, iters: usize) -> Stats {
+        let stats = Self::rank_stats_async(comm, per_call_us, participated, iters);
+        mp::block_on(stats)
+    }
+
     /// IMB cross-rank statistics: min/avg/max over the participating
     /// ranks' per-call averages. Collective; every rank returns the same
     /// stats.
-    pub fn rank_stats(comm: &Comm, per_call_us: f64, participated: bool, iters: usize) -> Stats {
-        let mut maxv = [if participated { per_call_us } else { 0.0 }];
-        let mut minv = [if participated {
-            per_call_us
-        } else {
-            f64::INFINITY
-        }];
-        let mut sums = [
-            if participated { per_call_us } else { 0.0 },
-            if participated { 1.0 } else { 0.0 },
-        ];
-        comm.allreduce(&mut maxv, Op::Max);
-        comm.allreduce(&mut minv, Op::Min);
-        comm.allreduce(&mut sums, Op::Sum);
-        Stats {
-            repetitions: iters,
-            t_min_us: minv[0],
-            t_avg_us: sums[0] / sums[1].max(1.0),
-            t_max_us: maxv[0],
-        }
-    }
-
-    /// Awaitable mirror of [`rank_stats`](Runner::rank_stats), for
-    /// cooperative rank tasks.
     pub async fn rank_stats_async(
         comm: &Comm,
         per_call_us: f64,
@@ -174,20 +157,10 @@ impl Runner {
         best.max(1e-9)
     }
 
-    /// Times one collective invocation of `f`, returning its result
-    /// together with IMB-style cross-rank wall-time statistics
-    /// (repetitions = 1, no warm-up — suited to one-shot components
-    /// whose re-execution would be prohibitively expensive).
-    pub fn timed_stats<T>(comm: &Comm, f: impl FnOnce() -> T) -> (T, Stats) {
-        let clock = crate::timer::Stopwatch::start();
-        let out = f();
-        let elapsed_us = clock.elapsed_secs() * 1e6;
-        (out, Runner::rank_stats(comm, elapsed_us, true, 1))
-    }
-
-    /// Awaitable mirror of [`timed_stats`](Runner::timed_stats): times
-    /// one awaited region and reduces the cross-rank statistics without
-    /// blocking the cooperative executor.
+    /// Times one awaited collective region, returning its result together
+    /// with IMB-style cross-rank wall-time statistics (repetitions = 1, no
+    /// warm-up — suited to one-shot components whose re-execution would be
+    /// prohibitively expensive).
     pub async fn timed_stats_async<T, Fut>(comm: &Comm, f: impl FnOnce() -> Fut) -> (T, Stats)
     where
         Fut: std::future::Future<Output = T>,
@@ -253,20 +226,6 @@ mod tests {
             assert!((s.t_avg_us - 2.5).abs() < 1e-12);
             assert_eq!(s.repetitions, 10);
             assert!(s.is_ordered());
-        }
-    }
-
-    #[test]
-    fn timed_stats_times_one_collective_region() {
-        let stats = mp::run(2, |comm| {
-            let (value, stats) = Runner::timed_stats(comm, || 42usize);
-            assert_eq!(value, 42);
-            stats
-        });
-        for s in stats {
-            assert_eq!(s.repetitions, 1);
-            assert!(s.is_ordered());
-            assert!(s.t_min_us >= 0.0);
         }
     }
 

@@ -20,7 +20,6 @@
 //! assert!(s.all_passed);
 //! ```
 
-pub mod beff;
 pub mod ep;
 pub mod fft_dist;
 pub mod hpl;

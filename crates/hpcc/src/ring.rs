@@ -48,7 +48,7 @@ pub struct RingResult {
 
 /// Deterministic Fisher-Yates permutation of `0..n` from a splitmix64
 /// stream.
-pub fn ring_permutation(n: usize, seed: u64) -> Vec<usize> {
+pub(crate) fn ring_permutation(n: usize, seed: u64) -> Vec<usize> {
     let mut state = seed;
     let mut next = move || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -1,15 +1,18 @@
 //! High-level collective methods on [`Comm`], dispatching to the
 //! auto-selected algorithms in [`crate::coll`].
 //!
-//! Each method opens an instrumented collective scope (no-op on unchecked
-//! runs): the operation name, root (global rank) and — for operations
-//! whose payload shape must agree across ranks — the per-rank byte count
-//! are recorded, so the `mpcheck` trace lint can flag call-sequence
-//! divergence and root/shape mismatches. Vector variants record no shape
-//! (their per-rank counts legitimately differ).
+//! The awaitable method is the body of every operation; the blocking
+//! method of the same name is one [`block_on`] around it. So each
+//! operation opens its instrumented collective scope (no-op on unchecked
+//! runs) in one place: the operation name, root (global rank) and — for
+//! operations whose payload shape must agree across ranks — the per-rank
+//! byte count are recorded, so the `mpcheck` trace lint can flag
+//! call-sequence divergence and root/shape mismatches. Vector variants
+//! record no shape (their per-rank counts legitimately differ).
 
 use crate::coll;
 use crate::comm::Comm;
+use crate::coop::block_on;
 use crate::datatype::Word;
 use crate::reduce::{Numeric, Op};
 
@@ -21,88 +24,75 @@ fn shape_of<T: Word>(buf: &[T]) -> Option<u64> {
 impl Comm {
     /// Synchronises all ranks (`MPI_Barrier`).
     pub fn barrier(&self) {
-        let _scope = self.coll_scope("barrier", None, Some(0));
-        coll::barrier::auto(self);
+        block_on(self.barrier_async());
     }
 
     /// Broadcasts `buf` from `root` to every rank (`MPI_Bcast`).
     pub fn bcast<T: Word>(&self, buf: &mut [T], root: usize) {
-        let _scope = self.coll_scope("bcast", Some(root), shape_of(buf));
-        coll::bcast::auto(self, buf, root);
+        block_on(self.bcast_async(buf, root));
     }
 
     /// Gathers one equal block per rank to `root` (`MPI_Gather`).
     /// `recv` must be `Some` (of length `n * send.len()`) exactly at the root.
     pub fn gather<T: Word>(&self, send: &[T], recv: Option<&mut [T]>, root: usize) {
-        let _scope = self.coll_scope("gather", Some(root), shape_of(send));
-        coll::gather::auto(self, send, recv, root);
+        block_on(self.gather_async(send, recv, root));
     }
 
     /// Scatters equal blocks from `root` (`MPI_Scatter`).
     /// `send` must be `Some` (of length `n * recv.len()`) exactly at the root.
     pub fn scatter<T: Word>(&self, send: Option<&[T]>, recv: &mut [T], root: usize) {
-        let _scope = self.coll_scope("scatter", Some(root), shape_of(recv));
-        coll::scatter::auto(self, send, recv, root);
+        block_on(self.scatter_async(send, recv, root));
     }
 
     /// Gathers one equal block per rank to every rank (`MPI_Allgather`).
     pub fn allgather<T: Word>(&self, send: &[T], recv: &mut [T]) {
-        let _scope = self.coll_scope("allgather", None, shape_of(send));
-        coll::allgather::auto(self, send, recv);
+        block_on(self.allgather_async(send, recv));
     }
 
     /// Vector allgather with per-rank counts (`MPI_Allgatherv`).
     pub fn allgatherv<T: Word>(&self, send: &[T], recv: &mut [T], counts: &[usize]) {
-        let _scope = self.coll_scope("allgatherv", None, None);
-        coll::allgatherv::auto(self, send, recv, counts);
+        block_on(self.allgatherv_async(send, recv, counts));
     }
 
     /// Personalised all-to-all exchange (`MPI_Alltoall`): block `d` of
     /// `send` goes to rank `d`; block `s` of `recv` arrives from rank `s`.
     pub fn alltoall<T: Word>(&self, send: &[T], recv: &mut [T]) {
-        let _scope = self.coll_scope("alltoall", None, shape_of(send));
-        coll::alltoall::auto(self, send, recv);
+        block_on(self.alltoall_async(send, recv));
     }
 
     /// Reduces element-wise to `root` (`MPI_Reduce`).
     /// `recv` must be `Some` exactly at the root.
     pub fn reduce<T: Numeric>(&self, send: &[T], recv: Option<&mut [T]>, root: usize, op: Op) {
-        let _scope = self.coll_scope("reduce", Some(root), shape_of(send));
-        coll::reduce::auto(self, send, recv, root, op);
+        block_on(self.reduce_async(send, recv, root, op));
     }
 
     /// Reduces element-wise, result on every rank (`MPI_Allreduce`).
     /// Operates in place on `buf`.
     pub fn allreduce<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        let _scope = self.coll_scope("allreduce", None, shape_of(buf));
-        coll::allreduce::auto(self, buf, op);
+        block_on(self.allreduce_async(buf, op));
     }
 
     /// Reduce + scatter of equal blocks (`MPI_Reduce_scatter_block`):
     /// `send` holds `n` blocks of `recv.len()`; `recv` gets this rank's
     /// fully-reduced block.
     pub fn reduce_scatter_block<T: Numeric>(&self, send: &[T], recv: &mut [T], op: Op) {
-        let _scope = self.coll_scope("reduce_scatter_block", None, shape_of(recv));
-        coll::reduce_scatter::block_auto(self, send, recv, op);
+        block_on(self.reduce_scatter_block_async(send, recv, op));
     }
 
     /// Reduce + scatter with per-rank counts (`MPI_Reduce_scatter`).
     pub fn reduce_scatter<T: Numeric>(&self, send: &[T], recv: &mut [T], counts: &[usize], op: Op) {
-        let _scope = self.coll_scope("reduce_scatter", None, None);
-        coll::reduce_scatter::auto(self, send, recv, counts, op);
+        block_on(self.reduce_scatter_async(send, recv, counts, op));
     }
 
     /// Inclusive prefix reduction (`MPI_Scan`), in place.
     pub fn scan<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        let _scope = self.coll_scope("scan", None, shape_of(buf));
-        coll::scan::auto(self, buf, op);
+        block_on(self.scan_async(buf, op));
     }
 
     /// Exclusive prefix reduction (`MPI_Exscan`), in place; rank 0 gets
     /// the operation's identity.
     pub fn exscan<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        let _scope = self.coll_scope("exscan", None, shape_of(buf));
-        coll::scan::exscan(self, buf, op);
+        block_on(self.exscan_async(buf, op));
     }
 
     /// Vector all-to-all with per-pair counts (`MPI_Alltoallv`).
@@ -113,8 +103,7 @@ impl Comm {
         recv: &mut [T],
         recv_counts: &[usize],
     ) {
-        let _scope = self.coll_scope("alltoallv", None, None);
-        coll::alltoallv::auto(self, send, send_counts, recv, recv_counts);
+        block_on(self.alltoallv_async(send, send_counts, recv, recv_counts));
     }
 
     /// Vector gather with per-rank counts (`MPI_Gatherv`).
@@ -125,8 +114,7 @@ impl Comm {
         counts: &[usize],
         root: usize,
     ) {
-        let _scope = self.coll_scope("gatherv", Some(root), None);
-        coll::gatherv::gatherv(self, send, recv, counts, root);
+        block_on(self.gatherv_async(send, recv, counts, root));
     }
 
     /// Vector scatter with per-rank counts (`MPI_Scatterv`).
@@ -137,16 +125,16 @@ impl Comm {
         counts: &[usize],
         root: usize,
     ) {
-        let _scope = self.coll_scope("scatterv", Some(root), None);
-        coll::gatherv::scatterv(self, send, recv, counts, root);
+        block_on(self.scatterv_async(send, recv, counts, root));
     }
 }
 
-/// Awaitable mirrors of the collective methods, for workloads running as
+/// The collective methods' bodies, awaitable so that workloads can run as
 /// cooperative tasks (see [`crate::run_coop`] and friends). Inside a
 /// cooperative task the blocking methods above panic; these suspend the
-/// task at each internal receive instead. On real threads they behave
-/// identically to their blocking counterparts.
+/// task at each internal receive instead. On real threads every receive
+/// completes synchronously, which is what lets the blocking methods be
+/// `block_on` of these.
 impl Comm {
     /// Awaitable [`barrier`](Comm::barrier).
     pub async fn barrier_async(&self) {

@@ -6,6 +6,11 @@ use crate::payload::Payload;
 
 use super::{ceil_log2, Step, LONG_MSG_THRESHOLD};
 
+/// [`ring_async`]'s steps over the gathered buffer of `n` blocks.
+pub(crate) fn ring_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
+    super::ring_steps(me, n, 0, move |b| b * block..(b + 1) * block)
+}
+
 /// Ring allgather: `n-1` rounds; each round every rank passes one block to
 /// its right neighbour. Bandwidth-optimal for long blocks and valid for any
 /// group size.
@@ -13,16 +18,6 @@ use super::{ceil_log2, Step, LONG_MSG_THRESHOLD};
 /// A rank encodes only its own block; every later round forwards the
 /// payload that just arrived from the left (a shared-buffer handoff, not a
 /// re-encode), decoding a copy into the local result as it passes through.
-pub fn ring<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    crate::coop::block_on(ring_async(comm, send, recv));
-}
-
-/// [`ring`]'s steps over the gathered buffer of `n` blocks.
-pub(crate) fn ring_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
-    super::ring_steps(me, n, 0, move |b| b * block..(b + 1) * block)
-}
-
-/// Awaitable mirror of [`ring`].
 pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -42,14 +37,7 @@ pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     }
 }
 
-/// Recursive-doubling allgather: `log2 n` rounds, doubling the gathered
-/// span each round. Latency-optimal; requires a power-of-two group (the
-/// dispatcher falls back to [`ring`] otherwise).
-pub fn recursive_doubling<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    crate::coop::block_on(recursive_doubling_async(comm, send, recv));
-}
-
-/// [`recursive_doubling`]'s steps over the gathered buffer: round `k`
+/// [`recursive_doubling_async`]'s steps over the gathered buffer: round `k`
 /// swaps the `2^k`-aligned group of blocks a rank holds for its partner's.
 pub(crate) fn recursive_doubling_steps(
     me: usize,
@@ -68,7 +56,9 @@ pub(crate) fn recursive_doubling_steps(
     })
 }
 
-/// Awaitable mirror of [`recursive_doubling`].
+/// Recursive-doubling allgather: `log2 n` rounds, doubling the gathered
+/// span each round. Latency-optimal; requires a power-of-two group (the
+/// dispatcher falls back to [`ring_async`] otherwise).
 pub async fn recursive_doubling_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -84,7 +74,7 @@ pub async fn recursive_doubling_async<T: Word>(comm: &Comm, send: &[T], recv: &m
     super::run_in_place(comm, tag, recv, &mut steps, super::no_fold).await;
 }
 
-/// The [`auto`] dispatch test, shared with the `sched::allgather`
+/// The [`auto_async`] dispatch test, shared with the `sched::allgather`
 /// generator: recursive doubling when `n` blocks of `block_bytes` gather
 /// to a short result and the group is a power of two.
 pub(crate) fn picks_recursive_doubling(n: usize, block_bytes: usize) -> bool {
@@ -93,11 +83,6 @@ pub(crate) fn picks_recursive_doubling(n: usize, block_bytes: usize) -> bool {
 
 /// Size- and shape-dispatched allgather: recursive doubling for short
 /// blocks on power-of-two groups, ring otherwise.
-pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    crate::coop::block_on(auto_async(comm, send, recv));
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     if picks_recursive_doubling(comm.size(), send.len() * T::SIZE) {
         recursive_doubling_async(comm, send, recv).await;
@@ -108,17 +93,17 @@ pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::runtime::run;
+    use crate::Comm;
 
-    type Algo = fn(&crate::Comm, &[i64], &mut [i64]);
-
-    fn check(n: usize, block: usize, algo: Algo) {
+    fn check(n: usize, block: usize, algo: impl AsyncFn(&Comm, &[i64], &mut [i64]) + Sync) {
         let results = run(n, |comm| {
             let send: Vec<i64> = (0..block as i64)
                 .map(|i| (comm.rank() as i64) * 1000 + i)
                 .collect();
             let mut recv = vec![0i64; n * block];
-            algo(comm, &send, &mut recv);
+            block_on(algo(comm, &send, &mut recv));
             recv
         });
         let expect: Vec<i64> = (0..n as i64)
@@ -132,32 +117,32 @@ mod tests {
     #[test]
     fn ring_various_sizes() {
         for n in [1, 2, 3, 5, 8, 13] {
-            check(n, 4, super::ring);
+            check(n, 4, super::ring_async);
         }
     }
 
     #[test]
     fn recursive_doubling_power_of_two() {
         for n in [1, 2, 4, 8, 16] {
-            check(n, 4, super::recursive_doubling);
+            check(n, 4, super::recursive_doubling_async);
         }
     }
 
     #[test]
     #[should_panic(expected = "2^k ranks")]
     fn recursive_doubling_rejects_odd_groups() {
-        check(6, 2, super::recursive_doubling);
+        check(6, 2, super::recursive_doubling_async);
     }
 
     #[test]
     fn auto_both_paths() {
-        check(8, 2, super::auto); // short, 2^k -> doubling
-        check(8, 4096, super::auto); // long -> ring
-        check(6, 2, super::auto); // non-2^k -> ring
+        check(8, 2, super::auto_async); // short, 2^k -> doubling
+        check(8, 4096, super::auto_async); // long -> ring
+        check(6, 2, super::auto_async); // non-2^k -> ring
     }
 
     #[test]
     fn single_element_blocks() {
-        check(7, 1, super::ring);
+        check(7, 1, super::ring_async);
     }
 }

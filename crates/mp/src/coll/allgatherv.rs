@@ -16,21 +16,16 @@ pub(crate) fn displs(counts: impl IntoIterator<Item = usize>) -> Vec<usize> {
     d
 }
 
-/// Ring allgatherv: identical round structure to the symmetric ring
-/// allgather but with per-rank block sizes, which is exactly the "MPI
-/// overhead for more complex situations" the IMB Allgatherv benchmark
-/// measures relative to Allgather.
-pub fn ring<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
-    crate::coop::block_on(ring_async(comm, send, recv, counts));
-}
-
-/// [`ring`]'s steps over the gathered buffer, whose block boundaries are
+/// [`ring_async`]'s steps over the gathered buffer, whose block boundaries are
 /// `displs` (one more entry than ranks).
 pub(crate) fn ring_steps(me: usize, displs: &[usize]) -> impl Iterator<Item = Step> + '_ {
     super::ring_steps(me, displs.len() - 1, 0, |b| displs[b]..displs[b + 1])
 }
 
-/// Awaitable mirror of [`ring`].
+/// Ring allgatherv: identical round structure to the symmetric ring
+/// allgather but with per-rank block sizes, which is exactly the "MPI
+/// overhead for more complex situations" the IMB Allgatherv benchmark
+/// measures relative to Allgather.
 pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -44,17 +39,13 @@ pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts
 }
 
 /// The default allgatherv (ring).
-pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
-    ring(comm, send, recv, counts);
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
     ring_async(comm, send, recv, counts).await;
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::runtime::run;
 
     fn check(counts: Vec<usize>) {
@@ -67,7 +58,7 @@ mod tests {
                 .map(|i| (me as u32) * 100 + i)
                 .collect();
             let mut recv = vec![0u32; total];
-            super::ring(comm, &send, &mut recv, &counts2);
+            block_on(super::ring_async(comm, &send, &mut recv, &counts2));
             recv
         });
         let expect: Vec<u32> = (0..n)

@@ -70,13 +70,7 @@ impl Fold {
     }
 }
 
-/// Recursive-doubling allreduce: after the fold, `log2 p` rounds in which
-/// participant pairs exchange and combine full vectors. Latency-optimal.
-pub fn recursive_doubling<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    crate::coop::block_on(recursive_doubling_async(comm, buf, op));
-}
-
-/// [`recursive_doubling`]'s steps on the vector of `len`.
+/// [`recursive_doubling_async`]'s steps on the vector of `len`.
 pub(crate) fn recursive_doubling_steps(
     me: usize,
     n: usize,
@@ -94,26 +88,15 @@ pub(crate) fn recursive_doubling_steps(
     })
 }
 
-/// Awaitable mirror of [`recursive_doubling`].
+/// Recursive-doubling allreduce: after the fold, `log2 p` rounds in which
+/// participant pairs exchange and combine full vectors. Latency-optimal.
 pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     let tag = comm.next_coll_tag();
     let mut steps = recursive_doubling_steps(comm.rank(), comm.size(), buf.len());
     run_in_place(comm, tag, buf, &mut steps, |acc, x| op.fold_into(acc, x)).await;
 }
 
-/// Rabenseifner allreduce: after the fold, a recursive-halving
-/// reduce-scatter followed by a recursive-doubling allgather among the
-/// `2^k` participants. Bandwidth-optimal (`2 * len * (p-1)/p` per rank);
-/// the long-vector algorithm in MPI libraries — and the shape the paper's
-/// 1 MB Allreduce measurements exercise.
-///
-/// Requires the vector length to be divisible by the participant count;
-/// the dispatcher checks and falls back to [`recursive_doubling`].
-pub fn rabenseifner<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    crate::coop::block_on(rabenseifner_async(comm, buf, op));
-}
-
-/// [`rabenseifner`]'s steps on the vector of `len`: the participants run
+/// [`rabenseifner_async`]'s steps on the vector of `len`: the participants run
 /// [`reduce_scatter::recursive_halving_steps`], then
 /// [`allgather::recursive_doubling_steps`] over the reduced slices.
 pub(crate) fn rabenseifner_steps(me: usize, n: usize, len: usize) -> impl Iterator<Item = Step> {
@@ -128,7 +111,14 @@ pub(crate) fn rabenseifner_steps(me: usize, n: usize, len: usize) -> impl Iterat
     })
 }
 
-/// Awaitable mirror of [`rabenseifner`].
+/// Rabenseifner allreduce: after the fold, a recursive-halving
+/// reduce-scatter followed by a recursive-doubling allgather among the
+/// `2^k` participants. Bandwidth-optimal (`2 * len * (p-1)/p` per rank);
+/// the long-vector algorithm in MPI libraries — and the shape the paper's
+/// 1 MB Allreduce measurements exercise.
+///
+/// Requires the vector length to be divisible by the participant count;
+/// the dispatcher checks and falls back to [`recursive_doubling_async`].
 pub async fn rabenseifner_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     let (n, len) = (comm.size(), buf.len());
     let tag = comm.next_coll_tag();
@@ -138,7 +128,7 @@ pub async fn rabenseifner_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) 
     run_in_place(comm, tag, buf, &mut steps, |acc, x| op.fold_into(acc, x)).await;
 }
 
-/// The [`auto`] dispatch test, shared with the `sched::allreduce`
+/// The [`auto_async`] dispatch test, shared with the `sched::allreduce`
 /// generator: Rabenseifner when the vector of `elems` elements is long
 /// (`bytes`) and divides evenly over the folded power-of-two group.
 pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
@@ -147,11 +137,6 @@ pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
 
 /// Size-dispatched allreduce: Rabenseifner for long divisible vectors,
 /// recursive doubling otherwise.
-pub fn auto<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    crate::coop::block_on(auto_async(comm, buf, op));
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     if picks_rabenseifner(comm.size(), buf.len() * T::SIZE, buf.len()) {
         rabenseifner_async(comm, buf, op).await;
@@ -163,18 +148,18 @@ pub async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
+    use crate::coop::block_on;
     use crate::reduce::Op;
     use crate::runtime::run;
+    use crate::Comm;
 
-    type Algo = fn(&crate::Comm, &mut [f64], Op);
-
-    fn check(n: usize, len: usize, op: Op, algo: Algo) {
+    fn check(n: usize, len: usize, op: Op, algo: impl AsyncFn(&Comm, &mut [f64], Op) + Sync) {
         let results = run(n, |comm| {
             let me = comm.rank();
             let mut buf: Vec<f64> = (0..len)
                 .map(|i| ((me + 1) * (i + 1)) as f64 * 0.5)
                 .collect();
-            algo(comm, &mut buf, op);
+            block_on(algo(comm, &mut buf, op));
             buf
         });
         let mut expect = vec![
@@ -206,28 +191,28 @@ mod tests {
     #[test]
     fn recursive_doubling_power_of_two() {
         for n in [1, 2, 4, 8, 16] {
-            check(n, 10, Op::Sum, super::recursive_doubling);
+            check(n, 10, Op::Sum, super::recursive_doubling_async);
         }
     }
 
     #[test]
     fn recursive_doubling_general_sizes() {
         for n in [3, 5, 6, 7, 11, 13] {
-            check(n, 10, Op::Sum, super::recursive_doubling);
+            check(n, 10, Op::Sum, super::recursive_doubling_async);
         }
     }
 
     #[test]
     fn recursive_doubling_all_ops() {
         for op in [Op::Sum, Op::Prod, Op::Max, Op::Min] {
-            check(6, 5, op, super::recursive_doubling);
+            check(6, 5, op, super::recursive_doubling_async);
         }
     }
 
     #[test]
     fn rabenseifner_power_of_two() {
         for n in [2, 4, 8, 16] {
-            check(n, 16 * 16, Op::Sum, super::rabenseifner);
+            check(n, 16 * 16, Op::Sum, super::rabenseifner_async);
         }
     }
 
@@ -235,27 +220,27 @@ mod tests {
     fn rabenseifner_general_sizes() {
         // 240 divides the participant counts for all these n.
         for n in [3, 5, 6, 7, 12] {
-            check(n, 240, Op::Sum, super::rabenseifner);
+            check(n, 240, Op::Sum, super::rabenseifner_async);
         }
     }
 
     #[test]
     fn rabenseifner_max() {
-        check(8, 64, Op::Max, super::rabenseifner);
+        check(8, 64, Op::Max, super::rabenseifner_async);
     }
 
     #[test]
     fn auto_dispatches() {
-        check(4, 4, Op::Sum, super::auto);
-        check(4, 8192, Op::Sum, super::auto);
-        check(7, 4096, Op::Sum, super::auto);
+        check(4, 4, Op::Sum, super::auto_async);
+        check(4, 8192, Op::Sum, super::auto_async);
+        check(7, 4096, Op::Sum, super::auto_async);
     }
 
     #[test]
     fn allreduce_is_symmetric_across_ranks() {
         let results = run(5, |comm| {
             let mut buf = vec![comm.rank() as f64 + 1.0];
-            super::auto(comm, &mut buf, Op::Prod);
+            block_on(super::auto_async(comm, &mut buf, Op::Prod));
             buf[0]
         });
         for v in &results {

@@ -8,15 +8,7 @@ use crate::payload::Payload;
 
 use super::{ceil_log2, run_between, Step};
 
-/// Pairwise-exchange alltoall: `n-1` rounds; in round `s` each rank
-/// exchanges one block with the rank at offset `s` (XOR-pairing on
-/// power-of-two groups, rotation otherwise). The standard long-message
-/// algorithm: every block travels exactly once.
-pub fn pairwise<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    crate::coop::block_on(pairwise_async(comm, send, recv));
-}
-
-/// [`pairwise`]'s steps: give block `dst` of the send buffer, take block
+/// [`pairwise_async`]'s steps: give block `dst` of the send buffer, take block
 /// `src` of the receive buffer.
 pub(crate) fn pairwise_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
     let at = move |r: usize| r * block..(r + 1) * block;
@@ -30,7 +22,10 @@ pub(crate) fn pairwise_steps(me: usize, n: usize, block: usize) -> impl Iterator
     })
 }
 
-/// Awaitable mirror of [`pairwise`].
+/// Pairwise-exchange alltoall: `n-1` rounds; in round `s` each rank
+/// exchanges one block with the rank at offset `s` (XOR-pairing on
+/// power-of-two groups, rotation otherwise). The standard long-message
+/// algorithm: every block travels exactly once.
 pub async fn pairwise_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -42,19 +37,7 @@ pub async fn pairwise_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     run_between(comm, tag, send, recv, &mut pairwise_steps(me, n, block)).await;
 }
 
-/// Bruck alltoall: `ceil(log2 n)` rounds, each moving about half the
-/// payload. Fewer, larger messages than pairwise — the short-message
-/// algorithm. Works for any group size.
-///
-/// After the initial rotation `L[i] = send[(me + i) % n]`, round `k` ships
-/// every slot with bit `k` set to rank `me + 2^k`; slot contents then
-/// satisfy `L[j] = block from (me - j) to me`, undone by the final inverse
-/// rotation.
-pub fn bruck<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    crate::coop::block_on(bruck_async(comm, send, recv));
-}
-
-/// [`bruck`]'s steps. A round's message is not one range of the slot
+/// [`bruck_async`]'s steps. A round's message is not one range of the slot
 /// space but the packing of every slot with bit `round` set; the ranges
 /// here index that packed message, `0..moving slots * block`.
 pub(crate) fn bruck_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
@@ -68,7 +51,14 @@ pub(crate) fn bruck_steps(me: usize, n: usize, block: usize) -> impl Iterator<It
     })
 }
 
-/// Awaitable mirror of [`bruck`].
+/// Bruck alltoall: `ceil(log2 n)` rounds, each moving about half the
+/// payload. Fewer, larger messages than pairwise — the short-message
+/// algorithm. Works for any group size.
+///
+/// After the initial rotation `L[i] = send[(me + i) % n]`, round `k` ships
+/// every slot with bit `k` set to rank `me + 2^k`; slot contents then
+/// satisfy `L[j] = block from (me - j) to me`, undone by the final inverse
+/// rotation.
 pub async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -105,13 +95,7 @@ pub async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     }
 }
 
-/// Linear alltoall: every rank fires all `n-1` sends eagerly, then drains
-/// its receives. Maximum overlap, no round structure; the baseline.
-pub fn linear<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    crate::coop::block_on(linear_async(comm, send, recv));
-}
-
-/// [`linear`]'s steps, all in one round: give block `dst` of the send
+/// [`linear_async`]'s steps, all in one round: give block `dst` of the send
 /// buffer, take block `src` of the receive buffer.
 pub(crate) fn linear_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
     let at = move |r: usize| r * block..(r + 1) * block;
@@ -120,7 +104,8 @@ pub(crate) fn linear_steps(me: usize, n: usize, block: usize) -> impl Iterator<I
     fire.chain(drain)
 }
 
-/// Awaitable mirror of [`linear`].
+/// Linear alltoall: every rank fires all `n-1` sends eagerly, then drains
+/// its receives. Maximum overlap, no round structure; the baseline.
 pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -132,7 +117,7 @@ pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     run_between(comm, tag, send, recv, &mut linear_steps(me, n, block)).await;
 }
 
-/// The [`auto`] dispatch test, shared with the `sched::alltoall`
+/// The [`auto_async`] dispatch test, shared with the `sched::alltoall`
 /// generator: Bruck when per-destination blocks are short and the group
 /// is large enough for its log-round count to pay.
 pub(crate) fn picks_bruck(n: usize, block_bytes: usize) -> bool {
@@ -140,11 +125,6 @@ pub(crate) fn picks_bruck(n: usize, block_bytes: usize) -> bool {
 }
 
 /// Size-dispatched alltoall: Bruck for short blocks, pairwise for long.
-pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    crate::coop::block_on(auto_async(comm, send, recv));
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     if picks_bruck(n, send.len() / n * T::SIZE) {
@@ -156,19 +136,19 @@ pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::runtime::run;
-
-    type Algo = fn(&crate::Comm, &[u32], &mut [u32]);
+    use crate::Comm;
 
     /// Element (s -> d, i) encoded as s*10000 + d*100 + i.
-    fn check(n: usize, block: usize, algo: Algo) {
+    fn check(n: usize, block: usize, algo: impl AsyncFn(&Comm, &[u32], &mut [u32]) + Sync) {
         let results = run(n, |comm| {
             let me = comm.rank() as u32;
             let send: Vec<u32> = (0..n as u32)
                 .flat_map(|d| (0..block as u32).map(move |i| me * 10000 + d * 100 + i))
                 .collect();
             let mut recv = vec![0u32; n * block];
-            algo(comm, &send, &mut recv);
+            block_on(algo(comm, &send, &mut recv));
             recv
         });
         for (r, got) in results.iter().enumerate() {
@@ -182,35 +162,35 @@ mod tests {
     #[test]
     fn pairwise_power_of_two() {
         for n in [1, 2, 4, 8, 16] {
-            check(n, 3, super::pairwise);
+            check(n, 3, super::pairwise_async);
         }
     }
 
     #[test]
     fn pairwise_general() {
         for n in [3, 5, 6, 7, 12] {
-            check(n, 3, super::pairwise);
+            check(n, 3, super::pairwise_async);
         }
     }
 
     #[test]
     fn bruck_various() {
         for n in [1, 2, 3, 4, 5, 8, 11, 16] {
-            check(n, 2, super::bruck);
+            check(n, 2, super::bruck_async);
         }
     }
 
     #[test]
     fn linear_various() {
         for n in [1, 2, 5, 9] {
-            check(n, 2, super::linear);
+            check(n, 2, super::linear_async);
         }
     }
 
     #[test]
     fn auto_both_paths() {
-        check(12, 1, super::auto); // tiny blocks, n > 8 -> bruck
-        check(12, 512, super::auto); // long -> pairwise
+        check(12, 1, super::auto_async); // tiny blocks, n > 8 -> bruck
+        check(12, 512, super::auto_async); // long -> pairwise
     }
 
     /// A round's message of the wrong size is refused by length even
@@ -222,7 +202,7 @@ mod tests {
         run(2, |comm| {
             if comm.rank() == 0 {
                 let send = [crate::Ghost::<4>; 6];
-                super::bruck(comm, &send, &mut [crate::Ghost::<4>; 6]);
+                block_on(super::bruck_async(comm, &send, &mut [crate::Ghost::<4>; 6]));
             } else {
                 // Stands in for a peer whose blocks are a word short.
                 let tag = comm.next_coll_tag();
@@ -234,7 +214,7 @@ mod tests {
 
     #[test]
     fn empty_blocks() {
-        check(4, 0, super::pairwise);
-        check(4, 0, super::bruck);
+        check(4, 0, super::pairwise_async);
+        check(4, 0, super::bruck_async);
     }
 }

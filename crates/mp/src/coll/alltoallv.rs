@@ -19,17 +19,6 @@ pub(crate) fn displs(counts: &[usize]) -> Vec<usize> {
 
 /// Pairwise alltoallv: `n-1` rotation rounds. `send_counts[d]` words go
 /// to rank `d`; `recv_counts[s]` words arrive from rank `s`.
-pub fn pairwise<T: Word>(
-    comm: &Comm,
-    send: &[T],
-    send_counts: &[usize],
-    recv: &mut [T],
-    recv_counts: &[usize],
-) {
-    crate::coop::block_on(pairwise_async(comm, send, send_counts, recv, recv_counts));
-}
-
-/// Awaitable mirror of [`pairwise`].
 pub async fn pairwise_async<T: Word>(
     comm: &Comm,
     send: &[T],
@@ -63,17 +52,6 @@ pub async fn pairwise_async<T: Word>(
 }
 
 /// The default alltoallv (pairwise).
-pub fn auto<T: Word>(
-    comm: &Comm,
-    send: &[T],
-    send_counts: &[usize],
-    recv: &mut [T],
-    recv_counts: &[usize],
-) {
-    pairwise(comm, send, send_counts, recv, recv_counts);
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(
     comm: &Comm,
     send: &[T],
@@ -87,6 +65,8 @@ pub async fn auto_async<T: Word>(
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
+    use super::pairwise_async;
+    use crate::coop::block_on;
     use crate::runtime::run;
 
     /// Triangular counts: rank r sends `r + d + 1` words to rank d.
@@ -106,7 +86,8 @@ mod tests {
                     .flat_map(|d| (0..send_counts[d]).map(move |i| (me * 100 + d * 10 + i) as u64))
                     .collect();
                 let mut recv = vec![0u64; recv_counts.iter().sum()];
-                super::pairwise(comm, &send, &send_counts, &mut recv, &recv_counts);
+                let exchange = pairwise_async(comm, &send, &send_counts, &mut recv, &recv_counts);
+                block_on(exchange);
                 (recv, recv_counts)
             });
             for (r, (got, recv_counts)) in results.iter().enumerate() {
@@ -136,7 +117,8 @@ mod tests {
             let mut recv = vec![0u64; recv_counts.iter().sum()];
             // Self block symmetry: even ranks send/recv 1 with themselves,
             // odd ranks 0 — consistent.
-            super::pairwise(comm, &send, &send_counts, &mut recv, &recv_counts);
+            let exchange = pairwise_async(comm, &send, &send_counts, &mut recv, &recv_counts);
+            block_on(exchange);
             let expect: Vec<u64> = (0..4u64).filter(|s| s % 2 == 0).collect();
             assert_eq!(recv, expect);
         });
@@ -151,9 +133,9 @@ mod tests {
             let send: Vec<u64> = (0..(n * block) as u64).map(|i| me * 1000 + i).collect();
             let counts = vec![block; n];
             let mut v = vec![0u64; n * block];
-            super::pairwise(comm, &send, &counts, &mut v, &counts);
+            block_on(pairwise_async(comm, &send, &counts, &mut v, &counts));
             let mut a = vec![0u64; n * block];
-            crate::coll::alltoall::pairwise(comm, &send, &mut a);
+            block_on(crate::coll::alltoall::pairwise_async(comm, &send, &mut a));
             (v, a)
         });
         for (v, a) in &results {

@@ -8,16 +8,7 @@ use super::{
     binomial_edges, ceil_log2, ring_steps, scatter, unvrank, vrank, Step, LONG_MSG_THRESHOLD,
 };
 
-/// Binomial-tree broadcast: `ceil(log2 n)` rounds, the whole payload on
-/// every edge. Latency-optimal; the standard short-message algorithm.
-///
-/// Every child receives a clone of the *same* shared [`Payload`] — a
-/// refcount bump per edge, never a copy of the bytes.
-pub fn binomial<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
-    crate::coop::block_on(binomial_async(comm, buf, root));
-}
-
-/// [`binomial`]'s steps on the buffer of `len`: take it from the parent,
+/// [`binomial_async`]'s steps on the buffer of `len`: take it from the parent,
 /// then feed a child a round.
 pub(crate) fn binomial_steps(
     me: usize,
@@ -33,7 +24,11 @@ pub(crate) fn binomial_steps(
     arrive.chain(feed)
 }
 
-/// Awaitable mirror of [`binomial`].
+/// Binomial-tree broadcast: `ceil(log2 n)` rounds, the whole payload on
+/// every edge. Latency-optimal; the standard short-message algorithm.
+///
+/// Every child receives a clone of the *same* shared [`Payload`] — a
+/// refcount bump per edge, never a copy of the bytes.
 pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -52,21 +47,7 @@ pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     }
 }
 
-/// Van de Geijn broadcast for long messages: a binomial *scatter* of the
-/// payload followed by a ring allgather of the pieces. Moves
-/// `~2 * bytes * (n-1)/n` per rank instead of `bytes * log2 n`, which is
-/// why MPI libraries switch to it for large payloads.
-///
-/// Payload handling is zero-copy throughout the communication: scatter
-/// children receive sub-[`slice`](Payload::slice)s of the one buffer that
-/// arrived from the parent, and each ring round forwards the payload
-/// received the round before instead of re-encoding it. The only copies a
-/// rank pays are the writes into its final assembly buffer.
-pub fn scatter_allgather<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
-    crate::coop::block_on(scatter_allgather_async(comm, buf, root));
-}
-
-/// [`scatter_allgather`]'s steps on the encoded payload of `total` bytes,
+/// [`scatter_allgather_async`]'s steps on the encoded payload of `total` bytes,
 /// cut into `n` blocks in root-relative rank order:
 /// [`scatter::binomial_steps`], then [`ring_steps`] around the
 /// root-relative ring. The ring sends block `v - k` in round `k` —
@@ -82,7 +63,16 @@ pub(crate) fn scatter_allgather_steps(
     scatter::binomial_steps(me, n, root, cut).chain(ring_steps(me, n, ceil_log2(n), block))
 }
 
-/// Awaitable mirror of [`scatter_allgather`].
+/// Van de Geijn broadcast for long messages: a binomial *scatter* of the
+/// payload followed by a ring allgather of the pieces. Moves
+/// `~2 * bytes * (n-1)/n` per rank instead of `bytes * log2 n`, which is
+/// why MPI libraries switch to it for large payloads.
+///
+/// Payload handling is zero-copy throughout the communication: scatter
+/// children receive sub-[`slice`](Payload::slice)s of the one buffer that
+/// arrived from the parent, and each ring round forwards the payload
+/// received the round before instead of re-encoding it. The only copies a
+/// rank pays are the writes into its final assembly buffer.
 pub async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     let n = comm.size();
     if n == 1 {
@@ -119,7 +109,7 @@ pub async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: 
     data.decode_into(buf, comm.envelope(root, tag));
 }
 
-/// The [`auto`] dispatch test, shared with the `sched::bcast` generator:
+/// The [`auto_async`] dispatch test, shared with the `sched::bcast` generator:
 /// scatter+allgather when the payload is long and the group is big
 /// enough to scatter over.
 pub(crate) fn picks_scatter_allgather(n: usize, bytes: usize) -> bool {
@@ -128,11 +118,6 @@ pub(crate) fn picks_scatter_allgather(n: usize, bytes: usize) -> bool {
 
 /// Size-dispatched broadcast: binomial for short payloads, scatter+allgather
 /// for long ones.
-pub fn auto<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
-    crate::coop::block_on(auto_async(comm, buf, root));
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     if picks_scatter_allgather(comm.size(), buf.len() * T::SIZE) {
         scatter_allgather_async(comm, buf, root).await;
@@ -143,13 +128,19 @@ pub async fn auto_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::runtime::run;
 
     fn payload(len: usize) -> Vec<f64> {
         (0..len).map(|i| (i as f64) * 0.5 - 3.0).collect()
     }
 
-    fn check(n: usize, len: usize, root: usize, algo: fn(&crate::Comm, &mut [f64], usize)) {
+    fn check(
+        n: usize,
+        len: usize,
+        root: usize,
+        algo: impl AsyncFn(&crate::Comm, &mut [f64], usize) + Sync,
+    ) {
         let expect = payload(len);
         let results = run(n, |comm| {
             let mut buf = if comm.rank() == root {
@@ -157,7 +148,7 @@ mod tests {
             } else {
                 vec![0.0; len]
             };
-            algo(comm, &mut buf, root);
+            block_on(algo(comm, &mut buf, root));
             buf
         });
         for (r, got) in results.iter().enumerate() {
@@ -169,7 +160,7 @@ mod tests {
     fn binomial_all_roots_small_worlds() {
         for n in [1, 2, 3, 5, 8] {
             for root in [0, n - 1, n / 2] {
-                check(n, 17, root, super::binomial);
+                check(n, 17, root, super::binomial_async);
             }
         }
     }
@@ -178,7 +169,7 @@ mod tests {
     fn scatter_allgather_matches() {
         for n in [2, 3, 4, 7, 8] {
             for root in [0, n / 2] {
-                check(n, 1000, root, super::scatter_allgather);
+                check(n, 1000, root, super::scatter_allgather_async);
             }
         }
     }
@@ -186,20 +177,20 @@ mod tests {
     #[test]
     fn scatter_allgather_payload_smaller_than_ranks() {
         // Degenerate blocks (some empty) must still work.
-        check(8, 3, 1, super::scatter_allgather);
+        check(8, 3, 1, super::scatter_allgather_async);
     }
 
     #[test]
     fn auto_dispatches_both_paths() {
-        check(4, 8, 0, super::auto); // short -> binomial
-        check(4, 16384, 0, super::auto); // 128 KiB -> scatter+allgather
+        check(4, 8, 0, super::auto_async); // short -> binomial
+        check(4, 16384, 0, super::auto_async); // 128 KiB -> scatter+allgather
     }
 
     #[test]
     fn broadcast_of_empty_buffer() {
         run(3, |comm| {
             let mut buf: [f64; 0] = [];
-            super::auto(comm, &mut buf, 0);
+            block_on(super::auto_async(comm, &mut buf, 0));
         });
     }
 }

@@ -7,12 +7,7 @@ use crate::payload::Payload;
 pub(crate) use super::scatter::picks_linear;
 use super::{ceil_log2, run_between, scatter, vrank, Step};
 
-/// Linear gather: every rank sends directly to the root.
-pub fn linear<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
-    crate::coop::block_on(linear_async(comm, send, recv, root));
-}
-
-/// [`linear`]'s steps: the whole of every other rank's buffer, into
+/// [`linear_async`]'s steps: the whole of every other rank's buffer, into
 /// blocks of the root's.
 pub(crate) fn linear_steps(
     me: usize,
@@ -27,7 +22,7 @@ pub(crate) fn linear_steps(
     collect.chain((me != root).then(|| Step::at(0).send(root, 0..block)))
 }
 
-/// Awaitable mirror of [`linear`].
+/// Linear gather: every rank sends directly to the root.
 pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -44,14 +39,7 @@ pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T
     run_between(comm, tag, send, recv, &mut linear_steps(me, n, block, root)).await;
 }
 
-/// Binomial-tree gather: the mirror image of binomial scatter. Each node
-/// collects its subtrees' blocks, then forwards its whole contiguous range
-/// to its parent. `ceil(log2 n)` rounds on the critical path.
-pub fn binomial<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
-    crate::coop::block_on(binomial_async(comm, send, recv, root));
-}
-
-/// [`binomial`]'s steps over the `n` blocks in root-relative rank order:
+/// [`binomial_async`]'s steps over the `n` blocks in root-relative rank order:
 /// [`scatter::binomial_steps`] backwards. So a node takes its children
 /// from the innermost (smallest, earliest-finished subtree) outwards, their
 /// ranges arriving in ascending order right after its own block, then
@@ -67,7 +55,9 @@ pub(crate) fn binomial_steps(
         .map(move |step| step.reversed(ceil_log2(n)))
 }
 
-/// Awaitable mirror of [`binomial`].
+/// Binomial-tree gather: the mirror image of binomial scatter. Each node
+/// collects its subtrees' blocks, then forwards its whole contiguous range
+/// to its parent. `ceil(log2 n)` rounds on the critical path.
 pub async fn binomial_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -98,11 +88,6 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut 
 }
 
 /// Size-dispatched gather (binomial; linear for 2 ranks).
-pub fn auto<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
-    crate::coop::block_on(auto_async(comm, send, recv, root));
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize) {
     if picks_linear(comm.size()) {
         linear_async(comm, send, recv, root).await;
@@ -113,17 +98,22 @@ pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: Option<&mut [T]>
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::runtime::run;
+    use crate::Comm;
 
-    type Algo = fn(&crate::Comm, &[u64], Option<&mut [u64]>, usize);
-
-    fn check(n: usize, block: usize, root: usize, algo: Algo) {
+    fn check(
+        n: usize,
+        block: usize,
+        root: usize,
+        algo: impl AsyncFn(&Comm, &[u64], Option<&mut [u64]>, usize) + Sync,
+    ) {
         let results = run(n, |comm| {
             let send: Vec<u64> = (0..block as u64)
                 .map(|i| (comm.rank() * block) as u64 + i)
                 .collect();
             let mut recv = (comm.rank() == root).then(|| vec![0u64; n * block]);
-            algo(comm, &send, recv.as_deref_mut(), root);
+            block_on(algo(comm, &send, recv.as_deref_mut(), root));
             recv
         });
         let expect: Vec<u64> = (0..(n * block) as u64).collect();
@@ -140,7 +130,7 @@ mod tests {
     fn linear_various() {
         for n in [1, 2, 4, 7] {
             for root in [0, n - 1] {
-                check(n, 3, root, super::linear);
+                check(n, 3, root, super::linear_async);
             }
         }
     }
@@ -149,19 +139,19 @@ mod tests {
     fn binomial_various() {
         for n in [1, 2, 3, 4, 5, 8, 11, 16] {
             for root in [0, n - 1, n / 2] {
-                check(n, 3, root, super::binomial);
+                check(n, 3, root, super::binomial_async);
             }
         }
     }
 
     #[test]
     fn binomial_large_blocks() {
-        check(6, 128, 1, super::binomial);
+        check(6, 128, 1, super::binomial_async);
     }
 
     #[test]
     fn auto_works() {
-        check(2, 4, 0, super::auto);
-        check(10, 4, 3, super::auto);
+        check(2, 4, 0, super::auto_async);
+        check(10, 4, 3, super::auto_async);
     }
 }

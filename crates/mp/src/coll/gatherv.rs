@@ -9,17 +9,6 @@ use super::alltoallv::displs;
 
 /// Linear gatherv: every rank sends its `counts[rank]`-word block to the
 /// root, which assembles them in rank order.
-pub fn gatherv<T: Word>(
-    comm: &Comm,
-    send: &[T],
-    recv: Option<&mut [T]>,
-    counts: &[usize],
-    root: usize,
-) {
-    crate::coop::block_on(gatherv_async(comm, send, recv, counts, root));
-}
-
-/// Awaitable mirror of [`gatherv`].
 pub async fn gatherv_async<T: Word>(
     comm: &Comm,
     send: &[T],
@@ -47,17 +36,6 @@ pub async fn gatherv_async<T: Word>(
 }
 
 /// Linear scatterv: the root distributes per-rank blocks.
-pub fn scatterv<T: Word>(
-    comm: &Comm,
-    send: Option<&[T]>,
-    recv: &mut [T],
-    counts: &[usize],
-    root: usize,
-) {
-    crate::coop::block_on(scatterv_async(comm, send, recv, counts, root));
-}
-
-/// Awaitable mirror of [`scatterv`].
 pub async fn scatterv_async<T: Word>(
     comm: &Comm,
     send: Option<&[T]>,
@@ -85,6 +63,8 @@ pub async fn scatterv_async<T: Word>(
 
 #[cfg(test)]
 mod tests {
+    use super::{gatherv_async, scatterv_async};
+    use crate::coop::block_on;
     use crate::runtime::run;
 
     #[test]
@@ -96,7 +76,7 @@ mod tests {
                 .map(|i| (me as u32) * 10 + i)
                 .collect();
             let mut recv = (me == 1).then(|| vec![0u32; 6]);
-            super::gatherv(comm, &send, recv.as_deref_mut(), &counts, 1);
+            block_on(gatherv_async(comm, &send, recv.as_deref_mut(), &counts, 1));
             recv
         });
         assert_eq!(results[1].as_deref(), Some(&[0u32, 1, 20, 21, 22, 30][..]));
@@ -109,7 +89,7 @@ mod tests {
             let me = comm.rank();
             let send: Option<Vec<u32>> = (me == 0).then(|| (0..6u32).collect());
             let mut recv = vec![0u32; counts[me]];
-            super::scatterv(comm, send.as_deref(), &mut recv, &counts, 0);
+            block_on(scatterv_async(comm, send.as_deref(), &mut recv, &counts, 0));
             recv
         });
         assert_eq!(results[0], vec![0]);
@@ -127,9 +107,11 @@ mod tests {
                 .map(|i| (me as u64) << (8 + i))
                 .collect();
             let mut gathered = (me == 2).then(|| vec![0u64; 6]);
-            super::gatherv(comm, &original, gathered.as_deref_mut(), &counts, 2);
+            let gather = gatherv_async(comm, &original, gathered.as_deref_mut(), &counts, 2);
+            block_on(gather);
             let mut back = vec![0u64; counts[me]];
-            super::scatterv(comm, gathered.as_deref(), &mut back, &counts, 2);
+            let scatter = scatterv_async(comm, gathered.as_deref(), &mut back, &counts, 2);
+            block_on(scatter);
             (original, back)
         });
         for (orig, back) in &results {
@@ -141,10 +123,10 @@ mod tests {
     fn single_rank_degenerate() {
         run(1, |comm| {
             let mut r = vec![0u32; 2];
-            super::scatterv(comm, Some(&[7, 8][..]), &mut r, &[2], 0);
+            block_on(scatterv_async(comm, Some(&[7, 8][..]), &mut r, &[2], 0));
             assert_eq!(r, vec![7, 8]);
             let mut g = Some(vec![0u32; 2]);
-            super::gatherv(comm, &r, g.as_deref_mut(), &[2], 0);
+            block_on(gatherv_async(comm, &r, g.as_deref_mut(), &[2], 0));
             assert_eq!(g.unwrap(), vec![7, 8]);
         });
     }

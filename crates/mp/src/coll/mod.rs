@@ -7,12 +7,17 @@
 //! pairwise exchanges for long messages, Bruck for small all-to-all, and
 //! Rabenseifner's reduce-scatter-based algorithms for long reductions.
 //!
-//! The `auto` entry point of each module follows the size/shape heuristics
-//! of those libraries. Every algorithm states its geometry once, as a
-//! `<algo>_steps` function yielding the `Step`s one rank takes — which
-//! peer, which range, which round. The `_async` body loops over those steps
-//! moving real payloads; [`crate::sched`] buckets the same steps of every
-//! rank by round into the schedule the fabric simulator prices.
+//! The `auto_async` entry point of each module follows the size/shape
+//! heuristics of those libraries. Every algorithm states its geometry once,
+//! as a `<algo>_steps` function yielding the `Step`s one rank takes — which
+//! peer, which range, which round. The `<algo>_async` body loops over those
+//! steps moving real payloads; [`crate::sched`] buckets the same steps of
+//! every rank by round into the schedule the fabric simulator prices.
+//!
+//! This module is awaitable-only: the blocking form of a collective is the
+//! [`Comm`] method of its name, one [`block_on`](crate::block_on) around
+//! `Comm::<op>_async`. A caller that wants one algorithm by name on a rank
+//! thread writes that `block_on` itself.
 
 pub mod allgather;
 pub mod allgatherv;

@@ -8,14 +8,7 @@ use super::{
     LONG_MSG_THRESHOLD,
 };
 
-/// Binomial-tree reduce: the mirror of binomial broadcast. Each node folds
-/// its children's full vectors into its accumulator, then forwards to its
-/// parent. `ceil(log2 n)` rounds; every edge carries the whole vector.
-pub fn binomial<T: Numeric>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize, op: Op) {
-    crate::coop::block_on(binomial_async(comm, send, recv, root, op));
-}
-
-/// [`binomial`]'s steps on the accumulator of `len`:
+/// [`binomial_async`]'s steps on the accumulator of `len`:
 /// [`bcast::binomial_steps`] run upwards. A node folds its children in
 /// broadcast order, then sends to its parent.
 pub(crate) fn binomial_steps(
@@ -29,7 +22,9 @@ pub(crate) fn binomial_steps(
     tree.map(|fold| fold.folding(1)).chain(up)
 }
 
-/// Awaitable mirror of [`binomial`].
+/// Binomial-tree reduce: the mirror of binomial broadcast. Each node folds
+/// its children's full vectors into its accumulator, then forwards to its
+/// parent. `ceil(log2 n)` rounds; every edge carries the whole vector.
 pub async fn binomial_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
@@ -47,24 +42,7 @@ pub async fn binomial_async<T: Numeric>(
     }
 }
 
-/// Rabenseifner reduce for long vectors: a recursive-halving
-/// reduce-scatter (each rank ends holding one fully-reduced slice) followed
-/// by a binomial gather of the slices to the root. Halves the bandwidth
-/// term relative to the binomial tree.
-///
-/// Requires a power-of-two group with the vector length divisible by it;
-/// the dispatcher checks and falls back to [`binomial`].
-pub fn rabenseifner<T: Numeric>(
-    comm: &Comm,
-    send: &[T],
-    recv: Option<&mut [T]>,
-    root: usize,
-    op: Op,
-) {
-    crate::coop::block_on(rabenseifner_async(comm, send, recv, root, op));
-}
-
-/// [`rabenseifner`]'s steps on the accumulator of `len`:
+/// [`rabenseifner_async`]'s steps on the accumulator of `len`:
 /// [`reduce_scatter::recursive_halving_steps`] over root-relative ranks,
 /// then [`gather::binomial_steps`] of the reduced slices, which sit in the
 /// accumulator in root-relative rank order.
@@ -82,7 +60,13 @@ pub(crate) fn rabenseifner_steps(
         )
 }
 
-/// Awaitable mirror of [`rabenseifner`].
+/// Rabenseifner reduce for long vectors: a recursive-halving
+/// reduce-scatter (each rank ends holding one fully-reduced slice) followed
+/// by a binomial gather of the slices to the root. Halves the bandwidth
+/// term relative to the binomial tree.
+///
+/// Requires a power-of-two group with the vector length divisible by it;
+/// the dispatcher checks and falls back to [`binomial_async`].
 pub async fn rabenseifner_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
@@ -102,7 +86,7 @@ pub async fn rabenseifner_async<T: Numeric>(
     }
 }
 
-/// The [`auto`] dispatch test, shared with the `sched::reduce`
+/// The [`auto_async`] dispatch test, shared with the `sched::reduce`
 /// generator: Rabenseifner when the vector of `elems` elements is long
 /// (`bytes`) and divides evenly over a power-of-two group.
 pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
@@ -111,11 +95,6 @@ pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
 
 /// Size-dispatched reduce: Rabenseifner when the shape allows and the
 /// vector is long, binomial otherwise.
-pub fn auto<T: Numeric>(comm: &Comm, send: &[T], recv: Option<&mut [T]>, root: usize, op: Op) {
-    crate::coop::block_on(auto_async(comm, send, recv, root, op));
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
@@ -133,17 +112,23 @@ pub async fn auto_async<T: Numeric>(
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
+    use crate::coop::block_on;
     use crate::reduce::Op;
     use crate::runtime::run;
+    use crate::Comm;
 
-    type Algo = fn(&crate::Comm, &[f64], Option<&mut [f64]>, usize, Op);
-
-    fn check(n: usize, len: usize, root: usize, op: Op, algo: Algo) {
+    fn check(
+        n: usize,
+        len: usize,
+        root: usize,
+        op: Op,
+        algo: impl AsyncFn(&Comm, &[f64], Option<&mut [f64]>, usize, Op) + Sync,
+    ) {
         let results = run(n, |comm| {
             let me = comm.rank();
             let send: Vec<f64> = (0..len).map(|i| (me * len + i) as f64 * 0.25).collect();
             let mut recv = (me == root).then(|| vec![0.0f64; len]);
-            algo(comm, &send, recv.as_deref_mut(), root, op);
+            block_on(algo(comm, &send, recv.as_deref_mut(), root, op));
             recv
         });
         // Reference reduction.
@@ -182,7 +167,7 @@ mod tests {
     fn binomial_various() {
         for n in [1, 2, 3, 4, 5, 8, 13] {
             for root in [0, n - 1] {
-                check(n, 8, root, Op::Sum, super::binomial);
+                check(n, 8, root, Op::Sum, super::binomial_async);
             }
         }
     }
@@ -190,7 +175,7 @@ mod tests {
     #[test]
     fn binomial_all_ops() {
         for op in [Op::Sum, Op::Prod, Op::Max, Op::Min] {
-            check(5, 6, 2, op, super::binomial);
+            check(5, 6, 2, op, super::binomial_async);
         }
     }
 
@@ -198,20 +183,20 @@ mod tests {
     fn rabenseifner_matches() {
         for n in [2, 4, 8, 16] {
             for root in [0, n - 1, n / 3] {
-                check(n, 16 * n, root, Op::Sum, super::rabenseifner);
+                check(n, 16 * n, root, Op::Sum, super::rabenseifner_async);
             }
         }
     }
 
     #[test]
     fn rabenseifner_max_op() {
-        check(8, 64, 3, Op::Max, super::rabenseifner);
+        check(8, 64, 3, Op::Max, super::rabenseifner_async);
     }
 
     #[test]
     fn auto_dispatches() {
-        check(8, 8, 0, Op::Sum, super::auto); // short -> binomial
-        check(8, 8192, 0, Op::Sum, super::auto); // 64 KiB -> rabenseifner
-        check(6, 6000, 1, Op::Sum, super::auto); // non-2^k -> binomial
+        check(8, 8, 0, Op::Sum, super::auto_async); // short -> binomial
+        check(8, 8192, 0, Op::Sum, super::auto_async); // 64 KiB -> rabenseifner
+        check(6, 6000, 1, Op::Sum, super::auto_async); // non-2^k -> binomial
     }
 }

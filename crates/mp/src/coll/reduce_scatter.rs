@@ -8,15 +8,7 @@ use crate::reduce::{Numeric, Op};
 
 use super::{allgatherv::displs, ceil_log2, run_in_place, Step};
 
-/// Pairwise reduce-scatter: `n-1` rounds; in round `s` each rank ships the
-/// slice belonging to `(me + s) mod n` and folds the operand for its own
-/// slice arriving from `(me - s) mod n`. Works for any group size and any
-/// per-rank counts; bandwidth-optimal (each rank moves `len - own` once).
-pub fn pairwise<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize], op: Op) {
-    crate::coop::block_on(pairwise_async(comm, send, recv, counts, op));
-}
-
-/// [`pairwise`]'s steps over the send vector, whose slice boundaries are
+/// [`pairwise_async`]'s steps over the send vector, whose slice boundaries are
 /// `displs` (one more entry than ranks).
 pub(crate) fn pairwise_steps(me: usize, displs: &[usize]) -> impl Iterator<Item = Step> + '_ {
     let n = displs.len() - 1;
@@ -30,7 +22,10 @@ pub(crate) fn pairwise_steps(me: usize, displs: &[usize]) -> impl Iterator<Item 
     })
 }
 
-/// Awaitable mirror of [`pairwise`].
+/// Pairwise reduce-scatter: `n-1` rounds; in round `s` each rank ships the
+/// slice belonging to `(me + s) mod n` and folds the operand for its own
+/// slice arriving from `(me - s) mod n`. Works for any group size and any
+/// per-rank counts; bandwidth-optimal (each rank moves `len - own` once).
 pub async fn pairwise_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
@@ -59,16 +54,8 @@ pub async fn pairwise_async<T: Numeric>(
     }
 }
 
-/// Recursive-halving reduce-scatter for equal counts on power-of-two
-/// groups: `log2 n` rounds, halving the active vector each round. The
-/// short-message algorithm; also the first phase of Rabenseifner's
-/// reductions.
-pub fn recursive_halving<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
-    crate::coop::block_on(recursive_halving_async(comm, send, recv, op));
-}
-
-/// [`recursive_halving`]'s steps on the vector of `len`: each round a rank
-/// gives the half of its active range that its partner keeps and folds
+/// [`recursive_halving_async`]'s steps on the vector of `len`: each round a
+/// rank gives the half of its active range that its partner keeps and folds
 /// the partner's operand into the half it keeps itself, ending on slice
 /// `me` of `n`.
 pub(crate) fn recursive_halving_steps(
@@ -95,7 +82,10 @@ pub(crate) fn recursive_halving_steps(
     })
 }
 
-/// Awaitable mirror of [`recursive_halving`].
+/// Recursive-halving reduce-scatter for equal counts on power-of-two
+/// groups: `log2 n` rounds, halving the active vector each round. The
+/// short-message algorithm; also the first phase of Rabenseifner's
+/// reductions.
 pub async fn recursive_halving_async<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -111,7 +101,7 @@ pub async fn recursive_halving_async<T: Numeric>(comm: &Comm, send: &[T], recv: 
     recv.copy_from_slice(&acc[me * slice..(me + 1) * slice]);
 }
 
-/// The [`block_auto`] dispatch test, shared with the
+/// The [`block_auto_async`] dispatch test, shared with the
 /// `sched::reduce_scatter` generator: recursive halving when the group is
 /// a power of two and the vector of `elems` elements divides evenly.
 pub(crate) fn picks_recursive_halving(n: usize, elems: usize) -> bool {
@@ -120,11 +110,6 @@ pub(crate) fn picks_recursive_halving(n: usize, elems: usize) -> bool {
 
 /// Dispatched equal-counts reduce-scatter (`MPI_Reduce_scatter_block`):
 /// recursive halving on power-of-two groups, pairwise otherwise.
-pub fn block_auto<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
-    crate::coop::block_on(block_auto_async(comm, send, recv, op));
-}
-
-/// Awaitable mirror of [`block_auto`].
 pub async fn block_auto_async<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
     let n = comm.size();
     if picks_recursive_halving(n, send.len()) {
@@ -137,11 +122,6 @@ pub async fn block_auto_async<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T
 }
 
 /// General per-rank-counts reduce-scatter (pairwise).
-pub fn auto<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize], op: Op) {
-    pairwise(comm, send, recv, counts, op);
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
@@ -154,6 +134,7 @@ pub async fn auto_async<T: Numeric>(
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::reduce::Op;
     use crate::runtime::run;
 
@@ -167,7 +148,7 @@ mod tests {
             let me = comm.rank();
             let send: Vec<f64> = (0..total).map(|i| ((me + 1) * (i + 1)) as f64).collect();
             let mut recv = vec![0.0f64; counts2[me]];
-            super::pairwise(comm, &send, &mut recv, &counts2, op);
+            block_on(super::pairwise_async(comm, &send, &mut recv, &counts2, op));
             recv
         });
         let mut displ = 0usize;
@@ -209,7 +190,7 @@ mod tests {
                 .map(|i| ((me + 1) * (i + 1)) as f64)
                 .collect();
             let mut recv = vec![0.0f64; slice];
-            super::recursive_halving(comm, &send, &mut recv, op);
+            block_on(super::recursive_halving_async(comm, &send, &mut recv, op));
             recv
         });
         for (r, got) in results.iter().enumerate() {

@@ -13,12 +13,7 @@ use crate::reduce::{Numeric, Op};
 
 use super::{ceil_log2, Step};
 
-/// Linear scan: a pipeline along the rank order. `n-1` serial steps.
-pub fn linear<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    crate::coop::block_on(linear_async(comm, buf, op));
-}
-
-/// [`linear`]'s steps on the vector of `len`: fold the prefix arriving
+/// [`linear_async`]'s steps on the vector of `len`: fold the prefix arriving
 /// from the left, pass the result right a round later.
 pub(crate) fn linear_steps(me: usize, n: usize, len: usize) -> impl Iterator<Item = Step> {
     let prefix = (me > 0).then(|| Step::at(me - 1).recv(me - 1, 0..len).folding(1));
@@ -26,7 +21,7 @@ pub(crate) fn linear_steps(me: usize, n: usize, len: usize) -> impl Iterator<Ite
     prefix.into_iter().chain(pass)
 }
 
-/// Awaitable mirror of [`linear`].
+/// Linear scan: a pipeline along the rank order. `n-1` serial steps.
 pub async fn linear_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     let tag = comm.next_coll_tag();
     for step in linear_steps(comm.rank(), comm.size(), buf.len()) {
@@ -42,14 +37,7 @@ pub async fn linear_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     }
 }
 
-/// Recursive-doubling scan: `ceil(log2 n)` rounds. Each rank keeps its
-/// inclusive prefix `result` and the segment aggregate `partial`; round `d`
-/// ships `partial` a distance `d` to the right.
-pub fn recursive_doubling<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    crate::coop::block_on(recursive_doubling_async(comm, buf, op));
-}
-
-/// [`recursive_doubling`]'s steps on the vector of `len`: round `k` ships
+/// [`recursive_doubling_async`]'s steps on the vector of `len`: round `k` ships
 /// the partial `2^k` ranks right; a receiver folds it twice, into its
 /// result and into its partial.
 pub(crate) fn recursive_doubling_steps(
@@ -68,7 +56,9 @@ pub(crate) fn recursive_doubling_steps(
     })
 }
 
-/// Awaitable mirror of [`recursive_doubling`].
+/// Recursive-doubling scan: `ceil(log2 n)` rounds. Each rank keeps its
+/// inclusive prefix `result` and the segment aggregate `partial`; round `d`
+/// ships `partial` a distance `d` to the right.
 pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     let tag = comm.next_coll_tag();
     let mut partial = buf.to_vec();
@@ -90,11 +80,6 @@ pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op
 }
 
 /// The default scan (recursive doubling).
-pub fn auto<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    recursive_doubling(comm, buf, op);
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     recursive_doubling_async(comm, buf, op).await;
 }
@@ -102,11 +87,6 @@ pub async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
 /// Exclusive prefix reduction (`MPI_Exscan`): rank `r` receives the
 /// reduction of ranks `0..r`; rank 0's buffer is left as the operation's
 /// identity (undefined in MPI; the identity is the useful convention).
-pub fn exscan<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
-    crate::coop::block_on(exscan_async(comm, buf, op));
-}
-
-/// Awaitable mirror of [`exscan`].
 pub async fn exscan_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     let me = comm.rank();
     // Inclusive scan of the original contribution, then shift by
@@ -139,16 +119,16 @@ fn fill_identity<T: Numeric>(buf: &mut [T], op: Op) {
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::reduce::Op;
     use crate::runtime::run;
+    use crate::Comm;
 
-    type Algo = fn(&crate::Comm, &mut [f64], Op);
-
-    fn check(n: usize, len: usize, op: Op, algo: Algo) {
+    fn check(n: usize, len: usize, op: Op, algo: impl AsyncFn(&Comm, &mut [f64], Op) + Sync) {
         let results = run(n, |comm| {
             let me = comm.rank();
             let mut buf: Vec<f64> = (0..len).map(|i| ((me + 2) * (i + 1)) as f64).collect();
-            algo(comm, &mut buf, op);
+            block_on(algo(comm, &mut buf, op));
             buf
         });
         for (r, got) in results.iter().enumerate() {
@@ -169,30 +149,30 @@ mod tests {
     #[test]
     fn linear_various() {
         for n in [1, 2, 3, 5, 8] {
-            check(n, 4, Op::Sum, super::linear);
+            check(n, 4, Op::Sum, super::linear_async);
         }
     }
 
     #[test]
     fn recursive_doubling_various() {
         for n in [1, 2, 3, 4, 5, 8, 13] {
-            check(n, 4, Op::Sum, super::recursive_doubling);
+            check(n, 4, Op::Sum, super::recursive_doubling_async);
         }
     }
 
     #[test]
     fn scan_max() {
-        check(7, 3, Op::Max, super::recursive_doubling);
-        check(7, 3, Op::Min, super::linear);
+        check(7, 3, Op::Max, super::recursive_doubling_async);
+        check(7, 3, Op::Min, super::linear_async);
     }
 
     #[test]
     fn exscan_shifts_the_inclusive_scan() {
         let results = run(5, |comm| {
             let mut inc = vec![(comm.rank() + 1) as f64];
-            super::auto(comm, &mut inc, Op::Sum);
+            block_on(super::auto_async(comm, &mut inc, Op::Sum));
             let mut exc = vec![(comm.rank() + 1) as f64];
-            super::exscan(comm, &mut exc, Op::Sum);
+            block_on(super::exscan_async(comm, &mut exc, Op::Sum));
             (inc[0], exc[0])
         });
         // exc[r] == inc[r-1]; exc[0] == 0 (Sum identity).
@@ -206,7 +186,7 @@ mod tests {
     fn rank_zero_keeps_its_data() {
         let results = run(4, |comm| {
             let mut buf = vec![(comm.rank() + 1) as f64];
-            super::auto(comm, &mut buf, Op::Sum);
+            block_on(super::auto_async(comm, &mut buf, Op::Sum));
             buf[0]
         });
         assert_eq!(results, vec![1.0, 3.0, 6.0, 10.0]);

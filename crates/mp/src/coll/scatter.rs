@@ -6,13 +6,7 @@ use crate::payload::Payload;
 
 use super::{halving_tree, run_between, unvrank, vrank, Step, TreeEdge};
 
-/// Linear scatter: the root sends each rank its block directly. Baseline
-/// algorithm (and the fallback for tiny groups).
-pub fn linear<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
-    crate::coop::block_on(linear_async(comm, send, recv, root));
-}
-
-/// [`linear`]'s steps: blocks of the root's buffer out, into the whole
+/// [`linear_async`]'s steps: blocks of the root's buffer out, into the whole
 /// of every other rank's.
 pub(crate) fn linear_steps(
     me: usize,
@@ -27,7 +21,8 @@ pub(crate) fn linear_steps(
     deal.chain((me != root).then(|| Step::at(0).recv(root, 0..block)))
 }
 
-/// Awaitable mirror of [`linear`].
+/// Linear scatter: the root sends each rank its block directly. Baseline
+/// algorithm (and the fallback for tiny groups).
 pub async fn linear_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -44,15 +39,7 @@ pub async fn linear_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [
     run_between(comm, tag, send, recv, &mut linear_steps(me, n, block, root)).await;
 }
 
-/// Binomial-tree scatter down the recursive-halving tree: `ceil(log2 n)`
-/// rounds; each internal node forwards the halves destined to its subtrees
-/// as zero-copy sub-slices of the one buffer it received — internal nodes
-/// never copy payload bytes.
-pub fn binomial<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
-    crate::coop::block_on(binomial_async(comm, send, recv, root));
-}
-
-/// [`binomial`]'s steps over the `n` blocks in root-relative rank order,
+/// [`binomial_async`]'s steps over the `n` blocks in root-relative rank order,
 /// block `b` starting at `cut(b)`: a node receives its subtree's blocks
 /// (its own first) from its parent in the round of that split's depth,
 /// then hands each child its subtree, outermost split first.
@@ -73,7 +60,10 @@ pub(crate) fn binomial_steps(
     arrive.chain(deal)
 }
 
-/// Awaitable mirror of [`binomial`].
+/// Binomial-tree scatter down the recursive-halving tree: `ceil(log2 n)`
+/// rounds; each internal node forwards the halves destined to its subtrees
+/// as zero-copy sub-slices of the one buffer it received — internal nodes
+/// never copy payload bytes.
 pub async fn binomial_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
@@ -104,18 +94,13 @@ pub async fn binomial_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut
         .decode_into(recv, comm.envelope(root, tag));
 }
 
-/// The [`auto`] dispatch test of scatter and gather, shared with their
+/// The [`auto_async`] dispatch test of scatter and gather, shared with their
 /// `sched` generators: a tree has nothing to save below three ranks.
 pub(crate) fn picks_linear(n: usize) -> bool {
     n <= 2
 }
 
 /// Size-dispatched scatter (binomial; linear for 2 ranks).
-pub fn auto<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
-    crate::coop::block_on(auto_async(comm, send, recv, root));
-}
-
-/// Awaitable mirror of [`auto`].
 pub async fn auto_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T], root: usize) {
     if picks_linear(comm.size()) {
         linear_async(comm, send, recv, root).await;
@@ -126,16 +111,21 @@ pub async fn auto_async<T: Word>(comm: &Comm, send: Option<&[T]>, recv: &mut [T]
 
 #[cfg(test)]
 mod tests {
+    use crate::coop::block_on;
     use crate::runtime::run;
+    use crate::Comm;
 
-    type Algo = fn(&crate::Comm, Option<&[u64]>, &mut [u64], usize);
-
-    fn check(n: usize, block: usize, root: usize, algo: Algo) {
+    fn check(
+        n: usize,
+        block: usize,
+        root: usize,
+        algo: impl AsyncFn(&Comm, Option<&[u64]>, &mut [u64], usize) + Sync,
+    ) {
         let results = run(n, |comm| {
             let send: Option<Vec<u64>> =
                 (comm.rank() == root).then(|| (0..(n * block) as u64).map(|x| x * 7 + 1).collect());
             let mut recv = vec![0u64; block];
-            algo(comm, send.as_deref(), &mut recv, root);
+            block_on(algo(comm, send.as_deref(), &mut recv, root));
             recv
         });
         for (r, got) in results.iter().enumerate() {
@@ -150,7 +140,7 @@ mod tests {
     fn linear_various() {
         for n in [1, 2, 3, 6] {
             for root in [0, n - 1] {
-                check(n, 4, root, super::linear);
+                check(n, 4, root, super::linear_async);
             }
         }
     }
@@ -159,20 +149,20 @@ mod tests {
     fn binomial_various() {
         for n in [1, 2, 3, 4, 5, 8, 11, 16] {
             for root in [0, n - 1, n / 2] {
-                check(n, 3, root, super::binomial);
+                check(n, 3, root, super::binomial_async);
             }
         }
     }
 
     #[test]
     fn binomial_matches_linear_block_sizes() {
-        check(7, 1, 2, super::binomial);
-        check(7, 64, 2, super::binomial);
+        check(7, 1, 2, super::binomial_async);
+        check(7, 64, 2, super::binomial_async);
     }
 
     #[test]
     fn auto_works() {
-        check(2, 5, 1, super::auto);
-        check(9, 5, 4, super::auto);
+        check(2, 5, 1, super::auto_async);
+        check(9, 5, 4, super::auto_async);
     }
 }

@@ -503,7 +503,7 @@ impl Mailbox {
     /// Watches the wake word until it moves away from `seen` (true) or
     /// the spin budget runs out (false).
     fn watch(&self, seen: u32) -> bool {
-        let start = Instant::now();
+        let start = Instant::now(); // arch_lint: Mailbox::watch spin budget
         let mut polls = 0u32;
         while self.wake.load(Ordering::Relaxed) == seen {
             polls += 1;

@@ -20,17 +20,17 @@ pub mod allgather {
     use super::*;
     use crate::coll::allgather::*;
 
-    /// [`ring`](crate::coll::allgather::ring): `n-1` rounds of one block.
+    /// [`ring_async`]: `n-1` rounds of one block.
     pub fn ring(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| ring_steps(me, n, block as usize))
     }
 
-    /// [`recursive_doubling`](crate::coll::allgather::recursive_doubling).
+    /// [`recursive_doubling_async`].
     pub fn recursive_doubling(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| recursive_doubling_steps(me, n, block as usize))
     }
 
-    /// [`auto`](crate::coll::allgather::auto)'s dispatch.
+    /// [`auto_async`]'s dispatch.
     pub fn auto(n: usize, block: u64) -> Schedule {
         if picks_recursive_doubling(n, block as usize) {
             recursive_doubling(n, block)
@@ -45,13 +45,13 @@ pub mod allgatherv {
     use super::*;
     use crate::coll::allgatherv::*;
 
-    /// [`ring`](crate::coll::allgatherv::ring).
+    /// [`ring_async`].
     pub fn ring(counts: &[u64]) -> Schedule {
         let displs = displs(counts.iter().map(|&c| c as usize));
         build(counts.len(), 0, |me| ring_steps(me, &displs))
     }
 
-    /// [`auto`](crate::coll::allgatherv::auto) is the ring.
+    /// [`auto_async`] is the ring.
     pub use ring as auto;
 }
 
@@ -60,18 +60,18 @@ pub mod allreduce {
     use super::*;
     use crate::coll::allreduce::*;
 
-    /// [`recursive_doubling`](crate::coll::allreduce::recursive_doubling).
+    /// [`recursive_doubling_async`].
     pub fn recursive_doubling(n: usize, bytes: u64) -> Schedule {
         build(n, 0, |me| recursive_doubling_steps(me, n, bytes as usize))
     }
 
-    /// [`rabenseifner`](crate::coll::allreduce::rabenseifner): the shape
+    /// [`rabenseifner_async`]: the shape
     /// behind the paper's 1 MB Allreduce measurements (Fig. 7).
     pub fn rabenseifner(n: usize, bytes: u64) -> Schedule {
         build(n, 0, |me| rabenseifner_steps(me, n, bytes as usize))
     }
 
-    /// [`auto`](crate::coll::allreduce::auto)'s dispatch; `elem_size` as in [`super::reduce::auto`].
+    /// [`auto_async`]'s dispatch; `elem_size` as in [`super::reduce::auto`].
     pub fn auto(n: usize, bytes: u64, elem_size: u64) -> Schedule {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
             rabenseifner(n, bytes)
@@ -86,22 +86,22 @@ pub mod alltoall {
     use super::*;
     use crate::coll::alltoall::*;
 
-    /// [`pairwise`](crate::coll::alltoall::pairwise): `n-1` rounds.
+    /// [`pairwise_async`]: `n-1` rounds.
     pub fn pairwise(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| pairwise_steps(me, n, block as usize))
     }
 
-    /// [`bruck`](crate::coll::alltoall::bruck): `ceil(log2 n)` rounds.
+    /// [`bruck_async`]: `ceil(log2 n)` rounds.
     pub fn bruck(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| bruck_steps(me, n, block as usize))
     }
 
-    /// [`linear`](crate::coll::alltoall::linear): one eager round.
+    /// [`linear_async`]: one eager round.
     pub fn linear(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| linear_steps(me, n, block as usize))
     }
 
-    /// [`auto`](crate::coll::alltoall::auto)'s dispatch.
+    /// [`auto_async`]'s dispatch.
     pub fn auto(n: usize, block: u64) -> Schedule {
         if picks_bruck(n, block as usize) {
             bruck(n, block)
@@ -116,17 +116,17 @@ pub mod barrier {
     use super::*;
     use crate::coll::barrier::*;
 
-    /// [`dissemination`](crate::coll::barrier::dissemination).
+    /// [`dissemination_async`].
     pub fn dissemination(n: usize) -> Schedule {
         build(n, 0, |me| dissemination_steps(me, n))
     }
 
-    /// [`tree`](crate::coll::barrier::tree): fan-in to rank 0, fan-out.
+    /// [`tree_async`]: fan-in to rank 0, fan-out.
     pub fn tree(n: usize) -> Schedule {
         build(n, 0, |me| tree_steps(me, n))
     }
 
-    /// [`auto`](crate::coll::barrier::auto) is dissemination.
+    /// [`auto_async`] is dissemination.
     pub use dissemination as auto;
 }
 
@@ -135,19 +135,19 @@ pub mod bcast {
     use super::*;
     use crate::coll::bcast::*;
 
-    /// [`binomial`](crate::coll::bcast::binomial).
+    /// [`binomial_async`].
     pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
         build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
     }
 
-    /// [`scatter_allgather`](crate::coll::bcast::scatter_allgather).
+    /// [`scatter_allgather_async`].
     pub fn scatter_allgather(n: usize, root: usize, bytes: u64) -> Schedule {
         build(n, root, |me| {
             scatter_allgather_steps(me, n, bytes as usize, root)
         })
     }
 
-    /// [`auto`](crate::coll::bcast::auto)'s size dispatch.
+    /// [`auto_async`]'s size dispatch.
     pub fn auto(n: usize, root: usize, bytes: u64) -> Schedule {
         if picks_scatter_allgather(n, bytes as usize) {
             scatter_allgather(n, root, bytes)
@@ -162,17 +162,17 @@ pub mod gather {
     use super::*;
     use crate::coll::gather::*;
 
-    /// [`linear`](crate::coll::gather::linear): one round, senders in rank order.
+    /// [`linear_async`]: one round, senders in rank order.
     pub fn linear(n: usize, root: usize, block: u64) -> Schedule {
         build(n, 0, |me| linear_steps(me, n, block as usize, root))
     }
 
-    /// [`binomial`](crate::coll::gather::binomial).
+    /// [`binomial_async`].
     pub fn binomial(n: usize, root: usize, block: u64) -> Schedule {
         build(n, root, |me| binomial_steps(me, n, block as usize, root))
     }
 
-    /// [`auto`](crate::coll::gather::auto)'s dispatch.
+    /// [`auto_async`]'s dispatch.
     pub fn auto(n: usize, root: usize, block: u64) -> Schedule {
         if picks_linear(n) {
             linear(n, root, block)
@@ -187,19 +187,19 @@ pub mod reduce {
     use super::*;
     use crate::coll::reduce::*;
 
-    /// [`binomial`](crate::coll::reduce::binomial).
+    /// [`binomial_async`].
     pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
         build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
     }
 
-    /// [`rabenseifner`](crate::coll::reduce::rabenseifner).
+    /// [`rabenseifner_async`].
     pub fn rabenseifner(n: usize, root: usize, bytes: u64) -> Schedule {
         build(n, root, |me| {
             rabenseifner_steps(me, n, bytes as usize, root)
         })
     }
 
-    /// [`auto`](crate::coll::reduce::auto)'s dispatch. `elem_size` is the datatype width its
+    /// [`auto_async`]'s dispatch. `elem_size` is the datatype width its
     /// divisibility check uses (8 for the `f64` vectors the IMB benchmarks reduce).
     pub fn auto(n: usize, root: usize, bytes: u64, elem_size: u64) -> Schedule {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
@@ -215,18 +215,18 @@ pub mod reduce_scatter {
     use super::*;
     use crate::coll::{allgatherv::displs, reduce_scatter::*};
 
-    /// [`pairwise`](crate::coll::reduce_scatter::pairwise) to slices of `counts` bytes.
+    /// [`pairwise_async`] to slices of `counts` bytes.
     pub fn pairwise(counts: &[u64]) -> Schedule {
         let displs = displs(counts.iter().map(|&c| c as usize));
         build(counts.len(), 0, |me| pairwise_steps(me, &displs))
     }
 
-    /// [`recursive_halving`](crate::coll::reduce_scatter::recursive_halving) of `bytes` in total.
+    /// [`recursive_halving_async`] of `bytes` in total.
     pub fn recursive_halving(n: usize, bytes: u64) -> Schedule {
         build(n, 0, |me| recursive_halving_steps(me, n, bytes as usize))
     }
 
-    /// [`block_auto`](crate::coll::reduce_scatter::block_auto)'s dispatch for equal slices of
+    /// [`block_auto_async`]'s dispatch for equal slices of
     /// `block` bytes; `elem_size` as in [`super::reduce::auto`].
     pub fn block_auto(n: usize, block: u64, elem_size: u64) -> Schedule {
         let total = block * n as u64;
@@ -243,17 +243,17 @@ pub mod scan {
     use super::*;
     use crate::coll::scan::*;
 
-    /// [`linear`](crate::coll::scan::linear): a serial pipeline.
+    /// [`linear_async`]: a serial pipeline.
     pub fn linear(n: usize, bytes: u64) -> Schedule {
         build(n, 0, |me| linear_steps(me, n, bytes as usize))
     }
 
-    /// [`recursive_doubling`](crate::coll::scan::recursive_doubling): receivers fold twice.
+    /// [`recursive_doubling_async`]: receivers fold twice.
     pub fn recursive_doubling(n: usize, bytes: u64) -> Schedule {
         build(n, 0, |me| recursive_doubling_steps(me, n, bytes as usize))
     }
 
-    /// [`auto`](crate::coll::scan::auto) is recursive doubling.
+    /// [`auto_async`] is recursive doubling.
     pub use recursive_doubling as auto;
 }
 
@@ -262,19 +262,19 @@ pub mod scatter {
     use super::*;
     use crate::coll::scatter::*;
 
-    /// [`linear`](crate::coll::scatter::linear): one eager round.
+    /// [`linear_async`]: one eager round.
     pub fn linear(n: usize, root: usize, block: u64) -> Schedule {
         build(n, 0, |me| linear_steps(me, n, block as usize, root))
     }
 
-    /// [`binomial`](crate::coll::scatter::binomial).
+    /// [`binomial_async`].
     pub fn binomial(n: usize, root: usize, block: u64) -> Schedule {
         build(n, root, |me| {
             binomial_steps(me, n, root, |b| b * block as usize)
         })
     }
 
-    /// [`auto`](crate::coll::scatter::auto)'s dispatch.
+    /// [`auto_async`]'s dispatch.
     pub fn auto(n: usize, root: usize, block: u64) -> Schedule {
         if picks_linear(n) {
             linear(n, root, block)
@@ -290,6 +290,7 @@ mod tests {
 
     use super::*;
     use crate::coll;
+    use crate::coop::block_on;
     use crate::reduce::Op;
     use crate::runtime::run_traced;
     use crate::Comm;
@@ -321,144 +322,150 @@ mod tests {
             .collect()
     }
 
-    fn allgather(algo: fn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
-        algo(c, &vec![c.rank() as u64; len], &mut vec![0; len * c.size()]);
+    fn allgather(algo: impl AsyncFn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
+        let send = vec![c.rank() as u64; len];
+        block_on(algo(c, &send, &mut vec![0; len * c.size()]));
     }
-    fn alltoall(algo: fn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
+    fn alltoall(algo: impl AsyncFn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
         let total = len * c.size();
-        algo(c, &vec![c.rank() as u64; total], &mut vec![0; total]);
+        block_on(algo(c, &vec![c.rank() as u64; total], &mut vec![0; total]));
     }
     fn gather(
-        algo: fn(&Comm, &[u64], Option<&mut [u64]>, usize),
+        algo: impl AsyncFn(&Comm, &[u64], Option<&mut [u64]>, usize),
         c: &Comm,
         root: usize,
         len: usize,
     ) {
         let mut recv = (c.rank() == root).then(|| vec![0u64; len * c.size()]);
-        algo(c, &vec![c.rank() as u64; len], recv.as_deref_mut(), root);
+        let send = vec![c.rank() as u64; len];
+        block_on(algo(c, &send, recv.as_deref_mut(), root));
     }
     fn scatter(
-        algo: fn(&Comm, Option<&[u64]>, &mut [u64], usize),
+        algo: impl AsyncFn(&Comm, Option<&[u64]>, &mut [u64], usize),
         c: &Comm,
         root: usize,
         len: usize,
     ) {
         let send = (c.rank() == root).then(|| vec![7u64; len * c.size()]);
-        algo(c, send.as_deref(), &mut vec![0; len], root);
+        block_on(algo(c, send.as_deref(), &mut vec![0; len], root));
     }
-    type Reduce = fn(&Comm, &[f64], Option<&mut [f64]>, usize, Op);
-    fn reduce(algo: Reduce, c: &Comm, root: usize, len: usize) {
+    fn reduce(
+        algo: impl AsyncFn(&Comm, &[f64], Option<&mut [f64]>, usize, Op),
+        c: &Comm,
+        root: usize,
+        len: usize,
+    ) {
         let mut recv = (c.rank() == root).then(|| vec![0.0f64; len]);
-        algo(c, &vec![1.0; len], recv.as_deref_mut(), root, Op::Sum);
+        block_on(algo(c, &vec![1.0; len], recv.as_deref_mut(), root, Op::Sum));
     }
 
     #[rustfmt::skip]
     const CASES: &[Case] = &[
         Case { name: "allgather::ring", rooted: false, fits: |_, _| true,
-            run: |c, _, len| allgather(coll::allgather::ring, c, len),
+            run: |c, _, len| allgather(coll::allgather::ring_async, c, len),
             schedule: |n, _, b| allgather::ring(n, b) },
         Case { name: "allgather::recursive_doubling", rooted: false, fits: |n, _| n.is_power_of_two(),
-            run: |c, _, len| allgather(coll::allgather::recursive_doubling, c, len),
+            run: |c, _, len| allgather(coll::allgather::recursive_doubling_async, c, len),
             schedule: |n, _, b| allgather::recursive_doubling(n, b) },
         Case { name: "allgather::auto", rooted: false, fits: |_, _| true,
-            run: |c, _, len| allgather(coll::allgather::auto, c, len),
+            run: |c, _, len| allgather(coll::allgather::auto_async, c, len),
             schedule: |n, _, b| allgather::auto(n, b) },
         Case { name: "allgatherv::ring", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
                 let mut recv = vec![0u64; counts.iter().sum()];
-                coll::allgatherv::ring(c, &vec![1; counts[c.rank()]], &mut recv, &counts);
+                block_on(coll::allgatherv::ring_async(c, &vec![1; counts[c.rank()]], &mut recv, &counts));
             },
             schedule: |n, _, b| allgatherv::auto(&ragged_bytes(n, b)) },
         Case { name: "allreduce::recursive_doubling", rooted: false, fits: |_, _| true,
-            run: |c, _, len| coll::allreduce::recursive_doubling(c, &mut vec![1.0f64; len], Op::Sum),
+            run: |c, _, len| block_on(coll::allreduce::recursive_doubling_async(c, &mut vec![1.0f64; len], Op::Sum)),
             schedule: |n, _, b| allreduce::recursive_doubling(n, b) },
         Case { name: "allreduce::rabenseifner", rooted: false,
             fits: |n, len| len.is_multiple_of(1 << n.ilog2()),
-            run: |c, _, len| coll::allreduce::rabenseifner(c, &mut vec![1.0f64; len], Op::Sum),
+            run: |c, _, len| block_on(coll::allreduce::rabenseifner_async(c, &mut vec![1.0f64; len], Op::Sum)),
             schedule: |n, _, b| allreduce::rabenseifner(n, b) },
         Case { name: "allreduce::auto", rooted: false, fits: |_, _| true,
-            run: |c, _, len| coll::allreduce::auto(c, &mut vec![1.0f64; len], Op::Sum),
+            run: |c, _, len| block_on(coll::allreduce::auto_async(c, &mut vec![1.0f64; len], Op::Sum)),
             schedule: |n, _, b| allreduce::auto(n, b, 8) },
         Case { name: "alltoall::pairwise", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::pairwise, c, len),
+            run: |c, _, len| alltoall(coll::alltoall::pairwise_async, c, len),
             schedule: |n, _, b| alltoall::pairwise(n, b) },
         Case { name: "alltoall::bruck", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::bruck, c, len),
+            run: |c, _, len| alltoall(coll::alltoall::bruck_async, c, len),
             schedule: |n, _, b| alltoall::bruck(n, b) },
         Case { name: "alltoall::linear", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::linear, c, len),
+            run: |c, _, len| alltoall(coll::alltoall::linear_async, c, len),
             schedule: |n, _, b| alltoall::linear(n, b) },
         Case { name: "alltoall::auto", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::auto, c, len),
+            run: |c, _, len| alltoall(coll::alltoall::auto_async, c, len),
             schedule: |n, _, b| alltoall::auto(n, b) },
         Case { name: "barrier::dissemination", rooted: false, fits: |_, _| true,
-            run: |c, _, _| coll::barrier::dissemination(c),
+            run: |c, _, _| block_on(coll::barrier::dissemination_async(c)),
             schedule: |n, _, _| barrier::auto(n) },
         Case { name: "barrier::tree", rooted: false, fits: |_, _| true,
-            run: |c, _, _| coll::barrier::tree(c),
+            run: |c, _, _| block_on(coll::barrier::tree_async(c)),
             schedule: |n, _, _| barrier::tree(n) },
         Case { name: "bcast::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| coll::bcast::binomial(c, &mut vec![1.0f64; len], root),
+            run: |c, root, len| block_on(coll::bcast::binomial_async(c, &mut vec![1.0f64; len], root)),
             schedule: bcast::binomial },
         Case { name: "bcast::scatter_allgather", rooted: true, fits: |_, _| true,
-            run: |c, root, len| coll::bcast::scatter_allgather(c, &mut vec![1.0f64; len], root),
+            run: |c, root, len| block_on(coll::bcast::scatter_allgather_async(c, &mut vec![1.0f64; len], root)),
             schedule: bcast::scatter_allgather },
         Case { name: "bcast::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| coll::bcast::auto(c, &mut vec![1.0f64; len], root),
+            run: |c, root, len| block_on(coll::bcast::auto_async(c, &mut vec![1.0f64; len], root)),
             schedule: bcast::auto },
         Case { name: "gather::linear", rooted: true, fits: |_, _| true,
-            run: |c, root, len| gather(coll::gather::linear, c, root, len),
+            run: |c, root, len| gather(coll::gather::linear_async, c, root, len),
             schedule: gather::linear },
         Case { name: "gather::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| gather(coll::gather::binomial, c, root, len),
+            run: |c, root, len| gather(coll::gather::binomial_async, c, root, len),
             schedule: gather::binomial },
         Case { name: "gather::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| gather(coll::gather::auto, c, root, len),
+            run: |c, root, len| gather(coll::gather::auto_async, c, root, len),
             schedule: gather::auto },
         Case { name: "reduce::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| reduce(coll::reduce::binomial, c, root, len),
+            run: |c, root, len| reduce(coll::reduce::binomial_async, c, root, len),
             schedule: reduce::binomial },
         Case { name: "reduce::rabenseifner", rooted: true, fits: |n, len| n.is_power_of_two() && len.is_multiple_of(n),
-            run: |c, root, len| reduce(coll::reduce::rabenseifner, c, root, len),
+            run: |c, root, len| reduce(coll::reduce::rabenseifner_async, c, root, len),
             schedule: reduce::rabenseifner },
         Case { name: "reduce::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| reduce(coll::reduce::auto, c, root, len),
+            run: |c, root, len| reduce(coll::reduce::auto_async, c, root, len),
             schedule: |n, root, b| reduce::auto(n, root, b, 8) },
         Case { name: "reduce_scatter::pairwise", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
                 let send = vec![1.0f64; counts.iter().sum()];
                 let mut recv = vec![0.0; counts[c.rank()]];
-                coll::reduce_scatter::auto(c, &send, &mut recv, &counts, Op::Sum);
+                block_on(coll::reduce_scatter::auto_async(c, &send, &mut recv, &counts, Op::Sum));
             },
             schedule: |n, _, b| reduce_scatter::pairwise(&ragged_bytes(n, b)) },
         Case { name: "reduce_scatter::recursive_halving", rooted: false, fits: |n, _| n.is_power_of_two(),
             run: |c, _, len| {
                 let send = vec![1.0f64; len * c.size()];
-                coll::reduce_scatter::recursive_halving(c, &send, &mut vec![0.0; len], Op::Sum);
+                block_on(coll::reduce_scatter::recursive_halving_async(c, &send, &mut vec![0.0; len], Op::Sum));
             },
             schedule: |n, _, b| reduce_scatter::recursive_halving(n, b * n as u64) },
         Case { name: "reduce_scatter::block_auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let send = vec![1.0f64; len * c.size()];
-                coll::reduce_scatter::block_auto(c, &send, &mut vec![0.0; len], Op::Sum);
+                block_on(coll::reduce_scatter::block_auto_async(c, &send, &mut vec![0.0; len], Op::Sum));
             },
             schedule: |n, _, b| reduce_scatter::block_auto(n, b, 8) },
         Case { name: "scan::linear", rooted: false, fits: |_, _| true,
-            run: |c, _, len| coll::scan::linear(c, &mut vec![1.0f64; len], Op::Sum),
+            run: |c, _, len| block_on(coll::scan::linear_async(c, &mut vec![1.0f64; len], Op::Sum)),
             schedule: |n, _, b| scan::linear(n, b) },
         Case { name: "scan::recursive_doubling", rooted: false, fits: |_, _| true,
-            run: |c, _, len| coll::scan::auto(c, &mut vec![1.0f64; len], Op::Sum),
+            run: |c, _, len| block_on(coll::scan::auto_async(c, &mut vec![1.0f64; len], Op::Sum)),
             schedule: |n, _, b| scan::auto(n, b) },
         Case { name: "scatter::linear", rooted: true, fits: |_, _| true,
-            run: |c, root, len| scatter(coll::scatter::linear, c, root, len),
+            run: |c, root, len| scatter(coll::scatter::linear_async, c, root, len),
             schedule: scatter::linear },
         Case { name: "scatter::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| scatter(coll::scatter::binomial, c, root, len),
+            run: |c, root, len| scatter(coll::scatter::binomial_async, c, root, len),
             schedule: scatter::binomial },
         Case { name: "scatter::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| scatter(coll::scatter::auto, c, root, len),
+            run: |c, root, len| scatter(coll::scatter::auto_async, c, root, len),
             schedule: scatter::auto },
     ];
 

@@ -1,5 +1,6 @@
 //! A minimal hand-written JSON parser, mirroring the workspace's
-//! serde-free emitters (`mpcheck-report-v2`, `hpcbench-schedule-v1`).
+//! serde-free emitters (`mpcheck-report-v2`, `hpcbench-schedule-v1`,
+//! `hpcbench-record-v1`), and the one string writer those emitters share.
 //!
 //! The workspace bans external dependencies, so the documents this crate
 //! *emits* by hand it must also *parse* by hand: schedule files fed back
@@ -8,6 +9,7 @@
 //! kept as `f64` (every integer the schemas emit fits losslessly).
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,6 +73,38 @@ impl Value {
             Value::Obj(map) => map.get(key),
             _ => None,
         }
+    }
+}
+
+/// `s` as a JSON string literal (quotes included), escaped as it is
+/// written: an emitter's `format!` needs no intermediate `String`.
+pub fn string(s: &str) -> impl fmt::Display + '_ {
+    Literal(s)
+}
+
+struct Literal<'a>(&'a str);
+
+impl fmt::Display for Literal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        let mut clean = 0; // start of the escape-free run not yet written
+        for (at, c) in self.0.char_indices() {
+            if c != '"' && c != '\\' && c >= ' ' {
+                continue;
+            }
+            f.write_str(&self.0[clean..at])?;
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c => write!(f, "\\u{:04x}", c as u32)?,
+            }
+            clean = at + c.len_utf8();
+        }
+        f.write_str(&self.0[clean..])?;
+        f.write_char('"')
     }
 }
 
@@ -289,6 +323,14 @@ mod tests {
     fn resolves_escapes() {
         let v = parse(r#""q\"\\\u0041\u00e9""#).unwrap();
         assert_eq!(v.as_str(), Some("q\"\\A\u{e9}"));
+    }
+
+    #[test]
+    fn string_escaping_covers_specials() {
+        assert_eq!(string("a\"b").to_string(), "\"a\\\"b\"");
+        assert_eq!(string("a\\b").to_string(), "\"a\\\\b\"");
+        assert_eq!(string("a\nb\tc").to_string(), "\"a\\nb\\tc\"");
+        assert_eq!(string("\u{1}é").to_string(), "\"\\u0001é\"");
     }
 
     #[test]

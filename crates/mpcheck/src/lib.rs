@@ -38,7 +38,7 @@
 //!   every ready-set pick and wildcard match as an explicit decision,
 //!   prunes equivalent interleavings, and emits replayable
 //!   `hpcbench-schedule-v1` counterexamples ([`Schedule`]). This is what
-//!   `campaign --explore` and the `mpcheck explore` CLI use.
+//!   the `mpcheck explore` CLI uses.
 
 mod analyze;
 pub mod explore;

@@ -198,7 +198,7 @@ impl Report {
                 None => "null".into(),
             };
             let cx = match &finding.counterexample {
-                Some(c) => json_string(c),
+                Some(c) => json::string(c).to_string(),
                 None => "null".into(),
             };
             let _ = writeln!(
@@ -207,8 +207,8 @@ impl Report {
                  \"detail\": {}, \"seed\": {seed}, \"counterexample\": {cx}}}{comma}",
                 finding.class.name(),
                 ranks.join(", "),
-                json_string(&finding.summary),
-                json_string(&finding.detail),
+                json::string(&finding.summary),
+                json::string(&finding.detail),
             );
         }
         out.push_str("  ]\n}\n");
@@ -352,38 +352,9 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Escapes a string as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_string("a\nb\tc"), "\"a\\nb\\tc\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
 
     fn sample() -> Report {
         Report {

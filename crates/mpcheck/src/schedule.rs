@@ -79,11 +79,7 @@ impl Schedule {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": \"{SCHEDULE_SCHEMA}\",");
-        let _ = writeln!(
-            out,
-            "  \"target\": {},",
-            crate::report::json_string(&self.target)
-        );
+        let _ = writeln!(out, "  \"target\": {},", crate::json::string(&self.target));
         let _ = writeln!(out, "  \"world\": {},", self.world);
         out.push_str("  \"decisions\": [\n");
         for (i, d) in self.decisions.iter().enumerate() {

@@ -75,7 +75,7 @@ fn bcast_root_rotation_traces() {
             if comm.rank() == root {
                 buf.iter_mut().enumerate().for_each(|(i, v)| *v = i as f64);
             }
-            mp::coll::bcast::binomial(comm, &mut buf, root);
+            mp::block_on(mp::coll::bcast::binomial_async(comm, &mut buf, root));
         });
         let sched = mp::sched::bcast::binomial(n, root, (len * 8) as u64);
         assert_eq!(sorted(trace), sched.transfer_multiset(), "root {root}");
@@ -207,6 +207,98 @@ fn ghost_word_traces_equal_real_word_traces() {
                 mp::run_checked_coop(n, settings(), |c| program::<Ghost<1>, Ghost<8>>(c, bytes));
             assert!(ghost.results.is_some() && ghost.log.leftover.is_empty());
             assert_eq!(ghost.log.events, real.log.events, "n={n} bytes={bytes}");
+        }
+    }
+}
+
+/// One body per operation: each of the 16 collectives moves the same
+/// transfers and leaves the same buffers whether a rank thread calls the
+/// blocking `Comm` method or a cooperative task awaits the `_async` one.
+#[test]
+fn blocking_collectives_are_their_awaitable_bodies() {
+    use mp::{Comm, Op::Sum};
+
+    #[rustfmt::skip]
+    const OPS: [&str; 16] = [
+        "barrier", "bcast", "gather", "scatter", "allgather", "allgatherv", "alltoall", "reduce",
+        "allreduce", "reduce_scatter_block", "reduce_scatter", "scan", "exscan", "alltoallv",
+        "gatherv", "scatterv",
+    ];
+
+    /// What a rank brings to every operation: the root, `2n` words of its
+    /// own, ragged per-rank counts for the vector variants and its row of
+    /// a symmetric per-pair count matrix for alltoallv. Every count sum is
+    /// at most `2n`; the result buffer starts as a copy of the words, so
+    /// in-place operations have an operand.
+    fn rank(c: &Comm) -> (usize, Vec<u64>, Vec<usize>, Vec<usize>) {
+        let (me, n) = (c.rank(), c.size());
+        let words = (0..2 * n).map(|i| (me * 100 + i) as u64).collect();
+        let counts = (0..n).map(|r| r % 3 + 1).collect();
+        let pairs = (0..n).map(|peer| (me + peer) % 2 + 1).collect();
+        (n / 2, words, counts, pairs)
+    }
+
+    #[rustfmt::skip]
+    fn blocking(c: &Comm, op: usize) -> Vec<u64> {
+        let (root, words, counts, pairs) = rank(c);
+        let (at_root, mut out) = (c.rank() == root, words.clone());
+        let (mine, total, paired) = (counts[c.rank()], counts.iter().sum(), pairs.iter().sum());
+        match OPS[op] {
+            "barrier" => c.barrier(),
+            "bcast" => c.bcast(&mut out[..2], root),
+            "gather" => c.gather(&words[..2], at_root.then_some(&mut out[..]), root),
+            "scatter" => c.scatter(at_root.then_some(&words[..]), &mut out[..2], root),
+            "allgather" => c.allgather(&words[..2], &mut out),
+            "allgatherv" => c.allgatherv(&words[..mine], &mut out[..total], &counts),
+            "alltoall" => c.alltoall(&words, &mut out),
+            "reduce" => c.reduce(&words, at_root.then_some(&mut out[..]), root, Sum),
+            "allreduce" => c.allreduce(&mut out, Sum),
+            "reduce_scatter_block" => c.reduce_scatter_block(&words, &mut out[..2], Sum),
+            "reduce_scatter" => c.reduce_scatter(&words[..total], &mut out[..mine], &counts, Sum),
+            "scan" => c.scan(&mut out, Sum),
+            "exscan" => c.exscan(&mut out, Sum),
+            "alltoallv" => c.alltoallv(&words[..paired], &pairs, &mut out[..paired], &pairs),
+            "gatherv" => c.gatherv(&words[..mine], at_root.then_some(&mut out[..total]), &counts, root),
+            "scatterv" => c.scatterv(at_root.then_some(&words[..total]), &mut out[..mine], &counts, root),
+            _ => unreachable!(),
+        }
+        out
+    }
+
+    #[rustfmt::skip]
+    async fn awaited(c: Comm, op: usize) -> Vec<u64> {
+        let (root, words, counts, pairs) = rank(&c);
+        let (at_root, mut out) = (c.rank() == root, words.clone());
+        let (mine, total, paired) = (counts[c.rank()], counts.iter().sum(), pairs.iter().sum());
+        match OPS[op] {
+            "barrier" => c.barrier_async().await,
+            "bcast" => c.bcast_async(&mut out[..2], root).await,
+            "gather" => c.gather_async(&words[..2], at_root.then_some(&mut out[..]), root).await,
+            "scatter" => c.scatter_async(at_root.then_some(&words[..]), &mut out[..2], root).await,
+            "allgather" => c.allgather_async(&words[..2], &mut out).await,
+            "allgatherv" => c.allgatherv_async(&words[..mine], &mut out[..total], &counts).await,
+            "alltoall" => c.alltoall_async(&words, &mut out).await,
+            "reduce" => c.reduce_async(&words, at_root.then_some(&mut out[..]), root, Sum).await,
+            "allreduce" => c.allreduce_async(&mut out, Sum).await,
+            "reduce_scatter_block" => c.reduce_scatter_block_async(&words, &mut out[..2], Sum).await,
+            "reduce_scatter" => c.reduce_scatter_async(&words[..total], &mut out[..mine], &counts, Sum).await,
+            "scan" => c.scan_async(&mut out, Sum).await,
+            "exscan" => c.exscan_async(&mut out, Sum).await,
+            "alltoallv" => c.alltoallv_async(&words[..paired], &pairs, &mut out[..paired], &pairs).await,
+            "gatherv" => c.gatherv_async(&words[..mine], at_root.then_some(&mut out[..total]), &counts, root).await,
+            "scatterv" => c.scatterv_async(at_root.then_some(&words[..total]), &mut out[..mine], &counts, root).await,
+            _ => unreachable!(),
+        }
+        out
+    }
+
+    for n in [3, 4, 8] {
+        for (op, name) in OPS.iter().enumerate() {
+            let (on_threads, blocked) = mp::run_traced(n, |c| blocking(c, op));
+            let (on_tasks, polled) = mp::run_traced_coop(n, |c| awaited(c, op));
+            assert!(!blocked.is_empty(), "{name} n={n} moved nothing");
+            assert_eq!(sorted(blocked), sorted(polled), "{name} n={n}: transfers");
+            assert_eq!(on_threads, on_tasks, "{name} n={n}: buffers");
         }
     }
 }

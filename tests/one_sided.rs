@@ -139,23 +139,3 @@ fn pscw_two_origin_epochs_serialise() {
         "the second exposure epoch's write is final"
     );
 }
-
-/// b_eff (the paper's [14]) runs natively and on every machine model.
-#[test]
-fn beff_native_and_simulated() {
-    let cfg = hpcc::beff::BeffConfig {
-        l_max: 1 << 14,
-        random_patterns: 1,
-        iters: 2,
-        seed: 3,
-    };
-    let native = hpcc::beff::run_native(4, &cfg);
-    assert!(native.b_eff > 0.0);
-    assert_eq!(native.by_size.len(), 15); // 2^14 -> 21 capped by dedup
-
-    for m in machines::systems::paper_systems() {
-        let r = hpcc::beff::simulate(&m, 16.min(m.max_cpus), &hpcc::beff::BeffConfig::default());
-        assert!(r.b_eff > 0.0, "{}", m.name);
-        assert!(r.by_size.len() == 21, "{}", m.name);
-    }
-}
