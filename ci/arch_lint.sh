@@ -10,22 +10,22 @@
 #   1. Wall-clock time (`std::time::Instant`) appears only in
 #      `crates/harness`. The runtime and kernel crates must stay
 #      wall-clock-free so simulated and virtual execution remain
-#      deterministic and the mpcheck schedule perturbation stays
-#      reproducible. One named exemption: the `Mailbox::watch` clock in
-#      `crates/mp/src/mailbox.rs`, which bounds a native receive's spin
-#      at `SPIN_BUDGET` before it parks. Only worlds of OS threads with
-#      a CPU per rank have a budget, so no cooperative, virtual or
-#      explored run ever reads it, and it decides how a thread waits,
-#      never what it receives. The line carries the marker
-#      `// arch_lint: Mailbox::watch spin budget`; any other `Instant`
-#      in that file or in `mp` is still an error.
+#      deterministic and a schedule the mpcheck explorer recorded
+#      replays to the same run. One named exemption: the
+#      `Mailbox::watch` clock in `crates/mp/src/mailbox.rs`, which
+#      bounds a native receive's spin at `SPIN_BUDGET` before it parks.
+#      Only worlds of OS threads with a CPU per rank have a budget, so no
+#      cooperative, virtual or explored run ever reads it, and it decides
+#      how a thread waits, never what it receives. The line carries the
+#      marker `// arch_lint: Mailbox::watch spin budget`; any other
+#      `Instant` in that file or in `mp` is still an error.
 #   2. `std::thread::sleep` and `std::time::SystemTime` stay out of
-#      non-test code everywhere except the harness, `mp::check` (the
-#      perturbation delays and the watchdog poll), the process
-#      transports/launcher (which wait on real OS processes), and the
-#      vendored `parking_lot` shim. A sleep anywhere else would
-#      desynchronise the deterministic schedules the DPOR explorer
-#      enumerates.
+#      non-test code everywhere except the harness, `mp::check` (exactly
+#      one sleep, `Inspector::poll_sleep`, the stall detectors' poll
+#      interval), the process transports/launcher (which wait on real OS
+#      processes), and the vendored `parking_lot` shim. A sleep anywhere
+#      else would desynchronise the deterministic schedules the DPOR
+#      explorer enumerates.
 #   3. Every workspace crate opts into the shared `[workspace.lints]`
 #      policy via `[lints] workspace = true`, so a new crate cannot
 #      silently skip `forbid(unsafe_code)`.
@@ -42,6 +42,13 @@
 #      `BENCH_*.json` anywhere outside `target/`. `benchmark/` +
 #      `BENCHMARK.json` are the one measurement system; a lane binary
 #      or a committed per-host baseline is the second one growing back.
+#   7. One way to start a world, one stall detector. In `crates/mp/src`
+#      the rank-thread name literal `"mp-rank-{` and `gate.abort()` each
+#      appear exactly once (`runtime::spawn_rank_threads` is the only
+#      spawn loop; `run`, `run_traced`, `run_checked` and the session
+#      path are callers of it), and `find_cycle(` is defined once and
+#      called from one place (`Deadlock::from_waits`, which every
+#      detector — threads, tasks, fleet — assembles its diagnosis by).
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -116,6 +123,15 @@ fn watch() {
     let start = Instant::now(); // arch_lint: Mailbox::watch spin budget
 }
 EOF
+    # One spawn loop, one cycle finder with one caller.
+    cat > "$pass/crates/mp/src/runtime.rs" <<'EOF'
+fn spawn_rank_threads() {
+    builder.name(format!("mp-rank-{rank}"));
+    gate.abort();
+}
+fn from_waits() { find_cycle(&succ); }
+fn find_cycle(succ: &[Option<usize>]) {}
+EOF
     # The builder may write transfers; that is its job.
     cat > "$pass/crates/mp/src/sched/build.rs" <<'EOF'
 pub fn push(round: &mut Round) {
@@ -173,6 +189,20 @@ fn wait_ticket() {
     let deadline = Instant::now() + timeout;
 }
 EOF
+    # A second spawn loop, and a second assembly of the wait-for graph.
+    cat > "$bad/crates/mp/src/runtime.rs" <<'EOF'
+fn spawn_rank_threads() {
+    builder.name(format!("mp-rank-{rank}"));
+    gate.abort();
+}
+fn run_checked_inner() {
+    builder.name(format!("mp-rank-{rank}"));
+    gate.abort();
+    find_cycle(&succ);
+}
+fn from_waits() { find_cycle(&succ); }
+fn find_cycle(succ: &[Option<usize>]) {}
+EOF
     # A hand-written schedule generator beside the builder.
     cat > "$bad/crates/mp/src/sched/allgather.rs" <<'EOF'
 pub fn ring(n: usize, bytes: u64) -> Round {
@@ -190,6 +220,7 @@ EOF
     for needle in "lib.rs:3: .*Instant" "below_const.rs:5: .*Instant" \
         "mailbox.rs:2: .*Instant" "thread::sleep" "SystemTime" "does not opt into" \
         "allow(unsafe_code)" "hand-written schedule" \
+        'runtime.rs:6: .*mp-rank-' "runtime.rs:7: .*gate.abort" "runtime.rs:8: .*find_cycle" \
         "bin/bench_mp.rs" "/BENCH_mp.json"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
@@ -290,6 +321,24 @@ if [ -n "$offenders" ]; then
     err "second measurement system (add a probe to benchmark/ and a row to \
 BENCHMARK.json instead of a lane binary or a committed baseline):
 $offenders"
+fi
+
+# --- 7. One way to start a world, one stall detector ---------------------
+# Errors unless PATTERN ($2) has exactly $3 non-test lines in crates/mp/src.
+exactly() {
+    hits=$(scan "$2" | grep '^crates/mp/src/' || true)
+    count=$(printf '%s' "$hits" | grep -c . || true)
+    if [ "$count" -ne "$3" ]; then
+        err "$1: $count line(s) in crates/mp/src, expected $3 (a world starts in \
+runtime::spawn_rank_threads and a diagnosis is assembled in Deadlock::from_waits; \
+call those instead of growing a second copy):
+$hits"
+    fi
+}
+if [ -f crates/mp/src/runtime.rs ]; then
+    exactly 'the rank-thread name "mp-rank-{' '"mp-rank-[{]' 1
+    exactly 'gate.abort()' 'gate[.]abort[(][)]' 1
+    exactly 'find_cycle( (one definition, one call)' 'find_cycle[(]' 2
 fi
 
 if [ "$fail" -ne 0 ]; then

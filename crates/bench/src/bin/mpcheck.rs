@@ -18,7 +18,7 @@
 //! target — no random seeds — and fails (exit 1) when a gallery entry
 //! misses its expected finding class, the clean control turns up a
 //! finding, or any workload slice produces a finding. The merged
-//! `mpcheck-report-v2` document lands at `<out>/mpcheck-explore.json`
+//! `mpcheck-report-v3` document lands at `<out>/mpcheck-explore.json`
 //! and every finding's `hpcbench-schedule-v1` counterexample at
 //! `<out>/schedules/`, where `replay` re-executes it deterministically.
 

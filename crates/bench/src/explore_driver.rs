@@ -1,7 +1,7 @@
 //! The schedule-exploration driver behind `mpcheck explore` and
 //! `mpcheck replay`: runs the misuse gallery and small-world
 //! virtual slices of every registry workload under the DPOR explorer,
-//! merges the per-target reports into one `mpcheck-report-v2` document,
+//! merges the per-target reports into one `mpcheck-report-v3` document,
 //! and writes each finding's replayable counterexample as an
 //! `hpcbench-schedule-v1` trace file.
 //!
@@ -176,11 +176,6 @@ fn absorb(
     merged.runs += report.runs;
     merged.events += report.events;
     merged.dropped += report.dropped;
-    for seed in report.seeds {
-        if !merged.seeds.contains(&seed) {
-            merged.seeds.push(seed);
-        }
-    }
     if let Some(m) = merged.schedules.as_mut() {
         m.visited += stats.visited;
         m.pruned += stats.pruned;

@@ -6,7 +6,6 @@
 use harness::{MetricKind, Mode, Record, Stats, Suite};
 use machines::{ClusterSim, Machine};
 use mp::sched;
-use simnet::Time;
 
 use crate::suite::HpccSummary;
 
@@ -216,11 +215,6 @@ pub fn records(m: &Machine, p: usize) -> Vec<Record> {
 /// view over [`records`]).
 pub fn summary(m: &Machine, p: usize) -> HpccSummary {
     HpccSummary::from_records(&records(m, p))
-}
-
-/// Convenience: `Time` for a schedule on a fresh cluster (used by tests).
-pub fn schedule_time(m: &Machine, p: usize, s: &simnet::Schedule) -> Time {
-    ClusterSim::new(m, p).run_fresh(s)
 }
 
 #[cfg(test)]

@@ -121,15 +121,6 @@ impl Comm {
         }
     }
 
-    /// Schedule-perturbation hook: a deterministic yield/delay at this
-    /// instrumented point when a checked run asked for it, no-op otherwise.
-    #[inline]
-    fn perturb(&self) {
-        if let Some(insp) = &self.world.inspector {
-            insp.maybe_perturb(self.group[self.rank]);
-        }
-    }
-
     /// Opens an instrumented collective scope (records `CollBegin`, and
     /// `CollEnd` when the returned guard drops). `root`, when present, is
     /// a *local* rank and is recorded as its global rank, so divergence
@@ -144,7 +135,6 @@ impl Comm {
         match &self.world.inspector {
             None => CollScope { state: None },
             Some(insp) => {
-                self.perturb();
                 let grank = self.group[self.rank];
                 let root = root.map(|r| self.group[r]);
                 let site = insp.coll_begin(grank, self.id, op, root, shape);
@@ -166,7 +156,6 @@ impl Comm {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         let (gsrc, gdst) = (self.group[self.rank], self.group[dst]);
         if let Some(insp) = &self.world.inspector {
-            insp.maybe_perturb(gsrc);
             insp.record(
                 gsrc,
                 Event::Send {
@@ -203,7 +192,6 @@ impl Comm {
     /// point.
     pub(crate) async fn recv_payload_async(&self, src: usize, tag: Tag) -> Payload {
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
-        self.perturb();
         let filter = Match {
             comm_id: self.id,
             src: Some(self.group[src]),
@@ -318,7 +306,6 @@ impl Comm {
     /// matching send can encode straight into it. The scratch `RefCell`
     /// is only borrowed between awaits, never across.
     async fn recv_words_into_async<T: Word>(&self, filter: Match, buf: &mut [T]) -> (usize, Tag) {
-        self.perturb();
         let bytes = buf.len() * T::SIZE;
         let mailbox = &self.world.mailboxes[self.group[self.rank]];
         let (msg, spare) = if self.may_rendezvous::<T>(bytes) {
@@ -403,7 +390,6 @@ impl Comm {
         if let Some(t) = tag {
             assert!(t < MAX_USER_TAG, "tag {t:#x} is in the reserved range");
         }
-        self.perturb();
         let filter = Match {
             comm_id: self.id,
             src: src.map(|s| self.group[s]),

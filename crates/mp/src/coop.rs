@@ -13,6 +13,10 @@
 //! so schedule determinism is what buys byte-identical virtual clocks
 //! run to run. It is the only engine virtual worlds run on.
 //!
+//! Every entry point is a projection of one private `launch` (build the
+//! world — traced? priced? instrumented? controlled? — and run `execute`),
+//! so a hook on how a cooperative world starts or ends has one place to go.
+//!
 //! Task states (see DESIGN.md "Cooperative scheduler"): *queued* (rank id
 //! in the run queue), *running* (being polled), *blocked* (pending on a
 //! receive, waker parked in the hand-off slot), *finished*. A blocked
@@ -135,8 +139,7 @@ impl ScheduleController for FifoController {
 pub struct ScopedExplore {
     /// Decides every ready-set pick and wildcard match of the run.
     pub controller: Arc<dyn ScheduleController>,
-    /// Instrumentation settings. Perturbation is forced off: a controlled
-    /// schedule subsumes (and supersedes) random perturbation.
+    /// Instrumentation settings.
     pub settings: Settings,
     /// Receives the log of every controlled run, on the installing
     /// thread, before failures propagate.
@@ -362,10 +365,7 @@ fn stall_message(world: &World, blocked: &[usize]) -> String {
         msg.push_str(", ...");
     }
     msg.push(')');
-    let mut lanes = Vec::new();
-    for mb in &world.mailboxes {
-        lanes.extend(mb.inventory());
-    }
+    let lanes = world.inventory();
     if !lanes.is_empty() {
         let queued: usize = lanes.iter().map(|l| l.queued).sum();
         let _ = write!(msg, "; {queued} unmatched message(s) queued:");
@@ -494,6 +494,97 @@ where
     (results.into_inner(), panics)
 }
 
+/// The one way a cooperative world starts and ends: `n` rank tasks of `f`
+/// on the calling thread, recording transfers if `traced`, pricing every
+/// message by `net` if given, instrumented under `check`'s settings if
+/// given — and then with every scheduling decision made by its controller,
+/// if it names one. Returns what [`execute`] returned, and the world.
+/// `entry` is the public door, for the no-session rule.
+#[allow(clippy::type_complexity)]
+fn launch<R, F, Fut>(
+    entry: &str,
+    n: usize,
+    traced: bool,
+    net: Option<Box<dyn VirtualNet>>,
+    check: Option<(Settings, Option<Arc<dyn ScheduleController>>)>,
+    f: &F,
+) -> (Vec<Option<R>>, Vec<(usize, String)>, Arc<World>)
+where
+    F: Fn(Comm) -> Fut,
+    Fut: Future<Output = R>,
+{
+    assert!(n > 0, "an SPMD world needs at least one rank");
+    crate::transport::assert_no_session(entry);
+    let (inspector, controller) = match check {
+        None => (None, None),
+        Some((settings, controller)) => {
+            if let Some(ctl) = &controller {
+                ctl.note_world(n);
+            }
+            let inspector = check::Inspector::new(n, settings, controller.clone());
+            (Some(Arc::new(inspector)), controller)
+        }
+    };
+    let mut world = World::new(n, traced, inspector, controller);
+    if let Some(net) = net {
+        world.price_with(net);
+    }
+    let world = Arc::new(world);
+    let (results, panics) = execute(&world, f);
+    (results, panics, world)
+}
+
+/// Every rank's result from an uninstrumented world, which has completed
+/// on every rank or panicked inside [`execute`].
+fn complete<R>(results: Vec<Option<R>>) -> Vec<R> {
+    let results = results.into_iter();
+    let complete = results.map(|r| r.expect("uninstrumented cooperative runs panic on failure"));
+    complete.collect()
+}
+
+/// [`launch`], instrumented: the run's outcome, and its world.
+fn launch_checked<R, F, Fut>(
+    entry: &str,
+    n: usize,
+    net: Option<Box<dyn VirtualNet>>,
+    check: (Settings, Option<Arc<dyn ScheduleController>>),
+    f: &F,
+) -> (Checked<R>, Arc<World>)
+where
+    F: Fn(Comm) -> Fut,
+    Fut: Future<Output = R>,
+{
+    let (results, panics, world) = launch(entry, n, false, net, Some(check), f);
+    let checked = Checked {
+        results: results.into_iter().collect(),
+        panics,
+        log: world.run_log(),
+    };
+    (checked, world)
+}
+
+/// [`launch`] as [`run_coop`] and [`run_virtual_coop`] see it: plain, or —
+/// under an ambient [`ScopedExplore`] — instrumented and controlled, with
+/// the log sunk before any failure propagates.
+fn launch_ambient<R, F, Fut>(
+    entry: &str,
+    n: usize,
+    net: Option<Box<dyn VirtualNet>>,
+    f: &F,
+) -> (Vec<R>, Arc<World>)
+where
+    F: Fn(Comm) -> Fut,
+    Fut: Future<Output = R>,
+{
+    let Some(explore) = explore_scoped() else {
+        let (results, _, world) = launch(entry, n, false, net, None, f);
+        return (complete(results), world);
+    };
+    let check = (explore.settings, Some(explore.controller));
+    let (checked, world) = launch_checked(entry, n, net, check, f);
+    (checked.sink_then_propagate(&*explore.sink), world)
+}
+
 /// Runs `f` as an SPMD program over `n` cooperative rank tasks on the
 /// calling thread and returns per-rank results in rank order. The
 /// cooperative mirror of [`crate::run`]: `f` receives an owned world
@@ -505,68 +596,7 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_coop");
-    if let Some(explore) = explore_scoped() {
-        let (results, _) = run_explored(n, &explore, None, &f);
-        return results
-            .into_iter()
-            .map(|r| r.expect("no deadlock, no panics, so every rank completed"))
-            .collect();
-    }
-    let world = Arc::new(World::new(n, false, None));
-    let (results, _) = execute(&world, &f);
-    results
-        .into_iter()
-        .map(|r| r.expect("uninstrumented cooperative runs panic on rank failure"))
-        .collect()
-}
-
-/// One controlled, instrumented cooperative world: the ambient-explore
-/// path behind [`run_coop`] and [`run_virtual_coop`]. The run log
-/// reaches the sink *before* any deadlock or rank panic propagates, so
-/// an explorer sees what happened even on failing schedules.
-fn run_explored<R, F, Fut>(
-    n: usize,
-    explore: &ScopedExplore,
-    net: Option<Box<dyn VirtualNet>>,
-    f: &F,
-) -> (Vec<Option<R>>, Vec<Time>)
-where
-    F: Fn(Comm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    let mut settings = explore.settings.clone();
-    settings.perturb = false;
-    let seed = settings.seed;
-    explore.controller.note_world(n);
-    let inspector = Arc::new(check::Inspector::new_observed(
-        n,
-        settings,
-        Some(Arc::clone(&explore.controller)),
-    ));
-    let mut world = World::new_controlled(
-        n,
-        false,
-        Some(Arc::clone(&inspector)),
-        Some(Arc::clone(&explore.controller)),
-    );
-    if let Some(net) = net {
-        world.price_with(net);
-    }
-    let world = Arc::new(world);
-    let (results, panics) = execute(&world, f);
-    let log = world.run_log(&inspector, seed);
-    let deadlock = log.deadlock.clone();
-    (explore.sink)(log);
-    if let Some(d) = deadlock {
-        panic!("{}{d}", check::POISON_MARK);
-    }
-    if let Some((rank, msg)) = panics.first() {
-        panic!("rank {rank} panicked: {msg}");
-    }
-    let clocks = world.final_clocks();
-    (results, clocks)
+    launch_ambient("run_coop", n, None, &f).0
 }
 
 /// Cooperative mirror of [`crate::run_traced`]: returns per-rank results
@@ -576,22 +606,12 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_traced_coop");
-    let world = Arc::new(World::new(n, true, None));
-    let (results, _) = execute(&world, &f);
+    let (results, _, world) = launch("run_traced_coop", n, true, None, None, &f);
     let world = Arc::try_unwrap(world)
         .ok()
         .expect("all rank tasks completed");
-    let trace = world
-        .trace
-        .map(Mutex::into_inner)
-        .expect("tracing was enabled");
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("uninstrumented cooperative runs panic on rank failure"))
-        .collect();
-    (results, trace)
+    let trace = world.trace.expect("tracing was enabled");
+    (complete(results), trace.into_inner())
 }
 
 /// Virtual-execution entry point (see [`crate::virt`]): runs `f` over
@@ -604,26 +624,8 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_virtual_coop");
-    if let Some(explore) = explore_scoped() {
-        let (results, clocks) = run_explored(n, &explore, Some(net), &f);
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("no deadlock, no panics, so every rank completed"))
-            .collect();
-        return (results, clocks);
-    }
-    let mut world = World::new(n, false, None);
-    world.price_with(net);
-    let world = Arc::new(world);
-    let (results, _) = execute(&world, &f);
-    let clocks = world.final_clocks();
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("uninstrumented cooperative runs panic on rank failure"))
-        .collect();
-    (results, clocks)
+    let (results, world) = launch_ambient("run_virtual_coop", n, Some(net), &f);
+    (results, world.final_clocks())
 }
 
 /// Cooperative mirror of the instrumented (checked) run path: rank
@@ -635,24 +637,13 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_checked_coop");
-    let seed = settings.seed;
-    let inspector = Arc::new(check::Inspector::new(n, settings));
-    let world = Arc::new(World::new(n, false, Some(Arc::clone(&inspector))));
-    let (results, panics) = execute(&world, &f);
-    Checked {
-        results: results.into_iter().collect(),
-        panics,
-        log: world.run_log(&inspector, seed),
-    }
+    launch_checked("run_checked_coop", n, None, (settings, None), &f).0
 }
 
 /// Like [`run_checked_coop`], but with every scheduling decision made by
 /// `controller`: the direct entry point of the schedule explorer. Rank
 /// panics are collected and deadlocks diagnosed into the log rather than
-/// propagated; perturbation is forced off (a controlled schedule subsumes
-/// it).
+/// propagated.
 pub fn run_controlled_coop<R, F, Fut>(
     n: usize,
     settings: Settings,
@@ -663,29 +654,8 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_controlled_coop");
-    let mut settings = settings;
-    settings.perturb = false;
-    let seed = settings.seed;
-    controller.note_world(n);
-    let inspector = Arc::new(check::Inspector::new_observed(
-        n,
-        settings,
-        Some(Arc::clone(&controller)),
-    ));
-    let world = Arc::new(World::new_controlled(
-        n,
-        false,
-        Some(Arc::clone(&inspector)),
-        Some(controller),
-    ));
-    let (results, panics) = execute(&world, &f);
-    Checked {
-        results: results.into_iter().collect(),
-        panics,
-        log: world.run_log(&inspector, seed),
-    }
+    let check = (settings, Some(controller));
+    launch_checked("run_controlled_coop", n, None, check, &f).0
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //! the host. Cooperative worlds ([`run_coop`], [`run_traced_coop`],
 //! [`run_virtual_coop`]) host every rank as an `async` task on the calling
 //! thread; virtual execution (messages priced by a [`VirtualNet`]) runs
-//! only there, on one deterministic FIFO schedule.
+//! only there, on one deterministic FIFO schedule. Each engine starts a
+//! world in one place (`runtime::spawn_rank_threads`, `coop::launch`);
+//! every launcher, checked or not, in a session or not, projects that one.
 //!
 //! # Quickstart
 //!

@@ -993,7 +993,7 @@ mod tests {
     #[test]
     fn wildcard_candidates_counted_for_race_detection() {
         use crate::check::{Event, Inspector, Settings};
-        let insp = Arc::new(Inspector::new(1, Settings::default()));
+        let insp = Arc::new(Inspector::new(1, Settings::default(), None));
         let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None, Duration::ZERO);
         mb.push(msg(1, 5, vec![1]));
         mb.push(msg(2, 6, vec![2]));

@@ -26,7 +26,7 @@ use simnet::Transfer;
 
 use simnet::Time;
 
-use crate::check::{self, Checked, Inspector, RunLog, Settings};
+use crate::check::{self, Inspector, LaneInfo, RunLog};
 use crate::comm::Comm;
 use crate::mailbox::{Mailbox, SPIN_BUDGET};
 use crate::msg::Message;
@@ -182,11 +182,7 @@ pub(crate) struct World {
 }
 
 impl World {
-    pub(crate) fn new(n: usize, traced: bool, inspector: Option<Arc<Inspector>>) -> World {
-        World::new_controlled(n, traced, inspector, None)
-    }
-
-    pub(crate) fn new_controlled(
+    pub(crate) fn new(
         n: usize,
         traced: bool,
         inspector: Option<Arc<Inspector>>,
@@ -254,16 +250,21 @@ impl World {
     /// The run log of a finished instrumented world: its event rings, the
     /// unmatched traffic left in its mailboxes and, if it stalled, the
     /// deadlock diagnosis.
-    pub(crate) fn run_log(&self, inspector: &Inspector, seed: u64) -> RunLog {
+    pub(crate) fn run_log(&self) -> RunLog {
+        let inspector = self.inspector.as_ref().expect("an instrumented world");
         let (events, dropped) = inspector.drain_events();
         RunLog {
             n: self.n,
-            seed,
             events,
             dropped,
-            leftover: self.mailboxes.iter().flat_map(Mailbox::inventory).collect(),
+            leftover: self.inventory(),
             deadlock: inspector.poisoned(),
         }
+    }
+
+    /// Every queued, unmatched message lane of the world's mailboxes.
+    pub(crate) fn inventory(&self) -> Vec<LaneInfo> {
+        self.mailboxes.iter().flat_map(Mailbox::inventory).collect()
     }
 
     /// How often this world's rank threads have watched a wake word and
@@ -388,20 +389,8 @@ where
     // path: deadlocks are diagnosed, the run log goes to the sink, and
     // rank panics still propagate like the plain path's.
     if let Some(scoped) = check::scoped() {
-        let Checked {
-            results,
-            panics,
-            log,
-        } = run_checked_inner(n, scoped.settings.clone(), &f);
-        let deadlock = log.deadlock.clone();
-        (scoped.sink)(log);
-        if let Some(d) = deadlock {
-            panic!("{}{d}", check::POISON_MARK);
-        }
-        if let Some((rank, msg)) = panics.first() {
-            panic!("rank {rank} panicked: {msg}");
-        }
-        return results.expect("no deadlock, no panics, so every rank completed");
+        let checked = check::run_checked(n, scoped.settings.clone(), &f);
+        return checked.sink_then_propagate(&*scoped.sink);
     }
     run_inner(n, false, f).0
 }
@@ -426,50 +415,8 @@ where
     F: Fn(&Comm) -> R + Send + Sync,
 {
     assert!(n > 0, "an SPMD world needs at least one rank");
-    let world = Arc::new(World::new(n, traced, None));
-    let f = &f;
-    let gate = StartGate::new();
-    let stack = rank_stack_bytes();
-    let results: Vec<R> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let world = Arc::clone(&world);
-            let gate = &gate;
-            let spawned = std::thread::Builder::new()
-                .name(format!("mp-rank-{rank}"))
-                .stack_size(stack)
-                .spawn_scoped(scope, move || {
-                    if !gate.wait() {
-                        return None;
-                    }
-                    // Hybrid SMP: each native rank's kernels may fan out
-                    // over an even share of the host's cores.
-                    let _pool = smp::AmbientGuard::install(smp::pool::rank_threads(n));
-                    let comm = Comm::world(world, rank);
-                    Some(f(&comm))
-                });
-            match spawned {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    gate.abort();
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                    spawn_failure(rank, n, stack, &e);
-                }
-            }
-        }
-        gate.open();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(rank, h)| match h.join() {
-                Ok(Some(r)) => r,
-                Ok(None) => unreachable!("the gate opened, so every spawn succeeded"),
-                Err(e) => panic!("rank {rank} panicked: {}", panic_message(&*e)),
-            })
-            .collect()
-    });
+    let world = Arc::new(World::new(n, traced, None, None));
+    let results = spawn_rank_threads(&world, &world.world_group, |_, comm| f(comm));
     let trace = Arc::try_unwrap(world)
         .ok()
         .expect("all rank threads joined")
@@ -478,25 +425,21 @@ where
     (results, trace)
 }
 
-/// Spawns one rank thread per entry of `ranks` against `world` (whose
-/// size may exceed `ranks.len()` — the multi-process runtime hosts only
-/// the resident subset of a larger world), joins them, and returns their
-/// results in `ranks` order. `world_size` is the *full* world size,
-/// which sizes each rank's SMP worker share exactly as a single-process
-/// run of that world would — a parity requirement, not a nicety: the
-/// `threads` field of emitted records must not depend on how ranks were
-/// packed into processes.
-pub(crate) fn spawn_rank_threads<R, F>(
-    world: &Arc<World>,
-    ranks: &[usize],
-    world_size: usize,
-    f: F,
-) -> Vec<R>
+/// The one place a rank thread is spawned: one per entry of `ranks`
+/// against `world` (whose size may exceed `ranks.len()` — the
+/// multi-process runtime hosts only the resident subset of a larger
+/// world), joined, results in `ranks` order. The *full* world size sizes
+/// each rank's SMP worker share (hybrid SMP: a native rank's kernels may
+/// fan out over an even share of the host's cores) exactly as a
+/// single-process run of that world would — a parity requirement, not a
+/// nicety: the `threads` field of emitted records must not depend on how
+/// ranks were packed into processes.
+pub(crate) fn spawn_rank_threads<R, F>(world: &Arc<World>, ranks: &[usize], f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, &Comm) -> R + Send + Sync,
 {
-    let f = &f;
+    let (f, n) = (&f, world.n);
     let gate = StartGate::new();
     let stack = rank_stack_bytes();
     std::thread::scope(|scope| {
@@ -511,7 +454,7 @@ where
                     if !gate.wait() {
                         return None;
                     }
-                    let _pool = smp::AmbientGuard::install(smp::pool::rank_threads(world_size));
+                    let _pool = smp::AmbientGuard::install(smp::pool::rank_threads(n));
                     let comm = Comm::world(world, rank);
                     Some(f(rank, &comm))
                 });
@@ -522,7 +465,7 @@ where
                     for h in handles {
                         let _ = h.join();
                     }
-                    spawn_failure(rank, world_size, stack, &e);
+                    spawn_failure(rank, n, stack, &e);
                 }
             }
         }
@@ -539,135 +482,28 @@ where
     })
 }
 
-/// The instrumented run path behind [`crate::check::run_checked`] (and,
-/// via a scoped install, [`run`]): an [`Inspector`] is attached to the
-/// world, every rank runs under `catch_unwind`, and a detector thread
-/// polls wait states — when activity is stable across several polls with
-/// every unfinished rank parked, it diagnoses the deadlock and poisons
-/// the run, unwinding the blocked ranks with the diagnosis.
-pub(crate) fn run_checked_inner<R, F>(n: usize, settings: Settings, f: &F) -> Checked<R>
+/// [`spawn_rank_threads`] for an instrumented world: every rank body runs
+/// under `catch_unwind` and reports to the inspector that it finished, so
+/// a stall detector sees a dead rank as done rather than runnable.
+pub(crate) fn spawn_caught_ranks<R, F>(
+    world: &Arc<World>,
+    ranks: &[usize],
+    f: &F,
+) -> Vec<std::thread::Result<R>>
 where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_checked");
-    let seed = settings.seed;
-    let inspector = Arc::new(Inspector::new(n, settings));
-    let world = Arc::new(World::new(n, false, Some(Arc::clone(&inspector))));
-    let done = AtomicBool::new(false);
-    let gate = StartGate::new();
-    let stack = rank_stack_bytes();
-    let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-        let det_world = Arc::clone(&world);
-        let det_insp = Arc::clone(&inspector);
-        let det_done = &done;
-        std::thread::Builder::new()
-            .name("mp-check-detector".to_string())
-            .spawn_scoped(scope, move || {
-                // Require several consecutive polls with no wait-state
-                // transitions and every unfinished rank parked before
-                // diagnosing: a notified-but-unscheduled thread looks blocked
-                // for one poll, never for three.
-                let mut last_activity = det_insp.activity();
-                let mut stable = 0u32;
-                while !det_done.load(Ordering::Acquire) {
-                    det_insp.poll_sleep();
-                    if det_done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let activity = det_insp.activity();
-                    if activity == last_activity && det_insp.all_unfinished_waiting() {
-                        stable += 1;
-                    } else {
-                        stable = 0;
-                    }
-                    last_activity = activity;
-                    if stable >= 3 {
-                        match crate::check::diagnose(&det_world, &det_insp) {
-                            Some(diagnosis) => {
-                                det_insp.set_poison(diagnosis);
-                                break;
-                            }
-                            // A wake was in flight after all; start over.
-                            None => stable = 0,
-                        }
-                    }
-                }
-            })
-            .unwrap_or_else(|e| panic!("mp: cannot spawn the deadlock detector: {e}"));
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let world = Arc::clone(&world);
-            let insp = Arc::clone(&inspector);
-            let gate = &gate;
-            let spawned = std::thread::Builder::new()
-                .name(format!("mp-rank-{rank}"))
-                .stack_size(stack)
-                .spawn_scoped(scope, move || {
-                    if !gate.wait() {
-                        return None;
-                    }
-                    let _pool = smp::AmbientGuard::install(smp::pool::rank_threads(n));
-                    let comm = Comm::world(world, rank);
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
-                    insp.finish(rank);
-                    Some(out)
-                });
-            match spawned {
-                Ok(h) => handles.push(h),
-                Err(e) => {
-                    gate.abort();
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                    // Release the detector before unwinding, or the scope
-                    // join on it would hang the panic forever.
-                    done.store(true, Ordering::Release);
-                    spawn_failure(rank, n, stack, &e);
-                }
-            }
-        }
-        gate.open();
-        let outcomes: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .expect("rank bodies are caught, joins cannot fail")
-                    .expect("the gate opened, so every spawn succeeded")
-            })
-            .collect();
-        done.store(true, Ordering::Release);
-        outcomes
-    });
-    let mut results = Vec::with_capacity(n);
-    let mut panics = Vec::new();
-    let mut complete = true;
-    for (rank, out) in outcomes.into_iter().enumerate() {
-        match out {
-            Ok(r) => results.push(r),
-            Err(e) => {
-                complete = false;
-                let msg = panic_message(&*e);
-                // Poison unwinds are the detector's doing, not the
-                // program's; the deadlock diagnosis already carries them.
-                if !msg.starts_with(crate::check::POISON_MARK) {
-                    panics.push((rank, msg.to_string()));
-                }
-            }
-        }
-    }
-    Checked {
-        results: complete.then_some(results),
-        panics,
-        log: world.run_log(&inspector, seed),
-    }
+    let inspector = world.inspector.as_ref().expect("an instrumented world");
+    spawn_rank_threads(world, ranks, |rank, comm| {
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
+        inspector.finish(rank);
+        out
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -721,9 +557,8 @@ mod tests {
     /// of `n` ranks (the rest finish at once), run the way `run` runs
     /// them; returns the world's `(spun, parked_waits)`.
     fn ping_pong_wait_counts(n: usize, rounds: u64) -> (u64, u64) {
-        let world = Arc::new(World::new(n, false, None));
-        let ranks: Vec<usize> = (0..n).collect();
-        spawn_rank_threads(&world, &ranks, n, |rank, comm| {
+        let world = Arc::new(World::new(n, false, None, None));
+        spawn_rank_threads(&world, &world.world_group, |rank, comm| {
             let mut buf = [0u64];
             for i in 0..rounds {
                 match rank {
@@ -766,27 +601,45 @@ mod tests {
         assert!(parked > 0, "its receives park at once, as they always did");
     }
 
-    /// Satellite regression: a failed rank spawn must fail cleanly with
-    /// the rank named, not abort the process (old `scope.spawn`) or hang
-    /// already-spawned siblings (they park behind the start gate). An
-    /// absurd stack request makes the *first* spawn fail deterministically.
+    /// A failed rank spawn must fail cleanly with the rank named — not
+    /// abort the process, not hang already-spawned siblings (they park
+    /// behind the start gate), not leave a stall detector polling — through
+    /// every thread launcher: each leg panics *and returns*, so whatever
+    /// the launcher started has been joined. (The session launcher's leg
+    /// is `transport::tests::spawn_failure_ends_the_epoch`.)
     #[test]
-    #[should_panic(expected = "mp: cannot spawn rank 0 of 4")]
     fn spawn_failure_names_the_rank() {
-        STACK_OVERRIDE.with(|c| c.set(Some(usize::MAX)));
-        let restore = scopeguard();
-        let _ = &restore;
-        run(4, |comm| comm.rank());
+        use check::{run_checked, Settings};
+        let launchers: [(&str, fn()); 3] = [
+            ("run", || drop(run(4, Comm::rank))),
+            ("run_traced", || drop(run_traced(4, Comm::rank))),
+            ("run_checked", || {
+                drop(run_checked(4, Settings::default(), Comm::rank))
+            }),
+        ];
+        for (name, launch) in launchers {
+            let err = with_failing_spawns(|| std::panic::catch_unwind(launch))
+                .expect_err("the spawn cannot succeed");
+            let msg = panic_message(&*err);
+            assert!(
+                msg.starts_with("mp: cannot spawn rank 0 of 4"),
+                "{name}: {msg}"
+            );
+        }
     }
 
-    /// Clears the stack override even when the test unwinds.
-    fn scopeguard() -> impl Drop {
+    /// Runs `f` with an absurd rank stack request, which makes the *first*
+    /// spawn on this thread fail deterministically; the override is cleared
+    /// even when `f` unwinds.
+    pub(crate) fn with_failing_spawns<T>(f: impl FnOnce() -> T) -> T {
         struct Restore;
         impl Drop for Restore {
             fn drop(&mut self) {
                 STACK_OVERRIDE.with(|c| c.set(None));
             }
         }
-        Restore
+        STACK_OVERRIDE.with(|c| c.set(Some(usize::MAX)));
+        let _restore = Restore;
+        f()
     }
 }

@@ -53,13 +53,13 @@
 //! diagnosis naming the cycle.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::check::{self, Inspector, Settings, WaitSnapshot};
+use crate::check::{self, Inspector, Settings};
 use crate::comm::Comm;
 use crate::msg::Message;
 use crate::payload::Payload;
@@ -603,9 +603,8 @@ where
         ring_capacity: 16,
         ..Settings::default()
     };
-    let poll = settings.poll;
-    let inspector = Arc::new(Inspector::new(n, settings));
-    let mut world = World::new(n, false, Some(Arc::clone(&inspector)));
+    let inspector = Arc::new(Inspector::new(n, settings, None));
+    let mut world = World::new(n, false, Some(Arc::clone(&inspector)), None);
     let epoch = {
         let mut st = sess.state.lock();
         assert!(
@@ -621,56 +620,56 @@ where
         epoch,
     });
     let world = Arc::new(world);
-    install_world(sess, epoch, &world);
+    let outcomes = {
+        // Dropped in reverse order on every path out, a rank-spawn failure
+        // included: the monitor stops first, then the epoch ends.
+        let _epoch = install_world(sess, epoch, &world);
+        let _monitor = spawn_monitor(sess, epoch, &world, &inspector, &residents);
+        let outcomes = crate::runtime::spawn_caught_ranks(&world, &residents, &f);
 
-    let done = Arc::new(AtomicBool::new(false));
-    let monitor = {
-        let sess = Arc::clone(sess);
-        let world = Arc::clone(&world);
-        let insp = Arc::clone(&inspector);
-        let residents = residents.clone();
-        let done = Arc::clone(&done);
-        std::thread::Builder::new()
-            .name("mp-proc-monitor".to_string())
-            .spawn(move || monitor_loop(&sess, epoch, &world, &insp, &residents, &done, poll))
-            .expect("mp transport: cannot spawn the stall monitor")
-    };
-
-    let outcomes = run_residents(&world, &inspector, &residents, n, &f);
-
-    // Flush barrier: FIFO channels guarantee every data frame this
-    // process sent in this epoch precedes its barrier, so once every
-    // peer's barrier has arrived no frame of this epoch is in flight.
-    let barrier = Frame::control(FrameKind::Barrier, epoch, sess.topo.me as u32);
-    for p in 0..sess.topo.nprocs {
-        if p != sess.topo.me {
-            sess.transport.send(p, &barrier);
-        }
-    }
-    wait_peer_barriers(sess, epoch);
-    done.store(true, Ordering::Release);
-    monitor.join().expect("the monitor never panics");
-    end_epoch(sess, epoch);
-
-    // Report in the same priority order as the single-process checked
-    // path: a deadlock diagnosis first, then real rank panics.
-    if let Some(diagnosis) = inspector.poisoned() {
-        panic!("{}{diagnosis}", check::POISON_MARK);
-    }
-    let mut results = Vec::with_capacity(outcomes.len());
-    for (rank, out) in residents.iter().zip(outcomes) {
-        match out {
-            Ok(r) => results.push(r),
-            Err(e) => {
-                let msg = crate::runtime::panic_message(&*e);
-                panic!("rank {rank} panicked: {msg}");
+        // Flush barrier: FIFO channels guarantee every data frame this
+        // process sent in this epoch precedes its barrier, so once every
+        // peer's barrier has arrived no frame of this epoch is in flight.
+        let barrier = Frame::control(FrameKind::Barrier, epoch, sess.topo.me as u32);
+        for p in 0..sess.topo.nprocs {
+            if p != sess.topo.me {
+                sess.transport.send(p, &barrier);
             }
         }
-    }
-    results
+        wait_peer_barriers(sess, epoch);
+        outcomes
+    };
+
+    // Report as the single-process checked path does (nobody reads the
+    // log): a deadlock diagnosis first, then real rank panics.
+    check::Checked::from_outcomes(&residents, outcomes, world.run_log())
+        .sink_then_propagate(&|_| ())
 }
 
-fn install_world(sess: &Arc<Session>, epoch: u32, world: &Arc<World>) {
+/// One installed epoch of a session; dropping it ends the epoch.
+struct Epoch<'a> {
+    sess: &'a Session,
+    epoch: u32,
+}
+
+impl Drop for Epoch<'_> {
+    fn drop(&mut self) {
+        let mut st = self.sess.state.lock();
+        st.current = None;
+        st.barriers.remove(&self.epoch);
+        st.reports.clear();
+        st.acks.clear();
+        // A protocol check of the ordinary way out; an unwind already in
+        // flight is the failure to report, and a second panic would abort.
+        assert!(
+            std::thread::panicking() || !st.pending.contains_key(&self.epoch),
+            "mp transport: data frames for epoch {} arrived after its flush barrier",
+            self.epoch
+        );
+    }
+}
+
+fn install_world<'a>(sess: &'a Session, epoch: u32, world: &Arc<World>) -> Epoch<'a> {
     let mut st = sess.state.lock();
     st.current = Some((epoch, Arc::clone(world)));
     let pending = st.pending.remove(&epoch).unwrap_or_default();
@@ -678,6 +677,7 @@ fn install_world(sess: &Arc<Session>, epoch: u32, world: &Arc<World>) {
     for (dst, msg) in pending {
         world.deliver(dst, msg);
     }
+    Epoch { sess, epoch }
 }
 
 fn wait_peer_barriers(sess: &Arc<Session>, epoch: u32) {
@@ -700,108 +700,62 @@ fn wait_peer_barriers(sess: &Arc<Session>, epoch: u32) {
     }
 }
 
-fn end_epoch(sess: &Arc<Session>, epoch: u32) {
-    let mut st = sess.state.lock();
-    st.current = None;
-    st.barriers.remove(&epoch);
-    st.reports.clear();
-    st.acks.clear();
-    assert!(
-        !st.pending.contains_key(&epoch),
-        "mp transport: data frames for epoch {epoch} arrived after its flush barrier"
-    );
-}
-
-/// Spawns and joins the resident rank threads (the multi-process mirror
-/// of the single-process checked run's rank loop).
-fn run_residents<R, F>(
-    world: &Arc<World>,
-    inspector: &Arc<Inspector>,
-    residents: &[usize],
-    n: usize,
-    f: &F,
-) -> Vec<std::thread::Result<R>>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    crate::runtime::spawn_rank_threads(world, residents, n, move |rank, comm| {
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
-        inspector.finish(rank);
-        out
-    })
-}
-
 // ---------------------------------------------------------------------
 // The cross-process stall monitor
 // ---------------------------------------------------------------------
 
-/// Per-process monitor: detects local stability (every resident
-/// unfinished rank parked, activity quiet, no wake in flight), publishes
-/// the serialized wait snapshot to process 0, and — on process 0 —
-/// aggregates the global diagnosis.
-#[allow(clippy::too_many_arguments)]
-fn monitor_loop(
+/// Spawns the per-process monitor: it detects local stability (every
+/// resident unfinished rank parked, activity quiet, no wake in flight),
+/// publishes the serialized wait snapshot to process 0, and — on process
+/// 0 — aggregates the global diagnosis. It ends when the returned guard
+/// drops, or the run is poisoned and there is nothing left to watch.
+fn spawn_monitor(
     sess: &Arc<Session>,
     epoch: u32,
     world: &Arc<World>,
     insp: &Arc<Inspector>,
     residents: &[usize],
-    done: &AtomicBool,
-    poll: Duration,
-) {
-    let me = sess.topo.me;
-    let mut last_activity = insp.activity();
-    let mut stable = 0u32;
-    let mut gen: u64 = 0;
-    let mut published = false;
-    while !done.load(Ordering::Acquire) {
-        std::thread::sleep(poll);
-        if done.load(Ordering::Acquire) || insp.poisoned().is_some() {
-            break;
+) -> check::Detector {
+    let (sess, world, residents) = (Arc::clone(sess), Arc::clone(world), residents.to_vec());
+    let mut quiet = check::QuietPolls::default();
+    let (mut gen, mut published) = (0u64, false);
+    check::Detector::spawn("mp-proc-monitor", Arc::clone(insp), move |insp| {
+        if insp.poisoned().is_some() {
+            return false;
         }
-        let activity = insp.activity();
-        if activity == last_activity && check::ranks_stable(insp, residents) {
-            stable += 1;
-        } else {
-            stable = 0;
+        if !quiet.poll(insp, &residents) {
             published = false;
-        }
-        last_activity = activity;
-        if stable >= 3 && !published {
-            let Some(waits) = check::snapshot_ranks(world, insp, residents) else {
-                stable = 0; // a wake was in flight after all
-                continue;
+        } else if !published {
+            let Some(waits) = check::snapshot_ranks(&world, insp, &residents) else {
+                quiet.reset(); // a wake was in flight after all
+                return true;
             };
-            let mut inventory = Vec::new();
-            for &r in residents {
-                inventory.extend(world.mailboxes[r].inventory());
-            }
+            let lanes = residents
+                .iter()
+                .flat_map(|&r| world.mailboxes[r].inventory());
             // Counter sampling order matters: activity after the
             // snapshot, so any wake between snapshot and the confirm
             // round shows up as a counter change.
+            gen += 1;
             let report = StableReport {
-                gen: {
-                    gen += 1;
-                    gen
-                },
+                gen,
                 activity: insp.activity(),
                 sent: sess.data_sent.load(Ordering::Acquire),
                 recvd: sess.data_recvd.load(Ordering::Acquire),
                 waits,
-                inventory,
+                inventory: lanes.collect(),
             };
-            if report.activity != activity {
-                stable = 0;
-                continue;
+            if report.activity != quiet.activity {
+                quiet.reset();
+                return true;
             }
-            if me == 0 {
+            if sess.topo.me == 0 {
                 sess.state.lock().reports.insert(0, (epoch, report));
             } else {
                 let frame = Frame {
                     kind: FrameKind::Stable,
                     epoch,
-                    src_proc: me as u32,
+                    src_proc: sess.topo.me as u32,
                     a: 0,
                     b: 0,
                     c: 0,
@@ -811,17 +765,18 @@ fn monitor_loop(
             }
             published = true;
         }
-        if me == 0 {
-            try_global_diagnosis(sess, epoch, insp, poll);
+        if sess.topo.me == 0 {
+            try_global_diagnosis(&sess, epoch, insp);
         }
-    }
+        true
+    })
 }
 
 /// Process 0's aggregation step: with a stable report from every process
 /// and balanced global data-frame counters, run a confirm round and — if
 /// every snapshot is still current — assemble and broadcast the global
 /// deadlock diagnosis.
-fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, insp: &Arc<Inspector>, poll: Duration) {
+fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, insp: &Inspector) {
     let nprocs = sess.topo.nprocs;
     let reports: Vec<StableReport> = {
         let st = sess.state.lock();
@@ -872,7 +827,7 @@ fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, insp: &Arc<Inspector>, 
             break ok;
         }
         drop(st);
-        std::thread::sleep(poll);
+        insp.poll_sleep();
         slices += 1;
         if slices >= deadline_slices {
             break false;
@@ -890,23 +845,11 @@ fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, insp: &Arc<Inspector>, 
         return;
     }
     // A genuine global stall: assemble the world-wide diagnosis.
-    let mut waits: Vec<WaitSnapshot> = reports.iter().flat_map(|r| r.waits.clone()).collect();
-    waits.sort_by_key(|w| w.rank);
-    let mut succ: Vec<Option<usize>> = vec![None; sess.topo.world];
-    for w in &waits {
-        if let check::WaitOn::Recv { src: Some(s), .. } = w.on {
-            succ[w.rank] = Some(s);
-        }
-    }
-    let cycle = check::find_cycle(&succ);
-    let mut inventory: Vec<check::LaneInfo> =
-        reports.iter().flat_map(|r| r.inventory.clone()).collect();
-    inventory.sort_by_key(|l| (l.dst, l.src));
-    let diagnosis = Arc::new(check::Deadlock {
-        cycle,
-        waits,
-        inventory,
-    });
+    let diagnosis = Arc::new(check::Deadlock::from_waits(
+        sess.topo.world,
+        reports.iter().flat_map(|r| r.waits.clone()).collect(),
+        reports.iter().flat_map(|r| r.inventory.clone()).collect(),
+    ));
     for p in 1..nprocs {
         let frame = Frame {
             kind: FrameKind::Poison,
@@ -941,6 +884,42 @@ mod tests {
         assert_eq!(t.resident_ranks(), vec![2, 3, 4]);
     }
 
+    /// A session over the local transport, never installed process-wide.
+    fn local_session(topo: Topology) -> Arc<Session> {
+        Arc::new(Session {
+            topo,
+            backend: Backend::Local,
+            transport: Box::new(local::LocalTransport),
+            state: Mutex::new(SessState::default()),
+            cv: Condvar::new(),
+            data_sent: AtomicU64::new(0),
+            data_recvd: AtomicU64::new(0),
+        })
+    }
+
+    /// The session leg of `runtime::tests::spawn_failure_names_the_rank`:
+    /// a rank-spawn failure under a session panics with the spawn error
+    /// and *returns* (the monitor is joined), and it ends the epoch — the
+    /// next `run` meets the spawn error again, not "nested run()", and
+    /// once spawning works the session carries on.
+    #[test]
+    fn spawn_failure_ends_the_epoch() {
+        let sess = local_session(Topology::blocks(4, 1, 0));
+        for _ in 0..2 {
+            let err = crate::runtime::tests::with_failing_spawns(|| {
+                let run = || run_multiproc(&sess, 4, |comm| comm.rank());
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            })
+            .expect_err("the spawn cannot succeed");
+            let msg = crate::runtime::panic_message(&*err);
+            assert!(msg.starts_with("mp: cannot spawn rank 0 of 4"), "{msg}");
+        }
+        assert_eq!(
+            run_multiproc(&sess, 4, |comm| comm.rank()),
+            vec![0, 1, 2, 3]
+        );
+    }
+
     /// Ghost words have no bytes to frame: a length-only payload bound
     /// for another process stops at the transport, named.
     #[test]
@@ -949,15 +928,7 @@ mod tests {
     )]
     fn a_length_only_payload_never_reaches_a_frame() {
         let remote = RemoteWorld {
-            sess: Arc::new(Session {
-                topo: Topology::explicit(vec![0, 1], 2, 0),
-                backend: Backend::Local,
-                transport: Box::new(local::LocalTransport),
-                state: Mutex::new(SessState::default()),
-                cv: Condvar::new(),
-                data_sent: AtomicU64::new(0),
-                data_recvd: AtomicU64::new(0),
-            }),
+            sess: local_session(Topology::explicit(vec![0, 1], 2, 0)),
             epoch: 0,
         };
         let msg = Message {

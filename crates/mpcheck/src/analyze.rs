@@ -8,7 +8,8 @@ use mp::check::{Event, RunLog};
 use crate::report::{Finding, FindingClass};
 
 /// Analyzes one run log, returning every finding it supports on its own.
-/// (Cross-seed comparisons live in [`crate::check`], which sees all runs.)
+/// (Cross-schedule comparisons live in [`crate::explore`], which sees all
+/// runs.)
 pub fn analyze(log: &RunLog) -> Vec<Finding> {
     let mut findings = Vec::new();
     deadlock(log, &mut findings);
@@ -239,8 +240,8 @@ fn wildcard_races(log: &RunLog, findings: &mut Vec<Finding>) {
 }
 
 /// Drops findings identical in (class, ranks, summary), keeping first
-/// occurrences in order. Multi-seed sweeps rediscover the same bug once
-/// per seed; the report should state it once.
+/// occurrences in order. A session's runs and an explorer's schedules
+/// rediscover the same bug many times; the report should state it once.
 pub fn dedup(findings: &mut Vec<Finding>) {
     let mut seen: Vec<(FindingClass, Vec<usize>, String)> = Vec::new();
     findings.retain(|f| {

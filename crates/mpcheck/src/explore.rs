@@ -1,8 +1,8 @@
 //! Systematic schedule-space exploration: a DPOR explorer over the
 //! cooperative scheduler.
 //!
-//! Where [`crate::check`] samples a handful of perturbed schedules, this
-//! module *enumerates* them. The [`Guided`] controller implements
+//! Where [`crate::check`] sees the one schedule the host happened to run,
+//! this module *enumerates* them. The [`Guided`] controller implements
 //! [`mp::ScheduleController`], so every ready-set pick and every
 //! wildcard-receive match in a cooperative run becomes a recorded,
 //! scriptable decision. The driver ([`explore_with`]) re-runs the target
@@ -95,8 +95,7 @@ pub struct ExploreOptions {
     /// schedule away from a rank that was still runnable. Skipped
     /// branches are counted in [`ScheduleStats::bounded_skips`].
     pub preemption_bound: Option<usize>,
-    /// Base run settings (perturbation is forced off: the explorer
-    /// replaces it).
+    /// Base run settings.
     pub settings: Settings,
 }
 
@@ -399,13 +398,6 @@ where
         let stats = report.schedules.as_mut().expect("set above");
         stats.visited += 1;
         report.runs += 1;
-        for log in &outcome.logs {
-            report.events += log.events.iter().map(|v| v.len() as u64).sum::<u64>();
-            report.dropped += log.dropped.iter().sum::<u64>();
-            if !report.seeds.contains(&log.seed) {
-                report.seeds.push(log.seed);
-            }
-        }
         // The coop engine is deterministic, so a scripted prefix must
         // reproduce the same choice points; guard against a target that
         // breaks that (e.g. one consulting ambient state) by dropping
@@ -451,15 +443,11 @@ where
         // Findings of this run; new ones ship the counterexample.
         let mut run_findings = Vec::new();
         for log in &outcome.logs {
+            report.count(log);
             run_findings.extend(analyze::analyze(log));
         }
         for (rank, msg) in &outcome.panics {
-            run_findings.push(Finding::new(
-                FindingClass::RankPanic,
-                vec![*rank],
-                format!("rank {rank} panicked"),
-                msg.clone(),
-            ));
+            run_findings.push(Finding::rank_panic(*rank, msg));
         }
         let clean =
             outcome.panics.is_empty() && outcome.logs.iter().all(|log| log.deadlock.is_none());
@@ -600,20 +588,11 @@ where
         ..Report::default()
     };
     for log in &outcome.logs {
-        report.events += log.events.iter().map(|v| v.len() as u64).sum::<u64>();
-        report.dropped += log.dropped.iter().sum::<u64>();
-        if !report.seeds.contains(&log.seed) {
-            report.seeds.push(log.seed);
-        }
+        report.count(log);
         report.findings.extend(analyze::analyze(log));
     }
     for (rank, msg) in &outcome.panics {
-        report.findings.push(Finding::new(
-            FindingClass::RankPanic,
-            vec![*rank],
-            format!("rank {rank} panicked"),
-            msg.clone(),
-        ));
+        report.findings.push(Finding::rank_panic(*rank, msg));
     }
     for finding in &mut report.findings {
         finding.counterexample = Some(schedule.to_json());

@@ -5,8 +5,8 @@
 //! Each entry mirrors a pattern from the integration-test gallery in
 //! `tests/mpcheck_detects.rs`, but as a registry the `mpcheck explore`
 //! CLI and the CI job can run by name: the explorer must find every
-//! expected finding class exhaustively — by enumerating schedules, not
-//! by sampling random seeds — and must find nothing in the control.
+//! expected finding class exhaustively, by enumerating schedules, and
+//! must find nothing in the control.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -85,6 +85,23 @@ fn wildcard_race(comm: mp::Comm) -> Pin<Box<dyn Future<Output = ()>>> {
     })
 }
 
+/// The same race without the handshake: under the FIFO schedule the two
+/// senders are never queued at the same instant (rank 0 posts its first
+/// wildcard before either runs), so a single run lints clean. Only a
+/// schedule that runs both senders ahead of rank 0 shows two candidate
+/// lanes — the bug that takes a second schedule to see, which the
+/// explorer, enumerating them, cannot miss.
+fn wildcard_race_unsynced(comm: mp::Comm) -> Pin<Box<dyn Future<Output = ()>>> {
+    Box::pin(async move {
+        if comm.rank() == 0 {
+            let _ = comm.recv_any_async::<u64>(None, Some(1)).await;
+            let _ = comm.recv_any_async::<u64>(None, Some(1)).await;
+        } else {
+            comm.send(&[comm.rank() as u64], 0, 1);
+        }
+    })
+}
+
 /// Ranks disagree on a broadcast root: rank 1 names itself root while
 /// the others name rank 0.
 fn bcast_root_mismatch(comm: mp::Comm) -> Pin<Box<dyn Future<Output = ()>>> {
@@ -136,6 +153,12 @@ pub fn entries() -> Vec<GalleryEntry> {
             world: 3,
             expect: Some(FindingClass::WildcardRace),
             body: wildcard_race,
+        },
+        GalleryEntry {
+            name: "wildcard-race-unsynced",
+            world: 3,
+            expect: Some(FindingClass::WildcardRace),
+            body: wildcard_race_unsynced,
         },
         GalleryEntry {
             name: "bcast-root-mismatch",
@@ -219,7 +242,6 @@ mod tests {
             "both wildcard matches must be enumerated (visited {})",
             stats.visited
         );
-        assert_eq!(report.seeds, vec![0], "no random seeds in the loop");
         let finding = report
             .findings
             .iter()
@@ -238,6 +260,23 @@ mod tests {
                     && f.summary.contains("differs across explored interleavings")),
             "expected a cross-schedule divergence finding:\n{report}"
         );
+    }
+
+    /// Why enumeration replaced sampling: one FIFO run of the unsynced
+    /// race lints clean, and the explorer still finds it, exhaustively,
+    /// with a counterexample.
+    #[test]
+    fn unsynced_race_needs_a_second_schedule_and_the_explorer_finds_it() {
+        let entry = find("wildcard-race-unsynced").unwrap();
+        let fifo = mp::run_checked_coop(entry.world, crate::Settings::default(), entry.body);
+        assert!(fifo.results.is_some());
+        assert!(crate::analyze(&fifo.log).is_empty(), "one run sees nothing");
+        let report = entry.explore(&opts());
+        let stats = report.schedules.expect("stats");
+        assert!(stats.exhaustive && stats.visited >= 2, "{stats:?}");
+        let mut findings = report.findings.iter();
+        let race = findings.find(|f| f.class == FindingClass::WildcardRace);
+        assert!(race.expect("the race is found").counterexample.is_some());
     }
 
     #[test]
@@ -324,6 +363,6 @@ mod tests {
         assert!(find("gallery:recv-cycle-2").is_some());
         assert!(find("recv-cycle-2").is_some());
         assert!(find("no-such-entry").is_none());
-        assert_eq!(entries().len(), 6);
+        assert_eq!(entries().len(), 7);
     }
 }

@@ -1,5 +1,5 @@
 //! A minimal hand-written JSON parser, mirroring the workspace's
-//! serde-free emitters (`mpcheck-report-v2`, `hpcbench-schedule-v1`,
+//! serde-free emitters (`mpcheck-report-v3`, `hpcbench-schedule-v1`,
 //! `hpcbench-record-v1`), and the one string writer those emitters share.
 //!
 //! The workspace bans external dependencies, so the documents this crate

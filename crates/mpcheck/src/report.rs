@@ -1,18 +1,23 @@
 //! The structured finding report: classes, findings, and the
-//! `mpcheck-report-v2` JSON rendering (serde-free, mirroring the
+//! `mpcheck-report-v3` JSON rendering (serde-free, mirroring the
 //! harness's `hpcbench-record-v1` emitter).
 //!
-//! v2 extends v1 with schedule-exploration accounting
-//! ([`ScheduleStats`]), per-finding seed attribution, and embedded
-//! replayable counterexamples, and adds a parser ([`Report::from_json`])
-//! so reports round-trip losslessly.
+//! A v3 document carries `schema`, `runs`, `events`, `dropped`,
+//! `schedules` (the explorer's [`ScheduleStats`], or null) and
+//! `findings`, each with `class`, `ranks`, `summary`, `detail` and an
+//! embedded replayable `counterexample` (or null); [`Report::from_json`]
+//! reads it back losslessly. v3 is v2 without the run-level `seeds` and
+//! per-finding `seed` of the retired seeded sampler; a v2 document is
+//! refused, not silently read as if it had none.
 
 use std::fmt::Write as _;
+
+use mp::check::RunLog;
 
 use crate::json::{self, Value};
 
 /// Schema identifier written into every report document.
-pub const REPORT_SCHEMA: &str = "mpcheck-report-v2";
+pub const REPORT_SCHEMA: &str = "mpcheck-report-v3";
 
 /// The misuse classes the analyses diagnose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -30,7 +35,7 @@ pub enum FindingClass {
     TagLeak,
     /// A wildcard receive whose match depended on arrival order — two or
     /// more candidate lanes were nonempty at match time, or matching
-    /// diverged across perturbed or explored schedules.
+    /// diverged across explored schedules.
     WildcardRace,
     /// A rank panicked for a reason other than deadlock poisoning.
     RankPanic,
@@ -76,17 +81,14 @@ pub struct Finding {
     pub class: FindingClass,
     /// World ranks involved (cycle members, diverging ranks, ...).
     pub ranks: Vec<usize>,
-    /// One-line description. Deliberately free of seed and schedule
-    /// numbers so that rediscoveries of the same bug across seeds or
-    /// schedules deduplicate; the run that surfaced it is in [`seed`]
-    /// and [`counterexample`](Finding::counterexample).
+    /// One-line description. Deliberately free of run and schedule
+    /// numbers so that rediscoveries of the same bug across runs or
+    /// schedules deduplicate; the schedule that surfaced it is in
+    /// [`counterexample`](Finding::counterexample).
     pub summary: String,
     /// Multi-line evidence (cycle listing, per-rank call sites,
     /// pending-message inventory).
     pub detail: String,
-    /// The perturbation seed of the run that first surfaced this
-    /// finding, when it came from a seeded run.
-    pub seed: Option<u64>,
     /// A replayable `hpcbench-schedule-v1` document reproducing the
     /// finding, when it came from the schedule explorer.
     pub counterexample: Option<String>,
@@ -100,9 +102,15 @@ impl Finding {
             ranks,
             summary,
             detail,
-            seed: None,
             counterexample: None,
         }
+    }
+
+    /// The finding for a rank that panicked with `msg` (for a reason other
+    /// than deadlock poisoning).
+    pub(crate) fn rank_panic(rank: usize, msg: &str) -> Finding {
+        let summary = format!("rank {rank} panicked");
+        Finding::new(FindingClass::RankPanic, vec![rank], summary, msg.into())
     }
 }
 
@@ -116,9 +124,6 @@ impl std::fmt::Display for Finding {
             ranks.join(", "),
             self.summary
         )?;
-        if let Some(seed) = self.seed {
-            write!(f, " (seed {seed})")?;
-        }
         if self.counterexample.is_some() {
             write!(f, " [replayable]")?;
         }
@@ -149,12 +154,10 @@ pub struct ScheduleStats {
 /// run accounting.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// Deduplicated findings across all runs/seeds, in detection order.
+    /// Deduplicated findings across all runs, in detection order.
     pub findings: Vec<Finding>,
     /// Instrumented runs analyzed.
     pub runs: usize,
-    /// Perturbation seeds exercised (deduplicated, in order).
-    pub seeds: Vec<u64>,
     /// Total events recorded across all runs and ranks.
     pub events: u64,
     /// Total events dropped to ring-buffer overflow.
@@ -169,13 +172,17 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Renders the report as an `mpcheck-report-v2` JSON document.
+    /// Counts one instrumented world's recorded and dropped events.
+    pub(crate) fn count(&mut self, log: &RunLog) {
+        self.events += log.events.iter().map(|v| v.len() as u64).sum::<u64>();
+        self.dropped += log.dropped.iter().sum::<u64>();
+    }
+
+    /// Renders the report as an `mpcheck-report-v3` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{\n  \"schema\": \"{REPORT_SCHEMA}\",");
         let _ = writeln!(out, "  \"runs\": {},", self.runs);
-        let seeds: Vec<String> = self.seeds.iter().map(|s| s.to_string()).collect();
-        let _ = writeln!(out, "  \"seeds\": [{}],", seeds.join(", "));
         let _ = writeln!(out, "  \"events\": {},", self.events);
         let _ = writeln!(out, "  \"dropped\": {},", self.dropped);
         match &self.schedules {
@@ -193,10 +200,6 @@ impl Report {
         for (i, finding) in self.findings.iter().enumerate() {
             let ranks: Vec<String> = finding.ranks.iter().map(|r| r.to_string()).collect();
             let comma = if i + 1 < self.findings.len() { "," } else { "" };
-            let seed = match finding.seed {
-                Some(s) => s.to_string(),
-                None => "null".into(),
-            };
             let cx = match &finding.counterexample {
                 Some(c) => json::string(c).to_string(),
                 None => "null".into(),
@@ -204,7 +207,7 @@ impl Report {
             let _ = writeln!(
                 out,
                 "    {{\"class\": \"{}\", \"ranks\": [{}], \"summary\": {}, \
-                 \"detail\": {}, \"seed\": {seed}, \"counterexample\": {cx}}}{comma}",
+                 \"detail\": {}, \"counterexample\": {cx}}}{comma}",
                 finding.class.name(),
                 ranks.join(", "),
                 json::string(&finding.summary),
@@ -215,7 +218,8 @@ impl Report {
         out
     }
 
-    /// Parses an `mpcheck-report-v2` document.
+    /// Parses an `mpcheck-report-v3` document (and no older one: the
+    /// error names the schema it met and the one it reads).
     pub fn from_json(text: &str) -> Result<Report, String> {
         let v = json::parse(text)?;
         match v.get("schema").and_then(Value::as_str) {
@@ -237,13 +241,6 @@ impl Report {
                 .ok_or("bad \"dropped\"")?,
             ..Report::default()
         };
-        for s in v
-            .get("seeds")
-            .and_then(Value::as_arr)
-            .ok_or("bad \"seeds\"")?
-        {
-            report.seeds.push(s.as_u64().ok_or("bad seed entry")?);
-        }
         match v.get("schedules") {
             None | Some(Value::Null) => {}
             Some(s) => {
@@ -303,10 +300,6 @@ impl Report {
                     .and_then(Value::as_str)
                     .ok_or_else(|| format!("finding {i}: bad \"detail\""))?
                     .to_string(),
-                seed: match f.get("seed") {
-                    None | Some(Value::Null) => None,
-                    Some(s) => Some(s.as_u64().ok_or_else(|| format!("finding {i}: bad seed"))?),
-                },
                 counterexample: match f.get("counterexample") {
                     None | Some(Value::Null) => None,
                     Some(c) => Some(
@@ -364,7 +357,6 @@ mod tests {
                     ranks: vec![0, 1],
                     summary: "cycle 0 -> 1 -> 0".into(),
                     detail: "rank 0: blocked\nrank 1: blocked".into(),
-                    seed: Some(2),
                     counterexample: Some(
                         "{\"schema\": \"hpcbench-schedule-v1\", \"target\": \"t\", \
                          \"world\": 2, \"decisions\": []}"
@@ -379,7 +371,6 @@ mod tests {
                 ),
             ],
             runs: 3,
-            seeds: vec![0, 1, 2],
             events: 42,
             dropped: 0,
             schedules: Some(ScheduleStats {
@@ -395,10 +386,10 @@ mod tests {
     fn report_json_is_wellformed() {
         let report = sample();
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"mpcheck-report-v2\""));
+        assert!(json.contains("\"schema\": \"mpcheck-report-v3\""));
         assert!(json.contains("\"class\": \"deadlock\""));
         assert!(json.contains("\"ranks\": [0, 1]"));
-        assert!(json.contains("\"seed\": 2"));
+        assert!(!json.contains("\"seed"), "v3 has no seed fields");
         assert!(json.contains("\"visited\": 7"));
         assert!(json.contains("\\n"), "newlines must be escaped");
         assert!(!report.clean());
@@ -426,10 +417,15 @@ mod tests {
         assert!(back.schedules.is_none());
     }
 
+    /// Older documents are refused by name — a v2 one (which this parser
+    /// read until its seed fields were retired) included.
     #[test]
-    fn from_json_rejects_v1_documents() {
-        let v1 = "{\"schema\": \"mpcheck-report-v1\", \"runs\": 0}";
-        assert!(Report::from_json(v1).is_err());
+    fn from_json_rejects_older_documents() {
+        for old in ["mpcheck-report-v1", "mpcheck-report-v2"] {
+            let doc = sample().to_json().replace(REPORT_SCHEMA, old);
+            let err = Report::from_json(&doc).expect_err(old);
+            assert!(err.contains(old) && err.contains(REPORT_SCHEMA), "{err}");
+        }
     }
 
     #[test]
@@ -439,13 +435,11 @@ mod tests {
             ranks: vec![2],
             summary: "arrival-order dependent match".into(),
             detail: String::new(),
-            seed: Some(1),
             counterexample: Some("{}".into()),
         };
         let text = finding.to_string();
         assert!(text.contains("[wildcard-race]"));
         assert!(text.contains("ranks {2}"));
-        assert!(text.contains("(seed 1)"));
         assert!(text.contains("[replayable]"));
     }
 

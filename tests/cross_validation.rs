@@ -211,6 +211,73 @@ fn ghost_word_traces_equal_real_word_traces() {
     }
 }
 
+/// Every launcher is a projection of one launch: a ring exchange, an
+/// allreduce and a broadcast (pinned sources throughout, so nothing is
+/// schedule-dependent) give the same per-rank results through all eight
+/// front doors, the same transfers through the two traced ones, the same
+/// per-rank event sequences through the three checked ones, and the same
+/// clocks, bit for bit, from two virtual runs.
+#[test]
+fn every_launcher_runs_the_same_program() {
+    use mp::check::Settings;
+    use mp::Op::Sum;
+
+    async fn program(c: &mp::Comm) -> Vec<u64> {
+        let (me, n) = (c.rank(), c.size());
+        let (to, from, mut got) = ((me + 1) % n, (me + n - 1) % n, [0u64]);
+        c.sendrecv_async(&[me as u64 + 1], to, &mut got, from, 5)
+            .await;
+        let mut sum = [got[0], me as u64];
+        c.allreduce_async(&mut sum, Sum).await;
+        let mut word = [sum[0] * 10 + me as u64];
+        c.bcast_async(&mut word, n / 2).await;
+        vec![got[0], sum[0], sum[1], word[0]]
+    }
+    // A rank thread blocks on the body a cooperative task awaits.
+    let blocking = |c: &mp::Comm| mp::block_on(program(c));
+    let awaited = |c: mp::Comm| async move { program(&c).await };
+
+    for n in [3, 4, 8] {
+        let results = mp::run(n, blocking);
+        assert_eq!(results[0][0], n as u64, "rank 0 hears from rank n-1");
+
+        let (traced, thread_trace) = mp::run_traced(n, blocking);
+        let (traced_coop, coop_trace) = mp::run_traced_coop(n, awaited);
+        assert!(!coop_trace.is_empty());
+        assert_eq!(sorted(thread_trace), sorted(coop_trace), "n={n}");
+
+        let checked = mp::check::run_checked(n, Settings::default(), blocking);
+        let checked_coop = mp::run_checked_coop(n, Settings::default(), awaited);
+        let fifo = std::sync::Arc::new(mp::FifoController);
+        let controlled = mp::run_controlled_coop(n, Settings::default(), fifo, awaited);
+        for log in [&checked.log, &checked_coop.log, &controlled.log] {
+            assert!(log.deadlock.is_none() && log.leftover.is_empty(), "n={n}");
+            assert_eq!(log.events, checked.log.events, "n={n}");
+        }
+
+        let xeon = machines::systems::dell_xeon();
+        let net = || Box::new(machines::SharedClusterNet::new(&xeon, n));
+        let (virt, clocks) = mp::run_virtual_coop(n, net(), awaited);
+        let (_, again) = mp::run_virtual_coop(n, net(), awaited);
+        let ticked = clocks.iter().filter(|&&t| t > simnet::Time::ZERO);
+        assert_eq!(ticked.count(), n, "every rank's clock was priced");
+        assert_eq!(clocks, again, "n={n}");
+
+        let others = [
+            Some(traced),
+            checked.results,
+            Some(mp::run_coop(n, awaited)),
+            Some(traced_coop),
+            checked_coop.results,
+            controlled.results,
+            Some(virt),
+        ];
+        for (door, other) in others.iter().enumerate() {
+            assert_eq!(other.as_ref(), Some(&results), "n={n} door {door}");
+        }
+    }
+}
+
 /// One body per operation: each of the 16 collectives moves the same
 /// transfers and leaves the same buffers whether a rank thread calls the
 /// blocking `Comm` method or a cooperative task awaits the `_async` one.

@@ -6,28 +6,14 @@
 
 use std::time::Duration;
 
-use mpcheck::{check, CheckOptions, FindingClass, Settings};
+use mpcheck::{check, FindingClass, Settings};
 
-/// Single-seed options with a fast detector poll, so a deadlock diagnosis
-/// arrives in tens of milliseconds.
-fn fast() -> CheckOptions {
-    CheckOptions {
-        seeds: vec![0],
-        settings: Settings {
-            poll: Duration::from_millis(2),
-            ..Settings::default()
-        },
-    }
-}
-
-/// Multi-seed options (perturbation on for nonzero seeds).
-fn sweep() -> CheckOptions {
-    CheckOptions {
-        seeds: vec![0, 1, 2],
-        settings: Settings {
-            poll: Duration::from_millis(2),
-            ..Settings::default()
-        },
+/// Settings with a fast detector poll, so a deadlock diagnosis arrives in
+/// tens of milliseconds.
+fn fast() -> Settings {
+    Settings {
+        poll: Duration::from_millis(2),
+        ..Settings::default()
     }
 }
 
@@ -121,6 +107,24 @@ fn three_rank_receive_ring_reports_full_cycle() {
     let mut ranks = finding.ranks.clone();
     ranks.sort_unstable();
     assert_eq!(ranks, vec![0, 1, 2], "all three ring members");
+
+    // One diagnosis, whichever detector met the stall: a native checked
+    // world's polling thread and the cooperative engine's instant one
+    // assemble the same `Deadlock` (`Deadlock::from_waits`; its third
+    // caller, a fleet's process 0, is pinned by `mp/tests/multiproc.rs`).
+    let threads = mp::check::run_checked(3, fast(), |comm| {
+        let left = (comm.rank() + comm.size() - 1) % comm.size();
+        comm.recv(&mut [0u64], left, 7);
+    });
+    let tasks = mp::run_checked_coop(3, fast(), |comm| async move {
+        let left = (comm.rank() + comm.size() - 1) % comm.size();
+        comm.recv_async(&mut [0u64], left, 7).await;
+    });
+    let polled = threads.log.deadlock.expect("the detector thread fired");
+    let instant = tasks.log.deadlock.expect("the stall was diagnosed");
+    assert_eq!(polled.cycle.as_ref().map(Vec::len), Some(3));
+    assert_eq!(format!("{polled:?}"), format!("{instant:?}"));
+    assert_eq!(finding.detail, polled.to_string());
 }
 
 #[test]
@@ -242,7 +246,7 @@ fn wildcard_receive_with_two_live_senders_is_a_race() {
     // are definitely queued) and then receives with a wildcard source:
     // at match time two candidate lanes are nonempty, so the result is
     // arrival-order dependent.
-    let report = check(3, &sweep(), |comm| {
+    let report = check(3, &fast(), |comm| {
         if comm.rank() == 0 {
             let mut sync = [0u64];
             comm.recv(&mut sync, 1, 99);
@@ -268,7 +272,7 @@ fn wildcard_receive_with_two_live_senders_is_a_race() {
 fn exact_source_receives_are_not_flagged_as_races() {
     // Same traffic as above but with pinned sources: deterministic, no
     // finding of any class.
-    let report = check(3, &sweep(), |comm| {
+    let report = check(3, &fast(), |comm| {
         if comm.rank() == 0 {
             let mut buf = [0u64];
             comm.recv(&mut buf, 1, 1);
@@ -290,10 +294,10 @@ fn report_json_carries_the_gallery_finding() {
         comm.send(&buf, peer, 3);
     });
     let json = report.to_json();
-    assert!(json.contains("\"schema\": \"mpcheck-report-v2\""));
+    assert!(json.contains("\"schema\": \"mpcheck-report-v3\""));
     assert!(json.contains("\"class\": \"deadlock\""));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
-    // And the v2 document round-trips losslessly.
+    // And the document round-trips losslessly.
     let back = mpcheck::Report::from_json(&json).expect("parse back");
     assert_eq!(back.to_json(), json);
 }
@@ -301,9 +305,9 @@ fn report_json_carries_the_gallery_finding() {
 #[test]
 fn explorer_covers_the_gallery_without_seeds() {
     // The integration-level acceptance check for the DPOR explorer: the
-    // same misuse patterns this gallery exercises under seeded
-    // perturbation are found by *enumerating* schedules — one seed, no
-    // randomness — each with a replayable counterexample.
+    // misuse patterns this file runs once on rank threads are found by
+    // *enumerating* schedules — no randomness — each with a replayable
+    // counterexample.
     for entry in mpcheck::gallery::entries() {
         let report = entry.explore(&mpcheck::ExploreOptions {
             max_schedules: 64,
