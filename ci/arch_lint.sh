@@ -49,6 +49,12 @@
 #      path are callers of it), and `find_cycle(` is defined once and
 #      called from one place (`Deadlock::from_waits`, which every
 #      detector — threads, tasks, fleet — assembles its diagnosis by).
+#   8. One cross-process transport, one frame decoder. Under
+#      `crates/mp/src/transport/` the frame magic is compared in exactly
+#      one place (`wire::read_frame`, the only header parser) and
+#      `read_at(` does not appear: a receive blocks on a stream, it does
+#      not poll a file. A second parser or a polled channel file is the
+#      deleted file-channel backend growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -132,6 +138,13 @@ fn spawn_rank_threads() {
 fn from_waits() { find_cycle(&succ); }
 fn find_cycle(succ: &[Option<usize>]) {}
 EOF
+    # One header parser; writing the magic is not checking it.
+    mkdir -p "$pass/crates/mp/src/transport"
+    cat > "$pass/crates/mp/src/transport/wire.rs" <<'EOF'
+const MAGIC: u32 = u32::from_le_bytes(*b"MPW1");
+fn encode_into(out: &mut Vec<u8>) { out.extend_from_slice(&MAGIC.to_le_bytes()); }
+fn read_frame() { assert_eq!(magic, MAGIC, "bad frame magic"); }
+EOF
     # The builder may write transfers; that is its job.
     cat > "$pass/crates/mp/src/sched/build.rs" <<'EOF'
 pub fn push(round: &mut Round) {
@@ -203,6 +216,17 @@ fn run_checked_inner() {
 fn from_waits() { find_cycle(&succ); }
 fn find_cycle(succ: &[Option<usize>]) {}
 EOF
+    # A second header parser, polling a channel file.
+    mkdir -p "$bad/crates/mp/src/transport"
+    cat > "$bad/crates/mp/src/transport/wire.rs" <<'EOF'
+fn read_frame() { assert_eq!(magic, MAGIC, "bad frame magic"); }
+EOF
+    cat > "$bad/crates/mp/src/transport/chan.rs" <<'EOF'
+fn poll(file: &File, chunk: &mut [u8], offset: u64) {
+    let n = file.read_at(chunk, offset);
+    if magic != MAGIC { panic!("bad frame magic"); }
+}
+EOF
     # A hand-written schedule generator beside the builder.
     cat > "$bad/crates/mp/src/sched/allgather.rs" <<'EOF'
 pub fn ring(n: usize, bytes: u64) -> Round {
@@ -221,6 +245,7 @@ EOF
         "mailbox.rs:2: .*Instant" "thread::sleep" "SystemTime" "does not opt into" \
         "allow(unsafe_code)" "hand-written schedule" \
         'runtime.rs:6: .*mp-rank-' "runtime.rs:7: .*gate.abort" "runtime.rs:8: .*find_cycle" \
+        "chan.rs:2: .*read_at" "chan.rs:3: .*MAGIC" \
         "bin/bench_mp.rs" "/BENCH_mp.json"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
@@ -324,21 +349,34 @@ $offenders"
 fi
 
 # --- 7. One way to start a world, one stall detector ---------------------
-# Errors unless PATTERN ($2) has exactly $3 non-test lines in crates/mp/src.
+# Errors unless PATTERN ($2) has exactly $3 non-test lines under DIR ($4);
+# $5 says where the one copy lives.
 exactly() {
-    hits=$(scan "$2" | grep '^crates/mp/src/' || true)
+    hits=$(scan "$2" | grep "^$4/" || true)
     count=$(printf '%s' "$hits" | grep -c . || true)
     if [ "$count" -ne "$3" ]; then
-        err "$1: $count line(s) in crates/mp/src, expected $3 (a world starts in \
-runtime::spawn_rank_threads and a diagnosis is assembled in Deadlock::from_waits; \
-call those instead of growing a second copy):
+        err "$1: $count line(s) in $4, expected $3 ($5):
 $hits"
     fi
 }
 if [ -f crates/mp/src/runtime.rs ]; then
-    exactly 'the rank-thread name "mp-rank-{' '"mp-rank-[{]' 1
-    exactly 'gate.abort()' 'gate[.]abort[(][)]' 1
-    exactly 'find_cycle( (one definition, one call)' 'find_cycle[(]' 2
+    one_launch="a world starts in runtime::spawn_rank_threads and a diagnosis is assembled \
+in Deadlock::from_waits; call those instead of growing a second copy"
+    exactly 'the rank-thread name "mp-rank-{' '"mp-rank-[{]' 1 crates/mp/src "$one_launch"
+    exactly 'gate.abort()' 'gate[.]abort[(][)]' 1 crates/mp/src "$one_launch"
+    exactly 'find_cycle( (one definition, one call)' 'find_cycle[(]' 2 crates/mp/src "$one_launch"
+fi
+
+# --- 8. One cross-process transport, one frame decoder -------------------
+if [ -d crates/mp/src/transport ]; then
+    exactly 'a comparison with the frame MAGIC' '(==|!=|,) *MAGIC' 1 crates/mp/src/transport \
+        "wire::read_frame is the one header parser; decode through it"
+    offenders=$(scan 'read_at[(]' | grep '^crates/mp/src/transport/' || true)
+    if [ -n "$offenders" ]; then
+        err "read_at( in crates/mp/src/transport (a receive blocks on a stream; a polled \
+channel file is the deleted file-channel backend growing back):
+$offenders"
+    fi
 fi
 
 if [ "$fail" -ne 0 ]; then

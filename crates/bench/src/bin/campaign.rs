@@ -13,7 +13,7 @@
 //! cargo run -p bench --bin campaign -- --check-report FILE  # mpcheck report JSON path
 //! cargo run -p bench --bin campaign -- --high-rank N        # virtual slice at N coop ranks
 //! cargo run -p bench --bin campaign -- --workloads A,B      # registry-name filter
-//! cargo run -p bench --bin campaign -- --smoke --backend shm --nprocs 2
+//! cargo run -p bench --bin campaign -- --smoke --backend tcp --nprocs 2
 //!                                                           # native cells over process fleets
 //! ```
 //!
@@ -24,11 +24,11 @@
 //! path — native, simulated and virtual — on a small cross product so CI
 //! proves all three routes stay wired through the registry and Runner.
 //!
-//! # Multi-process backends
+//! # The multi-process backend
 //!
-//! With `--backend shm` (one host, shared-memory channel files) or
-//! `--backend tcp` (loopback sockets in CI), every native cell of the
-//! smoke cross product runs as a fleet of `--nprocs` worker processes:
+//! With `--backend tcp` (loopback sockets on one host, as in CI), every
+//! native cell of the smoke cross product runs as a fleet of `--nprocs`
+//! worker processes:
 //! the driver re-execs *this binary* per cell through
 //! [`mp::transport::launcher::Launcher`], which wires the world topology
 //! via the `MP_*` environment. A worker detects the `HPCB_CELL_*` cell
@@ -351,7 +351,7 @@ fn main() {
             "--backend" => {
                 backend = args
                     .next()
-                    .expect("--backend needs local, shm or tcp")
+                    .expect("--backend needs local or tcp")
                     .parse()
                     .unwrap_or_else(|e| panic!("--backend: {e}"));
             }
@@ -370,7 +370,7 @@ fn main() {
                 eprintln!(
                     "unknown argument: {other}\n\
                      usage: campaign [--smoke] [--check] [--no-figures] [--no-extensions] \
-                     [--max-procs N] [--high-rank N] [--backend local|shm|tcp] [--nprocs N] \
+                     [--max-procs N] [--high-rank N] [--backend local|tcp] [--nprocs N] \
                      [--workloads A,B] [--out DIR] [--records FILE] [--check-report FILE]"
                 );
                 std::process::exit(2);

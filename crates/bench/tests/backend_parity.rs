@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// All 19 registry workloads (7 HPCC + 12 IMB), the coverage floor for
-/// the local-vs-shm sweep.
+/// the local-vs-tcp sweep.
 const ALL_WORKLOADS: [&str; 19] = [
     "G-HPL",
     "G-PTRANS",
@@ -99,76 +99,52 @@ fn normalized(lines: &[String]) -> Vec<String> {
 }
 
 /// The acceptance sweep: every registry workload over the full smoke
-/// cross product, local in-process versus two shm worker processes.
+/// cross product, local in-process versus two tcp worker processes on
+/// loopback. Identity with the local stream implies the multiset
+/// cross-validation passed on every rank (`passed` is allreduced into
+/// every record).
 #[test]
-fn local_and_shm_smoke_streams_are_identical_modulo_timing() {
-    let dir = scratch("shm");
+fn local_and_tcp_smoke_streams_are_identical_modulo_timing() {
+    let dir = scratch("tcp");
     let local = campaign(&dir, &["--smoke", "--backend", "local"]);
-    let shm = campaign(&dir, &["--smoke", "--backend", "shm", "--nprocs", "2"]);
+    let tcp = campaign(&dir, &["--smoke", "--backend", "tcp", "--nprocs", "2"]);
     assert!(!local.is_empty(), "local stream must not be empty");
     assert_eq!(
         normalized(&local),
-        normalized(&shm),
-        "record streams diverge between local and shm"
+        normalized(&tcp),
+        "record streams diverge between local and tcp"
     );
     // Every workload contributed at least one *native* (measured,
     // cross-process) record, and every record verified.
     for name in ALL_WORKLOADS {
         let needle = format!("\"benchmark\": \"{name}\"");
         assert!(
-            shm.iter()
+            tcp.iter()
                 .any(|l| l.contains(&needle) && l.contains("\"mode\": \"native\"")),
-            "{name}: no native record in the shm stream"
+            "{name}: no native record in the tcp stream"
         );
     }
     assert!(
-        shm.iter().all(|l| l.contains("\"passed\": true")),
-        "every shm record must verify"
+        tcp.iter().all(|l| l.contains("\"passed\": true")),
+        "every tcp record must verify"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A four-process shm fleet packs ranks two-per-process at the p=4 grid
-/// points (and one-per-process at p=2, clamped) — the stream must still
-/// match local exactly.
+/// A four-process fleet hosts one rank per process at the p=4 grid
+/// points (the two-process sweep hosts two) and is clamped to two
+/// processes at p=2 — the stream must still match local exactly.
 #[test]
-fn shm_four_process_fleets_preserve_parity() {
-    let dir = scratch("shm4");
+fn tcp_four_process_fleets_preserve_parity() {
+    let dir = scratch("tcp4");
     let slice = ["--workloads", "Allreduce,Alltoall,G-PTRANS"];
     let mut local_args = vec!["--smoke", "--backend", "local"];
     local_args.extend_from_slice(&slice);
-    let mut shm_args = vec!["--smoke", "--backend", "shm", "--nprocs", "4"];
-    shm_args.extend_from_slice(&slice);
-    let local = campaign(&dir, &local_args);
-    let shm = campaign(&dir, &shm_args);
-    assert!(!local.is_empty());
-    assert_eq!(normalized(&local), normalized(&shm));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The tcp loopback slice: PingPong, Sendrecv and Barrier over real
-/// sockets. Identity with the local stream implies the multiset
-/// cross-validation passed on every rank (`passed` is allreduced into
-/// every record).
-#[test]
-fn tcp_loopback_slice_matches_local() {
-    let dir = scratch("tcp");
-    let slice = ["--workloads", "PingPong,Sendrecv,Barrier"];
-    let mut local_args = vec!["--smoke", "--backend", "local"];
-    local_args.extend_from_slice(&slice);
-    let mut tcp_args = vec!["--smoke", "--backend", "tcp", "--nprocs", "2"];
+    let mut tcp_args = vec!["--smoke", "--backend", "tcp", "--nprocs", "4"];
     tcp_args.extend_from_slice(&slice);
     let local = campaign(&dir, &local_args);
     let tcp = campaign(&dir, &tcp_args);
+    assert!(!local.is_empty());
     assert_eq!(normalized(&local), normalized(&tcp));
-    for name in ["PingPong", "Sendrecv", "Barrier"] {
-        let needle = format!("\"benchmark\": \"{name}\"");
-        assert!(
-            tcp.iter()
-                .any(|l| l.contains(&needle) && l.contains("\"mode\": \"native\"")),
-            "{name}: no native record over tcp"
-        );
-    }
-    assert!(tcp.iter().all(|l| l.contains("\"passed\": true")));
     let _ = std::fs::remove_dir_all(&dir);
 }

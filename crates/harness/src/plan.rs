@@ -79,8 +79,8 @@ pub struct Cell {
 pub struct RunPlan {
     /// The transport backend native measurements run over. `Local` is
     /// the seed path ([`RunPlan::execute`] runs every rank as a thread
-    /// of this process); `Shm` and `Tcp` mark the plan's native cells
-    /// as destined for a worker fleet, which a driver launches per cell
+    /// of this process); `Tcp` marks the plan's native cells as
+    /// destined for a worker fleet, which a driver launches per cell
     /// through [`RunPlan::execute_lines`] (the harness cannot spawn the
     /// fleet itself — only the driver binary knows its own executable).
     pub backend: Backend,
@@ -178,30 +178,13 @@ impl RunPlan {
         }
     }
 
-    /// The plan's admissible native-mode cells, in execution order: the
-    /// work a multi-process driver distributes over worker fleets, one
-    /// fleet (world size = `cell.procs`) per cell.
-    pub fn native_cells(&self, registry: &Registry) -> Vec<Cell> {
-        let mut cells = Vec::new();
-        self.walk(registry, &mut |w, mode, _machine, p, bytes| {
-            if mode == Mode::Native && w.supports(mode) && w.meta.admits(p, mode) {
-                cells.push(Cell {
-                    workload: w.meta.name,
-                    procs: p,
-                    bytes,
-                });
-            }
-        });
-        cells
-    }
-
     /// Executes the plan as a JSON-line stream, delegating every native
     /// cell to `native` (which returns the cell's record lines — for a
     /// multi-process backend, the canonical lines emitted by the worker
     /// hosting rank 0). Simulated and virtual records are produced
     /// in-process, exactly as [`RunPlan::execute`] would, and serialised
     /// with [`Record::to_json`]; the interleaving matches `execute`'s
-    /// record order line for line, which is what the local-vs-shm parity
+    /// record order line for line, which is what the local-vs-tcp parity
     /// check rests on.
     pub fn execute_lines(
         &self,
@@ -426,53 +409,14 @@ mod tests {
     }
 
     #[test]
-    fn native_cells_enumerate_the_admissible_native_grid() {
-        let plan = RunPlan {
-            backend: Backend::Shm,
-            modes: vec![Mode::Native, Mode::Simulated],
-            machines: vec![machines::systems::dell_xeon()],
-            procs: ProcGrid::List(vec![1, 2]),
-            bytes: vec![256, 1024],
-            workloads: None,
-            runner: Runner::smoke(),
-        };
-        let cells = plan.native_cells(&reg());
-        // "sized" admits only p=2 (min_procs) and sweeps both sizes;
-        // "unsized" runs once per proc count with bytes = None.
-        assert_eq!(
-            cells,
-            vec![
-                Cell {
-                    workload: "sized",
-                    procs: 2,
-                    bytes: Some(256)
-                },
-                Cell {
-                    workload: "sized",
-                    procs: 2,
-                    bytes: Some(1024)
-                },
-                Cell {
-                    workload: "unsized",
-                    procs: 1,
-                    bytes: None
-                },
-                Cell {
-                    workload: "unsized",
-                    procs: 2,
-                    bytes: None
-                },
-            ]
-        );
-    }
-
-    #[test]
     fn execute_lines_matches_execute_order_exactly() {
         let mk = |backend| RunPlan {
             backend,
             modes: vec![Mode::Native, Mode::Simulated],
             machines: vec![machines::systems::dell_xeon()],
-            procs: ProcGrid::List(vec![2]),
+            // "sized" does not admit p = 1 (min_procs 2): that cell must
+            // reach neither the in-process run nor the fleet.
+            procs: ProcGrid::List(vec![1, 2]),
             bytes: vec![256, 1024],
             workloads: None,
             runner: Runner::smoke(),
@@ -486,7 +430,7 @@ mod tests {
         // The delegated stream, with the "fleet" running cells through
         // the very same registry in-process, must interleave native and
         // simulated lines identically.
-        let plan = mk(Backend::Shm);
+        let plan = mk(Backend::Tcp);
         let runner = plan.runner;
         let delegated = plan.execute_lines(&registry, |cell| {
             let w = registry.get(cell.workload).expect("cell names an entry");

@@ -33,15 +33,6 @@ pub const MR: usize = 8;
 /// Microkernel register block width.
 pub const NR: usize = 8;
 
-/// Default rows of A packed per macro block (multiple of `MR`; A pack
-/// is `MC x KC` = 128 KiB, L2-resident). Overridable per host via the
-/// tuning table.
-pub const MC_DEFAULT: usize = 64;
-/// Default columns of B packed per macro block (multiple of `NR`).
-pub const NC_DEFAULT: usize = 256;
-/// Default depth of one packed block (`KC x NC` B pack = 512 KiB).
-pub const KC_DEFAULT: usize = 256;
-
 /// Below this `m * n * k` volume the thread-split overhead outweighs
 /// the work; run serial regardless of pool size.
 const SPLIT_MIN_VOLUME: usize = 1 << 16;

@@ -106,17 +106,6 @@ impl Mul for Complex {
     }
 }
 
-/// Default complex elements per L1-resident block: every stage whose
-/// butterfly block (`4h`) fits runs block by block while the block is
-/// hot. Two `f64` planes of 1024 elements are 16 KiB, comfortably
-/// inside L1d alongside the small-stage twiddle packs. Overridable per
-/// host via the tuning table.
-pub const L1_BLOCK_DEFAULT: usize = 1024;
-
-/// Default complex elements per L2-resident block for the middle band
-/// of stages (plane footprint 512 KiB plus streamed twiddle packs).
-pub const L2_BLOCK_DEFAULT: usize = 1 << 15;
-
 /// Block schedule for a length-`n` transform: tuned `(l1, l2)` block
 /// sizes clamped to powers of two no larger than `n` with `l1 <= l2`
 /// (the tuning layer sanitises; this guards a hand-edited table, and
@@ -1427,7 +1416,7 @@ mod tests {
     /// inside one disjoint block.
     #[test]
     fn pooled_fft_matches_serial_bitwise() {
-        let n = 4 * L2_BLOCK_DEFAULT; // four L2 blocks to fan out
+        let n = 4 * smp::Tuned::default().fft_l2_block; // four L2 blocks to fan out
         let run = |threads: usize, inverse: bool| {
             let _pool = smp::AmbientGuard::install(threads);
             let mut x = signal(n);

@@ -42,18 +42,6 @@ fn persisted_table_reloads_and_reaches_the_kernels() {
     // `tuned()` latch fires, then confirm the kernels' view matches the
     // persisted entry, not the built-in defaults.
     std::env::set_var("HPCB_TUNE_FILE", &path);
-    for k in [
-        "HPCB_THREADS",
-        "HPCB_DGEMM_MC",
-        "HPCB_DGEMM_NC",
-        "HPCB_DGEMM_KC",
-        "HPCB_FFT_L1",
-        "HPCB_FFT_L2",
-        "HPCB_HPL_NB",
-        "HPCB_HPL_LOOKAHEAD",
-    ] {
-        std::env::remove_var(k);
-    }
     let seen = *smp::tuned();
     assert_eq!(seen, distinctive().sanitized());
     assert_ne!(seen, Tuned::default(), "defaults would mask the reload");

@@ -90,22 +90,6 @@ pub fn simulate(machine: &Machine, benchmark: Benchmark, procs: usize, bytes: u6
     }
 }
 
-/// The paper's processor-count grid for the IMB figures: powers of two
-/// from 2 up to the installation's size (576 rather than 512 for the NEC
-/// SX-8, as in the paper's runs).
-pub fn proc_grid(machine: &Machine) -> Vec<usize> {
-    let mut grid = Vec::new();
-    let mut p = 2;
-    while p <= machine.max_cpus && p <= 512 {
-        grid.push(p);
-        p *= 2;
-    }
-    if machine.max_cpus == 576 {
-        grid.push(576);
-    }
-    grid
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,13 +157,5 @@ mod tests {
         let t8 = simulate(&m, Benchmark::Barrier, 8, 0).t_max_us();
         let t128 = simulate(&m, Benchmark::Barrier, 128, 0).t_max_us();
         assert!(t128 > t8);
-    }
-
-    #[test]
-    fn proc_grid_respects_installation_sizes() {
-        assert_eq!(proc_grid(&cray_opteron()), vec![2, 4, 8, 16, 32, 64, 128]);
-        let sx8 = proc_grid(&nec_sx8());
-        assert_eq!(*sx8.last().unwrap(), 576);
-        assert!(proc_grid(&altix_bx2()).contains(&512));
     }
 }

@@ -125,7 +125,7 @@ fn spawn_failure(rank: usize, n: usize, stack: usize, err: &std::io::Error) -> !
 /// smp::topo::detect().online_cpus` (which honours affinity masks and
 /// cgroup quotas). With more ranks than CPUs a spinner would hold the CPU
 /// its sender needs, so the wait parks at once. `ranks` is the whole
-/// world — the processes of a shm or tcp-loopback fleet share the host.
+/// world — the processes of a tcp-loopback fleet share the host.
 /// Derived, never set: there is no knob.
 pub fn receives_spin(ranks: usize) -> bool {
     ranks <= smp::topo::detect().online_cpus

@@ -2,8 +2,8 @@
 //! world and wires its topology through the environment.
 //!
 //! The launcher is the `mpirun` of this runtime. It creates a fresh
-//! session directory (on `/dev/shm` when the host has one, so the shm
-//! backend's channel files are memory-backed), then spawns `nprocs`
+//! session directory (on `/dev/shm` when the host has one, so address
+//! files and worker logs are memory-backed), then spawns `nprocs`
 //! copies of a worker program, giving process `i` the standard variable
 //! set — `MP_BACKEND`, `MP_WORLD_SIZE`, `MP_NPROCS`, `MP_PROC=i`,
 //! `MP_WORLD_DIR`, and `MP_RANK_PROCS` when the default block mapping is
@@ -239,7 +239,7 @@ impl FleetOutcome {
 }
 
 impl Fleet {
-    /// The session directory (channel files, address files, worker logs).
+    /// The session directory (address files, worker logs).
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn fleet_of_shells_succeeds_and_captures_output() {
-        let outcome = Launcher::new(Backend::Shm, 2, 2, "/bin/sh")
+        let outcome = Launcher::new(Backend::Tcp, 2, 2, "/bin/sh")
             .arg("-c")
             .arg("echo proc $MP_PROC of $MP_NPROCS world $MP_WORLD_SIZE")
             .timeout(Duration::from_secs(30))
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn failing_worker_fails_the_fleet() {
-        let outcome = Launcher::new(Backend::Shm, 2, 2, "/bin/sh")
+        let outcome = Launcher::new(Backend::Tcp, 2, 2, "/bin/sh")
             .arg("-c")
             .arg("if [ \"$MP_PROC\" = 1 ]; then echo doomed >&2; exit 3; fi")
             .timeout(Duration::from_secs(30))

@@ -1,5 +1,5 @@
 //! Pluggable message-delivery backends: one matching-semantics contract,
-//! three transports.
+//! two transports.
 //!
 //! Everything above message delivery — [`Payload`](crate::payload),
 //! per-(src, comm, tag) mailboxes with non-overtaking wildcard matching,
@@ -11,12 +11,10 @@
 //! * **local** — the destination rank lives in this process: the message
 //!   is pushed straight into its mailbox, exactly the seed runtime's
 //!   path (byte-identical; see [`local`]).
-//! * **shm** — the destination rank lives in another process on this
-//!   host: the message is framed ([`wire`]) and appended to a
-//!   single-writer/single-reader channel file on a shared-memory
-//!   filesystem (see [`shm`]).
-//! * **tcp** — the destination rank lives on (potentially) another host:
-//!   the frame goes over a length-prefixed socket (see [`tcp`]).
+//! * **tcp** — the destination rank lives in another process, on this
+//!   host or another: the message is framed ([`wire`]) and goes over a
+//!   length-prefixed socket (see [`tcp`]). It is the one cross-process
+//!   backend: a receive blocks on a stream, it never polls a file.
 //!
 //! # Sessions, worlds and epochs
 //!
@@ -67,13 +65,12 @@ use crate::runtime::World;
 
 pub mod launcher;
 pub(crate) mod local;
-pub(crate) mod shm;
 pub(crate) mod tcp;
 pub(crate) mod wire;
 
 use wire::{Frame, FrameKind, StableReport};
 
-/// Environment variable selecting the backend (`local`, `shm`, `tcp`).
+/// Environment variable selecting the backend (`local`, `tcp`).
 pub const ENV_BACKEND: &str = "MP_BACKEND";
 /// Environment variable carrying the world size (total ranks).
 pub const ENV_WORLD_SIZE: &str = "MP_WORLD_SIZE";
@@ -81,8 +78,8 @@ pub const ENV_WORLD_SIZE: &str = "MP_WORLD_SIZE";
 pub const ENV_NPROCS: &str = "MP_NPROCS";
 /// Environment variable carrying this process's index.
 pub const ENV_PROC: &str = "MP_PROC";
-/// Environment variable carrying the session directory (shm channel
-/// files, tcp address files).
+/// Environment variable carrying the session directory (where tcp
+/// processes publish their listener addresses for rendezvous).
 pub const ENV_WORLD_DIR: &str = "MP_WORLD_DIR";
 /// Optional comma-separated rank→process map (`MP_RANK_PROCS=0,0,1,1`);
 /// defaults to balanced contiguous blocks.
@@ -100,10 +97,8 @@ pub enum Backend {
     /// In-process delivery (the seed path): every rank is a thread of
     /// this process.
     Local,
-    /// Multiple processes on one host exchanging frames through
-    /// shared-memory channel files.
-    Shm,
-    /// Length-prefixed socket framing; worlds may span hosts.
+    /// Multiple processes exchanging frames over length-prefixed
+    /// sockets; worlds may span hosts.
     Tcp,
 }
 
@@ -112,7 +107,6 @@ impl Backend {
     pub fn as_str(&self) -> &'static str {
         match self {
             Backend::Local => "local",
-            Backend::Shm => "shm",
             Backend::Tcp => "tcp",
         }
     }
@@ -123,11 +117,13 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Backend, String> {
         match s {
             "local" => Ok(Backend::Local),
-            "shm" => Ok(Backend::Shm),
             "tcp" => Ok(Backend::Tcp),
-            other => Err(format!(
-                "unknown backend {other:?} (expected local, shm or tcp)"
-            )),
+            "shm" => Err(
+                "backend \"shm\" (file channels) is gone; tcp is the one cross-process \
+                 backend (expected local|tcp)"
+                    .to_string(),
+            ),
+            other => Err(format!("unknown backend {other:?} (expected local|tcp)")),
         }
     }
 }
@@ -224,7 +220,7 @@ impl Topology {
 }
 
 /// Reliable, FIFO-per-ordered-process-pair frame delivery. `send` may
-/// block briefly (file append, socket write) but never deadlocks against
+/// block briefly (a socket write) but never deadlocks against
 /// `recv`; `recv` returns `None` on timeout.
 pub(crate) trait Transport: Send + Sync {
     /// Sends `frame` to process `dst_proc`. FIFO with respect to every
@@ -279,8 +275,8 @@ pub struct Proc {
 
 impl Proc {
     /// The backend the session runs on. For a single-process session the
-    /// *transport* degenerates to local even when `shm`/`tcp` was asked
-    /// for; this reports what is actually carrying frames.
+    /// *transport* degenerates to local even when `tcp` was asked for;
+    /// this reports what is actually carrying frames.
     pub fn backend(&self) -> Backend {
         if self.sess.topo.nprocs == 1 {
             self.sess.transport.backend()
@@ -392,7 +388,6 @@ fn build_session_from_env() -> Option<Session> {
     } else {
         match backend {
             Backend::Local => unreachable!("local returns above"),
-            Backend::Shm => Box::new(shm::ShmTransport::new(&dir, me, nprocs)),
             Backend::Tcp => Box::new(tcp::TcpTransport::connect(&dir, me, nprocs)),
         }
     };
@@ -955,9 +950,16 @@ mod tests {
 
     #[test]
     fn backend_parses_both_ways() {
-        for b in [Backend::Local, Backend::Shm, Backend::Tcp] {
+        for b in [Backend::Local, Backend::Tcp] {
             assert_eq!(b.as_str().parse::<Backend>().unwrap(), b);
         }
         assert!("rdma".parse::<Backend>().is_err());
+        // The deleted file-channel backend is refused by name, with its
+        // replacement: `--backend` and `MP_BACKEND` both parse through here.
+        let refusal = "shm".parse::<Backend>().expect_err("shm is gone");
+        assert!(
+            refusal.contains("tcp") && refusal.contains("local|tcp"),
+            "{refusal}"
+        );
     }
 }

@@ -15,9 +15,10 @@
 //!
 //! One connection per *unordered* process pair: the higher-index process
 //! connects to the lower's listener and opens with a `Hello` frame naming
-//! itself, so the acceptor knows which peer each socket is. Send and
-//! receive directions share the socket; TCP gives FIFO per direction,
-//! which is all the epoch protocol needs.
+//! itself, so the acceptor knows which peer each socket is. Both sides
+//! give up at [`CONNECT_TIMEOUT`], naming the peers that never showed.
+//! Send and receive directions share the socket; TCP gives FIFO per
+//! direction, which is all the epoch protocol needs.
 //!
 //! A reader thread per connection decodes frames off the stream and
 //! feeds one process-wide channel; `recv` is just a timed pop. Writers
@@ -59,6 +60,13 @@ impl TcpTransport {
     /// Establishes the full mesh for process `me` of `nprocs`, publishing
     /// and resolving addresses through `dir` (or `MP_TCP_PEERS`).
     pub fn connect(dir: &Path, me: usize, nprocs: usize) -> TcpTransport {
+        Self::connect_within(dir, me, nprocs, CONNECT_TIMEOUT)
+    }
+
+    /// [`connect`](Self::connect) with the setup deadline as a parameter:
+    /// dialling a lower-index peer and waiting for a higher-index one to
+    /// dial both give up after `timeout`.
+    fn connect_within(dir: &Path, me: usize, nprocs: usize, timeout: Duration) -> TcpTransport {
         let peers_env = std::env::var(super::ENV_TCP_PEERS).ok();
         let static_peers: Option<Vec<String>> = peers_env.map(|v| {
             let list: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
@@ -89,20 +97,43 @@ impl TcpTransport {
         for p in 0..me {
             let addr = match &static_peers {
                 Some(peers) => peers[p].clone(),
-                None => wait_addr(dir, p),
+                None => wait_addr(dir, p, timeout),
             };
-            let mut stream = dial(&addr, p);
+            let mut stream = dial(&addr, p, timeout);
             let hello = Frame::control(FrameKind::Hello, 0, me as u32);
             super::wire::write_frame(&mut stream, &hello)
                 .unwrap_or_else(|e| panic!("mp tcp: hello to proc {p} failed: {e}"));
             spawn_reader(p, stream.try_clone().expect("clone stream"), tx.clone());
             writers[p] = Some(Mutex::new(stream));
         }
-        // Higher-index peers: they dial us; Hello tells us who is who.
-        for _ in me + 1..nprocs {
-            let (stream, _) = listener
-                .accept()
-                .unwrap_or_else(|e| panic!("mp tcp: accept on {local} failed: {e}"));
+        // Higher-index peers: they dial us; Hello tells us who is who. The
+        // listener is polled, not blocked on, so a peer that died before
+        // dialling ends setup at the deadline instead of hanging it.
+        listener
+            .set_nonblocking(true)
+            .unwrap_or_else(|e| panic!("mp tcp: cannot poll the listener on {local}: {e}"));
+        let mut waited = Duration::ZERO;
+        let mut missing: Vec<usize> = (me + 1..nprocs).collect();
+        while !missing.is_empty() {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if waited >= timeout {
+                        panic!(
+                            "mp tcp: proc {me}: no connection from proc(s) {missing:?} within \
+                             {timeout:?}"
+                        );
+                    }
+                    std::thread::sleep(CONNECT_SLEEP);
+                    waited += CONNECT_SLEEP;
+                    continue;
+                }
+                Err(e) => panic!("mp tcp: accept on {local} failed: {e}"),
+            };
+            // Some platforms hand the listener's mode down to the socket.
+            stream
+                .set_nonblocking(false)
+                .unwrap_or_else(|e| panic!("mp tcp: cannot block on an accepted socket: {e}"));
             stream.set_nodelay(true).ok();
             let mut reader = stream.try_clone().expect("clone stream");
             let hello = read_frame(&mut reader)
@@ -111,9 +142,10 @@ impl TcpTransport {
             assert_eq!(hello.kind, FrameKind::Hello, "first frame must be Hello");
             let p = hello.src_proc as usize;
             assert!(
-                p > me && p < nprocs && writers[p].is_none(),
+                missing.contains(&p),
                 "mp tcp: unexpected hello from proc {p}"
             );
+            missing.retain(|&q| q != p);
             spawn_reader(p, reader, tx.clone());
             writers[p] = Some(Mutex::new(stream));
         }
@@ -136,14 +168,14 @@ fn publish_addr(dir: &Path, p: usize, addr: &str) {
 }
 
 /// Polls for peer `p`'s address file.
-fn wait_addr(dir: &Path, p: usize) -> String {
+fn wait_addr(dir: &Path, p: usize, timeout: Duration) -> String {
     let path = addr_path(dir, p);
     let mut waited = Duration::ZERO;
     loop {
         if let Ok(addr) = std::fs::read_to_string(&path) {
             return addr;
         }
-        if waited >= CONNECT_TIMEOUT {
+        if waited >= timeout {
             panic!(
                 "mp tcp: peer {p} never published {} — did its process start?",
                 path.display()
@@ -157,7 +189,7 @@ fn wait_addr(dir: &Path, p: usize) -> String {
 /// Dials `addr`, retrying while the peer's listener may still be coming
 /// up (the address is published after bind, but a slow accept loop or a
 /// SYN-queue hiccup still warrants patience).
-fn dial(addr: &str, p: usize) -> TcpStream {
+fn dial(addr: &str, p: usize, timeout: Duration) -> TcpStream {
     let mut waited = Duration::ZERO;
     loop {
         match TcpStream::connect(addr) {
@@ -166,7 +198,7 @@ fn dial(addr: &str, p: usize) -> TcpStream {
                 return stream;
             }
             Err(e) => {
-                if waited >= CONNECT_TIMEOUT {
+                if waited >= timeout {
                     panic!("mp tcp: cannot connect to proc {p} at {addr}: {e}");
                 }
                 std::thread::sleep(CONNECT_SLEEP);
@@ -264,6 +296,33 @@ mod tests {
         t1.send(0, &g);
         assert_eq!(t0.recv(Duration::from_secs(10)).expect("reply"), g);
         assert!(t0.recv(Duration::from_millis(5)).is_none());
+        // FIFO per ordered pair, the property the flush barrier rests on.
+        for i in 0..10u64 {
+            let mut f = Frame::control(FrameKind::Data, 1, 0);
+            f.a = i;
+            f.payload = vec![i as u8; i as usize * 37];
+            t0.send(1, &f);
+        }
+        for i in 0..10u64 {
+            let got = t1.recv(Duration::from_secs(10)).expect("frame arrives");
+            assert_eq!((got.a, got.payload.len()), (i, i as usize * 37));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Peers that never start end setup at the deadline, by name — not in
+    /// a hang that only the launcher's watchdog ends, with no peer named.
+    #[test]
+    fn accept_side_gives_up_at_the_deadline_naming_the_missing_peers() {
+        let dir = tmpdir("accept");
+        let setup = || TcpTransport::connect_within(&dir, 0, 3, Duration::from_millis(200));
+        let err = std::panic::catch_unwind(setup)
+            .err()
+            .expect("no peer ever dials");
+        assert_eq!(
+            crate::runtime::panic_message(&*err),
+            "mp tcp: proc 0: no connection from proc(s) [1, 2] within 200ms"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

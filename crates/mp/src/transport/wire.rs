@@ -1,4 +1,4 @@
-//! Length-prefixed wire framing shared by the shm and tcp backends.
+//! Length-prefixed wire framing of the tcp backend.
 //!
 //! Every cross-process message — payload data, epoch flush barriers and
 //! the mpcheck control traffic — travels as one [`Frame`]:
@@ -17,11 +17,10 @@
 //!     48     n  payload bytes
 //! ```
 //!
-//! The header is fixed at [`HEADER_BYTES`] so stream decoders can wait
-//! for a complete header, learn the payload length, then wait for the
-//! rest — a partially written frame is never misparsed, only deferred.
-//! Everything is little-endian; the framing is identical on the shm and
-//! tcp paths by construction (one encoder, one decoder).
+//! The header is fixed at [`HEADER_BYTES`]: [`read_frame`], the one
+//! decoder, blocks for a complete header, learns the payload length, then
+//! blocks for the rest — a stream that ends anywhere inside a frame is an
+//! `UnexpectedEof`, never a shorter frame. Everything is little-endian.
 
 use std::io::{Read, Write};
 
@@ -134,51 +133,13 @@ impl Frame {
         self.encode_into(&mut out);
         out
     }
-
-    /// Attempts to decode one frame from the front of `buf`. Returns the
-    /// frame and the number of bytes consumed, or `None` when `buf` does
-    /// not yet hold a complete frame (stream decoders wait for more
-    /// bytes). Panics on a corrupt header — a framing bug, not a
-    /// recoverable condition.
-    pub fn decode(buf: &[u8]) -> Option<(Frame, usize)> {
-        if buf.len() < HEADER_BYTES {
-            return None;
-        }
-        let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-        assert_eq!(magic, MAGIC, "mp transport: bad frame magic {magic:#x}");
-        let kind = FrameKind::from_u8(buf[4])
-            .unwrap_or_else(|| panic!("mp transport: unknown frame kind {}", buf[4]));
-        let epoch = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-        let src_proc = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
-        let a = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
-        let b = u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes"));
-        let c = u64::from_le_bytes(buf[32..40].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(buf[40..48].try_into().expect("8 bytes"));
-        assert!(
-            len <= MAX_PAYLOAD,
-            "mp transport: frame payload length {len} exceeds the {MAX_PAYLOAD} ceiling"
-        );
-        let total = HEADER_BYTES + len as usize;
-        if buf.len() < total {
-            return None;
-        }
-        Some((
-            Frame {
-                kind,
-                epoch,
-                src_proc,
-                a,
-                b,
-                c,
-                payload: buf[HEADER_BYTES..total].to_vec(),
-            },
-            total,
-        ))
-    }
 }
 
-/// Reads one frame from a blocking byte stream (the tcp reader threads).
-/// Returns `Ok(None)` on clean EOF at a frame boundary.
+/// Reads one frame from a blocking byte stream (the tcp reader threads):
+/// the one place a header is parsed. Returns `Ok(None)` on clean EOF at a
+/// frame boundary and `UnexpectedEof` when the stream ends inside a frame.
+/// Panics on a corrupt header — a framing bug, not a recoverable
+/// condition.
 pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Frame>> {
     let mut header = [0u8; HEADER_BYTES];
     let mut filled = 0;
@@ -194,18 +155,28 @@ pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Frame>> {
             n => filled += n,
         }
     }
-    let len = u64::from_le_bytes(header[40..48].try_into().expect("8 bytes"));
+    let u32_at = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let magic = u32_at(0);
+    assert_eq!(magic, MAGIC, "mp transport: bad frame magic {magic:#x}");
+    let kind = FrameKind::from_u8(header[4])
+        .unwrap_or_else(|| panic!("mp transport: unknown frame kind {}", header[4]));
+    let len = u64_at(40);
     assert!(
         len <= MAX_PAYLOAD,
         "mp transport: frame payload length {len} exceeds the {MAX_PAYLOAD} ceiling"
     );
-    let mut buf = Vec::with_capacity(HEADER_BYTES + len as usize);
-    buf.extend_from_slice(&header);
-    buf.resize(HEADER_BYTES + len as usize, 0);
-    r.read_exact(&mut buf[HEADER_BYTES..])?;
-    let (frame, consumed) = Frame::decode(&buf).expect("buffer holds a complete frame");
-    debug_assert_eq!(consumed, buf.len());
-    Ok(Some(frame))
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload)?;
+    Ok(Some(Frame {
+        kind,
+        epoch: u32_at(8),
+        src_proc: u32_at(12),
+        a: u64_at(16),
+        b: u64_at(24),
+        c: u64_at(32),
+        payload,
+    }))
 }
 
 /// Writes one frame to a blocking byte stream.
@@ -481,26 +452,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn roundtrip(frame: &Frame) {
-        let bytes = frame.encode();
-        let (back, consumed) = Frame::decode(&bytes).expect("complete frame");
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(&back, frame);
-        // Stream decode agrees with buffer decode.
-        let mut cursor = std::io::Cursor::new(bytes);
-        let streamed = read_frame(&mut cursor).expect("io ok").expect("one frame");
-        assert_eq!(&streamed, frame);
+    /// Decodes `bytes` as a stream: every frame up to a clean EOF.
+    fn read_all(mut bytes: &[u8]) -> std::io::Result<Vec<Frame>> {
+        let mut frames = Vec::new();
+        while let Some(frame) = read_frame(&mut bytes)? {
+            frames.push(frame);
+        }
+        Ok(frames)
     }
 
-    #[test]
-    fn empty_payload_roundtrips() {
-        roundtrip(&Frame::control(FrameKind::Barrier, 7, 3));
-    }
-
-    #[test]
-    fn payload_past_rendezvous_threshold_roundtrips() {
+    fn long_data_frame() -> Frame {
         let len = crate::coll::LONG_MSG_THRESHOLD + 1;
-        roundtrip(&Frame {
+        Frame {
             kind: FrameKind::Data,
             epoch: 2,
             src_proc: 1,
@@ -508,25 +471,43 @@ mod tests {
             b: 0,
             c: 0xDEAD_BEEF,
             payload: (0..len).map(|i| (i * 31) as u8).collect(),
-        });
+        }
     }
 
     #[test]
-    fn incomplete_buffers_defer() {
-        let frame = Frame {
-            kind: FrameKind::Data,
-            epoch: 1,
-            src_proc: 0,
-            a: 2,
-            b: 3,
-            c: 0x1234,
-            payload: vec![9; 100],
-        };
-        let bytes = frame.encode();
-        for cut in [0, 1, HEADER_BYTES - 1, HEADER_BYTES, bytes.len() - 1] {
-            assert!(Frame::decode(&bytes[..cut]).is_none(), "cut at {cut}");
+    fn empty_payload_roundtrips() {
+        let frame = Frame::control(FrameKind::Barrier, 7, 3);
+        assert_eq!(read_all(&frame.encode()).expect("io ok"), [frame]);
+    }
+
+    #[test]
+    fn payload_past_rendezvous_threshold_roundtrips() {
+        let frame = long_data_frame();
+        assert_eq!(read_all(&frame.encode()).expect("io ok"), [frame]);
+    }
+
+    /// ROADMAP aim 3, "no truncated frame accepted": a stream cut anywhere
+    /// inside a frame is an error, and only a cut at a frame boundary is a
+    /// clean end. The same bytes arriving in two pieces, split anywhere,
+    /// are the frame.
+    #[test]
+    fn no_proper_prefix_of_a_frame_is_a_frame() {
+        for frame in [long_data_frame(), Frame::control(FrameKind::Barrier, 7, 3)] {
+            let bytes = frame.encode();
+            for cut in 0..bytes.len() {
+                let mut pieces = bytes[..cut].chain(&bytes[cut..]);
+                let whole = read_frame(&mut pieces).expect("io ok");
+                assert_eq!(whole.as_ref(), Some(&frame), "split at {cut}");
+                match read_frame(&mut &bytes[..cut]) {
+                    Ok(None) => assert_eq!(cut, 0, "clean EOF inside a frame"),
+                    Ok(Some(_)) => panic!("{cut} of {} bytes decoded as a frame", bytes.len()),
+                    Err(e) => {
+                        assert_ne!(cut, 0, "an empty stream is a clean EOF");
+                        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}");
+                    }
+                }
+            }
         }
-        assert!(Frame::decode(&bytes).is_some());
     }
 
     #[test]
@@ -542,12 +523,12 @@ mod tests {
             payload: vec![1, 2, 3],
         };
         let mut buf = a.encode();
-        buf.extend_from_slice(&b.encode());
-        let (first, used) = Frame::decode(&buf).unwrap();
-        assert_eq!(first, a);
-        let (second, used2) = Frame::decode(&buf[used..]).unwrap();
-        assert_eq!(second, b);
-        assert_eq!(used + used2, buf.len());
+        b.encode_into(&mut buf);
+        let mut stream = &buf[..];
+        assert_eq!(read_frame(&mut stream).expect("io ok"), Some(a));
+        assert_eq!(read_frame(&mut stream).expect("io ok"), Some(b));
+        assert!(stream.is_empty(), "both frames consumed exactly");
+        assert_eq!(read_frame(&mut stream).expect("io ok"), None);
     }
 
     #[test]
@@ -555,7 +536,23 @@ mod tests {
     fn corrupt_magic_panics() {
         let mut bytes = Frame::control(FrameKind::Barrier, 0, 0).encode();
         bytes[0] ^= 0xFF;
-        let _ = Frame::decode(&bytes);
+        let _ = read_frame(&mut &bytes[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame kind 8")]
+    fn unknown_kind_panics() {
+        let mut bytes = Frame::control(FrameKind::Barrier, 0, 0).encode();
+        bytes[4] = 8;
+        let _ = read_frame(&mut &bytes[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "frame payload length 1073741825 exceeds")]
+    fn length_above_the_ceiling_panics_before_allocating() {
+        let mut bytes = Frame::control(FrameKind::Data, 0, 0).encode();
+        bytes[40..48].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        let _ = read_frame(&mut &bytes[..]);
     }
 
     #[test]
@@ -683,9 +680,7 @@ mod tests {
             };
             let bytes = frame.encode();
             prop_assert_eq!(bytes.len(), HEADER_BYTES + frame.payload.len());
-            let (back, consumed) = Frame::decode(&bytes).expect("complete frame");
-            prop_assert_eq!(consumed, bytes.len());
-            prop_assert_eq!(back, frame);
+            prop_assert_eq!(read_all(&bytes).expect("io ok"), vec![frame]);
         }
     }
 }

@@ -18,9 +18,10 @@ use mp::transport::Backend;
 /// sends must fall back from, eagerly, without corruption).
 const PINGPONG_WORDS: &[usize] = &[0, 1, 128, 8192];
 
-fn fleet(case: &str, backend: Backend, world: usize, nprocs: usize) -> Launcher {
+/// A loopback tcp fleet of this binary's [`worker_entry`] running `case`.
+fn fleet(case: &str, world: usize, nprocs: usize) -> Launcher {
     let exe = std::env::current_exe().expect("test binary path");
-    Launcher::new(backend, world, nprocs, exe)
+    Launcher::new(Backend::Tcp, world, nprocs, exe)
         .arg("worker_entry")
         .arg("--exact")
         .arg("--nocapture")
@@ -181,39 +182,39 @@ fn worker_entry() {
 }
 
 // ---------------------------------------------------------------------
-// Drivers: shm
+// Drivers (tcp over loopback)
 // ---------------------------------------------------------------------
 
 #[test]
-fn shm_pingpong_across_sizes() {
-    fleet("pingpong", Backend::Shm, 2, 2).run();
+fn tcp_pingpong_loopback() {
+    fleet("pingpong", 2, 2).run();
 }
 
 #[test]
-fn shm_collectives_two_procs_four_ranks() {
-    fleet("collectives", Backend::Shm, 4, 2).run();
+fn tcp_collectives_and_barrier_loopback() {
+    fleet("collectives", 4, 2).run();
 }
 
 #[test]
-fn shm_wildcard_multiset() {
-    fleet("wildcard", Backend::Shm, 4, 2).run();
+fn tcp_sendrecv_epochs_loopback() {
+    fleet("epochs", 2, 2).run();
 }
 
 #[test]
-fn shm_sequential_epochs() {
-    fleet("epochs", Backend::Shm, 2, 2).run();
+fn tcp_wildcard_multiset_loopback() {
+    fleet("wildcard", 4, 2).run();
 }
 
 #[test]
-fn shm_round_robin_rank_mapping() {
-    fleet("resident_results", Backend::Shm, 4, 2)
+fn tcp_round_robin_rank_mapping() {
+    fleet("resident_results", 4, 2)
         .rank_procs(vec![0, 1, 0, 1])
         .run();
 }
 
 #[test]
-fn shm_recv_cycle_is_diagnosed_across_processes() {
-    let outcome = fleet("deadlock", Backend::Shm, 2, 2).spawn().wait();
+fn tcp_recv_cycle_is_diagnosed_across_processes() {
+    let outcome = fleet("deadlock", 2, 2).spawn().wait();
     assert!(!outcome.success(), "a deadlocked fleet must not succeed");
     assert!(
         !outcome.timed_out,
@@ -229,30 +230,6 @@ fn shm_recv_cycle_is_diagnosed_across_processes() {
 }
 
 #[test]
-fn shm_four_procs() {
-    fleet("collectives", Backend::Shm, 4, 4).run();
-}
-
-// ---------------------------------------------------------------------
-// Drivers: tcp (loopback)
-// ---------------------------------------------------------------------
-
-#[test]
-fn tcp_pingpong_loopback() {
-    fleet("pingpong", Backend::Tcp, 2, 2).run();
-}
-
-#[test]
-fn tcp_collectives_and_barrier_loopback() {
-    fleet("collectives", Backend::Tcp, 4, 2).run();
-}
-
-#[test]
-fn tcp_sendrecv_epochs_loopback() {
-    fleet("epochs", Backend::Tcp, 2, 2).run();
-}
-
-#[test]
-fn tcp_wildcard_multiset_loopback() {
-    fleet("wildcard", Backend::Tcp, 4, 2).run();
+fn tcp_four_procs() {
+    fleet("collectives", 4, 4).run();
 }

@@ -5,8 +5,7 @@
 //! [`crate::topo::host_key`] — the same table-driven pattern the FFT
 //! engine uses for its twiddle tables, lifted to a file so the sweep
 //! survives the process. Kernels load the host's entry transparently
-//! through [`tuned`]; every parameter is overridable by environment
-//! variable for experiments.
+//! through [`tuned`]; the table is the one source of a kernel parameter.
 //!
 //! # File format (versioned)
 //!
@@ -69,9 +68,14 @@ impl Default for Tuned {
     fn default() -> Tuned {
         Tuned {
             threads: 1,
+            // The A pack (`mc x kc`, 128 KiB) is L2-resident; the B pack
+            // (`kc x nc`) is 512 KiB.
             dgemm_mc: 64,
             dgemm_nc: 256,
             dgemm_kc: 256,
+            // Two `f64` planes of 1024 elements are 16 KiB, inside L1d
+            // alongside the small-stage twiddle packs; an L2 block's
+            // planes are 512 KiB plus streamed twiddle packs.
             fft_l1_block: 1024,
             fft_l2_block: 1 << 15,
             hpl_nb: 32,
@@ -100,39 +104,6 @@ impl Tuned {
             .next_power_of_two();
         self.hpl_nb = self.hpl_nb.clamp(1, 4096);
         self
-    }
-
-    /// Applies `HPCB_*` environment overrides (using `lookup` so tests
-    /// can inject variables without touching the process environment).
-    pub fn with_overrides(mut self, lookup: impl Fn(&str) -> Option<String>) -> Tuned {
-        fn num(v: Option<String>) -> Option<usize> {
-            v.and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0)
-        }
-        if let Some(v) = num(lookup("HPCB_THREADS")) {
-            self.threads = v;
-        }
-        if let Some(v) = num(lookup("HPCB_DGEMM_MC")) {
-            self.dgemm_mc = v;
-        }
-        if let Some(v) = num(lookup("HPCB_DGEMM_NC")) {
-            self.dgemm_nc = v;
-        }
-        if let Some(v) = num(lookup("HPCB_DGEMM_KC")) {
-            self.dgemm_kc = v;
-        }
-        if let Some(v) = num(lookup("HPCB_FFT_L1")) {
-            self.fft_l1_block = v;
-        }
-        if let Some(v) = num(lookup("HPCB_FFT_L2")) {
-            self.fft_l2_block = v;
-        }
-        if let Some(v) = num(lookup("HPCB_HPL_NB")) {
-            self.hpl_nb = v;
-        }
-        if let Some(v) = lookup("HPCB_HPL_LOOKAHEAD") {
-            self.hpl_lookahead = !matches!(v.trim(), "0" | "false" | "off");
-        }
-        self.sanitized()
     }
 }
 
@@ -300,13 +271,12 @@ pub fn tune_file_path() -> std::path::PathBuf {
 /// The tuned parameters for this host, loaded once per process:
 /// the tuning table's entry for [`crate::topo::host_key`] when present
 /// (a missing file simply means untuned defaults; a stale or corrupt
-/// table warns on stderr and falls back to defaults), with `HPCB_*`
-/// environment overrides applied on top.
+/// table warns on stderr and falls back to defaults).
 pub fn tuned() -> &'static Tuned {
     static TUNED: OnceLock<Tuned> = OnceLock::new();
     TUNED.get_or_init(|| {
         let path = tune_file_path();
-        let base = match TuneTable::load(&path) {
+        match TuneTable::load(&path) {
             Ok(table) => table.get(&crate::topo::host_key()).unwrap_or_default(),
             Err(TuneError::Io(_)) => Tuned::default(), // untuned host: silent
             Err(e) => {
@@ -316,8 +286,7 @@ pub fn tuned() -> &'static Tuned {
                 );
                 Tuned::default()
             }
-        };
-        base.with_overrides(|k| std::env::var(k).ok())
+        }
     })
 }
 
@@ -439,24 +408,5 @@ mod tests {
         assert!(t.fft_l2_block >= t.fft_l1_block);
         assert!(t.fft_l2_block.is_power_of_two());
         assert_eq!(t.hpl_nb, 1);
-    }
-
-    #[test]
-    fn env_overrides_apply_on_top() {
-        let vars = [
-            ("HPCB_DGEMM_MC", "96"),
-            ("HPCB_HPL_NB", "48"),
-            ("HPCB_HPL_LOOKAHEAD", "off"),
-        ];
-        let t = Tuned::default().with_overrides(|k| {
-            vars.iter()
-                .find(|(n, _)| *n == k)
-                .map(|(_, v)| v.to_string())
-        });
-        assert_eq!(t.dgemm_mc, 96);
-        assert_eq!(t.hpl_nb, 48);
-        assert!(!t.hpl_lookahead);
-        // Untouched parameters keep their defaults.
-        assert_eq!(t.dgemm_nc, Tuned::default().dgemm_nc);
     }
 }
