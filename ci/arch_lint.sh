@@ -55,6 +55,13 @@
 #      `read_at(` does not appear: a receive blocks on a stream, it does
 #      not poll a file. A second parser or a polled channel file is the
 #      deleted file-channel backend growing back.
+#   9. One set of kernel parameters. Non-test code under `crates/smp/src`
+#      and `crates/hpcc/src` reads no environment variable (`env::var*`),
+#      no `TUNE.hpcc` exists outside `target/`, and there is no
+#      `crates/bench/src/bin/tune.rs`. Blocking and pool sizing are
+#      constants and code (`smp::TUNED`, `set_process_threads`); an env
+#      knob, a per-host table or a tuner binary is a second source of
+#      them growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -156,6 +163,16 @@ EOF
     mkdir -p "$pass/crates/bench/src/bin"
     echo 'fn main() {}' > "$pass/crates/bench/src/bin/campaign.rs"
     echo '{}' > "$pass/BENCHMARK.json"
+    # Kernel parameters as constants; a test may read the environment.
+    mkdir -p "$pass/crates/hpcc/src"
+    cat > "$pass/crates/hpcc/src/fft.rs" <<'EOF'
+fn fft_blocks(n: usize) -> usize { smp::TUNED.fft_l1_block.min(n) }
+
+#[cfg(test)]
+mod tests {
+    fn home() -> String { std::env::var("HOME").unwrap() }
+}
+EOF
     if ! "$self" --root "$pass" > "$tmp/pass.log" 2>&1; then
         echo "arch_lint --self-test: compliant fixture was rejected:" >&2
         cat "$tmp/pass.log" >&2
@@ -237,6 +254,16 @@ EOF
     mkdir -p "$bad/crates/bench/src/bin"
     echo 'fn main() {}' > "$bad/crates/bench/src/bin/bench_mp.rs"
     echo '{}' > "$bad/BENCH_mp.json"
+    # A kernel reading its blocking from the environment, and a committed
+    # per-host table.
+    mkdir -p "$bad/crates/hpcc/src"
+    cat > "$bad/crates/hpcc/src/fft.rs" <<'EOF'
+fn fft_blocks(n: usize) -> usize {
+    std::env::var("HPCB_FFT_L1").ok().and_then(|v| v.parse().ok()).unwrap_or(n)
+}
+EOF
+    printf 'hpcbench-tune-v1\n' > "$bad/TUNE.hpcc"
+    echo 'fn main() {}' > "$bad/crates/bench/src/bin/tune.rs"
     if "$self" --root "$bad" > "$tmp/bad.log" 2>&1; then
         echo "arch_lint --self-test: violating fixture was accepted" >&2
         exit 1
@@ -246,7 +273,7 @@ EOF
         "allow(unsafe_code)" "hand-written schedule" \
         'runtime.rs:6: .*mp-rank-' "runtime.rs:7: .*gate.abort" "runtime.rs:8: .*find_cycle" \
         "chan.rs:2: .*read_at" "chan.rs:3: .*MAGIC" \
-        "bin/bench_mp.rs" "/BENCH_mp.json"; do
+        "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -377,6 +404,18 @@ if [ -d crates/mp/src/transport ]; then
 channel file is the deleted file-channel backend growing back):
 $offenders"
     fi
+fi
+
+# --- 9. One set of kernel parameters -------------------------------------
+offenders=$(
+    scan 'env::var' | grep -E '^crates/(smp|hpcc)/src/'
+    find crates/bench/src/bin -name 'tune.rs' 2>/dev/null
+    find . \( -name target -o -name .git \) -prune -o -name 'TUNE.hpcc' -print
+)
+if [ -n "$offenders" ]; then
+    err "second source of kernel parameters (blocking lives in smp::TUNED, pool sizing in \
+smp::pool; no env knob, per-host table or tuner binary):
+$offenders"
 fi
 
 if [ "$fail" -ne 0 ]; then

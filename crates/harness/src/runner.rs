@@ -1,6 +1,6 @@
 //! The mode-agnostic runner: warm-up, repetition policy and IMB-style
-//! statistics live here, so neither the benchmark crates nor `tune`
-//! hand-roll timing loops or iteration tables.
+//! statistics live here, so no benchmark crate hand-rolls timing loops
+//! or iteration tables.
 
 use mp::{Comm, Op};
 
@@ -12,7 +12,7 @@ pub enum RepetitionPolicy {
     /// IMB 2.3's rule: 1000 iterations, scaled down for large messages.
     Imb,
     /// The IMB rule divided by 50 (floor 3): the fast CI mode the
-    /// `--smoke` flag of `campaign` and `tune` maps to.
+    /// `--smoke` flag of `campaign` maps to.
     Smoke,
     /// An explicit iteration count, regardless of message size.
     Fixed(usize),
@@ -33,26 +33,11 @@ impl RepetitionPolicy {
             RepetitionPolicy::Fixed(n) => *n,
         }
     }
-
-    /// Scales `tune`'s full-mode best-of count: unchanged at
-    /// full fidelity, clamped to 2 in smoke mode.
-    pub fn best_reps(&self, full: usize) -> usize {
-        match self {
-            RepetitionPolicy::Smoke => full.clamp(1, 2),
-            RepetitionPolicy::Fixed(n) => (*n).max(1),
-            RepetitionPolicy::Imb => full.max(1),
-        }
-    }
-
-    /// Whether this is the smoke policy.
-    pub fn is_smoke(&self) -> bool {
-        *self == RepetitionPolicy::Smoke
-    }
 }
 
 /// Owns warm-up and repetition policy for every execution path. One
-/// `Runner` drives native HPCC components, native IMB loops, virtual
-/// runs and `tune` alike.
+/// `Runner` drives native HPCC components, native IMB loops and virtual
+/// runs alike.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
     /// Untimed warm-up iterations before the timed loop.
@@ -191,8 +176,6 @@ mod tests {
     fn smoke_scales_down_with_floor() {
         assert_eq!(RepetitionPolicy::Smoke.repetitions(1024), 20);
         assert_eq!(RepetitionPolicy::Smoke.repetitions(4 << 20), 3);
-        assert_eq!(RepetitionPolicy::Smoke.best_reps(5), 2);
-        assert_eq!(RepetitionPolicy::Imb.best_reps(5), 5);
     }
 
     #[test]

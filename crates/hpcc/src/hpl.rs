@@ -56,12 +56,11 @@ pub struct HplConfig {
 
 impl Default for HplConfig {
     fn default() -> HplConfig {
-        let t = smp::tuned_now();
         HplConfig {
             n: 512,
-            nb: t.hpl_nb.max(1),
+            nb: smp::TUNED.hpl_nb,
             p_rows: 1,
-            lookahead: t.hpl_lookahead,
+            lookahead: smp::TUNED.hpl_lookahead,
         }
     }
 }

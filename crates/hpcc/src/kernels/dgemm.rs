@@ -25,28 +25,25 @@
 //! order depends only on the `KC` depth blocking — never on how M or N
 //! are partitioned — so the threaded result is **bitwise identical** to
 //! the single-thread result. Macro-blocking parameters (`MC`/`NC`/`KC`)
-//! come from the per-host tuning table ([`smp::tuned`]) and fall back
-//! to the compiled defaults below.
+//! are the constants in [`smp::TUNED`].
 
 /// Microkernel register block: `MR x NR` f64 accumulators.
 pub const MR: usize = 8;
 /// Microkernel register block width.
 pub const NR: usize = 8;
 
+// Packed slivers tile a macro block exactly.
+const _: () = assert!(smp::TUNED.dgemm_mc.is_multiple_of(MR));
+const _: () = assert!(smp::TUNED.dgemm_nc.is_multiple_of(NR));
+
 /// Below this `m * n * k` volume the thread-split overhead outweighs
 /// the work; run serial regardless of pool size.
 const SPLIT_MIN_VOLUME: usize = 1 << 16;
 
-/// Macro-blocking parameters for this host: tuned values clamped to
-/// microkernel multiples (the tuning layer already sanitises, this is
-/// belt-and-braces against a hand-edited table).
+/// Macro-blocking parameters `(MC, NC, KC)`.
 fn blocking() -> (usize, usize, usize) {
-    let t = smp::tuned_now();
-    (
-        t.dgemm_mc.max(MR) / MR * MR,
-        t.dgemm_nc.max(NR) / NR * NR,
-        t.dgemm_kc.max(1),
-    )
+    let t = smp::TUNED;
+    (t.dgemm_mc, t.dgemm_nc, t.dgemm_kc)
 }
 
 /// `C += A * B` for row-major `n x n` matrices (the EP-DGEMM shape).

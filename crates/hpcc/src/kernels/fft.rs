@@ -106,22 +106,13 @@ impl Mul for Complex {
     }
 }
 
-/// Block schedule for a length-`n` transform: tuned `(l1, l2)` block
-/// sizes clamped to powers of two no larger than `n` with `l1 <= l2`
-/// (the tuning layer sanitises; this guards a hand-edited table, and
-/// the power-of-two clamp keeps every `chunks_exact` block exact).
+/// Block schedule for a length-`n` transform: the `(l1, l2)` block sizes
+/// of [`smp::TUNED`], no larger than `n`. Both are powers of two with
+/// `l1 <= l2` (checked at build time), so every `chunks_exact` block is
+/// exact.
 fn fft_blocks(n: usize) -> (usize, usize) {
-    let t = smp::tuned_now();
-    let pow2 = |b: usize| {
-        if b.is_power_of_two() {
-            b
-        } else {
-            b.next_power_of_two() / 2
-        }
-    };
-    let l1 = pow2(t.fft_l1_block.max(4)).min(n);
-    let l2 = pow2(t.fft_l2_block.max(4)).min(n).max(l1);
-    (l1, l2)
+    let t = smp::TUNED;
+    (t.fft_l1_block.min(n), t.fft_l2_block.min(n))
 }
 
 /// Tile bits of the COBRA bit-reverse: 2^5 x 2^5 tiles staged through
@@ -1416,7 +1407,7 @@ mod tests {
     /// inside one disjoint block.
     #[test]
     fn pooled_fft_matches_serial_bitwise() {
-        let n = 4 * smp::Tuned::default().fft_l2_block; // four L2 blocks to fan out
+        let n = 4 * smp::TUNED.fft_l2_block; // four L2 blocks to fan out
         let run = |threads: usize, inverse: bool| {
             let _pool = smp::AmbientGuard::install(threads);
             let mut x = signal(n);

@@ -12,9 +12,9 @@ use std::sync::Mutex;
 static PROCESS_OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Every rank of a 4096-rank cooperative world must observe an ambient
-/// pool of exactly 1 — even under a process-wide `--threads`-style
-/// override — so kernels called from coop tasks run inline and never
-/// spawn.
+/// pool of exactly 1 — even under a process-wide
+/// `smp::pool::set_process_threads` override — so kernels called from
+/// coop tasks run inline and never spawn.
 #[test]
 fn coop_world_pins_pool_to_one_at_4096_ranks() {
     let _lock = PROCESS_OVERRIDE_LOCK.lock().unwrap();
@@ -66,7 +66,7 @@ fn native_ranks_share_cores_evenly() {
         });
         for s in sizes {
             assert!(
-                s >= 1 && s <= (cores / n).max(1).max(smp::tuned().threads),
+                s >= 1 && s <= (cores / n).max(1),
                 "n={n}: pool size {s} oversubscribes {cores} cores"
             );
         }

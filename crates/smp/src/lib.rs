@@ -1,6 +1,6 @@
 //! Hybrid-SMP support for the benchmark suite: a per-rank worker-thread
-//! pool, host CPU-topology detection, and a persistent per-host tuning
-//! table.
+//! pool, host CPU-topology detection, and the kernels' blocking
+//! parameters.
 //!
 //! The paper's machines all ran HPCC in hybrid MPI+SMP mode — a few
 //! ranks per node, each fanning out over the node's cores. This crate is
@@ -10,15 +10,14 @@
 //!   ranks get `cores / ranks` threads; cooperative/virtual worlds (up
 //!   to 65k ranks hosted on one OS thread) degrade to pool size 1
 //!   without ever spawning.
-//! * [`topo`] — CPU model / core-count / cache detection, the key the
-//!   tuning table is indexed by.
-//! * [`tune`] — the versioned tuning table: autotuned DGEMM blocking,
-//!   FFT block schedule, HPL panel width and thread count, persisted per
-//!   host and loaded transparently by the kernels (overridable by env).
+//! * [`topo`] — CPU model and core-count detection, the core budget the
+//!   pool sizing divides among ranks.
+//! * [`tune`] — DGEMM blocking, FFT block schedule and HPL panel width:
+//!   one set of constants, checked at build time.
 
 pub mod pool;
 pub mod topo;
 pub mod tune;
 
 pub use pool::{ambient_threads, AmbientGuard, Pool};
-pub use tune::{current as tuned_now, tuned, Tuned};
+pub use tune::{Tuned, TUNED};

@@ -11,8 +11,7 @@
 //! parallelise at *macro* granularity (a whole GEMM, a whole STREAM
 //! pass, a whole FFT block band), so the per-region spawn cost is
 //! amortised over milliseconds of work. What persists is the sizing —
-//! the ambient thread count installed per rank — and the autotuned
-//! parameters in [`crate::tune`].
+//! the ambient thread count installed per rank.
 //!
 //! # Sizing discipline
 //!
@@ -21,13 +20,12 @@
 //!
 //! 1. the thread-local ambient installed by the runtime for this rank
 //!    ([`AmbientGuard::install`]) — the `mp` runtime installs
-//!    `cores / ranks` on native rank threads and **1** on cooperative
-//!    (hence all virtual) worlds, so a 65k-rank virtual world never
-//!    spawns a single worker;
-//! 2. the process-wide override ([`set_process_threads`], the bench
-//!    binaries' `--threads` flag);
-//! 3. the `HPCB_THREADS` environment variable;
-//! 4. the tuned per-host thread count ([`crate::tune::tuned`]).
+//!    [`rank_threads`] (the override below, else `cores / ranks`) on
+//!    native rank threads and **1** on cooperative (hence all virtual)
+//!    worlds, so a 65k-rank virtual world never spawns a single worker;
+//! 2. the process-wide override ([`set_process_threads`], which the
+//!    `benchmark/` package pins to 1);
+//! 3. otherwise 1: a thread outside any rank runs its kernels serially.
 //!
 //! Every parallel region partitions work deterministically (contiguous
 //! chunks or round-robin bins fixed by index), so results do not depend
@@ -42,7 +40,7 @@ thread_local! {
 }
 
 /// Process-wide thread-count override (0 = unset). The `benchmark/` package
-/// pins it to 1; read after the thread-local ambient, before env.
+/// pins it to 1; read after the thread-local ambient.
 static PROCESS_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide worker-thread count override (0 clears it).
@@ -57,40 +55,17 @@ pub fn ambient_threads() -> usize {
     if let Some(n) = AMBIENT.with(Cell::get) {
         return n.max(1);
     }
-    let p = PROCESS_THREADS.load(Ordering::Relaxed);
-    if p > 0 {
-        return p;
-    }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    crate::tune::tuned().threads.max(1)
-}
-
-/// `HPCB_THREADS`, if set to a positive integer.
-fn env_threads() -> Option<usize> {
-    std::env::var("HPCB_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    PROCESS_THREADS.load(Ordering::Relaxed).max(1)
 }
 
 /// The worker-thread budget for one rank of an `n`-rank native world:
-/// the process override / env / tuned count if set, else an even share
-/// of the online cores (never below 1).
+/// the process override if set, else an even share of the online cores
+/// (never below 1).
 pub fn rank_threads(world_size: usize) -> usize {
-    let p = PROCESS_THREADS.load(Ordering::Relaxed);
-    if p > 0 {
-        return p;
+    match PROCESS_THREADS.load(Ordering::Relaxed) {
+        0 => (crate::topo::detect().online_cpus / world_size.max(1)).max(1),
+        p => p,
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
-    let tuned = crate::tune::tuned().threads;
-    if tuned > 1 {
-        return tuned;
-    }
-    (crate::topo::detect().online_cpus / world_size.max(1)).max(1)
 }
 
 /// RAII install of an ambient pool size on the current thread; the

@@ -1,10 +1,9 @@
-//! Host CPU topology detection: the key the per-host tuning table is
-//! indexed by, and the core budget the pool sizing divides among ranks.
+//! Host CPU topology detection: the core budget the pool sizing divides
+//! among ranks, and the CPU model a measurement reports.
 
 use std::sync::OnceLock;
 
-/// What the tuning table keys on: enough topology to distinguish hosts
-/// whose tuned parameters would differ.
+/// The host's CPU model and core budget.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HostTopo {
     /// CPU model string (`model name` from `/proc/cpuinfo`, or
@@ -12,30 +11,6 @@ pub struct HostTopo {
     pub model: String,
     /// Logical CPUs available to this process.
     pub online_cpus: usize,
-}
-
-impl HostTopo {
-    /// The tuning-table key for this topology: the model string with
-    /// whitespace collapsed, joined with the core count. Stable across
-    /// runs on the same host, distinct across machines that would tune
-    /// differently.
-    pub fn key(&self) -> String {
-        let model: String = self
-            .model
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join("-")
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        format!("{model}/cpus{}", self.online_cpus)
-    }
 }
 
 /// Detects the host topology once per process.
@@ -47,11 +22,6 @@ pub fn detect() -> &'static HostTopo {
             .map(|n| n.get())
             .unwrap_or(1),
     })
-}
-
-/// The tuning-table key for this host.
-pub fn host_key() -> String {
-    detect().key()
 }
 
 /// First `model name` line of `/proc/cpuinfo` (Linux); `None` elsewhere.
@@ -75,34 +45,5 @@ mod tests {
         let b = detect();
         assert_eq!(a, b);
         assert!(a.online_cpus >= 1);
-    }
-
-    #[test]
-    fn key_is_filesystem_safe() {
-        let t = HostTopo {
-            model: "Intel(R) Xeon(R) Processor @ 2.70GHz".to_string(),
-            online_cpus: 4,
-        };
-        let key = t.key();
-        assert!(!key.contains(' '), "{key}");
-        assert!(key.ends_with("/cpus4"));
-        assert!(key.chars().all(|c| c.is_ascii_alphanumeric()
-            || c == '-'
-            || c == '.'
-            || c == '_'
-            || c == '/'));
-    }
-
-    #[test]
-    fn distinct_topologies_get_distinct_keys() {
-        let a = HostTopo {
-            model: "m".into(),
-            online_cpus: 2,
-        };
-        let b = HostTopo {
-            model: "m".into(),
-            online_cpus: 4,
-        };
-        assert_ne!(a.key(), b.key());
     }
 }
