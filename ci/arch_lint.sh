@@ -62,12 +62,25 @@
 #      constants and code (`smp::TUNED`, `set_process_threads`); an env
 #      knob, a per-host table or a tuner binary is a second source of
 #      them growing back.
+#  10. The collectives the suite runs, and no others. `crates/mp/src/coll/`
+#      holds exactly `mod.rs` and the eight operation files (allgather,
+#      allgatherv, allreduce, alltoall, barrier, bcast, reduce,
+#      reduce_scatter), and `crates/mp/src/sched/mod.rs` declares generator
+#      modules only for those eight and `p2p` (plus its private `build`).
+#      An operation exists because a registry workload, the IMB or HPCC
+#      model, `mp::rma`, `Comm::split` or the mpcheck gallery reaches it
+#      (DESIGN.md §3, "Which collectives exist"): a new operation comes
+#      with the registry workload that reaches it, and grows this list in
+#      the same change.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
 # sleep to provoke blocking paths. A `#[cfg(test)]` on any other item
 # hides nothing below it.
 set -u
+
+# Rule 10: the collective operations `mp` has.
+coll_ops="allgather allgatherv allreduce alltoall barrier bcast reduce reduce_scatter"
 
 root=""
 selftest=0
@@ -173,6 +186,22 @@ mod tests {
     fn home() -> String { std::env::var("HOME").unwrap() }
 }
 EOF
+    # The eight operations and their generators; a test module may
+    # declare what it likes.
+    mkdir -p "$pass/crates/mp/src/coll"
+    for op in mod $coll_ops; do touch "$pass/crates/mp/src/coll/$op.rs"; done
+    cat > "$pass/crates/mp/src/sched/mod.rs" <<'EOF'
+mod build;
+pub mod p2p;
+pub mod reduce_scatter {
+    pub fn pairwise() {}
+}
+
+#[cfg(test)]
+mod tests {
+    mod scan {}
+}
+EOF
     if ! "$self" --root "$pass" > "$tmp/pass.log" 2>&1; then
         echo "arch_lint --self-test: compliant fixture was rejected:" >&2
         cat "$tmp/pass.log" >&2
@@ -264,6 +293,15 @@ fn fft_blocks(n: usize) -> usize {
 EOF
     printf 'hpcbench-tune-v1\n' > "$bad/TUNE.hpcc"
     echo 'fn main() {}' > "$bad/crates/bench/src/bin/tune.rs"
+    # A ninth collective that no workload reaches, and its generator.
+    mkdir -p "$bad/crates/mp/src/coll"
+    for op in mod $coll_ops scan; do touch "$bad/crates/mp/src/coll/$op.rs"; done
+    cat > "$bad/crates/mp/src/sched/mod.rs" <<'EOF'
+pub mod p2p;
+pub mod scan {
+    pub fn linear() {}
+}
+EOF
     if "$self" --root "$bad" > "$tmp/bad.log" 2>&1; then
         echo "arch_lint --self-test: violating fixture was accepted" >&2
         exit 1
@@ -273,7 +311,8 @@ EOF
         "allow(unsafe_code)" "hand-written schedule" \
         'runtime.rs:6: .*mp-rank-' "runtime.rs:7: .*gate.abort" "runtime.rs:8: .*find_cycle" \
         "chan.rs:2: .*read_at" "chan.rs:3: .*MAGIC" \
-        "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs"; do
+        "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs" \
+        "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -416,6 +455,24 @@ if [ -n "$offenders" ]; then
     err "second source of kernel parameters (blocking lives in smp::TUNED, pool sizing in \
 smp::pool; no env knob, per-host table or tuner binary):
 $offenders"
+fi
+
+# --- 10. The collectives the suite runs, and no others -------------------
+if [ -d crates/mp/src/coll ]; then
+    want=$(for op in mod $coll_ops; do echo "crates/mp/src/coll/$op.rs"; done | sort)
+    have=$(find crates/mp/src/coll -mindepth 1 | sort)
+    files=$(comm -3 <(echo "$want") <(echo "$have") \
+        | sed -e 's/^\t/unexpected /' -e t -e 's/^/missing /')
+    alts=$(echo "$coll_ops p2p build" | tr ' ' '|')
+    mods=$(scan '^ *(pub([(][a-z]+[)])? )?mod [a-z_0-9]+' \
+        | grep '^crates/mp/src/sched/mod\.rs:' | grep -vE ": *(pub )?mod ($alts)\b" || true)
+    offenders=$(printf '%s\n%s\n' "$files" "$mods" | grep . || true)
+    if [ -n "$offenders" ]; then
+        err "a collective no workload reaches (crates/mp/src/coll is mod.rs + $coll_ops; \
+sched/mod.rs generates those and p2p; a new operation comes with the registry workload \
+that reaches it and extends rule 10's list):
+$offenders"
+    fi
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -299,22 +299,22 @@ mod tests {
     }
 
     /// The retired full-gather verification, kept as a small-n
-    /// cross-check: gather the bit-reversed spectrum to rank 0, undo the
-    /// reversal, serial-inverse, compare to the generator.
+    /// cross-check (n ≤ 2^12): allgather the bit-reversed spectrum, and
+    /// rank 0 undoes the reversal, serial-inverses and compares to the
+    /// generator.
     fn gathered_roundtrip_error(comm: &Comm, data: &[Complex], log2_n: u32) -> f64 {
         let n = 1usize << log2_n;
-        let me = comm.rank();
         let ln = data.len();
-        let mut gathered = (me == 0).then(|| vec![0.0f64; 2 * n]);
+        let mut g = vec![0.0f64; 2 * n];
         let mut flat = vec![0.0f64; 2 * ln];
         for (i, c) in data.iter().enumerate() {
             flat[2 * i] = c.re;
             flat[2 * i + 1] = c.im;
         }
-        comm.gather(&flat, gathered.as_deref_mut(), 0);
+        comm.allgather(&flat, &mut g);
 
         let mut max_err = 0.0f64;
-        if let Some(g) = gathered {
+        if comm.rank() == 0 {
             let mut spectrum = vec![Complex::default(); n];
             for i in 0..n {
                 let rev = (i as u64).reverse_bits() >> (64 - log2_n) as u64;

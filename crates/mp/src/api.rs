@@ -32,18 +32,6 @@ impl Comm {
         block_on(self.bcast_async(buf, root));
     }
 
-    /// Gathers one equal block per rank to `root` (`MPI_Gather`).
-    /// `recv` must be `Some` (of length `n * send.len()`) exactly at the root.
-    pub fn gather<T: Word>(&self, send: &[T], recv: Option<&mut [T]>, root: usize) {
-        block_on(self.gather_async(send, recv, root));
-    }
-
-    /// Scatters equal blocks from `root` (`MPI_Scatter`).
-    /// `send` must be `Some` (of length `n * recv.len()`) exactly at the root.
-    pub fn scatter<T: Word>(&self, send: Option<&[T]>, recv: &mut [T], root: usize) {
-        block_on(self.scatter_async(send, recv, root));
-    }
-
     /// Gathers one equal block per rank to every rank (`MPI_Allgather`).
     pub fn allgather<T: Word>(&self, send: &[T], recv: &mut [T]) {
         block_on(self.allgather_async(send, recv));
@@ -72,60 +60,9 @@ impl Comm {
         block_on(self.allreduce_async(buf, op));
     }
 
-    /// Reduce + scatter of equal blocks (`MPI_Reduce_scatter_block`):
-    /// `send` holds `n` blocks of `recv.len()`; `recv` gets this rank's
-    /// fully-reduced block.
-    pub fn reduce_scatter_block<T: Numeric>(&self, send: &[T], recv: &mut [T], op: Op) {
-        block_on(self.reduce_scatter_block_async(send, recv, op));
-    }
-
     /// Reduce + scatter with per-rank counts (`MPI_Reduce_scatter`).
     pub fn reduce_scatter<T: Numeric>(&self, send: &[T], recv: &mut [T], counts: &[usize], op: Op) {
         block_on(self.reduce_scatter_async(send, recv, counts, op));
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`), in place.
-    pub fn scan<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        block_on(self.scan_async(buf, op));
-    }
-
-    /// Exclusive prefix reduction (`MPI_Exscan`), in place; rank 0 gets
-    /// the operation's identity.
-    pub fn exscan<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        block_on(self.exscan_async(buf, op));
-    }
-
-    /// Vector all-to-all with per-pair counts (`MPI_Alltoallv`).
-    pub fn alltoallv<T: Word>(
-        &self,
-        send: &[T],
-        send_counts: &[usize],
-        recv: &mut [T],
-        recv_counts: &[usize],
-    ) {
-        block_on(self.alltoallv_async(send, send_counts, recv, recv_counts));
-    }
-
-    /// Vector gather with per-rank counts (`MPI_Gatherv`).
-    pub fn gatherv<T: Word>(
-        &self,
-        send: &[T],
-        recv: Option<&mut [T]>,
-        counts: &[usize],
-        root: usize,
-    ) {
-        block_on(self.gatherv_async(send, recv, counts, root));
-    }
-
-    /// Vector scatter with per-rank counts (`MPI_Scatterv`).
-    pub fn scatterv<T: Word>(
-        &self,
-        send: Option<&[T]>,
-        recv: &mut [T],
-        counts: &[usize],
-        root: usize,
-    ) {
-        block_on(self.scatterv_async(send, recv, counts, root));
     }
 }
 
@@ -146,18 +83,6 @@ impl Comm {
     pub async fn bcast_async<T: Word>(&self, buf: &mut [T], root: usize) {
         let _scope = self.coll_scope("bcast", Some(root), shape_of(buf));
         coll::bcast::auto_async(self, buf, root).await;
-    }
-
-    /// Awaitable [`gather`](Comm::gather).
-    pub async fn gather_async<T: Word>(&self, send: &[T], recv: Option<&mut [T]>, root: usize) {
-        let _scope = self.coll_scope("gather", Some(root), shape_of(send));
-        coll::gather::auto_async(self, send, recv, root).await;
-    }
-
-    /// Awaitable [`scatter`](Comm::scatter).
-    pub async fn scatter_async<T: Word>(&self, send: Option<&[T]>, recv: &mut [T], root: usize) {
-        let _scope = self.coll_scope("scatter", Some(root), shape_of(recv));
-        coll::scatter::auto_async(self, send, recv, root).await;
     }
 
     /// Awaitable [`allgather`](Comm::allgather).
@@ -196,12 +121,6 @@ impl Comm {
         coll::allreduce::auto_async(self, buf, op).await;
     }
 
-    /// Awaitable [`reduce_scatter_block`](Comm::reduce_scatter_block).
-    pub async fn reduce_scatter_block_async<T: Numeric>(&self, send: &[T], recv: &mut [T], op: Op) {
-        let _scope = self.coll_scope("reduce_scatter_block", None, shape_of(recv));
-        coll::reduce_scatter::block_auto_async(self, send, recv, op).await;
-    }
-
     /// Awaitable [`reduce_scatter`](Comm::reduce_scatter).
     pub async fn reduce_scatter_async<T: Numeric>(
         &self,
@@ -212,54 +131,6 @@ impl Comm {
     ) {
         let _scope = self.coll_scope("reduce_scatter", None, None);
         coll::reduce_scatter::auto_async(self, send, recv, counts, op).await;
-    }
-
-    /// Awaitable [`scan`](Comm::scan).
-    pub async fn scan_async<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        let _scope = self.coll_scope("scan", None, shape_of(buf));
-        coll::scan::auto_async(self, buf, op).await;
-    }
-
-    /// Awaitable [`exscan`](Comm::exscan).
-    pub async fn exscan_async<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        let _scope = self.coll_scope("exscan", None, shape_of(buf));
-        coll::scan::exscan_async(self, buf, op).await;
-    }
-
-    /// Awaitable [`alltoallv`](Comm::alltoallv).
-    pub async fn alltoallv_async<T: Word>(
-        &self,
-        send: &[T],
-        send_counts: &[usize],
-        recv: &mut [T],
-        recv_counts: &[usize],
-    ) {
-        let _scope = self.coll_scope("alltoallv", None, None);
-        coll::alltoallv::auto_async(self, send, send_counts, recv, recv_counts).await;
-    }
-
-    /// Awaitable [`gatherv`](Comm::gatherv).
-    pub async fn gatherv_async<T: Word>(
-        &self,
-        send: &[T],
-        recv: Option<&mut [T]>,
-        counts: &[usize],
-        root: usize,
-    ) {
-        let _scope = self.coll_scope("gatherv", Some(root), None);
-        coll::gatherv::gatherv_async(self, send, recv, counts, root).await;
-    }
-
-    /// Awaitable [`scatterv`](Comm::scatterv).
-    pub async fn scatterv_async<T: Word>(
-        &self,
-        send: Option<&[T]>,
-        recv: &mut [T],
-        counts: &[usize],
-        root: usize,
-    ) {
-        let _scope = self.coll_scope("scatterv", Some(root), None);
-        coll::gatherv::scatterv_async(self, send, recv, counts, root).await;
     }
 }
 
@@ -301,7 +172,7 @@ mod tests {
 
             let mut slice = [0.0f64; 2];
             let send: Vec<f64> = (0..2 * n).map(|i| i as f64).collect();
-            comm.reduce_scatter_block(&send, &mut slice, Op::Sum);
+            comm.reduce_scatter(&send, &mut slice, &vec![2; n], Op::Sum);
             assert_eq!(slice[0], (2 * me) as f64 * n as f64);
         });
     }
@@ -332,10 +203,11 @@ mod tests {
         assert_eq!(results, vec![3, 2, 1, 0]);
     }
 
+    /// A one-colour split has the parent's group and a tag space of its own.
     #[test]
-    fn dup_has_isolated_tag_space() {
+    fn split_has_isolated_tag_space() {
         run(3, |comm| {
-            let d = comm.dup();
+            let d = comm.split(0, comm.rank() as i64);
             // Interleave traffic on both communicators with equal tags.
             if comm.rank() == 0 {
                 comm.send(&[1u8], 1, 5);

@@ -95,28 +95,6 @@ pub async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     }
 }
 
-/// [`linear_async`]'s steps, all in one round: give block `dst` of the send
-/// buffer, take block `src` of the receive buffer.
-pub(crate) fn linear_steps(me: usize, n: usize, block: usize) -> impl Iterator<Item = Step> {
-    let at = move |r: usize| r * block..(r + 1) * block;
-    let fire = (1..n).map(move |off| Step::at(0).send((me + off) % n, at((me + off) % n)));
-    let drain = (1..n).map(move |off| Step::at(0).recv((me + n - off) % n, at((me + n - off) % n)));
-    fire.chain(drain)
-}
-
-/// Linear alltoall: every rank fires all `n-1` sends eagerly, then drains
-/// its receives. Maximum overlap, no round structure; the baseline.
-pub async fn linear_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
-    let n = comm.size();
-    let tag = comm.next_coll_tag();
-    assert_eq!(send.len(), recv.len(), "alltoall buffers must match");
-    assert_eq!(send.len() % n, 0, "alltoall buffer not divisible by ranks");
-    let block = send.len() / n;
-    let me = comm.rank();
-    recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
-    run_between(comm, tag, send, recv, &mut linear_steps(me, n, block)).await;
-}
-
 /// The [`auto_async`] dispatch test, shared with the `sched::alltoall`
 /// generator: Bruck when per-destination blocks are short and the group
 /// is large enough for its log-round count to pay.
@@ -177,13 +155,6 @@ mod tests {
     fn bruck_various() {
         for n in [1, 2, 3, 4, 5, 8, 11, 16] {
             check(n, 2, super::bruck_async);
-        }
-    }
-
-    #[test]
-    fn linear_various() {
-        for n in [1, 2, 5, 9] {
-            check(n, 2, super::linear_async);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::comm::Comm;
 
-use super::{bcast, ceil_log2, no_fold, run_in_place, Step};
+use super::{ceil_log2, no_fold, run_in_place, Step};
 
 /// [`dissemination_async`]'s steps (zero-byte messages).
 pub(crate) fn dissemination_steps(me: usize, n: usize) -> impl Iterator<Item = Step> {
@@ -20,27 +20,6 @@ pub(crate) fn dissemination_steps(me: usize, n: usize) -> impl Iterator<Item = S
 pub async fn dissemination_async(comm: &Comm) {
     let tag = comm.next_coll_tag();
     let mut steps = dissemination_steps(comm.rank(), comm.size());
-    run_in_place::<u8>(comm, tag, &mut [], &mut steps, no_fold).await;
-}
-
-/// [`tree_async`]'s steps: [`bcast::binomial_steps`] from rank 0 backwards (the
-/// fan-in: hear from every child, then signal the parent), then forwards
-/// (the fan-out: wait for the parent's release, then release the children).
-pub(crate) fn tree_steps(me: usize, n: usize) -> impl Iterator<Item = Step> {
-    let rounds = ceil_log2(n);
-    let fan_out = move || bcast::binomial_steps(me, n, 0, 0);
-    fan_out()
-        .rev()
-        .map(move |step| step.reversed(rounds))
-        .chain(fan_out().map(move |step| step.later(rounds)))
-}
-
-/// Tree barrier: a zero-byte binomial reduce to rank 0 followed by a
-/// zero-byte binomial broadcast. One more latency step than dissemination
-/// but half the messages; provided for algorithm ablation.
-pub async fn tree_async(comm: &Comm) {
-    let tag = comm.next_coll_tag();
-    let mut steps = tree_steps(comm.rank(), comm.size());
     run_in_place::<u8>(comm, tag, &mut [], &mut steps, no_fold).await;
 }
 
@@ -75,13 +54,6 @@ mod tests {
     fn dissemination_various_sizes() {
         for n in [1, 2, 3, 4, 5, 8, 13] {
             check_barrier(n, super::dissemination_async);
-        }
-    }
-
-    #[test]
-    fn tree_various_sizes() {
-        for n in [1, 2, 3, 4, 5, 8, 13] {
-            check_barrier(n, super::tree_async);
         }
     }
 

@@ -5,7 +5,8 @@ use crate::datatype::Word;
 use crate::payload::Payload;
 
 use super::{
-    binomial_edges, ceil_log2, ring_steps, scatter, unvrank, vrank, Step, LONG_MSG_THRESHOLD,
+    binomial_edges, binomial_scatter_steps, ceil_log2, ring_steps, unvrank, vrank, Step,
+    LONG_MSG_THRESHOLD,
 };
 
 /// [`binomial_async`]'s steps on the buffer of `len`: take it from the parent,
@@ -49,7 +50,7 @@ pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
 
 /// [`scatter_allgather_async`]'s steps on the encoded payload of `total` bytes,
 /// cut into `n` blocks in root-relative rank order:
-/// [`scatter::binomial_steps`], then [`ring_steps`] around the
+/// [`binomial_scatter_steps`], then [`ring_steps`] around the
 /// root-relative ring. The ring sends block `v - k` in round `k` —
 /// exactly the block received the round before.
 pub(crate) fn scatter_allgather_steps(
@@ -60,7 +61,7 @@ pub(crate) fn scatter_allgather_steps(
 ) -> impl Iterator<Item = Step> {
     let cut = move |b: usize| b * total / n;
     let block = move |rank: usize| cut(vrank(rank, root, n))..cut(vrank(rank, root, n) + 1);
-    scatter::binomial_steps(me, n, root, cut).chain(ring_steps(me, n, ceil_log2(n), block))
+    binomial_scatter_steps(me, n, root, cut).chain(ring_steps(me, n, ceil_log2(n), block))
 }
 
 /// Van de Geijn broadcast for long messages: a binomial *scatter* of the

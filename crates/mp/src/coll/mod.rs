@@ -1,11 +1,14 @@
-//! Collective operations.
+//! Collective operations: the eight the suite runs, and no others.
 //!
-//! Each collective comes in the classical algorithm variants MPI libraries
-//! of the paper's era used (MPICH/MVAPICH ancestry, which the Dell cluster's
-//! Topspin MPI was based on): binomial trees for rooted short-message
-//! operations, recursive doubling/halving for power-of-two groups, ring and
-//! pairwise exchanges for long messages, Bruck for small all-to-all, and
-//! Rabenseifner's reduce-scatter-based algorithms for long reductions.
+//! An operation or algorithm body is here because a registry workload, the
+//! IMB or HPCC model, `mp::rma`, `Comm::split` or the `mpcheck` gallery
+//! reaches it (DESIGN.md §3, "Which collectives exist"). Each comes in the
+//! algorithm variants MPI libraries of the paper's era picked (MPICH/MVAPICH
+//! ancestry, which the Dell cluster's Topspin MPI was based on): binomial
+//! trees for short rooted operations, recursive doubling for power-of-two
+//! groups, ring and pairwise exchanges for long messages, Bruck for small
+//! all-to-all, and Rabenseifner's recursive-halving algorithms for long
+//! reductions.
 //!
 //! The `auto_async` entry point of each module follows the size/shape
 //! heuristics of those libraries. Every algorithm states its geometry once,
@@ -23,15 +26,10 @@ pub mod allgather;
 pub mod allgatherv;
 pub mod allreduce;
 pub mod alltoall;
-pub mod alltoallv;
 pub mod barrier;
 pub mod bcast;
-pub mod gather;
-pub mod gatherv;
 pub mod reduce;
 pub mod reduce_scatter;
-pub mod scan;
-pub mod scatter;
 
 use std::ops::Range;
 
@@ -243,8 +241,8 @@ pub(crate) struct TreeEdge {
     pub depth: usize,
 }
 
-/// The recursive-halving block tree used by binomial scatter/gather and
-/// Rabenseifner reductions: walking from the full range `[0, n)`, each
+/// The recursive-halving block tree behind [`binomial_scatter_steps`] and
+/// [`binomial_gather_steps`]: walking from the full range `[0, n)`, each
 /// holder `lo` of a range splits off the upper part `[mid, hi)` to vrank
 /// `mid`, where `mid = lo + next_pow2(hi-lo)/2`. The tree is
 /// `ceil(log2 n)` splits deep.
@@ -280,6 +278,44 @@ pub(crate) fn halving_tree(v: usize, n: usize) -> (Option<TreeEdge>, Vec<TreeEdg
     }
     debug_assert_eq!(lo, v);
     (parent, children)
+}
+
+/// A binomial scatter down the [`halving_tree`] over the `n` blocks in
+/// root-relative rank order, block `b` starting at `cut(b)`: a node
+/// receives its subtree's blocks (its own first) from its parent in the
+/// round of that split's depth, then hands each child its subtree,
+/// outermost split first. The first phase of long broadcast.
+pub(crate) fn binomial_scatter_steps(
+    me: usize,
+    n: usize,
+    root: usize,
+    cut: impl Fn(usize) -> usize + Copy,
+) -> impl DoubleEndedIterator<Item = Step> {
+    let (parent, children) = halving_tree(vrank(me, root, n), n);
+    let blocks = move |e: &TreeEdge| cut(e.range.start)..cut(e.range.end);
+    let arrive = parent
+        .into_iter()
+        .map(move |e| Step::at(e.depth).recv(unvrank(e.peer, root, n), blocks(&e)));
+    let deal = children
+        .into_iter()
+        .map(move |e| Step::at(e.depth).send(unvrank(e.peer, root, n), blocks(&e)));
+    arrive.chain(deal)
+}
+
+/// A binomial gather of `n` blocks of `block` in root-relative rank order:
+/// [`binomial_scatter_steps`] backwards. So a node takes its children from
+/// the innermost (smallest, earliest-finished subtree) outwards, their
+/// ranges arriving in ascending order right after its own block, then
+/// sends the lot. The last phase of Rabenseifner's reduce.
+pub(crate) fn binomial_gather_steps(
+    me: usize,
+    n: usize,
+    block: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    binomial_scatter_steps(me, n, root, move |b| b * block)
+        .rev()
+        .map(move |step| step.reversed(ceil_log2(n)))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use crate::comm::Comm;
 use crate::reduce::{Numeric, Op};
 
 use super::{
-    bcast, ceil_log2, gather, reduce_scatter, run_in_place, unvrank, vrank, Step,
+    bcast, binomial_gather_steps, ceil_log2, reduce_scatter, run_in_place, unvrank, vrank, Step,
     LONG_MSG_THRESHOLD,
 };
 
@@ -44,7 +44,7 @@ pub async fn binomial_async<T: Numeric>(
 
 /// [`rabenseifner_async`]'s steps on the accumulator of `len`:
 /// [`reduce_scatter::recursive_halving_steps`] over root-relative ranks,
-/// then [`gather::binomial_steps`] of the reduced slices, which sit in the
+/// then [`binomial_gather_steps`] of the reduced slices, which sit in the
 /// accumulator in root-relative rank order.
 pub(crate) fn rabenseifner_steps(
     me: usize,
@@ -56,7 +56,7 @@ pub(crate) fn rabenseifner_steps(
     reduce_scatter::recursive_halving_steps(vrank(me, root, n), n, len)
         .map(move |step| step.rename(|v| unvrank(v, root, n)))
         .chain(
-            gather::binomial_steps(me, n, len / n, root).map(move |step| step.later(ceil_log2(n))),
+            binomial_gather_steps(me, n, len / n, root).map(move |step| step.later(ceil_log2(n))),
         )
 }
 

@@ -6,7 +6,7 @@ use crate::comm::Comm;
 use crate::payload::Payload;
 use crate::reduce::{Numeric, Op};
 
-use super::{allgatherv::displs, ceil_log2, run_in_place, Step};
+use super::{allgatherv::displs, ceil_log2, Step};
 
 /// [`pairwise_async`]'s steps over the send vector, whose slice boundaries are
 /// `displs` (one more entry than ranks).
@@ -54,10 +54,12 @@ pub async fn pairwise_async<T: Numeric>(
     }
 }
 
-/// [`recursive_halving_async`]'s steps on the vector of `len`: each round a
-/// rank gives the half of its active range that its partner keeps and folds
-/// the partner's operand into the half it keeps itself, ending on slice
-/// `me` of `n`.
+/// Recursive-halving reduce-scatter on the vector of `len` over a
+/// power-of-two group, the first phase of both Rabenseifner algorithms
+/// (`reduce::rabenseifner_steps`, `allreduce::rabenseifner_steps`): each
+/// of `log2 n` rounds a rank gives the half of its active range that its
+/// partner keeps and folds the partner's operand into the half it keeps
+/// itself, ending on slice `me` of `n`.
 pub(crate) fn recursive_halving_steps(
     me: usize,
     n: usize,
@@ -80,45 +82,6 @@ pub(crate) fn recursive_halving_steps(
             .recv(partner, keep.clone())
             .folding(1)
     })
-}
-
-/// Recursive-halving reduce-scatter for equal counts on power-of-two
-/// groups: `log2 n` rounds, halving the active vector each round. The
-/// short-message algorithm; also the first phase of Rabenseifner's
-/// reductions.
-pub async fn recursive_halving_async<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
-    let n = comm.size();
-    let tag = comm.next_coll_tag();
-    let me = comm.rank();
-    let len = send.len();
-    let mut steps = recursive_halving_steps(me, n, len);
-    assert_eq!(len % n, 0, "vector must divide evenly among ranks");
-    let slice = len / n;
-    assert_eq!(recv.len(), slice, "receive buffer must hold one slice");
-
-    let mut acc = send.to_vec();
-    run_in_place(comm, tag, &mut acc, &mut steps, |a, x| op.fold_into(a, x)).await;
-    recv.copy_from_slice(&acc[me * slice..(me + 1) * slice]);
-}
-
-/// The [`block_auto_async`] dispatch test, shared with the
-/// `sched::reduce_scatter` generator: recursive halving when the group is
-/// a power of two and the vector of `elems` elements divides evenly.
-pub(crate) fn picks_recursive_halving(n: usize, elems: usize) -> bool {
-    n.is_power_of_two() && elems.is_multiple_of(n)
-}
-
-/// Dispatched equal-counts reduce-scatter (`MPI_Reduce_scatter_block`):
-/// recursive halving on power-of-two groups, pairwise otherwise.
-pub async fn block_auto_async<T: Numeric>(comm: &Comm, send: &[T], recv: &mut [T], op: Op) {
-    let n = comm.size();
-    if picks_recursive_halving(n, send.len()) {
-        recursive_halving_async(comm, send, recv, op).await;
-    } else {
-        let counts = vec![recv.len(); n];
-        assert_eq!(send.len(), recv.len() * n, "send must be n equal blocks");
-        pairwise_async(comm, send, recv, &counts, op).await;
-    }
 }
 
 /// General per-rank-counts reduce-scatter (pairwise).
@@ -181,49 +144,5 @@ mod tests {
     fn pairwise_varying_counts() {
         check_counts(vec![1, 4, 0, 2], Op::Sum);
         check_counts(vec![2, 2, 5], Op::Max);
-    }
-
-    fn check_halving(n: usize, slice: usize, op: Op) {
-        let results = run(n, |comm| {
-            let me = comm.rank();
-            let send: Vec<f64> = (0..n * slice)
-                .map(|i| ((me + 1) * (i + 1)) as f64)
-                .collect();
-            let mut recv = vec![0.0f64; slice];
-            block_on(super::recursive_halving_async(comm, &send, &mut recv, op));
-            recv
-        });
-        for (r, got) in results.iter().enumerate() {
-            for (j, &g) in got.iter().enumerate() {
-                let i = r * slice + j;
-                let mut e = match op {
-                    Op::Sum => 0.0,
-                    _ => f64::NEG_INFINITY,
-                };
-                for s in 0..n {
-                    e = op.apply(e, ((s + 1) * (i + 1)) as f64);
-                }
-                assert!((g - e).abs() < 1e-9 * e.abs().max(1.0), "rank {r} elem {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn recursive_halving_power_of_two() {
-        for n in [1, 2, 4, 8, 16] {
-            check_halving(n, 4, Op::Sum);
-        }
-    }
-
-    #[test]
-    fn recursive_halving_max() {
-        check_halving(8, 2, Op::Max);
-    }
-
-    #[test]
-    fn block_auto_matches_both_paths() {
-        check_halving(8, 4, Op::Sum);
-        // Non-power-of-two goes through pairwise.
-        check_counts(vec![4; 6], Op::Sum);
     }
 }

@@ -56,7 +56,6 @@ pub struct Comm {
 /// identity, so its inverse needs no table: a table costs n hashed
 /// inserts per world and a hashed probe per receive, which a 65536-rank
 /// world pays for nothing.
-#[derive(Clone)]
 enum Inverse {
     Identity,
     Table(Arc<HashMap<usize, usize>>),
@@ -502,28 +501,7 @@ impl Comm {
             scratch: RefCell::new(Vec::new()),
         }
     }
-
-    /// A duplicate communicator with the same group but an isolated tag
-    /// space. Mirrors `MPI_Comm_dup`.
-    pub fn dup(&self) -> Comm {
-        let _scope = self.coll_scope("dup", None, None);
-        let seq = self.coll_seq.get();
-        // Advance the parent's sequence so distinct dup() calls get
-        // distinct ids.
-        self.coll_seq.set(seq.wrapping_add(1));
-        Comm {
-            world: Arc::clone(&self.world),
-            group: Arc::clone(&self.group),
-            inverse: self.inverse.clone(),
-            rank: self.rank,
-            id: mix32(self.id, seq, DUP_MARKER),
-            coll_seq: Cell::new(0),
-            scratch: RefCell::new(Vec::new()),
-        }
-    }
 }
-
-const DUP_MARKER: u32 = 0xD0B1_C0DE;
 
 /// Deterministic 3-input mixer for communicator ids (splitmix-style).
 fn mix32(a: u32, b: u32, c: u32) -> u32 {

@@ -3,9 +3,12 @@
 //! The HPCC and IMB benchmark suites are MPI programs; this crate supplies
 //! the message-passing substrate they run on in this workspace. Eager
 //! in-process message delivery with MPI matching semantics (source + tag,
-//! non-overtaking), communicators with `split`/`dup`, and the full family
-//! of collective operations in the classical algorithm variants (binomial,
-//! recursive doubling/halving, ring, pairwise, Bruck, Rabenseifner).
+//! non-overtaking), communicators with `split`, and the eight collective
+//! operations the suite runs — barrier, bcast, allgather(v), alltoall,
+//! reduce, allreduce, reduce_scatter — in the classical algorithm variants
+//! the era's libraries picked (binomial, recursive doubling, ring,
+//! pairwise, Bruck, Rabenseifner). An operation exists because a workload
+//! reaches it; see [`coll`].
 //!
 //! Ranks run one of two ways. Native worlds ([`run`], [`run_traced`]) give
 //! every rank an OS thread, so kernels and wake-ups cost what they cost on

@@ -3,12 +3,12 @@
 //! A [`Payload`] is a view into reference-counted bytes: cloning it (or
 //! taking a sub-[`slice`](Payload::slice)) bumps a refcount instead of
 //! copying data. This is what lets collective fan-out — a binomial
-//! broadcast sending the same buffer to every child, a scatter splitting
-//! one buffer into per-subtree ranges — deliver to any number of peers
-//! with zero per-edge payload copies. Ownership is copy-on-write:
-//! [`into_vec`](Payload::into_vec) hands the underlying allocation back
-//! without copying when this view is the only holder and covers the whole
-//! buffer, and degrades to a copy otherwise.
+//! broadcast sending the same buffer to every child, long broadcast's
+//! scatter phase splitting one buffer into per-subtree ranges — deliver
+//! to any number of peers with zero per-edge payload copies. Ownership is
+//! copy-on-write: [`into_vec`](Payload::into_vec) hands the underlying
+//! allocation back without copying when this view is the only holder and
+//! covers the whole buffer, and degrades to a copy otherwise.
 //!
 //! Encoding [`Ghost`](crate::datatype::Ghost) words gives a *length-only*
 //! payload: it slices, forwards and is priced like any other and holds no

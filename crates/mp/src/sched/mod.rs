@@ -96,11 +96,6 @@ pub mod alltoall {
         build(n, 0, |me| bruck_steps(me, n, block as usize))
     }
 
-    /// [`linear_async`]: one eager round.
-    pub fn linear(n: usize, block: u64) -> Schedule {
-        build(n, 0, |me| linear_steps(me, n, block as usize))
-    }
-
     /// [`auto_async`]'s dispatch.
     pub fn auto(n: usize, block: u64) -> Schedule {
         if picks_bruck(n, block as usize) {
@@ -119,11 +114,6 @@ pub mod barrier {
     /// [`dissemination_async`].
     pub fn dissemination(n: usize) -> Schedule {
         build(n, 0, |me| dissemination_steps(me, n))
-    }
-
-    /// [`tree_async`]: fan-in to rank 0, fan-out.
-    pub fn tree(n: usize) -> Schedule {
-        build(n, 0, |me| tree_steps(me, n))
     }
 
     /// [`auto_async`] is dissemination.
@@ -153,31 +143,6 @@ pub mod bcast {
             scatter_allgather(n, root, bytes)
         } else {
             binomial(n, root, bytes)
-        }
-    }
-}
-
-/// Schedules of [`crate::coll::gather`]: a `block` of bytes per rank.
-pub mod gather {
-    use super::*;
-    use crate::coll::gather::*;
-
-    /// [`linear_async`]: one round, senders in rank order.
-    pub fn linear(n: usize, root: usize, block: u64) -> Schedule {
-        build(n, 0, |me| linear_steps(me, n, block as usize, root))
-    }
-
-    /// [`binomial_async`].
-    pub fn binomial(n: usize, root: usize, block: u64) -> Schedule {
-        build(n, root, |me| binomial_steps(me, n, block as usize, root))
-    }
-
-    /// [`auto_async`]'s dispatch.
-    pub fn auto(n: usize, root: usize, block: u64) -> Schedule {
-        if picks_linear(n) {
-            linear(n, root, block)
-        } else {
-            binomial(n, root, block)
         }
     }
 }
@@ -219,68 +184,6 @@ pub mod reduce_scatter {
     pub fn pairwise(counts: &[u64]) -> Schedule {
         let displs = displs(counts.iter().map(|&c| c as usize));
         build(counts.len(), 0, |me| pairwise_steps(me, &displs))
-    }
-
-    /// [`recursive_halving_async`] of `bytes` in total.
-    pub fn recursive_halving(n: usize, bytes: u64) -> Schedule {
-        build(n, 0, |me| recursive_halving_steps(me, n, bytes as usize))
-    }
-
-    /// [`block_auto_async`]'s dispatch for equal slices of
-    /// `block` bytes; `elem_size` as in [`super::reduce::auto`].
-    pub fn block_auto(n: usize, block: u64, elem_size: u64) -> Schedule {
-        let total = block * n as u64;
-        if picks_recursive_halving(n, (total / elem_size) as usize) {
-            recursive_halving(n, total)
-        } else {
-            pairwise(&vec![block; n])
-        }
-    }
-}
-
-/// Schedules of [`crate::coll::scan`] on a vector of `bytes`.
-pub mod scan {
-    use super::*;
-    use crate::coll::scan::*;
-
-    /// [`linear_async`]: a serial pipeline.
-    pub fn linear(n: usize, bytes: u64) -> Schedule {
-        build(n, 0, |me| linear_steps(me, n, bytes as usize))
-    }
-
-    /// [`recursive_doubling_async`]: receivers fold twice.
-    pub fn recursive_doubling(n: usize, bytes: u64) -> Schedule {
-        build(n, 0, |me| recursive_doubling_steps(me, n, bytes as usize))
-    }
-
-    /// [`auto_async`] is recursive doubling.
-    pub use recursive_doubling as auto;
-}
-
-/// Schedules of [`crate::coll::scatter`]: a `block` of bytes per rank.
-pub mod scatter {
-    use super::*;
-    use crate::coll::scatter::*;
-
-    /// [`linear_async`]: one eager round.
-    pub fn linear(n: usize, root: usize, block: u64) -> Schedule {
-        build(n, 0, |me| linear_steps(me, n, block as usize, root))
-    }
-
-    /// [`binomial_async`].
-    pub fn binomial(n: usize, root: usize, block: u64) -> Schedule {
-        build(n, root, |me| {
-            binomial_steps(me, n, root, |b| b * block as usize)
-        })
-    }
-
-    /// [`auto_async`]'s dispatch.
-    pub fn auto(n: usize, root: usize, block: u64) -> Schedule {
-        if picks_linear(n) {
-            linear(n, root, block)
-        } else {
-            binomial(n, root, block)
-        }
     }
 }
 
@@ -330,25 +233,6 @@ mod tests {
         let total = len * c.size();
         block_on(algo(c, &vec![c.rank() as u64; total], &mut vec![0; total]));
     }
-    fn gather(
-        algo: impl AsyncFn(&Comm, &[u64], Option<&mut [u64]>, usize),
-        c: &Comm,
-        root: usize,
-        len: usize,
-    ) {
-        let mut recv = (c.rank() == root).then(|| vec![0u64; len * c.size()]);
-        let send = vec![c.rank() as u64; len];
-        block_on(algo(c, &send, recv.as_deref_mut(), root));
-    }
-    fn scatter(
-        algo: impl AsyncFn(&Comm, Option<&[u64]>, &mut [u64], usize),
-        c: &Comm,
-        root: usize,
-        len: usize,
-    ) {
-        let send = (c.rank() == root).then(|| vec![7u64; len * c.size()]);
-        block_on(algo(c, send.as_deref(), &mut vec![0; len], root));
-    }
     fn reduce(
         algo: impl AsyncFn(&Comm, &[f64], Option<&mut [f64]>, usize, Op),
         c: &Comm,
@@ -393,18 +277,12 @@ mod tests {
         Case { name: "alltoall::bruck", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::bruck_async, c, len),
             schedule: |n, _, b| alltoall::bruck(n, b) },
-        Case { name: "alltoall::linear", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::linear_async, c, len),
-            schedule: |n, _, b| alltoall::linear(n, b) },
         Case { name: "alltoall::auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::auto_async, c, len),
             schedule: |n, _, b| alltoall::auto(n, b) },
         Case { name: "barrier::dissemination", rooted: false, fits: |_, _| true,
             run: |c, _, _| block_on(coll::barrier::dissemination_async(c)),
             schedule: |n, _, _| barrier::auto(n) },
-        Case { name: "barrier::tree", rooted: false, fits: |_, _| true,
-            run: |c, _, _| block_on(coll::barrier::tree_async(c)),
-            schedule: |n, _, _| barrier::tree(n) },
         Case { name: "bcast::binomial", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::binomial_async(c, &mut vec![1.0f64; len], root)),
             schedule: bcast::binomial },
@@ -414,15 +292,6 @@ mod tests {
         Case { name: "bcast::auto", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::auto_async(c, &mut vec![1.0f64; len], root)),
             schedule: bcast::auto },
-        Case { name: "gather::linear", rooted: true, fits: |_, _| true,
-            run: |c, root, len| gather(coll::gather::linear_async, c, root, len),
-            schedule: gather::linear },
-        Case { name: "gather::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| gather(coll::gather::binomial_async, c, root, len),
-            schedule: gather::binomial },
-        Case { name: "gather::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| gather(coll::gather::auto_async, c, root, len),
-            schedule: gather::auto },
         Case { name: "reduce::binomial", rooted: true, fits: |_, _| true,
             run: |c, root, len| reduce(coll::reduce::binomial_async, c, root, len),
             schedule: reduce::binomial },
@@ -440,33 +309,6 @@ mod tests {
                 block_on(coll::reduce_scatter::auto_async(c, &send, &mut recv, &counts, Op::Sum));
             },
             schedule: |n, _, b| reduce_scatter::pairwise(&ragged_bytes(n, b)) },
-        Case { name: "reduce_scatter::recursive_halving", rooted: false, fits: |n, _| n.is_power_of_two(),
-            run: |c, _, len| {
-                let send = vec![1.0f64; len * c.size()];
-                block_on(coll::reduce_scatter::recursive_halving_async(c, &send, &mut vec![0.0; len], Op::Sum));
-            },
-            schedule: |n, _, b| reduce_scatter::recursive_halving(n, b * n as u64) },
-        Case { name: "reduce_scatter::block_auto", rooted: false, fits: |_, _| true,
-            run: |c, _, len| {
-                let send = vec![1.0f64; len * c.size()];
-                block_on(coll::reduce_scatter::block_auto_async(c, &send, &mut vec![0.0; len], Op::Sum));
-            },
-            schedule: |n, _, b| reduce_scatter::block_auto(n, b, 8) },
-        Case { name: "scan::linear", rooted: false, fits: |_, _| true,
-            run: |c, _, len| block_on(coll::scan::linear_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| scan::linear(n, b) },
-        Case { name: "scan::recursive_doubling", rooted: false, fits: |_, _| true,
-            run: |c, _, len| block_on(coll::scan::auto_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| scan::auto(n, b) },
-        Case { name: "scatter::linear", rooted: true, fits: |_, _| true,
-            run: |c, root, len| scatter(coll::scatter::linear_async, c, root, len),
-            schedule: scatter::linear },
-        Case { name: "scatter::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| scatter(coll::scatter::binomial_async, c, root, len),
-            schedule: scatter::binomial },
-        Case { name: "scatter::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| scatter(coll::scatter::auto_async, c, root, len),
-            schedule: scatter::auto },
     ];
 
     /// A traced real execution of every algorithm moves exactly the
@@ -562,11 +404,6 @@ mod tests {
         assert_eq!(barrier::dissemination(1).num_rounds(), 0);
         assert_eq!(barrier::dissemination(8).num_rounds(), 3);
         assert_eq!(barrier::dissemination(9).num_rounds(), 4);
-        // The tree has twice the rounds but half the messages.
-        assert_eq!(barrier::tree(16).num_rounds(), 8);
-        assert!(barrier::tree(16).total_messages() < barrier::dissemination(16).total_messages());
-        assert_eq!(scan::linear(8, 1).num_rounds(), 7);
-        assert_eq!(scan::recursive_doubling(8, 1).num_rounds(), 3);
     }
 
     #[test]
@@ -577,20 +414,18 @@ mod tests {
         // blocks per rank: roughly n payloads altogether.
         let payloads = bcast::scatter_allgather(8, 0, 8000).total_bytes() as f64 / 8000.0;
         assert!(payloads > 7.0 && payloads < 9.0, "{payloads}");
-        // Every block crosses each tree level above its rank once.
-        let s = scatter::binomial(8, 0, 10);
-        assert_eq!((s.num_rounds(), s.total_messages()), (3, 7));
-        assert_eq!(s.total_bytes(), (4 + 2 + 1 + 2 + 1 + 1 + 1) * 10);
     }
 
     #[test]
-    fn halving_and_pairwise_volumes() {
+    fn halving_moves_what_pairwise_moves() {
         let (n, slice) = (8, 1024u64);
-        let h = reduce_scatter::recursive_halving(n, slice * n as u64);
         let p = reduce_scatter::pairwise(&vec![slice; n]);
-        // Each rank sends (n-1) slices either way, in fewer rounds by halving.
+        // Each rank sends (n-1) slices in a pairwise reduce-scatter, and
+        // as many in each half of Rabenseifner's allreduce (recursive
+        // halving, then recursive doubling), in log2(n) rounds each.
         assert_eq!(p.total_bytes(), (n * (n - 1)) as u64 * slice);
-        assert_eq!(h.total_bytes(), p.total_bytes());
-        assert!(h.num_rounds() < p.num_rounds());
+        let r = allreduce::rabenseifner(n, slice * n as u64);
+        assert_eq!(r.total_bytes(), 2 * p.total_bytes());
+        assert_eq!((p.num_rounds(), r.num_rounds()), (n - 1, 6));
     }
 }

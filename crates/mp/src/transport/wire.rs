@@ -255,37 +255,28 @@ impl Dec<'_> {
     }
 }
 
+/// Every name `Comm` opens a collective scope under: the eight operations
+/// of `mp::coll` and `split`.
+static COLL_OPS: [&str; 9] = [
+    "barrier",
+    "bcast",
+    "allgather",
+    "allgatherv",
+    "alltoall",
+    "reduce",
+    "allreduce",
+    "reduce_scatter",
+    "split",
+];
+
 /// Collective op names cross the wire as strings but [`CollSite::op`] is
-/// `&'static str`; decode through this intern table of the runtime's op
-/// names, leaking only a genuinely unknown name (diagnosis path only,
-/// never the fast path).
+/// `&'static str`; decode through [`COLL_OPS`], leaking only a genuinely
+/// unknown name (diagnosis path only, never the fast path).
 fn intern_op(name: String) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "barrier",
-        "bcast",
-        "reduce",
-        "allreduce",
-        "gather",
-        "gatherv",
-        "scatter",
-        "scatterv",
-        "allgather",
-        "allgatherv",
-        "alltoall",
-        "alltoallv",
-        "reduce_scatter",
-        "scan",
-        "exscan",
-        "split",
-        "dup",
-        "sendrecv",
-    ];
-    for k in KNOWN {
-        if *k == name {
-            return k;
-        }
+    match COLL_OPS.iter().find(|&&k| k == name) {
+        Some(k) => k,
+        None => Box::leak(name.into_boxed_str()),
     }
-    Box::leak(name.into_boxed_str())
 }
 
 fn enc_wait_on(e: &mut Enc, on: &WaitOn) {
@@ -644,6 +635,47 @@ mod tests {
         let back = decode_deadlock(&encode_deadlock(&d));
         assert_eq!(format!("{back}"), format!("{d}"));
         assert!(format!("{back}").contains("wait-for cycle: 0 -> 1 -> 0"));
+    }
+
+    /// Every collective scope `Comm` opens decodes to its own table entry,
+    /// and every entry is one of them: a diagnosis naming any collective
+    /// crosses the wire without leaking, and the table names nothing else.
+    #[test]
+    fn every_scoped_collective_interns_to_the_table() {
+        use crate::check::{run_checked, Event, Settings};
+        use crate::Op::Sum;
+        let checked = run_checked(4, Settings::default(), |c| {
+            let (n, me) = (c.size(), c.rank());
+            let counts: Vec<usize> = (1..=n).collect();
+            let words = vec![me as u64; 2 * n];
+            let mut out = vec![0u64; counts.iter().sum()];
+            c.barrier();
+            c.bcast(&mut out[..2], 1);
+            c.allgather(&words[..2], &mut out[..2 * n]);
+            c.allgatherv(&words[..counts[me]], &mut out, &counts);
+            c.alltoall(&words, &mut out[..2 * n]);
+            c.reduce(&words, (me == 1).then_some(&mut out[..2 * n]), 1, Sum);
+            c.allreduce(&mut out, Sum);
+            c.reduce_scatter(&words[..n], &mut out[..1], &vec![1; n], Sum);
+            c.split(0, me as i64);
+        });
+        assert!(checked.results.is_some(), "{:?}", checked.panics);
+        let mut seen = Vec::new();
+        for event in checked.log.events.iter().flatten() {
+            if let Event::CollBegin { op, .. } = event {
+                let interned = intern_op(op.to_string());
+                assert!(
+                    COLL_OPS.iter().any(|k| std::ptr::eq(*k, interned)),
+                    "{op} leaked"
+                );
+                seen.push(*op);
+            }
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        let mut table = COLL_OPS.to_vec();
+        table.sort_unstable();
+        assert_eq!(seen, table);
     }
 
     // Satellite: encode -> frame -> decode is the identity over arbitrary

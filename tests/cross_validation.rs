@@ -278,7 +278,7 @@ fn every_launcher_runs_the_same_program() {
     }
 }
 
-/// One body per operation: each of the 16 collectives moves the same
+/// One body per operation: each of the 8 collectives moves the same
 /// transfers and leaves the same buffers whether a rank thread calls the
 /// blocking `Comm` method or a cooperative task awaits the `_async` one.
 #[test]
@@ -286,47 +286,36 @@ fn blocking_collectives_are_their_awaitable_bodies() {
     use mp::{Comm, Op::Sum};
 
     #[rustfmt::skip]
-    const OPS: [&str; 16] = [
-        "barrier", "bcast", "gather", "scatter", "allgather", "allgatherv", "alltoall", "reduce",
-        "allreduce", "reduce_scatter_block", "reduce_scatter", "scan", "exscan", "alltoallv",
-        "gatherv", "scatterv",
+    const OPS: [&str; 8] = [
+        "barrier", "bcast", "allgather", "allgatherv", "alltoall", "reduce", "allreduce",
+        "reduce_scatter",
     ];
 
     /// What a rank brings to every operation: the root, `2n` words of its
-    /// own, ragged per-rank counts for the vector variants and its row of
-    /// a symmetric per-pair count matrix for alltoallv. Every count sum is
-    /// at most `2n`; the result buffer starts as a copy of the words, so
-    /// in-place operations have an operand.
-    fn rank(c: &Comm) -> (usize, Vec<u64>, Vec<usize>, Vec<usize>) {
+    /// own and ragged per-rank counts for the vector variants. Every count
+    /// sum is at most `2n`; the result buffer starts as a copy of the
+    /// words, so in-place operations have an operand.
+    fn rank(c: &Comm) -> (usize, Vec<u64>, Vec<usize>) {
         let (me, n) = (c.rank(), c.size());
         let words = (0..2 * n).map(|i| (me * 100 + i) as u64).collect();
         let counts = (0..n).map(|r| r % 3 + 1).collect();
-        let pairs = (0..n).map(|peer| (me + peer) % 2 + 1).collect();
-        (n / 2, words, counts, pairs)
+        (n / 2, words, counts)
     }
 
     #[rustfmt::skip]
     fn blocking(c: &Comm, op: usize) -> Vec<u64> {
-        let (root, words, counts, pairs) = rank(c);
+        let (root, words, counts) = rank(c);
         let (at_root, mut out) = (c.rank() == root, words.clone());
-        let (mine, total, paired) = (counts[c.rank()], counts.iter().sum(), pairs.iter().sum());
+        let (mine, total) = (counts[c.rank()], counts.iter().sum());
         match OPS[op] {
             "barrier" => c.barrier(),
             "bcast" => c.bcast(&mut out[..2], root),
-            "gather" => c.gather(&words[..2], at_root.then_some(&mut out[..]), root),
-            "scatter" => c.scatter(at_root.then_some(&words[..]), &mut out[..2], root),
             "allgather" => c.allgather(&words[..2], &mut out),
             "allgatherv" => c.allgatherv(&words[..mine], &mut out[..total], &counts),
             "alltoall" => c.alltoall(&words, &mut out),
             "reduce" => c.reduce(&words, at_root.then_some(&mut out[..]), root, Sum),
             "allreduce" => c.allreduce(&mut out, Sum),
-            "reduce_scatter_block" => c.reduce_scatter_block(&words, &mut out[..2], Sum),
             "reduce_scatter" => c.reduce_scatter(&words[..total], &mut out[..mine], &counts, Sum),
-            "scan" => c.scan(&mut out, Sum),
-            "exscan" => c.exscan(&mut out, Sum),
-            "alltoallv" => c.alltoallv(&words[..paired], &pairs, &mut out[..paired], &pairs),
-            "gatherv" => c.gatherv(&words[..mine], at_root.then_some(&mut out[..total]), &counts, root),
-            "scatterv" => c.scatterv(at_root.then_some(&words[..total]), &mut out[..mine], &counts, root),
             _ => unreachable!(),
         }
         out
@@ -334,26 +323,18 @@ fn blocking_collectives_are_their_awaitable_bodies() {
 
     #[rustfmt::skip]
     async fn awaited(c: Comm, op: usize) -> Vec<u64> {
-        let (root, words, counts, pairs) = rank(&c);
+        let (root, words, counts) = rank(&c);
         let (at_root, mut out) = (c.rank() == root, words.clone());
-        let (mine, total, paired) = (counts[c.rank()], counts.iter().sum(), pairs.iter().sum());
+        let (mine, total) = (counts[c.rank()], counts.iter().sum());
         match OPS[op] {
             "barrier" => c.barrier_async().await,
             "bcast" => c.bcast_async(&mut out[..2], root).await,
-            "gather" => c.gather_async(&words[..2], at_root.then_some(&mut out[..]), root).await,
-            "scatter" => c.scatter_async(at_root.then_some(&words[..]), &mut out[..2], root).await,
             "allgather" => c.allgather_async(&words[..2], &mut out).await,
             "allgatherv" => c.allgatherv_async(&words[..mine], &mut out[..total], &counts).await,
             "alltoall" => c.alltoall_async(&words, &mut out).await,
             "reduce" => c.reduce_async(&words, at_root.then_some(&mut out[..]), root, Sum).await,
             "allreduce" => c.allreduce_async(&mut out, Sum).await,
-            "reduce_scatter_block" => c.reduce_scatter_block_async(&words, &mut out[..2], Sum).await,
             "reduce_scatter" => c.reduce_scatter_async(&words[..total], &mut out[..mine], &counts, Sum).await,
-            "scan" => c.scan_async(&mut out, Sum).await,
-            "exscan" => c.exscan_async(&mut out, Sum).await,
-            "alltoallv" => c.alltoallv_async(&words[..paired], &pairs, &mut out[..paired], &pairs).await,
-            "gatherv" => c.gatherv_async(&words[..mine], at_root.then_some(&mut out[..total]), &counts, root).await,
-            "scatterv" => c.scatterv_async(at_root.then_some(&words[..total]), &mut out[..mine], &counts, root).await,
             _ => unreachable!(),
         }
         out

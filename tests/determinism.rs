@@ -246,7 +246,9 @@ fn digest(schedules: &[simnet::Schedule]) -> u64 {
 /// multisets and cannot see either. These digests pin both for every
 /// schedule the simulator prices, and for each generator `schedule_for`
 /// does not reach. They were computed from the hand-written generators
-/// that `mp::sched` held before it was derived from `mp::coll`'s steps.
+/// that `mp::sched` held before it was derived from `mp::coll`'s steps;
+/// the `rooted` and `explicit` ones were recomputed over the surviving
+/// generators at the commit before the unreached collectives went.
 #[test]
 fn simulated_schedules_keep_their_round_structure() {
     use mp::sched;
@@ -265,8 +267,8 @@ fn simulated_schedules_keep_their_round_structure() {
         ("Reduce", 0x181b_e621_81dc_a42b),
         ("Allreduce", 0x6677_cbc1_a4ef_cf4f),
         ("Reduce_scatter", 0x1283_0dcf_1938_1ce5),
-        ("rooted", 0xbd61_e929_b181_dc63),
-        ("explicit", 0xe718_4d4a_6dfd_7ec3),
+        ("rooted", 0x6d7c_35e1_7ad5_ec0b),
+        ("explicit", 0x1b97_0913_472c_e620),
     ];
 
     let mut got: Vec<(&str, u64)> = Vec::new();
@@ -291,23 +293,16 @@ fn simulated_schedules_keep_their_round_structure() {
                     all.push(sched::reduce::rabenseifner(n, root, b * n as u64));
                 }
                 all.push(sched::reduce::auto(n, root, b, 8));
-                all.push(sched::gather::linear(n, root, b));
-                all.push(sched::gather::binomial(n, root, b));
-                all.push(sched::gather::auto(n, root, b));
-                all.push(sched::scatter::linear(n, root, b));
-                all.push(sched::scatter::binomial(n, root, b));
-                all.push(sched::scatter::auto(n, root, b));
             }
         }
     }
     got.push(("rooted", digest(&all)));
 
-    // The unrooted algorithms by name, so the ones no `auto` above picks
-    // (tree barrier, linear alltoall, recursive halving, scan) are pinned.
+    // The unrooted algorithms by name, at sizes and shapes no `auto` above
+    // reaches (ragged counts, one rank, every algorithm at every size).
     let mut all = Vec::new();
     for n in PROCS.into_iter().chain([1]) {
         all.push(sched::barrier::dissemination(n));
-        all.push(sched::barrier::tree(n));
         for b in BYTES {
             let pow2 = 1u64 << n.ilog2();
             let ragged: Vec<u64> = (0..n as u64).map(|i| (i % 3) * b).collect();
@@ -317,15 +312,10 @@ fn simulated_schedules_keep_their_round_structure() {
             all.push(sched::allreduce::rabenseifner(n, b * pow2));
             all.push(sched::alltoall::pairwise(n, b));
             all.push(sched::alltoall::bruck(n, b));
-            all.push(sched::alltoall::linear(n, b));
             all.push(sched::alltoall::auto(n, b));
             all.push(sched::reduce_scatter::pairwise(&ragged));
-            all.push(sched::reduce_scatter::block_auto(n, b, 8));
-            all.push(sched::scan::linear(n, b));
-            all.push(sched::scan::recursive_doubling(n, b));
             if n.is_power_of_two() {
                 all.push(sched::allgather::recursive_doubling(n, b));
-                all.push(sched::reduce_scatter::recursive_halving(n, b * n as u64));
             }
         }
     }
