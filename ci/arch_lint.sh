@@ -72,6 +72,16 @@
 #      (DESIGN.md §3, "Which collectives exist"): a new operation comes
 #      with the registry workload that reaches it, and grows this list in
 #      the same change.
+#  11. The environment a program reads. Non-test code under
+#      `crates/*/src` names no `MP_*` or `HPCB_*` variable outside this
+#      list: the fleet wiring (`MP_WORLD_SIZE MP_NPROCS MP_PROC
+#      MP_WORLD_DIR MP_TCP_PEERS MP_TCP_BIND`), the stall deadline
+#      (`MP_DEADLOCK_TIMEOUT_SECS`) and the campaign's cell description
+#      (`HPCB_CELL_WORKLOAD HPCB_CELL_BYTES HPCB_CELL_OUT`). And `env::var*`
+#      appears only in `mp/src/transport/{mod,tcp}.rs`, `mp/src/mailbox.rs`
+#      and `bench/src/bin/campaign.rs`. A fleet is asked for by its process
+#      count; a variable that restates it, or that every caller sets the
+#      same way, is a configuration nobody tests growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -81,6 +91,11 @@ set -u
 
 # Rule 10: the collective operations `mp` has.
 coll_ops="allgather allgatherv allreduce alltoall barrier bcast reduce reduce_scatter"
+# Rule 11: the environment variables a program reads, and where it reads them.
+env_names="MP_WORLD_SIZE MP_NPROCS MP_PROC MP_WORLD_DIR MP_TCP_PEERS MP_TCP_BIND \
+MP_DEADLOCK_TIMEOUT_SECS HPCB_CELL_WORKLOAD HPCB_CELL_BYTES HPCB_CELL_OUT"
+env_readers="mp/src/transport/mod.rs|mp/src/transport/tcp.rs|mp/src/mailbox.rs|\
+bench/src/bin/campaign.rs"
 
 root=""
 selftest=0
@@ -202,6 +217,18 @@ mod tests {
     mod scan {}
 }
 EOF
+    # A listed variable read where reads live; an identifier that merely
+    # contains `MP_`; a test module's variable of its own.
+    cat > "$pass/crates/mp/src/transport/mod.rs" <<'EOF'
+pub const ENV_NPROCS: &str = "MP_NPROCS";
+static PUMP_STARTED: bool = false;
+fn nprocs() -> Option<String> { std::env::var(ENV_NPROCS).ok() }
+
+#[cfg(test)]
+mod tests {
+    fn case() -> String { std::env::var("MP_TEST_CASE").unwrap() }
+}
+EOF
     if ! "$self" --root "$pass" > "$tmp/pass.log" 2>&1; then
         echo "arch_lint --self-test: compliant fixture was rejected:" >&2
         cat "$tmp/pass.log" >&2
@@ -262,8 +289,12 @@ fn run_checked_inner() {
 fn from_waits() { find_cycle(&succ); }
 fn find_cycle(succ: &[Option<usize>]) {}
 EOF
-    # A second header parser, polling a channel file.
+    # A second header parser, polling a channel file; and a second way to
+    # ask for a fleet, read where reads are allowed but not on the list.
     mkdir -p "$bad/crates/mp/src/transport"
+    cat > "$bad/crates/mp/src/transport/mod.rs" <<'EOF'
+fn backend() -> Option<String> { std::env::var("MP_BACKEND").ok() }
+EOF
     cat > "$bad/crates/mp/src/transport/wire.rs" <<'EOF'
 fn read_frame() { assert_eq!(magic, MAGIC, "bad frame magic"); }
 EOF
@@ -312,7 +343,8 @@ EOF
         'runtime.rs:6: .*mp-rank-' "runtime.rs:7: .*gate.abort" "runtime.rs:8: .*find_cycle" \
         "chan.rs:2: .*read_at" "chan.rs:3: .*MAGIC" \
         "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs" \
-        "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan"; do
+        "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan" \
+        "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -447,13 +479,12 @@ fi
 
 # --- 9. One set of kernel parameters -------------------------------------
 offenders=$(
-    scan 'env::var' | grep -E '^crates/(smp|hpcc)/src/'
     find crates/bench/src/bin -name 'tune.rs' 2>/dev/null
     find . \( -name target -o -name .git \) -prune -o -name 'TUNE.hpcc' -print
 )
 if [ -n "$offenders" ]; then
     err "second source of kernel parameters (blocking lives in smp::TUNED, pool sizing in \
-smp::pool; no env knob, per-host table or tuner binary):
+smp::pool; no per-host table or tuner binary):
 $offenders"
 fi
 
@@ -473,6 +504,26 @@ sched/mod.rs generates those and p2p; a new operation comes with the registry wo
 that reaches it and extends rule 10's list):
 $offenders"
     fi
+fi
+
+# --- 11. The environment a program reads ---------------------------------
+name_re='(^|[^A-Za-z0-9_])(MP|HPCB)_[A-Z0-9_]*[A-Z0-9]'
+offenders=$(
+    scan "$name_re" | grep '^crates/[^/]*/src/' | while IFS= read -r line; do
+        for name in $(echo "$line" | grep -oE "$name_re" | sed 's/^[^A-Z]//'); do
+            case " $env_names " in
+                *" $name "*) ;;
+                *) echo "$line   <- $name" ;;
+            esac
+        done
+    done
+    scan 'env::var' | grep '^crates/[^/]*/src/' | grep -vE "^crates/($env_readers):" || true
+)
+if [ -n "$offenders" ]; then
+    err "an environment variable outside rule 11's list, or read outside its four files \
+(a fleet is asked for by its process count; a new variable joins rule 11's list in the \
+same change):
+$offenders"
 fi
 
 if [ "$fail" -ne 0 ]; then

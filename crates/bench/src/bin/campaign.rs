@@ -13,8 +13,7 @@
 //! cargo run -p bench --bin campaign -- --check-report FILE  # mpcheck report JSON path
 //! cargo run -p bench --bin campaign -- --high-rank N        # virtual slice at N coop ranks
 //! cargo run -p bench --bin campaign -- --workloads A,B      # registry-name filter
-//! cargo run -p bench --bin campaign -- --smoke --backend tcp --nprocs 2
-//!                                                           # native cells over process fleets
+//! cargo run -p bench --bin campaign -- --smoke --nprocs 2   # native cells over 2-process fleets
 //! ```
 //!
 //! Full mode replays the paper's simulated campaign over every machine
@@ -24,27 +23,28 @@
 //! path — native, simulated and virtual — on a small cross product so CI
 //! proves all three routes stay wired through the registry and Runner.
 //!
-//! # The multi-process backend
+//! # Process fleets
 //!
-//! With `--backend tcp` (loopback sockets on one host, as in CI), every
-//! native cell of the smoke cross product runs as a fleet of `--nprocs`
-//! worker processes:
-//! the driver re-execs *this binary* per cell through
+//! The process count is the switch. `--nprocs 1` (the default) runs every
+//! rank as a thread of this process. With `--nprocs N`, N >= 2 (tcp on
+//! loopback on one host, as in CI), every native cell of the smoke cross
+//! product runs as a fleet of up to N worker processes: the driver
+//! re-execs *this binary* per cell through
 //! [`mp::transport::launcher::Launcher`], which wires the world topology
-//! via the `MP_*` environment. A worker detects the `HPCB_CELL_*` cell
-//! description before argument parsing, installs the session, runs the
-//! one workload, and — when it hosts rank 0 — writes the canonical
-//! record lines for the driver to splice into the unified stream.
-//! Simulated and virtual records are deterministic model evaluation and
-//! always run in the driver. The record stream is line-for-line
-//! comparable with a `--backend local` run of the same plan (modulo
-//! timing statistics), which is exactly what the backend-parity test
-//! asserts.
+//! via the `MP_*` environment. A worker finds `HPCB_CELL_WORKLOAD` set
+//! before argument parsing, installs the session, runs the one workload
+//! at the session's world size, and — when it hosts rank 0 — writes the
+//! canonical record lines for the driver to splice into the unified
+//! stream. Simulated and virtual records are deterministic model
+//! evaluation and always run in the driver. The record stream is
+//! line-for-line comparable with the in-process run of the same plan
+//! (modulo timing statistics), which is exactly what the backend-parity
+//! test asserts.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use harness::{records_json_from_lines, Backend, Cell, Mode, ProcGrid, Record, RunPlan, Runner};
+use harness::{records_json_from_lines, Cell, Mode, ProcGrid, Record, RunPlan, Runner};
 use hpcbench::figures::FigureConfig;
 use hpcbench::output::{self, OutputConfig};
 use machines::systems;
@@ -53,23 +53,20 @@ use mpcheck::json::{self, Value};
 
 /// Cell-description environment (set by the driver's fleet launcher on
 /// top of the launcher's own `MP_*` session wiring): which workload a
-/// worker runs, at what scale, and where the rank-0 host writes records.
+/// worker runs, at what message size, and where the rank-0 host writes
+/// records. The world size is the session's; the runner is the smoke
+/// plan's.
 const CELL_WORKLOAD: &str = "HPCB_CELL_WORKLOAD";
-/// World size (rank count) of the cell; must equal `MP_WORLD_SIZE`.
-const CELL_PROCS: &str = "HPCB_CELL_PROCS";
 /// Message size in bytes, or `none` for unsized workloads.
 const CELL_BYTES: &str = "HPCB_CELL_BYTES";
-/// Repetition policy: `smoke`, `standard`, or a fixed iteration count.
-const CELL_RUNNER: &str = "HPCB_CELL_RUNNER";
 /// Path the rank-0-hosting worker writes the record JSON lines to.
 const CELL_OUT: &str = "HPCB_CELL_OUT";
 
 /// The smoke cross product: all three modes over a reduced grid. The
 /// same plan drives the in-process path and the fleet path, so the two
 /// record streams stay line-for-line comparable.
-fn smoke_plan(backend: Backend, workloads: Option<Vec<&'static str>>) -> RunPlan {
+fn smoke_plan(workloads: Option<Vec<&'static str>>) -> RunPlan {
     RunPlan {
-        backend,
         modes: vec![Mode::Native, Mode::Simulated, Mode::Virtual],
         machines: vec![systems::dell_xeon(), systems::nec_sx8()],
         procs: ProcGrid::List(vec![2, 4]),
@@ -84,7 +81,7 @@ fn smoke_records(
     workloads: Option<Vec<&'static str>>,
 ) -> (Vec<Record>, Option<mpcheck::Report>) {
     let reg = hpcbench::registry();
-    let plan = smoke_plan(Backend::Local, workloads);
+    let plan = smoke_plan(workloads);
     if check {
         let (records, report) = plan.execute_checked(&reg, mpcheck::Settings::default());
         (records, Some(report))
@@ -96,32 +93,20 @@ fn smoke_records(
 /// The multi-process smoke sweep: native cells delegated to per-cell
 /// worker fleets, simulated and virtual records produced in-process,
 /// interleaved in the plan's deterministic order.
-fn smoke_lines_multiproc(
-    backend: Backend,
-    nprocs: usize,
-    workloads: Option<Vec<&'static str>>,
-) -> Vec<String> {
+fn smoke_lines_multiproc(nprocs: usize, workloads: Option<Vec<&'static str>>) -> Vec<String> {
     let reg = hpcbench::registry();
-    let plan = smoke_plan(backend, workloads);
+    let plan = smoke_plan(workloads);
     let exe = std::env::current_exe().expect("campaign executable path");
     let scratch = std::env::temp_dir().join(format!("campaign-cells-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create cell scratch directory");
-    let lines = plan.execute_lines(&reg, |cell| {
-        run_cell_fleet(backend, nprocs, &exe, &scratch, cell)
-    });
+    let lines = plan.execute_lines(&reg, |cell| run_cell_fleet(nprocs, &exe, &scratch, cell));
     let _ = std::fs::remove_dir_all(&scratch);
     lines
 }
 
 /// Launches one native cell as a worker fleet and returns the canonical
 /// record lines its rank-0 host emitted.
-fn run_cell_fleet(
-    backend: Backend,
-    nprocs: usize,
-    exe: &std::path::Path,
-    scratch: &std::path::Path,
-    cell: &Cell,
-) -> Vec<String> {
+fn run_cell_fleet(nprocs: usize, exe: &Path, scratch: &Path, cell: &Cell) -> Vec<String> {
     let bytes_tag = cell
         .bytes
         .map_or_else(|| "none".to_string(), |b| b.to_string());
@@ -129,17 +114,16 @@ fn run_cell_fleet(
         "{}-p{}-b{}.jsonl",
         cell.workload, cell.procs, bytes_tag
     ));
-    // A fleet never has more processes than ranks.
-    let np = nprocs.clamp(1, cell.procs);
+    // A fleet never has more processes than ranks (the smoke grid's
+    // smallest world is two ranks).
+    let np = nprocs.min(cell.procs);
     println!(
-        "  [{backend}] {} procs={} bytes={bytes_tag} over {np} worker process(es)",
+        "  {} procs={} bytes={bytes_tag} over {np} worker processes",
         cell.workload, cell.procs
     );
-    Launcher::new(backend, cell.procs, np, exe)
+    Launcher::new(cell.procs, np, exe)
         .env(CELL_WORKLOAD, cell.workload)
-        .env(CELL_PROCS, cell.procs.to_string())
         .env(CELL_BYTES, bytes_tag)
-        .env(CELL_RUNNER, "smoke")
         .env(CELL_OUT, out_path.display().to_string())
         .timeout(Duration::from_secs(600))
         .run();
@@ -153,38 +137,34 @@ fn run_cell_fleet(
     body.lines().map(str::to_string).collect()
 }
 
-/// Worker-process entry: runs the one native cell described by the
-/// `HPCB_CELL_*` environment inside the `MP_*` session the launcher
-/// wired, then writes the record lines if this process hosts rank 0
-/// (whose records are the canonical stream — every rank's records agree
-/// on everything but timing, because the statistics are allreduced).
+/// Worker-process entry: runs the one native cell the cell environment
+/// describes, at the world size of the `MP_*` session the launcher wired
+/// and with the smoke plan's runner, then writes the record lines if this
+/// process hosts rank 0 (whose records are the canonical stream — every
+/// rank's records agree on everything but timing, because the statistics
+/// are allreduced).
 fn run_cell_worker() {
     let proc = mp::transport::init_from_env()
         .expect("cell workers are launched with an MP_* session environment");
     let var =
         |key: &str| std::env::var(key).unwrap_or_else(|_| panic!("cell worker: {key} must be set"));
     let name = var(CELL_WORKLOAD);
-    let procs: usize = var(CELL_PROCS).parse().expect("cell world size");
-    assert_eq!(
-        procs,
-        proc.world(),
-        "cell world size must match the session's"
-    );
     let bytes = match var(CELL_BYTES).as_str() {
         "none" => None,
         v => Some(v.parse::<u64>().expect("cell bytes")),
-    };
-    let runner = match var(CELL_RUNNER).as_str() {
-        "smoke" => Runner::smoke(),
-        "standard" => Runner::standard(),
-        v => Runner::fixed(v.parse().expect("cell runner: smoke | standard | <iters>")),
     };
     let reg = hpcbench::registry();
     let workload = reg
         .get(&name)
         .unwrap_or_else(|| panic!("unknown workload {name:?}"));
     let records = workload
-        .run(Mode::Native, &runner, None, procs, bytes)
+        .run(
+            Mode::Native,
+            &smoke_plan(None).runner,
+            None,
+            proc.world(),
+            bytes,
+        )
         .expect("the driver only ships admissible native cells");
     if proc.resident(0) {
         let out = var(CELL_OUT);
@@ -204,7 +184,6 @@ fn paper_records(
 ) -> (Vec<Record>, Option<mpcheck::Report>) {
     let reg = hpcbench::registry();
     let plan = RunPlan {
-        backend: Backend::Local,
         modes: vec![Mode::Simulated],
         machines: systems::all_variants(),
         procs: ProcGrid::per_workload(move |m, _| {
@@ -234,7 +213,7 @@ fn paper_records(
     }
 }
 
-/// The campaign verdict, coded once for every backend: the identity
+/// The campaign verdict, coded once for every process count: the identity
 /// (`benchmark/mode/machine/procs/bytes`) of each record that did not
 /// pass. `lines` are canonical [`Record::to_json`] objects — the form
 /// worker fleets hand their native records back in — and a line that
@@ -311,8 +290,7 @@ fn main() {
     let mut with_figures = true;
     let mut with_extensions = true;
     let mut max_procs = 2048usize;
-    let mut backend = Backend::Local;
-    let mut nprocs = 2usize;
+    let mut nprocs = 1usize;
     let mut workload_filter: Option<Vec<String>> = None;
     // Smoke runs a 16384-rank virtual slice by default; `--high-rank N`
     // raises it (65536+ for the scaling acceptance run) or adds the
@@ -348,13 +326,6 @@ fn main() {
                         .expect("--high-rank needs a rank count (0 disables the slice)"),
                 );
             }
-            "--backend" => {
-                backend = args
-                    .next()
-                    .expect("--backend needs local or tcp")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("--backend: {e}"));
-            }
             "--nprocs" => {
                 nprocs = args
                     .next()
@@ -370,7 +341,7 @@ fn main() {
                 eprintln!(
                     "unknown argument: {other}\n\
                      usage: campaign [--smoke] [--check] [--no-figures] [--no-extensions] \
-                     [--max-procs N] [--high-rank N] [--backend local|tcp] [--nprocs N] \
+                     [--max-procs N] [--high-rank N] [--nprocs N] \
                      [--workloads A,B] [--out DIR] [--records FILE] [--check-report FILE]"
                 );
                 std::process::exit(2);
@@ -394,20 +365,23 @@ fn main() {
             .collect()
     });
 
-    if backend != Backend::Local {
+    if nprocs > 1 {
         if !smoke {
-            eprintln!("--backend {backend} drives the smoke cross product; add --smoke");
+            eprintln!("--nprocs {nprocs} drives the smoke cross product; add --smoke");
             std::process::exit(2);
         }
         if check {
-            eprintln!("--check instruments in-process native runs; it does not compose with --backend {backend}");
+            eprintln!(
+                "--check instruments in-process native runs; it does not compose with \
+                 --nprocs {nprocs}"
+            );
             std::process::exit(2);
         }
         println!(
-            "campaign --smoke --backend {backend}: native cells over {nprocs}-process fleets, \
+            "campaign --smoke --nprocs {nprocs}: native cells over {nprocs}-process fleets, \
              simulated + virtual in-process"
         );
-        let mut lines = smoke_lines_multiproc(backend, nprocs, workloads);
+        let mut lines = smoke_lines_multiproc(nprocs, workloads);
         let high_rank = high_rank.unwrap_or(16_384);
         if high_rank > 0 {
             println!("high-rank slice: virtual IMB at {high_rank} cooperative ranks");

@@ -1,5 +1,6 @@
-//! Backend parity: a campaign over a multi-process transport must emit
-//! the *same record stream* as the in-process local backend — same
+//! Backend parity: a campaign whose native cells run over process fleets
+//! (`--nprocs N`, tcp on loopback) must emit the *same record stream* as
+//! the default in-process run — same
 //! benchmarks, modes, machines, proc counts, sizes, repetition counts
 //! and verification verdicts, in the same order. Only the timing
 //! numbers (`value`, `t_min/avg/max_us`) may differ, because those are
@@ -15,7 +16,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// All 19 registry workloads (7 HPCC + 12 IMB), the coverage floor for
-/// the local-vs-tcp sweep.
+/// the in-process vs fleet sweep.
 const ALL_WORKLOADS: [&str; 19] = [
     "G-HPL",
     "G-PTRANS",
@@ -46,8 +47,8 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Runs the campaign binary with `args` (plus scratch `--out`/`--records`
-/// wiring and `--high-rank 0`, which is identical on every backend and
-/// only slows the comparison down) and returns the raw record lines.
+/// wiring and `--high-rank 0`, which is identical at every process count
+/// and only slows the comparison down) and returns the raw record lines.
 fn campaign(dir: &Path, args: &[&str]) -> Vec<String> {
     let records = dir.join("records.json");
     let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
@@ -87,7 +88,7 @@ fn blank(line: &str, from: &str, upto: &str) -> String {
 }
 
 /// A record line with the measured timings blanked: everything that
-/// must agree across backends — identity, mode, machine, procs,
+/// must agree across process counts — identity, mode, machine, procs,
 /// threads, bytes, metric, unit, repetitions, passed — survives.
 fn normalize(line: &str) -> String {
     let line = blank(line, "\"value\": ", ", \"unit\"");
@@ -99,20 +100,20 @@ fn normalized(lines: &[String]) -> Vec<String> {
 }
 
 /// The acceptance sweep: every registry workload over the full smoke
-/// cross product, local in-process versus two tcp worker processes on
-/// loopback. Identity with the local stream implies the multiset
+/// cross product, the default in-process run versus two worker processes
+/// on loopback. Identity with the in-process stream implies the multiset
 /// cross-validation passed on every rank (`passed` is allreduced into
 /// every record).
 #[test]
 fn local_and_tcp_smoke_streams_are_identical_modulo_timing() {
     let dir = scratch("tcp");
-    let local = campaign(&dir, &["--smoke", "--backend", "local"]);
-    let tcp = campaign(&dir, &["--smoke", "--backend", "tcp", "--nprocs", "2"]);
+    let local = campaign(&dir, &["--smoke"]);
+    let tcp = campaign(&dir, &["--smoke", "--nprocs", "2"]);
     assert!(!local.is_empty(), "local stream must not be empty");
     assert_eq!(
         normalized(&local),
         normalized(&tcp),
-        "record streams diverge between local and tcp"
+        "record streams diverge between in-process and 2-process fleets"
     );
     // Every workload contributed at least one *native* (measured,
     // cross-process) record, and every record verified.
@@ -138,9 +139,9 @@ fn local_and_tcp_smoke_streams_are_identical_modulo_timing() {
 fn tcp_four_process_fleets_preserve_parity() {
     let dir = scratch("tcp4");
     let slice = ["--workloads", "Allreduce,Alltoall,G-PTRANS"];
-    let mut local_args = vec!["--smoke", "--backend", "local"];
+    let mut local_args = vec!["--smoke"];
     local_args.extend_from_slice(&slice);
-    let mut tcp_args = vec!["--smoke", "--backend", "tcp", "--nprocs", "4"];
+    let mut tcp_args = vec!["--smoke", "--nprocs", "4"];
     tcp_args.extend_from_slice(&slice);
     let local = campaign(&dir, &local_args);
     let tcp = campaign(&dir, &tcp_args);

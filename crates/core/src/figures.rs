@@ -570,7 +570,6 @@ pub fn fig_highrank_collectives(cfg: &FigureConfig) -> Figure {
         .iter()
         .map(|&name| {
             let plan = RunPlan {
-                backend: harness::Backend::Local,
                 modes: vec![Mode::Virtual],
                 machines: vec![machine.clone()],
                 procs: ProcGrid::List(grid.clone()),
@@ -611,7 +610,6 @@ pub fn fig_highrank_hpcc(cfg: &FigureConfig) -> Figure {
     let machine = systems::exascale_cluster();
     let grid = highrank_grid(cfg);
     let plan = RunPlan {
-        backend: harness::Backend::Local,
         modes: vec![Mode::Simulated],
         machines: vec![machine.clone()],
         procs: ProcGrid::List(grid),

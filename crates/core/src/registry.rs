@@ -113,7 +113,6 @@ mod tests {
         let reg = registry();
         let m = machines::systems::nec_sx8();
         let plan = RunPlan {
-            backend: harness::Backend::Local,
             modes: vec![Mode::Simulated],
             machines: vec![m.clone()],
             procs: ProcGrid::List(vec![64]),

@@ -27,7 +27,6 @@ mod runner;
 pub mod timer;
 mod workload;
 
-pub use mp::Backend;
 pub use plan::{Cell, GridFn, ProcGrid, RunPlan};
 pub use record::{records_json, records_json_from_lines, MetricKind, Mode, Record, Stats, Suite};
 pub use runner::{RepetitionPolicy, Runner};

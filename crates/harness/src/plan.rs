@@ -4,7 +4,6 @@
 //! One plan regenerates the inputs for every paper table and figure.
 
 use machines::Machine;
-use mp::Backend;
 
 use crate::record::{Mode, Record};
 use crate::runner::Runner;
@@ -60,10 +59,10 @@ impl ProcGrid {
     }
 }
 
-/// One native-mode grid cell of a plan: the unit of work a
-/// multi-process backend ships to a worker fleet. Simulated and virtual
-/// execution are deterministic model evaluation and always run
-/// in-process, so only native cells are enumerated.
+/// One native-mode grid cell of a plan: the unit of work a driver ships
+/// to a worker fleet. Simulated and virtual execution are deterministic
+/// model evaluation and always run in-process, so only native cells are
+/// enumerated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cell {
     /// The workload's registry name.
@@ -77,13 +76,6 @@ pub struct Cell {
 /// A full campaign description: which workloads to run, in which modes,
 /// on which machines, at which scales.
 pub struct RunPlan {
-    /// The transport backend native measurements run over. `Local` is
-    /// the seed path ([`RunPlan::execute`] runs every rank as a thread
-    /// of this process); `Tcp` marks the plan's native cells as
-    /// destined for a worker fleet, which a driver launches per cell
-    /// through [`RunPlan::execute_lines`] (the harness cannot spawn the
-    /// fleet itself — only the driver binary knows its own executable).
-    pub backend: Backend,
     /// Execution modes, in order.
     pub modes: Vec<Mode>,
     /// Machine models for the simulated and virtual modes (ignored by
@@ -108,7 +100,6 @@ impl RunPlan {
     /// per-rank state O(bytes), so even 100k-rank worlds fit on one host.
     pub fn high_rank(procs: usize) -> RunPlan {
         RunPlan {
-            backend: Backend::Local,
             modes: vec![Mode::Virtual],
             machines: vec![machines::systems::exascale_cluster()],
             procs: ProcGrid::List(vec![procs]),
@@ -119,19 +110,12 @@ impl RunPlan {
     }
 
     /// Executes the plan, returning every record it produced, in
-    /// deterministic (workload, mode, machine, procs, bytes) order.
-    ///
-    /// Requires [`Backend::Local`]: native measurements run in-process,
-    /// every rank a thread. Multi-process plans go through
-    /// [`RunPlan::execute_lines`] with a fleet runner instead.
+    /// deterministic (workload, mode, machine, procs, bytes) order. Native
+    /// measurements run in-process, every rank a thread; a driver that
+    /// runs them over worker fleets goes through [`RunPlan::execute_lines`]
+    /// (the harness cannot spawn a fleet itself — only the driver binary
+    /// knows its own executable).
     pub fn execute(&self, registry: &Registry) -> Vec<Record> {
-        assert_eq!(
-            self.backend,
-            Backend::Local,
-            "execute() runs native cells in-process; drive a {} plan \
-             through execute_lines() with a per-cell fleet runner",
-            self.backend
-        );
         let mut out = Vec::new();
         self.walk(registry, &mut |workload, mode, machine, p, bytes| {
             if let Some(recs) = workload.run(mode, &self.runner, machine, p, bytes) {
@@ -180,12 +164,12 @@ impl RunPlan {
 
     /// Executes the plan as a JSON-line stream, delegating every native
     /// cell to `native` (which returns the cell's record lines — for a
-    /// multi-process backend, the canonical lines emitted by the worker
-    /// hosting rank 0). Simulated and virtual records are produced
-    /// in-process, exactly as [`RunPlan::execute`] would, and serialised
+    /// fleet, the canonical lines emitted by the worker hosting rank 0).
+    /// Simulated and virtual records are produced in-process, exactly as
+    /// [`RunPlan::execute`] would, and serialised
     /// with [`Record::to_json`]; the interleaving matches `execute`'s
-    /// record order line for line, which is what the local-vs-tcp parity
-    /// check rests on.
+    /// record order line for line, which is what the in-process vs fleet
+    /// parity check rests on.
     pub fn execute_lines(
         &self,
         registry: &Registry,
@@ -290,7 +274,6 @@ mod tests {
     #[test]
     fn plan_crosses_workloads_modes_procs_and_bytes() {
         let plan = RunPlan {
-            backend: Backend::Local,
             modes: vec![Mode::Native, Mode::Simulated],
             machines: vec![machines::systems::dell_xeon()],
             procs: ProcGrid::List(vec![2, 4]),
@@ -314,7 +297,6 @@ mod tests {
         let mut x1 = machines::systems::cray_x1_msp();
         x1.max_cpus = 2;
         let plan = RunPlan {
-            backend: Backend::Local,
             modes: vec![Mode::Simulated],
             machines: vec![x1],
             procs: ProcGrid::List(vec![2, 64]),
@@ -334,7 +316,6 @@ mod tests {
     #[test]
     fn pow2_grid_climbs_from_min_procs_to_the_cap() {
         let plan = RunPlan {
-            backend: Backend::Local,
             modes: vec![Mode::Simulated],
             machines: vec![machines::systems::dell_xeon()],
             procs: ProcGrid::Pow2Through(16),
@@ -351,7 +332,6 @@ mod tests {
         let mut small = machines::systems::dell_xeon();
         small.max_cpus = 4;
         let capped = RunPlan {
-            backend: Backend::Local,
             modes: vec![Mode::Simulated],
             machines: vec![small],
             procs: ProcGrid::Pow2Through(1 << 20),
@@ -393,7 +373,6 @@ mod tests {
             }),
         );
         let plan = RunPlan {
-            backend: Backend::Local,
             modes: vec![Mode::Native],
             machines: vec![],
             procs: ProcGrid::List(vec![2]),
@@ -410,8 +389,7 @@ mod tests {
 
     #[test]
     fn execute_lines_matches_execute_order_exactly() {
-        let mk = |backend| RunPlan {
-            backend,
+        let plan = RunPlan {
             modes: vec![Mode::Native, Mode::Simulated],
             machines: vec![machines::systems::dell_xeon()],
             // "sized" does not admit p = 1 (min_procs 2): that cell must
@@ -422,7 +400,7 @@ mod tests {
             runner: Runner::smoke(),
         };
         let registry = reg();
-        let direct: Vec<String> = mk(Backend::Local)
+        let direct: Vec<String> = plan
             .execute(&registry)
             .iter()
             .map(Record::to_json)
@@ -430,7 +408,6 @@ mod tests {
         // The delegated stream, with the "fleet" running cells through
         // the very same registry in-process, must interleave native and
         // simulated lines identically.
-        let plan = mk(Backend::Tcp);
         let runner = plan.runner;
         let delegated = plan.execute_lines(&registry, |cell| {
             let w = registry.get(cell.workload).expect("cell names an entry");
@@ -444,24 +421,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "execute_lines")]
-    fn execute_rejects_multiprocess_backends() {
-        let plan = RunPlan {
-            backend: Backend::Tcp,
-            modes: vec![Mode::Simulated],
-            machines: vec![machines::systems::dell_xeon()],
-            procs: ProcGrid::List(vec![2]),
-            bytes: vec![64],
-            workloads: None,
-            runner: Runner::smoke(),
-        };
-        plan.execute(&reg());
-    }
-
-    #[test]
     fn per_workload_grids_see_the_machine() {
         let plan = RunPlan {
-            backend: Backend::Local,
             modes: vec![Mode::Simulated],
             machines: vec![machines::systems::dell_xeon()],
             procs: ProcGrid::per_workload(|m, _| {

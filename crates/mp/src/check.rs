@@ -5,8 +5,8 @@
 //! see [`ScopedCheck`]), the runtime attaches an [`Inspector`] to the
 //! world:
 //!
-//! - every blocking point (mailbox receives, rendezvous posts — and
-//!   through them every collective phase) registers a *wait edge* in a
+//! - every blocking point (a mailbox receive — and through it every
+//!   collective phase) registers a *wait edge* in a
 //!   shared per-rank registry before parking, so a detector thread can
 //!   run wait-for-graph cycle detection while the program is live and
 //!   convert a silent hang into a [`Deadlock`] diagnosis naming the
@@ -109,36 +109,25 @@ pub enum Event {
     },
 }
 
-/// What a blocked rank is waiting on.
+/// The receive a blocked rank is waiting in: `(source, comm, tag)`,
+/// wildcards as `None`. A receive is the one thing a rank blocks on that a
+/// peer can release (a passive-target window lock waits on a mutex, not on
+/// a peer's progress).
 #[derive(Clone, Debug)]
-pub enum WaitOn {
-    /// Blocked in a receive: `(source, comm, tag)`, wildcards as `None`.
-    Recv {
-        /// Communicator id the receive is posted on.
-        comm: u32,
-        /// Expected source world rank (`None` = any source).
-        src: Option<usize>,
-        /// Expected tag (`None` = any tag).
-        tag: Option<u32>,
-    },
-    /// Blocked in a collective-object rendezvous (RMA window creation)
-    /// waiting for the keyed object to be published.
-    Rendezvous {
-        /// Rendezvous key (packed communicator id + sequence).
-        key: u64,
-    },
+pub struct WaitOn {
+    /// Communicator id the receive is posted on.
+    pub comm: u32,
+    /// Expected source world rank (`None` = any source).
+    pub src: Option<usize>,
+    /// Expected tag (`None` = any tag).
+    pub tag: Option<u32>,
 }
 
 impl std::fmt::Display for WaitOn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WaitOn::Recv { comm, src, tag } => {
-                let src = src.map_or("any".into(), |s| s.to_string());
-                let tag = tag.map_or("any".into(), |t| format!("{t:#x}"));
-                write!(f, "receive (src {src}, comm {comm:#x}, tag {tag})")
-            }
-            WaitOn::Rendezvous { key } => write!(f, "rendezvous (key {key:#x})"),
-        }
+        let src = self.src.map_or("any".into(), |s| s.to_string());
+        let tag = self.tag.map_or("any".into(), |t| format!("{t:#x}"));
+        write!(f, "receive (src {src}, comm {:#x}, tag {tag})", self.comm)
     }
 }
 
@@ -329,9 +318,9 @@ impl<R> Checked<R> {
 
 struct Wait {
     on: WaitOn,
-    /// Ticket id of the posted receive a blocked receive waits on; the
-    /// detector probes it to rule out a wake already in flight.
-    ticket: Option<u64>,
+    /// Ticket id of the posted receive the rank waits on; the detector
+    /// probes it to rule out a wake already in flight.
+    ticket: u64,
 }
 
 #[derive(Default)]
@@ -409,7 +398,7 @@ impl Inspector {
         self.events[rank].lock().push(event);
     }
 
-    pub(crate) fn begin_wait(&self, rank: usize, on: WaitOn, ticket: Option<u64>) {
+    pub(crate) fn begin_wait(&self, rank: usize, on: WaitOn, ticket: u64) {
         let mut st = self.ranks[rank].lock();
         st.waiting = Some(Wait { on, ticket });
         drop(st);
@@ -532,9 +521,7 @@ impl Deadlock {
         inventory.sort_by_key(|l| (l.dst, l.src));
         let mut succ: Vec<Option<usize>> = vec![None; world_size];
         for w in &waits {
-            if let WaitOn::Recv { src: Some(s), .. } = w.on {
-                succ[w.rank] = Some(s);
-            }
+            succ[w.rank] = w.on.src;
         }
         Deadlock {
             cycle: find_cycle(&succ),
@@ -560,16 +547,15 @@ pub(crate) fn diagnose(world: &World, insp: &Inspector) -> Option<Arc<Deadlock>>
 /// [`diagnose`], a process's residents for the cross-process detector
 /// (which sends the raw edges to process 0, where the cycle is found once
 /// every process's are in). Returns `None` when some listed rank is
-/// runnable or has a wake already in flight (filled hand-off slot,
-/// published rendezvous object); an empty vector when every listed rank
-/// has finished.
+/// runnable or has a wake already in flight (a filled hand-off slot); an
+/// empty vector when every listed rank has finished.
 pub(crate) fn snapshot_ranks(
     world: &World,
     insp: &Inspector,
     ranks: &[usize],
 ) -> Option<Vec<WaitSnapshot>> {
     let mut waits: Vec<WaitSnapshot> = Vec::new();
-    let mut tickets: Vec<Option<u64>> = Vec::new();
+    let mut tickets: Vec<u64> = Vec::new();
     for &rank in ranks {
         let st = insp.ranks[rank].lock();
         if st.finished {
@@ -587,17 +573,9 @@ pub(crate) fn snapshot_ranks(
             }
         }
     }
-    for (w, ticket) in waits.iter().zip(&tickets) {
-        if let Some(id) = *ticket {
-            if world.mailboxes[w.rank].ticket_filled(id) {
-                return None;
-            }
-        }
-        if let WaitOn::Rendezvous { key } = &w.on {
-            if world.rendezvous.lock().contains_key(key) {
-                return None;
-            }
-        }
+    let mut woken = waits.iter().zip(&tickets);
+    if woken.any(|(w, &id)| world.mailboxes[w.rank].ticket_filled(id)) {
+        return None;
     }
     Some(waits)
 }

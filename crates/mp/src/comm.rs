@@ -17,9 +17,8 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::check::{CollSite, Event, Inspector, WaitOn};
+use crate::check::{CollSite, Event, Inspector};
 use crate::coll::LONG_MSG_THRESHOLD;
 use crate::datatype::{is_ghost, Word};
 use crate::mailbox::PostedHandle;
@@ -541,10 +540,13 @@ impl Comm {
         }
     }
 
-    /// Collective rendezvous on a shared object: the communicator's rank
-    /// 0 constructs it, every member receives the same `Arc`. All members
-    /// must call this in the same collective order (the internal sequence
-    /// number is the key). Used by RMA window creation.
+    /// Collective rendezvous on a shared object: every member receives
+    /// the same `Arc`. All members must call this in the same collective
+    /// order (the internal sequence number is the key). Get-or-create
+    /// under the world's map lock: the first member to arrive calls `make`
+    /// and leaves the object for the others, and the last to fetch it
+    /// removes the entry — no member ever waits here. Used by RMA window
+    /// creation, whose size allgather has every member on its way already.
     pub(crate) fn rendezvous_storage<T: Send + Sync + 'static>(
         &self,
         make: impl FnOnce() -> std::sync::Arc<T>,
@@ -566,59 +568,24 @@ impl Comm {
         }
         let seq = self.next_coll_tag();
         let key = (u64::from(self.id) << 32) | u64::from(seq & 0x7FFF_FFFF);
-        let n = self.size();
-        if self.rank == 0 {
+        let mut map = self.world.rendezvous.lock();
+        let Some(entry) = map.get_mut(&key) else {
             let arc = make();
-            if n > 1 {
-                let mut map = self.world.rendezvous.lock();
-                map.insert(key, (arc.clone(), n - 1));
-                self.world.rendezvous_cv.notify_all();
+            if self.size() > 1 {
+                map.insert(key, (arc.clone(), self.size() - 1));
             }
-            arc
-        } else {
-            let grank = self.group[self.rank];
-            let insp = self.world.inspector.clone();
-            let mut map = self.world.rendezvous.lock();
-            let mut registered = false;
-            loop {
-                if let Some(entry) = map.get_mut(&key) {
-                    let arc = entry
-                        .0
-                        .clone()
-                        .downcast::<T>()
-                        .expect("rendezvous type mismatch");
-                    entry.1 -= 1;
-                    if entry.1 == 0 {
-                        map.remove(&key);
-                    }
-                    drop(map);
-                    if registered {
-                        if let Some(insp) = &insp {
-                            insp.end_wait(grank);
-                        }
-                    }
-                    return arc;
-                }
-                match &insp {
-                    None => self.world.rendezvous_cv.wait(&mut map),
-                    Some(insp) => {
-                        // Instrumented: publish the wait edge, park in
-                        // short slices and honour a detector poison.
-                        if !registered {
-                            insp.begin_wait(grank, WaitOn::Rendezvous { key }, None);
-                            registered = true;
-                        }
-                        if let Some(diagnosis) = insp.poisoned() {
-                            drop(map);
-                            panic!("{}{diagnosis}", crate::check::POISON_MARK);
-                        }
-                        self.world
-                            .rendezvous_cv
-                            .wait_for(&mut map, Duration::from_millis(25));
-                    }
-                }
-            }
+            return arc;
+        };
+        let arc = entry
+            .0
+            .clone()
+            .downcast::<T>()
+            .expect("rendezvous type mismatch");
+        entry.1 -= 1;
+        if entry.1 == 0 {
+            map.remove(&key);
         }
+        arc
     }
 }
 

@@ -64,5 +64,5 @@ pub use msg::{Tag, MAX_USER_TAG};
 pub use reduce::{Numeric, Op};
 pub use rma::Window;
 pub use runtime::{receives_spin, run, run_traced, waiting_regime};
-pub use transport::{Backend, Proc};
+pub use transport::Proc;
 pub use virt::VirtualNet;

@@ -637,15 +637,12 @@ impl Mailbox {
             "mp: synchronous receive inside a cooperative task; use the async receive API"
         );
         if let Some(insp) = &self.inspector {
-            insp.begin_wait(
-                self.rank,
-                WaitOn::Recv {
-                    comm: filter.comm_id,
-                    src: filter.src,
-                    tag: filter.tag,
-                },
-                Some(ticket.id),
-            );
+            let on = WaitOn {
+                comm: filter.comm_id,
+                src: filter.src,
+                tag: filter.tag,
+            };
+            insp.begin_wait(self.rank, on, ticket.id);
         }
         let mut spin = !self.spin_budget.is_zero();
         let mut timeout = None;
@@ -861,15 +858,12 @@ impl Future for TicketWait<'_> {
             }
             if !this.registered_wait {
                 let ticket = this.ticket.as_ref().expect("polled after completion");
-                insp.begin_wait(
-                    this.mailbox.rank,
-                    WaitOn::Recv {
-                        comm: this.filter.comm_id,
-                        src: this.filter.src,
-                        tag: this.filter.tag,
-                    },
-                    Some(ticket.id),
-                );
+                let on = WaitOn {
+                    comm: this.filter.comm_id,
+                    src: this.filter.src,
+                    tag: this.filter.tag,
+                };
+                insp.begin_wait(this.mailbox.rank, on, ticket.id);
                 this.registered_wait = true;
             }
         }

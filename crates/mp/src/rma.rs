@@ -23,8 +23,9 @@ use crate::msg::Tag;
 use crate::payload::Payload;
 use crate::reduce::{Numeric, Op};
 
-/// Exposed memory regions, one per rank, shared across the SPMD world the
-/// way registered RDMA buffers are.
+/// Exposed memory regions, one per communicator rank (indexed by the rank
+/// in the window's communicator, not the world), shared the way registered
+/// RDMA buffers are.
 struct WindowStorage {
     regions: Vec<RwLock<Vec<u8>>>,
     /// Passive-target exclusive locks (MPI_Win_lock semantics).
@@ -61,9 +62,9 @@ impl<'c> Window<'c> {
         let n = comm.size();
         let bytes = local_words * T::SIZE;
 
-        // RDMA registration equivalent: rank 0 allocates the exposed
-        // regions, every member receives the same Arc through the
-        // runtime's collective rendezvous.
+        // RDMA registration equivalent: the first member to arrive
+        // allocates the exposed regions, every member receives the same
+        // Arc through the runtime's collective rendezvous.
         let storage = WindowExchange::establish(comm, n, bytes);
         let post_tag = comm.next_coll_tag();
         let complete_tag = comm.next_coll_tag();
@@ -96,8 +97,7 @@ impl<'c> Window<'c> {
     /// `offset_words`. The target is not involved.
     pub fn put<T: Word>(&self, data: &[T], target: usize, offset_words: usize) {
         self.check::<T>(target, offset_words, data.len());
-        let g = self.comm.global_rank(target);
-        let mut region = self.storage.regions[g].write();
+        let mut region = self.storage.regions[target].write();
         let off = offset_words * T::SIZE;
         encode_into(data, &mut region[off..off + data.len() * T::SIZE]);
     }
@@ -106,8 +106,7 @@ impl<'c> Window<'c> {
     /// into `out`.
     pub fn get<T: Word>(&self, out: &mut [T], target: usize, offset_words: usize) {
         self.check::<T>(target, offset_words, out.len());
-        let g = self.comm.global_rank(target);
-        let region = self.storage.regions[g].read();
+        let region = self.storage.regions[target].read();
         let off = offset_words * T::SIZE;
         decode_into(&region[off..off + out.len() * T::SIZE], out);
     }
@@ -117,8 +116,7 @@ impl<'c> Window<'c> {
     /// whole update atomic with respect to other accumulates.
     pub fn accumulate<T: Numeric>(&self, data: &[T], target: usize, offset_words: usize, op: Op) {
         self.check::<T>(target, offset_words, data.len());
-        let g = self.comm.global_rank(target);
-        let mut region = self.storage.regions[g].write();
+        let mut region = self.storage.regions[target].write();
         let off = offset_words * T::SIZE;
         let mut current = vec![T::zero(); data.len()];
         decode_into(&region[off..off + data.len() * T::SIZE], &mut current);
@@ -194,9 +192,8 @@ impl<'c> Window<'c> {
     /// The guard releases the lock on drop; [`unlock`](WindowGuard) is
     /// explicit via scope end.
     pub fn lock(&self, target: usize) -> WindowGuard<'_> {
-        let g = self.comm.global_rank(target);
         // parking_lot MutexGuard is !Send but we hold it on this thread only.
-        let guard = self.storage.locks[g].lock();
+        let guard = self.storage.locks[target].lock();
         WindowGuard { _guard: guard }
     }
 }
@@ -206,9 +203,9 @@ pub struct WindowGuard<'w> {
     _guard: parking_lot::MutexGuard<'w, ()>,
 }
 
-/// Establishes the shared storage Arc across the world: rank 0 of the
-/// communicator allocates, every rank deposits/collects through a world
-/// rendezvous keyed by the collective sequence.
+/// Establishes the shared storage Arc across the world: the first member
+/// of the communicator to arrive allocates, every rank collects through a
+/// world rendezvous keyed by the collective sequence.
 struct WindowExchange;
 
 impl WindowExchange {
@@ -220,8 +217,8 @@ impl WindowExchange {
             sizes.iter().all(|&s| s == bytes as u64),
             "all ranks must expose equally sized windows"
         );
-        // Rank 0 allocates and publishes through the runtime's shared
-        // rendezvous slot; others pick it up.
+        // The first to arrive allocates into the runtime's shared
+        // rendezvous slot; the others pick it up without waiting.
         comm.rendezvous_storage(|| {
             Arc::new(WindowStorage {
                 regions: (0..n).map(|_| RwLock::new(vec![0u8; bytes])).collect(),
@@ -362,5 +359,43 @@ mod tests {
             win.get(&mut v, 0, 0);
             assert_eq!(v[0], sub.size() as u64);
         });
+    }
+
+    /// Window creation never waits: under the stall detector, 64 windows
+    /// in a row on the world and on a split communicator each hand every
+    /// member the one storage, and the run ends with no deadlock and no
+    /// leftover message. Every member puts into every member's region, so
+    /// the split's targets are addressed by communicator rank (its ranks
+    /// {1, 3} have no world-rank region in a two-region window).
+    #[test]
+    fn instrumented_window_creation_never_waits() {
+        use crate::check::{run_checked, Settings};
+        let n = 4;
+        let checked = run_checked(n, Settings::default(), |comm| {
+            let sub = comm.split((comm.rank() % 2) as u32, comm.rank() as i64);
+            for round in 0..64u64 {
+                for c in [comm, &sub] {
+                    let win = Window::create::<u64>(c, c.size());
+                    win.fence();
+                    for t in 0..c.size() {
+                        win.put(&[round * 10 + c.rank() as u64], t, c.rank());
+                    }
+                    win.fence();
+                    let mut got = vec![0u64; c.size()];
+                    win.get(&mut got, c.rank(), 0);
+                    let want: Vec<u64> = (0..c.size() as u64).map(|r| round * 10 + r).collect();
+                    assert_eq!(got, want);
+                    win.fence();
+                }
+            }
+        });
+        assert!(checked.log.deadlock.is_none());
+        assert!(checked.panics.is_empty(), "{:?}", checked.panics);
+        assert!(
+            checked.log.leftover.is_empty(),
+            "{:?}",
+            checked.log.leftover
+        );
+        assert_eq!(checked.results.map(|r| r.len()), Some(n));
     }
 }

@@ -9,7 +9,7 @@
 //! `sendrecv`-style exchange patterns trivially deadlock-free.
 //!
 //! Rank threads are spawned through [`std::thread::Builder`] with a
-//! bounded per-rank stack (`MP_RANK_STACK_BYTES`, default 2 MiB), and a
+//! bounded per-rank stack (`RANK_STACK_BYTES`, 2 MiB), and a
 //! failed spawn tears the world down with a clear "cannot spawn rank r of
 //! n" panic instead of aborting the process. Rank counts beyond what one
 //! host can thread, and every virtual world (sweeps at 16k–100k ranks),
@@ -32,10 +32,10 @@ use crate::mailbox::{Mailbox, SPIN_BUDGET};
 use crate::msg::Message;
 use crate::virt::{Clock, VirtualNet};
 
-/// Default per-rank thread stack: far below the 8 MiB thread default —
-/// rank bodies here are benchmark kernels, not deep recursions — so a
-/// native world of a few thousand ranks does not exhaust address space.
-const DEFAULT_RANK_STACK_BYTES: usize = 2 * 1024 * 1024;
+/// Per-rank thread stack: far below the 8 MiB thread default — rank
+/// bodies here are benchmark kernels, not deep recursions — so a native
+/// world of a few thousand ranks does not exhaust address space.
+const RANK_STACK_BYTES: usize = 2 * 1024 * 1024;
 
 #[cfg(test)]
 thread_local! {
@@ -45,19 +45,14 @@ thread_local! {
     static STACK_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
-/// Per-rank stack size for spawned rank threads, overridable via the
-/// `MP_RANK_STACK_BYTES` environment variable (read per run, not cached,
-/// for the same reason as `MP_DEADLOCK_TIMEOUT_SECS`). Unparsable values
-/// fall back to the default.
+/// Per-rank stack size for spawned rank threads: `RANK_STACK_BYTES`,
+/// unless a test asked for a spawn that fails.
 fn rank_stack_bytes() -> usize {
     #[cfg(test)]
     if let Some(s) = STACK_OVERRIDE.with(std::cell::Cell::get) {
         return s;
     }
-    std::env::var("MP_RANK_STACK_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_RANK_STACK_BYTES)
+    RANK_STACK_BYTES
 }
 
 /// Extracts the human-readable message from a caught panic payload.
@@ -113,10 +108,7 @@ impl StartGate {
 /// Panics with the uniform spawn-failure diagnostic (satellite bugfix:
 /// previously an unchecked `scope.spawn` aborted the whole process).
 fn spawn_failure(rank: usize, n: usize, stack: usize, err: &std::io::Error) -> ! {
-    panic!(
-        "mp: cannot spawn rank {rank} of {n}: {err} \
-         (per-rank stack {stack} bytes; tune MP_RANK_STACK_BYTES)"
-    );
+    panic!("mp: cannot spawn rank {rank} of {n}: {err} (per-rank stack {stack} bytes)");
 }
 
 /// Whether a blocked receive in a world of `ranks` ranks on this host
@@ -161,7 +153,6 @@ pub(crate) struct World {
     /// key -> (shared object, fetches remaining before cleanup).
     #[allow(clippy::type_complexity)]
     pub rendezvous: Mutex<HashMap<u64, (Arc<dyn Any + Send + Sync>, usize)>>,
-    pub rendezvous_cv: Condvar,
     /// Virtual-execution pricing model (None for native runs).
     pub virtual_net: Option<Box<dyn VirtualNet>>,
     /// Per-rank virtual clocks (empty for native runs).
@@ -210,7 +201,6 @@ impl World {
             world_group,
             trace: traced.then(|| Mutex::new(Vec::new())),
             rendezvous: Mutex::new(HashMap::new()),
-            rendezvous_cv: Condvar::new(),
             virtual_net: None,
             virtual_clocks: Vec::new(),
             virtual_priced: AtomicUsize::new(0),
@@ -356,8 +346,8 @@ impl World {
 /// Panics if any rank panics (the panic is propagated with its message).
 ///
 /// Under a multi-process session
-/// ([`transport::init_from_env`](crate::transport::init_from_env) found a
-/// backend), `n` must equal the launcher-fixed world size, the ranks
+/// ([`transport::init_from_env`](crate::transport::init_from_env) found
+/// `MP_NPROCS`), `n` must equal the launcher-fixed world size, the ranks
 /// resident in this process run here while the rest run in their own
 /// processes, and only the *resident* ranks' results come back (in
 /// ascending rank order) — every process of the world must make the same

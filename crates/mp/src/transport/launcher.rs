@@ -5,9 +5,8 @@
 //! session directory (on `/dev/shm` when the host has one, so address
 //! files and worker logs are memory-backed), then spawns `nprocs`
 //! copies of a worker program, giving process `i` the standard variable
-//! set — `MP_BACKEND`, `MP_WORLD_SIZE`, `MP_NPROCS`, `MP_PROC=i`,
-//! `MP_WORLD_DIR`, and `MP_RANK_PROCS` when the default block mapping is
-//! overridden. A worker calls
+//! set — `MP_WORLD_SIZE`, `MP_NPROCS`, `MP_PROC=i` and `MP_WORLD_DIR`;
+//! process `i` hosts the `i`-th contiguous block of ranks. A worker calls
 //! [`transport::init_from_env`](super::init_from_env) at startup and
 //! then runs the same `mp::run` calls as every sibling.
 //!
@@ -22,8 +21,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use super::Backend;
-
 /// Watchdog poll interval while waiting on children.
 const WAIT_POLL: Duration = Duration::from_millis(20);
 
@@ -33,35 +30,30 @@ const FAIL_GRACE: Duration = Duration::from_secs(2);
 /// Builder for a multi-process world launch.
 #[derive(Clone, Debug)]
 pub struct Launcher {
-    backend: Backend,
     world: usize,
     nprocs: usize,
     program: PathBuf,
     args: Vec<String>,
     envs: Vec<(String, String)>,
-    rank_procs: Option<Vec<u32>>,
     timeout: Duration,
 }
 
 impl Launcher {
     /// A launcher for `nprocs` copies of `program` hosting a `world`-rank
-    /// world over `backend`.
-    pub fn new(
-        backend: Backend,
-        world: usize,
-        nprocs: usize,
-        program: impl Into<PathBuf>,
-    ) -> Launcher {
+    /// world over tcp. Refuses `nprocs < 2`: one process is `mp::run`.
+    pub fn new(world: usize, nprocs: usize, program: impl Into<PathBuf>) -> Launcher {
         assert!(world > 0, "an SPMD world needs at least one rank");
-        assert!(nprocs > 0, "a world needs at least one process");
+        assert!(
+            nprocs >= 2,
+            "mp launcher: {nprocs} process(es): {}",
+            super::FLEET_RULE
+        );
         Launcher {
-            backend,
             world,
             nprocs,
             program: program.into(),
             args: Vec::new(),
             envs: Vec::new(),
-            rank_procs: None,
             timeout: Duration::from_secs(300),
         }
     }
@@ -79,13 +71,6 @@ impl Launcher {
         self
     }
 
-    /// Overrides the default balanced-block rank→process mapping.
-    pub fn rank_procs(mut self, map: Vec<u32>) -> Launcher {
-        assert_eq!(map.len(), self.world, "one proc per rank");
-        self.rank_procs = Some(map);
-        self
-    }
-
     /// Overall fleet deadline for [`Fleet::wait`] (default 300 s).
     pub fn timeout(mut self, timeout: Duration) -> Launcher {
         self.timeout = timeout;
@@ -95,10 +80,6 @@ impl Launcher {
     /// Creates the session directory and spawns the worker processes.
     pub fn spawn(&self) -> Fleet {
         let dir = session_dir();
-        let rank_procs_csv = self
-            .rank_procs
-            .as_ref()
-            .map(|m| m.iter().map(u32::to_string).collect::<Vec<_>>().join(","));
         let mut children = Vec::with_capacity(self.nprocs);
         let mut logs = Vec::with_capacity(self.nprocs);
         for proc in 0..self.nprocs {
@@ -110,7 +91,6 @@ impl Launcher {
                 .unwrap_or_else(|e| panic!("mp launcher: create {}: {e}", err_path.display()));
             let mut cmd = Command::new(&self.program);
             cmd.args(&self.args)
-                .env(super::ENV_BACKEND, self.backend.as_str())
                 .env(super::ENV_WORLD_SIZE, self.world.to_string())
                 .env(super::ENV_NPROCS, self.nprocs.to_string())
                 .env(super::ENV_PROC, proc.to_string())
@@ -118,9 +98,6 @@ impl Launcher {
                 .stdin(Stdio::null())
                 .stdout(Stdio::from(out))
                 .stderr(Stdio::from(err));
-            if let Some(csv) = &rank_procs_csv {
-                cmd.env(super::ENV_RANK_PROCS, csv);
-            }
             for (k, v) in &self.envs {
                 cmd.env(k, v);
             }
@@ -331,7 +308,7 @@ mod tests {
 
     #[test]
     fn fleet_of_shells_succeeds_and_captures_output() {
-        let outcome = Launcher::new(Backend::Tcp, 2, 2, "/bin/sh")
+        let outcome = Launcher::new(2, 2, "/bin/sh")
             .arg("-c")
             .arg("echo proc $MP_PROC of $MP_NPROCS world $MP_WORLD_SIZE")
             .timeout(Duration::from_secs(30))
@@ -344,7 +321,7 @@ mod tests {
 
     #[test]
     fn failing_worker_fails_the_fleet() {
-        let outcome = Launcher::new(Backend::Tcp, 2, 2, "/bin/sh")
+        let outcome = Launcher::new(2, 2, "/bin/sh")
             .arg("-c")
             .arg("if [ \"$MP_PROC\" = 1 ]; then echo doomed >&2; exit 3; fi")
             .timeout(Duration::from_secs(30))
@@ -353,5 +330,11 @@ mod tests {
         assert!(!outcome.success());
         assert_eq!(outcome.procs[1].status, Some(3));
         assert!(outcome.procs[1].stderr.contains("doomed"));
+    }
+
+    #[test]
+    #[should_panic(expected = "a fleet has at least two processes (one process is `mp::run`)")]
+    fn a_one_process_fleet_is_refused_by_name() {
+        let _ = Launcher::new(2, 1, "/bin/sh");
     }
 }

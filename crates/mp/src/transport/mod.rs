@@ -1,5 +1,5 @@
-//! Pluggable message-delivery backends: one matching-semantics contract,
-//! two transports.
+//! Cross-process message delivery: one matching-semantics contract, one
+//! wire.
 //!
 //! Everything above message delivery — [`Payload`](crate::payload),
 //! per-(src, comm, tag) mailboxes with non-overtaking wildcard matching,
@@ -8,20 +8,20 @@
 //! [`World::deliver`](crate::runtime::World::deliver), and `deliver`
 //! routes on *residency*:
 //!
-//! * **local** — the destination rank lives in this process: the message
-//!   is pushed straight into its mailbox, exactly the seed runtime's
-//!   path (byte-identical; see [`local`]).
-//! * **tcp** — the destination rank lives in another process, on this
-//!   host or another: the message is framed ([`wire`]) and goes over a
-//!   length-prefixed socket (see [`tcp`]). It is the one cross-process
-//!   backend: a receive blocks on a stream, it never polls a file.
+//! * the destination rank lives in this process: the message is pushed
+//!   straight into its mailbox, exactly the seed runtime's path;
+//! * the destination rank lives in another process, on this host or
+//!   another: the message is framed ([`wire`]) and goes over a
+//!   length-prefixed socket (see [`tcp`]). A receive blocks on a stream,
+//!   it never polls a file.
 //!
 //! # Sessions, worlds and epochs
 //!
-//! A *session* is this process's membership in a multi-process world:
-//! process index, rank→process map and a [`Transport`]. It is installed
-//! explicitly from the environment ([`init_from_env`]) — the variables
-//! are wired by the [`launcher`] — and every subsequent [`crate::run`]
+//! A *session* is this process's membership in a world of at least two
+//! processes: process index, the block rank→process map and a
+//! [`Transport`]. The process count is the only way to ask for one. It is
+//! installed explicitly from the environment ([`init_from_env`]) — the
+//! variables are wired by the [`launcher`] — and every subsequent [`crate::run`]
 //! call in the process becomes one *epoch* of that world: all processes
 //! must call `run` with the same world size in the same order (the SPMD
 //! discipline, process-level). Each epoch, `run` spawns rank threads for
@@ -64,80 +64,36 @@ use crate::payload::Payload;
 use crate::runtime::World;
 
 pub mod launcher;
-pub(crate) mod local;
 pub(crate) mod tcp;
 pub(crate) mod wire;
 
 use wire::{Frame, FrameKind, StableReport};
 
-/// Environment variable selecting the backend (`local`, `tcp`).
-pub const ENV_BACKEND: &str = "MP_BACKEND";
 /// Environment variable carrying the world size (total ranks).
 pub const ENV_WORLD_SIZE: &str = "MP_WORLD_SIZE";
-/// Environment variable carrying the number of processes.
+/// Environment variable carrying the number of processes (at least two);
+/// its presence is what makes a process a fleet worker.
 pub const ENV_NPROCS: &str = "MP_NPROCS";
 /// Environment variable carrying this process's index.
 pub const ENV_PROC: &str = "MP_PROC";
 /// Environment variable carrying the session directory (where tcp
 /// processes publish their listener addresses for rendezvous).
 pub const ENV_WORLD_DIR: &str = "MP_WORLD_DIR";
-/// Optional comma-separated rank→process map (`MP_RANK_PROCS=0,0,1,1`);
-/// defaults to balanced contiguous blocks.
-pub const ENV_RANK_PROCS: &str = "MP_RANK_PROCS";
-/// Optional comma-separated `host:port` listener address per process for
-/// the tcp backend; defaults to loopback rendezvous via the session dir.
+/// Optional comma-separated `host:port` listener address per process;
+/// defaults to loopback rendezvous via the session dir.
 pub const ENV_TCP_PEERS: &str = "MP_TCP_PEERS";
 /// Optional bind address for this process's tcp listener
 /// (default `127.0.0.1:0`).
 pub const ENV_TCP_BIND: &str = "MP_TCP_BIND";
 
-/// A message-delivery backend.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// In-process delivery (the seed path): every rank is a thread of
-    /// this process.
-    Local,
-    /// Multiple processes exchanging frames over length-prefixed
-    /// sockets; worlds may span hosts.
-    Tcp,
-}
-
-impl Backend {
-    /// The backend's canonical flag/env spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Local => "local",
-            Backend::Tcp => "tcp",
-        }
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Backend, String> {
-        match s {
-            "local" => Ok(Backend::Local),
-            "tcp" => Ok(Backend::Tcp),
-            "shm" => Err(
-                "backend \"shm\" (file channels) is gone; tcp is the one cross-process \
-                 backend (expected local|tcp)"
-                    .to_string(),
-            ),
-            other => Err(format!("unknown backend {other:?} (expected local|tcp)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+/// The rule every way into a fleet enforces, named in its refusal.
+pub(crate) const FLEET_RULE: &str = "a fleet has at least two processes (one process is `mp::run`)";
 
 /// The world topology of a multi-process session: which process hosts
-/// which rank.
+/// which rank. Always the balanced contiguous block mapping, which is also
+/// how `ClusterSim` places ranks on nodes.
 #[derive(Clone, Debug)]
-pub struct Topology {
+struct Topology {
     world: usize,
     nprocs: usize,
     me: usize,
@@ -146,9 +102,8 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Balanced contiguous block mapping: process `i` hosts ranks
-    /// `[i*world/nprocs, (i+1)*world/nprocs)`.
-    pub fn blocks(world: usize, nprocs: usize, me: usize) -> Topology {
+    /// Process `i` hosts ranks `[i*world/nprocs, (i+1)*world/nprocs)`.
+    fn blocks(world: usize, nprocs: usize, me: usize) -> Topology {
         assert!(world > 0, "an SPMD world needs at least one rank");
         assert!(nprocs > 0 && me < nprocs, "proc {me} of {nprocs}");
         let mut rank_proc = vec![0u32; world];
@@ -167,54 +122,18 @@ impl Topology {
         }
     }
 
-    /// Explicit rank→process mapping (the `MP_RANK_PROCS` form).
-    pub fn explicit(rank_proc: Vec<u32>, nprocs: usize, me: usize) -> Topology {
-        assert!(
-            !rank_proc.is_empty(),
-            "an SPMD world needs at least one rank"
-        );
-        assert!(nprocs > 0 && me < nprocs, "proc {me} of {nprocs}");
-        for (r, &p) in rank_proc.iter().enumerate() {
-            assert!(
-                (p as usize) < nprocs,
-                "rank {r} mapped to proc {p} of {nprocs}"
-            );
-        }
-        Topology {
-            world: rank_proc.len(),
-            nprocs,
-            me,
-            rank_proc,
-        }
-    }
-
-    /// Total ranks in the world.
-    pub fn world(&self) -> usize {
-        self.world
-    }
-
-    /// Number of processes the world spans.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// This process's index.
-    pub fn me(&self) -> usize {
-        self.me
-    }
-
     /// The process hosting global rank `rank`.
-    pub fn proc_of(&self, rank: usize) -> usize {
+    fn proc_of(&self, rank: usize) -> usize {
         self.rank_proc[rank] as usize
     }
 
     /// Whether global rank `rank` lives in this process.
-    pub fn resident(&self, rank: usize) -> bool {
+    fn resident(&self, rank: usize) -> bool {
         self.rank_proc[rank] as usize == self.me
     }
 
     /// The global ranks resident in this process, ascending.
-    pub fn resident_ranks(&self) -> Vec<usize> {
+    fn resident_ranks(&self) -> Vec<usize> {
         (0..self.world).filter(|&r| self.resident(r)).collect()
     }
 }
@@ -228,14 +147,11 @@ pub(crate) trait Transport: Send + Sync {
     fn send(&self, dst_proc: usize, frame: &Frame);
     /// Receives the next frame from any peer, waiting up to `timeout`.
     fn recv(&self, timeout: Duration) -> Option<Frame>;
-    /// Which backend this is (diagnostics).
-    fn backend(&self) -> Backend;
 }
 
 /// One process's membership in a multi-process world.
 pub(crate) struct Session {
-    pub(crate) topo: Topology,
-    backend: Backend,
+    topo: Topology,
     transport: Box<dyn Transport>,
     state: Mutex<SessState>,
     cv: Condvar,
@@ -243,6 +159,19 @@ pub(crate) struct Session {
     /// conservation check behind the cross-process deadlock detector.
     data_sent: AtomicU64,
     data_recvd: AtomicU64,
+}
+
+impl Session {
+    fn new(topo: Topology, transport: Box<dyn Transport>) -> Session {
+        Session {
+            topo,
+            transport,
+            state: Mutex::new(SessState::default()),
+            cv: Condvar::new(),
+            data_sent: AtomicU64::new(0),
+            data_recvd: AtomicU64::new(0),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -274,27 +203,6 @@ pub struct Proc {
 }
 
 impl Proc {
-    /// The backend the session runs on. For a single-process session the
-    /// *transport* degenerates to local even when `tcp` was asked for;
-    /// this reports what is actually carrying frames.
-    pub fn backend(&self) -> Backend {
-        if self.sess.topo.nprocs == 1 {
-            self.sess.transport.backend()
-        } else {
-            self.sess.backend
-        }
-    }
-
-    /// This process's index.
-    pub fn index(&self) -> usize {
-        self.sess.topo.me
-    }
-
-    /// Number of processes in the world.
-    pub fn nprocs(&self) -> usize {
-        self.sess.topo.nprocs
-    }
-
     /// Total ranks in the world.
     pub fn world(&self) -> usize {
         self.sess.topo.world
@@ -308,27 +216,25 @@ impl Proc {
 
 /// Installs the process-global session described by the `MP_*`
 /// environment variables (wired by the [`launcher`]) and returns a
-/// handle to it. Returns `None` when no multi-process backend is
-/// requested (`MP_BACKEND` unset or `local`) — the process then runs
-/// every rank in-process as always. Subsequent calls return the same
-/// session; the environment is read once.
+/// handle to it. A session exists exactly when `MP_NPROCS` is set; without
+/// it this returns `None` and the process runs every rank in-process as
+/// always. `MP_NPROCS` below two is refused: one process is `mp::run`.
+/// Subsequent calls return the same session; the environment is read once.
 ///
 /// Worker binaries call this at startup, *before* any [`crate::run`]:
 /// the session changes `run`'s contract (it returns only resident
 /// ranks' results), so installation is explicit rather than ambient.
 pub fn init_from_env() -> Option<Proc> {
     SESSION
-        .get_or_init(|| build_session_from_env().map(Arc::new))
+        .get_or_init(|| {
+            let sess = Arc::new(build_session_from_env()?);
+            spawn_pump(&sess);
+            Some(sess)
+        })
         .as_ref()
         .map(|sess| Proc {
             sess: Arc::clone(sess),
         })
-}
-
-/// The installed session handle, if any ([`init_from_env`] ran and found
-/// a backend).
-pub fn active() -> Option<Proc> {
-    session().map(|sess| Proc { sess })
 }
 
 /// Panics when a multi-process session is installed: the traced, virtual,
@@ -346,77 +252,39 @@ pub(crate) fn assert_no_session(what: &str) {
 
 fn env_usize(name: &str) -> usize {
     let v = std::env::var(name)
-        .unwrap_or_else(|_| panic!("mp transport: {name} must be set alongside {ENV_BACKEND}"));
+        .unwrap_or_else(|_| panic!("mp transport: {name} must be set alongside {ENV_NPROCS}"));
     v.parse()
         .unwrap_or_else(|_| panic!("mp transport: {name}={v:?} is not a number"))
 }
 
 fn build_session_from_env() -> Option<Session> {
-    let backend = match std::env::var(ENV_BACKEND) {
-        Ok(v) if !v.is_empty() && v != "local" => v
-            .parse::<Backend>()
-            .unwrap_or_else(|e| panic!("mp transport: {ENV_BACKEND}: {e}")),
-        _ => return None,
-    };
-    let world = env_usize(ENV_WORLD_SIZE);
+    std::env::var_os(ENV_NPROCS)?;
     let nprocs = env_usize(ENV_NPROCS);
+    assert!(
+        nprocs >= 2,
+        "mp transport: {ENV_NPROCS}={nprocs}: {FLEET_RULE}"
+    );
+    let world = env_usize(ENV_WORLD_SIZE);
     let me = env_usize(ENV_PROC);
-    let topo = match std::env::var(ENV_RANK_PROCS) {
-        Ok(map) => {
-            let rank_proc: Vec<u32> = map
-                .split(',')
-                .map(|t| {
-                    t.trim().parse().unwrap_or_else(|_| {
-                        panic!("mp transport: bad {ENV_RANK_PROCS} entry {t:?}")
-                    })
-                })
-                .collect();
-            assert_eq!(
-                rank_proc.len(),
-                world,
-                "mp transport: {ENV_RANK_PROCS} must name a proc for each of the {world} ranks"
-            );
-            Topology::explicit(rank_proc, nprocs, me)
-        }
-        Err(_) => Topology::blocks(world, nprocs, me),
-    };
     let dir = std::path::PathBuf::from(std::env::var(ENV_WORLD_DIR).unwrap_or_else(|_| {
         panic!("mp transport: {ENV_WORLD_DIR} must point at the session directory")
     }));
-    let transport: Box<dyn Transport> = if nprocs == 1 {
-        Box::new(local::LocalTransport)
-    } else {
-        match backend {
-            Backend::Local => unreachable!("local returns above"),
-            Backend::Tcp => Box::new(tcp::TcpTransport::connect(&dir, me, nprocs)),
-        }
-    };
-    let sess = Session {
-        topo,
-        backend,
-        transport,
-        state: Mutex::new(SessState::default()),
-        cv: Condvar::new(),
-        data_sent: AtomicU64::new(0),
-        data_recvd: AtomicU64::new(0),
-    };
-    Some(sess)
+    let transport = tcp::TcpTransport::connect(&dir, me, nprocs);
+    Some(Session::new(
+        Topology::blocks(world, nprocs, me),
+        Box::new(transport),
+    ))
 }
 
-/// Spawns the session's pump thread. Called once, after the session Arc
-/// exists (the pump holds a clone). Detached on purpose: it serves the
-/// whole process lifetime and exits with it.
+/// Spawns the session's pump thread, once, as the session is installed.
+/// Detached on purpose: it serves the whole process lifetime and exits
+/// with it.
 fn spawn_pump(sess: &Arc<Session>) {
-    static PUMP_STARTED: OnceLock<()> = OnceLock::new();
     let sess = Arc::clone(sess);
-    PUMP_STARTED.get_or_init(move || {
-        if sess.topo.nprocs > 1 {
-            std::thread::Builder::new()
-                .name("mp-transport-pump".to_string())
-                .spawn(move || pump(&sess))
-                .expect("mp transport: cannot spawn the pump thread");
-        }
-    });
+    std::thread::Builder::new()
+        .name("mp-transport-pump".to_string())
+        .spawn(move || pump(&sess))
+        .expect("mp transport: cannot spawn the pump thread");
 }
 
 /// The receive pump: drains the transport and dispatches frames — data
@@ -588,7 +456,6 @@ where
          the world size is fixed by the launcher",
         sess.topo.world
     );
-    spawn_pump(sess);
     let residents = sess.topo.resident_ranks();
     // Every multiprocess world is instrumented: the cross-process
     // deadlock detector needs wait edges, and a poison channel is the
@@ -879,17 +746,24 @@ mod tests {
         assert_eq!(t.resident_ranks(), vec![2, 3, 4]);
     }
 
+    /// The transport of a session whose ranks all live in this process:
+    /// no peers, nothing to move. A test fake; every real session is tcp.
+    struct LocalTransport;
+
+    impl Transport for LocalTransport {
+        fn send(&self, dst_proc: usize, _frame: &Frame) {
+            unreachable!("mp transport: local send to proc {dst_proc}");
+        }
+
+        fn recv(&self, timeout: Duration) -> Option<Frame> {
+            std::thread::sleep(timeout);
+            None
+        }
+    }
+
     /// A session over the local transport, never installed process-wide.
     fn local_session(topo: Topology) -> Arc<Session> {
-        Arc::new(Session {
-            topo,
-            backend: Backend::Local,
-            transport: Box::new(local::LocalTransport),
-            state: Mutex::new(SessState::default()),
-            cv: Condvar::new(),
-            data_sent: AtomicU64::new(0),
-            data_recvd: AtomicU64::new(0),
-        })
+        Arc::new(Session::new(topo, Box::new(LocalTransport)))
     }
 
     /// The session leg of `runtime::tests::spawn_failure_names_the_rank`:
@@ -923,7 +797,7 @@ mod tests {
     )]
     fn a_length_only_payload_never_reaches_a_frame() {
         let remote = RemoteWorld {
-            sess: local_session(Topology::explicit(vec![0, 1], 2, 0)),
+            sess: local_session(Topology::blocks(2, 2, 0)),
             epoch: 0,
         };
         let msg = Message {
@@ -939,27 +813,5 @@ mod tests {
     fn one_proc_hosts_everything() {
         let t = Topology::blocks(4, 1, 0);
         assert_eq!(t.resident_ranks(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn explicit_topology_round_robin() {
-        let t = Topology::explicit(vec![0, 1, 0, 1], 2, 0);
-        assert_eq!(t.resident_ranks(), vec![0, 2]);
-        assert!(!t.resident(1));
-    }
-
-    #[test]
-    fn backend_parses_both_ways() {
-        for b in [Backend::Local, Backend::Tcp] {
-            assert_eq!(b.as_str().parse::<Backend>().unwrap(), b);
-        }
-        assert!("rdma".parse::<Backend>().is_err());
-        // The deleted file-channel backend is refused by name, with its
-        // replacement: `--backend` and `MP_BACKEND` both parse through here.
-        let refusal = "shm".parse::<Backend>().expect_err("shm is gone");
-        assert!(
-            refusal.contains("tcp") && refusal.contains("local|tcp"),
-            "{refusal}"
-        );
     }
 }

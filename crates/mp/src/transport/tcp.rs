@@ -34,7 +34,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use super::wire::{read_frame, Frame, FrameKind};
-use super::{Backend, Transport};
+use super::Transport;
 
 /// How long connection setup may take before the world is declared dead.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(60);
@@ -245,10 +245,6 @@ impl Transport for TcpTransport {
 
     fn recv(&self, timeout: Duration) -> Option<Frame> {
         self.rx.lock().recv_timeout(timeout).ok()
-    }
-
-    fn backend(&self) -> Backend {
-        Backend::Tcp
     }
 }
 

@@ -280,43 +280,28 @@ fn intern_op(name: String) -> &'static str {
 }
 
 fn enc_wait_on(e: &mut Enc, on: &WaitOn) {
-    match on {
-        WaitOn::Recv { comm, src, tag } => {
-            e.u8(0);
-            e.u32(*comm);
-            match src {
-                Some(s) => {
-                    e.u8(1);
-                    e.u64(*s as u64);
-                }
-                None => e.u8(0),
-            }
-            match tag {
-                Some(t) => {
-                    e.u8(1);
-                    e.u32(*t);
-                }
-                None => e.u8(0),
-            }
-        }
-        WaitOn::Rendezvous { key } => {
+    e.u32(on.comm);
+    match on.src {
+        Some(s) => {
             e.u8(1);
-            e.u64(*key);
+            e.u64(s as u64);
         }
+        None => e.u8(0),
+    }
+    match on.tag {
+        Some(t) => {
+            e.u8(1);
+            e.u32(t);
+        }
+        None => e.u8(0),
     }
 }
 
 fn dec_wait_on(d: &mut Dec) -> WaitOn {
-    match d.u8() {
-        0 => {
-            let comm = d.u32();
-            let src = (d.u8() == 1).then(|| d.u64() as usize);
-            let tag = (d.u8() == 1).then(|| d.u32());
-            WaitOn::Recv { comm, src, tag }
-        }
-        1 => WaitOn::Rendezvous { key: d.u64() },
-        k => panic!("mp transport: unknown WaitOn variant {k}"),
-    }
+    let comm = d.u32();
+    let src = (d.u8() == 1).then(|| d.u64() as usize);
+    let tag = (d.u8() == 1).then(|| d.u32());
+    WaitOn { comm, src, tag }
 }
 
 fn enc_waits(e: &mut Enc, waits: &[WaitSnapshot]) {
@@ -556,7 +541,7 @@ mod tests {
             waits: vec![
                 WaitSnapshot {
                     rank: 1,
-                    on: WaitOn::Recv {
+                    on: WaitOn {
                         comm: 0,
                         src: Some(0),
                         tag: Some(9),
@@ -569,7 +554,11 @@ mod tests {
                 },
                 WaitSnapshot {
                     rank: 2,
-                    on: WaitOn::Rendezvous { key: 0xABCD },
+                    on: WaitOn {
+                        comm: 3,
+                        src: None,
+                        tag: None,
+                    },
                     coll: None,
                 },
             ],
@@ -589,7 +578,7 @@ mod tests {
         assert_eq!(back.waits[0].rank, 1);
         assert!(matches!(
             back.waits[0].on,
-            WaitOn::Recv {
+            WaitOn {
                 comm: 0,
                 src: Some(0),
                 tag: Some(9)
@@ -600,7 +589,11 @@ mod tests {
         assert_eq!(site.index, 4);
         assert!(matches!(
             back.waits[1].on,
-            WaitOn::Rendezvous { key: 0xABCD }
+            WaitOn {
+                comm: 3,
+                src: None,
+                tag: None
+            }
         ));
         assert_eq!(back.inventory.len(), 1);
         assert_eq!(back.inventory[0].bytes, 64);
@@ -613,7 +606,7 @@ mod tests {
             waits: vec![
                 WaitSnapshot {
                     rank: 0,
-                    on: WaitOn::Recv {
+                    on: WaitOn {
                         comm: 0,
                         src: Some(1),
                         tag: Some(1),
@@ -622,7 +615,7 @@ mod tests {
                 },
                 WaitSnapshot {
                     rank: 1,
-                    on: WaitOn::Recv {
+                    on: WaitOn {
                         comm: 0,
                         src: Some(0),
                         tag: Some(1),

@@ -11,7 +11,6 @@
 use std::time::Duration;
 
 use mp::transport::launcher::{FleetOutcome, Launcher};
-use mp::transport::Backend;
 
 /// Message sizes for the ping-pong sweep, in `u64` words: empty, tiny,
 /// eager, and past the 32 KiB rendezvous threshold (which multi-process
@@ -21,7 +20,7 @@ const PINGPONG_WORDS: &[usize] = &[0, 1, 128, 8192];
 /// A loopback tcp fleet of this binary's [`worker_entry`] running `case`.
 fn fleet(case: &str, world: usize, nprocs: usize) -> Launcher {
     let exe = std::env::current_exe().expect("test binary path");
-    Launcher::new(Backend::Tcp, world, nprocs, exe)
+    Launcher::new(world, nprocs, exe)
         .arg("worker_entry")
         .arg("--exact")
         .arg("--nocapture")
@@ -135,18 +134,21 @@ fn w_epochs() {
     }
 }
 
-fn w_resident_results() {
-    // Under MP_RANK_PROCS=0,1,0,1 proc 0 hosts ranks {0, 2} and proc 1
-    // hosts {1, 3}; run() returns exactly the resident results, in
-    // ascending rank order.
-    let me: usize = std::env::var("MP_PROC").unwrap().parse().unwrap();
+fn w_resident_results(proc: &mp::Proc) {
+    // Under the block map proc 0 hosts ranks {0, 1} and proc 1 hosts
+    // {2, 3}; run() returns exactly the resident results, in ascending
+    // rank order.
     let results = mp::run(4, |comm| {
         let mut x = [comm.rank() as u64];
         comm.allreduce(&mut x, mp::Op::Max);
         assert_eq!(x[0], 3);
         comm.rank() as u64 * 10
     });
-    let want = if me == 0 { vec![0, 20] } else { vec![10, 30] };
+    let want = if proc.resident(0) {
+        vec![0, 10]
+    } else {
+        vec![20, 30]
+    };
     assert_eq!(results, want);
 }
 
@@ -169,13 +171,12 @@ fn worker_entry() {
         return;
     };
     let proc = mp::transport::init_from_env().expect("worker requires a session environment");
-    assert!(proc.nprocs() >= 1 && proc.index() < proc.nprocs());
     match case.as_str() {
         "pingpong" => w_pingpong(),
         "collectives" => w_collectives(),
         "wildcard" => w_wildcard(),
         "epochs" => w_epochs(),
-        "resident_results" => w_resident_results(),
+        "resident_results" => w_resident_results(&proc),
         "deadlock" => w_deadlock(),
         other => panic!("unknown MP_TEST_CASE {other:?}"),
     }
@@ -206,10 +207,8 @@ fn tcp_wildcard_multiset_loopback() {
 }
 
 #[test]
-fn tcp_round_robin_rank_mapping() {
-    fleet("resident_results", 4, 2)
-        .rank_procs(vec![0, 1, 0, 1])
-        .run();
+fn tcp_block_mapping_returns_the_resident_results() {
+    fleet("resident_results", 4, 2).run();
 }
 
 #[test]

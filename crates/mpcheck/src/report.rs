@@ -5,16 +5,15 @@
 //! A v3 document carries `schema`, `runs`, `events`, `dropped`,
 //! `schedules` (the explorer's [`ScheduleStats`], or null) and
 //! `findings`, each with `class`, `ranks`, `summary`, `detail` and an
-//! embedded replayable `counterexample` (or null); [`Report::from_json`]
-//! reads it back losslessly. v3 is v2 without the run-level `seeds` and
-//! per-finding `seed` of the retired seeded sampler; a v2 document is
-//! refused, not silently read as if it had none.
+//! embedded replayable `counterexample` (or null). The CLI writes it and
+//! CI archives it; no program reads it back. v3 is v2 without the
+//! run-level `seeds` and per-finding `seed` of the retired seeded sampler.
 
 use std::fmt::Write as _;
 
 use mp::check::RunLog;
 
-use crate::json::{self, Value};
+use crate::json;
 
 /// Schema identifier written into every report document.
 pub const REPORT_SCHEMA: &str = "mpcheck-report-v3";
@@ -51,19 +50,6 @@ impl FindingClass {
             FindingClass::TagLeak => "tag-leak",
             FindingClass::WildcardRace => "wildcard-race",
             FindingClass::RankPanic => "rank-panic",
-        }
-    }
-
-    /// Inverse of [`FindingClass::name`].
-    pub fn from_name(name: &str) -> Option<FindingClass> {
-        match name {
-            "deadlock" => Some(FindingClass::Deadlock),
-            "collective-divergence" => Some(FindingClass::CollectiveDivergence),
-            "unmatched-send" => Some(FindingClass::UnmatchedSend),
-            "tag-leak" => Some(FindingClass::TagLeak),
-            "wildcard-race" => Some(FindingClass::WildcardRace),
-            "rank-panic" => Some(FindingClass::RankPanic),
-            _ => None,
         }
     }
 }
@@ -217,101 +203,6 @@ impl Report {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Parses an `mpcheck-report-v3` document (and no older one: the
-    /// error names the schema it met and the one it reads).
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        let v = json::parse(text)?;
-        match v.get("schema").and_then(Value::as_str) {
-            Some(REPORT_SCHEMA) => {}
-            other => return Err(format!("not a {REPORT_SCHEMA} document: {other:?}")),
-        }
-        let mut report = Report {
-            runs: v
-                .get("runs")
-                .and_then(Value::as_usize)
-                .ok_or("bad \"runs\"")?,
-            events: v
-                .get("events")
-                .and_then(Value::as_u64)
-                .ok_or("bad \"events\"")?,
-            dropped: v
-                .get("dropped")
-                .and_then(Value::as_u64)
-                .ok_or("bad \"dropped\"")?,
-            ..Report::default()
-        };
-        match v.get("schedules") {
-            None | Some(Value::Null) => {}
-            Some(s) => {
-                report.schedules = Some(ScheduleStats {
-                    visited: s
-                        .get("visited")
-                        .and_then(Value::as_u64)
-                        .ok_or("bad visited")?,
-                    pruned: s
-                        .get("pruned")
-                        .and_then(Value::as_u64)
-                        .ok_or("bad pruned")?,
-                    bounded_skips: s
-                        .get("bounded_skips")
-                        .and_then(Value::as_u64)
-                        .ok_or("bad bounded_skips")?,
-                    exhaustive: s
-                        .get("exhaustive")
-                        .and_then(Value::as_bool)
-                        .ok_or("bad exhaustive")?,
-                });
-            }
-        }
-        for (i, f) in v
-            .get("findings")
-            .and_then(Value::as_arr)
-            .ok_or("bad \"findings\"")?
-            .iter()
-            .enumerate()
-        {
-            let class = f
-                .get("class")
-                .and_then(Value::as_str)
-                .and_then(FindingClass::from_name)
-                .ok_or_else(|| format!("finding {i}: bad \"class\""))?;
-            let mut ranks = Vec::new();
-            for r in f
-                .get("ranks")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| format!("finding {i}: bad \"ranks\""))?
-            {
-                ranks.push(
-                    r.as_usize()
-                        .ok_or_else(|| format!("finding {i}: bad rank"))?,
-                );
-            }
-            report.findings.push(Finding {
-                class,
-                ranks,
-                summary: f
-                    .get("summary")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("finding {i}: bad \"summary\""))?
-                    .to_string(),
-                detail: f
-                    .get("detail")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("finding {i}: bad \"detail\""))?
-                    .to_string(),
-                counterexample: match f.get("counterexample") {
-                    None | Some(Value::Null) => None,
-                    Some(c) => Some(
-                        c.as_str()
-                            .ok_or_else(|| format!("finding {i}: bad counterexample"))?
-                            .to_string(),
-                    ),
-                },
-            });
-        }
-        Ok(report)
-    }
 }
 
 impl std::fmt::Display for Report {
@@ -348,6 +239,7 @@ impl std::fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     fn sample() -> Report {
         Report {
@@ -396,36 +288,61 @@ mod tests {
         assert!(Report::default().clean());
     }
 
+    /// What the document says is what the report holds: the schema,
+    /// the run accounting, the schedule counts and every finding's class,
+    /// ranks, text and counterexample, as `mpcheck::json` reads them.
     #[test]
-    fn report_round_trips_through_json_with_display_equality() {
+    fn report_json_parses_to_the_report() {
         let report = sample();
-        let back = Report::from_json(&report.to_json()).expect("parse back");
-        assert_eq!(report.to_string(), back.to_string());
-        assert_eq!(back.to_json(), report.to_json());
-        assert_eq!(back.schedules, report.schedules);
+        let doc = json::parse(&report.to_json()).expect("well-formed JSON");
         assert_eq!(
-            back.findings[0].counterexample,
-            report.findings[0].counterexample
+            doc.get("schema").and_then(Value::as_str),
+            Some(REPORT_SCHEMA)
         );
-        // A schedule-free report round-trips too.
+        assert_eq!(doc.get("runs").and_then(Value::as_u64), Some(3));
+        assert_eq!(doc.get("events").and_then(Value::as_u64), Some(42));
+        let schedules = doc.get("schedules").expect("schedules");
+        assert_eq!(schedules.get("pruned").and_then(Value::as_u64), Some(3));
+        assert_eq!(
+            schedules.get("exhaustive").and_then(Value::as_bool),
+            Some(true)
+        );
+        let findings = doc
+            .get("findings")
+            .and_then(Value::as_arr)
+            .expect("findings");
+        assert_eq!(findings.len(), report.findings.len());
+        for (f, want) in findings.iter().zip(&report.findings) {
+            assert_eq!(
+                f.get("class").and_then(Value::as_str),
+                Some(want.class.name())
+            );
+            let ranks: Vec<u64> = f
+                .get("ranks")
+                .and_then(Value::as_arr)
+                .expect("ranks")
+                .iter()
+                .filter_map(Value::as_u64)
+                .collect();
+            let want_ranks: Vec<u64> = want.ranks.iter().map(|&r| r as u64).collect();
+            assert_eq!(ranks, want_ranks);
+            assert_eq!(
+                f.get("summary").and_then(Value::as_str),
+                Some(&*want.summary)
+            );
+            assert_eq!(f.get("detail").and_then(Value::as_str), Some(&*want.detail));
+            assert_eq!(
+                f.get("counterexample").and_then(Value::as_str),
+                want.counterexample.as_deref()
+            );
+        }
+        // A schedule-free report writes null there.
         let plain = Report {
             schedules: None,
             ..sample()
         };
-        let back = Report::from_json(&plain.to_json()).expect("parse back");
-        assert_eq!(plain.to_string(), back.to_string());
-        assert!(back.schedules.is_none());
-    }
-
-    /// Older documents are refused by name — a v2 one (which this parser
-    /// read until its seed fields were retired) included.
-    #[test]
-    fn from_json_rejects_older_documents() {
-        for old in ["mpcheck-report-v1", "mpcheck-report-v2"] {
-            let doc = sample().to_json().replace(REPORT_SCHEMA, old);
-            let err = Report::from_json(&doc).expect_err(old);
-            assert!(err.contains(old) && err.contains(REPORT_SCHEMA), "{err}");
-        }
+        let doc = json::parse(&plain.to_json()).expect("well-formed JSON");
+        assert!(matches!(doc.get("schedules"), Some(Value::Null)));
     }
 
     #[test]
@@ -441,20 +358,5 @@ mod tests {
         assert!(text.contains("[wildcard-race]"));
         assert!(text.contains("ranks {2}"));
         assert!(text.contains("[replayable]"));
-    }
-
-    #[test]
-    fn class_names_round_trip() {
-        for class in [
-            FindingClass::Deadlock,
-            FindingClass::CollectiveDivergence,
-            FindingClass::UnmatchedSend,
-            FindingClass::TagLeak,
-            FindingClass::WildcardRace,
-            FindingClass::RankPanic,
-        ] {
-            assert_eq!(FindingClass::from_name(class.name()), Some(class));
-        }
-        assert_eq!(FindingClass::from_name("nope"), None);
     }
 }

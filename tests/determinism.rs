@@ -190,7 +190,6 @@ fn one_record_set_writes_the_same_tree() {
     // machine variant at the powers of two from 2.
     let quick = FigureConfig::quick();
     let campaign = |workloads| harness::RunPlan {
-        backend: harness::Backend::Local,
         modes: vec![harness::Mode::Simulated],
         machines: machines::systems::all_variants(),
         procs: harness::ProcGrid::Pow2Through(quick.max_procs),

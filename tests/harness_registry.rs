@@ -110,7 +110,6 @@ fn native_and_virtual_records_share_identity_fields() {
 fn one_plan_runs_all_three_modes_through_one_registry() {
     let reg = registry();
     let plan = RunPlan {
-        backend: harness::Backend::Local,
         modes: vec![Mode::Native, Mode::Simulated, Mode::Virtual],
         machines: vec![machines::systems::nec_sx8()],
         procs: ProcGrid::List(vec![4]),

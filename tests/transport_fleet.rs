@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use imb::Benchmark;
 use mp::transport::launcher::Launcher;
-use mp::transport::Backend;
 use mpcheck::json::{self, Value};
 
 /// Where the worker hosting rank 0 writes its record lines; its presence
@@ -74,18 +73,13 @@ fn worker_entry() {
 #[test]
 fn a_two_process_tcp_world_reports_what_the_in_process_world_reports() {
     let out = std::env::temp_dir().join(format!("transport-fleet-{}.jsonl", std::process::id()));
-    Launcher::new(
-        Backend::Tcp,
-        2,
-        2,
-        std::env::current_exe().expect("test binary path"),
-    )
-    .arg("worker_entry")
-    .arg("--exact")
-    .arg("--nocapture")
-    .env(RECORDS_OUT, out.display().to_string())
-    .timeout(Duration::from_secs(120))
-    .run();
+    Launcher::new(2, 2, std::env::current_exe().expect("test binary path"))
+        .arg("worker_entry")
+        .arg("--exact")
+        .arg("--nocapture")
+        .env(RECORDS_OUT, out.display().to_string())
+        .timeout(Duration::from_secs(120))
+        .run();
     let fleet = std::fs::read_to_string(&out).expect("the rank-0 host wrote its records");
     let _ = std::fs::remove_file(&out);
     let fleet: Vec<Value> = fleet.lines().map(untimed).collect();
