@@ -82,6 +82,16 @@
 #      and `bench/src/bin/campaign.rs`. A fleet is asked for by its process
 #      count; a variable that restates it, or that every caller sets the
 #      same way, is a configuration nobody tests growing back.
+#  12. Artefacts price through the registry. Non-test code under
+#      `crates/core/src` and `crates/bench/src` names a benchmark's own
+#      execution path (`imb::sim::`, `hpcc::sim::`, `imb::native::`,
+#      `imb::run_virtual`, `hpcc::suite::run_`, `hpcc::virtual_run::`)
+#      only in `crates/core/src/registry.rs`, which wires those paths into
+#      `Workload` entries; everything else runs a `RunPlan` over the
+#      registry. `imb::ext::simulate` appears only in
+#      `crates/core/src/extensions.rs`: IMB-EXT has no registry entry yet.
+#      A figure that calls a model directly is a second pricing route
+#      growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -229,6 +239,23 @@ mod tests {
     fn case() -> String { std::env::var("MP_TEST_CASE").unwrap() }
 }
 EOF
+    # The registry wires the models; a figure runs a plan over it; a test
+    # may compare with a model directly.
+    mkdir -p "$pass/crates/core/src"
+    cat > "$pass/crates/core/src/registry.rs" <<'EOF'
+fn sim(m: &Machine, b: Benchmark, p: usize) -> Record { imb::sim::simulate(m, b, p, 8) }
+EOF
+    cat > "$pass/crates/core/src/figures.rs" <<'EOF'
+pub fn fig(cfg: &FigureConfig) -> Vec<Record> { paper_plan(cfg).execute(&crate::registry()) }
+
+#[cfg(test)]
+mod tests {
+    fn direct(m: &Machine) -> Record { imb::sim::simulate(m, Benchmark::Barrier, 4, 0) }
+}
+EOF
+    cat > "$pass/crates/core/src/extensions.rs" <<'EOF'
+fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
+EOF
     if ! "$self" --root "$pass" > "$tmp/pass.log" 2>&1; then
         echo "arch_lint --self-test: compliant fixture was rejected:" >&2
         cat "$tmp/pass.log" >&2
@@ -333,6 +360,17 @@ pub mod scan {
     pub fn linear() {}
 }
 EOF
+    # A figure that prices its cells by calling the model, and a one-sided
+    # model call outside the extension studies.
+    mkdir -p "$bad/crates/core/src"
+    cat > "$bad/crates/core/src/figures.rs" <<'EOF'
+pub fn barrier_figure(m: &Machine, p: usize) -> Record {
+    imb::sim::simulate(m, Benchmark::Barrier, p, 0)
+}
+EOF
+    cat > "$bad/crates/bench/src/bin/campaign.rs" <<'EOF'
+fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
+EOF
     if "$self" --root "$bad" > "$tmp/bad.log" 2>&1; then
         echo "arch_lint --self-test: violating fixture was accepted" >&2
         exit 1
@@ -344,7 +382,8 @@ EOF
         "chan.rs:2: .*read_at" "chan.rs:3: .*MAGIC" \
         "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs" \
         "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan" \
-        "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var"; do
+        "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var" \
+        "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::simulate"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -523,6 +562,20 @@ if [ -n "$offenders" ]; then
     err "an environment variable outside rule 11's list, or read outside its four files \
 (a fleet is asked for by its process count; a new variable joins rule 11's list in the \
 same change):
+$offenders"
+fi
+
+# --- 12. Artefacts price through the registry ----------------------------
+offenders=$(
+    scan 'imb::sim::|hpcc::sim::|imb::native::|imb::run_virtual|hpcc::suite::run_|hpcc::virtual_run::' \
+        | grep -E '^crates/(core|bench)/src/' | grep -v '^crates/core/src/registry\.rs:' || true
+    scan 'imb::ext::simulate' \
+        | grep -E '^crates/(core|bench)/src/' | grep -v '^crates/core/src/extensions\.rs:' || true
+)
+if [ -n "$offenders" ]; then
+    err "a benchmark's execution path called outside the registry (run a RunPlan over \
+hpcbench::registry(); only crates/core/src/registry.rs wires those paths, and only \
+extensions.rs calls imb::ext::simulate):
 $offenders"
 fi
 

@@ -16,12 +16,19 @@
 //! cargo run -p bench --bin campaign -- --smoke --nprocs 2   # native cells over 2-process fleets
 //! ```
 //!
-//! Full mode replays the paper's simulated campaign over every machine
-//! variant and regenerates all tables and figures out of the records it
-//! has just produced (`hpcbench::output::write_from`; a cell the plan did
-//! not cover, under `--workloads` say, is priced then). Smoke mode exercises every execution
-//! path — native, simulated and virtual — on a small cross product so CI
-//! proves all three routes stay wired through the registry and Runner.
+//! Full mode prices the paper: the simulated cells Table 3 and Figs.
+//! 1-15 read, each once and no other (`hpcbench::figures::paper_plan`),
+//! written to `records.json` and handed to `hpcbench::output::write_from`,
+//! which projects every table and figure out of them. Smoke mode
+//! exercises every execution path — native, simulated and virtual — on a
+//! small cross product so CI proves all three routes stay wired through
+//! the registry and Runner.
+//!
+//! Two flag combinations are refused with exit status 2 rather than
+//! honoured in name only: `--check` (or `--check-report`) without
+//! `--smoke`, since the paper plan runs no native world to instrument, and
+//! `--workloads` in full mode without `--no-figures`, since the figures
+//! read the whole plan and nothing prices a cell the filter left out.
 //!
 //! # Process fleets
 //!
@@ -45,7 +52,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use harness::{records_json_from_lines, Cell, Mode, ProcGrid, Record, RunPlan, Runner};
-use hpcbench::figures::FigureConfig;
+use hpcbench::figures::{self, FigureConfig};
 use hpcbench::output::{self, OutputConfig};
 use machines::systems;
 use mp::transport::launcher::Launcher;
@@ -177,40 +184,26 @@ fn highrank_records(procs: usize) -> Vec<Record> {
     RunPlan::high_rank(procs).execute(&hpcbench::registry())
 }
 
-fn paper_records(
-    max_procs: usize,
+/// Why a flag combination cannot run as asked, if it cannot: each one
+/// would do nothing or could not be honoured, and `main` exits 2 naming it.
+fn refusal(
+    smoke: bool,
+    nprocs: usize,
     check: bool,
-    workloads: Option<Vec<&'static str>>,
-) -> (Vec<Record>, Option<mpcheck::Report>) {
-    let reg = hpcbench::registry();
-    let plan = RunPlan {
-        modes: vec![Mode::Simulated],
-        machines: systems::all_variants(),
-        procs: ProcGrid::per_workload(move |m, _| {
-            let m = m.expect("simulated grids resolve per machine");
-            let limit = m.max_cpus.min(max_procs);
-            let mut grid = Vec::new();
-            let mut p = 2;
-            while p <= limit {
-                grid.push(p);
-                p *= 2;
-            }
-            // The paper's odd installation endpoint (SX-8 at 576 CPUs).
-            if m.max_cpus == 576 && limit >= 576 {
-                grid.push(576);
-            }
-            grid
-        }),
-        bytes: vec![simnet::units::MIB],
-        workloads,
-        runner: Runner::standard(),
-    };
-    if check {
-        let (records, report) = plan.execute_checked(&reg, mpcheck::Settings::default());
-        (records, Some(report))
+    filtered: bool,
+    with_figures: bool,
+) -> Option<&'static str> {
+    Some(if nprocs > 1 && !smoke {
+        "--nprocs drives the smoke cross product; add --smoke"
+    } else if check && nprocs > 1 {
+        "--check instruments in-process native runs; it does not compose with --nprocs"
+    } else if check && !smoke {
+        "--check instruments native runs, and the paper plan is simulated only; add --smoke"
+    } else if filtered && !smoke && with_figures {
+        "--workloads narrows the paper plan, but the figures read all of it; add --no-figures"
     } else {
-        (plan.execute(&reg), None)
-    }
+        return None;
+    })
 }
 
 /// The campaign verdict, coded once for every process count: the identity
@@ -365,18 +358,12 @@ fn main() {
             .collect()
     });
 
+    if let Some(why) = refusal(smoke, nprocs, check, workloads.is_some(), with_figures) {
+        eprintln!("{why}");
+        std::process::exit(2);
+    }
+
     if nprocs > 1 {
-        if !smoke {
-            eprintln!("--nprocs {nprocs} drives the smoke cross product; add --smoke");
-            std::process::exit(2);
-        }
-        if check {
-            eprintln!(
-                "--check instruments in-process native runs; it does not compose with \
-                 --nprocs {nprocs}"
-            );
-            std::process::exit(2);
-        }
         println!(
             "campaign --smoke --nprocs {nprocs}: native cells over {nprocs}-process fleets, \
              simulated + virtual in-process"
@@ -391,23 +378,31 @@ fn main() {
         return;
     }
 
-    let (mut records, check_report) = if smoke {
+    let figure_cfg = FigureConfig {
+        max_procs,
+        ..FigureConfig::default()
+    };
+    let (records, check_report) = if smoke {
         println!("campaign --smoke: native + simulated + virtual on a reduced cross product");
         smoke_records(check, workloads)
     } else {
         println!(
-            "campaign: simulated paper sweep over every machine variant (max_procs = {max_procs})"
+            "campaign: the paper's simulated cells, Table 3 and Figs. 1-15 \
+             (max_procs = {max_procs})"
         );
-        paper_records(max_procs, check, workloads)
+        let mut plan = figures::paper_plan(&figure_cfg);
+        if workloads.is_some() {
+            plan.workloads = workloads;
+        }
+        (plan.execute(&hpcbench::registry()), None)
     };
 
+    let mut lines: Vec<String> = records.iter().map(Record::to_json).collect();
     let high_rank = high_rank.unwrap_or(if smoke { 16_384 } else { 0 });
     if high_rank > 0 {
         println!("high-rank slice: virtual IMB at {high_rank} cooperative ranks");
-        records.extend(highrank_records(high_rank));
+        lines.extend(highrank_records(high_rank).iter().map(Record::to_json));
     }
-
-    let lines: Vec<String> = records.iter().map(Record::to_json).collect();
     publish_records(&lines, &out_dir, records_path);
 
     if let Some(report) = check_report {
@@ -425,15 +420,12 @@ fn main() {
     }
 
     // Smoke keeps CI fast: records only, the figure sweep has its own test
-    // coverage. The full campaign regenerates the paper artefacts from
-    // the records it already holds.
+    // coverage. The full campaign projects the paper artefacts out of the
+    // paper plan's records (the high-rank slice is not part of them).
     if with_figures && !smoke {
         let cfg = OutputConfig {
             out_dir,
-            figures: FigureConfig {
-                max_procs,
-                ..FigureConfig::default()
-            },
+            figures: figure_cfg,
             with_extensions,
             verbose: true,
         };
@@ -478,5 +470,30 @@ mod tests {
             ]
         );
         assert!(failed_records(&lines[..1]).is_empty());
+    }
+
+    #[test]
+    fn flags_that_would_do_nothing_are_refused() {
+        // (smoke, nprocs, check, filtered, with_figures)
+        let check_in_full_mode = refusal(false, 1, true, false, true).unwrap();
+        assert!(
+            check_in_full_mode.contains("--check"),
+            "{check_in_full_mode}"
+        );
+        assert!(refusal(false, 1, true, false, false).is_some());
+        assert_eq!(refusal(true, 1, true, false, true), None);
+
+        let filtered_figures = refusal(false, 1, false, true, true).unwrap();
+        assert!(
+            filtered_figures.contains("--workloads"),
+            "{filtered_figures}"
+        );
+        assert_eq!(refusal(false, 1, false, true, false), None);
+        assert_eq!(refusal(true, 1, false, true, true), None);
+
+        assert!(refusal(false, 2, false, false, true).is_some());
+        assert!(refusal(true, 2, true, false, true).is_some());
+        assert_eq!(refusal(true, 2, false, true, true), None);
+        assert_eq!(refusal(false, 1, false, false, true), None);
     }
 }

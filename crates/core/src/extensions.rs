@@ -11,11 +11,11 @@
 //! Output ids are prefixed `ext_` to keep them distinct from the paper's
 //! own figures.
 
-use harness::MetricKind;
+use harness::{MetricKind, Mode, ProcGrid, RunPlan, Runner};
 use machines::systems;
 
 use crate::figures::FigureConfig;
-use crate::report::{Figure, Series};
+use crate::report::{figure_from_records, Figure, Series};
 
 /// The message-size grid of the planned study: 1 byte to 2 MB.
 pub fn size_grid() -> Vec<u64> {
@@ -30,32 +30,37 @@ pub fn size_grid() -> Vec<u64> {
     v
 }
 
-/// Message-size sweep for one IMB benchmark at a fixed processor count:
-/// series per machine, x = bytes, y = time (us) or bandwidth (MB/s).
+/// Message-size sweep for one sized IMB benchmark at a fixed processor
+/// count: series per machine, x = bytes, y = time (us) or bandwidth (MB/s).
 pub fn msgsize_figure(benchmark: imb::Benchmark, cfg: &FigureConfig) -> Figure {
-    let grid = size_grid();
-    let series = systems::all_variants()
-        .iter()
-        .map(|m| {
-            let p = m
-                .max_cpus
-                .min(cfg.max_procs)
-                .min(64)
-                .max(benchmark.min_procs());
-            Series {
-                name: format!("{} (p={p})", m.name),
-                points: grid
-                    .iter()
-                    .map(|&bytes| {
-                        let meas = imb::sim::simulate(m, benchmark, p, bytes);
-                        let y = match benchmark.metric() {
-                            MetricKind::BandwidthMBs => meas.bandwidth_mbs().unwrap_or(0.0),
-                            _ => meas.t_max_us(),
-                        };
-                        (bytes as f64, y)
-                    })
-                    .collect(),
-            }
+    let cap = cfg.max_procs;
+    let plan = RunPlan {
+        modes: vec![Mode::Simulated],
+        machines: systems::all_variants(),
+        procs: ProcGrid::per_workload(move |m, meta| {
+            let m = m.expect("simulated grids resolve per machine");
+            vec![m.max_cpus.min(cap).min(64).max(meta.min_procs)]
+        }),
+        bytes: size_grid(),
+        workloads: Some(vec![benchmark.name()]),
+        runner: Runner::standard(),
+    };
+    let records = plan.execute(&crate::registry());
+    // The plan yields each machine's records together, smallest size first.
+    let series = records
+        .chunk_by(|a, b| a.machine == b.machine)
+        .map(|run| Series {
+            name: format!("{} (p={})", run[0].machine, run[0].procs),
+            points: run
+                .iter()
+                .map(|r| {
+                    let y = match benchmark.metric() {
+                        MetricKind::BandwidthMBs => r.bandwidth_mbs().unwrap_or(0.0),
+                        _ => r.t_max_us(),
+                    };
+                    (r.bytes.unwrap_or(0) as f64, y)
+                })
+                .collect(),
         })
         .collect();
     Figure {
@@ -99,7 +104,9 @@ pub fn all_msgsize_figures(cfg: &FigureConfig) -> Vec<Figure> {
 }
 
 /// One-sided bandwidth versus message size for one synchronisation
-/// scheme (Unidir_Put): series per machine.
+/// scheme (Unidir_Put): series per machine. The one study priced outside
+/// the registry: IMB-EXT has no registry entry, so it calls its model
+/// directly until the one-sided benchmarks report through `Runner`.
 pub fn onesided_figure(scheme: imb::SyncScheme) -> Figure {
     let grid = size_grid();
     let series = systems::all_variants()
@@ -134,6 +141,40 @@ pub fn all_onesided_figures() -> Vec<Figure> {
         .into_iter()
         .map(onesided_figure)
         .collect()
+}
+
+/// Simulated 1 MB Alltoall across the conclusion's five announced
+/// follow-up systems, with the NEC SX-8 as the reference winner of the
+/// original study.
+pub fn future_systems_figure(cfg: &FigureConfig) -> Figure {
+    let mut machines = systems::future_systems();
+    machines.push(systems::nec_sx8());
+    let cap = cfg.max_procs;
+    let plan = RunPlan {
+        modes: vec![Mode::Simulated],
+        machines,
+        procs: ProcGrid::per_workload(move |m, _| {
+            let limit = m
+                .expect("simulated grids resolve per machine")
+                .max_cpus
+                .min(cap)
+                .min(512);
+            std::iter::successors(Some(2), |p| Some(p * 2))
+                .take_while(|&p| p <= limit)
+                .collect()
+        }),
+        bytes: vec![cfg.imb_bytes],
+        workloads: Some(vec![imb::Benchmark::Alltoall.name()]),
+        runner: Runner::standard(),
+    };
+    figure_from_records(
+        "ext_future_alltoall",
+        "[extension] 1 MB Alltoall on the announced follow-up systems",
+        "processes",
+        "time per call (us)",
+        &plan.execute(&crate::registry()),
+        |r| r.t_max_us(),
+    )
 }
 
 #[cfg(test)]
@@ -188,42 +229,6 @@ mod tests {
         let figs = all_msgsize_figures(&cfg);
         assert_eq!(figs.len(), 11, "all 11 sized benchmarks");
     }
-}
-
-/// Simulated 1 MB Alltoall across the conclusion's five announced
-/// follow-up systems, with the NEC SX-8 as the reference winner of the
-/// original study.
-pub fn future_systems_figure(cfg: &FigureConfig) -> Figure {
-    let mut machines = systems::future_systems();
-    machines.push(systems::nec_sx8());
-    let series = machines
-        .iter()
-        .map(|m| {
-            let mut points = Vec::new();
-            let mut p = 2;
-            while p <= m.max_cpus.min(cfg.max_procs).min(512) {
-                let meas = imb::sim::simulate(m, imb::Benchmark::Alltoall, p, cfg.imb_bytes);
-                points.push((p as f64, meas.t_max_us()));
-                p *= 2;
-            }
-            Series {
-                name: m.name.to_string(),
-                points,
-            }
-        })
-        .collect();
-    Figure {
-        id: "ext_future_alltoall",
-        title: "[extension] 1 MB Alltoall on the announced follow-up systems".into(),
-        xlabel: "processes".into(),
-        ylabel: "time per call (us)".into(),
-        series,
-    }
-}
-
-#[cfg(test)]
-mod future_tests {
-    use super::*;
 
     #[test]
     fn future_figure_has_six_series() {

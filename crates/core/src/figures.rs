@@ -7,17 +7,15 @@
 //! | fig05, table3 | HPL-normalised benchmark comparison | the last point of the five paper systems' HPCC sweeps ([`kiviat_rows_from`]) |
 //! | fig06-fig15 | IMB collectives / transfers at 1 MB | the IMB sweep, one benchmark each (`IMB_FIGURES`) |
 //!
-//! [`paper_records`] builds the one record set all of these read: every
-//! `(workload, machine, procs, bytes)` cell priced once through the
-//! workload registry ([`crate::registry`]), or taken from records the
-//! caller already has. [`figures_from`] and [`tables_from`] project it
-//! and price nothing. The per-figure entry points (`fig06(&cfg)`,
-//! `hpcc_sweeps(&cfg)`, ...) price just their own cells and project
-//! those — convenient for one figure, wasteful for several, which is what
-//! [`crate::output`] and the `_from` forms are for. The high-rank
-//! extension figures at the end keep their own [`harness::RunPlan`]s.
+//! [`paper_plan`] is the one statement of the cells all of these read.
+//! Executing it through the workload registry ([`crate::registry`])
+//! prices each cell once; [`figures_from`] and [`tables_from`] project
+//! the records and price nothing. Nothing else prices a paper cell: one
+//! figure is `figures_from(&paper_plan(&cfg).execute(&registry()))` and a
+//! lookup by id. The high-rank extension figures at the end keep their
+//! own [`harness::RunPlan`]s.
 
-use harness::{MetricKind, Mode, ProcGrid, Record, Registry, RunPlan, Runner, Suite};
+use harness::{MetricKind, Mode, ProcGrid, Record, RunPlan, Runner, Suite};
 use machines::{systems, Machine};
 use simnet::units::MIB;
 
@@ -62,8 +60,8 @@ impl FigureConfig {
 }
 
 /// Processor grid for the HPCC balance sweeps (Figs. 1-4): powers of two
-/// from 4, plus the odd installation endpoints the paper reports (576 on
-/// the SX-8, 2024-like multi-box sizes on the Altix).
+/// from 4, plus the SX-8's odd installation endpoint of 576 CPUs. A cap
+/// below 4 leaves the one point `min(node CPUs, cap)`, at least 2.
 fn hpcc_grid(m: &Machine, cap: usize) -> Vec<usize> {
     let limit = m.max_cpus.min(cap);
     let mut grid = Vec::new();
@@ -131,7 +129,9 @@ const BALANCE_FIGURES: [BalanceFigure; 4] = [
 ];
 
 /// Figs. 6-15 as `(id, benchmark, title)`: every one plots its benchmark
-/// at `imb_bytes` over [`imb_machines`] x [`imb_grid`].
+/// at `imb_bytes` over [`imb_grid`] on every machine variant but the Altix
+/// NUMALINK3 configuration (the five systems, with the Cray X1 in both MSP
+/// and SSP modes, as in the paper's plots).
 type ImbFigure = (&'static str, imb::Benchmark, &'static str);
 const IMB_FIGURES: [ImbFigure; 10] = {
     use imb::Benchmark as B;
@@ -189,93 +189,39 @@ const IMB_FIGURES: [ImbFigure; 10] = {
     ]
 };
 
-/// The machine variants plotted in the IMB figures (the five systems,
-/// with the Cray X1 in both MSP and SSP modes, as in the paper's plots).
-fn imb_machines() -> Vec<Machine> {
-    vec![
-        systems::altix_bx2(),
-        systems::cray_x1_msp(),
-        systems::cray_x1_ssp(),
-        systems::cray_opteron(),
-        systems::dell_xeon(),
-        systems::nec_sx8(),
-    ]
-}
-
-/// Whether `r` is the simulated record of grid point `(m, p, bytes)`.
-fn at(r: &Record, m: &Machine, p: usize, bytes: Option<u64>) -> bool {
-    r.mode == Mode::Simulated && r.machine == m.name && r.procs == p && r.bytes == bytes
-}
-
-/// Prices one cell through the registry. A cell its workload does not
-/// admit has no records, as in a [`harness::RunPlan`].
-fn price(reg: &Registry, name: &str, m: &Machine, p: usize, bytes: Option<u64>) -> Vec<Record> {
-    let workload = reg.get(name).expect("figures name registry entries");
-    workload
-        .run(Mode::Simulated, &Runner::standard(), Some(m), p, bytes)
-        .unwrap_or_default()
-}
-
-/// The HPCC half of the record set: every component on every machine
-/// variant of Figs. 1-4 (including the Altix NUMALINK3 configuration) at
-/// every point of its [`hpcc_grid`]. Fig. 5 and Table 3 read the last
-/// point of the five paper systems out of the same records. A component
-/// `known` holds at a point (a run's first record carries its workload's
-/// name) is taken from there, any other is priced now.
-fn hpcc_records(reg: &Registry, cfg: &FigureConfig, known: &[Record]) -> Vec<Record> {
-    let mut out = Vec::new();
-    for m in systems::all_variants() {
-        for p in hpcc_grid(&m, cfg.max_procs) {
-            let first = out.len();
-            let here = |r: &&Record| r.suite == Suite::Hpcc && at(r, &m, p, None);
-            out.extend(known.iter().filter(here).copied());
-            for name in crate::registry::hpcc_names() {
-                if !out[first..].iter().any(|r| r.benchmark == name) {
-                    out.extend(price(reg, name, &m, p, None));
-                }
+/// The one statement of the paper's cells: every simulated
+/// `(workload, machine, procs, bytes)` point Table 3 and Figs. 1-15 read,
+/// each once, and no other. HPCC's 7 components run on every machine
+/// variant of Figs. 1-4 (the Altix NUMALINK3 configuration included) at
+/// powers of two from 4; Fig. 5 and Table 3 read the last point of the
+/// five paper systems out of the same records. The ten benchmarks of
+/// Figs. 6-15 run on the other six variants at powers of two from 2 up to
+/// 512, at `imb_bytes`. The SX-8 adds its 576 CPUs to both grids.
+/// [`figures_from`] and [`tables_from`] project what the plan yields.
+pub fn paper_plan(cfg: &FigureConfig) -> RunPlan {
+    let cap = cfg.max_procs;
+    let nl3 = systems::altix_nl3().name;
+    let mut workloads = crate::registry::hpcc_names();
+    workloads.extend(
+        IMB_FIGURES
+            .iter()
+            .map(|&(_, benchmark, _)| benchmark.name()),
+    );
+    RunPlan {
+        modes: vec![Mode::Simulated],
+        machines: systems::all_variants(),
+        procs: ProcGrid::per_workload(move |m, meta| {
+            let m = m.expect("simulated grids resolve per machine");
+            match meta.suite {
+                Suite::Hpcc => hpcc_grid(m, cap),
+                Suite::Imb if m.name == nl3 => Vec::new(),
+                Suite::Imb => imb_grid(m, cap),
             }
-        }
+        }),
+        bytes: vec![cfg.imb_bytes],
+        workloads: Some(workloads),
+        runner: Runner::standard(),
     }
-    out
-}
-
-/// The IMB half of the record set: each of `figures`' benchmarks on
-/// every [`imb_machines`] variant at every point of its [`imb_grid`],
-/// taken from `known` where it holds the cell and priced otherwise.
-fn imb_records(
-    reg: &Registry,
-    cfg: &FigureConfig,
-    figures: &[ImbFigure],
-    known: &[Record],
-) -> Vec<Record> {
-    let mut out = Vec::new();
-    for &(_, benchmark, _) in figures {
-        let bytes = benchmark.sized().then_some(cfg.imb_bytes);
-        for m in imb_machines() {
-            for p in imb_grid(&m, cfg.max_procs) {
-                let name = benchmark.name();
-                match known
-                    .iter()
-                    .find(|r| r.benchmark == name && at(r, &m, p, bytes))
-                {
-                    Some(r) => out.push(*r),
-                    None => out.extend(price(reg, name, &m, p, bytes)),
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The one record set behind Table 3 and Figs. 1-15: every simulated
-/// cell they read, each exactly once. Cells `known` already holds (a
-/// campaign's records, say) are taken from it; every other cell is priced
-/// through `reg`, so a partial `known` costs time, never a missing point.
-/// Nothing outlives the call: asking again prices again.
-pub fn paper_records(reg: &Registry, cfg: &FigureConfig, known: &[Record]) -> Vec<Record> {
-    let mut set = hpcc_records(reg, cfg, known);
-    set.extend(imb_records(reg, cfg, &IMB_FIGURES, known));
-    set
 }
 
 /// One machine's HPCC sweep.
@@ -287,18 +233,18 @@ pub struct HpccSweep {
     pub rows: Vec<hpcc::HpccSummary>,
 }
 
-/// The HPCC sweeps in a record set laid out as [`paper_records`] lays it
-/// out: per machine variant, one summary per run of HPCC records at one
-/// processor count.
+/// The HPCC sweeps in a record set: per machine variant, one summary per
+/// processor count, in ascending order, whatever order the set is in.
 pub fn hpcc_sweeps_from(set: &[Record]) -> Vec<HpccSweep> {
     systems::all_variants()
         .into_iter()
         .map(|machine| {
-            let mine: Vec<Record> = set
+            let mut mine: Vec<Record> = set
                 .iter()
                 .filter(|r| r.suite == Suite::Hpcc && r.machine == machine.name)
                 .copied()
                 .collect();
+            mine.sort_by_key(|r| r.procs);
             let rows = mine
                 .chunk_by(|a, b| a.procs == b.procs)
                 .map(hpcc::HpccSummary::from_records)
@@ -306,11 +252,6 @@ pub fn hpcc_sweeps_from(set: &[Record]) -> Vec<HpccSweep> {
             HpccSweep { machine, rows }
         })
         .collect()
-}
-
-/// Prices the HPCC model sweep of Figs. 1-5 and Table 3.
-pub fn hpcc_sweeps(cfg: &FigureConfig) -> Vec<HpccSweep> {
-    hpcc_sweeps_from(&hpcc_records(&crate::registry(), cfg, &[]))
 }
 
 /// Figs. 1-4 — accumulated random-ring bandwidth and EP-STREAM copy, and
@@ -370,11 +311,6 @@ pub fn kiviat_rows_from(sweeps: &[HpccSweep]) -> Vec<ratios::KiviatRow> {
         .collect()
 }
 
-/// [`kiviat_rows_from`] a freshly priced sweep.
-pub fn kiviat_rows(cfg: &FigureConfig) -> Vec<ratios::KiviatRow> {
-    kiviat_rows_from(&hpcc_sweeps(cfg))
-}
-
 /// Fig. 5: all benchmarks normalised with the HPL value, column maxima
 /// scaled to 1.
 pub fn fig05_from(rows: &[ratios::KiviatRow]) -> Table {
@@ -409,16 +345,6 @@ pub fn table3_from(rows: &[ratios::KiviatRow]) -> Table {
             .map(|(c, v)| vec![c.to_string(), fmt_num(*v)])
             .collect(),
     }
-}
-
-/// [`fig05_from`] a freshly priced sweep.
-pub fn fig05(cfg: &FigureConfig) -> Table {
-    fig05_from(&kiviat_rows(cfg))
-}
-
-/// [`table3_from`] a freshly priced sweep.
-pub fn table3(cfg: &FigureConfig) -> Table {
-    table3_from(&kiviat_rows(cfg))
 }
 
 /// Table 1: architecture parameters of the SGI Altix BX2.
@@ -491,62 +417,6 @@ fn imb_figure_from(&(id, benchmark, title): &ImbFigure, set: &[Record]) -> Figur
     // For TimeUs records `value` is t_max; for bandwidth records it is the
     // MB/s figure itself — so the projection is uniform.
     figure_from_records(id, title, "processes", ylabel, &records, |r| r.value)
-}
-
-/// One of Figs. 6-15, pricing its own benchmark only.
-fn imb_figure(figure: &ImbFigure, cfg: &FigureConfig) -> Figure {
-    let set = imb_records(&crate::registry(), cfg, std::slice::from_ref(figure), &[]);
-    imb_figure_from(figure, &set)
-}
-
-/// Fig. 6: execution time of the Barrier benchmark.
-pub fn fig06(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[0], cfg)
-}
-
-/// Fig. 7: Allreduce, 1 MB.
-pub fn fig07(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[1], cfg)
-}
-
-/// Fig. 8: Reduce, 1 MB.
-pub fn fig08(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[2], cfg)
-}
-
-/// Fig. 9: Reduce_scatter, 1 MB.
-pub fn fig09(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[3], cfg)
-}
-
-/// Fig. 10: Allgather, 1 MB.
-pub fn fig10(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[4], cfg)
-}
-
-/// Fig. 11: Allgatherv, 1 MB.
-pub fn fig11(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[5], cfg)
-}
-
-/// Fig. 12: AlltoAll, 1 MB.
-pub fn fig12(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[6], cfg)
-}
-
-/// Fig. 13: Sendrecv bandwidth, 1 MB.
-pub fn fig13(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[7], cfg)
-}
-
-/// Fig. 14: Exchange bandwidth, 1 MB.
-pub fn fig14(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[8], cfg)
-}
-
-/// Fig. 15: Broadcast, 1 MB.
-pub fn fig15(cfg: &FigureConfig) -> Figure {
-    imb_figure(&IMB_FIGURES[9], cfg)
 }
 
 /// The high-rank scaling grid: the top three octaves below the
@@ -661,16 +531,6 @@ pub fn tables_from(set: &[Record]) -> Vec<Table> {
     vec![table1(), table2(), fig05_from(&rows), table3_from(&rows)]
 }
 
-/// [`figures_from`] a freshly priced record set.
-pub fn all_figures(cfg: &FigureConfig) -> Vec<Figure> {
-    figures_from(&paper_records(&crate::registry(), cfg, &[]))
-}
-
-/// [`tables_from`] a freshly priced HPCC sweep.
-pub fn all_tables(cfg: &FigureConfig) -> Vec<Table> {
-    tables_from(&hpcc_records(&crate::registry(), cfg, &[]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,16 +546,23 @@ mod tests {
         assert!(hpcc_grid(&altix, cfg.max_procs).contains(&2048));
     }
 
+    /// The paper plan at [`FigureConfig::quick`], priced.
+    fn quick_set() -> Vec<Record> {
+        paper_plan(&FigureConfig::quick()).execute(&crate::registry())
+    }
+
     #[test]
     fn quick_figures_have_all_series() {
-        let cfg = FigureConfig::quick();
-        let by_number: [fn(&FigureConfig) -> Figure; 10] = [
-            fig06, fig07, fig08, fig09, fig10, fig11, fig12, fig13, fig14, fig15,
-        ];
-        for (n, figure) in (6..).zip(by_number) {
-            assert_eq!(figure(&cfg).id, format!("fig{n:02}"));
-        }
-        let f = fig12(&cfg);
+        let figures = figures_from(&quick_set());
+        let ids: Vec<&str> = figures.iter().map(|f| f.id).collect();
+        assert_eq!(
+            ids,
+            [
+                "fig01", "fig02", "fig03", "fig04", "fig06", "fig07", "fig08", "fig09", "fig10",
+                "fig11", "fig12", "fig13", "fig14", "fig15"
+            ]
+        );
+        let f = figures.iter().find(|f| f.id == "fig12").unwrap();
         assert_eq!(f.series.len(), 6);
         for s in &f.series {
             assert!(!s.points.is_empty(), "{} has no points", s.name);
@@ -707,8 +574,7 @@ mod tests {
 
     #[test]
     fn quick_balance_figures_are_consistent() {
-        let cfg = FigureConfig::quick();
-        let figures = balance_figures(&hpcc_sweeps(&cfg));
+        let figures = balance_figures(&hpcc_sweeps_from(&quick_set()));
         let (f1, f2) = (&figures[0], &figures[1]);
         assert_eq!((f1.id, f2.id), ("fig01", "fig02"));
         assert_eq!(f1.series.len(), 7, "five systems + X1 SSP + Altix NL3");
@@ -720,6 +586,23 @@ mod tests {
                 assert!((y2 - expect).abs() < 1e-6 * expect, "{} vs {expect}", y2);
             }
         }
+    }
+
+    /// `RunPlan` yields records workload by workload; the HPCC projections
+    /// group them by machine and processor count, so any order of the
+    /// same set gives the same tables and balance figures.
+    #[test]
+    fn hpcc_projections_ignore_record_order() {
+        let set = quick_set();
+        let mut reversed = set.clone();
+        reversed.reverse();
+        let csv = |set: &[Record]| {
+            let mut out: Vec<String> = tables_from(set).iter().map(Table::to_csv).collect();
+            let sweeps = hpcc_sweeps_from(set);
+            out.extend(balance_figures(&sweeps).iter().map(Figure::to_csv));
+            out
+        };
+        assert_eq!(csv(&set), csv(&reversed));
     }
 
     #[test]
@@ -752,13 +635,15 @@ mod tests {
     #[test]
     fn registry_routed_figures_match_direct_simulation() {
         let cfg = FigureConfig::quick();
-        for (fig, bench) in [
-            (fig12(&cfg), imb::Benchmark::Alltoall),
-            (fig13(&cfg), imb::Benchmark::Sendrecv),
-            (fig06(&cfg), imb::Benchmark::Barrier),
+        let figures = figures_from(&quick_set());
+        for (id, bench) in [
+            ("fig12", imb::Benchmark::Alltoall),
+            ("fig13", imb::Benchmark::Sendrecv),
+            ("fig06", imb::Benchmark::Barrier),
         ] {
+            let fig = figures.iter().find(|f| f.id == id).unwrap();
             for s in &fig.series {
-                let m = imb_machines()
+                let m = systems::all_variants()
                     .into_iter()
                     .find(|m| m.name == s.name)
                     .unwrap();
@@ -773,8 +658,7 @@ mod tests {
 
     #[test]
     fn plan_driven_sweeps_match_direct_models() {
-        let cfg = FigureConfig::quick();
-        for sw in &hpcc_sweeps(&cfg) {
+        for sw in &hpcc_sweeps_from(&quick_set()) {
             for row in &sw.rows {
                 let direct = hpcc::sim::summary(&sw.machine, row.cpus);
                 assert_eq!(row.ghpl, direct.ghpl, "{} p={}", sw.machine.name, row.cpus);
@@ -786,15 +670,13 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let t1 = table1();
-        assert_eq!(t1.rows.len(), 9);
-        let t2 = table2();
-        assert_eq!(t2.rows.len(), 5);
-        let cfg = FigureConfig::quick();
-        let f5 = fig05(&cfg);
-        assert_eq!(f5.rows.len(), 5);
-        assert_eq!(f5.columns.len(), 9);
-        let t3 = table3(&cfg);
-        assert_eq!(t3.rows.len(), 8);
+        let tables = tables_from(&quick_set());
+        let ids: Vec<&str> = tables.iter().map(|t| t.id).collect();
+        assert_eq!(ids, ["table1", "table2", "fig05", "table3"]);
+        assert_eq!(tables[0].rows.len(), 9);
+        assert_eq!(tables[1].rows.len(), 5);
+        assert_eq!(tables[2].rows.len(), 5);
+        assert_eq!(tables[2].columns.len(), 9);
+        assert_eq!(tables[3].rows.len(), 8);
     }
 }

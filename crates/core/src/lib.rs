@@ -8,8 +8,9 @@
 //!   HPCC component and per IMB benchmark — wiring each to its native,
 //!   simulated and virtual execution paths through the `harness` crate.
 //! * [`figures`] regenerates every table and figure of the paper: one
-//!   set of [`harness::Record`]s priced through the registry, each cell
-//!   once, and every table and figure a projection of it.
+//!   plan of the cells they read ([`figures::paper_plan`]), priced
+//!   through the registry, each cell once, and every table and figure a
+//!   projection of its [`harness::Record`]s.
 //! * [`ratios`] implements the paper's ratio-based analysis (Section
 //!   4.1): communication/computation balance and the HPL-normalised
 //!   Kiviat comparison.
@@ -20,10 +21,12 @@
 //! `hpcc` and `imb` crates; this crate consumes their record streams.
 //!
 //! ```
-//! use hpcbench::figures::{fig06, FigureConfig};
+//! use hpcbench::figures::{figures_from, paper_plan, FigureConfig};
 //!
-//! let fig = fig06(&FigureConfig::quick());
-//! assert!(fig.to_csv().lines().count() > 5);
+//! let records = paper_plan(&FigureConfig::quick()).execute(&hpcbench::registry());
+//! let figures = figures_from(&records);
+//! let fig06 = figures.iter().find(|f| f.id == "fig06").unwrap();
+//! assert!(fig06.to_csv().lines().count() > 5);
 //! ```
 
 pub mod extensions;

@@ -1,11 +1,11 @@
 //! Output stage of the `campaign` binary: writes
 //! every regenerated table and figure (CSV + SVG + combined markdown
-//! report) into a directory. One call builds one record set
-//! ([`figures::paper_records`]) and every table and figure of the paper is
-//! a projection of it, so no cell is priced twice — not by two artefacts
-//! that share it (Fig. 5 and Table 3 read the last points of the sweep
-//! behind Figs. 1-4), and not by a campaign that has priced it already
-//! ([`write_from`]).
+//! report) into a directory. Every table and figure of the paper is a
+//! projection of one record set, the records of [`figures::paper_plan`]:
+//! [`write_all`] executes the plan, a campaign that has executed it
+//! already hands its records to [`write_from`], and neither prices a
+//! paper cell twice (Fig. 5 and Table 3 read the last points of the sweep
+//! behind Figs. 1-4).
 
 use std::fs;
 use std::io;
@@ -43,29 +43,28 @@ impl OutputConfig {
 }
 
 /// Writes all tables, figures, extensions and the combined `report.md`,
-/// pricing every cell they read once. Returns the path of the written
-/// report.
+/// pricing every cell of the paper plan once. Returns the path of the
+/// written report.
 pub fn write_all(cfg: &OutputConfig) -> io::Result<PathBuf> {
-    write_from(cfg, &[])
+    write_with(&crate::registry(), cfg)
 }
 
-/// [`write_all`] for a caller that holds records already: a cell `known`
-/// covers is read from it, any other is priced, and the files come out
-/// byte for byte the same either way.
-pub fn write_from(cfg: &OutputConfig, known: &[Record]) -> io::Result<PathBuf> {
-    write_with(&crate::registry(), cfg, known)
-}
-
-fn write_with(reg: &Registry, cfg: &OutputConfig, known: &[Record]) -> io::Result<PathBuf> {
-    fs::create_dir_all(&cfg.out_dir)?;
+fn write_with(reg: &Registry, cfg: &OutputConfig) -> io::Result<PathBuf> {
     if cfg.verbose {
         println!(
-            "pricing tables and figures (max_procs = {}, {} records in hand) ...",
-            cfg.figures.max_procs,
-            known.len()
+            "pricing the paper plan (max_procs = {}) ...",
+            cfg.figures.max_procs
         );
     }
-    let set = figures::paper_records(reg, &cfg.figures, known);
+    write_from(cfg, &figures::paper_plan(&cfg.figures).execute(reg))
+}
+
+/// [`write_all`] out of `set`, the records of
+/// [`figures::paper_plan`]`(&cfg.figures)`: the tables and figures are
+/// projections of it and price nothing, and only the extension studies,
+/// which are not the paper, run plans of their own.
+pub fn write_from(cfg: &OutputConfig, set: &[Record]) -> io::Result<PathBuf> {
+    fs::create_dir_all(&cfg.out_dir)?;
     let mut report = String::from(
         "# Regenerated tables and figures\n\nSaini et al., *Performance evaluation of \
          supercomputers using HPCC and IMB Benchmarks* — simulated reproduction.\n\n",
@@ -74,7 +73,7 @@ fn write_with(reg: &Registry, cfg: &OutputConfig, known: &[Record]) -> io::Resul
     if cfg.verbose {
         println!("writing tables ...");
     }
-    for table in figures::tables_from(&set) {
+    for table in figures::tables_from(set) {
         fs::write(
             cfg.out_dir.join(format!("{}.csv", table.id)),
             table.to_csv(),
@@ -89,7 +88,7 @@ fn write_with(reg: &Registry, cfg: &OutputConfig, known: &[Record]) -> io::Resul
     if cfg.verbose {
         println!("writing figures ...");
     }
-    for fig in figures::figures_from(&set) {
+    for fig in figures::figures_from(set) {
         write_figure(&cfg.out_dir, &fig)?;
         report.push_str(&fig.to_markdown());
         report.push('\n');
@@ -151,9 +150,10 @@ mod tests {
 
     /// The whole tree is written from a registry whose every simulated
     /// entry counts its calls before handing over to the real one: each
-    /// `(workload, machine, procs, bytes)` runs once per `write_all`,
-    /// again on the next call (nothing is remembered between calls), and
-    /// not at all when the caller brings the records.
+    /// `(workload, machine, procs, bytes)` of the paper plan runs once per
+    /// `write_all`, again on the next call (nothing is remembered between
+    /// calls), and not at all when the caller brings the plan's records to
+    /// `write_from`.
     #[test]
     fn every_cell_is_priced_once_per_call() {
         type Cell = (&'static str, &'static str, usize, Option<u64>);
@@ -178,16 +178,16 @@ mod tests {
         let cfg = quick(&dir);
         let all = |n: usize| runs.lock().unwrap().values().all(|&c| c == n);
 
-        write_with(&counting, &cfg, &[]).unwrap();
-        let set = figures::paper_records(&real, &cfg.figures, &[]);
+        write_with(&counting, &cfg).unwrap();
+        let set = figures::paper_plan(&cfg.figures).execute(&real);
         let cells = set.iter().filter(|r| real.get(r.benchmark).is_some());
         assert_eq!(runs.lock().unwrap().len(), cells.count());
         assert!(all(1), "a cell was priced twice in one call");
 
-        write_with(&counting, &cfg, &[]).unwrap();
+        write_with(&counting, &cfg).unwrap();
         assert!(all(2), "the second call must price again");
 
-        write_with(&counting, &cfg, &set).unwrap();
+        write_from(&cfg, &set).unwrap();
         assert!(all(2), "a cell the caller brought was priced anyway");
         fs::remove_dir_all(&dir).ok();
     }

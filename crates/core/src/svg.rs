@@ -377,9 +377,11 @@ mod tests {
 
     #[test]
     fn real_figure_renders() {
-        let cfg = crate::figures::FigureConfig::quick();
-        let fig = crate::figures::fig06(&cfg);
-        let svg = render(&fig);
+        use crate::figures::{figures_from, paper_plan, FigureConfig};
+        let records = paper_plan(&FigureConfig::quick()).execute(&crate::registry());
+        let figures = figures_from(&records);
+        let fig = figures.iter().find(|f| f.id == "fig06").unwrap();
+        let svg = render(fig);
         assert!(svg.len() > 2000);
         assert_eq!(svg.matches("<path").count(), fig.series.len());
     }

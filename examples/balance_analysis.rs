@@ -18,7 +18,12 @@ fn main() {
     };
 
     println!("Communication/computation balance (Fig. 2): B/kFlop by CPUs\n");
-    let sweeps = figures::hpcc_sweeps(&cfg);
+    // Only the HPCC half of the paper plan: the IMB figures are not read here.
+    let plan = harness::RunPlan {
+        workloads: Some(hpcbench::registry::hpcc_names()),
+        ..figures::paper_plan(&cfg)
+    };
+    let sweeps = figures::hpcc_sweeps_from(&plan.execute(&hpcbench::registry()));
     for sw in &sweeps {
         print!("{:<30}", sw.machine.name);
         for s in &sw.rows {

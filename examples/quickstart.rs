@@ -4,7 +4,7 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use hpcbench::figures::FigureConfig;
+use hpcbench::figures::{self, FigureConfig};
 
 fn main() {
     // 1. The message-passing runtime: an SPMD program on 4 rank threads.
@@ -29,7 +29,10 @@ fn main() {
         println!("  {:<28} {:>10.1} us/call", m.name, s.t_max_us());
     }
 
-    // 4. One figure of the paper, regenerated at reduced scale.
-    let fig = hpcbench::figures::fig12(&FigureConfig::quick());
+    // 4. One figure of the paper, regenerated at reduced scale: the
+    //    paper's cells priced once, then projected.
+    let records = figures::paper_plan(&FigureConfig::quick()).execute(&hpcbench::registry());
+    let figures = figures::figures_from(&records);
+    let fig = figures.iter().find(|f| f.id == "fig12").expect("Fig. 12");
     println!("\n{}", fig.to_markdown());
 }

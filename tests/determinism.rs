@@ -3,20 +3,26 @@
 
 use hpcbench::figures::{self, FigureConfig};
 
+/// The paper plan at [`FigureConfig::quick`], priced.
+fn quick_set() -> Vec<harness::Record> {
+    figures::paper_plan(&FigureConfig::quick()).execute(&hpcbench::registry())
+}
+
 #[test]
 fn figure_regeneration_is_bit_stable() {
-    let cfg = FigureConfig::quick();
-    let a = figures::fig12(&cfg);
-    let b = figures::fig12(&cfg);
+    let fig12 = || {
+        let figures = figures::figures_from(&quick_set());
+        figures.into_iter().find(|f| f.id == "fig12").unwrap()
+    };
+    let (a, b) = (fig12(), fig12());
     assert_eq!(a.to_csv(), b.to_csv());
     assert_eq!(hpcbench::svg::render(&a), hpcbench::svg::render(&b));
 }
 
 #[test]
 fn balance_sweeps_are_bit_stable() {
-    let cfg = FigureConfig::quick();
-    let a = figures::hpcc_sweeps(&cfg);
-    let b = figures::hpcc_sweeps(&cfg);
+    let a = figures::hpcc_sweeps_from(&quick_set());
+    let b = figures::hpcc_sweeps_from(&quick_set());
     for (sa, sb) in a.iter().zip(&b) {
         assert_eq!(sa.machine.name, sb.machine.name);
         for (ra, rb) in sa.rows.iter().zip(&sb.rows) {
@@ -29,12 +35,11 @@ fn balance_sweeps_are_bit_stable() {
 
 #[test]
 fn tables_are_bit_stable() {
-    let cfg = FigureConfig::quick();
-    assert_eq!(
-        figures::table3(&cfg).to_csv(),
-        figures::table3(&cfg).to_csv()
-    );
-    assert_eq!(figures::fig05(&cfg).to_csv(), figures::fig05(&cfg).to_csv());
+    let csv = || -> Vec<String> {
+        let tables = figures::tables_from(&quick_set());
+        tables.iter().map(hpcbench::Table::to_csv).collect()
+    };
+    assert_eq!(csv(), csv());
 }
 
 #[test]
@@ -154,15 +159,22 @@ fn tree(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-/// Tables and figures are projections of one record set, and a caller's
-/// own records stand in for any part of it: the tree `write_all` writes is
-/// the tree the commit before this wrote with every artefact pricing its
-/// own cells (the golden FNV-1a over each file's name, length and body, in
-/// name order, was computed there), `write_from` a campaign's records
-/// writes the same files, and so does `write_from` a campaign that left
-/// workloads out — the cells of Fig. 12 (Alltoall), the G-FFTE column of
-/// Fig. 5 / Table 3 (G-FFT) and the x axis of Figs. 1-4 (G-HPL) are then
-/// priced by the call instead of read, never dropped.
+/// FNV-1a over each file's name, length and body, in the order given.
+fn tree_digest(files: &[(String, Vec<u8>)]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for (name, body) in files {
+        fnv1a_bytes(&mut h, name.bytes());
+        fnv1a(&mut h, &[body.len() as u64]);
+        fnv1a_bytes(&mut h, body.iter().copied());
+    }
+    h
+}
+
+/// Tables and figures are projections of one record set, the paper
+/// plan's: the tree `write_all` writes is the tree an earlier commit wrote
+/// with every artefact pricing its own cells (the golden was computed
+/// there), and `write_from` the plan's records — what `campaign` hands it
+/// — writes the same files.
 #[test]
 fn one_record_set_writes_the_same_tree() {
     use hpcbench::output::{write_all, write_from, OutputConfig};
@@ -178,46 +190,42 @@ fn one_record_set_writes_the_same_tree() {
     write_all(&cfg("priced")).unwrap();
     let priced = tree(&scratch.join("priced"));
     assert_eq!(priced.len(), 33, "4 tables, 14 figures twice, one report");
-    let mut h = FNV_OFFSET;
-    for (name, body) in &priced {
-        fnv1a_bytes(&mut h, name.bytes());
-        fnv1a(&mut h, &[body.len() as u64]);
-        fnv1a_bytes(&mut h, body.iter().copied());
-    }
+    let h = tree_digest(&priced);
     assert_eq!(h, GOLDEN, "{h:#018x}");
 
-    // `campaign`'s paper plan at this scale: every workload on every
-    // machine variant at the powers of two from 2.
-    let quick = FigureConfig::quick();
-    let campaign = |workloads| harness::RunPlan {
-        modes: vec![harness::Mode::Simulated],
-        machines: machines::systems::all_variants(),
-        procs: harness::ProcGrid::Pow2Through(quick.max_procs),
-        bytes: vec![quick.imb_bytes],
-        workloads,
-        runner: harness::Runner::standard(),
-    };
-    let registry = hpcbench::registry();
-    let full = campaign(None).execute(&registry);
-    write_from(&cfg("full"), &full).unwrap();
+    write_from(&cfg("from"), &quick_set()).unwrap();
     assert!(
-        tree(&scratch.join("full")) == priced,
-        "a full campaign's records"
-    );
-
-    let kept: Vec<&'static str> = registry
-        .iter()
-        .map(|w| w.meta.name)
-        .filter(|name| !["Alltoall", "G-FFT", "G-HPL"].contains(name))
-        .collect();
-    let partial = campaign(Some(kept)).execute(&registry);
-    assert!(partial.len() < full.len());
-    write_from(&cfg("partial"), &partial).unwrap();
-    assert!(
-        tree(&scratch.join("partial")) == priced,
-        "a filtered campaign's records"
+        tree(&scratch.join("from")) == priced,
+        "the paper plan's records"
     );
     std::fs::remove_dir_all(&scratch).ok();
+}
+
+/// The extension studies — message-size sweeps, one-sided schemes,
+/// follow-up systems and the high-rank figures — write the same tree as
+/// at the commit before the message-size and follow-up studies priced
+/// through the registry (the golden was computed there).
+#[test]
+fn extension_tree_is_unchanged() {
+    use hpcbench::output::{write_all, OutputConfig};
+    const GOLDEN: u64 = 0x1b1e_85fd_b1b8_e9cc;
+    let dir = std::env::temp_dir().join(format!("hpcbench-ext-tree-{}", std::process::id()));
+    write_all(&OutputConfig {
+        out_dir: dir.clone(),
+        figures: FigureConfig::quick(),
+        with_extensions: true,
+        verbose: false,
+    })
+    .unwrap();
+    let files = tree(&dir);
+    assert_eq!(
+        files.len(),
+        67,
+        "the paper's 33 files and 17 extension figures twice"
+    );
+    let h = tree_digest(&files);
+    assert_eq!(h, GOLDEN, "{h:#018x}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// FNV-1a over the shape of each schedule: rank and round counts, then

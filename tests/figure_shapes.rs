@@ -14,6 +14,19 @@ fn cfg() -> FigureConfig {
     }
 }
 
+/// The paper plan at `cfg`, priced.
+fn paper(cfg: &FigureConfig) -> Vec<harness::Record> {
+    figures::paper_plan(cfg).execute(&hpcbench::registry())
+}
+
+/// Figure `id` of the paper at [`cfg`].
+fn paper_figure(id: &str) -> hpcbench::Figure {
+    let all = figures::figures_from(&paper(&cfg()));
+    all.into_iter()
+        .find(|f| f.id == id)
+        .expect("a paper figure")
+}
+
 fn series_value(fig: &hpcbench::Figure, name_part: &str, x: f64) -> f64 {
     fig.series
         .iter()
@@ -30,7 +43,7 @@ fn series_value(fig: &hpcbench::Figure, name_part: &str, x: f64) -> f64 {
 /// better than scalar systems" on the 1 MB reductions.
 #[test]
 fn reductions_cluster_by_architecture() {
-    for fig in [figures::fig07(&cfg()), figures::fig08(&cfg())] {
+    for fig in ["fig07", "fig08"].map(paper_figure) {
         let p = 16.0;
         let sx8 = series_value(&fig, "NEC", p);
         let x1 = series_value(&fig, "X1 (MSP)", p);
@@ -58,7 +71,7 @@ fn reductions_cluster_by_architecture() {
 /// NEC SX-8 > Cray X1 > SGI Altix BX2 > Dell Xeon > Cray Opteron.
 #[test]
 fn alltoall_ordering_matches_fig12() {
-    let fig = figures::fig12(&cfg());
+    let fig = paper_figure("fig12");
     let p = 16.0;
     let order = ["NEC", "X1 (MSP)", "BX2", "Xeon", "Opteron"];
     let times: Vec<f64> = order.iter().map(|n| series_value(&fig, n, p)).collect();
@@ -72,7 +85,7 @@ fn alltoall_ordering_matches_fig12() {
 /// clusters'.
 #[test]
 fn sendrecv_shared_memory_peak() {
-    let fig = figures::fig13(&cfg());
+    let fig = paper_figure("fig13");
     for s in &fig.series {
         let at2 = s.points.first().expect("2-proc point").1;
         let best = s.points.iter().map(|p| p.1).fold(0.0, f64::max);
@@ -91,7 +104,7 @@ fn sendrecv_shared_memory_peak() {
 /// performance is almost constant" once past the shared-memory point.
 #[test]
 fn exchange_xeon_is_flat() {
-    let fig = figures::fig14(&cfg());
+    let fig = paper_figure("fig14");
     let xeon: Vec<f64> = fig
         .series
         .iter()
@@ -115,7 +128,7 @@ fn exchange_xeon_is_flat() {
 /// middle pair is order-insensitive here.
 #[test]
 fn broadcast_ranking_matches_fig15() {
-    let fig = figures::fig15(&cfg());
+    let fig = paper_figure("fig15");
     let p = 16.0;
     let sx8 = series_value(&fig, "NEC", p);
     let bx2 = series_value(&fig, "BX2", p);
@@ -196,7 +209,8 @@ fn fig4_stream_balance_bands() {
 /// memory-and-network columns (STREAM-copy ratio), as Section 4.1.2 says.
 #[test]
 fn fig5_sx8_wins_stream_column() {
-    let (rows, _) = ratios::normalise(&figures::kiviat_rows(&cfg()));
+    let sweeps = figures::hpcc_sweeps_from(&paper(&cfg()));
+    let (rows, _) = ratios::normalise(&figures::kiviat_rows_from(&sweeps));
     let sx8 = rows.iter().find(|r| r.machine.contains("NEC")).unwrap();
     // Column 4 = G-StreamCopy/G-HPL.
     assert_eq!(sx8.values[4], 1.0, "SX-8 must top the STREAM/HPL column");
@@ -207,14 +221,14 @@ fn fig5_sx8_wins_stream_column() {
 /// kept at a size that stays fast in debug builds).
 #[test]
 fn quick_figure_pipeline_end_to_end() {
-    let cfg = FigureConfig::quick();
-    let figs = figures::all_figures(&cfg);
+    let set = paper(&FigureConfig::quick());
+    let figs = figures::figures_from(&set);
     assert_eq!(figs.len(), 14, "figs 1-4 and 6-15");
     for f in &figs {
         assert!(!f.series.is_empty(), "{} empty", f.id);
         let csv = f.to_csv();
         assert!(csv.lines().count() > f.series.len());
     }
-    let tables = figures::all_tables(&cfg);
+    let tables = figures::tables_from(&set);
     assert_eq!(tables.len(), 4, "tables 1-3 plus fig5");
 }
