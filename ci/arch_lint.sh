@@ -92,6 +92,11 @@
 #      `crates/core/src/extensions.rs`: IMB-EXT has no registry entry yet.
 #      A figure that calls a model directly is a second pricing route
 #      growing back.
+#  13. One butterfly network. Non-test code under `crates/hpcc/src`
+#      defines no function whose name contains `dit`. The FFT engine's
+#      decimation-in-frequency passes serve every transform ordering, with
+#      the bit reversal fused into the copies around them; a `*_dit`
+#      kernel is the deleted decimation-in-time mirror growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -256,6 +261,16 @@ EOF
     cat > "$pass/crates/core/src/extensions.rs" <<'EOF'
 fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
 EOF
+    # The DIF kernels; a test may name a helper after what it checks.
+    mkdir -p "$pass/crates/hpcc/src/kernels"
+    cat > "$pass/crates/hpcc/src/kernels/fft.rs" <<'EOF'
+fn merged_dif<const INV: bool>(re: &mut [f64], im: &mut [f64], stage: &Stage) {}
+
+#[cfg(test)]
+mod tests {
+    fn naive_dit(x: &[f64]) {}
+}
+EOF
     if ! "$self" --root "$pass" > "$tmp/pass.log" 2>&1; then
         echo "arch_lint --self-test: compliant fixture was rejected:" >&2
         cat "$tmp/pass.log" >&2
@@ -371,6 +386,12 @@ EOF
     cat > "$bad/crates/bench/src/bin/campaign.rs" <<'EOF'
 fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
 EOF
+    # A decimation-in-time mirror beside the DIF passes.
+    mkdir -p "$bad/crates/hpcc/src/kernels"
+    cat > "$bad/crates/hpcc/src/kernels/fft.rs" <<'EOF'
+fn merged_dif<const INV: bool>(re: &mut [f64], im: &mut [f64], stage: &Stage) {}
+fn merged_dit<const INV: bool>(re: &mut [f64], im: &mut [f64], stage: &Stage) {}
+EOF
     if "$self" --root "$bad" > "$tmp/bad.log" 2>&1; then
         echo "arch_lint --self-test: violating fixture was accepted" >&2
         exit 1
@@ -383,7 +404,8 @@ EOF
         "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs" \
         "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan" \
         "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var" \
-        "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::simulate"; do
+        "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::simulate" \
+        "kernels/fft.rs:2: fn merged_dit"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -576,6 +598,14 @@ if [ -n "$offenders" ]; then
     err "a benchmark's execution path called outside the registry (run a RunPlan over \
 hpcbench::registry(); only crates/core/src/registry.rs wires those paths, and only \
 extensions.rs calls imb::ext::simulate):
+$offenders"
+fi
+
+# --- 13. One butterfly network --------------------------------------------
+offenders=$(scan 'fn [a-z0-9_]*dit' | grep '^crates/hpcc/src/' || true)
+if [ -n "$offenders" ]; then
+    err "a decimation-in-time kernel in crates/hpcc/src (the DIF passes serve every \
+transform; fuse a bit reversal into the copies around them instead):
 $offenders"
 fi
 

@@ -131,14 +131,9 @@ async fn exchange_blocks(
     debug_assert_eq!(recvbuf.len(), 16 * local.len(), "partner block length");
 }
 
-/// One distributed DIF transform over `comm`; `local` is this rank's
-/// block (length `n/p`). Output is globally bit-reversed in place.
-pub fn distributed_fft(comm: &Comm, local: &mut [Complex], inverse: bool) {
-    mp::block_on(distributed_fft_async(comm, local, inverse));
-}
-
-/// Awaitable mirror of [`distributed_fft`], for cooperative rank tasks.
-pub async fn distributed_fft_async(comm: &Comm, local: &mut [Complex], inverse: bool) {
+/// One forward distributed DIF transform over `comm`; `local` is this
+/// rank's block (length `n/p`). Output is globally bit-reversed in place.
+pub async fn distributed_fft_async(comm: &Comm, local: &mut [Complex]) {
     let p = comm.size();
     let me = comm.rank();
     assert!(p.is_power_of_two(), "G-FFT needs a power-of-two rank count");
@@ -147,7 +142,7 @@ pub async fn distributed_fft_async(comm: &Comm, local: &mut [Complex], inverse: 
 
     if p > 1 {
         let table = table_for(ln * p);
-        let stages = cross_stages(&table, me, ln, p, inverse);
+        let stages = cross_stages(&table, me, ln, p, false);
         let mut sendbuf: Vec<u8> = Vec::new();
         let mut recvbuf: Vec<u8> = Vec::new();
         for stage in &stages {
@@ -170,20 +165,16 @@ pub async fn distributed_fft_async(comm: &Comm, local: &mut [Complex], inverse: 
         }
     }
 
-    fft::dif_in_place(local, inverse);
+    fft::dif_in_place(local, false);
 }
 
-/// Exactly undoes a forward [`distributed_fft`], unscaled: afterwards
-/// every rank holds `n` times its original input block. Runs the DIT
-/// mirror — local inverse butterflies first, then the cross-rank stages
-/// in ascending span order with conjugate twiddles — and stays O(n/p)
-/// memory per rank (this is what the benchmark's verification uses
-/// instead of gathering the spectrum to rank 0).
-pub fn distributed_ifft_unscaled(comm: &Comm, local: &mut [Complex]) {
-    mp::block_on(distributed_ifft_unscaled_async(comm, local));
-}
-
-/// Awaitable mirror of [`distributed_ifft_unscaled`].
+/// Exactly undoes a forward [`distributed_fft_async`], unscaled:
+/// afterwards every rank holds `n` times its original input block. The
+/// local inverse transform runs first — [`fft::fft_from_bit_reversed`]
+/// takes the rank's bit-reversed block back to natural order — then the
+/// cross-rank stages in ascending span order with conjugate twiddles.
+/// Stays O(n/p) memory per rank (this is what the benchmark's
+/// verification uses instead of gathering the spectrum to rank 0).
 pub async fn distributed_ifft_unscaled_async(comm: &Comm, local: &mut [Complex]) {
     let p = comm.size();
     let me = comm.rank();
@@ -191,7 +182,7 @@ pub async fn distributed_ifft_unscaled_async(comm: &Comm, local: &mut [Complex])
     let ln = local.len();
     assert!(ln.is_power_of_two(), "local block must be a power of two");
 
-    fft::dit_in_place(local, true);
+    fft::fft_from_bit_reversed(local, true);
 
     if p > 1 {
         let table = table_for(ln * p);
@@ -247,11 +238,11 @@ pub async fn run_async(comm: &Comm, cfg: &FftConfig) -> FftResult {
 
     comm.barrier_async().await;
     let clock = harness::Stopwatch::start();
-    distributed_fft_async(comm, &mut data, false).await;
+    distributed_fft_async(comm, &mut data).await;
     comm.barrier_async().await;
     let time_s = clock.elapsed_secs();
 
-    // Round trip entirely in place: the inverse mirror returns n * input
+    // Round trip entirely in place: the distributed inverse returns n * input
     // in the original block layout, so each rank checks its own slice
     // against the deterministic generator and only the scalar error is
     // reduced. (The old gather-to-rank-0 check needed O(n) memory on one
@@ -343,10 +334,10 @@ mod tests {
                 let base = (comm.rank() * ln) as u64;
                 let mut data: Vec<Complex> =
                     (0..ln as u64).map(|l| input_element(base + l)).collect();
-                distributed_fft(comm, &mut data, false);
+                mp::block_on(distributed_fft_async(comm, &mut data));
                 let gather_err = gathered_roundtrip_error(comm, &data, log2_n);
 
-                distributed_ifft_unscaled(comm, &mut data);
+                mp::block_on(distributed_ifft_unscaled_async(comm, &mut data));
                 let mut dist_err = 0.0f64;
                 for (l, v) in data.iter().enumerate() {
                     let expect = input_element(base + l as u64);
@@ -380,12 +371,43 @@ mod tests {
         }
     }
 
+    /// The timed forward transform's output, pinned bit for bit: an
+    /// FNV-1a hash over the bytes of every rank's spectrum block, in rank
+    /// order, at n = 2^12. A change to the engine that moves any bit of
+    /// the G-FFT spectrum fails here, however small the error it adds.
+    #[test]
+    fn gfft_forward_spectrum_is_unchanged() {
+        let log2_n = 12u32;
+        for (p, golden) in [
+            (1usize, 0x7537_9358_6717_50dc_u64),
+            (2, 0xdaf1_4b40_217a_ff46),
+            (4, 0x6c53_cba4_d16d_4771),
+        ] {
+            let blocks = mp::run(p, |comm| {
+                let ln = (1usize << log2_n) / p;
+                let base = (comm.rank() * ln) as u64;
+                let mut data: Vec<Complex> =
+                    (0..ln as u64).map(|l| input_element(base + l)).collect();
+                mp::block_on(distributed_fft_async(comm, &mut data));
+                data
+            });
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for c in blocks.iter().flatten() {
+                for byte in c.re.to_le_bytes().into_iter().chain(c.im.to_le_bytes()) {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(hash, golden, "p={p}: {hash:#018x}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "power-of-two rank count")]
     fn rejects_odd_rank_counts() {
         mp::run(3, |comm| {
             let mut block = vec![Complex::default(); 8];
-            distributed_fft(comm, &mut block, false);
+            mp::block_on(distributed_fft_async(comm, &mut block));
         });
     }
 }

@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use super::fft::Complex;
 
-/// Twiddle pairs for one merged radix-2^2 stage (DIT halves `(h, 2h)`,
-/// equivalently DIF spans `(4h, 2h)`).
+/// Twiddle pairs for one merged radix-2^2 DIF stage: its butterfly
+/// spans `4h` first (`W_{4h}^k`), then `2h` (`W_{2h}^k`).
 ///
 /// The pairs are stored twice: interleaved as `Complex` (the layout the
 /// tests validate against) and as four split-complex planes, which is
@@ -73,8 +73,8 @@ impl TwiddleTable {
         self.n <= 1
     }
 
-    /// Whether the merged stages are preceded (DIT) / followed (DIF) by a
-    /// single twiddle-free radix-2 stage (odd `log2 n`).
+    /// Whether the merged stages are followed by a single twiddle-free
+    /// radix-2 stage (odd `log2 n`).
     #[inline]
     pub fn has_odd_stage(&self) -> bool {
         self.n >= 2 && self.n.trailing_zeros() % 2 == 1
