@@ -45,8 +45,9 @@
 #   7. One way to start a world, one stall detector. In `crates/mp/src`
 #      the rank-thread name literal `"mp-rank-{` and `gate.abort()` each
 #      appear exactly once (`runtime::spawn_rank_threads` is the only
-#      spawn loop; `run`, `run_traced`, `run_checked` and the session
-#      path are callers of it), and `find_cycle(` is defined once and
+#      spawn loop; plain `run`, `run_checked` — behind `run_traced` and
+#      the ambient hook's `run` — and the session path are its callers),
+#      and `find_cycle(` is defined once and
 #      called from one place (`Deadlock::from_waits`, which every
 #      detector — threads, tasks, fleet — assembles its diagnosis by).
 #   8. One cross-process transport, one frame decoder. Under
@@ -97,6 +98,17 @@
 #      decimation-in-frequency passes serve every transform ordering, with
 #      the bit reversal fused into the copies around them; a `*_dit`
 #      kernel is the deleted decimation-in-time mirror growing back.
+#  14. One record of a run, one hook to get it. Non-test code under
+#      `crates/` names none of `install_explore`, `ScopedExplore`,
+#      `run_controlled_coop` and `classify_panic`, and under
+#      `crates/mp/src` a `Transfer {` literal outside `sched/` appears
+#      exactly once, in `check.rs` (`RunLog::transfers`). A world's
+#      `RunLog` carries its events, its diagnosis and its rank panics; a
+#      trace is a projection of its send events, and
+#      `check::install_scoped` instruments every world a thread starts, on
+#      either engine. A trace recorded beside the events, a second ambient
+#      hook, a controlled door or a panic parsed back out of its message is
+#      a second record growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -187,6 +199,18 @@ fn spawn_rank_threads() {
 }
 fn from_waits() { find_cycle(&succ); }
 fn find_cycle(succ: &[Option<usize>]) {}
+EOF
+    # A trace is the log's projection of its send events; a test may build
+    # the transfers it expects.
+    cat > "$pass/crates/mp/src/check.rs" <<'EOF'
+pub fn transfers(log: &RunLog) -> Vec<Transfer> {
+    sends(log).map(|(src, dst, bytes)| Transfer { src, dst, bytes }).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    fn want() -> Transfer { Transfer { src: 1, dst: 0, bytes: 8 } }
+}
 EOF
     # One header parser; writing the magic is not checking it.
     mkdir -p "$pass/crates/mp/src/transport"
@@ -330,6 +354,18 @@ fn run_checked_inner() {
 }
 fn from_waits() { find_cycle(&succ); }
 fn find_cycle(succ: &[Option<usize>]) {}
+pub struct World {
+    pub trace: Option<Mutex<Vec<Transfer>>>,
+}
+fn deliver(world: &World, dst: usize, msg: Message) {
+    world.trace.as_ref().unwrap().lock().push(Transfer { src: msg.src, dst, bytes: msg.len() });
+}
+EOF
+    # A second ambient hook, and a panic parsed back out of its message.
+    mkdir -p "$bad/crates/harness/src"
+    cat > "$bad/crates/harness/src/explore.rs" <<'EOF'
+fn run_scripted(ctl: Arc<Guided>) { let _g = mp::install_explore(explore(ctl)); }
+fn rank_of(msg: &str) -> Option<(usize, String)> { mpcheck::classify_panic(msg) }
 EOF
     # A second header parser, polling a channel file; and a second way to
     # ask for a fleet, read where reads are allowed but not on the list.
@@ -405,7 +441,8 @@ EOF
         "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan" \
         "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var" \
         "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::simulate" \
-        "kernels/fft.rs:2: fn merged_dit"; do
+        "kernels/fft.rs:2: fn merged_dit" "mp/src/runtime.rs:16: .*push(Transfer {" \
+        "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -607,6 +644,27 @@ if [ -n "$offenders" ]; then
     err "a decimation-in-time kernel in crates/hpcc/src (the DIF passes serve every \
 transform; fuse a bit reversal into the copies around them instead):
 $offenders"
+fi
+
+# --- 14. One record of a run, one hook to get it --------------------------
+offenders=$(
+    scan 'install_explore|ScopedExplore|run_controlled_coop|classify_panic'
+    scan 'Transfer \{' | grep '^crates/mp/src/' | grep -v '^crates/mp/src/sched/' \
+        | grep -v '^crates/mp/src/check\.rs:' || true
+)
+if [ -n "$offenders" ]; then
+    err "a second record of a run (a world's RunLog holds its events, diagnosis and rank \
+panics; a trace is RunLog::transfers, the one Transfer literal outside sched/; \
+check::install_scoped is the one hook, for both engines):
+$offenders"
+fi
+if [ -f crates/mp/src/check.rs ]; then
+    hits=$(scan 'Transfer \{' | grep '^crates/mp/src/check\.rs:' || true)
+    if [ "$(printf '%s' "$hits" | grep -c .)" -ne 1 ]; then
+        err "a Transfer literal in crates/mp/src/check.rs other than the one in \
+RunLog::transfers (a trace is that projection of the send events):
+$hits"
+    fi
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -9,7 +9,7 @@
 //! cargo run -p bench --bin campaign -- --out DIR            # artefact directory
 //! cargo run -p bench --bin campaign -- --no-figures         # records only
 //! cargo run -p bench --bin campaign -- --no-extensions      # the paper only: no extension studies
-//! cargo run -p bench --bin campaign -- --check              # mpcheck-verify native runs
+//! cargo run -p bench --bin campaign -- --check              # mpcheck-verify every smoke world
 //! cargo run -p bench --bin campaign -- --check-report FILE  # mpcheck report JSON path
 //! cargo run -p bench --bin campaign -- --high-rank N        # virtual slice at N coop ranks
 //! cargo run -p bench --bin campaign -- --workloads A,B      # registry-name filter
@@ -24,9 +24,12 @@
 //! small cross product so CI proves all three routes stay wired through
 //! the registry and Runner.
 //!
-//! Two flag combinations are refused with exit status 2 rather than
-//! honoured in name only: `--check` (or `--check-report`) without
-//! `--smoke`, since the paper plan runs no native world to instrument, and
+//! `--check` instruments every `mp` world the smoke plan starts — native
+//! rank threads and virtual cooperative tasks — through `mpcheck::Session`
+//! (the high-rank slice that follows it runs uninstrumented). Two flag
+//! combinations are refused with exit status 2 rather than honoured in
+//! name only: `--check` (or `--check-report`) without `--smoke`, since
+//! the paper plan is simulated only and starts no world to instrument, and
 //! `--workloads` in full mode without `--no-figures`, since the figures
 //! read the whole plan and nothing prices a cell the filter left out.
 //!
@@ -196,9 +199,10 @@ fn refusal(
     Some(if nprocs > 1 && !smoke {
         "--nprocs drives the smoke cross product; add --smoke"
     } else if check && nprocs > 1 {
-        "--check instruments in-process native runs; it does not compose with --nprocs"
+        "--check instruments the worlds this process starts; it does not compose with --nprocs"
     } else if check && !smoke {
-        "--check instruments native runs, and the paper plan is simulated only; add --smoke"
+        "--check instruments the smoke plan's native and virtual worlds, and the paper plan \
+         is simulated only; add --smoke"
     } else if filtered && !smoke && with_figures {
         "--workloads narrows the paper plan, but the figures read all of it; add --no-figures"
     } else {
@@ -333,9 +337,9 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument: {other}\n\
-                     usage: campaign [--smoke] [--check] [--no-figures] [--no-extensions] \
-                     [--max-procs N] [--high-rank N] [--nprocs N] \
-                     [--workloads A,B] [--out DIR] [--records FILE] [--check-report FILE]"
+                     usage: campaign [--smoke [--check] [--check-report FILE]] [--no-figures] \
+                     [--no-extensions] [--max-procs N] [--high-rank N] [--nprocs N] \
+                     [--workloads A,B] [--out DIR] [--records FILE]"
                 );
                 std::process::exit(2);
             }

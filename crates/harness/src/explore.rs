@@ -4,16 +4,13 @@
 //! meaningfully distinct interleavings.
 //!
 //! The virtual closures call [`mp::run_virtual_coop`] internally; the
-//! ambient [`mp::install_explore`] hook reroutes those runs through the
-//! explorer's [`Guided`](mpcheck::Guided) controller without touching
-//! the workload signatures — the same pattern [`mpcheck::Session`] uses
-//! for `--check`.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+//! explorer's ambient hook ([`mp::check::install_scoped`]) reroutes those
+//! runs through its [`Guided`](mpcheck::Guided) controller without
+//! touching the workload signatures — the same hook [`mpcheck::Session`]
+//! installs for `--check`.
 
 use machines::Machine;
-use mpcheck::{classify_panic, ExploreOptions, Guided, Report, RunOutcome, Schedule};
+use mpcheck::{ExploreOptions, Report, Schedule};
 
 use crate::record::Mode;
 use crate::runner::Runner;
@@ -50,46 +47,10 @@ pub fn parse_target(target: &str) -> Option<(String, String, usize, Option<u64>)
     Some((name, machine?, procs?, bytes))
 }
 
-/// Runs the workload's virtual closure once under a scripted controller,
-/// collecting every world's run log and any rank panic.
-fn run_scripted(
-    workload: &Workload,
-    machine: &Machine,
-    procs: usize,
-    bytes: Option<u64>,
-    settings: &mpcheck::Settings,
-    guided: Arc<Guided>,
-) -> RunOutcome {
-    let logs = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&logs);
-    let guard = mp::install_explore(mp::ScopedExplore {
-        controller: guided,
-        settings: settings.clone(),
-        sink: Arc::new(move |log| sink.lock().unwrap().push(log)),
-    });
+/// Runs the workload's virtual closure once, as the explorer's target.
+fn run_virtual(workload: &Workload, machine: &Machine, procs: usize, bytes: Option<u64>) {
     let runner = Runner::fixed(1);
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        workload.run(Mode::Virtual, &runner, Some(machine), procs, bytes)
-    }));
-    drop(guard);
-    let mut panics = Vec::new();
-    if let Err(payload) = caught {
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("opaque panic payload")
-            .to_string();
-        // Deadlock poison unwinds carry their diagnosis in the run log
-        // already; anything else is a genuine rank panic.
-        if let Some((rank, msg)) = classify_panic(&msg) {
-            panics.push((rank, msg));
-        } else if !msg.starts_with(mp::check::POISON_MARK) {
-            panics.push((0, msg));
-        }
-    }
-    let logs = std::mem::take(&mut *logs.lock().unwrap());
-    RunOutcome { logs, panics }
+    workload.run(Mode::Virtual, &runner, Some(machine), procs, bytes);
 }
 
 /// Explores the schedule space of one workload at one (machine, procs,
@@ -103,8 +64,8 @@ pub fn explore_workload(
     opts: &ExploreOptions,
 ) -> Report {
     let target = workload_target(workload.meta.name, machine, procs, bytes);
-    mpcheck::explore_with(&target, opts, |guided| {
-        run_scripted(workload, machine, procs, bytes, &opts.settings, guided)
+    mpcheck::explore_with(&target, opts, || {
+        run_virtual(workload, machine, procs, bytes)
     })
 }
 
@@ -118,8 +79,8 @@ pub fn replay_workload(
 ) -> Result<Report, String> {
     let (_, _, procs, bytes) = parse_target(&schedule.target)
         .ok_or_else(|| format!("target {:?} is not a workload label", schedule.target))?;
-    mpcheck::replay_with(schedule, |guided| {
-        run_scripted(workload, machine, procs, bytes, settings, guided)
+    mpcheck::replay_with(schedule, settings, || {
+        run_virtual(workload, machine, procs, bytes)
     })
 }
 

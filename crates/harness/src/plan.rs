@@ -193,10 +193,11 @@ impl RunPlan {
     }
 
     /// Executes the plan with `mpcheck` instrumentation installed on the
-    /// calling thread: every native-mode `mp::run` a workload performs is
-    /// verified as it runs (live wait-for-graph deadlock detection) and
-    /// its communication trace is linted afterwards. Simulated and
-    /// virtual execution are unaffected — they are already deterministic.
+    /// calling thread: every `mp` world a workload starts — native rank
+    /// threads and virtual cooperative tasks alike — is verified as it
+    /// runs (deadlock detection: live wait-for graphs on threads, the
+    /// instant stall on tasks) and its communication trace is linted
+    /// afterwards. Simulated execution starts no world and is unaffected.
     ///
     /// Returns the records plus the accumulated verification report. A
     /// detected deadlock panics out of the plan with the full cycle
@@ -345,6 +346,19 @@ mod tests {
 
     #[test]
     fn execute_checked_verifies_native_runs() {
+        let rec = |mode: Mode, machine: &'static str, p: usize| Record {
+            benchmark: "chk",
+            suite: Suite::Imb,
+            mode,
+            machine,
+            procs: p,
+            threads: 1,
+            bytes: None,
+            metric: MetricKind::TimeUs,
+            value: 1.0,
+            stats: Stats::deterministic(1.0),
+            passed: true,
+        };
         let mut reg = Registry::new();
         reg.register(
             Workload::new(WorkloadMeta {
@@ -355,34 +369,30 @@ mod tests {
                 pow2_procs: false,
                 sized: false,
             })
-            .native(|_, p, _| {
+            .native(move |_, p, _| {
                 mp::run(p, |comm| comm.barrier());
-                vec![Record {
-                    benchmark: "chk",
-                    suite: Suite::Imb,
-                    mode: Mode::Native,
-                    machine: "host",
-                    procs: p,
-                    threads: 1,
-                    bytes: None,
-                    metric: MetricKind::TimeUs,
-                    value: 1.0,
-                    stats: Stats::deterministic(1.0),
-                    passed: true,
-                }]
+                vec![rec(Mode::Native, "host", p)]
+            })
+            .virtual_mode(move |_, m, p, _| {
+                let net = Box::new(machines::SharedClusterNet::new(m, p));
+                mp::run_virtual_coop(p, net, |comm| async move { comm.barrier_async().await });
+                vec![rec(Mode::Virtual, m.name, p)]
             }),
         );
         let plan = RunPlan {
-            modes: vec![Mode::Native],
-            machines: vec![],
+            modes: vec![Mode::Native, Mode::Virtual],
+            machines: vec![machines::systems::dell_xeon()],
             procs: ProcGrid::List(vec![2]),
             bytes: vec![],
             workloads: None,
             runner: Runner::smoke(),
         };
         let (records, report) = plan.execute_checked(&reg, mpcheck::Settings::default());
-        assert_eq!(records.len(), 1);
-        assert_eq!(report.runs, 1, "the native mp::run must be instrumented");
+        assert_eq!(records.len(), 2);
+        assert_eq!(
+            report.runs, 2,
+            "the native mp::run and the cooperative world must be instrumented"
+        );
         assert!(report.clean(), "unexpected findings:\n{report}");
         assert!(report.events > 0);
     }

@@ -242,22 +242,18 @@ impl Record {
 }
 
 /// Serialises a record stream as one JSON document (serde-free), the
-/// unified artifact the campaign driver writes.
+/// unified artifact the campaign driver writes: its [`Record::to_json`]
+/// lines, through [`records_json_from_lines`].
 pub fn records_json(records: &[Record]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"hpcbench-record-v1\",\n  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", r.to_json());
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let lines: Vec<String> = records.iter().map(Record::to_json).collect();
+    records_json_from_lines(&lines)
 }
 
 /// Serialises an already-rendered record-line stream (one JSON object
-/// per entry, as produced by [`Record::to_json`]) into the same unified
-/// document as [`records_json`]. This is the assembly path for
-/// multi-process campaigns, where native records arrive as canonical
-/// JSON lines from worker fleets rather than as in-process [`Record`]s.
+/// per entry, as produced by [`Record::to_json`]) into the unified
+/// document: the one writer of it. Multi-process campaigns assemble
+/// through it directly, since native records arrive as canonical JSON
+/// lines from worker fleets rather than as in-process [`Record`]s.
 pub fn records_json_from_lines(lines: &[String]) -> String {
     let mut out = String::from("{\n  \"schema\": \"hpcbench-record-v1\",\n  \"records\": [\n");
     for (i, line) in lines.iter().enumerate() {

@@ -37,28 +37,27 @@ impl RepetitionPolicy {
 
 /// Owns warm-up and repetition policy for every execution path. One
 /// `Runner` drives native HPCC components, native IMB loops and virtual
-/// runs alike.
+/// runs alike; every one of them runs [`Runner::WARMUP`] untimed passes.
 #[derive(Clone, Copy, Debug)]
 pub struct Runner {
-    /// Untimed warm-up iterations before the timed loop.
-    pub warmup: usize,
     /// Repetition policy for the timed loop.
     pub policy: RepetitionPolicy,
 }
 
 impl Runner {
-    /// Full-fidelity runner: one warm-up pass, IMB repetition rule.
+    /// Untimed warm-up iterations before every timed loop.
+    pub const WARMUP: usize = 1;
+
+    /// Full-fidelity runner: the IMB repetition rule.
     pub fn standard() -> Runner {
         Runner {
-            warmup: 1,
             policy: RepetitionPolicy::Imb,
         }
     }
 
-    /// Fast-CI runner: one warm-up pass, smoke repetition rule.
+    /// Fast-CI runner: the smoke repetition rule.
     pub fn smoke() -> Runner {
         Runner {
-            warmup: 1,
             policy: RepetitionPolicy::Smoke,
         }
     }
@@ -66,7 +65,6 @@ impl Runner {
     /// A runner with an explicit iteration count.
     pub fn fixed(iters: usize) -> Runner {
         Runner {
-            warmup: 1,
             policy: RepetitionPolicy::Fixed(iters),
         }
     }
@@ -77,12 +75,12 @@ impl Runner {
         self.policy.repetitions(bytes.unwrap_or(0)).max(1)
     }
 
-    /// The collective timed loop, IMB convention: `warmup` untimed
-    /// passes, a barrier, then `iters` timed passes. Returns this rank's
-    /// per-call time in microseconds.
+    /// The collective timed loop, IMB convention: [`Runner::WARMUP`]
+    /// untimed passes, a barrier, then `iters` timed passes. Returns this
+    /// rank's per-call time in microseconds.
     pub fn time_collective(&self, comm: &Comm, iters: usize, mut body: impl FnMut(usize)) -> f64 {
         assert!(iters > 0, "need at least one iteration");
-        for w in 0..self.warmup {
+        for w in 0..Self::WARMUP {
             body(w);
         }
         comm.barrier();

@@ -15,16 +15,19 @@
 //!    broadcasts U12 down process columns;
 //! 5. every rank applies the rank-`nb` trailing update to its corner —
 //!
-//! HPL's `pfact / bcast / update` pipeline. With `P = 1` every rank holds
-//! full columns and steps 1, 3 and 4 are local: the column-cyclic LU is
-//! the `1 x Q` grid of this code, not a second one. The O(N^2) triangular
-//! solve is performed on rank 0 after a gather (the factorisation
-//! dominates at 2/3 N^3 flops).
+//! HPL's `pfact / bcast / update` pipeline, always with panel lookahead:
+//! the process column owning panel `k+1` factors it as soon as its columns
+//! are updated, before finishing the rest of its trailing update for
+//! panel `k`, overlapping the next factor with everyone else's update.
+//! With `P = 1` every rank holds full columns and steps 1, 3 and 4 are
+//! local: the column-cyclic LU is the `1 x Q` grid of this code, not a
+//! second one. The O(N^2) triangular solve is performed on rank 0 after a
+//! gather (the factorisation dominates at 2/3 N^3 flops).
 //!
-//! Grid shape and lookahead change the schedule and the messages, never
-//! the arithmetic: pivot ties go to the lowest row on every grid and
-//! every element sees the same operations in the same order, so the
-//! residual is bit-identical across all of them (DESIGN.md "One HPL").
+//! Grid shape changes the schedule and the messages, never the
+//! arithmetic: pivot ties go to the lowest row on every grid and every
+//! element sees the same operations in the same order, so the residual is
+//! bit-identical across all of them (DESIGN.md "One HPL").
 
 // Index-heavy distributed linear algebra: explicit indices mirror the
 // block-cyclic maths.
@@ -46,12 +49,6 @@ pub struct HplConfig {
     /// Process rows `P`; the grid is `P x Q` with `Q = comm.size() / P`.
     /// 1 gives every rank full columns.
     pub p_rows: usize,
-    /// Panel lookahead: the process column owning panel `k+1` factors it
-    /// as soon as its columns are updated, before finishing the rest of
-    /// its trailing update for panel `k` — overlapping the next factor
-    /// with everyone else's update. The arithmetic per element is
-    /// identical, only the schedule changes.
-    pub lookahead: bool,
 }
 
 impl Default for HplConfig {
@@ -60,7 +57,6 @@ impl Default for HplConfig {
             n: 512,
             nb: smp::TUNED.hpl_nb,
             p_rows: 1,
-            lookahead: smp::TUNED.hpl_lookahead,
         }
     }
 }
@@ -77,7 +73,6 @@ impl HplConfig {
             n,
             nb,
             p_rows: p.max(1),
-            ..HplConfig::default()
         }
     }
 }
@@ -376,8 +371,7 @@ pub async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
     let nblocks = n.div_ceil(nb);
     let mut pivots: Vec<usize> = Vec::with_capacity(n);
     // Lookahead pipeline: the payload for panel `kb` factored one
-    // iteration early (owning process column only, `None` elsewhere and
-    // when lookahead is off).
+    // iteration early (owning process column only, `None` elsewhere).
     let mut pending: Option<Vec<f64>> = None;
 
     comm.barrier_async().await;
@@ -393,8 +387,9 @@ pub async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
 
         // --- Panel factorisation (owning column) + broadcast along rows -
         // Payload: kw pivot rows followed by the factored panel columns
-        // (my rows >= k0 of each). With lookahead the owners factored
-        // this panel during the previous iteration's trailing update.
+        // (my rows >= k0 of each). Past the first panel the owners have
+        // usually factored it already, during the previous iteration's
+        // trailing update (the lookahead below).
         let mut payload = match pending.take() {
             Some(ready) => ready,
             None if qj == panel_q => factor_panel(&mut local, col, nb, k0, k1).await,
@@ -458,7 +453,7 @@ pub async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
         // behind every other column's big GEMM.
         let lr1 = local.lr_from(k1);
         let next_k1 = (k1 + nb).min(n);
-        let w = if cfg.lookahead && (kb + 1) % grid_q == qj {
+        let w = if (kb + 1) % grid_q == qj {
             local.cols[lc1..].partition_point(|&gc| gc < next_k1)
         } else {
             0
@@ -653,30 +648,20 @@ mod tests {
     ];
 
     #[test]
-    fn solves_every_shape_with_lookahead_on_and_off() {
-        // Grid shape and lookahead are schedule inputs, not numerics
-        // inputs: every run of one (n, nb) returns the same residual bits.
+    fn solves_every_shape_to_one_residual() {
+        // Grid shape is a schedule input, not a numerics input: every run
+        // of one (n, nb) returns the same residual bits.
         let mut bits = std::collections::HashMap::new();
         for &(size, p_rows, n, nb) in SHAPES {
-            for lookahead in [true, false] {
-                let shape = format!("{size} ranks P={p_rows} n={n} nb={nb} lookahead={lookahead}");
-                let results = solve(
-                    size,
-                    HplConfig {
-                        n,
-                        nb,
-                        p_rows,
-                        lookahead,
-                    },
-                );
-                for r in &results {
-                    assert!(r.passed, "{shape}: residual {} too large", r.residual);
-                    assert!(r.gflops > 0.0, "{shape}");
-                }
-                let got = results[0].residual.to_bits();
-                let first = *bits.entry((n, nb)).or_insert(got);
-                assert_eq!(got, first, "{shape}: the schedule changed the arithmetic");
+            let shape = format!("{size} ranks P={p_rows} n={n} nb={nb}");
+            let results = solve(size, HplConfig { n, nb, p_rows });
+            for r in &results {
+                assert!(r.passed, "{shape}: residual {} too large", r.residual);
+                assert!(r.gflops > 0.0, "{shape}");
             }
+            let got = results[0].residual.to_bits();
+            let first = *bits.entry((n, nb)).or_insert(got);
+            assert_eq!(got, first, "{shape}: the schedule changed the arithmetic");
         }
     }
 
@@ -779,7 +764,6 @@ mod tests {
                 n: 8,
                 nb: 2,
                 p_rows: 3,
-                ..HplConfig::default()
             },
         );
     }

@@ -78,13 +78,12 @@ fn run_virtual_over<B: ByteWord, F: Numeric>(
         "{benchmark} needs more ranks"
     );
     let iters = runner.repetitions(benchmark.sized().then_some(bytes));
-    let warmup = runner.warmup.max(1);
     let net = SharedClusterNet::new(machine, procs);
     let (per_rank, _) = mp::run_virtual_coop(procs, Box::new(net), move |comm| async move {
         let mut state = BenchState::<B, F>::new(&comm, benchmark, bytes);
         // Warm-up pass(es), then align clocks and time the loop
         // virtually.
-        for w in 0..warmup {
+        for w in 0..Runner::WARMUP {
             state.iterate_async(&comm, w).await;
         }
         let t0 = comm.v_sync_async().await;

@@ -14,12 +14,14 @@
 //! - every send, receive and collective call is appended to a cheap
 //!   per-rank ring buffer of [`Event`]s, which the post-run lint pass in
 //!   `mpcheck` scans for MPI-misuse classes (unmatched sends, collective
-//!   divergence, tag leaks, wildcard races);
+//!   divergence, tag leaks, wildcard races), and whose sends are a traced
+//!   run's transfers ([`RunLog::transfers`]).
 //!
-//! Those are the two analyses. Seeing a *second* schedule is not done
-//! here: the cooperative engine turns every scheduling choice into a
-//! decision a [`ScheduleController`](crate::coop::ScheduleController)
-//! makes, and the `mpcheck` explorer enumerates those decisions.
+//! Those are the two analyses, and the world's [`RunLog`] (rank panics
+//! included) is the one record they read. Seeing a *second* schedule is
+//! not done here: the cooperative engine turns every scheduling choice
+//! into a decision a [`ScheduleController`] makes, and the `mpcheck`
+//! explorer enumerates those decisions.
 //!
 //! The uninstrumented fast path pays one `Option` check per operation.
 
@@ -29,8 +31,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use simnet::Transfer;
 
 use crate::comm::Comm;
+use crate::coop::ScheduleController;
 use crate::runtime::{panic_message, spawn_caught_ranks, World};
 
 /// Configuration of one instrumented run.
@@ -238,7 +242,9 @@ impl std::fmt::Display for Deadlock {
 /// detector-initiated unwind from an ordinary rank panic.
 pub const POISON_MARK: &str = "mp: deadlock detected\n";
 
-/// Everything an instrumented run recorded, handed to the analysis layer.
+/// Everything an instrumented world recorded: the one record of a run,
+/// which the analyses read and a traced run projects to its transfers.
+#[derive(Default)]
 pub struct RunLog {
     /// World size.
     pub n: usize,
@@ -250,66 +256,91 @@ pub struct RunLog {
     pub leftover: Vec<LaneInfo>,
     /// The deadlock diagnosis, if the detector fired.
     pub deadlock: Option<Arc<Deadlock>>,
+    /// Ranks that panicked for reasons other than deadlock poisoning,
+    /// with their panic messages, ascending by rank.
+    pub panics: Vec<(usize, String)>,
+}
+
+impl RunLog {
+    /// The world's point-to-point transfers: each rank's
+    /// [`Event::Send`]s in program order, ranks in order.
+    pub fn transfers(&self) -> Vec<Transfer> {
+        let mut sends = Vec::new();
+        for (src, events) in self.events.iter().enumerate() {
+            for event in events {
+                if let Event::Send { dst, bytes, .. } = *event {
+                    let bytes = bytes as u64;
+                    sends.push(Transfer { src, dst, bytes });
+                }
+            }
+        }
+        sends
+    }
 }
 
 /// Outcome of [`run_checked`].
 pub struct Checked<R> {
     /// Per-rank results, present only when every rank completed normally.
     pub results: Option<Vec<R>>,
-    /// Ranks that panicked for reasons other than deadlock poisoning,
-    /// with their panic messages.
-    pub panics: Vec<(usize, String)>,
     /// The recorded run log.
     pub log: RunLog,
 }
 
 impl<R> Checked<R> {
     /// Folds the caught outcomes of `ranks`' threads (in that order) and
-    /// the world's log into a run's outcome.
+    /// the finished `world` into a run's outcome.
     pub(crate) fn from_outcomes(
+        world: &World,
         ranks: &[usize],
         outcomes: Vec<std::thread::Result<R>>,
-        log: RunLog,
     ) -> Checked<R> {
         let mut results = Vec::with_capacity(ranks.len());
         let mut panics = Vec::new();
         for (&rank, out) in ranks.iter().zip(outcomes) {
             match out {
                 Ok(r) => results.push(r),
-                Err(e) => {
-                    let msg = panic_message(&*e);
-                    // Poison unwinds are the detector's doing, not the
-                    // program's; the deadlock diagnosis already carries them.
-                    if !msg.starts_with(POISON_MARK) {
-                        panics.push((rank, msg.to_string()));
-                    }
-                }
+                Err(e) => panics.push((rank, panic_message(&*e).to_string())),
             }
         }
         Checked {
             results: (results.len() == ranks.len()).then_some(results),
-            panics,
-            log,
+            log: world.run_log(panics),
         }
     }
 
     /// Ends a checked run that stands in for an unchecked one (under
-    /// [`install_scoped`], `install_explore` or a session) the way that one
-    /// would have ended: the log reaches `sink` first — the observer sees
-    /// failing runs too — then a deadlock propagates as a panic carrying
-    /// the diagnosis, then the first rank panic; a clean run returns.
+    /// [`install_scoped`], a traced launcher or a session) the way that one
+    /// would have ended: the log, every rank panic in it, reaches `sink`
+    /// first, then a deadlock propagates as a panic carrying the
+    /// diagnosis, then the first rank panic; a clean run returns.
     pub(crate) fn sink_then_propagate(self, sink: &dyn Fn(RunLog)) -> Vec<R> {
         let deadlock = self.log.deadlock.clone();
+        let panic = self.log.panics.first().cloned();
         sink(self.log);
         if let Some(d) = deadlock {
             panic!("{POISON_MARK}{d}");
         }
-        if let Some((rank, msg)) = self.panics.first() {
+        if let Some((rank, msg)) = panic {
             panic!("rank {rank} panicked: {msg}");
         }
         self.results
             .expect("no deadlock, no panics, so every rank completed")
     }
+}
+
+/// A traced run: `launch` starts a checked world whose rings never drop,
+/// and its results (failures propagated) come back beside its
+/// [`RunLog::transfers`].
+pub(crate) fn traced<R>(launch: impl FnOnce(Settings) -> Checked<R>) -> (Vec<R>, Vec<Transfer>) {
+    let ring_capacity = usize::MAX;
+    let checked = launch(Settings {
+        ring_capacity,
+        ..Settings::default()
+    });
+    let dropped = checked.log.dropped.iter().sum::<u64>();
+    assert_eq!(dropped, 0, "mp: a traced world dropped send events");
+    let transfers = checked.log.transfers();
+    (checked.sink_then_propagate(&|_| ()), transfers)
 }
 
 // ---------------------------------------------------------------------
@@ -363,14 +394,14 @@ pub struct Inspector {
     poison: Mutex<Option<Arc<Deadlock>>>,
     /// A schedule controller observing every recorded event (controlled
     /// cooperative runs); `None` on plain checked runs.
-    observer: Option<Arc<dyn crate::coop::ScheduleController>>,
+    observer: Option<Arc<dyn ScheduleController>>,
 }
 
 impl Inspector {
     pub(crate) fn new(
         n: usize,
         settings: Settings,
-        observer: Option<Arc<dyn crate::coop::ScheduleController>>,
+        observer: Option<Arc<dyn ScheduleController>>,
     ) -> Inspector {
         Inspector {
             ranks: (0..n).map(|_| Mutex::new(RankState::default())).collect(),
@@ -725,17 +756,21 @@ fn find_cycle(succ: &[Option<usize>]) -> Option<Vec<usize>> {
 // Scoped (ambient) instrumentation
 // ---------------------------------------------------------------------
 
-/// An ambient check configuration: while installed on a thread, every
-/// [`crate::run`] call made *from that thread* runs instrumented and
-/// hands its [`RunLog`] to `sink`. Thread-local on purpose: a campaign
-/// driver checks every workload it executes without other threads (e.g.
-/// concurrently running tests) being affected.
+/// The one ambient hook, for both engines: while installed on a thread,
+/// every [`crate::run`], [`crate::run_coop`] and [`crate::run_virtual_coop`]
+/// world started *from that thread* runs instrumented and hands its
+/// [`RunLog`] to `sink` before any failure propagates. Thread-local on
+/// purpose: a campaign driver checks every workload it executes without
+/// other threads (e.g. concurrently running tests) being affected.
 #[derive(Clone)]
 pub struct ScopedCheck {
     /// Settings for each instrumented run.
     pub settings: Settings,
+    /// Decides every ready-set pick and wildcard match of a cooperative
+    /// world (`None`: the FIFO default); rank threads ignore it.
+    pub controller: Option<Arc<dyn ScheduleController>>,
     /// Receives the log of every instrumented run, on the installing
-    /// thread, after the run's ranks have joined.
+    /// thread, after the run's ranks have finished.
     pub sink: Arc<dyn Fn(RunLog) + Send + Sync>,
 }
 
@@ -772,7 +807,7 @@ pub(crate) fn scoped() -> Option<ScopedCheck> {
 /// of hanging, and poisons the run, which unwinds the blocked ranks.
 ///
 /// Unlike [`crate::run`], rank panics do not propagate: they come back in
-/// [`Checked::panics`], and a detected deadlock in
+/// [`RunLog::panics`](RunLog), and a detected deadlock in
 /// [`RunLog::deadlock`](RunLog).
 pub fn run_checked<R, F>(n: usize, settings: Settings, f: F) -> Checked<R>
 where
@@ -782,12 +817,12 @@ where
     assert!(n > 0, "an SPMD world needs at least one rank");
     crate::transport::assert_no_session("run_checked");
     let inspector = Arc::new(Inspector::new(n, settings, None));
-    let world = Arc::new(World::new(n, false, Some(Arc::clone(&inspector)), None));
+    let world = Arc::new(World::new(n, Some(Arc::clone(&inspector)), None));
     let outcomes = {
         let _detector = Detector::of_world(Arc::clone(&world), Arc::clone(&inspector));
         spawn_caught_ranks(&world, &world.world_group, &f)
     };
-    Checked::from_outcomes(&world.world_group, outcomes, world.run_log())
+    Checked::from_outcomes(&world, &world.world_group, outcomes)
 }
 
 #[cfg(test)]
@@ -837,7 +872,7 @@ mod tests {
             x[0]
         });
         assert_eq!(checked.results, Some(vec![6, 6, 6, 6]));
-        assert!(checked.panics.is_empty());
+        assert!(checked.log.panics.is_empty());
         assert!(checked.log.deadlock.is_none());
         assert!(checked.log.leftover.is_empty());
         // Every rank recorded its collective.
@@ -888,9 +923,10 @@ mod tests {
             comm.recv(&mut buf, 1, 1);
         });
         assert!(checked.results.is_none());
-        assert_eq!(checked.panics.len(), 1);
-        assert_eq!(checked.panics[0].0, 1);
-        assert!(checked.panics[0].1.contains("boom"));
+        let panics = &checked.log.panics;
+        assert_eq!(panics.len(), 1);
+        assert_eq!(panics[0].0, 1);
+        assert!(panics[0].1.contains("boom"));
         // Rank 0's stall is diagnosed (no cycle: its peer is gone).
         assert!(checked.log.deadlock.is_some());
     }

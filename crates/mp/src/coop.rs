@@ -14,8 +14,10 @@
 //! run to run. It is the only engine virtual worlds run on.
 //!
 //! Every entry point is a projection of one private `launch` (build the
-//! world — traced? priced? instrumented? controlled? — and run `execute`),
-//! so a hook on how a cooperative world starts or ends has one place to go.
+//! world — priced? instrumented? controlled? — and run `execute`), so a
+//! hook on how a cooperative world starts or ends has one place to go;
+//! [`check::install_scoped`] reaches it through [`run_coop`] and
+//! [`run_virtual_coop`].
 //!
 //! Task states (see DESIGN.md "Cooperative scheduler"): *queued* (rank id
 //! in the run queue), *running* (being polled), *blocked* (pending on a
@@ -37,7 +39,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use parking_lot::Mutex;
 use simnet::{Time, Transfer};
 
-use crate::check::{self, Checked, Event, RunLog, Settings};
+use crate::check::{self, Checked, Event, Settings};
 use crate::comm::Comm;
 use crate::runtime::{panic_message, World};
 use crate::virt::VirtualNet;
@@ -45,8 +47,6 @@ use crate::virt::VirtualNet;
 thread_local! {
     /// True while this thread is polling a cooperative task.
     static IN_COOP: Cell<bool> = const { Cell::new(false) };
-    /// Ambient exploration configuration (see [`install_explore`]).
-    static EXPLORE: RefCell<Option<ScopedExplore>> = const { RefCell::new(None) };
 }
 
 // ---------------------------------------------------------------------
@@ -127,46 +127,6 @@ impl ScheduleController for FifoController {
     fn pick_wildcard(&self, _rank: usize, _candidates: &[WildcardCandidate]) -> usize {
         0
     }
-}
-
-/// Ambient exploration configuration: while installed on a thread (see
-/// [`install_explore`]), every cooperative run started from that thread
-/// ([`run_coop`], [`run_virtual_coop`]) is instrumented, its scheduling
-/// decisions are routed through `controller`, and its [`RunLog`] reaches
-/// `sink` *before* any deadlock or rank panic propagates — so a schedule
-/// explorer always sees what happened, even on failing schedules.
-#[derive(Clone)]
-pub struct ScopedExplore {
-    /// Decides every ready-set pick and wildcard match of the run.
-    pub controller: Arc<dyn ScheduleController>,
-    /// Instrumentation settings.
-    pub settings: Settings,
-    /// Receives the log of every controlled run, on the installing
-    /// thread, before failures propagate.
-    pub sink: Arc<dyn Fn(RunLog) + Send + Sync>,
-}
-
-/// Installs `explore` on the current thread until the returned guard
-/// drops. Cooperative runs started while installed run controlled; see
-/// [`ScopedExplore`].
-pub fn install_explore(explore: ScopedExplore) -> ExploreGuard {
-    EXPLORE.with(|e| *e.borrow_mut() = Some(explore));
-    ExploreGuard { _private: () }
-}
-
-/// Uninstalls the thread's ambient exploration configuration on drop.
-pub struct ExploreGuard {
-    _private: (),
-}
-
-impl Drop for ExploreGuard {
-    fn drop(&mut self) {
-        EXPLORE.with(|e| *e.borrow_mut() = None);
-    }
-}
-
-fn explore_scoped() -> Option<ScopedExplore> {
-    EXPLORE.with(|e| e.borrow().clone())
 }
 
 /// Whether the current thread is inside a cooperative task poll.
@@ -379,7 +339,7 @@ fn stall_message(world: &World, blocked: &[usize]) -> String {
 
 /// The cooperative executor: polls every rank task to completion on the
 /// calling thread, FIFO over the shared run queue. Returns per-rank
-/// results (`None` for panicked ranks) and the non-poison panics.
+/// results (`None` for panicked ranks) and the caught panics.
 ///
 /// Uninstrumented worlds panic immediately on the first rank panic or
 /// stall; instrumented worlds (world.inspector set) record panics, run
@@ -440,31 +400,20 @@ where
                     task.as_mut().poll(&mut cx)
                 }))
             };
-            match polled {
-                Ok(Poll::Pending) => {}
-                Ok(Poll::Ready(())) => {
-                    tasks[rank] = None;
-                    queue.finish(rank);
-                    remaining -= 1;
-                    if let Some(insp) = &insp {
-                        insp.finish(rank);
-                    }
-                }
-                Err(e) => {
-                    tasks[rank] = None;
-                    queue.finish(rank);
-                    remaining -= 1;
-                    let msg = panic_message(&*e).to_string();
-                    match &insp {
-                        None => panic!("rank {rank} panicked: {msg}"),
-                        Some(insp) => {
-                            insp.finish(rank);
-                            if !msg.starts_with(check::POISON_MARK) {
-                                panics.push((rank, msg));
-                            }
-                        }
-                    }
-                }
+            let panicked = match polled {
+                Ok(Poll::Pending) => continue,
+                Ok(Poll::Ready(())) => None,
+                Err(e) => Some(panic_message(&*e).to_string()),
+            };
+            tasks[rank] = None;
+            queue.finish(rank);
+            remaining -= 1;
+            if let Some(insp) = &insp {
+                insp.finish(rank);
+            }
+            if let Some(msg) = panicked {
+                assert!(insp.is_some(), "rank {rank} panicked: {msg}");
+                panics.push((rank, msg));
             }
         }
         if remaining == 0 || poisoned_drain {
@@ -495,16 +444,15 @@ where
 }
 
 /// The one way a cooperative world starts and ends: `n` rank tasks of `f`
-/// on the calling thread, recording transfers if `traced`, pricing every
-/// message by `net` if given, instrumented under `check`'s settings if
-/// given — and then with every scheduling decision made by its controller,
-/// if it names one. Returns what [`execute`] returned, and the world.
-/// `entry` is the public door, for the no-session rule.
+/// on the calling thread, pricing every message by `net` if given,
+/// instrumented under `check`'s settings if given — and then with every
+/// scheduling decision made by its controller, if it names one. Returns
+/// what [`execute`] returned, and the world. `entry` is the public door,
+/// for the no-session rule.
 #[allow(clippy::type_complexity)]
 fn launch<R, F, Fut>(
     entry: &str,
     n: usize,
-    traced: bool,
     net: Option<Box<dyn VirtualNet>>,
     check: Option<(Settings, Option<Arc<dyn ScheduleController>>)>,
     f: &F,
@@ -525,7 +473,7 @@ where
             (Some(Arc::new(inspector)), controller)
         }
     };
-    let mut world = World::new(n, traced, inspector, controller);
+    let mut world = World::new(n, inspector, controller);
     if let Some(net) = net {
         world.price_with(net);
     }
@@ -554,18 +502,18 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let (results, panics, world) = launch(entry, n, false, net, Some(check), f);
+    let (results, panics, world) = launch(entry, n, net, Some(check), f);
     let checked = Checked {
         results: results.into_iter().collect(),
-        panics,
-        log: world.run_log(),
+        log: world.run_log(panics),
     };
     (checked, world)
 }
 
 /// [`launch`] as [`run_coop`] and [`run_virtual_coop`] see it: plain, or —
-/// under an ambient [`ScopedExplore`] — instrumented and controlled, with
-/// the log sunk before any failure propagates.
+/// under the ambient [`check::ScopedCheck`] — instrumented (and controlled,
+/// if the hook names a controller), with the log sunk before any failure
+/// propagates.
 fn launch_ambient<R, F, Fut>(
     entry: &str,
     n: usize,
@@ -576,13 +524,13 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let Some(explore) = explore_scoped() else {
-        let (results, _, world) = launch(entry, n, false, net, None, f);
+    let Some(scoped) = check::scoped() else {
+        let (results, _, world) = launch(entry, n, net, None, f);
         return (complete(results), world);
     };
-    let check = (explore.settings, Some(explore.controller));
+    let check = (scoped.settings, scoped.controller);
     let (checked, world) = launch_checked(entry, n, net, check, f);
-    (checked.sink_then_propagate(&*explore.sink), world)
+    (checked.sink_then_propagate(&*scoped.sink), world)
 }
 
 /// Runs `f` as an SPMD program over `n` cooperative rank tasks on the
@@ -599,19 +547,14 @@ where
     launch_ambient("run_coop", n, None, &f).0
 }
 
-/// Cooperative mirror of [`crate::run_traced`]: returns per-rank results
-/// plus every point-to-point transfer in (deterministic) delivery order.
+/// Cooperative mirror of [`crate::run_traced`]: per-rank results and the
+/// checked world's [`check::RunLog::transfers`], failures propagated.
 pub fn run_traced_coop<R, F, Fut>(n: usize, f: F) -> (Vec<R>, Vec<Transfer>)
 where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let (results, _, world) = launch("run_traced_coop", n, true, None, None, &f);
-    let world = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank tasks completed");
-    let trace = world.trace.expect("tracing was enabled");
-    (complete(results), trace.into_inner())
+    check::traced(|settings| launch_checked("run_traced_coop", n, None, (settings, None), &f).0)
 }
 
 /// Virtual-execution entry point (see [`crate::virt`]): runs `f` over
@@ -629,33 +572,16 @@ where
 }
 
 /// Cooperative mirror of the instrumented (checked) run path: rank
-/// panics are collected rather than propagated, and a deadlock is
-/// diagnosed at the instant of the stall — no detector thread, no poll
-/// interval — then poison-drained so the [`RunLog`] carries the cycle.
+/// panics are collected into the [`check::RunLog`] rather than
+/// propagated, and a deadlock is diagnosed at the instant of the stall —
+/// no detector thread, no poll interval — then poison-drained so the log
+/// carries the cycle.
 pub fn run_checked_coop<R, F, Fut>(n: usize, settings: Settings, f: F) -> Checked<R>
 where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
     launch_checked("run_checked_coop", n, None, (settings, None), &f).0
-}
-
-/// Like [`run_checked_coop`], but with every scheduling decision made by
-/// `controller`: the direct entry point of the schedule explorer. Rank
-/// panics are collected and deadlocks diagnosed into the log rather than
-/// propagated.
-pub fn run_controlled_coop<R, F, Fut>(
-    n: usize,
-    settings: Settings,
-    controller: Arc<dyn ScheduleController>,
-    f: F,
-) -> Checked<R>
-where
-    F: Fn(Comm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    let check = (settings, Some(controller));
-    launch_checked("run_controlled_coop", n, None, check, &f).0
 }
 
 #[cfg(test)]
@@ -796,27 +722,40 @@ mod tests {
             x
         }
         let (r_plain, c_plain) = run_virtual_coop(RANKS, Box::new(TestNet), body);
-        let logs: Arc<Mutex<Vec<RunLog>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_logs = Arc::clone(&logs);
-        let guard = install_explore(ScopedExplore {
-            controller: Arc::new(FifoController),
-            settings: Settings::default(),
-            sink: Arc::new(move |log| sink_logs.lock().push(log)),
+        let ((r_ctl, c_ctl), logs) = controlled(Arc::new(FifoController), || {
+            run_virtual_coop(RANKS, Box::new(TestNet), body)
         });
-        let (r_ctl, c_ctl) = run_virtual_coop(RANKS, Box::new(TestNet), body);
-        drop(guard);
         assert_eq!(r_plain, r_ctl);
         assert_eq!(
             c_plain, c_ctl,
             "FIFO-controlled clocks must be byte-identical"
         );
-        let logs = logs.lock();
         assert_eq!(
             logs.len(),
             1,
             "the controlled run hands its log to the sink"
         );
         assert!(logs[0].deadlock.is_none());
+    }
+
+    /// Runs `f` under the ambient hook with `controller` deciding every
+    /// cooperative world it starts; returns what `f` returned and the
+    /// worlds' logs.
+    fn controlled<T>(
+        controller: Arc<dyn ScheduleController>,
+        f: impl FnOnce() -> T,
+    ) -> (T, Vec<check::RunLog>) {
+        let logs = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&logs);
+        let guard = check::install_scoped(check::ScopedCheck {
+            settings: Settings::default(),
+            controller: Some(controller),
+            sink: Arc::new(move |log| sink.lock().push(log)),
+        });
+        let out = f();
+        drop(guard);
+        let logs = std::mem::take(&mut *logs.lock());
+        (out, logs)
     }
 
     /// The run-queue invariant: only live ranks are queued. A wake for a
@@ -894,7 +833,7 @@ mod tests {
             }
         }
         let run = |ctl: Arc<dyn ScheduleController>| {
-            let checked = run_controlled_coop(3, Settings::default(), ctl, |comm| async move {
+            let program = |comm: Comm| async move {
                 match comm.rank() {
                     0 => {
                         // Pin both senders' arrivals before the wildcard
@@ -912,8 +851,8 @@ mod tests {
                         Vec::new()
                     }
                 }
-            });
-            checked.results.expect("clean program")[0].clone()
+            };
+            controlled(ctl, || run_coop(3, program)).0[0].clone()
         };
         let oldest = run(Arc::new(FifoController));
         let newest = run(Arc::new(NewestWins));
@@ -934,7 +873,10 @@ mod tests {
         let deadlock = checked.log.deadlock.expect("stall must be diagnosed");
         let cycle = deadlock.cycle.as_ref().expect("a 0 -> 1 -> 0 recv cycle");
         assert_eq!(cycle.len(), 2, "cycle: {cycle:?}");
-        assert!(checked.panics.is_empty(), "poison unwinds are not panics");
+        assert!(
+            checked.log.panics.is_empty(),
+            "poison unwinds are not panics"
+        );
     }
 
     #[test]

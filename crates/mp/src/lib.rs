@@ -19,6 +19,11 @@
 //! world in one place (`runtime::spawn_rank_threads`, `coop::launch`);
 //! every launcher, checked or not, in a session or not, projects that one.
 //!
+//! An instrumented world's one record is its [`check::RunLog`] (the traced
+//! launchers return its send events), and one ambient hook,
+//! [`check::install_scoped`], instruments every world a thread starts on
+//! either engine.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -33,9 +38,9 @@
 //! Every collective algorithm has a mirror *schedule generator* in
 //! [`sched`] that emits its exact per-round communication pattern as a
 //! [`simnet::Schedule`]; the fabric simulator replays those schedules
-//! against the paper's machine models, and tests assert that traced real
-//! executions ([`run_traced`]) move exactly the messages the generators
-//! predict.
+//! against the paper's machine models, and tests assert that the sends of
+//! real executions ([`run_traced`]) are exactly the messages the
+//! generators predict.
 
 mod api;
 pub mod check;
@@ -55,9 +60,8 @@ pub mod virt;
 
 pub use comm::{Comm, RecvHandle};
 pub use coop::{
-    block_on, install_explore, run_checked_coop, run_controlled_coop, run_coop, run_traced_coop,
-    run_virtual_coop, ExploreGuard, FifoController, ScheduleController, ScopedExplore,
-    WildcardCandidate,
+    block_on, run_checked_coop, run_coop, run_traced_coop, run_virtual_coop, FifoController,
+    ScheduleController, WildcardCandidate,
 };
 pub use datatype::{Ghost, Word};
 pub use msg::{Tag, MAX_USER_TAG};

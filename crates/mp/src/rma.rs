@@ -390,7 +390,7 @@ mod tests {
             }
         });
         assert!(checked.log.deadlock.is_none());
-        assert!(checked.panics.is_empty(), "{:?}", checked.panics);
+        assert!(checked.log.panics.is_empty(), "{:?}", checked.log.panics);
         assert!(
             checked.log.leftover.is_empty(),
             "{:?}",

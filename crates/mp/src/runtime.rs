@@ -146,9 +146,6 @@ pub(crate) struct World {
     /// ranks is the difference between one 512 KiB table and an O(n²)
     /// allocation storm.
     pub world_group: Arc<Vec<usize>>,
-    /// When tracing, every point-to-point payload is recorded here as a
-    /// (global src, global dst, bytes) transfer.
-    pub trace: Option<Mutex<Vec<Transfer>>>,
     /// Collective object rendezvous (used by RMA window creation):
     /// key -> (shared object, fetches remaining before cleanup).
     #[allow(clippy::type_complexity)]
@@ -175,7 +172,6 @@ pub(crate) struct World {
 impl World {
     pub(crate) fn new(
         n: usize,
-        traced: bool,
         inspector: Option<Arc<Inspector>>,
         controller: Option<Arc<dyn crate::coop::ScheduleController>>,
     ) -> World {
@@ -199,7 +195,6 @@ impl World {
                 })
                 .collect(),
             world_group,
-            trace: traced.then(|| Mutex::new(Vec::new())),
             rendezvous: Mutex::new(HashMap::new()),
             virtual_net: None,
             virtual_clocks: Vec::new(),
@@ -238,17 +233,21 @@ impl World {
     }
 
     /// The run log of a finished instrumented world: its event rings, the
-    /// unmatched traffic left in its mailboxes and, if it stalled, the
-    /// deadlock diagnosis.
-    pub(crate) fn run_log(&self) -> RunLog {
+    /// unmatched traffic left in its mailboxes, the deadlock diagnosis if
+    /// it stalled, and its ranks' caught `panics` but the poison unwinds
+    /// (the detector's doing, which the diagnosis already carries).
+    pub(crate) fn run_log(&self, mut panics: Vec<(usize, String)>) -> RunLog {
         let inspector = self.inspector.as_ref().expect("an instrumented world");
         let (events, dropped) = inspector.drain_events();
+        panics.retain(|(_, msg)| !msg.starts_with(check::POISON_MARK));
+        panics.sort_by_key(|&(rank, _)| rank);
         RunLog {
             n: self.n,
             events,
             dropped,
             leftover: self.inventory(),
             deadlock: inspector.poisoned(),
+            panics,
         }
     }
 
@@ -273,8 +272,7 @@ impl World {
         self.virtual_clocks.iter().map(Clock::get).collect()
     }
 
-    /// Delivers `msg` to global rank `dst`, recording it if tracing.
-    /// Under a multi-process session, a message for a rank hosted by
+    /// Delivers `msg` to global rank `dst`. Under a multi-process session, a message for a rank hosted by
     /// another process is framed and sent over the transport instead of
     /// pushed into a local mailbox — the one point where residency is
     /// decided, so everything above (collectives, rendezvous fallback,
@@ -285,13 +283,6 @@ impl World {
                 remote.send_data(dst, &msg);
                 return;
             }
-        }
-        if let Some(trace) = &self.trace {
-            trace.lock().push(Transfer {
-                src: msg.src,
-                dst,
-                bytes: msg.data.len() as u64,
-            });
         }
         self.mailboxes[dst].push(msg);
     }
@@ -328,13 +319,6 @@ impl World {
                     bytes: words.len() * T::SIZE,
                 },
             );
-        }
-        if let Some(trace) = &self.trace {
-            trace.lock().push(Transfer {
-                src,
-                dst,
-                bytes: (words.len() * T::SIZE) as u64,
-            });
         }
         true
     }
@@ -377,42 +361,28 @@ where
     // An ambient check configuration (installed on *this* thread via
     // `check::install_scoped`) reroutes the run through the instrumented
     // path: deadlocks are diagnosed, the run log goes to the sink, and
-    // rank panics still propagate like the plain path's.
+    // rank panics still propagate like the plain path's. Rank threads
+    // ignore its controller.
     if let Some(scoped) = check::scoped() {
-        let checked = check::run_checked(n, scoped.settings.clone(), &f);
+        let checked = check::run_checked(n, scoped.settings, &f);
         return checked.sink_then_propagate(&*scoped.sink);
     }
-    run_inner(n, false, f).0
+    assert!(n > 0, "an SPMD world needs at least one rank");
+    let world = Arc::new(World::new(n, None, None));
+    spawn_rank_threads(&world, &world.world_group, |_, comm| f(comm))
 }
 
-/// Like [`run`], but records every point-to-point message. Returns the
-/// per-rank results and the trace as a list of (src, dst, bytes) transfers
-/// in delivery order. Used to cross-validate the real collective
+/// Like [`run`], but returns the run's point-to-point transfers too: a
+/// checked world's [`RunLog::transfers`] — each rank's sends as
+/// (src, dst, bytes), in program order, ranks in order. Failures
+/// propagate as [`run`]'s do. Used to cross-validate the real collective
 /// implementations against their schedule generators.
 pub fn run_traced<R, F>(n: usize, f: F) -> (Vec<R>, Vec<Transfer>)
 where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
-    crate::transport::assert_no_session("run_traced");
-    let (results, trace) = run_inner(n, true, f);
-    (results, trace.expect("tracing was enabled"))
-}
-
-fn run_inner<R, F>(n: usize, traced: bool, f: F) -> (Vec<R>, Option<Vec<Transfer>>)
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    let world = Arc::new(World::new(n, traced, None, None));
-    let results = spawn_rank_threads(&world, &world.world_group, |_, comm| f(comm));
-    let trace = Arc::try_unwrap(world)
-        .ok()
-        .expect("all rank threads joined")
-        .trace
-        .map(Mutex::into_inner);
-    (results, trace)
+    check::traced(|settings| check::run_checked(n, settings, f))
 }
 
 /// The one place a rank thread is spawned: one per entry of `ranks`
@@ -522,32 +492,32 @@ pub(crate) mod tests {
         });
     }
 
+    /// A traced run's transfers are its send events: each rank's sends in
+    /// program order, ranks in order, whatever order they arrived in.
     #[test]
     fn traced_run_records_messages() {
-        let (_, trace) = run_traced(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(&[1.0f64, 2.0], 1, 7);
+        let (_, trace) = run_traced(3, |comm| {
+            let me = comm.rank();
+            if me > 0 {
+                comm.send(&vec![0u8; me], 0, 1);
+                comm.send(&vec![0u8; 10 * me], 0, 2);
             } else {
-                let mut buf = [0.0f64; 2];
-                comm.recv(&mut buf, 0, 7);
+                let mut buf = vec![0u8; 20];
+                comm.recv(&mut buf, 2, 2);
+                comm.recv(&mut buf[..10], 1, 2);
+                comm.recv(&mut buf[..2], 2, 1);
+                comm.recv(&mut buf[..1], 1, 1);
             }
         });
-        assert_eq!(trace.len(), 1);
-        assert_eq!(
-            trace[0],
-            Transfer {
-                src: 0,
-                dst: 1,
-                bytes: 16
-            }
-        );
+        let t = |src, bytes| Transfer { src, dst: 0, bytes };
+        assert_eq!(trace, [t(1, 1), t(1, 10), t(2, 2), t(2, 20)]);
     }
 
     /// `rounds` 8-byte ping-pongs between ranks 0 and 1 of a fresh world
     /// of `n` ranks (the rest finish at once), run the way `run` runs
     /// them; returns the world's `(spun, parked_waits)`.
     fn ping_pong_wait_counts(n: usize, rounds: u64) -> (u64, u64) {
-        let world = Arc::new(World::new(n, false, None, None));
+        let world = Arc::new(World::new(n, None, None));
         spawn_rank_threads(&world, &world.world_group, |rank, comm| {
             let mut buf = [0u64];
             for i in 0..rounds {

@@ -466,7 +466,7 @@ where
         ..Settings::default()
     };
     let inspector = Arc::new(Inspector::new(n, settings, None));
-    let mut world = World::new(n, false, Some(Arc::clone(&inspector)), None);
+    let mut world = World::new(n, Some(Arc::clone(&inspector)), None);
     let epoch = {
         let mut st = sess.state.lock();
         assert!(
@@ -504,8 +504,7 @@ where
 
     // Report as the single-process checked path does (nobody reads the
     // log): a deadlock diagnosis first, then real rank panics.
-    check::Checked::from_outcomes(&residents, outcomes, world.run_log())
-        .sink_then_propagate(&|_| ())
+    check::Checked::from_outcomes(&world, &residents, outcomes).sink_then_propagate(&|_| ())
 }
 
 /// One installed epoch of a session; dropping it ends the epoch.

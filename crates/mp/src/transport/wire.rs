@@ -652,7 +652,7 @@ mod tests {
             c.reduce_scatter(&words[..n], &mut out[..1], &vec![1; n], Sum);
             c.split(0, me as i64);
         });
-        assert!(checked.results.is_some(), "{:?}", checked.panics);
+        assert!(checked.results.is_some(), "{:?}", checked.log.panics);
         let mut seen = Vec::new();
         for event in checked.log.events.iter().flatten() {
             if let Event::CollBegin { op, .. } = event {

@@ -7,15 +7,17 @@ use mp::check::{Event, RunLog};
 
 use crate::report::{Finding, FindingClass};
 
-/// Analyzes one run log, returning every finding it supports on its own.
-/// (Cross-schedule comparisons live in [`crate::explore`], which sees all
-/// runs.)
+/// Analyzes one run log, returning every finding it supports on its own,
+/// its rank panics last. (Cross-schedule comparisons live in
+/// [`crate::explore`], which sees all runs.)
 pub fn analyze(log: &RunLog) -> Vec<Finding> {
     let mut findings = Vec::new();
     deadlock(log, &mut findings);
     collective_divergence(log, &mut findings);
     leftovers(log, &mut findings);
     wildcard_races(log, &mut findings);
+    let panics = log.panics.iter();
+    findings.extend(panics.map(|(rank, msg)| Finding::rank_panic(*rank, msg)));
     findings
 }
 
@@ -268,6 +270,34 @@ mod tests {
             comm.barrier();
         });
         assert!(analyze(&checked.log).is_empty());
+    }
+
+    /// Every panicking rank reaches the analysis through the log, as one
+    /// finding each, after the findings the events support.
+    #[test]
+    fn every_rank_panic_is_a_finding() {
+        let checked = run_checked(3, Settings::default(), |comm| {
+            if comm.rank() > 0 {
+                panic!("rank {} gives up", comm.rank());
+            }
+            // A message nobody receives: a finding of the events.
+            comm.send(&[1u8], 1, 5);
+        });
+        assert_eq!(checked.log.panics.len(), 2);
+        let findings = analyze(&checked.log);
+        let found: Vec<(FindingClass, &[usize], &str)> = findings
+            .iter()
+            .map(|f| (f.class, &f.ranks[..], f.detail.as_str()))
+            .skip(1)
+            .collect();
+        assert_eq!(findings[0].class, FindingClass::TagLeak);
+        assert_eq!(
+            found,
+            [
+                (FindingClass::RankPanic, &[1][..], "rank 1 gives up"),
+                (FindingClass::RankPanic, &[2][..], "rank 2 gives up")
+            ]
+        );
     }
 
     #[test]

@@ -29,13 +29,20 @@
 //! Every new finding carries a replayable `hpcbench-schedule-v1`
 //! counterexample ([`crate::Schedule`]); [`replay_with`] re-executes one
 //! deterministically, with no random seeds anywhere in the loop.
+//!
+//! A target is any code that starts cooperative `mp` worlds on the
+//! calling thread: each run installs the ambient [`install_scoped`] hook
+//! with the [`Guided`] controller, and the worlds' [`RunLog`]s are what it
+//! found.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once};
 
-use mp::check::{Event, RunLog, Settings, POISON_MARK};
+use mp::check::{install_scoped, Event, RunLog, ScopedCheck, Settings, POISON_MARK};
 use mp::{ScheduleController, WildcardCandidate};
 
 use crate::report::{Finding, FindingClass, Report, ScheduleStats};
@@ -60,15 +67,10 @@ impl PoisonSilence {
         HOOK.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                if EXPLORING.load(Ordering::Relaxed) > 0 {
-                    let payload = info.payload();
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied());
-                    if msg.is_some_and(|m| m.starts_with(POISON_MARK)) {
-                        return;
-                    }
+                if EXPLORING.load(Ordering::Relaxed) > 0
+                    && payload_text(info.payload()).is_some_and(|m| m.starts_with(POISON_MARK))
+                {
+                    return;
                 }
                 prev(info);
             }));
@@ -109,27 +111,46 @@ impl Default for ExploreOptions {
     }
 }
 
-/// What one scripted run produced: every `mp` world's log (a target may
-/// create several), plus any rank panics.
-pub struct RunOutcome {
-    /// One log per instrumented world, in creation order.
-    pub logs: Vec<RunLog>,
-    /// `(rank, message)` for ranks that panicked (deadlock poison
-    /// unwinds excluded).
-    pub panics: Vec<(usize, String)>,
+/// The text of a panic payload, when it has one.
+fn payload_text(payload: &(dyn Any + Send)) -> Option<&str> {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    text.or_else(|| payload.downcast_ref::<&str>().copied())
 }
 
-/// Splits a caught panic payload into the explorer's terms: `None` for
-/// a deadlock poison unwind (the diagnosis is already in the run log),
-/// `Some((rank, msg))` for a genuine rank panic re-thrown by the coop
-/// engine as `"rank N panicked: ..."`.
-pub fn classify_panic(msg: &str) -> Option<(usize, String)> {
-    if msg.starts_with(POISON_MARK) {
-        return None;
+/// The one guided runner: runs `target` once under the ambient hook
+/// (`guided` deciding, `settings` instrumenting) and returns the log of
+/// every world it started, in creation order. A failing world's log
+/// already holds its failure, so the panic it propagates is dropped; a
+/// panic no log holds happened outside any world, and becomes a log of
+/// its own, as rank 0's.
+fn run_scripted(settings: &Settings, guided: Arc<Guided>, target: impl FnOnce()) -> Vec<RunLog> {
+    const PUSH_ONLY: &str = "the sink's lock is held only to push a log";
+    let logs = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&logs);
+    let guard = install_scoped(ScopedCheck {
+        settings: settings.clone(),
+        controller: Some(guided),
+        sink: Arc::new(move |log| sink.lock().expect(PUSH_ONLY).push(log)),
+    });
+    let caught = catch_unwind(AssertUnwindSafe(target));
+    drop(guard);
+    let mut logs = std::mem::take(&mut *logs.lock().expect(PUSH_ONLY));
+    if let Err(payload) = caught {
+        if logs.iter().all(clean) {
+            let msg = payload_text(&*payload).unwrap_or("opaque panic payload");
+            let panics = vec![(0, msg.to_string())];
+            logs.push(RunLog {
+                panics,
+                ..RunLog::default()
+            });
+        }
     }
-    let rest = msg.strip_prefix("rank ")?;
-    let (rank, tail) = rest.split_once(" panicked: ")?;
-    Some((rank.parse().ok()?, tail.to_string()))
+    logs
+}
+
+/// Whether a world neither deadlocked nor lost a rank to a panic.
+fn clean(log: &RunLog) -> bool {
+    log.deadlock.is_none() && log.panics.is_empty()
 }
 
 /// One recorded decision, with the context the DPOR analysis needs.
@@ -364,14 +385,10 @@ impl Node {
     }
 }
 
-/// Explores the schedule space of an arbitrary runner. `run_one` must
-/// execute the target program once under the given controller (via
-/// [`mp::run_controlled_coop`] or [`mp::install_explore`]) and return
-/// what it logged; the driver re-invokes it once per schedule.
-pub fn explore_with<F>(label: &str, opts: &ExploreOptions, mut run_one: F) -> Report
-where
-    F: FnMut(Arc<Guided>) -> RunOutcome,
-{
+/// Explores the schedule space of an arbitrary target: code that starts
+/// cooperative `mp` worlds on the calling thread (see the module docs).
+/// The driver runs it once per schedule.
+pub fn explore_with(label: &str, opts: &ExploreOptions, mut target: impl FnMut()) -> Report {
     let _quiet = PoisonSilence::new();
     let mut report = Report {
         schedules: Some(ScheduleStats {
@@ -393,7 +410,7 @@ where
         }
         let script: Vec<usize> = path.iter().map(|n| n.taken).collect();
         let guided = Arc::new(Guided::scripted(script));
-        let outcome = run_one(Arc::clone(&guided));
+        let logs = run_scripted(&opts.settings, Arc::clone(&guided), &mut target);
         let (decisions, steps) = guided.snapshot();
         let stats = report.schedules.as_mut().expect("set above");
         stats.visited += 1;
@@ -442,17 +459,12 @@ where
         };
         // Findings of this run; new ones ship the counterexample.
         let mut run_findings = Vec::new();
-        for log in &outcome.logs {
+        for log in &logs {
             report.count(log);
             run_findings.extend(analyze::analyze(log));
         }
-        for (rank, msg) in &outcome.panics {
-            run_findings.push(Finding::rank_panic(*rank, msg));
-        }
-        let clean =
-            outcome.panics.is_empty() && outcome.logs.iter().all(|log| log.deadlock.is_none());
-        if clean {
-            let orders: Vec<Vec<Vec<usize>>> = outcome.logs.iter().map(wildcard_orders).collect();
+        if logs.iter().all(clean) {
+            let orders: Vec<Vec<Vec<usize>>> = logs.iter().map(wildcard_orders).collect();
             match &reference_orders {
                 None => reference_orders = Some(orders),
                 Some(reference) => {
@@ -542,32 +554,27 @@ where
 }
 
 /// Explores an async SPMD closure (the gallery entry point): runs it
-/// under [`mp::run_controlled_coop`] once per schedule.
+/// over `n` ranks through [`mp::run_coop`] once per schedule.
 pub fn explore<R, F, Fut>(n: usize, label: &str, opts: &ExploreOptions, f: F) -> Report
 where
     F: Fn(mp::Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    explore_with(label, opts, |guided| {
-        let checked = mp::run_controlled_coop(n, opts.settings.clone(), guided, &f);
-        RunOutcome {
-            logs: vec![checked.log],
-            panics: checked.panics,
-        }
-    })
+    explore_with(label, opts, || drop(mp::run_coop(n, &f)))
 }
 
-/// Replays one recorded schedule through an arbitrary runner, strictly:
+/// Replays one recorded schedule through an arbitrary target, strictly:
 /// the run must hit exactly the recorded choice points. Returns the
 /// findings of that single run (counterexamples re-attached), or an
 /// error describing the divergence.
-pub fn replay_with<F>(schedule: &Schedule, mut run_one: F) -> Result<Report, String>
-where
-    F: FnMut(Arc<Guided>) -> RunOutcome,
-{
+pub fn replay_with(
+    schedule: &Schedule,
+    settings: &Settings,
+    target: impl FnOnce(),
+) -> Result<Report, String> {
     let _quiet = PoisonSilence::new();
     let guided = Arc::new(Guided::replaying(schedule.picks()));
-    let outcome = run_one(Arc::clone(&guided));
+    let logs = run_scripted(settings, Arc::clone(&guided), target);
     if let Some(divergence) = guided.divergence() {
         return Err(format!(
             "schedule for {:?} did not replay: {divergence}",
@@ -587,12 +594,9 @@ where
         runs: 1,
         ..Report::default()
     };
-    for log in &outcome.logs {
+    for log in &logs {
         report.count(log);
         report.findings.extend(analyze::analyze(log));
-    }
-    for (rank, msg) in &outcome.panics {
-        report.findings.push(Finding::rank_panic(*rank, msg));
     }
     for finding in &mut report.findings {
         finding.counterexample = Some(schedule.to_json());
@@ -608,13 +612,7 @@ where
     Fut: Future<Output = R>,
 {
     let n = schedule.world;
-    replay_with(schedule, |guided| {
-        let checked = mp::run_controlled_coop(n, settings.clone(), guided, &f);
-        RunOutcome {
-            logs: vec![checked.log],
-            panics: checked.panics,
-        }
-    })
+    replay_with(schedule, &settings, || drop(mp::run_coop(n, &f)))
 }
 
 /// The DPOR core: finds racing step pairs in the just-executed trace

@@ -20,18 +20,21 @@
 //! Findings render as human-readable text ([`Report`]'s `Display`) and as
 //! an `mpcheck-report-v3` JSON document ([`Report::to_json`]).
 //!
-//! Three entry points:
+//! Every analysis reads one record, a world's [`mp::check::RunLog`] (rank
+//! panics included). Three entry points produce it, the last two through
+//! the one hook [`mp::check::install_scoped`]:
 //!
 //! - [`check`] — run a closure as an SPMD program on rank threads, once,
 //!   and get a [`Report`] back. This is what the misuse gallery tests use.
-//! - [`Session`] — install scoped instrumentation on the current thread
-//!   so existing code paths that call [`mp::run`] (the harness's plan
-//!   executor, bench binaries) are checked without changing their
-//!   signatures. This is what `campaign --check` uses.
+//! - [`Session`] — install the hook on the current thread so existing
+//!   code paths that start worlds (the harness's plan executor, bench
+//!   binaries) are checked without changing their signatures. This is
+//!   what `campaign --check` uses.
 //! - [`explore`] — the one way to see a second schedule: a DPOR explorer
-//!   over the cooperative scheduler that drives every ready-set pick and
-//!   wildcard match as an explicit decision, enumerates the schedule
-//!   space, prunes equivalent interleavings, and emits replayable
+//!   over the cooperative scheduler that installs the hook with a
+//!   [`Guided`] controller, so every ready-set pick and wildcard match is
+//!   an explicit decision; it enumerates the schedule space, prunes
+//!   equivalent interleavings, and emits replayable
 //!   `hpcbench-schedule-v1` counterexamples ([`Schedule`]). This is what
 //!   the `mpcheck explore` CLI uses.
 
@@ -43,9 +46,7 @@ mod report;
 mod schedule;
 
 pub use analyze::analyze;
-pub use explore::{
-    classify_panic, explore, explore_with, replay, replay_with, ExploreOptions, Guided, RunOutcome,
-};
+pub use explore::{explore, explore_with, replay, replay_with, ExploreOptions, Guided};
 pub use mp::check::Settings;
 pub use report::{Finding, FindingClass, Report, ScheduleStats, REPORT_SCHEMA};
 pub use schedule::{Decision, DecisionKind, Schedule, SCHEDULE_SCHEMA};
@@ -83,27 +84,25 @@ where
     R: Send,
     F: Fn(&mp::Comm) -> R + Send + Sync,
 {
-    let checked = mp::check::run_checked(n, settings.clone(), &f);
+    let log = mp::check::run_checked(n, settings.clone(), &f).log;
     let mut report = Report {
         runs: 1,
+        findings: analyze(&log),
         ..Report::default()
     };
-    for (rank, msg) in &checked.panics {
-        report.findings.push(Finding::rank_panic(*rank, msg));
-    }
-    report.count(&checked.log);
-    report.findings.extend(analyze(&checked.log));
+    report.count(&log);
     analyze::dedup(&mut report.findings);
     report
 }
 
-/// Scoped instrumentation for code that calls [`mp::run`] internally
+/// Scoped instrumentation for code that starts `mp` worlds internally
 /// (the harness plan executor, bench binaries).
 ///
-/// Between [`Session::begin`] and [`Session::finish`], every `mp::run` on
-/// the *current thread* runs instrumented; each run's log is analyzed as
-/// it completes and the findings accumulate into one [`Report`]. A
-/// detected deadlock still panics out of `mp::run` (with the full
+/// Between [`Session::begin`] and [`Session::finish`], every world started
+/// on the *current thread* ([`mp::run`], [`mp::run_coop`],
+/// [`mp::run_virtual_coop`]) runs instrumented; each run's log is analyzed
+/// as it completes and the findings accumulate into one [`Report`]. A
+/// detected deadlock still panics out of the launcher (with the full
 /// diagnosis as the panic message) — a deadlocked benchmark cannot
 /// meaningfully continue — but the diagnosis is also in the report held
 /// by the session's accumulator up to that point.
@@ -119,6 +118,7 @@ impl Session {
         let sink = Arc::clone(&acc);
         let guard = install_scoped(ScopedCheck {
             settings,
+            controller: None,
             sink: Arc::new(move |log: RunLog| {
                 let mut report = sink.lock().unwrap();
                 report.runs += 1;

@@ -24,9 +24,6 @@ pub struct Tuned {
     pub fft_l2_block: usize,
     /// HPL panel width.
     pub hpl_nb: usize,
-    /// Whether HPL factors panel k+1 concurrently with the trailing
-    /// update of panel k.
-    pub hpl_lookahead: bool,
 }
 
 /// The one set of kernel parameters.
@@ -42,7 +39,6 @@ pub const TUNED: Tuned = Tuned {
     fft_l1_block: 1024,
     fft_l2_block: 1 << 15,
     hpl_nb: 32,
-    hpl_lookahead: true,
 };
 
 const _: () = assert!(TUNED.dgemm_kc >= 1 && TUNED.hpl_nb >= 1);

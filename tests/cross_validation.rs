@@ -213,14 +213,16 @@ fn ghost_word_traces_equal_real_word_traces() {
 
 /// Every launcher is a projection of one launch: a ring exchange, an
 /// allreduce and a broadcast (pinned sources throughout, so nothing is
-/// schedule-dependent) give the same per-rank results through all eight
-/// front doors, the same transfers through the two traced ones, the same
-/// per-rank event sequences through the three checked ones, and the same
-/// clocks, bit for bit, from two virtual runs.
+/// schedule-dependent) give the same per-rank results through all seven
+/// front doors and through `run_coop` under the one ambient hook with a
+/// FIFO controller, the same transfers through the two traced doors, the
+/// same per-rank event sequences through the two checked doors and the
+/// hooked run, and the same clocks, bit for bit, from two virtual runs.
 #[test]
 fn every_launcher_runs_the_same_program() {
-    use mp::check::Settings;
+    use mp::check::{install_scoped, RunLog, ScopedCheck, Settings};
     use mp::Op::Sum;
+    use std::sync::{Arc, Mutex};
 
     async fn program(c: &mp::Comm) -> Vec<u64> {
         let (me, n) = (c.rank(), c.size());
@@ -248,10 +250,20 @@ fn every_launcher_runs_the_same_program() {
 
         let checked = mp::check::run_checked(n, Settings::default(), blocking);
         let checked_coop = mp::run_checked_coop(n, Settings::default(), awaited);
-        let fifo = std::sync::Arc::new(mp::FifoController);
-        let controlled = mp::run_controlled_coop(n, Settings::default(), fifo, awaited);
-        for log in [&checked.log, &checked_coop.log, &controlled.log] {
+        let hooked: Arc<Mutex<Vec<RunLog>>> = Arc::default();
+        let sink = Arc::clone(&hooked);
+        let guard = install_scoped(ScopedCheck {
+            settings: Settings::default(),
+            controller: Some(Arc::new(mp::FifoController)),
+            sink: Arc::new(move |log| sink.lock().unwrap().push(log)),
+        });
+        let controlled = mp::run_coop(n, awaited);
+        drop(guard);
+        let hooked = std::mem::take(&mut *hooked.lock().unwrap());
+        assert_eq!(hooked.len(), 1, "the hooked run sinks one log, n={n}");
+        for log in [&checked.log, &checked_coop.log, &hooked[0]] {
             assert!(log.deadlock.is_none() && log.leftover.is_empty(), "n={n}");
+            assert!(log.panics.is_empty(), "n={n}");
             assert_eq!(log.events, checked.log.events, "n={n}");
         }
 
@@ -269,7 +281,7 @@ fn every_launcher_runs_the_same_program() {
             Some(mp::run_coop(n, awaited)),
             Some(traced_coop),
             checked_coop.results,
-            controlled.results,
+            Some(controlled),
             Some(virt),
         ];
         for (door, other) in others.iter().enumerate() {

@@ -152,9 +152,9 @@ fn virtual_runs_are_identical_under_the_fifo_controller() {
         let plain = run();
         let logs = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&logs);
-        let guard = mp::install_explore(mp::ScopedExplore {
-            controller: Arc::new(mp::FifoController),
+        let guard = mp::check::install_scoped(mp::check::ScopedCheck {
             settings: mp::check::Settings::default(),
+            controller: Some(Arc::new(mp::FifoController)),
             sink: Arc::new(move |log| sink.lock().unwrap().push(log)),
         });
         let controlled = run();

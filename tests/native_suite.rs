@@ -78,20 +78,14 @@ fn hpl_residual_quality_across_block_sizes() {
 /// The one LU is pinned to the arithmetic and the wire of the two it
 /// replaced (goldens recorded from `hpl.rs` and `hpl2d.rs` at the commit
 /// before the merge, where both codebases already agreed on every bit):
-/// every grid of one (n, nb), with lookahead on and off, returns the same
-/// residual bits — grid shape and lookahead are schedule inputs, not
-/// numerics inputs — and a `1 x Q` grid sends exactly the column code's
-/// messages.
+/// every grid of one (n, nb) returns the same residual bits — grid shape
+/// is a schedule input, not a numerics input — and a `1 x Q` grid sends
+/// exactly the column code's messages.
 #[test]
 fn hpl_grids_share_one_residual_and_the_column_wire() {
-    let solve = |p_rows: usize, n: usize, lookahead: bool| {
+    let solve = |p_rows: usize, n: usize| {
         move |comm: &mp::Comm| {
-            let cfg = hpcc::hpl::HplConfig {
-                n,
-                nb: 16,
-                p_rows,
-                lookahead,
-            };
+            let cfg = hpcc::hpl::HplConfig { n, nb: 16, p_rows };
             hpcc::hpl::run(comm, &cfg).residual
         }
     };
@@ -101,39 +95,35 @@ fn hpl_grids_share_one_residual_and_the_column_wire() {
         (4, 96, 5.995602816466517e-3),
     ] {
         for p_rows in (1..=ranks).filter(|p| ranks.is_multiple_of(*p)) {
-            for lookahead in [true, false] {
-                let got = mp::run(ranks, solve(p_rows, n, lookahead))[0];
-                assert_eq!(
-                    got.to_bits(),
-                    golden.to_bits(),
-                    "{p_rows}x{} n={n} lookahead={lookahead}: {got:e} != {golden:e}",
-                    ranks / p_rows
-                );
-            }
+            let got = mp::run(ranks, solve(p_rows, n))[0];
+            assert_eq!(
+                got.to_bits(),
+                golden.to_bits(),
+                "{p_rows}x{} n={n}: {got:e} != {golden:e}",
+                ranks / p_rows
+            );
         }
     }
 
-    // Per-sender program order is deterministic; the interleaving of
-    // senders in the trace is not, hence the stable sort.
+    // Per-sender program order is the trace's order within a sender; the
+    // stable sort groups the senders.
     for (ranks, transfers, bytes, digest) in [
         (4usize, 32usize, 180_528u64, 0xf8ef_de55_7564_b120u64),
         (3, 22, 136_736, 0x840d_1fd9_39b3_4cdd),
         (1, 0, 0, 0xcbf2_9ce4_8422_2325),
     ] {
-        for lookahead in [true, false] {
-            let (_, mut trace) = mp::run_traced(ranks, solve(1, 96, lookahead));
-            trace.sort_by_key(|t| t.src);
-            let fnv = trace
-                .iter()
-                .flat_map(|t| [t.src as u64, t.dst as u64, t.bytes])
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-                    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-                });
-            let what = format!("1x{ranks} n=96 lookahead={lookahead}");
-            assert_eq!(trace.len(), transfers, "{what}: transfers");
-            assert_eq!(trace.iter().map(|t| t.bytes).sum::<u64>(), bytes, "{what}");
-            assert_eq!(fnv, digest, "{what}: (src, dst, bytes) sequence moved");
-        }
+        let (_, mut trace) = mp::run_traced(ranks, solve(1, 96));
+        trace.sort_by_key(|t| t.src);
+        let fnv = trace
+            .iter()
+            .flat_map(|t| [t.src as u64, t.dst as u64, t.bytes])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let what = format!("1x{ranks} n=96");
+        assert_eq!(trace.len(), transfers, "{what}: transfers");
+        assert_eq!(trace.iter().map(|t| t.bytes).sum::<u64>(), bytes, "{what}");
+        assert_eq!(fnv, digest, "{what}: (src, dst, bytes) sequence moved");
     }
 }
 
