@@ -109,6 +109,15 @@
 #      either engine. A trace recorded beside the events, a second ambient
 #      hook, a controlled door or a panic parsed back out of its message is
 #      a second record growing back.
+#  15. The public surface is what another crate reads. `ci/pub_surface.sh`
+#      lists no unused public definition: every `pub` fn, type, trait,
+#      const, static and mod under `crates/*/src` is spelled by another
+#      crate, a crate's `tests/`, the umbrella's `src/`, `tests/` or
+#      `examples/`, or `benchmark/`, or is handed to one through a kept
+#      public signature. Names only `benchmark/` spells are allowed (the
+#      script lists them apart). Anything else is `pub(crate)`, so
+#      `dead_code` sees it, and the `unreachable_pub` lint in the root
+#      manifest keeps the rest of the surface honest.
 #
 # Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
 # file; `ci/nontest.awk`) are exempt from the source scans: tests may
@@ -165,6 +174,8 @@ name = "ok"
 [lints]
 workspace = true
 EOF
+    # Rule 15: a name only benchmark/ spells stays public; an item nobody
+    # outside its crate reads is pub(crate).
     cat > "$pass/crates/ok/src/lib.rs" <<'EOF'
 pub fn f() -> u32 { 1 }
 
@@ -176,6 +187,9 @@ mod tests {
     }
 }
 EOF
+    mkdir -p "$pass/benchmark/src"
+    echo 'fn main() { let _ = ok::f(); }' > "$pass/benchmark/src/main.rs"
+    echo 'pub(crate) fn unread_helper() {}' > "$pass/crates/ok/src/surface.rs"
     # A test module behind a second attribute is still a test module, and
     # the one named clock of rule 1 is let through where it is named.
     cat > "$pass/crates/ok/src/attr.rs" <<'EOF'
@@ -203,7 +217,7 @@ EOF
     # A trace is the log's projection of its send events; a test may build
     # the transfers it expects.
     cat > "$pass/crates/mp/src/check.rs" <<'EOF'
-pub fn transfers(log: &RunLog) -> Vec<Transfer> {
+pub(crate) fn transfers(log: &RunLog) -> Vec<Transfer> {
     sends(log).map(|(src, dst, bytes)| Transfer { src, dst, bytes }).collect()
 }
 
@@ -221,7 +235,7 @@ fn read_frame() { assert_eq!(magic, MAGIC, "bad frame magic"); }
 EOF
     # The builder may write transfers; that is its job.
     cat > "$pass/crates/mp/src/sched/build.rs" <<'EOF'
-pub fn push(round: &mut Round) {
+pub(crate) fn push(round: &mut Round) {
     round.transfers.push(Transfer { src: 0, dst: 1, bytes: 8 });
     round.work.push(LocalWork { rank: 1, bytes: 8 });
 }
@@ -246,9 +260,9 @@ EOF
     for op in mod $coll_ops; do touch "$pass/crates/mp/src/coll/$op.rs"; done
     cat > "$pass/crates/mp/src/sched/mod.rs" <<'EOF'
 mod build;
-pub mod p2p;
-pub mod reduce_scatter {
-    pub fn pairwise() {}
+pub(crate) mod p2p;
+pub(crate) mod reduce_scatter {
+    pub(crate) fn pairwise() {}
 }
 
 #[cfg(test)]
@@ -259,7 +273,7 @@ EOF
     # A listed variable read where reads live; an identifier that merely
     # contains `MP_`; a test module's variable of its own.
     cat > "$pass/crates/mp/src/transport/mod.rs" <<'EOF'
-pub const ENV_NPROCS: &str = "MP_NPROCS";
+pub(crate) const ENV_NPROCS: &str = "MP_NPROCS";
 static PUMP_STARTED: bool = false;
 fn nprocs() -> Option<String> { std::env::var(ENV_NPROCS).ok() }
 
@@ -275,7 +289,7 @@ EOF
 fn sim(m: &Machine, b: Benchmark, p: usize) -> Record { imb::sim::simulate(m, b, p, 8) }
 EOF
     cat > "$pass/crates/core/src/figures.rs" <<'EOF'
-pub fn fig(cfg: &FigureConfig) -> Vec<Record> { paper_plan(cfg).execute(&crate::registry()) }
+pub(crate) fn fig(cfg: &FigureConfig) -> Vec<Record> { paper_plan(cfg).execute(&crate::registry()) }
 
 #[cfg(test)]
 mod tests {
@@ -422,6 +436,8 @@ EOF
     cat > "$bad/crates/bench/src/bin/campaign.rs" <<'EOF'
 fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
 EOF
+    # A public function no other crate, test, example or benchmark reads.
+    echo 'pub fn unread_helper() {}' > "$bad/crates/bad/src/surface.rs"
     # A decimation-in-time mirror beside the DIF passes.
     mkdir -p "$bad/crates/hpcc/src/kernels"
     cat > "$bad/crates/hpcc/src/kernels/fft.rs" <<'EOF'
@@ -442,7 +458,8 @@ EOF
         "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var" \
         "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::simulate" \
         "kernels/fft.rs:2: fn merged_dit" "mp/src/runtime.rs:16: .*push(Transfer {" \
-        "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic"; do
+        "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic" \
+        "bad/src/surface.rs:1: pub fn unread_helper"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -454,6 +471,7 @@ EOF
 fi
 
 nontest=$(cd "$(dirname "$0")" && pwd)/nontest.awk
+surface=$(cd "$(dirname "$0")" && pwd)/pub_surface.sh
 if [ -n "$root" ]; then
     cd "$root"
 else
@@ -594,7 +612,7 @@ if [ -d crates/mp/src/coll ]; then
         | sed -e 's/^\t/unexpected /' -e t -e 's/^/missing /')
     alts=$(echo "$coll_ops p2p build" | tr ' ' '|')
     mods=$(scan '^ *(pub([(][a-z]+[)])? )?mod [a-z_0-9]+' \
-        | grep '^crates/mp/src/sched/mod\.rs:' | grep -vE ": *(pub )?mod ($alts)\b" || true)
+        | grep '^crates/mp/src/sched/mod\.rs:' | grep -vE ": *(pub([(][a-z]+[)])? )?mod ($alts)\b" || true)
     offenders=$(printf '%s\n%s\n' "$files" "$mods" | grep . || true)
     if [ -n "$offenders" ]; then
         err "a collective no workload reaches (crates/mp/src/coll is mod.rs + $coll_ops; \
@@ -665,6 +683,14 @@ if [ -f crates/mp/src/check.rs ]; then
 RunLog::transfers (a trace is that projection of the send events):
 $hits"
     fi
+fi
+
+# --- 15. The public surface is what another crate reads ------------------
+offenders=$("$surface" --root . | awk '/^unused:/ { s = 1; next } /^[a-z]/ { s = 0 } s' || true)
+if [ -n "$offenders" ]; then
+    err "a public definition no other crate, test, example or benchmark reads (make it \
+pub(crate), then delete what dead_code reports; see ci/pub_surface.sh):
+$offenders"
 fi
 
 if [ "$fail" -ne 0 ]; then

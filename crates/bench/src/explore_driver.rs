@@ -16,7 +16,7 @@ use machines::{systems, Machine};
 use mpcheck::{gallery, ExploreOptions, Report, Schedule, ScheduleStats};
 
 /// What to explore and how hard.
-pub struct ExplorePlan {
+pub(crate) struct ExplorePlan {
     /// Run only the misuse gallery, skipping the workload slices.
     pub gallery_only: bool,
     /// Registry-name filter for the workload slices (`None` = all).
@@ -49,7 +49,7 @@ impl Default for ExplorePlan {
 }
 
 /// The merged outcome of an exploration sweep.
-pub struct ExploreSummary {
+pub(crate) struct ExploreSummary {
     /// All targets' findings and schedule accounting, merged.
     pub report: Report,
     /// Acceptance failures: unmet gallery expectations, a dirty clean
@@ -61,7 +61,7 @@ pub struct ExploreSummary {
 
 /// Runs the sweep described by `plan`, writing counterexample traces
 /// under `out_dir/schedules/`.
-pub fn run(plan: &ExplorePlan, out_dir: &Path) -> io::Result<ExploreSummary> {
+pub(crate) fn run(plan: &ExplorePlan, out_dir: &Path) -> io::Result<ExploreSummary> {
     let schedules_dir = out_dir.join("schedules");
     std::fs::create_dir_all(&schedules_dir)?;
     let mut summary = ExploreSummary {
@@ -188,7 +188,7 @@ fn absorb(
 
 /// Replays one `hpcbench-schedule-v1` trace file, resolving its target
 /// against the gallery or the workload registry.
-pub fn replay_file(path: &Path) -> Result<Report, String> {
+pub(crate) fn replay_file(path: &Path) -> Result<Report, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let schedule = Schedule::from_json(&text)?;

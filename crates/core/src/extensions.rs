@@ -18,7 +18,7 @@ use crate::figures::FigureConfig;
 use crate::report::{figure_from_records, Figure, Series};
 
 /// The message-size grid of the planned study: 1 byte to 2 MB.
-pub fn size_grid() -> Vec<u64> {
+pub(crate) fn size_grid() -> Vec<u64> {
     let mut v = vec![1u64];
     let mut s = 4u64;
     while s <= 2 * 1024 * 1024 {
@@ -32,7 +32,7 @@ pub fn size_grid() -> Vec<u64> {
 
 /// Message-size sweep for one sized IMB benchmark at a fixed processor
 /// count: series per machine, x = bytes, y = time (us) or bandwidth (MB/s).
-pub fn msgsize_figure(benchmark: imb::Benchmark, cfg: &FigureConfig) -> Figure {
+pub(crate) fn msgsize_figure(benchmark: imb::Benchmark, cfg: &FigureConfig) -> Figure {
     let cap = cfg.max_procs;
     let plan = RunPlan {
         modes: vec![Mode::Simulated],
@@ -95,7 +95,7 @@ fn msgsize_id(benchmark: imb::Benchmark) -> &'static str {
 
 /// Size sweeps for every sized IMB benchmark (the "all 11 benchmarks"
 /// study).
-pub fn all_msgsize_figures(cfg: &FigureConfig) -> Vec<Figure> {
+pub(crate) fn all_msgsize_figures(cfg: &FigureConfig) -> Vec<Figure> {
     imb::Benchmark::ALL
         .into_iter()
         .filter(|b| b.sized())
@@ -107,7 +107,7 @@ pub fn all_msgsize_figures(cfg: &FigureConfig) -> Vec<Figure> {
 /// scheme (Unidir_Put): series per machine. The one study priced outside
 /// the registry: IMB-EXT has no registry entry, so it calls its model
 /// directly until the one-sided benchmarks report through `Runner`.
-pub fn onesided_figure(scheme: imb::SyncScheme) -> Figure {
+pub(crate) fn onesided_figure(scheme: imb::SyncScheme) -> Figure {
     let grid = size_grid();
     let series = systems::all_variants()
         .iter()
@@ -136,7 +136,7 @@ pub fn onesided_figure(scheme: imb::SyncScheme) -> Figure {
 }
 
 /// The one-sided study across all three synchronisation schemes.
-pub fn all_onesided_figures() -> Vec<Figure> {
+pub(crate) fn all_onesided_figures() -> Vec<Figure> {
     imb::SyncScheme::ALL
         .into_iter()
         .map(onesided_figure)
@@ -146,7 +146,7 @@ pub fn all_onesided_figures() -> Vec<Figure> {
 /// Simulated 1 MB Alltoall across the conclusion's five announced
 /// follow-up systems, with the NEC SX-8 as the reference winner of the
 /// original study.
-pub fn future_systems_figure(cfg: &FigureConfig) -> Figure {
+pub(crate) fn future_systems_figure(cfg: &FigureConfig) -> Figure {
     let mut machines = systems::future_systems();
     machines.push(systems::nec_sx8());
     let cap = cfg.max_procs;

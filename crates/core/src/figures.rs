@@ -3,7 +3,7 @@
 //! | id | paper content | projection of |
 //! |----|----|----|
 //! | table1, table2 | architecture tables | `machines::tables` (no records) |
-//! | fig01-fig04 | random-ring / STREAM balance vs HPL | every point of the HPCC sweep ([`balance_figures`]) |
+//! | fig01-fig04 | random-ring / STREAM balance vs HPL | every point of the HPCC sweep (`balance_figures`) |
 //! | fig05, table3 | HPL-normalised benchmark comparison | the last point of the five paper systems' HPCC sweeps ([`kiviat_rows_from`]) |
 //! | fig06-fig15 | IMB collectives / transfers at 1 MB | the IMB sweep, one benchmark each (`IMB_FIGURES`) |
 //!
@@ -256,7 +256,7 @@ pub fn hpcc_sweeps_from(set: &[Record]) -> Vec<HpccSweep> {
 
 /// Figs. 1-4 — accumulated random-ring bandwidth and EP-STREAM copy, and
 /// their ratios to HPL, versus HPL performance — one series per sweep.
-pub fn balance_figures(sweeps: &[HpccSweep]) -> Vec<Figure> {
+pub(crate) fn balance_figures(sweeps: &[HpccSweep]) -> Vec<Figure> {
     BALANCE_FIGURES
         .iter()
         .map(|&(id, title, ylabel, y)| Figure {
@@ -348,7 +348,7 @@ pub fn table3_from(rows: &[ratios::KiviatRow]) -> Table {
 }
 
 /// Table 1: architecture parameters of the SGI Altix BX2.
-pub fn table1() -> Table {
+pub(crate) fn table1() -> Table {
     Table {
         id: "table1",
         title: "Architecture parameters of SGI Altix BX2".into(),
@@ -361,7 +361,7 @@ pub fn table1() -> Table {
 }
 
 /// Table 2: system characteristics of the five computing platforms.
-pub fn table2() -> Table {
+pub(crate) fn table2() -> Table {
     Table {
         id: "table2",
         title: "System characteristics of the five computing platforms".into(),
@@ -431,7 +431,7 @@ fn highrank_grid(cfg: &FigureConfig) -> Vec<usize> {
 /// the real benchmark code running as resumable rank tasks with the
 /// communication priced by virtual clocks — worlds this size are
 /// impossible with one OS thread per rank. One series per collective.
-pub fn fig_highrank_collectives(cfg: &FigureConfig) -> Figure {
+pub(crate) fn fig_highrank_collectives(cfg: &FigureConfig) -> Figure {
     let reg = crate::registry::registry();
     let machine = systems::exascale_cluster();
     let grid = highrank_grid(cfg);
@@ -475,7 +475,7 @@ pub fn fig_highrank_collectives(cfg: &FigureConfig) -> Figure {
 /// closed-form models (`Mode::Simulated`) rather than virtual
 /// execution; the virtual G-FFT point at 4096 ranks lives in the hpcc
 /// release-scale tests.
-pub fn fig_highrank_hpcc(cfg: &FigureConfig) -> Figure {
+pub(crate) fn fig_highrank_hpcc(cfg: &FigureConfig) -> Figure {
     let reg = crate::registry::registry();
     let machine = systems::exascale_cluster();
     let grid = highrank_grid(cfg);
@@ -513,7 +513,7 @@ pub fn fig_highrank_hpcc(cfg: &FigureConfig) -> Figure {
 
 /// The high-rank scaling figures (cooperative-scheduler extension
 /// study) — not part of the paper's own figure list.
-pub fn highrank_figures(cfg: &FigureConfig) -> Vec<Figure> {
+pub(crate) fn highrank_figures(cfg: &FigureConfig) -> Vec<Figure> {
     vec![fig_highrank_collectives(cfg), fig_highrank_hpcc(cfg)]
 }
 

@@ -29,7 +29,7 @@
 //! assert!(fig06.to_csv().lines().count() > 5);
 //! ```
 
-pub mod extensions;
+pub(crate) mod extensions;
 pub mod figures;
 pub mod output;
 pub mod ratios;

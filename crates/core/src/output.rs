@@ -30,18 +30,6 @@ pub struct OutputConfig {
     pub verbose: bool,
 }
 
-impl OutputConfig {
-    /// Full paper-scale output into `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> OutputConfig {
-        OutputConfig {
-            out_dir: dir.into(),
-            figures: FigureConfig::default(),
-            with_extensions: true,
-            verbose: true,
-        }
-    }
-}
-
 /// Writes all tables, figures, extensions and the combined `report.md`,
 /// pricing every cell of the paper plan once. Returns the path of the
 /// written report.

@@ -39,7 +39,7 @@ pub fn balance_point(s: &HpccSummary) -> BalancePoint {
 }
 
 /// The eight HPL-normalised columns of Fig. 5, in the paper's order.
-pub const KIVIAT_COLUMNS: [&str; 8] = [
+pub(crate) const KIVIAT_COLUMNS: [&str; 8] = [
     "G-HPL",
     "G-EP DGEMM/G-HPL",
     "G-FFTE/G-HPL",
@@ -62,7 +62,7 @@ pub struct KiviatRow {
 }
 
 /// Builds a Kiviat row from a suite summary.
-pub fn kiviat_row(machine: &Machine, s: &HpccSummary) -> KiviatRow {
+pub(crate) fn kiviat_row(machine: &Machine, s: &HpccSummary) -> KiviatRow {
     let p = s.cpus as f64;
     let hpl_flops = s.ghpl * 1e9;
     KiviatRow {

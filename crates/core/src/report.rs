@@ -84,7 +84,7 @@ impl Figure {
 /// (in first-appearance order), x = processor count, y extracted per
 /// record. This is how the paper's IMB figures consume the campaign
 /// driver's output.
-pub fn figure_from_records(
+pub(crate) fn figure_from_records(
     id: &'static str,
     title: impl Into<String>,
     xlabel: impl Into<String>,
@@ -113,7 +113,7 @@ pub fn figure_from_records(
 }
 
 /// Human-friendly number formatting for tables.
-pub fn fmt_num(v: f64) -> String {
+pub(crate) fn fmt_num(v: f64) -> String {
     if v == 0.0 {
         "0".into()
     } else if v.abs() >= 1e6 || v.abs() < 1e-3 {

@@ -25,7 +25,7 @@ const COLORS: [&str; 8] = [
 
 /// Axis scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
+pub(crate) enum Scale {
     /// Linear axis.
     Linear,
     /// Base-10 logarithmic axis (requires positive data).
@@ -70,7 +70,7 @@ fn bounds(v: &[f64]) -> (f64, f64) {
 }
 
 /// Renders with explicit axis scales.
-pub fn render_scaled(figure: &Figure, x_scale: Scale, y_scale: Scale) -> String {
+pub(crate) fn render_scaled(figure: &Figure, x_scale: Scale, y_scale: Scale) -> String {
     let (xs, ys): (Vec<f64>, Vec<f64>) = figure
         .series
         .iter()

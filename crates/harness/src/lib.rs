@@ -24,7 +24,7 @@ pub mod explore;
 mod plan;
 mod record;
 mod runner;
-pub mod timer;
+pub(crate) mod timer;
 mod workload;
 
 pub use plan::{Cell, GridFn, ProcGrid, RunPlan};

@@ -20,7 +20,7 @@ pub enum Suite {
 
 impl Suite {
     /// Lower-case identifier used in the JSON emission.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Suite::Hpcc => "hpcc",
             Suite::Imb => "imb",
@@ -79,7 +79,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// The unit string for this metric kind.
-    pub fn unit(self) -> &'static str {
+    pub(crate) fn unit(self) -> &'static str {
         match self {
             MetricKind::TimeUs => "us",
             MetricKind::BandwidthMBs => "MB/s",

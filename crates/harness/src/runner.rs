@@ -91,7 +91,7 @@ impl Runner {
         clock.elapsed_secs() / iters as f64 * 1e6
     }
 
-    /// Blocking [`rank_stats_async`](Runner::rank_stats_async), for rank
+    /// Blocking `rank_stats_async`, for rank
     /// threads.
     pub fn rank_stats(comm: &Comm, per_call_us: f64, participated: bool, iters: usize) -> Stats {
         let stats = Self::rank_stats_async(comm, per_call_us, participated, iters);
@@ -101,7 +101,7 @@ impl Runner {
     /// IMB cross-rank statistics: min/avg/max over the participating
     /// ranks' per-call averages. Collective; every rank returns the same
     /// stats.
-    pub async fn rank_stats_async(
+    pub(crate) async fn rank_stats_async(
         comm: &Comm,
         per_call_us: f64,
         participated: bool,

@@ -30,11 +30,6 @@ impl Stopwatch {
     pub fn elapsed_us(&self) -> f64 {
         self.elapsed_secs() * 1e6
     }
-
-    /// Restarts the stopwatch.
-    pub fn reset(&mut self) {
-        self.start = Instant::now();
-    }
 }
 
 #[cfg(test)]
@@ -43,11 +38,10 @@ mod tests {
 
     #[test]
     fn elapsed_is_monotone_nonnegative() {
-        let mut w = Stopwatch::start();
+        let w = Stopwatch::start();
         let a = w.elapsed_secs();
         let b = w.elapsed_secs();
         assert!(a >= 0.0 && b >= a);
-        w.reset();
         assert!(w.elapsed_us() >= 0.0);
     }
 }

@@ -10,7 +10,7 @@ use crate::kernels::stream::{StreamArrays, StreamKernel};
 
 /// EP-STREAM configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct StreamConfig {
+pub(crate) struct StreamConfig {
     /// Vector length per rank (STREAM requires arrays well beyond cache).
     pub len: usize,
     /// Timed repetitions (best-of, per STREAM convention).
@@ -29,26 +29,16 @@ impl Default for StreamConfig {
 /// Per-kernel EP-STREAM outcome (GB/s averaged over ranks, as the suite
 /// reports).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct StreamResult {
-    /// Copy bandwidth, GB/s per rank (arithmetic mean).
-    pub copy: f64,
-    /// Scale bandwidth, GB/s per rank.
-    pub scale: f64,
-    /// Add bandwidth, GB/s per rank.
-    pub add: f64,
-    /// Triad bandwidth, GB/s per rank.
-    pub triad: f64,
+pub(crate) struct StreamResult {
+    /// Bandwidth of each kernel of [`StreamKernel::ALL`], in that order
+    /// (copy, scale, add, triad): GB/s per rank, arithmetic mean.
+    pub gbs: [f64; 4],
     /// Whether the built-in solution check passed on every rank.
     pub passed: bool,
 }
 
 /// Runs EP-STREAM: every rank simultaneously, mean bandwidths reported.
-pub fn stream(comm: &Comm, cfg: &StreamConfig) -> StreamResult {
-    mp::block_on(stream_async(comm, cfg))
-}
-
-/// Awaitable mirror of [`stream`], for cooperative rank tasks.
-pub async fn stream_async(comm: &Comm, cfg: &StreamConfig) -> StreamResult {
+pub(crate) async fn stream_async(comm: &Comm, cfg: &StreamConfig) -> StreamResult {
     let mut arrays = StreamArrays::new(cfg.len);
     let mut best = [f64::INFINITY; 4]; // seconds per kernel
     comm.barrier_async().await;
@@ -72,17 +62,14 @@ pub async fn stream_async(comm: &Comm, cfg: &StreamConfig) -> StreamResult {
     comm.allreduce_async(&mut sums[4..], mp::Op::Min).await;
     let p = comm.size() as f64;
     StreamResult {
-        copy: sums[0] / p,
-        scale: sums[1] / p,
-        add: sums[2] / p,
-        triad: sums[3] / p,
+        gbs: [sums[0] / p, sums[1] / p, sums[2] / p, sums[3] / p],
         passed: sums[4] > 0.5,
     }
 }
 
 /// EP-DGEMM configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct DgemmConfig {
+pub(crate) struct DgemmConfig {
     /// Matrix order per rank.
     pub n: usize,
     /// Timed repetitions (best-of).
@@ -97,7 +84,7 @@ impl Default for DgemmConfig {
 
 /// EP-DGEMM outcome.
 #[derive(Clone, Copy, Debug)]
-pub struct DgemmResult {
+pub(crate) struct DgemmResult {
     /// Gflop/s per rank (arithmetic mean over ranks).
     pub gflops: f64,
     /// Result checksum sanity flag.
@@ -105,12 +92,7 @@ pub struct DgemmResult {
 }
 
 /// Runs EP-DGEMM: every rank multiplies its own `n x n` matrices.
-pub fn ep_dgemm(comm: &Comm, cfg: &DgemmConfig) -> DgemmResult {
-    mp::block_on(ep_dgemm_async(comm, cfg))
-}
-
-/// Awaitable mirror of [`ep_dgemm`], for cooperative rank tasks.
-pub async fn ep_dgemm_async(comm: &Comm, cfg: &DgemmConfig) -> DgemmResult {
+pub(crate) async fn ep_dgemm_async(comm: &Comm, cfg: &DgemmConfig) -> DgemmResult {
     let n = cfg.n;
     let a: Vec<f64> = (0..n * n)
         .map(|k| crate::hpl::matrix_element(k / n, k % n))
@@ -159,21 +141,21 @@ mod tests {
             len: 100_000,
             iters: 2,
         };
-        let results = mp::run(2, |comm| stream(comm, &cfg));
+        let results = mp::run(2, |comm| mp::block_on(stream_async(comm, &cfg)));
         for r in &results {
             assert!(r.passed);
-            for v in [r.copy, r.scale, r.add, r.triad] {
+            for v in r.gbs {
                 assert!(v > 0.0 && v.is_finite());
             }
             // All ranks agree (the result is a collective mean).
-            assert_eq!(r.copy, results[0].copy);
+            assert_eq!(r.gbs, results[0].gbs);
         }
     }
 
     #[test]
     fn dgemm_reports_positive_gflops() {
         let cfg = DgemmConfig { n: 96, iters: 1 };
-        let results = mp::run(3, |comm| ep_dgemm(comm, &cfg));
+        let results = mp::run(3, |comm| mp::block_on(ep_dgemm_async(comm, &cfg)));
         for r in &results {
             assert!(r.passed);
             assert!(r.gflops > 0.0);

@@ -133,7 +133,7 @@ async fn exchange_blocks(
 
 /// One forward distributed DIF transform over `comm`; `local` is this
 /// rank's block (length `n/p`). Output is globally bit-reversed in place.
-pub async fn distributed_fft_async(comm: &Comm, local: &mut [Complex]) {
+pub(crate) async fn distributed_fft_async(comm: &Comm, local: &mut [Complex]) {
     let p = comm.size();
     let me = comm.rank();
     assert!(p.is_power_of_two(), "G-FFT needs a power-of-two rank count");
@@ -175,7 +175,7 @@ pub async fn distributed_fft_async(comm: &Comm, local: &mut [Complex]) {
 /// cross-rank stages in ascending span order with conjugate twiddles.
 /// Stays O(n/p) memory per rank (this is what the benchmark's
 /// verification uses instead of gathering the spectrum to rank 0).
-pub async fn distributed_ifft_unscaled_async(comm: &Comm, local: &mut [Complex]) {
+pub(crate) async fn distributed_ifft_unscaled_async(comm: &Comm, local: &mut [Complex]) {
     let p = comm.size();
     let me = comm.rank();
     assert!(p.is_power_of_two(), "G-FFT needs a power-of-two rank count");
@@ -224,7 +224,7 @@ pub fn run(comm: &Comm, cfg: &FftConfig) -> FftResult {
 }
 
 /// Awaitable mirror of [`run`], for cooperative rank tasks.
-pub async fn run_async(comm: &Comm, cfg: &FftConfig) -> FftResult {
+pub(crate) async fn run_async(comm: &Comm, cfg: &FftConfig) -> FftResult {
     let p = comm.size();
     let me = comm.rank();
     let n = 1u64 << cfg.log2_n;

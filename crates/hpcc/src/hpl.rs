@@ -64,7 +64,7 @@ impl Default for HplConfig {
 impl HplConfig {
     /// Picks the most nearly square grid that tiles `size` ranks (a prime
     /// world falls back to `1 x size`).
-    pub fn near_square(n: usize, nb: usize, size: usize) -> HplConfig {
+    pub(crate) fn near_square(n: usize, nb: usize, size: usize) -> HplConfig {
         let mut p = (size as f64).sqrt() as usize;
         while p > 1 && !size.is_multiple_of(p) {
             p -= 1;
@@ -94,7 +94,7 @@ pub struct HplResult {
 
 /// Deterministic matrix element in [-0.5, 0.5) (every rank generates its
 /// own columns without communication).
-pub fn matrix_element(i: usize, j: usize) -> f64 {
+pub(crate) fn matrix_element(i: usize, j: usize) -> f64 {
     let mut x = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (j as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
     x ^= x >> 30;
@@ -104,7 +104,7 @@ pub fn matrix_element(i: usize, j: usize) -> f64 {
 }
 
 /// Deterministic right-hand-side element.
-pub fn rhs_element(i: usize) -> f64 {
+pub(crate) fn rhs_element(i: usize) -> f64 {
     matrix_element(i, usize::MAX / 2)
 }
 
@@ -341,7 +341,7 @@ pub fn run(comm: &Comm, cfg: &HplConfig) -> HplResult {
 }
 
 /// Awaitable mirror of [`run`], for cooperative rank tasks.
-pub async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
+pub(crate) async fn run_async(comm: &Comm, cfg: &HplConfig) -> HplResult {
     let (n, nb) = (cfg.n, cfg.nb);
     let (size, me) = (comm.size(), comm.rank());
     assert!(

@@ -344,14 +344,16 @@ pub fn dgemm_flops(n: usize) -> f64 {
 }
 
 /// Reference (naive) triple loop, for validation.
-pub fn dgemm_reference(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+#[cfg(test)]
+fn dgemm_reference(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     gemm_reference(n, n, n, 1.0, a, n, 1, b, n, 1, c, n, 1);
 }
 
 /// Strided reference GEMM (`C += alpha * A * B`), for validating
 /// [`gemm_update`] across layouts and shapes.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_reference(
+fn gemm_reference(
     m: usize,
     n: usize,
     k: usize,

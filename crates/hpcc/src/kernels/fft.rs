@@ -6,12 +6,12 @@
 //! bit-reversal permutation fused into the copies the engine makes
 //! anyway:
 //!
-//! * [`dif_in_place`] — natural in, bit-reversed out: the passes alone.
+//! * `dif_in_place` — natural in, bit-reversed out: the passes alone.
 //!   The distributed FFT runs it locally after its cross-rank stages
 //!   (the timed G-FFT path);
 //! * [`fft`] — natural in, natural out: the passes, then a bit-reversing
 //!   reinterleave;
-//! * [`fft_from_bit_reversed`] — bit-reversed in, natural out: a
+//! * `fft_from_bit_reversed` — bit-reversed in, natural out: a
 //!   bit-reversing deinterleave, the passes, the same reinterleave. The
 //!   distributed FFT's verification inverse runs it.
 //!
@@ -61,7 +61,8 @@ impl Complex {
     }
 
     /// `e^{i theta}`.
-    pub fn cis(theta: f64) -> Complex {
+    #[cfg(test)]
+    pub(crate) fn cis(theta: f64) -> Complex {
         Complex {
             re: theta.cos(),
             im: theta.sin(),
@@ -69,12 +70,12 @@ impl Complex {
     }
 
     /// Complex magnitude.
-    pub fn abs(self) -> f64 {
+    pub(crate) fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Complex {
+    pub(crate) fn conj(self) -> Complex {
         Complex {
             re: self.re,
             im: -self.im,
@@ -153,7 +154,7 @@ pub fn fft(data: &mut [Complex], inverse: bool) {
 /// order: a bit-reversing deinterleave, the DIF passes and the same
 /// reinterleave as [`fft`]. The distributed FFT's inverse runs it on its
 /// bit-reversed spectrum.
-pub fn fft_from_bit_reversed(data: &mut [Complex], inverse: bool) {
+pub(crate) fn fft_from_bit_reversed(data: &mut [Complex], inverse: bool) {
     natural_out(data, inverse, cobra_split);
 }
 
@@ -192,7 +193,7 @@ fn bit_reverse(data: &mut [Complex]) {
 
 /// DIF butterfly passes on natural-order input, producing bit-reversed
 /// order: the local stages of the distributed FFT.
-pub fn dif_in_place(data: &mut [Complex], inverse: bool) {
+pub(crate) fn dif_in_place(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
     if n <= 1 {
@@ -852,7 +853,8 @@ pub fn fft_flops(n: usize) -> f64 {
 }
 
 /// Naive O(n^2) DFT for validation.
-pub fn dft_reference(data: &[Complex], inverse: bool) -> Vec<Complex> {
+#[cfg(test)]
+fn dft_reference(data: &[Complex], inverse: bool) -> Vec<Complex> {
     let n = data.len();
     let sign = if inverse { 1.0 } else { -1.0 };
     (0..n)

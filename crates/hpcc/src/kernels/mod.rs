@@ -4,6 +4,6 @@
 
 pub mod dgemm;
 pub mod fft;
-pub mod ra_rng;
+pub(crate) mod ra_rng;
 pub mod stream;
 pub mod twiddle;

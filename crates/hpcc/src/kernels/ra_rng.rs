@@ -9,20 +9,20 @@
 //! independently.
 
 /// The GF(2) reduction polynomial's low bits (x^2 + x + 1).
-pub const POLY: u64 = 0x7;
+pub(crate) const POLY: u64 = 0x7;
 
 /// Period of the sequence (as in the HPCC reference code).
-pub const PERIOD: i64 = 1_317_624_576_693_539_401;
+pub(crate) const PERIOD: i64 = 1_317_624_576_693_539_401;
 
 /// One step of the update-stream recurrence.
 #[inline]
-pub fn step(x: u64) -> u64 {
+pub(crate) fn step(x: u64) -> u64 {
     (x << 1) ^ (if (x as i64) < 0 { POLY } else { 0 })
 }
 
 /// The `n`-th value of the stream (the value a fresh stream yields after
 /// `n` steps from the canonical start). Direct port of `HPCC_starts`.
-pub fn starts(n: i64) -> u64 {
+pub(crate) fn starts(n: i64) -> u64 {
     let mut n = n;
     while n < 0 {
         n += PERIOD;
@@ -66,13 +66,13 @@ pub fn starts(n: i64) -> u64 {
 }
 
 /// An iterator over the update stream starting at position `start`.
-pub struct UpdateStream {
+pub(crate) struct UpdateStream {
     state: u64,
 }
 
 impl UpdateStream {
     /// Stream positioned to yield the `start`-th, `start+1`-th, ... values.
-    pub fn at(start: i64) -> UpdateStream {
+    pub(crate) fn at(start: i64) -> UpdateStream {
         UpdateStream {
             state: starts(start),
         }

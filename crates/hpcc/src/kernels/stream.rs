@@ -17,7 +17,7 @@ const SPLIT_MIN_LEN: usize = 1 << 15;
 /// many `f64`s give LLVM a constant trip count per window, which is what
 /// makes the autovectorization of all four loops reliable (one 64-byte
 /// window = a full cache line).
-pub const STREAM_LANES: usize = 8;
+pub(crate) const STREAM_LANES: usize = 8;
 
 /// One STREAM kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -34,7 +34,7 @@ pub enum StreamKernel {
 
 impl StreamKernel {
     /// All four kernels in STREAM's canonical order.
-    pub const ALL: [StreamKernel; 4] = [
+    pub(crate) const ALL: [StreamKernel; 4] = [
         StreamKernel::Copy,
         StreamKernel::Scale,
         StreamKernel::Add,
@@ -92,7 +92,7 @@ impl StreamArrays {
 
     /// STREAM's built-in solution check after running the canonical
     /// sequence copy, scale, add, triad `iters` times.
-    pub fn verify(&self, iters: usize) -> Result<(), String> {
+    pub(crate) fn verify(&self, iters: usize) -> Result<(), String> {
         let (mut ea, mut eb, mut ec) = (1.0f64, 2.0f64, 0.0f64);
         for _ in 0..iters {
             ec = ea;

@@ -34,7 +34,7 @@ use super::fft::Complex;
 /// what the vectorized butterfly kernels load — plane-separated `f64`
 /// streams keep the inner loops free of shuffles so they compile to
 /// packed FMA.
-pub struct Stage {
+pub(crate) struct Stage {
     /// The stage's half-pair parameter: butterflies combine elements at
     /// distances `h` and `2h` within blocks of `4h`.
     pub h: usize,
@@ -61,35 +61,23 @@ pub struct TwiddleTable {
 }
 
 impl TwiddleTable {
-    /// Transform length this table serves.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for the degenerate `n <= 1` table.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n <= 1
-    }
-
     /// Whether the merged stages are followed by a single twiddle-free
     /// radix-2 stage (odd `log2 n`).
     #[inline]
-    pub fn has_odd_stage(&self) -> bool {
+    pub(crate) fn has_odd_stage(&self) -> bool {
         self.n >= 2 && self.n.trailing_zeros() % 2 == 1
     }
 
     /// The merged radix-2^2 stage packs, ascending in `h`.
     #[inline]
-    pub fn stages(&self) -> &[Stage] {
+    pub(crate) fn stages(&self) -> &[Stage] {
         &self.stages
     }
 
     /// Forward twiddle `W_n^k = e^{-2*pi*i*k/n}` for any `k < n`,
     /// reconstructed from the folded quarter-wave storage.
     #[inline]
-    pub fn w_forward(&self, k: usize) -> Complex {
+    pub(crate) fn w_forward(&self, k: usize) -> Complex {
         debug_assert!(
             k < self.n,
             "twiddle index {k} out of range for n={}",
@@ -107,7 +95,7 @@ impl TwiddleTable {
     /// Twiddle with the transform direction folded in: forward for
     /// `inverse = false`, conjugate for `inverse = true`.
     #[inline]
-    pub fn w(&self, k: usize, inverse: bool) -> Complex {
+    pub(crate) fn w(&self, k: usize, inverse: bool) -> Complex {
         let w = self.w_forward(k);
         if inverse {
             w.conj()

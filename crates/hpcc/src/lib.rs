@@ -20,7 +20,7 @@
 //! assert!(s.all_passed);
 //! ```
 
-pub mod ep;
+pub(crate) mod ep;
 pub mod fft_dist;
 pub mod hpl;
 pub mod kernels;
@@ -32,4 +32,3 @@ pub mod suite;
 pub mod virtual_run;
 
 pub use suite::{Component, HpccSummary, SuiteConfig};
-pub use virtual_run::run_virtual_records;

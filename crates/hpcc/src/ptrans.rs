@@ -83,11 +83,6 @@ fn transpose_accumulate(a: &mut [f64], n: usize, rows: usize, col0: usize, incom
 }
 
 /// Runs G-PTRANS on `comm`.
-pub fn run(comm: &Comm, cfg: &PtransConfig) -> PtransResult {
-    mp::block_on(run_async(comm, cfg))
-}
-
-/// Awaitable mirror of [`run`], for cooperative rank tasks.
 pub async fn run_async(comm: &Comm, cfg: &PtransConfig) -> PtransResult {
     let n = cfg.n;
     let p = comm.size();
@@ -158,7 +153,7 @@ mod tests {
     #[test]
     fn transpose_is_correct() {
         for (p, n) in [(1, 16), (2, 16), (4, 32), (8, 64)] {
-            let results = mp::run(p, |comm| run(comm, &PtransConfig { n }));
+            let results = mp::run(p, |comm| mp::block_on(run_async(comm, &PtransConfig { n })));
             for r in &results {
                 assert!(r.passed, "p={p} n={n}: max error {}", r.max_error);
                 assert!(r.gb_per_s > 0.0);
@@ -169,7 +164,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "divisible")]
     fn rejects_indivisible_order() {
-        mp::run(3, |comm| run(comm, &PtransConfig { n: 16 }));
+        mp::run(3, |comm| {
+            mp::block_on(run_async(comm, &PtransConfig { n: 16 }))
+        });
     }
 
     #[test]

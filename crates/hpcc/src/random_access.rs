@@ -153,7 +153,7 @@ pub fn run(comm: &Comm, cfg: &RandomAccessConfig) -> RandomAccessResult {
 }
 
 /// Awaitable mirror of [`run`], for cooperative rank tasks.
-pub async fn run_async(comm: &Comm, cfg: &RandomAccessConfig) -> RandomAccessResult {
+pub(crate) async fn run_async(comm: &Comm, cfg: &RandomAccessConfig) -> RandomAccessResult {
     let p = comm.size();
     let me = comm.rank();
     assert!(

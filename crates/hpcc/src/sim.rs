@@ -73,7 +73,7 @@ const PTRANS_SKEW: f64 = 2.5;
 
 /// G-PTRANS model: the pairwise tile exchange priced on the fabric, plus
 /// the local transpose/accumulate memory passes.
-pub fn ptrans(m: &Machine, p: usize) -> f64 {
+pub(crate) fn ptrans(m: &Machine, p: usize) -> f64 {
     let n = 256 * p; // constant 512 KiB tiles
     let tile_bytes = ((n / p) * (n / p) * 8) as u64;
     let sim = ClusterSim::new_plain(m, p);
@@ -87,7 +87,7 @@ pub fn ptrans(m: &Machine, p: usize) -> f64 {
 
 /// G-FFT model: local butterflies at the (low) HPCC FFT efficiency plus
 /// three pairwise all-to-all transposes, as in the six-step algorithm.
-pub fn gfft(m: &Machine, p: usize) -> f64 {
+pub(crate) fn gfft(m: &Machine, p: usize) -> f64 {
     let ln: u64 = 1 << 20; // 16 MiB of complex data per rank
     let n = ln * p as u64;
     let flops = 5.0 * n as f64 * (n as f64).log2();
@@ -109,7 +109,7 @@ pub fn gfft(m: &Machine, p: usize) -> f64 {
 /// G-RandomAccess model: every rank's update rate is the minimum of its
 /// memory system's random-update rate and the network's bucketed
 /// small-message throughput.
-pub fn gups(m: &Machine, p: usize) -> f64 {
+pub(crate) fn gups(m: &Machine, p: usize) -> f64 {
     let node = &m.node;
     let mem_rate = node.random_concurrency / (node.mem_latency_us * 1e-6);
     if p == 1 {
@@ -204,7 +204,7 @@ pub fn component_records(m: &Machine, p: usize, c: crate::suite::Component) -> V
 
 /// The full modelled HPCC record stream for `machine` at `p` CPUs: every
 /// component's rows, in the paper's presentation order.
-pub fn records(m: &Machine, p: usize) -> Vec<Record> {
+pub(crate) fn records(m: &Machine, p: usize) -> Vec<Record> {
     crate::suite::Component::ALL
         .into_iter()
         .flat_map(|c| component_records(m, p, c))
@@ -212,7 +212,7 @@ pub fn records(m: &Machine, p: usize) -> Vec<Record> {
 }
 
 /// The full modelled HPCC summary for `machine` at `p` CPUs (summary
-/// view over [`records`]).
+/// view over `records`).
 pub fn summary(m: &Machine, p: usize) -> HpccSummary {
     HpccSummary::from_records(&records(m, p))
 }

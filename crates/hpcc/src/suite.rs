@@ -160,10 +160,11 @@ impl Component {
                     },
                 )
                 .await;
+                let [copy, _, _, triad] = r.gbs;
                 ComponentOutput {
                     values: vec![
-                        ("EP-STREAM", MetricKind::RateGBs, r.copy),
-                        ("EP-STREAM-triad", MetricKind::RateGBs, r.triad),
+                        ("EP-STREAM", MetricKind::RateGBs, copy),
+                        ("EP-STREAM-triad", MetricKind::RateGBs, triad),
                     ],
                     passed: r.passed,
                 }
@@ -231,12 +232,16 @@ struct ComponentOutput {
 /// Runs one component natively on an existing communicator, emitting its
 /// records. Collective; the records' stats are the cross-rank min/avg/max
 /// of the component's wall time.
-pub fn run_component_on(comm: &Comm, component: Component, cfg: &SuiteConfig) -> Vec<Record> {
+pub(crate) fn run_component_on(
+    comm: &Comm,
+    component: Component,
+    cfg: &SuiteConfig,
+) -> Vec<Record> {
     mp::block_on(run_component_on_async(comm, component, cfg))
 }
 
 /// Awaitable mirror of [`run_component_on`], for cooperative rank tasks.
-pub async fn run_component_on_async(
+pub(crate) async fn run_component_on_async(
     comm: &Comm,
     component: Component,
     cfg: &SuiteConfig,
@@ -270,7 +275,7 @@ pub fn run_component_native(p: usize, component: Component, cfg: &SuiteConfig) -
 /// Runs every admissible component on an existing communicator: the
 /// power-of-two-only components (G-RandomAccess, G-FFT) are skipped on
 /// other world sizes, exactly as the HPCC harness does.
-pub fn run_records_on(comm: &Comm, cfg: &SuiteConfig) -> Vec<Record> {
+pub(crate) fn run_records_on(comm: &Comm, cfg: &SuiteConfig) -> Vec<Record> {
     let p = comm.size();
     let mut records = Vec::new();
     for c in Component::ALL {
@@ -282,15 +287,9 @@ pub fn run_records_on(comm: &Comm, cfg: &SuiteConfig) -> Vec<Record> {
     records
 }
 
-/// Runs the complete HPCC suite on an existing communicator (summary
-/// view over [`run_records_on`]).
-pub fn run_on(comm: &Comm, cfg: &SuiteConfig) -> HpccSummary {
-    HpccSummary::from_records(&run_records_on(comm, cfg))
-}
-
 /// Spawns `p` ranks and runs the complete suite natively on the host,
 /// returning the record stream.
-pub fn run_native_records(p: usize, cfg: &SuiteConfig) -> Vec<Record> {
+pub(crate) fn run_native_records(p: usize, cfg: &SuiteConfig) -> Vec<Record> {
     let mut results = mp::run(p, |comm| run_records_on(comm, cfg));
     results.swap_remove(0)
 }

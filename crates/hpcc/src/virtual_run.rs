@@ -18,18 +18,6 @@ use machines::{Machine, SharedClusterNet};
 
 use crate::suite::{Component, SuiteConfig};
 
-/// Runs every admissible component on `procs` ranks of the modelled
-/// `machine`, executing the real benchmark code under virtual time.
-/// Power-of-two-only components are skipped on other world sizes, as in
-/// the native suite.
-pub fn run_virtual_records(machine: &Machine, procs: usize, cfg: &SuiteConfig) -> Vec<Record> {
-    let components: Vec<Component> = Component::ALL
-        .into_iter()
-        .filter(|c| !c.pow2_procs() || procs.is_power_of_two())
-        .collect();
-    run_virtual_components(machine, procs, cfg, &components)
-}
-
 /// Runs the given components under virtual time, one record each.
 ///
 /// Ranks are cooperative tasks on [`mp::run_virtual_coop`], so world
@@ -90,22 +78,13 @@ mod tests {
     #[test]
     fn every_component_runs_virtually() {
         let cfg = SuiteConfig::small(4);
-        let recs = run_virtual_records(&dell_xeon(), 4, &cfg);
+        let recs = run_virtual_components(&dell_xeon(), 4, &cfg, &Component::ALL);
         assert_eq!(recs.len(), Component::ALL.len());
         for r in &recs {
             assert!(r.t_max_us() > 0.0, "{}", r.benchmark);
             assert!(r.passed, "{}", r.benchmark);
             assert_eq!(r.mode, Mode::Virtual);
         }
-    }
-
-    #[test]
-    fn pow2_components_are_skipped_on_odd_worlds() {
-        let cfg = SuiteConfig::small(3);
-        let recs = run_virtual_records(&dell_xeon(), 3, &cfg);
-        assert_eq!(recs.len(), Component::ALL.len() - 2);
-        assert!(!recs.iter().any(|r| r.benchmark == "G-RandomAccess"));
-        assert!(!recs.iter().any(|r| r.benchmark == "G-FFT"));
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl Benchmark {
 
     /// IMB's bandwidth accounting: payload multiplier per reported byte
     /// (PingPong 1x, Sendrecv 2x, Exchange 4x).
-    pub fn bandwidth_factor(self) -> f64 {
+    pub(crate) fn bandwidth_factor(self) -> f64 {
         match self {
             Benchmark::PingPong | Benchmark::PingPing => 1.0,
             Benchmark::Sendrecv => 2.0,

@@ -93,7 +93,7 @@ pub struct ExtMeasurement {
 
 /// Runs one IMB-EXT benchmark on ranks 0 and 1 of `comm` (other ranks
 /// participate in the collective window operations only).
-pub fn run_on(
+pub(crate) fn run_on(
     comm: &Comm,
     benchmark: ExtBenchmark,
     scheme: SyncScheme,

@@ -41,7 +41,12 @@ pub fn run_on(comm: &Comm, benchmark: Benchmark, bytes: u64, iters: usize) -> Re
 /// Runs one benchmark on an existing communicator, with the iteration
 /// count chosen by `runner`'s repetition policy (IMB's 1000/640/80/20
 /// rule under [`Runner::standard`], scaled down under [`Runner::smoke`]).
-pub fn run_on_with(comm: &Comm, benchmark: Benchmark, bytes: u64, runner: &Runner) -> Record {
+pub(crate) fn run_on_with(
+    comm: &Comm,
+    benchmark: Benchmark,
+    bytes: u64,
+    runner: &Runner,
+) -> Record {
     let iters = runner.repetitions(benchmark.sized().then_some(bytes));
     let mut state = BenchState::<u8, f64>::new(comm, benchmark, bytes);
     let per_call = runner.time_collective(comm, iters, |it| state.iterate(comm, it));

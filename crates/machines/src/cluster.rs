@@ -80,18 +80,13 @@ impl ClusterSim {
         }
     }
 
-    /// The machine being simulated.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
     /// Number of ranks.
     pub fn nranks(&self) -> usize {
         self.nranks
     }
 
     /// SMP node hosting `rank` (block mapping).
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         rank / self.machine.node.cpus
     }
 
@@ -110,7 +105,7 @@ impl ClusterSim {
     }
 
     /// Resets all clocks and resource timelines.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.res.borrow_mut().fabric.reset();
         for r in &mut self.res.borrow_mut().shm {
             r.reset();
@@ -154,7 +149,7 @@ impl ClusterSim {
     /// runtime owns the clocks. Nothing is retired on this path: the
     /// clocks here stay where they were and say nothing about the
     /// caller's ready times, so the caller reports its own horizon
-    /// through [`retire_before`](Self::retire_before).
+    /// through `retire_before`.
     pub fn price_p2p(&self, src: usize, dst: usize, bytes: u64, ready: Time) -> P2pCost {
         self.p2p(&mut self.res.borrow_mut(), src, dst, bytes, ready)
     }
@@ -162,7 +157,7 @@ impl ClusterSim {
     /// Retires every fabric and shared-memory timeline before `t`: the
     /// caller promises that no later message is ready before `t` (see
     /// [`simnet::Resource::retire_before`]). Prices are unchanged.
-    pub fn retire_before(&self, t: Time) {
+    pub(crate) fn retire_before(&self, t: Time) {
         let res = &mut *self.res.borrow_mut();
         res.fabric.retire_before(t);
         for r in &mut res.shm {
@@ -180,7 +175,7 @@ impl ClusterSim {
     /// A fold reads operand + accumulator and writes the accumulator:
     /// 3 bytes of traffic per operand byte against a 2-bytes-per-byte
     /// copy rate, hence 2/3 of the STREAM-copy figure.
-    pub fn reduce_bw(&self) -> f64 {
+    pub(crate) fn reduce_bw(&self) -> f64 {
         self.machine.node.stream_bw * 2.0 / 3.0
     }
 

@@ -23,7 +23,7 @@ pub mod cluster;
 pub mod model;
 pub mod systems;
 pub mod tables;
-pub mod virtnet;
+pub(crate) mod virtnet;
 
 pub use cluster::ClusterSim;
 pub use model::{Machine, NetworkModel, NodeModel, SystemClass, TopologyKind};

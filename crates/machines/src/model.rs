@@ -46,7 +46,7 @@ pub enum TopologyKind {
 
 impl TopologyKind {
     /// Builds the topology instance for `nodes` attached nodes.
-    pub fn build(&self, nodes: usize) -> Box<dyn Topology> {
+    pub(crate) fn build(&self, nodes: usize) -> Box<dyn Topology> {
         match *self {
             TopologyKind::FatTree {
                 arity,
@@ -159,7 +159,7 @@ impl Machine {
     }
 
     /// Builds a fabric whose NICs run at the plain-buffer MPI rate.
-    pub fn plain_fabric(&self, cpus: usize) -> Fabric {
+    pub(crate) fn plain_fabric(&self, cpus: usize) -> Fabric {
         self.fabric_with_nic(cpus, self.net.plain_link_bw)
     }
 

@@ -15,7 +15,7 @@ use crate::model::{Machine, NetworkModel, NodeModel, SystemClass, TopologyKind};
 /// IBM Blue Gene/P: 4x PowerPC 450 at 850 MHz per node (13.6 Gflop/s
 /// node), 13.6 GB/s node memory bandwidth, 3-D torus of 6 x 425 MB/s
 /// links (aggregate ~5.1 GB/s per node), ~3 us MPI latency.
-pub fn ibm_bluegene_p() -> Machine {
+pub(crate) fn ibm_bluegene_p() -> Machine {
     Machine {
         name: "IBM Blue Gene/P",
         class: SystemClass::Scalar,
@@ -50,7 +50,7 @@ pub fn ibm_bluegene_p() -> Machine {
 /// Cray XT4: dual-core 2.6 GHz Opteron nodes (10.4 Gflop/s), SeaStar2
 /// 3-D torus with ~7.6 GB/s per-direction links and ~6 GB/s sustained
 /// injection, ~6 us MPI latency.
-pub fn cray_xt4() -> Machine {
+pub(crate) fn cray_xt4() -> Machine {
     Machine {
         name: "Cray XT4",
         class: SystemClass::Scalar,
@@ -84,7 +84,7 @@ pub fn cray_xt4() -> Machine {
 /// Cray X1E: the X1's processor upgrade — 18 Gflop/s MSPs, same
 /// interconnect family; modelled as the calibrated X1 with scaled
 /// processors and proportionally higher memory bandwidth.
-pub fn cray_x1e() -> Machine {
+pub(crate) fn cray_x1e() -> Machine {
     let mut m = super::cray_x1_msp();
     m.name = "Cray X1E";
     m.node.clock_ghz = 1.13;
@@ -99,7 +99,7 @@ pub fn cray_x1e() -> Machine {
 /// A cluster of IBM POWER5+ SMPs: 16-way 1.9 GHz nodes (7.6 Gflop/s per
 /// CPU), very high node memory bandwidth, HPS (Federation) interconnect
 /// at ~2 GB/s per link pair and ~5 us latency.
-pub fn ibm_power5p() -> Machine {
+pub(crate) fn ibm_power5p() -> Machine {
     Machine {
         name: "IBM POWER5+ cluster",
         class: SystemClass::Scalar,
@@ -136,7 +136,7 @@ pub fn ibm_power5p() -> Machine {
 
 /// A commodity Linux cluster on gigabit Ethernet — the cheapest point of
 /// the "Linux clusters with different networks" axis.
-pub fn linux_gige_cluster() -> Machine {
+pub(crate) fn linux_gige_cluster() -> Machine {
     Machine {
         name: "Linux cluster (GigE)",
         class: SystemClass::Scalar,

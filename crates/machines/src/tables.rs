@@ -3,7 +3,7 @@
 //! The figure harness prints these verbatim so the reproduction covers
 //! every table in the paper.
 
-use crate::model::{Machine, SystemClass};
+use crate::model::SystemClass;
 
 /// One row of Table 1: "Architecture parameters of SGI Altix BX2".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,7 +155,8 @@ pub fn table2() -> Vec<Table2Row> {
 
 /// Cross-checks a machine model against its Table 2 row; returns the
 /// matching row.
-pub fn table2_row_for(machine: &Machine) -> Option<Table2Row> {
+#[cfg(test)]
+fn table2_row_for(machine: &crate::model::Machine) -> Option<Table2Row> {
     table2()
         .into_iter()
         .find(|r| machine.name.starts_with(r.platform))

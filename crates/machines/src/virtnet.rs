@@ -23,11 +23,6 @@ impl SharedClusterNet {
             sim: Mutex::new(ClusterSim::new(machine, nranks)),
         }
     }
-
-    /// The machine being modelled.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
 }
 
 impl mp::VirtualNet for SharedClusterNet {

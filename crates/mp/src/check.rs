@@ -2,7 +2,7 @@
 //! crate's analyses are built on.
 //!
 //! When a run is *instrumented* (via [`run_checked`] or a scoped install,
-//! see [`ScopedCheck`]), the runtime attaches an [`Inspector`] to the
+//! see [`ScopedCheck`]), the runtime attaches an `Inspector` to the
 //! world:
 //!
 //! - every blocking point (a mailbox receive — and through it every
@@ -15,7 +15,7 @@
 //!   per-rank ring buffer of [`Event`]s, which the post-run lint pass in
 //!   `mpcheck` scans for MPI-misuse classes (unmatched sends, collective
 //!   divergence, tag leaks, wildcard races), and whose sends are a traced
-//!   run's transfers ([`RunLog::transfers`]).
+//!   run's transfers (`RunLog::transfers`).
 //!
 //! Those are the two analyses, and the world's [`RunLog`] (rank panics
 //! included) is the one record they read. Seeing a *second* schedule is
@@ -264,7 +264,7 @@ pub struct RunLog {
 impl RunLog {
     /// The world's point-to-point transfers: each rank's
     /// [`Event::Send`]s in program order, ranks in order.
-    pub fn transfers(&self) -> Vec<Transfer> {
+    pub(crate) fn transfers(&self) -> Vec<Transfer> {
         let mut sends = Vec::new();
         for (src, events) in self.events.iter().enumerate() {
             for event in events {
@@ -383,7 +383,7 @@ impl EventRing {
 
 /// The shared instrumentation registry of one instrumented world: wait
 /// states, event rings and the poison flag.
-pub struct Inspector {
+pub(crate) struct Inspector {
     settings: Settings,
     ranks: Vec<Mutex<RankState>>,
     events: Vec<Mutex<EventRing>>,
@@ -801,7 +801,7 @@ pub(crate) fn scoped() -> Option<ScopedCheck> {
 }
 
 /// Runs `f` as an instrumented SPMD program over `n` ranks: an
-/// [`Inspector`] is attached to the world, every rank runs under
+/// `Inspector` is attached to the world, every rank runs under
 /// `catch_unwind`, every communication event is recorded, and a
 /// [`Detector`] thread polls wait states — a deadlock is diagnosed instead
 /// of hanging, and poisons the run, which unwinds the blocked ranks.

@@ -18,7 +18,7 @@ pub(crate) fn ring_steps(me: usize, n: usize, block: usize) -> impl Iterator<Ite
 /// A rank encodes only its own block; every later round forwards the
 /// payload that just arrived from the left (a shared-buffer handoff, not a
 /// re-encode), decoding a copy into the local result as it passes through.
-pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
+pub(crate) async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     let block = send.len();
@@ -59,7 +59,7 @@ pub(crate) fn recursive_doubling_steps(
 /// Recursive-doubling allgather: `log2 n` rounds, doubling the gathered
 /// span each round. Latency-optimal; requires a power-of-two group (the
 /// dispatcher falls back to [`ring_async`] otherwise).
-pub async fn recursive_doubling_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
+pub(crate) async fn recursive_doubling_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     let block = send.len();
@@ -83,7 +83,7 @@ pub(crate) fn picks_recursive_doubling(n: usize, block_bytes: usize) -> bool {
 
 /// Size- and shape-dispatched allgather: recursive doubling for short
 /// blocks on power-of-two groups, ring otherwise.
-pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
+pub(crate) async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     if picks_recursive_doubling(comm.size(), send.len() * T::SIZE) {
         recursive_doubling_async(comm, send, recv).await;
     } else {

@@ -26,7 +26,7 @@ pub(crate) fn ring_steps(me: usize, displs: &[usize]) -> impl Iterator<Item = St
 /// allgather but with per-rank block sizes, which is exactly the "MPI
 /// overhead for more complex situations" the IMB Allgatherv benchmark
 /// measures relative to Allgather.
-pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
+pub(crate) async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     assert_eq!(counts.len(), n, "one count per rank required");
@@ -39,7 +39,7 @@ pub async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts
 }
 
 /// The default allgatherv (ring).
-pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
+pub(crate) async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
     ring_async(comm, send, recv, counts).await;
 }
 

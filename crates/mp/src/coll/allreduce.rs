@@ -90,7 +90,7 @@ pub(crate) fn recursive_doubling_steps(
 
 /// Recursive-doubling allreduce: after the fold, `log2 p` rounds in which
 /// participant pairs exchange and combine full vectors. Latency-optimal.
-pub async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
+pub(crate) async fn recursive_doubling_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     let tag = comm.next_coll_tag();
     let mut steps = recursive_doubling_steps(comm.rank(), comm.size(), buf.len());
     run_in_place(comm, tag, buf, &mut steps, |acc, x| op.fold_into(acc, x)).await;
@@ -119,7 +119,7 @@ pub(crate) fn rabenseifner_steps(me: usize, n: usize, len: usize) -> impl Iterat
 ///
 /// Requires the vector length to be divisible by the participant count;
 /// the dispatcher checks and falls back to [`recursive_doubling_async`].
-pub async fn rabenseifner_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
+pub(crate) async fn rabenseifner_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     let (n, len) = (comm.size(), buf.len());
     let tag = comm.next_coll_tag();
     let pow2 = Fold::new(n).pow2;
@@ -137,7 +137,7 @@ pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
 
 /// Size-dispatched allreduce: Rabenseifner for long divisible vectors,
 /// recursive doubling otherwise.
-pub async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
+pub(crate) async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
     if picks_rabenseifner(comm.size(), buf.len() * T::SIZE, buf.len()) {
         rabenseifner_async(comm, buf, op).await;
     } else {

@@ -26,7 +26,7 @@ pub(crate) fn pairwise_steps(me: usize, n: usize, block: usize) -> impl Iterator
 /// exchanges one block with the rank at offset `s` (XOR-pairing on
 /// power-of-two groups, rotation otherwise). The standard long-message
 /// algorithm: every block travels exactly once.
-pub async fn pairwise_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
+pub(crate) async fn pairwise_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     assert_eq!(send.len(), recv.len(), "alltoall buffers must match");
@@ -59,7 +59,7 @@ pub(crate) fn bruck_steps(me: usize, n: usize, block: usize) -> impl Iterator<It
 /// every slot with bit `k` set to rank `me + 2^k`; slot contents then
 /// satisfy `L[j] = block from (me - j) to me`, undone by the final inverse
 /// rotation.
-pub async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
+pub(crate) async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     let tag = comm.next_coll_tag();
     assert_eq!(send.len(), recv.len(), "alltoall buffers must match");
@@ -103,7 +103,7 @@ pub(crate) fn picks_bruck(n: usize, block_bytes: usize) -> bool {
 }
 
 /// Size-dispatched alltoall: Bruck for short blocks, pairwise for long.
-pub async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
+pub(crate) async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]) {
     let n = comm.size();
     if picks_bruck(n, send.len() / n * T::SIZE) {
         bruck_async(comm, send, recv).await;

@@ -17,14 +17,14 @@ pub(crate) fn dissemination_steps(me: usize, n: usize) -> impl Iterator<Item = S
 /// Dissemination barrier: `ceil(log2 n)` rounds; in round `k` every rank
 /// signals `(rank + 2^k) mod n` and waits for `(rank - 2^k) mod n`.
 /// This is the classic algorithm behind most MPI barrier implementations.
-pub async fn dissemination_async(comm: &Comm) {
+pub(crate) async fn dissemination_async(comm: &Comm) {
     let tag = comm.next_coll_tag();
     let mut steps = dissemination_steps(comm.rank(), comm.size());
     run_in_place::<u8>(comm, tag, &mut [], &mut steps, no_fold).await;
 }
 
 /// The default barrier (dissemination).
-pub async fn auto_async(comm: &Comm) {
+pub(crate) async fn auto_async(comm: &Comm) {
     dissemination_async(comm).await;
 }
 

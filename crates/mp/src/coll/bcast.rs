@@ -74,7 +74,7 @@ pub(crate) fn scatter_allgather_steps(
 /// arrived from the parent, and each ring round forwards the payload
 /// received the round before instead of re-encoding it. The only copies a
 /// rank pays are the writes into its final assembly buffer.
-pub async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
+pub(crate) async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     let n = comm.size();
     if n == 1 {
         return;
@@ -119,7 +119,7 @@ pub(crate) fn picks_scatter_allgather(n: usize, bytes: usize) -> bool {
 
 /// Size-dispatched broadcast: binomial for short payloads, scatter+allgather
 /// for long ones.
-pub async fn auto_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
+pub(crate) async fn auto_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
     if picks_scatter_allgather(comm.size(), buf.len() * T::SIZE) {
         scatter_allgather_async(comm, buf, root).await;
     } else {

@@ -22,14 +22,14 @@
 //! `Comm::<op>_async`. A caller that wants one algorithm by name on a rank
 //! thread writes that `block_on` itself.
 
-pub mod allgather;
-pub mod allgatherv;
-pub mod allreduce;
-pub mod alltoall;
-pub mod barrier;
+pub(crate) mod allgather;
+pub(crate) mod allgatherv;
+pub(crate) mod allreduce;
+pub(crate) mod alltoall;
+pub(crate) mod barrier;
 pub mod bcast;
 pub mod reduce;
-pub mod reduce_scatter;
+pub(crate) mod reduce_scatter;
 
 use std::ops::Range;
 

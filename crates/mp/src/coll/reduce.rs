@@ -25,7 +25,7 @@ pub(crate) fn binomial_steps(
 /// Binomial-tree reduce: the mirror of binomial broadcast. Each node folds
 /// its children's full vectors into its accumulator, then forwards to its
 /// parent. `ceil(log2 n)` rounds; every edge carries the whole vector.
-pub async fn binomial_async<T: Numeric>(
+pub(crate) async fn binomial_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
     recv: Option<&mut [T]>,
@@ -67,7 +67,7 @@ pub(crate) fn rabenseifner_steps(
 ///
 /// Requires a power-of-two group with the vector length divisible by it;
 /// the dispatcher checks and falls back to [`binomial_async`].
-pub async fn rabenseifner_async<T: Numeric>(
+pub(crate) async fn rabenseifner_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
     recv: Option<&mut [T]>,
@@ -95,7 +95,7 @@ pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
 
 /// Size-dispatched reduce: Rabenseifner when the shape allows and the
 /// vector is long, binomial otherwise.
-pub async fn auto_async<T: Numeric>(
+pub(crate) async fn auto_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
     recv: Option<&mut [T]>,

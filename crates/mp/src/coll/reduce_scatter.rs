@@ -26,7 +26,7 @@ pub(crate) fn pairwise_steps(me: usize, displs: &[usize]) -> impl Iterator<Item 
 /// slice belonging to `(me + s) mod n` and folds the operand for its own
 /// slice arriving from `(me - s) mod n`. Works for any group size and any
 /// per-rank counts; bandwidth-optimal (each rank moves `len - own` once).
-pub async fn pairwise_async<T: Numeric>(
+pub(crate) async fn pairwise_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
     recv: &mut [T],
@@ -85,7 +85,7 @@ pub(crate) fn recursive_halving_steps(
 }
 
 /// General per-rank-counts reduce-scatter (pairwise).
-pub async fn auto_async<T: Numeric>(
+pub(crate) async fn auto_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
     recv: &mut [T],

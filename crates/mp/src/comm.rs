@@ -96,12 +96,6 @@ impl Comm {
         self.group.len()
     }
 
-    /// The global (world) rank behind a local rank.
-    #[inline]
-    pub fn global_rank(&self, local: usize) -> usize {
-        self.group[local]
-    }
-
     /// Reserves a fresh internal tag for one collective call. All ranks call
     /// collectives in the same order, so the per-rank counters agree.
     pub(crate) fn next_coll_tag(&self) -> Tag {
@@ -250,7 +244,7 @@ impl Comm {
     }
 
     /// Sends `buf` to local rank `dst` with a user `tag`
-    /// (< [`MAX_USER_TAG`]).
+    /// (< `MAX_USER_TAG`).
     pub fn send<T: Word>(&self, buf: &[T], dst: usize, tag: Tag) {
         assert!(tag < MAX_USER_TAG, "tag {tag:#x} is in the reserved range");
         self.send_words(buf, dst, tag);

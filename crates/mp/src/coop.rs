@@ -548,7 +548,7 @@ where
 }
 
 /// Cooperative mirror of [`crate::run_traced`]: per-rank results and the
-/// checked world's [`check::RunLog::transfers`], failures propagated.
+/// checked world's `check::RunLog::transfers`, failures propagated.
 pub fn run_traced_coop<R, F, Fut>(n: usize, f: F) -> (Vec<R>, Vec<Transfer>)
 where
     F: Fn(Comm) -> Fut,

@@ -154,14 +154,9 @@ pub(crate) fn is_ghost<T: Word>() -> bool {
     std::mem::size_of::<T>() == 0
 }
 
-/// Encodes a slice of words into a fresh byte vector.
-pub fn encode<T: Word>(data: &[T]) -> Vec<u8> {
-    T::encode_vec(data)
-}
-
 /// Encodes a slice of words into a preallocated byte buffer
 /// (`out.len() == data.len() * T::SIZE`).
-pub fn encode_into<T: Word>(data: &[T], out: &mut [u8]) {
+pub(crate) fn encode_into<T: Word>(data: &[T], out: &mut [u8]) {
     assert_eq!(
         out.len(),
         data.len() * T::SIZE,
@@ -172,7 +167,7 @@ pub fn encode_into<T: Word>(data: &[T], out: &mut [u8]) {
 
 /// Decodes a byte buffer into a preallocated word slice
 /// (`bytes.len() == out.len() * T::SIZE`).
-pub fn decode_into<T: Word>(bytes: &[u8], out: &mut [T]) {
+pub(crate) fn decode_into<T: Word>(bytes: &[u8], out: &mut [T]) {
     assert_eq!(
         bytes.len(),
         out.len() * T::SIZE,
@@ -184,51 +179,54 @@ pub fn decode_into<T: Word>(bytes: &[u8], out: &mut [T]) {
     T::decode_slice(bytes, out);
 }
 
-/// Decodes a byte buffer into a fresh vector of words.
-pub fn decode<T: Word>(bytes: &[u8]) -> Vec<T> {
-    assert!(
-        bytes.len().is_multiple_of(T::SIZE),
-        "byte length not a multiple of word size"
-    );
-    let mut out = vec![T::ZERO; bytes.len() / T::SIZE];
-    T::decode_slice(bytes, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A fresh buffer filled by [`encode_into`].
+    fn encoded<T: Word>(data: &[T]) -> Vec<u8> {
+        let mut out = vec![0u8; data.len() * T::SIZE];
+        encode_into(data, &mut out);
+        out
+    }
+
+    /// Fresh words filled by [`decode_into`].
+    fn decoded<T: Word>(bytes: &[u8]) -> Vec<T> {
+        let mut out = vec![T::ZERO; bytes.len() / T::SIZE];
+        decode_into(bytes, &mut out);
+        out
+    }
+
     #[test]
     fn roundtrip_f64() {
         let data = [1.5f64, -2.25, 0.0, f64::MAX, f64::MIN_POSITIVE];
-        let bytes = encode(&data);
+        let bytes = encoded(&data);
         assert_eq!(bytes.len(), 40);
-        let back: Vec<f64> = decode(&bytes);
+        let back: Vec<f64> = decoded(&bytes);
         assert_eq!(back, data);
     }
 
     #[test]
     fn roundtrip_various_types() {
         let u = [1u64, u64::MAX, 42];
-        assert_eq!(decode::<u64>(&encode(&u)), u);
+        assert_eq!(decoded::<u64>(&encoded(&u)), u);
         let i = [-1i32, i32::MIN, i32::MAX];
-        assert_eq!(decode::<i32>(&encode(&i)), i);
+        assert_eq!(decoded::<i32>(&encoded(&i)), i);
         let b = [0u8, 255, 7];
-        assert_eq!(decode::<u8>(&encode(&b)), b);
+        assert_eq!(decoded::<u8>(&encoded(&b)), b);
     }
 
     #[test]
     fn empty_slice() {
-        let bytes = encode::<f64>(&[]);
+        let bytes = encoded::<f64>(&[]);
         assert!(bytes.is_empty());
-        assert!(decode::<f64>(&bytes).is_empty());
+        assert!(decoded::<f64>(&bytes).is_empty());
     }
 
     #[test]
     fn decode_into_preallocated() {
         let data = [3u32, 4, 5];
-        let bytes = encode(&data);
+        let bytes = encoded(&data);
         let mut out = [0u32; 3];
         decode_into(&bytes, &mut out);
         assert_eq!(out, data);
@@ -237,21 +235,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "decode buffer size mismatch")]
     fn decode_size_mismatch_panics() {
-        let bytes = encode(&[1u64, 2]);
+        let bytes = encoded(&[1u64, 2]);
         let mut out = [0u64; 3];
         decode_into(&bytes, &mut out);
     }
 
     #[test]
     fn encoding_is_little_endian() {
-        let bytes = encode(&[0x0102_0304u32]);
+        let bytes = encoded(&[0x0102_0304u32]);
         assert_eq!(bytes, vec![0x04, 0x03, 0x02, 0x01]);
     }
 
     #[test]
     fn zero_is_all_zero_bytes() {
         fn check<T: Word>() {
-            let bytes = encode(&[T::ZERO]);
+            let bytes = encoded(&[T::ZERO]);
             assert!(bytes.iter().all(|&b| b == 0), "{:?}", T::ZERO);
         }
         check::<u8>();

@@ -47,7 +47,7 @@ pub mod check;
 pub mod coll;
 mod comm;
 mod coop;
-pub mod datatype;
+pub(crate) mod datatype;
 mod mailbox;
 mod msg;
 mod payload;
@@ -64,7 +64,7 @@ pub use coop::{
     ScheduleController, WildcardCandidate,
 };
 pub use datatype::{Ghost, Word};
-pub use msg::{Tag, MAX_USER_TAG};
+pub use msg::Tag;
 pub use reduce::{Numeric, Op};
 pub use rma::Window;
 pub use runtime::{receives_spin, run, run_traced, waiting_regime};

@@ -163,12 +163,14 @@ struct Inner {
     /// Threads watching the wake word, announced the same way: a sender
     /// moves the word only when this is nonzero.
     spinning: usize,
-    /// Times a rank thread announced itself and watched the wake word.
-    /// With `parked_waits`, the first entries of a per-world counter
-    /// block: plain counts under the lock the waiter already holds.
+    /// Times a rank thread announced itself and watched the wake word:
+    /// a plain count under the lock the waiter already holds, kept in
+    /// test builds, whose spin-rule tests read it.
+    #[cfg(test)]
     spun: u64,
     /// Times a rank thread parked on the condvar (an instrumented wait
-    /// parks once per slice).
+    /// parks once per slice); test builds only, as `spun`.
+    #[cfg(test)]
     parked_waits: u64,
 }
 
@@ -397,17 +399,10 @@ pub(crate) struct Ticket {
 }
 
 impl Mailbox {
-    /// A standalone uninstrumented mailbox whose waits park at once
-    /// (unit tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn new() -> Mailbox {
-        Mailbox::with_instrumentation(0, None, None, Duration::ZERO)
-    }
-
     /// A mailbox owned by `rank`, instrumented when `inspector` is set
     /// and schedule-controlled when `controller` is set, whose owner
     /// spins for `spin_budget` before it parks.
-    pub fn with_instrumentation(
+    pub(crate) fn with_instrumentation(
         rank: usize,
         inspector: Option<Arc<Inspector>>,
         controller: Option<Arc<dyn ScheduleController>>,
@@ -440,7 +435,7 @@ impl Mailbox {
 
     /// The queued-but-unmatched messages per lane (deadlock diagnoses and
     /// the finalize leftover inventory), in deterministic order.
-    pub fn inventory(&self) -> Vec<LaneInfo> {
+    pub(crate) fn inventory(&self) -> Vec<LaneInfo> {
         let inner = self.inner.lock();
         let mut out: Vec<LaneInfo> = inner
             .lanes
@@ -477,7 +472,7 @@ impl Mailbox {
 
     /// Delivers a message (called from the sending rank's thread): direct
     /// hand-off to the oldest matching posted receive, else lane-enqueue.
-    pub fn push(&self, msg: Message) {
+    pub(crate) fn push(&self, msg: Message) {
         let mut inner = self.inner.lock();
         if inner.enqueue(msg) {
             self.wake_threads(inner);
@@ -517,14 +512,6 @@ impl Mailbox {
         true
     }
 
-    /// How often this mailbox's owner has watched the wake word and how
-    /// often it has parked: `(spun, parked_waits)`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn wait_counts(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.spun, inner.parked_waits)
-    }
-
     /// Whether a sender has filled the posted receive behind ticket `id`
     /// (the deadlock detector probes this to rule out a wake already in
     /// flight). False once the receive has been collected or cancelled.
@@ -547,7 +534,7 @@ impl Mailbox {
     /// message matched its filter at post time, and any later matching
     /// arrival would itself have been handed to it — so the table entry
     /// found here cannot be overtaking queued traffic.
-    pub fn rendezvous_send<T: Word>(
+    pub(crate) fn rendezvous_send<T: Word>(
         &self,
         src: usize,
         full_tag: u64,
@@ -586,7 +573,7 @@ impl Mailbox {
     /// immediately, otherwise enters the posted-receive table so a future
     /// send (including a rendezvous send, when the caller supplies `buf`)
     /// can complete it before the receiver waits.
-    pub fn post(&self, filter: Match, buf: Option<Vec<u8>>) -> PostedHandle {
+    pub(crate) fn post(&self, filter: Match, buf: Option<Vec<u8>>) -> PostedHandle {
         let mut inner = self.inner.lock();
         if let Some((arrived, candidates)) = inner.take_queued(filter, self.ctl()) {
             return PostedHandle::Ready(arrived, candidates);
@@ -600,7 +587,7 @@ impl Mailbox {
     /// Cancels a posted receive. Any message it already matched is put
     /// back at the front of its lane with its original arrival stamp, as
     /// if the receive had never been posted.
-    pub fn cancel(&self, handle: PostedHandle) {
+    pub(crate) fn cancel(&self, handle: PostedHandle) {
         match handle {
             PostedHandle::Ready(arrived, _) => self.inner.lock().requeue_front(arrived),
             PostedHandle::Pending(ticket) => self.cancel_ticket(ticket),
@@ -631,7 +618,7 @@ impl Mailbox {
     /// pass from 0.92 s to 2.63 s) — so the runtime derives the budget
     /// from the world, and this is one loop whose budget is sometimes
     /// zero.
-    pub fn wait_ticket(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
+    pub(crate) fn wait_ticket(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
         assert!(
             !crate::coop::in_coop(),
             "mp: synchronous receive inside a cooperative task; use the async receive API"
@@ -665,7 +652,10 @@ impl Mailbox {
                 // this point was seen by `collect` above, one after it
                 // finds `spinning` nonzero and moves the word off `seen`.
                 inner.spinning += 1;
-                inner.spun += 1;
+                #[cfg(test)]
+                {
+                    inner.spun += 1;
+                }
                 let seen = self.wake.load(Ordering::Relaxed);
                 drop(inner);
                 // A wake for another ticket of this mailbox is a message
@@ -711,7 +701,10 @@ impl Mailbox {
                 timeout
             };
             inner.parked += 1;
-            inner.parked_waits += 1;
+            #[cfg(test)]
+            {
+                inner.parked_waits += 1;
+            }
             let timed_out = self.ready.wait_for(&mut inner, slice).timed_out();
             inner.parked -= 1;
             if timed_out {
@@ -726,7 +719,7 @@ impl Mailbox {
     /// Returns the message and, if the rendezvous buffer went unused, the
     /// buffer itself for recycling. On a rank thread the wait parks the
     /// thread; inside a cooperative task it is a yield point.
-    pub async fn recv_posting_async(
+    pub(crate) async fn recv_posting_async(
         &self,
         filter: Match,
         buf: Option<Vec<u8>>,
@@ -750,27 +743,31 @@ impl Mailbox {
     /// Removes and returns the oldest message matching `filter`, waiting
     /// until one arrives. FIFO per (source, tag) pair (non-overtaking);
     /// wildcard filters match in global arrival order.
-    pub async fn recv_async(&self, filter: Match) -> Message {
+    pub(crate) async fn recv_async(&self, filter: Match) -> Message {
         self.recv_posting_async(filter, None).await.0
     }
 
     /// Blocking [`recv_async`](Mailbox::recv_async), for thread-based
     /// unit tests.
     #[cfg(test)]
-    pub fn recv(&self, filter: Match) -> Message {
+    pub(crate) fn recv(&self, filter: Match) -> Message {
         crate::coop::block_on(self.recv_async(filter))
     }
 
     /// Blocking [`recv_posting_async`](Mailbox::recv_posting_async), for
     /// thread-based unit tests.
     #[cfg(test)]
-    pub fn recv_posting(&self, filter: Match, buf: Option<Vec<u8>>) -> (Message, Option<Vec<u8>>) {
+    pub(crate) fn recv_posting(
+        &self,
+        filter: Match,
+        buf: Option<Vec<u8>>,
+    ) -> (Message, Option<Vec<u8>>) {
         crate::coop::block_on(self.recv_posting_async(filter, buf))
     }
 
     /// Resolves a posted receive: immediate for an already-matched one,
     /// waiting until a sender matches it otherwise.
-    pub async fn complete_async(
+    pub(crate) async fn complete_async(
         &self,
         handle: PostedHandle,
         filter: Match,
@@ -794,17 +791,30 @@ impl Mailbox {
     /// meantime, the message is put back at the front of its lane (its
     /// original arrival stamp preserved), exactly as if it had never been
     /// matched.
-    pub fn cancel_ticket(&self, ticket: Ticket) {
+    pub(crate) fn cancel_ticket(&self, ticket: Ticket) {
         let mut inner = self.inner.lock();
         if let Some(arrived) = inner.withdraw(&ticket).arrived {
             inner.requeue_front(arrived);
         }
     }
+}
+
+#[cfg(test)]
+impl Mailbox {
+    /// A standalone uninstrumented mailbox whose waits park at once.
+    pub(crate) fn new() -> Mailbox {
+        Mailbox::with_instrumentation(0, None, None, Duration::ZERO)
+    }
+
+    /// How often this mailbox's owner has watched the wake word and how
+    /// often it has parked: `(spun, parked_waits)`.
+    pub(crate) fn wait_counts(&self) -> (u64, u64) {
+        let inner = self.inner.lock();
+        (inner.spun, inner.parked_waits)
+    }
 
     /// Non-blocking variant: removes the oldest matching message if present.
-    /// Exercised by tests and kept for `iprobe`-style extensions.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn try_recv(&self, filter: Match) -> Option<Message> {
+    fn try_recv(&self, filter: Match) -> Option<Message> {
         let taken = self.inner.lock().take_queued(filter, self.ctl());
         taken.map(|(arrived, candidates)| {
             self.record_recv(&arrived, filter, candidates);
@@ -813,8 +823,7 @@ impl Mailbox {
     }
 
     /// Number of queued (unmatched) messages.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.inner.lock().queued
     }
 }

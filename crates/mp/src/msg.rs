@@ -1,12 +1,12 @@
 //! Message representation and matching filters.
 
-/// A user-visible message tag. User tags must be below [`MAX_USER_TAG`];
+/// A user-visible message tag. User tags must be below `MAX_USER_TAG`;
 /// the range above is reserved for collective-operation sequencing.
 pub type Tag = u32;
 
 /// Highest user tag value (exclusive). Tags with the top bit set are
 /// reserved for internal collective traffic.
-pub const MAX_USER_TAG: Tag = 1 << 31;
+pub(crate) const MAX_USER_TAG: Tag = 1 << 31;
 
 /// Internal: the collective-reserved tag bit.
 pub(crate) const COLL_BIT: Tag = 1 << 31;
@@ -48,7 +48,7 @@ impl Match {
     /// matches lanes and posted receives against without needing a
     /// materialised [`Message`].
     #[inline]
-    pub fn accepts_parts(&self, src: usize, full_tag: u64) -> bool {
+    pub(crate) fn accepts_parts(&self, src: usize, full_tag: u64) -> bool {
         if (full_tag >> 32) as u32 != self.comm_id {
             return false;
         }
@@ -68,7 +68,7 @@ impl Match {
     /// Whether source and tag are both pinned, making the filter a direct
     /// lane address (O(1) lookup) rather than a wildcard scan.
     #[inline]
-    pub fn is_exact(&self) -> bool {
+    pub(crate) fn is_exact(&self) -> bool {
         self.src.is_some() && self.tag.is_some()
     }
 }

@@ -48,7 +48,7 @@ pub(crate) struct Payload {
 
 impl Payload {
     /// Wraps an owned byte vector without copying it.
-    pub fn from_vec(buf: Vec<u8>) -> Payload {
+    pub(crate) fn from_vec(buf: Vec<u8>) -> Payload {
         let len = buf.len();
         Payload {
             buf: Some(Arc::new(buf)),
@@ -59,7 +59,7 @@ impl Payload {
 
     /// The wire form of `words`: their little-endian bytes, or only their
     /// length when the words are ghosts.
-    pub fn encode<T: Word>(words: &[T]) -> Payload {
+    pub(crate) fn encode<T: Word>(words: &[T]) -> Payload {
         if is_ghost::<T>() {
             Payload::zeroed::<T>(words.len() * T::SIZE)
         } else {
@@ -69,7 +69,7 @@ impl Payload {
 
     /// `len` zero bytes of `T`'s kind (none, for ghosts), to be assembled
     /// with [`put`](Payload::put).
-    pub fn zeroed<T: Word>(len: usize) -> Payload {
+    pub(crate) fn zeroed<T: Word>(len: usize) -> Payload {
         if is_ghost::<T>() {
             Payload {
                 buf: None,
@@ -83,20 +83,20 @@ impl Payload {
 
     /// The viewed bytes; `None` for a length-only payload.
     #[inline]
-    pub fn bytes(&self) -> Option<&[u8]> {
+    pub(crate) fn bytes(&self) -> Option<&[u8]> {
         let buf = self.buf.as_ref()?;
         Some(&buf[self.off..self.off + self.len])
     }
 
     /// Length of the view in bytes.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// A zero-copy sub-view of this payload (`range` is relative to the
     /// view, not the underlying buffer).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Payload {
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Payload {
         assert!(
             range.start <= range.end && range.end <= self.len,
             "payload slice {range:?} out of bounds (len {})",
@@ -112,7 +112,7 @@ impl Payload {
     /// Overwrites this payload from byte `at` with `piece`, which must be
     /// of the same kind. The payload must be the only holder of its
     /// buffer, as one under assembly is.
-    pub fn put(&mut self, at: usize, piece: &Payload) {
+    pub(crate) fn put(&mut self, at: usize, piece: &Payload) {
         assert!(
             at + piece.len <= self.len,
             "payload piece {at}+{} out of bounds (len {})",
@@ -133,7 +133,7 @@ impl Payload {
     /// Decodes into a preallocated word slice of exactly this payload's
     /// length. Ghost words take a payload of either kind; real words
     /// refuse a length-only one.
-    pub fn decode_into<T: Word>(&self, out: &mut [T], env: Envelope) {
+    pub(crate) fn decode_into<T: Word>(&self, out: &mut [T], env: Envelope) {
         assert_eq!(
             self.len,
             out.len() * T::SIZE,
@@ -150,7 +150,7 @@ impl Payload {
 
     /// Decodes into a fresh vector of words (a ragged tail of bytes fails
     /// [`decode_into`](Payload::decode_into)'s size check).
-    pub fn decode<T: Word>(&self, env: Envelope) -> Vec<T> {
+    pub(crate) fn decode<T: Word>(&self, env: Envelope) -> Vec<T> {
         let mut out = vec![T::ZERO; self.len / T::SIZE];
         self.decode_into(&mut out, env);
         out
@@ -159,7 +159,7 @@ impl Payload {
     /// Recovers the owned vector. Zero-copy when this is the sole holder
     /// of the allocation and the view covers all of it (the common case
     /// for point-to-point traffic); otherwise copies the viewed bytes.
-    pub fn into_vec(self, env: Envelope) -> Vec<u8> {
+    pub(crate) fn into_vec(self, env: Envelope) -> Vec<u8> {
         let Some(buf) = self.buf else {
             no_bytes::<u8>(self.len, env)
         };
@@ -176,7 +176,7 @@ impl Payload {
     /// Like [`into_vec`](Payload::into_vec), but only when zero-copy is
     /// possible; used to recycle rendezvous buffers without ever paying a
     /// copy for the privilege.
-    pub fn try_into_unique_vec(self) -> Option<Vec<u8>> {
+    pub(crate) fn try_into_unique_vec(self) -> Option<Vec<u8>> {
         if self.off != 0 {
             return None;
         }

@@ -111,7 +111,7 @@ impl Op {
     }
 
     /// Combines `src` into `acc` element-wise (`acc[i] = op(acc[i], src[i])`).
-    pub fn fold_into<T: Numeric>(self, acc: &mut [T], src: &[T]) {
+    pub(crate) fn fold_into<T: Numeric>(self, acc: &mut [T], src: &[T]) {
         assert_eq!(acc.len(), src.len(), "reduction operand length mismatch");
         match self {
             // Specialised loops keep the hot path free of a per-element match.

@@ -78,11 +78,6 @@ impl<'c> Window<'c> {
         }
     }
 
-    /// Number of words exposed by each rank.
-    pub fn local_words(&self) -> usize {
-        self.my_words
-    }
-
     fn check<T: Word>(&self, target: usize, offset_words: usize, len_words: usize) {
         assert_eq!(T::SIZE, self.word_size, "window datatype mismatch");
         assert!(target < self.comm.size(), "target rank out of range");

@@ -256,17 +256,6 @@ impl World {
         self.mailboxes.iter().flat_map(Mailbox::inventory).collect()
     }
 
-    /// How often this world's rank threads have watched a wake word and
-    /// how often they have parked, summed over its mailboxes:
-    /// `(spun, parked_waits)`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn wait_counts(&self) -> (u64, u64) {
-        self.mailboxes
-            .iter()
-            .map(Mailbox::wait_counts)
-            .fold((0, 0), |(s, p), (spun, parked)| (s + spun, p + parked))
-    }
-
     /// The per-rank virtual clocks, read once every rank has finished.
     pub(crate) fn final_clocks(&self) -> Vec<Time> {
         self.virtual_clocks.iter().map(Clock::get).collect()
@@ -277,7 +266,7 @@ impl World {
     /// pushed into a local mailbox — the one point where residency is
     /// decided, so everything above (collectives, rendezvous fallback,
     /// instrumentation) is transport-agnostic by construction.
-    pub fn deliver(&self, dst: usize, msg: Message) {
+    pub(crate) fn deliver(&self, dst: usize, msg: Message) {
         if let Some(remote) = &self.remote {
             if !remote.resident(dst) {
                 remote.send_data(dst, &msg);
@@ -292,7 +281,7 @@ impl World {
     /// directly into it and complete the transfer (one copy end to end).
     /// Returns false — and performs nothing — when no such receive is
     /// posted; the caller falls back to the eager path.
-    pub fn rendezvous_words<T: crate::datatype::Word>(
+    pub(crate) fn rendezvous_words<T: crate::datatype::Word>(
         &self,
         src: usize,
         dst: usize,
@@ -321,6 +310,19 @@ impl World {
             );
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl World {
+    /// How often this world's rank threads have watched a wake word and
+    /// how often they have parked, summed over its mailboxes:
+    /// `(spun, parked_waits)`.
+    fn wait_counts(&self) -> (u64, u64) {
+        self.mailboxes
+            .iter()
+            .map(Mailbox::wait_counts)
+            .fold((0, 0), |(s, p), (spun, parked)| (s + spun, p + parked))
     }
 }
 
@@ -373,7 +375,7 @@ where
 }
 
 /// Like [`run`], but returns the run's point-to-point transfers too: a
-/// checked world's [`RunLog::transfers`] — each rank's sends as
+/// checked world's `RunLog::transfers` — each rank's sends as
 /// (src, dst, bytes), in program order, ranks in order. Failures
 /// propagate as [`run`]'s do. Used to cross-validate the real collective
 /// implementations against their schedule generators.

@@ -15,22 +15,22 @@ use simnet::Schedule;
 
 use build::build;
 
-/// Schedules of [`crate::coll::allgather`]: `n` blocks of `block` bytes.
+/// Schedules of `crate::coll::allgather`: `n` blocks of `block` bytes.
 pub mod allgather {
     use super::*;
     use crate::coll::allgather::*;
 
-    /// [`ring_async`]: `n-1` rounds of one block.
+    /// `ring_async`: `n-1` rounds of one block.
     pub fn ring(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| ring_steps(me, n, block as usize))
     }
 
-    /// [`recursive_doubling_async`].
+    /// `recursive_doubling_async`.
     pub fn recursive_doubling(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| recursive_doubling_steps(me, n, block as usize))
     }
 
-    /// [`auto_async`]'s dispatch.
+    /// `auto_async`'s dispatch.
     pub fn auto(n: usize, block: u64) -> Schedule {
         if picks_recursive_doubling(n, block as usize) {
             recursive_doubling(n, block)
@@ -40,38 +40,38 @@ pub mod allgather {
     }
 }
 
-/// Schedules of [`crate::coll::allgatherv`]: `counts` bytes from each rank.
+/// Schedules of `crate::coll::allgatherv`: `counts` bytes from each rank.
 pub mod allgatherv {
     use super::*;
     use crate::coll::allgatherv::*;
 
-    /// [`ring_async`].
+    /// `ring_async`.
     pub fn ring(counts: &[u64]) -> Schedule {
         let displs = displs(counts.iter().map(|&c| c as usize));
         build(counts.len(), 0, |me| ring_steps(me, &displs))
     }
 
-    /// [`auto_async`] is the ring.
+    /// `auto_async` is the ring.
     pub use ring as auto;
 }
 
-/// Schedules of [`crate::coll::allreduce`] on a vector of `bytes`.
+/// Schedules of `crate::coll::allreduce` on a vector of `bytes`.
 pub mod allreduce {
     use super::*;
     use crate::coll::allreduce::*;
 
-    /// [`recursive_doubling_async`].
+    /// `recursive_doubling_async`.
     pub fn recursive_doubling(n: usize, bytes: u64) -> Schedule {
         build(n, 0, |me| recursive_doubling_steps(me, n, bytes as usize))
     }
 
-    /// [`rabenseifner_async`]: the shape
+    /// `rabenseifner_async`: the shape
     /// behind the paper's 1 MB Allreduce measurements (Fig. 7).
     pub fn rabenseifner(n: usize, bytes: u64) -> Schedule {
         build(n, 0, |me| rabenseifner_steps(me, n, bytes as usize))
     }
 
-    /// [`auto_async`]'s dispatch; `elem_size` as in [`super::reduce::auto`].
+    /// `auto_async`'s dispatch; `elem_size` as in [`super::reduce::auto`].
     pub fn auto(n: usize, bytes: u64, elem_size: u64) -> Schedule {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
             rabenseifner(n, bytes)
@@ -81,22 +81,22 @@ pub mod allreduce {
     }
 }
 
-/// Schedules of [`crate::coll::alltoall`]: `block` bytes per rank pair.
+/// Schedules of `crate::coll::alltoall`: `block` bytes per rank pair.
 pub mod alltoall {
     use super::*;
     use crate::coll::alltoall::*;
 
-    /// [`pairwise_async`]: `n-1` rounds.
+    /// `pairwise_async`: `n-1` rounds.
     pub fn pairwise(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| pairwise_steps(me, n, block as usize))
     }
 
-    /// [`bruck_async`]: `ceil(log2 n)` rounds.
+    /// `bruck_async`: `ceil(log2 n)` rounds.
     pub fn bruck(n: usize, block: u64) -> Schedule {
         build(n, 0, |me| bruck_steps(me, n, block as usize))
     }
 
-    /// [`auto_async`]'s dispatch.
+    /// `auto_async`'s dispatch.
     pub fn auto(n: usize, block: u64) -> Schedule {
         if picks_bruck(n, block as usize) {
             bruck(n, block)
@@ -106,17 +106,17 @@ pub mod alltoall {
     }
 }
 
-/// Schedules of [`crate::coll::barrier`]: zero-byte messages.
+/// Schedules of `crate::coll::barrier`: zero-byte messages.
 pub mod barrier {
     use super::*;
     use crate::coll::barrier::*;
 
-    /// [`dissemination_async`].
+    /// `dissemination_async`.
     pub fn dissemination(n: usize) -> Schedule {
         build(n, 0, |me| dissemination_steps(me, n))
     }
 
-    /// [`auto_async`] is dissemination.
+    /// `auto_async` is dissemination.
     pub use dissemination as auto;
 }
 
@@ -130,14 +130,14 @@ pub mod bcast {
         build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
     }
 
-    /// [`scatter_allgather_async`].
+    /// `scatter_allgather_async`.
     pub fn scatter_allgather(n: usize, root: usize, bytes: u64) -> Schedule {
         build(n, root, |me| {
             scatter_allgather_steps(me, n, bytes as usize, root)
         })
     }
 
-    /// [`auto_async`]'s size dispatch.
+    /// `auto_async`'s size dispatch.
     pub fn auto(n: usize, root: usize, bytes: u64) -> Schedule {
         if picks_scatter_allgather(n, bytes as usize) {
             scatter_allgather(n, root, bytes)
@@ -152,19 +152,19 @@ pub mod reduce {
     use super::*;
     use crate::coll::reduce::*;
 
-    /// [`binomial_async`].
+    /// `binomial_async`.
     pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
         build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
     }
 
-    /// [`rabenseifner_async`].
+    /// `rabenseifner_async`.
     pub fn rabenseifner(n: usize, root: usize, bytes: u64) -> Schedule {
         build(n, root, |me| {
             rabenseifner_steps(me, n, bytes as usize, root)
         })
     }
 
-    /// [`auto_async`]'s dispatch. `elem_size` is the datatype width its
+    /// `auto_async`'s dispatch. `elem_size` is the datatype width its
     /// divisibility check uses (8 for the `f64` vectors the IMB benchmarks reduce).
     pub fn auto(n: usize, root: usize, bytes: u64, elem_size: u64) -> Schedule {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
@@ -175,12 +175,12 @@ pub mod reduce {
     }
 }
 
-/// Schedules of [`crate::coll::reduce_scatter`].
+/// Schedules of `crate::coll::reduce_scatter`.
 pub mod reduce_scatter {
     use super::*;
     use crate::coll::{allgatherv::displs, reduce_scatter::*};
 
-    /// [`pairwise_async`] to slices of `counts` bytes.
+    /// `pairwise_async` to slices of `counts` bytes.
     pub fn pairwise(counts: &[u64]) -> Schedule {
         let displs = displs(counts.iter().map(|&c| c as usize));
         build(counts.len(), 0, |me| pairwise_steps(me, &displs))

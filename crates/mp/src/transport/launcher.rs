@@ -194,7 +194,7 @@ impl FleetOutcome {
 
     /// Panics with every worker's status and stderr unless the fleet
     /// succeeded.
-    pub fn expect_success(&self) {
+    pub(crate) fn expect_success(&self) {
         if self.success() {
             return;
         }
@@ -216,11 +216,6 @@ impl FleetOutcome {
 }
 
 impl Fleet {
-    /// The session directory (address files, worker logs).
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Waits for every worker with a watchdog: when one worker fails,
     /// the rest get [`FAIL_GRACE`] to finish (they may be unwinding from
     /// the same poison) and are then killed; when the overall deadline

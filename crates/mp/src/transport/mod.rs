@@ -70,21 +70,21 @@ pub(crate) mod wire;
 use wire::{Frame, FrameKind, StableReport};
 
 /// Environment variable carrying the world size (total ranks).
-pub const ENV_WORLD_SIZE: &str = "MP_WORLD_SIZE";
+pub(crate) const ENV_WORLD_SIZE: &str = "MP_WORLD_SIZE";
 /// Environment variable carrying the number of processes (at least two);
 /// its presence is what makes a process a fleet worker.
-pub const ENV_NPROCS: &str = "MP_NPROCS";
+pub(crate) const ENV_NPROCS: &str = "MP_NPROCS";
 /// Environment variable carrying this process's index.
-pub const ENV_PROC: &str = "MP_PROC";
+pub(crate) const ENV_PROC: &str = "MP_PROC";
 /// Environment variable carrying the session directory (where tcp
 /// processes publish their listener addresses for rendezvous).
-pub const ENV_WORLD_DIR: &str = "MP_WORLD_DIR";
+pub(crate) const ENV_WORLD_DIR: &str = "MP_WORLD_DIR";
 /// Optional comma-separated `host:port` listener address per process;
 /// defaults to loopback rendezvous via the session dir.
-pub const ENV_TCP_PEERS: &str = "MP_TCP_PEERS";
+pub(crate) const ENV_TCP_PEERS: &str = "MP_TCP_PEERS";
 /// Optional bind address for this process's tcp listener
 /// (default `127.0.0.1:0`).
-pub const ENV_TCP_BIND: &str = "MP_TCP_BIND";
+pub(crate) const ENV_TCP_BIND: &str = "MP_TCP_BIND";
 
 /// The rule every way into a fleet enforces, named in its refusal.
 pub(crate) const FLEET_RULE: &str = "a fleet has at least two processes (one process is `mp::run`)";

@@ -59,7 +59,7 @@ pub(crate) struct TcpTransport {
 impl TcpTransport {
     /// Establishes the full mesh for process `me` of `nprocs`, publishing
     /// and resolving addresses through `dir` (or `MP_TCP_PEERS`).
-    pub fn connect(dir: &Path, me: usize, nprocs: usize) -> TcpTransport {
+    pub(crate) fn connect(dir: &Path, me: usize, nprocs: usize) -> TcpTransport {
         Self::connect_within(dir, me, nprocs, CONNECT_TIMEOUT)
     }
 

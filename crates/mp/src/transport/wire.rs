@@ -100,7 +100,7 @@ pub(crate) struct Frame {
 
 impl Frame {
     /// A control frame with no payload.
-    pub fn control(kind: FrameKind, epoch: u32, src_proc: u32) -> Frame {
+    pub(crate) fn control(kind: FrameKind, epoch: u32, src_proc: u32) -> Frame {
         Frame {
             kind,
             epoch,
@@ -113,7 +113,7 @@ impl Frame {
     }
 
     /// Serializes the frame (header + payload) into `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(HEADER_BYTES + self.payload.len());
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.push(self.kind as u8);
@@ -128,7 +128,7 @@ impl Frame {
     }
 
     /// Serializes the frame into a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_BYTES + self.payload.len());
         self.encode_into(&mut out);
         out

@@ -6,7 +6,7 @@
 //! sender's virtual clock by its overhead, receives advance the
 //! receiver's clock to the message's simulated arrival, and compute
 //! phases are charged explicitly via [`Comm::v_compute`], while
-//! [`Comm::v_time`] reads the timeline of the modelled machine.
+//! `Comm::v_time` reads the timeline of the modelled machine.
 //!
 //! What moves is decided per message by its word type, here as in every
 //! mode: real words move real bytes — results stay bit-identical to a
@@ -77,7 +77,7 @@ impl Clock {
 
 impl Comm {
     /// This rank's current virtual time. Zero outside virtual execution.
-    pub fn v_time(&self) -> Time {
+    pub(crate) fn v_time(&self) -> Time {
         self.world_virtual_clock()
     }
 
@@ -86,15 +86,6 @@ impl Comm {
     pub fn v_compute(&self, flops: f64, eff: f64) {
         if let Some(net) = self.world_virtual_net() {
             let dt = net.compute(flops, eff);
-            self.advance_virtual_clock(dt);
-        }
-    }
-
-    /// Charges a memory-streaming phase of `bytes` to this rank's
-    /// virtual clock. No-op outside virtual execution.
-    pub fn v_stream(&self, bytes: f64) {
-        if let Some(net) = self.world_virtual_net() {
-            let dt = net.stream(bytes);
             self.advance_virtual_clock(dt);
         }
     }

@@ -10,7 +10,7 @@ use crate::report::{Finding, FindingClass};
 /// Analyzes one run log, returning every finding it supports on its own,
 /// its rank panics last. (Cross-schedule comparisons live in
 /// [`crate::explore`], which sees all runs.)
-pub fn analyze(log: &RunLog) -> Vec<Finding> {
+pub(crate) fn analyze(log: &RunLog) -> Vec<Finding> {
     let mut findings = Vec::new();
     deadlock(log, &mut findings);
     collective_divergence(log, &mut findings);
@@ -244,7 +244,7 @@ fn wildcard_races(log: &RunLog, findings: &mut Vec<Finding>) {
 /// Drops findings identical in (class, ranks, summary), keeping first
 /// occurrences in order. A session's runs and an explorer's schedules
 /// rediscover the same bug many times; the report should state it once.
-pub fn dedup(findings: &mut Vec<Finding>) {
+pub(crate) fn dedup(findings: &mut Vec<Finding>) {
     let mut seen: Vec<(FindingClass, Vec<usize>, String)> = Vec::new();
     findings.retain(|f| {
         let key = (f.class, f.ranks.clone(), f.summary.clone());

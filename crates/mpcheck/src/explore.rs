@@ -210,7 +210,7 @@ pub struct Guided {
 impl Guided {
     /// A lenient controller for exploration: beyond (or outside) the
     /// script it takes the FIFO default.
-    pub fn scripted(script: Vec<usize>) -> Guided {
+    pub(crate) fn scripted(script: Vec<usize>) -> Guided {
         Guided {
             state: Mutex::new(GuidedState {
                 script,
@@ -222,7 +222,7 @@ impl Guided {
     /// A strict controller for replay: any divergence from the script
     /// (different alternative count, pick out of range, or leftover
     /// decisions) is recorded and reported by [`replay_with`].
-    pub fn replaying(script: Vec<usize>) -> Guided {
+    pub(crate) fn replaying(script: Vec<usize>) -> Guided {
         Guided {
             state: Mutex::new(GuidedState {
                 script,
@@ -233,7 +233,7 @@ impl Guided {
     }
 
     /// The decision trace of the completed run, as schedule decisions.
-    pub fn trace(&self) -> Vec<Decision> {
+    pub(crate) fn trace(&self) -> Vec<Decision> {
         self.state
             .lock()
             .unwrap()
@@ -249,12 +249,12 @@ impl Guided {
     }
 
     /// World size of the first world the run created (0 if none).
-    pub fn world_size(&self) -> usize {
+    pub(crate) fn world_size(&self) -> usize {
         self.state.lock().unwrap().world_n
     }
 
     /// The divergence message, if a strict replay went off-script.
-    pub fn divergence(&self) -> Option<String> {
+    pub(crate) fn divergence(&self) -> Option<String> {
         self.state.lock().unwrap().diverged.clone()
     }
 

@@ -15,7 +15,7 @@ use crate::explore::{explore, ExploreOptions};
 use crate::report::{FindingClass, Report};
 
 /// An async SPMD rank body.
-pub type Body = fn(mp::Comm) -> Pin<Box<dyn Future<Output = ()>>>;
+pub(crate) type Body = fn(mp::Comm) -> Pin<Box<dyn Future<Output = ()>>>;
 
 /// One gallery program.
 pub struct GalleryEntry {

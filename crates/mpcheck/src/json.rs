@@ -47,7 +47,7 @@ impl Value {
     }
 
     /// The numeric payload as `usize`, if this is a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
+    pub(crate) fn as_usize(&self) -> Option<usize> {
         self.as_u64().map(|x| x as usize)
     }
 

@@ -12,7 +12,7 @@
 //!    collective call sites, and the pending-message inventory per
 //!    mailbox lane — instead of hanging until a wall-clock timeout.
 //! 2. **Communication-trace lints.** Each rank records its events into a
-//!    bounded ring; [`analyze`] replays the merged trace after the run
+//!    bounded ring; `analyze` replays the merged trace after the run
 //!    and flags unmatched sends at finalize, collective call-sequence
 //!    divergence (operation order, root, payload-shape mismatches),
 //!    tag/comm leaks, and wildcard-receive races.
@@ -45,11 +45,11 @@ pub mod json;
 mod report;
 mod schedule;
 
-pub use analyze::analyze;
+use analyze::analyze;
 pub use explore::{explore, explore_with, replay, replay_with, ExploreOptions, Guided};
 pub use mp::check::Settings;
-pub use report::{Finding, FindingClass, Report, ScheduleStats, REPORT_SCHEMA};
-pub use schedule::{Decision, DecisionKind, Schedule, SCHEDULE_SCHEMA};
+pub use report::{Finding, FindingClass, Report, ScheduleStats};
+pub use schedule::{Decision, DecisionKind, Schedule};
 
 use std::sync::{Arc, Mutex};
 

@@ -16,7 +16,7 @@ use mp::check::RunLog;
 use crate::json;
 
 /// Schema identifier written into every report document.
-pub const REPORT_SCHEMA: &str = "mpcheck-report-v3";
+pub(crate) const REPORT_SCHEMA: &str = "mpcheck-report-v3";
 
 /// The misuse classes the analyses diagnose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,7 +42,7 @@ pub enum FindingClass {
 
 impl FindingClass {
     /// Stable identifier used in JSON output.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FindingClass::Deadlock => "deadlock",
             FindingClass::CollectiveDivergence => "collective-divergence",
@@ -82,7 +82,12 @@ pub struct Finding {
 
 impl Finding {
     /// A finding with only the required fields set.
-    pub fn new(class: FindingClass, ranks: Vec<usize>, summary: String, detail: String) -> Finding {
+    pub(crate) fn new(
+        class: FindingClass,
+        ranks: Vec<usize>,
+        summary: String,
+        detail: String,
+    ) -> Finding {
         Finding {
             class,
             ranks,

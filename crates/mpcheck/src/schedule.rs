@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use crate::json::{self, Value};
 
 /// Schema identifier written into every schedule file.
-pub const SCHEDULE_SCHEMA: &str = "hpcbench-schedule-v1";
+pub(crate) const SCHEDULE_SCHEMA: &str = "hpcbench-schedule-v1";
 
 /// Which kind of choice point a decision resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub enum DecisionKind {
 
 impl DecisionKind {
     /// Stable identifier used in JSON output.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DecisionKind::Ready => "ready",
             DecisionKind::Wildcard => "wildcard",
@@ -38,7 +38,7 @@ impl DecisionKind {
     }
 
     /// Inverse of [`DecisionKind::name`].
-    pub fn from_name(name: &str) -> Option<DecisionKind> {
+    pub(crate) fn from_name(name: &str) -> Option<DecisionKind> {
         match name {
             "ready" => Some(DecisionKind::Ready),
             "wildcard" => Some(DecisionKind::Wildcard),
@@ -76,7 +76,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Renders the schedule as an `hpcbench-schedule-v1` JSON document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"schema\": \"{SCHEDULE_SCHEMA}\",");
         let _ = writeln!(out, "  \"target\": {},", crate::json::string(&self.target));
@@ -163,7 +163,7 @@ impl Schedule {
 
     /// The bare pick list, the script a [`Guided`](crate::explore)
     /// controller follows.
-    pub fn picks(&self) -> Vec<usize> {
+    pub(crate) fn picks(&self) -> Vec<usize> {
         self.decisions.iter().map(|d| d.pick).collect()
     }
 }

@@ -119,11 +119,6 @@ impl Fabric {
         self.topo.num_nodes()
     }
 
-    /// The fabric's parameters.
-    pub fn params(&self) -> &FabricParams {
-        &self.params
-    }
-
     /// The underlying topology.
     pub fn topology(&self) -> &dyn Topology {
         self.topo.as_ref()

@@ -82,12 +82,6 @@ impl Resource {
         }
     }
 
-    /// Service bandwidth in bytes per second.
-    #[inline]
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
     /// Reserves the resource for `bytes` bytes, not before `ready`.
     /// Returns `(start, end)` of the granted slot and records it in the
     /// occupancy timeline (first-fit).
@@ -129,8 +123,8 @@ impl Resource {
     }
 
     /// The end of the last reservation (the timeline's high-water mark).
-    #[inline]
-    pub fn next_free(&self) -> Time {
+    #[cfg(test)]
+    fn next_free(&self) -> Time {
         Time::from_secs(self.intervals.last_end().unwrap_or(0.0))
     }
 
@@ -142,7 +136,7 @@ impl Resource {
 
     /// Total bytes served.
     #[inline]
-    pub fn served_bytes(&self) -> f64 {
+    pub(crate) fn served_bytes(&self) -> f64 {
         self.served_bytes
     }
 
@@ -150,15 +144,6 @@ impl Resource {
     #[inline]
     pub fn reservations(&self) -> u64 {
         self.reservations
-    }
-
-    /// Utilisation of the resource over `[0, horizon]`.
-    pub fn utilisation(&self, horizon: Time) -> f64 {
-        if horizon == Time::ZERO {
-            0.0
-        } else {
-            self.busy.as_secs() / horizon.as_secs()
-        }
     }
 
     /// Resets the timeline (between independent simulated experiments).
@@ -351,7 +336,6 @@ mod tests {
         r.reserve(Time::ZERO, 2_000_000_000);
         assert!((r.busy_time().as_secs() - 2.0).abs() < 1e-9);
         assert_eq!(r.served_bytes(), 4e9);
-        assert!((r.utilisation(Time::from_secs(4.0)) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Round {
             work: Vec::new(),
         }
     }
-
-    /// True if the round moves no data and does no work.
-    pub fn is_empty(&self) -> bool {
-        self.transfers.is_empty() && self.work.is_empty()
-    }
 }
 
 /// A complete communication schedule over `nranks` ranks.

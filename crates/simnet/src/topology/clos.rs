@@ -62,12 +62,14 @@ impl Clos {
     }
 
     /// Number of edge switches.
-    pub fn num_edge_switches(&self) -> usize {
+    #[cfg(test)]
+    fn num_edge_switches(&self) -> usize {
         self.num_edge
     }
 
     /// Number of middle (spine) switches.
-    pub fn num_middle_switches(&self) -> usize {
+    #[cfg(test)]
+    fn num_middle_switches(&self) -> usize {
         self.num_middle
     }
 }

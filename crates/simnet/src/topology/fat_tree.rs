@@ -107,13 +107,9 @@ impl FatTree {
     }
 
     /// Number of tree levels above the compute nodes.
-    pub fn levels(&self) -> usize {
+    #[cfg(test)]
+    fn levels(&self) -> usize {
         self.levels
-    }
-
-    /// Switch arity.
-    pub fn arity(&self) -> usize {
-        self.arity
     }
 }
 

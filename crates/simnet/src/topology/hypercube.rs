@@ -27,7 +27,8 @@ impl Hypercube {
     }
 
     /// Builds a hypercube with exactly `dims` dimensions (`2^dims` vertices).
-    pub fn with_dims(dims: u32) -> Hypercube {
+    #[cfg(test)]
+    fn with_dims(dims: u32) -> Hypercube {
         Hypercube {
             n: 1usize << dims,
             dims,
@@ -35,7 +36,8 @@ impl Hypercube {
     }
 
     /// Dimensionality of the cube.
-    pub fn dims(&self) -> u32 {
+    #[cfg(test)]
+    fn dims(&self) -> u32 {
         self.dims
     }
 

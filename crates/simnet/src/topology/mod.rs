@@ -77,10 +77,10 @@ pub trait Topology: Send + Sync {
     }
 }
 
-/// Checks routing invariants shared by every topology; used by unit and
-/// property tests of each implementation.
-#[doc(hidden)]
-pub fn check_topology_invariants(t: &dyn Topology) {
+/// Checks routing invariants shared by every topology; used by the unit
+/// tests of each implementation.
+#[cfg(test)]
+fn check_topology_invariants(t: &dyn Topology) {
     let n = t.num_nodes();
     assert!(n > 0);
     for src in 0..n {

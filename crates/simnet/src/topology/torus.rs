@@ -20,7 +20,8 @@ impl Torus3D {
     /// Builds a torus with the given dimensions; nodes beyond `n` (when
     /// the attached node count is smaller than the full grid) exist as
     /// routing points only.
-    pub fn with_dims(n: usize, dims: [usize; 3]) -> Torus3D {
+    #[cfg(test)]
+    fn with_dims(n: usize, dims: [usize; 3]) -> Torus3D {
         assert!(
             dims.iter().all(|&d| d >= 1),
             "torus dimensions must be >= 1"
@@ -47,7 +48,8 @@ impl Torus3D {
     }
 
     /// Grid dimensions.
-    pub fn dims(&self) -> [usize; 3] {
+    #[cfg(test)]
+    fn dims(&self) -> [usize; 3] {
         self.dims
     }
 

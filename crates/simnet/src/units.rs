@@ -9,26 +9,6 @@
 pub const KIB: u64 = 1 << 10;
 /// One mebibyte (2^20 bytes) — IMB message-size convention ("1 MB" in the paper).
 pub const MIB: u64 = 1 << 20;
-/// One gibibyte (2^30 bytes).
-pub const GIB: u64 = 1 << 30;
-
-/// Converts a vendor-style bandwidth in GB/s (10^9 bytes/s) to bytes/s.
-#[inline]
-pub fn gbps(gigabytes_per_sec: f64) -> f64 {
-    gigabytes_per_sec * 1e9
-}
-
-/// Converts a vendor-style bandwidth in MB/s (10^6 bytes/s) to bytes/s.
-#[inline]
-pub fn mbps(megabytes_per_sec: f64) -> f64 {
-    megabytes_per_sec * 1e6
-}
-
-/// Converts a rate in Gflop/s to flop/s.
-#[inline]
-pub fn gflops(g: f64) -> f64 {
-    g * 1e9
-}
 
 #[cfg(test)]
 mod tests {
@@ -38,9 +18,5 @@ mod tests {
     fn conversions() {
         assert_eq!(KIB, 1024);
         assert_eq!(MIB, 1024 * 1024);
-        assert_eq!(GIB, 1024 * 1024 * 1024);
-        assert_eq!(gbps(16.0), 16e9);
-        assert_eq!(mbps(841.0), 841e6);
-        assert_eq!(gflops(6.4), 6.4e9);
     }
 }

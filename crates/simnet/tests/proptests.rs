@@ -21,6 +21,67 @@ fn any_topology() -> impl Strategy<Value = (usize, usize)> {
     (2usize..40, 0usize..5)
 }
 
+/// Prices `transfers` (endpoints taken modulo `n`, self-sends skipped) on
+/// topology `kind` with `n` nodes, checking that no arrival precedes the
+/// message's own serialisation plus pure path latency and that the stats
+/// account every byte. Returns how many transfers were priced.
+fn check_fabric_causality(n: usize, kind: usize, transfers: &[(usize, usize, u64)]) -> usize {
+    let topo = build_topology(n, kind);
+    let params = FabricParams {
+        link_bw: 1e9,
+        nic_bw: 1e9,
+        nic_duplex: true,
+        base_latency: Time::from_us(3.0),
+        per_hop_latency: Time::from_us(0.2),
+    };
+    let mut fabric = Fabric::new(topo, params);
+    let mut total_bytes = 0u64;
+    let mut priced = 0;
+    for &(a, b, bytes) in transfers {
+        let (src, dst) = (a % n, b % n);
+        if src == dst {
+            continue;
+        }
+        let lat = fabric.latency(src, dst);
+        let arrival = fabric.transfer(src, dst, bytes, Time::ZERO);
+        // Physical floor: a message can never beat its own
+        // serialisation plus the pure path latency. (First-fit means
+        // a *later-issued* small transfer may legitimately finish
+        // before an earlier big one — no FIFO law holds per pair.)
+        let floor = Time::from_secs(bytes as f64 / 1e9) + lat;
+        assert!(
+            arrival.as_secs() >= floor.as_secs() - 1e-12,
+            "arrival {arrival} below physical floor {floor}"
+        );
+        total_bytes += bytes;
+        priced += 1;
+    }
+    let stats = fabric.stats();
+    assert_eq!(
+        stats.bytes as u64, total_bytes,
+        "stats must account all bytes"
+    );
+    priced
+}
+
+/// The one failure `fabric_causality` ever saved, as its shrunk inputs:
+/// replayed on every run, since the vendored proptest keeps no
+/// persistence file.
+#[test]
+fn fabric_causality_saved_counterexample() {
+    let transfers = [
+        (11, 6, 869_631),
+        (3, 2, 973_126),
+        (31, 4, 336_946),
+        (10, 3, 214_264),
+        (22, 13, 972_368),
+        (3, 13, 1),
+        (32, 21, 993_072),
+        (12, 21, 278_347),
+    ];
+    assert_eq!(check_fabric_causality(4, 0, &transfers), transfers.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -80,34 +141,7 @@ proptest! {
         (n, kind) in any_topology(),
         transfers in prop::collection::vec((0usize..40, 0usize..40, 1u64..1_000_000), 1..60),
     ) {
-        let topo = build_topology(n, kind);
-        let params = FabricParams {
-            link_bw: 1e9,
-            nic_bw: 1e9,
-            nic_duplex: true,
-            base_latency: Time::from_us(3.0),
-            per_hop_latency: Time::from_us(0.2),
-        };
-        let mut fabric = Fabric::new(topo, params);
-        let mut total_bytes = 0u64;
-        for &(a, b, bytes) in &transfers {
-            let (src, dst) = (a % n, b % n);
-            if src == dst { continue; }
-            let lat = fabric.latency(src, dst);
-            let arrival = fabric.transfer(src, dst, bytes, Time::ZERO);
-            // Physical floor: a message can never beat its own
-            // serialisation plus the pure path latency. (First-fit means
-            // a *later-issued* small transfer may legitimately finish
-            // before an earlier big one — no FIFO law holds per pair.)
-            let floor = Time::from_secs(bytes as f64 / 1e9) + lat;
-            prop_assert!(
-                arrival.as_secs() >= floor.as_secs() - 1e-12,
-                "arrival {arrival} below physical floor {floor}"
-            );
-            total_bytes += bytes;
-        }
-        let stats = fabric.stats();
-        prop_assert_eq!(stats.bytes as u64, total_bytes, "stats must account all bytes");
+        check_fabric_causality(n, kind, &transfers);
     }
 
     /// Reset really clears the fabric: repeating the same transfer list

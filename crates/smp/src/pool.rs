@@ -111,11 +111,6 @@ impl Pool {
         }
     }
 
-    /// A serial pool (size 1): every region runs inline.
-    pub fn serial() -> Pool {
-        Pool::new(1)
-    }
-
     /// The pool sized by the current thread's ambient policy (see module
     /// docs for the resolution order).
     pub fn current() -> Pool {
@@ -206,7 +201,7 @@ mod tests {
 
     #[test]
     fn serial_pool_runs_inline() {
-        let pool = Pool::serial();
+        let pool = Pool::new(1);
         let mut parts = vec![0u64; 4];
         pool.run_parts(&mut parts, |i, p| *p = i as u64 + 1);
         assert_eq!(parts, vec![1, 2, 3, 4]);
