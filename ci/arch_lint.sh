@@ -119,10 +119,10 @@
 #      `dead_code` sees it, and the `unreachable_pub` lint in the root
 #      manifest keeps the rest of the surface honest.
 #
-# Test modules (a column-0 `#[cfg(test)]` on a `mod`, to the end of the
-# file; `ci/nontest.awk`) are exempt from the source scans: tests may
-# sleep to provoke blocking paths. A `#[cfg(test)]` on any other item
-# hides nothing below it.
+# Test modules (a column-0 `#[cfg(test)]` on an inline `mod`, to its
+# column-0 closing brace; `ci/nontest.awk`) are exempt from the source
+# scans: tests may sleep to provoke blocking paths. A `#[cfg(test)]` on any
+# other item hides nothing below it.
 set -u
 
 # Rule 10: the collective operations `mp` has.
@@ -438,6 +438,16 @@ fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
 EOF
     # A public function no other crate, test, example or benchmark reads.
     echo 'pub fn unread_helper() {}' > "$bad/crates/bad/src/surface.rs"
+    # A test module ends at its closing brace: what follows is scanned and
+    # counted again.
+    cat > "$bad/crates/bad/src/after_tests.rs" <<'EOF'
+#[cfg(test)]
+mod tests {
+    fn nap() { std::thread::sleep(std::time::Duration::from_millis(1)); }
+}
+
+pub fn after_tests() { let _ = std::time::Instant::now(); }
+EOF
     # A decimation-in-time mirror beside the DIF passes.
     mkdir -p "$bad/crates/hpcc/src/kernels"
     cat > "$bad/crates/hpcc/src/kernels/fft.rs" <<'EOF'
@@ -459,7 +469,8 @@ EOF
         "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::simulate" \
         "kernels/fft.rs:2: fn merged_dit" "mp/src/runtime.rs:16: .*push(Transfer {" \
         "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic" \
-        "bad/src/surface.rs:1: pub fn unread_helper"; do
+        "bad/src/surface.rs:1: pub fn unread_helper" "after_tests.rs:6: .*Instant" \
+        "bad/src/after_tests.rs:6: pub fn after_tests"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
