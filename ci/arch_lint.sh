@@ -32,12 +32,16 @@
 #   4. No source file re-enables a workspace-forbidden lint with
 #      `#[allow(...)]` / `#[expect(...)]` — the forbidden set is read
 #      from the root manifest, not hard-coded here.
-#   5. Under `crates/mp/src/sched/`, `Transfer {` and `LocalWork {`
-#      literals appear only in `p2p.rs` (IMB patterns with no collective
-#      twin) and `build.rs` (the step-bucketing builder). Every other
-#      schedule is the builder run over the `*_steps` function its
-#      `mp::coll` body loops over; a literal elsewhere is a second,
-#      hand-written encoding of an algorithm's geometry growing back.
+#   5. Traffic is derived, never listed. A non-test `Transfer {` or
+#      `LocalWork {` literal appears only in `crates/simnet/src` (which
+#      defines them), `crates/mp/src/sched/p2p.rs` (IMB patterns with no
+#      collective twin), `crates/mp/src/sched/build.rs` (the step-bucketing
+#      builder) and `crates/mp/src/check.rs` (`RunLog::transfers`, rule 14);
+#      doc-comment examples are exempt. Every other schedule is the builder
+#      run over the `*_steps` function its `mp::coll` body loops over, and
+#      one-sided traffic is what `mp::rma` prices as the program runs; a
+#      literal elsewhere is a second, hand-written encoding of traffic the
+#      code already sends, growing back.
 #   6. No `bench_*.rs` under `crates/bench/src/bin/` and no
 #      `BENCH_*.json` anywhere outside `target/`. `benchmark/` +
 #      `BENCHMARK.json` are the one measurement system; a lane binary
@@ -89,7 +93,7 @@
 #      `imb::run_virtual`, `hpcc::suite::run_`, `hpcc::virtual_run::`)
 #      only in `crates/core/src/registry.rs`, which wires those paths into
 #      `Workload` entries; everything else runs a `RunPlan` over the
-#      registry. `imb::ext::simulate` appears only in
+#      registry. `imb::ext::run_virtual` appears only in
 #      `crates/core/src/extensions.rs`: IMB-EXT has no registry entry yet.
 #      A figure that calls a model directly is a second pricing route
 #      growing back.
@@ -297,7 +301,17 @@ mod tests {
 }
 EOF
     cat > "$pass/crates/core/src/extensions.rs" <<'EOF'
-fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
+fn put(m: &Machine, r: &Runner) -> f64 { imb::ext::run_virtual(m, UnidirPut, Fence, 8, r).mbs }
+EOF
+    # The types' own crate defines them, and a doc example may spell one.
+    mkdir -p "$pass/crates/simnet/src" "$pass/crates/machines/src"
+    cat > "$pass/crates/simnet/src/schedule.rs" <<'EOF'
+pub struct Transfer {
+    pub bytes: u64,
+}
+EOF
+    cat > "$pass/crates/machines/src/lib.rs" <<'EOF'
+//! sched.push(simnet::Round::of(vec![simnet::Transfer { src: 0, dst: 63, bytes: 1024 }]));
 EOF
     # The DIF kernels; a test may name a helper after what it checks.
     mkdir -p "$pass/crates/hpcc/src/kernels"
@@ -434,7 +448,14 @@ pub fn barrier_figure(m: &Machine, p: usize) -> Record {
 }
 EOF
     cat > "$bad/crates/bench/src/bin/campaign.rs" <<'EOF'
-fn put(m: &Machine) -> f64 { imb::ext::simulate(m, UnidirPut, Fence, 8).mbs }
+fn put(m: &Machine, r: &Runner) -> f64 { imb::ext::run_virtual(m, UnidirPut, Fence, 8, r).mbs }
+EOF
+    # A hand-listed one-sided epoch beside the program that sends it.
+    mkdir -p "$bad/crates/imb/src"
+    cat > "$bad/crates/imb/src/ext.rs" <<'EOF'
+pub(crate) fn schedule_for(bytes: u64) -> Schedule {
+    Schedule::of(vec![Round::of(vec![Transfer { src: 0, dst: 1, bytes }])])
+}
 EOF
     # A public function no other crate, test, example or benchmark reads.
     echo 'pub fn unread_helper() {}' > "$bad/crates/bad/src/surface.rs"
@@ -466,7 +487,8 @@ EOF
         "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs" \
         "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan" \
         "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var" \
-        "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::simulate" \
+        "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::run_virtual" \
+        "imb/src/ext.rs:2: .*Transfer {" \
         "kernels/fft.rs:2: fn merged_dit" "mp/src/runtime.rs:16: .*push(Transfer {" \
         "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic" \
         "bad/src/surface.rs:1: pub fn unread_helper" "after_tests.rs:6: .*Instant" \
@@ -551,14 +573,13 @@ $optouts"
     fi
 done
 
-# --- 5. One geometry per collective: schedules come from the builder ----
+# --- 5. Traffic is derived, never listed ----------------------------------
 offenders=$(scan 'Transfer \{|LocalWork \{' \
-    | grep '^crates/mp/src/sched/' \
-    | grep -v '^crates/mp/src/sched/p2p\.rs' \
-    | grep -v '^crates/mp/src/sched/build\.rs' || true)
+    | grep -vE '^[^:]*:[0-9]+: *//[/!]' \
+    | grep -vE '^crates/(simnet/src/|mp/src/sched/(p2p|build)\.rs:|mp/src/check\.rs:)' || true)
 if [ -n "$offenders" ]; then
-    err "hand-written schedule in crates/mp/src/sched (derive it from the mp::coll \
-*_steps function through sched::build instead):
+    err "hand-written schedule (derive collective traffic from the mp::coll *_steps \
+function through sched::build, and price one-sided traffic as mp::rma executes it):
 $offenders"
 fi
 
@@ -657,13 +678,13 @@ fi
 offenders=$(
     scan 'imb::sim::|hpcc::sim::|imb::native::|imb::run_virtual|hpcc::suite::run_|hpcc::virtual_run::' \
         | grep -E '^crates/(core|bench)/src/' | grep -v '^crates/core/src/registry\.rs:' || true
-    scan 'imb::ext::simulate' \
+    scan 'imb::ext::run_virtual' \
         | grep -E '^crates/(core|bench)/src/' | grep -v '^crates/core/src/extensions\.rs:' || true
 )
 if [ -n "$offenders" ]; then
     err "a benchmark's execution path called outside the registry (run a RunPlan over \
 hpcbench::registry(); only crates/core/src/registry.rs wires those paths, and only \
-extensions.rs calls imb::ext::simulate):
+extensions.rs calls imb::ext::run_virtual):
 $offenders"
 fi
 

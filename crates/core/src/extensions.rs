@@ -104,10 +104,12 @@ pub(crate) fn all_msgsize_figures(cfg: &FigureConfig) -> Vec<Figure> {
 }
 
 /// One-sided bandwidth versus message size for one synchronisation
-/// scheme (Unidir_Put): series per machine. The one study priced outside
-/// the registry: IMB-EXT has no registry entry, so it calls its model
-/// directly until the one-sided benchmarks report through `Runner`.
-pub(crate) fn onesided_figure(scheme: imb::SyncScheme) -> Figure {
+/// scheme (Unidir_Put): series per machine, each point the epoch body
+/// executed under virtual clocks with `runner`'s repetitions. The one study
+/// priced outside the registry: IMB-EXT has no registry entry, so it calls
+/// its virtual run directly until the one-sided benchmarks report through
+/// `Runner`.
+pub(crate) fn onesided_figure(scheme: imb::SyncScheme, runner: &Runner) -> Figure {
     let grid = size_grid();
     let series = systems::all_variants()
         .iter()
@@ -116,7 +118,8 @@ pub(crate) fn onesided_figure(scheme: imb::SyncScheme) -> Figure {
             points: grid
                 .iter()
                 .map(|&bytes| {
-                    let e = imb::ext::simulate(m, imb::ExtBenchmark::UnidirPut, scheme, bytes);
+                    let put = imb::ExtBenchmark::UnidirPut;
+                    let e = imb::ext::run_virtual(m, put, scheme, bytes, runner);
                     (bytes as f64, e.mbs)
                 })
                 .collect(),
@@ -136,10 +139,10 @@ pub(crate) fn onesided_figure(scheme: imb::SyncScheme) -> Figure {
 }
 
 /// The one-sided study across all three synchronisation schemes.
-pub(crate) fn all_onesided_figures() -> Vec<Figure> {
+pub(crate) fn all_onesided_figures(runner: &Runner) -> Vec<Figure> {
     imb::SyncScheme::ALL
         .into_iter()
-        .map(onesided_figure)
+        .map(|scheme| onesided_figure(scheme, runner))
         .collect()
 }
 
@@ -213,7 +216,7 @@ mod tests {
 
     #[test]
     fn onesided_figures_cover_all_schemes() {
-        let figs = all_onesided_figures();
+        let figs = all_onesided_figures(&Runner::smoke());
         assert_eq!(figs.len(), 3);
         for f in &figs {
             assert_eq!(f.series.len(), 7);

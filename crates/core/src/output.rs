@@ -11,7 +11,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use harness::{Record, Registry};
+use harness::{Record, Registry, Runner};
 
 use crate::extensions;
 use crate::figures::{self, FigureConfig};
@@ -95,7 +95,7 @@ pub fn write_from(cfg: &OutputConfig, set: &[Record]) -> io::Result<PathBuf> {
             println!("writing extension studies (the paper's announced future work) ...");
         }
         let mut ext_figs = extensions::all_msgsize_figures(&cfg.figures);
-        ext_figs.extend(extensions::all_onesided_figures());
+        ext_figs.extend(extensions::all_onesided_figures(&Runner::standard()));
         ext_figs.push(extensions::future_systems_figure(&cfg.figures));
         ext_figs.extend(figures::highrank_figures(&cfg.figures));
         for fig in ext_figs {

@@ -6,10 +6,16 @@
 //! passive partner), `Bidir_Put`/`Bidir_Get` (both ranks acting as
 //! origins simultaneously) and `Accumulate`, each timed over a chosen
 //! synchronisation scheme.
+//!
+//! One epoch body serves two timers: [`run_native`] runs it on two rank
+//! threads under the wall clock, and [`run_virtual`] runs it as a
+//! cooperative task on a modelled machine, where `mp::rma` prices every
+//! access and every synchronisation message the body sends.
 
 use std::fmt;
 
 use harness::Runner;
+use machines::{Machine, SharedClusterNet};
 use mp::{Comm, Op, Window};
 
 /// An IMB-EXT benchmark.
@@ -91,132 +97,163 @@ pub struct ExtMeasurement {
     pub mbs: f64,
 }
 
-/// Runs one IMB-EXT benchmark on ranks 0 and 1 of `comm` (other ranks
-/// participate in the collective window operations only).
-pub(crate) fn run_on(
-    comm: &Comm,
+/// One IMB-EXT cell on a two-rank window: the access the active ranks
+/// make (rank 0, or both for the `Bidir_*` benchmarks) inside one epoch of
+/// the synchronisation scheme. The window holds bytes, as IMB-EXT's puts
+/// and gets move `MPI_BYTE`, so every access moves exactly the cell's size
+/// (`Accumulate` sums bytes where IMB sums floats; its fold is priced per
+/// byte either way).
+struct Epoch {
     benchmark: ExtBenchmark,
     scheme: SyncScheme,
     bytes: u64,
-    iters: usize,
-) -> ExtMeasurement {
-    assert!(comm.size() >= 2, "IMB-EXT needs at least two ranks");
-    let words = (bytes / 8).max(1) as usize;
-    let win = Window::create::<f64>(comm, words);
-    let me = comm.rank();
-    let data = vec![1.25f64; words];
+    data: Vec<u8>,
+}
 
-    // One epoch of the chosen scheme around the access.
-    let epoch = |win: &Window, origin_active: bool| {
-        match scheme {
+impl Epoch {
+    fn new(benchmark: ExtBenchmark, scheme: SyncScheme, bytes: u64) -> Epoch {
+        Epoch {
+            benchmark,
+            scheme,
+            bytes,
+            data: vec![1u8; bytes.max(1) as usize],
+        }
+    }
+
+    /// Creates the window the epochs run on, one `data` wide.
+    async fn window<'c>(&self, comm: &'c Comm) -> Window<'c> {
+        assert_eq!(comm.size(), 2, "an IMB-EXT window joins two ranks");
+        Window::create::<u8>(comm, self.data.len()).await
+    }
+
+    /// One epoch, as window rank `me` runs it.
+    async fn run(&self, win: &Window<'_>, me: usize) {
+        let partner = 1 - me;
+        let active = me == 0
+            || matches!(
+                self.benchmark,
+                ExtBenchmark::BidirPut | ExtBenchmark::BidirGet
+            );
+        match self.scheme {
             SyncScheme::Fence => {
-                if origin_active {
-                    access(win, benchmark, me, &data);
+                if active {
+                    self.access(win, partner);
                 }
-                win.fence();
+                win.fence().await;
             }
             SyncScheme::Pscw => {
                 // Symmetric epoch (works for unidirectional and
                 // bidirectional benchmarks): expose first (non-blocking
                 // post), then open the access epoch, access, and close
                 // both sides.
-                let partner = 1 - me;
                 win.post(&[partner]);
-                win.start(&[partner]);
-                if origin_active {
-                    access(win, benchmark, me, &data);
+                win.start(&[partner]).await;
+                if active {
+                    self.access(win, partner);
                 }
                 win.complete(&[partner]);
-                win.wait(&[partner]);
+                win.wait(&[partner]).await;
             }
             SyncScheme::Lock => {
-                if origin_active {
-                    let partner = 1 - me;
+                if active {
                     let _guard = win.lock(partner);
-                    access(win, benchmark, me, &data);
+                    self.access(win, partner);
                 }
             }
-        }
-    };
-    fn access(win: &Window, benchmark: ExtBenchmark, me: usize, data: &[f64]) {
-        let partner = 1 - me;
-        match benchmark {
-            ExtBenchmark::UnidirPut | ExtBenchmark::BidirPut => win.put(data, partner, 0),
-            ExtBenchmark::UnidirGet | ExtBenchmark::BidirGet => {
-                let mut tmp = vec![0.0f64; data.len()];
-                win.get(&mut tmp, partner, 0);
-            }
-            ExtBenchmark::Accumulate => win.accumulate(data, partner, 0, Op::Sum),
         }
     }
 
-    let active = match benchmark {
-        ExtBenchmark::BidirPut | ExtBenchmark::BidirGet => me < 2,
-        _ => me == 0,
-    };
-    let participant = me < 2;
-
-    // Warm up, synchronise, time — the harness runner's IMB convention.
-    let per_call_us = Runner::fixed(iters).time_collective(comm, iters, |_| {
-        if participant || scheme == SyncScheme::Fence {
-            epoch(&win, active && participant);
+    fn access(&self, win: &Window<'_>, partner: usize) {
+        match self.benchmark {
+            ExtBenchmark::UnidirPut | ExtBenchmark::BidirPut => win.put(&self.data, partner, 0),
+            ExtBenchmark::UnidirGet | ExtBenchmark::BidirGet => {
+                let mut tmp = vec![0u8; self.data.len()];
+                win.get(&mut tmp, partner, 0);
+            }
+            ExtBenchmark::Accumulate => win.accumulate(&self.data, partner, 0, Op::Sum),
         }
-    });
-    let t = per_call_us / 1e6;
+    }
 
-    let mut reduced = [if participant { t } else { 0.0 }];
-    comm.allreduce(&mut reduced, Op::Max);
-    let t = reduced[0];
-    ExtMeasurement {
-        benchmark,
-        scheme,
-        bytes,
-        t_us: t * 1e6,
-        mbs: bytes as f64 / t / 1e6,
+    fn measured(&self, t_us: f64) -> ExtMeasurement {
+        ExtMeasurement {
+            benchmark: self.benchmark,
+            scheme: self.scheme,
+            bytes: self.bytes,
+            t_us,
+            mbs: self.bytes as f64 / t_us,
+        }
     }
 }
 
-/// Spawns a fresh 2-rank world and runs one IMB-EXT measurement.
+/// Spawns a fresh 2-rank world and runs one IMB-EXT measurement under the
+/// wall clock: the harness runner's IMB convention (warm up, synchronise,
+/// time), slowest rank.
 pub fn run_native(
     benchmark: ExtBenchmark,
     scheme: SyncScheme,
     bytes: u64,
     iters: usize,
 ) -> ExtMeasurement {
-    mp::run(2, |comm| run_on(comm, benchmark, scheme, bytes, iters))[0]
+    let epoch = Epoch::new(benchmark, scheme, bytes);
+    let t_us = mp::run(2, |comm| {
+        let win = mp::block_on(epoch.window(comm));
+        let per_call_us = Runner::fixed(iters).time_collective(comm, iters, |_| {
+            mp::block_on(epoch.run(&win, comm.rank()));
+        });
+        let mut slowest = [per_call_us];
+        comm.allreduce(&mut slowest, Op::Max);
+        slowest[0]
+    });
+    epoch.measured(t_us[0])
+}
+
+/// Runs one IMB-EXT measurement on the modelled `machine` under virtual
+/// clocks, timed as `crate::virtual_run` times IMB: [`Runner::WARMUP`]
+/// epochs, a clock sync, `runner`'s repetitions, a clock sync. The two
+/// ranks sit on two nodes (inter-node RMA, the interesting case): world
+/// ranks 0 and `node.cpus` of a world one rank past the first node, joined
+/// by a split communicator.
+pub fn run_virtual(
+    machine: &Machine,
+    benchmark: ExtBenchmark,
+    scheme: SyncScheme,
+    bytes: u64,
+    runner: &Runner,
+) -> ExtMeasurement {
+    let epoch = Epoch::new(benchmark, scheme, bytes);
+    let world = (machine.node.cpus + 1).min(machine.max_cpus);
+    let partner = machine.node.cpus.min(world - 1);
+    let iters = runner.repetitions(Some(bytes));
+    let net = SharedClusterNet::new(machine, world);
+    let epoch = &epoch;
+    let (t_us, _) = mp::run_virtual_coop(world, Box::new(net), |comm| async move {
+        let on = comm.rank() == 0 || comm.rank() == partner;
+        let pair = comm.split_async(u32::from(!on), 0).await;
+        if !on {
+            return 0.0;
+        }
+        let win = epoch.window(&pair).await;
+        for _ in 0..Runner::WARMUP {
+            epoch.run(&win, pair.rank()).await;
+        }
+        let t0 = pair.v_sync_async().await;
+        for _ in 0..iters {
+            epoch.run(&win, pair.rank()).await;
+        }
+        let t1 = pair.v_sync_async().await;
+        (t1 - t0).as_us() / iters as f64
+    });
+    epoch.measured(t_us[0])
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use machines::systems;
+    use simnet::{P2pCost, Time};
+
     use super::*;
-
-    #[test]
-    fn every_benchmark_under_every_scheme() {
-        for b in ExtBenchmark::ALL {
-            for s in SyncScheme::ALL {
-                let m = run_native(b, s, 4096, 3);
-                assert!(m.t_us > 0.0, "{b}/{s}");
-                assert!(m.mbs > 0.0, "{b}/{s}");
-            }
-        }
-    }
-
-    #[test]
-    fn put_actually_transfers_data() {
-        mp::run(2, |comm| {
-            let win = Window::create::<f64>(comm, 8);
-            win.fence();
-            if comm.rank() == 0 {
-                win.put(&[9.5; 8], 1, 0);
-            }
-            win.fence();
-            if comm.rank() == 1 {
-                let mut got = [0.0f64; 8];
-                win.get(&mut got, 1, 0);
-                assert_eq!(got, [9.5; 8]);
-            }
-        });
-    }
 
     #[test]
     fn larger_messages_take_longer() {
@@ -225,272 +262,122 @@ mod tests {
         assert!(large.t_us > small.t_us, "{large:?} vs {small:?}");
     }
 
-    #[test]
-    fn schemes_have_distinct_overheads() {
-        // Lock (no partner round trips) should not be slower than PSCW
-        // (two sync message pairs per epoch) at tiny sizes... on a real
-        // network; in-process both are cheap, so just assert they all
-        // complete and report sane numbers.
-        for s in SyncScheme::ALL {
-            let m = run_native(ExtBenchmark::UnidirPut, s, 8, 50);
-            assert!(m.t_us.is_finite() && m.t_us > 0.0);
-        }
-    }
-}
+    /// A fixed-cost net that logs every transfer it prices as
+    /// `src>dst bytes` and every fold as `fold bytes`.
+    struct Recording(Arc<Mutex<Vec<String>>>);
 
-/// Builds the 2-rank communication schedule of one EXT epoch (access +
-/// synchronisation) for the fabric simulator. One-sided accesses are
-/// RDMA-like single transfers; `get` costs a small request plus the data
-/// response; synchronisation contributes the zero-byte handshakes of the
-/// chosen scheme.
-pub fn schedule_for(benchmark: ExtBenchmark, scheme: SyncScheme, bytes: u64) -> simnet::Schedule {
-    use simnet::{Round, Transfer};
-    let mut s = simnet::Schedule::new(2);
-
-    // Epoch-opening synchronisation.
-    match scheme {
-        SyncScheme::Fence => {
-            // Dissemination barrier over two ranks: one exchange.
-            s.push(Round::of(vec![
-                Transfer {
-                    src: 0,
-                    dst: 1,
-                    bytes: 0,
-                },
-                Transfer {
-                    src: 1,
-                    dst: 0,
-                    bytes: 0,
-                },
-            ]));
-        }
-        SyncScheme::Pscw => {
-            // post: target -> origin.
-            s.push(Round::of(vec![Transfer {
-                src: 1,
-                dst: 0,
-                bytes: 0,
-            }]));
-        }
-        SyncScheme::Lock => {
-            // Lock acquisition round trip.
-            s.push(Round::of(vec![Transfer {
-                src: 0,
-                dst: 1,
-                bytes: 0,
-            }]));
-            s.push(Round::of(vec![Transfer {
-                src: 1,
-                dst: 0,
-                bytes: 0,
-            }]));
-        }
-    }
-
-    // The access(es).
-    match benchmark {
-        ExtBenchmark::UnidirPut => {
-            s.push(Round::of(vec![Transfer {
-                src: 0,
-                dst: 1,
-                bytes,
-            }]));
-        }
-        ExtBenchmark::UnidirGet => {
-            s.push(Round::of(vec![Transfer {
-                src: 0,
-                dst: 1,
-                bytes: 8,
-            }]));
-            s.push(Round::of(vec![Transfer {
-                src: 1,
-                dst: 0,
-                bytes,
-            }]));
-        }
-        ExtBenchmark::BidirPut => {
-            s.push(Round::of(vec![
-                Transfer {
-                    src: 0,
-                    dst: 1,
-                    bytes,
-                },
-                Transfer {
-                    src: 1,
-                    dst: 0,
-                    bytes,
-                },
-            ]));
-        }
-        ExtBenchmark::BidirGet => {
-            s.push(Round::of(vec![
-                Transfer {
-                    src: 0,
-                    dst: 1,
-                    bytes: 8,
-                },
-                Transfer {
-                    src: 1,
-                    dst: 0,
-                    bytes: 8,
-                },
-            ]));
-            s.push(Round::of(vec![
-                Transfer {
-                    src: 1,
-                    dst: 0,
-                    bytes,
-                },
-                Transfer {
-                    src: 0,
-                    dst: 1,
-                    bytes,
-                },
-            ]));
-        }
-        ExtBenchmark::Accumulate => {
-            s.push(simnet::Round {
-                transfers: vec![Transfer {
-                    src: 0,
-                    dst: 1,
-                    bytes,
-                }],
-                work: vec![simnet::LocalWork { rank: 1, bytes }],
-            });
-        }
-    }
-
-    // Epoch-closing synchronisation.
-    match scheme {
-        SyncScheme::Fence => {
-            s.push(Round::of(vec![
-                Transfer {
-                    src: 0,
-                    dst: 1,
-                    bytes: 0,
-                },
-                Transfer {
-                    src: 1,
-                    dst: 0,
-                    bytes: 0,
-                },
-            ]));
-        }
-        SyncScheme::Pscw => {
-            // complete: origin -> target.
-            s.push(Round::of(vec![Transfer {
-                src: 0,
-                dst: 1,
-                bytes: 0,
-            }]));
-        }
-        SyncScheme::Lock => {
-            // Unlock notification.
-            s.push(Round::of(vec![Transfer {
-                src: 0,
-                dst: 1,
-                bytes: 0,
-            }]));
-        }
-    }
-    s
-}
-
-/// Prices one EXT epoch on a machine model. The two ranks land on
-/// distinct nodes (inter-node RMA, the interesting case).
-pub fn simulate(
-    machine: &machines::Machine,
-    benchmark: ExtBenchmark,
-    scheme: SyncScheme,
-    bytes: u64,
-) -> ExtMeasurement {
-    // Place the two ranks on different nodes by simulating one rank per
-    // node: a 2-rank cluster on a machine with cpus >= 2 per node would
-    // be intra-node, so spread with a stride-sized world.
-    let stride = machine.node.cpus;
-    let world = stride + 1; // ranks 0 and `stride` are on nodes 0 and 1
-    let sim = machines::ClusterSim::new(machine, world.min(machine.max_cpus));
-    let base = schedule_for(benchmark, scheme, bytes);
-    // Re-target rank 1 -> rank `stride` when the machine packs >= 2 CPUs
-    // per node (keeps the schedule inter-node).
-    let mut sched = simnet::Schedule::new(sim.nranks());
-    let map = |r: usize| {
-        if r == 0 {
-            0
-        } else {
-            stride.min(sim.nranks() - 1)
-        }
-    };
-    for round in &base.rounds {
-        sched.push(simnet::Round {
-            transfers: round
-                .transfers
-                .iter()
-                .map(|t| simnet::Transfer {
-                    src: map(t.src),
-                    dst: map(t.dst),
-                    bytes: t.bytes,
-                })
-                .collect(),
-            work: round
-                .work
-                .iter()
-                .map(|w| simnet::LocalWork {
-                    rank: map(w.rank),
-                    bytes: w.bytes,
-                })
-                .collect(),
-        });
-    }
-    let warm = sim.run(&sched);
-    let t = (sim.run(&sched) - warm).as_secs();
-    ExtMeasurement {
-        benchmark,
-        scheme,
-        bytes,
-        t_us: t * 1e6,
-        mbs: bytes as f64 / t / 1e6,
-    }
-}
-
-#[cfg(test)]
-mod sim_tests {
-    use super::*;
-
-    #[test]
-    fn schedules_validate_for_all_combinations() {
-        for b in ExtBenchmark::ALL {
-            for s in SyncScheme::ALL {
-                let sched = schedule_for(b, s, 1 << 20);
-                sched.validate().unwrap();
-                assert!(sched.total_bytes() >= 1 << 20, "{b}/{s}");
+    impl mp::VirtualNet for Recording {
+        fn p2p(&self, src: usize, dst: usize, bytes: u64, ready: Time) -> P2pCost {
+            self.0.lock().unwrap().push(format!("{src}>{dst} {bytes}"));
+            P2pCost {
+                sender_done: ready + Time::from_us(1.0),
+                arrival: ready + Time::from_us(5.0),
             }
         }
+        fn compute(&self, _flops: f64, _eff: f64) -> Time {
+            unreachable!("an IMB-EXT epoch computes nothing")
+        }
+        fn stream(&self, bytes: f64) -> Time {
+            self.0.lock().unwrap().push(format!("fold {bytes}"));
+            Time::from_us(1.0)
+        }
     }
 
+    /// The traffic a 2-rank world prices creating one window and running
+    /// `epochs` epochs of the cell at 1 KiB.
+    fn traffic(benchmark: ExtBenchmark, scheme: SyncScheme, epochs: usize) -> Vec<String> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let epoch = Epoch::new(benchmark, scheme, 1024);
+        let epoch = &epoch;
+        let net = Box::new(Recording(Arc::clone(&log)));
+        mp::run_virtual_coop(2, net, |comm| async move {
+            let win = epoch.window(&comm).await;
+            for _ in 0..epochs {
+                epoch.run(&win, comm.rank()).await;
+            }
+        });
+        let log = log.lock().unwrap().clone();
+        log
+    }
+
+    /// What one epoch of every benchmark under every scheme sends: the
+    /// accesses `mp::rma` prices (a put one transfer; a get an 8-byte
+    /// request and the reply; an accumulate a put and the target's fold; a
+    /// lock a request and grant, its unlock one notification) and the
+    /// synchronisation messages of the scheme (a fence one barrier
+    /// exchange; PSCW post and complete tokens both ways, the epoch being
+    /// symmetric). The order is the cooperative schedule's: window rank 1
+    /// finishes creating the window first, so it starts the epoch first.
     #[test]
-    fn get_costs_more_than_put() {
-        // A get is a round trip; a put is one way.
-        let m = machines::systems::dell_xeon();
-        let put = simulate(&m, ExtBenchmark::UnidirPut, SyncScheme::Lock, 1 << 20);
-        let get = simulate(&m, ExtBenchmark::UnidirGet, SyncScheme::Lock, 1 << 20);
-        assert!(get.t_us > put.t_us);
+    fn executed_epochs_send_exactly_this_traffic() {
+        use ExtBenchmark::*;
+        use SyncScheme::*;
+        #[rustfmt::skip]
+        let cells: [(ExtBenchmark, SyncScheme, &[&str]); 15] = [
+            (UnidirPut, Fence, &["1>0 0", "0>1 1024", "0>1 0"]),
+            (UnidirPut, Pscw, &["1>0 0", "0>1 0", "0>1 1024", "0>1 0", "1>0 0"]),
+            (UnidirPut, Lock, &["0>1 0", "1>0 0", "0>1 1024", "0>1 0"]),
+            (UnidirGet, Fence, &["1>0 0", "0>1 8", "1>0 1024", "0>1 0"]),
+            (UnidirGet, Pscw, &["1>0 0", "0>1 0", "0>1 8", "1>0 1024", "0>1 0", "1>0 0"]),
+            (UnidirGet, Lock, &["0>1 0", "1>0 0", "0>1 8", "1>0 1024", "0>1 0"]),
+            (BidirPut, Fence, &["1>0 1024", "1>0 0", "0>1 1024", "0>1 0"]),
+            (BidirPut, Pscw, &["1>0 0", "0>1 0", "0>1 1024", "0>1 0", "1>0 1024", "1>0 0"]),
+            (BidirPut, Lock, &["1>0 0", "0>1 0", "1>0 1024", "1>0 0",
+                               "0>1 0", "1>0 0", "0>1 1024", "0>1 0"]),
+            (BidirGet, Fence, &["1>0 8", "0>1 1024", "1>0 0", "0>1 8", "1>0 1024", "0>1 0"]),
+            (BidirGet, Pscw, &["1>0 0", "0>1 0", "0>1 8", "1>0 1024", "0>1 0",
+                               "1>0 8", "0>1 1024", "1>0 0"]),
+            (BidirGet, Lock, &["1>0 0", "0>1 0", "1>0 8", "0>1 1024", "1>0 0",
+                               "0>1 0", "1>0 0", "0>1 8", "1>0 1024", "0>1 0"]),
+            (Accumulate, Fence, &["1>0 0", "0>1 1024", "fold 1536", "0>1 0"]),
+            (Accumulate, Pscw, &["1>0 0", "0>1 0", "0>1 1024", "fold 1536", "0>1 0", "1>0 0"]),
+            (Accumulate, Lock, &["0>1 0", "1>0 0", "0>1 1024", "fold 1536", "0>1 0"]),
+        ];
+        for (benchmark, scheme, want) in cells {
+            let setup = traffic(benchmark, scheme, 0);
+            assert_eq!(setup, ["0>1 8", "1>0 8"], "window creation's size exchange");
+            let all = traffic(benchmark, scheme, 1);
+            assert!(all.starts_with(&setup), "{benchmark}/{scheme}: {all:?}");
+            assert_eq!(&all[setup.len()..], want, "{benchmark}/{scheme}");
+        }
     }
 
+    fn virtual_at(m: &Machine, b: ExtBenchmark, s: SyncScheme, bytes: u64) -> ExtMeasurement {
+        run_virtual(m, b, s, bytes, &Runner::fixed(3))
+    }
+
+    /// A passive-target lock pays a request, a grant and an unlock that
+    /// the active-target schemes do not, which is what an 8-byte put
+    /// costs on the SX-8's fast fabric.
     #[test]
     fn lock_pays_the_acquisition_round_trip() {
-        // Passive-target lock adds a full request/grant round trip that
-        // the active-target schemes do not need at tiny sizes.
-        let m = machines::systems::nec_sx8();
-        let pscw = simulate(&m, ExtBenchmark::UnidirPut, SyncScheme::Pscw, 8);
-        let lock = simulate(&m, ExtBenchmark::UnidirPut, SyncScheme::Lock, 8);
+        let m = systems::nec_sx8();
+        let pscw = virtual_at(&m, ExtBenchmark::UnidirPut, SyncScheme::Pscw, 8);
+        let lock = virtual_at(&m, ExtBenchmark::UnidirPut, SyncScheme::Lock, 8);
         assert!(lock.t_us > pscw.t_us, "{} vs {}", lock.t_us, pscw.t_us);
+    }
+
+    /// The target's fold is priced: an accumulate is a put plus streaming
+    /// the operand through the target's memory.
+    #[test]
+    fn accumulate_pays_the_fold() {
+        for m in systems::paper_systems() {
+            let put = virtual_at(&m, ExtBenchmark::UnidirPut, SyncScheme::Fence, 1 << 20);
+            let acc = virtual_at(&m, ExtBenchmark::Accumulate, SyncScheme::Fence, 1 << 20);
+            assert!(
+                acc.t_us > put.t_us,
+                "{}: {} vs {}",
+                m.name,
+                acc.t_us,
+                put.t_us
+            );
+        }
     }
 
     #[test]
     fn every_machine_prices_ext_epochs() {
-        for m in machines::systems::all_variants() {
-            let e = simulate(&m, ExtBenchmark::BidirPut, SyncScheme::Pscw, 65536);
+        for m in systems::all_variants() {
+            let e = virtual_at(&m, ExtBenchmark::BidirPut, SyncScheme::Pscw, 65536);
             assert!(e.t_us > 0.0 && e.mbs > 0.0, "{}", m.name);
         }
     }

@@ -9,6 +9,11 @@
 //! regenerate the paper's Figs. 6-15. Every mode returns the workspace's
 //! unified [`harness::Record`].
 //!
+//! The one-sided IMB-EXT benchmarks of the paper's announced follow-up
+//! study ([`ext`]) run one epoch body natively and virtually: on a modelled
+//! machine the executed epochs are priced under virtual clocks, with no
+//! schedule of their own.
+//!
 //! ```
 //! use imb::{Benchmark, native};
 //!

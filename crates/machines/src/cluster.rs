@@ -80,11 +80,6 @@ impl ClusterSim {
         }
     }
 
-    /// Number of ranks.
-    pub fn nranks(&self) -> usize {
-        self.nranks
-    }
-
     /// SMP node hosting `rank` (block mapping).
     pub(crate) fn node_of(&self, rank: usize) -> usize {
         rank / self.machine.node.cpus

@@ -25,6 +25,7 @@ use crate::mailbox::PostedHandle;
 use crate::msg::{pack_tag, Match, Message, Tag, COLL_BIT, MAX_USER_TAG};
 use crate::payload::{Envelope, Payload};
 use crate::runtime::World;
+use crate::virt::VirtualNet;
 
 /// A communicator: this rank's view of an ordered group of ranks.
 ///
@@ -160,14 +161,9 @@ impl Comm {
         }
         // Under virtual execution, price the message and stamp its
         // simulated arrival before delivery.
-        let arrival = self.world.virtual_net.as_ref().map(|net| {
-            let clock = &self.world.virtual_clocks[gsrc];
-            let ready = clock.get();
-            let cost = net.p2p(gsrc, gdst, data.len() as u64, ready);
-            clock.set(ready.max(cost.sender_done));
-            self.world.priced_one(net.as_ref());
-            cost.arrival
-        });
+        let arrival = self
+            .v_price(self.rank, dst, data.len() as u64, None, |c| c.sender_done)
+            .map(|c| c.arrival);
         let msg = Message {
             src: gsrc,
             full_tag: pack_tag(self.id, tag),
@@ -175,6 +171,28 @@ impl Comm {
             arrival,
         };
         self.world.deliver(gdst, msg);
+    }
+
+    /// The one pricing step of virtual execution (`None` natively): prices
+    /// `bytes` from local rank `src` to local rank `dst`, ready at `ready`
+    /// (this rank's clock when `None`), raises this rank's clock to
+    /// `clock_to` of the cost, and counts the transfer toward the net's
+    /// horizon ([`World::priced_one`]). Sends and one-sided accesses both
+    /// price through it.
+    pub(crate) fn v_price(
+        &self,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+        ready: Option<simnet::Time>,
+        clock_to: fn(&simnet::P2pCost) -> simnet::Time,
+    ) -> Option<simnet::P2pCost> {
+        let (clock, net) = self.virtual_clock()?;
+        let ready = ready.unwrap_or_else(|| clock.get());
+        let cost = net.p2p(self.group[src], self.group[dst], bytes, ready);
+        clock.set(clock.get().max(clock_to(&cost)));
+        self.world.priced_one(net);
+        Some(cost)
     }
 
     /// Receives a payload from local rank `src` with `tag`, without
@@ -507,29 +525,16 @@ fn mix32(a: u32, b: u32, c: u32) -> u32 {
 }
 
 impl Comm {
-    /// This rank's virtual clock (zero natively).
-    pub(crate) fn world_virtual_clock(&self) -> simnet::Time {
-        self.world
-            .virtual_clocks
-            .get(self.group[self.rank])
-            .map_or(simnet::Time::ZERO, crate::virt::Clock::get)
-    }
-
-    /// The world's virtual net, if executing virtually.
-    pub(crate) fn world_virtual_net(&self) -> Option<&dyn crate::virt::VirtualNet> {
-        self.world.virtual_net.as_deref()
-    }
-
-    /// Adds `dt` to this rank's virtual clock (no-op natively).
-    pub(crate) fn advance_virtual_clock(&self, dt: simnet::Time) {
-        if let Some(clock) = self.world.virtual_clocks.get(self.group[self.rank]) {
-            clock.set(clock.get() + dt);
-        }
+    /// This rank's virtual clock and the net that prices it (`None`
+    /// natively).
+    pub(crate) fn virtual_clock(&self) -> Option<(&crate::virt::Clock, &dyn VirtualNet)> {
+        let net = self.world.virtual_net.as_deref()?;
+        Some((&self.world.virtual_clocks[self.group[self.rank]], net))
     }
 
     /// Raises this rank's virtual clock to at least `t`.
     pub(crate) fn set_virtual_clock_at_least(&self, t: simnet::Time) {
-        if let Some(clock) = self.world.virtual_clocks.get(self.group[self.rank]) {
+        if let Some((clock, _)) = self.virtual_clock() {
             clock.set(clock.get().max(t));
         }
     }
@@ -545,10 +550,6 @@ impl Comm {
         &self,
         make: impl FnOnce() -> std::sync::Arc<T>,
     ) -> std::sync::Arc<T> {
-        assert!(
-            !crate::coop::in_coop(),
-            "mp: rendezvous_storage (RMA window creation) is not supported inside cooperative tasks"
-        );
         if let Some(remote) = &self.world.remote {
             // The shared object lives in one address space; a window over
             // ranks in different processes has nowhere to live.

@@ -12,6 +12,14 @@
 //! Like RDMA hardware, `put`/`get` here access the target's exposed memory
 //! directly (no target-side message processing); synchronisation epochs
 //! order those accesses exactly as MPI-2 requires.
+//!
+//! Under virtual execution each access is priced as the traffic an RDMA
+//! NIC sends (a no-op natively): a put one transfer, a get a request and
+//! its reply, an accumulate a put and the target's fold, a lock a request
+//! and grant, an unlock a notification. Fences and PSCW tokens are
+//! messages. The epoch calls that wait are awaitable, so one epoch body
+//! runs on rank threads (through [`block_on`](crate::block_on)) and as a
+//! cooperative task alike.
 
 use std::sync::Arc;
 
@@ -58,14 +66,25 @@ impl<'c> Window<'c> {
     /// Collectively creates a window exposing `local_words` words of type
     /// `T` on every rank (initialised to zero). All ranks must call with
     /// equal `local_words`.
-    pub fn create<T: Word>(comm: &'c Comm, local_words: usize) -> Window<'c> {
+    pub async fn create<T: Word>(comm: &'c Comm, local_words: usize) -> Window<'c> {
         let n = comm.size();
         let bytes = local_words * T::SIZE;
-
+        // Exchange a creation token so all ranks agree on sizes.
+        let mut sizes = vec![0u64; n];
+        comm.allgather_async(&[bytes as u64], &mut sizes).await;
+        assert!(
+            sizes.iter().all(|&s| s == bytes as u64),
+            "all ranks must expose equally sized windows"
+        );
         // RDMA registration equivalent: the first member to arrive
-        // allocates the exposed regions, every member receives the same
-        // Arc through the runtime's collective rendezvous.
-        let storage = WindowExchange::establish(comm, n, bytes);
+        // allocates the exposed regions into the runtime's shared
+        // rendezvous slot; the others pick it up without waiting.
+        let storage = comm.rendezvous_storage(|| {
+            Arc::new(WindowStorage {
+                regions: (0..n).map(|_| RwLock::new(vec![0u8; bytes])).collect(),
+                locks: (0..n).map(|_| Mutex::new(())).collect(),
+            })
+        });
         let post_tag = comm.next_coll_tag();
         let complete_tag = comm.next_coll_tag();
         Window {
@@ -95,6 +114,7 @@ impl<'c> Window<'c> {
         let mut region = self.storage.regions[target].write();
         let off = offset_words * T::SIZE;
         encode_into(data, &mut region[off..off + data.len() * T::SIZE]);
+        one_way(self.comm, target, (data.len() * T::SIZE) as u64);
     }
 
     /// One-sided read: loads from `target`'s window at `offset_words`
@@ -104,6 +124,7 @@ impl<'c> Window<'c> {
         let region = self.storage.regions[target].read();
         let off = offset_words * T::SIZE;
         decode_into(&region[off..off + out.len() * T::SIZE], out);
+        round_trip(self.comm, target, 8, (out.len() * T::SIZE) as u64);
     }
 
     /// One-sided atomic reduction: `target_window[offset..] = op(window,
@@ -117,6 +138,9 @@ impl<'c> Window<'c> {
         decode_into(&region[off..off + data.len() * T::SIZE], &mut current);
         op.fold_into(&mut current, data);
         encode_into(&current, &mut region[off..off + data.len() * T::SIZE]);
+        let bytes = data.len() * T::SIZE;
+        one_way(self.comm, target, bytes as u64);
+        self.comm.v_stream(1.5 * bytes as f64);
     }
 
     // ------------------------------------------------------------------
@@ -126,8 +150,8 @@ impl<'c> Window<'c> {
     /// Collective fence: closes the previous access/exposure epoch and
     /// opens the next (MPI_Win_fence). All RMA issued before the fence is
     /// complete at every rank when it returns.
-    pub fn fence(&self) {
-        self.comm.barrier();
+    pub async fn fence(&self) {
+        self.comm.barrier_async().await;
     }
 
     // ------------------------------------------------------------------
@@ -135,12 +159,12 @@ impl<'c> Window<'c> {
     // ------------------------------------------------------------------
 
     /// Opens an access epoch to the `targets` group (MPI_Win_start):
-    /// blocks until each target has posted its exposure epoch. When
-    /// ranks are mutually origin and target, call [`post`](Window::post)
+    /// waits until each target has posted its exposure epoch. When ranks
+    /// are mutually origin and target, call [`post`](Window::post)
     /// *before* `start`, as MPI programs must.
-    pub fn start(&self, targets: &[usize]) {
+    pub async fn start(&self, targets: &[usize]) {
         for &t in targets {
-            self.await_token(t, self.post_tag);
+            self.comm.recv_payload_async(t, self.post_tag).await;
         }
     }
 
@@ -160,11 +184,11 @@ impl<'c> Window<'c> {
         }
     }
 
-    /// Closes the exposure epoch (MPI_Win_wait): blocks until every
-    /// origin has completed.
-    pub fn wait(&self, origins: &[usize]) {
+    /// Closes the exposure epoch (MPI_Win_wait): waits until every origin
+    /// has completed.
+    pub async fn wait(&self, origins: &[usize]) {
         for &o in origins {
-            self.await_token(o, self.complete_tag);
+            self.comm.recv_payload_async(o, self.complete_tag).await;
         }
     }
 
@@ -174,52 +198,51 @@ impl<'c> Window<'c> {
             .send_payload(Payload::encode::<u8>(&[]), peer, tag);
     }
 
-    /// Blocks until `peer`'s token arrives.
-    fn await_token(&self, peer: usize, tag: Tag) {
-        crate::coop::block_on(self.comm.recv_payload_async(peer, tag));
-    }
-
     // ------------------------------------------------------------------
     // Scheme 3: lock/unlock (passive target)
     // ------------------------------------------------------------------
 
     /// Opens a passive-target epoch on `target` (MPI_Win_lock, exclusive).
-    /// The guard releases the lock on drop; [`unlock`](WindowGuard) is
-    /// explicit via scope end.
+    /// The guard releases the lock on drop (MPI_Win_unlock). A task holds
+    /// no guard across an await: the lock is a host mutex.
     pub fn lock(&self, target: usize) -> WindowGuard<'_> {
         // parking_lot MutexGuard is !Send but we hold it on this thread only.
         let guard = self.storage.locks[target].lock();
-        WindowGuard { _guard: guard }
+        round_trip(self.comm, target, 0, 0);
+        WindowGuard {
+            comm: self.comm,
+            target,
+            _guard: guard,
+        }
     }
 }
 
 /// A held passive-target lock; dropping it is MPI_Win_unlock.
 pub struct WindowGuard<'w> {
+    comm: &'w Comm,
+    target: usize,
     _guard: parking_lot::MutexGuard<'w, ()>,
 }
 
-/// Establishes the shared storage Arc across the world: the first member
-/// of the communicator to arrive allocates, every rank collects through a
-/// world rendezvous keyed by the collective sequence.
-struct WindowExchange;
+impl Drop for WindowGuard<'_> {
+    fn drop(&mut self) {
+        one_way(self.comm, self.target, 0);
+    }
+}
 
-impl WindowExchange {
-    fn establish(comm: &Comm, n: usize, bytes: usize) -> Arc<WindowStorage> {
-        // Exchange a creation token so all ranks agree on sizes.
-        let mut sizes = vec![0u64; n];
-        comm.allgather(&[bytes as u64], &mut sizes);
-        assert!(
-            sizes.iter().all(|&s| s == bytes as u64),
-            "all ranks must expose equally sized windows"
-        );
-        // The first to arrive allocates into the runtime's shared
-        // rendezvous slot; the others pick it up without waiting.
-        comm.rendezvous_storage(|| {
-            Arc::new(WindowStorage {
-                regions: (0..n).map(|_| RwLock::new(vec![0u8; bytes])).collect(),
-                locks: (0..n).map(|_| Mutex::new(())).collect(),
-            })
-        })
+/// Prices one transfer of `bytes` to `target` under virtual execution: the
+/// origin's clock moves to its arrival.
+fn one_way(comm: &Comm, target: usize, bytes: u64) {
+    comm.v_price(comm.rank(), target, bytes, None, |c| c.arrival);
+}
+
+/// Prices a request of `ask` bytes to `target` and its reply of `reply`
+/// bytes, ready at the request's arrival, under virtual execution: the
+/// origin's clock moves to the reply's arrival.
+fn round_trip(comm: &Comm, target: usize, ask: u64, reply: u64) {
+    let me = comm.rank();
+    if let Some(req) = comm.v_price(me, target, ask, None, |c| c.sender_done) {
+        comm.v_price(target, me, reply, Some(req.arrival), |c| c.arrival);
     }
 }
 
@@ -227,20 +250,21 @@ impl WindowExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coop::block_on;
     use crate::runtime::run;
 
     #[test]
     fn fence_put_exposes_data_everywhere() {
         let n = 5;
         run(n, |comm| {
-            let win = Window::create::<f64>(comm, n);
-            win.fence();
+            let win = block_on(Window::create::<f64>(comm, n));
+            block_on(win.fence());
             // Everyone puts its rank into slot `me` of every target.
             let me = comm.rank();
             for t in 0..n {
                 win.put(&[me as f64], t, me);
             }
-            win.fence();
+            block_on(win.fence());
             let mut got = vec![0.0f64; n];
             win.get(&mut got, me, 0);
             let expect: Vec<f64> = (0..n).map(|r| r as f64).collect();
@@ -251,21 +275,21 @@ mod tests {
     #[test]
     fn get_reads_remote_without_target_involvement() {
         run(3, |comm| {
-            let win = Window::create::<u64>(comm, 4);
+            let win = block_on(Window::create::<u64>(comm, 4));
             let me = comm.rank() as u64;
             win.put(
                 &[me * 10, me * 10 + 1, me * 10 + 2, me * 10 + 3],
                 comm.rank(),
                 0,
             );
-            win.fence();
+            block_on(win.fence());
             // Read the right neighbour's region; it does nothing special.
             let right = (comm.rank() + 1) % 3;
             let mut buf = [0u64; 4];
             win.get(&mut buf, right, 0);
             let r = right as u64;
             assert_eq!(buf, [r * 10, r * 10 + 1, r * 10 + 2, r * 10 + 3]);
-            win.fence();
+            block_on(win.fence());
         });
     }
 
@@ -274,17 +298,17 @@ mod tests {
         // Rank 0 exposes; ranks 1..n put into disjoint slots under PSCW.
         let n = 4;
         let results = run(n, |comm| {
-            let win = Window::create::<f64>(comm, n);
+            let win = block_on(Window::create::<f64>(comm, n));
             let me = comm.rank();
             if me == 0 {
                 let origins: Vec<usize> = (1..n).collect();
                 win.post(&origins);
-                win.wait(&origins);
+                block_on(win.wait(&origins));
                 let mut got = vec![0.0f64; n];
                 win.get(&mut got, 0, 0);
                 got
             } else {
-                win.start(&[0]);
+                block_on(win.start(&[0]));
                 win.put(&[me as f64 * 2.0], 0, me);
                 win.complete(&[0]);
                 vec![]
@@ -300,13 +324,13 @@ mod tests {
         let n = 8;
         let adds_per_rank = 50;
         let results = run(n, |comm| {
-            let win = Window::create::<u64>(comm, 1);
-            win.fence();
+            let win = block_on(Window::create::<u64>(comm, 1));
+            block_on(win.fence());
             for _ in 0..adds_per_rank {
                 let _guard = win.lock(0);
                 win.accumulate(&[1u64], 0, 0, Op::Sum);
             }
-            win.fence();
+            block_on(win.fence());
             let mut v = [0u64];
             win.get(&mut v, 0, 0);
             v[0]
@@ -315,45 +339,77 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_without_contention_matches_reduce() {
-        let n = 6;
-        let results = run(n, |comm| {
-            let win = Window::create::<f64>(comm, 2);
-            win.fence();
-            // Disjoint-element accumulates still need the window's inner
-            // write lock, which `accumulate` takes itself.
-            win.accumulate(&[comm.rank() as f64, 1.0], 0, 0, Op::Sum);
-            win.fence();
-            let mut v = [0.0f64; 2];
-            win.get(&mut v, 0, 0);
-            v
-        });
-        let rank_sum = (0..6).sum::<usize>() as f64;
-        assert_eq!(results[0], [rank_sum, 6.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "beyond window bounds")]
     fn out_of_bounds_put_panics() {
         run(2, |comm| {
-            let win = Window::create::<f64>(comm, 2);
+            let win = block_on(Window::create::<f64>(comm, 2));
             win.put(&[1.0, 2.0, 3.0], 0, 0);
         });
     }
 
+    /// Under virtual clocks a one-sided access is not free: a 1 MiB put
+    /// holds its origin until the data has crossed the link (the test
+    /// net's 1 GB/s), a get pays a request and the reply, and a lock and
+    /// its unlock are priced too. Natively every clock stays zero.
     #[test]
-    fn windows_on_split_communicators_are_independent() {
-        let n = 4;
-        run(n, |comm| {
-            let sub = comm.split((comm.rank() % 2) as u32, comm.rank() as i64);
-            let win = Window::create::<u64>(&sub, 1);
-            win.fence();
+    fn virtual_accesses_are_priced_and_native_ones_are_not() {
+        use crate::virt::tests::TestNet;
+        use simnet::Time;
+        let words = 1 << 17; // 1 MiB of f64
+        let wire = Time::from_secs((words * 8) as f64 / 1e9);
+        let (laps, _) = crate::run_virtual_coop(2, Box::new(TestNet), move |comm| async move {
+            let win = Window::create::<f64>(&comm, words).await;
+            let mut at = vec![comm.v_time()];
+            if comm.rank() == 0 {
+                win.put(&vec![0.5f64; words], 1, 0);
+                at.push(comm.v_time());
+                win.get(&mut vec![0.0f64; words], 1, 0);
+                at.push(comm.v_time());
+                drop(win.lock(1));
+                at.push(comm.v_time());
+            }
+            win.fence().await;
+            at.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
+        });
+        let [put, get, lock] = laps[0][..] else {
+            panic!("three laps: {:?}", laps[0]);
+        };
+        assert!(put >= wire, "a 1 MiB put took {put:?}");
+        // Request (10 us) and reply (10 us + the wire).
+        assert!(get >= wire + Time::from_us(20.0), "get {get:?}");
+        // Request, grant and the unlock notification: 10 us each.
+        assert!((lock.as_us() - 30.0).abs() < 1e-6, "lock {lock:?}");
+
+        run(2, |comm| {
+            let win = block_on(Window::create::<f64>(comm, words));
+            if comm.rank() == 0 {
+                win.put(&vec![0.5f64; words], 1, 0);
+                drop(win.lock(1));
+            }
+            block_on(win.fence());
+            assert_eq!(comm.v_time(), Time::ZERO);
+        });
+    }
+
+    /// A window on a split communicator sums one accumulate per member on
+    /// rank threads and inside a cooperative world alike: creation waits on
+    /// no member, and there the fence is a yield point, not a blocking call.
+    #[test]
+    fn split_windows_run_on_both_engines() {
+        async fn sums(comm: &Comm) -> bool {
+            let sub = comm.split_async((comm.rank() % 2) as u32, 0).await;
+            let win = Window::create::<u64>(&sub, 1).await;
+            win.fence().await;
             win.accumulate(&[1u64], 0, 0, Op::Sum);
-            win.fence();
+            win.fence().await;
             let mut v = [0u64];
             win.get(&mut v, 0, 0);
-            assert_eq!(v[0], sub.size() as u64);
-        });
+            v[0] == sub.size() as u64
+        }
+        assert!(run(4, |comm| block_on(sums(comm))).into_iter().all(|ok| ok));
+        assert!(crate::run_coop(5, |comm| async move { sums(&comm).await })
+            .into_iter()
+            .all(|ok| ok));
     }
 
     /// Window creation never waits: under the stall detector, 64 windows
@@ -370,17 +426,17 @@ mod tests {
             let sub = comm.split((comm.rank() % 2) as u32, comm.rank() as i64);
             for round in 0..64u64 {
                 for c in [comm, &sub] {
-                    let win = Window::create::<u64>(c, c.size());
-                    win.fence();
+                    let win = block_on(Window::create::<u64>(c, c.size()));
+                    block_on(win.fence());
                     for t in 0..c.size() {
                         win.put(&[round * 10 + c.rank() as u64], t, c.rank());
                     }
-                    win.fence();
+                    block_on(win.fence());
                     let mut got = vec![0u64; c.size()];
                     win.get(&mut got, c.rank(), 0);
                     let want: Vec<u64> = (0..c.size() as u64).map(|r| round * 10 + r).collect();
                     assert_eq!(got, want);
-                    win.fence();
+                    block_on(win.fence());
                 }
             }
         });

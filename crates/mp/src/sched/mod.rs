@@ -199,7 +199,8 @@ mod tests {
     use crate::Comm;
 
     /// One algorithm: the real collective on `len` words (per block, or in
-    /// the vector) and the schedule for the same `len * 8` bytes.
+    /// the vector), the schedule for the same `len * 8` bytes, and the
+    /// algorithm's own geometry (none for an `auto` dispatch).
     struct Case {
         name: &'static str,
         rooted: bool,
@@ -207,6 +208,17 @@ mod tests {
         fits: fn(usize, usize) -> bool,
         run: fn(&Comm, usize, usize),
         schedule: fn(usize, usize, u64) -> Schedule,
+        steps: Option<for<'a> fn(&'a World, usize) -> Box<dyn Iterator<Item = coll::Step> + 'a>>,
+    }
+
+    /// The world a geometry is read in: `n` ranks, a root, `len` elements
+    /// (per block, in the vector, or a ragged block of allgatherv and
+    /// reduce_scatter, whose offsets `displs` holds).
+    struct World {
+        n: usize,
+        root: usize,
+        len: usize,
+        displs: Vec<usize>,
     }
 
     const SIZES: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16];
@@ -247,60 +259,72 @@ mod tests {
     const CASES: &[Case] = &[
         Case { name: "allgather::ring", rooted: false, fits: |_, _| true,
             run: |c, _, len| allgather(coll::allgather::ring_async, c, len),
-            schedule: |n, _, b| allgather::ring(n, b) },
+            schedule: |n, _, b| allgather::ring(n, b),
+            steps: Some(|w, me| Box::new(coll::allgather::ring_steps(me, w.n, w.len))) },
         Case { name: "allgather::recursive_doubling", rooted: false, fits: |n, _| n.is_power_of_two(),
             run: |c, _, len| allgather(coll::allgather::recursive_doubling_async, c, len),
-            schedule: |n, _, b| allgather::recursive_doubling(n, b) },
+            schedule: |n, _, b| allgather::recursive_doubling(n, b),
+            steps: Some(|w, me| Box::new(coll::allgather::recursive_doubling_steps(me, w.n, w.len))) },
         Case { name: "allgather::auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| allgather(coll::allgather::auto_async, c, len),
-            schedule: |n, _, b| allgather::auto(n, b) },
+            schedule: |n, _, b| allgather::auto(n, b), steps: None },
         Case { name: "allgatherv::ring", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
                 let mut recv = vec![0u64; counts.iter().sum()];
                 block_on(coll::allgatherv::ring_async(c, &vec![1; counts[c.rank()]], &mut recv, &counts));
             },
-            schedule: |n, _, b| allgatherv::auto(&ragged_bytes(n, b)) },
+            schedule: |n, _, b| allgatherv::auto(&ragged_bytes(n, b)),
+            steps: Some(|w, me| Box::new(coll::allgatherv::ring_steps(me, &w.displs))) },
         Case { name: "allreduce::recursive_doubling", rooted: false, fits: |_, _| true,
             run: |c, _, len| block_on(coll::allreduce::recursive_doubling_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| allreduce::recursive_doubling(n, b) },
+            schedule: |n, _, b| allreduce::recursive_doubling(n, b),
+            steps: Some(|w, me| Box::new(coll::allreduce::recursive_doubling_steps(me, w.n, w.len))) },
         Case { name: "allreduce::rabenseifner", rooted: false,
             fits: |n, len| len.is_multiple_of(1 << n.ilog2()),
             run: |c, _, len| block_on(coll::allreduce::rabenseifner_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| allreduce::rabenseifner(n, b) },
+            schedule: |n, _, b| allreduce::rabenseifner(n, b),
+            steps: Some(|w, me| Box::new(coll::allreduce::rabenseifner_steps(me, w.n, w.len))) },
         Case { name: "allreduce::auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| block_on(coll::allreduce::auto_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| allreduce::auto(n, b, 8) },
+            schedule: |n, _, b| allreduce::auto(n, b, 8), steps: None },
         Case { name: "alltoall::pairwise", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::pairwise_async, c, len),
-            schedule: |n, _, b| alltoall::pairwise(n, b) },
+            schedule: |n, _, b| alltoall::pairwise(n, b),
+            steps: Some(|w, me| Box::new(coll::alltoall::pairwise_steps(me, w.n, w.len))) },
         Case { name: "alltoall::bruck", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::bruck_async, c, len),
-            schedule: |n, _, b| alltoall::bruck(n, b) },
+            schedule: |n, _, b| alltoall::bruck(n, b),
+            steps: Some(|w, me| Box::new(coll::alltoall::bruck_steps(me, w.n, w.len))) },
         Case { name: "alltoall::auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::auto_async, c, len),
-            schedule: |n, _, b| alltoall::auto(n, b) },
+            schedule: |n, _, b| alltoall::auto(n, b), steps: None },
         Case { name: "barrier::dissemination", rooted: false, fits: |_, _| true,
             run: |c, _, _| block_on(coll::barrier::dissemination_async(c)),
-            schedule: |n, _, _| barrier::auto(n) },
+            schedule: |n, _, _| barrier::auto(n),
+            steps: Some(|w, me| Box::new(coll::barrier::dissemination_steps(me, w.n))) },
         Case { name: "bcast::binomial", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::binomial_async(c, &mut vec![1.0f64; len], root)),
-            schedule: bcast::binomial },
+            schedule: bcast::binomial,
+            steps: Some(|w, me| Box::new(coll::bcast::binomial_steps(me, w.n, w.len, w.root))) },
         Case { name: "bcast::scatter_allgather", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::scatter_allgather_async(c, &mut vec![1.0f64; len], root)),
-            schedule: bcast::scatter_allgather },
+            schedule: bcast::scatter_allgather,
+            steps: Some(|w, me| Box::new(coll::bcast::scatter_allgather_steps(me, w.n, w.len, w.root))) },
         Case { name: "bcast::auto", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::auto_async(c, &mut vec![1.0f64; len], root)),
-            schedule: bcast::auto },
+            schedule: bcast::auto, steps: None },
         Case { name: "reduce::binomial", rooted: true, fits: |_, _| true,
             run: |c, root, len| reduce(coll::reduce::binomial_async, c, root, len),
-            schedule: reduce::binomial },
+            schedule: reduce::binomial,
+            steps: Some(|w, me| Box::new(coll::reduce::binomial_steps(me, w.n, w.len, w.root))) },
         Case { name: "reduce::rabenseifner", rooted: true, fits: |n, len| n.is_power_of_two() && len.is_multiple_of(n),
             run: |c, root, len| reduce(coll::reduce::rabenseifner_async, c, root, len),
-            schedule: reduce::rabenseifner },
+            schedule: reduce::rabenseifner,
+            steps: Some(|w, me| Box::new(coll::reduce::rabenseifner_steps(me, w.n, w.len, w.root))) },
         Case { name: "reduce::auto", rooted: true, fits: |_, _| true,
             run: |c, root, len| reduce(coll::reduce::auto_async, c, root, len),
-            schedule: |n, root, b| reduce::auto(n, root, b, 8) },
+            schedule: |n, root, b| reduce::auto(n, root, b, 8), steps: None },
         Case { name: "reduce_scatter::pairwise", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
@@ -308,7 +332,8 @@ mod tests {
                 let mut recv = vec![0.0; counts[c.rank()]];
                 block_on(coll::reduce_scatter::auto_async(c, &send, &mut recv, &counts, Op::Sum));
             },
-            schedule: |n, _, b| reduce_scatter::pairwise(&ragged_bytes(n, b)) },
+            schedule: |n, _, b| reduce_scatter::pairwise(&ragged_bytes(n, b)),
+            steps: Some(|w, me| Box::new(coll::reduce_scatter::pairwise_steps(me, &w.displs))) },
     ];
 
     /// A traced real execution of every algorithm moves exactly the
@@ -345,6 +370,116 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One end of a message at its receiver, as a word: the source, the
+    /// length, and a send (`0b11`) or a receive (`0b10`), so the two ends
+    /// of one message differ in bit 0 and neither is 0.
+    fn end(src: usize, len: usize, sends: bool) -> u64 {
+        assert!(src < 1 << 24 && len < 1 << 38, "{src}, {len}");
+        (src as u64) << 40 | (len as u64) << 2 | 2 | u64::from(sends)
+    }
+
+    /// Reads every geometry at `n` ranks, executing nothing: every rank's
+    /// step iterator ends (within `4n + 64` steps, more than any algorithm
+    /// here takes), and in every round each send `r -> d` of length `L`
+    /// meets exactly one receive at `d` from `r` of length `L`, and every
+    /// receive one such send — nothing arrives unsent. A rank need not list
+    /// its steps in round order (a binomial reduce folds its children in
+    /// broadcast order), so the rounds are read in windows of `HELD / n`,
+    /// each window a pass over every rank's steps; up to a thousand ranks
+    /// one window holds them all.
+    fn check_geometries_at(n: usize) {
+        const HELD: usize = 1 << 22;
+        let (cap, window) = (4 * n + 64, (HELD / n).max(1));
+        for (g, steps) in CASES.iter().filter_map(|g| Some((g, g.steps?))) {
+            let mut roots = vec![0, n / 3, n - 1];
+            roots.dedup();
+            roots.truncate(if g.rooted { 3 } else { 1 });
+            // Divisible by every power of two up to n; and up to 64 ranks
+            // also odd and short, which leaves some ranks' blocks empty.
+            let whole = 3 * n.next_power_of_two();
+            let lens = if n <= 64 {
+                vec![17, whole]
+            } else {
+                vec![whole]
+            };
+            for len in lens.into_iter().filter(|&len| (g.fits)(n, len)) {
+                for &root in &roots {
+                    let what = format!("{} n={n} root={root} len={len}", g.name);
+                    let displs = coll::allgatherv::displs(ragged(n, len));
+                    let world = World {
+                        n,
+                        root,
+                        len,
+                        displs,
+                    };
+                    let (mut lo, mut rounds) = (0, 1);
+                    while lo < rounds {
+                        // Per (round, receiving rank) of the window, the
+                        // `end` seen on one side only (0: none); a second
+                        // one waits in `spill`.
+                        let (mut open, mut spill) = (vec![0u64; 0], Vec::new());
+                        for me in 0..n {
+                            for (taken, step) in steps(&world, me).enumerate() {
+                                assert!(taken < cap, "{what}: rank {me}'s steps do not end");
+                                rounds = rounds.max(step.round + 1);
+                                if step.round < lo || step.round >= lo + window {
+                                    continue;
+                                }
+                                for (side, sends) in [(step.send, true), (step.recv, false)] {
+                                    let Some((peer, range)) = side else { continue };
+                                    let (src, dst) = if sends { (me, peer) } else { (peer, me) };
+                                    let at = (step.round - lo) * n + dst;
+                                    if open.len() <= at {
+                                        open.resize((step.round - lo + 1) * n, 0);
+                                    }
+                                    let this = end(src, range.end - range.start, sends);
+                                    if open[at] == this ^ 1 {
+                                        open[at] = 0;
+                                    } else if let Some(i) =
+                                        spill.iter().position(|&m| m == (at, this ^ 1))
+                                    {
+                                        spill.swap_remove(i);
+                                    } else if open[at] == 0 {
+                                        open[at] = this;
+                                    } else {
+                                        spill.push((at, this));
+                                    }
+                                }
+                            }
+                        }
+                        let mut left = open.into_iter().enumerate().chain(spill);
+                        if let Some((at, m)) = left.find(|&(_, m)| m != 0) {
+                            let (round, dst, src, len) =
+                                (lo + at / n, at % n, m >> 40, (m >> 2) & ((1 << 38) - 1));
+                            let side = if m & 1 == 1 { "no receive" } else { "no send" };
+                            panic!("{what}: round {round}: {src} -> {dst} of {len} has {side}");
+                        }
+                        lo += window;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The static geometry check over every rank count to 64 and the
+    /// paper's odd installation sizes (440, 506, 576 CPUs).
+    #[test]
+    fn every_send_has_its_receive_at_every_rank_count() {
+        for n in (1..=64).chain([440, 506, 576]) {
+            check_geometries_at(n);
+        }
+    }
+
+    /// The same check at release scale: the paper's 2 024 CPUs and every
+    /// power of two to 4 096.
+    #[test]
+    #[ignore = "release-scale: up to 4096 ranks; run with --ignored --release"]
+    fn every_send_has_its_receive_at_release_scale() {
+        for n in std::iter::once(2024).chain((0..=12).map(|k| 1 << k)) {
+            check_geometries_at(n);
         }
     }
 

@@ -78,15 +78,23 @@ impl Clock {
 impl Comm {
     /// This rank's current virtual time. Zero outside virtual execution.
     pub(crate) fn v_time(&self) -> Time {
-        self.world_virtual_clock()
+        self.virtual_clock()
+            .map_or(Time::ZERO, |(clock, _)| clock.get())
     }
 
     /// Charges a compute phase of `flops` at `eff` fraction of peak to
     /// this rank's virtual clock. No-op outside virtual execution.
     pub fn v_compute(&self, flops: f64, eff: f64) {
-        if let Some(net) = self.world_virtual_net() {
-            let dt = net.compute(flops, eff);
-            self.advance_virtual_clock(dt);
+        if let Some((clock, net)) = self.virtual_clock() {
+            clock.set(clock.get() + net.compute(flops, eff));
+        }
+    }
+
+    /// Charges a memory-streaming phase of `bytes` to this rank's virtual
+    /// clock. No-op outside virtual execution.
+    pub(crate) fn v_stream(&self, bytes: f64) {
+        if let Some((clock, net)) = self.virtual_clock() {
+            clock.set(clock.get() + net.stream(bytes));
         }
     }
 

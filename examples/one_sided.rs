@@ -1,13 +1,14 @@
 //! One-sided communication (the paper's announced follow-up study):
 //! runs the IMB-EXT benchmarks natively under all three MPI-2
-//! synchronisation schemes, then compares the schemes on the paper's
-//! machine models.
+//! synchronisation schemes, then runs the same epochs under virtual clocks
+//! on the paper's machine models to compare the schemes there.
 //!
 //! ```text
 //! cargo run --example one_sided --release
 //! ```
 
-use imb::ext::{run_native, simulate};
+use harness::Runner;
+use imb::ext::{run_native, run_virtual};
 use imb::{ExtBenchmark, SyncScheme};
 
 fn main() {
@@ -33,16 +34,14 @@ fn main() {
         }
     }
 
-    println!("\nSimulated Unidir_Put at 1 MiB across the paper's machines:\n");
+    let virt = |m: &machines::Machine, b, s| run_virtual(m, b, s, 1 << 20, &Runner::standard()).mbs;
+    println!("\nVirtual Unidir_Put at 1 MiB across the paper's machines:\n");
     println!(
         "{:<30} {:>12} {:>12} {:>12}   [MB/s]",
         "machine", "fence", "pscw", "lock"
     );
     for m in machines::systems::paper_systems() {
-        let v: Vec<f64> = SyncScheme::ALL
-            .iter()
-            .map(|&s| simulate(&m, ExtBenchmark::UnidirPut, s, 1 << 20).mbs)
-            .collect();
+        let v = SyncScheme::ALL.map(|s| virt(&m, ExtBenchmark::UnidirPut, s));
         println!(
             "{:<30} {:>12.0} {:>12.0} {:>12.0}",
             m.name, v[0], v[1], v[2]
@@ -52,11 +51,8 @@ fn main() {
     // The put/get asymmetry the paper's Section 2.4 RDMA discussion
     // predicts: a get is a request/response round trip.
     let m = machines::systems::dell_xeon();
-    let put = simulate(&m, ExtBenchmark::UnidirPut, SyncScheme::Lock, 1 << 20);
-    let get = simulate(&m, ExtBenchmark::UnidirGet, SyncScheme::Lock, 1 << 20);
-    println!(
-        "\nDell Xeon, 1 MiB passive-target: put {:.0} MB/s vs get {:.0} MB/s",
-        put.mbs, get.mbs
-    );
-    assert!(put.mbs > get.mbs);
+    let put = virt(&m, ExtBenchmark::UnidirPut, SyncScheme::Lock);
+    let get = virt(&m, ExtBenchmark::UnidirGet, SyncScheme::Lock);
+    println!("\nDell Xeon, 1 MiB passive-target: put {put:.0} MB/s vs get {get:.0} MB/s");
+    assert!(put > get);
 }
