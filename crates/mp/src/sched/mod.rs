@@ -208,8 +208,11 @@ mod tests {
         fits: fn(usize, usize) -> bool,
         run: fn(&Comm, usize, usize),
         schedule: fn(usize, usize, u64) -> Schedule,
-        steps: Option<for<'a> fn(&'a World, usize) -> Box<dyn Iterator<Item = coll::Step> + 'a>>,
+        steps: Option<Steps>,
     }
+
+    /// Rank `me`'s `*_steps` in a world.
+    type Steps = for<'a> fn(&'a World, usize) -> Box<dyn Iterator<Item = coll::Step> + 'a>;
 
     /// The world a geometry is read in: `n` ranks, a root, `len` elements
     /// (per block, in the vector, or a ragged block of allgatherv and
