@@ -423,7 +423,7 @@ mod tests {
                         // Per (round, receiving rank) of the window, the
                         // `end` seen on one side only (0: none); a second
                         // one waits in `spill`.
-                        let (mut open, mut spill) = (vec![0u64; 0], Vec::new());
+                        let (mut open, mut spill) = (Vec::<u64>::new(), Vec::new());
                         for me in 0..n {
                             for (taken, step) in steps(&world, me).enumerate() {
                                 assert!(taken < cap, "{what}: rank {me}'s steps do not end");
