@@ -14,7 +14,7 @@ use crate::benchmark::{bandwidth_mbs_from_secs, Benchmark};
 /// Known gap: the native Reduce, Allreduce and Reduce_scatter runs move
 /// `bytes / 8` `f64` words, so at the 1-, 2- and 4-byte grid points they
 /// execute an empty payload while the Reduce and Allreduce schedules here
-/// carry `bytes`. Published records depend on that; see ROADMAP item 6(d).
+/// carry `bytes`. Published records depend on that; see ROADMAP item 12(d).
 pub fn schedule_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Schedule {
     match benchmark {
         Benchmark::PingPong => sched::p2p::ping_pong(bytes),

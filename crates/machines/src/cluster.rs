@@ -126,12 +126,10 @@ impl ClusterSim {
             }
         } else {
             let inj_ready = ready + Time::from_us(net.overhead_us);
-            let arrival = res.fabric.transfer(sn, dn, bytes, inj_ready);
+            let (arrival, latency) = res.fabric.transfer_with_latency(sn, dn, bytes, inj_ready);
             // A single message cannot exceed the per-stream wire rate,
             // even on an idle fabric.
-            let pipe = inj_ready
-                + Time::from_secs(bytes as f64 / net.per_msg_bw)
-                + res.fabric.latency(sn, dn);
+            let pipe = inj_ready + Time::from_secs(bytes as f64 / net.per_msg_bw) + latency;
             P2pCost {
                 sender_done: inj_ready + Time::from_secs(bytes as f64 / net.link_bw),
                 arrival: arrival.max(pipe),

@@ -124,20 +124,28 @@ impl Fabric {
         self.topo.as_ref()
     }
 
-    /// Pure latency (no occupancy) of a message from `src` to `dst`.
-    pub fn latency(&self, src: NodeId, dst: NodeId) -> Time {
-        self.params.base_latency + self.params.per_hop_latency * self.topo.hops(src, dst) as f64
-    }
-
     /// Simulates an inter-node message: `bytes` from `src` to `dst`, ready
     /// to inject at `ready`. Returns the time the last byte arrives.
     ///
     /// Panics if `src == dst`; intra-node traffic never touches the fabric.
     pub fn transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, ready: Time) -> Time {
+        self.transfer_with_latency(src, dst, bytes, ready).0
+    }
+
+    /// [`transfer`](Self::transfer), also returning the message's pure
+    /// latency (base plus per-hop, no occupancy): one topology walk
+    /// yields the route and its hop count.
+    pub fn transfer_with_latency(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        ready: Time,
+    ) -> (Time, Time) {
         assert_ne!(src, dst, "intra-node traffic must not enter the fabric");
         self.route.clear();
-        self.topo.route_into(src, dst, &mut self.route);
-        let latency = self.latency(src, dst);
+        let hops = self.topo.route_into(src, dst, &mut self.route);
+        let latency = self.params.base_latency + self.params.per_hop_latency * hops as f64;
 
         // Cut-through pipeline: the head of the message proceeds to the next
         // resource as soon as the previous one starts serving; each resource
@@ -158,7 +166,7 @@ impl Fabric {
 
         self.transfers += 1;
         self.bytes += bytes as f64;
-        done + latency
+        (done + latency, latency)
     }
 
     /// Traffic statistics since construction or the last [`reset`](Self::reset).
@@ -269,8 +277,9 @@ mod tests {
     #[test]
     fn zero_byte_message_costs_latency_only() {
         let mut f = Fabric::new(Box::new(Crossbar::new(4)), params());
-        let arrival = f.transfer(0, 1, 0, Time::ZERO);
+        let (arrival, latency) = f.transfer_with_latency(0, 1, 0, Time::ZERO);
         assert!((arrival.as_us() - 5.1).abs() < 1e-9);
+        assert_eq!(arrival, latency);
     }
 
     #[test]

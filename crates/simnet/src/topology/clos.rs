@@ -91,16 +91,17 @@ impl Topology for Clos {
         1.0
     }
 
-    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) -> usize {
         assert!(src < self.n && dst < self.n, "node out of range");
         let (es, ed) = (self.edge_of(src), self.edge_of(dst));
         if es == ed {
             // Same edge crossbar: non-blocking, no spine traversal.
-            return;
+            return usize::from(src != dst);
         }
         // Deterministic, direction-symmetric spine selection.
         let m = (src + dst) % self.num_middle;
         route.extend([self.up(es, m), self.dn(ed, m)]);
+        3
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

@@ -40,8 +40,9 @@ impl Topology for Crossbar {
         1.0
     }
 
-    fn route_into(&self, src: NodeId, dst: NodeId, _route: &mut Vec<LinkId>) {
+    fn route_into(&self, src: NodeId, dst: NodeId, _route: &mut Vec<LinkId>) -> usize {
         assert!(src < self.n && dst < self.n, "node out of range");
+        self.hops(src, dst)
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

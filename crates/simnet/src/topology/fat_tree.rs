@@ -137,7 +137,7 @@ impl Topology for FatTree {
         }
     }
 
-    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) -> usize {
         assert!(src < self.n && dst < self.n, "node out of range");
         // Up from `src` to the common ancestor, then the way up from
         // `dst` walked backwards.
@@ -156,6 +156,8 @@ impl Topology for FatTree {
             b /= self.arity;
         }
         route[top..].reverse();
+        // `level` links up and as many down pass `2 * level - 1` switches.
+        (2 * level).saturating_sub(1)
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {
@@ -248,6 +250,8 @@ mod tests {
         let route = full.route(0, 63);
         let top_link = route[route.len() / 2 - 1];
         assert!(blocked.link_capacity_scale(top_link) < full.link_capacity_scale(top_link));
+        check_topology_invariants(&blocked);
+        check_topology_invariants(&FatTree::with_blocking_from(64, 4, 3.0, 2));
     }
 
     #[test]

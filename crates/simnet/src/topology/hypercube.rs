@@ -64,7 +64,7 @@ impl Topology for Hypercube {
         1.0
     }
 
-    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) -> usize {
         assert!(src < self.n && dst < self.n, "node out of range");
         let mut cur = src;
         // Dimension-ordered (e-cube) routing: correct bits lowest-first.
@@ -76,6 +76,7 @@ impl Topology for Hypercube {
             }
         }
         debug_assert_eq!(cur, dst);
+        self.hops(src, dst)
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {

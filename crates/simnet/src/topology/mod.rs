@@ -43,9 +43,12 @@ pub trait Topology: Send + Sync {
 
     /// Appends to `route` the directed interior links traversed from
     /// `src` to `dst`, in order; nothing when `src == dst`. Routes are
-    /// deterministic. Writing into the caller's buffer lets a fabric
-    /// price every message out of one allocation.
-    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>);
+    /// deterministic. Returns the walk's switch hops, equal to
+    /// [`hops`](Self::hops)`(src, dst)`, so a fabric prices a message's
+    /// occupancy and its latency from one walk. Writing into the
+    /// caller's buffer lets a fabric price every message out of one
+    /// allocation.
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) -> usize;
 
     /// The route from `src` to `dst` as a fresh vector.
     fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
@@ -83,13 +86,17 @@ pub trait Topology: Send + Sync {
 fn check_topology_invariants(t: &dyn Topology) {
     let n = t.num_nodes();
     assert!(n > 0);
+    let mut route = Vec::new();
     for src in 0..n {
         assert!(t.route(src, src).is_empty(), "self-route must be empty");
         for dst in 0..n {
+            route.clear();
+            // The walk's hop count prices latency, so it must be `hops`.
+            let walked = t.route_into(src, dst, &mut route);
+            assert_eq!(walked, t.hops(src, dst), "{src}->{dst} walk hops");
             if src == dst {
                 continue;
             }
-            let route = t.route(src, dst);
             for &l in &route {
                 assert!(l < t.num_links(), "route uses out-of-range link {l}");
                 assert!(t.link_capacity_scale(l) > 0.0);

@@ -98,8 +98,9 @@ impl Topology for Torus3D {
         1.0
     }
 
-    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) {
+    fn route_into(&self, src: NodeId, dst: NodeId, route: &mut Vec<LinkId>) -> usize {
         assert!(src < self.n && dst < self.n, "node out of range");
+        let first = route.len();
         let mut cur = self.coords(src);
         let to = self.coords(dst);
         // Dimension-ordered, shortest wraparound direction per dimension.
@@ -118,6 +119,7 @@ impl Topology for Torus3D {
             }
         }
         debug_assert_eq!(cur, to);
+        route.len() - first
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> usize {
@@ -184,6 +186,7 @@ mod tests {
         assert_eq!(t.hops(0, 7), 1);
         assert_eq!(t.route(0, 7).len(), 1);
         assert_eq!(t.hops(0, 4), 4);
+        check_topology_invariants(&t);
     }
 
     #[test]

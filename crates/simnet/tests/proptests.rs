@@ -42,8 +42,7 @@ fn check_fabric_causality(n: usize, kind: usize, transfers: &[(usize, usize, u64
         if src == dst {
             continue;
         }
-        let lat = fabric.latency(src, dst);
-        let arrival = fabric.transfer(src, dst, bytes, Time::ZERO);
+        let (arrival, lat) = fabric.transfer_with_latency(src, dst, bytes, Time::ZERO);
         // Physical floor: a message can never beat its own
         // serialisation plus the pure path latency. (First-fit means
         // a *later-issued* small transfer may legitimately finish
