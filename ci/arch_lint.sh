@@ -11,14 +11,14 @@
 #      `crates/harness`. The runtime and kernel crates must stay
 #      wall-clock-free so simulated and virtual execution remain
 #      deterministic and a schedule the mpcheck explorer recorded
-#      replays to the same run. One named exemption: the
-#      `Mailbox::watch` clock in `crates/mp/src/mailbox.rs`, which
-#      bounds a native receive's spin at `SPIN_BUDGET` before it parks.
-#      Only worlds of OS threads with a CPU per rank have a budget, so no
+#      replays to the same run. One named exemption: the spin clock of
+#      `block_on` in `crates/mp/src/runtime.rs`, which bounds a blocked
+#      rank thread's spin at `SPIN_BUDGET` before it parks. Only rank
+#      threads of worlds with a CPU per rank have a budget, so no
 #      cooperative, virtual or explored run ever reads it, and it decides
 #      how a thread waits, never what it receives. The line carries the
-#      marker `// arch_lint: Mailbox::watch spin budget`; any other
-#      `Instant` in that file or in `mp` is still an error.
+#      marker `// arch_lint: block_on spin budget`; any other `Instant`
+#      in that file or in `mp` is still an error.
 #   2. `std::thread::sleep` and `std::time::SystemTime` stay out of
 #      non-test code everywhere except the harness, `mp::check` (exactly
 #      one sleep, `Inspector::poll_sleep`, the stall detectors' poll
@@ -204,13 +204,11 @@ mod tests {
 }
 EOF
     mkdir -p "$pass/crates/mp/src/sched"
-    cat > "$pass/crates/mp/src/mailbox.rs" <<'EOF'
-fn watch() {
-    let start = Instant::now(); // arch_lint: Mailbox::watch spin budget
-}
-EOF
-    # One spawn loop, one cycle finder with one caller.
+    # One spawn loop, one cycle finder with one caller, one spin clock.
     cat > "$pass/crates/mp/src/runtime.rs" <<'EOF'
+fn spin() {
+    let start = Instant::now(); // arch_lint: block_on spin budget
+}
 fn spawn_rank_threads() {
     builder.name(format!("mp-rank-{rank}"));
     gate.abort();
@@ -354,7 +352,7 @@ pub fn f() {
 }
 EOF
     # A `#[cfg(test)]` that gates one item hides nothing below it, and
-    # the mailbox's exemption is one line, not the file.
+    # the spin clock's exemption is one line, not the file.
     cat > "$bad/crates/bad/src/below_const.rs" <<'EOF'
 #[cfg(test)]
 const TEST_ONLY_TIMEOUT_SECS: u64 = 20;
@@ -364,11 +362,6 @@ pub fn g() {
 }
 EOF
     mkdir -p "$bad/crates/mp/src/sched"
-    cat > "$bad/crates/mp/src/mailbox.rs" <<'EOF'
-fn wait_ticket() {
-    let deadline = Instant::now() + timeout;
-}
-EOF
     # A second spawn loop, and a second assembly of the wait-for graph.
     cat > "$bad/crates/mp/src/runtime.rs" <<'EOF'
 fn spawn_rank_threads() {
@@ -387,6 +380,9 @@ pub struct World {
 }
 fn deliver(world: &World, dst: usize, msg: Message) {
     world.trace.as_ref().unwrap().lock().push(Transfer { src: msg.src, dst, bytes: msg.len() });
+}
+fn block_on() {
+    let deadline = Instant::now() + timeout;
 }
 EOF
     # A second ambient hook, and a panic parsed back out of its message.
@@ -480,7 +476,7 @@ EOF
         exit 1
     fi
     for needle in "lib.rs:3: .*Instant" "below_const.rs:5: .*Instant" \
-        "mailbox.rs:2: .*Instant" "thread::sleep" "SystemTime" "does not opt into" \
+        "runtime.rs:19: .*Instant" "thread::sleep" "SystemTime" "does not opt into" \
         "allow(unsafe_code)" "hand-written schedule" \
         'runtime.rs:6: .*mp-rank-' "runtime.rs:7: .*gate.abort" "runtime.rs:8: .*find_cycle" \
         "chan.rs:2: .*read_at" "chan.rs:3: .*MAGIC" \
@@ -527,7 +523,7 @@ scan() {
 # --- 1. Instant stays inside the harness --------------------------------
 offenders=$(scan 'time::Instant|Instant::now' \
     | grep -v '^crates/harness/' \
-    | grep -v '^crates/mp/src/mailbox\.rs:.* // arch_lint: Mailbox::watch spin budget$' \
+    | grep -v '^crates/mp/src/runtime\.rs:.* // arch_lint: block_on spin budget$' \
     || true)
 if [ -n "$offenders" ]; then
     err "std::time::Instant outside crates/harness (wall-clock belongs to the harness only):

@@ -71,8 +71,6 @@ impl TopologyKind {
 pub struct NodeModel {
     /// CPUs per SMP node (Table 2 "CPUs/node").
     pub cpus: usize,
-    /// Core clock in GHz (Table 2 "Clock").
-    pub clock_ghz: f64,
     /// Peak double-precision Gflop/s per CPU.
     pub peak_gflops: f64,
     /// Sustainable STREAM-copy bandwidth per CPU with all CPUs active,
@@ -185,7 +183,6 @@ impl Machine {
             return Err(format!("{}: zero CPUs per node", self.name));
         }
         for (label, v) in [
-            ("clock", n.clock_ghz),
             ("peak", n.peak_gflops),
             ("stream", n.stream_bw),
             ("node mem bw", n.mem_bw_node),
@@ -230,7 +227,6 @@ mod tests {
             class: SystemClass::Scalar,
             node: NodeModel {
                 cpus: 2,
-                clock_ghz: 1.0,
                 peak_gflops: 2.0,
                 stream_bw: 1e9,
                 mem_bw_node: 2e9,

@@ -30,7 +30,6 @@ const BOX_LEVEL: usize = 4;
 fn altix_node() -> NodeModel {
     NodeModel {
         cpus: 2,
-        clock_ghz: 1.6,
         peak_gflops: 6.4,
         stream_bw: 2.0e9,
         mem_bw_node: 7.0e9,
@@ -98,7 +97,6 @@ mod tests {
         assert_eq!(m.node.cpus, 2);
         // Table 2: peak/node 12.8 Gflop/s at 1.6 GHz.
         assert_eq!(m.node.peak_gflops * m.node.cpus as f64, 12.8);
-        assert_eq!(m.node.clock_ghz, 1.6);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub fn cray_opteron() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 2,
-            clock_ghz: 2.0,
             peak_gflops: 4.0,
             stream_bw: 3.2e9,
             mem_bw_node: 6.4e9,

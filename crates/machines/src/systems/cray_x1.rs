@@ -45,7 +45,6 @@ pub fn cray_x1_msp() -> Machine {
         class: SystemClass::Vector,
         node: NodeModel {
             cpus: 4,
-            clock_ghz: 0.8,
             peak_gflops: 12.8,
             stream_bw: 18.0e9,
             mem_bw_node: 76.0e9,
@@ -66,7 +65,6 @@ pub fn cray_x1_ssp() -> Machine {
         class: SystemClass::Vector,
         node: NodeModel {
             cpus: 16,
-            clock_ghz: 0.8,
             peak_gflops: 3.2,
             stream_bw: 4.5e9,
             mem_bw_node: 76.0e9,

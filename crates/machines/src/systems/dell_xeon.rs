@@ -23,7 +23,6 @@ pub fn dell_xeon() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 2,
-            clock_ghz: 3.6,
             peak_gflops: 7.2,
             stream_bw: 2.2e9,
             mem_bw_node: 4.6e9,
@@ -61,7 +60,6 @@ mod tests {
         let m = super::dell_xeon();
         m.validate().unwrap();
         assert_eq!(m.node.peak_gflops, 7.2);
-        assert_eq!(m.node.clock_ghz, 3.6);
         assert!((m.net.link_bw - 841e6).abs() < 1.0);
         assert!((m.net.mpi_latency_us - 6.8).abs() < 1e-9);
     }

@@ -21,7 +21,6 @@ pub(crate) fn ibm_bluegene_p() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 4,
-            clock_ghz: 0.85,
             peak_gflops: 3.4,
             stream_bw: 2.6e9,
             mem_bw_node: 13.6e9,
@@ -56,7 +55,6 @@ pub(crate) fn cray_xt4() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 2,
-            clock_ghz: 2.6,
             peak_gflops: 5.2,
             stream_bw: 4.0e9,
             mem_bw_node: 10.6e9,
@@ -87,7 +85,6 @@ pub(crate) fn cray_xt4() -> Machine {
 pub(crate) fn cray_x1e() -> Machine {
     let mut m = super::cray_x1_msp();
     m.name = "Cray X1E";
-    m.node.clock_ghz = 1.13;
     m.node.peak_gflops = 18.0;
     m.node.cpus = 8; // X1E doubles MSP density per node
     m.node.stream_bw = 17.0e9; // per-MSP bandwidth roughly flat vs X1
@@ -105,7 +102,6 @@ pub(crate) fn ibm_power5p() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 16,
-            clock_ghz: 1.9,
             peak_gflops: 7.6,
             stream_bw: 5.0e9,
             mem_bw_node: 100.0e9,
@@ -142,7 +138,6 @@ pub(crate) fn linux_gige_cluster() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 2,
-            clock_ghz: 2.4,
             peak_gflops: 4.8,
             stream_bw: 2.5e9,
             mem_bw_node: 5.2e9,
@@ -189,7 +184,6 @@ pub fn exascale_cluster() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 64,
-            clock_ghz: 2.4,
             peak_gflops: 50.0, // wide-SIMD core: 2 FMA pipes x 8 lanes
             stream_bw: 16.0e9,
             mem_bw_node: 1.6e12, // HBM-class node aggregate

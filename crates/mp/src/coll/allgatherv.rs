@@ -45,7 +45,7 @@ pub(crate) async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T],
 
 #[cfg(test)]
 mod tests {
-    use crate::coop::block_on;
+    use crate::block_on;
     use crate::runtime::run;
 
     fn check(counts: Vec<usize>) {

@@ -148,7 +148,7 @@ pub(crate) async fn auto_async<T: Numeric>(comm: &Comm, buf: &mut [T], op: Op) {
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
-    use crate::coop::block_on;
+    use crate::block_on;
     use crate::reduce::Op;
     use crate::runtime::run;
     use crate::Comm;

@@ -114,7 +114,7 @@ pub(crate) async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T])
 
 #[cfg(test)]
 mod tests {
-    use crate::coop::block_on;
+    use crate::block_on;
     use crate::runtime::run;
     use crate::Comm;
 
@@ -178,7 +178,7 @@ mod tests {
                 // Stands in for a peer whose blocks are a word short.
                 let tag = comm.next_coll_tag();
                 comm.send_payload(Payload::from_vec(vec![0; 8]), 0, tag);
-                crate::coop::block_on(comm.recv_payload_async(0, tag));
+                crate::block_on(comm.recv_payload_async(0, tag));
             }
         });
     }

@@ -30,7 +30,7 @@ pub(crate) async fn auto_async(comm: &Comm) {
 
 #[cfg(test)]
 mod tests {
-    use crate::coop::block_on;
+    use crate::block_on;
     use crate::runtime::run;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

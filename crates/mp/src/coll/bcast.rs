@@ -129,7 +129,7 @@ pub(crate) async fn auto_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize)
 
 #[cfg(test)]
 mod tests {
-    use crate::coop::block_on;
+    use crate::block_on;
     use crate::runtime::run;
 
     fn payload(len: usize) -> Vec<f64> {

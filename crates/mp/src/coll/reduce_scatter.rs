@@ -97,7 +97,7 @@ pub(crate) async fn auto_async<T: Numeric>(
 
 #[cfg(test)]
 mod tests {
-    use crate::coop::block_on;
+    use crate::block_on;
     use crate::reduce::Op;
     use crate::runtime::run;
 

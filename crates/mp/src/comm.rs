@@ -196,10 +196,9 @@ impl Comm {
     }
 
     /// Receives a payload from local rank `src` with `tag`, without
-    /// forcing ownership of the bytes (zero-copy for forwarding). On rank
-    /// threads the receive blocks inside the mailbox and the future
-    /// completes in one poll; in a cooperative task the wait is a yield
-    /// point.
+    /// forcing ownership of the bytes (zero-copy for forwarding). The wait
+    /// is the mailbox's one wait: a rank thread's `block_on` spins and
+    /// parks on it, a cooperative task yields.
     pub(crate) async fn recv_payload_async(&self, src: usize, tag: Tag) -> Payload {
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
         let filter = Match {
@@ -296,7 +295,7 @@ impl Comm {
     /// Panics if the matched message has a different length (MPI would
     /// raise `MPI_ERR_TRUNCATE`).
     pub fn recv<T: Word>(&self, buf: &mut [T], src: usize, tag: Tag) {
-        crate::coop::block_on(self.recv_async(buf, src, tag));
+        crate::block_on(self.recv_async(buf, src, tag));
     }
 
     /// Awaitable mirror of [`recv`](Comm::recv), for rank bodies running
@@ -374,7 +373,7 @@ impl Comm {
     /// The displaced buffer is kept for recycling by later sends and
     /// rendezvous receives.
     pub fn recv_raw(&self, buf: &mut Vec<u8>, src: usize, tag: Tag) {
-        crate::coop::block_on(self.recv_raw_async(buf, src, tag));
+        crate::block_on(self.recv_raw_async(buf, src, tag));
     }
 
     /// Awaitable mirror of [`recv_raw`](Comm::recv_raw).
@@ -388,7 +387,7 @@ impl Comm {
     /// Receives a message of any length, optionally constrained by source
     /// and/or tag. Returns the payload and the actual (source, tag).
     pub fn recv_any<T: Word>(&self, src: Option<usize>, tag: Option<Tag>) -> (Vec<T>, usize, Tag) {
-        crate::coop::block_on(self.recv_any_async(src, tag))
+        crate::block_on(self.recv_any_async(src, tag))
     }
 
     /// Awaitable mirror of [`recv_any`](Comm::recv_any).
@@ -418,7 +417,7 @@ impl Comm {
     /// large-message rendezvous path only fires when the matching receive
     /// is already posted, so it cannot introduce a send-send wait cycle).
     pub fn sendrecv<T: Word>(&self, sbuf: &[T], dst: usize, rbuf: &mut [T], src: usize, tag: Tag) {
-        crate::coop::block_on(self.sendrecv_async(sbuf, dst, rbuf, src, tag));
+        crate::block_on(self.sendrecv_async(sbuf, dst, rbuf, src, tag));
     }
 
     /// Awaitable mirror of [`sendrecv`](Comm::sendrecv). The send half is
@@ -473,7 +472,7 @@ impl Comm {
     /// Splits the communicator by `color`; ranks with equal color form a new
     /// communicator ordered by `(key, old rank)`. Mirrors `MPI_Comm_split`.
     pub fn split(&self, color: u32, key: i64) -> Comm {
-        crate::coop::block_on(self.split_async(color, key))
+        crate::block_on(self.split_async(color, key))
     }
 
     /// Awaitable mirror of [`split`](Comm::split).
@@ -618,7 +617,7 @@ impl<T: Word> RecvHandle<T> {
     /// Blocks until the receive matches; fills `buf` (exact length).
     /// `comm` must be the communicator the receive was posted on.
     pub fn wait(self, comm: &Comm, buf: &mut [T]) {
-        crate::coop::block_on(self.wait_async(comm, buf));
+        crate::block_on(self.wait_async(comm, buf));
     }
 
     /// Awaitable mirror of [`wait`](RecvHandle::wait).

@@ -5,13 +5,13 @@
 //! virtual sweeps need 16k–100k. The **cooperative executor**
 //! ([`run_coop`], [`run_traced_coop`], [`run_virtual_coop`],
 //! [`run_checked_coop`]) hosts the whole world on the caller's thread:
-//! each rank body is an `async` future, and every blocking receive
-//! ([`Mailbox::wait_ticket`](crate::mailbox) and friends) becomes a yield
-//! point, so a 100k-rank virtual run is just 100k boxed futures. Ranks
-//! are polled off one deterministic FIFO run queue; the `simnet`
-//! first-fit reservation timelines are order-dependent under contention,
-//! so schedule determinism is what buys byte-identical virtual clocks
-//! run to run. It is the only engine virtual worlds run on.
+//! each rank body is an `async` future, and every blocking receive — the
+//! mailbox's one wait, which a rank thread's [`block_on`](crate::block_on)
+//! polls too — is a yield point, so a 100k-rank virtual run is just 100k
+//! boxed futures. Ranks are polled off one deterministic FIFO run queue;
+//! the `simnet` first-fit reservation timelines are order-dependent under
+//! contention, so schedule determinism is what buys byte-identical
+//! virtual clocks run to run. It is the only engine virtual worlds run on.
 //!
 //! Every entry point is a projection of one private `launch` (build the
 //! world — priced? instrumented? controlled? — and run `execute`), so a
@@ -21,9 +21,9 @@
 //!
 //! Task states (see DESIGN.md "Cooperative scheduler"): *queued* (rank id
 //! in the run queue), *running* (being polled), *blocked* (pending on a
-//! receive, waker parked in the hand-off slot), *finished*. A blocked
-//! rank is woken by the sender that fills its hand-off slot; wakes push
-//! the rank id back onto the FIFO queue. Deadlock detection is *instant*
+//! receive, waker left in its posted receive), *finished*. A blocked rank
+//! is woken by the sender that fills its posted receive; wakes push the
+//! rank id back onto the FIFO queue. Deadlock detection is *instant*
 //! — an empty queue with unfinished ranks is definitive, no wall-clock
 //! timeout needed — and composes with `mp::check`'s wait edges: a checked
 //! cooperative run calls [`check::diagnose`] at the stall and unwinds the
@@ -281,28 +281,6 @@ impl Wake for TaskWaker {
 
     fn wake_by_ref(self: &Arc<Self>) {
         self.queue.push(self.rank);
-    }
-}
-
-/// Drives a future that must complete without yielding: the bridge that
-/// lets one source of truth (the `*_async` bodies) serve the synchronous
-/// API. On rank threads every receive blocks the thread and completes
-/// synchronously, so the future is ready after a single poll. Inside a
-/// cooperative task this would park the whole executor, so it panics
-/// with a pointer at the async API instead.
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    assert!(
-        !in_coop(),
-        "mp: blocking call inside a cooperative task; use the async (*_async) API"
-    );
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = Context::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(r) => r,
-        Poll::Pending => unreachable!(
-            "mp: future pended outside the cooperative executor; blocking receives \
-             complete synchronously on rank threads"
-        ),
     }
 }
 

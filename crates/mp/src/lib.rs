@@ -60,13 +60,13 @@ pub mod virt;
 
 pub use comm::{Comm, RecvHandle};
 pub use coop::{
-    block_on, run_checked_coop, run_coop, run_traced_coop, run_virtual_coop, FifoController,
+    run_checked_coop, run_coop, run_traced_coop, run_virtual_coop, FifoController,
     ScheduleController, WildcardCandidate,
 };
 pub use datatype::{Ghost, Word};
 pub use msg::Tag;
 pub use reduce::{Numeric, Op};
 pub use rma::Window;
-pub use runtime::{receives_spin, run, run_traced, waiting_regime};
+pub use runtime::{block_on, receives_spin, run, run_traced, waiting_regime};
 pub use transport::Proc;
 pub use virt::VirtualNet;

@@ -6,19 +6,14 @@
 //! sequence number, so wildcard receives fall back to a scan over lane
 //! fronts in true arrival order. Blocked receivers register in a
 //! posted-receive table; a matching send fills the oldest matching posted
-//! receive in place, under the one mailbox lock, and wakes its receiver:
-//! the parked waker of a cooperative task, the wake word a rank thread is
-//! watching, or the mailbox condvar when that thread is parked on it. A
-//! mailbox is only ever waited on by the rank that owns it, so one word
-//! and one condvar per mailbox wake exactly the receiver — and a send to
-//! a world with no waiting thread (every cooperative world) costs no
-//! allocation, no second lock, no atomic write and no `notify` syscall
-//! per receive.
-//!
-//! A rank thread waits *spin-then-park* (see
-//! [`wait_ticket`](Mailbox::wait_ticket)): it watches the wake word for
-//! [`SPIN_BUDGET`] before it parks, so a short message never pays a futex
-//! wake — when, and only when, the world's ranks each have a CPU.
+//! receive in place, under the one mailbox lock, and — once it has
+//! released the lock — fires the `Waker` the receive's future left there.
+//! There is one wait, [`TicketWait`], and the mailbox does not know who
+//! polls it: a cooperative task, whose waker queues it on the executor's
+//! run queue, or a rank thread in [`block_on`](crate::block_on), whose
+//! waker raises the flag it spins on and unparks it. How a thread spins,
+//! parks and times out is `block_on`'s business; the named deadlock
+//! diagnosis stays with the pending receive.
 //!
 //! Posted receives may also carry a destination byte buffer sized to the
 //! expected message: a large send that finds such a posted receive encodes
@@ -29,35 +24,17 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::check::{Event, Inspector, LaneInfo, WaitOn};
 use crate::coop::{ScheduleController, WildcardCandidate};
 use crate::datatype::Word;
 use crate::msg::{Match, Message};
 use crate::payload::Payload;
-
-/// Wake interval of instrumented waits: short enough that a detector
-/// poison is noticed promptly, long enough to stay off the hot path.
-const INSTRUMENTED_WAIT_SLICE: Duration = Duration::from_millis(25);
-
-/// How long a rank thread watches its mailbox's wake word before it parks
-/// on the condvar, in a world whose ranks each have a CPU (the runtime
-/// hands a mailbox this or zero, see `runtime::receives_spin`). A park and
-/// its cross-CPU futex wake cost about 16 µs on the 2-vCPU reference
-/// container, so the budget is three of them: a reply that is on its way
-/// is caught (8 B ping-pong 17.8 → 1.8 µs), a peer that is busy computing
-/// costs its waiter 50 µs of one CPU and then nothing. Not a tuning
-/// surface: 15, 50 and 200 µs measured the same.
-pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(50);
-
-/// Wake-word polls between two reads of the clock while spinning.
-const SPIN_POLLS_PER_CLOCK_READ: u32 = 64;
 
 /// Default for how long a blocking receive waits before declaring a
 /// deadlock: generous in production builds, short under `cfg(test)` so a
@@ -76,8 +53,9 @@ const DEFAULT_DEADLOCK_TIMEOUT_SECS: u64 = 20;
 /// on *every* wait (not cached into a process-wide static): tests and
 /// long-running drivers may legitimately adjust the timeout between runs,
 /// and a stale first-read value would silently win. Once per wait, and
-/// only by a wait about to park — the read takes the process environment
-/// lock and allocates. Unparsable values fall back to the default.
+/// only by [`block_on`](crate::block_on) about to park — the read takes
+/// the process environment lock and allocates. Unparsable values fall
+/// back to the default.
 pub(crate) fn deadlock_timeout() -> Duration {
     let secs = std::env::var("MP_DEADLOCK_TIMEOUT_SECS")
         .ok()
@@ -129,19 +107,18 @@ struct PostedRecv {
     /// stays in the table, invisible to matching, until its receiver
     /// collects it.
     arrived: Option<Arrived>,
-    /// Waker of a cooperative task blocked on this receive; the sender
-    /// takes and fires it on fill.
+    /// Waker of the future blocked on this receive — a task's or a
+    /// thread's; the sender takes it on fill and fires it once it has
+    /// released the mailbox lock.
     waker: Option<Waker>,
 }
 
 impl PostedRecv {
-    /// Completes this receive with its matched message and fires the
-    /// waker parked on it, if any.
-    fn fill(&mut self, arrived: Arrived) {
+    /// Completes this receive with its matched message; returns the waker
+    /// left on it, if any, for the sender to fire outside the lock.
+    fn fill(&mut self, arrived: Arrived) -> Option<Waker> {
         self.arrived = Some(arrived);
-        if let Some(w) = self.waker.take() {
-            w.wake();
-        }
+        self.waker.take()
     }
 }
 
@@ -156,22 +133,6 @@ struct Inner {
     /// Posted receives in posting order (the MPI matching order).
     posted: Vec<PostedRecv>,
     next_posted_id: u64,
-    /// Threads parked on the mailbox condvar. Counted under this lock
-    /// just before a wait releases it, so a sender that fills a posted
-    /// receive knows whether anyone needs the signal.
-    parked: usize,
-    /// Threads watching the wake word, announced the same way: a sender
-    /// moves the word only when this is nonzero.
-    spinning: usize,
-    /// Times a rank thread announced itself and watched the wake word:
-    /// a plain count under the lock the waiter already holds, kept in
-    /// test builds, whose spin-rule tests read it.
-    #[cfg(test)]
-    spun: u64,
-    /// Times a rank thread parked on the condvar (an instrumented wait
-    /// parks once per slice); test builds only, as `spun`.
-    #[cfg(test)]
-    parked_waits: u64,
 }
 
 impl Inner {
@@ -182,7 +143,8 @@ impl Inner {
     /// more candidate lanes depended on arrival order — the race the
     /// trace lint flags, and the choice point a schedule controller
     /// (`ctl` = controller + receiving rank) enumerates instead of
-    /// always taking the oldest.
+    /// always taking the oldest — which is what
+    /// [`FifoController`](crate::FifoController) picks too.
     fn take_queued(
         &mut self,
         filter: Match,
@@ -192,60 +154,39 @@ impl Inner {
             let src = filter.src.expect("exact filter");
             let tag = filter.tag.expect("exact filter");
             ((src, crate::msg::pack_tag(filter.comm_id, tag)), 1)
-        } else if let Some((ctl, rank)) = ctl {
-            // Controlled wildcard: materialise every matching lane front
-            // in arrival order and let the controller pick. Index 0 (the
-            // oldest) reproduces the default engine behaviour.
+        } else {
+            // Wildcard: every matching lane front, oldest arrival first —
+            // lanes are FIFO, so index 0 is the oldest matching message
+            // overall. A controller picks when there is a real choice.
             let mut fronts: Vec<(u64, LaneKey)> = Vec::new();
-            for ((src, full_tag), lane) in &self.lanes {
-                if filter.accepts_parts(*src, *full_tag) {
-                    fronts.push((lane.front.seq, (*src, *full_tag)));
+            for (&key, lane) in &self.lanes {
+                if filter.accepts_parts(key.0, key.1) {
+                    fronts.push((lane.front.seq, key));
                 }
-            }
-            if fronts.is_empty() {
-                return None;
             }
             fronts.sort_unstable_by_key(|&(seq, _)| seq);
-            let idx = if fronts.len() >= 2 {
-                let cands: Vec<WildcardCandidate> = fronts
-                    .iter()
-                    .map(|&(seq, (src, full_tag))| WildcardCandidate {
-                        src,
-                        comm: (full_tag >> 32) as u32,
-                        tag: (full_tag & 0xFFFF_FFFF) as u32,
-                        seq,
-                    })
-                    .collect();
-                let pick = ctl.pick_wildcard(rank, &cands);
-                assert!(
-                    pick < cands.len(),
-                    "controller wildcard pick {pick} out of range ({} candidates)",
-                    cands.len()
-                );
-                pick
-            } else {
-                0
+            let idx = match ctl {
+                Some((ctl, rank)) if fronts.len() >= 2 => {
+                    let cands: Vec<WildcardCandidate> = fronts
+                        .iter()
+                        .map(|&(seq, (src, full_tag))| WildcardCandidate {
+                            src,
+                            comm: (full_tag >> 32) as u32,
+                            tag: (full_tag & 0xFFFF_FFFF) as u32,
+                            seq,
+                        })
+                        .collect();
+                    let pick = ctl.pick_wildcard(rank, &cands);
+                    assert!(
+                        pick < cands.len(),
+                        "controller wildcard pick {pick} out of range ({} candidates)",
+                        cands.len()
+                    );
+                    pick
+                }
+                _ => 0,
             };
-            (fronts[idx].1, fronts.len() as u32)
-        } else {
-            // Wildcard: the oldest matching message overall is the oldest
-            // among matching lanes' fronts (lanes are FIFO).
-            let mut candidates = 0u32;
-            let mut best: Option<(LaneKey, u64)> = None;
-            for ((src, full_tag), lane) in &self.lanes {
-                if !filter.accepts_parts(*src, *full_tag) {
-                    continue;
-                }
-                candidates += 1;
-                let older = match best {
-                    None => true,
-                    Some((_, seq)) => lane.front.seq < seq,
-                };
-                if older {
-                    best = Some(((*src, *full_tag), lane.front.seq));
-                }
-            }
-            (best?.0, candidates)
+            (fronts.get(idx)?.1, fronts.len() as u32)
         };
         let Entry::Occupied(mut lane) = self.lanes.entry(key) else {
             return None;
@@ -319,16 +260,11 @@ impl Inner {
 
     /// Collects the posted receive behind `ticket` if a sender has filled
     /// it: the message and the rendezvous buffer it did not use, if any.
-    /// Otherwise parks `waker` (a task's; threads park on the condvar) in
-    /// the entry and returns `None`.
-    fn collect(
-        &mut self,
-        ticket: &Ticket,
-        waker: Option<&Waker>,
-    ) -> Option<(Arrived, Option<Vec<u8>>)> {
+    /// Otherwise leaves `waker` in the entry and returns `None`.
+    fn collect(&mut self, ticket: &Ticket, waker: &Waker) -> Option<(Arrived, Option<Vec<u8>>)> {
         let idx = self.index_of(ticket);
         if self.posted[idx].arrived.is_none() {
-            self.posted[idx].waker = waker.cloned();
+            self.posted[idx].waker = Some(waker.clone());
             return None;
         }
         let p = self.posted.remove(idx);
@@ -337,14 +273,13 @@ impl Inner {
 
     /// Delivers `msg`: to the oldest matching posted receive if there is
     /// one (before lane insertion, so posted receives match in MPI
-    /// order), else onto its lane. Returns whether a thread waiting on
-    /// the mailbox needs waking.
-    fn enqueue(&mut self, msg: Message) -> bool {
+    /// order), else onto its lane. Returns the waker of the receive it
+    /// filled, if that receive is being waited on.
+    fn enqueue(&mut self, msg: Message) -> Option<Waker> {
         self.seq += 1;
         let arrived = Arrived { seq: self.seq, msg };
         if let Some(posted) = self.oldest_posted(arrived.msg.src, arrived.msg.full_tag) {
-            posted.fill(arrived);
-            return self.parked + self.spinning > 0;
+            return posted.fill(arrived);
         }
         match self.lanes.entry((arrived.msg.src, arrived.msg.full_tag)) {
             Entry::Occupied(mut lane) => lane.get_mut().rest.push_back(arrived),
@@ -353,27 +288,13 @@ impl Inner {
             }
         }
         self.queued += 1;
-        false
+        None
     }
 }
 
 /// A rank's incoming-message queue (see the module docs).
 pub(crate) struct Mailbox {
     inner: Mutex<Inner>,
-    /// Signalled when a posted receive is filled while a thread is parked.
-    /// `notify_all`, since every waiter re-checks its own ticket: the one
-    /// waiter is normally the owning rank's thread, but a communicator
-    /// moved to a helper thread could add a second.
-    ready: Condvar,
-    /// The wake word: moved, under the lock, when a posted receive is
-    /// filled while a thread has announced it is watching, and read by
-    /// that thread *outside* the lock. It publishes nothing — the watcher
-    /// retakes the lock before it looks at its ticket — so every access
-    /// is relaxed.
-    wake: AtomicU32,
-    /// How long a thread watches the wake word before it parks:
-    /// [`SPIN_BUDGET`], or zero in a world with more ranks than CPUs.
-    spin_budget: Duration,
     /// The owning rank (0 for standalone test mailboxes).
     rank: usize,
     /// Instrumentation registry of a checked run, if any.
@@ -385,11 +306,12 @@ pub(crate) struct Mailbox {
 
 /// A registered nonblocking receive: either the message was already
 /// queued (taken immediately, arrival stamp kept so cancellation can
-/// restore it exactly, candidate-lane count alongside), or a table entry
-/// now waits for it. Opaque to callers; resolve with
-/// [`Mailbox::complete`] or [`Mailbox::cancel`].
+/// restore it exactly, candidate-lane count and the rendezvous buffer it
+/// will not need alongside), or a table entry now waits for it. Opaque to
+/// callers; resolve with [`Mailbox::complete_async`] or
+/// [`Mailbox::cancel`].
 pub(crate) enum PostedHandle {
-    Ready(Arrived, u32),
+    Ready(Arrived, u32, Option<Vec<u8>>),
     Pending(Ticket),
 }
 
@@ -400,19 +322,14 @@ pub(crate) struct Ticket {
 
 impl Mailbox {
     /// A mailbox owned by `rank`, instrumented when `inspector` is set
-    /// and schedule-controlled when `controller` is set, whose owner
-    /// spins for `spin_budget` before it parks.
+    /// and schedule-controlled when `controller` is set.
     pub(crate) fn with_instrumentation(
         rank: usize,
         inspector: Option<Arc<Inspector>>,
         controller: Option<Arc<dyn ScheduleController>>,
-        spin_budget: Duration,
     ) -> Mailbox {
         Mailbox {
             inner: Mutex::new(Inner::default()),
-            ready: Condvar::new(),
-            wake: AtomicU32::new(0),
-            spin_budget,
             rank,
             inspector,
             controller,
@@ -472,44 +389,12 @@ impl Mailbox {
 
     /// Delivers a message (called from the sending rank's thread): direct
     /// hand-off to the oldest matching posted receive, else lane-enqueue.
+    /// The filled receive's waker fires after the lock is released.
     pub(crate) fn push(&self, msg: Message) {
-        let mut inner = self.inner.lock();
-        if inner.enqueue(msg) {
-            self.wake_threads(inner);
+        let waker = self.inner.lock().enqueue(msg);
+        if let Some(waker) = waker {
+            waker.wake();
         }
-    }
-
-    /// Wakes the threads waiting on this mailbox once a posted receive
-    /// has been filled under `inner`: moves the wake word, still under
-    /// the lock, if any thread announced it is watching it, and signals
-    /// the condvar only if one is parked — a spinning receiver costs its
-    /// sender no syscall.
-    fn wake_threads(&self, inner: MutexGuard<'_, Inner>) {
-        if inner.spinning > 0 {
-            self.wake.fetch_add(1, Ordering::Relaxed);
-        }
-        let parked = inner.parked > 0;
-        drop(inner);
-        if parked {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Watches the wake word until it moves away from `seen` (true) or
-    /// the spin budget runs out (false).
-    fn watch(&self, seen: u32) -> bool {
-        let start = Instant::now(); // arch_lint: Mailbox::watch spin budget
-        let mut polls = 0u32;
-        while self.wake.load(Ordering::Relaxed) == seen {
-            polls += 1;
-            if polls.is_multiple_of(SPIN_POLLS_PER_CLOCK_READ)
-                && start.elapsed() >= self.spin_budget
-            {
-                return false;
-            }
-            std::hint::spin_loop();
-        }
-        true
     }
 
     /// Whether a sender has filled the posted receive behind ticket `id`
@@ -563,20 +448,24 @@ impl Mailbox {
                 arrival,
             },
         };
-        posted.fill(arrived);
+        let waker = posted.fill(arrived);
         inner.seq = seq;
-        self.wake_threads(inner);
+        drop(inner);
+        if let Some(waker) = waker {
+            waker.wake();
+        }
         true
     }
 
     /// Registers a nonblocking receive: takes an already-queued match
-    /// immediately, otherwise enters the posted-receive table so a future
-    /// send (including a rendezvous send, when the caller supplies `buf`)
-    /// can complete it before the receiver waits.
+    /// immediately (handing `buf` back unused), otherwise enters the
+    /// posted-receive table so a future send (including a rendezvous
+    /// send, when the caller supplies `buf`) can complete it before the
+    /// receiver waits.
     pub(crate) fn post(&self, filter: Match, buf: Option<Vec<u8>>) -> PostedHandle {
         let mut inner = self.inner.lock();
         if let Some((arrived, candidates)) = inner.take_queued(filter, self.ctl()) {
-            return PostedHandle::Ready(arrived, candidates);
+            return PostedHandle::Ready(arrived, candidates, buf);
         }
         let ticket = inner.register(filter, buf);
         drop(inner);
@@ -584,132 +473,18 @@ impl Mailbox {
         PostedHandle::Pending(ticket)
     }
 
-    /// Cancels a posted receive. Any message it already matched is put
-    /// back at the front of its lane with its original arrival stamp, as
-    /// if the receive had never been posted.
+    /// Cancels a posted receive. Any message it already matched — taken
+    /// at post time or handed to it since — is put back at the front of
+    /// its lane with its original arrival stamp, as if the receive had
+    /// never been posted.
     pub(crate) fn cancel(&self, handle: PostedHandle) {
-        match handle {
-            PostedHandle::Ready(arrived, _) => self.inner.lock().requeue_front(arrived),
-            PostedHandle::Pending(ticket) => self.cancel_ticket(ticket),
-        }
-    }
-
-    /// Blocks until the posted receive behind `ticket` is matched.
-    /// `filter` is only used for wait registration and the deadlock
-    /// diagnostic.
-    ///
-    /// Instrumented runs publish a wait edge first, then park in short
-    /// slices, checking the detector's poison flag on every wake: a
-    /// diagnosed deadlock unwinds this rank with the diagnosis instead of
-    /// waiting out the wall-clock timeout, which is demoted to a backstop.
-    ///
-    /// The wait is spin-then-park. Finding its ticket unfilled, the
-    /// thread announces itself under the lock, drops the lock and watches
-    /// the wake word for the mailbox's spin budget; only then does it
-    /// park, and everything the park path checks is reached at most one
-    /// budget later. Three reasons shape it. *A budget*, because a peer
-    /// that answers within microseconds is the common case worth a CPU
-    /// and a peer that does not is not. *Outside the lock*, because
-    /// [`rendezvous_send`](Mailbox::rendezvous_send) encodes up to 4 MiB
-    /// while holding it: a spinner that polled by locking would go to
-    /// sleep on the mutex instead. *Zero when ranks outnumber CPUs*,
-    /// because then the spinner holds the CPU its sender needs (two ranks
-    /// pinned to one CPU: a forced spin took the `native_mp` benchmark
-    /// pass from 0.92 s to 2.63 s) — so the runtime derives the budget
-    /// from the world, and this is one loop whose budget is sometimes
-    /// zero.
-    pub(crate) fn wait_ticket(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
-        assert!(
-            !crate::coop::in_coop(),
-            "mp: synchronous receive inside a cooperative task; use the async receive API"
-        );
-        if let Some(insp) = &self.inspector {
-            let on = WaitOn {
-                comm: filter.comm_id,
-                src: filter.src,
-                tag: filter.tag,
-            };
-            insp.begin_wait(self.rank, on, ticket.id);
-        }
-        let mut spin = !self.spin_budget.is_zero();
-        let mut timeout = None;
-        let mut waited = Duration::ZERO;
         let mut inner = self.inner.lock();
-        loop {
-            if let Some((arrived, spare)) = inner.collect(&ticket, None) {
-                drop(inner);
-                if let Some(insp) = &self.inspector {
-                    insp.end_wait(self.rank);
-                }
-                // A handed-off message is the only candidate by
-                // construction: had another queued message matched the
-                // filter, it would have been taken at post time.
-                self.record_recv(&arrived, filter, 1);
-                return (arrived.msg, spare);
-            }
-            if spin {
-                // Announced and snapshotted under the lock: a fill before
-                // this point was seen by `collect` above, one after it
-                // finds `spinning` nonzero and moves the word off `seen`.
-                inner.spinning += 1;
-                #[cfg(test)]
-                {
-                    inner.spun += 1;
-                }
-                let seen = self.wake.load(Ordering::Relaxed);
-                drop(inner);
-                // A wake for another ticket of this mailbox is a message
-                // delivered, not a stall: watch again. A spent budget
-                // parks for the rest of this wait.
-                spin = self.watch(seen);
-                inner = self.inner.lock();
-                inner.spinning -= 1;
-                continue;
-            }
-            if let Some(insp) = &self.inspector {
-                if let Some(diagnosis) = insp.poisoned() {
-                    inner.withdraw(&ticket);
-                    drop(inner);
-                    panic!("{}{diagnosis}", crate::check::POISON_MARK);
-                }
-            }
-            let timeout = *timeout.get_or_insert_with(deadlock_timeout);
-            if waited >= timeout {
-                // Still unmatched after the timeout: declare deadlock.
-                inner.withdraw(&ticket);
-                let queued = inner.queued;
-                drop(inner);
-                let mut lanes = String::new();
-                for lane in self.inventory() {
-                    lanes.push_str("\n  ");
-                    lanes.push_str(&lane.to_string());
-                }
-                panic!(
-                    "mp: rank {} waited {}s for a message matching {filter:?}; \
-                     likely deadlock ({} unmatched messages queued{}{}). Tune via \
-                     MP_DEADLOCK_TIMEOUT_SECS.",
-                    self.rank,
-                    timeout.as_secs(),
-                    queued,
-                    if lanes.is_empty() { "" } else { ":" },
-                    lanes,
-                );
-            }
-            let slice = if self.inspector.is_some() {
-                INSTRUMENTED_WAIT_SLICE.min(timeout)
-            } else {
-                timeout
-            };
-            inner.parked += 1;
-            #[cfg(test)]
-            {
-                inner.parked_waits += 1;
-            }
-            let timed_out = self.ready.wait_for(&mut inner, slice).timed_out();
-            inner.parked -= 1;
-            if timed_out {
-                waited += slice;
-            }
+        let matched = match handle {
+            PostedHandle::Ready(arrived, ..) => Some(arrived),
+            PostedHandle::Pending(ticket) => inner.withdraw(&ticket).arrived,
+        };
+        if let Some(arrived) = matched {
+            inner.requeue_front(arrived);
         }
     }
 
@@ -717,27 +492,10 @@ impl Mailbox {
     /// until one arrives; also posts `buf` as a rendezvous destination
     /// while waiting (see [`rendezvous_send`](Mailbox::rendezvous_send)).
     /// Returns the message and, if the rendezvous buffer went unused, the
-    /// buffer itself for recycling. On a rank thread the wait parks the
-    /// thread; inside a cooperative task it is a yield point.
-    pub(crate) async fn recv_posting_async(
-        &self,
-        filter: Match,
-        buf: Option<Vec<u8>>,
-    ) -> (Message, Option<Vec<u8>>) {
-        let mut inner = self.inner.lock();
-        if let Some((arrived, candidates)) = inner.take_queued(filter, self.ctl()) {
-            drop(inner);
-            self.record_recv(&arrived, filter, candidates);
-            return (arrived.msg, buf);
-        }
-        let ticket = inner.register(filter, buf);
-        drop(inner);
-        self.note_touch();
-        if crate::coop::in_coop() {
-            TicketWait::new(self, ticket, filter).await
-        } else {
-            self.wait_ticket(ticket, filter)
-        }
+    /// buffer itself for recycling. Posts when called, not when first
+    /// polled.
+    pub(crate) fn recv_posting_async(&self, filter: Match, buf: Option<Vec<u8>>) -> TicketWait<'_> {
+        self.complete_async(self.post(filter, buf), filter)
     }
 
     /// Removes and returns the oldest message matching `filter`, waiting
@@ -751,66 +509,34 @@ impl Mailbox {
     /// unit tests.
     #[cfg(test)]
     pub(crate) fn recv(&self, filter: Match) -> Message {
-        crate::coop::block_on(self.recv_async(filter))
+        crate::block_on(self.recv_async(filter))
     }
 
-    /// Blocking [`recv_posting_async`](Mailbox::recv_posting_async), for
-    /// thread-based unit tests.
-    #[cfg(test)]
-    pub(crate) fn recv_posting(
-        &self,
-        filter: Match,
-        buf: Option<Vec<u8>>,
-    ) -> (Message, Option<Vec<u8>>) {
-        crate::coop::block_on(self.recv_posting_async(filter, buf))
-    }
-
-    /// Resolves a posted receive: immediate for an already-matched one,
-    /// waiting until a sender matches it otherwise.
-    pub(crate) async fn complete_async(
-        &self,
-        handle: PostedHandle,
-        filter: Match,
-    ) -> (Message, Option<Vec<u8>>) {
-        match handle {
-            PostedHandle::Ready(arrived, candidates) => {
-                self.record_recv(&arrived, filter, candidates);
-                (arrived.msg, None)
-            }
-            PostedHandle::Pending(ticket) => {
-                if crate::coop::in_coop() {
-                    TicketWait::new(self, ticket, filter).await
-                } else {
-                    self.wait_ticket(ticket, filter)
-                }
-            }
-        }
-    }
-
-    /// Cancels a pending posted receive. If a sender matched it in the
-    /// meantime, the message is put back at the front of its lane (its
-    /// original arrival stamp preserved), exactly as if it had never been
-    /// matched.
-    pub(crate) fn cancel_ticket(&self, ticket: Ticket) {
-        let mut inner = self.inner.lock();
-        if let Some(arrived) = inner.withdraw(&ticket).arrived {
-            inner.requeue_front(arrived);
+    /// Resolves a posted receive: ready at the first poll for an
+    /// already-matched one, waiting until a sender matches it otherwise.
+    /// Resolves to the message and the rendezvous buffer it did not use,
+    /// if any.
+    pub(crate) fn complete_async(&self, handle: PostedHandle, filter: Match) -> TicketWait<'_> {
+        TicketWait {
+            mailbox: self,
+            handle: Some(handle),
+            filter,
+            registered_wait: false,
         }
     }
 }
 
 #[cfg(test)]
 impl Mailbox {
-    /// A standalone uninstrumented mailbox whose waits park at once.
+    /// A standalone uninstrumented mailbox.
     pub(crate) fn new() -> Mailbox {
-        Mailbox::with_instrumentation(0, None, None, Duration::ZERO)
+        Mailbox::with_instrumentation(0, None, None)
     }
 
-    /// How often this mailbox's owner has watched the wake word and how
-    /// often it has parked: `(spun, parked_waits)`.
-    pub(crate) fn wait_counts(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.spun, inner.parked_waits)
+    /// Blocks the calling thread on the pending posted receive behind
+    /// `ticket`.
+    fn wait(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
+        crate::block_on(self.complete_async(PostedHandle::Pending(ticket), filter))
     }
 
     /// Non-blocking variant: removes the oldest matching message if present.
@@ -828,29 +554,49 @@ impl Mailbox {
     }
 }
 
-/// The cooperative executor's blocking point: a future that resolves
-/// when the posted receive behind `ticket` is matched. Each poll checks
-/// the detector poison first and publishes the wait edge *before*
+/// The one wait for a posted receive: a future that resolves when the
+/// receive behind its handle is matched, polled by the cooperative
+/// executor or by a rank thread's [`block_on`](crate::block_on) alike. An
+/// already-matched receive resolves at the first poll. Otherwise each poll
+/// checks the detector poison first and publishes the wait edge *before*
 /// probing the posted receive (rank-state and mailbox locks are never
 /// held together, here or in `check::diagnose`), then either takes the
-/// arrival or parks its waker in the table entry.
-/// Dropping an unresolved wait cancels the posting, requeueing any
-/// message it had already matched.
-struct TicketWait<'a> {
+/// arrival or leaves its waker in the table entry. A poll that finds the
+/// receive still unmatched after `block_on`'s deadlock timeout withdraws
+/// it and panics with the diagnosis. Dropping an unresolved wait cancels
+/// the posting, requeueing any message it had already matched.
+pub(crate) struct TicketWait<'a> {
     mailbox: &'a Mailbox,
-    ticket: Option<Ticket>,
+    /// The receive, until the wait resolves it.
+    handle: Option<PostedHandle>,
     filter: Match,
     registered_wait: bool,
 }
 
-impl<'a> TicketWait<'a> {
-    fn new(mailbox: &'a Mailbox, ticket: Ticket, filter: Match) -> TicketWait<'a> {
-        TicketWait {
-            mailbox,
-            ticket: Some(ticket),
-            filter,
-            registered_wait: false,
+impl TicketWait<'_> {
+    /// Declares the deadlock `block_on` timed out on: withdraws the
+    /// posted receive under `inner` and panics naming the rank, the
+    /// filter and the unmatched traffic still queued.
+    fn deadlock(&self, mut inner: MutexGuard<'_, Inner>, ticket: Ticket, timeout: Duration) -> ! {
+        inner.withdraw(&ticket);
+        let queued = inner.queued;
+        drop(inner);
+        let mut lanes = String::new();
+        for lane in self.mailbox.inventory() {
+            lanes.push_str("\n  ");
+            lanes.push_str(&lane.to_string());
         }
+        panic!(
+            "mp: rank {} waited {}s for a message matching {:?}; \
+             likely deadlock ({} unmatched messages queued{}{}). Tune via \
+             MP_DEADLOCK_TIMEOUT_SECS.",
+            self.mailbox.rank,
+            timeout.as_secs(),
+            self.filter,
+            queued,
+            if lanes.is_empty() { "" } else { ":" },
+            lanes,
+        );
     }
 }
 
@@ -859,14 +605,19 @@ impl Future for TicketWait<'_> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
+        let ticket = match this.handle.take().expect("polled after completion") {
+            PostedHandle::Ready(arrived, candidates, spare) => {
+                this.mailbox.record_recv(&arrived, this.filter, candidates);
+                return Poll::Ready((arrived.msg, spare));
+            }
+            PostedHandle::Pending(ticket) => ticket,
+        };
         if let Some(insp) = &this.mailbox.inspector {
             if let Some(diagnosis) = insp.poisoned() {
-                let ticket = this.ticket.take().expect("polled after completion");
                 this.mailbox.inner.lock().withdraw(&ticket);
                 panic!("{}{diagnosis}", crate::check::POISON_MARK);
             }
             if !this.registered_wait {
-                let ticket = this.ticket.as_ref().expect("polled after completion");
                 let on = WaitOn {
                     comm: this.filter.comm_id,
                     src: this.filter.src,
@@ -876,33 +627,38 @@ impl Future for TicketWait<'_> {
                 this.registered_wait = true;
             }
         }
-        let ticket = this.ticket.as_ref().expect("polled after completion");
-        let collected = this.mailbox.inner.lock().collect(ticket, Some(cx.waker()));
-        if let Some((arrived, spare)) = collected {
-            if this.registered_wait {
-                if let Some(insp) = &this.mailbox.inspector {
-                    insp.end_wait(this.mailbox.rank);
-                }
+        let mut inner = this.mailbox.inner.lock();
+        let Some((arrived, spare)) = inner.collect(&ticket, cx.waker()) else {
+            if let Some(timeout) = crate::runtime::overdue() {
+                this.deadlock(inner, ticket, timeout);
             }
-            // Hand-offs have exactly one candidate by construction (see
-            // wait_ticket).
-            this.mailbox.record_recv(&arrived, this.filter, 1);
-            this.ticket = None;
-            return Poll::Ready((arrived.msg, spare));
+            drop(inner);
+            this.handle = Some(PostedHandle::Pending(ticket));
+            return Poll::Pending;
+        };
+        drop(inner);
+        if this.registered_wait {
+            if let Some(insp) = &this.mailbox.inspector {
+                insp.end_wait(this.mailbox.rank);
+            }
         }
-        Poll::Pending
+        // A handed-off message is the only candidate by construction: had
+        // another queued message matched the filter, it would have been
+        // taken at post time.
+        this.mailbox.record_recv(&arrived, this.filter, 1);
+        Poll::Ready((arrived.msg, spare))
     }
 }
 
 impl Drop for TicketWait<'_> {
     fn drop(&mut self) {
-        if let Some(ticket) = self.ticket.take() {
+        if let Some(handle) = self.handle.take() {
             if self.registered_wait {
                 if let Some(insp) = &self.mailbox.inspector {
                     insp.end_wait(self.mailbox.rank);
                 }
             }
-            self.mailbox.cancel_ticket(ticket);
+            self.mailbox.cancel(handle);
         }
     }
 }
@@ -911,8 +667,10 @@ impl Drop for TicketWait<'_> {
 mod tests {
     use super::*;
     use crate::msg::pack_tag;
+    use crate::runtime::{ThreadWaker, SPIN_BUDGET};
     use proptest::prelude::*;
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn msg(src: usize, tag: u32, data: Vec<u8>) -> Message {
         Message {
@@ -997,7 +755,7 @@ mod tests {
     fn wildcard_candidates_counted_for_race_detection() {
         use crate::check::{Event, Inspector, Settings};
         let insp = Arc::new(Inspector::new(1, Settings::default(), None));
-        let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None, Duration::ZERO);
+        let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None);
         mb.push(msg(1, 5, vec![1]));
         mb.push(msg(2, 6, vec![2]));
         assert_eq!(mb.recv(any()).src, 1, "oldest arrival wins");
@@ -1059,7 +817,7 @@ mod tests {
         };
         mb.push(msg(1, 7, vec![3]));
         assert_eq!(mb.pending(), 0, "message must go to the posted receive");
-        let (m, spare) = mb.wait_ticket(ticket, exact(1, 7));
+        let (m, spare) = mb.wait(ticket, exact(1, 7));
         assert_eq!(m.data.bytes().unwrap(), &[3]);
         assert!(spare.is_none());
     }
@@ -1069,7 +827,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(1, 7, vec![4]));
         match mb.post(exact(1, 7), None) {
-            PostedHandle::Ready(a, candidates) => {
+            PostedHandle::Ready(a, candidates, _) => {
                 assert_eq!(a.msg.data.bytes().unwrap(), &[4]);
                 assert_eq!(candidates, 1);
             }
@@ -1100,14 +858,8 @@ mod tests {
         };
         mb.push(msg(1, 7, vec![1]));
         mb.push(msg(1, 7, vec![2]));
-        assert_eq!(
-            mb.wait_ticket(t1, exact(1, 7)).0.data.bytes().unwrap(),
-            &[1]
-        );
-        assert_eq!(
-            mb.wait_ticket(t2, exact(1, 7)).0.data.bytes().unwrap(),
-            &[2]
-        );
+        assert_eq!(mb.wait(t1, exact(1, 7)).0.data.bytes().unwrap(), &[1]);
+        assert_eq!(mb.wait(t2, exact(1, 7)).0.data.bytes().unwrap(), &[2]);
     }
 
     #[test]
@@ -1119,7 +871,7 @@ mod tests {
         mb.push(msg(5, 1, vec![10]));
         mb.push(msg(5, 1, vec![11]));
         assert_eq!(mb.pending(), 1, "first message went to the posted receive");
-        mb.cancel_ticket(ticket);
+        mb.cancel(PostedHandle::Pending(ticket));
         assert_eq!(mb.pending(), 2);
         // Order restored: the handed-off message is back at the front.
         assert_eq!(mb.recv(exact(5, 1)).data.bytes().unwrap(), &[10]);
@@ -1134,7 +886,7 @@ mod tests {
         };
         let words = [0x0102_0304_0506_0708u64];
         assert!(mb.rendezvous_send(2, pack_tag(0, 4), &words, None));
-        let (m, spare) = mb.wait_ticket(ticket, exact(2, 4));
+        let (m, spare) = mb.wait(ticket, exact(2, 4));
         assert!(spare.is_none(), "buffer was consumed by the rendezvous");
         assert_eq!(m.data.bytes().unwrap(), &[8, 7, 6, 5, 4, 3, 2, 1]);
     }
@@ -1151,7 +903,7 @@ mod tests {
         assert!(!mb.rendezvous_send(2, pack_tag(0, 4), &[1u64], None));
         // Eager delivery still reaches it, returning no spare.
         mb.push(msg(2, 4, vec![1]));
-        let (m, spare) = mb.wait_ticket(t1, exact(2, 4));
+        let (m, spare) = mb.wait(t1, exact(2, 4));
         assert_eq!(m.data.bytes().unwrap(), &[1]);
         assert!(spare.is_none());
         // Posted buffer of the wrong size: rendezvous declines.
@@ -1160,7 +912,7 @@ mod tests {
         };
         assert!(!mb.rendezvous_send(2, pack_tag(0, 4), &[1u64], None));
         mb.push(msg(2, 4, vec![9; 8]));
-        let (m, spare) = mb.wait_ticket(t2, exact(2, 4));
+        let (m, spare) = mb.wait(t2, exact(2, 4));
         assert_eq!(m.data.len(), 8);
         assert_eq!(spare, Some(vec![0u8; 4]), "unused buffer comes back");
     }
@@ -1171,7 +923,8 @@ mod tests {
         let (m, spare) = {
             let mb = &mb;
             std::thread::scope(|s| {
-                let h = s.spawn(move || mb.recv_posting(exact(1, 2), Some(vec![0u8; 16])));
+                let recv = mb.recv_posting_async(exact(1, 2), Some(vec![0u8; 16]));
+                let h = s.spawn(move || crate::block_on(recv));
                 std::thread::sleep(Duration::from_millis(20));
                 mb.push(msg(1, 2, vec![5; 4]));
                 h.join().unwrap()
@@ -1181,15 +934,8 @@ mod tests {
         assert_eq!(spare, Some(vec![0u8; 16]));
     }
 
-    /// A standalone mailbox whose owner watches the wake word for `budget`
-    /// before it parks, whatever the host (the runtime would hand it
-    /// [`SPIN_BUDGET`] or zero).
-    fn spinning(budget: Duration) -> Mailbox {
-        Mailbox::with_instrumentation(0, None, None, budget)
-    }
-
-    /// A budget no test outlives: a waiter given it is still watching the
-    /// wake word whenever its sender gets round to sending.
+    /// A budget no test outlives: a waiter given it is still watching its
+    /// waker's flag whenever its sender gets round to sending.
     const NEVER_PARKS: Duration = Duration::from_secs(60);
 
     /// How a test message reaches its posted receive.
@@ -1209,8 +955,9 @@ mod tests {
         OnceItHasParked,
     }
 
-    /// Polls `cond` (an observation made under the mailbox lock) until it
-    /// holds, failing the test instead of hanging it.
+    /// Polls `cond` (an observation of another thread's counters or of the
+    /// mailbox under its lock) until it holds, failing the test instead of
+    /// hanging it.
     fn until(what: &str, cond: impl Fn() -> bool) {
         let start = Instant::now();
         while !cond() {
@@ -1219,11 +966,35 @@ mod tests {
         }
     }
 
-    /// Posts one receive on `mb`, waits on it from a second thread and
-    /// delivers its eight bytes by `path` at `when` — the interleaving is
-    /// read off the mailbox's own counters, which move under its lock, not
-    /// guessed with a sleep. Returns `(spun, parked_waits)` afterwards.
-    fn delivered(mb: &Mailbox, path: Path, when: When) -> (u64, u64) {
+    /// A waiting thread's handle, which joins to what it received.
+    type Waiter<'scope> = std::thread::ScopedJoinHandle<'scope, (Message, Option<Vec<u8>>)>;
+
+    /// Starts a thread of `scope` that spins for `budget` before it parks,
+    /// as a rank thread would, and blocks on `ticket`; returns its handle
+    /// and its waker, whose counters move as it spins and parks.
+    fn waiter<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        mb: &'scope Mailbox,
+        ticket: Ticket,
+        filter: Match,
+        budget: Duration,
+    ) -> (Waiter<'scope>, Arc<ThreadWaker>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = scope.spawn(move || {
+            crate::runtime::spin_before_parking(budget);
+            tx.send(ThreadWaker::current())
+                .expect("the test is listening");
+            mb.wait(ticket, filter)
+        });
+        (handle, rx.recv().expect("the waiter starts"))
+    }
+
+    /// Posts one receive on a fresh mailbox, waits on it from a thread
+    /// that spins for `budget`, and delivers its eight bytes by `path` at
+    /// `when` — the interleaving is read off the waiter's own counters,
+    /// not guessed with a sleep. Returns its `(spun, parked)` afterwards.
+    fn delivered(budget: Duration, path: Path, when: When) -> (u64, u64) {
+        let mb = Mailbox::new();
         let buf = matches!(path, Path::Rendezvous).then(|| vec![0u8; 8]);
         let PostedHandle::Pending(ticket) = mb.post(exact(1, 7), buf) else {
             panic!("nothing queued yet");
@@ -1234,23 +1005,23 @@ mod tests {
                 assert!(mb.rendezvous_send(1, pack_tag(0, 7), &[0x0102_0304_0506_0708u64], None))
             }
         };
-        let (m, spare) = std::thread::scope(|s| {
+        let ((m, spare), thread) = std::thread::scope(|s| {
             if matches!(when, When::BeforeTheWait) {
                 deliver();
             }
-            let waiter = s.spawn(|| mb.wait_ticket(ticket, exact(1, 7)));
+            let (handle, thread) = waiter(s, &mb, ticket, exact(1, 7), budget);
             match when {
                 When::BeforeTheWait => {}
                 When::WhileItSpins => {
-                    until("announced a spin", || mb.wait_counts().0 >= 1);
+                    until("spun", || thread.wait_counts().0 >= 1);
                     deliver();
                 }
                 When::OnceItHasParked => {
-                    until("parked", || mb.wait_counts().1 >= 1);
+                    until("parked", || thread.wait_counts().1 >= 1);
                     deliver();
                 }
             }
-            waiter.join().unwrap()
+            (handle.join().unwrap(), thread)
         });
         assert_eq!(
             m.data.bytes().unwrap(),
@@ -1258,15 +1029,15 @@ mod tests {
             "{path:?} {when:?}"
         );
         assert!(spare.is_none(), "{path:?} {when:?}");
-        mb.wait_counts()
+        thread.wait_counts()
     }
 
     #[test]
     fn a_message_delivered_before_the_wait_is_collected_without_waiting() {
         for path in [Path::Eager, Path::Rendezvous] {
-            for mb in [Mailbox::new(), spinning(SPIN_BUDGET)] {
+            for budget in [Duration::ZERO, SPIN_BUDGET] {
                 assert_eq!(
-                    delivered(&mb, path, When::BeforeTheWait),
+                    delivered(budget, path, When::BeforeTheWait),
                     (0, 0),
                     "{path:?}"
                 );
@@ -1275,97 +1046,146 @@ mod tests {
     }
 
     #[test]
-    fn a_message_delivered_while_the_waiter_spins_wakes_it_through_the_word() {
+    fn a_message_delivered_while_the_waiter_spins_wakes_it_through_the_flag() {
         for path in [Path::Eager, Path::Rendezvous] {
-            let counts = delivered(&spinning(NEVER_PARKS), path, When::WhileItSpins);
+            let counts = delivered(NEVER_PARKS, path, When::WhileItSpins);
             assert_eq!(counts, (1, 0), "{path:?}: one spin, caught, never parked");
         }
     }
 
     #[test]
-    fn a_message_delivered_after_the_waiter_parked_wakes_it_through_the_condvar() {
+    fn a_message_delivered_after_the_waiter_parked_wakes_it_through_the_unpark() {
         for path in [Path::Eager, Path::Rendezvous] {
-            let (spun, parked) = delivered(&Mailbox::new(), path, When::OnceItHasParked);
-            assert_eq!(spun, 0, "{path:?}: a zero budget never watches the word");
+            let (spun, parked) = delivered(Duration::ZERO, path, When::OnceItHasParked);
+            assert_eq!(spun, 0, "{path:?}: a zero budget never watches the flag");
             assert!(parked >= 1, "{path:?}");
             // The spinning twin: the sender outlasts the budget.
-            let (spun, parked) = delivered(&spinning(SPIN_BUDGET), path, When::OnceItHasParked);
+            let (spun, parked) = delivered(SPIN_BUDGET, path, When::OnceItHasParked);
             assert_eq!(spun, 1, "{path:?}: the budget is spent once per wait");
             assert!(parked >= 1, "{path:?}");
         }
     }
 
+    /// Whether the posted receive behind ticket `id` still holds the waker
+    /// its waiter left there — a fill takes it to fire it.
+    fn holds_waker(mb: &Mailbox, id: u64) -> bool {
+        let inner = mb.inner.lock();
+        inner.posted.iter().any(|p| p.id == id && p.waker.is_some())
+    }
+
     #[test]
     fn a_fill_of_another_ticket_leaves_the_spinner_waiting_for_its_own() {
-        let mb = spinning(NEVER_PARKS);
+        let mb = Mailbox::new();
         let PostedHandle::Pending(other) = mb.post(exact(1, 7), None) else {
             panic!()
         };
         let PostedHandle::Pending(mine) = mb.post(exact(2, 8), None) else {
             panic!()
         };
-        let (m, _) = std::thread::scope(|s| {
-            let waiter = s.spawn(|| mb.wait_ticket(mine, exact(2, 8)));
-            until("announced a spin", || mb.wait_counts().0 >= 1);
-            // Moves the wake word, but for the other posted receive: the
-            // waiter looks, finds its own ticket unfilled and watches again.
+        let mine_id = mine.id;
+        let (m, counts) = std::thread::scope(|s| {
+            let (handle, thread) = waiter(s, &mb, mine, exact(2, 8), NEVER_PARKS);
+            until("spun", || thread.wait_counts().0 >= 1);
+            // Fills the other posted receive, whose waker is not the
+            // spinner's: its waker stays in its own entry, unfired.
             mb.push(msg(1, 7, vec![1]));
-            until("went back to watching", || mb.wait_counts().0 >= 2);
-            assert!(!waiter.is_finished());
+            assert!(mb.ticket_filled(other.id));
+            assert!(holds_waker(&mb, mine_id), "the spinner was not woken");
+            assert!(!handle.is_finished());
             mb.push(msg(2, 8, vec![2]));
-            waiter.join().unwrap()
+            let (m, _) = handle.join().unwrap();
+            (m, thread.wait_counts())
         });
         assert_eq!(m.data.bytes().unwrap(), &[2], "its own message");
-        assert_eq!(mb.wait_counts(), (2, 0));
-        let (m, _) = mb.wait_ticket(other, exact(1, 7));
+        assert_eq!(counts, (1, 0), "one spin, woken once, never parked");
+        let (m, _) = mb.wait(other, exact(1, 7));
         assert_eq!(m.data.bytes().unwrap(), &[1], "the other one kept its fill");
     }
 
-    /// 100 000 8-byte round trips between two threads over a pair of
-    /// mailboxes; a lost wake-up ends in the 20 s deadlock panic, a
-    /// mismatched one in the payload check.
-    fn ping_pong(ping: &Mailbox, pong: &Mailbox) {
-        const ROUNDS: u64 = 100_000;
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..ROUNDS {
-                    let m = pong.recv(exact(0, 1));
-                    ping.push(msg(1, 1, m.data.bytes().unwrap().to_vec()));
-                    assert_eq!(m.data.bytes().unwrap(), &i.to_le_bytes());
-                }
-            });
-            for i in 0..ROUNDS {
-                pong.push(msg(0, 1, i.to_le_bytes().to_vec()));
-                assert_eq!(
-                    ping.recv(exact(1, 1)).data.bytes().unwrap(),
-                    &i.to_le_bytes()
-                );
+    /// Two threads of one rank waiting on its mailbox at once — one on
+    /// the world communicator, one on a split child moved to a helper
+    /// thread — are both woken: each receive carries its own thread's
+    /// waker.
+    #[test]
+    fn two_threads_of_one_rank_waiting_at_once_are_both_woken() {
+        let world = Arc::new(crate::runtime::World::new(2, None, None));
+        let waiting = || {
+            let inner = world.mailboxes[0].inner.lock();
+            inner.posted.iter().filter(|p| p.waker.is_some()).count()
+        };
+        let out = crate::runtime::spawn_rank_threads(&world, &world.world_group, |rank, comm| {
+            let child = comm.split(0, 0);
+            if rank == 1 {
+                until("both of rank 0's receives wait", || waiting() == 2);
+                child.send(&[20u64], 0, 2);
+                comm.send(&[10u64], 0, 1);
+                return 0;
             }
+            std::thread::scope(|s| {
+                let helper = s.spawn(move || {
+                    let mut b = [0u64];
+                    child.recv(&mut b, 1, 2);
+                    b[0]
+                });
+                let mut a = [0u64];
+                comm.recv(&mut a, 1, 1);
+                a[0] + helper.join().unwrap()
+            })
         });
+        assert_eq!(out, [30, 0]);
     }
 
-    /// Over mailboxes built not to spin, then over ones built to — one
-    /// after the other, so the two pairs of threads do not take turns on
-    /// the same CPUs. The spinning pair gets a budget of about one round
-    /// trip instead of [`SPIN_BUDGET`]: some waits are caught watching
-    /// and most run out (four in five on an idle host), so the hand-over
-    /// from the word to the condvar — where a wake-up could be lost — is
-    /// crossed tens of thousands of times; the full budget would cross it
-    /// a handful (and, beside the other tests of this binary, would burn
-    /// 50 µs a round doing so).
+    /// 100 000 8-byte round trips between two threads over a pair of
+    /// mailboxes, each side spinning for `budget` before it parks; a lost
+    /// wake-up ends in the 20 s deadlock panic, a mismatched one in the
+    /// payload check. Returns `(spun, parked)` summed over both sides.
+    fn ping_pong(budget: Duration) -> (u64, u64) {
+        const ROUNDS: u64 = 100_000;
+        let (ping, pong) = (Mailbox::new(), Mailbox::new());
+        let side = |body: &(dyn Fn() + Sync)| {
+            crate::runtime::spin_before_parking(budget);
+            body();
+            ThreadWaker::current().wait_counts()
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let echo = s.spawn(|| {
+                side(&|| {
+                    for i in 0..ROUNDS {
+                        let m = pong.recv(exact(0, 1));
+                        ping.push(msg(1, 1, m.data.bytes().unwrap().to_vec()));
+                        assert_eq!(m.data.bytes().unwrap(), &i.to_le_bytes());
+                    }
+                })
+            });
+            let serve = s.spawn(|| {
+                side(&|| {
+                    for i in 0..ROUNDS {
+                        pong.push(msg(0, 1, i.to_le_bytes().to_vec()));
+                        assert_eq!(
+                            ping.recv(exact(1, 1)).data.bytes().unwrap(),
+                            &i.to_le_bytes()
+                        );
+                    }
+                })
+            });
+            (echo.join().unwrap(), serve.join().unwrap())
+        });
+        (a.0 + b.0, a.1 + b.1)
+    }
+
+    /// Without a budget, then with one — one after the other, so the two
+    /// pairs of threads do not take turns on the same CPUs. The spinning
+    /// pair gets a budget of about one round trip instead of
+    /// [`SPIN_BUDGET`]: some waits are caught watching and most run out
+    /// (four in five on an idle host), so the hand-over from the flag to
+    /// the park — where a wake-up could be lost — is crossed tens of
+    /// thousands of times; the full budget would cross it a handful (and,
+    /// beside the other tests of this binary, would burn 50 µs a round
+    /// doing so).
     #[test]
     fn ping_pong_loses_no_wakeup_on_either_side_of_the_rule() {
-        let (ping, pong) = (Mailbox::new(), Mailbox::new());
-        ping_pong(&ping, &pong);
-        assert_eq!(ping.wait_counts().0 + pong.wait_counts().0, 0);
-
-        let round_trip = Duration::from_micros(3);
-        let (ping, pong) = (spinning(round_trip), spinning(round_trip));
-        ping_pong(&ping, &pong);
-        let (spun, parked) = (
-            ping.wait_counts().0 + pong.wait_counts().0,
-            ping.wait_counts().1 + pong.wait_counts().1,
-        );
+        assert_eq!(ping_pong(Duration::ZERO).0, 0);
+        let (spun, parked) = ping_pong(Duration::from_micros(3));
         assert!(spun > 0 && parked > 0, "{spun} spins, {parked} parks");
     }
 

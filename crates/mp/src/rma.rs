@@ -250,7 +250,7 @@ fn round_trip(comm: &Comm, target: usize, ask: u64, reply: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coop::block_on;
+    use crate::block_on;
     use crate::runtime::run;
 
     #[test]

@@ -16,10 +16,13 @@
 //! run on the cooperative scheduler in [`crate::coop`] instead.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::future::Future;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::task::{Context, Poll, Wake, Waker};
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use simnet::Transfer;
@@ -28,7 +31,7 @@ use simnet::Time;
 
 use crate::check::{self, Inspector, LaneInfo, RunLog};
 use crate::comm::Comm;
-use crate::mailbox::{Mailbox, SPIN_BUDGET};
+use crate::mailbox::Mailbox;
 use crate::msg::Message;
 use crate::virt::{Clock, VirtualNet};
 
@@ -112,7 +115,7 @@ fn spawn_failure(rank: usize, n: usize, stack: usize, err: &std::io::Error) -> !
 }
 
 /// Whether a blocked receive in a world of `ranks` ranks on this host
-/// spins on its mailbox's wake word before it parks: exactly when every
+/// spins on its thread's waker before it parks: exactly when every
 /// rank can have a CPU to itself, `ranks <=
 /// smp::topo::detect().online_cpus` (which honours affinity masks and
 /// cgroup quotas). With more ranks than CPUs a spinner would hold the CPU
@@ -135,6 +138,181 @@ pub fn waiting_regime(ranks: usize) -> String {
         "park at once (more ranks than CPUs)".to_string()
     };
     format!("{ranks} ranks on {cpus} online CPUs: blocked receives {waits}")
+}
+
+/// How long a rank thread watches its waker's flag before it parks, in a
+/// world whose ranks each have a CPU (see [`receives_spin`]). A park and
+/// its cross-CPU futex wake cost about 16 µs on the 2-vCPU reference
+/// container, so the budget is three of them: a reply that is on its way
+/// is caught (8 B ping-pong 17.8 → 1.8 µs), a peer that is busy computing
+/// costs its waiter 50 µs of one CPU and then nothing. Not a tuning
+/// surface: 15, 50 and 200 µs measured the same.
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Flag polls between two reads of the clock while spinning.
+const SPIN_POLLS_PER_CLOCK_READ: u32 = 64;
+
+/// How long a blocked thread parks before it polls its future again, woken
+/// or not: short enough that a detector poison is noticed promptly, long
+/// enough to stay off the hot path. The deadlock timeout counts these.
+const PARK_SLICE: Duration = Duration::from_millis(25);
+
+/// The waker of every [`block_on`] on one thread: a wake raises the flag,
+/// which a spinning waiter is watching, and unparks the thread, which a
+/// parked one is waiting for (an unpark of a thread that is not parked
+/// costs one atomic swap, so a spinning receiver costs its sender no
+/// syscall).
+pub(crate) struct ThreadWaker {
+    /// Raised by a wake (`Release`) and read by the waiter (`Acquire`),
+    /// so a waiter that sees it also sees the fill behind it; the poll
+    /// that follows retakes the mailbox lock regardless. The waiter
+    /// lowers it before each poll, which a wake then cannot overtake.
+    woken: AtomicBool,
+    thread: std::thread::Thread,
+    /// Times a wait of this thread watched the flag, and times it parked;
+    /// test builds only, where the wait tests read them.
+    #[cfg(test)]
+    spun: std::sync::atomic::AtomicU64,
+    #[cfg(test)]
+    parked: std::sync::atomic::AtomicU64,
+}
+
+impl Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.woken.store(true, Ordering::Release);
+        self.thread.unpark();
+    }
+}
+
+impl ThreadWaker {
+    /// Watches the flag until a wake raises it (true) or `budget` runs
+    /// out (false).
+    fn spin(&self, budget: Duration) -> bool {
+        #[cfg(test)]
+        self.spun.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now(); // arch_lint: block_on spin budget
+        let mut polls = 0u32;
+        while !self.woken.load(Ordering::Acquire) {
+            polls += 1;
+            if polls.is_multiple_of(SPIN_POLLS_PER_CLOCK_READ) && start.elapsed() >= budget {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+        true
+    }
+}
+
+thread_local! {
+    /// This thread's waker, made on its first blocking wait, and the
+    /// `Waker` around it.
+    static WAKER: (Arc<ThreadWaker>, Waker) = {
+        let thread = Arc::new(ThreadWaker {
+            woken: AtomicBool::new(false),
+            thread: std::thread::current(),
+            #[cfg(test)]
+            spun: Default::default(),
+            #[cfg(test)]
+            parked: Default::default(),
+        });
+        (Arc::clone(&thread), Waker::from(thread))
+    };
+    /// How long this thread's blocked waits spin before they park:
+    /// installed for a rank thread's life by [`spawn_rank_threads`], zero
+    /// on every other thread.
+    static SPIN: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+    /// The deadlock timeout, set for the one poll [`block_on`] makes once
+    /// its wait has outlasted it; the pending receive reads it.
+    static OVERDUE: Cell<Option<Duration>> = const { Cell::new(None) };
+}
+
+/// Sets how long this thread's blocked waits spin before they park.
+pub(crate) fn spin_before_parking(budget: Duration) {
+    SPIN.set(budget);
+}
+
+/// The deadlock timeout this thread's current poll has outlasted, if it
+/// has: a pending receive that finds it set withdraws and panics with
+/// the diagnosis.
+pub(crate) fn overdue() -> Option<Duration> {
+    OVERDUE.get()
+}
+
+/// Clears [`OVERDUE`] when the poll it was set for ends, by return or by
+/// unwind.
+struct OverduePoll;
+
+impl OverduePoll {
+    fn begin(timeout: Duration) -> OverduePoll {
+        OVERDUE.set(Some(timeout));
+        OverduePoll
+    }
+}
+
+impl Drop for OverduePoll {
+    fn drop(&mut self) {
+        OVERDUE.set(None);
+    }
+}
+
+/// Drives `fut` to completion on the calling thread: the rank thread's
+/// executor, and the bridge that lets one source of truth (the `*_async`
+/// bodies) serve the synchronous API. It polls; while the future is
+/// pending it watches its waker's flag for the thread's spin budget, then
+/// parks in [`PARK_SLICE`]s, polling after each. Slices that end without
+/// a wake count against the deadlock timeout (`MP_DEADLOCK_TIMEOUT_SECS`,
+/// read once per wait); when they reach it, one last poll tells the
+/// pending receive, which panics with its diagnosis. Inside a
+/// cooperative task this would park the whole executor, so it panics
+/// with a pointer at the async API instead.
+///
+/// The wait is spin-then-park for three reasons. *A budget*, because a
+/// peer that answers within microseconds is the common case worth a CPU
+/// and a peer that does not is not. *On a flag, outside every lock*,
+/// because a rendezvous send encodes up to 4 MiB while holding the
+/// receiver's mailbox lock: a spinner that polled by locking would go to
+/// sleep on the mutex instead. *Zero when ranks outnumber CPUs*, because
+/// then the spinner holds the CPU its sender needs (two ranks pinned to
+/// one CPU: a forced spin took the `native_mp` benchmark pass from 0.92 s
+/// to 2.63 s) — so the runtime derives the budget from the world, and
+/// this is one loop whose budget is sometimes zero.
+pub fn block_on<F: Future>(fut: F) -> F::Output {
+    assert!(
+        !crate::coop::in_coop(),
+        "mp: blocking call inside a cooperative task; use the async (*_async) API"
+    );
+    let mut fut = std::pin::pin!(fut);
+    let budget = SPIN.get();
+    let mut timeout = None;
+    let mut idle = Duration::ZERO;
+    WAKER.with(|(thread, waker)| loop {
+        thread.woken.store(false, Ordering::Relaxed);
+        let polled = {
+            let _overdue = timeout.filter(|&t| idle >= t).map(OverduePoll::begin);
+            fut.as_mut().poll(&mut Context::from_waker(waker))
+        };
+        if let Poll::Ready(out) = polled {
+            return out;
+        }
+        // The budget is spent once per wake: a slice that ended without
+        // one parks again at once.
+        if idle.is_zero() && !budget.is_zero() && thread.spin(budget) {
+            continue;
+        }
+        timeout.get_or_insert_with(crate::mailbox::deadlock_timeout);
+        #[cfg(test)]
+        thread.parked.fetch_add(1, Ordering::Relaxed);
+        std::thread::park_timeout(PARK_SLICE);
+        idle = if thread.woken.load(Ordering::Acquire) {
+            Duration::ZERO
+        } else {
+            idle + PARK_SLICE
+        };
+    })
 }
 
 /// Shared state of a running SPMD world.
@@ -176,22 +354,11 @@ impl World {
         controller: Option<Arc<dyn crate::coop::ScheduleController>>,
     ) -> World {
         let world_group: Arc<Vec<usize>> = Arc::new((0..n).collect());
-        // Decided once per world (see `receives_spin`).
-        let spin_budget = if receives_spin(n) {
-            SPIN_BUDGET
-        } else {
-            Duration::ZERO
-        };
         World {
             n,
             mailboxes: (0..n)
                 .map(|rank| {
-                    Mailbox::with_instrumentation(
-                        rank,
-                        inspector.clone(),
-                        controller.clone(),
-                        spin_budget,
-                    )
+                    Mailbox::with_instrumentation(rank, inspector.clone(), controller.clone())
                 })
                 .collect(),
             world_group,
@@ -313,19 +480,6 @@ impl World {
     }
 }
 
-#[cfg(test)]
-impl World {
-    /// How often this world's rank threads have watched a wake word and
-    /// how often they have parked, summed over its mailboxes:
-    /// `(spun, parked_waits)`.
-    fn wait_counts(&self) -> (u64, u64) {
-        self.mailboxes
-            .iter()
-            .map(Mailbox::wait_counts)
-            .fold((0, 0), |(s, p), (spun, parked)| (s + spun, p + parked))
-    }
-}
-
 /// Runs `f` as an SPMD program over `n` ranks and returns the per-rank
 /// results in rank order.
 ///
@@ -402,6 +556,12 @@ where
     F: Fn(usize, &Comm) -> R + Send + Sync,
 {
     let (f, n) = (&f, world.n);
+    // Decided once per world (see `receives_spin`).
+    let spin = if receives_spin(n) {
+        SPIN_BUDGET
+    } else {
+        Duration::ZERO
+    };
     let gate = StartGate::new();
     let stack = rank_stack_bytes();
     std::thread::scope(|scope| {
@@ -417,6 +577,7 @@ where
                         return None;
                     }
                     let _pool = smp::AmbientGuard::install(smp::pool::rank_threads(n));
+                    spin_before_parking(spin);
                     let comm = Comm::world(world, rank);
                     Some(f(rank, &comm))
                 });
@@ -468,6 +629,22 @@ where
 pub(crate) mod tests {
     use super::*;
 
+    impl ThreadWaker {
+        /// The calling thread's waker, whose counters any thread may read.
+        pub(crate) fn current() -> Arc<ThreadWaker> {
+            WAKER.with(|(thread, _)| Arc::clone(thread))
+        }
+
+        /// How often this thread's waits have watched the flag and how
+        /// often they have parked: `(spun, parked)`.
+        pub(crate) fn wait_counts(&self) -> (u64, u64) {
+            (
+                self.spun.load(Ordering::Relaxed),
+                self.parked.load(Ordering::Relaxed),
+            )
+        }
+    }
+
     #[test]
     fn results_come_back_in_rank_order() {
         let out = run(8, |comm| comm.rank() * 10);
@@ -517,10 +694,10 @@ pub(crate) mod tests {
 
     /// `rounds` 8-byte ping-pongs between ranks 0 and 1 of a fresh world
     /// of `n` ranks (the rest finish at once), run the way `run` runs
-    /// them; returns the world's `(spun, parked_waits)`.
+    /// them; returns `(spun, parked)` summed over its rank threads.
     fn ping_pong_wait_counts(n: usize, rounds: u64) -> (u64, u64) {
         let world = Arc::new(World::new(n, None, None));
-        spawn_rank_threads(&world, &world.world_group, |rank, comm| {
+        let counts = spawn_rank_threads(&world, &world.world_group, |rank, comm| {
             let mut buf = [0u64];
             for i in 0..rounds {
                 match rank {
@@ -533,11 +710,13 @@ pub(crate) mod tests {
                         comm.recv(&mut buf, 0, 3);
                         comm.send(&buf, 0, 3);
                     }
-                    _ => return,
+                    _ => break,
                 }
             }
+            ThreadWaker::current().wait_counts()
         });
-        world.wait_counts()
+        let sum = |(s, p), (spun, parked)| (s + spun, p + parked);
+        counts.into_iter().fold((0, 0), sum)
     }
 
     /// The rule, observed from the counters — whatever else the host is

@@ -192,8 +192,8 @@ mod tests {
     use simnet::{Schedule, Transfer};
 
     use super::*;
+    use crate::block_on;
     use crate::coll;
-    use crate::coop::block_on;
     use crate::reduce::Op;
     use crate::runtime::run_traced;
     use crate::Comm;

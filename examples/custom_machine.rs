@@ -18,7 +18,6 @@ fn my_cluster() -> Machine {
         class: SystemClass::Scalar,
         node: NodeModel {
             cpus: 4,
-            clock_ghz: 2.4,
             peak_gflops: 4.8,
             stream_bw: 3.0e9,
             mem_bw_node: 12.8e9,

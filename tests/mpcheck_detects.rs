@@ -59,8 +59,8 @@ fn two_rank_head_to_head_receive_cycle() {
 
 #[test]
 fn receive_cycle_in_a_world_that_spins_is_still_a_named_cycle() {
-    // What spin-then-park could have broken: a receive that watches its
-    // wake word before it parks must still publish its wait edge first and
+    // What spin-then-park could have broken: a receive that spins in
+    // `block_on` before it parks must still publish its wait edge first and
     // still reach the poison check, or the detector never sees two waiting
     // ranks, or sees them and cannot unwind them. The exchanges before the
     // cycle put both ranks through waits that are caught spinning.

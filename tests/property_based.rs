@@ -11,7 +11,6 @@ use simnet::{Round, Schedule, Transfer};
 fn arb_machine() -> impl Strategy<Value = Machine> {
     (
         1usize..=8,      // cpus per node
-        0.5f64..4.0,     // clock
         1.0f64..20.0,    // peak gflops
         0.5f64..50.0,    // stream GB/s per cpu
         0.1f64..20.0,    // link GB/s
@@ -19,45 +18,42 @@ fn arb_machine() -> impl Strategy<Value = Machine> {
         prop::bool::ANY, // duplex
         0usize..4,       // topology selector
     )
-        .prop_map(
-            |(cpus, clock, peak, stream, link, lat, duplex, topo)| Machine {
-                name: "prop",
-                class: SystemClass::Scalar,
-                node: NodeModel {
-                    cpus,
-                    clock_ghz: clock,
-                    peak_gflops: peak,
-                    stream_bw: stream * 1e9,
-                    mem_bw_node: stream * 1e9 * cpus as f64 * 1.5,
-                    dgemm_eff: 0.9,
-                    hpl_eff: 0.7,
-                    mem_latency_us: 0.1,
-                    random_concurrency: 4.0,
-                },
-                net: NetworkModel {
-                    topology: match topo {
-                        0 => TopologyKind::FatTree {
-                            arity: 4,
-                            blocking: 1.0,
-                            blocking_from: 1,
-                        },
-                        1 => TopologyKind::Hypercube,
-                        2 => TopologyKind::Crossbar,
-                        _ => TopologyKind::Clos { radix: 8, spine: 4 },
-                    },
-                    link_bw: link * 1e9,
-                    nic_duplex: duplex,
-                    mpi_latency_us: lat,
-                    per_hop_us: 0.2,
-                    overhead_us: 0.5,
-                    intra_latency_us: lat / 2.0,
-                    intra_bw: stream * 1e9 / 2.0,
-                    per_msg_bw: link * 1e9,
-                    plain_link_bw: link * 1e9,
-                },
-                max_cpus: cpus * 64,
+        .prop_map(|(cpus, peak, stream, link, lat, duplex, topo)| Machine {
+            name: "prop",
+            class: SystemClass::Scalar,
+            node: NodeModel {
+                cpus,
+                peak_gflops: peak,
+                stream_bw: stream * 1e9,
+                mem_bw_node: stream * 1e9 * cpus as f64 * 1.5,
+                dgemm_eff: 0.9,
+                hpl_eff: 0.7,
+                mem_latency_us: 0.1,
+                random_concurrency: 4.0,
             },
-        )
+            net: NetworkModel {
+                topology: match topo {
+                    0 => TopologyKind::FatTree {
+                        arity: 4,
+                        blocking: 1.0,
+                        blocking_from: 1,
+                    },
+                    1 => TopologyKind::Hypercube,
+                    2 => TopologyKind::Crossbar,
+                    _ => TopologyKind::Clos { radix: 8, spine: 4 },
+                },
+                link_bw: link * 1e9,
+                nic_duplex: duplex,
+                mpi_latency_us: lat,
+                per_hop_us: 0.2,
+                overhead_us: 0.5,
+                intra_latency_us: lat / 2.0,
+                intra_bw: stream * 1e9 / 2.0,
+                per_msg_bw: link * 1e9,
+                plain_link_bw: link * 1e9,
+            },
+            max_cpus: cpus * 64,
+        })
 }
 
 proptest! {
