@@ -20,12 +20,11 @@
 #      marker `// arch_lint: block_on spin budget`; any other `Instant`
 #      in that file or in `mp` is still an error.
 #   2. `std::thread::sleep` and `std::time::SystemTime` stay out of
-#      non-test code everywhere except the harness, `mp::check` (exactly
-#      one sleep, `Inspector::poll_sleep`, the stall detectors' poll
-#      interval), the process transports/launcher (which wait on real OS
-#      processes), and the vendored `parking_lot` shim. A sleep anywhere
-#      else would desynchronise the deterministic schedules the DPOR
-#      explorer enumerates.
+#      non-test code everywhere except the harness, the process
+#      transports/launcher (which wait on real OS processes, and whose
+#      fleet monitor is the one polling stall detector), and the vendored
+#      `parking_lot` shim. A sleep anywhere else would desynchronise the
+#      deterministic schedules the DPOR explorer enumerates.
 #   3. Every workspace crate opts into the shared `[workspace.lints]`
 #      policy via `[lints] workspace = true`, so a new crate cannot
 #      silently skip `forbid(unsafe_code)`.
@@ -52,8 +51,11 @@
 #      spawn loop; plain `run`, `run_checked` — behind `run_traced` and
 #      the ambient hook's `run` — and the session path are its callers),
 #      and `find_cycle(` is defined once and
-#      called from one place (`Deadlock::from_waits`, which every
-#      detector — threads, tasks, fleet — assembles its diagnosis by).
+#      called from one place (`Deadlock::from_waits`). An in-process world
+#      detects its stall exactly — a thread world when its runnable count
+#      (`runtime::Runnable`) reaches zero, a cooperative one when its run
+#      queue empties — and a fleet by its polling monitor; every one reads
+#      the mailboxes' wait edges and assembles its diagnosis there.
 #   8. One cross-process transport, one frame decoder. Under
 #      `crates/mp/src/transport/` the frame magic is compared in exactly
 #      one place (`wire::read_frame`, the only header parser) and
@@ -80,11 +82,10 @@
 #  11. The environment a program reads. Non-test code under
 #      `crates/*/src` names no `MP_*` or `HPCB_*` variable outside this
 #      list: the fleet wiring (`MP_WORLD_SIZE MP_NPROCS MP_PROC
-#      MP_WORLD_DIR MP_TCP_PEERS MP_TCP_BIND`), the stall deadline
-#      (`MP_DEADLOCK_TIMEOUT_SECS`) and the campaign's cell description
-#      (`HPCB_CELL_WORKLOAD HPCB_CELL_BYTES HPCB_CELL_OUT`). And `env::var*`
-#      appears only in `mp/src/transport/{mod,tcp}.rs`, `mp/src/mailbox.rs`
-#      and `bench/src/bin/campaign.rs`. A fleet is asked for by its process
+#      MP_WORLD_DIR MP_TCP_PEERS MP_TCP_BIND`) and the campaign's cell
+#      description (`HPCB_CELL_WORKLOAD HPCB_CELL_BYTES HPCB_CELL_OUT`). And
+#      `env::var*` appears only in `mp/src/transport/{mod,tcp}.rs` and
+#      `bench/src/bin/campaign.rs`. A fleet is asked for by its process
 #      count; a variable that restates it, or that every caller sets the
 #      same way, is a configuration nobody tests growing back.
 #  12. Artefacts price through the registry. Non-test code under
@@ -122,6 +123,12 @@
 #      script lists them apart). Anything else is `pub(crate)`, so
 #      `dead_code` sees it, and the `unreachable_pub` lint in the root
 #      manifest keeps the rest of the surface honest.
+#  16. A blocked rank parks until it is woken. Non-test code under
+#      `crates/mp/src` outside `transport/` has no `park_timeout(`: a
+#      waiting rank thread, and a launcher waiting for its world's
+#      runnable count, park with no deadline, and a stall is named by the
+#      count, not by a clock. A timed park is the poll-based detector (the
+#      park slices counted against a deadlock timeout) growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on an inline `mod`, to its
 # column-0 closing brace; `ci/nontest.awk`) are exempt from the source
@@ -133,9 +140,8 @@ set -u
 coll_ops="allgather allgatherv allreduce alltoall barrier bcast reduce reduce_scatter"
 # Rule 11: the environment variables a program reads, and where it reads them.
 env_names="MP_WORLD_SIZE MP_NPROCS MP_PROC MP_WORLD_DIR MP_TCP_PEERS MP_TCP_BIND \
-MP_DEADLOCK_TIMEOUT_SECS HPCB_CELL_WORKLOAD HPCB_CELL_BYTES HPCB_CELL_OUT"
-env_readers="mp/src/transport/mod.rs|mp/src/transport/tcp.rs|mp/src/mailbox.rs|\
-bench/src/bin/campaign.rs"
+HPCB_CELL_WORKLOAD HPCB_CELL_BYTES HPCB_CELL_OUT"
+env_readers="mp/src/transport/mod.rs|mp/src/transport/tcp.rs|bench/src/bin/campaign.rs"
 
 root=""
 selftest=0
@@ -278,6 +284,7 @@ EOF
 pub(crate) const ENV_NPROCS: &str = "MP_NPROCS";
 static PUMP_STARTED: bool = false;
 fn nprocs() -> Option<String> { std::env::var(ENV_NPROCS).ok() }
+fn monitor() { std::thread::sleep(POLL); std::thread::park_timeout(POLL); }
 
 #[cfg(test)]
 mod tests {
@@ -383,6 +390,7 @@ fn deliver(world: &World, dst: usize, msg: Message) {
 }
 fn block_on() {
     let deadline = Instant::now() + timeout;
+    std::thread::park_timeout(PARK_SLICE);
 }
 EOF
     # A second ambient hook, and a panic parsed back out of its message.
@@ -486,6 +494,7 @@ EOF
         "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::run_virtual" \
         "imb/src/ext.rs:2: .*Transfer {" \
         "kernels/fft.rs:2: fn merged_dit" "mp/src/runtime.rs:16: .*push(Transfer {" \
+        "mp/src/runtime.rs:20: .*park_timeout" \
         "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic" \
         "bad/src/surface.rs:1: pub fn unread_helper" "after_tests.rs:6: .*Instant" \
         "bad/src/after_tests.rs:6: pub fn after_tests"; do
@@ -533,11 +542,10 @@ fi
 # --- 2. Sleeps and SystemTime stay out of the deterministic layers ------
 offenders=$(scan 'thread::sleep|time::SystemTime|SystemTime::now' \
     | grep -v '^crates/harness/' \
-    | grep -v '^crates/mp/src/check\.rs' \
     | grep -v '^crates/mp/src/transport/' \
     | grep -v '^crates/parking_lot/' || true)
 if [ -n "$offenders" ]; then
-    err "thread::sleep / SystemTime outside the harness, mp::check and the transports \
+    err "thread::sleep / SystemTime outside the harness and the transports \
 (deterministic layers must not touch the wall clock):
 $offenders"
 fi
@@ -718,6 +726,15 @@ offenders=$("$surface" --root . | awk '/^unused:/ { s = 1; next } /^[a-z]/ { s =
 if [ -n "$offenders" ]; then
     err "a public definition no other crate, test, example or benchmark reads (make it \
 pub(crate), then delete what dead_code reports; see ci/pub_surface.sh):
+$offenders"
+fi
+
+# --- 16. A blocked rank parks until it is woken ---------------------------
+offenders=$(scan 'park_timeout[(]' | grep '^crates/mp/src/' | grep -v '^crates/mp/src/transport/' || true)
+if [ -n "$offenders" ]; then
+    err "park_timeout( in crates/mp/src outside transport/ (a blocked rank parks until it is \
+woken, and its world's runnable count names a stall; a timed park is the poll-based detector \
+growing back):
 $offenders"
 fi
 

@@ -5,12 +5,11 @@
 //! see [`ScopedCheck`]), the runtime attaches an `Inspector` to the
 //! world:
 //!
-//! - every blocking point (a mailbox receive — and through it every
-//!   collective phase) registers a *wait edge* in a
-//!   shared per-rank registry before parking, so a detector thread can
-//!   run wait-for-graph cycle detection while the program is live and
-//!   convert a silent hang into a [`Deadlock`] diagnosis naming the
-//!   actual cycle, call sites and pending-message inventory;
+//! - every collective call is noted in a shared per-rank registry, so a
+//!   stall's [`Deadlock`] diagnosis — assembled from the *wait edges*
+//!   every blocked rank leaves in its mailbox's posted receives, at the
+//!   instant the world's last runnable rank blocks — names the cycle, the
+//!   call sites and the pending-message inventory;
 //! - every send, receive and collective call is appended to a cheap
 //!   per-rank ring buffer of [`Event`]s, which the post-run lint pass in
 //!   `mpcheck` scans for MPI-misuse classes (unmatched sends, collective
@@ -21,14 +20,15 @@
 //! included) is the one record they read. Seeing a *second* schedule is
 //! not done here: the cooperative engine turns every scheduling choice
 //! into a decision a [`ScheduleController`] makes, and the `mpcheck`
-//! explorer enumerates those decisions.
+//! explorer enumerates those decisions. Nothing here sleeps or spawns: an
+//! in-process world detects its own stall exactly, and only a fleet's
+//! monitor (in `transport`) polls.
 //!
 //! The uninstrumented fast path pays one `Option` check per operation.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use simnet::Transfer;
@@ -43,15 +43,12 @@ pub struct Settings {
     /// Capacity of each rank's event ring buffer; older events are
     /// dropped (and counted) past this.
     pub ring_capacity: usize,
-    /// Detector thread polling interval.
-    pub poll: Duration,
 }
 
 impl Default for Settings {
     fn default() -> Settings {
         Settings {
             ring_capacity: 1 << 16,
-            poll: Duration::from_millis(10),
         }
     }
 }
@@ -239,7 +236,7 @@ impl std::fmt::Display for Deadlock {
 }
 
 /// Marker prefix of poison-panic messages, so callers can distinguish a
-/// detector-initiated unwind from an ordinary rank panic.
+/// stall's unwind from an ordinary rank panic.
 pub const POISON_MARK: &str = "mp: deadlock detected\n";
 
 /// Everything an instrumented world recorded: the one record of a run,
@@ -254,7 +251,7 @@ pub struct RunLog {
     pub dropped: Vec<u64>,
     /// Messages still queued (unmatched) at finalize.
     pub leftover: Vec<LaneInfo>,
-    /// The deadlock diagnosis, if the detector fired.
+    /// The deadlock diagnosis, if the world stalled.
     pub deadlock: Option<Arc<Deadlock>>,
     /// Ranks that panicked for reasons other than deadlock poisoning,
     /// with their panic messages, ascending by rank.
@@ -332,10 +329,8 @@ impl<R> Checked<R> {
 /// and its results (failures propagated) come back beside its
 /// [`RunLog::transfers`].
 pub(crate) fn traced<R>(launch: impl FnOnce(Settings) -> Checked<R>) -> (Vec<R>, Vec<Transfer>) {
-    let ring_capacity = usize::MAX;
     let checked = launch(Settings {
-        ring_capacity,
-        ..Settings::default()
+        ring_capacity: usize::MAX,
     });
     let dropped = checked.log.dropped.iter().sum::<u64>();
     assert_eq!(dropped, 0, "mp: a traced world dropped send events");
@@ -347,16 +342,8 @@ pub(crate) fn traced<R>(launch: impl FnOnce(Settings) -> Checked<R>) -> (Vec<R>,
 // Inspector
 // ---------------------------------------------------------------------
 
-struct Wait {
-    on: WaitOn,
-    /// Ticket id of the posted receive the rank waits on; the detector
-    /// probes it to rule out a wake already in flight.
-    ticket: u64,
-}
-
 #[derive(Default)]
 struct RankState {
-    waiting: Option<Wait>,
     coll: Option<CollSite>,
     /// Per-communicator collective call counter.
     coll_index: HashMap<u32, u32>,
@@ -381,17 +368,14 @@ impl EventRing {
     }
 }
 
-/// The shared instrumentation registry of one instrumented world: wait
-/// states, event rings and the poison flag.
+/// The shared instrumentation registry of one instrumented world: rank
+/// states (collective site, finished) and event rings.
 pub(crate) struct Inspector {
-    settings: Settings,
     ranks: Vec<Mutex<RankState>>,
     events: Vec<Mutex<EventRing>>,
-    /// Bumped on every wait transition; the detector requires it stable
-    /// across polls before diagnosing.
+    /// Bumped on every wait transition (by the mailboxes) and rank end; a
+    /// fleet's monitor requires it stable across polls before it reports.
     activity: AtomicU64,
-    poisoned: AtomicBool,
-    poison: Mutex<Option<Arc<Deadlock>>>,
     /// A schedule controller observing every recorded event (controlled
     /// cooperative runs); `None` on plain checked runs.
     observer: Option<Arc<dyn ScheduleController>>,
@@ -414,10 +398,7 @@ impl Inspector {
                     })
                 })
                 .collect(),
-            settings,
             activity: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-            poison: Mutex::new(None),
             observer,
         }
     }
@@ -429,21 +410,23 @@ impl Inspector {
         self.events[rank].lock().push(event);
     }
 
-    pub(crate) fn begin_wait(&self, rank: usize, on: WaitOn, ticket: u64) {
-        let mut st = self.ranks[rank].lock();
-        st.waiting = Some(Wait { on, ticket });
-        drop(st);
-        self.activity.fetch_add(1, Ordering::Release);
-    }
-
-    pub(crate) fn end_wait(&self, rank: usize) {
-        self.ranks[rank].lock().waiting = None;
+    /// Counts one wait transition: a rank began or ended a wait.
+    pub(crate) fn bump_activity(&self) {
         self.activity.fetch_add(1, Ordering::Release);
     }
 
     pub(crate) fn finish(&self, rank: usize) {
         self.ranks[rank].lock().finished = true;
-        self.activity.fetch_add(1, Ordering::Release);
+        self.bump_activity();
+    }
+
+    pub(crate) fn finished(&self, rank: usize) -> bool {
+        self.ranks[rank].lock().finished
+    }
+
+    /// The collective call `rank` is inside, if any.
+    pub(crate) fn coll(&self, rank: usize) -> Option<CollSite> {
+        self.ranks[rank].lock().coll
     }
 
     /// Enters a collective call; returns the recorded site for the
@@ -496,26 +479,6 @@ impl Inspector {
         }
     }
 
-    /// Parks the calling thread for one detector poll interval: the one
-    /// sleep of this module, behind every [`Detector`], so that wall-clock
-    /// sleeps stay confined to it, the process transports and the harness
-    /// (enforced by `ci/arch_lint.sh`).
-    pub(crate) fn poll_sleep(&self) {
-        std::thread::sleep(self.settings.poll);
-    }
-
-    pub(crate) fn poisoned(&self) -> Option<Arc<Deadlock>> {
-        if !self.poisoned.load(Ordering::Acquire) {
-            return None;
-        }
-        self.poison.lock().clone()
-    }
-
-    pub(crate) fn set_poison(&self, d: Arc<Deadlock>) {
-        *self.poison.lock() = Some(d);
-        self.poisoned.store(true, Ordering::Release);
-    }
-
     pub(crate) fn activity(&self) -> u64 {
         self.activity.load(Ordering::Acquire)
     }
@@ -534,7 +497,7 @@ impl Inspector {
 }
 
 // ---------------------------------------------------------------------
-// Detector
+// Diagnosis
 // ---------------------------------------------------------------------
 
 impl Deadlock {
@@ -562,161 +525,30 @@ impl Deadlock {
     }
 }
 
-/// Attempts a deadlock diagnosis of a world hosted whole by this process:
-/// [`snapshot_ranks`] over every rank, so `None` when any rank can still
-/// make progress (or none is left to).
-pub(crate) fn diagnose(world: &World, insp: &Inspector) -> Option<Arc<Deadlock>> {
-    let waits = snapshot_ranks(world, insp, &world.world_group)?;
-    if waits.is_empty() {
-        return None;
-    }
-    let diagnosis = Deadlock::from_waits(world.n, waits, world.inventory());
-    Some(Arc::new(diagnosis))
+/// The diagnosis of a stalled world hosted whole by this process — its
+/// runnable count or its run queue said nothing can run any more — from
+/// every rank's wait edge and the unmatched traffic in its mailboxes.
+pub(crate) fn diagnose(world: &World) -> Arc<Deadlock> {
+    let waits = snapshot_ranks(world, &world.world_group);
+    Arc::new(Deadlock::from_waits(world.n, waits, world.inventory()))
 }
 
 /// The one wait snapshot, over `ranks`: a world's every rank for
-/// [`diagnose`], a process's residents for the cross-process detector
-/// (which sends the raw edges to process 0, where the cycle is found once
-/// every process's are in). Returns `None` when some listed rank is
-/// runnable or has a wake already in flight (a filled hand-off slot); an
-/// empty vector when every listed rank has finished.
-pub(crate) fn snapshot_ranks(
-    world: &World,
-    insp: &Inspector,
-    ranks: &[usize],
-) -> Option<Vec<WaitSnapshot>> {
-    let mut waits: Vec<WaitSnapshot> = Vec::new();
-    let mut tickets: Vec<u64> = Vec::new();
+/// [`diagnose`], a process's residents for a fleet's monitor (which sends
+/// the raw edges to process 0, where the cycle is found once every
+/// process's are in). A rank's edge is what its mailbox says it is blocked
+/// on ([`Mailbox::blocked_on`](crate::mailbox::Mailbox::blocked_on)), with
+/// the collective it is inside when an inspector is attached; a rank with
+/// no edge is left out.
+pub(crate) fn snapshot_ranks(world: &World, ranks: &[usize]) -> Vec<WaitSnapshot> {
+    let mut waits = Vec::new();
     for &rank in ranks {
-        let st = insp.ranks[rank].lock();
-        if st.finished {
-            continue;
-        }
-        match &st.waiting {
-            None => return None, // someone is runnable after all
-            Some(w) => {
-                waits.push(WaitSnapshot {
-                    rank,
-                    on: w.on.clone(),
-                    coll: st.coll,
-                });
-                tickets.push(w.ticket);
-            }
+        if let Some(on) = world.mailboxes[rank].blocked_on() {
+            let coll = world.inspector.as_ref().and_then(|insp| insp.coll(rank));
+            waits.push(WaitSnapshot { rank, on, coll });
         }
     }
-    let mut woken = waits.iter().zip(&tickets);
-    if woken.any(|(w, &id)| world.mailboxes[w.rank].ticket_filled(id)) {
-        return None;
-    }
-    Some(waits)
-}
-
-/// Whether every unfinished rank among `ranks` is currently parked in a
-/// wait. True when every listed rank has finished — a process whose
-/// residents are all done contributes no wait edges but must not block
-/// the global stall from being declared.
-fn ranks_stable(insp: &Inspector, ranks: &[usize]) -> bool {
-    for &rank in ranks {
-        let st = insp.ranks[rank].lock();
-        if !st.finished && st.waiting.is_none() {
-            return false;
-        }
-    }
-    true
-}
-
-/// The quiet-poll rule of both polling detectors (a native checked
-/// world's, a fleet process's monitor): a stall is worth snapshotting only
-/// after several consecutive polls with no wait-state transition and every
-/// unfinished rank parked — a notified-but-unscheduled thread looks
-/// blocked for one poll, never for three.
-#[derive(Default)]
-pub(crate) struct QuietPolls {
-    /// The activity counter as the last poll read it.
-    pub(crate) activity: u64,
-    quiet: u32,
-}
-
-impl QuietPolls {
-    /// Takes one poll of `ranks`; true once the last three were quiet.
-    pub(crate) fn poll(&mut self, insp: &Inspector, ranks: &[usize]) -> bool {
-        let activity = insp.activity();
-        if activity == self.activity && ranks_stable(insp, ranks) {
-            self.quiet += 1;
-        } else {
-            self.quiet = 0;
-        }
-        self.activity = activity;
-        self.quiet >= 3
-    }
-
-    /// Starts the count over (a wake was in flight after all).
-    pub(crate) fn reset(&mut self) {
-        self.quiet = 0;
-    }
-}
-
-/// A running stall detector thread. Dropping the guard tells the thread
-/// the world is over and joins it, so it ends with the run on every path
-/// out — the normal one, a rank-spawn failure, any other unwind.
-pub(crate) struct Detector {
-    done: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Detector {
-    /// Spawns thread `name`, which calls `step` once per poll interval of
-    /// `insp` until the guard drops or `step` returns false.
-    pub(crate) fn spawn(
-        name: &str,
-        insp: Arc<Inspector>,
-        mut step: impl FnMut(&Inspector) -> bool + Send + 'static,
-    ) -> Detector {
-        let done = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&done);
-        let thread = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || loop {
-                insp.poll_sleep();
-                if stop.load(Ordering::Acquire) || !step(&insp) {
-                    break;
-                }
-            })
-            .unwrap_or_else(|e| panic!("mp: cannot spawn the stall detector {name}: {e}"));
-        Detector {
-            done,
-            thread: Some(thread),
-        }
-    }
-
-    /// The detector of a world hosted whole by this process: after three
-    /// quiet polls it diagnoses, and poisons the run with what it found.
-    pub(crate) fn of_world(world: Arc<World>, insp: Arc<Inspector>) -> Detector {
-        let mut quiet = QuietPolls::default();
-        Detector::spawn("mp-check-detector", insp, move |insp| {
-            if quiet.poll(insp, &world.world_group) {
-                match diagnose(&world, insp) {
-                    Some(diagnosis) => {
-                        insp.set_poison(diagnosis);
-                        return false;
-                    }
-                    None => quiet.reset(),
-                }
-            }
-            true
-        })
-    }
-}
-
-impl Drop for Detector {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            // A detector that panicked has already said so through the
-            // panic hook; a second panic from a drop could only abort.
-            let _ = thread.join();
-        }
-    }
+    waits
 }
 
 /// Finds a cycle in a functional graph (`succ[v]` = at most one edge).
@@ -802,9 +634,9 @@ pub(crate) fn scoped() -> Option<ScopedCheck> {
 
 /// Runs `f` as an instrumented SPMD program over `n` ranks: an
 /// `Inspector` is attached to the world, every rank runs under
-/// `catch_unwind`, every communication event is recorded, and a
-/// [`Detector`] thread polls wait states — a deadlock is diagnosed instead
-/// of hanging, and poisons the run, which unwinds the blocked ranks.
+/// `catch_unwind` and every communication event is recorded. A deadlock
+/// is diagnosed the instant the last runnable rank blocks, instead of
+/// hanging, and poisons the run, which unwinds the blocked ranks.
 ///
 /// Unlike [`crate::run`], rank panics do not propagate: they come back in
 /// [`RunLog::panics`](RunLog), and a detected deadlock in
@@ -817,11 +649,8 @@ where
     assert!(n > 0, "an SPMD world needs at least one rank");
     crate::transport::assert_no_session("run_checked");
     let inspector = Arc::new(Inspector::new(n, settings, None));
-    let world = Arc::new(World::new(n, Some(Arc::clone(&inspector)), None));
-    let outcomes = {
-        let _detector = Detector::of_world(Arc::clone(&world), Arc::clone(&inspector));
-        spawn_caught_ranks(&world, &world.world_group, &f)
-    };
+    let world = Arc::new(World::of_threads(n, Some(inspector)));
+    let outcomes = spawn_caught_ranks(&world, &world.world_group, &f);
     Checked::from_outcomes(&world, &world.world_group, outcomes)
 }
 
@@ -889,20 +718,13 @@ mod tests {
 
     #[test]
     fn run_checked_diagnoses_recv_recv_cycle() {
-        let checked = run_checked(
-            2,
-            Settings {
-                poll: Duration::from_millis(5),
-                ..Settings::default()
-            },
-            |comm| {
-                // Head-to-head receives: the classic deadlock.
-                let mut buf = [0u8];
-                let peer = 1 - comm.rank();
-                comm.recv(&mut buf, peer, 1);
-                comm.send(&buf, peer, 1);
-            },
-        );
+        let checked = run_checked(2, Settings::default(), |comm| {
+            // Head-to-head receives: the classic deadlock.
+            let mut buf = [0u8];
+            let peer = 1 - comm.rank();
+            comm.recv(&mut buf, peer, 1);
+            comm.send(&buf, peer, 1);
+        });
         assert!(checked.results.is_none());
         let d = checked.log.deadlock.expect("deadlock must be diagnosed");
         let cycle = d.cycle.clone().expect("a recv/recv cycle is pinned-source");
@@ -917,7 +739,7 @@ mod tests {
             if comm.rank() == 1 {
                 panic!("boom");
             }
-            // Rank 0 blocks on a message that never comes; the detector
+            // Rank 0 blocks on a message that never comes; the world
             // must report the stall rather than hang.
             let mut buf = [0u8];
             comm.recv(&mut buf, 1, 1);

@@ -25,9 +25,10 @@
 //! is woken by the sender that fills its posted receive; wakes push the
 //! rank id back onto the FIFO queue. Deadlock detection is *instant*
 //! — an empty queue with unfinished ranks is definitive, no wall-clock
-//! timeout needed — and composes with `mp::check`'s wait edges: a checked
-//! cooperative run calls [`check::diagnose`] at the stall and unwinds the
-//! blocked tasks with the cycle diagnosis.
+//! timeout needed — and reads the same wait edges as the thread engine's
+//! count: the executor calls [`check::diagnose`] at the stall and poisons
+//! the world, whose wakers queue the blocked tasks to unwind with the
+//! cycle diagnosis.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -260,6 +261,7 @@ impl RunQueue {
     }
 
     /// The unfinished ranks, ascending.
+    #[cfg(test)]
     fn live(&self) -> Vec<usize> {
         let st = self.state.lock();
         (0..st.finished.len())
@@ -284,45 +286,15 @@ impl Wake for TaskWaker {
     }
 }
 
-/// Formats the instant-stall diagnosis of an uninstrumented cooperative
-/// run: which ranks are blocked and what unmatched traffic the
-/// world still holds.
-fn stall_message(world: &World, blocked: &[usize]) -> String {
-    use std::fmt::Write;
-    let mut msg = format!(
-        "mp: deadlock: {} rank(s) blocked in receives with no runnable rank (ranks ",
-        blocked.len()
-    );
-    for (i, r) in blocked.iter().take(8).enumerate() {
-        if i > 0 {
-            msg.push_str(", ");
-        }
-        let _ = write!(msg, "{r}");
-    }
-    if blocked.len() > 8 {
-        msg.push_str(", ...");
-    }
-    msg.push(')');
-    let lanes = world.inventory();
-    if !lanes.is_empty() {
-        let queued: usize = lanes.iter().map(|l| l.queued).sum();
-        let _ = write!(msg, "; {queued} unmatched message(s) queued:");
-        for lane in lanes {
-            msg.push_str("\n  ");
-            msg.push_str(&lane.to_string());
-        }
-    }
-    msg
-}
-
 /// The cooperative executor: polls every rank task to completion on the
 /// calling thread, FIFO over the shared run queue. Returns per-rank
 /// results (`None` for panicked ranks) and the caught panics.
 ///
-/// Uninstrumented worlds panic immediately on the first rank panic or
-/// stall; instrumented worlds (world.inspector set) record panics, run
-/// the remaining ranks on, and on a stall diagnose + poison-drain the
-/// blocked tasks so the run log carries the deadlock.
+/// On a stall every world is diagnosed and poisoned, and the poison's
+/// wakes drain the blocked tasks. Uninstrumented worlds panic at the
+/// first rank panic, a poison unwind included; instrumented worlds
+/// (world.inspector set) record panics and run the remaining ranks on,
+/// so the run log carries the deadlock.
 fn execute<R, F, Fut>(world: &Arc<World>, f: &F) -> (Vec<Option<R>>, Vec<(usize, String)>)
 where
     F: Fn(Comm) -> Fut,
@@ -399,23 +371,10 @@ where
         }
         // The queue is empty with unfinished ranks: on a single-threaded
         // executor that is a definitive deadlock (wakes happen during
-        // polls; none are in flight).
-        let blocked = queue.live();
-        match &insp {
-            None => panic!("{}", stall_message(world, &blocked)),
-            Some(insp) => match check::diagnose(world, insp) {
-                Some(diagnosis) => {
-                    insp.set_poison(diagnosis);
-                    // Re-run every blocked task once: each receive future
-                    // notices the poison and unwinds with the diagnosis.
-                    for &r in &blocked {
-                        queue.push(r);
-                    }
-                    poisoned_drain = true;
-                }
-                None => panic!("{}", stall_message(world, &blocked)),
-            },
-        }
+        // polls; none are in flight). The poison wakes every blocked task,
+        // in rank order; each receive future unwinds with the diagnosis.
+        world.poison(check::diagnose(world));
+        poisoned_drain = true;
     }
     drop(tasks);
     (results.into_inner(), panics)
@@ -598,10 +557,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mp: deadlock: 2 rank(s) blocked")]
+    #[should_panic(expected = "wait-for cycle: 0 -> 1 -> 0")]
     fn coop_deadlock_is_detected_instantly() {
-        // Both ranks receive, nobody sends: with threads this waits out
-        // a 20 s timeout; the executor sees the empty run queue at once.
+        // Both ranks receive, nobody sends: the executor sees the empty
+        // run queue at once, as a thread world sees its count reach zero.
         run_coop(2, |comm| async move {
             let mut b = [0u8; 1];
             let from = comm.rank() ^ 1;

@@ -11,9 +11,13 @@
 //! There is one wait, [`TicketWait`], and the mailbox does not know who
 //! polls it: a cooperative task, whose waker queues it on the executor's
 //! run queue, or a rank thread in [`block_on`](crate::block_on), whose
-//! waker raises the flag it spins on and unparks it. How a thread spins,
-//! parks and times out is `block_on`'s business; the named deadlock
-//! diagnosis stays with the pending receive.
+//! waker raises the flag it spins on and unparks it. How a thread spins
+//! and parks is `block_on`'s business. What a blocked rank waits on is
+//! read here, from the posted receives holding an unfired waker
+//! ([`Mailbox::blocked_on`]), by every engine's stall diagnosis; in a
+//! thread world the same table keeps the world's runnable count exact
+//! (see [`Runnable`]), and a poisoned world's diagnosis reaches its
+//! waiters by waking them.
 //!
 //! Posted receives may also carry a destination byte buffer sized to the
 //! expected message: a large send that finds such a posted receive encodes
@@ -26,43 +30,15 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::time::Duration;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
-use crate::check::{Event, Inspector, LaneInfo, WaitOn};
+use crate::check::{Deadlock, Event, Inspector, LaneInfo, WaitOn, POISON_MARK};
 use crate::coop::{ScheduleController, WildcardCandidate};
 use crate::datatype::Word;
 use crate::msg::{Match, Message};
 use crate::payload::Payload;
-
-/// Default for how long a blocking receive waits before declaring a
-/// deadlock: generous in production builds, short under `cfg(test)` so a
-/// deadlocked test fails in seconds instead of hanging CI for five
-/// minutes per rank.
-#[cfg(not(test))]
-const DEFAULT_DEADLOCK_TIMEOUT_SECS: u64 = 300;
-#[cfg(test)]
-const DEFAULT_DEADLOCK_TIMEOUT_SECS: u64 = 20;
-
-/// How long a blocking receive waits before declaring a deadlock.
-///
-/// A correct SPMD program never waits this long for an in-process message;
-/// the timeout converts silent hangs into actionable panics. Overridable
-/// via the `MP_DEADLOCK_TIMEOUT_SECS` environment variable, which is read
-/// on *every* wait (not cached into a process-wide static): tests and
-/// long-running drivers may legitimately adjust the timeout between runs,
-/// and a stale first-read value would silently win. Once per wait, and
-/// only by [`block_on`](crate::block_on) about to park — the read takes
-/// the process environment lock and allocates. Unparsable values fall
-/// back to the default.
-pub(crate) fn deadlock_timeout() -> Duration {
-    let secs = std::env::var("MP_DEADLOCK_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_DEADLOCK_TIMEOUT_SECS);
-    Duration::from_secs(secs)
-}
+use crate::runtime::Runnable;
 
 /// Lane address: (global source rank, packed comm id + tag).
 type LaneKey = (usize, u64);
@@ -111,15 +87,9 @@ struct PostedRecv {
     /// thread's; the sender takes it on fill and fires it once it has
     /// released the mailbox lock.
     waker: Option<Waker>,
-}
-
-impl PostedRecv {
-    /// Completes this receive with its matched message; returns the waker
-    /// left on it, if any, for the sender to fire outside the lock.
-    fn fill(&mut self, arrived: Arrived) -> Option<Waker> {
-        self.arrived = Some(arrived);
-        self.waker.take()
-    }
+    /// Whether the waiter is the owning rank's own thread, whose wait a
+    /// fill of this receive ends on its world's runnable count.
+    counted: bool,
 }
 
 #[derive(Default)]
@@ -133,6 +103,12 @@ struct Inner {
     /// Posted receives in posting order (the MPI matching order).
     posted: Vec<PostedRecv>,
     next_posted_id: u64,
+    /// Whether the owning rank's thread is off its world's runnable count,
+    /// waiting on a counted receive: once however many it waits on.
+    rank_waiting: bool,
+    /// The diagnosis of the stall this mailbox's world was poisoned with:
+    /// a waiting receive that finds it unwinds with it.
+    poisoned: Option<Arc<Deadlock>>,
 }
 
 impl Inner {
@@ -232,16 +208,17 @@ impl Inner {
             buf,
             arrived: None,
             waker: None,
+            counted: false,
         });
         Ticket { id }
     }
 
-    /// The oldest unfilled posted receive accepting `(src, full_tag)` —
-    /// the one MPI matching would pick.
-    fn oldest_posted(&mut self, src: usize, full_tag: u64) -> Option<&mut PostedRecv> {
+    /// Table index of the oldest unfilled posted receive accepting
+    /// `(src, full_tag)` — the one MPI matching would pick.
+    fn oldest_posted(&self, src: usize, full_tag: u64) -> Option<usize> {
         self.posted
-            .iter_mut()
-            .find(|p| p.arrived.is_none() && p.filter.accepts_parts(src, full_tag))
+            .iter()
+            .position(|p| p.arrived.is_none() && p.filter.accepts_parts(src, full_tag))
     }
 
     /// Table index of the posted receive behind `ticket`.
@@ -252,34 +229,15 @@ impl Inner {
             .expect("a posted receive stays in the table until its ticket resolves")
     }
 
-    /// Removes the posted receive behind `ticket` and returns it.
-    fn withdraw(&mut self, ticket: &Ticket) -> PostedRecv {
-        let idx = self.index_of(ticket);
-        self.posted.remove(idx)
-    }
-
-    /// Collects the posted receive behind `ticket` if a sender has filled
-    /// it: the message and the rendezvous buffer it did not use, if any.
-    /// Otherwise leaves `waker` in the entry and returns `None`.
-    fn collect(&mut self, ticket: &Ticket, waker: &Waker) -> Option<(Arrived, Option<Vec<u8>>)> {
-        let idx = self.index_of(ticket);
-        if self.posted[idx].arrived.is_none() {
-            self.posted[idx].waker = Some(waker.clone());
-            return None;
-        }
-        let p = self.posted.remove(idx);
-        Some((p.arrived.expect("checked above"), p.buf))
-    }
-
     /// Delivers `msg`: to the oldest matching posted receive if there is
     /// one (before lane insertion, so posted receives match in MPI
-    /// order), else onto its lane. Returns the waker of the receive it
-    /// filled, if that receive is being waited on.
-    fn enqueue(&mut self, msg: Message) -> Option<Waker> {
+    /// order), whose table index it returns, else onto its lane.
+    fn enqueue(&mut self, msg: Message) -> Option<usize> {
         self.seq += 1;
         let arrived = Arrived { seq: self.seq, msg };
-        if let Some(posted) = self.oldest_posted(arrived.msg.src, arrived.msg.full_tag) {
-            return posted.fill(arrived);
+        if let Some(idx) = self.oldest_posted(arrived.msg.src, arrived.msg.full_tag) {
+            self.posted[idx].arrived = Some(arrived);
+            return Some(idx);
         }
         match self.lanes.entry((arrived.msg.src, arrived.msg.full_tag)) {
             Entry::Occupied(mut lane) => lane.get_mut().rest.push_back(arrived),
@@ -302,6 +260,8 @@ pub(crate) struct Mailbox {
     /// Schedule controller of a controlled run, if any: picks wildcard
     /// matches and learns about posted receives.
     controller: Option<Arc<dyn ScheduleController>>,
+    /// The runnable count of the owning thread world, if it keeps one.
+    runnable: Option<Arc<Runnable>>,
 }
 
 /// A registered nonblocking receive: either the message was already
@@ -321,18 +281,94 @@ pub(crate) struct Ticket {
 }
 
 impl Mailbox {
-    /// A mailbox owned by `rank`, instrumented when `inspector` is set
-    /// and schedule-controlled when `controller` is set.
+    /// A mailbox owned by `rank`, instrumented when `inspector` is set,
+    /// schedule-controlled when `controller` is set, and counting its
+    /// rank thread's waits when `runnable` is set.
     pub(crate) fn with_instrumentation(
         rank: usize,
         inspector: Option<Arc<Inspector>>,
         controller: Option<Arc<dyn ScheduleController>>,
+        runnable: Option<Arc<Runnable>>,
     ) -> Mailbox {
         Mailbox {
             inner: Mutex::new(Inner::default()),
             rank,
             inspector,
             controller,
+            runnable,
+        }
+    }
+
+    /// Leaves `waker` in the unfilled receive at table index `idx` (under
+    /// the lock). The first waker a receive holds is a wait transition the
+    /// fleet monitor hears of; a poll from the owning rank's own thread
+    /// marks the receive and takes that thread off its world's runnable
+    /// count, unless it is off already — a re-poll counts nothing twice.
+    fn arm(&self, inner: &mut Inner, idx: usize, waker: &Waker) {
+        let p = &mut inner.posted[idx];
+        if p.waker.replace(waker.clone()).is_none() {
+            self.note_wait_transition();
+        }
+        if let Some(runnable) = &self.runnable {
+            if runnable.is_rank_thread(self.rank) {
+                p.counted = true;
+                if !std::mem::replace(&mut inner.rank_waiting, true) {
+                    runnable.stop();
+                }
+            }
+        }
+    }
+
+    /// Takes the waker left in the receive at table index `idx` (under the
+    /// lock), whose wait a fill, withdrawal or poison is ending; a marked
+    /// receive puts a waiting rank thread back on the runnable count
+    /// before the caller fires the waker.
+    fn disarm(&self, inner: &mut Inner, idx: usize) -> Option<Waker> {
+        let p = &mut inner.posted[idx];
+        if std::mem::take(&mut p.counted) && std::mem::take(&mut inner.rank_waiting) {
+            let runnable = self.runnable.as_ref();
+            runnable.expect("a counted wait has a count").resume();
+        }
+        let waker = inner.posted[idx].waker.take();
+        if waker.is_some() {
+            self.note_wait_transition();
+        }
+        waker
+    }
+
+    /// Tells an instrumented world's activity counter that a rank began
+    /// or ended a wait.
+    fn note_wait_transition(&self) {
+        if let Some(insp) = &self.inspector {
+            insp.bump_activity();
+        }
+    }
+
+    /// What this mailbox's rank is blocked on: the oldest posted receive
+    /// holding a waker that has not fired. `None` once every waiting
+    /// receive has been filled (a wake may be in flight) or withdrawn.
+    pub(crate) fn blocked_on(&self) -> Option<WaitOn> {
+        let inner = self.inner.lock();
+        let p = inner.posted.iter().find(|p| p.waker.is_some())?;
+        Some(WaitOn {
+            comm: p.filter.comm_id,
+            src: p.filter.src,
+            tag: p.filter.tag,
+        })
+    }
+
+    /// Marks the mailbox poisoned with `diagnosis` and wakes every
+    /// receive waiting in it, after unlocking, to unwind with it.
+    pub(crate) fn poison(&self, diagnosis: &Arc<Deadlock>) {
+        let mut inner = self.inner.lock();
+        inner.poisoned = Some(Arc::clone(diagnosis));
+        let armed = 0..inner.posted.len();
+        let wakers: Vec<Waker> = armed
+            .filter_map(|idx| self.disarm(&mut inner, idx))
+            .collect();
+        drop(inner);
+        for waker in wakers {
+            waker.wake();
         }
     }
 
@@ -391,21 +427,13 @@ impl Mailbox {
     /// hand-off to the oldest matching posted receive, else lane-enqueue.
     /// The filled receive's waker fires after the lock is released.
     pub(crate) fn push(&self, msg: Message) {
-        let waker = self.inner.lock().enqueue(msg);
+        let mut inner = self.inner.lock();
+        let filled = inner.enqueue(msg);
+        let waker = filled.and_then(|idx| self.disarm(&mut inner, idx));
+        drop(inner);
         if let Some(waker) = waker {
             waker.wake();
         }
-    }
-
-    /// Whether a sender has filled the posted receive behind ticket `id`
-    /// (the deadlock detector probes this to rule out a wake already in
-    /// flight). False once the receive has been collected or cancelled.
-    pub(crate) fn ticket_filled(&self, id: u64) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .posted
-            .iter()
-            .any(|p| p.id == id && p.arrived.is_some())
     }
 
     /// Rendezvous fast path for large typed sends: if the oldest posted
@@ -431,9 +459,10 @@ impl Mailbox {
         let seq = inner.seq + 1;
         // The *oldest* matching entry is the one MPI matching would pick;
         // if it cannot take a rendezvous delivery we must not skip past it.
-        let Some(posted) = inner.oldest_posted(src, full_tag) else {
+        let Some(idx) = inner.oldest_posted(src, full_tag) else {
             return false;
         };
+        let posted = &mut inner.posted[idx];
         if posted.buf.as_ref().map(Vec::len) != Some(bytes) {
             return false;
         }
@@ -448,7 +477,8 @@ impl Mailbox {
                 arrival,
             },
         };
-        let waker = posted.fill(arrived);
+        posted.arrived = Some(arrived);
+        let waker = self.disarm(&mut inner, idx);
         inner.seq = seq;
         drop(inner);
         if let Some(waker) = waker {
@@ -481,7 +511,7 @@ impl Mailbox {
         let mut inner = self.inner.lock();
         let matched = match handle {
             PostedHandle::Ready(arrived, ..) => Some(arrived),
-            PostedHandle::Pending(ticket) => inner.withdraw(&ticket).arrived,
+            PostedHandle::Pending(ticket) => self.withdraw(&mut inner, &ticket).arrived,
         };
         if let Some(arrived) = matched {
             inner.requeue_front(arrived);
@@ -521,8 +551,15 @@ impl Mailbox {
             mailbox: self,
             handle: Some(handle),
             filter,
-            registered_wait: false,
         }
+    }
+
+    /// Removes the posted receive behind `ticket` from the table (under
+    /// the lock), ending its wait, and returns it.
+    fn withdraw(&self, inner: &mut Inner, ticket: &Ticket) -> PostedRecv {
+        let idx = inner.index_of(ticket);
+        self.disarm(inner, idx);
+        inner.posted.remove(idx)
     }
 }
 
@@ -530,7 +567,7 @@ impl Mailbox {
 impl Mailbox {
     /// A standalone uninstrumented mailbox.
     pub(crate) fn new() -> Mailbox {
-        Mailbox::with_instrumentation(0, None, None)
+        Mailbox::with_instrumentation(0, None, None, None)
     }
 
     /// Blocks the calling thread on the pending posted receive behind
@@ -558,46 +595,15 @@ impl Mailbox {
 /// receive behind its handle is matched, polled by the cooperative
 /// executor or by a rank thread's [`block_on`](crate::block_on) alike. An
 /// already-matched receive resolves at the first poll. Otherwise each poll
-/// checks the detector poison first and publishes the wait edge *before*
-/// probing the posted receive (rank-state and mailbox locks are never
-/// held together, here or in `check::diagnose`), then either takes the
-/// arrival or leaves its waker in the table entry. A poll that finds the
-/// receive still unmatched after `block_on`'s deadlock timeout withdraws
-/// it and panics with the diagnosis. Dropping an unresolved wait cancels
-/// the posting, requeueing any message it had already matched.
+/// takes the mailbox lock and either unwinds with the world's poison, or
+/// takes the arrival, or leaves its waker in the table entry. Dropping an
+/// unresolved wait cancels the posting, requeueing any message it had
+/// already matched.
 pub(crate) struct TicketWait<'a> {
     mailbox: &'a Mailbox,
     /// The receive, until the wait resolves it.
     handle: Option<PostedHandle>,
     filter: Match,
-    registered_wait: bool,
-}
-
-impl TicketWait<'_> {
-    /// Declares the deadlock `block_on` timed out on: withdraws the
-    /// posted receive under `inner` and panics naming the rank, the
-    /// filter and the unmatched traffic still queued.
-    fn deadlock(&self, mut inner: MutexGuard<'_, Inner>, ticket: Ticket, timeout: Duration) -> ! {
-        inner.withdraw(&ticket);
-        let queued = inner.queued;
-        drop(inner);
-        let mut lanes = String::new();
-        for lane in self.mailbox.inventory() {
-            lanes.push_str("\n  ");
-            lanes.push_str(&lane.to_string());
-        }
-        panic!(
-            "mp: rank {} waited {}s for a message matching {:?}; \
-             likely deadlock ({} unmatched messages queued{}{}). Tune via \
-             MP_DEADLOCK_TIMEOUT_SECS.",
-            self.mailbox.rank,
-            timeout.as_secs(),
-            self.filter,
-            queued,
-            if lanes.is_empty() { "" } else { ":" },
-            lanes,
-        );
-    }
 }
 
 impl Future for TicketWait<'_> {
@@ -612,52 +618,33 @@ impl Future for TicketWait<'_> {
             }
             PostedHandle::Pending(ticket) => ticket,
         };
-        if let Some(insp) = &this.mailbox.inspector {
-            if let Some(diagnosis) = insp.poisoned() {
-                this.mailbox.inner.lock().withdraw(&ticket);
-                panic!("{}{diagnosis}", crate::check::POISON_MARK);
-            }
-            if !this.registered_wait {
-                let on = WaitOn {
-                    comm: this.filter.comm_id,
-                    src: this.filter.src,
-                    tag: this.filter.tag,
-                };
-                insp.begin_wait(this.mailbox.rank, on, ticket.id);
-                this.registered_wait = true;
-            }
-        }
         let mut inner = this.mailbox.inner.lock();
-        let Some((arrived, spare)) = inner.collect(&ticket, cx.waker()) else {
-            if let Some(timeout) = crate::runtime::overdue() {
-                this.deadlock(inner, ticket, timeout);
-            }
+        if let Some(diagnosis) = inner.poisoned.clone() {
+            this.mailbox.withdraw(&mut inner, &ticket);
+            drop(inner);
+            panic!("{POISON_MARK}{diagnosis}");
+        }
+        let idx = inner.index_of(&ticket);
+        if inner.posted[idx].arrived.is_none() {
+            this.mailbox.arm(&mut inner, idx, cx.waker());
             drop(inner);
             this.handle = Some(PostedHandle::Pending(ticket));
             return Poll::Pending;
-        };
-        drop(inner);
-        if this.registered_wait {
-            if let Some(insp) = &this.mailbox.inspector {
-                insp.end_wait(this.mailbox.rank);
-            }
         }
+        let p = inner.posted.remove(idx);
+        drop(inner);
+        let arrived = p.arrived.expect("checked above");
         // A handed-off message is the only candidate by construction: had
         // another queued message matched the filter, it would have been
         // taken at post time.
         this.mailbox.record_recv(&arrived, this.filter, 1);
-        Poll::Ready((arrived.msg, spare))
+        Poll::Ready((arrived.msg, p.buf))
     }
 }
 
 impl Drop for TicketWait<'_> {
     fn drop(&mut self) {
         if let Some(handle) = self.handle.take() {
-            if self.registered_wait {
-                if let Some(insp) = &self.mailbox.inspector {
-                    insp.end_wait(self.mailbox.rank);
-                }
-            }
             self.mailbox.cancel(handle);
         }
     }
@@ -670,7 +657,7 @@ mod tests {
     use crate::runtime::{ThreadWaker, SPIN_BUDGET};
     use proptest::prelude::*;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     fn msg(src: usize, tag: u32, data: Vec<u8>) -> Message {
         Message {
@@ -735,27 +722,10 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_timeout_tracks_env_changes() {
-        // Regression: the timeout used to be read once into a process-wide
-        // OnceLock, so the *second* override below was silently ignored.
-        let original = std::env::var("MP_DEADLOCK_TIMEOUT_SECS").ok();
-        std::env::set_var("MP_DEADLOCK_TIMEOUT_SECS", "123");
-        assert_eq!(super::deadlock_timeout().as_secs(), 123);
-        std::env::set_var("MP_DEADLOCK_TIMEOUT_SECS", "77");
-        assert_eq!(super::deadlock_timeout().as_secs(), 77);
-        std::env::remove_var("MP_DEADLOCK_TIMEOUT_SECS");
-        assert_eq!(super::deadlock_timeout().as_secs(), 20, "cfg(test) default");
-        match original {
-            Some(v) => std::env::set_var("MP_DEADLOCK_TIMEOUT_SECS", v),
-            None => std::env::remove_var("MP_DEADLOCK_TIMEOUT_SECS"),
-        }
-    }
-
-    #[test]
     fn wildcard_candidates_counted_for_race_detection() {
         use crate::check::{Event, Inspector, Settings};
         let insp = Arc::new(Inspector::new(1, Settings::default(), None));
-        let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None);
+        let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None, None);
         mb.push(msg(1, 5, vec![1]));
         mb.push(msg(2, 6, vec![2]));
         assert_eq!(mb.recv(any()).src, 1, "oldest arrival wins");
@@ -1073,6 +1043,15 @@ mod tests {
         inner.posted.iter().any(|p| p.id == id && p.waker.is_some())
     }
 
+    /// Whether a sender has filled the posted receive behind ticket `id`.
+    fn filled(mb: &Mailbox, id: u64) -> bool {
+        let inner = mb.inner.lock();
+        inner
+            .posted
+            .iter()
+            .any(|p| p.id == id && p.arrived.is_some())
+    }
+
     #[test]
     fn a_fill_of_another_ticket_leaves_the_spinner_waiting_for_its_own() {
         let mb = Mailbox::new();
@@ -1089,7 +1068,7 @@ mod tests {
             // Fills the other posted receive, whose waker is not the
             // spinner's: its waker stays in its own entry, unfired.
             mb.push(msg(1, 7, vec![1]));
-            assert!(mb.ticket_filled(other.id));
+            assert!(filled(&mb, other.id));
             assert!(holds_waker(&mb, mine_id), "the spinner was not woken");
             assert!(!handle.is_finished());
             mb.push(msg(2, 8, vec![2]));
@@ -1105,10 +1084,11 @@ mod tests {
     /// Two threads of one rank waiting on its mailbox at once — one on
     /// the world communicator, one on a split child moved to a helper
     /// thread — are both woken: each receive carries its own thread's
-    /// waker.
+    /// waker. Only the rank thread's wait comes off the world's runnable
+    /// count, so rank 1 waiting for both to be posted is no stall.
     #[test]
     fn two_threads_of_one_rank_waiting_at_once_are_both_woken() {
-        let world = Arc::new(crate::runtime::World::new(2, None, None));
+        let world = Arc::new(crate::runtime::World::of_threads(2, None));
         let waiting = || {
             let inner = world.mailboxes[0].inner.lock();
             inner.posted.iter().filter(|p| p.waker.is_some()).count()
@@ -1135,42 +1115,34 @@ mod tests {
         assert_eq!(out, [30, 0]);
     }
 
-    /// 100 000 8-byte round trips between two threads over a pair of
-    /// mailboxes, each side spinning for `budget` before it parks; a lost
-    /// wake-up ends in the 20 s deadlock panic, a mismatched one in the
+    /// 100 000 8-byte round trips between the two ranks of a thread
+    /// world, each side spinning for `budget` before it parks; a wake-up
+    /// the mailbox loses leaves both ranks counted as waiting, a stall
+    /// the world names and panics with, and a mismatched one fails the
     /// payload check. Returns `(spun, parked)` summed over both sides.
     fn ping_pong(budget: Duration) -> (u64, u64) {
         const ROUNDS: u64 = 100_000;
-        let (ping, pong) = (Mailbox::new(), Mailbox::new());
-        let side = |body: &(dyn Fn() + Sync)| {
+        let world = Arc::new(crate::runtime::World::of_threads(2, None));
+        let mailboxes = &world.mailboxes;
+        let counts = crate::runtime::spawn_rank_threads(&world, &world.world_group, |rank, _| {
             crate::runtime::spin_before_parking(budget);
-            body();
+            let (mine, theirs) = (&mailboxes[rank], &mailboxes[1 - rank]);
+            for i in 0..ROUNDS {
+                let word = i.to_le_bytes().to_vec();
+                if rank == 0 {
+                    theirs.push(msg(0, 1, word.clone()));
+                    assert_eq!(mine.recv(exact(1, 1)).data.bytes().unwrap(), &word);
+                } else {
+                    let m = mine.recv(exact(0, 1));
+                    theirs.push(msg(1, 1, m.data.bytes().unwrap().to_vec()));
+                    assert_eq!(m.data.bytes().unwrap(), &word);
+                }
+            }
             ThreadWaker::current().wait_counts()
-        };
-        let (a, b) = std::thread::scope(|s| {
-            let echo = s.spawn(|| {
-                side(&|| {
-                    for i in 0..ROUNDS {
-                        let m = pong.recv(exact(0, 1));
-                        ping.push(msg(1, 1, m.data.bytes().unwrap().to_vec()));
-                        assert_eq!(m.data.bytes().unwrap(), &i.to_le_bytes());
-                    }
-                })
-            });
-            let serve = s.spawn(|| {
-                side(&|| {
-                    for i in 0..ROUNDS {
-                        pong.push(msg(0, 1, i.to_le_bytes().to_vec()));
-                        assert_eq!(
-                            ping.recv(exact(1, 1)).data.bytes().unwrap(),
-                            &i.to_le_bytes()
-                        );
-                    }
-                })
-            });
-            (echo.join().unwrap(), serve.join().unwrap())
         });
-        (a.0 + b.0, a.1 + b.1)
+        counts
+            .into_iter()
+            .fold((0, 0), |(s, p), (spun, parked)| (s + spun, p + parked))
     }
 
     /// Without a budget, then with one — one after the other, so the two

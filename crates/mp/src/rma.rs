@@ -412,7 +412,7 @@ mod tests {
             .all(|ok| ok));
     }
 
-    /// Window creation never waits: under the stall detector, 64 windows
+    /// Window creation never waits: in an instrumented world, 64 windows
     /// in a row on the world and on a split communicator each hand every
     /// member the one storage, and the run ends with no deadlock and no
     /// leftover message. Every member puts into every member's region, so

@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
@@ -29,7 +29,7 @@ use simnet::Transfer;
 
 use simnet::Time;
 
-use crate::check::{self, Inspector, LaneInfo, RunLog};
+use crate::check::{self, Deadlock, Inspector, LaneInfo, RunLog};
 use crate::comm::Comm;
 use crate::mailbox::Mailbox;
 use crate::msg::Message;
@@ -152,11 +152,6 @@ pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(50);
 /// Flag polls between two reads of the clock while spinning.
 const SPIN_POLLS_PER_CLOCK_READ: u32 = 64;
 
-/// How long a blocked thread parks before it polls its future again, woken
-/// or not: short enough that a detector poison is noticed promptly, long
-/// enough to stay off the hot path. The deadlock timeout counts these.
-const PARK_SLICE: Duration = Duration::from_millis(25);
-
 /// The waker of every [`block_on`] on one thread: a wake raises the flag,
 /// which a spinning waiter is watching, and unparks the thread, which a
 /// parked one is waiting for (an unpark of a thread that is not parked
@@ -205,6 +200,16 @@ impl ThreadWaker {
         }
         true
     }
+
+    /// Parks until a wake raises the flag; an unpark that raised nothing
+    /// (a stale one, or none at all) parks again.
+    fn park(&self) {
+        #[cfg(test)]
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        while !self.woken.load(Ordering::Acquire) {
+            std::thread::park();
+        }
+    }
 }
 
 thread_local! {
@@ -225,9 +230,9 @@ thread_local! {
     /// installed for a rank thread's life by [`spawn_rank_threads`], zero
     /// on every other thread.
     static SPIN: Cell<Duration> = const { Cell::new(Duration::ZERO) };
-    /// The deadlock timeout, set for the one poll [`block_on`] makes once
-    /// its wait has outlasted it; the pending receive reads it.
-    static OVERDUE: Cell<Option<Duration>> = const { Cell::new(None) };
+    /// Which rank this thread is of the world whose [`Runnable`] count
+    /// lives at that address; unset on other threads, helpers included.
+    static RANK_OF: Cell<Option<(usize, *const Runnable)>> = const { Cell::new(None) };
 }
 
 /// Sets how long this thread's blocked waits spin before they park.
@@ -235,40 +240,15 @@ pub(crate) fn spin_before_parking(budget: Duration) {
     SPIN.set(budget);
 }
 
-/// The deadlock timeout this thread's current poll has outlasted, if it
-/// has: a pending receive that finds it set withdraws and panics with
-/// the diagnosis.
-pub(crate) fn overdue() -> Option<Duration> {
-    OVERDUE.get()
-}
-
-/// Clears [`OVERDUE`] when the poll it was set for ends, by return or by
-/// unwind.
-struct OverduePoll;
-
-impl OverduePoll {
-    fn begin(timeout: Duration) -> OverduePoll {
-        OVERDUE.set(Some(timeout));
-        OverduePoll
-    }
-}
-
-impl Drop for OverduePoll {
-    fn drop(&mut self) {
-        OVERDUE.set(None);
-    }
-}
-
 /// Drives `fut` to completion on the calling thread: the rank thread's
 /// executor, and the bridge that lets one source of truth (the `*_async`
 /// bodies) serve the synchronous API. It polls; while the future is
 /// pending it watches its waker's flag for the thread's spin budget, then
-/// parks in [`PARK_SLICE`]s, polling after each. Slices that end without
-/// a wake count against the deadlock timeout (`MP_DEADLOCK_TIMEOUT_SECS`,
-/// read once per wait); when they reach it, one last poll tells the
-/// pending receive, which panics with its diagnosis. Inside a
-/// cooperative task this would park the whole executor, so it panics
-/// with a pointer at the async API instead.
+/// parks until a wake, and polls again. It keeps no clock past the
+/// budget: a wait that no sender will end is the world's stall, which its
+/// [`Runnable`] count names and whose poison wakes the wait to unwind.
+/// Inside a cooperative task this would park the whole executor, so it
+/// panics with a pointer at the async API instead.
 ///
 /// The wait is spin-then-park for three reasons. *A budget*, because a
 /// peer that answers within microseconds is the common case worth a CPU
@@ -287,32 +267,95 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
     );
     let mut fut = std::pin::pin!(fut);
     let budget = SPIN.get();
-    let mut timeout = None;
-    let mut idle = Duration::ZERO;
     WAKER.with(|(thread, waker)| loop {
         thread.woken.store(false, Ordering::Relaxed);
-        let polled = {
-            let _overdue = timeout.filter(|&t| idle >= t).map(OverduePoll::begin);
-            fut.as_mut().poll(&mut Context::from_waker(waker))
-        };
-        if let Poll::Ready(out) = polled {
+        if let Poll::Ready(out) = fut.as_mut().poll(&mut Context::from_waker(waker)) {
             return out;
         }
-        // The budget is spent once per wake: a slice that ended without
-        // one parks again at once.
-        if idle.is_zero() && !budget.is_zero() && thread.spin(budget) {
-            continue;
+        if budget.is_zero() || !thread.spin(budget) {
+            thread.park();
         }
-        timeout.get_or_insert_with(crate::mailbox::deadlock_timeout);
-        #[cfg(test)]
-        thread.parked.fetch_add(1, Ordering::Relaxed);
-        std::thread::park_timeout(PARK_SLICE);
-        idle = if thread.woken.load(Ordering::Acquire) {
-            Duration::ZERO
-        } else {
-            idle + PARK_SLICE
-        };
     })
+}
+
+/// How many rank threads of a thread world hosted whole by this process
+/// can run: the unfinished ones, less those waiting on a receive whose
+/// waker has not fired. Every change to a wait is made under the lock of
+/// the mailbox waited on, which is where in-process delivery fills it, so
+/// at zero nothing can run any more; whoever takes it there unparks the
+/// launching thread. DESIGN.md §5 states the rule and its limits.
+///
+/// Orderings: a body's end releases `unfinished` before it decrements
+/// `count`, and every `count` change is a read-modify-write, so the
+/// launcher's `Acquire` load that reads zero sees every `unfinished`
+/// decrement made before the ends it counted.
+#[derive(Default)]
+pub(crate) struct Runnable {
+    count: AtomicUsize,
+    /// Rank threads whose body has not ended.
+    unfinished: AtomicUsize,
+    launcher: OnceLock<std::thread::Thread>,
+}
+
+impl Runnable {
+    /// Starts the count at `n` rank threads, launched from this thread.
+    fn start(&self, n: usize) {
+        let launcher = self.launcher.set(std::thread::current());
+        launcher.expect("a thread world is launched once");
+        self.unfinished.store(n, Ordering::Relaxed);
+        self.count.store(n, Ordering::Release);
+    }
+
+    /// Whether the calling thread is rank `rank`'s own in this world.
+    pub(crate) fn is_rank_thread(&self, rank: usize) -> bool {
+        RANK_OF.get() == Some((rank, self as *const Runnable))
+    }
+
+    /// One fewer rank thread can run: it left its waker in an unfilled
+    /// receive, or its body ended.
+    pub(crate) fn stop(&self) {
+        if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.launcher.get().expect("a started count").unpark();
+        }
+    }
+
+    /// A counted waiter's waker was taken: its thread can run again.
+    pub(crate) fn resume(&self) {
+        self.count.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Parks the launching thread until the count reaches zero; true when
+    /// rank threads are left unfinished there, which is a stall.
+    fn stalled(&self) -> bool {
+        while self.count.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+        self.unfinished.load(Ordering::Acquire) != 0
+    }
+}
+
+/// A rank thread's spin budget and, in a counted world, its rank,
+/// installed for the life of its body; dropping it, by return or unwind,
+/// counts the body's end.
+struct RankThread(Option<Arc<Runnable>>);
+
+impl RankThread {
+    fn enter(world: &World, rank: usize, spin: Duration) -> RankThread {
+        spin_before_parking(spin);
+        let runnable = world.runnable.clone();
+        RANK_OF.set(runnable.as_ref().map(|r| (rank, Arc::as_ptr(r))));
+        RankThread(runnable)
+    }
+}
+
+impl Drop for RankThread {
+    fn drop(&mut self) {
+        RANK_OF.set(None);
+        if let Some(runnable) = &self.0 {
+            runnable.unfinished.fetch_sub(1, Ordering::Release);
+            runnable.stop();
+        }
+    }
 }
 
 /// Shared state of a running SPMD world.
@@ -345,20 +388,43 @@ pub(crate) struct World {
     /// of a cross-process world, consulted by [`World::deliver`] to route
     /// messages for ranks hosted by other processes over the transport.
     pub remote: Option<crate::transport::RemoteWorld>,
+    /// The runnable count of a thread world hosted whole by this process
+    /// (None for cooperative worlds and fleets, whose waits pay nothing).
+    runnable: Option<Arc<Runnable>>,
+    /// The diagnosis the world was poisoned with, if it stalled.
+    poison: OnceLock<Arc<Deadlock>>,
 }
 
 impl World {
+    /// A world whose ranks are cooperative tasks or a fleet's resident
+    /// rank threads: no runnable count.
     pub(crate) fn new(
         n: usize,
         inspector: Option<Arc<Inspector>>,
         controller: Option<Arc<dyn crate::coop::ScheduleController>>,
+    ) -> World {
+        World::build(n, inspector, controller, None)
+    }
+
+    /// A world of `n` rank threads hosted whole by this process, which
+    /// names its stall when its [`Runnable`] count reaches zero.
+    pub(crate) fn of_threads(n: usize, inspector: Option<Arc<Inspector>>) -> World {
+        World::build(n, inspector, None, Some(Arc::default()))
+    }
+
+    fn build(
+        n: usize,
+        inspector: Option<Arc<Inspector>>,
+        controller: Option<Arc<dyn crate::coop::ScheduleController>>,
+        runnable: Option<Arc<Runnable>>,
     ) -> World {
         let world_group: Arc<Vec<usize>> = Arc::new((0..n).collect());
         World {
             n,
             mailboxes: (0..n)
                 .map(|rank| {
-                    Mailbox::with_instrumentation(rank, inspector.clone(), controller.clone())
+                    let (insp, ctl, count) = (&inspector, &controller, &runnable);
+                    Mailbox::with_instrumentation(rank, insp.clone(), ctl.clone(), count.clone())
                 })
                 .collect(),
             world_group,
@@ -369,7 +435,24 @@ impl World {
             inspector,
             controller,
             remote: None,
+            runnable,
+            poison: OnceLock::new(),
         }
+    }
+
+    /// Poisons the world with `diagnosis` (the first one sticks) and wakes
+    /// every waiting receive, mailbox by mailbox in rank order, to unwind
+    /// with it: the one way a stall ends, whoever detected it.
+    pub(crate) fn poison(&self, diagnosis: Arc<Deadlock>) {
+        let diagnosis = self.poison.get_or_init(|| diagnosis);
+        for mailbox in &self.mailboxes {
+            mailbox.poison(diagnosis);
+        }
+    }
+
+    /// The diagnosis the world was poisoned with, if any.
+    pub(crate) fn poisoned(&self) -> Option<Arc<Deadlock>> {
+        self.poison.get().cloned()
     }
 
     /// Switches the world to virtual execution: every message is priced
@@ -402,7 +485,7 @@ impl World {
     /// The run log of a finished instrumented world: its event rings, the
     /// unmatched traffic left in its mailboxes, the deadlock diagnosis if
     /// it stalled, and its ranks' caught `panics` but the poison unwinds
-    /// (the detector's doing, which the diagnosis already carries).
+    /// (the stall's doing, which the diagnosis already carries).
     pub(crate) fn run_log(&self, mut panics: Vec<(usize, String)>) -> RunLog {
         let inspector = self.inspector.as_ref().expect("an instrumented world");
         let (events, dropped) = inspector.drain_events();
@@ -413,7 +496,7 @@ impl World {
             events,
             dropped,
             leftover: self.inventory(),
-            deadlock: inspector.poisoned(),
+            deadlock: self.poisoned(),
             panics,
         }
     }
@@ -524,7 +607,7 @@ where
         return checked.sink_then_propagate(&*scoped.sink);
     }
     assert!(n > 0, "an SPMD world needs at least one rank");
-    let world = Arc::new(World::new(n, None, None));
+    let world = Arc::new(World::of_threads(n, None));
     spawn_rank_threads(&world, &world.world_group, |_, comm| f(comm))
 }
 
@@ -550,6 +633,10 @@ where
 /// single-process run of that world would — a parity requirement, not a
 /// nicety: the `threads` field of emitted records must not depend on how
 /// ranks were packed into processes.
+///
+/// A counted world is waited for on its [`Runnable`] count: a stall left
+/// at zero is diagnosed and poisoned. A failure is reported by its cause:
+/// the lowest-rank panic that is not a poison unwind, else the first.
 pub(crate) fn spawn_rank_threads<R, F>(world: &Arc<World>, ranks: &[usize], f: F) -> Vec<R>
 where
     R: Send,
@@ -577,7 +664,7 @@ where
                         return None;
                     }
                     let _pool = smp::AmbientGuard::install(smp::pool::rank_threads(n));
-                    spin_before_parking(spin);
+                    let _rank = RankThread::enter(&world, rank, spin);
                     let comm = Comm::world(world, rank);
                     Some(f(rank, &comm))
                 });
@@ -592,22 +679,36 @@ where
                 }
             }
         }
+        if let Some(runnable) = &world.runnable {
+            assert_eq!(ranks.len(), n, "a counted world hosts every rank");
+            runnable.start(n);
+        }
         gate.open();
-        handles
-            .into_iter()
-            .zip(ranks)
-            .map(|(h, &rank)| match h.join() {
-                Ok(Some(r)) => r,
+        if world.runnable.as_ref().is_some_and(|r| r.stalled()) {
+            world.poison(check::diagnose(world));
+        }
+        let mut results = Vec::with_capacity(ranks.len());
+        let mut panics = Vec::new();
+        for (h, &rank) in handles.into_iter().zip(ranks) {
+            match h.join() {
+                Ok(Some(r)) => results.push(r),
                 Ok(None) => unreachable!("the gate opened, so every spawn succeeded"),
-                Err(e) => panic!("rank {rank} panicked: {}", panic_message(&*e)),
-            })
-            .collect()
+                Err(e) => panics.push((rank, panic_message(&*e).to_string())),
+            }
+        }
+        let cause = panics
+            .iter()
+            .find(|(_, msg)| !msg.starts_with(check::POISON_MARK));
+        if let Some((rank, msg)) = cause.or(panics.first()) {
+            panic!("rank {rank} panicked: {msg}");
+        }
+        results
     })
 }
 
 /// [`spawn_rank_threads`] for an instrumented world: every rank body runs
 /// under `catch_unwind` and reports to the inspector that it finished, so
-/// a stall detector sees a dead rank as done rather than runnable.
+/// a fleet's monitor sees a dead rank as done rather than runnable.
 pub(crate) fn spawn_caught_ranks<R, F>(
     world: &Arc<World>,
     ranks: &[usize],
@@ -671,6 +772,68 @@ pub(crate) mod tests {
         });
     }
 
+    /// A rank that panics is the cause; the rank waiting on it is a
+    /// consequence. The stall its panic leaves behind is named at once
+    /// and unwinds the waiter, and `run` reports the cause — within
+    /// 100 ms, read off a bounded channel wait rather than a clock.
+    #[test]
+    fn a_panic_is_reported_before_the_stall_it_caused() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let world = std::thread::spawn(move || {
+            let err = std::panic::catch_unwind(|| {
+                run(2, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("boom");
+                    }
+                    comm.recv(&mut [0u8], 1, 3);
+                })
+            })
+            .expect_err("rank 1 panicked");
+            tx.send(panic_message(&*err).to_string()).unwrap();
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_millis(100))
+            .expect("the run ends within 100 ms");
+        assert_eq!(msg, "rank 1 panicked: boom");
+        world.join().unwrap();
+    }
+
+    /// A rank thread waiting on two receives at once is off the runnable
+    /// count once, not twice: while its peer is still computing (until
+    /// both receives wait), its world is no stall.
+    #[test]
+    fn a_rank_waiting_on_two_receives_at_once_counts_once() {
+        let both_wait = AtomicBool::new(false);
+        let out = run(2, |comm| {
+            if comm.rank() == 1 {
+                while !both_wait.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                comm.send(&[1u64], 0, 1);
+                comm.send(&[2u64], 0, 2);
+                return 0;
+            }
+            let (mut a, mut b) = ([0u64], [0u64]);
+            {
+                let mut first = std::pin::pin!(comm.recv_async(&mut a, 1, 1));
+                let mut second = std::pin::pin!(comm.recv_async(&mut b, 1, 2));
+                let (mut one, mut two) = (false, false);
+                block_on(std::future::poll_fn(|cx| {
+                    one = one || first.as_mut().poll(cx).is_ready();
+                    two = two || second.as_mut().poll(cx).is_ready();
+                    both_wait.store(true, Ordering::Release);
+                    if one && two {
+                        Poll::Ready(())
+                    } else {
+                        Poll::Pending
+                    }
+                }));
+            }
+            a[0] + b[0]
+        });
+        assert_eq!(out, [3, 0]);
+    }
+
     /// A traced run's transfers are its send events: each rank's sends in
     /// program order, ranks in order, whatever order they arrived in.
     #[test]
@@ -696,7 +859,7 @@ pub(crate) mod tests {
     /// of `n` ranks (the rest finish at once), run the way `run` runs
     /// them; returns `(spun, parked)` summed over its rank threads.
     fn ping_pong_wait_counts(n: usize, rounds: u64) -> (u64, u64) {
-        let world = Arc::new(World::new(n, None, None));
+        let world = Arc::new(World::of_threads(n, None));
         let counts = spawn_rank_threads(&world, &world.world_group, |rank, comm| {
             let mut buf = [0u64];
             for i in 0..rounds {
@@ -744,8 +907,8 @@ pub(crate) mod tests {
 
     /// A failed rank spawn must fail cleanly with the rank named — not
     /// abort the process, not hang already-spawned siblings (they park
-    /// behind the start gate), not leave a stall detector polling — through
-    /// every thread launcher: each leg panics *and returns*, so whatever
+    /// behind the start gate), not leave the launcher waiting on a count
+    /// that never started — through every thread launcher: each leg panics *and returns*, so whatever
     /// the launcher started has been joined. (The session launcher's leg
     /// is `transport::tests::spawn_failure_ends_the_epoch`.)
     #[test]

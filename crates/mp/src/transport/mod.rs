@@ -35,12 +35,14 @@
 //!
 //! # Cross-process deadlock detection
 //!
-//! `mp::check`'s wait-edge instrumentation keeps working when the
-//! wait-for graph spans processes. Each process runs a monitor thread
-//! that watches its resident ranks exactly like the single-process
-//! detector (stable activity across polls, every unfinished rank parked,
-//! in-flight wakes ruled out via hand-off probes); on local stability it
-//! serializes its wait edges as a `Stable` control frame to process 0.
+//! A world hosted whole by one process names its stall exactly, from its
+//! runnable count; a fleet cannot, because frames in flight between
+//! processes are invisible to a local count. So each process runs a
+//! monitor thread — the one polling stall detector — that watches its
+//! resident ranks' wait edges (read from their mailboxes' posted receives
+//! holding an unfired waker): once the inspector's activity counter has
+//! been quiet for several polls with every unfinished resident blocked,
+//! it serializes its wait edges as a `Stable` control frame to process 0.
 //! Process 0 aggregates: when every process has reported, the global
 //! sent/received data-frame counts balance (no frame in flight — the
 //! classic counting method for distributed termination detection), and a
@@ -51,7 +53,7 @@
 //! diagnosis naming the cycle.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -88,6 +90,13 @@ pub(crate) const ENV_TCP_BIND: &str = "MP_TCP_BIND";
 
 /// The rule every way into a fleet enforces, named in its refusal.
 pub(crate) const FLEET_RULE: &str = "a fleet has at least two processes (one process is `mp::run`)";
+
+/// How often a fleet process's monitor looks at its residents.
+const POLL: Duration = Duration::from_millis(10);
+
+/// How long an epoch's flush barrier waits for its peers' barriers before
+/// it declares a peer process dead.
+const BARRIER_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// The world topology of a multi-process session: which process hosts
 /// which rank. Always the balanced contiguous block mapping, which is also
@@ -378,9 +387,9 @@ fn pump(sess: &Arc<Session>) {
                 let st = sess.state.lock();
                 if let Some((epoch, world)) = &st.current {
                     if *epoch == frame.epoch {
-                        if let Some(insp) = &world.inspector {
-                            insp.set_poison(diagnosis);
-                        }
+                        let world = Arc::clone(world);
+                        drop(st);
+                        world.poison(diagnosis);
                     }
                 }
             }
@@ -461,10 +470,7 @@ where
     // deadlock detector needs wait edges, and a poison channel is the
     // only way to unwind ranks blocked on a peer process that died.
     // The ring is kept tiny — event history belongs to `run_checked`.
-    let settings = Settings {
-        ring_capacity: 16,
-        ..Settings::default()
-    };
+    let settings = Settings { ring_capacity: 16 };
     let inspector = Arc::new(Inspector::new(n, settings, None));
     let mut world = World::new(n, Some(Arc::clone(&inspector)), None);
     let epoch = {
@@ -486,7 +492,7 @@ where
         // Dropped in reverse order on every path out, a rank-spawn failure
         // included: the monitor stops first, then the epoch ends.
         let _epoch = install_world(sess, epoch, &world);
-        let _monitor = spawn_monitor(sess, epoch, &world, &inspector, &residents);
+        let _monitor = spawn_monitor(sess, epoch, &world, inspector, &residents);
         let outcomes = crate::runtime::spawn_caught_ranks(&world, &residents, &f);
 
         // Flush barrier: FIFO channels guarantee every data frame this
@@ -543,7 +549,7 @@ fn install_world<'a>(sess: &'a Session, epoch: u32, world: &Arc<World>) -> Epoch
 
 fn wait_peer_barriers(sess: &Arc<Session>, epoch: u32) {
     let peers = sess.topo.nprocs - 1;
-    let timeout = crate::mailbox::deadlock_timeout();
+    let timeout = BARRIER_TIMEOUT;
     let slice = Duration::from_millis(50);
     let mut waited = Duration::ZERO;
     let mut st = sess.state.lock();
@@ -565,38 +571,117 @@ fn wait_peer_barriers(sess: &Arc<Session>, epoch: u32) {
 // The cross-process stall monitor
 // ---------------------------------------------------------------------
 
+/// Whether every unfinished rank among `ranks` is blocked on a receive.
+/// True when every listed rank has finished — a process whose residents
+/// are all done contributes no wait edges but must not block the global
+/// stall from being declared.
+fn ranks_stable(world: &World, insp: &Inspector, ranks: &[usize]) -> bool {
+    ranks
+        .iter()
+        .all(|&rank| insp.finished(rank) || world.mailboxes[rank].blocked_on().is_some())
+}
+
+/// The quiet-poll rule of the monitor: a stall is worth snapshotting only
+/// after several consecutive polls with no wait transition and every
+/// unfinished resident blocked — a notified-but-unscheduled thread looks
+/// blocked for one poll, never for three.
+#[derive(Default)]
+struct QuietPolls {
+    /// The activity counter as the last poll read it.
+    activity: u64,
+    quiet: u32,
+}
+
+impl QuietPolls {
+    /// Takes one poll of `ranks`; true once the last three were quiet.
+    fn poll(&mut self, world: &World, insp: &Inspector, ranks: &[usize]) -> bool {
+        let activity = insp.activity();
+        if activity == self.activity && ranks_stable(world, insp, ranks) {
+            self.quiet += 1;
+        } else {
+            self.quiet = 0;
+        }
+        self.activity = activity;
+        self.quiet >= 3
+    }
+
+    /// Starts the count over (something moved after all).
+    fn reset(&mut self) {
+        self.quiet = 0;
+    }
+}
+
+/// A running monitor thread, `mp-proc-monitor`. Dropping the guard tells
+/// the thread the epoch is over and joins it, so it ends with the run on
+/// every path out — the normal one, a rank-spawn failure, any other
+/// unwind.
+struct Detector {
+    done: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Detector {
+    /// Spawns the thread, which calls `step` once per [`POLL`] until the
+    /// guard drops or `step` returns false.
+    fn spawn(mut step: impl FnMut() -> bool + Send + 'static) -> Detector {
+        let done = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&done);
+        let thread = std::thread::Builder::new()
+            .name("mp-proc-monitor".to_string())
+            .spawn(move || loop {
+                std::thread::sleep(POLL);
+                if stop.load(Ordering::Acquire) || !step() {
+                    break;
+                }
+            })
+            .unwrap_or_else(|e| panic!("mp: cannot spawn the stall monitor: {e}"));
+        Detector {
+            done,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Detector {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Release);
+        if let Some(thread) = self.thread.take() {
+            // A monitor that panicked has already said so through the
+            // panic hook; a second panic from a drop could only abort.
+            let _ = thread.join();
+        }
+    }
+}
+
 /// Spawns the per-process monitor: it detects local stability (every
-/// resident unfinished rank parked, activity quiet, no wake in flight),
-/// publishes the serialized wait snapshot to process 0, and — on process
-/// 0 — aggregates the global diagnosis. It ends when the returned guard
-/// drops, or the run is poisoned and there is nothing left to watch.
+/// resident unfinished rank blocked, activity quiet), publishes the
+/// serialized wait snapshot to process 0, and — on process 0 — aggregates
+/// the global diagnosis. It ends when the returned guard drops, or the
+/// run is poisoned and there is nothing left to watch.
 fn spawn_monitor(
     sess: &Arc<Session>,
     epoch: u32,
     world: &Arc<World>,
-    insp: &Arc<Inspector>,
+    insp: Arc<Inspector>,
     residents: &[usize],
-) -> check::Detector {
+) -> Detector {
     let (sess, world, residents) = (Arc::clone(sess), Arc::clone(world), residents.to_vec());
-    let mut quiet = check::QuietPolls::default();
+    let mut quiet = QuietPolls::default();
     let (mut gen, mut published) = (0u64, false);
-    check::Detector::spawn("mp-proc-monitor", Arc::clone(insp), move |insp| {
-        if insp.poisoned().is_some() {
+    Detector::spawn(move || {
+        if world.poisoned().is_some() {
             return false;
         }
-        if !quiet.poll(insp, &residents) {
+        if !quiet.poll(&world, &insp, &residents) {
             published = false;
         } else if !published {
-            let Some(waits) = check::snapshot_ranks(&world, insp, &residents) else {
-                quiet.reset(); // a wake was in flight after all
-                return true;
-            };
+            let waits = check::snapshot_ranks(&world, &residents);
             let lanes = residents
                 .iter()
                 .flat_map(|&r| world.mailboxes[r].inventory());
             // Counter sampling order matters: activity after the
-            // snapshot, so any wake between snapshot and the confirm
-            // round shows up as a counter change.
+            // snapshot, so any wait transition between the quiet poll and
+            // the confirm round shows up as a counter change.
             gen += 1;
             let report = StableReport {
                 gen,
@@ -627,7 +712,7 @@ fn spawn_monitor(
             published = true;
         }
         if sess.topo.me == 0 {
-            try_global_diagnosis(&sess, epoch, insp);
+            try_global_diagnosis(&sess, epoch, &world, &insp);
         }
         true
     })
@@ -637,7 +722,7 @@ fn spawn_monitor(
 /// and balanced global data-frame counters, run a confirm round and — if
 /// every snapshot is still current — assemble and broadcast the global
 /// deadlock diagnosis.
-fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, insp: &Inspector) {
+fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, world: &World, insp: &Inspector) {
     let nprocs = sess.topo.nprocs;
     let reports: Vec<StableReport> = {
         let st = sess.state.lock();
@@ -688,7 +773,7 @@ fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, insp: &Inspector) {
             break ok;
         }
         drop(st);
-        insp.poll_sleep();
+        std::thread::sleep(POLL);
         slices += 1;
         if slices >= deadline_slices {
             break false;
@@ -723,7 +808,7 @@ fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, insp: &Inspector) {
         };
         sess.transport.send(p, &frame);
     }
-    insp.set_poison(diagnosis);
+    world.poison(diagnosis);
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub(crate) fn analyze(log: &RunLog) -> Vec<Finding> {
     findings
 }
 
-/// Maps the detector's diagnosis onto a finding.
+/// Maps the stall's diagnosis onto a finding.
 fn deadlock(log: &RunLog, findings: &mut Vec<Finding>) {
     let Some(d) = &log.deadlock else { return };
     let (ranks, summary) = match &d.cycle {

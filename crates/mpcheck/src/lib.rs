@@ -6,11 +6,12 @@
 //!
 //! 1. **Wait-for-graph deadlock detection.** Every blocking point in the
 //!    runtime (mailbox receives, rendezvous posts, and through them every
-//!    collective phase) publishes a per-rank wait edge. A detector thread
-//!    runs cycle detection over the resulting graph and reports the
-//!    actual cycle — the ranks, the operations they block on, the
-//!    collective call sites, and the pending-message inventory per
-//!    mailbox lane — instead of hanging until a wall-clock timeout.
+//!    collective phase) leaves a per-rank wait edge in its mailbox's
+//!    posted receives. The instant the world's last runnable rank blocks,
+//!    cycle detection over the resulting graph reports the actual cycle —
+//!    the ranks, the operations they block on, the collective call sites,
+//!    and the pending-message inventory per mailbox lane — instead of the
+//!    run hanging.
 //! 2. **Communication-trace lints.** Each rank records its events into a
 //!    bounded ring; `analyze` replays the merged trace after the run
 //!    and flags unmatched sends at finalize, collective call-sequence
@@ -143,14 +144,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    fn fast() -> Settings {
-        Settings {
-            poll: Duration::from_millis(2),
-            ..Settings::default()
-        }
-    }
 
     #[test]
     fn check_on_clean_program_is_clean() {
@@ -169,7 +162,7 @@ mod tests {
     fn deadlock_is_diagnosed_with_cycle_members() {
         // Head-to-head blocking receives: sends are eager in mp, so the
         // classic send/send deadlock manifests as recv/recv.
-        let report = check(2, &fast(), |comm| {
+        let report = check(2, &Settings::default(), |comm| {
             let peer = comm.size() - 1 - comm.rank();
             let mut buf = [0u8];
             comm.recv(&mut buf, peer, 9);
@@ -185,7 +178,7 @@ mod tests {
 
     #[test]
     fn rank_panic_is_reported_not_swallowed() {
-        let report = check(2, &fast(), |comm| {
+        let report = check(2, &Settings::default(), |comm| {
             if comm.rank() == 1 {
                 panic!("boom");
             }

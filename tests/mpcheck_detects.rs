@@ -4,19 +4,8 @@
 //! seconds, i.e. come from the wait-for graph or the trace, never from a
 //! wall-clock timeout.
 
-use std::time::Duration;
-
 use mpcheck::json::{self, Value};
 use mpcheck::{check, FindingClass, Settings};
-
-/// Settings with a fast detector poll, so a deadlock diagnosis arrives in
-/// tens of milliseconds.
-fn fast() -> Settings {
-    Settings {
-        poll: Duration::from_millis(2),
-        ..Settings::default()
-    }
-}
 
 /// Asserts that `report`, obtained in `elapsed` seconds, diagnoses the
 /// receive cycle between ranks 0 and 1 by name.
@@ -48,7 +37,7 @@ fn two_rank_head_to_head_receive_cycle() {
     // exchange-ordered-wrong bug manifests at the receives — both ranks
     // block receiving before either sends.
     let clock = harness::Stopwatch::start();
-    let report = check(2, &fast(), |comm| {
+    let report = check(2, &Settings::default(), |comm| {
         let peer = 1 - comm.rank();
         let mut buf = [0u64];
         comm.recv(&mut buf, peer, 42);
@@ -60,15 +49,15 @@ fn two_rank_head_to_head_receive_cycle() {
 #[test]
 fn receive_cycle_in_a_world_that_spins_is_still_a_named_cycle() {
     // What spin-then-park could have broken: a receive that spins in
-    // `block_on` before it parks must still publish its wait edge first and
-    // still reach the poison check, or the detector never sees two waiting
+    // `block_on` before it parks must still leave its wait edge first and
+    // still be woken by the poison, or the count never sees two waiting
     // ranks, or sees them and cannot unwind them. The exchanges before the
     // cycle put both ranks through waits that are caught spinning.
     if !mp::receives_spin(2) {
         eprintln!("one online CPU: a 2-rank world parks at once, as in the test above");
     }
     let clock = harness::Stopwatch::start();
-    let report = check(2, &fast(), |comm| {
+    let report = check(2, &Settings::default(), |comm| {
         let peer = 1 - comm.rank();
         let mut buf = [0u64];
         for i in 0..1000u64 {
@@ -90,7 +79,7 @@ fn receive_cycle_in_a_world_that_spins_is_still_a_named_cycle() {
 #[test]
 fn three_rank_receive_ring_reports_full_cycle() {
     let clock = harness::Stopwatch::start();
-    let report = check(3, &fast(), |comm| {
+    let report = check(3, &Settings::default(), |comm| {
         // Every rank receives from its left neighbor before anyone sends:
         // a 3-cycle in the wait-for graph.
         let left = (comm.rank() + comm.size() - 1) % comm.size();
@@ -109,23 +98,24 @@ fn three_rank_receive_ring_reports_full_cycle() {
     ranks.sort_unstable();
     assert_eq!(ranks, vec![0, 1, 2], "all three ring members");
 
-    // One diagnosis, whichever detector met the stall: a native checked
-    // world's polling thread and the cooperative engine's instant one
-    // assemble the same `Deadlock` (`Deadlock::from_waits`; its third
-    // caller, a fleet's process 0, is pinned by `mp/tests/multiproc.rs`).
-    let threads = mp::check::run_checked(3, fast(), |comm| {
+    // One diagnosis, whichever engine met the stall: a native checked
+    // world's runnable count and the cooperative engine's run queue both
+    // read the mailboxes' wait edges and assemble the same `Deadlock`
+    // (`Deadlock::from_waits`; its other caller, a fleet's process 0, is
+    // pinned by `mp/tests/multiproc.rs`).
+    let threads = mp::check::run_checked(3, Settings::default(), |comm| {
         let left = (comm.rank() + comm.size() - 1) % comm.size();
         comm.recv(&mut [0u64], left, 7);
     });
-    let tasks = mp::run_checked_coop(3, fast(), |comm| async move {
+    let tasks = mp::run_checked_coop(3, Settings::default(), |comm| async move {
         let left = (comm.rank() + comm.size() - 1) % comm.size();
         comm.recv_async(&mut [0u64], left, 7).await;
     });
-    let polled = threads.log.deadlock.expect("the detector thread fired");
+    let counted = threads.log.deadlock.expect("the count reached zero");
     let instant = tasks.log.deadlock.expect("the stall was diagnosed");
-    assert_eq!(polled.cycle.as_ref().map(Vec::len), Some(3));
-    assert_eq!(format!("{polled:?}"), format!("{instant:?}"));
-    assert_eq!(finding.detail, polled.to_string());
+    assert_eq!(counted.cycle.as_ref().map(Vec::len), Some(3));
+    assert_eq!(format!("{counted:?}"), format!("{instant:?}"));
+    assert_eq!(finding.detail, counted.to_string());
 }
 
 #[test]
@@ -133,7 +123,7 @@ fn bcast_root_mismatch_is_collective_divergence() {
     // Both ranks call bcast at the same call index but disagree on the
     // root. With eager "root sends, leaves receive" semantics this can
     // even complete — the misuse is only visible by comparing traces.
-    let report = check(2, &fast(), |comm| {
+    let report = check(2, &Settings::default(), |comm| {
         let mut buf = [comm.rank() as u64];
         let root = comm.rank(); // everyone thinks they are the root
         comm.bcast(&mut buf, root);
@@ -161,7 +151,7 @@ fn collective_order_divergence_barrier_vs_reduce() {
     // The traces disagree on which operation call #0 on the world
     // communicator is.
     let clock = harness::Stopwatch::start();
-    let report = check(2, &fast(), |comm| {
+    let report = check(2, &Settings::default(), |comm| {
         let mut x = [1u64];
         if comm.rank() == 0 {
             comm.barrier();
@@ -189,7 +179,7 @@ fn unreceived_tag_is_a_tag_leak() {
     // Rank 0 sends on tags 5 and 6; rank 1 only ever receives tag 6. The
     // tag-5 message sits in its lane at finalize and rank 1's trace shows
     // no receive on that tag at all: a leak, not a count mismatch.
-    let report = check(2, &fast(), |comm| {
+    let report = check(2, &Settings::default(), |comm| {
         if comm.rank() == 0 {
             comm.send(&[10u64], 1, 5);
             comm.send(&[20u64], 1, 6);
@@ -217,7 +207,7 @@ fn unreceived_tag_is_a_tag_leak() {
 
 #[test]
 fn excess_sends_on_a_received_tag_are_unmatched_sends() {
-    let report = check(2, &fast(), |comm| {
+    let report = check(2, &Settings::default(), |comm| {
         if comm.rank() == 0 {
             comm.send(&[1u64], 1, 9);
             comm.send(&[2u64], 1, 9);
@@ -247,7 +237,7 @@ fn wildcard_receive_with_two_live_senders_is_a_race() {
     // are definitely queued) and then receives with a wildcard source:
     // at match time two candidate lanes are nonempty, so the result is
     // arrival-order dependent.
-    let report = check(3, &fast(), |comm| {
+    let report = check(3, &Settings::default(), |comm| {
         if comm.rank() == 0 {
             let mut sync = [0u64];
             comm.recv(&mut sync, 1, 99);
@@ -273,7 +263,7 @@ fn wildcard_receive_with_two_live_senders_is_a_race() {
 fn exact_source_receives_are_not_flagged_as_races() {
     // Same traffic as above but with pinned sources: deterministic, no
     // finding of any class.
-    let report = check(3, &fast(), |comm| {
+    let report = check(3, &Settings::default(), |comm| {
         if comm.rank() == 0 {
             let mut buf = [0u64];
             comm.recv(&mut buf, 1, 1);
@@ -288,7 +278,7 @@ fn exact_source_receives_are_not_flagged_as_races() {
 
 #[test]
 fn report_json_carries_the_gallery_finding() {
-    let report = check(2, &fast(), |comm| {
+    let report = check(2, &Settings::default(), |comm| {
         let peer = 1 - comm.rank();
         let mut buf = [0u64];
         comm.recv(&mut buf, peer, 3);
