@@ -45,12 +45,16 @@
 #      `BENCH_*.json` anywhere outside `target/`. `benchmark/` +
 #      `BENCHMARK.json` are the one measurement system; a lane binary
 #      or a committed per-host baseline is the second one growing back.
-#   7. One way to start a world, one stall detector. In `crates/mp/src`
-#      the rank-thread name literal `"mp-rank-{` and `gate.abort()` each
-#      appear exactly once (`runtime::spawn_rank_threads` is the only
-#      spawn loop; plain `run`, `run_checked` — behind `run_traced` and
-#      the ambient hook's `run` — and the session path are its callers),
-#      and `find_cycle(` is defined once and
+#   7. One launch path, one stall detector. Every world, on either engine,
+#      starts and ends on one private path in `crates/mp/src/runtime.rs`:
+#      one builder (`World::new`), two engines (`rank_threads`,
+#      `coop::execute`), one read of the ambient hook (`launch`) and one
+#      fold (`end`). In `crates/mp/src` the rank-thread name literal
+#      `"mp-rank-{` and `gate.abort()` each appear exactly once
+#      (`runtime::rank_threads` is the only spawn loop), `scoped()` — the
+#      ambient hook — and `sink_then_propagate(` are each defined once and
+#      called from one place (`runtime::launch`, `runtime::end`), and
+#      `find_cycle(` is defined once and
 #      called from one place (`Deadlock::from_waits`). An in-process world
 #      detects its stall exactly — a thread world when its runnable count
 #      (`runtime::Runnable`) reaches zero, a cooperative one when its run
@@ -210,15 +214,20 @@ mod tests {
 }
 EOF
     mkdir -p "$pass/crates/mp/src/sched"
-    # One spawn loop, one cycle finder with one caller, one spin clock.
+    # One spawn loop, one read of the ambient hook, one propagation, one
+    # cycle finder with one caller, one spin clock.
     cat > "$pass/crates/mp/src/runtime.rs" <<'EOF'
 fn spin() {
     let start = Instant::now(); // arch_lint: block_on spin budget
 }
-fn spawn_rank_threads() {
+fn rank_threads() {
     builder.name(format!("mp-rank-{rank}"));
     gate.abort();
 }
+fn launch() { let scoped = check::scoped(); let _g = install_scoped(check); }
+fn end(checked: Checked) { checked.sink_then_propagate(sink); }
+fn scoped() -> Option<ScopedCheck> { None }
+fn sink_then_propagate(self, sink: impl FnOnce(RunLog)) {}
 fn from_waits() { find_cycle(&succ); }
 fn find_cycle(succ: &[Option<usize>]) {}
 EOF
@@ -369,9 +378,10 @@ pub fn g() {
 }
 EOF
     mkdir -p "$bad/crates/mp/src/sched"
-    # A second spawn loop, and a second assembly of the wait-for graph.
+    # A second spawn loop, a second assembly of the wait-for graph, and a
+    # second read of the ambient hook that propagates on its own.
     cat > "$bad/crates/mp/src/runtime.rs" <<'EOF'
-fn spawn_rank_threads() {
+fn rank_threads() {
     builder.name(format!("mp-rank-{rank}"));
     gate.abort();
 }
@@ -392,6 +402,11 @@ fn block_on() {
     let deadline = Instant::now() + timeout;
     std::thread::park_timeout(PARK_SLICE);
 }
+fn launch() { let scoped = check::scoped(); }
+fn run_coop_inner() { if let Some(s) = check::scoped() { checked.sink_then_propagate(&*s.sink); } }
+fn scoped() -> Option<ScopedCheck> { None }
+fn sink_then_propagate(self, sink: impl FnOnce(RunLog)) {}
+fn end(checked: Checked) { checked.sink_then_propagate(sink); }
 EOF
     # A second ambient hook, and a panic parsed back out of its message.
     mkdir -p "$bad/crates/harness/src"
@@ -495,6 +510,9 @@ EOF
         "imb/src/ext.rs:2: .*Transfer {" \
         "kernels/fft.rs:2: fn merged_dit" "mp/src/runtime.rs:16: .*push(Transfer {" \
         "mp/src/runtime.rs:20: .*park_timeout" \
+        "scoped() (one definition, one call): 3 line" \
+        "sink_then_propagate( (one definition, one call): 3 line" \
+        "mp/src/runtime.rs:23: fn run_coop_inner" \
         "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic" \
         "bad/src/surface.rs:1: pub fn unread_helper" "after_tests.rs:6: .*Instant" \
         "bad/src/after_tests.rs:6: pub fn after_tests"; do
@@ -610,10 +628,15 @@ $hits"
     fi
 }
 if [ -f crates/mp/src/runtime.rs ]; then
-    one_launch="a world starts in runtime::spawn_rank_threads and a diagnosis is assembled \
-in Deadlock::from_waits; call those instead of growing a second copy"
+    one_launch="a world starts and ends on the one launch path in runtime.rs (rank threads \
+in rank_threads, the ambient hook read in launch, the fold in end) and a diagnosis is \
+assembled in Deadlock::from_waits; call those instead of growing a second copy"
     exactly 'the rank-thread name "mp-rank-{' '"mp-rank-[{]' 1 crates/mp/src "$one_launch"
     exactly 'gate.abort()' 'gate[.]abort[(][)]' 1 crates/mp/src "$one_launch"
+    exactly 'scoped() (one definition, one call)' '(^|[^A-Za-z0-9_])scoped[(][)]' 2 crates/mp/src \
+        "$one_launch"
+    exactly 'sink_then_propagate( (one definition, one call)' 'sink_then_propagate[(]' 2 \
+        crates/mp/src "$one_launch"
     exactly 'find_cycle( (one definition, one call)' 'find_cycle[(]' 2 crates/mp/src "$one_launch"
 fi
 

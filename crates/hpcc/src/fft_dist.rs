@@ -14,7 +14,7 @@
 //! [`twiddle`](crate::kernels::twiddle) table before the first exchange
 //! (per-rank global offsets make every slice a contiguous stride of
 //! `W_n`), the block is flattened into one reusable byte buffer, and the
-//! partner exchange rides the `send_raw`/`recv_raw` zero-copy transport
+//! partner exchange rides the `send_raw`/`recv_raw_async` zero-copy transport
 //! path — steady-state stages perform no allocation and no trig.
 
 // Index-heavy numeric code: explicit indices mirror the maths.
@@ -115,7 +115,7 @@ fn unpack(bytes: &[u8]) -> Complex {
 }
 
 /// Exchanges the packed local block with `partner`, reusing both buffers:
-/// `send_raw` copies into the transport's recycled scratch and `recv_raw`
+/// `send_raw` copies into the transport's recycled scratch and `recv_raw_async`
 /// transfers payload ownership into `recvbuf`, recycling the displaced
 /// allocation — so per-stage traffic allocates nothing in steady state.
 async fn exchange_blocks(

@@ -1,9 +1,9 @@
 //! Runtime verification instrumentation: the substrate the `mpcheck`
 //! crate's analyses are built on.
 //!
-//! When a run is *instrumented* (via [`run_checked`] or a scoped install,
-//! see [`ScopedCheck`]), the runtime attaches an `Inspector` to the
-//! world:
+//! When a run is *instrumented* (via [`run_checked`], a traced door or a
+//! scoped install, see [`ScopedCheck`]), the runtime attaches an
+//! `Inspector` to the world:
 //!
 //! - every collective call is noted in a shared per-rank registry, so a
 //!   stall's [`Deadlock`] diagnosis — assembled from the *wait edges*
@@ -35,7 +35,7 @@ use simnet::Transfer;
 
 use crate::comm::Comm;
 use crate::coop::ScheduleController;
-use crate::runtime::{panic_message, spawn_caught_ranks, World};
+use crate::runtime::{checked, start, Engine, World};
 
 /// Configuration of one instrumented run.
 #[derive(Clone, Debug)]
@@ -284,33 +284,12 @@ pub struct Checked<R> {
 }
 
 impl<R> Checked<R> {
-    /// Folds the caught outcomes of `ranks`' threads (in that order) and
-    /// the finished `world` into a run's outcome.
-    pub(crate) fn from_outcomes(
-        world: &World,
-        ranks: &[usize],
-        outcomes: Vec<std::thread::Result<R>>,
-    ) -> Checked<R> {
-        let mut results = Vec::with_capacity(ranks.len());
-        let mut panics = Vec::new();
-        for (&rank, out) in ranks.iter().zip(outcomes) {
-            match out {
-                Ok(r) => results.push(r),
-                Err(e) => panics.push((rank, panic_message(&*e).to_string())),
-            }
-        }
-        Checked {
-            results: (results.len() == ranks.len()).then_some(results),
-            log: world.run_log(panics),
-        }
-    }
-
     /// Ends a checked run that stands in for an unchecked one (under
-    /// [`install_scoped`], a traced launcher or a session) the way that one
+    /// [`install_scoped`], a traced door or a session) the way that one
     /// would have ended: the log, every rank panic in it, reaches `sink`
     /// first, then a deadlock propagates as a panic carrying the
     /// diagnosis, then the first rank panic; a clean run returns.
-    pub(crate) fn sink_then_propagate(self, sink: &dyn Fn(RunLog)) -> Vec<R> {
+    pub(crate) fn sink_then_propagate(self, sink: impl FnOnce(RunLog)) -> Vec<R> {
         let deadlock = self.log.deadlock.clone();
         let panic = self.log.panics.first().cloned();
         sink(self.log);
@@ -323,19 +302,6 @@ impl<R> Checked<R> {
         self.results
             .expect("no deadlock, no panics, so every rank completed")
     }
-}
-
-/// A traced run: `launch` starts a checked world whose rings never drop,
-/// and its results (failures propagated) come back beside its
-/// [`RunLog::transfers`].
-pub(crate) fn traced<R>(launch: impl FnOnce(Settings) -> Checked<R>) -> (Vec<R>, Vec<Transfer>) {
-    let checked = launch(Settings {
-        ring_capacity: usize::MAX,
-    });
-    let dropped = checked.log.dropped.iter().sum::<u64>();
-    assert_eq!(dropped, 0, "mp: a traced world dropped send events");
-    let transfers = checked.log.transfers();
-    (checked.sink_then_propagate(&|_| ()), transfers)
 }
 
 // ---------------------------------------------------------------------
@@ -591,7 +557,8 @@ fn find_cycle(succ: &[Option<usize>]) -> Option<Vec<usize>> {
 /// The one ambient hook, for both engines: while installed on a thread,
 /// every [`crate::run`], [`crate::run_coop`] and [`crate::run_virtual_coop`]
 /// world started *from that thread* runs instrumented and hands its
-/// [`RunLog`] to `sink` before any failure propagates. Thread-local on
+/// [`RunLog`] to `sink` before any failure propagates. The launch path
+/// reads it once per world. Thread-local on
 /// purpose: a campaign driver checks every workload it executes without
 /// other threads (e.g. concurrently running tests) being affected.
 #[derive(Clone)]
@@ -632,26 +599,24 @@ pub(crate) fn scoped() -> Option<ScopedCheck> {
     SCOPED.with(|s| s.borrow().clone())
 }
 
-/// Runs `f` as an instrumented SPMD program over `n` ranks: an
-/// `Inspector` is attached to the world, every rank runs under
-/// `catch_unwind` and every communication event is recorded. A deadlock
-/// is diagnosed the instant the last runnable rank blocks, instead of
-/// hanging, and poisons the run, which unwinds the blocked ranks.
+/// Runs `f` as an instrumented SPMD program over `n` ranks on `engine`:
+/// an `Inspector` is attached to the world and every communication event
+/// is recorded. A deadlock is diagnosed the instant the last runnable rank
+/// blocks, instead of hanging, and poisons the run, which unwinds the
+/// blocked ranks.
 ///
 /// Unlike [`crate::run`], rank panics do not propagate: they come back in
 /// [`RunLog::panics`](RunLog), and a detected deadlock in
 /// [`RunLog::deadlock`](RunLog).
-pub fn run_checked<R, F>(n: usize, settings: Settings, f: F) -> Checked<R>
+pub fn run_checked<R, F, Fut>(n: usize, engine: Engine, settings: Settings, f: F) -> Checked<R>
 where
     R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
+    F: Fn(Comm) -> Fut + Sync,
+    Fut: std::future::Future<Output = R>,
 {
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session("run_checked");
-    let inspector = Arc::new(Inspector::new(n, settings, None));
-    let world = Arc::new(World::of_threads(n, Some(inspector)));
-    let outcomes = spawn_caught_ranks(&world, &world.world_group, &f);
-    Checked::from_outcomes(&world, &world.world_group, outcomes)
+    let check = Some((settings, None));
+    let (outcomes, world) = start(n, engine, None, check, |world| engine.drive(world, &f));
+    checked(&world, outcomes)
 }
 
 #[cfg(test)]
@@ -695,7 +660,7 @@ mod tests {
 
     #[test]
     fn run_checked_clean_program_completes() {
-        let checked = run_checked(4, Settings::default(), |comm| {
+        let checked = run_checked(4, Engine::Threads, Settings::default(), |comm| async move {
             let mut x = [comm.rank() as u64];
             comm.allreduce(&mut x, crate::Op::Sum);
             x[0]
@@ -718,7 +683,7 @@ mod tests {
 
     #[test]
     fn run_checked_diagnoses_recv_recv_cycle() {
-        let checked = run_checked(2, Settings::default(), |comm| {
+        let checked = run_checked(2, Engine::Threads, Settings::default(), |comm| async move {
             // Head-to-head receives: the classic deadlock.
             let mut buf = [0u8];
             let peer = 1 - comm.rank();
@@ -735,7 +700,7 @@ mod tests {
 
     #[test]
     fn run_checked_reports_ordinary_panics() {
-        let checked = run_checked(2, Settings::default(), |comm| {
+        let checked = run_checked(2, Engine::Threads, Settings::default(), |comm| async move {
             if comm.rank() == 1 {
                 panic!("boom");
             }

@@ -372,11 +372,6 @@ impl Comm {
     /// the case for point-to-point [`send_raw`](Comm::send_raw) traffic.
     /// The displaced buffer is kept for recycling by later sends and
     /// rendezvous receives.
-    pub fn recv_raw(&self, buf: &mut Vec<u8>, src: usize, tag: Tag) {
-        crate::block_on(self.recv_raw_async(buf, src, tag));
-    }
-
-    /// Awaitable mirror of [`recv_raw`](Comm::recv_raw).
     pub async fn recv_raw_async(&self, buf: &mut Vec<u8>, src: usize, tag: Tag) {
         assert!(tag < MAX_USER_TAG, "tag {tag:#x} is in the reserved range");
         let data = self.recv_payload_async(src, tag).await;
@@ -641,7 +636,7 @@ impl<T> Drop for RecvHandle<T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::runtime::{run, run_traced};
+    use crate::runtime::{run, run_traced, Engine};
 
     const DATA_TAG: crate::msg::Tag = 7;
     const SYNC_TAG: crate::msg::Tag = 8;
@@ -724,8 +719,8 @@ mod tests {
             .collect();
         for sender_delay in [false, true] {
             let ((), trace) = {
-                let expect = expect.clone();
-                let (mut results, trace) = run_traced(2, move |comm| {
+                let expect = &expect[..];
+                let (mut results, trace) = run_traced(2, Engine::Threads, move |comm| async move {
                     if comm.rank() == 0 {
                         let mut ready = [0u8];
                         comm.recv(&mut ready, 1, SYNC_TAG);
@@ -734,7 +729,7 @@ mod tests {
                             // the rendezvous path can fire.
                             std::thread::sleep(std::time::Duration::from_millis(20));
                         }
-                        comm.send(&expect, 1, DATA_TAG);
+                        comm.send(expect, 1, DATA_TAG);
                     } else {
                         comm.send(&[1u8], 0, SYNC_TAG);
                         if !sender_delay {

@@ -2,10 +2,11 @@
 //!
 //! Host limits (pid_max, vm.max_map_count, per-thread stacks) cap the
 //! thread-per-rank runtime at a few thousand ranks; the paper-scale
-//! virtual sweeps need 16k–100k. The **cooperative executor**
-//! ([`run_coop`], [`run_traced_coop`], [`run_virtual_coop`],
-//! [`run_checked_coop`]) hosts the whole world on the caller's thread:
-//! each rank body is an `async` future, and every blocking receive — the
+//! virtual sweeps need 16k–100k. The **cooperative engine**
+//! ([`Engine::Coop`]: [`run_coop`], [`run_virtual_coop`], and the traced
+//! and checked doors given that engine) hosts the whole world on the
+//! caller's thread: each rank body is an `async` future, and every
+//! blocking receive — the
 //! mailbox's one wait, which a rank thread's [`block_on`](crate::block_on)
 //! polls too — is a yield point, so a 100k-rank virtual run is just 100k
 //! boxed futures. Ranks are polled off one deterministic FIFO run queue;
@@ -13,11 +14,12 @@
 //! contention, so schedule determinism is what buys byte-identical
 //! virtual clocks run to run. It is the only engine virtual worlds run on.
 //!
-//! Every entry point is a projection of one private `launch` (build the
-//! world — priced? instrumented? controlled? — and run `execute`), so a
-//! hook on how a cooperative world starts or ends has one place to go;
-//! [`check::install_scoped`] reaches it through [`run_coop`] and
-//! [`run_virtual_coop`].
+//! This module is the engine alone: [`execute`] polls a built world's
+//! ranks and hands back their outcomes, exactly what the thread engine
+//! hands back. Building the world — priced? instrumented? controlled? —
+//! reading the ambient hook ([`check::install_scoped`]) and folding the
+//! outcomes into a result happen once for both engines, on the launch path
+//! in `runtime`.
 //!
 //! Task states (see DESIGN.md "Cooperative scheduler"): *queued* (rank id
 //! in the run queue), *running* (being polled), *blocked* (pending on a
@@ -40,9 +42,9 @@ use std::task::{Context, Poll, Wake, Waker};
 use parking_lot::Mutex;
 use simnet::{Time, Transfer};
 
-use crate::check::{self, Checked, Event, Settings};
+use crate::check::{self, Event};
 use crate::comm::Comm;
-use crate::runtime::{panic_message, World};
+use crate::runtime::{launch, panic_message, Engine, Outcomes, World};
 use crate::virt::VirtualNet;
 
 thread_local! {
@@ -286,16 +288,15 @@ impl Wake for TaskWaker {
     }
 }
 
-/// The cooperative executor: polls every rank task to completion on the
+/// The cooperative engine: polls every rank task to completion on the
 /// calling thread, FIFO over the shared run queue. Returns per-rank
 /// results (`None` for panicked ranks) and the caught panics.
 ///
-/// On a stall every world is diagnosed and poisoned, and the poison's
-/// wakes drain the blocked tasks. Uninstrumented worlds panic at the
-/// first rank panic, a poison unwind included; instrumented worlds
-/// (world.inspector set) record panics and run the remaining ranks on,
-/// so the run log carries the deadlock.
-fn execute<R, F, Fut>(world: &Arc<World>, f: &F) -> (Vec<Option<R>>, Vec<(usize, String)>)
+/// A rank panic is recorded and the remaining ranks run on until they
+/// finish or stall, as rank threads do, so the fold names the cause by
+/// rank whichever engine ran the world. On a stall the world is diagnosed
+/// and poisoned, and the poison's wakes drain the blocked tasks.
+pub(crate) fn execute<R, F, Fut>(world: &Arc<World>, f: &F) -> Outcomes<R>
 where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
@@ -362,7 +363,6 @@ where
                 insp.finish(rank);
             }
             if let Some(msg) = panicked {
-                assert!(insp.is_some(), "rank {rank} panicked: {msg}");
                 panics.push((rank, msg));
             }
         }
@@ -380,118 +380,28 @@ where
     (results.into_inner(), panics)
 }
 
-/// The one way a cooperative world starts and ends: `n` rank tasks of `f`
-/// on the calling thread, pricing every message by `net` if given,
-/// instrumented under `check`'s settings if given — and then with every
-/// scheduling decision made by its controller, if it names one. Returns
-/// what [`execute`] returned, and the world. `entry` is the public door,
-/// for the no-session rule.
-#[allow(clippy::type_complexity)]
-fn launch<R, F, Fut>(
-    entry: &str,
-    n: usize,
-    net: Option<Box<dyn VirtualNet>>,
-    check: Option<(Settings, Option<Arc<dyn ScheduleController>>)>,
-    f: &F,
-) -> (Vec<Option<R>>, Vec<(usize, String)>, Arc<World>)
-where
-    F: Fn(Comm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    crate::transport::assert_no_session(entry);
-    let (inspector, controller) = match check {
-        None => (None, None),
-        Some((settings, controller)) => {
-            if let Some(ctl) = &controller {
-                ctl.note_world(n);
-            }
-            let inspector = check::Inspector::new(n, settings, controller.clone());
-            (Some(Arc::new(inspector)), controller)
-        }
-    };
-    let mut world = World::new(n, inspector, controller);
-    if let Some(net) = net {
-        world.price_with(net);
-    }
-    let world = Arc::new(world);
-    let (results, panics) = execute(&world, f);
-    (results, panics, world)
-}
-
-/// Every rank's result from an uninstrumented world, which has completed
-/// on every rank or panicked inside [`execute`].
-fn complete<R>(results: Vec<Option<R>>) -> Vec<R> {
-    let results = results.into_iter();
-    let complete = results.map(|r| r.expect("uninstrumented cooperative runs panic on failure"));
-    complete.collect()
-}
-
-/// [`launch`], instrumented: the run's outcome, and its world.
-fn launch_checked<R, F, Fut>(
-    entry: &str,
-    n: usize,
-    net: Option<Box<dyn VirtualNet>>,
-    check: (Settings, Option<Arc<dyn ScheduleController>>),
-    f: &F,
-) -> (Checked<R>, Arc<World>)
-where
-    F: Fn(Comm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    let (results, panics, world) = launch(entry, n, net, Some(check), f);
-    let checked = Checked {
-        results: results.into_iter().collect(),
-        log: world.run_log(panics),
-    };
-    (checked, world)
-}
-
-/// [`launch`] as [`run_coop`] and [`run_virtual_coop`] see it: plain, or —
-/// under the ambient [`check::ScopedCheck`] — instrumented (and controlled,
-/// if the hook names a controller), with the log sunk before any failure
-/// propagates.
-fn launch_ambient<R, F, Fut>(
-    entry: &str,
-    n: usize,
-    net: Option<Box<dyn VirtualNet>>,
-    f: &F,
-) -> (Vec<R>, Arc<World>)
-where
-    F: Fn(Comm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    let Some(scoped) = check::scoped() else {
-        let (results, _, world) = launch(entry, n, net, None, f);
-        return (complete(results), world);
-    };
-    let check = (scoped.settings, scoped.controller);
-    let (checked, world) = launch_checked(entry, n, net, check, f);
-    (checked.sink_then_propagate(&*scoped.sink), world)
-}
-
 /// Runs `f` as an SPMD program over `n` cooperative rank tasks on the
 /// calling thread and returns per-rank results in rank order. The
 /// cooperative mirror of [`crate::run`]: `f` receives an owned world
 /// [`Comm`] and returns a future (write `move |comm| async move { .. }`).
 /// Panics if any rank panics or the world deadlocks (detected instantly,
-/// no timeout).
+/// no timeout), naming the cause as [`crate::run`] does.
 pub fn run_coop<R, F, Fut>(n: usize, f: F) -> Vec<R>
 where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    launch_ambient("run_coop", n, None, &f).0
+    launch(n, Engine::Coop, None, |world| execute(world, &f)).0
 }
 
-/// Cooperative mirror of [`crate::run_traced`]: per-rank results and the
-/// checked world's `check::RunLog::transfers`, failures propagated.
+/// [`crate::run_traced`] on the cooperative engine.
 pub fn run_traced_coop<R, F, Fut>(n: usize, f: F) -> (Vec<R>, Vec<Transfer>)
 where
-    F: Fn(Comm) -> Fut,
+    R: Send,
+    F: Fn(Comm) -> Fut + Sync,
     Fut: Future<Output = R>,
 {
-    check::traced(|settings| launch_checked("run_traced_coop", n, None, (settings, None), &f).0)
+    crate::run_traced(n, Engine::Coop, f)
 }
 
 /// Virtual-execution entry point (see [`crate::virt`]): runs `f` over
@@ -504,26 +414,14 @@ where
     F: Fn(Comm) -> Fut,
     Fut: Future<Output = R>,
 {
-    let (results, world) = launch_ambient("run_virtual_coop", n, Some(net), &f);
+    let (results, world) = launch(n, Engine::Coop, Some(net), |world| execute(world, &f));
     (results, world.final_clocks())
-}
-
-/// Cooperative mirror of the instrumented (checked) run path: rank
-/// panics are collected into the [`check::RunLog`] rather than
-/// propagated, and a deadlock is diagnosed at the instant of the stall —
-/// no detector thread, no poll interval — then poison-drained so the log
-/// carries the cycle.
-pub fn run_checked_coop<R, F, Fut>(n: usize, settings: Settings, f: F) -> Checked<R>
-where
-    F: Fn(Comm) -> Fut,
-    Fut: Future<Output = R>,
-{
-    launch_checked("run_checked_coop", n, None, (settings, None), &f).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::Settings;
     use simnet::schedule::P2pCost;
 
     #[test]
@@ -574,27 +472,6 @@ mod tests {
         run_coop(2, |comm| async move {
             comm.barrier();
         });
-    }
-
-    #[test]
-    fn traced_coop_matches_traced_threads() {
-        let (r_thread, mut t_thread) = crate::runtime::run_traced(4, |comm| {
-            let mut v = vec![0u64; 4];
-            comm.allgather(&[comm.rank() as u64 + 7], &mut v);
-            v
-        });
-        let (r_coop, mut t_coop) = run_traced_coop(4, |comm| async move {
-            let mut v = vec![0u64; 4];
-            comm.allgather_async(&[comm.rank() as u64 + 7], &mut v)
-                .await;
-            v
-        });
-        assert_eq!(r_thread, r_coop);
-        // Thread delivery order is nondeterministic; compare as multisets.
-        let key = |t: &Transfer| (t.src, t.dst, t.bytes);
-        t_thread.sort_by_key(key);
-        t_coop.sort_by_key(key);
-        assert_eq!(t_thread, t_coop);
     }
 
     /// Fixed-cost pricing for clock tests (mirrors virt.rs).
@@ -801,7 +678,7 @@ mod tests {
     fn checked_coop_names_a_recv_cycle() {
         // Satellite: the deadlock detector still names the recv cycle
         // when the cycling ranks are cooperative tasks, not threads.
-        let checked = run_checked_coop(2, Settings::default(), |comm| async move {
+        let checked = check::run_checked(2, Engine::Coop, Settings::default(), |comm| async move {
             let mut b = [0u8; 1];
             let from = comm.rank() ^ 1;
             comm.recv_async(&mut b, from, 1).await;

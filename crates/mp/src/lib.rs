@@ -10,19 +10,28 @@
 //! pairwise, Bruck, Rabenseifner). An operation exists because a workload
 //! reaches it; see [`coll`].
 //!
-//! Ranks run one of two ways. Native worlds ([`run`], [`run_traced`]) give
-//! every rank an OS thread, so kernels and wake-ups cost what they cost on
-//! the host. Cooperative worlds ([`run_coop`], [`run_traced_coop`],
-//! [`run_virtual_coop`]) host every rank as an `async` task on the calling
-//! thread; virtual execution (messages priced by a [`VirtualNet`]) runs
-//! only there, on one deterministic FIFO schedule. Each engine starts a
-//! world in one place (`runtime::spawn_rank_threads`, `coop::launch`);
-//! every launcher, checked or not, in a session or not, projects that one.
+//! A rank body is a future over an owned world [`Comm`], and an [`Engine`]
+//! polls it. [`Engine::Threads`] gives every rank an OS thread that drives
+//! its body with [`block_on`], so kernels and wake-ups cost what they cost
+//! on the host; [`Engine::Coop`] hosts every rank as a task on the calling
+//! thread, polled off one deterministic FIFO run queue. Virtual execution
+//! (messages priced by a [`VirtualNet`]) runs only there.
+//!
+//! The doors: [`run`] (a blocking body on rank threads; under a
+//! multi-process session, this process's ranks of a fleet), [`run_coop`],
+//! [`run_virtual_coop`] (the one priced door), and [`run_traced`] and
+//! [`check::run_checked`], which take the engine as an argument.
+//! [`run_traced_coop`] is `run_traced` on [`Engine::Coop`]. Every door
+//! goes through one private launch path: one world builder, two engines
+//! that hand back the same per-rank outcomes, one read of the ambient hook
+//! and one fold from outcomes to result — so a failing world names the
+//! same cause (the lowest-rank panic that is not a stall's unwind) on
+//! either engine.
 //!
 //! An instrumented world's one record is its [`check::RunLog`] (the traced
-//! launchers return its send events), and one ambient hook,
-//! [`check::install_scoped`], instruments every world a thread starts on
-//! either engine.
+//! doors return its send events), and one ambient hook,
+//! [`check::install_scoped`], instruments every world a thread starts
+//! through a plain door on either engine.
 //!
 //! # Quickstart
 //!
@@ -60,13 +69,13 @@ pub mod virt;
 
 pub use comm::{Comm, RecvHandle};
 pub use coop::{
-    run_checked_coop, run_coop, run_traced_coop, run_virtual_coop, FifoController,
-    ScheduleController, WildcardCandidate,
+    run_coop, run_traced_coop, run_virtual_coop, FifoController, ScheduleController,
+    WildcardCandidate,
 };
 pub use datatype::{Ghost, Word};
 pub use msg::Tag;
 pub use reduce::{Numeric, Op};
 pub use rma::Window;
-pub use runtime::{block_on, receives_spin, run, run_traced, waiting_regime};
+pub use runtime::{block_on, receives_spin, run, run_traced, waiting_regime, Engine};
 pub use transport::Proc;
 pub use virt::VirtualNet;

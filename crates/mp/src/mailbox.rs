@@ -1088,12 +1088,12 @@ mod tests {
     /// count, so rank 1 waiting for both to be posted is no stall.
     #[test]
     fn two_threads_of_one_rank_waiting_at_once_are_both_woken() {
-        let world = Arc::new(crate::runtime::World::of_threads(2, None));
+        let world = crate::runtime::tests::thread_world(2);
         let waiting = || {
             let inner = world.mailboxes[0].inner.lock();
             inner.posted.iter().filter(|p| p.waker.is_some()).count()
         };
-        let out = crate::runtime::spawn_rank_threads(&world, &world.world_group, |rank, comm| {
+        let out = crate::runtime::tests::on_threads(&world, |rank, comm| {
             let child = comm.split(0, 0);
             if rank == 1 {
                 until("both of rank 0's receives wait", || waiting() == 2);
@@ -1122,9 +1122,9 @@ mod tests {
     /// payload check. Returns `(spun, parked)` summed over both sides.
     fn ping_pong(budget: Duration) -> (u64, u64) {
         const ROUNDS: u64 = 100_000;
-        let world = Arc::new(crate::runtime::World::of_threads(2, None));
+        let world = crate::runtime::tests::thread_world(2);
         let mailboxes = &world.mailboxes;
-        let counts = crate::runtime::spawn_rank_threads(&world, &world.world_group, |rank, _| {
+        let counts = crate::runtime::tests::on_threads(&world, |rank, _| {
             crate::runtime::spin_before_parking(budget);
             let (mine, theirs) = (&mailboxes[rank], &mailboxes[1 - rank]);
             for i in 0..ROUNDS {

@@ -421,22 +421,23 @@ mod tests {
     #[test]
     fn instrumented_window_creation_never_waits() {
         use crate::check::{run_checked, Settings};
+        use crate::Engine::Threads;
         let n = 4;
-        let checked = run_checked(n, Settings::default(), |comm| {
+        let checked = run_checked(n, Threads, Settings::default(), |comm| async move {
             let sub = comm.split((comm.rank() % 2) as u32, comm.rank() as i64);
             for round in 0..64u64 {
-                for c in [comm, &sub] {
-                    let win = block_on(Window::create::<u64>(c, c.size()));
-                    block_on(win.fence());
+                for c in [&comm, &sub] {
+                    let win = Window::create::<u64>(c, c.size()).await;
+                    win.fence().await;
                     for t in 0..c.size() {
                         win.put(&[round * 10 + c.rank() as u64], t, c.rank());
                     }
-                    block_on(win.fence());
+                    win.fence().await;
                     let mut got = vec![0u64; c.size()];
                     win.get(&mut got, c.rank(), 0);
                     let want: Vec<u64> = (0..c.size() as u64).map(|r| round * 10 + r).collect();
                     assert_eq!(got, want);
-                    block_on(win.fence());
+                    win.fence().await;
                 }
             }
         });

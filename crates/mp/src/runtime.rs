@@ -1,4 +1,4 @@
-//! The SPMD runtime: one OS thread per rank, in-process message delivery.
+//! The SPMD runtime: the one launch path, the world, and the thread engine.
 //!
 //! `mp::run(n, f)` is the moral equivalent of `mpirun -np n`: it spawns `n`
 //! rank threads, hands each a world [`Comm`](crate::comm::Comm), runs `f`
@@ -8,12 +8,18 @@
 //! protocol for the message sizes the benchmarks use; this also makes
 //! `sendrecv`-style exchange patterns trivially deadlock-free.
 //!
+//! Every world starts and ends here, whatever its [`Engine`]: one builder
+//! ([`World::new`]), two engines that hand back the same per-rank
+//! [`Outcomes`] ([`rank_threads`], `coop::execute`), one read of the
+//! ambient hook ([`launch`]) and one fold of outcomes into a result
+//! ([`end`], [`checked`]).
+//!
 //! Rank threads are spawned through [`std::thread::Builder`] with a
 //! bounded per-rank stack (`RANK_STACK_BYTES`, 2 MiB), and a
 //! failed spawn tears the world down with a clear "cannot spawn rank r of
 //! n" panic instead of aborting the process. Rank counts beyond what one
 //! host can thread, and every virtual world (sweeps at 16k–100k ranks),
-//! run on the cooperative scheduler in [`crate::coop`] instead.
+//! run on the cooperative engine in [`crate::coop`] instead.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -29,11 +35,50 @@ use simnet::Transfer;
 
 use simnet::Time;
 
-use crate::check::{self, Deadlock, Inspector, LaneInfo, RunLog};
+use crate::check::{self, Checked, Deadlock, Inspector, LaneInfo, RunLog, Settings};
 use crate::comm::Comm;
+use crate::coop::ScheduleController;
 use crate::mailbox::Mailbox;
 use crate::msg::Message;
+use crate::transport::RemoteWorld;
 use crate::virt::{Clock, VirtualNet};
+
+/// Which engine runs a world's ranks: the choice a door's `_coop` suffix
+/// carries. Either way a rank body is a future over an owned world
+/// [`Comm`]; the engines differ only in what polls it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// One OS thread per rank, each driving its body with [`block_on`]:
+    /// kernels and wake-ups cost what they cost on the host.
+    Threads,
+    /// Every rank a task on the calling thread, polled off one
+    /// deterministic FIFO run queue ([`crate::run_coop`]).
+    Coop,
+}
+
+impl Engine {
+    /// Runs `f` on every rank of `world` on this engine.
+    pub(crate) fn drive<R, F, Fut>(self, world: &Arc<World>, f: &F) -> Outcomes<R>
+    where
+        R: Send,
+        F: Fn(Comm) -> Fut + Sync,
+        Fut: Future<Output = R>,
+    {
+        match self {
+            Engine::Threads => rank_threads(world, &world.world_group, f),
+            Engine::Coop => crate::coop::execute(world, f),
+        }
+    }
+}
+
+/// How a world's ranks ended, whichever engine ran them: each hosted
+/// rank's result (`None` where it panicked), and the caught panics as
+/// `(rank, message)`.
+pub(crate) type Outcomes<R> = (Vec<Option<R>>, Vec<(usize, String)>);
+
+/// How a world is instrumented: its settings, and the controller that
+/// makes a cooperative world's scheduling decisions, if any.
+pub(crate) type Instrument = (Settings, Option<Arc<dyn ScheduleController>>);
 
 /// Per-rank thread stack: far below the 8 MiB thread default — rank
 /// bodies here are benchmark kernels, not deep recursions — so a native
@@ -227,7 +272,7 @@ thread_local! {
         (Arc::clone(&thread), Waker::from(thread))
     };
     /// How long this thread's blocked waits spin before they park:
-    /// installed for a rank thread's life by [`spawn_rank_threads`], zero
+    /// installed for a rank thread's life by [`rank_threads`], zero
     /// on every other thread.
     static SPIN: Cell<Duration> = const { Cell::new(Duration::ZERO) };
     /// Which rank this thread is of the world whose [`Runnable`] count
@@ -334,24 +379,30 @@ impl Runnable {
     }
 }
 
-/// A rank thread's spin budget and, in a counted world, its rank,
-/// installed for the life of its body; dropping it, by return or unwind,
-/// counts the body's end.
-struct RankThread(Option<Arc<Runnable>>);
+/// A rank thread's spin budget and rank, installed for the life of its
+/// body; dropping it, by return or unwind, reports the body's end to the
+/// world's inspector (so a fleet's monitor sees a dead rank as done) and
+/// to its runnable count.
+struct RankThread<'w> {
+    world: &'w World,
+    rank: usize,
+}
 
-impl RankThread {
-    fn enter(world: &World, rank: usize, spin: Duration) -> RankThread {
+impl RankThread<'_> {
+    fn enter(world: &World, rank: usize, spin: Duration) -> RankThread<'_> {
         spin_before_parking(spin);
-        let runnable = world.runnable.clone();
-        RANK_OF.set(runnable.as_ref().map(|r| (rank, Arc::as_ptr(r))));
-        RankThread(runnable)
+        RANK_OF.set(world.runnable.as_ref().map(|r| (rank, Arc::as_ptr(r))));
+        RankThread { world, rank }
     }
 }
 
-impl Drop for RankThread {
+impl Drop for RankThread<'_> {
     fn drop(&mut self) {
         RANK_OF.set(None);
-        if let Some(runnable) = &self.0 {
+        if let Some(inspector) = &self.world.inspector {
+            inspector.finish(self.rank);
+        }
+        if let Some(runnable) = &self.world.runnable {
             runnable.unfinished.fetch_sub(1, Ordering::Release);
             runnable.stop();
         }
@@ -383,11 +434,11 @@ pub(crate) struct World {
     /// otherwise): consulted by the executor at ready-set picks and by
     /// mailboxes at wildcard matches. Thread-based engines ignore it —
     /// real parallelism has no enumerable schedule to control.
-    pub controller: Option<Arc<dyn crate::coop::ScheduleController>>,
+    pub controller: Option<Arc<dyn ScheduleController>>,
     /// Multi-process session handle: present when this world is one epoch
     /// of a cross-process world, consulted by [`World::deliver`] to route
     /// messages for ranks hosted by other processes over the transport.
-    pub remote: Option<crate::transport::RemoteWorld>,
+    pub remote: Option<RemoteWorld>,
     /// The runnable count of a thread world hosted whole by this process
     /// (None for cooperative worlds and fleets, whose waits pay nothing).
     runnable: Option<Arc<Runnable>>,
@@ -396,29 +447,38 @@ pub(crate) struct World {
 }
 
 impl World {
-    /// A world whose ranks are cooperative tasks or a fleet's resident
-    /// rank threads: no runnable count.
+    /// The one world builder: `n` ranks for `engine`, priced by `net` if
+    /// given, instrumented as `check` says if given — a controller decides
+    /// a cooperative world's schedule, and rank threads ignore it: real
+    /// parallelism has no enumerable schedule — and one epoch of a fleet
+    /// when `remote` is given. A thread world hosted whole by this process
+    /// keeps a [`Runnable`] count, which names its stall; every world but
+    /// a fleet's refuses a multi-process session.
     pub(crate) fn new(
         n: usize,
-        inspector: Option<Arc<Inspector>>,
-        controller: Option<Arc<dyn crate::coop::ScheduleController>>,
+        engine: Engine,
+        net: Option<Box<dyn VirtualNet>>,
+        check: Option<Instrument>,
+        remote: Option<RemoteWorld>,
     ) -> World {
-        World::build(n, inspector, controller, None)
-    }
-
-    /// A world of `n` rank threads hosted whole by this process, which
-    /// names its stall when its [`Runnable`] count reaches zero.
-    pub(crate) fn of_threads(n: usize, inspector: Option<Arc<Inspector>>) -> World {
-        World::build(n, inspector, None, Some(Arc::default()))
-    }
-
-    fn build(
-        n: usize,
-        inspector: Option<Arc<Inspector>>,
-        controller: Option<Arc<dyn crate::coop::ScheduleController>>,
-        runnable: Option<Arc<Runnable>>,
-    ) -> World {
-        let world_group: Arc<Vec<usize>> = Arc::new((0..n).collect());
+        assert!(n > 0, "an SPMD world needs at least one rank");
+        if remote.is_none() {
+            crate::transport::assert_no_session();
+        }
+        let (inspector, controller) = match check {
+            None => (None, None),
+            Some((settings, controller)) => {
+                let controller = controller.filter(|_| engine == Engine::Coop);
+                if let Some(ctl) = &controller {
+                    ctl.note_world(n);
+                }
+                let inspector = Inspector::new(n, settings, controller.clone());
+                (Some(Arc::new(inspector)), controller)
+            }
+        };
+        let counted = engine == Engine::Threads && remote.is_none();
+        let runnable: Option<Arc<Runnable>> = counted.then(Arc::default);
+        let clocks = if net.is_some() { n } else { 0 };
         World {
             n,
             mailboxes: (0..n)
@@ -427,14 +487,14 @@ impl World {
                     Mailbox::with_instrumentation(rank, insp.clone(), ctl.clone(), count.clone())
                 })
                 .collect(),
-            world_group,
+            world_group: Arc::new((0..n).collect()),
             rendezvous: Mutex::new(HashMap::new()),
-            virtual_net: None,
-            virtual_clocks: Vec::new(),
+            virtual_net: net,
+            virtual_clocks: (0..clocks).map(|_| Clock::default()).collect(),
             virtual_priced: AtomicUsize::new(0),
             inspector,
             controller,
-            remote: None,
+            remote,
             runnable,
             poison: OnceLock::new(),
         }
@@ -453,13 +513,6 @@ impl World {
     /// The diagnosis the world was poisoned with, if any.
     pub(crate) fn poisoned(&self) -> Option<Arc<Deadlock>> {
         self.poison.get().cloned()
-    }
-
-    /// Switches the world to virtual execution: every message is priced
-    /// by `net` against per-rank clocks starting at zero.
-    pub(crate) fn price_with(&mut self, net: Box<dyn VirtualNet>) {
-        self.virtual_net = Some(net);
-        self.virtual_clocks = (0..self.n).map(|_| Clock::default()).collect();
     }
 
     /// Counts one priced message and, every world-size messages, tells
@@ -566,7 +619,8 @@ impl World {
 /// Runs `f` as an SPMD program over `n` ranks and returns the per-rank
 /// results in rank order.
 ///
-/// Panics if any rank panics (the panic is propagated with its message).
+/// Panics if any rank panics, naming the cause: the lowest-rank panic
+/// that is not a stall's unwind, else the lowest-rank unwind.
 ///
 /// Under a multi-process session
 /// ([`transport::init_from_env`](crate::transport::init_from_env) found
@@ -591,58 +645,138 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
+    let f = &f;
+    let body = move |comm: Comm| async move { f(&comm) };
     // A multi-process session reroutes delivery through its transport;
-    // it takes precedence over scoped checking (the session runs its own
+    // it takes precedence over the ambient hook (the session runs its own
     // cross-process detector).
     if let Some(sess) = crate::transport::session() {
-        return crate::transport::run_multiproc(&sess, n, f);
+        return crate::transport::run_multiproc(&sess, n, &body);
     }
-    // An ambient check configuration (installed on *this* thread via
-    // `check::install_scoped`) reroutes the run through the instrumented
-    // path: deadlocks are diagnosed, the run log goes to the sink, and
-    // rank panics still propagate like the plain path's. Rank threads
-    // ignore its controller.
-    if let Some(scoped) = check::scoped() {
-        let checked = check::run_checked(n, scoped.settings, &f);
-        return checked.sink_then_propagate(&*scoped.sink);
-    }
-    assert!(n > 0, "an SPMD world needs at least one rank");
-    let world = Arc::new(World::of_threads(n, None));
-    spawn_rank_threads(&world, &world.world_group, |_, comm| f(comm))
+    launch(n, Engine::Threads, None, |world| {
+        rank_threads(world, &world.world_group, &body)
+    })
+    .0
 }
 
-/// Like [`run`], but returns the run's point-to-point transfers too: a
-/// checked world's `RunLog::transfers` — each rank's sends as
-/// (src, dst, bytes), in program order, ranks in order. Failures
+/// Like [`run`] on `engine`, but returns the run's point-to-point
+/// transfers too: a checked world's `RunLog::transfers` — each rank's
+/// sends as (src, dst, bytes), in program order, ranks in order. Failures
 /// propagate as [`run`]'s do. Used to cross-validate the real collective
 /// implementations against their schedule generators.
-pub fn run_traced<R, F>(n: usize, f: F) -> (Vec<R>, Vec<Transfer>)
+pub fn run_traced<R, F, Fut>(n: usize, engine: Engine, f: F) -> (Vec<R>, Vec<Transfer>)
 where
     R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
+    F: Fn(Comm) -> Fut + Sync,
+    Fut: Future<Output = R>,
 {
-    check::traced(|settings| check::run_checked(n, settings, f))
+    let settings = Settings {
+        ring_capacity: usize::MAX,
+    };
+    let check = Some((settings, None));
+    let (outcomes, world) = start(n, engine, None, check, |world| engine.drive(world, &f));
+    let mut transfers = Vec::new();
+    let results = end(&world, outcomes, |log| {
+        let dropped = log.dropped.iter().sum::<u64>();
+        assert_eq!(dropped, 0, "mp: a traced world dropped send events");
+        transfers = log.transfers();
+    });
+    (results, transfers)
 }
 
-/// The one place a rank thread is spawned: one per entry of `ranks`
-/// against `world` (whose size may exceed `ranks.len()` — the
-/// multi-process runtime hosts only the resident subset of a larger
-/// world), joined, results in `ranks` order. The *full* world size sizes
-/// each rank's SMP worker share (hybrid SMP: a native rank's kernels may
-/// fan out over an even share of the host's cores) exactly as a
-/// single-process run of that world would — a parity requirement, not a
-/// nicety: the `threads` field of emitted records must not depend on how
-/// ranks were packed into processes.
+/// The one launch path's first half: builds the world of `n` ranks for
+/// `engine` — priced by `net`, instrumented as `check` says — and runs its
+/// ranks through `drive`, the engine's run of the rank body. Hands back
+/// their outcomes, and the world.
+pub(crate) fn start<R>(
+    n: usize,
+    engine: Engine,
+    net: Option<Box<dyn VirtualNet>>,
+    check: Option<Instrument>,
+    drive: impl FnOnce(&Arc<World>) -> Outcomes<R>,
+) -> (Outcomes<R>, Arc<World>) {
+    let world = Arc::new(World::new(n, engine, net, check, None));
+    (drive(&world), world)
+}
+
+/// A plain door's world ([`run`], [`run_coop`](crate::run_coop),
+/// [`run_virtual_coop`](crate::run_virtual_coop)), and the one read of the
+/// ambient hook ([`check::install_scoped`]): without one the world runs
+/// uninstrumented; with one it runs instrumented — a cooperative world
+/// under the hook's controller, if it names one — and its log reaches the
+/// hook's sink before a failure propagates. Returns the results, and the
+/// world.
+pub(crate) fn launch<R>(
+    n: usize,
+    engine: Engine,
+    net: Option<Box<dyn VirtualNet>>,
+    drive: impl FnOnce(&Arc<World>) -> Outcomes<R>,
+) -> (Vec<R>, Arc<World>) {
+    let scoped = check::scoped();
+    let check = scoped
+        .as_ref()
+        .map(|s| (s.settings.clone(), s.controller.clone()));
+    let (outcomes, world) = start(n, engine, net, check, drive);
+    let sink = |log: RunLog| {
+        if let Some(s) = &scoped {
+            (s.sink)(log);
+        }
+    };
+    (end(&world, outcomes, sink), world)
+}
+
+/// The one fold of a world that answers as a plain run does (the plain
+/// doors, a traced run, a fleet's epoch): every rank's result, or a panic.
+/// An uninstrumented world names its cause — the lowest-rank panic that is
+/// not a poison unwind, else the lowest-rank unwind — whichever engine ran
+/// it. An instrumented one is [`checked`], hands its log to `sink` and then
+/// propagates as [`Checked::sink_then_propagate`] says.
+pub(crate) fn end<R>(world: &World, outcomes: Outcomes<R>, sink: impl FnOnce(RunLog)) -> Vec<R> {
+    if world.inspector.is_some() {
+        return checked(world, outcomes).sink_then_propagate(sink);
+    }
+    let (results, mut panics) = outcomes;
+    panics.sort_by_key(|&(rank, _)| rank);
+    let cause = panics
+        .iter()
+        .find(|(_, msg)| !msg.starts_with(check::POISON_MARK));
+    if let Some((rank, msg)) = cause.or(panics.first()) {
+        panic!("rank {rank} panicked: {msg}");
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("no rank panicked"))
+        .collect()
+}
+
+/// The checked fold: the results when every rank completed, and the
+/// world's run log, which carries the panics.
+pub(crate) fn checked<R>(world: &World, (results, panics): Outcomes<R>) -> Checked<R> {
+    Checked {
+        results: results.into_iter().collect(),
+        log: world.run_log(panics),
+    }
+}
+
+/// The thread engine, and the one place a rank thread is spawned: one per
+/// entry of `ranks` against `world` (whose size may exceed `ranks.len()` —
+/// a fleet process hosts only its residents), each driving `f` over its
+/// world [`Comm`] with [`block_on`]; joined, outcomes in `ranks` order.
+/// The *full* world size sizes each rank's SMP worker share (hybrid SMP:
+/// a native rank's kernels may fan out over an even share of the host's
+/// cores) exactly as a single-process run of that world would — a parity
+/// requirement, not a nicety: the `threads` field of emitted records must
+/// not depend on how ranks were packed into processes.
 ///
 /// A counted world is waited for on its [`Runnable`] count: a stall left
-/// at zero is diagnosed and poisoned. A failure is reported by its cause:
-/// the lowest-rank panic that is not a poison unwind, else the first.
-pub(crate) fn spawn_rank_threads<R, F>(world: &Arc<World>, ranks: &[usize], f: F) -> Vec<R>
+/// at zero is diagnosed and poisoned.
+pub(crate) fn rank_threads<R, F, Fut>(world: &Arc<World>, ranks: &[usize], f: &F) -> Outcomes<R>
 where
     R: Send,
-    F: Fn(usize, &Comm) -> R + Send + Sync,
+    F: Fn(Comm) -> Fut + Sync,
+    Fut: Future<Output = R>,
 {
-    let (f, n) = (&f, world.n);
+    let n = world.n;
     // Decided once per world (see `receives_spin`).
     let spin = if receives_spin(n) {
         SPIN_BUDGET
@@ -665,8 +799,7 @@ where
                     }
                     let _pool = smp::AmbientGuard::install(smp::pool::rank_threads(n));
                     let _rank = RankThread::enter(&world, rank, spin);
-                    let comm = Comm::world(world, rank);
-                    Some(f(rank, &comm))
+                    Some(block_on(f(Comm::world(Arc::clone(&world), rank))))
                 });
             match spawned {
                 Ok(h) => handles.push(h),
@@ -687,42 +820,18 @@ where
         if world.runnable.as_ref().is_some_and(|r| r.stalled()) {
             world.poison(check::diagnose(world));
         }
-        let mut results = Vec::with_capacity(ranks.len());
-        let mut panics = Vec::new();
+        let (mut results, mut panics) = (Vec::with_capacity(ranks.len()), Vec::new());
         for (h, &rank) in handles.into_iter().zip(ranks) {
             match h.join() {
-                Ok(Some(r)) => results.push(r),
+                Ok(Some(r)) => results.push(Some(r)),
                 Ok(None) => unreachable!("the gate opened, so every spawn succeeded"),
-                Err(e) => panics.push((rank, panic_message(&*e).to_string())),
+                Err(e) => {
+                    results.push(None);
+                    panics.push((rank, panic_message(&*e).to_string()));
+                }
             }
         }
-        let cause = panics
-            .iter()
-            .find(|(_, msg)| !msg.starts_with(check::POISON_MARK));
-        if let Some((rank, msg)) = cause.or(panics.first()) {
-            panic!("rank {rank} panicked: {msg}");
-        }
-        results
-    })
-}
-
-/// [`spawn_rank_threads`] for an instrumented world: every rank body runs
-/// under `catch_unwind` and reports to the inspector that it finished, so
-/// a fleet's monitor sees a dead rank as done rather than runnable.
-pub(crate) fn spawn_caught_ranks<R, F>(
-    world: &Arc<World>,
-    ranks: &[usize],
-    f: &F,
-) -> Vec<std::thread::Result<R>>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    let inspector = world.inspector.as_ref().expect("an instrumented world");
-    spawn_rank_threads(world, ranks, |rank, comm| {
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
-        inspector.finish(rank);
-        out
+        (results, panics)
     })
 }
 
@@ -744,6 +853,27 @@ pub(crate) mod tests {
                 self.parked.load(Ordering::Relaxed),
             )
         }
+    }
+
+    /// `f` on every rank thread of `world`, a thread world built by hand
+    /// so a test can reach into its mailboxes: [`run`]'s path with the
+    /// world in view.
+    pub(crate) fn on_threads<R: Send>(
+        world: &Arc<World>,
+        f: impl Fn(usize, &Comm) -> R + Sync,
+    ) -> Vec<R> {
+        let f = &f;
+        let body = move |comm: Comm| async move { f(comm.rank(), &comm) };
+        end(
+            world,
+            rank_threads(world, &world.world_group, &body),
+            |_| (),
+        )
+    }
+
+    /// A thread world of `n` ranks with nothing attached.
+    pub(crate) fn thread_world(n: usize) -> Arc<World> {
+        Arc::new(World::new(n, Engine::Threads, None, None, None))
     }
 
     #[test]
@@ -838,7 +968,7 @@ pub(crate) mod tests {
     /// program order, ranks in order, whatever order they arrived in.
     #[test]
     fn traced_run_records_messages() {
-        let (_, trace) = run_traced(3, |comm| {
+        let (_, trace) = run_traced(3, Engine::Threads, |comm| async move {
             let me = comm.rank();
             if me > 0 {
                 comm.send(&vec![0u8; me], 0, 1);
@@ -859,8 +989,7 @@ pub(crate) mod tests {
     /// of `n` ranks (the rest finish at once), run the way `run` runs
     /// them; returns `(spun, parked)` summed over its rank threads.
     fn ping_pong_wait_counts(n: usize, rounds: u64) -> (u64, u64) {
-        let world = Arc::new(World::of_threads(n, None));
-        let counts = spawn_rank_threads(&world, &world.world_group, |rank, comm| {
+        let counts = on_threads(&thread_world(n), |rank, comm| {
             let mut buf = [0u64];
             for i in 0..rounds {
                 match rank {
@@ -908,17 +1037,21 @@ pub(crate) mod tests {
     /// A failed rank spawn must fail cleanly with the rank named — not
     /// abort the process, not hang already-spawned siblings (they park
     /// behind the start gate), not leave the launcher waiting on a count
-    /// that never started — through every thread launcher: each leg panics *and returns*, so whatever
-    /// the launcher started has been joined. (The session launcher's leg
-    /// is `transport::tests::spawn_failure_ends_the_epoch`.)
+    /// that never started — through every door onto the thread engine:
+    /// each leg panics *and returns*, so whatever the launcher started has
+    /// been joined. (The session launcher's leg is
+    /// `transport::tests::spawn_failure_ends_the_epoch`.)
     #[test]
     fn spawn_failure_names_the_rank() {
-        use check::{run_checked, Settings};
+        use check::run_checked;
+        async fn rank(comm: Comm) -> usize {
+            comm.rank()
+        }
         let launchers: [(&str, fn()); 3] = [
             ("run", || drop(run(4, Comm::rank))),
-            ("run_traced", || drop(run_traced(4, Comm::rank))),
+            ("run_traced", || drop(run_traced(4, Engine::Threads, rank))),
             ("run_checked", || {
-                drop(run_checked(4, Settings::default(), Comm::rank))
+                drop(run_checked(4, Engine::Threads, Settings::default(), rank))
             }),
         ];
         for (name, launch) in launchers {
@@ -929,6 +1062,34 @@ pub(crate) mod tests {
                 msg.starts_with("mp: cannot spawn rank 0 of 4"),
                 "{name}: {msg}"
             );
+        }
+    }
+
+    /// Both engines name the same failing rank: rank 2 panics at once,
+    /// rank 0 after a receive. A cooperative world runs its other ranks on
+    /// past the first panic, as a thread world does, and the one fold
+    /// names the lowest-rank cause.
+    #[test]
+    fn both_engines_name_the_same_failing_rank() {
+        async fn program(comm: &Comm) {
+            match comm.rank() {
+                0 => {
+                    comm.recv_async(&mut [0u8], 1, 1).await;
+                    panic!("late");
+                }
+                1 => comm.send(&[1u8], 0, 1),
+                _ => panic!("early"),
+            }
+        }
+        let launchers: [(&str, fn()); 2] = [
+            ("run", || drop(run(3, |c| block_on(program(c))))),
+            ("run_coop", || {
+                drop(crate::run_coop(3, |c| async move { program(&c).await }))
+            }),
+        ];
+        for (name, launch) in launchers {
+            let err = std::panic::catch_unwind(launch).expect_err("two ranks panicked");
+            assert_eq!(panic_message(&*err), "rank 0 panicked: late", "{name}");
         }
     }
 

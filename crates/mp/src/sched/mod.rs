@@ -195,7 +195,7 @@ mod tests {
     use crate::block_on;
     use crate::coll;
     use crate::reduce::Op;
-    use crate::runtime::run_traced;
+    use crate::runtime::{run_traced, Engine};
     use crate::Comm;
 
     /// One algorithm: the real collective on `len` words (per block, or in
@@ -356,7 +356,9 @@ mod tests {
                         continue;
                     }
                     let what = format!("{} n={n} root={root} len={len}", case.name);
-                    let (_, trace) = run_traced(n, |comm| (case.run)(comm, root, len));
+                    let run = case.run;
+                    let body = |comm: Comm| async move { run(&comm, root, len) };
+                    let (_, trace) = run_traced(n, Engine::Threads, body);
                     let schedule = (case.schedule)(n, root, (len * 8) as u64);
                     schedule.validate().expect(&what);
 

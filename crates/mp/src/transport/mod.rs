@@ -63,7 +63,7 @@ use crate::check::{self, Inspector, Settings};
 use crate::comm::Comm;
 use crate::msg::Message;
 use crate::payload::Payload;
-use crate::runtime::World;
+use crate::runtime::{end, rank_threads, Engine, World};
 
 pub mod launcher;
 pub(crate) mod tcp;
@@ -246,16 +246,16 @@ pub fn init_from_env() -> Option<Proc> {
         })
 }
 
-/// Panics when a multi-process session is installed: the traced, virtual,
-/// checked and cooperative run paths are single-process by design (they
-/// all need global visibility — a full trace, a global clock, a whole
-/// wait-for graph, a shared scheduler — that one process of a larger
-/// world cannot have).
-pub(crate) fn assert_no_session(what: &str) {
+/// Panics when a multi-process session is installed: every world but a
+/// session's own epochs — traced, virtual, checked and cooperative ones —
+/// is single-process by design (they all need global visibility — a full
+/// trace, a global clock, a whole wait-for graph, a shared scheduler —
+/// that one process of a larger world cannot have).
+pub(crate) fn assert_no_session() {
     assert!(
         session().is_none(),
-        "mp: {what} is not available under a multiprocess session \
-         (worlds spanning processes support plain run() only)"
+        "mp: a traced, checked, virtual or cooperative world is not available under a \
+         multiprocess session (worlds spanning processes support plain run() only)"
     );
 }
 
@@ -451,13 +451,15 @@ impl RemoteWorld {
 // The multi-process run path
 // ---------------------------------------------------------------------
 
-/// Runs one epoch of the session's world: spawns rank threads for the
-/// resident ranks, routes non-resident traffic over the transport, and
-/// returns the resident ranks' results in ascending rank order.
-pub(crate) fn run_multiproc<R, F>(sess: &Arc<Session>, n: usize, f: F) -> Vec<R>
+/// Runs one epoch of the session's world: rank threads for the resident
+/// ranks, non-resident traffic routed over the transport, and the
+/// resident ranks' results in ascending rank order — the launch path's
+/// builder, thread engine and fold, inside the epoch's guards.
+pub(crate) fn run_multiproc<R, F, Fut>(sess: &Arc<Session>, n: usize, f: &F) -> Vec<R>
 where
     R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
+    F: Fn(Comm) -> Fut + Sync,
+    Fut: std::future::Future<Output = R>,
 {
     assert_eq!(
         n, sess.topo.world,
@@ -466,13 +468,6 @@ where
         sess.topo.world
     );
     let residents = sess.topo.resident_ranks();
-    // Every multiprocess world is instrumented: the cross-process
-    // deadlock detector needs wait edges, and a poison channel is the
-    // only way to unwind ranks blocked on a peer process that died.
-    // The ring is kept tiny — event history belongs to `run_checked`.
-    let settings = Settings { ring_capacity: 16 };
-    let inspector = Arc::new(Inspector::new(n, settings, None));
-    let mut world = World::new(n, Some(Arc::clone(&inspector)), None);
     let epoch = {
         let mut st = sess.state.lock();
         assert!(
@@ -483,17 +478,23 @@ where
         st.next_epoch += 1;
         epoch
     };
-    world.remote = Some(RemoteWorld {
+    let remote = RemoteWorld {
         sess: Arc::clone(sess),
         epoch,
-    });
-    let world = Arc::new(world);
+    };
+    // Every multiprocess world is instrumented: the cross-process
+    // deadlock detector needs wait edges, and a poison channel is the
+    // only way to unwind ranks blocked on a peer process that died.
+    // The ring is kept tiny — event history belongs to `run_checked`.
+    let check = Some((Settings { ring_capacity: 16 }, None));
+    let world = Arc::new(World::new(n, Engine::Threads, None, check, Some(remote)));
+    let inspector = world.inspector.clone().expect("an instrumented world");
     let outcomes = {
         // Dropped in reverse order on every path out, a rank-spawn failure
         // included: the monitor stops first, then the epoch ends.
         let _epoch = install_world(sess, epoch, &world);
         let _monitor = spawn_monitor(sess, epoch, &world, inspector, &residents);
-        let outcomes = crate::runtime::spawn_caught_ranks(&world, &residents, &f);
+        let outcomes = rank_threads(&world, &residents, f);
 
         // Flush barrier: FIFO channels guarantee every data frame this
         // process sent in this epoch precedes its barrier, so once every
@@ -507,10 +508,9 @@ where
         wait_peer_barriers(sess, epoch);
         outcomes
     };
-
-    // Report as the single-process checked path does (nobody reads the
-    // log): a deadlock diagnosis first, then real rank panics.
-    check::Checked::from_outcomes(&world, &residents, outcomes).sink_then_propagate(&|_| ())
+    // Reported as every checked stand-in is (nobody reads the log): a
+    // deadlock diagnosis first, then real rank panics.
+    end(&world, outcomes, |_| ())
 }
 
 /// One installed epoch of a session; dropping it ends the epoch.
@@ -860,17 +860,15 @@ mod tests {
         let sess = local_session(Topology::blocks(4, 1, 0));
         for _ in 0..2 {
             let err = crate::runtime::tests::with_failing_spawns(|| {
-                let run = || run_multiproc(&sess, 4, |comm| comm.rank());
+                let run = || run_multiproc(&sess, 4, &|comm: Comm| async move { comm.rank() });
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
             })
             .expect_err("the spawn cannot succeed");
             let msg = crate::runtime::panic_message(&*err);
             assert!(msg.starts_with("mp: cannot spawn rank 0 of 4"), "{msg}");
         }
-        assert_eq!(
-            run_multiproc(&sess, 4, |comm| comm.rank()),
-            vec![0, 1, 2, 3]
-        );
+        let rank = |comm: Comm| async move { comm.rank() };
+        assert_eq!(run_multiproc(&sess, 4, &rank), vec![0, 1, 2, 3]);
     }
 
     /// Ghost words have no bytes to frame: a length-only payload bound

@@ -636,8 +636,9 @@ mod tests {
     #[test]
     fn every_scoped_collective_interns_to_the_table() {
         use crate::check::{run_checked, Event, Settings};
+        use crate::Engine::Threads;
         use crate::Op::Sum;
-        let checked = run_checked(4, Settings::default(), |c| {
+        let checked = run_checked(4, Threads, Settings::default(), |c| async move {
             let (n, me) = (c.size(), c.rank());
             let counts: Vec<usize> = (1..=n).collect();
             let words = vec![me as u64; 2 * n];

@@ -261,10 +261,11 @@ pub(crate) fn dedup(findings: &mut Vec<Finding>) {
 mod tests {
     use super::*;
     use mp::check::{run_checked, Settings};
+    use mp::Engine::Threads;
 
     #[test]
     fn clean_program_yields_no_findings() {
-        let checked = run_checked(4, Settings::default(), |comm| {
+        let checked = run_checked(4, Threads, Settings::default(), |comm| async move {
             let mut x = [1u64];
             comm.allreduce(&mut x, mp::Op::Sum);
             comm.barrier();
@@ -276,7 +277,7 @@ mod tests {
     /// finding each, after the findings the events support.
     #[test]
     fn every_rank_panic_is_a_finding() {
-        let checked = run_checked(3, Settings::default(), |comm| {
+        let checked = run_checked(3, Threads, Settings::default(), |comm| async move {
             if comm.rank() > 0 {
                 panic!("rank {} gives up", comm.rank());
             }
@@ -321,7 +322,7 @@ mod tests {
     fn unmatched_send_vs_tag_leak_classification() {
         // Tag 5 is never received on rank 1 -> leak; tag 6 is received
         // once but sent twice -> unmatched send.
-        let checked = run_checked(2, Settings::default(), |comm| {
+        let checked = run_checked(2, Threads, Settings::default(), |comm| async move {
             if comm.rank() == 0 {
                 comm.send(&[1u8], 1, 5);
                 comm.send(&[2u8], 1, 6);

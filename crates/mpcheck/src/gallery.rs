@@ -268,7 +268,8 @@ mod tests {
     #[test]
     fn unsynced_race_needs_a_second_schedule_and_the_explorer_finds_it() {
         let entry = find("wildcard-race-unsynced").unwrap();
-        let fifo = mp::run_checked_coop(entry.world, crate::Settings::default(), entry.body);
+        let settings = crate::Settings::default();
+        let fifo = mp::check::run_checked(entry.world, mp::Engine::Coop, settings, entry.body);
         assert!(fifo.results.is_some());
         assert!(crate::analyze(&fifo.log).is_empty(), "one run sees nothing");
         let report = entry.explore(&opts());

@@ -85,7 +85,9 @@ where
     R: Send,
     F: Fn(&mp::Comm) -> R + Send + Sync,
 {
-    let log = mp::check::run_checked(n, settings.clone(), &f).log;
+    let f = &f;
+    let body = move |comm: mp::Comm| async move { f(&comm) };
+    let log = mp::check::run_checked(n, mp::Engine::Threads, settings.clone(), body).log;
     let mut report = Report {
         runs: 1,
         findings: analyze(&log),

@@ -3,6 +3,7 @@
 //! generators predict, which is what makes pricing those schedules on
 //! the machine models a faithful simulation of the benchmarks.
 
+use mp::Engine::{Coop, Threads};
 use simnet::Transfer;
 
 fn sorted(mut t: Vec<Transfer>) -> Vec<Transfer> {
@@ -17,8 +18,8 @@ fn imb_native_traces_match_sim_schedules() {
     for bench in imb::Benchmark::ALL {
         let procs = 6usize.max(bench.min_procs());
         let bytes = 4096u64;
-        let (_, trace) = mp::run_traced(procs, |comm| {
-            imb::native::run_on(comm, bench, bytes, 1);
+        let (_, trace) = mp::run_traced(procs, Threads, |comm| async move {
+            imb::native::run_on(&comm, bench, bytes, 1);
         });
         // The native run has one warm-up and one timed iteration.
         let sched_procs = match bench.class() {
@@ -70,12 +71,12 @@ fn bcast_root_rotation_traces() {
     let n = 7;
     let len = 64usize;
     for root in 0..n {
-        let (_, trace) = mp::run_traced(n, |comm| {
+        let (_, trace) = mp::run_traced(n, Threads, |comm| async move {
             let mut buf = vec![0.0f64; len];
             if comm.rank() == root {
                 buf.iter_mut().enumerate().for_each(|(i, v)| *v = i as f64);
             }
-            mp::block_on(mp::coll::bcast::binomial_async(comm, &mut buf, root));
+            mp::coll::bcast::binomial_async(&comm, &mut buf, root).await;
         });
         let sched = mp::sched::bcast::binomial(n, root, (len * 8) as u64);
         assert_eq!(sorted(trace), sched.transfer_multiset(), "root {root}");
@@ -88,7 +89,7 @@ fn bcast_root_rotation_traces() {
 fn allreduce_dispatch_agreement_across_shapes() {
     for n in [2usize, 3, 4, 6, 8] {
         for len in [8usize, 240, 6000] {
-            let (_, trace) = mp::run_traced(n, |comm| {
+            let (_, trace) = mp::run_traced(n, Threads, |comm| async move {
                 let mut buf = vec![1.0f64; len];
                 comm.allreduce(&mut buf, mp::Op::Sum);
             });
@@ -196,31 +197,34 @@ fn ghost_word_traces_equal_real_word_traces() {
     }
     for n in [3, 8, 12] {
         for bytes in [24, 4096, 128 << 10] {
-            let (_, real) = mp::run_traced_coop(n, |c| program::<u8, f64>(c, bytes));
-            let (_, ghost) = mp::run_traced_coop(n, |c| program::<Ghost<1>, Ghost<8>>(c, bytes));
+            let (_, real) = mp::run_traced(n, Coop, |c| program::<u8, f64>(c, bytes));
+            let (_, ghost) = mp::run_traced(n, Coop, |c| program::<Ghost<1>, Ghost<8>>(c, bytes));
             assert!(!real.is_empty());
             assert_eq!(sorted(ghost), sorted(real), "n={n} bytes={bytes}");
 
             let settings = mp::check::Settings::default;
-            let real = mp::run_checked_coop(n, settings(), |c| program::<u8, f64>(c, bytes));
-            let ghost =
-                mp::run_checked_coop(n, settings(), |c| program::<Ghost<1>, Ghost<8>>(c, bytes));
+            let real =
+                mp::check::run_checked(n, Coop, settings(), |c| program::<u8, f64>(c, bytes));
+            let ghost = mp::check::run_checked(n, Coop, settings(), |c| {
+                program::<Ghost<1>, Ghost<8>>(c, bytes)
+            });
             assert!(ghost.results.is_some() && ghost.log.leftover.is_empty());
             assert_eq!(ghost.log.events, real.log.events, "n={n} bytes={bytes}");
         }
     }
 }
 
-/// Every launcher is a projection of one launch: a ring exchange, an
+/// Every door is a projection of one launch path: a ring exchange, an
 /// allreduce and a broadcast (pinned sources throughout, so nothing is
-/// schedule-dependent) give the same per-rank results through all seven
-/// front doors and through `run_coop` under the one ambient hook with a
-/// FIFO controller, the same transfers through the two traced doors, the
-/// same per-rank event sequences through the two checked doors and the
-/// hooked run, and the same clocks, bit for bit, from two virtual runs.
+/// schedule-dependent) give the same per-rank results through `run`,
+/// `run_coop`, `run_virtual_coop`, `run_traced` and `run_checked` on both
+/// engines, and `run_coop` under the one ambient hook with a FIFO
+/// controller; the same transfers through the traced runs; the same
+/// per-rank event sequences through the checked runs and the hooked run;
+/// and the same clocks, bit for bit, from two virtual runs.
 #[test]
 fn every_launcher_runs_the_same_program() {
-    use mp::check::{install_scoped, RunLog, ScopedCheck, Settings};
+    use mp::check::{install_scoped, run_checked, RunLog, ScopedCheck, Settings};
     use mp::Op::Sum;
     use std::sync::{Arc, Mutex};
 
@@ -235,21 +239,25 @@ fn every_launcher_runs_the_same_program() {
         c.bcast_async(&mut word, n / 2).await;
         vec![got[0], sum[0], sum[1], word[0]]
     }
-    // A rank thread blocks on the body a cooperative task awaits.
-    let blocking = |c: &mp::Comm| mp::block_on(program(c));
-    let awaited = |c: mp::Comm| async move { program(&c).await };
+    let body = |c: mp::Comm| async move { program(&c).await };
 
     for n in [3, 4, 8] {
-        let results = mp::run(n, blocking);
+        let results = mp::run(n, |c| mp::block_on(program(c)));
         assert_eq!(results[0][0], n as u64, "rank 0 hears from rank n-1");
 
-        let (traced, thread_trace) = mp::run_traced(n, blocking);
-        let (traced_coop, coop_trace) = mp::run_traced_coop(n, awaited);
-        assert!(!coop_trace.is_empty());
-        assert_eq!(sorted(thread_trace), sorted(coop_trace), "n={n}");
+        let mut others = vec![mp::run_coop(n, body)];
+        let (mut traces, mut logs) = (Vec::new(), Vec::new());
+        for engine in [Threads, Coop] {
+            let (traced, trace) = mp::run_traced(n, engine, body);
+            assert!(!trace.is_empty(), "{engine:?} n={n}");
+            traces.push(sorted(trace));
+            let checked = run_checked(n, engine, Settings::default(), body);
+            others.push(traced);
+            others.push(checked.results.expect("every rank completed"));
+            logs.push(checked.log);
+        }
+        assert_eq!(traces[0], traces[1], "n={n}");
 
-        let checked = mp::check::run_checked(n, Settings::default(), blocking);
-        let checked_coop = mp::run_checked_coop(n, Settings::default(), awaited);
         let hooked: Arc<Mutex<Vec<RunLog>>> = Arc::default();
         let sink = Arc::clone(&hooked);
         let guard = install_scoped(ScopedCheck {
@@ -257,35 +265,28 @@ fn every_launcher_runs_the_same_program() {
             controller: Some(Arc::new(mp::FifoController)),
             sink: Arc::new(move |log| sink.lock().unwrap().push(log)),
         });
-        let controlled = mp::run_coop(n, awaited);
+        others.push(mp::run_coop(n, body));
         drop(guard);
         let hooked = std::mem::take(&mut *hooked.lock().unwrap());
         assert_eq!(hooked.len(), 1, "the hooked run sinks one log, n={n}");
-        for log in [&checked.log, &checked_coop.log, &hooked[0]] {
+        logs.extend(hooked);
+        for log in &logs {
             assert!(log.deadlock.is_none() && log.leftover.is_empty(), "n={n}");
             assert!(log.panics.is_empty(), "n={n}");
-            assert_eq!(log.events, checked.log.events, "n={n}");
+            assert_eq!(log.events, logs[0].events, "n={n}");
         }
 
         let xeon = machines::systems::dell_xeon();
         let net = || Box::new(machines::SharedClusterNet::new(&xeon, n));
-        let (virt, clocks) = mp::run_virtual_coop(n, net(), awaited);
-        let (_, again) = mp::run_virtual_coop(n, net(), awaited);
+        let (virt, clocks) = mp::run_virtual_coop(n, net(), body);
+        let (_, again) = mp::run_virtual_coop(n, net(), body);
         let ticked = clocks.iter().filter(|&&t| t > simnet::Time::ZERO);
         assert_eq!(ticked.count(), n, "every rank's clock was priced");
         assert_eq!(clocks, again, "n={n}");
+        others.push(virt);
 
-        let others = [
-            Some(traced),
-            checked.results,
-            Some(mp::run_coop(n, awaited)),
-            Some(traced_coop),
-            checked_coop.results,
-            Some(controlled),
-            Some(virt),
-        ];
         for (door, other) in others.iter().enumerate() {
-            assert_eq!(other.as_ref(), Some(&results), "n={n} door {door}");
+            assert_eq!(other, &results, "n={n} door {door}");
         }
     }
 }
@@ -354,8 +355,9 @@ fn blocking_collectives_are_their_awaitable_bodies() {
 
     for n in [3, 4, 8] {
         for (op, name) in OPS.iter().enumerate() {
-            let (on_threads, blocked) = mp::run_traced(n, |c| blocking(c, op));
-            let (on_tasks, polled) = mp::run_traced_coop(n, |c| awaited(c, op));
+            let (on_threads, blocked) =
+                mp::run_traced(n, Threads, |c| async move { blocking(&c, op) });
+            let (on_tasks, polled) = mp::run_traced(n, Coop, |c| awaited(c, op));
             assert!(!blocked.is_empty(), "{name} n={n} moved nothing");
             assert_eq!(sorted(blocked), sorted(polled), "{name} n={n}: transfers");
             assert_eq!(on_threads, on_tasks, "{name} n={n}: buffers");

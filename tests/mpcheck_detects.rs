@@ -103,14 +103,12 @@ fn three_rank_receive_ring_reports_full_cycle() {
     // read the mailboxes' wait edges and assemble the same `Deadlock`
     // (`Deadlock::from_waits`; its other caller, a fleet's process 0, is
     // pinned by `mp/tests/multiproc.rs`).
-    let threads = mp::check::run_checked(3, Settings::default(), |comm| {
-        let left = (comm.rank() + comm.size() - 1) % comm.size();
-        comm.recv(&mut [0u64], left, 7);
-    });
-    let tasks = mp::run_checked_coop(3, Settings::default(), |comm| async move {
+    let ring = |comm: mp::Comm| async move {
         let left = (comm.rank() + comm.size() - 1) % comm.size();
         comm.recv_async(&mut [0u64], left, 7).await;
-    });
+    };
+    let [threads, tasks] = [mp::Engine::Threads, mp::Engine::Coop]
+        .map(|engine| mp::check::run_checked(3, engine, Settings::default(), ring));
     let counted = threads.log.deadlock.expect("the count reached zero");
     let instant = tasks.log.deadlock.expect("the stall was diagnosed");
     assert_eq!(counted.cycle.as_ref().map(Vec::len), Some(3));

@@ -112,7 +112,9 @@ fn hpl_grids_share_one_residual_and_the_column_wire() {
         (3, 22, 136_736, 0x840d_1fd9_39b3_4cdd),
         (1, 0, 0, 0xcbf2_9ce4_8422_2325),
     ] {
-        let (_, mut trace) = mp::run_traced(ranks, solve(1, 96));
+        let solve = &solve(1, 96);
+        let body = move |comm: mp::Comm| async move { solve(&comm) };
+        let (_, mut trace) = mp::run_traced(ranks, mp::Engine::Threads, body);
         trace.sort_by_key(|t| t.src);
         let fnv = trace
             .iter()
