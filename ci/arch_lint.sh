@@ -133,6 +133,14 @@
 #      runnable count, park with no deadline, and a stall is named by the
 #      count, not by a clock. A timed park is the poll-based detector (the
 #      park slices counted against a deadlock timeout) growing back.
+#  17. Collectives send through `Comm::encode`. Non-test code under
+#      `crates/mp/src/coll/` spells neither `Payload::encode(` nor an
+#      operand-vector receive (`recv_vec`, `.decode(`): a typed message is
+#      written once, into the communicator's recycled buffer when it is
+#      large, and read once, decoded into the caller's words or folded
+#      straight from the wire (`Payload::fold_into`). A bare encode or a
+#      fresh operand vector is the extra allocation and pass over every
+#      large message growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on an inline `mod`, to its
 # column-0 closing brace; `ci/nontest.awk`) are exempt from the source
@@ -275,6 +283,21 @@ EOF
     # declare what it likes.
     mkdir -p "$pass/crates/mp/src/coll"
     for op in mod $coll_ops; do touch "$pass/crates/mp/src/coll/$op.rs"; done
+    # Sends through the communicator's encoder; receives decode into the
+    # caller's words or fold from the wire; a test may build its own wire.
+    cat > "$pass/crates/mp/src/coll/reduce_scatter.rs" <<'EOF'
+fn step(comm: &Comm, send: &[f64], recv: &mut [f64], op: Op) {
+    comm.send_payload(comm.encode(&send[give]), dst, tag);
+    data.fold_into(recv, comm.envelope(src, tag), |a, x| op.fold_into(a, x));
+    data.decode_into(&mut recv[take], env);
+}
+
+#[cfg(test)]
+mod tests {
+    fn wire() -> Payload { Payload::encode(&[1.0f64], Vec::new()) }
+    fn back(p: &Payload) -> Vec<f64> { p.decode(ENV) }
+}
+EOF
     cat > "$pass/crates/mp/src/sched/mod.rs" <<'EOF'
 mod build;
 pub(crate) mod p2p;
@@ -452,6 +475,14 @@ EOF
     # A ninth collective that no workload reaches, and its generator.
     mkdir -p "$bad/crates/mp/src/coll"
     for op in mod $coll_ops scan; do touch "$bad/crates/mp/src/coll/$op.rs"; done
+    # A bare encode beside the recycled buffer, and a fresh operand vector.
+    cat > "$bad/crates/mp/src/coll/reduce_scatter.rs" <<'EOF'
+fn step(comm: &Comm, send: &[f64], recv: &mut [f64], op: Op) {
+    comm.send_payload(Payload::encode(&send[give]), dst, tag);
+    let operand: Vec<f64> = comm.recv_vec_async(src, tag).await;
+    let got = comm.recv_payload_async(src, tag).await.decode::<f64>(env);
+}
+EOF
     cat > "$bad/crates/mp/src/sched/mod.rs" <<'EOF'
 pub mod p2p;
 pub mod scan {
@@ -515,7 +546,9 @@ EOF
         "mp/src/runtime.rs:23: fn run_coop_inner" \
         "harness/src/explore.rs:1: .*install_explore" "harness/src/explore.rs:2: .*classify_panic" \
         "bad/src/surface.rs:1: pub fn unread_helper" "after_tests.rs:6: .*Instant" \
-        "bad/src/after_tests.rs:6: pub fn after_tests"; do
+        "bad/src/after_tests.rs:6: pub fn after_tests" \
+        "coll/reduce_scatter.rs:2: .*Payload::encode" "coll/reduce_scatter.rs:3: .*recv_vec_async" \
+        "coll/reduce_scatter.rs:4: .*decode::<f64>"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -758,6 +791,16 @@ if [ -n "$offenders" ]; then
     err "park_timeout( in crates/mp/src outside transport/ (a blocked rank parks until it is \
 woken, and its world's runnable count names a stall; a timed park is the poll-based detector \
 growing back):
+$offenders"
+fi
+
+# --- 17. Collectives send through Comm::encode ----------------------------
+offenders=$(scan 'Payload::encode[(]|recv_vec|[.]decode(::<[^>]*>)?[(]' \
+    | grep '^crates/mp/src/coll/' || true)
+if [ -n "$offenders" ]; then
+    err "a collective encoding or decoding beside the recycled buffer (send comm.encode(..); \
+receive into the caller's words with decode_into or fold from the wire with \
+Payload::fold_into, then comm.recycle the payload):
 $offenders"
 fi
 

@@ -2,7 +2,6 @@
 
 use crate::comm::Comm;
 use crate::datatype::Word;
-use crate::payload::Payload;
 
 use super::{ceil_log2, Step, LONG_MSG_THRESHOLD};
 
@@ -29,12 +28,14 @@ pub(crate) async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T])
     );
     let me = comm.rank();
     recv[me * block..(me + 1) * block].copy_from_slice(send);
-    let mut outgoing = Payload::encode(send);
+    let mut outgoing = comm.encode(send);
     for step in ring_steps(me, n, block) {
         let ((right, _), (left, take)) = step.exchange();
         comm.send_payload(outgoing, right, tag);
         outgoing = comm.recv_into_async(&mut recv[take], left, tag).await;
     }
+    // The last arrival goes no further.
+    comm.recycle(outgoing);
 }
 
 /// [`recursive_doubling_async`]'s steps over the gathered buffer: round `k`

@@ -4,7 +4,6 @@
 
 use crate::comm::Comm;
 use crate::datatype::Word;
-use crate::payload::Payload;
 
 use super::{ceil_log2, run_between, Step};
 
@@ -80,12 +79,20 @@ pub(crate) async fn bruck_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T]
         for i in moving.clone() {
             out.extend_from_slice(&slots[i * block..(i + 1) * block]);
         }
-        comm.send_payload(Payload::encode(&out), dst, tag);
-        let got: Vec<T> = comm.recv_vec_async(src, tag).await;
-        assert_eq!(got.len(), packed.len(), "bruck round size mismatch");
+        comm.send_payload(comm.encode(&out), dst, tag);
+        let got = comm.recv_payload_async(src, tag).await;
+        let bytes = block * T::SIZE;
+        assert_eq!(
+            got.len(),
+            packed.len() * T::SIZE,
+            "bruck round size mismatch"
+        );
+        let env = comm.envelope(src, tag);
         for (j, i) in moving.enumerate() {
-            slots[i * block..(i + 1) * block].copy_from_slice(&got[j * block..(j + 1) * block]);
+            got.slice(j * bytes..(j + 1) * bytes)
+                .decode_into(&mut slots[i * block..(i + 1) * block], env);
         }
+        comm.recycle(got);
     }
 
     // Phase 3: inverse rotation — slot j holds the block from (me - j).

@@ -37,7 +37,7 @@ pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
         return;
     }
     let me = comm.rank();
-    let mut data = Payload::encode(if me == root { &*buf } else { &[] });
+    let mut data = comm.encode(if me == root { &*buf } else { &[] });
     for Step { send, recv, .. } in binomial_steps(me, n, buf.len(), root) {
         if let Some((src, _)) = recv {
             data = comm.recv_into_async(buf, src, tag).await;
@@ -46,6 +46,7 @@ pub async fn binomial_async<T: Word>(comm: &Comm, buf: &mut [T], root: usize) {
             comm.send_payload(data.clone(), dst, tag);
         }
     }
+    comm.recycle(data);
 }
 
 /// [`scatter_allgather_async`]'s steps on the encoded payload of `total` bytes,
@@ -88,7 +89,7 @@ pub(crate) async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T],
     // each ring arrival. Every send is a slice of it. The ring forwards
     // every block but the last to arrive, so copying what it sends and
     // that last arrival assembles the whole; the scatter copies nothing.
-    let mut held = Payload::encode(if me == root { &*buf } else { &[] });
+    let mut held = comm.encode(if me == root { &*buf } else { &[] });
     let mut at = 0..total;
     let mut data = Payload::zeroed::<T>(total);
     for Step { send, recv, .. } in scatter_allgather_steps(me, n, total, root) {
@@ -108,6 +109,8 @@ pub(crate) async fn scatter_allgather_async<T: Word>(comm: &Comm, buf: &mut [T],
     }
     data.put(at.start, &held);
     data.decode_into(buf, comm.envelope(root, tag));
+    comm.recycle(data);
+    comm.recycle(held);
 }
 
 /// The [`auto_async`] dispatch test, shared with the `sched::bcast` generator:

@@ -36,7 +36,6 @@ use std::ops::Range;
 use crate::comm::Comm;
 use crate::datatype::Word;
 use crate::msg::Tag;
-use crate::payload::Payload;
 
 /// Message-size threshold (bytes) between "short" (latency-optimised) and
 /// "long" (bandwidth-optimised) collective algorithms, matching the era's
@@ -157,9 +156,11 @@ pub(crate) fn ring_steps(
 
 /// Runs `steps` in place on `buf`: a send ships `buf[range]`, a receive
 /// overwrites `buf[range]` or, on a folding step, is combined into it by
-/// `fold(acc, operand)`. (The steps come by reference so that they live
-/// once, in the caller's future: an async fn stores its arguments twice,
-/// and every cooperative rank holds one such future.)
+/// `fold(acc, operand)` straight from the wire
+/// ([`Payload::fold_into`](crate::payload::Payload::fold_into)).
+/// (The steps come by reference so that they live once, in the caller's
+/// future: an async fn stores its arguments twice, and every cooperative
+/// rank holds one such future.)
 pub(crate) async fn run_in_place<T: Word>(
     comm: &Comm,
     tag: Tag,
@@ -172,14 +173,17 @@ pub(crate) async fn run_in_place<T: Word>(
     } in steps
     {
         if let Some((dst, give)) = send {
-            comm.send_payload(Payload::encode(&buf[give]), dst, tag);
+            comm.send_payload(comm.encode(&buf[give]), dst, tag);
         }
         if let Some((src, take)) = recv {
+            let data = comm.recv_payload_async(src, tag).await;
+            let env = comm.envelope(src, tag);
             if folds > 0 {
-                fold(&mut buf[take], &comm.recv_vec_async(src, tag).await);
+                data.fold_into(&mut buf[take], env, &fold);
             } else {
-                comm.recv_into_async(&mut buf[take], src, tag).await;
+                data.decode_into(&mut buf[take], env);
             }
+            comm.recycle(data);
         }
     }
 }
@@ -200,10 +204,11 @@ pub(crate) async fn run_between<T: Word>(
     } in steps
     {
         if let Some((dst, give)) = to {
-            comm.send_payload(Payload::encode(&send[give]), dst, tag);
+            comm.send_payload(comm.encode(&send[give]), dst, tag);
         }
         if let Some((src, take)) = from {
-            comm.recv_into_async(&mut recv[take], src, tag).await;
+            let data = comm.recv_into_async(&mut recv[take], src, tag).await;
+            comm.recycle(data);
         }
     }
 }

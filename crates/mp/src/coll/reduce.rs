@@ -1,6 +1,7 @@
 //! Rooted reduction (`MPI_Reduce`, IMB `Reduce`, paper Fig. 8).
 
 use crate::comm::Comm;
+use crate::datatype::Word;
 use crate::reduce::{Numeric, Op};
 
 use super::{
@@ -34,11 +35,28 @@ pub(crate) async fn binomial_async<T: Numeric>(
 ) {
     let tag = comm.next_coll_tag();
     let mut steps = binomial_steps(comm.rank(), comm.size(), send.len(), root);
-    let mut acc = send.to_vec();
-    run_in_place(comm, tag, &mut acc, &mut steps, |a, x| op.fold_into(a, x)).await;
-    if comm.rank() == root {
-        recv.expect("root must supply a receive buffer")
-            .copy_from_slice(&acc);
+    let mut own = Vec::new();
+    let acc = accumulator(comm.rank() == root, send, recv, &mut own);
+    run_in_place(comm, tag, acc, &mut steps, |a, x| op.fold_into(a, x)).await;
+}
+
+/// Where a reduce accumulates, holding `send` to start with: the root's
+/// `recv`, so the result is built where it is wanted and never copied
+/// back, and elsewhere a copy of `send` in `own`. A non-root's `recv` is
+/// left untouched.
+fn accumulator<'a, T: Word>(
+    is_root: bool,
+    send: &[T],
+    recv: Option<&'a mut [T]>,
+    own: &'a mut Vec<T>,
+) -> &'a mut [T] {
+    if is_root {
+        let acc = recv.expect("root must supply a receive buffer");
+        acc.copy_from_slice(send);
+        acc
+    } else {
+        own.extend_from_slice(send);
+        own
     }
 }
 
@@ -78,12 +96,9 @@ pub(crate) async fn rabenseifner_async<T: Numeric>(
     let tag = comm.next_coll_tag();
     let mut steps = rabenseifner_steps(comm.rank(), n, send.len(), root);
     assert_eq!(send.len() % n, 0, "vector must divide evenly");
-    let mut acc = send.to_vec();
-    run_in_place(comm, tag, &mut acc, &mut steps, |a, x| op.fold_into(a, x)).await;
-    if comm.rank() == root {
-        recv.expect("root must supply a receive buffer")
-            .copy_from_slice(&acc);
-    }
+    let mut own = Vec::new();
+    let acc = accumulator(comm.rank() == root, send, recv, &mut own);
+    run_in_place(comm, tag, acc, &mut steps, |a, x| op.fold_into(a, x)).await;
 }
 
 /// The [`auto_async`] dispatch test, shared with the `sched::reduce`
@@ -113,10 +128,13 @@ pub(crate) async fn auto_async<T: Numeric>(
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use crate::block_on;
+    use crate::coll::LONG_MSG_THRESHOLD;
     use crate::reduce::Op;
     use crate::runtime::run;
     use crate::Comm;
 
+    /// Every rank hands `algo` a `recv` full of a sentinel: the root's
+    /// must come back holding the reduction, every other rank's untouched.
     fn check(
         n: usize,
         len: usize,
@@ -124,11 +142,12 @@ mod tests {
         op: Op,
         algo: impl AsyncFn(&Comm, &[f64], Option<&mut [f64]>, usize, Op) + Sync,
     ) {
+        const SENTINEL: f64 = -7.125;
         let results = run(n, |comm| {
             let me = comm.rank();
             let send: Vec<f64> = (0..len).map(|i| (me * len + i) as f64 * 0.25).collect();
-            let mut recv = (me == root).then(|| vec![0.0f64; len]);
-            block_on(algo(comm, &send, recv.as_deref_mut(), root, op));
+            let mut recv = vec![SENTINEL; len];
+            block_on(algo(comm, &send, Some(&mut recv), root, op));
             recv
         });
         // Reference reduction.
@@ -148,7 +167,6 @@ mod tests {
         }
         for (r, got) in results.iter().enumerate() {
             if r == root {
-                let got = got.as_ref().unwrap();
                 for i in 0..len {
                     assert!(
                         (got[i] - expect[i]).abs() < 1e-9,
@@ -158,7 +176,10 @@ mod tests {
                     );
                 }
             } else {
-                assert!(got.is_none());
+                assert!(
+                    got.iter().all(|x| x.to_bits() == SENTINEL.to_bits()),
+                    "rank {r} is not the root, and its buffer was written"
+                );
             }
         }
     }
@@ -186,6 +207,16 @@ mod tests {
                 check(n, 16 * n, root, Op::Sum, super::rabenseifner_async);
             }
         }
+        // A vector of 2 x LONG_MSG_THRESHOLD bytes: the first halving
+        // round's messages are written into the recycled buffer and given
+        // back to it, and the root accumulates in its own.
+        check(
+            4,
+            LONG_MSG_THRESHOLD / 4,
+            1,
+            Op::Sum,
+            super::rabenseifner_async,
+        );
     }
 
     #[test]

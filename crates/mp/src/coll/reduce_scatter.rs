@@ -3,7 +3,6 @@
 //! followed by an MPI Scatter".
 
 use crate::comm::Comm;
-use crate::payload::Payload;
 use crate::reduce::{Numeric, Op};
 
 use super::{allgatherv::displs, ceil_log2, Step};
@@ -24,8 +23,9 @@ pub(crate) fn pairwise_steps(me: usize, displs: &[usize]) -> impl Iterator<Item 
 
 /// Pairwise reduce-scatter: `n-1` rounds; in round `s` each rank ships the
 /// slice belonging to `(me + s) mod n` and folds the operand for its own
-/// slice arriving from `(me - s) mod n`. Works for any group size and any
-/// per-rank counts; bandwidth-optimal (each rank moves `len - own` once).
+/// slice arriving from `(me - s) mod n`, straight from the wire. Works for
+/// any group size and any per-rank counts; bandwidth-optimal (each rank
+/// moves `len - own` once).
 pub(crate) async fn pairwise_async<T: Numeric>(
     comm: &Comm,
     send: &[T],
@@ -48,9 +48,10 @@ pub(crate) async fn pairwise_async<T: Numeric>(
     recv.copy_from_slice(&send[displ[me]..displ[me + 1]]);
     for step in pairwise_steps(me, &displ) {
         let ((dst, give), (src, _)) = step.exchange();
-        comm.send_payload(Payload::encode(&send[give]), dst, tag);
-        let operand: Vec<T> = comm.recv_vec_async(src, tag).await;
-        op.fold_into(recv, &operand);
+        comm.send_payload(comm.encode(&send[give]), dst, tag);
+        let data = comm.recv_payload_async(src, tag).await;
+        data.fold_into(recv, comm.envelope(src, tag), |a, x| op.fold_into(a, x));
+        comm.recycle(data);
     }
 }
 

@@ -8,11 +8,17 @@
 //! cannot deadlock. At and above the threshold, typed sends first try the
 //! *rendezvous* fast path: if the destination rank has already posted a
 //! matching receive of the right size, the sender encodes straight into
-//! that receive's buffer — one payload copy end to end and no
-//! intermediate allocation. When no receive is posted, large sends fall
-//! back to the eager path, preserving the no-deadlock property. Virtual
-//! sends and sends of [`Ghost`](crate::Ghost) words are always eager, and
-//! receives post a buffer only where a send would look for one.
+//! that receive's buffer — no intermediate allocation. When no receive is
+//! posted, large sends fall back to the eager path, preserving the
+//! no-deadlock property. Virtual sends and sends of
+//! [`Ghost`](crate::Ghost) words are always eager, and receives post a
+//! buffer only where a send would look for one.
+//!
+//! Either way a typed message is two passes over its bytes: the sender
+//! encodes once and the receiver decodes or folds once (DESIGN.md, "Copy
+//! guarantees per path"). Only [`send_raw`](Comm::send_raw) /
+//! [`recv_raw_async`](Comm::recv_raw_async) are one pass, because the
+//! receiver takes the sender's allocation instead of reading it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -44,11 +50,12 @@ pub struct Comm {
     rank: usize,
     id: u32,
     coll_seq: Cell<u32>,
-    /// Recycled rendezvous receive buffer: posted with large blocking
-    /// receives so matching sends encode straight into it, then taken
-    /// back. Grows to the largest message received and is reused for the
-    /// rest of the communicator's life — steady-state large receives
-    /// allocate nothing.
+    /// The recycled buffer of large messages: posted with large blocking
+    /// receives so matching sends encode straight into it, written by
+    /// large eager sends ([`Comm::encode`], [`Comm::send_raw`]), and
+    /// refilled from the payloads this rank has finished with. Keeps the
+    /// largest allocation it is handed, so steady-state large traffic
+    /// allocates nothing.
     scratch: RefCell<Vec<u8>>,
 }
 
@@ -227,13 +234,6 @@ impl Comm {
         data
     }
 
-    /// Receives a message of any length from local rank `src` with `tag`
-    /// as a fresh vector of words (a reduction's operand).
-    pub(crate) async fn recv_vec_async<T: Word>(&self, src: usize, tag: Tag) -> Vec<T> {
-        let data = self.recv_payload_async(src, tag).await;
-        data.decode(self.envelope(src, tag))
-    }
-
     /// The envelope of a message from local rank `src` to this rank.
     pub(crate) fn envelope(&self, src: usize, tag: Tag) -> Envelope {
         Envelope {
@@ -288,7 +288,36 @@ impl Comm {
                 return;
             }
         }
-        self.send_payload(Payload::encode(words), dst, tag);
+        self.send_payload(self.encode(words), dst, tag);
+    }
+
+    /// The wire form of `words` for an eager send from this rank, written
+    /// once. A message that [may rendezvous](Comm::may_rendezvous) is
+    /// written into the recycled buffer, which [`recycle`](Comm::recycle)
+    /// refills from the payloads this rank receives; a shorter one, a
+    /// virtual one or one of ghosts gets a fresh allocation that its
+    /// receiver frees, so the ranks of a virtual world do not each keep a
+    /// message-sized buffer.
+    pub(crate) fn encode<T: Word>(&self, words: &[T]) -> Payload {
+        let buf = if self.may_rendezvous::<T>(words.len() * T::SIZE) {
+            self.scratch.take()
+        } else {
+            Vec::new()
+        };
+        Payload::encode(words, buf)
+    }
+
+    /// Gives the allocation of a received payload this rank is done with
+    /// back to the recycled buffer, when the message was one that [may
+    /// rendezvous](Comm::may_rendezvous) and no other handle holds it: a
+    /// payload still forwarded or fanned out elsewhere stays where it is,
+    /// and a length-only one has no allocation to give.
+    pub(crate) fn recycle(&self, data: Payload) {
+        if self.may_rendezvous::<u8>(data.len()) {
+            if let Some(v) = data.try_into_unique_vec() {
+                self.put_scratch(v);
+            }
+        }
     }
 
     /// Receives exactly `buf.len()` words from local rank `src` with `tag`.
@@ -404,7 +433,9 @@ impl Comm {
             .await;
         self.observe_arrival(msg.arrival);
         let env = self.envelope_of(&msg);
-        (msg.data.decode(env), self.local_of_global(env.src), env.tag)
+        let words = msg.data.decode(env);
+        self.recycle(msg.data);
+        (words, self.local_of_global(env.src), env.tag)
     }
 
     /// Combined send+receive (both with tag `tag`), the workhorse of ring
@@ -623,6 +654,7 @@ impl<T: Word> RecvHandle<T> {
             .await;
         comm.observe_arrival(msg.arrival);
         msg.data.decode_into(buf, comm.envelope_of(&msg));
+        comm.recycle(msg.data);
     }
 }
 

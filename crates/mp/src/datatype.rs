@@ -3,9 +3,10 @@
 //! Messages travel as byte vectors; a [`Word`] is a fixed-size scalar with
 //! an explicit little-endian wire encoding. Explicit encode/decode (rather
 //! than transmutation) keeps the crate free of `unsafe`. The whole-slice
-//! [`Word::encode_slice`]/[`Word::decode_slice`] hooks give every type an
-//! optimiser-friendly fixed-width-chunk loop, and `u8` — the payload type
-//! of the byte-oriented IMB transfer benchmarks — a literal `memcpy`.
+//! [`Word::encode_slice`]/[`Word::decode_slice`]/[`Word::extend_le`] hooks
+//! give every type an optimiser-friendly fixed-width-chunk loop, and `u8` —
+//! the payload type of the byte-oriented IMB transfer benchmarks — a
+//! literal `memcpy`.
 //!
 //! A [`Ghost`] is the word of a sizes-only run: it has a wire size and no
 //! memory, so buffers and messages of ghosts have lengths and nothing else
@@ -41,13 +42,13 @@ pub trait Word: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
         }
     }
 
-    /// Encodes a whole slice into a fresh byte vector. The default
-    /// zero-fills then overwrites; `u8` overrides it with `to_vec` so wire
-    /// payloads are written exactly once.
-    fn encode_vec(data: &[Self]) -> Vec<u8> {
-        let mut out = vec![0u8; data.len() * Self::SIZE];
-        Self::encode_slice(data, &mut out);
-        out
+    /// Appends the encoding of a whole slice to `out`. The default
+    /// zero-fills then overwrites; the built-in words override it to write
+    /// each wire byte exactly once.
+    fn extend_le(data: &[Self], out: &mut Vec<u8>) {
+        let at = out.len();
+        out.resize(at + data.len() * Self::SIZE, 0);
+        Self::encode_slice(data, &mut out[at..]);
     }
 }
 
@@ -86,6 +87,9 @@ macro_rules! impl_word {
                     *v = <$t>::from_le_bytes(*arr);
                 }
             }
+            fn extend_le(data: &[Self], out: &mut Vec<u8>) {
+                out.extend(data.iter().flat_map(|v| v.to_le_bytes()));
+            }
         }
     )*};
 }
@@ -113,8 +117,8 @@ impl Word for u8 {
         out.copy_from_slice(bytes);
     }
     #[inline]
-    fn encode_vec(data: &[u8]) -> Vec<u8> {
-        data.to_vec()
+    fn extend_le(data: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(data);
     }
 }
 

@@ -21,6 +21,12 @@ use std::sync::Arc;
 use crate::datatype::{is_ghost, Word};
 use crate::msg::Tag;
 
+/// Words decoded per step of [`Payload::fold_into`]: 2 KiB of `f64`, so
+/// the operand, its wire bytes and the accumulator slice stay in L1, and
+/// zeroing the operand buffer costs a one-word fold no more than the
+/// operand vector it replaces.
+pub(crate) const FOLD_CHUNK: usize = 256;
+
 /// Who sent a payload to whom (global ranks), so that a failed decode
 /// names the message and not only two lengths.
 #[derive(Clone, Copy, Debug)]
@@ -57,14 +63,17 @@ impl Payload {
         }
     }
 
-    /// The wire form of `words`: their little-endian bytes, or only their
-    /// length when the words are ghosts.
-    pub(crate) fn encode<T: Word>(words: &[T]) -> Payload {
+    /// The wire form of `words`: their little-endian bytes, written once
+    /// into `buf`'s allocation (its old contents dropped; `Vec::new()` for a
+    /// fresh one), or only their length when the words are ghosts.
+    pub(crate) fn encode<T: Word>(words: &[T], mut buf: Vec<u8>) -> Payload {
         if is_ghost::<T>() {
-            Payload::zeroed::<T>(words.len() * T::SIZE)
-        } else {
-            Payload::from_vec(T::encode_vec(words))
+            return Payload::zeroed::<T>(words.len() * T::SIZE);
         }
+        buf.clear();
+        buf.reserve_exact(words.len() * T::SIZE);
+        T::extend_le(words, &mut buf);
+        Payload::from_vec(buf)
     }
 
     /// `len` zero bytes of `T`'s kind (none, for ghosts), to be assembled
@@ -130,21 +139,55 @@ impl Payload {
         }
     }
 
-    /// Decodes into a preallocated word slice of exactly this payload's
-    /// length. Ghost words take a payload of either kind; real words
-    /// refuse a length-only one.
-    pub(crate) fn decode_into<T: Word>(&self, out: &mut [T], env: Envelope) {
+    /// The bytes behind `words` real words of `T`, after checking that this
+    /// payload is exactly that long; `None` for ghost words, which take a
+    /// payload of either kind. Real words refuse a length-only one.
+    fn bytes_of<T: Word>(&self, words: usize, env: Envelope) -> Option<&[u8]> {
         assert_eq!(
             self.len,
-            out.len() * T::SIZE,
+            words * T::SIZE,
             "decode buffer size mismatch: {} bytes {env} for {} words of {}",
             self.len,
-            out.len(),
+            words,
             T::SIZE,
         );
-        if !is_ghost::<T>() {
-            let bytes = self.bytes().unwrap_or_else(|| no_bytes::<T>(self.len, env));
+        if is_ghost::<T>() {
+            return None;
+        }
+        Some(self.bytes().unwrap_or_else(|| no_bytes::<T>(self.len, env)))
+    }
+
+    /// Decodes into a preallocated word slice of exactly this payload's
+    /// length.
+    pub(crate) fn decode_into<T: Word>(&self, out: &mut [T], env: Envelope) {
+        if let Some(bytes) = self.bytes_of::<T>(out.len(), env) {
             T::decode_slice(bytes, out);
+        }
+    }
+
+    /// Combines this payload into `acc`, a word slice of exactly its
+    /// length, by `fold(acc, operand)` — read straight from the wire: each
+    /// [`FOLD_CHUNK`] words are decoded into a buffer on the stack and
+    /// folded while both are in L1, so no operand vector is ever built.
+    /// Same length check and panics as [`decode_into`](Payload::decode_into);
+    /// ghost words fold nothing.
+    pub(crate) fn fold_into<T: Word>(
+        &self,
+        acc: &mut [T],
+        env: Envelope,
+        fold: impl Fn(&mut [T], &[T]),
+    ) {
+        let Some(bytes) = self.bytes_of::<T>(acc.len(), env) else {
+            return;
+        };
+        let mut operand = [T::ZERO; FOLD_CHUNK];
+        for (acc, wire) in acc
+            .chunks_mut(FOLD_CHUNK)
+            .zip(bytes.chunks(FOLD_CHUNK * T::SIZE))
+        {
+            let operand = &mut operand[..acc.len()];
+            T::decode_slice(wire, operand);
+            fold(acc, operand);
         }
     }
 
@@ -202,6 +245,7 @@ fn no_bytes<T: Word>(len: usize, env: Envelope) -> ! {
 mod tests {
     use super::*;
     use crate::datatype::Ghost;
+    use crate::reduce::{Numeric, Op};
 
     const ENV: Envelope = Envelope {
         src: 3,
@@ -269,7 +313,7 @@ mod tests {
     #[test]
     fn ghost_words_encode_to_a_length_and_nothing_else() {
         let words = vec![Ghost::<8>; 1 << 20];
-        let p = Payload::encode(&words);
+        let p = Payload::encode(&words, Vec::new());
         assert_eq!(p.len(), 8 << 20);
         assert!(p.bytes().is_none());
         let s = p.slice(8..24);
@@ -285,7 +329,7 @@ mod tests {
     #[test]
     fn real_words_round_trip() {
         let data = [1.5f64, -2.25, f64::MAX];
-        let p = Payload::encode(&data);
+        let p = Payload::encode(&data, Vec::new());
         assert_eq!(p.len(), 24);
         assert_eq!(p.decode::<f64>(ENV), data);
         let mut tail = [0.0f64; 2];
@@ -300,14 +344,14 @@ mod tests {
         real.put(4, &Payload::from_vec(vec![7]).slice(0..1));
         assert_eq!(real.bytes().unwrap(), &[0, 9, 8, 0, 7]);
         let mut ghost = Payload::zeroed::<Ghost<1>>(5);
-        ghost.put(1, &Payload::encode(&[Ghost::<1>; 4]));
+        ghost.put(1, &Payload::encode(&[Ghost::<1>; 4], Vec::new()));
         assert_eq!((ghost.len(), ghost.bytes()), (5, None));
     }
 
     #[test]
     #[should_panic(expected = "cannot be assembled into one")]
     fn put_refuses_to_mix_kinds() {
-        Payload::zeroed::<u8>(4).put(0, &Payload::encode(&[Ghost::<1>; 2]));
+        Payload::zeroed::<u8>(4).put(0, &Payload::encode(&[Ghost::<1>; 2], Vec::new()));
     }
 
     #[test]
@@ -316,7 +360,7 @@ mod tests {
     )]
     fn ghost_payload_into_real_words_is_a_named_panic() {
         let mut out = [0.0f64; 3];
-        Payload::encode(&[Ghost::<8>; 3]).decode_into(&mut out, ENV);
+        Payload::encode(&[Ghost::<8>; 3], Vec::new()).decode_into(&mut out, ENV);
     }
 
     #[test]
@@ -331,6 +375,100 @@ mod tests {
     #[test]
     #[should_panic(expected = "length-only payload of 4 bytes from rank 3 to rank 5")]
     fn ghost_payload_has_no_vector_to_take() {
-        Payload::encode(&[Ghost::<4>]).into_vec(ENV);
+        Payload::encode(&[Ghost::<4>], Vec::new()).into_vec(ENV);
+    }
+
+    /// Folding from the wire, chunk by chunk, leaves exactly the bits that
+    /// decoding the whole operand and folding it with `Op::fold_into` does
+    /// — for every op, at every length around the chunk boundaries. The
+    /// results are compared as wire bytes, so NaN payloads and signed
+    /// zeros count.
+    fn fold_matches_decode_then_fold<T: Numeric>(acc: &[T], operand: &[T]) {
+        let c = FOLD_CHUNK;
+        for op in [Op::Sum, Op::Prod, Op::Max, Op::Min] {
+            for len in [0, 1, c - 1, c, c + 1, 3 * c + 5] {
+                let wire = Payload::encode(&operand[..len], Vec::new());
+                let mut want = acc[..len].to_vec();
+                op.fold_into(&mut want, &wire.decode::<T>(ENV));
+                let mut got = acc[..len].to_vec();
+                wire.fold_into(&mut got, ENV, |a, x| op.fold_into(a, x));
+                let bits = |words: &[T]| Payload::encode(words, Vec::new()).into_vec(ENV);
+                assert_eq!(bits(&got), bits(&want), "{op:?} over {len} words");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_from_the_wire_is_decode_then_fold_bit_for_bit() {
+        let n = 3 * FOLD_CHUNK + 5;
+        let special = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+        ];
+        // Every ordered pair of specials meets at some index.
+        let acc: Vec<f64> = (0..n).map(|i| special[i % 7]).collect();
+        let x: Vec<f64> = (0..n).map(|i| special[i / 7 % 7]).collect();
+        fold_matches_decode_then_fold(&acc, &x);
+        // Sums and products that wrap.
+        let acc: Vec<i32> = (0..n as i32).map(|i| i32::MAX - i).collect();
+        let x: Vec<i32> = (0..n as i32).map(|i| i.wrapping_mul(0x2F0B_3A49)).collect();
+        fold_matches_decode_then_fold(&acc, &x);
+        let acc: Vec<u8> = (0..n).map(|i| (i * 37) as u8).collect();
+        let x: Vec<u8> = (0..n).map(|i| (i * 101 + 3) as u8).collect();
+        fold_matches_decode_then_fold(&acc, &x);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "decode buffer size mismatch: 16 bytes from rank 3 to rank 5, tag 0x2a for 3 words of 8"
+    )]
+    fn fold_of_the_wrong_length_names_the_message() {
+        let mut acc = [1.0f64; 3];
+        Payload::from_vec(vec![0; 16]).fold_into(&mut acc, ENV, |a, x| Op::Sum.fold_into(a, x));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "length-only payload of 24 bytes from rank 3 to rank 5, tag 0x2a met a receive of 3 real words of 8"
+    )]
+    fn ghost_payload_folded_into_real_words_is_a_named_panic() {
+        let mut acc = [1.0f64; 3];
+        Payload::encode(&[Ghost::<8>; 3], Vec::new())
+            .fold_into(&mut acc, ENV, |a, x| Op::Sum.fold_into(a, x));
+    }
+
+    #[test]
+    fn ghost_words_fold_nothing_after_the_length_check() {
+        let mut acc = [Ghost::<8>; 3];
+        let never = |_: &mut [Ghost<8>], _: &[Ghost<8>]| unreachable!("ghost words fold nothing");
+        Payload::encode(&[Ghost::<8>; 3], Vec::new()).fold_into(&mut acc, ENV, never);
+        Payload::from_vec(vec![7; 24]).fold_into(&mut acc, ENV, never);
+        let short = std::panic::catch_unwind(move || {
+            Payload::from_vec(vec![7; 16]).fold_into(&mut [Ghost::<8>; 3], ENV, never)
+        })
+        .expect_err("the length is still checked");
+        let msg = crate::runtime::panic_message(&*short);
+        assert!(
+            msg.contains("decode buffer size mismatch: 16 bytes"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn encode_reuses_the_buffer_it_is_given() {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&[9; 40]);
+        let addr = buf.as_ptr() as usize;
+        let p = Payload::encode(&[0x0102_0304u32, 5], buf);
+        assert_eq!(p.bytes().unwrap(), &[4, 3, 2, 1, 5, 0, 0, 0]);
+        let back = p
+            .try_into_unique_vec()
+            .expect("sole holder of the whole buffer");
+        assert_eq!((back.as_ptr() as usize, back.capacity()), (addr, 64));
     }
 }

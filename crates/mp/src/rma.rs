@@ -195,7 +195,7 @@ impl<'c> Window<'c> {
     /// Sends the zero-byte token of an epoch transition to `peer`.
     fn signal(&self, peer: usize, tag: Tag) {
         self.comm
-            .send_payload(Payload::encode::<u8>(&[]), peer, tag);
+            .send_payload(Payload::from_vec(Vec::new()), peer, tag);
     }
 
     // ------------------------------------------------------------------

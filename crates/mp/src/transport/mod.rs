@@ -885,7 +885,7 @@ mod tests {
         let msg = Message {
             src: 0,
             full_tag: crate::msg::pack_tag(0, 7),
-            data: Payload::encode(&[crate::Ghost::<8>; 4]),
+            data: Payload::encode(&[crate::Ghost::<8>; 4], Vec::new()),
             arrival: None,
         };
         remote.send_data(1, &msg);

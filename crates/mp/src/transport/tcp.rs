@@ -16,7 +16,8 @@
 //! One connection per *unordered* process pair: the higher-index process
 //! connects to the lower's listener and opens with a `Hello` frame naming
 //! itself, so the acceptor knows which peer each socket is. Both sides
-//! give up at [`CONNECT_TIMEOUT`], naming the peers that never showed.
+//! give up at [`CONNECT_TIMEOUT`], naming the peers that never showed (or,
+//! for a connection that never sent its `Hello`, the waiting process).
 //! Send and receive directions share the socket; TCP gives FIFO per
 //! direction, which is all the epoch protocol needs.
 //!
@@ -25,7 +26,7 @@
 //! share per-peer `Mutex<TcpStream>` handles with `TCP_NODELAY` set —
 //! benchmark frames must not sit in Nagle buffers.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -117,7 +118,7 @@ impl TcpTransport {
         while !missing.is_empty() {
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if waited >= timeout {
                         panic!(
                             "mp tcp: proc {me}: no connection from proc(s) {missing:?} within \
@@ -136,9 +137,23 @@ impl TcpTransport {
                 .unwrap_or_else(|e| panic!("mp tcp: cannot block on an accepted socket: {e}"));
             stream.set_nodelay(true).ok();
             let mut reader = stream.try_clone().expect("clone stream");
-            let hello = read_frame(&mut reader)
-                .unwrap_or_else(|e| panic!("mp tcp: reading hello failed: {e}"))
-                .expect("peer closed before hello");
+            // A socket that connects and never says who it is must not hold
+            // setup past the deadline either: the read for its Hello gets
+            // what is left of it. The reader thread then blocks untimed.
+            let left = timeout.saturating_sub(waited).max(CONNECT_SLEEP);
+            reader
+                .set_read_timeout(Some(left))
+                .unwrap_or_else(|e| panic!("mp tcp: cannot time the hello read: {e}"));
+            let hello = match read_frame(&mut reader) {
+                Ok(hello) => hello.expect("peer closed before hello"),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    panic!("mp tcp: proc {me}: a connection sent no hello within {timeout:?}")
+                }
+                Err(e) => panic!("mp tcp: reading hello failed: {e}"),
+            };
+            reader
+                .set_read_timeout(None)
+                .unwrap_or_else(|e| panic!("mp tcp: cannot untime the socket: {e}"));
             assert_eq!(hello.kind, FrameKind::Hello, "first frame must be Hello");
             let p = hello.src_proc as usize;
             assert!(
@@ -318,6 +333,31 @@ mod tests {
         assert_eq!(
             crate::runtime::panic_message(&*err),
             "mp tcp: proc 0: no connection from proc(s) [1, 2] within 200ms"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A connection that never says who it is ends setup at the deadline,
+    /// by name, instead of holding the read for its `Hello` forever.
+    #[test]
+    fn a_silent_connection_gives_up_at_the_deadline_naming_the_proc() {
+        let dir = tmpdir("silent");
+        let d0 = dir.clone();
+        let setup = std::thread::spawn(move || {
+            std::panic::catch_unwind(move || {
+                TcpTransport::connect_within(&d0, 0, 2, Duration::from_millis(500))
+            })
+        });
+        let addr = wait_addr(&dir, 0, Duration::from_secs(10));
+        let _silent = TcpStream::connect(addr.trim()).expect("proc 0 listens");
+        let err = setup
+            .join()
+            .expect("the setup thread returns")
+            .err()
+            .expect("the silent peer never says hello");
+        assert_eq!(
+            crate::runtime::panic_message(&*err),
+            "mp tcp: proc 0: a connection sent no hello within 500ms"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
