@@ -141,6 +141,13 @@
 #      straight from the wire (`Payload::fold_into`). A bare encode or a
 #      fresh operand vector is the extra allocation and pass over every
 #      large message growing back.
+#  18. Pricing paths price rounds. Non-test code under `crates/*/src`
+#      calls no `schedule_for(` (the materialising adaptor that tests and
+#      `benchmark/` read), and `crates/imb/src/sim.rs` and
+#      `crates/hpcc/src/sim.rs` spell `Schedule::collect(` only inside
+#      that adaptor's body. A pricer takes a generator's rounds as they
+#      come; a collected schedule is the p(p-1)-transfer pairwise exchange
+#      materialised again before the first round is priced.
 #
 # Test modules (a column-0 `#[cfg(test)]` on an inline `mod`, to its
 # column-0 closing brace; `ci/nontest.awk`) are exempt from the source
@@ -350,6 +357,21 @@ EOF
     cat > "$pass/crates/machines/src/lib.rs" <<'EOF'
 //! sched.push(simnet::Round::of(vec![simnet::Transfer { src: 0, dst: 63, bytes: 1024 }]));
 EOF
+    # Pricing streams rounds; the adaptor collects them for its readers,
+    # and a test may call it.
+    mkdir -p "$pass/crates/imb/src"
+    cat > "$pass/crates/imb/src/sim.rs" <<'EOF'
+fn rounds_for(b: Benchmark, p: usize, n: u64) -> Box<dyn Rounds> { Box::new(sched::barrier::auto(p)) }
+pub(crate) fn schedule_for(b: Benchmark, p: usize, n: u64) -> Schedule {
+    Schedule::collect(rounds_for(b, p, n))
+}
+fn simulate(sim: &ClusterSim, b: Benchmark, p: usize, n: u64) -> Time { sim.run(rounds_for(b, p, n)) }
+
+#[cfg(test)]
+mod tests {
+    fn sched() -> Schedule { super::schedule_for(Benchmark::Barrier, 4, 0) }
+}
+EOF
     # The DIF kernels; a test may name a helper after what it checks.
     mkdir -p "$pass/crates/hpcc/src/kernels"
     cat > "$pass/crates/hpcc/src/kernels/fft.rs" <<'EOF'
@@ -519,6 +541,18 @@ mod tests {
 
 pub fn after_tests() { let _ = std::time::Instant::now(); }
 EOF
+    # A pricer that prices through the adaptor, and one that collects a
+    # pairwise exchange before pricing it.
+    cat > "$bad/crates/imb/src/sim.rs" <<'EOF'
+fn simulate(sim: &ClusterSim, b: Benchmark, p: usize, n: u64) -> Time {
+    sim.run(Replay::new(&schedule_for(b, p, n)))
+}
+EOF
+    cat > "$bad/crates/hpcc/src/sim.rs" <<'EOF'
+fn gfft(sim: &ClusterSim, p: usize, block: u64) {
+    let transpose = Schedule::collect(sched::alltoall::pairwise(p, block));
+}
+EOF
     # A decimation-in-time mirror beside the DIF passes.
     mkdir -p "$bad/crates/hpcc/src/kernels"
     cat > "$bad/crates/hpcc/src/kernels/fft.rs" <<'EOF'
@@ -548,7 +582,8 @@ EOF
         "bad/src/surface.rs:1: pub fn unread_helper" "after_tests.rs:6: .*Instant" \
         "bad/src/after_tests.rs:6: pub fn after_tests" \
         "coll/reduce_scatter.rs:2: .*Payload::encode" "coll/reduce_scatter.rs:3: .*recv_vec_async" \
-        "coll/reduce_scatter.rs:4: .*decode::<f64>"; do
+        "coll/reduce_scatter.rs:4: .*decode::<f64>" \
+        "imb/src/sim.rs:2: .*schedule_for(" "hpcc/src/sim.rs:2: .*Schedule::collect("; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -801,6 +836,26 @@ if [ -n "$offenders" ]; then
     err "a collective encoding or decoding beside the recycled buffer (send comm.encode(..); \
 receive into the caller's words with decode_into or fold from the wire with \
 Payload::fold_into, then comm.recycle the payload):
+$offenders"
+fi
+
+# --- 18. Pricing paths price rounds --------------------------------------
+offenders=$(
+    scan 'schedule_for[(]' | grep '^crates/[^/]*/src/' | grep -vE '^[^:]*:[0-9]+: *//[/!]' \
+        | grep -vE '^[^:]*:[0-9]+: *(pub(\([a-z]+\))? )?fn schedule_for[(]' || true
+    # In the two pricers, a collect is allowed from `fn schedule_for(` to
+    # the column-0 brace that closes it.
+    scan 'fn schedule_for[(]|^}|Schedule::collect[(]' | grep -E '^crates/(imb|hpcc)/src/sim\.rs:' \
+        | awk '{ f = $0; sub(/:.*/, "", f); t = $0; sub(/^[^:]*:[0-9]+: /, "", t) }
+            f != file { file = f; adaptor = 0 }
+            t ~ /fn schedule_for[(]/ { adaptor = 1; next }
+            t ~ /^}/ { adaptor = 0; next }
+            !adaptor' || true
+)
+if [ -n "$offenders" ]; then
+    err "a pricing path that materialises a schedule (price a generator's rounds as they \
+come with ClusterSim::run; schedule_for and Schedule::collect are the adaptor for tests and \
+benchmark/):
 $offenders"
 fi
 

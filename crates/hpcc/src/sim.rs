@@ -6,6 +6,7 @@
 use harness::{MetricKind, Mode, Record, Stats, Suite};
 use machines::{ClusterSim, Machine};
 use mp::sched;
+use simnet::Replay;
 
 use crate::suite::HpccSummary;
 
@@ -77,7 +78,7 @@ pub(crate) fn ptrans(m: &Machine, p: usize) -> f64 {
     let n = 256 * p; // constant 512 KiB tiles
     let tile_bytes = ((n / p) * (n / p) * 8) as u64;
     let sim = ClusterSim::new_plain(m, p);
-    let t = sim.run_fresh(&sched::alltoall::pairwise(p, tile_bytes)) * PTRANS_SKEW;
+    let t = sim.run(sched::alltoall::pairwise(p, tile_bytes)) * PTRANS_SKEW;
     // Local transpose of the diagonal tile plus the accumulate pass.
     for r in 0..p {
         sim.compute_stream(r, (n / p * n * 8) as f64);
@@ -87,6 +88,8 @@ pub(crate) fn ptrans(m: &Machine, p: usize) -> f64 {
 
 /// G-FFT model: local butterflies at the (low) HPCC FFT efficiency plus
 /// three pairwise all-to-all transposes, as in the six-step algorithm.
+/// Each transpose is priced round by round as its generator produces it:
+/// pricing holds one round, never the p(p−1) transfers.
 pub(crate) fn gfft(m: &Machine, p: usize) -> f64 {
     let ln: u64 = 1 << 20; // 16 MiB of complex data per rank
     let n = ln * p as u64;
@@ -97,9 +100,8 @@ pub(crate) fn gfft(m: &Machine, p: usize) -> f64 {
     }
     if p > 1 {
         let block = 16 * ln / (p as u64); // complex = 16 bytes
-        let transpose = sched::alltoall::pairwise(p, block);
         for _ in 0..3 {
-            sim.run(&transpose);
+            sim.run(sched::alltoall::pairwise(p, block));
             sim.sync();
         }
     }
@@ -140,12 +142,12 @@ pub fn random_ring(m: &Machine, p: usize) -> (f64, f64) {
         // iteration (the marginal cost after a warm-up pass).
         let ring = sched::p2p::random_ring(&perm, bytes);
         let sim = ClusterSim::new_plain(m, p);
-        let warm = sim.run(&ring).as_secs();
-        bw_t += sim.run(&ring).as_secs() - warm;
+        let warm = sim.run(Replay::new(&ring)).as_secs();
+        bw_t += sim.run(Replay::new(&ring)).as_secs() - warm;
         let lat = sched::p2p::random_ring(&perm, 8);
         let lsim = ClusterSim::new_plain(m, p);
-        let lwarm = lsim.run(&lat).as_secs();
-        lat_t += lsim.run(&lat).as_secs() - lwarm;
+        let lwarm = lsim.run(Replay::new(&lat)).as_secs();
+        lat_t += lsim.run(Replay::new(&lat)).as_secs() - lwarm;
     }
     bw_t /= patterns as f64;
     lat_t /= patterns as f64;

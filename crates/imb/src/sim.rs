@@ -5,26 +5,27 @@
 use harness::{MetricKind, Mode, Record, Stats, Suite};
 use machines::{ClusterSim, Machine};
 use mp::sched;
-use simnet::Schedule;
+use simnet::{Replay, Rounds, Schedule};
 
 use crate::benchmark::{bandwidth_mbs_from_secs, Benchmark};
 
-/// The communication schedule of one benchmark invocation.
+/// The communication schedule of one benchmark invocation, produced round
+/// by round: what [`simulate`] prices.
 ///
 /// Known gap: the native Reduce, Allreduce and Reduce_scatter runs move
 /// `bytes / 8` `f64` words, so at the 1-, 2- and 4-byte grid points they
 /// execute an empty payload while the Reduce and Allreduce schedules here
 /// carry `bytes`. Published records depend on that; see ROADMAP item 12(d).
-pub fn schedule_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Schedule {
+fn rounds_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Box<dyn Rounds> {
     match benchmark {
-        Benchmark::PingPong => sched::p2p::ping_pong(bytes),
-        Benchmark::PingPing => sched::p2p::ping_ping(bytes),
-        Benchmark::Sendrecv => sched::p2p::sendrecv(procs, bytes),
-        Benchmark::Exchange => sched::p2p::exchange(procs, bytes),
-        Benchmark::Barrier => sched::barrier::auto(procs),
+        Benchmark::PingPong => Box::new(Replay::new(sched::p2p::ping_pong(bytes))),
+        Benchmark::PingPing => Box::new(Replay::new(sched::p2p::ping_ping(bytes))),
+        Benchmark::Sendrecv => Box::new(Replay::new(sched::p2p::sendrecv(procs, bytes))),
+        Benchmark::Exchange => Box::new(Replay::new(sched::p2p::exchange(procs, bytes))),
+        Benchmark::Barrier => Box::new(sched::barrier::auto(procs)),
         Benchmark::Bcast => sched::bcast::auto(procs, 0, bytes),
         Benchmark::Allgather => sched::allgather::auto(procs, bytes),
-        Benchmark::Allgatherv => sched::allgatherv::auto(&vec![bytes; procs]),
+        Benchmark::Allgatherv => Box::new(sched::allgatherv::auto(&vec![bytes; procs])),
         Benchmark::Alltoall => sched::alltoall::auto(procs, bytes),
         Benchmark::Reduce => sched::reduce::auto(procs, 0, bytes, 8),
         Benchmark::Allreduce => sched::allreduce::auto(procs, bytes, 8),
@@ -39,9 +40,16 @@ pub fn schedule_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Schedule 
             let counts_bytes: Vec<u64> = (0..p)
                 .map(|i| (words / p + u64::from(i < words % p)) * 8)
                 .collect();
-            sched::reduce_scatter::pairwise(&counts_bytes)
+            Box::new(sched::reduce_scatter::pairwise(&counts_bytes))
         }
     }
+}
+
+/// The schedule of one benchmark invocation, materialised: an adaptor for
+/// tests and the benchmark's probes. Pricing reads [`rounds_for`] a round
+/// at a time and never calls this.
+pub fn schedule_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Schedule {
+    Schedule::collect(rounds_for(benchmark, procs, bytes))
 }
 
 /// Prices one benchmark invocation on `machine` at `procs` ranks.
@@ -58,12 +66,11 @@ pub fn simulate(machine: &Machine, benchmark: Benchmark, procs: usize, bytes: u6
         _ => procs,
     };
     let sim = ClusterSim::new(machine, sched_procs);
-    let schedule = schedule_for(benchmark, sched_procs, bytes);
     // IMB reports the average over many iterations; the cold first pass
     // over-counts start-up skew, so measure the steady-state (marginal)
     // cost of a second pass after a warm-up.
-    let warm = sim.run(&schedule);
-    let t = sim.run(&schedule) - warm;
+    let warm = sim.run(rounds_for(benchmark, sched_procs, bytes));
+    let t = sim.run(rounds_for(benchmark, sched_procs, bytes)) - warm;
     let t_us = t.as_us();
 
     // The headline bandwidth is computed from `t.as_secs()` directly (not

@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 
 use simnet::schedule::{execute, P2pCost};
-use simnet::{Fabric, Resource, Schedule, Time};
+use simnet::{Fabric, Replay, Resource, Rounds, Schedule, Time};
 
 use crate::model::Machine;
 
@@ -21,6 +21,15 @@ struct Resources {
     fabric: Fabric,
     /// Per-node aggregate shared-memory copy engine.
     shm: Vec<Resource>,
+    /// Messages priced since the last retirement sweep.
+    priced: usize,
+}
+
+impl Resources {
+    /// Every timeline a retirement sweep visits.
+    fn timelines(&self) -> usize {
+        self.fabric.timelines() + self.shm.len()
+    }
 }
 
 /// A simulated cluster: one machine model instantiated at a rank count.
@@ -75,6 +84,7 @@ impl ClusterSim {
             res: RefCell::new(Resources {
                 fabric,
                 shm: (0..nodes).map(|_| Resource::new(shm_bw)).collect(),
+                priced: 0,
             }),
             clocks: RefCell::new(vec![Time::ZERO; nranks]),
         }
@@ -112,6 +122,7 @@ impl ClusterSim {
 
     /// Prices one point-to-point message.
     fn p2p(&self, res: &mut Resources, src: usize, dst: usize, bytes: u64, ready: Time) -> P2pCost {
+        res.priced += 1;
         let (sn, dn) = (self.node_of(src), self.node_of(dst));
         let net = &self.machine.net;
         if sn == dn {
@@ -150,8 +161,17 @@ impl ClusterSim {
     /// Retires every fabric and shared-memory timeline before `t`: the
     /// caller promises that no later message is ready before `t` (see
     /// [`simnet::Resource::retire_before`]). Prices are unchanged.
+    ///
+    /// A sweep visits every timeline, so it runs only once the messages
+    /// priced since the last one reach the number of timelines: O(1)
+    /// amortised per message however often a horizon is heard. A skipped
+    /// sweep changes no price; it only holds intervals a little longer.
     pub(crate) fn retire_before(&self, t: Time) {
         let res = &mut *self.res.borrow_mut();
+        if res.priced < res.timelines() {
+            return;
+        }
+        res.priced = 0;
         res.fabric.retire_before(t);
         for r in &mut res.shm {
             r.retire_before(t);
@@ -172,29 +192,30 @@ impl ClusterSim {
         self.machine.node.stream_bw * 2.0 / 3.0
     }
 
-    /// Replays `schedule` from the current clocks; returns the completion
-    /// time (maximum clock after the schedule). Every round first retires
-    /// the timelines behind the minimum rank clock, which nothing later
-    /// can be ready before: the clocks only ever rise (`advance`, `sync`
-    /// and replay all move them forward; `reset` clears the timelines
-    /// with them).
-    pub fn run(&self, schedule: &Schedule) -> Time {
-        self.replay(schedule, true)
+    /// Prices `rounds` from the current clocks, each round as it is
+    /// produced; returns the completion time (maximum clock after the
+    /// schedule). Every round first retires the timelines behind the
+    /// minimum rank clock, which nothing later can be ready before: the
+    /// clocks only ever rise (`advance`, `sync` and replay all move them
+    /// forward; `reset` clears the timelines with them). So what pricing
+    /// holds is one round and the live window of each timeline.
+    pub fn run(&self, rounds: impl Rounds) -> Time {
+        self.replay(rounds, true)
     }
 
     /// [`run`](Self::run) with every timeline kept whole: the oracle the
     /// tests hold retirement to, clock for clock.
     #[doc(hidden)]
-    pub fn run_keeping_timelines(&self, schedule: &Schedule) -> Time {
-        self.replay(schedule, false)
+    pub fn run_keeping_timelines(&self, rounds: impl Rounds) -> Time {
+        self.replay(rounds, false)
     }
 
-    fn replay(&self, schedule: &Schedule, retire: bool) -> Time {
-        assert_eq!(schedule.nranks, self.nranks, "schedule rank count mismatch");
+    fn replay(&self, rounds: impl Rounds, retire: bool) -> Time {
+        assert_eq!(rounds.nranks(), self.nranks, "schedule rank count mismatch");
         let mut clocks = self.clocks.borrow_mut();
         let reduce_bw = self.reduce_bw();
         execute(
-            schedule,
+            rounds,
             &mut clocks,
             |src, dst, bytes, ready| self.p2p(&mut self.res.borrow_mut(), src, dst, bytes, ready),
             |_rank, bytes, start| start + Time::from_secs(bytes as f64 / reduce_bw),
@@ -206,11 +227,11 @@ impl ClusterSim {
         )
     }
 
-    /// Replays `schedule` on a fresh cluster state and returns its
-    /// duration.
+    /// Replays a materialised `schedule` on a fresh cluster state and
+    /// returns its duration.
     pub fn run_fresh(&self, schedule: &Schedule) -> Time {
         self.reset();
-        self.run(schedule)
+        self.run(Replay::new(schedule))
     }
 
     /// Advances `rank`'s clock by a compute phase of `flops` floating
@@ -329,8 +350,8 @@ mod tests {
         let m = dell_xeon();
         let sim = ClusterSim::new(&m, 2);
         let s = one_transfer(2, 0, 1, 1000);
-        let t1 = sim.run(&s);
-        let t2 = sim.run(&s);
+        let t1 = sim.run(Replay::new(&s));
+        let t2 = sim.run(Replay::new(&s));
         assert!(t2 > t1);
         sim.reset();
         assert_eq!(sim.time(), Time::ZERO);
@@ -356,6 +377,36 @@ mod tests {
         assert_eq!(t, Time::from_secs(0.5));
         sim.advance(0, Time::from_secs(0.1));
         assert!((sim.time().as_secs() - 0.6).abs() < 1e-12);
+    }
+
+    /// A horizon heard before as many messages as there are timelines
+    /// waits; the next one heard after them sweeps, and every timeline
+    /// keeps its last interval.
+    #[test]
+    fn a_sweep_waits_for_as_many_messages_as_timelines() {
+        let sim = ClusterSim::new(&dell_xeon(), 16);
+        let timelines = sim.res.borrow().timelines();
+        // Messages 1 ms apart between two nodes: one interval each on
+        // every resource of the route, none merging.
+        let send = |i: usize| sim.price_p2p(0, 15, 1000, Time::from_secs(i as f64 * 1e-3));
+        for i in 0..timelines - 1 {
+            send(i);
+        }
+        let held = sim.fragments();
+        sim.retire_before(Time::from_secs(1e3));
+        assert_eq!(
+            sim.fragments(),
+            held,
+            "swept after {} messages",
+            timelines - 1
+        );
+        send(timelines - 1);
+        sim.retire_before(Time::from_secs(1e3));
+        assert!(
+            held > 3 * timelines && sim.fragments() < timelines,
+            "{}",
+            sim.fragments()
+        );
     }
 
     #[test]

@@ -17,9 +17,14 @@ pub(crate) fn displs(counts: impl IntoIterator<Item = usize>) -> Vec<usize> {
 }
 
 /// [`ring_async`]'s steps over the gathered buffer, whose block boundaries are
-/// `displs` (one more entry than ranks).
-pub(crate) fn ring_steps(me: usize, displs: &[usize]) -> impl Iterator<Item = Step> + '_ {
-    super::ring_steps(me, displs.len() - 1, 0, |b| displs[b]..displs[b + 1])
+/// `displs` (one more entry than ranks; borrowed, or shared by every rank's
+/// steps in a schedule).
+pub(crate) fn ring_steps(me: usize, displs: impl AsRef<[usize]>) -> impl Iterator<Item = Step> {
+    let n = displs.as_ref().len() - 1;
+    super::ring_steps(me, n, 0, move |b| {
+        let d = displs.as_ref();
+        d[b]..d[b + 1]
+    })
 }
 
 /// Ring allgatherv: identical round structure to the symmetric ring

@@ -18,9 +18,34 @@ pub(crate) fn binomial_steps(
     len: usize,
     root: usize,
 ) -> impl Iterator<Item = Step> {
+    let (folds, up) = binomial_tree(me, n, len, root);
+    folds.map(|fold| fold.folding(1)).chain(up)
+}
+
+/// [`binomial_steps`] in round order, which a schedule lists them in: the
+/// same folds, the last child to be fed first to be folded.
+pub(crate) fn binomial_steps_by_round(
+    me: usize,
+    n: usize,
+    len: usize,
+    root: usize,
+) -> impl Iterator<Item = Step> {
+    let (folds, up) = binomial_tree(me, n, len, root);
+    folds.rev().map(|fold| fold.folding(1)).chain(up)
+}
+
+/// A node's edges of the binomial reduce tree: the children in broadcast
+/// order (reduce rounds falling), and the send to its parent (the last
+/// round; none at the root).
+fn binomial_tree(
+    me: usize,
+    n: usize,
+    len: usize,
+    root: usize,
+) -> (impl DoubleEndedIterator<Item = Step>, Option<Step>) {
     let mut tree = bcast::binomial_steps(me, n, len, root).map(move |s| s.reversed(ceil_log2(n)));
     let up = if me == root { None } else { tree.next() };
-    tree.map(|fold| fold.folding(1)).chain(up)
+    (tree, up)
 }
 
 /// Binomial-tree reduce: the mirror of binomial broadcast. Each node folds
@@ -229,5 +254,27 @@ mod tests {
         check(8, 8, 0, Op::Sum, super::auto_async); // short -> binomial
         check(8, 8192, 0, Op::Sum, super::auto_async); // 64 KiB -> rabenseifner
         check(6, 6000, 1, Op::Sum, super::auto_async); // non-2^k -> binomial
+    }
+
+    /// The schedule's order is the real one sorted by round, stably: the
+    /// same steps, and no round with two of one rank's steps to reorder.
+    #[test]
+    fn binomial_steps_by_round_sort_the_real_steps() {
+        let key = |s: &crate::coll::Step| (s.round, s.send.clone(), s.recv.clone(), s.folds);
+        for n in 1..=40 {
+            for root in [0, n / 3, n - 1] {
+                for me in 0..n {
+                    let mut real: Vec<_> = super::binomial_steps(me, n, 5, root)
+                        .map(|s| key(&s))
+                        .collect();
+                    real.sort_by_key(|k| k.0);
+                    let by_round: Vec<_> = super::binomial_steps_by_round(me, n, 5, root)
+                        .map(|s| key(&s))
+                        .collect();
+                    assert_eq!(by_round, real, "n {n} root {root} rank {me}");
+                    assert!(real.windows(2).all(|w| w[0].0 < w[1].0));
+                }
+            }
+        }
     }
 }

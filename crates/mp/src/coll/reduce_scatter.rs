@@ -8,10 +8,14 @@ use crate::reduce::{Numeric, Op};
 use super::{allgatherv::displs, ceil_log2, Step};
 
 /// [`pairwise_async`]'s steps over the send vector, whose slice boundaries are
-/// `displs` (one more entry than ranks).
-pub(crate) fn pairwise_steps(me: usize, displs: &[usize]) -> impl Iterator<Item = Step> + '_ {
-    let n = displs.len() - 1;
-    let slice = move |r: usize| displs[r]..displs[r + 1];
+/// `displs` (one more entry than ranks; borrowed, or shared by every rank's
+/// steps in a schedule).
+pub(crate) fn pairwise_steps(me: usize, displs: impl AsRef<[usize]>) -> impl Iterator<Item = Step> {
+    let n = displs.as_ref().len() - 1;
+    let slice = move |r: usize| {
+        let d = displs.as_ref();
+        d[r]..d[r + 1]
+    };
     (1..n).map(move |s| {
         let (dst, src) = ((me + s) % n, (me + n - s) % n);
         Step::at(s - 1)

@@ -1,17 +1,23 @@
 //! Schedules: the communication pattern of every collective algorithm as
-//! a [`simnet::Schedule`].
+//! a [`simnet::Rounds`] source.
 //!
 //! A schedule is the algorithm's own per-rank steps bucketed by round:
 //! each generator hands `build` the `<algo>_steps` function that the
 //! real implementation in [`crate::coll`] loops over, with lengths in
 //! bytes, so the fabric simulator prices the pattern the runtime executes.
+//! A generator produces its rounds one at a time, holding every rank's
+//! next step and one round, so a pairwise exchange over `p` ranks is
+//! priced without ever holding its p(p−1) transfers;
+//! [`simnet::Schedule::collect`] materialises one where a test needs it.
 //! The `auto` generators ask the real dispatchers' `picks_*` predicates.
 //! [`p2p`] holds the IMB transfer patterns, which have no collective twin.
 
 mod build;
 pub mod p2p;
 
-use simnet::Schedule;
+use std::sync::Arc;
+
+use simnet::Rounds;
 
 use build::build;
 
@@ -21,21 +27,23 @@ pub mod allgather {
     use crate::coll::allgather::*;
 
     /// `ring_async`: `n-1` rounds of one block.
-    pub fn ring(n: usize, block: u64) -> Schedule {
-        build(n, 0, |me| ring_steps(me, n, block as usize))
+    pub fn ring(n: usize, block: u64) -> impl Rounds {
+        build(n, 0, move |me| ring_steps(me, n, block as usize))
     }
 
     /// `recursive_doubling_async`.
-    pub fn recursive_doubling(n: usize, block: u64) -> Schedule {
-        build(n, 0, |me| recursive_doubling_steps(me, n, block as usize))
+    pub fn recursive_doubling(n: usize, block: u64) -> impl Rounds {
+        build(n, 0, move |me| {
+            recursive_doubling_steps(me, n, block as usize)
+        })
     }
 
     /// `auto_async`'s dispatch.
-    pub fn auto(n: usize, block: u64) -> Schedule {
+    pub fn auto(n: usize, block: u64) -> Box<dyn Rounds> {
         if picks_recursive_doubling(n, block as usize) {
-            recursive_doubling(n, block)
+            Box::new(recursive_doubling(n, block))
         } else {
-            ring(n, block)
+            Box::new(ring(n, block))
         }
     }
 }
@@ -46,9 +54,11 @@ pub mod allgatherv {
     use crate::coll::allgatherv::*;
 
     /// `ring_async`.
-    pub fn ring(counts: &[u64]) -> Schedule {
-        let displs = displs(counts.iter().map(|&c| c as usize));
-        build(counts.len(), 0, |me| ring_steps(me, &displs))
+    pub fn ring(counts: &[u64]) -> impl Rounds {
+        let displs: Arc<[usize]> = displs(counts.iter().map(|&c| c as usize)).into();
+        build(counts.len(), 0, move |me| {
+            ring_steps(me, Arc::clone(&displs))
+        })
     }
 
     /// `auto_async` is the ring.
@@ -61,22 +71,24 @@ pub mod allreduce {
     use crate::coll::allreduce::*;
 
     /// `recursive_doubling_async`.
-    pub fn recursive_doubling(n: usize, bytes: u64) -> Schedule {
-        build(n, 0, |me| recursive_doubling_steps(me, n, bytes as usize))
+    pub fn recursive_doubling(n: usize, bytes: u64) -> impl Rounds {
+        build(n, 0, move |me| {
+            recursive_doubling_steps(me, n, bytes as usize)
+        })
     }
 
     /// `rabenseifner_async`: the shape
     /// behind the paper's 1 MB Allreduce measurements (Fig. 7).
-    pub fn rabenseifner(n: usize, bytes: u64) -> Schedule {
-        build(n, 0, |me| rabenseifner_steps(me, n, bytes as usize))
+    pub fn rabenseifner(n: usize, bytes: u64) -> impl Rounds {
+        build(n, 0, move |me| rabenseifner_steps(me, n, bytes as usize))
     }
 
     /// `auto_async`'s dispatch; `elem_size` as in [`super::reduce::auto`].
-    pub fn auto(n: usize, bytes: u64, elem_size: u64) -> Schedule {
+    pub fn auto(n: usize, bytes: u64, elem_size: u64) -> Box<dyn Rounds> {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
-            rabenseifner(n, bytes)
+            Box::new(rabenseifner(n, bytes))
         } else {
-            recursive_doubling(n, bytes)
+            Box::new(recursive_doubling(n, bytes))
         }
     }
 }
@@ -87,21 +99,21 @@ pub mod alltoall {
     use crate::coll::alltoall::*;
 
     /// `pairwise_async`: `n-1` rounds.
-    pub fn pairwise(n: usize, block: u64) -> Schedule {
-        build(n, 0, |me| pairwise_steps(me, n, block as usize))
+    pub fn pairwise(n: usize, block: u64) -> impl Rounds {
+        build(n, 0, move |me| pairwise_steps(me, n, block as usize))
     }
 
     /// `bruck_async`: `ceil(log2 n)` rounds.
-    pub fn bruck(n: usize, block: u64) -> Schedule {
-        build(n, 0, |me| bruck_steps(me, n, block as usize))
+    pub fn bruck(n: usize, block: u64) -> impl Rounds {
+        build(n, 0, move |me| bruck_steps(me, n, block as usize))
     }
 
     /// `auto_async`'s dispatch.
-    pub fn auto(n: usize, block: u64) -> Schedule {
+    pub fn auto(n: usize, block: u64) -> Box<dyn Rounds> {
         if picks_bruck(n, block as usize) {
-            bruck(n, block)
+            Box::new(bruck(n, block))
         } else {
-            pairwise(n, block)
+            Box::new(pairwise(n, block))
         }
     }
 }
@@ -112,8 +124,8 @@ pub mod barrier {
     use crate::coll::barrier::*;
 
     /// `dissemination_async`.
-    pub fn dissemination(n: usize) -> Schedule {
-        build(n, 0, |me| dissemination_steps(me, n))
+    pub fn dissemination(n: usize) -> impl Rounds {
+        build(n, 0, move |me| dissemination_steps(me, n))
     }
 
     /// `auto_async` is dissemination.
@@ -126,23 +138,25 @@ pub mod bcast {
     use crate::coll::bcast::*;
 
     /// [`binomial_async`].
-    pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
-        build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
+    pub fn binomial(n: usize, root: usize, bytes: u64) -> impl Rounds {
+        build(n, root, move |me| {
+            binomial_steps(me, n, bytes as usize, root)
+        })
     }
 
     /// `scatter_allgather_async`.
-    pub fn scatter_allgather(n: usize, root: usize, bytes: u64) -> Schedule {
-        build(n, root, |me| {
+    pub fn scatter_allgather(n: usize, root: usize, bytes: u64) -> impl Rounds {
+        build(n, root, move |me| {
             scatter_allgather_steps(me, n, bytes as usize, root)
         })
     }
 
     /// `auto_async`'s size dispatch.
-    pub fn auto(n: usize, root: usize, bytes: u64) -> Schedule {
+    pub fn auto(n: usize, root: usize, bytes: u64) -> Box<dyn Rounds> {
         if picks_scatter_allgather(n, bytes as usize) {
-            scatter_allgather(n, root, bytes)
+            Box::new(scatter_allgather(n, root, bytes))
         } else {
-            binomial(n, root, bytes)
+            Box::new(binomial(n, root, bytes))
         }
     }
 }
@@ -152,25 +166,28 @@ pub mod reduce {
     use super::*;
     use crate::coll::reduce::*;
 
-    /// `binomial_async`.
-    pub fn binomial(n: usize, root: usize, bytes: u64) -> Schedule {
-        build(n, root, |me| binomial_steps(me, n, bytes as usize, root))
+    /// `binomial_async`, whose steps a node takes folding its children in
+    /// broadcast order: read here in round order.
+    pub fn binomial(n: usize, root: usize, bytes: u64) -> impl Rounds {
+        build(n, root, move |me| {
+            binomial_steps_by_round(me, n, bytes as usize, root)
+        })
     }
 
     /// `rabenseifner_async`.
-    pub fn rabenseifner(n: usize, root: usize, bytes: u64) -> Schedule {
-        build(n, root, |me| {
+    pub fn rabenseifner(n: usize, root: usize, bytes: u64) -> impl Rounds {
+        build(n, root, move |me| {
             rabenseifner_steps(me, n, bytes as usize, root)
         })
     }
 
     /// `auto_async`'s dispatch. `elem_size` is the datatype width its
     /// divisibility check uses (8 for the `f64` vectors the IMB benchmarks reduce).
-    pub fn auto(n: usize, root: usize, bytes: u64, elem_size: u64) -> Schedule {
+    pub fn auto(n: usize, root: usize, bytes: u64, elem_size: u64) -> Box<dyn Rounds> {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
-            rabenseifner(n, root, bytes)
+            Box::new(rabenseifner(n, root, bytes))
         } else {
-            binomial(n, root, bytes)
+            Box::new(binomial(n, root, bytes))
         }
     }
 }
@@ -181,9 +198,11 @@ pub mod reduce_scatter {
     use crate::coll::{allgatherv::displs, reduce_scatter::*};
 
     /// `pairwise_async` to slices of `counts` bytes.
-    pub fn pairwise(counts: &[u64]) -> Schedule {
-        let displs = displs(counts.iter().map(|&c| c as usize));
-        build(counts.len(), 0, |me| pairwise_steps(me, &displs))
+    pub fn pairwise(counts: &[u64]) -> impl Rounds {
+        let displs: Arc<[usize]> = displs(counts.iter().map(|&c| c as usize)).into();
+        build(counts.len(), 0, move |me| {
+            pairwise_steps(me, Arc::clone(&displs))
+        })
     }
 }
 
@@ -262,72 +281,72 @@ mod tests {
     const CASES: &[Case] = &[
         Case { name: "allgather::ring", rooted: false, fits: |_, _| true,
             run: |c, _, len| allgather(coll::allgather::ring_async, c, len),
-            schedule: |n, _, b| allgather::ring(n, b),
+            schedule: |n, _, b| Schedule::collect(allgather::ring(n, b)),
             steps: Some(|w, me| Box::new(coll::allgather::ring_steps(me, w.n, w.len))) },
         Case { name: "allgather::recursive_doubling", rooted: false, fits: |n, _| n.is_power_of_two(),
             run: |c, _, len| allgather(coll::allgather::recursive_doubling_async, c, len),
-            schedule: |n, _, b| allgather::recursive_doubling(n, b),
+            schedule: |n, _, b| Schedule::collect(allgather::recursive_doubling(n, b)),
             steps: Some(|w, me| Box::new(coll::allgather::recursive_doubling_steps(me, w.n, w.len))) },
         Case { name: "allgather::auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| allgather(coll::allgather::auto_async, c, len),
-            schedule: |n, _, b| allgather::auto(n, b), steps: None },
+            schedule: |n, _, b| Schedule::collect(allgather::auto(n, b)), steps: None },
         Case { name: "allgatherv::ring", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
                 let mut recv = vec![0u64; counts.iter().sum()];
                 block_on(coll::allgatherv::ring_async(c, &vec![1; counts[c.rank()]], &mut recv, &counts));
             },
-            schedule: |n, _, b| allgatherv::auto(&ragged_bytes(n, b)),
+            schedule: |n, _, b| Schedule::collect(allgatherv::auto(&ragged_bytes(n, b))),
             steps: Some(|w, me| Box::new(coll::allgatherv::ring_steps(me, &w.displs))) },
         Case { name: "allreduce::recursive_doubling", rooted: false, fits: |_, _| true,
             run: |c, _, len| block_on(coll::allreduce::recursive_doubling_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| allreduce::recursive_doubling(n, b),
+            schedule: |n, _, b| Schedule::collect(allreduce::recursive_doubling(n, b)),
             steps: Some(|w, me| Box::new(coll::allreduce::recursive_doubling_steps(me, w.n, w.len))) },
         Case { name: "allreduce::rabenseifner", rooted: false,
             fits: |n, len| len.is_multiple_of(1 << n.ilog2()),
             run: |c, _, len| block_on(coll::allreduce::rabenseifner_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| allreduce::rabenseifner(n, b),
+            schedule: |n, _, b| Schedule::collect(allreduce::rabenseifner(n, b)),
             steps: Some(|w, me| Box::new(coll::allreduce::rabenseifner_steps(me, w.n, w.len))) },
         Case { name: "allreduce::auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| block_on(coll::allreduce::auto_async(c, &mut vec![1.0f64; len], Op::Sum)),
-            schedule: |n, _, b| allreduce::auto(n, b, 8), steps: None },
+            schedule: |n, _, b| Schedule::collect(allreduce::auto(n, b, 8)), steps: None },
         Case { name: "alltoall::pairwise", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::pairwise_async, c, len),
-            schedule: |n, _, b| alltoall::pairwise(n, b),
+            schedule: |n, _, b| Schedule::collect(alltoall::pairwise(n, b)),
             steps: Some(|w, me| Box::new(coll::alltoall::pairwise_steps(me, w.n, w.len))) },
         Case { name: "alltoall::bruck", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::bruck_async, c, len),
-            schedule: |n, _, b| alltoall::bruck(n, b),
+            schedule: |n, _, b| Schedule::collect(alltoall::bruck(n, b)),
             steps: Some(|w, me| Box::new(coll::alltoall::bruck_steps(me, w.n, w.len))) },
         Case { name: "alltoall::auto", rooted: false, fits: |_, _| true,
             run: |c, _, len| alltoall(coll::alltoall::auto_async, c, len),
-            schedule: |n, _, b| alltoall::auto(n, b), steps: None },
+            schedule: |n, _, b| Schedule::collect(alltoall::auto(n, b)), steps: None },
         Case { name: "barrier::dissemination", rooted: false, fits: |_, _| true,
             run: |c, _, _| block_on(coll::barrier::dissemination_async(c)),
-            schedule: |n, _, _| barrier::auto(n),
+            schedule: |n, _, _| Schedule::collect(barrier::auto(n)),
             steps: Some(|w, me| Box::new(coll::barrier::dissemination_steps(me, w.n))) },
         Case { name: "bcast::binomial", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::binomial_async(c, &mut vec![1.0f64; len], root)),
-            schedule: bcast::binomial,
+            schedule: |n, root, b| Schedule::collect(bcast::binomial(n, root, b)),
             steps: Some(|w, me| Box::new(coll::bcast::binomial_steps(me, w.n, w.len, w.root))) },
         Case { name: "bcast::scatter_allgather", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::scatter_allgather_async(c, &mut vec![1.0f64; len], root)),
-            schedule: bcast::scatter_allgather,
+            schedule: |n, root, b| Schedule::collect(bcast::scatter_allgather(n, root, b)),
             steps: Some(|w, me| Box::new(coll::bcast::scatter_allgather_steps(me, w.n, w.len, w.root))) },
         Case { name: "bcast::auto", rooted: true, fits: |_, _| true,
             run: |c, root, len| block_on(coll::bcast::auto_async(c, &mut vec![1.0f64; len], root)),
-            schedule: bcast::auto, steps: None },
+            schedule: |n, root, b| Schedule::collect(bcast::auto(n, root, b)), steps: None },
         Case { name: "reduce::binomial", rooted: true, fits: |_, _| true,
             run: |c, root, len| reduce(coll::reduce::binomial_async, c, root, len),
-            schedule: reduce::binomial,
+            schedule: |n, root, b| Schedule::collect(reduce::binomial(n, root, b)),
             steps: Some(|w, me| Box::new(coll::reduce::binomial_steps(me, w.n, w.len, w.root))) },
         Case { name: "reduce::rabenseifner", rooted: true, fits: |n, len| n.is_power_of_two() && len.is_multiple_of(n),
             run: |c, root, len| reduce(coll::reduce::rabenseifner_async, c, root, len),
-            schedule: reduce::rabenseifner,
+            schedule: |n, root, b| Schedule::collect(reduce::rabenseifner(n, root, b)),
             steps: Some(|w, me| Box::new(coll::reduce::rabenseifner_steps(me, w.n, w.len, w.root))) },
         Case { name: "reduce::auto", rooted: true, fits: |_, _| true,
             run: |c, root, len| reduce(coll::reduce::auto_async, c, root, len),
-            schedule: |n, root, b| reduce::auto(n, root, b, 8), steps: None },
+            schedule: |n, root, b| Schedule::collect(reduce::auto(n, root, b, 8)), steps: None },
         Case { name: "reduce_scatter::pairwise", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
@@ -335,15 +354,15 @@ mod tests {
                 let mut recv = vec![0.0; counts[c.rank()]];
                 block_on(coll::reduce_scatter::auto_async(c, &send, &mut recv, &counts, Op::Sum));
             },
-            schedule: |n, _, b| reduce_scatter::pairwise(&ragged_bytes(n, b)),
+            schedule: |n, _, b| Schedule::collect(reduce_scatter::pairwise(&ragged_bytes(n, b))),
             steps: Some(|w, me| Box::new(coll::reduce_scatter::pairwise_steps(me, &w.displs))) },
     ];
 
     /// A traced real execution of every algorithm moves exactly the
     /// messages of its schedule, and every rank sends them in the order
     /// the schedule lists them — the order of its `*_steps`, since
-    /// [`build`] appends a rank's sends as they come and asserts they come
-    /// round by round.
+    /// [`build`] produces a rank's sends as they come and asserts its steps
+    /// come round by round.
     #[test]
     fn schedules_match_real_execution() {
         for case in CASES {
@@ -492,15 +511,15 @@ mod tests {
     fn allgather_algorithms_move_the_same_volume() {
         // (n-1) blocks arrive at every rank regardless of algorithm.
         let (n, b) = (16, 100);
-        let ring = allgather::ring(n, b);
+        let ring = Schedule::collect(allgather::ring(n, b));
         assert_eq!(
             ring.total_bytes(),
-            allgather::recursive_doubling(n, b).total_bytes()
+            Schedule::collect(allgather::recursive_doubling(n, b)).total_bytes()
         );
         assert_eq!(ring.total_bytes(), (n * (n - 1)) as u64 * b);
         assert_eq!(
             ring,
-            allgatherv::ring(&[b; 16]),
+            Schedule::collect(allgatherv::ring(&[b; 16])),
             "equal counts are an allgather"
         );
     }
@@ -510,8 +529,9 @@ mod tests {
         let (n, bytes) = (16, 1 << 20);
         // Allreduce by recursive doubling: log2(n) * bytes per rank;
         // Rabenseifner: ~2 * bytes * (n-1)/n per rank.
-        let rd = allreduce::recursive_doubling(n, bytes);
-        assert!(allreduce::rabenseifner(n, bytes).total_bytes() * 2 < rd.total_bytes());
+        let rd = Schedule::collect(allreduce::recursive_doubling(n, bytes));
+        let rab = Schedule::collect(allreduce::rabenseifner(n, bytes));
+        assert!(rab.total_bytes() * 2 < rd.total_bytes());
         // Reduce: the win is the per-rank critical path (~2*bytes vs
         // log2(n)*bytes for the binomial tree), not total volume.
         let critical_path_bytes = |s: &Schedule| -> u64 {
@@ -520,8 +540,8 @@ mod tests {
                 .map(|r| r.transfers.iter().map(|t| t.bytes).max().unwrap_or(0))
                 .sum()
         };
-        let bin = critical_path_bytes(&reduce::binomial(n, 0, bytes));
-        let rab = critical_path_bytes(&reduce::rabenseifner(n, 0, bytes));
+        let bin = critical_path_bytes(&Schedule::collect(reduce::binomial(n, 0, bytes)));
+        let rab = critical_path_bytes(&Schedule::collect(reduce::rabenseifner(n, 0, bytes)));
         assert!(
             rab < bin / 2,
             "rabenseifner {rab} should beat binomial {bin}"
@@ -530,10 +550,10 @@ mod tests {
 
     #[test]
     fn alltoall_shapes() {
-        let p = alltoall::pairwise(16, 10);
+        let p = Schedule::collect(alltoall::pairwise(16, 10));
         assert_eq!(p.total_messages(), 16 * 15, "every block moves once");
         assert_eq!(p.total_bytes(), 16 * 15 * 10);
-        let b = alltoall::bruck(16, 10);
+        let b = Schedule::collect(alltoall::bruck(16, 10));
         assert!(b.total_messages() < p.total_messages());
         assert!(b.total_bytes() > p.total_bytes());
         assert_eq!(b.num_rounds(), 4);
@@ -541,30 +561,30 @@ mod tests {
 
     #[test]
     fn round_counts() {
-        assert_eq!(barrier::dissemination(1).num_rounds(), 0);
-        assert_eq!(barrier::dissemination(8).num_rounds(), 3);
-        assert_eq!(barrier::dissemination(9).num_rounds(), 4);
+        let rounds = |n| Schedule::collect(barrier::dissemination(n)).num_rounds();
+        assert_eq!([rounds(1), rounds(8), rounds(9)], [0, 3, 4]);
     }
 
     #[test]
     fn tree_volumes() {
-        let s = bcast::binomial(8, 0, 100);
+        let s = Schedule::collect(bcast::binomial(8, 0, 100));
         assert_eq!((s.total_messages(), s.total_bytes()), (7, 700));
         // Scatter moves (n-1)/n of the payload in total, the ring (n-1)
         // blocks per rank: roughly n payloads altogether.
-        let payloads = bcast::scatter_allgather(8, 0, 8000).total_bytes() as f64 / 8000.0;
+        let payloads =
+            Schedule::collect(bcast::scatter_allgather(8, 0, 8000)).total_bytes() as f64 / 8000.0;
         assert!(payloads > 7.0 && payloads < 9.0, "{payloads}");
     }
 
     #[test]
     fn halving_moves_what_pairwise_moves() {
         let (n, slice) = (8, 1024u64);
-        let p = reduce_scatter::pairwise(&vec![slice; n]);
+        let p = Schedule::collect(reduce_scatter::pairwise(&vec![slice; n]));
         // Each rank sends (n-1) slices in a pairwise reduce-scatter, and
         // as many in each half of Rabenseifner's allreduce (recursive
         // halving, then recursive doubling), in log2(n) rounds each.
         assert_eq!(p.total_bytes(), (n * (n - 1)) as u64 * slice);
-        let r = allreduce::rabenseifner(n, slice * n as u64);
+        let r = Schedule::collect(allreduce::rabenseifner(n, slice * n as u64));
         assert_eq!(r.total_bytes(), 2 * p.total_bytes());
         assert_eq!((p.num_rounds(), r.num_rounds()), (n - 1, 6));
     }

@@ -235,6 +235,12 @@ impl Fabric {
         }
     }
 
+    /// Number of NIC and link resources: the timelines a
+    /// [`retire_before`](Self::retire_before) sweep visits.
+    pub fn timelines(&self) -> usize {
+        self.inject.len() + self.eject.len() + self.links.len()
+    }
+
     /// Busy intervals held over all resources (what retirement bounds).
     pub fn fragments(&self) -> usize {
         self.resources().map(Resource::fragments).sum()

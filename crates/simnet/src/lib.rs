@@ -7,7 +7,7 @@
 //! families of the paper's five systems (fat-tree, hypercube, crossbar,
 //! Clos), the cut-through [`fabric`] model built from them, and the
 //! [`schedule`] representation shared with the `mp` runtime's collective
-//! algorithms.
+//! algorithms, produced and priced a round at a time.
 //!
 //! Everything here is deterministic: replaying the same schedule against the
 //! same fabric yields bit-identical timings, which keeps the regenerated
@@ -22,6 +22,6 @@ pub mod units;
 
 pub use fabric::{Fabric, FabricParams, FabricStats, ResourceKind, ResourceStats};
 pub use resource::Resource;
-pub use schedule::{LocalWork, P2pCost, Round, Schedule, Transfer};
+pub use schedule::{LocalWork, P2pCost, Replay, Round, Rounds, Schedule, Transfer};
 pub use time::Time;
 pub use topology::{Clos, Crossbar, FatTree, Hypercube, LinkId, NodeId, Topology, Torus3D};

@@ -7,6 +7,11 @@
 //! resource's next-free time. Serialising competing transfers this way
 //! yields the same *total* completion time as fair fluid sharing for equal
 //! concurrent flows, which is the quantity the paper's figures report.
+//!
+//! A timeline holds what a later transfer can still hit, not its history:
+//! a caller that names a horizon no later transfer is ready before lets
+//! the resource [retire](Resource::retire_before) every interval ending by
+//! then but the last, which carries the high-water mark.
 
 use crate::time::Time;
 
@@ -43,10 +48,13 @@ use crate::time::Time;
 ///   `Vec` paid an O(n) shift each (`simnet.reserves_per_s` in
 ///   `BENCHMARK.json` times this pattern).
 ///
-/// Chunks are also the unit of [retirement](Resource::retire_before): a
-/// driver whose ready times never go back behind a horizon drops the
-/// chunks that lie wholly before it, so a long run holds the window of
-/// its timeline that can still be hit instead of all of it.
+/// [Retirement](Resource::retire_before) gives back what a caller's
+/// horizon has passed: a caller whose ready times never go back behind a
+/// horizon drops the chunks that lie wholly before it, and the dead
+/// prefix of the oldest chunk once at least half of that chunk is dead.
+/// A long run holds the window of its timeline that can still be hit —
+/// at least the last interval, which carries the high-water mark —
+/// instead of all of it.
 #[derive(Clone, Debug)]
 pub struct Resource {
     bandwidth: f64,
@@ -111,16 +119,18 @@ impl Resource {
         self.intervals.len()
     }
 
-    /// Drops every whole chunk of the timeline that ends at or before
-    /// `t`. The caller promises that no later [`reserve`](Self::reserve)
-    /// is ready before `t`; first-fit starts its scan at the first
-    /// interval ending *after* the ready time, so such a reserve never
-    /// reads what is dropped and every grant stays what it would have
-    /// been. (A new interval starting exactly where a dropped one ended
-    /// is stored on its own instead of merged — the same occupancy.) The
-    /// last chunk always stays: it carries the high-water mark. The
-    /// `busy_time`/`served_bytes`/`reservations` counters are totals and
-    /// are not touched.
+    /// Drops intervals of the timeline that end at or before `t`: every
+    /// whole chunk that does, and the dead prefix of the oldest chunk left
+    /// once at least half of that chunk is dead (so each drop memmoves at
+    /// most as many intervals as it frees). The caller promises that no
+    /// later [`reserve`](Self::reserve) is ready before `t`; first-fit
+    /// starts its scan at the first interval ending *after* the ready
+    /// time, so such a reserve never reads what is dropped and every grant
+    /// stays what it would have been. (A new interval starting exactly
+    /// where a dropped one ended is stored on its own instead of merged —
+    /// the same occupancy.) The last interval always stays: it carries
+    /// the high-water mark. The `busy_time`/`served_bytes`/`reservations`
+    /// counters are totals and are not touched.
     #[inline]
     pub fn retire_before(&mut self, t: Time) {
         self.intervals.retire_before(t.as_secs());
@@ -167,16 +177,28 @@ impl Chunks {
     }
 
     /// Drops the leading chunks whose last interval ends at or before
-    /// `t`, never the last chunk.
+    /// `t`, never the last chunk; then the dead prefix of the oldest
+    /// chunk if it is at least half of that chunk, never its last
+    /// interval.
     #[inline]
     fn retire_before(&mut self, t: f64) {
-        // Most timelines a fabric-wide sweep visits are a single chunk.
-        let Some((_, older @ [oldest, ..])) = self.chunks.split_last() else {
+        let Some((_, older)) = self.chunks.split_last() else {
             return;
         };
-        if oldest.last().expect("non-empty").1 <= t {
+        if older
+            .first()
+            .is_some_and(|c| c.last().expect("non-empty").1 <= t)
+        {
             let dead = older.partition_point(|c| c.last().expect("non-empty").1 <= t);
             self.chunks.drain(..dead);
+        }
+        // Every interval but the last of the oldest chunk may be dead; the
+        // one at the middle says whether half of them are.
+        let oldest = &mut self.chunks[0];
+        let n = oldest.len();
+        if n > 1 && oldest[n.div_ceil(2) - 1].1 <= t {
+            let dead = oldest[..n - 1].partition_point(|iv| iv.1 <= t);
+            oldest.drain(..dead);
         }
     }
 
@@ -604,66 +626,108 @@ mod tests {
         assert!(arms.iter().all(|&n| n > 1000), "merge arms {arms:?}");
     }
 
-    /// Retirement is invisible: with a horizon that ready times never go
-    /// back behind, a timeline retired at random points up to the horizon
-    /// grants exactly what the never-retired oracle grants, and its totals
-    /// and high-water mark equal a never-retired `Resource`'s.
-    #[test]
-    fn retirement_changes_no_grant() {
+    /// A horizon that creeps forward while ready times jitter over
+    /// `window_us` ahead of it, and a timeline retired every
+    /// `retire_every` reserves (on average) at a random point up to
+    /// `lag_us` behind that horizon, beside one that keeps everything. Every grant of
+    /// the retired timeline equals the never-retired oracle's bit for bit.
+    /// Returns the retired and the kept timeline, the most chunks the
+    /// retired one held at once, and how many calls dropped an interval.
+    fn retire_beside_the_oracle(
+        seed: u64,
+        window_us: u64,
+        retire_every: u64,
+        lag_us: u64,
+    ) -> (Resource, Resource, usize, usize) {
         let mut retired = Resource::new(1e9);
         let mut kept = Resource::new(1e9);
         let mut naive = NaiveTimeline {
             intervals: Vec::new(),
         };
-        let mut state = 0x1319_8a2e_0370_7344u64;
+        let mut state = seed;
         let mut next = || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        // The horizon creeps forward; ready times jitter over a window
-        // 2000 services wide ahead of it, so the timeline fragments and
-        // backfills mid-window while everything behind the horizon dies.
         let mut horizon_us = 0.0f64;
-        let mut retirements = 0;
+        let (mut most_chunks, mut retirements) = (0, 0);
         for i in 0..60_000u64 {
             horizon_us += (next() % 9) as f64;
-            if next() % 64 == 0 {
+            if next() % retire_every == 0 {
                 // Anywhere at or behind the horizon is a sound argument.
-                let t = horizon_us * (next() % 1001) as f64 / 1000.0;
-                let before = retired.intervals.chunks.len();
+                let t = (horizon_us - (next() % lag_us) as f64).max(0.0);
+                let before = retired.fragments();
                 retired.retire_before(Time::from_us(t));
-                retirements += usize::from(retired.intervals.chunks.len() < before);
+                retirements += usize::from(retired.fragments() < before);
             }
-            let ready = Time::from_us(horizon_us + (next() % 8000) as f64);
+            let ready = Time::from_us(horizon_us + (next() % window_us) as f64);
             let bytes = 1 + next() % 4096;
             let (s, e) = retired.reserve(ready, bytes);
             kept.reserve(ready, bytes);
             let (ns, ne) = naive.reserve(ready.as_secs(), bytes as f64 / 1e9);
             assert_eq!(s.as_secs().to_bits(), ns.to_bits(), "start diverged at {i}");
             assert_eq!(e.as_secs().to_bits(), ne.to_bits(), "end diverged at {i}");
+            most_chunks = most_chunks.max(retired.intervals.chunks.len());
         }
         assert_eq!(kept.fragments(), naive.intervals.len());
         assert_eq!(retired.busy_time(), kept.busy_time());
         assert_eq!(retired.served_bytes(), kept.served_bytes());
         assert_eq!(retired.reservations(), kept.reservations());
         assert_eq!(retired.next_free(), kept.next_free());
-        assert!(retirements > 10, "only {retirements} calls dropped a chunk");
+        for c in &retired.intervals.chunks {
+            assert!(!c.is_empty() && c.len() <= MAX_CHUNK);
+        }
+        (retired, kept, most_chunks, retirements)
+    }
+
+    /// Retirement is invisible: with a horizon that ready times never go
+    /// back behind, a timeline retired at random points up to the horizon
+    /// grants exactly what the never-retired oracle grants, and its totals
+    /// and high-water mark equal a never-retired `Resource`'s. That holds
+    /// for a window 2000 services wide, which fragments past one chunk
+    /// and backfills mid-window, and for one 40 wide, whose live part
+    /// never fills a chunk: there retirement trims the one chunk it has,
+    /// which is also the last.
+    #[test]
+    fn retirement_changes_no_grant() {
+        let (mut retired, kept, most_chunks, retirements) =
+            retire_beside_the_oracle(0x1319_8a2e_0370_7344, 8000, 64, 100_000);
+        assert!(most_chunks > 1, "the wide window splits the timeline");
+        assert!(
+            retirements > 10,
+            "only {retirements} calls dropped an interval"
+        );
         assert!(
             retired.fragments() * 4 < kept.fragments(),
             "{} of {} intervals still held",
             retired.fragments(),
             kept.fragments()
         );
-        for c in &retired.intervals.chunks {
-            assert!(!c.is_empty() && c.len() <= MAX_CHUNK);
-        }
 
-        // A horizon past everything keeps the last chunk, and with it the
-        // high-water mark.
+        let (narrow, narrow_kept, most_chunks, retirements) =
+            retire_beside_the_oracle(0x0801_1a2b_3c4d_5e6f, 160, 8, 160);
+        assert_eq!(most_chunks, 1, "the narrow window never splits");
+        assert!(
+            narrow_kept.fragments() > 4 * MAX_CHUNK,
+            "{} intervals kept",
+            narrow_kept.fragments()
+        );
+        assert!(
+            retirements > 100,
+            "only {retirements} calls trimmed the one chunk"
+        );
+        assert!(
+            narrow.fragments() < MAX_CHUNK / 4,
+            "{} intervals still held",
+            narrow.fragments()
+        );
+
+        // A horizon past everything keeps the last interval, and with it
+        // the high-water mark.
         retired.retire_before(Time::from_secs(1e6));
-        assert_eq!(retired.intervals.chunks.len(), 1);
+        assert_eq!(retired.fragments(), 1);
         assert_eq!(retired.next_free(), kept.next_free());
         // And an empty timeline has nothing to retire.
         let mut empty = Resource::new(1e9);

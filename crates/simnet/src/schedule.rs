@@ -1,12 +1,14 @@
 //! Communication schedules: the lingua franca between the message-passing
 //! runtime's collective algorithms and the fabric simulator.
 //!
-//! A [`Schedule`] is a sequence of rounds; each round lists point-to-point
+//! A schedule is a sequence of rounds; each round lists point-to-point
 //! transfers (by *rank*) and local reduction work. The `mp` crate's schedule
-//! generators emit these for every collective algorithm, the trace transport
-//! cross-checks real executions against them, and
-//! `machines::ClusterSim` replays them against a machine model to obtain
-//! simulated timings.
+//! generators produce them as a [`Rounds`] source, one round at a time,
+//! and `machines::ClusterSim` prices each round against a machine model as
+//! it comes, so pricing holds one round, not the p(p−1) transfers of a
+//! pairwise exchange. A [`Schedule`] is the same rounds materialised
+//! ([`Schedule::collect`]): what tests and trace comparisons read, and
+//! what [`Replay`] lends back to a pricer.
 
 use crate::time::Time;
 
@@ -51,6 +53,52 @@ impl Round {
     }
 }
 
+/// A schedule produced round by round, in dependency order. A round is
+/// lent, not returned, so a producer can refill one buffer for every
+/// round.
+pub trait Rounds {
+    /// Number of participating ranks.
+    fn nranks(&self) -> usize;
+
+    /// The next round, or `None` after the last one.
+    fn next_round(&mut self) -> Option<&Round>;
+}
+
+impl<R: Rounds + ?Sized> Rounds for Box<R> {
+    fn nranks(&self) -> usize {
+        (**self).nranks()
+    }
+
+    fn next_round(&mut self) -> Option<&Round> {
+        (**self).next_round()
+    }
+}
+
+/// A materialised [`Schedule`], owned or borrowed, lent round by round.
+pub struct Replay<S> {
+    schedule: S,
+    next: usize,
+}
+
+impl<S: std::borrow::Borrow<Schedule>> Replay<S> {
+    /// Replays `schedule` from its first round.
+    pub fn new(schedule: S) -> Replay<S> {
+        Replay { schedule, next: 0 }
+    }
+}
+
+impl<S: std::borrow::Borrow<Schedule>> Rounds for Replay<S> {
+    fn nranks(&self) -> usize {
+        self.schedule.borrow().nranks
+    }
+
+    fn next_round(&mut self) -> Option<&Round> {
+        let round = self.schedule.borrow().rounds.get(self.next)?;
+        self.next += 1;
+        Some(round)
+    }
+}
+
 /// A complete communication schedule over `nranks` ranks.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
@@ -72,6 +120,16 @@ impl Schedule {
     /// Appends a round.
     pub fn push(&mut self, round: Round) {
         self.rounds.push(round);
+    }
+
+    /// Every round of `rounds`, materialised. Pricing never needs this
+    /// (it reads one round at a time); tests and trace comparisons do.
+    pub fn collect(mut rounds: impl Rounds) -> Schedule {
+        let mut schedule = Schedule::new(rounds.nranks());
+        while let Some(round) = rounds.next_round() {
+            schedule.push(round.clone());
+        }
+        schedule
     }
 
     /// Total payload bytes moved.
@@ -139,7 +197,8 @@ pub struct P2pCost {
     pub arrival: Time,
 }
 
-/// Replays a schedule against per-rank virtual clocks.
+/// Prices a schedule's rounds, as `rounds` produces them, against
+/// per-rank virtual clocks.
 ///
 /// `transfer(src, dst, bytes, ready)` prices one message given the sender's
 /// readiness; `work(rank, bytes, start)` prices local reduction work.
@@ -161,7 +220,7 @@ pub struct P2pCost {
 /// receives in round *r* forwards in round *r+1* no earlier than its
 /// arrival.
 pub fn execute<FT, FW, FR>(
-    schedule: &Schedule,
+    mut rounds: impl Rounds,
     clocks: &mut [Time],
     mut transfer: FT,
     mut work: FW,
@@ -172,11 +231,11 @@ where
     FW: FnMut(usize, u64, Time) -> Time,
     FR: FnMut(Time),
 {
-    assert_eq!(clocks.len(), schedule.nranks, "clock vector size mismatch");
+    assert_eq!(clocks.len(), rounds.nranks(), "clock vector size mismatch");
     // Send cursors decouple this round's send readiness from this round's
     // arrivals; reused across rounds to avoid per-round allocation.
     let mut send_cursor: Vec<Time> = clocks.to_vec();
-    for round in &schedule.rounds {
+    while let Some(round) = rounds.next_round() {
         // One pass over the clocks: this round's send cursors, and the
         // horizon nothing later can be ready before.
         let mut horizon = clocks.first().copied().unwrap_or(Time::ZERO);
@@ -274,7 +333,13 @@ mod tests {
             }]));
         }
         let mut clocks = vec![Time::ZERO; 4];
-        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), no_work, keep);
+        let t = execute(
+            Replay::new(&s),
+            &mut clocks,
+            fixed_cost(0.0, 1e9),
+            no_work,
+            keep,
+        );
         assert!((t.as_secs() - 3e-3).abs() < 1e-9);
     }
 
@@ -294,7 +359,13 @@ mod tests {
             },
         ]));
         let mut clocks = vec![Time::ZERO; 4];
-        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), no_work, keep);
+        let t = execute(
+            Replay::new(&s),
+            &mut clocks,
+            fixed_cost(0.0, 1e9),
+            no_work,
+            keep,
+        );
         assert!((t.as_secs() - 1e-3).abs() < 1e-9, "one round, not two");
     }
 
@@ -314,7 +385,13 @@ mod tests {
         });
         let mut clocks = vec![Time::ZERO; 2];
         let work = |_r, bytes: u64, start| start + Time::from_secs(bytes as f64 / 1e8);
-        let t = execute(&s, &mut clocks, fixed_cost(0.0, 1e9), work, keep);
+        let t = execute(
+            Replay::new(&s),
+            &mut clocks,
+            fixed_cost(0.0, 1e9),
+            work,
+            keep,
+        );
         let expected = 1000.0 / 1e9 + 1000.0 / 1e8;
         assert!((t.as_secs() - expected).abs() < 1e-12);
     }
@@ -335,7 +412,7 @@ mod tests {
         let heard = std::cell::RefCell::new(Vec::new());
         let mut price = fixed_cost(0.0, 1e9);
         execute(
-            &s,
+            Replay::new(&s),
             &mut clocks,
             |src, dst, bytes, ready| {
                 assert!(ready >= *heard.borrow().last().expect("retire runs first"));

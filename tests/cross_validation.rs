@@ -78,7 +78,8 @@ fn bcast_root_rotation_traces() {
             }
             mp::coll::bcast::binomial_async(&comm, &mut buf, root).await;
         });
-        let sched = mp::sched::bcast::binomial(n, root, (len * 8) as u64);
+        let sched =
+            simnet::Schedule::collect(mp::sched::bcast::binomial(n, root, (len * 8) as u64));
         assert_eq!(sorted(trace), sched.transfer_multiset(), "root {root}");
     }
 }
@@ -93,7 +94,8 @@ fn allreduce_dispatch_agreement_across_shapes() {
                 let mut buf = vec![1.0f64; len];
                 comm.allreduce(&mut buf, mp::Op::Sum);
             });
-            let sched = mp::sched::allreduce::auto(n, (len * 8) as u64, 8);
+            let sched =
+                simnet::Schedule::collect(mp::sched::allreduce::auto(n, (len * 8) as u64, 8));
             assert_eq!(sorted(trace), sched.transfer_multiset(), "n={n} len={len}");
         }
     }

@@ -293,14 +293,26 @@ fn simulated_schedules_keep_their_round_structure() {
     for n in PROCS {
         for root in [1, n - 1] {
             for b in BYTES {
-                all.push(sched::bcast::binomial(n, root, b));
-                all.push(sched::bcast::scatter_allgather(n, root, b));
-                all.push(sched::bcast::auto(n, root, b));
-                all.push(sched::reduce::binomial(n, root, b));
+                all.push(simnet::Schedule::collect(sched::bcast::binomial(
+                    n, root, b,
+                )));
+                all.push(simnet::Schedule::collect(sched::bcast::scatter_allgather(
+                    n, root, b,
+                )));
+                all.push(simnet::Schedule::collect(sched::bcast::auto(n, root, b)));
+                all.push(simnet::Schedule::collect(sched::reduce::binomial(
+                    n, root, b,
+                )));
                 if n.is_power_of_two() {
-                    all.push(sched::reduce::rabenseifner(n, root, b * n as u64));
+                    all.push(simnet::Schedule::collect(sched::reduce::rabenseifner(
+                        n,
+                        root,
+                        b * n as u64,
+                    )));
                 }
-                all.push(sched::reduce::auto(n, root, b, 8));
+                all.push(simnet::Schedule::collect(sched::reduce::auto(
+                    n, root, b, 8,
+                )));
             }
         }
     }
@@ -310,20 +322,29 @@ fn simulated_schedules_keep_their_round_structure() {
     // reaches (ragged counts, one rank, every algorithm at every size).
     let mut all = Vec::new();
     for n in PROCS.into_iter().chain([1]) {
-        all.push(sched::barrier::dissemination(n));
+        all.push(simnet::Schedule::collect(sched::barrier::dissemination(n)));
         for b in BYTES {
             let pow2 = 1u64 << n.ilog2();
             let ragged: Vec<u64> = (0..n as u64).map(|i| (i % 3) * b).collect();
-            all.push(sched::allgather::ring(n, b));
-            all.push(sched::allgatherv::ring(&ragged));
-            all.push(sched::allreduce::recursive_doubling(n, b));
-            all.push(sched::allreduce::rabenseifner(n, b * pow2));
-            all.push(sched::alltoall::pairwise(n, b));
-            all.push(sched::alltoall::bruck(n, b));
-            all.push(sched::alltoall::auto(n, b));
-            all.push(sched::reduce_scatter::pairwise(&ragged));
+            all.push(simnet::Schedule::collect(sched::allgather::ring(n, b)));
+            all.push(simnet::Schedule::collect(sched::allgatherv::ring(&ragged)));
+            all.push(simnet::Schedule::collect(
+                sched::allreduce::recursive_doubling(n, b),
+            ));
+            all.push(simnet::Schedule::collect(sched::allreduce::rabenseifner(
+                n,
+                b * pow2,
+            )));
+            all.push(simnet::Schedule::collect(sched::alltoall::pairwise(n, b)));
+            all.push(simnet::Schedule::collect(sched::alltoall::bruck(n, b)));
+            all.push(simnet::Schedule::collect(sched::alltoall::auto(n, b)));
+            all.push(simnet::Schedule::collect(sched::reduce_scatter::pairwise(
+                &ragged,
+            )));
             if n.is_power_of_two() {
-                all.push(sched::allgather::recursive_doubling(n, b));
+                all.push(simnet::Schedule::collect(
+                    sched::allgather::recursive_doubling(n, b),
+                ));
             }
         }
     }
