@@ -20,11 +20,14 @@
 #      marker `// arch_lint: block_on spin budget`; any other `Instant`
 #      in that file or in `mp` is still an error.
 #   2. `std::thread::sleep` and `std::time::SystemTime` stay out of
-#      non-test code everywhere except the harness, the process
-#      transports/launcher (which wait on real OS processes, and whose
-#      fleet monitor is the one polling stall detector), and the vendored
-#      `parking_lot` shim. A sleep anywhere else would desynchronise the
-#      deterministic schedules the DPOR explorer enumerates.
+#      non-test code everywhere except the harness, two files of the
+#      process transport that wait on real OS processes —
+#      `transport/tcp.rs` (the connect retry, `CONNECT_SLEEP`) and
+#      `transport/launcher.rs` (the child watchdog) — and the vendored
+#      `parking_lot` shim. A fleet's monitor ticks on the session condvar,
+#      which the pump's control frames wake, not in a sleep. A sleep
+#      anywhere else would desynchronise the deterministic schedules the
+#      DPOR explorer enumerates.
 #   3. Every workspace crate opts into the shared `[workspace.lints]`
 #      policy via `[lints] workspace = true`, so a new crate cannot
 #      silently skip `forbid(unsafe_code)`.
@@ -55,11 +58,13 @@
 #      ambient hook — and `sink_then_propagate(` are each defined once and
 #      called from one place (`runtime::launch`, `runtime::end`), and
 #      `find_cycle(` is defined once and
-#      called from one place (`Deadlock::from_waits`). An in-process world
-#      detects its stall exactly — a thread world when its runnable count
-#      (`runtime::Runnable`) reaches zero, a cooperative one when its run
-#      queue empties — and a fleet by its polling monitor; every one reads
-#      the mailboxes' wait edges and assembles its diagnosis there.
+#      called from one place (`Deadlock::from_waits`). A thread world
+#      detects its stall when its runnable count (`runtime::Runnable`)
+#      reaches zero — a fleet process when the thread that launched its
+#      ranks samples the count at zero, and process 0 confirms that no
+#      frame is in flight — and a cooperative one when its run queue
+#      empties; every one reads the mailboxes' wait edges and assembles its
+#      diagnosis there.
 #   8. One cross-process transport, one frame decoder. Under
 #      `crates/mp/src/transport/` the frame magic is compared in exactly
 #      one place (`wire::read_frame`, the only header parser) and
@@ -323,13 +328,16 @@ EOF
 pub(crate) const ENV_NPROCS: &str = "MP_NPROCS";
 static PUMP_STARTED: bool = false;
 fn nprocs() -> Option<String> { std::env::var(ENV_NPROCS).ok() }
-fn monitor() { std::thread::sleep(POLL); std::thread::park_timeout(POLL); }
+fn monitor() { sess.cv.wait_for(&mut st, POLL); std::thread::park_timeout(POLL); }
 
 #[cfg(test)]
 mod tests {
     fn case() -> String { std::env::var("MP_TEST_CASE").unwrap() }
 }
 EOF
+    # The transport sleeps where it waits on other processes.
+    echo 'fn dial() { std::thread::sleep(CONNECT_SLEEP); }' > "$pass/crates/mp/src/transport/tcp.rs"
+    echo 'fn wait() { std::thread::sleep(WAIT_POLL); }' > "$pass/crates/mp/src/transport/launcher.rs"
     # The registry wires the models; a figure runs a plan over it; a test
     # may compare with a model directly.
     mkdir -p "$pass/crates/core/src"
@@ -459,11 +467,13 @@ EOF
 fn run_scripted(ctl: Arc<Guided>) { let _g = mp::install_explore(explore(ctl)); }
 fn rank_of(msg: &str) -> Option<(usize, String)> { mpcheck::classify_panic(msg) }
 EOF
-    # A second header parser, polling a channel file; and a second way to
-    # ask for a fleet, read where reads are allowed but not on the list.
+    # A second header parser, polling a channel file; a second way to ask
+    # for a fleet, read where reads are allowed but not on the list; and a
+    # monitor that sleeps.
     mkdir -p "$bad/crates/mp/src/transport"
     cat > "$bad/crates/mp/src/transport/mod.rs" <<'EOF'
 fn backend() -> Option<String> { std::env::var("MP_BACKEND").ok() }
+fn monitor() { std::thread::sleep(POLL); }
 EOF
     cat > "$bad/crates/mp/src/transport/wire.rs" <<'EOF'
 fn read_frame() { assert_eq!(magic, MAGIC, "bad frame magic"); }
@@ -570,7 +580,8 @@ EOF
         "chan.rs:2: .*read_at" "chan.rs:3: .*MAGIC" \
         "bin/bench_mp.rs" "/BENCH_mp.json" "fft.rs:2: .*HPCB_FFT_L1" "/TUNE.hpcc" "bin/tune.rs" \
         "unexpected crates/mp/src/coll/scan.rs" "sched/mod.rs:2: pub mod scan" \
-        "transport/mod.rs:1: .*<- MP_BACKEND" "hpcc/src/fft.rs:2: .*env::var" \
+        "transport/mod.rs:1: .*<- MP_BACKEND" "transport/mod.rs:2: .*thread::sleep" \
+        "hpcc/src/fft.rs:2: .*env::var" \
         "core/src/figures.rs:2: .*imb::sim::simulate" "bin/campaign.rs:1: .*imb::ext::run_virtual" \
         "imb/src/ext.rs:2: .*Transfer {" \
         "kernels/fft.rs:2: fn merged_dit" "mp/src/runtime.rs:16: .*push(Transfer {" \
@@ -628,11 +639,12 @@ fi
 # --- 2. Sleeps and SystemTime stay out of the deterministic layers ------
 offenders=$(scan 'thread::sleep|time::SystemTime|SystemTime::now' \
     | grep -v '^crates/harness/' \
-    | grep -v '^crates/mp/src/transport/' \
+    | grep -vE '^crates/mp/src/transport/(tcp|launcher)\.rs:' \
     | grep -v '^crates/parking_lot/' || true)
 if [ -n "$offenders" ]; then
-    err "thread::sleep / SystemTime outside the harness and the transports \
-(deterministic layers must not touch the wall clock):
+    err "thread::sleep / SystemTime outside the harness, tcp's connect retry and the \
+launcher's watchdog (deterministic layers must not touch the wall clock, and a fleet's \
+monitor ticks on the session condvar):
 $offenders"
 fi
 

@@ -20,14 +20,13 @@
 //! included) is the one record they read. Seeing a *second* schedule is
 //! not done here: the cooperative engine turns every scheduling choice
 //! into a decision a [`ScheduleController`] makes, and the `mpcheck`
-//! explorer enumerates those decisions. Nothing here sleeps or spawns: an
-//! in-process world detects its own stall exactly, and only a fleet's
-//! monitor (in `transport`) polls.
+//! explorer enumerates those decisions. Nothing here sleeps or spawns:
+//! every thread world detects its stall from its runnable count, and a
+//! fleet's monitor (in `transport`) combines its processes' stalls.
 //!
 //! The uninstrumented fast path pays one `Option` check per operation.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -189,8 +188,9 @@ impl std::fmt::Display for LaneInfo {
 }
 
 /// A deadlock diagnosis: the wait-for cycle (when one exists among
-/// pinned-source receive edges), every blocked rank's wait, and the
-/// pending-message inventory per mailbox lane.
+/// pinned-source receive edges) or the fleet peer whose loss stalled the
+/// world, every blocked rank's wait, and the pending-message inventory per
+/// mailbox lane.
 #[derive(Clone, Debug)]
 pub struct Deadlock {
     /// Ranks forming a wait-for cycle, in cycle order; `None` when the
@@ -200,17 +200,22 @@ pub struct Deadlock {
     pub waits: Vec<WaitSnapshot>,
     /// Queued unmatched messages across all mailboxes.
     pub inventory: Vec<LaneInfo>,
+    /// The peer process a fleet lost before it flushed the epoch, named
+    /// with the epoch and the last frame that came from it; the stall is
+    /// then that loss, whatever the waits say.
+    pub lost: Option<String>,
 }
 
 impl std::fmt::Display for Deadlock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.cycle {
-            Some(cycle) => {
+        match (&self.lost, &self.cycle) {
+            (Some(lost), _) => writeln!(f, "peer lost: {lost}")?,
+            (None, Some(cycle)) => {
                 let mut path: Vec<String> = cycle.iter().map(|r| r.to_string()).collect();
                 path.push(cycle[0].to_string());
                 writeln!(f, "wait-for cycle: {}", path.join(" -> "))?;
             }
-            None => writeln!(
+            (None, None) => writeln!(
                 f,
                 "global stall: {} rank(s) blocked, no sender can run",
                 self.waits.len()
@@ -315,7 +320,6 @@ struct RankState {
     coll_index: HashMap<u32, u32>,
     /// Collective nesting depth (only the outermost call is recorded).
     coll_depth: u32,
-    finished: bool,
 }
 
 struct EventRing {
@@ -335,13 +339,10 @@ impl EventRing {
 }
 
 /// The shared instrumentation registry of one instrumented world: rank
-/// states (collective site, finished) and event rings.
+/// states (collective site) and event rings.
 pub(crate) struct Inspector {
     ranks: Vec<Mutex<RankState>>,
     events: Vec<Mutex<EventRing>>,
-    /// Bumped on every wait transition (by the mailboxes) and rank end; a
-    /// fleet's monitor requires it stable across polls before it reports.
-    activity: AtomicU64,
     /// A schedule controller observing every recorded event (controlled
     /// cooperative runs); `None` on plain checked runs.
     observer: Option<Arc<dyn ScheduleController>>,
@@ -364,7 +365,6 @@ impl Inspector {
                     })
                 })
                 .collect(),
-            activity: AtomicU64::new(0),
             observer,
         }
     }
@@ -374,20 +374,6 @@ impl Inspector {
             obs.note_event(rank, &event);
         }
         self.events[rank].lock().push(event);
-    }
-
-    /// Counts one wait transition: a rank began or ended a wait.
-    pub(crate) fn bump_activity(&self) {
-        self.activity.fetch_add(1, Ordering::Release);
-    }
-
-    pub(crate) fn finish(&self, rank: usize) {
-        self.ranks[rank].lock().finished = true;
-        self.bump_activity();
-    }
-
-    pub(crate) fn finished(&self, rank: usize) -> bool {
-        self.ranks[rank].lock().finished
     }
 
     /// The collective call `rank` is inside, if any.
@@ -445,10 +431,6 @@ impl Inspector {
         }
     }
 
-    pub(crate) fn activity(&self) -> u64 {
-        self.activity.load(Ordering::Acquire)
-    }
-
     /// Drains the per-rank event rings (call after all ranks joined).
     pub(crate) fn drain_events(&self) -> (Vec<Vec<Event>>, Vec<u64>) {
         let mut events = Vec::with_capacity(self.events.len());
@@ -487,6 +469,7 @@ impl Deadlock {
             cycle: find_cycle(&succ),
             waits,
             inventory,
+            lost: None,
         }
     }
 }

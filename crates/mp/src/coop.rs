@@ -302,7 +302,6 @@ where
     Fut: Future<Output = R>,
 {
     let n = world.n;
-    let insp = world.inspector.clone();
     let ctl = world.controller.clone();
     let results: RefCell<Vec<Option<R>>> = RefCell::new((0..n).map(|_| None).collect());
     let mut tasks: Vec<Option<Pin<Box<dyn Future<Output = ()> + '_>>>> = (0..n)
@@ -359,9 +358,6 @@ where
             tasks[rank] = None;
             queue.finish(rank);
             remaining -= 1;
-            if let Some(insp) = &insp {
-                insp.finish(rank);
-            }
             if let Some(msg) = panicked {
                 panics.push((rank, msg));
             }

@@ -300,15 +300,12 @@ impl Mailbox {
     }
 
     /// Leaves `waker` in the unfilled receive at table index `idx` (under
-    /// the lock). The first waker a receive holds is a wait transition the
-    /// fleet monitor hears of; a poll from the owning rank's own thread
-    /// marks the receive and takes that thread off its world's runnable
-    /// count, unless it is off already — a re-poll counts nothing twice.
+    /// the lock). A poll from the owning rank's own thread marks the
+    /// receive and takes that thread off its world's runnable count,
+    /// unless it is off already — a re-poll counts nothing twice.
     fn arm(&self, inner: &mut Inner, idx: usize, waker: &Waker) {
         let p = &mut inner.posted[idx];
-        if p.waker.replace(waker.clone()).is_none() {
-            self.note_wait_transition();
-        }
+        p.waker = Some(waker.clone());
         if let Some(runnable) = &self.runnable {
             if runnable.is_rank_thread(self.rank) {
                 p.counted = true;
@@ -329,19 +326,7 @@ impl Mailbox {
             let runnable = self.runnable.as_ref();
             runnable.expect("a counted wait has a count").resume();
         }
-        let waker = inner.posted[idx].waker.take();
-        if waker.is_some() {
-            self.note_wait_transition();
-        }
-        waker
-    }
-
-    /// Tells an instrumented world's activity counter that a rank began
-    /// or ended a wait.
-    fn note_wait_transition(&self) {
-        if let Some(insp) = &self.inspector {
-            insp.bump_activity();
-        }
+        inner.posted[idx].waker.take()
     }
 
     /// What this mailbox's rank is blocked on: the oldest posted receive

@@ -323,30 +323,37 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
     })
 }
 
-/// How many rank threads of a thread world hosted whole by this process
-/// can run: the unfinished ones, less those waiting on a receive whose
-/// waker has not fired. Every change to a wait is made under the lock of
-/// the mailbox waited on, which is where in-process delivery fills it, so
-/// at zero nothing can run any more; whoever takes it there unparks the
-/// launching thread. DESIGN.md §5 states the rule and its limits.
+/// How many rank threads of a thread world can run: the unfinished ones,
+/// less those waiting on a receive whose waker has not fired. Every change
+/// to a wait is made under the lock of the mailbox waited on, which is
+/// where delivery fills it, so at zero no rank thread of this process can
+/// run until a receive is filled from outside it: by a frame from another
+/// process in a fleet, never in a world hosted whole by this process.
+/// There, whoever takes the count to zero unparks the launching thread; a
+/// fleet's launching thread samples the count instead (`transport`'s
+/// monitor). DESIGN.md §5 states the rule and its limits.
 ///
 /// Orderings: a body's end releases `unfinished` before it decrements
-/// `count`, and every `count` change is a read-modify-write, so the
-/// launcher's `Acquire` load that reads zero sees every `unfinished`
-/// decrement made before the ends it counted.
+/// `count`, and every `count` change is a read-modify-write, so an
+/// `Acquire` load that reads zero sees every `unfinished` decrement made
+/// before the ends it counted.
 #[derive(Default)]
 pub(crate) struct Runnable {
     count: AtomicUsize,
     /// Rank threads whose body has not ended.
     unfinished: AtomicUsize,
+    /// The thread parked on the count, unparked when it reaches zero.
     launcher: OnceLock<std::thread::Thread>,
 }
 
 impl Runnable {
-    /// Starts the count at `n` rank threads, launched from this thread.
-    fn start(&self, n: usize) {
-        let launcher = self.launcher.set(std::thread::current());
-        launcher.expect("a thread world is launched once");
+    /// Starts the count at `n` rank threads; `launcher`, if given, is
+    /// unparked each time the count reaches zero.
+    fn start(&self, n: usize, launcher: Option<std::thread::Thread>) {
+        if let Some(launcher) = launcher {
+            let once = self.launcher.set(launcher);
+            once.expect("a thread world is launched once");
+        }
         self.unfinished.store(n, Ordering::Relaxed);
         self.count.store(n, Ordering::Release);
     }
@@ -360,7 +367,9 @@ impl Runnable {
     /// receive, or its body ended.
     pub(crate) fn stop(&self) {
         if self.count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.launcher.get().expect("a started count").unpark();
+            if let Some(launcher) = self.launcher.get() {
+                launcher.unpark();
+            }
         }
     }
 
@@ -369,42 +378,56 @@ impl Runnable {
         self.count.fetch_add(1, Ordering::AcqRel);
     }
 
+    /// A rank thread's body ended, for good; true for the last one.
+    fn end(&self) -> bool {
+        let last = self.unfinished.fetch_sub(1, Ordering::Release) == 1;
+        self.stop();
+        last
+    }
+
+    /// Whether no rank thread can run (every one waits or has ended).
+    pub(crate) fn idle(&self) -> bool {
+        self.count.load(Ordering::Acquire) == 0
+    }
+
+    /// Whether every rank thread's body has ended.
+    pub(crate) fn finished(&self) -> bool {
+        self.unfinished.load(Ordering::Acquire) == 0
+    }
+
     /// Parks the launching thread until the count reaches zero; true when
     /// rank threads are left unfinished there, which is a stall.
     fn stalled(&self) -> bool {
-        while self.count.load(Ordering::Acquire) != 0 {
+        while !self.idle() {
             std::thread::park();
         }
-        self.unfinished.load(Ordering::Acquire) != 0
+        !self.finished()
     }
 }
 
 /// A rank thread's spin budget and rank, installed for the life of its
-/// body; dropping it, by return or unwind, reports the body's end to the
-/// world's inspector (so a fleet's monitor sees a dead rank as done) and
-/// to its runnable count.
+/// body; dropping it, by return or unwind, takes the thread off its
+/// world's runnable count for good, and the last one to go wakes a fleet's
+/// monitor, which sends the epoch's flush barrier.
 struct RankThread<'w> {
     world: &'w World,
-    rank: usize,
 }
 
 impl RankThread<'_> {
     fn enter(world: &World, rank: usize, spin: Duration) -> RankThread<'_> {
         spin_before_parking(spin);
         RANK_OF.set(world.runnable.as_ref().map(|r| (rank, Arc::as_ptr(r))));
-        RankThread { world, rank }
+        RankThread { world }
     }
 }
 
 impl Drop for RankThread<'_> {
     fn drop(&mut self) {
         RANK_OF.set(None);
-        if let Some(inspector) = &self.world.inspector {
-            inspector.finish(self.rank);
-        }
-        if let Some(runnable) = &self.world.runnable {
-            runnable.unfinished.fetch_sub(1, Ordering::Release);
-            runnable.stop();
+        if self.world.runnable().end() {
+            if let Some(remote) = &self.world.remote {
+                remote.wake_monitor();
+            }
         }
     }
 }
@@ -439,8 +462,8 @@ pub(crate) struct World {
     /// of a cross-process world, consulted by [`World::deliver`] to route
     /// messages for ranks hosted by other processes over the transport.
     pub remote: Option<RemoteWorld>,
-    /// The runnable count of a thread world hosted whole by this process
-    /// (None for cooperative worlds and fleets, whose waits pay nothing).
+    /// The runnable count of a thread world (None for cooperative worlds,
+    /// whose waits pay nothing).
     runnable: Option<Arc<Runnable>>,
     /// The diagnosis the world was poisoned with, if it stalled.
     poison: OnceLock<Arc<Deadlock>>,
@@ -451,9 +474,9 @@ impl World {
     /// given, instrumented as `check` says if given — a controller decides
     /// a cooperative world's schedule, and rank threads ignore it: real
     /// parallelism has no enumerable schedule — and one epoch of a fleet
-    /// when `remote` is given. A thread world hosted whole by this process
-    /// keeps a [`Runnable`] count, which names its stall; every world but
-    /// a fleet's refuses a multi-process session.
+    /// when `remote` is given. A thread world keeps a [`Runnable`] count,
+    /// which names its stall; every world but a fleet's refuses a
+    /// multi-process session.
     pub(crate) fn new(
         n: usize,
         engine: Engine,
@@ -476,8 +499,7 @@ impl World {
                 (Some(Arc::new(inspector)), controller)
             }
         };
-        let counted = engine == Engine::Threads && remote.is_none();
-        let runnable: Option<Arc<Runnable>> = counted.then(Arc::default);
+        let runnable: Option<Arc<Runnable>> = (engine == Engine::Threads).then(Arc::default);
         let clocks = if net.is_some() { n } else { 0 };
         World {
             n,
@@ -508,6 +530,12 @@ impl World {
         for mailbox in &self.mailboxes {
             mailbox.poison(diagnosis);
         }
+    }
+
+    /// The runnable count of a thread world.
+    pub(crate) fn runnable(&self) -> &Runnable {
+        let runnable = self.runnable.as_deref();
+        runnable.expect("a thread world keeps a runnable count")
     }
 
     /// The diagnosis the world was poisoned with, if any.
@@ -768,8 +796,10 @@ pub(crate) fn checked<R>(world: &World, (results, panics): Outcomes<R>) -> Check
 /// requirement, not a nicety: the `threads` field of emitted records must
 /// not depend on how ranks were packed into processes.
 ///
-/// A counted world is waited for on its [`Runnable`] count: a stall left
-/// at zero is diagnosed and poisoned.
+/// The launching thread then waits on the world's [`Runnable`] count: a
+/// world hosted whole by this process parks on it, and a stall left at zero
+/// is diagnosed and poisoned; a fleet's epoch runs its monitor, which
+/// returns once the epoch's flush barrier is in.
 pub(crate) fn rank_threads<R, F, Fut>(world: &Arc<World>, ranks: &[usize], f: &F) -> Outcomes<R>
 where
     R: Send,
@@ -812,13 +842,14 @@ where
                 }
             }
         }
-        if let Some(runnable) = &world.runnable {
-            assert_eq!(ranks.len(), n, "a counted world hosts every rank");
-            runnable.start(n);
-        }
+        let runnable = world.runnable();
+        let parks = world.remote.is_none();
+        runnable.start(ranks.len(), parks.then(std::thread::current));
         gate.open();
-        if world.runnable.as_ref().is_some_and(|r| r.stalled()) {
-            world.poison(check::diagnose(world));
+        match &world.remote {
+            Some(remote) => remote.monitor(world),
+            None if runnable.stalled() => world.poison(check::diagnose(world)),
+            None => {}
         }
         let (mut results, mut panics) = (Vec::with_capacity(ranks.len()), Vec::new());
         for (h, &rank) in handles.into_iter().zip(ranks) {

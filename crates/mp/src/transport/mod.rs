@@ -27,39 +27,51 @@
 //! discipline, process-level). Each epoch, `run` spawns rank threads for
 //! the ranks *resident* in this process and returns only their results.
 //!
-//! Epoch teardown uses a flush barrier: after its residents join, each
-//! process sends a `Barrier` frame to every peer and waits for theirs.
+//! Epoch teardown uses a flush barrier: once its residents have finished,
+//! each process sends a `Barrier` frame to every peer and waits for theirs.
 //! Channels are FIFO, so receipt of a peer's barrier proves every data
 //! frame that peer sent this epoch has already been buffered — no frame
 //! can leak into the next epoch.
 //!
 //! # Cross-process deadlock detection
 //!
-//! A world hosted whole by one process names its stall exactly, from its
-//! runnable count; a fleet cannot, because frames in flight between
-//! processes are invisible to a local count. So each process runs a
-//! monitor thread — the one polling stall detector — that watches its
-//! resident ranks' wait edges (read from their mailboxes' posted receives
-//! holding an unfired waker): once the inspector's activity counter has
-//! been quiet for several polls with every unfinished resident blocked,
-//! it serializes its wait edges as a `Stable` control frame to process 0.
-//! Process 0 aggregates: when every process has reported, the global
-//! sent/received data-frame counts balance (no frame in flight — the
-//! classic counting method for distributed termination detection), and a
-//! `Confirm`/`ConfirmAck` round proves every snapshot is still current,
-//! it assembles the global wait-for graph, reuses the single-process
-//! cycle finder, and broadcasts the [`Deadlock`](crate::check::Deadlock)
-//! as a `Poison` frame — blocked ranks on every process unwind with the
-//! diagnosis naming the cycle.
+//! Every thread world keeps a runnable count (`runtime::Runnable`), a
+//! fleet's epoch too: at zero no resident can run until a data frame from
+//! another process fills a receive, or the world is poisoned. Frames in
+//! flight are invisible to a local count, so the thread that launched an
+//! epoch's residents is the process's monitor: every `POLL` (10 ms), and
+//! whenever the pump hands it control traffic, it samples the count. At
+//! zero, and moved since its last report, it snapshots its residents' wait
+//! edges (read from their mailboxes' posted receives holding an unfired
+//! waker) under the session lock, which the pump holds while it delivers
+//! and counts a frame, and sends them to process 0 as a `Stable` control
+//! frame. Process 0 aggregates: when every process has reported, some rank
+//! is blocked, the global sent/received data-frame counts balance (no frame
+//! in flight — the classic counting method for distributed termination
+//! detection), and a `Confirm`/`ConfirmAck` round proves every process
+//! still has no runnable resident and the counts it reported, it assembles
+//! the global wait-for graph, reuses the single-process cycle finder, and
+//! broadcasts the [`Deadlock`](crate::check::Deadlock) as a `Poison` frame
+//! — blocked ranks on every process unwind with the diagnosis naming the
+//! cycle. The tick bounds reports at 100 a second per process; a report
+//! sent the moment the count reached zero would cost a tcp ping-pong one
+//! control frame per round trip.
+//!
+//! Once every resident has finished, the monitor sends the flush barrier
+//! and watches on — process 0 aggregating — until every peer's is in. A
+//! peer whose connection ends before it flushed the live epoch is *lost*:
+//! the pump poisons the epoch with a diagnosis naming the peer, the epoch
+//! and the last frame that came from it, and the barrier stops waiting for
+//! it. A peer that closes after its barrier has left normally.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::check::{self, Inspector, Settings};
+use crate::check::{self, Deadlock, Settings};
 use crate::comm::Comm;
 use crate::msg::Message;
 use crate::payload::Payload;
@@ -91,11 +103,16 @@ pub(crate) const ENV_TCP_BIND: &str = "MP_TCP_BIND";
 /// The rule every way into a fleet enforces, named in its refusal.
 pub(crate) const FLEET_RULE: &str = "a fleet has at least two processes (one process is `mp::run`)";
 
-/// How often a fleet process's monitor looks at its residents.
+/// How often a fleet process's monitor samples its residents' runnable
+/// count.
 const POLL: Duration = Duration::from_millis(10);
 
-/// How long an epoch's flush barrier waits for its peers' barriers before
-/// it declares a peer process dead.
+/// How long process 0 waits for a confirm round's acks before it tries
+/// again on a later tick.
+const ACK_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long an epoch's flush barrier waits for a peer that is still
+/// connected (a lost one is named at once).
 const BARRIER_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// The world topology of a multi-process session: which process hosts
@@ -148,14 +165,34 @@ impl Topology {
 }
 
 /// Reliable, FIFO-per-ordered-process-pair frame delivery. `send` may
-/// block briefly (a socket write) but never deadlocks against
-/// `recv`; `recv` returns `None` on timeout.
+/// block briefly (a socket write) but never deadlocks against `recv`.
 pub(crate) trait Transport: Send + Sync {
     /// Sends `frame` to process `dst_proc`. FIFO with respect to every
     /// other send from this process to `dst_proc`.
     fn send(&self, dst_proc: usize, frame: &Frame);
-    /// Receives the next frame from any peer, waiting up to `timeout`.
-    fn recv(&self, timeout: Duration) -> Option<Frame>;
+    /// Waits for the next frame from any peer, or for a peer whose
+    /// connection ended; `None` once every peer's has.
+    fn recv(&self) -> Option<Result<Frame, LostPeer>>;
+}
+
+/// A peer whose connection ended: what ended it, and the kind and epoch
+/// of the last frame that came over it.
+pub(crate) struct LostPeer {
+    pub(crate) peer: usize,
+    pub(crate) error: String,
+    pub(crate) last: Option<(FrameKind, u32)>,
+}
+
+impl LostPeer {
+    /// Names the loss in the diagnosis of `epoch`, which it stalled.
+    fn describe(&self, epoch: u32) -> String {
+        let last = match self.last {
+            Some((kind, e)) => format!("the last frame from it was {kind:?} of epoch {e}"),
+            None => "no frame came from it".to_string(),
+        };
+        let (peer, error) = (self.peer, &self.error);
+        format!("proc {peer} left epoch {epoch} before its flush barrier ({error}); {last}")
+    }
 }
 
 /// One process's membership in a multi-process world.
@@ -164,38 +201,76 @@ pub(crate) struct Session {
     transport: Box<dyn Transport>,
     state: Mutex<SessState>,
     cv: Condvar,
-    /// Data frames sent / received by this process (all epochs): the
+    /// Data frames sent by this process (all epochs): the send side of the
     /// conservation check behind the cross-process deadlock detector.
     data_sent: AtomicU64,
-    data_recvd: AtomicU64,
 }
 
 impl Session {
     fn new(topo: Topology, transport: Box<dyn Transport>) -> Session {
+        let nprocs = topo.nprocs;
         Session {
             topo,
             transport,
-            state: Mutex::new(SessState::default()),
+            state: Mutex::new(SessState {
+                next_epoch: 0,
+                current: None,
+                pending: HashMap::new(),
+                recvd: 0,
+                flushed: vec![0; nprocs],
+                lost: (0..nprocs).map(|_| None).collect(),
+                reports: HashMap::new(),
+                round: 0,
+                acks: HashMap::new(),
+            }),
             cv: Condvar::new(),
             data_sent: AtomicU64::new(0),
-            data_recvd: AtomicU64::new(0),
         }
     }
 }
 
-#[derive(Default)]
 struct SessState {
     next_epoch: u32,
     current: Option<(u32, Arc<World>)>,
     /// Data frames for epochs this process has not installed yet.
     pending: HashMap<u32, Vec<(usize, Message)>>,
-    /// Peer flush barriers received, per epoch.
-    barriers: HashMap<u32, usize>,
-    /// Latest stable report per process (process 0 only), tagged with
-    /// the epoch it was taken in.
+    /// Data frames received by this process (all epochs), each counted
+    /// under this lock as it is delivered or stashed: the receive side of
+    /// the conservation check.
+    recvd: u64,
+    /// Per process, the epochs it has flushed: its barriers received.
+    flushed: Vec<u32>,
+    /// Per process, how its connection ended, if it has.
+    lost: Vec<Option<LostPeer>>,
+    /// Latest stall report per process (process 0 only), tagged with the
+    /// epoch it was taken in.
     reports: HashMap<usize, (u32, StableReport)>,
-    /// Latest confirm ack per process: (gen, activity, sent, recvd).
-    acks: HashMap<usize, (u64, u64, u64, u64)>,
+    /// The last confirm round process 0 started, and the acks to its
+    /// rounds per process: (round, idle, sent, recvd).
+    round: u64,
+    acks: HashMap<usize, (u64, bool, u64, u64)>,
+}
+
+impl SessState {
+    /// Whether every peer of process `me` has flushed `epoch`, or left.
+    fn peers_flushed(&self, me: usize, epoch: u32) -> bool {
+        let left = |p: usize| self.flushed[p] > epoch || self.lost[p].is_some();
+        (0..self.flushed.len()).all(|p| p == me || left(p))
+    }
+
+    /// Poisons `world`, epoch `epoch`, if a peer was lost before it
+    /// flushed that epoch: the diagnosis names the peer, the epoch and the
+    /// last frame that came from it, beside the residents' waits.
+    fn poison_if_lost(&self, epoch: u32, world: &World) {
+        let mut peers = self.lost.iter().zip(&self.flushed);
+        let unflushed =
+            peers.find_map(|(lost, &flushed)| lost.as_ref().filter(|_| flushed <= epoch));
+        if let Some(lost) = unflushed {
+            let stall = Arc::unwrap_or_clone(check::diagnose(world));
+            let lost = Some(lost.describe(epoch));
+            world.poison(Arc::new(Deadlock { lost, ..stall }));
+        }
+    }
 }
 
 static SESSION: OnceLock<Option<Arc<Session>>> = OnceLock::new();
@@ -286,8 +361,7 @@ fn build_session_from_env() -> Option<Session> {
 }
 
 /// Spawns the session's pump thread, once, as the session is installed.
-/// Detached on purpose: it serves the whole process lifetime and exits
-/// with it.
+/// Detached on purpose: it serves the session until every peer is gone.
 fn spawn_pump(sess: &Arc<Session>) {
     let sess = Arc::clone(sess);
     std::thread::Builder::new()
@@ -298,106 +372,103 @@ fn spawn_pump(sess: &Arc<Session>) {
 
 /// The receive pump: drains the transport and dispatches frames — data
 /// into mailboxes (or the pending stash for not-yet-installed epochs),
-/// control frames into the session/detector state.
-fn pump(sess: &Arc<Session>) {
-    loop {
-        let Some(frame) = sess.transport.recv(Duration::from_millis(25)) else {
-            continue;
-        };
-        let src_proc = frame.src_proc as usize;
-        match frame.kind {
-            FrameKind::Data => {
-                sess.data_recvd.fetch_add(1, Ordering::Release);
-                let dst = frame.b as usize;
-                let msg = Message {
-                    src: frame.a as usize,
-                    full_tag: frame.c,
-                    data: Payload::from_vec(frame.payload),
-                    arrival: None,
-                };
-                let mut st = sess.state.lock();
-                match &st.current {
-                    Some((epoch, world)) if *epoch == frame.epoch => {
-                        let world = Arc::clone(world);
-                        drop(st);
-                        world.deliver(dst, msg);
-                    }
-                    Some((epoch, _)) if *epoch > frame.epoch => {
-                        panic!(
-                            "mp transport: stale data frame for epoch {} while epoch {} is live \
-                             (flush-barrier protocol violated)",
-                            frame.epoch, epoch
-                        );
-                    }
-                    _ => {
-                        st.pending.entry(frame.epoch).or_default().push((dst, msg));
-                    }
-                }
-            }
-            FrameKind::Barrier => {
-                let mut st = sess.state.lock();
-                *st.barriers.entry(frame.epoch).or_insert(0) += 1;
-                drop(st);
-                sess.cv.notify_all();
-            }
-            FrameKind::Stable => {
-                let report = wire::decode_report(&frame.payload);
-                let mut st = sess.state.lock();
-                st.reports.insert(src_proc, (frame.epoch, report));
-                drop(st);
-                sess.cv.notify_all();
-            }
-            FrameKind::Confirm => {
-                // Reply with the counters as of *now*; proc 0 compares
-                // them against the snapshot it is trying to confirm.
-                let st = sess.state.lock();
-                let activity = match &st.current {
-                    Some((epoch, world)) if *epoch == frame.epoch => world
-                        .inspector
-                        .as_ref()
-                        .map_or(u64::MAX, |insp| insp.activity()),
-                    _ => u64::MAX, // no such epoch here: never confirms
-                };
-                drop(st);
-                let ack = Frame {
-                    kind: FrameKind::ConfirmAck,
-                    epoch: frame.epoch,
-                    src_proc: sess.topo.me as u32,
-                    a: frame.a, // gen echo
-                    b: activity,
-                    c: sess.data_sent.load(Ordering::Acquire),
-                    payload: sess
-                        .data_recvd
-                        .load(Ordering::Acquire)
-                        .to_le_bytes()
-                        .to_vec(),
-                };
-                sess.transport.send(src_proc, &ack);
-            }
-            FrameKind::ConfirmAck => {
-                let recvd =
-                    u64::from_le_bytes(frame.payload[..8].try_into().expect("8-byte ack payload"));
-                let mut st = sess.state.lock();
-                st.acks.insert(src_proc, (frame.a, frame.b, frame.c, recvd));
-                drop(st);
-                sess.cv.notify_all();
-            }
-            FrameKind::Poison => {
-                let diagnosis = Arc::new(wire::decode_deadlock(&frame.payload));
-                let st = sess.state.lock();
-                if let Some((epoch, world)) = &st.current {
-                    if *epoch == frame.epoch {
-                        let world = Arc::clone(world);
-                        drop(st);
-                        world.poison(diagnosis);
-                    }
-                }
-            }
-            FrameKind::Hello | FrameKind::Shutdown => {
-                // Connection management; handled inside the transports.
-            }
+/// control frames into the session/detector state — and lost peers, until
+/// every peer is gone.
+fn pump(sess: &Session) {
+    while let Some(incoming) = sess.transport.recv() {
+        match incoming {
+            Ok(frame) => dispatch(sess, frame),
+            Err(lost) => lose_peer(sess, lost),
         }
     }
+}
+
+/// Dispatches one frame (see [`pump`]); control state that a monitor
+/// waits for is announced on the session condvar.
+fn dispatch(sess: &Session, frame: Frame) {
+    let src_proc = frame.src_proc as usize;
+    let mut st = sess.state.lock();
+    match frame.kind {
+        FrameKind::Data => {
+            let dst = frame.b as usize;
+            let msg = Message {
+                src: frame.a as usize,
+                full_tag: frame.c,
+                data: Payload::from_vec(frame.payload),
+                arrival: None,
+            };
+            match &st.current {
+                Some((epoch, world)) if *epoch == frame.epoch => world.deliver(dst, msg),
+                Some((epoch, _)) if *epoch > frame.epoch => {
+                    panic!(
+                        "mp transport: stale data frame for epoch {} while epoch {} is live \
+                         (flush-barrier protocol violated)",
+                        frame.epoch, epoch
+                    );
+                }
+                _ => st.pending.entry(frame.epoch).or_default().push((dst, msg)),
+            }
+            // Delivered and counted under the lock a monitor's snapshot
+            // holds: no report straddles a delivery.
+            st.recvd += 1;
+            return;
+        }
+        FrameKind::Barrier => st.flushed[src_proc] = frame.epoch + 1,
+        FrameKind::Stable => {
+            let report = wire::decode_report(&frame.payload);
+            st.reports.insert(src_proc, (frame.epoch, report));
+        }
+        FrameKind::Confirm => {
+            // Reply with the state as of now, every earlier frame
+            // delivered; proc 0 compares it against the snapshot it is
+            // trying to confirm.
+            let idle = match &st.current {
+                Some((epoch, world)) => *epoch == frame.epoch && world.runnable().idle(),
+                None => false, // no such epoch here: never confirms
+            };
+            let ack = Frame {
+                a: frame.a, // the round
+                b: idle.into(),
+                c: sess.data_sent.load(Ordering::Acquire),
+                payload: st.recvd.to_le_bytes().to_vec(),
+                ..Frame::control(FrameKind::ConfirmAck, frame.epoch, sess.topo.me as u32)
+            };
+            drop(st);
+            sess.transport.send(src_proc, &ack);
+            return;
+        }
+        FrameKind::ConfirmAck => {
+            let recvd = frame.payload[..8].try_into().expect("8-byte ack payload");
+            let ack = (frame.a, frame.b == 1, frame.c, u64::from_le_bytes(recvd));
+            st.acks.insert(src_proc, ack);
+        }
+        FrameKind::Poison => {
+            let world = match &st.current {
+                Some((epoch, world)) if *epoch == frame.epoch => Arc::clone(world),
+                _ => return,
+            };
+            drop(st);
+            world.poison(Arc::new(wire::decode_deadlock(&frame.payload)));
+            return;
+        }
+        FrameKind::Hello => return, // connection setup, inside the transport
+    }
+    drop(st);
+    sess.cv.notify_all();
+}
+
+/// A peer's connection ended. One that flushed the live epoch has left
+/// normally; otherwise that epoch can never complete and is poisoned,
+/// naming the peer — as is any later epoch, when it is installed.
+fn lose_peer(sess: &Session, lost: LostPeer) {
+    let mut st = sess.state.lock();
+    let peer = lost.peer;
+    st.lost[peer] = Some(lost);
+    if let Some((epoch, world)) = &st.current {
+        st.poison_if_lost(*epoch, world);
+    }
+    drop(st);
+    sess.cv.notify_all();
 }
 
 // ---------------------------------------------------------------------
@@ -418,6 +489,18 @@ impl RemoteWorld {
         self.sess.topo.resident(rank)
     }
 
+    /// The epoch's monitor (see the module docs), run by the thread that
+    /// launched its residents; returns once the flush barrier is in.
+    pub(crate) fn monitor(&self, world: &World) {
+        monitor(&self.sess, self.epoch, world);
+    }
+
+    /// Wakes the epoch's monitor: every resident has finished.
+    pub(crate) fn wake_monitor(&self) {
+        let _state = self.sess.state.lock();
+        self.sess.cv.notify_all();
+    }
+
     /// Frames `msg` and sends it to the process hosting `dst`.
     pub(crate) fn send_data(&self, dst: usize, msg: &Message) {
         debug_assert!(!self.resident(dst));
@@ -432,13 +515,11 @@ impl RemoteWorld {
             )
         });
         let frame = Frame {
-            kind: FrameKind::Data,
-            epoch: self.epoch,
-            src_proc: self.sess.topo.me as u32,
             a: msg.src as u64,
             b: dst as u64,
             c: msg.full_tag,
             payload: payload.to_vec(),
+            ..Frame::control(FrameKind::Data, self.epoch, self.sess.topo.me as u32)
         };
         self.sess.data_sent.fetch_add(1, Ordering::Release);
         self.sess
@@ -482,31 +563,18 @@ where
         sess: Arc::clone(sess),
         epoch,
     };
-    // Every multiprocess world is instrumented: the cross-process
-    // deadlock detector needs wait edges, and a poison channel is the
-    // only way to unwind ranks blocked on a peer process that died.
-    // The ring is kept tiny — event history belongs to `run_checked`.
+    // Every multiprocess world is instrumented, though wait edges come
+    // from the mailboxes and poison works without an inspector: it only
+    // adds the collective call sites to a diagnosis. The ring is kept
+    // tiny — event history belongs to `run_checked`.
     let check = Some((Settings { ring_capacity: 16 }, None));
     let world = Arc::new(World::new(n, Engine::Threads, None, check, Some(remote)));
-    let inspector = world.inspector.clone().expect("an instrumented world");
     let outcomes = {
-        // Dropped in reverse order on every path out, a rank-spawn failure
-        // included: the monitor stops first, then the epoch ends.
+        // Dropped on every path out, a rank-spawn failure included. The
+        // launching thread monitors the epoch until its flush barrier is
+        // in (`RemoteWorld::monitor`).
         let _epoch = install_world(sess, epoch, &world);
-        let _monitor = spawn_monitor(sess, epoch, &world, inspector, &residents);
-        let outcomes = rank_threads(&world, &residents, f);
-
-        // Flush barrier: FIFO channels guarantee every data frame this
-        // process sent in this epoch precedes its barrier, so once every
-        // peer's barrier has arrived no frame of this epoch is in flight.
-        let barrier = Frame::control(FrameKind::Barrier, epoch, sess.topo.me as u32);
-        for p in 0..sess.topo.nprocs {
-            if p != sess.topo.me {
-                sess.transport.send(p, &barrier);
-            }
-        }
-        wait_peer_barriers(sess, epoch);
-        outcomes
+        rank_threads(&world, &residents, f)
     };
     // Reported as every checked stand-in is (nobody reads the log): a
     // deadlock diagnosis first, then real rank panics.
@@ -523,9 +591,7 @@ impl Drop for Epoch<'_> {
     fn drop(&mut self) {
         let mut st = self.sess.state.lock();
         st.current = None;
-        st.barriers.remove(&self.epoch);
-        st.reports.clear();
-        st.acks.clear();
+        st.reports.retain(|_, (epoch, _)| *epoch > self.epoch);
         // A protocol check of the ordinary way out; an unwind already in
         // flight is the failure to report, and a second panic would abort.
         assert!(
@@ -539,274 +605,176 @@ impl Drop for Epoch<'_> {
 fn install_world<'a>(sess: &'a Session, epoch: u32, world: &Arc<World>) -> Epoch<'a> {
     let mut st = sess.state.lock();
     st.current = Some((epoch, Arc::clone(world)));
-    let pending = st.pending.remove(&epoch).unwrap_or_default();
-    drop(st);
-    for (dst, msg) in pending {
+    for (dst, msg) in st.pending.remove(&epoch).unwrap_or_default() {
         world.deliver(dst, msg);
     }
+    st.poison_if_lost(epoch, world);
     Epoch { sess, epoch }
-}
-
-fn wait_peer_barriers(sess: &Arc<Session>, epoch: u32) {
-    let peers = sess.topo.nprocs - 1;
-    let timeout = BARRIER_TIMEOUT;
-    let slice = Duration::from_millis(50);
-    let mut waited = Duration::ZERO;
-    let mut st = sess.state.lock();
-    while st.barriers.get(&epoch).copied().unwrap_or(0) < peers {
-        if sess.cv.wait_for(&mut st, slice).timed_out() {
-            waited += slice;
-            if waited >= timeout {
-                panic!(
-                    "mp transport: flush barrier for epoch {epoch} timed out after {timeout:?} \
-                     ({} of {peers} peer barriers arrived) — a peer process likely died",
-                    st.barriers.get(&epoch).copied().unwrap_or(0)
-                );
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
 // The cross-process stall monitor
 // ---------------------------------------------------------------------
 
-/// Whether every unfinished rank among `ranks` is blocked on a receive.
-/// True when every listed rank has finished — a process whose residents
-/// are all done contributes no wait edges but must not block the global
-/// stall from being declared.
-fn ranks_stable(world: &World, insp: &Inspector, ranks: &[usize]) -> bool {
-    ranks
-        .iter()
-        .all(|&rank| insp.finished(rank) || world.mailboxes[rank].blocked_on().is_some())
-}
-
-/// The quiet-poll rule of the monitor: a stall is worth snapshotting only
-/// after several consecutive polls with no wait transition and every
-/// unfinished resident blocked — a notified-but-unscheduled thread looks
-/// blocked for one poll, never for three.
-#[derive(Default)]
-struct QuietPolls {
-    /// The activity counter as the last poll read it.
-    activity: u64,
-    quiet: u32,
-}
-
-impl QuietPolls {
-    /// Takes one poll of `ranks`; true once the last three were quiet.
-    fn poll(&mut self, world: &World, insp: &Inspector, ranks: &[usize]) -> bool {
-        let activity = insp.activity();
-        if activity == self.activity && ranks_stable(world, insp, ranks) {
-            self.quiet += 1;
-        } else {
-            self.quiet = 0;
-        }
-        self.activity = activity;
-        self.quiet >= 3
-    }
-
-    /// Starts the count over (something moved after all).
-    fn reset(&mut self) {
-        self.quiet = 0;
-    }
-}
-
-/// A running monitor thread, `mp-proc-monitor`. Dropping the guard tells
-/// the thread the epoch is over and joins it, so it ends with the run on
-/// every path out — the normal one, a rank-spawn failure, any other
-/// unwind.
-struct Detector {
-    done: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Detector {
-    /// Spawns the thread, which calls `step` once per [`POLL`] until the
-    /// guard drops or `step` returns false.
-    fn spawn(mut step: impl FnMut() -> bool + Send + 'static) -> Detector {
-        let done = Arc::new(AtomicBool::new(false));
-        let stop = Arc::clone(&done);
-        let thread = std::thread::Builder::new()
-            .name("mp-proc-monitor".to_string())
-            .spawn(move || loop {
-                std::thread::sleep(POLL);
-                if stop.load(Ordering::Acquire) || !step() {
-                    break;
-                }
-            })
-            .unwrap_or_else(|e| panic!("mp: cannot spawn the stall monitor: {e}"));
-        Detector {
-            done,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Detector {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Release);
-        if let Some(thread) = self.thread.take() {
-            // A monitor that panicked has already said so through the
-            // panic hook; a second panic from a drop could only abort.
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Spawns the per-process monitor: it detects local stability (every
-/// resident unfinished rank blocked, activity quiet), publishes the
-/// serialized wait snapshot to process 0, and — on process 0 — aggregates
-/// the global diagnosis. It ends when the returned guard drops, or the
-/// run is poisoned and there is nothing left to watch.
-fn spawn_monitor(
-    sess: &Arc<Session>,
-    epoch: u32,
-    world: &Arc<World>,
-    insp: Arc<Inspector>,
-    residents: &[usize],
-) -> Detector {
-    let (sess, world, residents) = (Arc::clone(sess), Arc::clone(world), residents.to_vec());
-    let mut quiet = QuietPolls::default();
-    let (mut gen, mut published) = (0u64, false);
-    Detector::spawn(move || {
-        if world.poisoned().is_some() {
-            return false;
-        }
-        if !quiet.poll(&world, &insp, &residents) {
-            published = false;
-        } else if !published {
-            let waits = check::snapshot_ranks(&world, &residents);
+/// The monitor of epoch `epoch` (see the module docs): once per [`POLL`],
+/// or sooner when the pump announces control traffic, it reports this
+/// process's stall, sends the flush barrier once every resident has
+/// finished and, on process 0, aggregates; it returns once every peer's
+/// barrier is in, or its peer is lost.
+fn monitor(sess: &Session, epoch: u32, world: &World) {
+    let (me, runnable) = (sess.topo.me, world.runnable());
+    let residents = sess.topo.resident_ranks();
+    let (mut gen, mut reported, mut flushed) = (0, None, false);
+    let mut waited = Duration::ZERO;
+    loop {
+        // No resident can run, and something moved since the last report:
+        // at zero only a delivered frame moves anything, and the pump
+        // delivers and counts it under the lock the snapshot holds.
+        let st = sess.state.lock();
+        let counters = (sess.data_sent.load(Ordering::Acquire), st.recvd);
+        if world.poisoned().is_none() && runnable.idle() && reported != Some(counters) {
+            (reported, gen) = (Some(counters), gen + 1);
             let lanes = residents
                 .iter()
                 .flat_map(|&r| world.mailboxes[r].inventory());
-            // Counter sampling order matters: activity after the
-            // snapshot, so any wait transition between the quiet poll and
-            // the confirm round shows up as a counter change.
-            gen += 1;
             let report = StableReport {
                 gen,
-                activity: insp.activity(),
-                sent: sess.data_sent.load(Ordering::Acquire),
-                recvd: sess.data_recvd.load(Ordering::Acquire),
-                waits,
+                sent: counters.0,
+                recvd: counters.1,
+                waits: check::snapshot_ranks(world, &residents),
                 inventory: lanes.collect(),
             };
-            if report.activity != quiet.activity {
-                quiet.reset();
-                return true;
-            }
-            if sess.topo.me == 0 {
-                sess.state.lock().reports.insert(0, (epoch, report));
-            } else {
-                let frame = Frame {
-                    kind: FrameKind::Stable,
-                    epoch,
-                    src_proc: sess.topo.me as u32,
-                    a: 0,
-                    b: 0,
-                    c: 0,
-                    payload: wire::encode_report(&report),
-                };
-                sess.transport.send(0, &frame);
-            }
-            published = true;
+            drop(st);
+            publish(sess, epoch, report);
+        } else {
+            drop(st);
         }
-        if sess.topo.me == 0 {
-            try_global_diagnosis(&sess, epoch, &world, &insp);
+        if !flushed && runnable.finished() {
+            // FIFO channels: every data frame this process sent in the
+            // epoch precedes its barrier.
+            flushed = true;
+            let barrier = Frame::control(FrameKind::Barrier, epoch, me as u32);
+            for p in (0..sess.topo.nprocs).filter(|&p| p != me) {
+                sess.transport.send(p, &barrier);
+            }
         }
-        true
-    })
+        if me == 0 && world.poisoned().is_none() {
+            try_global_diagnosis(sess, epoch, world);
+        }
+        let mut st = sess.state.lock();
+        if flushed && st.peers_flushed(me, epoch) {
+            return;
+        }
+        if !flushed {
+            // Unless a resident finished since: then the barrier is due.
+            if !runnable.finished() {
+                sess.cv.wait_for(&mut st, POLL);
+            }
+        } else if sess.cv.wait_for(&mut st, POLL).timed_out() {
+            waited += POLL;
+            if waited >= BARRIER_TIMEOUT {
+                let peers = sess.topo.nprocs - 1;
+                let arrived = st.flushed.iter().filter(|&&f| f > epoch).count();
+                panic!(
+                    "mp transport: flush barrier for epoch {epoch} timed out after \
+                     {BARRIER_TIMEOUT:?} ({arrived} of {peers} peer barriers arrived)"
+                );
+            }
+        }
+    }
 }
 
-/// Process 0's aggregation step: with a stable report from every process
-/// and balanced global data-frame counters, run a confirm round and — if
-/// every snapshot is still current — assemble and broadcast the global
-/// deadlock diagnosis.
-fn try_global_diagnosis(sess: &Arc<Session>, epoch: u32, world: &World, insp: &Inspector) {
+/// Hands process 0 this process's stall report.
+fn publish(sess: &Session, epoch: u32, report: StableReport) {
+    let me = sess.topo.me;
+    if me == 0 {
+        sess.state.lock().reports.insert(0, (epoch, report));
+    } else {
+        let frame = Frame {
+            payload: wire::encode_report(&report),
+            ..Frame::control(FrameKind::Stable, epoch, me as u32)
+        };
+        sess.transport.send(0, &frame);
+    }
+}
+
+/// Process 0's aggregation step: with a stall report from every process,
+/// some rank blocked and balanced global data-frame counters, run a
+/// confirm round and — if every process still has no runnable resident
+/// and the counters it reported — assemble and broadcast the global
+/// deadlock diagnosis. A process whose report went stale loses it until it
+/// sends a fresh one.
+fn try_global_diagnosis(sess: &Session, epoch: u32, world: &World) {
     let nprocs = sess.topo.nprocs;
-    let reports: Vec<StableReport> = {
-        let st = sess.state.lock();
-        let mut out = Vec::with_capacity(nprocs);
-        for p in 0..nprocs {
-            match st.reports.get(&p) {
-                Some((e, r)) if *e == epoch => out.push(r.clone()),
-                _ => return, // not every process is stable yet
+    let (reports, round) = {
+        let mut st = sess.state.lock();
+        let of = |p| match st.reports.get(&p) {
+            Some((e, report)) if *e == epoch => Some(report.clone()),
+            _ => None,
+        };
+        let Some(reports) = (0..nprocs).map(of).collect::<Option<Vec<_>>>() else {
+            return; // not every process has stalled yet
+        };
+        let sent: u64 = reports.iter().map(|r| r.sent).sum();
+        let recvd: u64 = reports.iter().map(|r| r.recvd).sum();
+        if sent != recvd || reports.iter().all(|r| r.waits.is_empty()) {
+            return; // data frames in flight, or every rank has finished
+        }
+        st.round += 1;
+        (reports, st.round)
+    };
+    for p in 1..nprocs {
+        let confirm = Frame {
+            a: round,
+            ..Frame::control(FrameKind::Confirm, epoch, 0)
+        };
+        sess.transport.send(p, &confirm);
+    }
+    let mut st = sess.state.lock();
+    let mut waited = Duration::ZERO;
+    while !(1..nprocs).all(|p| st.acks.get(&p).is_some_and(|ack| ack.0 == round)) {
+        if waited >= ACK_TIMEOUT || world.poisoned().is_some() {
+            return; // a later tick tries again, or a lost peer ended it
+        }
+        if sess.cv.wait_for(&mut st, POLL).timed_out() {
+            waited += POLL;
+        }
+    }
+    let mine = (
+        round,
+        world.runnable().idle(),
+        sess.data_sent.load(Ordering::Acquire),
+        st.recvd,
+    );
+    let stale: Vec<usize> = (0..nprocs)
+        .filter(|&p| {
+            let (_, idle, sent, recvd) = if p == 0 { mine } else { st.acks[&p] };
+            !(idle && sent == reports[p].sent && recvd == reports[p].recvd)
+        })
+        .collect();
+    if !stale.is_empty() {
+        for p in stale {
+            let taken = |(e, r): &(u32, StableReport)| *e == epoch && r.gen == reports[p].gen;
+            if st.reports.get(&p).is_some_and(taken) {
+                st.reports.remove(&p);
             }
         }
-        out
-    };
-    let sent: u64 = reports.iter().map(|r| r.sent).sum();
-    let recvd: u64 = reports.iter().map(|r| r.recvd).sum();
-    if sent != recvd {
-        return; // data frames still in flight
-    }
-    // Confirm round: every worker must still be exactly at its snapshot.
-    {
-        let mut st = sess.state.lock();
-        st.acks.clear();
-    }
-    for (p, report) in reports.iter().enumerate().skip(1) {
-        let frame = Frame {
-            kind: FrameKind::Confirm,
-            epoch,
-            src_proc: 0,
-            a: report.gen,
-            b: 0,
-            c: 0,
-            payload: Vec::new(),
-        };
-        sess.transport.send(p, &frame);
-    }
-    // Collect acks (with a bounded wait so a woken world never wedges
-    // the monitor).
-    let deadline_slices = 50u32;
-    let mut slices = 0u32;
-    let confirmed = loop {
-        let st = sess.state.lock();
-        let have_all = (1..nprocs).all(|p| st.acks.contains_key(&p));
-        if have_all {
-            let ok = (1..nprocs).all(|p| {
-                let (gen, activity, psent, precvd) = st.acks[&p];
-                let r = &reports[p];
-                gen == r.gen && activity == r.activity && psent == r.sent && precvd == r.recvd
-            });
-            break ok;
-        }
-        drop(st);
-        std::thread::sleep(POLL);
-        slices += 1;
-        if slices >= deadline_slices {
-            break false;
-        }
-    };
-    // Re-validate process 0's own snapshot the same way.
-    let self_ok = insp.activity() == reports[0].activity
-        && sess.data_sent.load(Ordering::Acquire) == reports[0].sent
-        && sess.data_recvd.load(Ordering::Acquire) == reports[0].recvd;
-    if !confirmed || !self_ok {
-        // Something moved: drop every report and wait for fresh ones.
-        let mut st = sess.state.lock();
-        st.reports.clear();
-        st.acks.clear();
         return;
     }
+    drop(st);
     // A genuine global stall: assemble the world-wide diagnosis.
-    let diagnosis = Arc::new(check::Deadlock::from_waits(
+    let diagnosis = Arc::new(Deadlock::from_waits(
         sess.topo.world,
         reports.iter().flat_map(|r| r.waits.clone()).collect(),
         reports.iter().flat_map(|r| r.inventory.clone()).collect(),
     ));
+    let payload = wire::encode_deadlock(&diagnosis);
     for p in 1..nprocs {
-        let frame = Frame {
-            kind: FrameKind::Poison,
-            epoch,
-            src_proc: 0,
-            a: 0,
-            b: 0,
-            c: 0,
-            payload: wire::encode_deadlock(&diagnosis),
+        let poison = Frame {
+            payload: payload.clone(),
+            ..Frame::control(FrameKind::Poison, epoch, 0)
         };
-        sess.transport.send(p, &frame);
+        sess.transport.send(p, &poison);
     }
     world.poison(diagnosis);
 }
@@ -839,8 +807,7 @@ mod tests {
             unreachable!("mp transport: local send to proc {dst_proc}");
         }
 
-        fn recv(&self, timeout: Duration) -> Option<Frame> {
-            std::thread::sleep(timeout);
+        fn recv(&self) -> Option<Result<Frame, LostPeer>> {
             None
         }
     }
@@ -852,7 +819,7 @@ mod tests {
 
     /// The session leg of `runtime::tests::spawn_failure_names_the_rank`:
     /// a rank-spawn failure under a session panics with the spawn error
-    /// and *returns* (the monitor is joined), and it ends the epoch — the
+    /// and *returns*, and it ends the epoch — the
     /// next `run` meets the spawn error again, not "nested run()", and
     /// once spawning works the session carries on.
     #[test]

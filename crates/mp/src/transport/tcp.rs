@@ -22,7 +22,9 @@
 //! direction, which is all the epoch protocol needs.
 //!
 //! A reader thread per connection decodes frames off the stream and
-//! feeds one process-wide channel; `recv` is just a timed pop. Writers
+//! feeds one process-wide channel; `recv` is just a blocking pop. A reader
+//! whose stream ends, by a clean close or an error, hands the channel the
+//! peer as lost and exits; once every reader has, `recv` says so. Writers
 //! share per-peer `Mutex<TcpStream>` handles with `TCP_NODELAY` set —
 //! benchmark frames must not sit in Nagle buffers.
 
@@ -35,7 +37,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use super::wire::{read_frame, Frame, FrameKind};
-use super::Transport;
+use super::{LostPeer, Transport};
 
 /// How long connection setup may take before the world is declared dead.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(60);
@@ -54,7 +56,7 @@ pub(crate) struct TcpTransport {
     writers: Vec<Option<Mutex<TcpStream>>>,
     /// All reader threads feed this channel; `Receiver` is single-consumer
     /// and not `Sync`, so the session's pump takes it through a mutex.
-    rx: Mutex<mpsc::Receiver<Frame>>,
+    rx: Mutex<mpsc::Receiver<Incoming>>,
 }
 
 impl TcpTransport {
@@ -92,7 +94,7 @@ impl TcpTransport {
         if static_peers.is_none() {
             publish_addr(dir, me, &local.to_string());
         }
-        let (tx, rx) = mpsc::channel::<Frame>();
+        let (tx, rx) = mpsc::channel::<Incoming>();
         let mut writers: Vec<Option<Mutex<TcpStream>>> = (0..nprocs).map(|_| None).collect();
         // Lower-index peers: we dial them.
         for p in 0..me {
@@ -223,56 +225,46 @@ fn dial(addr: &str, p: usize, timeout: Duration) -> TcpStream {
     }
 }
 
-/// One reader thread per connection: decode frames, feed the shared
-/// channel, exit on clean EOF or an explicit `Shutdown`.
-fn spawn_reader(peer: usize, mut stream: TcpStream, tx: mpsc::Sender<Frame>) {
+/// What a reader hands the pump: a frame, or its peer, lost.
+type Incoming = Result<Frame, LostPeer>;
+
+/// One reader thread per connection: decode frames and feed the shared
+/// channel until the stream ends, then hand it the peer as lost, with what
+/// ended the stream and the last frame that came over it.
+fn spawn_reader(peer: usize, mut stream: TcpStream, tx: mpsc::Sender<Incoming>) {
     std::thread::Builder::new()
         .name(format!("mp-tcp-read-{peer}"))
-        .spawn(move || loop {
-            match read_frame(&mut stream) {
-                Ok(Some(frame)) => {
-                    if frame.kind == FrameKind::Shutdown {
-                        return;
+        .spawn(move || {
+            let mut last = None;
+            let error = loop {
+                match read_frame(&mut stream) {
+                    Ok(Some(frame)) => {
+                        last = Some((frame.kind, frame.epoch));
+                        if tx.send(Ok(frame)).is_err() {
+                            return; // transport dropped; nothing to feed
+                        }
                     }
-                    if tx.send(frame).is_err() {
-                        return; // transport dropped; nothing to feed
-                    }
+                    Ok(None) => break "connection closed".to_string(),
+                    Err(e) => break e.to_string(),
                 }
-                Ok(None) => return, // clean EOF: peer exited
-                Err(_) => return,   // reset mid-frame: peer died; the
-                                     // flush-barrier timeout reports it
-            }
+            };
+            let _ = tx.send(Err(LostPeer { peer, error, last }));
         })
         .expect("mp tcp: cannot spawn a reader thread");
 }
 
 impl Transport for TcpTransport {
+    /// A write that fails means the connection is gone: its reader hands
+    /// the pump the peer as lost, which is where the failure is named.
     fn send(&self, dst_proc: usize, frame: &Frame) {
         let stream = self.writers[dst_proc]
             .as_ref()
             .unwrap_or_else(|| panic!("mp tcp: send to self (proc {dst_proc})"));
-        let bytes = frame.encode();
-        stream
-            .lock()
-            .write_all(&bytes)
-            .unwrap_or_else(|e| panic!("mp tcp: send to proc {dst_proc} failed: {e}"));
+        let _ = stream.lock().write_all(&frame.encode());
     }
 
-    fn recv(&self, timeout: Duration) -> Option<Frame> {
-        self.rx.lock().recv_timeout(timeout).ok()
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Best-effort graceful teardown so peer readers exit without an
-        // error path; process exit would close the sockets anyway.
-        for (p, w) in self.writers.iter().enumerate() {
-            if let Some(stream) = w {
-                let bye = Frame::control(FrameKind::Shutdown, 0, p as u32);
-                let _ = stream.lock().write_all(&bye.encode());
-            }
-        }
+    fn recv(&self) -> Option<Incoming> {
+        self.rx.lock().recv().ok()
     }
 }
 
@@ -287,7 +279,18 @@ mod tests {
         dir
     }
 
+    /// The next frame `t` receives; a lost peer or an empty channel fails.
+    fn frame(t: &TcpTransport) -> Frame {
+        match t.recv() {
+            Some(Ok(frame)) => frame,
+            Some(Err(lost)) => panic!("proc {} lost: {}", lost.peer, lost.error),
+            None => panic!("every peer is gone"),
+        }
+    }
+
     /// Both endpoints inside one process (distinct transports), loopback.
+    /// A peer whose connection closes comes out of `recv` as lost, with
+    /// the last frame it sent; then, with no peer left, `recv` ends.
     #[test]
     fn loopback_pair_exchanges_frames() {
         let dir = tmpdir("pair");
@@ -299,14 +302,12 @@ mod tests {
         f.a = 42;
         f.payload = (0..100_000).map(|i| i as u8).collect();
         t0.send(1, &f);
-        let got = t1.recv(Duration::from_secs(10)).expect("frame arrives");
-        assert_eq!(got, f);
+        assert_eq!(frame(&t1), f);
         // And the reverse direction over the same connection.
         let mut g = Frame::control(FrameKind::Data, 1, 1);
         g.b = 7;
         t1.send(0, &g);
-        assert_eq!(t0.recv(Duration::from_secs(10)).expect("reply"), g);
-        assert!(t0.recv(Duration::from_millis(5)).is_none());
+        assert_eq!(frame(&t0), g);
         // FIFO per ordered pair, the property the flush barrier rests on.
         for i in 0..10u64 {
             let mut f = Frame::control(FrameKind::Data, 1, 0);
@@ -315,9 +316,22 @@ mod tests {
             t0.send(1, &f);
         }
         for i in 0..10u64 {
-            let got = t1.recv(Duration::from_secs(10)).expect("frame arrives");
+            let got = frame(&t1);
             assert_eq!((got.a, got.payload.len()), (i, i as usize * 37));
         }
+        let writer = t1.writers[0].as_ref().expect("proc 1 writes to proc 0");
+        writer
+            .lock()
+            .shutdown(std::net::Shutdown::Both)
+            .expect("close");
+        match t0.recv() {
+            Some(Err(lost)) => {
+                assert_eq!((lost.peer, lost.last), (1, Some((FrameKind::Data, 1))));
+                assert_eq!(lost.error, "connection closed");
+            }
+            _ => panic!("proc 1's close reaches proc 0 as a lost peer"),
+        }
+        assert!(t0.recv().is_none(), "no peer is left to read from");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,15 +52,14 @@ pub(crate) enum FrameKind {
     Stable = 2,
     /// Proc 0 asking a worker to confirm its snapshot is still current.
     Confirm = 3,
-    /// The worker's reply: current activity / sent / received counters.
+    /// The worker's reply: whether no resident can run, and its sent /
+    /// received counters.
     ConfirmAck = 4,
     /// A global deadlock diagnosis, broadcast by proc 0; receivers poison
     /// their local world so blocked ranks unwind with the diagnosis.
     Poison = 5,
     /// TCP connection preamble identifying the connecting proc.
     Hello = 6,
-    /// Graceful connection teardown.
-    Shutdown = 7,
 }
 
 impl FrameKind {
@@ -73,7 +72,6 @@ impl FrameKind {
             4 => FrameKind::ConfirmAck,
             5 => FrameKind::Poison,
             6 => FrameKind::Hello,
-            7 => FrameKind::Shutdown,
             _ => return None,
         })
     }
@@ -188,15 +186,13 @@ pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<
 // Control payload encodings (mpcheck traffic)
 // ---------------------------------------------------------------------
 
-/// A worker process's stable wait snapshot: every resident unfinished
-/// rank is parked (re-verified against in-flight wakes), plus the
-/// counters proc 0 needs to rule out frames still in flight.
+/// A process's stall snapshot, taken while no resident could run: its
+/// residents' wait edges, plus the counters proc 0 needs to rule out
+/// frames still in flight.
 #[derive(Clone, Debug)]
 pub(crate) struct StableReport {
     /// Monotonic per-proc snapshot generation.
     pub gen: u64,
-    /// The local inspector's activity counter at snapshot time.
-    pub activity: u64,
     /// Total Data frames this proc has sent this epoch.
     pub sent: u64,
     /// Total Data frames this proc has received this epoch.
@@ -370,7 +366,6 @@ fn dec_inventory(d: &mut Dec) -> Vec<LaneInfo> {
 pub(crate) fn encode_report(r: &StableReport) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     e.u64(r.gen);
-    e.u64(r.activity);
     e.u64(r.sent);
     e.u64(r.recvd);
     enc_waits(&mut e, &r.waits);
@@ -383,7 +378,6 @@ pub(crate) fn decode_report(buf: &[u8]) -> StableReport {
     let mut d = Dec { buf, at: 0 };
     StableReport {
         gen: d.u64(),
-        activity: d.u64(),
         sent: d.u64(),
         recvd: d.u64(),
         waits: dec_waits(&mut d),
@@ -391,7 +385,8 @@ pub(crate) fn decode_report(buf: &[u8]) -> StableReport {
     }
 }
 
-/// Encodes a deadlock diagnosis as a `Poison` frame payload.
+/// Encodes a deadlock diagnosis as a `Poison` frame payload. `lost` stays
+/// behind: every process names a lost peer from its own connection.
 pub(crate) fn encode_deadlock(d: &Deadlock) -> Vec<u8> {
     let mut e = Enc(Vec::new());
     match &d.cycle {
@@ -420,6 +415,7 @@ pub(crate) fn decode_deadlock(buf: &[u8]) -> Deadlock {
         cycle,
         waits: dec_waits(&mut d),
         inventory: dec_inventory(&mut d),
+        lost: None,
     }
 }
 
@@ -535,7 +531,6 @@ mod tests {
     fn reports_roundtrip() {
         let report = StableReport {
             gen: 3,
-            activity: 41,
             sent: 7,
             recvd: 7,
             waits: vec![
@@ -573,7 +568,6 @@ mod tests {
         };
         let back = decode_report(&encode_report(&report));
         assert_eq!(back.gen, 3);
-        assert_eq!(back.activity, 41);
         assert_eq!(back.waits.len(), 2);
         assert_eq!(back.waits[0].rank, 1);
         assert!(matches!(
@@ -624,6 +618,7 @@ mod tests {
                 },
             ],
             inventory: Vec::new(),
+            lost: None,
         };
         let back = decode_deadlock(&encode_deadlock(&d));
         assert_eq!(format!("{back}"), format!("{d}"));
@@ -680,7 +675,7 @@ mod tests {
 
         #[test]
         fn frame_roundtrip_is_identity(
-            (kind, epoch, src_proc) in (0u8..8, 0u32..1000, 0u32..64),
+            (kind, epoch, src_proc) in (0u8..7, 0u32..1000, 0u32..64),
             (a, b, c) in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
             len in 0usize..(crate::coll::LONG_MSG_THRESHOLD + 8192),
             seed in 0u64..u64::MAX,

@@ -163,6 +163,68 @@ fn w_deadlock() {
     });
 }
 
+fn w_cycle_beside_a_finished_process() {
+    // Rank 2 (proc 2) returns at once while ranks 0 and 1 wait on each
+    // other: proc 2's report has no waits, and the cycle is still named.
+    mp::run(3, |comm| {
+        if comm.rank() < 2 {
+            let mut buf = [0u8];
+            comm.recv(&mut buf, 1 - comm.rank(), 1);
+        }
+    });
+}
+
+fn w_lost_peer() {
+    // Proc 1 dies after its first receive while rank 0 waits for a reply.
+    mp::run(2, |comm| {
+        let mut buf = [0u8];
+        if comm.rank() == 0 {
+            comm.send(&[1u8], 1, 1);
+            comm.recv(&mut buf, 1, 2);
+        } else {
+            comm.recv(&mut buf, 0, 1);
+            std::process::abort();
+        }
+    });
+}
+
+/// CPU time this process has used, in clock ticks: `utime + stime` of
+/// `/proc/self/stat`.
+fn cpu_ticks() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("read /proc/self/stat");
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .expect("(comm)")
+        .1
+        .split_whitespace()
+        .collect();
+    // Fields 14 and 15 of proc(5), counted after the parenthesised comm.
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+/// Idles the calling thread for `d`: a bounded wait on a channel that
+/// nobody sends on.
+fn idle(d: Duration) {
+    let (_tx, rx) = std::sync::mpsc::channel::<()>();
+    assert!(rx.recv_timeout(d).is_err());
+}
+
+fn w_idle_after_peer_exit(proc: &mp::Proc) {
+    // Proc 1 exits once the epoch ends; proc 0 then idles, and its pump,
+    // with no peer left, must stop rather than spin.
+    mp::run(2, |comm| comm.barrier());
+    if proc.resident(0) {
+        idle(Duration::from_millis(300));
+        let before = cpu_ticks();
+        idle(Duration::from_millis(500));
+        let used = cpu_ticks() - before;
+        assert!(
+            used < 10,
+            "proc 0 used {used} CPU ticks idling after its peer left"
+        );
+    }
+}
+
 /// Dispatch point for worker processes. Under a normal `cargo test` run
 /// (no `MP_TEST_CASE`), this is a no-op.
 #[test]
@@ -178,6 +240,9 @@ fn worker_entry() {
         "epochs" => w_epochs(),
         "resident_results" => w_resident_results(&proc),
         "deadlock" => w_deadlock(),
+        "cycle_beside_finished" => w_cycle_beside_a_finished_process(),
+        "lost_peer" => w_lost_peer(),
+        "idle_after_peer_exit" => w_idle_after_peer_exit(&proc),
         other => panic!("unknown MP_TEST_CASE {other:?}"),
     }
 }
@@ -226,6 +291,60 @@ fn tcp_recv_cycle_is_diagnosed_across_processes() {
         "diagnosis must name the cross-process cycle; got:\n{output}"
     );
     assert!(output.contains("blocked in receive"), "waits listed");
+    assert_every_proc_names_the_cycle(&outcome);
+}
+
+/// Every process exited by itself — the `Poison` frame reached it and the
+/// watchdog killed nobody — and its stderr names the cycle of ranks 0 and
+/// 1.
+fn assert_every_proc_names_the_cycle(outcome: &FleetOutcome) {
+    for p in &outcome.procs {
+        assert!(
+            p.status.is_some(),
+            "proc {} was killed:\n{}",
+            p.proc,
+            p.stderr
+        );
+        assert!(
+            p.stderr.contains("wait-for cycle: 0 -> 1 -> 0"),
+            "proc {} must name the cycle; got:\n{}",
+            p.proc,
+            p.stderr
+        );
+    }
+}
+
+#[test]
+fn tcp_recv_cycle_beside_a_finished_process() {
+    let outcome = fleet("cycle_beside_finished", 3, 3).spawn().wait();
+    assert!(!outcome.success() && !outcome.timed_out);
+    assert_every_proc_names_the_cycle(&outcome);
+}
+
+/// A peer that dies mid-epoch is named by the survivor, which exits by
+/// itself instead of waiting for the launcher's watchdog.
+#[test]
+fn a_lost_peer_is_named_not_waited_for() {
+    let outcome = fleet("lost_peer", 2, 2).spawn().wait();
+    let survivor = &outcome.procs[0];
+    assert!(
+        matches!(survivor.status, Some(code) if code != 0),
+        "proc 0 must fail by itself, not be killed: {:?}\n{}",
+        survivor.status,
+        survivor.stderr
+    );
+    assert!(
+        survivor.stderr.contains("peer lost: proc 1 left epoch 0"),
+        "proc 0 must name proc 1 and epoch 0; got:\n{}",
+        survivor.stderr
+    );
+}
+
+/// Once every peer is gone the receive pump stops: a process idling after
+/// its only peer exited uses (almost) no CPU.
+#[test]
+fn the_pump_stops_when_every_peer_is_gone() {
+    fleet("idle_after_peer_exit", 2, 2).run();
 }
 
 #[test]
