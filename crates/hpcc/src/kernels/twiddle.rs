@@ -33,7 +33,10 @@ use super::fft::Complex;
 /// tests validate against) and as four split-complex planes, which is
 /// what the vectorized butterfly kernels load — plane-separated `f64`
 /// streams keep the inner loops free of shuffles so they compile to
-/// packed FMA.
+/// packed FMA. Dropping the interleaved copy (22 MB of a cached 2^21-point
+/// table) left the table small enough to share a glibc arena heap with an
+/// FFT's transient planes, which the heap then kept: a `native_kernels`
+/// process peaked ~45 MB higher, not lower.
 pub(crate) struct Stage {
     /// The stage's half-pair parameter: butterflies combine elements at
     /// distances `h` and `2h` within blocks of `4h`.

@@ -32,7 +32,7 @@
 //! the world, whose wakers queue the blocked tasks to unwind with the
 //! cycle diagnosis.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -303,15 +303,15 @@ where
 {
     let n = world.n;
     let ctl = world.controller.clone();
-    let results: RefCell<Vec<Option<R>>> = RefCell::new((0..n).map(|_| None).collect());
-    let mut tasks: Vec<Option<Pin<Box<dyn Future<Output = ()> + '_>>>> = (0..n)
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    // The task is the body future itself. An `async` block that captured
+    // the body and awaited it (to store its result) would hold the body
+    // twice, the captured copy and the awaited one: 2 184 B a rank against
+    // the body's 1 080 B, for a virtual Barrier in a release build.
+    let mut tasks: Vec<Option<Pin<Box<dyn Future<Output = R> + '_>>>> = (0..n)
         .map(|rank| {
-            let fut = f(Comm::world(Arc::clone(world), rank));
-            let results = &results;
-            let task: Pin<Box<dyn Future<Output = ()> + '_>> = Box::pin(async move {
-                let r = fut.await;
-                results.borrow_mut()[rank] = Some(r);
-            });
+            let task: Pin<Box<dyn Future<Output = R> + '_>> =
+                Box::pin(f(Comm::world(Arc::clone(world), rank)));
             Some(task)
         })
         .collect();
@@ -352,7 +352,10 @@ where
             };
             let panicked = match polled {
                 Ok(Poll::Pending) => continue,
-                Ok(Poll::Ready(())) => None,
+                Ok(Poll::Ready(r)) => {
+                    results[rank] = Some(r);
+                    None
+                }
                 Err(e) => Some(panic_message(&*e).to_string()),
             };
             tasks[rank] = None;
@@ -372,8 +375,7 @@ where
         world.poison(check::diagnose(world));
         poisoned_drain = true;
     }
-    drop(tasks);
-    (results.into_inner(), panics)
+    (results, panics)
 }
 
 /// Runs `f` as an SPMD program over `n` cooperative rank tasks on the

@@ -4,7 +4,11 @@
 //! lanes (hash-addressed, FIFO within a lane — MPI's non-overtaking
 //! guarantee by construction) and every message carries a global arrival
 //! sequence number, so wildcard receives fall back to a scan over lane
-//! fronts in true arrival order. Blocked receivers register in a
+//! fronts in true arrival order. A queued message is stored without its
+//! envelope, which is its lane's key. A lane's front lives in its bucket of
+//! the lane table and the messages behind it in a second table, so a lane
+//! holding one message, the common case, costs one 64 B bucket and
+//! allocates nothing of its own. Blocked receivers register in a
 //! posted-receive table; a matching send fills the oldest matching posted
 //! receive in place, under the one mailbox lock, and — once it has
 //! released the lock — fires the `Waker` the receive's future left there.
@@ -43,31 +47,62 @@ use crate::runtime::Runnable;
 /// Lane address: (global source rank, packed comm id + tag).
 type LaneKey = (usize, u64);
 
-/// A nonempty FIFO lane of unexpected messages. Most lanes hold exactly
-/// one message between a send and its receive, so the front lives inline
-/// in the lane table and only a backlog behind it allocates.
-struct Lane {
-    front: Arrived,
-    rest: VecDeque<Arrived>,
+/// Takes the oldest message queued behind `key`'s lane front, if any.
+fn next_behind(backlog: &mut HashMap<LaneKey, VecDeque<Queued>>, key: LaneKey) -> Option<Queued> {
+    // Most mailboxes have no backlog at all: skip hashing the key.
+    if backlog.is_empty() {
+        return None;
+    }
+    let Entry::Occupied(mut rest) = backlog.entry(key) else {
+        return None;
+    };
+    let next = rest.get_mut().pop_front();
+    if rest.get().is_empty() {
+        rest.remove();
+    }
+    next
 }
 
-impl Lane {
-    fn one(front: Arrived) -> Lane {
-        Lane {
-            front,
-            rest: VecDeque::new(),
-        }
-    }
+/// A message queued in a lane: its envelope (source and packed tag) is
+/// the lane's key.
+struct Queued {
+    seq: u64,
+    data: Payload,
+    arrival: Option<simnet::Time>,
+}
 
-    fn iter(&self) -> impl Iterator<Item = &Arrived> {
-        std::iter::once(&self.front).chain(&self.rest)
+impl Queued {
+    /// The message again, its envelope rebuilt from its lane's key.
+    fn arrived(self, (src, full_tag): LaneKey) -> Arrived {
+        let Queued { seq, data, arrival } = self;
+        let msg = Message {
+            src,
+            full_tag,
+            data,
+            arrival,
+        };
+        Arrived { seq, msg }
     }
 }
 
-/// A queued message stamped with its global arrival order.
+/// A message stamped with its global arrival order.
 pub(crate) struct Arrived {
     seq: u64,
     msg: Message,
+}
+
+impl Arrived {
+    /// The message's lane key and its lane entry.
+    fn queued(self) -> (LaneKey, Queued) {
+        let Message {
+            src,
+            full_tag,
+            data,
+            arrival,
+        } = self.msg;
+        let seq = self.seq;
+        ((src, full_tag), Queued { seq, data, arrival })
+    }
 }
 
 /// One entry in the posted-receive table.
@@ -94,8 +129,14 @@ struct PostedRecv {
 
 #[derive(Default)]
 struct Inner {
-    /// Per-(source, comm+tag) FIFO lanes of unexpected messages.
-    lanes: HashMap<LaneKey, Lane>,
+    /// The front (oldest message) of every nonempty per-(source,
+    /// comm+tag) FIFO lane of unexpected messages. Most lanes hold one
+    /// message between a send and its receive, so a lane costs one bucket
+    /// here, 64 B with its key, and nothing else.
+    lanes: HashMap<LaneKey, Queued>,
+    /// The messages behind a lane's front, oldest first, for the lanes
+    /// that have any; an entry goes when its lane is down to its front.
+    backlog: HashMap<LaneKey, VecDeque<Queued>>,
     /// Global arrival counter (stamps wildcard ordering).
     seq: u64,
     /// Queued message count across all lanes.
@@ -135,9 +176,9 @@ impl Inner {
             // lanes are FIFO, so index 0 is the oldest matching message
             // overall. A controller picks when there is a real choice.
             let mut fronts: Vec<(u64, LaneKey)> = Vec::new();
-            for (&key, lane) in &self.lanes {
+            for (&key, front) in &self.lanes {
                 if filter.accepts_parts(key.0, key.1) {
-                    fronts.push((lane.front.seq, key));
+                    fronts.push((front.seq, key));
                 }
             }
             fronts.sort_unstable_by_key(|&(seq, _)| seq);
@@ -164,15 +205,15 @@ impl Inner {
             };
             (fronts.get(idx)?.1, fronts.len() as u32)
         };
-        let Entry::Occupied(mut lane) = self.lanes.entry(key) else {
+        let Entry::Occupied(mut front) = self.lanes.entry(key) else {
             return None;
         };
-        let arrived = match lane.get_mut().rest.pop_front() {
-            Some(next) => std::mem::replace(&mut lane.get_mut().front, next),
-            None => lane.remove().front,
+        let queued = match next_behind(&mut self.backlog, key) {
+            Some(next) => std::mem::replace(front.get_mut(), next),
+            None => front.remove(),
         };
         self.queued -= 1;
-        Some((arrived, candidates))
+        Some((queued.arrived(key), candidates))
     }
 
     /// Reinserts a previously-matched message at the front of its lane;
@@ -180,14 +221,14 @@ impl Inner {
     /// valid for a message that was the oldest match of its filter (which
     /// every [`take_queued`](Inner::take_queued)/hand-off result is).
     fn requeue_front(&mut self, arrived: Arrived) {
-        match self.lanes.entry((arrived.msg.src, arrived.msg.full_tag)) {
-            Entry::Occupied(mut lane) => {
-                let lane = lane.get_mut();
-                let second = std::mem::replace(&mut lane.front, arrived);
-                lane.rest.push_front(second);
+        let (key, queued) = arrived.queued();
+        match self.lanes.entry(key) {
+            Entry::Occupied(mut front) => {
+                let second = std::mem::replace(front.get_mut(), queued);
+                self.backlog.entry(key).or_default().push_front(second);
             }
             Entry::Vacant(slot) => {
-                slot.insert(Lane::one(arrived));
+                slot.insert(queued);
             }
         }
         self.queued += 1;
@@ -239,10 +280,11 @@ impl Inner {
             self.posted[idx].arrived = Some(arrived);
             return Some(idx);
         }
-        match self.lanes.entry((arrived.msg.src, arrived.msg.full_tag)) {
-            Entry::Occupied(mut lane) => lane.get_mut().rest.push_back(arrived),
+        let (key, queued) = arrived.queued();
+        match self.lanes.entry(key) {
+            Entry::Occupied(_) => self.backlog.entry(key).or_default().push_back(queued),
             Entry::Vacant(slot) => {
-                slot.insert(Lane::one(arrived));
+                slot.insert(queued);
             }
         }
         self.queued += 1;
@@ -378,13 +420,17 @@ impl Mailbox {
         let mut out: Vec<LaneInfo> = inner
             .lanes
             .iter()
-            .map(|((src, full_tag), lane)| LaneInfo {
-                dst: self.rank,
-                src: *src,
-                comm: (full_tag >> 32) as u32,
-                tag: (full_tag & 0xFFFF_FFFF) as u32,
-                queued: 1 + lane.rest.len(),
-                bytes: lane.iter().map(|a| a.msg.data.len()).sum(),
+            .map(|(&(src, full_tag), front)| {
+                let rest = inner.backlog.get(&(src, full_tag));
+                let lane = || std::iter::once(front).chain(rest.into_iter().flatten());
+                LaneInfo {
+                    dst: self.rank,
+                    src,
+                    comm: (full_tag >> 32) as u32,
+                    tag: (full_tag & 0xFFFF_FFFF) as u32,
+                    queued: lane().count(),
+                    bytes: lane().map(|q| q.data.len()).sum(),
+                }
             })
             .collect();
         out.sort_by_key(|l| (l.src, l.comm, l.tag));
@@ -800,6 +846,29 @@ mod tests {
         mb.cancel(handle);
         assert_eq!(mb.recv(exact(1, 7)).data.bytes().unwrap(), &[1]);
         assert_eq!(mb.recv(exact(1, 7)).data.bytes().unwrap(), &[2]);
+    }
+
+    /// A lane-table bucket (key and front) holds one queued message in
+    /// 64 B: the envelope is the key's, and the backlog is out of line.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_lane_bucket_holds_one_message_in_64_bytes() {
+        assert_eq!(std::mem::size_of::<(LaneKey, Queued)>(), 64);
+    }
+
+    #[test]
+    fn inventory_counts_a_lane_with_its_backlog() {
+        let mb = Mailbox::new();
+        mb.push(msg(2, 1, vec![1, 2]));
+        mb.push(msg(1, 3, vec![3]));
+        mb.push(msg(2, 1, vec![4, 5, 6]));
+        mb.push(msg(2, 1, vec![]));
+        let lanes: Vec<_> = mb
+            .inventory()
+            .iter()
+            .map(|l| (l.src, l.tag, l.queued, l.bytes))
+            .collect();
+        assert_eq!(lanes, [(1, 3, 1, 1), (2, 1, 3, 5)]);
     }
 
     #[test]
