@@ -5,19 +5,21 @@
 //! guarantee by construction) and every message carries a global arrival
 //! sequence number, so wildcard receives fall back to a scan over lane
 //! fronts in true arrival order. A queued message is stored without its
-//! envelope, which is its lane's key. A lane's front lives in its bucket of
-//! the lane table and the messages behind it in a second table, so a lane
-//! holding one message, the common case, costs one 64 B bucket and
-//! allocates nothing of its own. Blocked receivers register in a
+//! envelope, which is its lane's key. Storage follows what is live: a lane
+//! holding one message, the common case, is one 64 B bucket of the lane
+//! table and allocates nothing of its own; a lane with messages behind its
+//! front holds them in a deque in the same bucket; and the table gives its
+//! capacity back as it drains, so a burst of early messages leaves nothing
+//! resident once it has been received. Blocked receivers register in a
 //! posted-receive table; a matching send fills the oldest matching posted
 //! receive in place, under the one mailbox lock, and — once it has
 //! released the lock — fires the `Waker` the receive's future left there.
-//! There is one wait, [`TicketWait`], and the mailbox does not know who
-//! polls it: a cooperative task, whose waker queues it on the executor's
-//! run queue, or a rank thread in [`block_on`](crate::block_on), whose
-//! waker raises the flag it spins on and unparks it. How a thread spins
-//! and parks is `block_on`'s business. What a blocked rank waits on is
-//! read here, from the posted receives holding an unfired waker
+//! There is one wait, [`Recv`], and the mailbox does not know who polls
+//! it: a cooperative task, whose waker queues it on the executor's run
+//! queue, or a rank thread in [`block_on`](crate::block_on), whose waker
+//! raises the flag it spins on and unparks it. How a thread spins and
+//! parks is `block_on`'s business. What a blocked rank waits on is read
+//! here, from the posted receives holding an unfired waker
 //! ([`Mailbox::blocked_on`]), by every engine's stall diagnosis; in a
 //! thread world the same table keeps the world's runnable count exact
 //! (see [`Runnable`]), and a poisoned world's diagnosis reaches its
@@ -31,6 +33,8 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::num::NonZeroU64;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
@@ -47,21 +51,35 @@ use crate::runtime::Runnable;
 /// Lane address: (global source rank, packed comm id + tag).
 type LaneKey = (usize, u64);
 
-/// Takes the oldest message queued behind `key`'s lane front, if any.
-fn next_behind(backlog: &mut HashMap<LaneKey, VecDeque<Queued>>, key: LaneKey) -> Option<Queued> {
-    // Most mailboxes have no backlog at all: skip hashing the key.
-    if backlog.is_empty() {
-        return None;
+/// The hash of a lane key: a multiply-rotate mix of its two words (the
+/// `FxHash` step). Keys come from the world's own ranks and tags, not
+/// from outside, so a keyed hash buys nothing; this one is a few
+/// instructions and needs no per-table seed.
+#[derive(Default)]
+struct LaneHasher(u64);
+
+impl Hasher for LaneHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
     }
-    let Entry::Occupied(mut rest) = backlog.entry(key) else {
-        return None;
-    };
-    let next = rest.get_mut().pop_front();
-    if rest.get().is_empty() {
-        rest.remove();
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
-    next
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
+
+/// The lane table: every nonempty lane, by key.
+type Lanes = HashMap<LaneKey, Lane, BuildHasherDefault<LaneHasher>>;
 
 /// A message queued in a lane: its envelope (source and packed tag) is
 /// the lane's key.
@@ -82,6 +100,66 @@ impl Queued {
             arrival,
         };
         Arrived { seq, msg }
+    }
+}
+
+/// A nonempty FIFO lane of unexpected messages.
+enum Lane {
+    /// One message, the common case: nothing allocated.
+    One(Queued),
+    /// Two or more, oldest first.
+    Many(VecDeque<Queued>),
+}
+
+impl Lane {
+    /// The oldest message of the lane.
+    fn front(&self) -> &Queued {
+        match self {
+            Lane::One(q) => q,
+            Lane::Many(q) => q.front().expect("a lane of many holds two or more"),
+        }
+    }
+
+    /// The messages of the lane, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &Queued> {
+        let (one, many) = match self {
+            Lane::One(q) => (Some(q), None),
+            Lane::Many(q) => (None, Some(q)),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
+    /// Adds `queued` to the lane: at its back, or at its front for a
+    /// message a cancelled receive gives back.
+    fn add(&mut self, queued: Queued, at_front: bool) {
+        let mut rest = match std::mem::replace(self, Lane::Many(VecDeque::new())) {
+            Lane::One(first) => {
+                let mut rest = VecDeque::with_capacity(2);
+                rest.push_back(first);
+                rest
+            }
+            Lane::Many(rest) => rest,
+        };
+        if at_front {
+            rest.push_front(queued);
+        } else {
+            rest.push_back(queued);
+        }
+        *self = Lane::Many(rest);
+    }
+
+    /// Removes the lane's oldest message if another one stays behind it;
+    /// `None` for a lane of one, whose message goes with the lane.
+    fn pop_front(&mut self) -> Option<Queued> {
+        let Lane::Many(rest) = self else {
+            return None;
+        };
+        let front = rest.pop_front().expect("a lane of many holds two or more");
+        if rest.len() == 1 {
+            let last = rest.pop_front().expect("one message left");
+            *self = Lane::One(last);
+        }
+        Some(front)
     }
 }
 
@@ -107,7 +185,7 @@ impl Arrived {
 
 /// One entry in the posted-receive table.
 struct PostedRecv {
-    id: u64,
+    id: NonZeroU64,
     filter: Match,
     /// Rendezvous destination: a buffer of exactly the expected encoded
     /// size that a matching large send writes into directly. Still here
@@ -129,21 +207,18 @@ struct PostedRecv {
 
 #[derive(Default)]
 struct Inner {
-    /// The front (oldest message) of every nonempty per-(source,
-    /// comm+tag) FIFO lane of unexpected messages. Most lanes hold one
-    /// message between a send and its receive, so a lane costs one bucket
-    /// here, 64 B with its key, and nothing else.
-    lanes: HashMap<LaneKey, Queued>,
-    /// The messages behind a lane's front, oldest first, for the lanes
-    /// that have any; an entry goes when its lane is down to its front.
-    backlog: HashMap<LaneKey, VecDeque<Queued>>,
+    /// Every nonempty per-(source, comm+tag) FIFO lane of unexpected
+    /// messages. Most lanes hold one message between a send and its
+    /// receive, so a lane costs one bucket here, 64 B with its key, and
+    /// nothing else. The table shrinks as it drains
+    /// ([`Inner::give_back`]).
+    lanes: Lanes,
     /// Global arrival counter (stamps wildcard ordering).
     seq: u64,
-    /// Queued message count across all lanes.
-    queued: usize,
     /// Posted receives in posting order (the MPI matching order).
     posted: Vec<PostedRecv>,
-    next_posted_id: u64,
+    /// The id of the last posted receive (ids start at 1).
+    last_posted_id: u64,
     /// Whether the owning rank's thread is off its world's runnable count,
     /// waiting on a counted receive: once however many it waits on.
     rank_waiting: bool,
@@ -176,9 +251,9 @@ impl Inner {
             // lanes are FIFO, so index 0 is the oldest matching message
             // overall. A controller picks when there is a real choice.
             let mut fronts: Vec<(u64, LaneKey)> = Vec::new();
-            for (&key, front) in &self.lanes {
+            for (&key, lane) in &self.lanes {
                 if filter.accepts_parts(key.0, key.1) {
-                    fronts.push((front.seq, key));
+                    fronts.push((lane.front().seq, key));
                 }
             }
             fronts.sort_unstable_by_key(|&(seq, _)| seq);
@@ -205,15 +280,31 @@ impl Inner {
             };
             (fronts.get(idx)?.1, fronts.len() as u32)
         };
-        let Entry::Occupied(mut front) = self.lanes.entry(key) else {
-            return None;
+        // A lookup, not `entry`: a vacant entry reserves room for the
+        // insert it expects, which would allocate a table for a receive
+        // that finds nothing queued.
+        let queued = match self.lanes.get_mut(&key)?.pop_front() {
+            Some(front) => front,
+            None => {
+                let Some(Lane::One(front)) = self.lanes.remove(&key) else {
+                    unreachable!("only a lane of one has nothing behind its front")
+                };
+                self.give_back();
+                front
+            }
         };
-        let queued = match next_behind(&mut self.backlog, key) {
-            Some(next) => std::mem::replace(front.get_mut(), next),
-            None => front.remove(),
-        };
-        self.queued -= 1;
         Some((queued.arrived(key), candidates))
+    }
+
+    /// Shrinks the lane table once it holds at most a quarter of what it
+    /// has room for, to twice its live lanes: a burst of early messages
+    /// leaves no capacity behind once it is received, and an emptied
+    /// table holds no allocation at all.
+    fn give_back(&mut self) {
+        let live = self.lanes.len();
+        if live * 4 <= self.lanes.capacity() {
+            self.lanes.shrink_to(live * 2);
+        }
     }
 
     /// Reinserts a previously-matched message at the front of its lane;
@@ -222,22 +313,23 @@ impl Inner {
     /// every [`take_queued`](Inner::take_queued)/hand-off result is).
     fn requeue_front(&mut self, arrived: Arrived) {
         let (key, queued) = arrived.queued();
+        self.queue(key, queued, true);
+    }
+
+    /// Queues `queued` on its lane, at the lane's front or back.
+    fn queue(&mut self, key: LaneKey, queued: Queued, at_front: bool) {
         match self.lanes.entry(key) {
-            Entry::Occupied(mut front) => {
-                let second = std::mem::replace(front.get_mut(), queued);
-                self.backlog.entry(key).or_default().push_front(second);
-            }
+            Entry::Occupied(mut lane) => lane.get_mut().add(queued, at_front),
             Entry::Vacant(slot) => {
-                slot.insert(queued);
+                slot.insert(Lane::One(queued));
             }
         }
-        self.queued += 1;
     }
 
     /// Registers a posted receive and returns its claim ticket.
     fn register(&mut self, filter: Match, buf: Option<Vec<u8>>) -> Ticket {
-        let id = self.next_posted_id;
-        self.next_posted_id += 1;
+        self.last_posted_id += 1;
+        let id = NonZeroU64::new(self.last_posted_id).expect("ids start at 1");
         if self.posted.capacity() == 0 {
             // A rank nearly always has exactly one receive posted; the
             // first growth of a `Vec` would take four entries per mailbox.
@@ -281,13 +373,7 @@ impl Inner {
             return Some(idx);
         }
         let (key, queued) = arrived.queued();
-        match self.lanes.entry(key) {
-            Entry::Occupied(_) => self.backlog.entry(key).or_default().push_back(queued),
-            Entry::Vacant(slot) => {
-                slot.insert(queued);
-            }
-        }
-        self.queued += 1;
+        self.queue(key, queued, false);
         None
     }
 }
@@ -306,20 +392,19 @@ pub(crate) struct Mailbox {
     runnable: Option<Arc<Runnable>>,
 }
 
-/// A registered nonblocking receive: either the message was already
-/// queued (taken immediately, arrival stamp kept so cancellation can
-/// restore it exactly, candidate-lane count and the rendezvous buffer it
-/// will not need alongside), or a table entry now waits for it. Opaque to
-/// callers; resolve with [`Mailbox::complete_async`] or
-/// [`Mailbox::cancel`].
+/// A nonblocking receive registered ahead of its wait: either the message
+/// was already queued (taken immediately, arrival stamp kept so
+/// cancellation can restore it exactly, with its candidate-lane count), or
+/// a table entry now waits for it. Opaque to callers; resolve with
+/// [`Mailbox::collect`] or [`Mailbox::wait`], or [`Mailbox::cancel`].
 pub(crate) enum PostedHandle {
-    Ready(Arrived, u32, Option<Vec<u8>>),
+    Ready(Arrived, u32),
     Pending(Ticket),
 }
 
 /// Claim ticket for a pending posted receive.
 pub(crate) struct Ticket {
-    id: u64,
+    id: NonZeroU64,
 }
 
 impl Mailbox {
@@ -420,17 +505,13 @@ impl Mailbox {
         let mut out: Vec<LaneInfo> = inner
             .lanes
             .iter()
-            .map(|(&(src, full_tag), front)| {
-                let rest = inner.backlog.get(&(src, full_tag));
-                let lane = || std::iter::once(front).chain(rest.into_iter().flatten());
-                LaneInfo {
-                    dst: self.rank,
-                    src,
-                    comm: (full_tag >> 32) as u32,
-                    tag: (full_tag & 0xFFFF_FFFF) as u32,
-                    queued: lane().count(),
-                    bytes: lane().map(|q| q.data.len()).sum(),
-                }
+            .map(|(&(src, full_tag), lane)| LaneInfo {
+                dst: self.rank,
+                src,
+                comm: (full_tag >> 32) as u32,
+                tag: (full_tag & 0xFFFF_FFFF) as u32,
+                queued: lane.iter().count(),
+                bytes: lane.iter().map(|q| q.data.len()).sum(),
             })
             .collect();
         out.sort_by_key(|l| (l.src, l.comm, l.tag));
@@ -518,20 +599,25 @@ impl Mailbox {
         true
     }
 
-    /// Registers a nonblocking receive: takes an already-queued match
-    /// immediately (handing `buf` back unused), otherwise enters the
-    /// posted-receive table so a future send (including a rendezvous
-    /// send, when the caller supplies `buf`) can complete it before the
+    /// Registers a nonblocking receive ahead of its wait: takes an
+    /// already-queued match immediately, otherwise enters the
+    /// posted-receive table so a future send can complete it before the
     /// receiver waits.
-    pub(crate) fn post(&self, filter: Match, buf: Option<Vec<u8>>) -> PostedHandle {
+    pub(crate) fn post(&self, filter: Match) -> PostedHandle {
         let mut inner = self.inner.lock();
         if let Some((arrived, candidates)) = inner.take_queued(filter, self.ctl()) {
-            return PostedHandle::Ready(arrived, candidates, buf);
+            return PostedHandle::Ready(arrived, candidates);
         }
-        let ticket = inner.register(filter, buf);
+        let ticket = inner.register(filter, None);
         drop(inner);
         self.note_touch();
         PostedHandle::Pending(ticket)
+    }
+
+    /// Collects the message a posted receive took when it was posted.
+    pub(crate) fn collect(&self, arrived: Arrived, filter: Match, candidates: u32) -> Message {
+        self.record_recv(&arrived, filter, candidates);
+        arrived.msg
     }
 
     /// Cancels a posted receive. Any message it already matched — taken
@@ -539,49 +625,43 @@ impl Mailbox {
     /// its lane with its original arrival stamp, as if the receive had
     /// never been posted.
     pub(crate) fn cancel(&self, handle: PostedHandle) {
+        match handle {
+            PostedHandle::Ready(arrived, _) => self.inner.lock().requeue_front(arrived),
+            PostedHandle::Pending(ticket) => self.withdraw_ticket(ticket),
+        }
+    }
+
+    /// Withdraws the pending posted receive behind `ticket`, requeueing
+    /// the message a sender may have handed it meanwhile.
+    fn withdraw_ticket(&self, ticket: Ticket) {
         let mut inner = self.inner.lock();
-        let matched = match handle {
-            PostedHandle::Ready(arrived, ..) => Some(arrived),
-            PostedHandle::Pending(ticket) => self.withdraw(&mut inner, &ticket).arrived,
-        };
-        if let Some(arrived) = matched {
+        if let Some(arrived) = self.withdraw(&mut inner, &ticket).arrived {
             inner.requeue_front(arrived);
         }
     }
 
-    /// Removes and returns the oldest message matching `filter`, waiting
-    /// until one arrives; also posts `buf` as a rendezvous destination
-    /// while waiting (see [`rendezvous_send`](Mailbox::rendezvous_send)).
-    /// Returns the message and, if the rendezvous buffer went unused, the
-    /// buffer itself for recycling. Posts when called, not when first
-    /// polled.
-    pub(crate) fn recv_posting_async(&self, filter: Match, buf: Option<Vec<u8>>) -> TicketWait<'_> {
-        self.complete_async(self.post(filter, buf), filter)
-    }
-
-    /// Removes and returns the oldest message matching `filter`, waiting
-    /// until one arrives. FIFO per (source, tag) pair (non-overtaking);
-    /// wildcard filters match in global arrival order.
-    pub(crate) async fn recv_async(&self, filter: Match) -> Message {
-        self.recv_posting_async(filter, None).await.0
-    }
-
-    /// Blocking [`recv_async`](Mailbox::recv_async), for thread-based
-    /// unit tests.
-    #[cfg(test)]
-    pub(crate) fn recv(&self, filter: Match) -> Message {
-        crate::block_on(self.recv_async(filter))
-    }
-
-    /// Resolves a posted receive: ready at the first poll for an
-    /// already-matched one, waiting until a sender matches it otherwise.
-    /// Resolves to the message and the rendezvous buffer it did not use,
-    /// if any.
-    pub(crate) fn complete_async(&self, handle: PostedHandle, filter: Match) -> TicketWait<'_> {
-        TicketWait {
+    /// The oldest message matching `filter`, once one arrives, with the
+    /// rendezvous buffer `buf` posted meanwhile (see
+    /// [`rendezvous_send`](Mailbox::rendezvous_send)) and handed back if
+    /// the message did not use it. FIFO per (source, tag) pair
+    /// (non-overtaking); wildcard filters match in global arrival order.
+    /// Posts at its first poll.
+    pub(crate) fn recv(&self, filter: Match, buf: Option<Vec<u8>>) -> Recv<'_> {
+        Recv {
             mailbox: self,
-            handle: Some(handle),
             filter,
+            ticket: None,
+            buf,
+        }
+    }
+
+    /// The wait of the pending posted receive behind `ticket`.
+    pub(crate) fn wait(&self, ticket: Ticket, filter: Match) -> Recv<'_> {
+        Recv {
+            mailbox: self,
+            filter,
+            ticket: Some(ticket),
+            buf: None,
         }
     }
 
@@ -601,82 +681,121 @@ impl Mailbox {
         Mailbox::with_instrumentation(0, None, None, None)
     }
 
-    /// Blocks the calling thread on the pending posted receive behind
-    /// `ticket`.
-    fn wait(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
-        crate::block_on(self.complete_async(PostedHandle::Pending(ticket), filter))
+    /// Blocking [`recv`](Mailbox::recv), for thread-based unit tests.
+    pub(crate) fn recv_blocking(&self, filter: Match) -> Message {
+        crate::block_on(self.recv(filter, None)).0
     }
 
     /// Non-blocking variant: removes the oldest matching message if present.
     fn try_recv(&self, filter: Match) -> Option<Message> {
         let taken = self.inner.lock().take_queued(filter, self.ctl());
-        taken.map(|(arrived, candidates)| {
-            self.record_recv(&arrived, filter, candidates);
-            arrived.msg
-        })
+        taken.map(|(arrived, candidates)| self.collect(arrived, filter, candidates))
+    }
+
+    /// Registers a receive with the rendezvous buffer `buf` ahead of its
+    /// wait, as a [`Recv`]'s first poll does when nothing is queued.
+    fn post_buffer(&self, filter: Match, buf: Option<Vec<u8>>) -> Ticket {
+        let mut inner = self.inner.lock();
+        assert!(inner.lanes.is_empty(), "nothing queued yet");
+        inner.register(filter, buf)
+    }
+
+    /// Blocks the calling thread on the pending posted receive behind
+    /// `ticket`.
+    fn wait_blocking(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
+        crate::block_on(self.wait(ticket, filter))
     }
 
     /// Number of queued (unmatched) messages.
     fn pending(&self) -> usize {
-        self.inner.lock().queued
+        let inner = self.inner.lock();
+        inner.lanes.values().map(|lane| lane.iter().count()).sum()
+    }
+
+    /// Buckets the lane table has room for, live or not.
+    fn lane_capacity(&self) -> usize {
+        self.inner.lock().lanes.capacity()
     }
 }
 
-/// The one wait for a posted receive: a future that resolves when the
-/// receive behind its handle is matched, polled by the cooperative
-/// executor or by a rank thread's [`block_on`](crate::block_on) alike. An
-/// already-matched receive resolves at the first poll. Otherwise each poll
-/// takes the mailbox lock and either unwinds with the world's poison, or
-/// takes the arrival, or leaves its waker in the table entry. Dropping an
-/// unresolved wait cancels the posting, requeueing any message it had
-/// already matched.
-pub(crate) struct TicketWait<'a> {
+/// The one wait for a receive: a future that resolves to the oldest
+/// message matching its filter, polled by the cooperative executor or by
+/// a rank thread's [`block_on`](crate::block_on) alike. Each poll takes
+/// the mailbox lock once. The first poll takes an already-queued match and
+/// hands it back at once, or else registers a posted receive (with the
+/// rendezvous buffer, if any); from then on a poll unwinds with the
+/// world's poison, or takes the arrival, or leaves its waker in the table
+/// entry. It holds only what a wait needs — the mailbox, the filter, the
+/// ticket and the buffer — and never a message. Dropping an unresolved
+/// wait cancels the posting, requeueing any message it had already
+/// matched. Like any future it is not polled once it has resolved: it
+/// would post a second receive.
+pub(crate) struct Recv<'a> {
     mailbox: &'a Mailbox,
-    /// The receive, until the wait resolves it.
-    handle: Option<PostedHandle>,
     filter: Match,
+    /// The posted receive, once a poll has registered it.
+    ticket: Option<Ticket>,
+    /// Rendezvous destination, until the receive is posted with it.
+    buf: Option<Vec<u8>>,
 }
 
-impl Future for TicketWait<'_> {
+impl Future for Recv<'_> {
     type Output = (Message, Option<Vec<u8>>);
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let ticket = match this.handle.take().expect("polled after completion") {
-            PostedHandle::Ready(arrived, candidates, spare) => {
-                this.mailbox.record_recv(&arrived, this.filter, candidates);
-                return Poll::Ready((arrived.msg, spare));
+        let mailbox = this.mailbox;
+        let mut inner = mailbox.inner.lock();
+        let (ticket, posted_now) = match this.ticket.take() {
+            Some(ticket) => (ticket, false),
+            None => {
+                if let Some((arrived, candidates)) = inner.take_queued(this.filter, mailbox.ctl()) {
+                    drop(inner);
+                    let msg = mailbox.collect(arrived, this.filter, candidates);
+                    return Poll::Ready((msg, this.buf.take()));
+                }
+                (inner.register(this.filter, this.buf.take()), true)
             }
-            PostedHandle::Pending(ticket) => ticket,
         };
-        let mut inner = this.mailbox.inner.lock();
-        if let Some(diagnosis) = inner.poisoned.clone() {
-            this.mailbox.withdraw(&mut inner, &ticket);
-            drop(inner);
+        let poisoned = inner.poisoned.clone();
+        let taken = match poisoned {
+            Some(_) => {
+                mailbox.withdraw(&mut inner, &ticket);
+                None
+            }
+            None => {
+                let idx = inner.index_of(&ticket);
+                if inner.posted[idx].arrived.is_none() {
+                    mailbox.arm(&mut inner, idx, cx.waker());
+                    this.ticket = Some(ticket);
+                    None
+                } else {
+                    Some(inner.posted.remove(idx))
+                }
+            }
+        };
+        drop(inner);
+        if posted_now {
+            mailbox.note_touch();
+        }
+        if let Some(diagnosis) = poisoned {
             panic!("{POISON_MARK}{diagnosis}");
         }
-        let idx = inner.index_of(&ticket);
-        if inner.posted[idx].arrived.is_none() {
-            this.mailbox.arm(&mut inner, idx, cx.waker());
-            drop(inner);
-            this.handle = Some(PostedHandle::Pending(ticket));
+        let Some(p) = taken else {
             return Poll::Pending;
-        }
-        let p = inner.posted.remove(idx);
-        drop(inner);
+        };
         let arrived = p.arrived.expect("checked above");
         // A handed-off message is the only candidate by construction: had
         // another queued message matched the filter, it would have been
         // taken at post time.
-        this.mailbox.record_recv(&arrived, this.filter, 1);
-        Poll::Ready((arrived.msg, p.buf))
+        Poll::Ready((mailbox.collect(arrived, this.filter, 1), p.buf))
     }
 }
 
-impl Drop for TicketWait<'_> {
+impl Drop for Recv<'_> {
     fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.mailbox.cancel(handle);
+        if let Some(ticket) = self.ticket.take() {
+            self.mailbox.withdraw_ticket(ticket);
         }
     }
 }
@@ -720,8 +839,8 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(1, 5, vec![1]));
         mb.push(msg(1, 5, vec![2]));
-        assert_eq!(mb.recv(exact(1, 5)).data.bytes().unwrap(), &[1]);
-        assert_eq!(mb.recv(exact(1, 5)).data.bytes().unwrap(), &[2]);
+        assert_eq!(mb.recv_blocking(exact(1, 5)).data.bytes().unwrap(), &[1]);
+        assert_eq!(mb.recv_blocking(exact(1, 5)).data.bytes().unwrap(), &[2]);
     }
 
     #[test]
@@ -729,9 +848,9 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(2, 9, vec![9]));
         mb.push(msg(1, 5, vec![5]));
-        assert_eq!(mb.recv(exact(1, 5)).data.bytes().unwrap(), &[5]);
+        assert_eq!(mb.recv_blocking(exact(1, 5)).data.bytes().unwrap(), &[5]);
         assert_eq!(mb.pending(), 1);
-        assert_eq!(mb.recv(exact(2, 9)).data.bytes().unwrap(), &[9]);
+        assert_eq!(mb.recv_blocking(exact(2, 9)).data.bytes().unwrap(), &[9]);
     }
 
     #[test]
@@ -746,7 +865,13 @@ mod tests {
     fn blocking_recv_wakes_on_push() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let t = std::thread::spawn(move || mb2.recv(exact(3, 1)).data.bytes().unwrap().to_vec());
+        let t = std::thread::spawn(move || {
+            mb2.recv_blocking(exact(3, 1))
+                .data
+                .bytes()
+                .unwrap()
+                .to_vec()
+        });
         std::thread::sleep(Duration::from_millis(20));
         mb.push(msg(3, 1, vec![42]));
         assert_eq!(t.join().unwrap(), vec![42]);
@@ -759,8 +884,8 @@ mod tests {
         let mb = Mailbox::with_instrumentation(0, Some(Arc::clone(&insp)), None, None);
         mb.push(msg(1, 5, vec![1]));
         mb.push(msg(2, 6, vec![2]));
-        assert_eq!(mb.recv(any()).src, 1, "oldest arrival wins");
-        assert_eq!(mb.recv(any()).src, 2);
+        assert_eq!(mb.recv_blocking(any()).src, 1, "oldest arrival wins");
+        assert_eq!(mb.recv_blocking(any()).src, 2);
         let (events, _) = insp.drain_events();
         assert!(
             matches!(
@@ -789,8 +914,8 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(7, 3, vec![7]));
         mb.push(msg(8, 4, vec![8]));
-        assert_eq!(mb.recv(any()).src, 7);
-        assert_eq!(mb.recv(any()).src, 8);
+        assert_eq!(mb.recv_blocking(any()).src, 7);
+        assert_eq!(mb.recv_blocking(any()).src, 8);
     }
 
     #[test]
@@ -803,7 +928,7 @@ mod tests {
             mb.push(msg(*src, *tag, vec![i as u8]));
         }
         for (i, (src, tag)) in order.iter().enumerate() {
-            let m = mb.recv(any());
+            let m = mb.recv_blocking(any());
             assert_eq!(m.src, *src);
             assert_eq!((m.full_tag & 0xFFFF_FFFF) as u32, *tag);
             assert_eq!(m.data.bytes().unwrap(), &[i as u8]);
@@ -813,12 +938,12 @@ mod tests {
     #[test]
     fn posted_receive_gets_direct_handoff() {
         let mb = Mailbox::new();
-        let PostedHandle::Pending(ticket) = mb.post(exact(1, 7), None) else {
+        let PostedHandle::Pending(ticket) = mb.post(exact(1, 7)) else {
             panic!("nothing queued yet");
         };
         mb.push(msg(1, 7, vec![3]));
         assert_eq!(mb.pending(), 0, "message must go to the posted receive");
-        let (m, spare) = mb.wait(ticket, exact(1, 7));
+        let (m, spare) = mb.wait_blocking(ticket, exact(1, 7));
         assert_eq!(m.data.bytes().unwrap(), &[3]);
         assert!(spare.is_none());
     }
@@ -827,8 +952,8 @@ mod tests {
     fn post_takes_already_queued_message() {
         let mb = Mailbox::new();
         mb.push(msg(1, 7, vec![4]));
-        match mb.post(exact(1, 7), None) {
-            PostedHandle::Ready(a, candidates, _) => {
+        match mb.post(exact(1, 7)) {
+            PostedHandle::Ready(a, candidates) => {
                 assert_eq!(a.msg.data.bytes().unwrap(), &[4]);
                 assert_eq!(candidates, 1);
             }
@@ -841,19 +966,49 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(msg(1, 7, vec![1]));
         mb.push(msg(1, 7, vec![2]));
-        let handle = mb.post(exact(1, 7), None);
+        let handle = mb.post(exact(1, 7));
         assert!(matches!(handle, PostedHandle::Ready(..)));
         mb.cancel(handle);
-        assert_eq!(mb.recv(exact(1, 7)).data.bytes().unwrap(), &[1]);
-        assert_eq!(mb.recv(exact(1, 7)).data.bytes().unwrap(), &[2]);
+        assert_eq!(mb.recv_blocking(exact(1, 7)).data.bytes().unwrap(), &[1]);
+        assert_eq!(mb.recv_blocking(exact(1, 7)).data.bytes().unwrap(), &[2]);
     }
 
-    /// A lane-table bucket (key and front) holds one queued message in
-    /// 64 B: the envelope is the key's, and the backlog is out of line.
+    /// A lane-table bucket (key and lane) holds one queued message in
+    /// 64 B: the envelope is the key's, and a lane of many keeps its deque
+    /// where a lane of one keeps its message.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn a_lane_bucket_holds_one_message_in_64_bytes() {
-        assert_eq!(std::mem::size_of::<(LaneKey, Queued)>(), 64);
+        assert_eq!(std::mem::size_of::<(LaneKey, Lane)>(), 64);
+    }
+
+    /// A burst of early messages from `k` distinct sources, one of them
+    /// with three messages behind each other, grows the lane table; once
+    /// every message is received the table holds no capacity at all.
+    #[test]
+    fn a_drained_burst_leaves_no_lane_capacity() {
+        let k = 24;
+        let mb = Mailbox::new();
+        for src in 0..k {
+            mb.push(msg(src, 3, vec![src as u8]));
+        }
+        mb.push(msg(5, 3, vec![100]));
+        mb.push(msg(5, 3, vec![101]));
+        assert!(mb.lane_capacity() >= k, "{}", mb.lane_capacity());
+        for src in (0..k).rev() {
+            assert_eq!(
+                mb.recv_blocking(exact(src, 3)).data.bytes().unwrap(),
+                &[src as u8]
+            );
+            if src == k / 4 {
+                assert!(mb.lane_capacity() < k, "a table down to a quarter shrinks");
+            }
+        }
+        assert_eq!(mb.pending(), 2);
+        assert_eq!(mb.recv_blocking(exact(5, 3)).data.bytes().unwrap(), &[100]);
+        assert_eq!(mb.recv_blocking(exact(5, 3)).data.bytes().unwrap(), &[101]);
+        assert_eq!(mb.pending(), 0);
+        assert_eq!(mb.lane_capacity(), 0);
     }
 
     #[test]
@@ -874,22 +1029,28 @@ mod tests {
     #[test]
     fn posted_receives_match_in_posting_order() {
         let mb = Mailbox::new();
-        let PostedHandle::Pending(t1) = mb.post(exact(1, 7), None) else {
+        let PostedHandle::Pending(t1) = mb.post(exact(1, 7)) else {
             panic!()
         };
-        let PostedHandle::Pending(t2) = mb.post(exact(1, 7), None) else {
+        let PostedHandle::Pending(t2) = mb.post(exact(1, 7)) else {
             panic!()
         };
         mb.push(msg(1, 7, vec![1]));
         mb.push(msg(1, 7, vec![2]));
-        assert_eq!(mb.wait(t1, exact(1, 7)).0.data.bytes().unwrap(), &[1]);
-        assert_eq!(mb.wait(t2, exact(1, 7)).0.data.bytes().unwrap(), &[2]);
+        assert_eq!(
+            mb.wait_blocking(t1, exact(1, 7)).0.data.bytes().unwrap(),
+            &[1]
+        );
+        assert_eq!(
+            mb.wait_blocking(t2, exact(1, 7)).0.data.bytes().unwrap(),
+            &[2]
+        );
     }
 
     #[test]
     fn cancelled_posted_receive_requeues_its_message() {
         let mb = Mailbox::new();
-        let PostedHandle::Pending(ticket) = mb.post(any(), None) else {
+        let PostedHandle::Pending(ticket) = mb.post(any()) else {
             panic!()
         };
         mb.push(msg(5, 1, vec![10]));
@@ -898,19 +1059,17 @@ mod tests {
         mb.cancel(PostedHandle::Pending(ticket));
         assert_eq!(mb.pending(), 2);
         // Order restored: the handed-off message is back at the front.
-        assert_eq!(mb.recv(exact(5, 1)).data.bytes().unwrap(), &[10]);
-        assert_eq!(mb.recv(exact(5, 1)).data.bytes().unwrap(), &[11]);
+        assert_eq!(mb.recv_blocking(exact(5, 1)).data.bytes().unwrap(), &[10]);
+        assert_eq!(mb.recv_blocking(exact(5, 1)).data.bytes().unwrap(), &[11]);
     }
 
     #[test]
     fn rendezvous_send_fills_posted_buffer() {
         let mb = Mailbox::new();
-        let PostedHandle::Pending(ticket) = mb.post(exact(2, 4), Some(vec![0u8; 8])) else {
-            panic!()
-        };
+        let ticket = mb.post_buffer(exact(2, 4), Some(vec![0u8; 8]));
         let words = [0x0102_0304_0506_0708u64];
         assert!(mb.rendezvous_send(2, pack_tag(0, 4), &words, None));
-        let (m, spare) = mb.wait(ticket, exact(2, 4));
+        let (m, spare) = mb.wait_blocking(ticket, exact(2, 4));
         assert!(spare.is_none(), "buffer was consumed by the rendezvous");
         assert_eq!(m.data.bytes().unwrap(), &[8, 7, 6, 5, 4, 3, 2, 1]);
     }
@@ -921,22 +1080,20 @@ mod tests {
         // No posted receive at all.
         assert!(!mb.rendezvous_send(2, pack_tag(0, 4), &[1u64], None));
         // Posted receive without a buffer.
-        let PostedHandle::Pending(t1) = mb.post(exact(2, 4), None) else {
+        let PostedHandle::Pending(t1) = mb.post(exact(2, 4)) else {
             panic!()
         };
         assert!(!mb.rendezvous_send(2, pack_tag(0, 4), &[1u64], None));
         // Eager delivery still reaches it, returning no spare.
         mb.push(msg(2, 4, vec![1]));
-        let (m, spare) = mb.wait(t1, exact(2, 4));
+        let (m, spare) = mb.wait_blocking(t1, exact(2, 4));
         assert_eq!(m.data.bytes().unwrap(), &[1]);
         assert!(spare.is_none());
         // Posted buffer of the wrong size: rendezvous declines.
-        let PostedHandle::Pending(t2) = mb.post(exact(2, 4), Some(vec![0u8; 4])) else {
-            panic!()
-        };
+        let t2 = mb.post_buffer(exact(2, 4), Some(vec![0u8; 4]));
         assert!(!mb.rendezvous_send(2, pack_tag(0, 4), &[1u64], None));
         mb.push(msg(2, 4, vec![9; 8]));
-        let (m, spare) = mb.wait(t2, exact(2, 4));
+        let (m, spare) = mb.wait_blocking(t2, exact(2, 4));
         assert_eq!(m.data.len(), 8);
         assert_eq!(spare, Some(vec![0u8; 4]), "unused buffer comes back");
     }
@@ -947,7 +1104,7 @@ mod tests {
         let (m, spare) = {
             let mb = &mb;
             std::thread::scope(|s| {
-                let recv = mb.recv_posting_async(exact(1, 2), Some(vec![0u8; 16]));
+                let recv = mb.recv(exact(1, 2), Some(vec![0u8; 16]));
                 let h = s.spawn(move || crate::block_on(recv));
                 std::thread::sleep(Duration::from_millis(20));
                 mb.push(msg(1, 2, vec![5; 4]));
@@ -1008,7 +1165,7 @@ mod tests {
             crate::runtime::spin_before_parking(budget);
             tx.send(ThreadWaker::current())
                 .expect("the test is listening");
-            mb.wait(ticket, filter)
+            mb.wait_blocking(ticket, filter)
         });
         (handle, rx.recv().expect("the waiter starts"))
     }
@@ -1020,9 +1177,7 @@ mod tests {
     fn delivered(budget: Duration, path: Path, when: When) -> (u64, u64) {
         let mb = Mailbox::new();
         let buf = matches!(path, Path::Rendezvous).then(|| vec![0u8; 8]);
-        let PostedHandle::Pending(ticket) = mb.post(exact(1, 7), buf) else {
-            panic!("nothing queued yet");
-        };
+        let ticket = mb.post_buffer(exact(1, 7), buf);
         let deliver = || match path {
             Path::Eager => mb.push(msg(1, 7, vec![8, 7, 6, 5, 4, 3, 2, 1])),
             Path::Rendezvous => {
@@ -1092,13 +1247,13 @@ mod tests {
 
     /// Whether the posted receive behind ticket `id` still holds the waker
     /// its waiter left there — a fill takes it to fire it.
-    fn holds_waker(mb: &Mailbox, id: u64) -> bool {
+    fn holds_waker(mb: &Mailbox, id: NonZeroU64) -> bool {
         let inner = mb.inner.lock();
         inner.posted.iter().any(|p| p.id == id && p.waker.is_some())
     }
 
     /// Whether a sender has filled the posted receive behind ticket `id`.
-    fn filled(mb: &Mailbox, id: u64) -> bool {
+    fn filled(mb: &Mailbox, id: NonZeroU64) -> bool {
         let inner = mb.inner.lock();
         inner
             .posted
@@ -1109,10 +1264,10 @@ mod tests {
     #[test]
     fn a_fill_of_another_ticket_leaves_the_spinner_waiting_for_its_own() {
         let mb = Mailbox::new();
-        let PostedHandle::Pending(other) = mb.post(exact(1, 7), None) else {
+        let PostedHandle::Pending(other) = mb.post(exact(1, 7)) else {
             panic!()
         };
-        let PostedHandle::Pending(mine) = mb.post(exact(2, 8), None) else {
+        let PostedHandle::Pending(mine) = mb.post(exact(2, 8)) else {
             panic!()
         };
         let mine_id = mine.id;
@@ -1131,7 +1286,7 @@ mod tests {
         });
         assert_eq!(m.data.bytes().unwrap(), &[2], "its own message");
         assert_eq!(counts, (1, 0), "one spin, woken once, never parked");
-        let (m, _) = mb.wait(other, exact(1, 7));
+        let (m, _) = mb.wait_blocking(other, exact(1, 7));
         assert_eq!(m.data.bytes().unwrap(), &[1], "the other one kept its fill");
     }
 
@@ -1185,9 +1340,9 @@ mod tests {
                 let word = i.to_le_bytes().to_vec();
                 if rank == 0 {
                     theirs.push(msg(0, 1, word.clone()));
-                    assert_eq!(mine.recv(exact(1, 1)).data.bytes().unwrap(), &word);
+                    assert_eq!(mine.recv_blocking(exact(1, 1)).data.bytes().unwrap(), &word);
                 } else {
-                    let m = mine.recv(exact(0, 1));
+                    let m = mine.recv_blocking(exact(0, 1));
                     theirs.push(msg(1, 1, m.data.bytes().unwrap().to_vec()));
                     assert_eq!(m.data.bytes().unwrap(), &word);
                 }

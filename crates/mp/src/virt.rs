@@ -98,9 +98,13 @@ impl Comm {
         }
     }
 
-    /// Synchronises this rank's virtual clock with a barrier: all ranks
-    /// leave with the maximum clock. (A convenience for benchmark
-    /// timing; the barrier itself is also priced as messages.)
+    /// Synchronises virtual clocks through a max-allreduce of every rank's
+    /// clock on entry, and returns that maximum *entry* clock, which it
+    /// also installs as this rank's floor. The allreduce's own messages
+    /// are priced too, so a rank leaves with the larger of the returned
+    /// clock and its clock after them — later than the return value, and
+    /// not the same on every rank. (A convenience for benchmark timing;
+    /// returning the exit clock is ROADMAP item 1(a), a model change.)
     pub async fn v_sync_async(&self) -> Time {
         let mut t = [self.v_time().as_secs()];
         self.allreduce_async(&mut t, crate::reduce::Op::Max).await;
