@@ -878,9 +878,8 @@ mod tests {
     /// What a rank's future holds across a receive, in a release build
     /// (debug layouts differ; CI runs this in its rank-footprint step):
     /// the receive future is its mailbox wait and its buffer, and a
-    /// collective future embeds one wait. When the wait was five nested
-    /// `async` layers the four were 264, 448, 672 and 704 B; now 96, 312,
-    /// 536 and 568 B on x86-64.
+    /// collective future embeds one wait. On x86-64 the four are 96, 312,
+    /// 536 and 568 B; the bounds leave 32 B each.
     #[test]
     #[cfg(all(not(debug_assertions), target_pointer_width = "64"))]
     #[ignore = "release layouts: run in release with -- --ignored"]
