@@ -72,6 +72,13 @@ impl StreamArrays {
         }
     }
 
+    /// Restores the canonical starting state in place.
+    pub(crate) fn reset(&mut self) {
+        self.a.fill(1.0);
+        self.b.fill(2.0);
+        self.c.fill(0.0);
+    }
+
     /// Runs one kernel over the arrays (scalar s = 3.0, as in STREAM).
     ///
     /// Each kernel walks fixed-width `chunks_exact` windows: the constant

@@ -44,6 +44,8 @@ pub struct RingResult {
     pub natural_bw: f64,
     /// Natural-ring latency, microseconds.
     pub natural_latency_us: f64,
+    /// Whether every rank received its neighbours' data in every pass.
+    pub passed: bool,
 }
 
 /// Deterministic Fisher-Yates permutation of `0..n` from a splitmix64
@@ -67,7 +69,13 @@ pub(crate) fn ring_permutation(n: usize, seed: u64) -> Vec<usize> {
 
 /// One timed ring pass: every rank exchanges `words` f64s with both ring
 /// neighbours (`perm` defines the ring order). Returns seconds (max over
-/// ranks).
+/// ranks), or infinity if some rank's check failed.
+///
+/// A rank sends its rank in every word to its right and hands what it
+/// received from its left back to the left. Once the clock has stopped,
+/// `from_left` must hold the left neighbour's rank and `own` this rank's,
+/// back from the right: each link is checked both ways with no buffer,
+/// message or byte beyond the exchange's own.
 async fn ring_pass(comm: &Comm, perm: &[usize], words: usize, iters: usize) -> f64 {
     let me = comm.rank();
     let pos = perm.iter().position(|&r| r == me).expect("rank in ring");
@@ -75,18 +83,30 @@ async fn ring_pass(comm: &Comm, perm: &[usize], words: usize, iters: usize) -> f
     let right = perm[(pos + 1) % n];
     let left = perm[(pos + n - 1) % n];
 
-    let sbuf = vec![1.0f64; words];
-    let mut rbuf = vec![0.0f64; words];
+    let mut own = vec![me as f64; words];
+    // NaN is no rank, so words that never landed fail the check.
+    let mut from_left = vec![f64::NAN; words];
     comm.barrier_async().await;
     let clock = harness::Stopwatch::start();
     for _ in 0..iters {
         // Both directions, as in b_eff's ring pattern.
-        comm.sendrecv_async(&sbuf, right, &mut rbuf, left, 23).await;
-        comm.sendrecv_async(&sbuf, left, &mut rbuf, right, 23).await;
+        comm.sendrecv_async(&own, right, &mut from_left, left, 23)
+            .await;
+        comm.sendrecv_async(&from_left, left, &mut own, right, 23)
+            .await;
     }
-    let mut t = [clock.elapsed_secs() / iters as f64];
+    let secs = clock.elapsed_secs() / iters as f64;
+    let ok = arrived(&from_left, left) && arrived(&own, me);
+    let mut t = [if ok { secs } else { f64::INFINITY }];
     comm.allreduce_async(&mut t, mp::Op::Max).await;
     t[0]
+}
+
+/// Whether every word of `buf` is `rank`. A fold without early exit, so
+/// that it vectorises, where `all` would compare one word at a time.
+fn arrived(buf: &[f64], rank: usize) -> bool {
+    let r = rank as f64;
+    buf.iter().fold(true, |ok, &w| ok & (w == r))
 }
 
 /// Runs the ring benchmarks on `comm`.
@@ -117,11 +137,15 @@ pub async fn run_async(comm: &Comm, cfg: &RingConfig) -> RingResult {
     // convention the per-CPU ring bandwidth counts both (in + out), and
     // latency is the one-way time.
     let bytes_out = 4.0 * cfg.bw_bytes as f64;
+    let passed = [nat_bw_t, nat_lat_t, rnd_bw_t, rnd_lat_t]
+        .iter()
+        .all(|t| t.is_finite());
     RingResult {
         random_bw: bytes_out / rnd_bw_t / 1e9,
         random_latency_us: rnd_lat_t / 2.0 * 1e6,
         natural_bw: bytes_out / nat_bw_t / 1e9,
         natural_latency_us: nat_lat_t / 2.0 * 1e6,
+        passed,
     }
 }
 
@@ -154,6 +178,7 @@ mod tests {
         };
         let results = mp::run(4, |comm| run(comm, &cfg));
         for r in &results {
+            assert!(r.passed);
             assert!(r.random_bw > 0.0 && r.random_bw.is_finite());
             assert!(r.natural_bw > 0.0);
             assert!(r.random_latency_us > 0.0);
@@ -170,6 +195,14 @@ mod tests {
             seed: 1,
         };
         let results = mp::run(2, |comm| run(comm, &cfg));
+        assert!(results[0].passed);
         assert!(results[0].natural_bw > 0.0);
+    }
+
+    #[test]
+    fn a_mismatched_buffer_is_rejected() {
+        assert!(arrived(&[3.0; 4], 3));
+        assert!(!arrived(&[3.0, 3.0, 2.0, 3.0], 3));
+        assert!(!arrived(&[f64::NAN; 4], 0), "words that never landed");
     }
 }

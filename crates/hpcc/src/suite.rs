@@ -216,7 +216,7 @@ impl Component {
                             r.random_latency_us,
                         ),
                     ],
-                    passed: true,
+                    passed: r.passed,
                 }
             }
         }

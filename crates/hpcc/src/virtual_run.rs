@@ -3,11 +3,14 @@
 //! machine via [`mp::run_virtual_coop`], with communication priced by
 //! virtual clocks. Each rank is a resumable cooperative task, not an OS
 //! thread, so virtual worlds scale to tens of thousands of ranks.
-//! Ranks run one after another, so what a world holds at once is what
-//! each rank keeps across its awaits: EP-STREAM and EP-DGEMM keep
-//! nothing, and hold one rank's arrays at a time at any world size
-//! (about 14 MB peak at 1024 ranks, where every rank's at once was
-//! 4.8 GB). The global components' data is live across their exchanges.
+//! Ranks run one after another on the calling thread, so what a world
+//! holds at once is what each rank keeps across its awaits. EP-STREAM and
+//! EP-DGEMM keep nothing across theirs: the world's ranks hand one set of
+//! arrays on from rank to rank, built once per component and dropped at
+//! its close (about 11 MB peak at 1024 ranks, where every rank's at once
+//! was 4.8 GB). Their kernels run only for their verification: the
+//! records are virtual time, and the host times the kernels measure are
+//! discarded. The global components' data is live across their exchanges.
 //! This gives HPCC the same third execution mode the IMB suite has had,
 //! so the harness registry can run both suites natively, simulated and
 //! virtually.
@@ -170,7 +173,8 @@ mod tests {
     #[ignore = "release-scale: 1024 ranks; run with --ignored --release under ulimit -v 1048576"]
     fn virtual_ep_components_hold_one_ranks_arrays_at_1024_ranks() {
         // Every rank's EP arrays alive at once would need 4.8 GB here;
-        // one rank's at a time fits the CI step's 1 GiB address space.
+        // the one set the ranks hand on fits the CI step's 1 GiB address
+        // space.
         let m = machines::systems::exascale_cluster();
         let procs = 1024;
         let cfg = SuiteConfig::small(procs);

@@ -1,5 +1,5 @@
 //! A virtual world runs its ranks one after another on one thread, so
-//! EP-STREAM and EP-DGEMM should hold one rank's arrays at a time. This
+//! EP-STREAM and EP-DGEMM should hold one set of arrays at a time. This
 //! binary holds one test because it reads the process's peak resident
 //! set (`VmHWM`), which a concurrent test would disturb.
 #![cfg(target_os = "linux")]
