@@ -25,8 +25,9 @@
 //! the registry and Runner.
 //!
 //! `--check` instruments every `mp` world the smoke plan starts — native
-//! rank threads and virtual cooperative tasks — through `mpcheck::Session`
-//! (the high-rank slice that follows it runs uninstrumented). Two flag
+//! rank threads and virtual cooperative tasks — through `mpcheck::Session`,
+//! and the high-rank slice that follows it too, with rings of 16 events a
+//! rank; the slice's findings join the one report. Two flag
 //! combinations are refused with exit status 2 rather than honoured in
 //! name only: `--check` (or `--check-report`) without `--smoke`, since
 //! the paper plan is simulated only and starts no world to instrument, and
@@ -183,8 +184,19 @@ fn run_cell_worker() {
     }
 }
 
-fn highrank_records(procs: usize) -> Vec<Record> {
-    RunPlan::high_rank(procs).execute(&hpcbench::registry())
+/// The virtual high-rank slice at `procs` ranks. Under `check` its worlds
+/// run instrumented, with rings of 16 events a rank (the default 65 536
+/// would hold gigabytes at this scale), and its report comes back for the
+/// smoke plan's to absorb.
+fn highrank_records(procs: usize, check: bool) -> (Vec<Record>, Option<mpcheck::Report>) {
+    let (plan, reg) = (RunPlan::high_rank(procs), hpcbench::registry());
+    if check {
+        let settings = mpcheck::Settings { ring_capacity: 16 };
+        let (records, report) = plan.execute_checked(&reg, settings);
+        (records, Some(report))
+    } else {
+        (plan.execute(&reg), None)
+    }
 }
 
 /// Why a flag combination cannot run as asked, if it cannot: each one
@@ -376,7 +388,8 @@ fn main() {
         let high_rank = high_rank.unwrap_or(16_384);
         if high_rank > 0 {
             println!("high-rank slice: virtual IMB at {high_rank} cooperative ranks");
-            lines.extend(highrank_records(high_rank).iter().map(Record::to_json));
+            let (records, _) = highrank_records(high_rank, false);
+            lines.extend(records.iter().map(Record::to_json));
         }
         publish_records(&lines, &out_dir, records_path);
         return;
@@ -386,7 +399,7 @@ fn main() {
         max_procs,
         ..FigureConfig::default()
     };
-    let (records, check_report) = if smoke {
+    let (records, mut check_report) = if smoke {
         println!("campaign --smoke: native + simulated + virtual on a reduced cross product");
         smoke_records(check, workloads)
     } else {
@@ -405,7 +418,14 @@ fn main() {
     let high_rank = high_rank.unwrap_or(if smoke { 16_384 } else { 0 });
     if high_rank > 0 {
         println!("high-rank slice: virtual IMB at {high_rank} cooperative ranks");
-        lines.extend(highrank_records(high_rank).iter().map(Record::to_json));
+        let (records, report) = highrank_records(high_rank, check);
+        lines.extend(records.iter().map(Record::to_json));
+        if let (Some(all), Some(slice)) = (check_report.as_mut(), report) {
+            all.findings.extend(slice.findings);
+            all.runs += slice.runs;
+            all.events += slice.events;
+            all.dropped += slice.dropped;
+        }
     }
     publish_records(&lines, &out_dir, records_path);
 

@@ -314,6 +314,33 @@ mod tests {
         assert!(m.t_min_us() > 0.0, "idle ranks must not drag the min to 0");
     }
 
+    /// An iteration is one future over every benchmark, as large as the
+    /// largest collective future it awaits, and a virtual rank holds one
+    /// (over ghost words) for its whole run: in a release build on x86-64
+    /// it is 312 B over either word kind (696 B when each collective, and
+    /// a posted receive's wait, was a stack of `async fn`s). The bound
+    /// leaves 32 B.
+    #[test]
+    #[cfg(all(not(debug_assertions), target_pointer_width = "64"))]
+    #[ignore = "release layouts: run in release with -- --ignored"]
+    fn an_iteration_holds_one_collective_future() {
+        fn size<B: ByteWord, F: Numeric>(comm: &Comm) -> usize {
+            let mut state = BenchState::<B, F>::new(comm, Benchmark::Barrier, 8);
+            let iteration = state.iterate_async(comm, 0);
+            std::mem::size_of_val(&iteration)
+        }
+        mp::run_coop(1, |comm| async move {
+            let sizes = [
+                size::<u8, f64>(&comm),
+                size::<mp::Ghost<1>, mp::Ghost<8>>(&comm),
+            ];
+            assert!(
+                sizes.iter().all(|&s| s <= 344),
+                "iteration futures of {sizes:?} B"
+            );
+        });
+    }
+
     #[test]
     fn runner_policy_sets_the_iteration_count() {
         let m = run_native_with(Benchmark::Bcast, 2, 4 << 20, &Runner::smoke());

@@ -1,25 +1,24 @@
-//! High-level collective methods on [`Comm`], dispatching to the
-//! auto-selected algorithms in [`crate::coll`].
+//! The collective methods of [`Comm`].
 //!
 //! The awaitable method is the body of every operation; the blocking
-//! method of the same name is one [`block_on`] around it. So each
-//! operation opens its instrumented collective scope (no-op on unchecked
-//! runs) in one place: the operation name, root (global rank) and — for
-//! operations whose payload shape must agree across ranks — the per-rank
-//! byte count are recorded, so the `mpcheck` trace lint can flag
-//! call-sequence divergence and root/shape mismatches. Vector variants
-//! record no shape (their per-rank counts legitimately differ).
+//! method of the same name is one [`block_on`] around it. An awaitable
+//! method picks its algorithm synchronously, with the `picks_*` predicate
+//! the operation's schedule generator asks too, and returns the
+//! algorithm's [`Run`](crate::coll::Run): one future, which at its
+//! first poll takes the call's tag and opens its instrumented scope
+//! (no-op on unchecked runs). The scope records the operation name, root
+//! (global rank) and — for operations whose payload shape must agree
+//! across ranks — the per-rank byte count, so the `mpcheck` trace lint
+//! can flag call-sequence divergence and root/shape mismatches. Vector
+//! variants record no shape (their per-rank counts legitimately differ).
+
+use std::future::Future;
 
 use crate::block_on;
 use crate::coll;
 use crate::comm::Comm;
 use crate::datatype::Word;
 use crate::reduce::{Numeric, Op};
-
-/// Byte size of a typed buffer, for collective shape recording.
-fn shape_of<T: Word>(buf: &[T]) -> Option<u64> {
-    Some((buf.len() * T::SIZE) as u64)
-}
 
 impl Comm {
     /// Synchronises all ranks (`MPI_Barrier`).
@@ -73,63 +72,82 @@ impl Comm {
 /// methods are `block_on` of these, which waits on the same receives.
 impl Comm {
     /// Awaitable [`barrier`](Comm::barrier).
-    pub async fn barrier_async(&self) {
-        let _scope = self.coll_scope("barrier", None, Some(0));
-        coll::barrier::auto_async(self).await;
+    pub fn barrier_async(&self) -> impl Future<Output = ()> + '_ {
+        coll::barrier::barrier(self)
     }
 
     /// Awaitable [`bcast`](Comm::bcast).
-    pub async fn bcast_async<T: Word>(&self, buf: &mut [T], root: usize) {
-        let _scope = self.coll_scope("bcast", Some(root), shape_of(buf));
-        coll::bcast::auto_async(self, buf, root).await;
+    pub fn bcast_async<'a, T: Word>(
+        &'a self,
+        buf: &'a mut [T],
+        root: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        let long = coll::bcast::picks_scatter_allgather(self.size(), buf.len() * T::SIZE);
+        coll::bcast::bcast(self, buf, root, long)
     }
 
     /// Awaitable [`allgather`](Comm::allgather).
-    pub async fn allgather_async<T: Word>(&self, send: &[T], recv: &mut [T]) {
-        let _scope = self.coll_scope("allgather", None, shape_of(send));
-        coll::allgather::auto_async(self, send, recv).await;
+    pub fn allgather_async<'a, T: Word>(
+        &'a self,
+        send: &'a [T],
+        recv: &'a mut [T],
+    ) -> impl Future<Output = ()> + 'a {
+        let doubling = coll::allgather::picks_recursive_doubling(self.size(), send.len() * T::SIZE);
+        coll::allgather::allgather(self, send, recv, doubling)
     }
 
     /// Awaitable [`allgatherv`](Comm::allgatherv).
-    pub async fn allgatherv_async<T: Word>(&self, send: &[T], recv: &mut [T], counts: &[usize]) {
-        let _scope = self.coll_scope("allgatherv", None, None);
-        coll::allgatherv::auto_async(self, send, recv, counts).await;
+    pub fn allgatherv_async<'a, T: Word>(
+        &'a self,
+        send: &[T],
+        recv: &'a mut [T],
+        counts: &[usize],
+    ) -> impl Future<Output = ()> + 'a {
+        coll::allgatherv::allgatherv(self, send, recv, counts)
     }
 
     /// Awaitable [`alltoall`](Comm::alltoall).
-    pub async fn alltoall_async<T: Word>(&self, send: &[T], recv: &mut [T]) {
-        let _scope = self.coll_scope("alltoall", None, shape_of(send));
-        coll::alltoall::auto_async(self, send, recv).await;
+    pub fn alltoall_async<'a, T: Word>(
+        &'a self,
+        send: &'a [T],
+        recv: &'a mut [T],
+    ) -> impl Future<Output = ()> + 'a {
+        let n = self.size();
+        let bruck = coll::alltoall::picks_bruck(n, send.len() / n * T::SIZE);
+        coll::alltoall::alltoall(self, send, recv, bruck)
     }
 
     /// Awaitable [`reduce`](Comm::reduce).
-    pub async fn reduce_async<T: Numeric>(
-        &self,
-        send: &[T],
-        recv: Option<&mut [T]>,
+    pub fn reduce_async<'a, T: Numeric>(
+        &'a self,
+        send: &'a [T],
+        recv: Option<&'a mut [T]>,
         root: usize,
         op: Op,
-    ) {
-        let _scope = self.coll_scope("reduce", Some(root), shape_of(send));
-        coll::reduce::auto_async(self, send, recv, root, op).await;
+    ) -> impl Future<Output = ()> + 'a {
+        let long = coll::reduce::picks_rabenseifner(self.size(), send.len() * T::SIZE, send.len());
+        coll::reduce::reduce(self, send, recv, root, op, long)
     }
 
     /// Awaitable [`allreduce`](Comm::allreduce).
-    pub async fn allreduce_async<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        let _scope = self.coll_scope("allreduce", None, shape_of(buf));
-        coll::allreduce::auto_async(self, buf, op).await;
+    pub fn allreduce_async<'a, T: Numeric>(
+        &'a self,
+        buf: &'a mut [T],
+        op: Op,
+    ) -> impl Future<Output = ()> + 'a {
+        let long = coll::allreduce::picks_rabenseifner(self.size(), buf.len() * T::SIZE, buf.len());
+        coll::allreduce::allreduce(self, buf, op, long)
     }
 
     /// Awaitable [`reduce_scatter`](Comm::reduce_scatter).
-    pub async fn reduce_scatter_async<T: Numeric>(
-        &self,
-        send: &[T],
-        recv: &mut [T],
+    pub fn reduce_scatter_async<'a, T: Numeric>(
+        &'a self,
+        send: &'a [T],
+        recv: &'a mut [T],
         counts: &[usize],
         op: Op,
-    ) {
-        let _scope = self.coll_scope("reduce_scatter", None, None);
-        coll::reduce_scatter::auto_async(self, send, recv, counts, op).await;
+    ) -> impl Future<Output = ()> + 'a {
+        coll::reduce_scatter::reduce_scatter(self, send, recv, counts, op)
     }
 }
 

@@ -1,10 +1,12 @@
 //! Allgatherv (`MPI_Allgatherv`, IMB `Allgatherv`, paper Fig. 11): the
 //! vector variant of allgather with per-rank block sizes.
 
+use std::future::Future;
+
 use crate::comm::Comm;
 use crate::datatype::Word;
 
-use super::Step;
+use super::{no_fold, Buf, Coll, Mode, Run, Step};
 
 /// Per-rank displacements (prefix sums of `counts`, ending on the total).
 pub(crate) fn displs(counts: impl IntoIterator<Item = usize>) -> Vec<usize> {
@@ -16,9 +18,9 @@ pub(crate) fn displs(counts: impl IntoIterator<Item = usize>) -> Vec<usize> {
     d
 }
 
-/// [`ring_async`]'s steps over the gathered buffer, whose block boundaries are
-/// `displs` (one more entry than ranks; borrowed, or shared by every rank's
-/// steps in a schedule).
+/// Ring allgatherv's steps over the gathered buffer, whose block
+/// boundaries are `displs` (one more entry than ranks; owned, borrowed,
+/// or shared by every rank's steps in a schedule).
 pub(crate) fn ring_steps(me: usize, displs: impl AsRef<[usize]>) -> impl Iterator<Item = Step> {
     let n = displs.as_ref().len() - 1;
     super::ring_steps(me, n, 0, move |b| {
@@ -31,21 +33,29 @@ pub(crate) fn ring_steps(me: usize, displs: impl AsRef<[usize]>) -> impl Iterato
 /// allgather but with per-rank block sizes, which is exactly the "MPI
 /// overhead for more complex situations" the IMB Allgatherv benchmark
 /// measures relative to Allgather.
-pub(crate) async fn ring_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
+pub(crate) fn allgatherv<'a, T: Word>(
+    comm: &'a Comm,
+    send: &[T],
+    recv: &'a mut [T],
+    counts: &[usize],
+) -> impl Future<Output = ()> + 'a {
     let n = comm.size();
-    let tag = comm.next_coll_tag();
     assert_eq!(counts.len(), n, "one count per rank required");
     let d = displs(counts.iter().copied());
     assert_eq!(recv.len(), d[n], "allgatherv receive buffer size mismatch");
     let me = comm.rank();
     assert_eq!(send.len(), counts[me], "send buffer must match my count");
     recv[d[me]..d[me + 1]].copy_from_slice(send);
-    super::run_in_place(comm, tag, recv, &mut ring_steps(me, &d), super::no_fold).await;
-}
-
-/// The default allgatherv (ring).
-pub(crate) async fn auto_async<T: Word>(comm: &Comm, send: &[T], recv: &mut [T], counts: &[usize]) {
-    ring_async(comm, send, recv, counts).await;
+    let steps = ring_steps(me, d);
+    Run::new(
+        comm,
+        Coll::Allgatherv,
+        Mode::InPlace,
+        &[],
+        Buf::Borrowed(recv),
+        steps,
+        no_fold,
+    )
 }
 
 #[cfg(test)]
@@ -63,7 +73,7 @@ mod tests {
                 .map(|i| (me as u32) * 100 + i)
                 .collect();
             let mut recv = vec![0u32; total];
-            block_on(super::ring_async(comm, &send, &mut recv, &counts2));
+            block_on(super::allgatherv(comm, &send, &mut recv, &counts2));
             recv
         });
         let expect: Vec<u32> = (0..n)

@@ -10,32 +10,45 @@
 //! all-to-all, and Rabenseifner's recursive-halving algorithms for long
 //! reductions.
 //!
-//! The `auto_async` entry point of each module follows the size/shape
-//! heuristics of those libraries. Every algorithm states its geometry once,
-//! as a `<algo>_steps` function yielding the `Step`s one rank takes — which
-//! peer, which range, which round. The `<algo>_async` body loops over those
-//! steps moving real payloads; [`crate::sched`] buckets the same steps of
-//! every rank by round into the schedule the fabric simulator prices.
+//! Every algorithm states its geometry once, as a `<algo>_steps` function
+//! yielding the [`Step`]s one rank takes — which peer, which range, which
+//! round — and [`crate::sched`] buckets the same steps of every rank by
+//! round into the schedule the fabric simulator prices. A call executes
+//! them as one hand-written future, [`Run`]: `Comm::<op>_async`
+//! picks the algorithm synchronously, with the size/shape heuristics of
+//! those libraries (the pure `picks_*` predicates the schedule generators
+//! ask too), and its module's constructor returns a `Run` over an enum of
+//! the op's step iterators. A new algorithm is one `*_steps` function and
+//! one arm of that enum.
+//!
+//! The step functions are compact on purpose: each is a range of step
+//! indices and a closure of a few words that computes the step it is
+//! asked for, not a chain of adaptors, because every cooperative rank
+//! holds one for as long as its collective runs.
 //!
 //! This module is awaitable-only: the blocking form of a collective is the
 //! [`Comm`] method of its name, one [`block_on`](crate::block_on) around
-//! `Comm::<op>_async`. A caller that wants one algorithm by name on a rank
-//! thread writes that `block_on` itself.
+//! `Comm::<op>_async`.
 
 pub(crate) mod allgather;
 pub(crate) mod allgatherv;
 pub(crate) mod allreduce;
 pub(crate) mod alltoall;
 pub(crate) mod barrier;
-pub mod bcast;
-pub mod reduce;
+pub(crate) mod bcast;
+pub(crate) mod reduce;
 pub(crate) mod reduce_scatter;
 
-use std::ops::Range;
+use std::future::Future;
+use std::ops::{Deref, DerefMut, Range};
+use std::pin::Pin;
+use std::task::{Context, Poll};
 
 use crate::comm::Comm;
 use crate::datatype::Word;
+use crate::mailbox::Ticket;
 use crate::msg::Tag;
+use crate::payload::Payload;
 
 /// Message-size threshold (bytes) between "short" (latency-optimised) and
 /// "long" (bandwidth-optimised) collective algorithms, matching the era's
@@ -96,14 +109,6 @@ impl Step {
         self
     }
 
-    /// The two halves of a step that has both.
-    pub(crate) fn exchange(self) -> ((usize, Range<usize>), (usize, Range<usize>)) {
-        (
-            self.send.expect("step sends"),
-            self.recv.expect("step receives"),
-        )
-    }
-
     /// The received operand is reduced into local state `folds` times.
     pub(crate) fn folding(mut self, folds: usize) -> Step {
         self.folds = folds;
@@ -146,69 +151,36 @@ pub(crate) fn ring_steps(
     round0: usize,
     at: impl Fn(usize) -> Range<usize>,
 ) -> impl Iterator<Item = Step> {
-    (0..n.saturating_sub(1)).map(move |k| {
-        let (give, take) = ((me + n - k) % n, (me + n - k - 1) % n);
-        Step::at(round0 + k)
-            .send((me + 1) % n, at(give))
-            .recv((me + n - 1) % n, at(take))
-    })
+    (0..n.saturating_sub(1)).map(move |k| ring_step(me, n, round0, &at, k))
 }
 
-/// Runs `steps` in place on `buf`: a send ships `buf[range]`, a receive
-/// overwrites `buf[range]` or, on a folding step, is combined into it by
-/// `fold(acc, operand)` straight from the wire
-/// ([`Payload::fold_into`](crate::payload::Payload::fold_into)).
-/// (The steps come by reference so that they live once, in the caller's
-/// future: an async fn stores its arguments twice, and every cooperative
-/// rank holds one such future.)
-pub(crate) async fn run_in_place<T: Word>(
-    comm: &Comm,
-    tag: Tag,
-    buf: &mut [T],
-    steps: &mut impl Iterator<Item = Step>,
-    fold: impl Fn(&mut [T], &[T]),
-) {
-    for Step {
-        send, recv, folds, ..
-    } in steps
-    {
-        if let Some((dst, give)) = send {
-            comm.send_payload(comm.encode(&buf[give]), dst, tag);
-        }
-        if let Some((src, take)) = recv {
-            let data = comm.recv_payload_async(src, tag).await;
-            let env = comm.envelope(src, tag);
-            if folds > 0 {
-                data.fold_into(&mut buf[take], env, &fold);
-            } else {
-                data.decode_into(&mut buf[take], env);
-            }
-            comm.recycle(data);
-        }
-    }
+/// Step `k` of [`ring_steps`].
+fn ring_step(
+    me: usize,
+    n: usize,
+    round0: usize,
+    at: impl Fn(usize) -> Range<usize>,
+    k: usize,
+) -> Step {
+    let (give, take) = ((me + n - k) % n, (me + n - k - 1) % n);
+    Step::at(round0 + k)
+        .send((me + 1) % n, at(give))
+        .recv((me + n - 1) % n, at(take))
 }
 
-/// Runs `steps` between two buffers: a send ships `send[range]`, a receive
-/// lands in `recv[range]`.
-pub(crate) async fn run_between<T: Word>(
-    comm: &Comm,
-    tag: Tag,
-    send: &[T],
-    recv: &mut [T],
-    steps: &mut impl Iterator<Item = Step>,
-) {
-    for Step {
-        send: to,
-        recv: from,
-        ..
-    } in steps
-    {
-        if let Some((dst, give)) = to {
-            comm.send_payload(comm.encode(&send[give]), dst, tag);
-        }
-        if let Some((src, take)) = from {
-            let data = comm.recv_into_async(&mut recv[take], src, tag).await;
-            comm.recycle(data);
+/// The steps of one of an operation's two algorithms.
+pub(crate) enum Either<A, B> {
+    Left(A),
+    Right(B),
+}
+
+impl<A: Iterator<Item = Step>, B: Iterator<Item = Step>> Iterator for Either<A, B> {
+    type Item = Step;
+
+    fn next(&mut self) -> Option<Step> {
+        match self {
+            Either::Left(a) => a.next(),
+            Either::Right(b) => b.next(),
         }
     }
 }
@@ -222,19 +194,15 @@ pub(crate) fn no_fold<T>(_: &mut [T], _: &[T]) {
 /// is `v` with its top bit cleared and data arrives in round `log2(top
 /// bit)` (the root starts with it); `v` then feeds `v + 2^k` in every
 /// later round `k` with `v + 2^k < n`. Returns `(parent, round)` and the
-/// `(child, round)`s in round order.
-pub(crate) fn binomial_edges(
-    v: usize,
-    n: usize,
-) -> (
-    Option<(usize, usize)>,
-    impl DoubleEndedIterator<Item = (usize, usize)>,
-) {
+/// rounds `k` of the children, in order.
+pub(crate) fn binomial_edges(v: usize, n: usize) -> (Option<(usize, usize)>, Range<usize>) {
     let arrival = v.checked_ilog2().map(|r| r as usize);
-    let children = (arrival.map_or(0, |r| r + 1)..ceil_log2(n))
-        .map(move |k| (v + (1 << k), k))
-        .filter(move |&(child, _)| child < n);
-    (arrival.map(|r| (v - (1 << r), r)), children)
+    // v + 2^k < n exactly while 2^k <= n - v - 1.
+    let end = (n - v - 1).checked_ilog2().map_or(0, |k| k as usize + 1);
+    (
+        arrival.map(|r| (v - (1 << r), r)),
+        arrival.map_or(0, |r| r + 1)..end,
+    )
 }
 
 /// An edge of the halving tree as one endpoint sees it: the vrank at the
@@ -246,81 +214,433 @@ pub(crate) struct TreeEdge {
     pub depth: usize,
 }
 
-/// The recursive-halving block tree behind [`binomial_scatter_steps`] and
-/// [`binomial_gather_steps`]: walking from the full range `[0, n)`, each
-/// holder `lo` of a range splits off the upper part `[mid, hi)` to vrank
-/// `mid`, where `mid = lo + next_pow2(hi-lo)/2`. The tree is
-/// `ceil(log2 n)` splits deep.
+/// The recursive-halving block tree behind the binomial scatter
+/// ([`scatter_step`]): walking from the full range `[0, n)`, each holder
+/// `lo` of a range splits off the upper part `[mid, hi)` to vrank `mid`,
+/// where `mid = lo + next_pow2(hi-lo)/2`. The tree is `ceil(log2 n)`
+/// splits deep.
 ///
-/// Returns, for vrank `v`: the edge to the parent it receives from (None
-/// for the root) and the edges to the children it sends to, from the
+/// Yields vrank `v`'s edges in the order of the walk: the edge to the
+/// parent it receives from (none for the root; its peer is below `v`),
+/// then the edges to the children it sends to (peers above `v`), from the
 /// outermost split inwards.
-pub(crate) fn halving_tree(v: usize, n: usize) -> (Option<TreeEdge>, Vec<TreeEdge>) {
-    let (mut lo, mut hi) = (0usize, n);
-    let mut parent = None;
-    let mut children = Vec::new();
-    let mut depth = 0;
-    while hi - lo > 1 {
-        let half = (hi - lo).next_power_of_two() / 2;
-        let mid = lo + half;
-        let edge = |peer| TreeEdge {
-            peer,
-            range: mid..hi,
-            depth,
-        };
-        if v < mid {
-            if v == lo {
-                children.push(edge(mid));
+pub(crate) fn halving_edges(v: usize, n: usize) -> impl Iterator<Item = TreeEdge> {
+    let (mut lo, mut hi, mut depth) = (0, n, 0);
+    std::iter::from_fn(move || {
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo).next_power_of_two() / 2;
+            let edge = |peer| TreeEdge {
+                peer,
+                range: mid..hi,
+                depth,
+            };
+            let taken = if v < mid {
+                let child = (v == lo).then(|| edge(mid));
+                hi = mid;
+                child
+            } else {
+                let parent = (v == mid).then(|| edge(lo));
+                lo = mid;
+                parent
+            };
+            depth += 1;
+            if taken.is_some() {
+                return taken;
             }
-            hi = mid;
-        } else {
-            if v == mid {
-                parent = Some(edge(lo));
-            }
-            lo = mid;
         }
-        depth += 1;
+        None
+    })
+}
+
+/// Step `i` of a binomial scatter down the [`halving_edges`] tree over the
+/// `n` blocks in root-relative rank order, block `b` starting at `cut(b)`:
+/// vrank `v` receives its subtree's blocks (its own first) from its parent
+/// in the round of that split's depth, then hands each child its subtree,
+/// outermost split first. The first phase of long broadcast; run
+/// backwards (a node takes its children innermost first, then sends the
+/// lot), the gather that ends Rabenseifner's reduce.
+pub(crate) fn scatter_step(
+    v: usize,
+    n: usize,
+    root: usize,
+    cut: impl Fn(usize) -> usize,
+    i: usize,
+) -> Step {
+    let e = halving_edges(v, n).nth(i).expect("a step of the scatter");
+    let (peer, blocks) = (
+        unvrank(e.peer, root, n),
+        cut(e.range.start)..cut(e.range.end),
+    );
+    if e.peer < v {
+        Step::at(e.depth).recv(peer, blocks)
+    } else {
+        Step::at(e.depth).send(peer, blocks)
     }
-    debug_assert_eq!(lo, v);
-    (parent, children)
 }
 
-/// A binomial scatter down the [`halving_tree`] over the `n` blocks in
-/// root-relative rank order, block `b` starting at `cut(b)`: a node
-/// receives its subtree's blocks (its own first) from its parent in the
-/// round of that split's depth, then hands each child its subtree,
-/// outermost split first. The first phase of long broadcast.
-pub(crate) fn binomial_scatter_steps(
-    me: usize,
-    n: usize,
-    root: usize,
-    cut: impl Fn(usize) -> usize + Copy,
-) -> impl DoubleEndedIterator<Item = Step> {
-    let (parent, children) = halving_tree(vrank(me, root, n), n);
-    let blocks = move |e: &TreeEdge| cut(e.range.start)..cut(e.range.end);
-    let arrive = parent
-        .into_iter()
-        .map(move |e| Step::at(e.depth).recv(unvrank(e.peer, root, n), blocks(&e)));
-    let deal = children
-        .into_iter()
-        .map(move |e| Step::at(e.depth).send(unvrank(e.peer, root, n), blocks(&e)));
-    arrive.chain(deal)
+// ---------------------------------------------------------------------
+// Run: one collective call as one hand-written future
+// ---------------------------------------------------------------------
+
+/// The operation a run performs, as its instrumented scope names it: the
+/// name, the root (a local rank) and which buffer's byte count is the
+/// shape every member must agree on (vector variants record none).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Coll {
+    Barrier,
+    Bcast(u32),
+    Allgather,
+    Allgatherv,
+    Alltoall,
+    Reduce(u32),
+    Allreduce,
+    ReduceScatter,
+    /// `Comm::split`'s allgather of colours and keys.
+    Split,
 }
 
-/// A binomial gather of `n` blocks of `block` in root-relative rank order:
-/// [`binomial_scatter_steps`] backwards. So a node takes its children from
-/// the innermost (smallest, earliest-finished subtree) outwards, their
-/// ranges arriving in ascending order right after its own block, then
-/// sends the lot. The last phase of Rabenseifner's reduce.
-pub(crate) fn binomial_gather_steps(
-    me: usize,
-    n: usize,
-    block: usize,
-    root: usize,
-) -> impl Iterator<Item = Step> {
-    binomial_scatter_steps(me, n, root, move |b| b * block)
-        .rev()
-        .map(move |step| step.reversed(ceil_log2(n)))
+impl Coll {
+    fn name(self) -> &'static str {
+        match self {
+            Coll::Barrier => "barrier",
+            Coll::Bcast(_) => "bcast",
+            Coll::Allgather => "allgather",
+            Coll::Allgatherv => "allgatherv",
+            Coll::Alltoall => "alltoall",
+            Coll::Reduce(_) => "reduce",
+            Coll::Allreduce => "allreduce",
+            Coll::ReduceScatter => "reduce_scatter",
+            Coll::Split => "split",
+        }
+    }
+}
+
+/// How a run's steps move data. A send ships `give` and a receive lands
+/// in `take`, in the buffer the mode names.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// A send encodes `buf[give]`; a receive overwrites `buf[take]` or, on
+    /// a folding step, is folded into it straight from the wire.
+    InPlace,
+    /// As `InPlace`, but a send encodes `send[give]`.
+    Between,
+    /// The payload in hand is what a rank sends: its own encoding to start
+    /// with, then each arrival, decoded into `buf[take]` as it passes
+    /// through. A step that also receives hands its payload on; one that
+    /// only sends shares it (a refcount bump per edge, never a copy).
+    /// Binomial broadcast and ring allgather.
+    Forward,
+    /// Scatter-allgather broadcast: every send is a zero-copy slice of the
+    /// payload in hand (bytes `take` of the whole), which each arrival
+    /// replaces; what the ring forwards, and its last arrival, are copied
+    /// into an assembly of the whole, decoded into `buf` at the end.
+    Scatter,
+    /// Bruck alltoall over `buf` in slot order: slot `j` is block
+    /// `me - j` (mod n), so the inverse rotation is where the blocks
+    /// already are. Round `k` packs every slot with bit `k` set.
+    Bruck,
+}
+
+/// Where a run's steps land: the caller's buffer, or one the run owns (a
+/// non-root's reduce accumulator).
+pub(crate) enum Buf<'a, T> {
+    Borrowed(&'a mut [T]),
+    Owned(Vec<T>),
+}
+
+impl<T> Deref for Buf<'_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        match self {
+            Buf::Borrowed(b) => b,
+            Buf::Owned(v) => v,
+        }
+    }
+}
+
+impl<T> DerefMut for Buf<'_, T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Buf::Borrowed(b) => b,
+            Buf::Owned(v) => v,
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Not yet polled: no tag taken, no scope open.
+    Unpolled,
+    Running,
+    /// A receive is in flight from `Run::from`.
+    Receiving,
+    Done,
+}
+
+/// One collective call of one rank: it holds what the rank needs across
+/// a receive and nothing twice. How a step moves data is its [`Mode`];
+/// the work before the first step (buffer checks, the copy of a rank's
+/// own block, Bruck's rotation, Reduce's accumulator) is done by the
+/// constructor in the algorithm's module. Like an `async fn`, a run takes
+/// its collective tag and opens its instrumented scope at its first poll,
+/// so a future dropped unpolled leaves no trace; dropped mid-way, it
+/// withdraws its receive and closes its scope.
+pub(crate) struct Run<'a, T, S, F> {
+    comm: &'a Comm,
+    send: &'a [T],
+    buf: Buf<'a, T>,
+    steps: S,
+    fold: F,
+    /// The posted receive of the message in flight, once it waits.
+    ticket: Option<Ticket>,
+    /// The in-flight receive's range; in `Scatter` mode, once it has
+    /// landed, the range of the payload in hand.
+    take: Range<usize>,
+    /// The payload in hand (`Forward`, `Scatter`).
+    held: Payload,
+    /// The assembly of the whole (`Scatter`).
+    whole: Payload,
+    /// The source of the receive in flight.
+    from: u32,
+    coll: Coll,
+    tag: Tag,
+    /// The trace's index of this call, when it recorded a scope.
+    site: Option<u32>,
+    /// The in-flight receive's round (`Bruck`) and whether it folds.
+    round: u32,
+    folds: bool,
+    mode: Mode,
+    phase: Phase,
+}
+
+// A run is never pinned in place: it polls its parts by `&mut`.
+impl<T, S, F> Unpin for Run<'_, T, S, F> {}
+
+impl<'a, T, S, F> Run<'a, T, S, F>
+where
+    T: Word,
+    S: Iterator<Item = Step>,
+    F: Fn(&mut [T], &[T]),
+{
+    pub(crate) fn new(
+        comm: &'a Comm,
+        coll: Coll,
+        mode: Mode,
+        send: &'a [T],
+        buf: Buf<'a, T>,
+        steps: S,
+        fold: F,
+    ) -> Self {
+        Run {
+            comm,
+            send,
+            buf,
+            steps,
+            fold,
+            ticket: None,
+            take: 0..0,
+            held: Payload::default(),
+            whole: Payload::default(),
+            from: 0,
+            coll,
+            tag: 0,
+            site: None,
+            round: 0,
+            folds: false,
+            mode,
+            phase: Phase::Unpolled,
+        }
+    }
+
+    /// The first poll: opens the scope, takes the tag and encodes what a
+    /// forwarding mode has in hand to start with.
+    fn start(&mut self) {
+        let comm = self.comm;
+        let bytes = |len: usize| Some((len * T::SIZE) as u64);
+        let (root, shape) = match self.coll {
+            Coll::Barrier => (None, Some(0)),
+            Coll::Bcast(root) => (Some(root as usize), bytes(self.buf.len())),
+            Coll::Allreduce => (None, bytes(self.buf.len())),
+            Coll::Reduce(root) => (Some(root as usize), bytes(self.send.len())),
+            Coll::Allgather | Coll::Alltoall => (None, bytes(self.send.len())),
+            Coll::Allgatherv | Coll::ReduceScatter | Coll::Split => (None, None),
+        };
+        self.site = comm.coll_begin(self.coll.name(), root, shape);
+        self.tag = comm.next_coll_tag();
+        if matches!(self.mode, Mode::Forward | Mode::Scatter) {
+            let own: &[T] = match self.coll {
+                Coll::Bcast(root) if comm.rank() == root as usize => &self.buf,
+                Coll::Bcast(_) => &[],
+                _ => self.send,
+            };
+            self.held = comm.encode(own);
+        }
+        if self.mode == Mode::Scatter {
+            let total = self.buf.len() * T::SIZE;
+            self.take = 0..total;
+            self.whole = Payload::zeroed::<T>(total);
+        }
+    }
+
+    /// A step's send of `give` to `dst`; `hands_on` when the step also
+    /// receives.
+    fn ship(&mut self, dst: usize, give: Range<usize>, hands_on: bool) {
+        let comm = self.comm;
+        let data = match self.mode {
+            Mode::InPlace => comm.encode(&self.buf[give]),
+            Mode::Between => comm.encode(&self.send[give]),
+            Mode::Forward if hands_on => std::mem::take(&mut self.held),
+            Mode::Forward => self.held.clone(),
+            Mode::Scatter => {
+                let out = self
+                    .held
+                    .slice(give.start - self.take.start..give.end - self.take.start);
+                if hands_on {
+                    self.whole.put(give.start, &out);
+                }
+                out
+            }
+            Mode::Bruck => {
+                let mut packed = Vec::with_capacity(give.len());
+                for b in slots(comm, self.buf.len(), self.round) {
+                    packed.extend_from_slice(&self.buf[b]);
+                }
+                comm.encode(&packed)
+            }
+        };
+        comm.send_payload(data, dst, self.tag);
+    }
+
+    /// The in-flight receive's message, arrived.
+    fn land(&mut self, data: Payload) {
+        let comm = self.comm;
+        let env = comm.envelope(self.from as usize, self.tag);
+        let take = self.take.clone();
+        match self.mode {
+            Mode::Forward => {
+                data.decode_into(&mut self.buf[take], env);
+                self.held = data;
+            }
+            Mode::Scatter => {
+                assert_eq!(data.len(), take.len(), "bcast block size mismatch");
+                self.held = data;
+            }
+            Mode::Bruck => {
+                assert_eq!(
+                    data.len(),
+                    take.len() * T::SIZE,
+                    "bruck round size mismatch"
+                );
+                let bytes = self.buf.len() / comm.size() * T::SIZE;
+                for (j, b) in slots(comm, self.buf.len(), self.round).enumerate() {
+                    data.slice(j * bytes..(j + 1) * bytes)
+                        .decode_into(&mut self.buf[b], env);
+                }
+                comm.recycle(data);
+            }
+            Mode::InPlace | Mode::Between => {
+                if self.folds {
+                    data.fold_into(&mut self.buf[take], env, &self.fold);
+                } else {
+                    data.decode_into(&mut self.buf[take], env);
+                }
+                comm.recycle(data);
+            }
+        }
+    }
+
+    /// After the last step: what a forwarding mode still has in hand.
+    fn finish(&mut self) {
+        let comm = self.comm;
+        match self.mode {
+            Mode::Forward => comm.recycle(std::mem::take(&mut self.held)),
+            Mode::Scatter => {
+                let (held, mut whole) = (
+                    std::mem::take(&mut self.held),
+                    std::mem::take(&mut self.whole),
+                );
+                whole.put(self.take.start, &held);
+                let root = match self.coll {
+                    Coll::Bcast(root) => root,
+                    _ => unreachable!("only a broadcast scatters"),
+                };
+                whole.decode_into(&mut self.buf, comm.envelope(root as usize, self.tag));
+                comm.recycle(whole);
+                comm.recycle(held);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Bruck's slots with bit `round` set, in slot order, as the ranges of
+/// a buffer of `len` words that hold them.
+fn slots(comm: &Comm, len: usize, round: u32) -> impl Iterator<Item = Range<usize>> {
+    let (me, n) = (comm.rank(), comm.size());
+    let block = len / n;
+    (0..n)
+        .filter(move |j| j >> round & 1 == 1)
+        .map(move |j| (me + n - j) % n * block..((me + n - j) % n + 1) * block)
+}
+
+impl<T, S, F> Future for Run<'_, T, S, F>
+where
+    T: Word,
+    S: Iterator<Item = Step>,
+    F: Fn(&mut [T], &[T]),
+{
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let comm = this.comm;
+        match this.phase {
+            Phase::Done => return Poll::Ready(()),
+            Phase::Unpolled => {
+                this.start();
+                this.phase = Phase::Running;
+            }
+            Phase::Running | Phase::Receiving => {}
+        }
+        loop {
+            if this.phase == Phase::Receiving {
+                let from = this.from as usize;
+                let Poll::Ready(data) = comm.poll_coll_recv(from, this.tag, &mut this.ticket, cx)
+                else {
+                    return Poll::Pending;
+                };
+                this.phase = Phase::Running;
+                this.land(data);
+            }
+            let Some(step) = this.steps.next() else {
+                break;
+            };
+            if let Some((dst, give)) = step.send {
+                this.round = step.round as u32;
+                this.ship(dst, give, step.recv.is_some());
+            }
+            if let Some((src, take)) = step.recv {
+                (this.from, this.take) = (src as u32, take);
+                (this.round, this.folds) = (step.round as u32, step.folds > 0);
+                this.phase = Phase::Receiving;
+            }
+        }
+        this.finish();
+        this.phase = Phase::Done;
+        comm.coll_end(this.coll.name(), this.site);
+        Poll::Ready(())
+    }
+}
+
+impl<T, S, F> Drop for Run<'_, T, S, F> {
+    fn drop(&mut self) {
+        if let Some(ticket) = self.ticket.take() {
+            self.comm.withdraw(ticket);
+        }
+        if matches!(self.phase, Phase::Running | Phase::Receiving) {
+            self.comm.coll_end(self.coll.name(), self.site);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -339,6 +659,17 @@ mod tests {
         }
     }
 
+    /// Vrank `v`'s children in the binomial tree, with their rounds.
+    fn children(v: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
+        binomial_edges(v, n).1.map(move |k| (v + (1 << k), k))
+    }
+
+    /// [`halving_edges`] split into the parent edge and the child edges.
+    fn halving_tree(v: usize, n: usize) -> (Option<TreeEdge>, Vec<TreeEdge>) {
+        let mut edges = halving_edges(v, n).peekable();
+        (edges.next_if(|e| e.peer < v), edges.collect())
+    }
+
     #[test]
     fn binomial_tree_shape() {
         let parent = |v| binomial_edges(v, 8).0;
@@ -346,9 +677,9 @@ mod tests {
         assert_eq!(parent(1), Some((0, 0)));
         assert_eq!(parent(5), Some((1, 2)));
         assert_eq!(parent(6), Some((2, 2)));
-        assert!(binomial_edges(0, 8).1.eq([(1, 0), (2, 1), (4, 2)]));
-        assert!(binomial_edges(1, 8).1.eq([(3, 1), (5, 2)]));
-        assert!(binomial_edges(5, 16).1.eq([(13, 3)]));
+        assert!(children(0, 8).eq([(1, 0), (2, 1), (4, 2)]));
+        assert!(children(1, 8).eq([(3, 1), (5, 2)]));
+        assert!(children(5, 16).eq([(13, 3)]));
     }
 
     #[test]
@@ -357,8 +688,8 @@ mod tests {
         for n in 1..40usize {
             let mut fed = vec![false; n];
             for v in 0..n {
-                let (parent, children) = binomial_edges(v, n);
-                for (child, round) in children {
+                let parent = binomial_edges(v, n).0;
+                for (child, round) in children(v, n) {
                     assert!(parent.is_none_or(|(_, arrival)| arrival < round));
                     assert_eq!(binomial_edges(child, n).0, Some((v, round)));
                     assert!(!std::mem::replace(&mut fed[child], true));
@@ -415,6 +746,53 @@ mod tests {
                 covered.sort_unstable();
                 let expect: Vec<usize> = my_range.collect();
                 assert_eq!(covered, expect);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod run_tests {
+    use crate::check::{run_checked, Event, Settings};
+    use crate::{Engine, Op};
+
+    /// A collective future dropped unpolled takes no tag and opens no
+    /// scope, as an `async fn`'s would not: ranks that drop different
+    /// numbers of them still match on the barrier after, and each rank's
+    /// trace holds the barrier's scope alone.
+    #[test]
+    fn an_unpolled_collective_leaves_no_trace() {
+        for engine in [Engine::Threads, Engine::Coop] {
+            let checked = run_checked(4, engine, Settings::default(), |comm| async move {
+                // Every rank drops one of each; odd ranks drop two.
+                for _ in 0..=comm.rank() % 2 {
+                    let (mut buf, mut all) = ([1.0f64; 4], [0.0f64; 16]);
+                    drop(comm.allreduce_async(&mut buf, Op::Sum));
+                    drop(comm.bcast_async(&mut buf, 1));
+                    drop(comm.allgather_async(&[1.0], &mut all[..4]));
+                    drop(comm.barrier_async());
+                }
+                comm.barrier_async().await;
+            });
+            assert!(
+                checked.results.is_some(),
+                "{engine:?}: {:?}",
+                checked.log.panics
+            );
+            for (rank, events) in checked.log.events.iter().enumerate() {
+                let scopes: Vec<_> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        Event::CollBegin { index, op, .. } => Some((*op, *index, true)),
+                        Event::CollEnd { index, .. } => Some(("", *index, false)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(
+                    scopes,
+                    [("barrier", 0, true), ("", 0, false)],
+                    "{engine:?}: rank {rank}"
+                );
             }
         }
     }

@@ -1,25 +1,31 @@
 //! Rooted reduction (`MPI_Reduce`, IMB `Reduce`, paper Fig. 8).
 
+use std::future::Future;
+
 use crate::comm::Comm;
-use crate::datatype::Word;
 use crate::reduce::{Numeric, Op};
 
 use super::{
-    bcast, binomial_gather_steps, ceil_log2, reduce_scatter, run_in_place, unvrank, vrank, Step,
-    LONG_MSG_THRESHOLD,
+    bcast, ceil_log2, halving_edges, reduce_scatter, scatter_step, unvrank, vrank, Buf, Coll,
+    Either, Mode, Run, Step, LONG_MSG_THRESHOLD,
 };
 
-/// [`binomial_async`]'s steps on the accumulator of `len`:
-/// [`bcast::binomial_steps`] run upwards. A node folds its children in
-/// broadcast order, then sends to its parent.
+/// Binomial-tree reduce's steps on the accumulator of `len`: the mirror
+/// of binomial broadcast, [`bcast::binomial_steps`] run upwards. Each node
+/// folds its children's full vectors in broadcast order, then sends to
+/// its parent. `ceil(log2 n)` rounds; every edge carries the whole vector.
 pub(crate) fn binomial_steps(
     me: usize,
     n: usize,
     len: usize,
     root: usize,
 ) -> impl Iterator<Item = Step> {
-    let (folds, up) = binomial_tree(me, n, len, root);
-    folds.map(|fold| fold.folding(1)).chain(up)
+    // The broadcast's arrival, its step 0, is the reduce's last.
+    let (count, up) = (
+        bcast::binomial_steps(me, n, len, root).len(),
+        usize::from(me != root),
+    );
+    (0..count).map(move |i| binomial_step(me, n, len, root, (i + up) % count))
 }
 
 /// [`binomial_steps`] in round order, which a schedule lists them in: the
@@ -30,65 +36,27 @@ pub(crate) fn binomial_steps_by_round(
     len: usize,
     root: usize,
 ) -> impl Iterator<Item = Step> {
-    let (folds, up) = binomial_tree(me, n, len, root);
-    folds.rev().map(|fold| fold.folding(1)).chain(up)
+    let count = bcast::binomial_steps(me, n, len, root).len();
+    (0..count).map(move |i| binomial_step(me, n, len, root, count - 1 - i))
 }
 
-/// A node's edges of the binomial reduce tree: the children in broadcast
-/// order (reduce rounds falling), and the send to its parent (the last
-/// round; none at the root).
-fn binomial_tree(
-    me: usize,
-    n: usize,
-    len: usize,
-    root: usize,
-) -> (impl DoubleEndedIterator<Item = Step>, Option<Step>) {
-    let mut tree = bcast::binomial_steps(me, n, len, root).map(move |s| s.reversed(ceil_log2(n)));
-    let up = if me == root { None } else { tree.next() };
-    (tree, up)
-}
-
-/// Binomial-tree reduce: the mirror of binomial broadcast. Each node folds
-/// its children's full vectors into its accumulator, then forwards to its
-/// parent. `ceil(log2 n)` rounds; every edge carries the whole vector.
-pub(crate) async fn binomial_async<T: Numeric>(
-    comm: &Comm,
-    send: &[T],
-    recv: Option<&mut [T]>,
-    root: usize,
-    op: Op,
-) {
-    let tag = comm.next_coll_tag();
-    let mut steps = binomial_steps(comm.rank(), comm.size(), send.len(), root);
-    let mut own = Vec::new();
-    let acc = accumulator(comm.rank() == root, send, recv, &mut own);
-    run_in_place(comm, tag, acc, &mut steps, |a, x| op.fold_into(a, x)).await;
-}
-
-/// Where a reduce accumulates, holding `send` to start with: the root's
-/// `recv`, so the result is built where it is wanted and never copied
-/// back, and elsewhere a copy of `send` in `own`. A non-root's `recv` is
-/// left untouched.
-fn accumulator<'a, T: Word>(
-    is_root: bool,
-    send: &[T],
-    recv: Option<&'a mut [T]>,
-    own: &'a mut Vec<T>,
-) -> &'a mut [T] {
-    if is_root {
-        let acc = recv.expect("root must supply a receive buffer");
-        acc.copy_from_slice(send);
-        acc
-    } else {
-        own.extend_from_slice(send);
-        own
+/// Broadcast step `j` run upwards: a child's fold, or the send to the
+/// parent in the last round.
+fn binomial_step(me: usize, n: usize, len: usize, root: usize, j: usize) -> Step {
+    let step = bcast::binomial_step(me, n, len, root, j).reversed(ceil_log2(n));
+    match step.recv {
+        Some(_) => step.folding(1),
+        None => step,
     }
 }
 
-/// [`rabenseifner_async`]'s steps on the accumulator of `len`:
-/// [`reduce_scatter::recursive_halving_steps`] over root-relative ranks,
-/// then [`binomial_gather_steps`] of the reduced slices, which sit in the
-/// accumulator in root-relative rank order.
+/// Rabenseifner reduce's steps on the accumulator of `len`:
+/// [`reduce_scatter::recursive_halving_step`]s over root-relative ranks
+/// (each rank ends holding one fully-reduced slice), then a binomial
+/// gather of the slices to the root — the [`scatter_step`]s backwards —
+/// which sit in the accumulator in root-relative rank order. Halves the
+/// bandwidth term relative to the binomial tree; requires a power-of-two
+/// group.
 pub(crate) fn rabenseifner_steps(
     me: usize,
     n: usize,
@@ -96,57 +64,66 @@ pub(crate) fn rabenseifner_steps(
     root: usize,
 ) -> impl Iterator<Item = Step> {
     assert!(n.is_power_of_two(), "rabenseifner reduce needs 2^k ranks");
-    reduce_scatter::recursive_halving_steps(vrank(me, root, n), n, len)
-        .map(move |step| step.rename(|v| unvrank(v, root, n)))
-        .chain(
-            binomial_gather_steps(me, n, len / n, root).map(move |step| step.later(ceil_log2(n))),
-        )
+    let (v, rounds) = (vrank(me, root, n), ceil_log2(n));
+    let gather = halving_edges(v, n).count();
+    (0..rounds + gather).map(move |i| match i.checked_sub(rounds) {
+        None => {
+            reduce_scatter::recursive_halving_step(v, n, len, i).rename(|v| unvrank(v, root, n))
+        }
+        Some(j) => scatter_step(v, n, root, |b| b * (len / n), gather - 1 - j)
+            .reversed(rounds)
+            .later(rounds),
+    })
 }
 
-/// Rabenseifner reduce for long vectors: a recursive-halving
-/// reduce-scatter (each rank ends holding one fully-reduced slice) followed
-/// by a binomial gather of the slices to the root. Halves the bandwidth
-/// term relative to the binomial tree.
-///
-/// Requires a power-of-two group with the vector length divisible by it;
-/// the dispatcher checks and falls back to [`binomial_async`].
-pub(crate) async fn rabenseifner_async<T: Numeric>(
-    comm: &Comm,
-    send: &[T],
-    recv: Option<&mut [T]>,
-    root: usize,
-    op: Op,
-) {
-    let n = comm.size();
-    let tag = comm.next_coll_tag();
-    let mut steps = rabenseifner_steps(comm.rank(), n, send.len(), root);
-    assert_eq!(send.len() % n, 0, "vector must divide evenly");
-    let mut own = Vec::new();
-    let acc = accumulator(comm.rank() == root, send, recv, &mut own);
-    run_in_place(comm, tag, acc, &mut steps, |a, x| op.fold_into(a, x)).await;
-}
-
-/// The [`auto_async`] dispatch test, shared with the `sched::reduce`
-/// generator: Rabenseifner when the vector of `elems` elements is long
-/// (`bytes`) and divides evenly over a power-of-two group.
+/// The dispatch test of `Comm::reduce_async`, shared with the
+/// `sched::reduce` generator: Rabenseifner when the vector of `elems`
+/// elements is long (`bytes`) and divides evenly over a power-of-two
+/// group.
 pub(crate) fn picks_rabenseifner(n: usize, bytes: usize, elems: usize) -> bool {
     n.is_power_of_two() && n > 1 && elems.is_multiple_of(n) && bytes >= LONG_MSG_THRESHOLD
 }
 
-/// Size-dispatched reduce: Rabenseifner when the shape allows and the
-/// vector is long, binomial otherwise.
-pub(crate) async fn auto_async<T: Numeric>(
-    comm: &Comm,
-    send: &[T],
-    recv: Option<&mut [T]>,
+/// Reduce of every rank's `send` to `root`: binomial, or Rabenseifner when
+/// `rabenseifner` — which requires a power-of-two group with the vector
+/// length divisible by it.
+///
+/// The accumulator holds `send` to start with: the root's `recv`, so the
+/// result is built where it is wanted and never copied back, and
+/// elsewhere a copy of `send`. A non-root's `recv` is left untouched.
+pub(crate) fn reduce<'a, T: Numeric>(
+    comm: &'a Comm,
+    send: &'a [T],
+    recv: Option<&'a mut [T]>,
     root: usize,
     op: Op,
-) {
-    if picks_rabenseifner(comm.size(), send.len() * T::SIZE, send.len()) {
-        rabenseifner_async(comm, send, recv, root, op).await;
+    rabenseifner: bool,
+) -> impl Future<Output = ()> + 'a {
+    let (me, n, len) = (comm.rank(), comm.size(), send.len());
+    let steps = if rabenseifner {
+        let steps = rabenseifner_steps(me, n, len, root);
+        assert_eq!(len % n, 0, "vector must divide evenly");
+        Either::Right(steps)
     } else {
-        binomial_async(comm, send, recv, root, op).await;
-    }
+        Either::Left(binomial_steps(me, n, len, root))
+    };
+    let acc = if me == root {
+        let acc = recv.expect("root must supply a receive buffer");
+        acc.copy_from_slice(send);
+        Buf::Borrowed(acc)
+    } else {
+        Buf::Owned(send.to_vec())
+    };
+    let fold = move |acc: &mut [T], x: &[T]| op.fold_into(acc, x);
+    Run::new(
+        comm,
+        Coll::Reduce(root as u32),
+        Mode::InPlace,
+        send,
+        acc,
+        steps,
+        fold,
+    )
 }
 
 #[cfg(test)]
@@ -156,7 +133,6 @@ mod tests {
     use crate::coll::LONG_MSG_THRESHOLD;
     use crate::reduce::Op;
     use crate::runtime::run;
-    use crate::Comm;
 
     /// Every rank hands `algo` a `recv` full of a sentinel: the root's
     /// must come back holding the reduction, every other rank's untouched.
@@ -165,14 +141,15 @@ mod tests {
         len: usize,
         root: usize,
         op: Op,
-        algo: impl AsyncFn(&Comm, &[f64], Option<&mut [f64]>, usize, Op) + Sync,
+        rabenseifner: impl Fn(usize, usize, usize) -> bool + Sync,
     ) {
         const SENTINEL: f64 = -7.125;
         let results = run(n, |comm| {
             let me = comm.rank();
             let send: Vec<f64> = (0..len).map(|i| (me * len + i) as f64 * 0.25).collect();
             let mut recv = vec![SENTINEL; len];
-            block_on(algo(comm, &send, Some(&mut recv), root, op));
+            let long = rabenseifner(n, len * 8, len);
+            block_on(super::reduce(comm, &send, Some(&mut recv), root, op, long));
             recv
         });
         // Reference reduction.
@@ -213,7 +190,7 @@ mod tests {
     fn binomial_various() {
         for n in [1, 2, 3, 4, 5, 8, 13] {
             for root in [0, n - 1] {
-                check(n, 8, root, Op::Sum, super::binomial_async);
+                check(n, 8, root, Op::Sum, |_, _, _| false);
             }
         }
     }
@@ -221,7 +198,7 @@ mod tests {
     #[test]
     fn binomial_all_ops() {
         for op in [Op::Sum, Op::Prod, Op::Max, Op::Min] {
-            check(5, 6, 2, op, super::binomial_async);
+            check(5, 6, 2, op, |_, _, _| false);
         }
     }
 
@@ -229,31 +206,26 @@ mod tests {
     fn rabenseifner_matches() {
         for n in [2, 4, 8, 16] {
             for root in [0, n - 1, n / 3] {
-                check(n, 16 * n, root, Op::Sum, super::rabenseifner_async);
+                check(n, 16 * n, root, Op::Sum, |_, _, _| true);
             }
         }
         // A vector of 2 x LONG_MSG_THRESHOLD bytes: the first halving
         // round's messages are written into the recycled buffer and given
         // back to it, and the root accumulates in its own.
-        check(
-            4,
-            LONG_MSG_THRESHOLD / 4,
-            1,
-            Op::Sum,
-            super::rabenseifner_async,
-        );
+        check(4, LONG_MSG_THRESHOLD / 4, 1, Op::Sum, |_, _, _| true);
     }
 
     #[test]
     fn rabenseifner_max_op() {
-        check(8, 64, 3, Op::Max, super::rabenseifner_async);
+        check(8, 64, 3, Op::Max, |_, _, _| true);
     }
 
     #[test]
     fn auto_dispatches() {
-        check(8, 8, 0, Op::Sum, super::auto_async); // short -> binomial
-        check(8, 8192, 0, Op::Sum, super::auto_async); // 64 KiB -> rabenseifner
-        check(6, 6000, 1, Op::Sum, super::auto_async); // non-2^k -> binomial
+        use super::picks_rabenseifner as auto;
+        check(8, 8, 0, Op::Sum, auto); // short -> binomial
+        check(8, 8192, 0, Op::Sum, auto); // 64 KiB -> rabenseifner
+        check(6, 6000, 1, Op::Sum, auto); // non-2^k -> binomial
     }
 
     /// The schedule's order is the real one sorted by round, stably: the

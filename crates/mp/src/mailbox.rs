@@ -635,10 +635,23 @@ impl Mailbox {
 
     /// Withdraws the pending posted receive behind `ticket`, requeueing
     /// the message a sender may have handed it meanwhile.
-    fn withdraw_ticket(&self, ticket: Ticket) {
+    pub(crate) fn withdraw_ticket(&self, ticket: Ticket) {
         let mut inner = self.inner.lock();
         if let Some(arrived) = self.withdraw(&mut inner, &ticket).arrived {
             inner.requeue_front(arrived);
+        }
+    }
+
+    /// The wait of a receive whose caller holds its state between polls:
+    /// `ticket` is its posted receive, once a poll has registered one
+    /// ([`Recv::into_ticket`] hands it back). Its caller withdraws a ticket
+    /// it stops polling ([`withdraw_ticket`](Mailbox::withdraw_ticket)).
+    pub(crate) fn resume(&self, filter: Match, ticket: Option<Ticket>) -> Recv<'_> {
+        Recv {
+            mailbox: self,
+            filter,
+            ticket,
+            buf: None,
         }
     }
 
@@ -654,16 +667,6 @@ impl Mailbox {
             filter,
             ticket: None,
             buf,
-        }
-    }
-
-    /// The wait of the pending posted receive behind `ticket`.
-    pub(crate) fn wait(&self, ticket: Ticket, filter: Match) -> Recv<'_> {
-        Recv {
-            mailbox: self,
-            filter,
-            ticket: Some(ticket),
-            buf: None,
         }
     }
 
@@ -705,7 +708,7 @@ impl Mailbox {
     /// Blocks the calling thread on the pending posted receive behind
     /// `ticket`.
     fn wait_blocking(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
-        crate::block_on(self.wait(ticket, filter))
+        crate::block_on(self.resume(filter, Some(ticket)))
     }
 
     /// Number of queued (unmatched) messages.
@@ -791,6 +794,14 @@ impl Future for Recv<'_> {
         // another queued message matched the filter, it would have been
         // taken at post time.
         Poll::Ready((mailbox.collect(arrived, this.filter, 1), p.buf))
+    }
+}
+
+impl Recv<'_> {
+    /// The posted receive's ticket, for a caller that holds the wait
+    /// between polls itself (see [`Mailbox::resume`]).
+    pub(crate) fn into_ticket(mut self) -> Option<Ticket> {
+        self.ticket.take()
     }
 }
 

@@ -43,8 +43,9 @@ impl fmt::Display for Envelope {
     }
 }
 
-/// A shared, sliceable byte payload (see the module docs).
-#[derive(Clone, Debug)]
+/// A shared, sliceable byte payload (see the module docs). The default is
+/// empty and length-only, which holds no allocation.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Payload {
     /// `None`: length-only.
     buf: Option<Arc<Vec<u8>>>,

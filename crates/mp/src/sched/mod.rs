@@ -9,7 +9,8 @@
 //! next step and one round, so a pairwise exchange over `p` ranks is
 //! priced without ever holding its p(p−1) transfers;
 //! [`simnet::Schedule::collect`] materialises one where a test needs it.
-//! The `auto` generators ask the real dispatchers' `picks_*` predicates.
+//! The `auto` generators ask the `picks_*` predicates that
+//! `Comm::<op>_async` dispatches on.
 //! [`p2p`] holds the IMB transfer patterns, which have no collective twin.
 
 mod build;
@@ -26,19 +27,19 @@ pub mod allgather {
     use super::*;
     use crate::coll::allgather::*;
 
-    /// `ring_async`: `n-1` rounds of one block.
+    /// The ring: `n-1` rounds of one block.
     pub fn ring(n: usize, block: u64) -> impl Rounds {
         build(n, 0, move |me| ring_steps(me, n, block as usize))
     }
 
-    /// `recursive_doubling_async`.
+    /// Recursive doubling.
     pub fn recursive_doubling(n: usize, block: u64) -> impl Rounds {
         build(n, 0, move |me| {
             recursive_doubling_steps(me, n, block as usize)
         })
     }
 
-    /// `auto_async`'s dispatch.
+    /// `Comm::allgather_async`'s dispatch.
     pub fn auto(n: usize, block: u64) -> Box<dyn Rounds> {
         if picks_recursive_doubling(n, block as usize) {
             Box::new(recursive_doubling(n, block))
@@ -53,7 +54,7 @@ pub mod allgatherv {
     use super::*;
     use crate::coll::allgatherv::*;
 
-    /// `ring_async`.
+    /// The ring.
     pub fn ring(counts: &[u64]) -> impl Rounds {
         let displs: Arc<[usize]> = displs(counts.iter().map(|&c| c as usize)).into();
         build(counts.len(), 0, move |me| {
@@ -61,7 +62,7 @@ pub mod allgatherv {
         })
     }
 
-    /// `auto_async` is the ring.
+    /// `Comm::allgatherv_async` is the ring.
     pub use ring as auto;
 }
 
@@ -70,20 +71,21 @@ pub mod allreduce {
     use super::*;
     use crate::coll::allreduce::*;
 
-    /// `recursive_doubling_async`.
+    /// Recursive doubling.
     pub fn recursive_doubling(n: usize, bytes: u64) -> impl Rounds {
         build(n, 0, move |me| {
             recursive_doubling_steps(me, n, bytes as usize)
         })
     }
 
-    /// `rabenseifner_async`: the shape
+    /// Rabenseifner's algorithm: the shape
     /// behind the paper's 1 MB Allreduce measurements (Fig. 7).
     pub fn rabenseifner(n: usize, bytes: u64) -> impl Rounds {
         build(n, 0, move |me| rabenseifner_steps(me, n, bytes as usize))
     }
 
-    /// `auto_async`'s dispatch; `elem_size` as in [`super::reduce::auto`].
+    /// `Comm::allreduce_async`'s dispatch; `elem_size` as in
+    /// [`super::reduce::auto`].
     pub fn auto(n: usize, bytes: u64, elem_size: u64) -> Box<dyn Rounds> {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
             Box::new(rabenseifner(n, bytes))
@@ -98,17 +100,17 @@ pub mod alltoall {
     use super::*;
     use crate::coll::alltoall::*;
 
-    /// `pairwise_async`: `n-1` rounds.
+    /// Pairwise exchange: `n-1` rounds.
     pub fn pairwise(n: usize, block: u64) -> impl Rounds {
         build(n, 0, move |me| pairwise_steps(me, n, block as usize))
     }
 
-    /// `bruck_async`: `ceil(log2 n)` rounds.
+    /// Bruck: `ceil(log2 n)` rounds.
     pub fn bruck(n: usize, block: u64) -> impl Rounds {
         build(n, 0, move |me| bruck_steps(me, n, block as usize))
     }
 
-    /// `auto_async`'s dispatch.
+    /// `Comm::alltoall_async`'s dispatch.
     pub fn auto(n: usize, block: u64) -> Box<dyn Rounds> {
         if picks_bruck(n, block as usize) {
             Box::new(bruck(n, block))
@@ -123,35 +125,35 @@ pub mod barrier {
     use super::*;
     use crate::coll::barrier::*;
 
-    /// `dissemination_async`.
+    /// Dissemination.
     pub fn dissemination(n: usize) -> impl Rounds {
         build(n, 0, move |me| dissemination_steps(me, n))
     }
 
-    /// `auto_async` is dissemination.
+    /// `Comm::barrier_async` is dissemination.
     pub use dissemination as auto;
 }
 
-/// Schedules of [`crate::coll::bcast`] of `bytes` from `root`.
+/// Schedules of `crate::coll::bcast` of `bytes` from `root`.
 pub mod bcast {
     use super::*;
     use crate::coll::bcast::*;
 
-    /// [`binomial_async`].
+    /// The binomial tree.
     pub fn binomial(n: usize, root: usize, bytes: u64) -> impl Rounds {
         build(n, root, move |me| {
             binomial_steps(me, n, bytes as usize, root)
         })
     }
 
-    /// `scatter_allgather_async`.
+    /// Scatter+allgather.
     pub fn scatter_allgather(n: usize, root: usize, bytes: u64) -> impl Rounds {
         build(n, root, move |me| {
             scatter_allgather_steps(me, n, bytes as usize, root)
         })
     }
 
-    /// `auto_async`'s size dispatch.
+    /// `Comm::bcast_async`'s size dispatch.
     pub fn auto(n: usize, root: usize, bytes: u64) -> Box<dyn Rounds> {
         if picks_scatter_allgather(n, bytes as usize) {
             Box::new(scatter_allgather(n, root, bytes))
@@ -161,12 +163,12 @@ pub mod bcast {
     }
 }
 
-/// Schedules of [`crate::coll::reduce`] of a vector of `bytes` to `root`.
+/// Schedules of `crate::coll::reduce` of a vector of `bytes` to `root`.
 pub mod reduce {
     use super::*;
     use crate::coll::reduce::*;
 
-    /// `binomial_async`, whose steps a node takes folding its children in
+    /// The binomial tree, whose steps a node takes folding its children in
     /// broadcast order: read here in round order.
     pub fn binomial(n: usize, root: usize, bytes: u64) -> impl Rounds {
         build(n, root, move |me| {
@@ -174,14 +176,14 @@ pub mod reduce {
         })
     }
 
-    /// `rabenseifner_async`.
+    /// Rabenseifner's algorithm.
     pub fn rabenseifner(n: usize, root: usize, bytes: u64) -> impl Rounds {
         build(n, root, move |me| {
             rabenseifner_steps(me, n, bytes as usize, root)
         })
     }
 
-    /// `auto_async`'s dispatch. `elem_size` is the datatype width its
+    /// `Comm::reduce_async`'s dispatch. `elem_size` is the datatype width its
     /// divisibility check uses (8 for the `f64` vectors the IMB benchmarks reduce).
     pub fn auto(n: usize, root: usize, bytes: u64, elem_size: u64) -> Box<dyn Rounds> {
         if picks_rabenseifner(n, bytes as usize, (bytes / elem_size) as usize) {
@@ -197,7 +199,7 @@ pub mod reduce_scatter {
     use super::*;
     use crate::coll::{allgatherv::displs, reduce_scatter::*};
 
-    /// `pairwise_async` to slices of `counts` bytes.
+    /// Pairwise exchange to slices of `counts` bytes.
     pub fn pairwise(counts: &[u64]) -> impl Rounds {
         let displs: Arc<[usize]> = displs(counts.iter().map(|&c| c as usize)).into();
         build(counts.len(), 0, move |me| {
@@ -259,100 +261,126 @@ mod tests {
             .collect()
     }
 
-    fn allgather(algo: impl AsyncFn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
-        let send = vec![c.rank() as u64; len];
-        block_on(algo(c, &send, &mut vec![0; len * c.size()]));
+    /// `algo`: the algorithm's flag, or `None` for `Comm`'s dispatch.
+    fn allgather(algo: Option<bool>, c: &Comm, len: usize) {
+        let (send, mut recv) = (vec![c.rank() as u64; len], vec![0; len * c.size()]);
+        match algo {
+            Some(doubling) => block_on(coll::allgather::allgather(c, &send, &mut recv, doubling)),
+            None => c.allgather(&send, &mut recv),
+        }
     }
-    fn alltoall(algo: impl AsyncFn(&Comm, &[u64], &mut [u64]), c: &Comm, len: usize) {
+    fn alltoall(algo: Option<bool>, c: &Comm, len: usize) {
         let total = len * c.size();
-        block_on(algo(c, &vec![c.rank() as u64; total], &mut vec![0; total]));
+        let (send, mut recv) = (vec![c.rank() as u64; total], vec![0; total]);
+        match algo {
+            Some(bruck) => block_on(coll::alltoall::alltoall(c, &send, &mut recv, bruck)),
+            None => c.alltoall(&send, &mut recv),
+        }
     }
-    fn reduce(
-        algo: impl AsyncFn(&Comm, &[f64], Option<&mut [f64]>, usize, Op),
-        c: &Comm,
-        root: usize,
-        len: usize,
-    ) {
-        let mut recv = (c.rank() == root).then(|| vec![0.0f64; len]);
-        block_on(algo(c, &vec![1.0; len], recv.as_deref_mut(), root, Op::Sum));
+    fn allreduce(algo: Option<bool>, c: &Comm, len: usize) {
+        let mut buf = vec![1.0f64; len];
+        match algo {
+            Some(long) => block_on(coll::allreduce::allreduce(c, &mut buf, Op::Sum, long)),
+            None => c.allreduce(&mut buf, Op::Sum),
+        }
+    }
+    fn bcast(algo: Option<bool>, c: &Comm, root: usize, len: usize) {
+        let mut buf = vec![1.0f64; len];
+        match algo {
+            Some(long) => block_on(coll::bcast::bcast(c, &mut buf, root, long)),
+            None => c.bcast(&mut buf, root),
+        }
+    }
+    fn reduce(algo: Option<bool>, c: &Comm, root: usize, len: usize) {
+        let (send, mut recv) = (
+            vec![1.0; len],
+            (c.rank() == root).then(|| vec![0.0f64; len]),
+        );
+        match algo {
+            Some(long) => {
+                let recv = recv.as_deref_mut();
+                block_on(coll::reduce::reduce(c, &send, recv, root, Op::Sum, long));
+            }
+            None => c.reduce(&send, recv.as_deref_mut(), root, Op::Sum),
+        }
     }
 
     #[rustfmt::skip]
     const CASES: &[Case] = &[
         Case { name: "allgather::ring", rooted: false, fits: |_, _| true,
-            run: |c, _, len| allgather(coll::allgather::ring_async, c, len),
+            run: |c, _, len| allgather(Some(false), c, len),
             schedule: |n, _, b| Schedule::collect(allgather::ring(n, b)),
             steps: Some(|w, me| Box::new(coll::allgather::ring_steps(me, w.n, w.len))) },
         Case { name: "allgather::recursive_doubling", rooted: false, fits: |n, _| n.is_power_of_two(),
-            run: |c, _, len| allgather(coll::allgather::recursive_doubling_async, c, len),
+            run: |c, _, len| allgather(Some(true), c, len),
             schedule: |n, _, b| Schedule::collect(allgather::recursive_doubling(n, b)),
             steps: Some(|w, me| Box::new(coll::allgather::recursive_doubling_steps(me, w.n, w.len))) },
         Case { name: "allgather::auto", rooted: false, fits: |_, _| true,
-            run: |c, _, len| allgather(coll::allgather::auto_async, c, len),
+            run: |c, _, len| allgather(None, c, len),
             schedule: |n, _, b| Schedule::collect(allgather::auto(n, b)), steps: None },
         Case { name: "allgatherv::ring", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
                 let mut recv = vec![0u64; counts.iter().sum()];
-                block_on(coll::allgatherv::ring_async(c, &vec![1; counts[c.rank()]], &mut recv, &counts));
+                c.allgatherv(&vec![1; counts[c.rank()]], &mut recv, &counts);
             },
             schedule: |n, _, b| Schedule::collect(allgatherv::auto(&ragged_bytes(n, b))),
             steps: Some(|w, me| Box::new(coll::allgatherv::ring_steps(me, &w.displs))) },
         Case { name: "allreduce::recursive_doubling", rooted: false, fits: |_, _| true,
-            run: |c, _, len| block_on(coll::allreduce::recursive_doubling_async(c, &mut vec![1.0f64; len], Op::Sum)),
+            run: |c, _, len| allreduce(Some(false), c, len),
             schedule: |n, _, b| Schedule::collect(allreduce::recursive_doubling(n, b)),
             steps: Some(|w, me| Box::new(coll::allreduce::recursive_doubling_steps(me, w.n, w.len))) },
         Case { name: "allreduce::rabenseifner", rooted: false,
             fits: |n, len| len.is_multiple_of(1 << n.ilog2()),
-            run: |c, _, len| block_on(coll::allreduce::rabenseifner_async(c, &mut vec![1.0f64; len], Op::Sum)),
+            run: |c, _, len| allreduce(Some(true), c, len),
             schedule: |n, _, b| Schedule::collect(allreduce::rabenseifner(n, b)),
             steps: Some(|w, me| Box::new(coll::allreduce::rabenseifner_steps(me, w.n, w.len))) },
         Case { name: "allreduce::auto", rooted: false, fits: |_, _| true,
-            run: |c, _, len| block_on(coll::allreduce::auto_async(c, &mut vec![1.0f64; len], Op::Sum)),
+            run: |c, _, len| allreduce(None, c, len),
             schedule: |n, _, b| Schedule::collect(allreduce::auto(n, b, 8)), steps: None },
         Case { name: "alltoall::pairwise", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::pairwise_async, c, len),
+            run: |c, _, len| alltoall(Some(false), c, len),
             schedule: |n, _, b| Schedule::collect(alltoall::pairwise(n, b)),
             steps: Some(|w, me| Box::new(coll::alltoall::pairwise_steps(me, w.n, w.len))) },
         Case { name: "alltoall::bruck", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::bruck_async, c, len),
+            run: |c, _, len| alltoall(Some(true), c, len),
             schedule: |n, _, b| Schedule::collect(alltoall::bruck(n, b)),
             steps: Some(|w, me| Box::new(coll::alltoall::bruck_steps(me, w.n, w.len))) },
         Case { name: "alltoall::auto", rooted: false, fits: |_, _| true,
-            run: |c, _, len| alltoall(coll::alltoall::auto_async, c, len),
+            run: |c, _, len| alltoall(None, c, len),
             schedule: |n, _, b| Schedule::collect(alltoall::auto(n, b)), steps: None },
         Case { name: "barrier::dissemination", rooted: false, fits: |_, _| true,
-            run: |c, _, _| block_on(coll::barrier::dissemination_async(c)),
+            run: |c, _, _| c.barrier(),
             schedule: |n, _, _| Schedule::collect(barrier::auto(n)),
             steps: Some(|w, me| Box::new(coll::barrier::dissemination_steps(me, w.n))) },
         Case { name: "bcast::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| block_on(coll::bcast::binomial_async(c, &mut vec![1.0f64; len], root)),
+            run: |c, root, len| bcast(Some(false), c, root, len),
             schedule: |n, root, b| Schedule::collect(bcast::binomial(n, root, b)),
             steps: Some(|w, me| Box::new(coll::bcast::binomial_steps(me, w.n, w.len, w.root))) },
         Case { name: "bcast::scatter_allgather", rooted: true, fits: |_, _| true,
-            run: |c, root, len| block_on(coll::bcast::scatter_allgather_async(c, &mut vec![1.0f64; len], root)),
+            run: |c, root, len| bcast(Some(true), c, root, len),
             schedule: |n, root, b| Schedule::collect(bcast::scatter_allgather(n, root, b)),
             steps: Some(|w, me| Box::new(coll::bcast::scatter_allgather_steps(me, w.n, w.len, w.root))) },
         Case { name: "bcast::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| block_on(coll::bcast::auto_async(c, &mut vec![1.0f64; len], root)),
+            run: |c, root, len| bcast(None, c, root, len),
             schedule: |n, root, b| Schedule::collect(bcast::auto(n, root, b)), steps: None },
         Case { name: "reduce::binomial", rooted: true, fits: |_, _| true,
-            run: |c, root, len| reduce(coll::reduce::binomial_async, c, root, len),
+            run: |c, root, len| reduce(Some(false), c, root, len),
             schedule: |n, root, b| Schedule::collect(reduce::binomial(n, root, b)),
             steps: Some(|w, me| Box::new(coll::reduce::binomial_steps(me, w.n, w.len, w.root))) },
         Case { name: "reduce::rabenseifner", rooted: true, fits: |n, len| n.is_power_of_two() && len.is_multiple_of(n),
-            run: |c, root, len| reduce(coll::reduce::rabenseifner_async, c, root, len),
+            run: |c, root, len| reduce(Some(true), c, root, len),
             schedule: |n, root, b| Schedule::collect(reduce::rabenseifner(n, root, b)),
             steps: Some(|w, me| Box::new(coll::reduce::rabenseifner_steps(me, w.n, w.len, w.root))) },
         Case { name: "reduce::auto", rooted: true, fits: |_, _| true,
-            run: |c, root, len| reduce(coll::reduce::auto_async, c, root, len),
+            run: |c, root, len| reduce(None, c, root, len),
             schedule: |n, root, b| Schedule::collect(reduce::auto(n, root, b, 8)), steps: None },
         Case { name: "reduce_scatter::pairwise", rooted: false, fits: |_, _| true,
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
                 let send = vec![1.0f64; counts.iter().sum()];
                 let mut recv = vec![0.0; counts[c.rank()]];
-                block_on(coll::reduce_scatter::auto_async(c, &send, &mut recv, &counts, Op::Sum));
+                c.reduce_scatter(&send, &mut recv, &counts, Op::Sum);
             },
             schedule: |n, _, b| Schedule::collect(reduce_scatter::pairwise(&ragged_bytes(n, b))),
             steps: Some(|w, me| Box::new(coll::reduce_scatter::pairwise_steps(me, &w.displs))) },

@@ -76,7 +76,8 @@ fn bcast_root_rotation_traces() {
             if comm.rank() == root {
                 buf.iter_mut().enumerate().for_each(|(i, v)| *v = i as f64);
             }
-            mp::coll::bcast::binomial_async(&comm, &mut buf, root).await;
+            // 512 B: short, so the broadcast is the binomial tree.
+            comm.bcast_async(&mut buf, root).await;
         });
         let sched =
             simnet::Schedule::collect(mp::sched::bcast::binomial(n, root, (len * 8) as u64));

@@ -65,6 +65,27 @@ fn highrank_virtual_slice_is_deterministic() {
     assert_eq!(run(), run());
 }
 
+/// The `campaign --smoke --high-rank N --check` slice at 1 024 ranks:
+/// checked worlds (rings of 16 events a rank, as `campaign` runs them)
+/// give the records of unchecked ones bit for bit, and all four are clean.
+#[test]
+fn highrank_virtual_slice_is_the_same_checked() {
+    let (plan, reg) = (harness::RunPlan::high_rank(1024), hpcbench::registry());
+    let unchecked = plan.execute(&reg);
+    let settings = mpcheck::Settings { ring_capacity: 16 };
+    let (checked, report) = plan.execute_checked(&reg, settings);
+    let bits = |records: &[harness::Record]| -> Vec<u64> {
+        records.iter().map(|r| r.value.to_bits()).collect()
+    };
+    assert_eq!(bits(&checked), bits(&unchecked));
+    assert_eq!(
+        harness::records_json(&checked),
+        harness::records_json(&unchecked)
+    );
+    assert_eq!(report.runs, 4);
+    assert!(report.clean(), "{report}");
+}
+
 #[test]
 fn native_results_are_value_deterministic() {
     // Wall-clock timings vary; computed *values* must not.
