@@ -63,6 +63,7 @@ fn put(ws: Option<Workspace>) {
 #[cfg(test)]
 thread_local! {
     static BUILDS: Cell<usize> = const { Cell::new(0) };
+    static SEQUENCES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Builds a working set the thread did not have (counted in tests).
@@ -77,7 +78,9 @@ fn build<T>(new: impl FnOnce() -> T) -> T {
 pub(crate) struct StreamConfig {
     /// Vector length per rank (STREAM requires arrays well beyond cache).
     pub len: usize,
-    /// Timed repetitions (best-of, per STREAM convention).
+    /// Timed repetitions (best-of, per STREAM convention). Virtual runs
+    /// do one: their records are virtual time, so the host times are
+    /// discarded and one sequence is all the check needs.
     pub iters: usize,
 }
 
@@ -105,6 +108,8 @@ pub(crate) async fn stream_async(comm: &Comm, cfg: &StreamConfig) -> StreamResul
         };
         let mut best = [f64::INFINITY; 4]; // seconds per kernel
         for _ in 0..cfg.iters {
+            #[cfg(test)]
+            SEQUENCES.set(SEQUENCES.get() + 1);
             for (k, kernel) in StreamKernel::ALL.into_iter().enumerate() {
                 let t = harness::Stopwatch::start();
                 arrays.run(kernel);
@@ -192,15 +197,7 @@ pub(crate) async fn ep_dgemm_async(comm: &Comm, cfg: &DgemmConfig) -> DgemmResul
             dgemm(n, &a, &b, &mut c);
             best = best.min(t.elapsed_secs().max(1e-9));
         }
-
-        // Spot-check a few entries against the naive dot product.
-        let mut ok = true;
-        for &(i, j) in &[(0usize, 0usize), (n / 2, n / 3), (n - 1, n - 1)] {
-            let expect: f64 = (0..n).map(|k| a[i * n + k] * b[k * n + j]).sum();
-            if (c[i * n + j] - expect).abs() > 1e-9 * expect.abs().max(1.0) {
-                ok = false;
-            }
-        }
+        let ok = spot_check(n, &a, &b, &c);
         put(Some(Workspace::Dgemm(DgemmOperands { a, b, c })));
         (best, ok)
     };
@@ -214,6 +211,19 @@ pub(crate) async fn ep_dgemm_async(comm: &Comm, cfg: &DgemmConfig) -> DgemmResul
         gflops: vals[0] / comm.size() as f64,
         passed: vals[1] > 0.5,
     }
+}
+
+/// Spot-checks a few entries of the `n x n` product `c = a b` against the
+/// naive dot product. An entry passes only if its error is within
+/// tolerance, so a NaN fails.
+fn spot_check(n: usize, a: &[f64], b: &[f64], c: &[f64]) -> bool {
+    let close = |(i, j): (usize, usize)| {
+        let expect: f64 = (0..n).map(|k| a[i * n + k] * b[k * n + j]).sum();
+        (c[i * n + j] - expect).abs() <= 1e-9 * expect.abs().max(1.0)
+    };
+    [(0, 0), (n / 2, n / 3), (n - 1, n - 1)]
+        .into_iter()
+        .all(close)
 }
 
 #[cfg(test)]
@@ -266,6 +276,42 @@ mod tests {
         // world unwound in its closing reduction leaves one): replaced,
         // not reused.
         assert_eq!(virtual_ep_builds(50_000, 96, Some((200_000, 128))), [1, 1]);
+    }
+
+    #[test]
+    fn a_virtual_rank_runs_one_sequence_and_a_native_rank_two() {
+        let cfg = SuiteConfig::small(16);
+        let before = SEQUENCES.get();
+        let recs = crate::virtual_run::run_virtual_components(
+            &dell_xeon(),
+            16,
+            &cfg,
+            &[Component::Stream],
+        );
+        assert!(recs[0].passed);
+        let sequences = SEQUENCES.get() - before;
+        assert_eq!(sequences, 16, "one sequence per virtual rank");
+        // Each native rank counts its sequences on a thread of its own.
+        let native = mp::run(2, |comm| {
+            let before = SEQUENCES.get();
+            let recs = crate::suite::run_component_on(comm, Component::Stream, &cfg);
+            assert!(recs[0].passed);
+            SEQUENCES.get() - before
+        });
+        assert_eq!(native, [2, 2], "best of two per native rank");
+    }
+
+    #[test]
+    fn spot_check_fails_a_nan_product_entry() {
+        let n = 16;
+        let DgemmOperands { a, b, mut c } = DgemmOperands::new(n);
+        dgemm(n, &a, &b, &mut c);
+        assert!(spot_check(n, &a, &b, &c));
+        for (i, j) in [(0, 0), (n / 2, n / 3), (n - 1, n - 1)] {
+            let mut bad = c.clone();
+            bad[i * n + j] = f64::NAN;
+            assert!(!spot_check(n, &a, &b, &bad), "NaN at ({i}, {j}) passed");
+        }
     }
 
     #[test]

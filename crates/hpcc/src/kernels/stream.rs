@@ -72,11 +72,12 @@ impl StreamArrays {
         }
     }
 
-    /// Restores the canonical starting state in place.
+    /// Restores, in place, the part of the starting state the canonical
+    /// sequence reads: `a = 1`. Copy writes `c` and scale writes `b`
+    /// before either is read, so what they held reaches neither the
+    /// results of a sequence nor [`Self::verify`]'s verdict after one.
     pub(crate) fn reset(&mut self) {
         self.a.fill(1.0);
-        self.b.fill(2.0);
-        self.c.fill(0.0);
     }
 
     /// Runs one kernel over the arrays (scalar s = 3.0, as in STREAM).
@@ -98,7 +99,11 @@ impl StreamArrays {
     }
 
     /// STREAM's built-in solution check after running the canonical
-    /// sequence copy, scale, add, triad `iters` times.
+    /// sequence copy, scale, add, triad `iters` times. An element passes
+    /// only if its error is within tolerance, so a NaN fails.
+    ///
+    /// Each array is one fold without early exit, so that it vectorises;
+    /// the failing element is searched for only once a fold has failed.
     pub(crate) fn verify(&self, iters: usize) -> Result<(), String> {
         let (mut ea, mut eb, mut ec) = (1.0f64, 2.0f64, 0.0f64);
         for _ in 0..iters {
@@ -108,10 +113,11 @@ impl StreamArrays {
             ea = eb + 3.0 * ec;
         }
         for (name, arr, expect) in [("a", &self.a, ea), ("b", &self.b, eb), ("c", &self.c, ec)] {
-            for (i, v) in arr.iter().enumerate() {
-                if (v - expect).abs() > 1e-8 * expect.abs().max(1.0) {
-                    return Err(format!("array {name}[{i}] = {v}, expected {expect}"));
-                }
+            let tol = 1e-8 * expect.abs().max(1.0);
+            let close = |v: f64| (v - expect).abs() <= tol;
+            if !arr.iter().fold(true, |ok, &v| ok & close(v)) {
+                let i = arr.iter().position(|&v| !close(v)).expect("a failed fold");
+                return Err(format!("array {name}[{i}] = {}, expected {expect}", arr[i]));
             }
         }
         Ok(())
@@ -240,14 +246,56 @@ mod tests {
         s.verify(3).unwrap();
     }
 
+    /// An element off by one, or a NaN in any of the arrays, fails the
+    /// check and is named.
     #[test]
     fn verify_catches_corruption() {
-        let mut s = StreamArrays::new(100);
-        for k in StreamKernel::ALL {
-            s.run(k);
+        // After one sequence `c` holds 4.0 everywhere.
+        for (name, i, v) in [
+            ("c", 42, 5.0),
+            ("a", 0, f64::NAN),
+            ("b", 57, f64::NAN),
+            ("c", 99, f64::NAN),
+        ] {
+            let mut s = StreamArrays::new(100);
+            for k in StreamKernel::ALL {
+                s.run(k);
+            }
+            let arr = match name {
+                "a" => &mut s.a,
+                "b" => &mut s.b,
+                _ => &mut s.c,
+            };
+            arr[i] = v;
+            let err = s.verify(1).unwrap_err();
+            assert!(err.contains(&format!("{name}[{i}] = {v},")), "{err}");
         }
-        s.c[42] += 1.0;
-        assert!(s.verify(1).unwrap_err().contains("c[42]"));
+    }
+
+    /// Arrays a finished sequence left behind, with `b` and `c` poisoned:
+    /// `reset` refills `a` alone, and one sequence must still verify.
+    #[test]
+    fn resetting_a_alone_restores_the_sequence() {
+        let sequence = |s: &mut StreamArrays| {
+            for k in StreamKernel::ALL {
+                s.run(k);
+            }
+        };
+        let used = || {
+            let mut s = StreamArrays::new(1003);
+            sequence(&mut s);
+            s.b.fill(f64::NAN);
+            s.c.fill(f64::NAN);
+            s
+        };
+        let mut reset = used();
+        reset.reset();
+        sequence(&mut reset);
+        reset.verify(1).unwrap();
+        // Without the reset, `a` starts from where the last sequence left it.
+        let mut stale = used();
+        sequence(&mut stale);
+        assert!(stale.verify(1).unwrap_err().contains("array a[0]"));
     }
 
     /// Lengths that are not a multiple of the window width must still be

@@ -120,7 +120,7 @@ impl Component {
     /// Executes the component's real benchmark code on `comm`, returning
     /// `(name, metric, value)` rows plus the verification verdict. The
     /// first row carries the component's primary name.
-    async fn execute(self, comm: &Comm, cfg: &SuiteConfig) -> ComponentOutput {
+    async fn execute(self, comm: &Comm, cfg: &SuiteConfig, mode: Mode) -> ComponentOutput {
         match self {
             Component::Hpl => {
                 let r = hpl::run_async(comm, &cfg.hpl_config(comm.size())).await;
@@ -156,7 +156,7 @@ impl Component {
                     comm,
                     &ep::StreamConfig {
                         len: cfg.stream_len,
-                        iters: 2,
+                        iters: if mode == Mode::Virtual { 1 } else { 2 },
                     },
                 )
                 .await;
@@ -237,22 +237,24 @@ pub(crate) fn run_component_on(
     component: Component,
     cfg: &SuiteConfig,
 ) -> Vec<Record> {
-    mp::block_on(run_component_on_async(comm, component, cfg))
+    mp::block_on(run_component_on_async(comm, component, cfg, Mode::Native))
 }
 
-/// Awaitable mirror of [`run_component_on`], for cooperative rank tasks.
+/// Awaitable mirror of [`run_component_on`], for cooperative rank tasks,
+/// in the `mode` the records are made for.
 pub(crate) async fn run_component_on_async(
     comm: &Comm,
     component: Component,
     cfg: &SuiteConfig,
+    mode: Mode,
 ) -> Vec<Record> {
-    let (out, stats) = Runner::timed_stats_async(comm, || component.execute(comm, cfg)).await;
+    let (out, stats) = Runner::timed_stats_async(comm, || component.execute(comm, cfg, mode)).await;
     out.values
         .iter()
         .map(|&(name, metric, value)| Record {
             benchmark: name,
             suite: Suite::Hpcc,
-            mode: Mode::Native,
+            mode,
             machine: "host",
             procs: comm.size(),
             threads: smp::ambient_threads(),
