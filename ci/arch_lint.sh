@@ -153,6 +153,15 @@
 #      that adaptor's body. A pricer takes a generator's rounds as they
 #      come; a collected schedule is the p(p-1)-transfer pairwise exchange
 #      materialised again before the first round is priced.
+#  19. The writer prices nothing. Non-test code in
+#      `crates/core/src/output.rs` and `crates/core/src/report.rs` names
+#      none of `RunPlan`, `.execute(`, `registry(` or `imb::ext::`. The
+#      paper's records come from `figures::paper_plan` and the extension
+#      figures from `extensions::execute`, priced by their caller
+#      (`campaign`, or `figures::price` for `write_all`); the writer
+#      projects and writes them. A plan, a registry or a one-sided run in
+#      the writer is the extension stage pricing its own cells again, its
+#      records dropped once the figure is drawn.
 #
 # Test modules (a column-0 `#[cfg(test)]` on an inline `mod`, to its
 # column-0 closing brace; `ci/nontest.awk`) are exempt from the source
@@ -355,6 +364,15 @@ EOF
     cat > "$pass/crates/core/src/extensions.rs" <<'EOF'
 fn put(m: &Machine, r: &Runner) -> f64 { imb::ext::run_virtual(m, UnidirPut, Fence, 8, r).mbs }
 EOF
+    # The writer writes what it is given; its test may price a plan.
+    cat > "$pass/crates/core/src/output.rs" <<'EOF'
+pub(crate) fn write_from(cfg: &OutputConfig, set: &[Record], extensions: &[Figure]) {}
+
+#[cfg(test)]
+mod tests {
+    fn set() -> Vec<Record> { paper_plan(&FigureConfig::quick()).execute(&crate::registry()) }
+}
+EOF
     # The types' own crate defines them, and a doc example may spell one.
     mkdir -p "$pass/crates/simnet/src" "$pass/crates/machines/src"
     cat > "$pass/crates/simnet/src/schedule.rs" <<'EOF'
@@ -532,6 +550,15 @@ EOF
     cat > "$bad/crates/bench/src/bin/campaign.rs" <<'EOF'
 fn put(m: &Machine, r: &Runner) -> f64 { imb::ext::run_virtual(m, UnidirPut, Fence, 8, r).mbs }
 EOF
+    # A writer that prices its own figures: a plan over a fresh registry,
+    # and a one-sided run.
+    cat > "$bad/crates/core/src/output.rs" <<'EOF'
+fn write_extensions(cfg: &OutputConfig) {
+    let plan: RunPlan = msgsize_plan(&cfg.figures);
+    let records = plan.execute(&crate::registry());
+    let put = imb::ext::run_virtual(m, UnidirPut, Fence, 8, r);
+}
+EOF
     # A hand-listed one-sided epoch beside the program that sends it.
     mkdir -p "$bad/crates/imb/src"
     cat > "$bad/crates/imb/src/ext.rs" <<'EOF'
@@ -594,7 +621,9 @@ EOF
         "bad/src/after_tests.rs:6: pub fn after_tests" \
         "coll/reduce_scatter.rs:2: .*Payload::encode" "coll/reduce_scatter.rs:3: .*recv_vec_async" \
         "coll/reduce_scatter.rs:4: .*decode::<f64>" \
-        "imb/src/sim.rs:2: .*schedule_for(" "hpcc/src/sim.rs:2: .*Schedule::collect("; do
+        "imb/src/sim.rs:2: .*schedule_for(" "hpcc/src/sim.rs:2: .*Schedule::collect(" \
+        "core/src/output.rs:2: .*RunPlan" "core/src/output.rs:3: .*execute(&crate::registry()" \
+        "core/src/output.rs:4: .*imb::ext::run_virtual"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -868,6 +897,16 @@ if [ -n "$offenders" ]; then
     err "a pricing path that materialises a schedule (price a generator's rounds as they \
 come with ClusterSim::run; schedule_for and Schedule::collect are the adaptor for tests and \
 benchmark/):
+$offenders"
+fi
+
+# --- 19. The writer prices nothing ---------------------------------------
+offenders=$(scan 'RunPlan|[.]execute[(]|registry[(]|imb::ext::' \
+    | grep -E '^crates/core/src/(output|report)\.rs:' || true)
+if [ -n "$offenders" ]; then
+    err "the writer prices (core::output and core::report project and write what they are \
+given; price the paper plan and extensions::execute in the caller, or figures::price for \
+write_all):
 $offenders"
 fi
 

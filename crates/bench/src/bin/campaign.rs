@@ -18,11 +18,15 @@
 //!
 //! Full mode prices the paper: the simulated cells Table 3 and Figs.
 //! 1-15 read, each once and no other (`hpcbench::figures::paper_plan`),
-//! written to `records.json` and handed to `hpcbench::output::write_from`,
-//! which projects every table and figure out of them. Smoke mode
-//! exercises every execution path — native, simulated and virtual — on a
-//! small cross product so CI proves all three routes stay wired through
-//! the registry and Runner.
+//! written to `records.json` and projected into every table and figure by
+//! `hpcbench::output::write_from`, which prices nothing. Unless
+//! `--no-extensions`, the extension studies follow
+//! (`hpcbench::extensions::execute`, each cell once): their records go to
+//! `ext_records.json`, judged as `records.json` is and kept apart because
+//! the paper's projections select by benchmark name, and their figures to
+//! a second `write_from`. Smoke mode exercises every execution path —
+//! native, simulated and virtual — on a small cross product so CI proves
+//! all three routes stay wired through the registry and Runner.
 //!
 //! `--check` instruments every `mp` world the smoke plan starts — native
 //! rank threads and virtual cooperative tasks — through `mpcheck::Session`,
@@ -56,6 +60,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use harness::{records_json_from_lines, Cell, Mode, ProcGrid, Record, RunPlan, Runner};
+use hpcbench::extensions;
 use hpcbench::figures::{self, FigureConfig};
 use hpcbench::output::{self, OutputConfig};
 use machines::systems;
@@ -445,7 +450,8 @@ fn main() {
 
     // Smoke keeps CI fast: records only, the figure sweep has its own test
     // coverage. The full campaign projects the paper artefacts out of the
-    // paper plan's records (the high-rank slice is not part of them).
+    // paper plan's records (the high-rank slice is not part of them), and
+    // writes them before the far longer extension studies start.
     if with_figures && !smoke {
         let cfg = OutputConfig {
             out_dir,
@@ -453,7 +459,17 @@ fn main() {
             with_extensions,
             verbose: true,
         };
-        let report = output::write_from(&cfg, &records).expect("write figure artefacts");
+        let mut report = output::write_from(&cfg, &records, &[]).expect("write figure artefacts");
+        if with_extensions {
+            let (ext_records, ext) = extensions::execute(&figure_cfg, &hpcbench::registry());
+            let lines: Vec<String> = ext_records.iter().map(Record::to_json).collect();
+            publish_records(
+                &lines,
+                &cfg.out_dir,
+                Some(cfg.out_dir.join("ext_records.json")),
+            );
+            report = output::write_from(&cfg, &records, &ext).expect("write figure artefacts");
+        }
         println!("done: {}", report.display());
     }
 }

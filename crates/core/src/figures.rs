@@ -12,10 +12,11 @@
 //! prices each cell once; [`figures_from`] and [`tables_from`] project
 //! the records and price nothing. Nothing else prices a paper cell: one
 //! figure is `figures_from(&paper_plan(&cfg).execute(&registry()))` and a
-//! lookup by id. The high-rank extension figures at the end keep their
-//! own [`harness::RunPlan`]s.
+//! lookup by id. The extension studies, which are not the paper, are plans
+//! of their own in [`crate::extensions`]; [`price`] prices both for
+//! [`crate::output::write_all`], over one registry.
 
-use harness::{MetricKind, Mode, ProcGrid, Record, RunPlan, Runner, Suite};
+use harness::{MetricKind, Mode, ProcGrid, Record, Registry, RunPlan, Runner, Suite};
 use machines::{systems, Machine};
 use simnet::units::MIB;
 
@@ -313,7 +314,7 @@ pub fn kiviat_rows_from(sweeps: &[HpccSweep]) -> Vec<ratios::KiviatRow> {
 
 /// Fig. 5: all benchmarks normalised with the HPL value, column maxima
 /// scaled to 1.
-pub fn fig05_from(rows: &[ratios::KiviatRow]) -> Table {
+pub(crate) fn fig05_from(rows: &[ratios::KiviatRow]) -> Table {
     let (rows, _) = ratios::normalise(rows);
     Table {
         id: "fig05",
@@ -333,7 +334,7 @@ pub fn fig05_from(rows: &[ratios::KiviatRow]) -> Table {
 }
 
 /// Table 3: the per-column maxima behind Fig. 5.
-pub fn table3_from(rows: &[ratios::KiviatRow]) -> Table {
+pub(crate) fn table3_from(rows: &[ratios::KiviatRow]) -> Table {
     let (_, maxima) = ratios::normalise(rows);
     Table {
         id: "table3",
@@ -419,102 +420,20 @@ fn imb_figure_from(&(id, benchmark, title): &ImbFigure, set: &[Record]) -> Figur
     figure_from_records(id, title, "processes", ylabel, &records, |r| r.value)
 }
 
-/// The high-rank scaling grid: the top three octaves below the
-/// configured ceiling (e.g. 16384, 32768, 65536 for the default).
-fn highrank_grid(cfg: &FigureConfig) -> Vec<usize> {
-    let cap = cfg.highrank_procs.next_power_of_two().max(8);
-    vec![cap / 4, cap / 2, cap]
+/// What [`crate::output::write_all`] writes, each cell priced once: the
+/// records of [`paper_plan`] and, with `ext`, the extension figures.
+pub(crate) fn price(cfg: &FigureConfig, ext: bool) -> (Vec<Record>, Vec<Figure>) {
+    price_over(&crate::registry(), cfg, ext)
 }
 
-/// High-rank figure: IMB collectives *virtually executed* at 16k-64k
-/// cooperative ranks on the exascale extension model. Every point is
-/// the real benchmark code running as resumable rank tasks with the
-/// communication priced by virtual clocks — worlds this size are
-/// impossible with one OS thread per rank. One series per collective.
-pub(crate) fn fig_highrank_collectives(cfg: &FigureConfig) -> Figure {
-    let reg = crate::registry::registry();
-    let machine = systems::exascale_cluster();
-    let grid = highrank_grid(cfg);
-    let benches = ["Barrier", "Bcast", "Allreduce"];
-    let series = benches
-        .iter()
-        .map(|&name| {
-            let plan = RunPlan {
-                modes: vec![Mode::Virtual],
-                machines: vec![machine.clone()],
-                procs: ProcGrid::List(grid.clone()),
-                // Small payloads keep the footprint O(ranks), not
-                // O(ranks x message): the figure is about scaling the
-                // world, not the buffers.
-                bytes: vec![1024],
-                workloads: Some(vec![name]),
-                runner: Runner::fixed(2),
-            };
-            let records = plan.execute(&reg);
-            Series {
-                name: name.to_string(),
-                points: records.iter().map(|r| (r.procs as f64, r.value)).collect(),
-            }
-        })
-        .collect();
-    Figure {
-        id: "fig_highrank_collectives",
-        title: format!(
-            "IMB collectives virtually executed at up to {} cooperative ranks ({}, 1 KB)",
-            cfg.highrank_procs, machine.name
-        ),
-        xlabel: "processes".into(),
-        ylabel: "time per call (us)".into(),
-        series,
-    }
-}
-
-/// High-rank figure: G-FFT and G-PTRANS scaling on the exascale model
-/// at the same 16k-64k rank axis. The dense kernels hold O(n^2 / p) or
-/// n >= p^2 state per world, so these curves come from the calibrated
-/// closed-form models (`Mode::Simulated`) rather than virtual
-/// execution; the virtual G-FFT point at 4096 ranks lives in the hpcc
-/// release-scale tests.
-pub(crate) fn fig_highrank_hpcc(cfg: &FigureConfig) -> Figure {
-    let reg = crate::registry::registry();
-    let machine = systems::exascale_cluster();
-    let grid = highrank_grid(cfg);
-    let plan = RunPlan {
-        modes: vec![Mode::Simulated],
-        machines: vec![machine.clone()],
-        procs: ProcGrid::List(grid),
-        bytes: vec![],
-        workloads: Some(vec!["G-FFT", "G-PTRANS"]),
-        runner: Runner::standard(),
-    };
-    let records = plan.execute(&reg);
-    let series = ["G-FFT", "G-PTRANS"]
-        .iter()
-        .map(|&name| Series {
-            name: name.to_string(),
-            points: records
-                .iter()
-                .filter(|r| r.benchmark == name)
-                .map(|r| (r.procs as f64, r.value))
-                .collect(),
-        })
-        .collect();
-    Figure {
-        id: "fig_highrank_hpcc",
-        title: format!(
-            "G-FFT and G-PTRANS modelled at up to {} ranks ({})",
-            cfg.highrank_procs, machine.name
-        ),
-        xlabel: "processes".into(),
-        ylabel: "Gflop/s / GB/s (model)".into(),
-        series,
-    }
-}
-
-/// The high-rank scaling figures (cooperative-scheduler extension
-/// study) — not part of the paper's own figure list.
-pub(crate) fn highrank_figures(cfg: &FigureConfig) -> Vec<Figure> {
-    vec![fig_highrank_collectives(cfg), fig_highrank_hpcc(cfg)]
+/// [`price`] over `reg`.
+pub(crate) fn price_over(
+    reg: &Registry,
+    cfg: &FigureConfig,
+    ext: bool,
+) -> (Vec<Record>, Vec<Figure>) {
+    let figures = ext.then(|| crate::extensions::execute(cfg, reg).1);
+    (paper_plan(cfg).execute(reg), figures.unwrap_or_default())
 }
 
 /// Every figure of the paper, in order, out of a record set.
@@ -603,33 +522,6 @@ mod tests {
             out
         };
         assert_eq!(csv(&set), csv(&reversed));
-    }
-
-    #[test]
-    fn highrank_figures_sweep_the_extension_model() {
-        let cfg = FigureConfig::quick();
-        let grid = highrank_grid(&cfg);
-        assert_eq!(grid, vec![256, 512, 1024]);
-
-        let coll = fig_highrank_collectives(&cfg);
-        assert_eq!(coll.series.len(), 3, "Barrier, Bcast, Allreduce");
-        for s in &coll.series {
-            let xs: Vec<f64> = s.points.iter().map(|&(x, _)| x).collect();
-            assert_eq!(xs, vec![256.0, 512.0, 1024.0], "{}", s.name);
-            // Bigger worlds can't make a collective cheaper.
-            for w in s.points.windows(2) {
-                assert!(w[1].1 >= w[0].1, "{}: {:?}", s.name, s.points);
-            }
-        }
-
-        let hpcc = fig_highrank_hpcc(&cfg);
-        assert_eq!(hpcc.series.len(), 2, "G-FFT and G-PTRANS");
-        for s in &hpcc.series {
-            assert_eq!(s.points.len(), 3, "{}", s.name);
-            for (_, y) in &s.points {
-                assert!(*y > 0.0, "{}", s.name);
-            }
-        }
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //!   plan of the cells they read ([`figures::paper_plan`]), priced
 //!   through the registry, each cell once, and every table and figure a
 //!   projection of its [`harness::Record`]s.
+//! * [`extensions`] holds the studies beyond the paper, each a plan of its
+//!   own and a projection of its records ([`extensions::execute`]).
 //! * [`ratios`] implements the paper's ratio-based analysis (Section
 //!   4.1): communication/computation balance and the HPL-normalised
 //!   Kiviat comparison.
 //! * [`report`] renders figures and tables to CSV and markdown;
-//!   [`output`] writes the full artefact set to a directory.
+//!   [`output`] writes the full artefact set to a directory, pricing
+//!   nothing itself.
 //!
 //! Native benchmark execution (real runs on this host) lives in the
 //! `hpcc` and `imb` crates; this crate consumes their record streams.
@@ -29,7 +32,7 @@
 //! assert!(fig06.to_csv().lines().count() > 5);
 //! ```
 
-pub(crate) mod extensions;
+pub mod extensions;
 pub mod figures;
 pub mod output;
 pub mod ratios;

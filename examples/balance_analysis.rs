@@ -23,7 +23,8 @@ fn main() {
         workloads: Some(hpcbench::registry::hpcc_names()),
         ..figures::paper_plan(&cfg)
     };
-    let sweeps = figures::hpcc_sweeps_from(&plan.execute(&hpcbench::registry()));
+    let records = plan.execute(&hpcbench::registry());
+    let sweeps = figures::hpcc_sweeps_from(&records);
     for sw in &sweeps {
         print!("{:<30}", sw.machine.name);
         for s in &sw.rows {
@@ -33,9 +34,11 @@ fn main() {
         println!();
     }
 
-    let kiviat = figures::kiviat_rows_from(&sweeps);
-    println!("\n{}", figures::fig05_from(&kiviat).to_markdown());
-    println!("{}", figures::table3_from(&kiviat).to_markdown());
+    for table in figures::tables_from(&records) {
+        if matches!(table.id, "fig05" | "table3") {
+            println!("\n{}", table.to_markdown());
+        }
+    }
 
     // Headline findings of Section 5.1.
     let by_name = |name: &str| {

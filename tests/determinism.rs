@@ -214,7 +214,7 @@ fn one_record_set_writes_the_same_tree() {
     let h = tree_digest(&priced);
     assert_eq!(h, GOLDEN, "{h:#018x}");
 
-    write_from(&cfg("from"), &quick_set()).unwrap();
+    write_from(&cfg("from"), &quick_set(), &[]).unwrap();
     assert!(
         tree(&scratch.join("from")) == priced,
         "the paper plan's records"
