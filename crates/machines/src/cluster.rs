@@ -35,6 +35,11 @@ impl Resources {
 /// A simulated cluster: one machine model instantiated at a rank count.
 pub struct ClusterSim {
     machine: Machine,
+    /// Per-message constants of the machine's MPI path, built once: the
+    /// software overhead before an inter-node message is injected, and
+    /// the shared-memory latency of an intra-node one.
+    overhead: Time,
+    intra_latency: Time,
     nranks: usize,
     res: RefCell<Resources>,
     clocks: RefCell<Vec<Time>>,
@@ -79,6 +84,8 @@ impl ClusterSim {
             m.net.link_bw = m.net.plain_link_bw;
         }
         ClusterSim {
+            overhead: Time::from_us(m.net.overhead_us),
+            intra_latency: Time::from_us(m.net.intra_latency_us),
             machine: m,
             nranks,
             res: RefCell::new(Resources {
@@ -130,13 +137,12 @@ impl ClusterSim {
             // engine, small latency.
             let (s, e) = res.shm[sn].reserve(ready, bytes);
             let pipe = Time::from_secs(bytes as f64 / net.intra_bw);
-            let lat = Time::from_us(net.intra_latency_us);
             P2pCost {
                 sender_done: s + pipe,
-                arrival: e.max(s + pipe) + lat,
+                arrival: e.max(s + pipe) + self.intra_latency,
             }
         } else {
-            let inj_ready = ready + Time::from_us(net.overhead_us);
+            let inj_ready = ready + self.overhead;
             let (arrival, latency) = res.fabric.transfer_with_latency(sn, dn, bytes, inj_ready);
             // A single message cannot exceed the per-stream wire rate,
             // even on an idle fabric.

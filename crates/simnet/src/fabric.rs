@@ -81,6 +81,9 @@ pub struct Fabric {
     inject: Vec<Resource>,
     eject: Vec<Resource>,
     links: Vec<Resource>,
+    /// Base plus per-hop latency, indexed by hop count up to the
+    /// topology's diameter: built once, read by every transfer.
+    latency: Vec<Time>,
     /// Route of the message being priced; one buffer reused by every
     /// [`transfer`](Fabric::transfer) so pricing allocates nothing.
     route: Vec<LinkId>,
@@ -102,12 +105,16 @@ impl Fabric {
         let links = (0..topo.num_links())
             .map(|l| Resource::new(params.link_bw * topo.link_capacity_scale(l)))
             .collect();
+        let latency = (0..=topo.diameter())
+            .map(|hops| params.base_latency + params.per_hop_latency * hops as f64)
+            .collect();
         Fabric {
             topo,
             params,
             inject,
             eject,
             links,
+            latency,
             route: Vec::new(),
             transfers: 0,
             bytes: 0.0,
@@ -145,7 +152,7 @@ impl Fabric {
         assert_ne!(src, dst, "intra-node traffic must not enter the fabric");
         self.route.clear();
         let hops = self.topo.route_into(src, dst, &mut self.route);
-        let latency = self.params.base_latency + self.params.per_hop_latency * hops as f64;
+        let latency = self.latency[hops];
 
         // Cut-through pipeline: the head of the message proceeds to the next
         // resource as soon as the previous one starts serving; each resource

@@ -12,6 +12,12 @@
 //! a caller that names a horizon no later transfer is ready before lets
 //! the resource [retire](Resource::retire_before) every interval ending by
 //! then but the last, which carries the high-water mark.
+//!
+//! Pricing one transfer is a handful of reserves, and simulated figures
+//! make millions, so a reserve touches one buffer: the timeline's live
+//! tail sits inline in the `Resource`, where appends and landings near
+//! the high-water mark find it through one pointer, and the grant is
+//! checked once, at its end, instead of as three fresh [`Time`]s.
 
 use crate::time::Time;
 
@@ -32,20 +38,22 @@ use crate::time::Time;
 /// flat structure in opposite directions, and the chunks serve both:
 ///
 /// * Simulated-mode figure sweeps land at or just before the high-water
-///   mark. Pricing the 128-CPU paper plan makes 5.27 M reserves: 60 %
-///   append, 38 % land in the last chunk 2.4 intervals before the end
-///   on average, 2 % land behind it, and the first-fit scan takes 0.3
-///   steps per reserve (at 2 048 CPUs, 348 M reserves: 48 %, 52 % at
-///   7.8 intervals back, 0.1 %). So the search starts at the end and
-///   gallops back through the last chunk. Scans stay contiguous within
-///   a chunk, so this regime keeps the flat `Vec`'s prefetcher-friendly
-///   speed — a `BTreeMap` timeline's pointer-chased range walks made
-///   fig05/table3 1.5–2x slower end to end.
+///   mark. Pricing the 128-CPU paper plan makes 5.32 M reserves: 59 %
+///   append, 40 % land in the last chunk (the *tail*, 8.4 intervals
+///   long on average) 2.4 intervals before its end, and none behind it
+///   (at 2 048 CPUs, 349 M reserves: 48 %, 52 % in a tail of 41
+///   intervals, 0.003 %). So the search starts at the end and gallops
+///   back through the tail, which sits inline in the `Resource`: only a
+///   landing behind the tail's first interval, with older chunks to
+///   search, and the split of a full tail go out of line. Scans stay
+///   contiguous within a chunk, so this regime keeps the flat `Vec`'s
+///   prefetcher-friendly speed — a `BTreeMap` timeline's pointer-chased
+///   range walks made fig05/table3 1.5–2x slower end to end.
 /// * High-rank virtual worlds backfill mid-timeline constantly
-///   (profiled at 16 384 ranks: 7.1 M reserves, 2.7 M of them
-///   mid-timeline, lists to 13 818 intervals). A mid insert memmoves
-///   one chunk (≤ 8 KB) instead of the whole list, where the flat
-///   `Vec` paid an O(n) shift each (`simnet.reserves_per_s` in
+///   (profiled at 16 384 ranks: 8.6 M reserves, 1.5 % of them behind the
+///   tail, 386 tail splits, lists to 13 818 intervals). A mid insert
+///   memmoves one chunk (≤ 8 KB) instead of the whole list, where the
+///   flat `Vec` paid an O(n) shift each (`simnet.reserves_per_s` in
 ///   `BENCHMARK.json` times this pattern).
 ///
 /// [Retirement](Resource::retire_before) gives back what a caller's
@@ -69,10 +77,14 @@ pub struct Resource {
 const MAX_CHUNK: usize = 512;
 
 /// Disjoint busy intervals in global `(start, end)` order, sharded
-/// into non-empty sorted chunks.
+/// into non-empty sorted chunks: the `older` ones, then the `tail`, which
+/// holds the high-water mark and is empty only with the whole timeline.
+/// The tail sits inline, so a reserve at the live end of the timeline
+/// reaches its data through one pointer.
 #[derive(Clone, Debug, Default)]
 struct Chunks {
-    chunks: Vec<Vec<(f64, f64)>>,
+    older: Vec<Vec<(f64, f64)>>,
+    tail: Vec<(f64, f64)>,
 }
 
 impl Resource {
@@ -97,19 +109,24 @@ impl Resource {
     /// Reserves the resource for `bytes` bytes, not before `ready`.
     /// Returns `(start, end)` of the granted slot and records it in the
     /// occupancy timeline (first-fit).
+    ///
+    /// Panics if the slot's end overflows to infinity. That is the one
+    /// check a reservation needs: the bandwidth is positive and finite, so
+    /// the service time is at least zero, and the slot starts at or after
+    /// `ready`, itself a valid `Time`.
     pub fn reserve(&mut self, ready: Time, bytes: u64) -> (Time, Time) {
         let service = bytes as f64 / self.bandwidth;
-        self.busy += Time::from_secs(service);
+        self.busy += Time::from_valid_secs(service);
         self.served_bytes += bytes as f64;
         self.reservations += 1;
 
-        let ready = ready.as_secs();
         if service == 0.0 {
-            return (Time::from_secs(ready), Time::from_secs(ready));
+            return (ready, ready);
         }
 
-        let (start, end) = self.intervals.reserve(ready, service);
-        (Time::from_secs(start), Time::from_secs(end))
+        let (start, end) = self.intervals.reserve(ready.as_secs(), service);
+        assert!(end.is_finite(), "invalid time: {end}");
+        (Time::from_valid_secs(start), Time::from_valid_secs(end))
     }
 
     /// Number of disjoint busy intervals the occupancy timeline holds (a
@@ -136,11 +153,20 @@ impl Resource {
         self.intervals.retire_before(t.as_secs());
     }
 
+    /// The timeline's chunks in global order, as the tests read the
+    /// layout: the older chunks, then the tail if it holds an interval.
+    #[cfg(test)]
+    fn chunks(&self) -> Vec<&[(f64, f64)]> {
+        let Chunks { older, tail } = &self.intervals;
+        let tail = Some(tail.as_slice()).filter(|t| !t.is_empty());
+        older.iter().map(Vec::as_slice).chain(tail).collect()
+    }
+
     /// The end of the last reservation (the timeline's high-water mark).
     #[cfg(test)]
     fn next_free(&self) -> Time {
-        let tail = self.intervals.chunks.last();
-        Time::from_secs(tail.map_or(0.0, |c| c.last().expect("non-empty").1))
+        let tail = self.chunks().last().map(|c| c[c.len() - 1]);
+        Time::from_secs(tail.map_or(0.0, |iv| iv.1))
     }
 
     /// Total time spent serving transfers.
@@ -163,7 +189,8 @@ impl Resource {
 
     /// Resets the timeline (between independent simulated experiments).
     pub fn reset(&mut self) {
-        self.intervals.chunks.clear();
+        self.intervals.older.clear();
+        self.intervals.tail.clear();
         self.busy = Time::ZERO;
         self.served_bytes = 0.0;
         self.reservations = 0;
@@ -173,28 +200,48 @@ impl Resource {
 impl Chunks {
     /// Total interval count across all chunks.
     fn len(&self) -> usize {
-        self.chunks.iter().map(Vec::len).sum()
+        self.older.iter().map(Vec::len).sum::<usize>() + self.tail.len()
     }
 
-    /// Drops the leading chunks whose last interval ends at or before
-    /// `t`, never the last chunk; then the dead prefix of the oldest
-    /// chunk if it is at least half of that chunk, never its last
+    /// Chunk `ci` in global order; `older.len()` names the tail.
+    #[inline]
+    fn chunk(&self, ci: usize) -> &Vec<(f64, f64)> {
+        if ci < self.older.len() {
+            &self.older[ci]
+        } else {
+            &self.tail
+        }
+    }
+
+    /// Chunk `ci`, mutably.
+    #[inline]
+    fn chunk_mut(&mut self, ci: usize) -> &mut Vec<(f64, f64)> {
+        if ci < self.older.len() {
+            &mut self.older[ci]
+        } else {
+            &mut self.tail
+        }
+    }
+
+    /// Drops the older chunks whose last interval ends at or before `t`;
+    /// then the dead prefix of the oldest chunk left (the tail once no
+    /// older one is) if it is at least half of that chunk, never its last
     /// interval.
     #[inline]
     fn retire_before(&mut self, t: f64) {
-        let Some((_, older)) = self.chunks.split_last() else {
-            return;
-        };
-        if older
+        if self
+            .older
             .first()
             .is_some_and(|c| c.last().expect("non-empty").1 <= t)
         {
-            let dead = older.partition_point(|c| c.last().expect("non-empty").1 <= t);
-            self.chunks.drain(..dead);
+            let dead = self
+                .older
+                .partition_point(|c| c.last().expect("non-empty").1 <= t);
+            self.older.drain(..dead);
         }
         // Every interval but the last of the oldest chunk may be dead; the
         // one at the middle says whether half of them are.
-        let oldest = &mut self.chunks[0];
+        let oldest = self.chunk_mut(0);
         let n = oldest.len();
         if n > 1 && oldest[n.div_ceil(2) - 1].1 <= t {
             let dead = oldest[..n - 1].partition_point(|iv| iv.1 <= t);
@@ -203,60 +250,90 @@ impl Chunks {
     }
 
     /// Splits chunk `ci` in two if an insert pushed it past capacity.
+    #[inline]
     fn split_if_full(&mut self, ci: usize) {
-        if self.chunks[ci].len() > MAX_CHUNK {
-            let tail = self.chunks[ci].split_off(MAX_CHUNK / 2);
-            self.chunks.insert(ci + 1, tail);
+        if self.chunk(ci).len() > MAX_CHUNK {
+            self.split(ci);
+        }
+    }
+
+    /// Moves the back half of chunk `ci` into a chunk of its own after
+    /// it; a split tail leaves its front half as the newest older chunk.
+    #[cold]
+    #[inline(never)]
+    fn split(&mut self, ci: usize) {
+        let back = self.chunk_mut(ci).split_off(MAX_CHUNK / 2);
+        if ci < self.older.len() {
+            self.older.insert(ci + 1, back);
+        } else {
+            let front = std::mem::replace(&mut self.tail, back);
+            self.older.push(front);
         }
     }
 
     /// First-fit reservation: grants the earliest gap of length
     /// `service` at or after `ready`, merging the new interval with
     /// touching neighbours. Grant-for-grant identical to a flat sorted
-    /// `Vec` running the same scan (pinned by the oracle test below) —
+    /// `Vec` running the same scan (pinned by the oracle tests below) —
     /// the chunks only change which memory the scan walks.
+    #[inline]
     fn reserve(&mut self, ready: f64, service: f64) -> (f64, f64) {
-        let Some(lc) = self.chunks.len().checked_sub(1) else {
-            self.chunks.push(vec![(ready, ready + service)]);
-            return (ready, ready + service);
-        };
-        let tail = &mut self.chunks[lc];
         // Append fast path: ready at or past the high-water mark means
         // there is no gap to search for. This is the dominant case in
         // simulated-mode sweeps.
-        let last = tail.last_mut().expect("non-empty");
-        if ready >= last.1 {
-            let end = ready + service;
-            if last.1 == ready {
-                last.1 = end; // extend the trailing interval
-            } else {
-                tail.push((ready, end));
-                self.split_if_full(lc);
+        let end = ready + service;
+        match self.tail.last_mut() {
+            None => {
+                self.tail.push((ready, end));
+                return (ready, end);
             }
-            return (ready, end);
+            Some(last) if ready >= last.1 => {
+                if last.1 == ready {
+                    last.1 = end; // extend the trailing interval
+                } else {
+                    self.tail.push((ready, end));
+                    self.split_if_full(self.older.len());
+                }
+                return (ready, end);
+            }
+            Some(_) => {}
         }
-
-        // Scan position (chunk, index) of the first interval ending
-        // after `ready` (ends are globally increasing because the
-        // intervals are disjoint and sorted by start). Collective
-        // replays land a few intervals before the high-water mark, so
-        // the search starts there: gallop back through the tail chunk.
-        // Only a ready time behind the tail chunk's first interval
-        // binary-searches the chunk list, then the chunk it names.
-        let (mut ci, mut ii) = if tail[0].1 <= ready {
-            (lc, gallop_back(tail, ready))
+        // Collective replays land a few intervals before the high-water
+        // mark, so the search starts there: gallop back through the tail.
+        // Only a ready time behind the tail's first interval, with older
+        // chunks to search, leaves it.
+        if self.tail[0].1 <= ready || self.older.is_empty() {
+            let ii = gallop_back(&self.tail, ready);
+            self.first_fit(self.older.len(), ii, ready, service)
         } else {
-            let ci = self
-                .chunks
-                .partition_point(|c| c.last().expect("non-empty").1 <= ready);
-            (ci, self.chunks[ci].partition_point(|iv| iv.1 <= ready))
-        };
+            self.reserve_behind_tail(ready, service)
+        }
+    }
 
-        // First-fit: walk forward until the gap before the next
-        // interval fits. Within a chunk this is a contiguous scan.
+    /// A landing behind the tail's first interval: binary-searches the
+    /// older chunks, then the chunk that names.
+    #[cold]
+    #[inline(never)]
+    fn reserve_behind_tail(&mut self, ready: f64, service: f64) -> (f64, f64) {
+        let ci = self
+            .older
+            .partition_point(|c| c.last().expect("non-empty").1 <= ready);
+        let ii = self.chunk(ci).partition_point(|iv| iv.1 <= ready);
+        self.first_fit(ci, ii, ready, service)
+    }
+
+    /// The first-fit scan and merge from position `(ci, ii)`, the first
+    /// interval ending after `ready` (ends are globally increasing because
+    /// the intervals are disjoint and sorted by start).
+    #[inline]
+    fn first_fit(&mut self, mut ci: usize, mut ii: usize, ready: f64, service: f64) -> (f64, f64) {
+        // Walk forward until the gap before the next interval fits.
+        // Within a chunk this is a contiguous scan; an exhausted scan
+        // stops at the end of the tail.
+        let last = self.older.len();
         let mut candidate = ready;
-        'scan: while ci < self.chunks.len() {
-            let chunk = &self.chunks[ci];
+        'scan: loop {
+            let chunk = self.chunk(ci);
             while ii < chunk.len() {
                 let (s, e) = chunk[ii];
                 if s >= candidate + service {
@@ -265,56 +342,58 @@ impl Chunks {
                 candidate = candidate.max(e);
                 ii += 1;
             }
+            if ci == last {
+                break;
+            }
             ci += 1;
             ii = 0;
         }
         let start = candidate;
         let end = start + service;
 
-        // (ci, ii) is the insertion position; merge with the global
-        // predecessor ending exactly at `start` and/or the interval at
-        // the position starting exactly at `end` (no existing interval
-        // starts inside [start, end)).
-        let at_end = ci == self.chunks.len();
+        // (ci, ii) is the insertion position, the tail's end if the scan
+        // ran out; merge with the global predecessor ending
+        // exactly at `start` and/or the interval at the position starting
+        // exactly at `end` (no existing interval starts inside
+        // [start, end)).
         let prev = if ii > 0 {
             Some((ci, ii - 1))
         } else if ci > 0 {
-            Some((ci - 1, self.chunks[ci - 1].len() - 1))
+            Some((ci - 1, self.chunk(ci - 1).len() - 1))
         } else {
             None
         };
-        let merges_prev = prev.is_some_and(|(pc, pi)| self.chunks[pc][pi].1 == start);
-        let merges_next = !at_end && self.chunks[ci][ii].0 == end;
+        let merges_prev = prev.is_some_and(|(pc, pi)| self.chunk(pc)[pi].1 == start);
+        let merges_next = self.chunk(ci).get(ii).is_some_and(|iv| iv.0 == end);
         match (merges_prev, merges_next) {
             (true, true) => {
                 let (pc, pi) = prev.expect("merges_prev");
-                self.chunks[pc][pi].1 = self.chunks[ci][ii].1;
-                self.chunks[ci].remove(ii);
-                if self.chunks[ci].is_empty() {
-                    self.chunks.remove(ci);
+                let (_, next_end) = self.chunk_mut(ci).remove(ii);
+                self.chunk_mut(pc)[pi].1 = next_end;
+                if self.chunk(ci).is_empty() {
+                    // Only a chunk whose first interval merged backwards
+                    // empties, so an older chunk precedes it.
+                    if ci < last {
+                        self.older.remove(ci);
+                    } else {
+                        self.tail = self.older.pop().expect("a chunk before the tail");
+                    }
                 }
             }
             (true, false) => {
                 let (pc, pi) = prev.expect("merges_prev");
-                self.chunks[pc][pi].1 = end;
+                self.chunk_mut(pc)[pi].1 = end;
             }
-            (false, true) => self.chunks[ci][ii].0 = start,
+            (false, true) => self.chunk_mut(ci)[ii].0 = start,
             (false, false) => {
-                // An exhausted scan leaves `candidate` equal to the
-                // last interval's end (ends are increasing and the
-                // append fast path already excluded `ready` past the
-                // high-water mark), so `at_end` implies `merges_prev`
-                // and cannot reach this arm — but appending is still
-                // the order-preserving action, so handle it rather
-                // than assume.
-                let (c, i) = if at_end {
-                    let lc = self.chunks.len() - 1;
-                    (lc, self.chunks[lc].len())
-                } else {
-                    (ci, ii)
-                };
-                self.chunks[c].insert(i, (start, end));
-                self.split_if_full(c);
+                // An exhausted scan leaves `candidate` equal to the last
+                // interval's end (ends are increasing and the append fast
+                // path already excluded `ready` past the high-water mark),
+                // so the end of the tail implies `merges_prev` and cannot
+                // reach this arm — but inserting there is still the
+                // order-preserving action.
+                self.chunk_mut(ci).insert(ii, (start, end));
+                self.split_if_full(ci);
             }
         }
         (start, end)
@@ -391,6 +470,18 @@ mod tests {
         assert_eq!(r.next_free(), Time::ZERO);
         assert_eq!(r.reservations(), 0);
         assert_eq!(r.served_bytes(), 0.0);
+    }
+
+    /// `reserve` checks a grant once, at its end: a zero-byte
+    /// reservation is granted at its ready time, and one whose end
+    /// overflows panics.
+    #[test]
+    #[should_panic(expected = "invalid time: inf")]
+    fn an_overflowing_reservation_panics() {
+        let mut r = Resource::new(f64::MIN_POSITIVE);
+        let ready = Time::from_secs(2.0);
+        assert_eq!(r.reserve(ready, 0), (ready, ready));
+        r.reserve(ready, u64::MAX);
     }
 
     #[test]
@@ -502,11 +593,11 @@ mod tests {
             "timelines fragmented differently"
         );
         assert!(
-            r.intervals.chunks.len() > 1,
+            r.chunks().len() > 1,
             "this pattern fragments far past one chunk; splits and \
              cross-chunk scans must have been exercised"
         );
-        for c in &r.intervals.chunks {
+        for c in r.chunks() {
             assert!(!c.is_empty(), "empty chunk left behind");
             assert!(c.len() <= MAX_CHUNK, "chunk overgrew its capacity");
         }
@@ -577,8 +668,8 @@ mod tests {
             }
             .max(horizon);
 
-            let chunks = &r.intervals.chunks;
-            let (n_chunks, tail_len) = (chunks.len(), chunks.last().map_or(0, Vec::len));
+            let chunks = r.chunks();
+            let (n_chunks, tail_len) = (chunks.len(), chunks.last().map_or(0, |c| c.len()));
             let held_from = chunks.first().map_or(0.0, |c| c[0].0);
             let mid = ready < hwm;
             if mid && chunks.last().expect("mid implies an interval")[0].1 <= ready {
@@ -597,7 +688,7 @@ mod tests {
                 let merges_next = n < len && all[n].0 == e;
                 arms[2 * usize::from(merges_prev) + usize::from(merges_next)] += 1;
             }
-            let chunks = &r.intervals.chunks;
+            let chunks = r.chunks();
             tail_splits += usize::from(
                 chunks.len() == n_chunks + 1
                     && tail_len == MAX_CHUNK
@@ -610,15 +701,15 @@ mod tests {
 
             if i % 64 == 63 && naive.intervals.len() > 1000 {
                 horizon = horizon.max(naive.intervals[naive.intervals.len() - 1000].0);
-                let before = r.intervals.chunks.len();
+                let before = r.chunks().len();
                 r.retire_before(Time::from_secs(horizon));
-                retirements += before - r.intervals.chunks.len();
+                retirements += before - r.chunks().len();
             }
         }
-        for c in &r.intervals.chunks {
+        for c in r.chunks() {
             assert!(!c.is_empty() && c.len() <= MAX_CHUNK);
         }
-        let total_chunks = retirements + r.intervals.chunks.len();
+        let total_chunks = retirements + r.chunks().len();
         assert!(total_chunks > 40, "only {total_chunks} chunks");
         assert!(gallops > 10_000, "{gallops} last-chunk gallops");
         assert!(fallbacks > 500, "{fallbacks} cross-chunk fallbacks");
@@ -669,14 +760,14 @@ mod tests {
             let (ns, ne) = naive.reserve(ready.as_secs(), bytes as f64 / 1e9);
             assert_eq!(s.as_secs().to_bits(), ns.to_bits(), "start diverged at {i}");
             assert_eq!(e.as_secs().to_bits(), ne.to_bits(), "end diverged at {i}");
-            most_chunks = most_chunks.max(retired.intervals.chunks.len());
+            most_chunks = most_chunks.max(retired.chunks().len());
         }
         assert_eq!(kept.fragments(), naive.intervals.len());
         assert_eq!(retired.busy_time(), kept.busy_time());
         assert_eq!(retired.served_bytes(), kept.served_bytes());
         assert_eq!(retired.reservations(), kept.reservations());
         assert_eq!(retired.next_free(), kept.next_free());
-        for c in &retired.intervals.chunks {
+        for c in retired.chunks() {
             assert!(!c.is_empty() && c.len() <= MAX_CHUNK);
         }
         (retired, kept, most_chunks, retirements)
@@ -745,8 +836,8 @@ mod tests {
             r.reserve(Time::from_secs(i as f64), 1000);
         }
         assert_eq!(r.fragments(), n as usize);
-        assert!(r.intervals.chunks.len() >= 3, "expected multiple chunks");
-        let flat: Vec<(f64, f64)> = r.intervals.chunks.iter().flatten().copied().collect();
+        assert!(r.chunks().len() >= 3, "expected multiple chunks");
+        let flat: Vec<(f64, f64)> = r.chunks().into_iter().flatten().copied().collect();
         assert!(
             flat.windows(2).all(|w| w[0].1 <= w[1].0),
             "chunks out of global order"

@@ -30,6 +30,15 @@ impl Time {
         Time(s)
     }
 
+    /// Wraps seconds the caller has already proven finite and
+    /// non-negative, without checking them again: a reservation derives
+    /// its start and end from a valid ready time and a service time of
+    /// at least zero, and checks the end once (`Resource::reserve`).
+    #[inline]
+    pub(crate) const fn from_valid_secs(s: f64) -> Time {
+        Time(s)
+    }
+
     /// Creates a time from microseconds.
     #[inline]
     pub fn from_us(us: f64) -> Time {
