@@ -84,7 +84,7 @@
 #      reduce_scatter), and `crates/mp/src/sched/mod.rs` declares generator
 #      modules only for those eight and `p2p` (plus its private `build`).
 #      An operation exists because a registry workload, the IMB or HPCC
-#      model, `mp::rma`, `Comm::split` or the mpcheck gallery reaches it
+#      model, `mp::rma`, `Comm::split_async` or the mpcheck gallery reaches it
 #      (DESIGN.md §3, "Which collectives exist"): a new operation comes
 #      with the registry workload that reaches it, and grows this list in
 #      the same change.
@@ -162,6 +162,16 @@
 #      projects and writes them. A plan, a registry or a one-sided run in
 #      the writer is the extension stage pricing its own cells again, its
 #      records dropped once the figure is drawn.
+#  20. Awaitable below the door. Non-test code under `crates/mp/src`
+#      calls `block_on(` only in `runtime.rs` (the rank thread's executor
+#      and `mp::run`'s plain closure body), and elsewhere under
+#      `crates/*/src` only in the files of the doors that start a world
+#      or that the frozen `benchmark/` calls: `harness/src/runner.rs`
+#      (`Runner::time_collective`), `hpcc/src/{hpl,fft_dist,suite}.rs` and
+#      `imb/src/{native,ext}.rs`. Every operation below a door is its one
+#      awaitable body (DESIGN.md, "Calling conventions"); a
+#      `block_on(<op>_async(..))` wrapper beneath it is the deleted
+#      blocking twin growing back.
 #
 # Test modules (a column-0 `#[cfg(test)]` on an inline `mod`, to its
 # column-0 closing brace; `ci/nontest.awk`) are exempt from the source
@@ -259,7 +269,22 @@ fn scoped() -> Option<ScopedCheck> { None }
 fn sink_then_propagate(self, sink: impl FnOnce(RunLog)) {}
 fn from_waits() { find_cycle(&succ); }
 fn find_cycle(succ: &[Option<usize>]) {}
+fn rank_body() { block_on(f(comm)); }
 EOF
+    # Awaitable below the door: a world's door blocks on its body, and a
+    # test may block on any operation.
+    cat > "$pass/crates/mp/src/comm.rs" <<'EOF'
+/// A rank thread waits with `mp::block_on(comm.recv_async(..))`.
+pub(crate) async fn recv_async(&self, buf: &mut [u8], src: usize, tag: Tag) {}
+
+#[cfg(test)]
+mod tests {
+    fn pong(comm: &Comm) { block_on(comm.recv_async(&mut [0u8], 1, 1)); }
+}
+EOF
+    mkdir -p "$pass/crates/hpcc/src"
+    echo 'fn run(comm: &Comm, cfg: &HplConfig) -> HplResult { mp::block_on(run_async(comm, cfg)) }' \
+        > "$pass/crates/hpcc/src/hpl.rs"
     # A trace is the log's projection of its send events; a test may build
     # the transfers it expects.
     cat > "$pass/crates/mp/src/check.rs" <<'EOF'
@@ -568,6 +593,8 @@ pub(crate) fn schedule_for(bytes: u64) -> Schedule {
 EOF
     # A public function no other crate, test, example or benchmark reads.
     echo 'pub fn unread_helper() {}' > "$bad/crates/bad/src/surface.rs"
+    # A blocking twin beneath a world's door.
+    echo 'pub fn recv(..) { crate::block_on(self.recv_async(..)) }' > "$bad/crates/mp/src/comm.rs"
     # A test module ends at its closing brace: what follows is scanned and
     # counted again.
     cat > "$bad/crates/bad/src/after_tests.rs" <<'EOF'
@@ -623,7 +650,8 @@ EOF
         "coll/reduce_scatter.rs:4: .*decode::<f64>" \
         "imb/src/sim.rs:2: .*schedule_for(" "hpcc/src/sim.rs:2: .*Schedule::collect(" \
         "core/src/output.rs:2: .*RunPlan" "core/src/output.rs:3: .*execute(&crate::registry()" \
-        "core/src/output.rs:4: .*imb::ext::run_virtual"; do
+        "core/src/output.rs:4: .*imb::ext::run_virtual" "mp/src/comm.rs:1: .*block_on" \
+        "block_on( below a world.s door"; do
         if ! grep -q "$needle" "$tmp/bad.log"; then
             echo "arch_lint --self-test: missing diagnostic for '$needle':" >&2
             cat "$tmp/bad.log" >&2
@@ -907,6 +935,19 @@ if [ -n "$offenders" ]; then
     err "the writer prices (core::output and core::report project and write what they are \
 given; price the paper plan and extensions::execute in the caller, or figures::price for \
 write_all):
+$offenders"
+fi
+
+# --- 20. Awaitable below the door -----------------------------------------
+offenders=$(scan 'block_on[(]' | grep '^crates/[^/]*/src/' | grep -vE '^[^:]*:[0-9]+: *//' \
+    | grep -v '^crates/mp/src/runtime\.rs:' \
+    | grep -vE '^crates/(harness/src/runner|hpcc/src/(hpl|fft_dist|suite)|imb/src/(native|ext))\.rs:' \
+    || true)
+if [ -n "$offenders" ]; then
+    err "block_on( below a world's door (an operation's one body is its awaitable: a rank \
+thread polls it with mp::block_on in a test, in mp::runtime, or at a kept door, \
+Runner::time_collective, hpcc::{hpl,fft_dist}::run, hpcc::suite's native doors, \
+imb::run_native_with and imb::ext::run_native):
 $offenders"
 fi
 

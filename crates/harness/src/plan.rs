@@ -370,7 +370,7 @@ mod tests {
                 sized: false,
             })
             .native(move |_, p, _| {
-                mp::run(p, |comm| comm.barrier());
+                mp::run(p, |comm| mp::block_on(comm.barrier_async()));
                 vec![rec(Mode::Native, "host", p)]
             })
             .virtual_mode(move |_, m, p, _| {

@@ -83,7 +83,7 @@ impl Runner {
         for w in 0..Self::WARMUP {
             body(w);
         }
-        comm.barrier();
+        mp::block_on(comm.barrier_async());
         let clock = crate::timer::Stopwatch::start();
         for it in 0..iters {
             body(it);
@@ -91,17 +91,10 @@ impl Runner {
         clock.elapsed_secs() / iters as f64 * 1e6
     }
 
-    /// Blocking `rank_stats_async`, for rank
-    /// threads.
-    pub fn rank_stats(comm: &Comm, per_call_us: f64, participated: bool, iters: usize) -> Stats {
-        let stats = Self::rank_stats_async(comm, per_call_us, participated, iters);
-        mp::block_on(stats)
-    }
-
     /// IMB cross-rank statistics: min/avg/max over the participating
     /// ranks' per-call averages. Collective; every rank returns the same
     /// stats.
-    pub(crate) async fn rank_stats_async(
+    pub async fn rank_stats_async(
         comm: &Comm,
         per_call_us: f64,
         participated: bool,
@@ -199,7 +192,7 @@ mod tests {
     fn rank_stats_cover_all_ranks() {
         let stats = mp::run(4, |comm| {
             let per_call = (comm.rank() + 1) as f64;
-            Runner::rank_stats(comm, per_call, true, 10)
+            mp::block_on(Runner::rank_stats_async(comm, per_call, true, 10))
         });
         for s in stats {
             assert_eq!(s.t_min_us, 1.0);
@@ -214,7 +207,7 @@ mod tests {
     fn rank_stats_ignore_non_participants() {
         let stats = mp::run(4, |comm| {
             let participated = comm.rank() < 2;
-            Runner::rank_stats(comm, 3.0, participated, 1)
+            mp::block_on(Runner::rank_stats_async(comm, 3.0, participated, 1))
         });
         for s in stats {
             assert_eq!(s.t_min_us, 3.0, "idle ranks must not drag the min to 0");

@@ -294,7 +294,13 @@ mod tests {
         // Each native rank counts its sequences on a thread of its own.
         let native = mp::run(2, |comm| {
             let before = SEQUENCES.get();
-            let recs = crate::suite::run_component_on(comm, Component::Stream, &cfg);
+            let recs = crate::suite::run_component_on_async(
+                comm,
+                Component::Stream,
+                &cfg,
+                harness::Mode::Native,
+            );
+            let recs = mp::block_on(recs);
             assert!(recs[0].passed);
             SEQUENCES.get() - before
         });

@@ -302,7 +302,7 @@ mod tests {
             flat[2 * i] = c.re;
             flat[2 * i + 1] = c.im;
         }
-        comm.allgather(&flat, &mut g);
+        mp::block_on(comm.allgather_async(&flat, &mut g));
 
         let mut max_err = 0.0f64;
         if comm.rank() == 0 {
@@ -319,7 +319,7 @@ mod tests {
             }
         }
         let mut stats = [max_err];
-        comm.bcast(&mut stats, 0);
+        mp::block_on(comm.bcast_async(&mut stats, 0));
         stats[0]
     }
 
@@ -345,7 +345,7 @@ mod tests {
                     dist_err = dist_err.max((scaled - expect).abs());
                 }
                 let mut stats = [dist_err];
-                comm.allreduce(&mut stats, mp::Op::Max);
+                mp::block_on(comm.allreduce_async(&mut stats, mp::Op::Max));
                 (gather_err, stats[0])
             });
             for (gather_err, dist_err) in errs {

@@ -148,12 +148,7 @@ fn log2(x: u64) -> u32 {
 
 /// Runs G-RandomAccess on `comm`. Rank count must be a power of two (an
 /// HPCC-style restriction that keeps address-to-owner mapping a shift).
-pub fn run(comm: &Comm, cfg: &RandomAccessConfig) -> RandomAccessResult {
-    mp::block_on(run_async(comm, cfg))
-}
-
-/// Awaitable mirror of [`run`], for cooperative rank tasks.
-pub(crate) async fn run_async(comm: &Comm, cfg: &RandomAccessConfig) -> RandomAccessResult {
+pub async fn run_async(comm: &Comm, cfg: &RandomAccessConfig) -> RandomAccessResult {
     let p = comm.size();
     let me = comm.rank();
     assert!(
@@ -211,7 +206,7 @@ mod tests {
                 updates_per_entry: 2,
                 batch: 128,
             };
-            let results = mp::run(p, |comm| run(comm, &cfg));
+            let results = mp::run(p, |comm| mp::block_on(run_async(comm, &cfg)));
             for r in &results {
                 assert!(r.passed, "p={p}: verification failed");
                 assert_eq!(r.table_size, 1024);
@@ -234,7 +229,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn rejects_non_power_of_two_ranks() {
-        mp::run(3, |comm| run(comm, &RandomAccessConfig::default()));
+        mp::run(3, |comm| {
+            mp::block_on(run_async(comm, &RandomAccessConfig::default()))
+        });
     }
 
     #[test]

@@ -110,11 +110,6 @@ fn arrived(buf: &[f64], rank: usize) -> bool {
 }
 
 /// Runs the ring benchmarks on `comm`.
-pub fn run(comm: &Comm, cfg: &RingConfig) -> RingResult {
-    mp::block_on(run_async(comm, cfg))
-}
-
-/// Awaitable mirror of [`run`], for cooperative rank tasks.
 pub async fn run_async(comm: &Comm, cfg: &RingConfig) -> RingResult {
     let n = comm.size();
     let words = cfg.bw_bytes / 8;
@@ -176,7 +171,7 @@ mod tests {
             iters: 2,
             seed: 1,
         };
-        let results = mp::run(4, |comm| run(comm, &cfg));
+        let results = mp::run(4, |comm| mp::block_on(run_async(comm, &cfg)));
         for r in &results {
             assert!(r.passed);
             assert!(r.random_bw > 0.0 && r.random_bw.is_finite());
@@ -194,7 +189,7 @@ mod tests {
             iters: 1,
             seed: 1,
         };
-        let results = mp::run(2, |comm| run(comm, &cfg));
+        let results = mp::run(2, |comm| mp::block_on(run_async(comm, &cfg)));
         assert!(results[0].passed);
         assert!(results[0].natural_bw > 0.0);
     }

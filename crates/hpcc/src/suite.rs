@@ -229,19 +229,9 @@ struct ComponentOutput {
     passed: bool,
 }
 
-/// Runs one component natively on an existing communicator, emitting its
-/// records. Collective; the records' stats are the cross-rank min/avg/max
-/// of the component's wall time.
-pub(crate) fn run_component_on(
-    comm: &Comm,
-    component: Component,
-    cfg: &SuiteConfig,
-) -> Vec<Record> {
-    mp::block_on(run_component_on_async(comm, component, cfg, Mode::Native))
-}
-
-/// Awaitable mirror of [`run_component_on`], for cooperative rank tasks,
-/// in the `mode` the records are made for.
+/// Runs one component on an existing communicator, emitting its records
+/// in the `mode` they are made for. Collective; the records' stats are the
+/// cross-rank min/avg/max of the component's wall time.
 pub(crate) async fn run_component_on_async(
     comm: &Comm,
     component: Component,
@@ -270,21 +260,23 @@ pub(crate) async fn run_component_on_async(
 /// Spawns `p` ranks and runs one component natively on the host,
 /// returning its records (rank 0's view).
 pub fn run_component_native(p: usize, component: Component, cfg: &SuiteConfig) -> Vec<Record> {
-    let mut results = mp::run(p, |comm| run_component_on(comm, component, cfg));
+    let mut results = mp::run(p, |comm| {
+        mp::block_on(run_component_on_async(comm, component, cfg, Mode::Native))
+    });
     results.swap_remove(0)
 }
 
-/// Runs every admissible component on an existing communicator: the
-/// power-of-two-only components (G-RandomAccess, G-FFT) are skipped on
+/// Runs every admissible component natively on an existing communicator:
+/// the power-of-two-only components (G-RandomAccess, G-FFT) are skipped on
 /// other world sizes, exactly as the HPCC harness does.
-pub(crate) fn run_records_on(comm: &Comm, cfg: &SuiteConfig) -> Vec<Record> {
+async fn run_records_on(comm: &Comm, cfg: &SuiteConfig) -> Vec<Record> {
     let p = comm.size();
     let mut records = Vec::new();
     for c in Component::ALL {
         if c.pow2_procs() && !p.is_power_of_two() {
             continue;
         }
-        records.extend(run_component_on(comm, c, cfg));
+        records.extend(run_component_on_async(comm, c, cfg, Mode::Native).await);
     }
     records
 }
@@ -292,7 +284,7 @@ pub(crate) fn run_records_on(comm: &Comm, cfg: &SuiteConfig) -> Vec<Record> {
 /// Spawns `p` ranks and runs the complete suite natively on the host,
 /// returning the record stream.
 pub(crate) fn run_native_records(p: usize, cfg: &SuiteConfig) -> Vec<Record> {
-    let mut results = mp::run(p, |comm| run_records_on(comm, cfg));
+    let mut results = mp::run(p, |comm| mp::block_on(run_records_on(comm, cfg)));
     results.swap_remove(0)
 }
 

@@ -201,7 +201,7 @@ pub fn run_native(
             mp::block_on(epoch.run(&win, comm.rank()));
         });
         let mut slowest = [per_call_us];
-        comm.allreduce(&mut slowest, Op::Max);
+        mp::block_on(comm.allreduce_async(&mut slowest, Op::Max));
         slowest[0]
     });
     epoch.measured(t_us[0])

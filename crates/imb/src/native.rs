@@ -49,9 +49,12 @@ pub(crate) fn run_on_with(
 ) -> Record {
     let iters = runner.repetitions(benchmark.sized().then_some(bytes));
     let mut state = BenchState::<u8, f64>::new(comm, benchmark, bytes);
-    let per_call = runner.time_collective(comm, iters, |it| state.iterate(comm, it));
+    let per_call = runner.time_collective(comm, iters, |it| {
+        mp::block_on(state.iterate_async(comm, it));
+    });
     let participated = state.participates(comm);
-    let stats = Runner::rank_stats(comm, per_call, participated, iters);
+    let stats = Runner::rank_stats_async(comm, per_call, participated, iters);
+    let stats = mp::block_on(stats);
     record(benchmark, Mode::Native, "host", comm.size(), bytes, stats)
 }
 
@@ -171,11 +174,8 @@ impl<B: ByteWord, F: Numeric> BenchState<B, F> {
         }
     }
 
-    fn iterate(&mut self, comm: &Comm, iter: usize) {
-        mp::block_on(self.iterate_async(comm, iter));
-    }
-
-    /// One iteration, as a cooperative rank task.
+    /// One iteration: a cooperative rank task awaits it, and a rank thread
+    /// polls it with `block_on` in its timed loop.
     pub(crate) async fn iterate_async(&mut self, comm: &Comm, iter: usize) {
         let n = comm.size();
         let me = comm.rank();
@@ -213,8 +213,8 @@ impl<B: ByteWord, F: Numeric> BenchState<B, F> {
                 let left = (me + n - 1) % n;
                 let from_left = comm.irecv(left, TAG);
                 let from_right = comm.irecv(right, TAG);
-                comm.isend(&self.sbuf, left, TAG);
-                comm.isend(&self.sbuf, right, TAG);
+                comm.send(&self.sbuf, left, TAG);
+                comm.send(&self.sbuf, right, TAG);
                 from_left.wait_async(comm, &mut self.rbuf).await;
                 from_right.wait_async(comm, &mut self.rbuf).await;
             }

@@ -33,7 +33,7 @@ fn rounds_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Box<dyn Rounds>
             // Mirror the native run exactly (see `imb::native`): the
             // X-byte vector is split as f64 words, `words / p` each with
             // the remainder spread over the leading ranks, and
-            // `Comm::reduce_scatter` always dispatches to the pairwise
+            // `Comm::reduce_scatter_async` always dispatches to the pairwise
             // algorithm for per-rank counts.
             let words = bytes / 8;
             let p = procs as u64;

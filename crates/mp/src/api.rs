@@ -1,20 +1,21 @@
 //! The collective methods of [`Comm`].
 //!
-//! The awaitable method is the body of every operation; the blocking
-//! method of the same name is one [`block_on`] around it. An awaitable
-//! method picks its algorithm synchronously, with the `picks_*` predicate
-//! the operation's schedule generator asks too, and returns the
-//! algorithm's [`Run`](crate::coll::Run): one future, which at its
-//! first poll takes the call's tag and opens its instrumented scope
-//! (no-op on unchecked runs). The scope records the operation name, root
-//! (global rank) and — for operations whose payload shape must agree
-//! across ranks — the per-rank byte count, so the `mpcheck` trace lint
-//! can flag call-sequence divergence and root/shape mismatches. Vector
-//! variants record no shape (their per-rank counts legitimately differ).
+//! Every operation has one form, awaitable: a cooperative task awaits it,
+//! and a rank thread's body awaits it too, polled by the
+//! [`block_on`](crate::block_on) that drives the whole body. There is no
+//! blocking twin below a world's door. A method picks its algorithm
+//! synchronously, with the `picks_*` predicate the operation's schedule
+//! generator asks too, and returns the algorithm's
+//! [`Run`](crate::coll::Run): one future, which at its first poll takes
+//! the call's tag and opens its instrumented scope (no-op on unchecked
+//! runs). The scope records the operation name, root (global rank) and —
+//! for operations whose payload shape must agree across ranks — the
+//! per-rank byte count, so the `mpcheck` trace lint can flag
+//! call-sequence divergence and root/shape mismatches. Vector variants
+//! record no shape (their per-rank counts legitimately differ).
 
 use std::future::Future;
 
-use crate::block_on;
 use crate::coll;
 use crate::comm::Comm;
 use crate::datatype::Word;
@@ -22,61 +23,11 @@ use crate::reduce::{Numeric, Op};
 
 impl Comm {
     /// Synchronises all ranks (`MPI_Barrier`).
-    pub fn barrier(&self) {
-        block_on(self.barrier_async());
-    }
-
-    /// Broadcasts `buf` from `root` to every rank (`MPI_Bcast`).
-    pub fn bcast<T: Word>(&self, buf: &mut [T], root: usize) {
-        block_on(self.bcast_async(buf, root));
-    }
-
-    /// Gathers one equal block per rank to every rank (`MPI_Allgather`).
-    pub fn allgather<T: Word>(&self, send: &[T], recv: &mut [T]) {
-        block_on(self.allgather_async(send, recv));
-    }
-
-    /// Vector allgather with per-rank counts (`MPI_Allgatherv`).
-    pub fn allgatherv<T: Word>(&self, send: &[T], recv: &mut [T], counts: &[usize]) {
-        block_on(self.allgatherv_async(send, recv, counts));
-    }
-
-    /// Personalised all-to-all exchange (`MPI_Alltoall`): block `d` of
-    /// `send` goes to rank `d`; block `s` of `recv` arrives from rank `s`.
-    pub fn alltoall<T: Word>(&self, send: &[T], recv: &mut [T]) {
-        block_on(self.alltoall_async(send, recv));
-    }
-
-    /// Reduces element-wise to `root` (`MPI_Reduce`).
-    /// `recv` must be `Some` exactly at the root.
-    pub fn reduce<T: Numeric>(&self, send: &[T], recv: Option<&mut [T]>, root: usize, op: Op) {
-        block_on(self.reduce_async(send, recv, root, op));
-    }
-
-    /// Reduces element-wise, result on every rank (`MPI_Allreduce`).
-    /// Operates in place on `buf`.
-    pub fn allreduce<T: Numeric>(&self, buf: &mut [T], op: Op) {
-        block_on(self.allreduce_async(buf, op));
-    }
-
-    /// Reduce + scatter with per-rank counts (`MPI_Reduce_scatter`).
-    pub fn reduce_scatter<T: Numeric>(&self, send: &[T], recv: &mut [T], counts: &[usize], op: Op) {
-        block_on(self.reduce_scatter_async(send, recv, counts, op));
-    }
-}
-
-/// The collective methods' bodies, awaitable so that workloads can run as
-/// cooperative tasks (see [`crate::run_coop`] and friends). Inside a
-/// cooperative task the blocking methods above panic; these suspend the
-/// task at each internal receive instead. On rank threads the blocking
-/// methods are `block_on` of these, which waits on the same receives.
-impl Comm {
-    /// Awaitable [`barrier`](Comm::barrier).
     pub fn barrier_async(&self) -> impl Future<Output = ()> + '_ {
         coll::barrier::barrier(self)
     }
 
-    /// Awaitable [`bcast`](Comm::bcast).
+    /// Broadcasts `buf` from `root` to every rank (`MPI_Bcast`).
     pub fn bcast_async<'a, T: Word>(
         &'a self,
         buf: &'a mut [T],
@@ -86,7 +37,7 @@ impl Comm {
         coll::bcast::bcast(self, buf, root, long)
     }
 
-    /// Awaitable [`allgather`](Comm::allgather).
+    /// Gathers one equal block per rank to every rank (`MPI_Allgather`).
     pub fn allgather_async<'a, T: Word>(
         &'a self,
         send: &'a [T],
@@ -96,7 +47,7 @@ impl Comm {
         coll::allgather::allgather(self, send, recv, doubling)
     }
 
-    /// Awaitable [`allgatherv`](Comm::allgatherv).
+    /// Vector allgather with per-rank counts (`MPI_Allgatherv`).
     pub fn allgatherv_async<'a, T: Word>(
         &'a self,
         send: &[T],
@@ -106,7 +57,8 @@ impl Comm {
         coll::allgatherv::allgatherv(self, send, recv, counts)
     }
 
-    /// Awaitable [`alltoall`](Comm::alltoall).
+    /// Personalised all-to-all exchange (`MPI_Alltoall`): block `d` of
+    /// `send` goes to rank `d`; block `s` of `recv` arrives from rank `s`.
     pub fn alltoall_async<'a, T: Word>(
         &'a self,
         send: &'a [T],
@@ -117,7 +69,8 @@ impl Comm {
         coll::alltoall::alltoall(self, send, recv, bruck)
     }
 
-    /// Awaitable [`reduce`](Comm::reduce).
+    /// Reduces element-wise to `root` (`MPI_Reduce`).
+    /// `recv` must be `Some` exactly at the root.
     pub fn reduce_async<'a, T: Numeric>(
         &'a self,
         send: &'a [T],
@@ -129,7 +82,8 @@ impl Comm {
         coll::reduce::reduce(self, send, recv, root, op, long)
     }
 
-    /// Awaitable [`allreduce`](Comm::allreduce).
+    /// Reduces element-wise, result on every rank (`MPI_Allreduce`).
+    /// Operates in place on `buf`.
     pub fn allreduce_async<'a, T: Numeric>(
         &'a self,
         buf: &'a mut [T],
@@ -139,7 +93,7 @@ impl Comm {
         coll::allreduce::allreduce(self, buf, op, long)
     }
 
-    /// Awaitable [`reduce_scatter`](Comm::reduce_scatter).
+    /// Reduce + scatter with per-rank counts (`MPI_Reduce_scatter`).
     pub fn reduce_scatter_async<'a, T: Numeric>(
         &'a self,
         send: &'a [T],
@@ -153,6 +107,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use crate::block_on;
     use crate::runtime::run;
     use crate::Op;
 
@@ -168,28 +123,28 @@ mod tests {
             if me == 2 {
                 b = vec![9, 8, 7, 6];
             }
-            comm.bcast(&mut b, 2);
+            block_on(comm.bcast_async(&mut b, 2));
             assert_eq!(b, vec![9, 8, 7, 6]);
 
             let mut sum = vec![me as f64];
-            comm.allreduce(&mut sum, Op::Sum);
+            block_on(comm.allreduce_async(&mut sum, Op::Sum));
             assert_eq!(sum[0], 15.0);
 
             let mut all = vec![0u64; n];
-            comm.allgather(&[me as u64], &mut all);
+            block_on(comm.allgather_async(&[me as u64], &mut all));
             assert_eq!(all, (0..n as u64).collect::<Vec<_>>());
 
             let send: Vec<u64> = (0..n as u64).map(|d| d * 10 + me as u64).collect();
             let mut recv = vec![0u64; n];
-            comm.alltoall(&send, &mut recv);
+            block_on(comm.alltoall_async(&send, &mut recv));
             let expect: Vec<u64> = (0..n as u64).map(|s| (me as u64) * 10 + s).collect();
             assert_eq!(recv, expect);
 
-            comm.barrier();
+            block_on(comm.barrier_async());
 
             let mut slice = [0.0f64; 2];
             let send: Vec<f64> = (0..2 * n).map(|i| i as f64).collect();
-            comm.reduce_scatter(&send, &mut slice, &vec![2; n], Op::Sum);
+            block_on(comm.reduce_scatter_async(&send, &mut slice, &vec![2; n], Op::Sum));
             assert_eq!(slice[0], (2 * me) as f64 * n as f64);
         });
     }
@@ -199,9 +154,9 @@ mod tests {
         let n = 8;
         let results = run(n, |comm| {
             let color = (comm.rank() < n / 2) as u32;
-            let sub = comm.split(color, comm.rank() as i64);
+            let sub = block_on(comm.split_async(color, comm.rank() as i64));
             let mut x = vec![1u64];
-            sub.allreduce(&mut x, Op::Sum);
+            block_on(sub.allreduce_async(&mut x, Op::Sum));
             (sub.size(), sub.rank(), x[0])
         });
         for (r, (size, sub_rank, count)) in results.iter().enumerate() {
@@ -214,7 +169,7 @@ mod tests {
     #[test]
     fn split_with_reversed_keys() {
         let results = run(4, |comm| {
-            let sub = comm.split(0, -(comm.rank() as i64));
+            let sub = block_on(comm.split_async(0, -(comm.rank() as i64)));
             sub.rank()
         });
         assert_eq!(results, vec![3, 2, 1, 0]);
@@ -224,7 +179,7 @@ mod tests {
     #[test]
     fn split_has_isolated_tag_space() {
         run(3, |comm| {
-            let d = comm.split(0, comm.rank() as i64);
+            let d = block_on(comm.split_async(0, comm.rank() as i64));
             // Interleave traffic on both communicators with equal tags.
             if comm.rank() == 0 {
                 comm.send(&[1u8], 1, 5);
@@ -232,8 +187,8 @@ mod tests {
             } else if comm.rank() == 1 {
                 let mut a = [0u8];
                 let mut b = [0u8];
-                d.recv(&mut b, 0, 5);
-                comm.recv(&mut a, 0, 5);
+                block_on(d.recv_async(&mut b, 0, 5));
+                block_on(comm.recv_async(&mut a, 0, 5));
                 assert_eq!((a[0], b[0]), (1, 2));
             }
         });

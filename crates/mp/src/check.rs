@@ -605,6 +605,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_on;
 
     #[test]
     fn cycle_detection_on_functional_graphs() {
@@ -645,7 +646,7 @@ mod tests {
     fn run_checked_clean_program_completes() {
         let checked = run_checked(4, Engine::Threads, Settings::default(), |comm| async move {
             let mut x = [comm.rank() as u64];
-            comm.allreduce(&mut x, crate::Op::Sum);
+            block_on(comm.allreduce_async(&mut x, crate::Op::Sum));
             x[0]
         });
         assert_eq!(checked.results, Some(vec![6, 6, 6, 6]));
@@ -670,7 +671,7 @@ mod tests {
             // Head-to-head receives: the classic deadlock.
             let mut buf = [0u8];
             let peer = 1 - comm.rank();
-            comm.recv(&mut buf, peer, 1);
+            block_on(comm.recv_async(&mut buf, peer, 1));
             comm.send(&buf, peer, 1);
         });
         assert!(checked.results.is_none());
@@ -690,7 +691,7 @@ mod tests {
             // Rank 0 blocks on a message that never comes; the world
             // must report the stall rather than hang.
             let mut buf = [0u8];
-            comm.recv(&mut buf, 1, 1);
+            block_on(comm.recv_async(&mut buf, 1, 1));
         });
         assert!(checked.results.is_none());
         let panics = &checked.log.panics;

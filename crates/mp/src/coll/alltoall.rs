@@ -157,7 +157,7 @@ mod tests {
                 // Stands in for a peer whose blocks are a word short.
                 let tag = comm.next_coll_tag();
                 comm.send_payload(Payload::from_vec(vec![0; 8]), 0, tag);
-                crate::block_on(comm.recv_payload_async(0, tag));
+                block_on(comm.recv_payload_async(0, tag));
             }
         });
     }

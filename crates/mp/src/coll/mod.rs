@@ -1,7 +1,7 @@
 //! Collective operations: the eight the suite runs, and no others.
 //!
 //! An operation or algorithm body is here because a registry workload, the
-//! IMB or HPCC model, `mp::rma`, `Comm::split` or the `mpcheck` gallery
+//! IMB or HPCC model, `mp::rma`, `Comm::split_async` or the `mpcheck` gallery
 //! reaches it (DESIGN.md §3, "Which collectives exist"). Each comes in the
 //! algorithm variants MPI libraries of the paper's era picked (MPICH/MVAPICH
 //! ancestry, which the Dell cluster's Topspin MPI was based on): binomial
@@ -26,9 +26,9 @@
 //! asked for, not a chain of adaptors, because every cooperative rank
 //! holds one for as long as its collective runs.
 //!
-//! This module is awaitable-only: the blocking form of a collective is the
-//! [`Comm`] method of its name, one [`block_on`](crate::block_on) around
-//! `Comm::<op>_async`.
+//! Collectives are awaitable-only, here and on [`Comm`]: a rank thread
+//! waits on one by polling `Comm::<op>_async` with the
+//! [`block_on`](crate::block_on) that drives its body.
 
 pub(crate) mod allgather;
 pub(crate) mod allgatherv;
@@ -295,7 +295,7 @@ pub(crate) enum Coll {
     Reduce(u32),
     Allreduce,
     ReduceScatter,
-    /// `Comm::split`'s allgather of colours and keys.
+    /// `Comm::split_async`'s allgather of colours and keys.
     Split,
 }
 

@@ -376,19 +376,13 @@ impl Comm {
         }
     }
 
-    /// Receives exactly `buf.len()` words from local rank `src` with `tag`.
-    /// Panics if the matched message has a different length (MPI would
-    /// raise `MPI_ERR_TRUNCATE`).
-    pub fn recv<T: Word>(&self, buf: &mut [T], src: usize, tag: Tag) {
-        crate::block_on(self.recv_async(buf, src, tag));
-    }
-
-    /// Awaitable mirror of [`recv`](Comm::recv), for rank bodies running
-    /// on the cooperative scheduler. Posts a rendezvous buffer for large
-    /// messages so a matching send can encode straight into it. Until the
-    /// message arrives the future holds the communicator, the mailbox's
-    /// wait and `buf`, nothing else; the scratch `RefCell` is only
-    /// borrowed on either side of the wait.
+    /// Receives exactly `buf.len()` words from local rank `src` with `tag`
+    /// (`MPI_Recv`). Panics if the matched message has a different length
+    /// (MPI would raise `MPI_ERR_TRUNCATE`). Posts a rendezvous buffer for
+    /// large messages so a matching send can encode straight into it.
+    /// Until the message arrives the future holds the communicator, the
+    /// mailbox's wait and `buf`, nothing else; the scratch `RefCell` is
+    /// only borrowed on either side of the wait.
     pub fn recv_async<'a, T: Word>(
         &'a self,
         buf: &'a mut [T],
@@ -455,12 +449,8 @@ impl Comm {
     }
 
     /// Receives a message of any length, optionally constrained by source
-    /// and/or tag. Returns the payload and the actual (source, tag).
-    pub fn recv_any<T: Word>(&self, src: Option<usize>, tag: Option<Tag>) -> (Vec<T>, usize, Tag) {
-        crate::block_on(self.recv_any_async(src, tag))
-    }
-
-    /// Awaitable mirror of [`recv_any`](Comm::recv_any).
+    /// and/or tag (`MPI_ANY_SOURCE`, `MPI_ANY_TAG`). Returns the payload
+    /// and the actual (source, tag).
     pub async fn recv_any_async<T: Word>(
         &self,
         src: Option<usize>,
@@ -468,6 +458,9 @@ impl Comm {
     ) -> (Vec<T>, usize, Tag) {
         if let Some(t) = tag {
             assert!(t < MAX_USER_TAG, "tag {t:#x} is in the reserved range");
+        }
+        if let Some(s) = src {
+            assert!(s < self.size(), "recv from rank {s} of {}", self.size());
         }
         let filter = Match {
             comm_id: self.id,
@@ -482,16 +475,12 @@ impl Comm {
         (words, self.local_of_global(env.src), env.tag)
     }
 
-    /// Combined send+receive (both with tag `tag`), the workhorse of ring
-    /// and exchange patterns. Deadlock-free because sends are eager (the
-    /// large-message rendezvous path only fires when the matching receive
-    /// is already posted, so it cannot introduce a send-send wait cycle).
-    pub fn sendrecv<T: Word>(&self, sbuf: &[T], dst: usize, rbuf: &mut [T], src: usize, tag: Tag) {
-        crate::block_on(self.sendrecv_async(sbuf, dst, rbuf, src, tag));
-    }
-
-    /// Awaitable mirror of [`sendrecv`](Comm::sendrecv). The send half is
-    /// eager and completes synchronously; only the receive can suspend.
+    /// Combined send+receive (both with tag `tag`, `MPI_Sendrecv`), the
+    /// workhorse of ring and exchange patterns. Deadlock-free because sends
+    /// are eager (the large-message rendezvous path only fires when the
+    /// matching receive is already posted, so it cannot introduce a
+    /// send-send wait cycle): the send half completes synchronously, and
+    /// only the receive can suspend.
     pub async fn sendrecv_async<T: Word>(
         &self,
         sbuf: &[T],
@@ -507,8 +496,9 @@ impl Comm {
     /// Posts a nonblocking receive into the mailbox's posted-receive
     /// table. An already-queued matching message is claimed immediately;
     /// otherwise any matching send from now on — including sends that
-    /// happen before [`RecvHandle::wait`] — completes the receive
-    /// directly, exactly as if the wait were already in progress.
+    /// happen before [`RecvHandle::wait_async`] is first polled — completes
+    /// the receive directly, exactly as if the wait were already in
+    /// progress.
     pub fn irecv<T: Word>(&self, src: usize, tag: Tag) -> RecvHandle<T> {
         assert!(tag < MAX_USER_TAG, "tag {tag:#x} is in the reserved range");
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
@@ -528,24 +518,12 @@ impl Comm {
         }
     }
 
-    /// Nonblocking send. With the eager/rendezvous protocol the payload is
-    /// already delivered when this returns, so there is no send handle to
-    /// wait on; the name exists for API parity with MPI-style code.
-    pub fn isend<T: Word>(&self, buf: &[T], dst: usize, tag: Tag) {
-        self.send(buf, dst, tag);
-    }
-
     // ------------------------------------------------------------------
     // Communicator management
     // ------------------------------------------------------------------
 
     /// Splits the communicator by `color`; ranks with equal color form a new
     /// communicator ordered by `(key, old rank)`. Mirrors `MPI_Comm_split`.
-    pub fn split(&self, color: u32, key: i64) -> Comm {
-        crate::block_on(self.split_async(color, key))
-    }
-
-    /// Awaitable mirror of [`split`](Comm::split).
     pub async fn split_async(&self, color: u32, key: i64) -> Comm {
         // Share (color, key) among all ranks with a ring allgather, scoped
         // as the split: the rest of the call sends and receives nothing.
@@ -683,13 +661,15 @@ where
     }
 }
 
-/// A posted nonblocking receive; call [`wait`](RecvHandle::wait) to match it.
+/// A posted nonblocking receive; await [`wait_async`](RecvHandle::wait_async)
+/// to match it (`MPI_Wait`).
 ///
 /// The receive is live in the mailbox's posted-receive table from the
 /// moment [`Comm::irecv`] returns: a matching send completes it whether
-/// it lands before or after `wait` is called, and both orders observe the
-/// same message. Dropping an unawaited handle cancels the posting; a
-/// message it had already claimed is restored to the queue unreordered.
+/// it lands before or after `wait_async` is first polled, and both orders
+/// observe the same message. Dropping an unawaited handle cancels the
+/// posting; a message it had already claimed is restored to the queue
+/// unreordered.
 pub struct RecvHandle<T> {
     world: Arc<World>,
     grank: usize,
@@ -699,15 +679,10 @@ pub struct RecvHandle<T> {
 }
 
 impl<T: Word> RecvHandle<T> {
-    /// Blocks until the receive matches; fills `buf` (exact length).
-    /// `comm` must be the communicator the receive was posted on.
-    pub fn wait(self, comm: &Comm, buf: &mut [T]) {
-        crate::block_on(self.wait_async(comm, buf));
-    }
-
-    /// Awaitable mirror of [`wait`](RecvHandle::wait): one hand-written
-    /// future of the handle, the communicator and `buf`, whose wait is the
-    /// handle's own ticket.
+    /// Resolves once the receive matches; fills `buf` (exact length).
+    /// `comm` must be the communicator the receive was posted on. One
+    /// hand-written future of the handle, the communicator and `buf`, whose
+    /// wait is the handle's own ticket.
     pub fn wait_async<'a>(self, comm: &'a Comm, buf: &'a mut [T]) -> impl Future<Output = ()> + 'a {
         Waiting {
             handle: self,
@@ -765,6 +740,7 @@ impl<T> Drop for RecvHandle<T> {
 
 #[cfg(test)]
 mod tests {
+    use crate::block_on;
     use crate::runtime::{run, run_traced, Engine};
 
     const DATA_TAG: crate::msg::Tag = 7;
@@ -779,7 +755,7 @@ mod tests {
             if comm.rank() == 0 {
                 // Case A: rank 1 posts first (it tells us once it has).
                 let mut ready = [0u8];
-                comm.recv(&mut ready, 1, SYNC_TAG);
+                block_on(comm.recv_async(&mut ready, 1, SYNC_TAG));
                 comm.send(
                     &(0..257).map(|i| i * 3 + 1).collect::<Vec<u32>>(),
                     1,
@@ -799,15 +775,15 @@ mod tests {
                 let handle = comm.irecv::<u32>(0, DATA_TAG);
                 comm.send(&[1u8], 0, SYNC_TAG);
                 let mut a = vec![0u32; 257];
-                handle.wait(comm, &mut a);
+                block_on(handle.wait_async(comm, &mut a));
                 // Case B: the marker on SYNC_TAG was sent *after* the data,
                 // so once it arrives the data message is already queued and
                 // the posting takes the eager-claimed path.
                 let mut marker = [0u8];
-                comm.recv(&mut marker, 0, SYNC_TAG);
+                block_on(comm.recv_async(&mut marker, 0, SYNC_TAG));
                 let handle = comm.irecv::<u32>(0, DATA_TAG);
                 let mut b = vec![0u32; 257];
-                handle.wait(comm, &mut b);
+                block_on(handle.wait_async(comm, &mut b));
                 assert_eq!(a, b, "both orders must observe the same message");
                 a
             }
@@ -827,11 +803,11 @@ mod tests {
                 let mut sync = [0u8; 1];
                 // Wait until both messages are queued (non-overtaking per
                 // lane: the second send is behind the first).
-                comm.recv_any::<u8>(Some(0), Some(DATA_TAG)); // takes the 10
+                block_on(comm.recv_any_async::<u8>(Some(0), Some(DATA_TAG))); // takes the 10
                 {
                     let _claimed = comm.irecv::<u8>(0, DATA_TAG); // claims the 20
                 } // dropped unawaited -> message restored
-                comm.recv(&mut sync, 0, DATA_TAG);
+                block_on(comm.recv_async(&mut sync, 0, DATA_TAG));
                 assert_eq!(sync[0], 20, "requeued message must come back");
             }
         });
@@ -852,7 +828,7 @@ mod tests {
                 let (mut results, trace) = run_traced(2, Engine::Threads, move |comm| async move {
                     if comm.rank() == 0 {
                         let mut ready = [0u8];
-                        comm.recv(&mut ready, 1, SYNC_TAG);
+                        block_on(comm.recv_async(&mut ready, 1, SYNC_TAG));
                         if sender_delay {
                             // Give the receiver time to block in recv() so
                             // the rendezvous path can fire.
@@ -866,7 +842,7 @@ mod tests {
                             std::thread::sleep(std::time::Duration::from_millis(20));
                         }
                         let mut buf = vec![0u64; expect.len()];
-                        comm.recv(&mut buf, 0, DATA_TAG);
+                        block_on(comm.recv_async(&mut buf, 0, DATA_TAG));
                         assert_eq!(buf, expect);
                     }
                 });
@@ -910,7 +886,7 @@ mod tests {
             let err = std::panic::catch_unwind(|| {
                 run(3, move |comm| match comm.rank() {
                     2 => comm.send(&vec![crate::Ghost::<8>; words], 1, DATA_TAG),
-                    1 => comm.recv(&mut vec![0.0f64; words], 2, DATA_TAG),
+                    1 => block_on(comm.recv_async(&mut vec![0.0f64; words], 2, DATA_TAG)),
                     _ => {}
                 })
             })
@@ -993,14 +969,38 @@ mod tests {
         });
     }
 
-    /// `recv_any` returns the actual envelope alongside well-formed data.
+    /// A rank outside the communicator is named, with the size, by every
+    /// point-to-point call that is handed one.
+    #[test]
+    fn an_out_of_range_rank_is_named() {
+        for call in ["send", "recv_async", "irecv", "recv_any_async"] {
+            let err = std::panic::catch_unwind(|| {
+                run(2, |comm| {
+                    if comm.rank() == 0 {
+                        match call {
+                            "send" => comm.send(&[1u8], 2, 1),
+                            "recv_async" => block_on(comm.recv_async(&mut [0u8], 2, 1)),
+                            "irecv" => drop(comm.irecv::<u8>(2, 1)),
+                            _ => drop(block_on(comm.recv_any_async::<u8>(Some(2), None))),
+                        }
+                    }
+                })
+            })
+            .expect_err(call);
+            let msg = crate::runtime::panic_message(&*err);
+            assert!(msg.contains("rank 2 of 2"), "{call}: {msg}");
+        }
+    }
+
+    /// `recv_any_async` returns the actual envelope alongside well-formed
+    /// data.
     #[test]
     fn recv_any_reports_envelope() {
         run(3, |comm| {
             if comm.rank() == 1 {
                 comm.send(&[0.5f64, 1.5], 2, 11);
             } else if comm.rank() == 2 {
-                let (data, src, tag) = comm.recv_any::<f64>(None, None);
+                let (data, src, tag) = block_on(comm.recv_any_async::<f64>(None, None));
                 assert_eq!((data.as_slice(), src, tag), ([0.5, 1.5].as_slice(), 1, 11));
             }
         });

@@ -419,6 +419,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_on;
     use crate::check::Settings;
     use simnet::schedule::P2pCost;
 
@@ -468,7 +469,7 @@ mod tests {
     #[should_panic(expected = "blocking call inside a cooperative task")]
     fn blocking_collective_inside_coop_is_rejected() {
         run_coop(2, |comm| async move {
-            comm.barrier();
+            block_on(comm.barrier_async());
         });
     }
 

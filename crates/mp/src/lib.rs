@@ -15,10 +15,12 @@
 //! its body with [`block_on`], so kernels and wake-ups cost what they cost
 //! on the host; [`Engine::Coop`] hosts every rank as a task on the calling
 //! thread, polled off one deterministic FIFO run queue. Virtual execution
-//! (messages priced by a [`VirtualNet`]) runs only there.
+//! (messages priced by a [`VirtualNet`]) runs only there. Every [`Comm`]
+//! operation is awaitable only: there is no blocking twin below a door.
 //!
-//! The doors: [`run`] (a blocking body on rank threads; under a
-//! multi-process session, this process's ranks of a fleet), [`run_coop`],
+//! The doors: [`run`] (a plain closure on rank threads, which waits on an
+//! operation with [`block_on`]; under a multi-process session, this
+//! process's ranks of a fleet), [`run_coop`],
 //! [`run_virtual_coop`] (the one priced door), and [`run_traced`] and
 //! [`check::run_checked`], which take the engine as an argument.
 //! [`run_traced_coop`] is `run_traced` on [`Engine::Coop`]. Every door
@@ -38,7 +40,7 @@
 //! ```
 //! let totals = mp::run(4, |comm| {
 //!     let mut x = [comm.rank() as u64 + 1];
-//!     comm.allreduce(&mut x, mp::Op::Sum);
+//!     mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
 //!     x[0]
 //! });
 //! assert_eq!(totals, vec![10, 10, 10, 10]);

@@ -679,50 +679,6 @@ impl Mailbox {
     }
 }
 
-#[cfg(test)]
-impl Mailbox {
-    /// A standalone uninstrumented mailbox.
-    pub(crate) fn new() -> Mailbox {
-        Mailbox::with_instrumentation(0, None, None, None)
-    }
-
-    /// Blocking [`recv`](Mailbox::recv), for thread-based unit tests.
-    pub(crate) fn recv_blocking(&self, filter: Match) -> Message {
-        crate::block_on(self.recv(filter, None)).0
-    }
-
-    /// Non-blocking variant: removes the oldest matching message if present.
-    fn try_recv(&self, filter: Match) -> Option<Message> {
-        let taken = self.inner.lock().take_queued(filter, self.ctl());
-        taken.map(|(arrived, candidates)| self.collect(arrived, filter, candidates))
-    }
-
-    /// Registers a receive with the rendezvous buffer `buf` ahead of its
-    /// wait, as a [`Recv`]'s first poll does when nothing is queued.
-    fn post_buffer(&self, filter: Match, buf: Option<Vec<u8>>) -> Ticket {
-        let mut inner = self.inner.lock();
-        assert!(inner.lanes.is_empty(), "nothing queued yet");
-        inner.register(filter, buf)
-    }
-
-    /// Blocks the calling thread on the pending posted receive behind
-    /// `ticket`.
-    fn wait_blocking(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
-        crate::block_on(self.resume(filter, Some(ticket)))
-    }
-
-    /// Number of queued (unmatched) messages.
-    fn pending(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.lanes.values().map(|lane| lane.iter().count()).sum()
-    }
-
-    /// Buckets the lane table has room for, live or not.
-    fn lane_capacity(&self) -> usize {
-        self.inner.lock().lanes.capacity()
-    }
-}
-
 /// The one wait for a receive: a future that resolves to the oldest
 /// message matching its filter, polled by the cooperative executor or by
 /// a rank thread's [`block_on`](crate::block_on) alike. Each poll takes
@@ -816,11 +772,55 @@ impl Drop for Recv<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_on;
     use crate::msg::pack_tag;
     use crate::runtime::{ThreadWaker, SPIN_BUDGET};
     use proptest::prelude::*;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
+
+    impl Mailbox {
+        /// A standalone uninstrumented mailbox.
+        fn new() -> Mailbox {
+            Mailbox::with_instrumentation(0, None, None, None)
+        }
+
+        /// Blocking [`recv`](Mailbox::recv), for thread-based unit tests.
+        fn recv_blocking(&self, filter: Match) -> Message {
+            block_on(self.recv(filter, None)).0
+        }
+
+        /// Non-blocking variant: removes the oldest matching message if present.
+        fn try_recv(&self, filter: Match) -> Option<Message> {
+            let taken = self.inner.lock().take_queued(filter, self.ctl());
+            taken.map(|(arrived, candidates)| self.collect(arrived, filter, candidates))
+        }
+
+        /// Registers a receive with the rendezvous buffer `buf` ahead of its
+        /// wait, as a [`Recv`]'s first poll does when nothing is queued.
+        fn post_buffer(&self, filter: Match, buf: Option<Vec<u8>>) -> Ticket {
+            let mut inner = self.inner.lock();
+            assert!(inner.lanes.is_empty(), "nothing queued yet");
+            inner.register(filter, buf)
+        }
+
+        /// Blocks the calling thread on the pending posted receive behind
+        /// `ticket`.
+        fn wait_blocking(&self, ticket: Ticket, filter: Match) -> (Message, Option<Vec<u8>>) {
+            block_on(self.resume(filter, Some(ticket)))
+        }
+
+        /// Number of queued (unmatched) messages.
+        fn pending(&self) -> usize {
+            let inner = self.inner.lock();
+            inner.lanes.values().map(|lane| lane.iter().count()).sum()
+        }
+
+        /// Buckets the lane table has room for, live or not.
+        fn lane_capacity(&self) -> usize {
+            self.inner.lock().lanes.capacity()
+        }
+    }
 
     fn msg(src: usize, tag: u32, data: Vec<u8>) -> Message {
         Message {
@@ -1118,7 +1118,7 @@ mod tests {
             let mb = &mb;
             std::thread::scope(|s| {
                 let recv = mb.recv(exact(1, 2), Some(vec![0u8; 16]));
-                let h = s.spawn(move || crate::block_on(recv));
+                let h = s.spawn(move || block_on(recv));
                 std::thread::sleep(Duration::from_millis(20));
                 mb.push(msg(1, 2, vec![5; 4]));
                 h.join().unwrap()
@@ -1316,7 +1316,7 @@ mod tests {
             inner.posted.iter().filter(|p| p.waker.is_some()).count()
         };
         let out = crate::runtime::tests::on_threads(&world, |rank, comm| {
-            let child = comm.split(0, 0);
+            let child = block_on(comm.split_async(0, 0));
             if rank == 1 {
                 until("both of rank 0's receives wait", || waiting() == 2);
                 child.send(&[20u64], 0, 2);
@@ -1326,11 +1326,11 @@ mod tests {
             std::thread::scope(|s| {
                 let helper = s.spawn(move || {
                     let mut b = [0u64];
-                    child.recv(&mut b, 1, 2);
+                    block_on(child.recv_async(&mut b, 1, 2));
                     b[0]
                 });
                 let mut a = [0u64];
-                comm.recv(&mut a, 1, 1);
+                block_on(comm.recv_async(&mut a, 1, 1));
                 a[0] + helper.join().unwrap()
             })
         });

@@ -424,7 +424,7 @@ mod tests {
         use crate::Engine::Threads;
         let n = 4;
         let checked = run_checked(n, Threads, Settings::default(), |comm| async move {
-            let sub = comm.split((comm.rank() % 2) as u32, comm.rank() as i64);
+            let sub = block_on(comm.split_async((comm.rank() % 2) as u32, comm.rank() as i64));
             for round in 0..64u64 {
                 for c in [&comm, &sub] {
                     let win = Window::create::<u64>(c, c.size()).await;

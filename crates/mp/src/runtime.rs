@@ -286,14 +286,14 @@ pub(crate) fn spin_before_parking(budget: Duration) {
 }
 
 /// Drives `fut` to completion on the calling thread: the rank thread's
-/// executor, and the bridge that lets one source of truth (the `*_async`
-/// bodies) serve the synchronous API. It polls; while the future is
-/// pending it watches its waker's flag for the thread's spin budget, then
-/// parks until a wake, and polls again. It keeps no clock past the
-/// budget: a wait that no sender will end is the world's stall, which its
-/// [`Runnable`] count names and whose poison wakes the wait to unwind.
-/// Inside a cooperative task this would park the whole executor, so it
-/// panics with a pointer at the async API instead.
+/// executor, and how a plain closure body or a world's door waits on an
+/// operation, whose one form is its `*_async` body. It polls; while the
+/// future is pending it watches its waker's flag for the thread's spin
+/// budget, then parks until a wake, and polls again. It keeps no clock
+/// past the budget: a wait that no sender will end is the world's stall,
+/// which its [`Runnable`] count names and whose poison wakes the wait to
+/// unwind. Inside a cooperative task this would park the whole executor,
+/// so it panics with a pointer at the async API instead.
 ///
 /// The wait is spin-then-park for three reasons. *A budget*, because a
 /// peer that answers within microseconds is the common case worth a CPU
@@ -647,6 +647,9 @@ impl World {
 /// Runs `f` as an SPMD program over `n` ranks and returns the per-rank
 /// results in rank order.
 ///
+/// `f` is a plain closure on each rank's thread: it waits on an
+/// operation, awaitable only, with [`block_on`].
+///
 /// Panics if any rank panics, naming the cause: the lowest-rank panic
 /// that is not a stall's unwind, else the lowest-rank unwind.
 ///
@@ -663,7 +666,7 @@ impl World {
 /// ```
 /// let sums = mp::run(4, |comm| {
 ///     let mut x = [comm.rank() as u64];
-///     comm.allreduce(&mut x, mp::Op::Sum);
+///     mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
 ///     x[0]
 /// });
 /// assert_eq!(sums, vec![6, 6, 6, 6]);
@@ -946,7 +949,7 @@ pub(crate) mod tests {
                     if comm.rank() == 1 {
                         panic!("boom");
                     }
-                    comm.recv(&mut [0u8], 1, 3);
+                    block_on(comm.recv_async(&mut [0u8], 1, 3));
                 })
             })
             .expect_err("rank 1 panicked");
@@ -1006,10 +1009,10 @@ pub(crate) mod tests {
                 comm.send(&vec![0u8; 10 * me], 0, 2);
             } else {
                 let mut buf = vec![0u8; 20];
-                comm.recv(&mut buf, 2, 2);
-                comm.recv(&mut buf[..10], 1, 2);
-                comm.recv(&mut buf[..2], 2, 1);
-                comm.recv(&mut buf[..1], 1, 1);
+                block_on(comm.recv_async(&mut buf, 2, 2));
+                block_on(comm.recv_async(&mut buf[..10], 1, 2));
+                block_on(comm.recv_async(&mut buf[..2], 2, 1));
+                block_on(comm.recv_async(&mut buf[..1], 1, 1));
             }
         });
         let t = |src, bytes| Transfer { src, dst: 0, bytes };
@@ -1026,11 +1029,11 @@ pub(crate) mod tests {
                 match rank {
                     0 => {
                         comm.send(&[i], 1, 3);
-                        comm.recv(&mut buf, 1, 3);
+                        block_on(comm.recv_async(&mut buf, 1, 3));
                         assert_eq!(buf[0], i);
                     }
                     1 => {
-                        comm.recv(&mut buf, 0, 3);
+                        block_on(comm.recv_async(&mut buf, 0, 3));
                         comm.send(&buf, 0, 3);
                     }
                     _ => break,

@@ -266,7 +266,7 @@ mod tests {
         let (send, mut recv) = (vec![c.rank() as u64; len], vec![0; len * c.size()]);
         match algo {
             Some(doubling) => block_on(coll::allgather::allgather(c, &send, &mut recv, doubling)),
-            None => c.allgather(&send, &mut recv),
+            None => block_on(c.allgather_async(&send, &mut recv)),
         }
     }
     fn alltoall(algo: Option<bool>, c: &Comm, len: usize) {
@@ -274,21 +274,21 @@ mod tests {
         let (send, mut recv) = (vec![c.rank() as u64; total], vec![0; total]);
         match algo {
             Some(bruck) => block_on(coll::alltoall::alltoall(c, &send, &mut recv, bruck)),
-            None => c.alltoall(&send, &mut recv),
+            None => block_on(c.alltoall_async(&send, &mut recv)),
         }
     }
     fn allreduce(algo: Option<bool>, c: &Comm, len: usize) {
         let mut buf = vec![1.0f64; len];
         match algo {
             Some(long) => block_on(coll::allreduce::allreduce(c, &mut buf, Op::Sum, long)),
-            None => c.allreduce(&mut buf, Op::Sum),
+            None => block_on(c.allreduce_async(&mut buf, Op::Sum)),
         }
     }
     fn bcast(algo: Option<bool>, c: &Comm, root: usize, len: usize) {
         let mut buf = vec![1.0f64; len];
         match algo {
             Some(long) => block_on(coll::bcast::bcast(c, &mut buf, root, long)),
-            None => c.bcast(&mut buf, root),
+            None => block_on(c.bcast_async(&mut buf, root)),
         }
     }
     fn reduce(algo: Option<bool>, c: &Comm, root: usize, len: usize) {
@@ -301,7 +301,7 @@ mod tests {
                 let recv = recv.as_deref_mut();
                 block_on(coll::reduce::reduce(c, &send, recv, root, Op::Sum, long));
             }
-            None => c.reduce(&send, recv.as_deref_mut(), root, Op::Sum),
+            None => block_on(c.reduce_async(&send, recv.as_deref_mut(), root, Op::Sum)),
         }
     }
 
@@ -322,7 +322,7 @@ mod tests {
             run: |c, _, len| {
                 let counts = ragged(c.size(), len);
                 let mut recv = vec![0u64; counts.iter().sum()];
-                c.allgatherv(&vec![1; counts[c.rank()]], &mut recv, &counts);
+                block_on(c.allgatherv_async(&vec![1; counts[c.rank()]], &mut recv, &counts));
             },
             schedule: |n, _, b| Schedule::collect(allgatherv::auto(&ragged_bytes(n, b))),
             steps: Some(|w, me| Box::new(coll::allgatherv::ring_steps(me, &w.displs))) },
@@ -350,7 +350,7 @@ mod tests {
             run: |c, _, len| alltoall(None, c, len),
             schedule: |n, _, b| Schedule::collect(alltoall::auto(n, b)), steps: None },
         Case { name: "barrier::dissemination", rooted: false, fits: |_, _| true,
-            run: |c, _, _| c.barrier(),
+            run: |c, _, _| block_on(c.barrier_async()),
             schedule: |n, _, _| Schedule::collect(barrier::auto(n)),
             steps: Some(|w, me| Box::new(coll::barrier::dissemination_steps(me, w.n))) },
         Case { name: "bcast::binomial", rooted: true, fits: |_, _| true,
@@ -380,7 +380,7 @@ mod tests {
                 let counts = ragged(c.size(), len);
                 let send = vec![1.0f64; counts.iter().sum()];
                 let mut recv = vec![0.0; counts[c.rank()]];
-                c.reduce_scatter(&send, &mut recv, &counts, Op::Sum);
+                block_on(c.reduce_scatter_async(&send, &mut recv, &counts, Op::Sum));
             },
             schedule: |n, _, b| Schedule::collect(reduce_scatter::pairwise(&ragged_bytes(n, b))),
             steps: Some(|w, me| Box::new(coll::reduce_scatter::pairwise_steps(me, &w.displs))) },

@@ -422,6 +422,7 @@ pub(crate) fn decode_deadlock(buf: &[u8]) -> Deadlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_on;
     use proptest::prelude::*;
 
     /// Decodes `bytes` as a stream: every frame up to a clean EOF.
@@ -638,15 +639,15 @@ mod tests {
             let counts: Vec<usize> = (1..=n).collect();
             let words = vec![me as u64; 2 * n];
             let mut out = vec![0u64; counts.iter().sum()];
-            c.barrier();
-            c.bcast(&mut out[..2], 1);
-            c.allgather(&words[..2], &mut out[..2 * n]);
-            c.allgatherv(&words[..counts[me]], &mut out, &counts);
-            c.alltoall(&words, &mut out[..2 * n]);
-            c.reduce(&words, (me == 1).then_some(&mut out[..2 * n]), 1, Sum);
-            c.allreduce(&mut out, Sum);
-            c.reduce_scatter(&words[..n], &mut out[..1], &vec![1; n], Sum);
-            c.split(0, me as i64);
+            block_on(c.barrier_async());
+            block_on(c.bcast_async(&mut out[..2], 1));
+            block_on(c.allgather_async(&words[..2], &mut out[..2 * n]));
+            block_on(c.allgatherv_async(&words[..counts[me]], &mut out, &counts));
+            block_on(c.alltoall_async(&words, &mut out[..2 * n]));
+            block_on(c.reduce_async(&words, (me == 1).then_some(&mut out[..2 * n]), 1, Sum));
+            block_on(c.allreduce_async(&mut out, Sum));
+            block_on(c.reduce_scatter_async(&words[..n], &mut out[..1], &vec![1; n], Sum));
+            block_on(c.split_async(0, me as i64));
         });
         assert!(checked.results.is_some(), "{:?}", checked.log.panics);
         let mut seen = Vec::new();

@@ -117,6 +117,7 @@ impl Comm {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::block_on;
     use crate::run_virtual_coop;
     use std::sync::Arc;
 
@@ -225,7 +226,7 @@ pub(crate) mod tests {
         // Virtual time must not change computed values.
         let native = crate::run(4, |comm| {
             let mut x = vec![comm.rank() as f64 + 1.0; 3];
-            comm.allreduce(&mut x, crate::Op::Sum);
+            block_on(comm.allreduce_async(&mut x, crate::Op::Sum));
             x
         });
         let (virt, clocks) = run_virtual_coop(4, Box::new(TestNet), |comm| async move {

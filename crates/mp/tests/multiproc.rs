@@ -50,12 +50,12 @@ fn w_pingpong() {
                 let data: Vec<u64> = (0..len as u64).map(|i| i * 3 + tag as u64).collect();
                 comm.send(&data, 1, tag);
                 let mut back = vec![0u64; len];
-                comm.recv(&mut back, 1, tag);
+                mp::block_on(comm.recv_async(&mut back, 1, tag));
                 let want: Vec<u64> = data.iter().map(|x| x + 1).collect();
                 assert_eq!(back, want, "echo at {len} words");
             } else {
                 let mut buf = vec![0u64; len];
-                comm.recv(&mut buf, 0, tag);
+                mp::block_on(comm.recv_async(&mut buf, 0, tag));
                 for x in &mut buf {
                     *x += 1;
                 }
@@ -74,23 +74,23 @@ fn w_collectives() {
         let n = comm.size() as u64;
         let r = comm.rank() as u64;
         let mut x = [r + 1];
-        comm.allreduce(&mut x, mp::Op::Sum);
+        mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
         assert_eq!(x[0], n * (n + 1) / 2);
         let mut b = [0u64; 3];
         if comm.rank() == 2 {
             b = [7, 8, 9];
         }
-        comm.bcast(&mut b, 2);
+        mp::block_on(comm.bcast_async(&mut b, 2));
         assert_eq!(b, [7, 8, 9]);
         let mut all = vec![0u64; n as usize];
-        comm.allgather(&[r * r], &mut all);
+        mp::block_on(comm.allgather_async(&[r * r], &mut all));
         assert_eq!(all, vec![0, 1, 4, 9]);
         let send: Vec<u64> = (0..n).map(|d| r * 100 + d).collect();
         let mut recv = vec![0u64; n as usize];
-        comm.alltoall(&send, &mut recv);
+        mp::block_on(comm.alltoall_async(&send, &mut recv));
         let want: Vec<u64> = (0..n).map(|s| s * 100 + r).collect();
         assert_eq!(recv, want);
-        comm.barrier();
+        mp::block_on(comm.barrier_async());
         x[0]
     });
     for v in results {
@@ -105,7 +105,7 @@ fn w_wildcard() {
             // sender: the multiset of sources is {1, 2, 3}.
             let mut srcs = Vec::new();
             for _ in 1..4 {
-                let (data, src, tag) = comm.recv_any::<u64>(None, Some(5));
+                let (data, src, tag) = mp::block_on(comm.recv_any_async::<u64>(None, Some(5)));
                 assert_eq!(tag, 5);
                 assert_eq!(data, vec![src as u64 * 11]);
                 srcs.push(src);
@@ -126,7 +126,7 @@ fn w_epochs() {
             let me = comm.rank();
             let peer = 1 - me;
             let mut got = [0u64];
-            comm.sendrecv(&[me as u64 + epoch * 10], peer, &mut got, peer, 3);
+            mp::block_on(comm.sendrecv_async(&[me as u64 + epoch * 10], peer, &mut got, peer, 3));
             assert_eq!(got[0], peer as u64 + epoch * 10);
             got[0]
         });
@@ -140,7 +140,7 @@ fn w_resident_results(proc: &mp::Proc) {
     // rank order.
     let results = mp::run(4, |comm| {
         let mut x = [comm.rank() as u64];
-        comm.allreduce(&mut x, mp::Op::Max);
+        mp::block_on(comm.allreduce_async(&mut x, mp::Op::Max));
         assert_eq!(x[0], 3);
         comm.rank() as u64 * 10
     });
@@ -159,7 +159,7 @@ fn w_deadlock() {
     mp::run(2, |comm| {
         let peer = 1 - comm.rank();
         let mut buf = [0u8];
-        comm.recv(&mut buf, peer, 1);
+        mp::block_on(comm.recv_async(&mut buf, peer, 1));
     });
 }
 
@@ -169,7 +169,7 @@ fn w_cycle_beside_a_finished_process() {
     mp::run(3, |comm| {
         if comm.rank() < 2 {
             let mut buf = [0u8];
-            comm.recv(&mut buf, 1 - comm.rank(), 1);
+            mp::block_on(comm.recv_async(&mut buf, 1 - comm.rank(), 1));
         }
     });
 }
@@ -180,9 +180,9 @@ fn w_lost_peer() {
         let mut buf = [0u8];
         if comm.rank() == 0 {
             comm.send(&[1u8], 1, 1);
-            comm.recv(&mut buf, 1, 2);
+            mp::block_on(comm.recv_async(&mut buf, 1, 2));
         } else {
-            comm.recv(&mut buf, 0, 1);
+            mp::block_on(comm.recv_async(&mut buf, 0, 1));
             std::process::abort();
         }
     });
@@ -212,7 +212,7 @@ fn idle(d: Duration) {
 fn w_idle_after_peer_exit(proc: &mp::Proc) {
     // Proc 1 exits once the epoch ends; proc 0 then idles, and its pump,
     // with no peer left, must stop rather than spin.
-    mp::run(2, |comm| comm.barrier());
+    mp::run(2, |comm| mp::block_on(comm.barrier_async()));
     if proc.resident(0) {
         idle(Duration::from_millis(300));
         let before = cpu_ticks();

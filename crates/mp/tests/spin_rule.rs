@@ -27,10 +27,10 @@ fn ping_pong_switches(rounds: u64) -> Vec<Option<u64>> {
         for i in 0..rounds {
             if comm.rank() == 0 {
                 comm.send(&[i], peer, 3);
-                comm.recv(&mut buf, peer, 3);
+                mp::block_on(comm.recv_async(&mut buf, peer, 3));
                 assert_eq!(buf[0], i);
             } else {
-                comm.recv(&mut buf, peer, 3);
+                mp::block_on(comm.recv_async(&mut buf, peer, 3));
                 comm.send(&buf, peer, 3);
             }
         }

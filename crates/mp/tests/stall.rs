@@ -33,7 +33,7 @@ fn assert_names(msg: &str, parts: &[&str]) {
 fn an_uninstrumented_receive_cycle_is_named_at_once() {
     let rx = launch(2, |comm| {
         let mut buf = [0u8; 1];
-        comm.recv(&mut buf, 1 - comm.rank(), 5);
+        mp::block_on(comm.recv_async(&mut buf, 1 - comm.rank(), 5));
     });
     let msg = rx
         .recv_timeout(Duration::from_millis(100))
@@ -54,7 +54,7 @@ fn an_uninstrumented_receive_cycle_is_named_at_once() {
 fn a_receive_from_a_rank_that_returned_is_a_global_stall() {
     let rx = launch(2, |comm| {
         if comm.rank() == 0 {
-            comm.recv(&mut [0u8; 1], 1, 5);
+            mp::block_on(comm.recv_async(&mut [0u8; 1], 1, 5));
         }
     });
     let msg = rx
@@ -83,7 +83,7 @@ fn a_rank_that_computes_before_it_sends_is_no_stall() {
             comm.send(&[1u8], 0, 5);
             comm.send(&[1u8], 1, 5);
         }
-        _ => comm.recv(&mut [0u8; 1], 2, 5),
+        _ => mp::block_on(comm.recv_async(&mut [0u8; 1], 2, 5)),
     });
     assert_eq!(
         rx.recv_timeout(Duration::from_millis(200)),

@@ -267,8 +267,8 @@ mod tests {
     fn clean_program_yields_no_findings() {
         let checked = run_checked(4, Threads, Settings::default(), |comm| async move {
             let mut x = [1u64];
-            comm.allreduce(&mut x, mp::Op::Sum);
-            comm.barrier();
+            mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
+            mp::block_on(comm.barrier_async());
         });
         assert!(analyze(&checked.log).is_empty());
     }
@@ -329,9 +329,9 @@ mod tests {
                 comm.send(&[3u8], 1, 6);
             } else {
                 let mut buf = [0u8];
-                comm.recv(&mut buf, 0, 6);
+                mp::block_on(comm.recv_async(&mut buf, 0, 6));
             }
-            comm.barrier();
+            mp::block_on(comm.barrier_async());
         });
         let findings = analyze(&checked.log);
         assert!(findings

@@ -151,7 +151,7 @@ mod tests {
     fn check_on_clean_program_is_clean() {
         let report = check(4, &Settings::default(), |comm| {
             let mut x = [comm.rank() as u64];
-            comm.allreduce(&mut x, mp::Op::Sum);
+            mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
             assert_eq!(x[0], 6);
         });
         assert!(report.clean(), "unexpected findings:\n{report}");
@@ -167,7 +167,7 @@ mod tests {
         let report = check(2, &Settings::default(), |comm| {
             let peer = comm.size() - 1 - comm.rank();
             let mut buf = [0u8];
-            comm.recv(&mut buf, peer, 9);
+            mp::block_on(comm.recv_async(&mut buf, peer, 9));
             comm.send(&buf, peer, 9);
         });
         let deadlock = report
@@ -184,7 +184,7 @@ mod tests {
             if comm.rank() == 1 {
                 panic!("boom");
             }
-            comm.barrier();
+            mp::block_on(comm.barrier_async());
         });
         // Rank 0 blocks in a barrier rank 1 never reaches -> both a panic
         // finding and a stall diagnosis are acceptable; the panic one is
@@ -200,7 +200,7 @@ mod tests {
         let session = Session::begin(Settings::default());
         let sums = mp::run(3, |comm| {
             let mut x = [1u64];
-            comm.allreduce(&mut x, mp::Op::Sum);
+            mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
             x[0]
         });
         assert_eq!(sums, vec![3, 3, 3]);
@@ -219,15 +219,15 @@ mod tests {
             mp::run(3, |comm| {
                 if comm.rank() == 0 {
                     let mut sync = [0u64];
-                    comm.recv(&mut sync, 1, 99);
-                    comm.recv(&mut sync, 2, 99);
-                    let _ = comm.recv_any::<u64>(None, Some(1));
-                    let _ = comm.recv_any::<u64>(None, Some(1));
+                    mp::block_on(comm.recv_async(&mut sync, 1, 99));
+                    mp::block_on(comm.recv_async(&mut sync, 2, 99));
+                    let _ = mp::block_on(comm.recv_any_async::<u64>(None, Some(1)));
+                    let _ = mp::block_on(comm.recv_any_async::<u64>(None, Some(1)));
                 } else {
                     comm.send(&[comm.rank() as u64], 0, 1);
                     comm.send(&[1u64], 0, 99);
                 }
-                comm.barrier();
+                mp::block_on(comm.barrier_async());
             });
         }
         let report = session.finish();

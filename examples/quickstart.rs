@@ -8,9 +8,11 @@ use hpcbench::figures::{self, FigureConfig};
 
 fn main() {
     // 1. The message-passing runtime: an SPMD program on 4 rank threads.
+    //    Every operation is awaitable; a rank thread waits on one with
+    //    `mp::block_on`.
     let sums = mp::run(4, |comm| {
         let mut x = [comm.rank() as f64 + 1.0];
-        comm.allreduce(&mut x, mp::Op::Sum);
+        mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
         x[0]
     });
     println!("allreduce over 4 ranks: {:?}", sums);

@@ -93,7 +93,7 @@ fn allreduce_dispatch_agreement_across_shapes() {
         for len in [8usize, 240, 6000] {
             let (_, trace) = mp::run_traced(n, Threads, |comm| async move {
                 let mut buf = vec![1.0f64; len];
-                comm.allreduce(&mut buf, mp::Op::Sum);
+                mp::block_on(comm.allreduce_async(&mut buf, mp::Op::Sum));
             });
             let sched =
                 simnet::Schedule::collect(mp::sched::allreduce::auto(n, (len * 8) as u64, 8));
@@ -294,11 +294,12 @@ fn every_launcher_runs_the_same_program() {
     }
 }
 
-/// One body per operation: each of the 8 collectives moves the same
-/// transfers and leaves the same buffers whether a rank thread calls the
-/// blocking `Comm` method or a cooperative task awaits the `_async` one.
+/// One body per operation, on either engine: each of the 8 collectives
+/// moves the same transfers and leaves the same buffers whether rank
+/// threads poll its awaited body with `block_on` or cooperative tasks
+/// await it.
 #[test]
-fn blocking_collectives_are_their_awaitable_bodies() {
+fn collectives_move_the_same_traffic_on_either_engine() {
     use mp::{Comm, Op::Sum};
 
     #[rustfmt::skip]
@@ -316,25 +317,6 @@ fn blocking_collectives_are_their_awaitable_bodies() {
         let words = (0..2 * n).map(|i| (me * 100 + i) as u64).collect();
         let counts = (0..n).map(|r| r % 3 + 1).collect();
         (n / 2, words, counts)
-    }
-
-    #[rustfmt::skip]
-    fn blocking(c: &Comm, op: usize) -> Vec<u64> {
-        let (root, words, counts) = rank(c);
-        let (at_root, mut out) = (c.rank() == root, words.clone());
-        let (mine, total) = (counts[c.rank()], counts.iter().sum());
-        match OPS[op] {
-            "barrier" => c.barrier(),
-            "bcast" => c.bcast(&mut out[..2], root),
-            "allgather" => c.allgather(&words[..2], &mut out),
-            "allgatherv" => c.allgatherv(&words[..mine], &mut out[..total], &counts),
-            "alltoall" => c.alltoall(&words, &mut out),
-            "reduce" => c.reduce(&words, at_root.then_some(&mut out[..]), root, Sum),
-            "allreduce" => c.allreduce(&mut out, Sum),
-            "reduce_scatter" => c.reduce_scatter(&words[..total], &mut out[..mine], &counts, Sum),
-            _ => unreachable!(),
-        }
-        out
     }
 
     #[rustfmt::skip]
@@ -358,11 +340,10 @@ fn blocking_collectives_are_their_awaitable_bodies() {
 
     for n in [3, 4, 8] {
         for (op, name) in OPS.iter().enumerate() {
-            let (on_threads, blocked) =
-                mp::run_traced(n, Threads, |c| async move { blocking(&c, op) });
+            let (on_threads, threaded) = mp::run_traced(n, Threads, |c| awaited(c, op));
             let (on_tasks, polled) = mp::run_traced(n, Coop, |c| awaited(c, op));
-            assert!(!blocked.is_empty(), "{name} n={n} moved nothing");
-            assert_eq!(sorted(blocked), sorted(polled), "{name} n={n}: transfers");
+            assert!(!threaded.is_empty(), "{name} n={n} moved nothing");
+            assert_eq!(sorted(threaded), sorted(polled), "{name} n={n}: transfers");
             assert_eq!(on_threads, on_tasks, "{name} n={n}: buffers");
         }
     }

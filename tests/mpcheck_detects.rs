@@ -40,7 +40,7 @@ fn two_rank_head_to_head_receive_cycle() {
     let report = check(2, &Settings::default(), |comm| {
         let peer = 1 - comm.rank();
         let mut buf = [0u64];
-        comm.recv(&mut buf, peer, 42);
+        mp::block_on(comm.recv_async(&mut buf, peer, 42));
         comm.send(&[comm.rank() as u64], peer, 42);
     });
     assert_two_rank_cycle(&report, clock.elapsed_secs());
@@ -63,14 +63,14 @@ fn receive_cycle_in_a_world_that_spins_is_still_a_named_cycle() {
         for i in 0..1000u64 {
             if comm.rank() == 0 {
                 comm.send(&[i], peer, 7);
-                comm.recv(&mut buf, peer, 7);
+                mp::block_on(comm.recv_async(&mut buf, peer, 7));
             } else {
-                comm.recv(&mut buf, peer, 7);
+                mp::block_on(comm.recv_async(&mut buf, peer, 7));
                 comm.send(&buf, peer, 7);
             }
             assert_eq!(buf[0], i);
         }
-        comm.recv(&mut buf, peer, 42);
+        mp::block_on(comm.recv_async(&mut buf, peer, 42));
         comm.send(&[comm.rank() as u64], peer, 42);
     });
     assert_two_rank_cycle(&report, clock.elapsed_secs());
@@ -85,7 +85,7 @@ fn three_rank_receive_ring_reports_full_cycle() {
         let left = (comm.rank() + comm.size() - 1) % comm.size();
         let right = (comm.rank() + 1) % comm.size();
         let mut buf = [0u64];
-        comm.recv(&mut buf, left, 7);
+        mp::block_on(comm.recv_async(&mut buf, left, 7));
         comm.send(&[1u64], right, 7);
     });
     assert!(clock.elapsed_secs() < 2.0);
@@ -124,7 +124,7 @@ fn bcast_root_mismatch_is_collective_divergence() {
     let report = check(2, &Settings::default(), |comm| {
         let mut buf = [comm.rank() as u64];
         let root = comm.rank(); // everyone thinks they are the root
-        comm.bcast(&mut buf, root);
+        mp::block_on(comm.bcast_async(&mut buf, root));
     });
     let finding = report
         .findings
@@ -152,11 +152,11 @@ fn collective_order_divergence_barrier_vs_reduce() {
     let report = check(2, &Settings::default(), |comm| {
         let mut x = [1u64];
         if comm.rank() == 0 {
-            comm.barrier();
-            comm.allreduce(&mut x, mp::Op::Sum);
+            mp::block_on(comm.barrier_async());
+            mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
         } else {
-            comm.allreduce(&mut x, mp::Op::Sum);
-            comm.barrier();
+            mp::block_on(comm.allreduce_async(&mut x, mp::Op::Sum));
+            mp::block_on(comm.barrier_async());
         }
     });
     assert!(clock.elapsed_secs() < 2.0);
@@ -183,10 +183,10 @@ fn unreceived_tag_is_a_tag_leak() {
             comm.send(&[20u64], 1, 6);
         } else {
             let mut buf = [0u64];
-            comm.recv(&mut buf, 0, 6);
+            mp::block_on(comm.recv_async(&mut buf, 0, 6));
             assert_eq!(buf[0], 20);
         }
-        comm.barrier();
+        mp::block_on(comm.barrier_async());
     });
     let finding = report
         .findings
@@ -212,9 +212,9 @@ fn excess_sends_on_a_received_tag_are_unmatched_sends() {
             comm.send(&[3u64], 1, 9);
         } else {
             let mut buf = [0u64];
-            comm.recv(&mut buf, 0, 9);
+            mp::block_on(comm.recv_async(&mut buf, 0, 9));
         }
-        comm.barrier();
+        mp::block_on(comm.barrier_async());
     });
     let finding = report
         .findings
@@ -238,16 +238,16 @@ fn wildcard_receive_with_two_live_senders_is_a_race() {
     let report = check(3, &Settings::default(), |comm| {
         if comm.rank() == 0 {
             let mut sync = [0u64];
-            comm.recv(&mut sync, 1, 99);
-            comm.recv(&mut sync, 2, 99);
-            let (_, src1, _) = comm.recv_any::<u64>(None, Some(1));
-            let (_, src2, _) = comm.recv_any::<u64>(None, Some(1));
+            mp::block_on(comm.recv_async(&mut sync, 1, 99));
+            mp::block_on(comm.recv_async(&mut sync, 2, 99));
+            let (_, src1, _) = mp::block_on(comm.recv_any_async::<u64>(None, Some(1)));
+            let (_, src2, _) = mp::block_on(comm.recv_any_async::<u64>(None, Some(1)));
             assert_ne!(src1, src2);
         } else {
             comm.send(&[comm.rank() as u64], 0, 1);
             comm.send(&[1u64], 0, 99); // sync AFTER the racy send
         }
-        comm.barrier();
+        mp::block_on(comm.barrier_async());
     });
     let finding = report
         .findings
@@ -264,12 +264,12 @@ fn exact_source_receives_are_not_flagged_as_races() {
     let report = check(3, &Settings::default(), |comm| {
         if comm.rank() == 0 {
             let mut buf = [0u64];
-            comm.recv(&mut buf, 1, 1);
-            comm.recv(&mut buf, 2, 1);
+            mp::block_on(comm.recv_async(&mut buf, 1, 1));
+            mp::block_on(comm.recv_async(&mut buf, 2, 1));
         } else {
             comm.send(&[comm.rank() as u64], 0, 1);
         }
-        comm.barrier();
+        mp::block_on(comm.barrier_async());
     });
     assert!(report.clean(), "unexpected findings:\n{report}");
 }
@@ -279,7 +279,7 @@ fn report_json_carries_the_gallery_finding() {
     let report = check(2, &Settings::default(), |comm| {
         let peer = 1 - comm.rank();
         let mut buf = [0u64];
-        comm.recv(&mut buf, peer, 3);
+        mp::block_on(comm.recv_async(&mut buf, peer, 3));
         comm.send(&buf, peer, 3);
     });
     // The document, read back by the workspace's JSON parser, names the

@@ -137,7 +137,9 @@ fn random_access_gups_verifies_at_scale_points() {
             updates_per_entry: 1,
             batch: 256,
         };
-        let results = mp::run(p, |comm| hpcc::random_access::run(comm, &cfg));
+        let results = mp::run(p, |comm| {
+            mp::block_on(hpcc::random_access::run_async(comm, &cfg))
+        });
         assert!(results[0].passed, "p={p}");
         assert_eq!(results[0].updates, 1 << 14);
     }

@@ -72,7 +72,7 @@ fn accumulate_reduction_matches_allreduce() {
 
         // Two-sided reference.
         let mut reference = contribution;
-        comm.allreduce(&mut reference, Op::Sum);
+        mp::block_on(comm.allreduce_async(&mut reference, Op::Sum));
         (onesided, reference)
     });
     for (r, (os, re)) in results.iter().enumerate() {

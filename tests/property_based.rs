@@ -87,7 +87,7 @@ proptest! {
                 .iter()
                 .map(|v| v + comm.rank() as f64)
                 .collect();
-            comm.allreduce(&mut buf, mp::Op::Sum);
+            mp::block_on(comm.allreduce_async(&mut buf, mp::Op::Sum));
             buf
         });
         let rank_sum = (n * (n - 1) / 2) as f64;
@@ -112,7 +112,7 @@ proptest! {
                 .flat_map(|d| (0..block as u64).map(move |i| me * 1_000_000 + d * 1000 + i))
                 .collect();
             let mut recv = vec![0u64; n * block];
-            comm.alltoall(&send, &mut recv);
+            mp::block_on(comm.alltoall_async(&send, &mut recv));
             recv
         });
         for (r, got) in results.iter().enumerate() {
