@@ -7,8 +7,8 @@
 #
 # A *public definition* is a non-test line (`ci/nontest.awk`) under
 # `crates/*/src` that defines a `pub` fn, struct, enum, union, trait, type,
-# const, static or mod; the vendored shims (`crates/parking_lot`,
-# `crates/proptest`) are not ours and are left out. Its *readers* are every
+# const, static or mod; the vendored shim `crates/parking_lot` is not ours
+# and is left out. Its *readers* are every
 # Rust file outside its crate's `src/`: the other crates, each crate's own
 # `tests/` (an integration test is a crate of its own), the umbrella's
 # `src/`, `tests/` and `examples/`, and `benchmark/`. A name spelled
@@ -82,7 +82,7 @@ readers=$(
 # receives through it.
 defs=$(
     find crates -mindepth 1 -maxdepth 1 -type d 2>/dev/null | sort \
-        | grep -vE '^crates/(parking_lot|proptest)$' | sed 's|$|/src|' \
+        | grep -vE '^crates/parking_lot$' | sed 's|$|/src|' \
         | while IFS= read -r d; do if [ -d "$d" ]; then rust_files "$d"; fi; done \
         | xargs -0 -r awk -f "$nontest" | awk '
         function flush() {

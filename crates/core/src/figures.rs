@@ -8,12 +8,13 @@
 //! | fig06-fig15 | IMB collectives / transfers at 1 MB | the IMB sweep, one benchmark each (`IMB_FIGURES`) |
 //!
 //! [`paper_plan`] is the one statement of the cells all of these read.
-//! Executing it through the workload registry ([`crate::registry`])
+//! Executing it through the workload registry
+//! ([`crate::registry`](mod@crate::registry))
 //! prices each cell once; [`figures_from`] and [`tables_from`] project
 //! the records and price nothing. Nothing else prices a paper cell: one
 //! figure is `figures_from(&paper_plan(&cfg).execute(&registry()))` and a
 //! lookup by id. The extension studies, which are not the paper, are plans
-//! of their own in [`crate::extensions`]; [`price`] prices both for
+//! of their own in [`crate::extensions`]; `price` prices both for
 //! [`crate::output::write_all`], over one registry.
 
 use harness::{MetricKind, Mode, ProcGrid, Record, Registry, RunPlan, Runner, Suite};

@@ -4,7 +4,7 @@
 //!
 //! Layers:
 //!
-//! * [`registry`] declares the unified workload table — one entry per
+//! * [`registry`](mod@registry) declares the unified workload table — one entry per
 //!   HPCC component and per IMB benchmark — wiring each to its native,
 //!   simulated and virtual execution paths through the `harness` crate.
 //! * [`figures`] regenerates every table and figure of the paper: one

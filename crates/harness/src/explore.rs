@@ -1,7 +1,8 @@
 //! Schedule-space exploration of registry workloads: runs a workload's
-//! virtual-mode closure under the DPOR explorer ([`mpcheck::explore`]),
-//! so every `mp` world the workload creates is driven through all
-//! meaningfully distinct interleavings.
+//! virtual-mode closure under the DPOR explorer
+//! ([`mpcheck::explore`](mod@mpcheck::explore)), so every `mp` world the
+//! workload creates is driven through all meaningfully distinct
+//! interleavings.
 //!
 //! The virtual closures call [`mp::run_virtual_coop`] internally; the
 //! explorer's ambient hook ([`mp::check::install_scoped`]) reroutes those

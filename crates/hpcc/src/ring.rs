@@ -1,7 +1,7 @@
 //! Random-Ring bandwidth and latency (the HPCC `b_eff` component).
 //!
 //! "Randomly Ordered Ring bandwidth reports bandwidth achieved per CPU in
-//! a ring communication pattern [where] the communicating nodes are
+//! a ring communication pattern \[where\] the communicating nodes are
 //! ordered randomly", averaged over several random permutations. With 8+
 //! SMP nodes most neighbours land on other nodes, which is why the paper
 //! uses this metric as *the* inter-node bandwidth per MPI process.

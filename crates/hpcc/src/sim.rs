@@ -1,5 +1,5 @@
 //! Modelled HPCC results for the paper's machines: the same
-//! [`HpccSummary`](crate::suite::HpccSummary) rows, derived from a
+//! [`HpccSummary`] rows, derived from a
 //! [`machines::Machine`] model instead of a native run. This is what the
 //! figure harness uses for Figs. 1-5 and Table 3.
 

@@ -17,45 +17,27 @@ pub fn run_native(benchmark: Benchmark, procs: usize, bytes: u64, iters: usize) 
 }
 
 /// Runs one benchmark natively over a fresh `procs`-rank world, with the
-/// iteration count chosen by `runner`'s repetition policy.
+/// iteration count chosen by `runner`'s repetition policy (IMB's
+/// 1000/640/80/20 rule under [`Runner::standard`], scaled down under
+/// [`Runner::smoke`]).
 pub fn run_native_with(benchmark: Benchmark, procs: usize, bytes: u64, runner: &Runner) -> Record {
     assert!(
         procs >= benchmark.min_procs(),
         "{benchmark} needs more ranks"
     );
     let runner = *runner;
+    let iters = runner.repetitions(benchmark.sized().then_some(bytes));
     let results = mp::run(procs, move |comm| {
-        run_on_with(comm, benchmark, bytes, &runner)
+        let mut state = BenchState::<u8, f64>::new(comm, benchmark, bytes);
+        let per_call = runner.time_collective(comm, iters, |it| {
+            mp::block_on(state.iterate_async(comm, it));
+        });
+        let participated = state.participates(comm);
+        let stats = Runner::rank_stats_async(comm, per_call, participated, iters);
+        let stats = mp::block_on(stats);
+        record(benchmark, Mode::Native, "host", comm.size(), bytes, stats)
     });
     results[0]
-}
-
-/// Runs one benchmark on an existing communicator with an explicit
-/// iteration count. Collective across the communicator; every rank
-/// returns the same record.
-pub fn run_on(comm: &Comm, benchmark: Benchmark, bytes: u64, iters: usize) -> Record {
-    assert!(iters > 0, "need at least one iteration");
-    run_on_with(comm, benchmark, bytes, &Runner::fixed(iters))
-}
-
-/// Runs one benchmark on an existing communicator, with the iteration
-/// count chosen by `runner`'s repetition policy (IMB's 1000/640/80/20
-/// rule under [`Runner::standard`], scaled down under [`Runner::smoke`]).
-pub(crate) fn run_on_with(
-    comm: &Comm,
-    benchmark: Benchmark,
-    bytes: u64,
-    runner: &Runner,
-) -> Record {
-    let iters = runner.repetitions(benchmark.sized().then_some(bytes));
-    let mut state = BenchState::<u8, f64>::new(comm, benchmark, bytes);
-    let per_call = runner.time_collective(comm, iters, |it| {
-        mp::block_on(state.iterate_async(comm, it));
-    });
-    let participated = state.participates(comm);
-    let stats = Runner::rank_stats_async(comm, per_call, participated, iters);
-    let stats = mp::block_on(stats);
-    record(benchmark, Mode::Native, "host", comm.size(), bytes, stats)
 }
 
 /// The byte-sized word of the transfer benchmarks: how one opaque
@@ -291,20 +273,18 @@ mod tests {
     #[test]
     fn pingpong_idle_ranks_allocate_nothing() {
         for b in [Benchmark::PingPong, Benchmark::PingPing] {
-            let out = mp::run(4, move |comm| {
+            let empty = mp::run(4, move |comm| {
                 let state = BenchState::<u8, f64>::new(comm, b, 1024);
                 let empty = state.sbuf.capacity() == 0 && state.rbuf.capacity() == 0;
                 assert_eq!(empty, !state.participates(comm));
-                (empty, run_on(comm, b, 1024, 3))
+                empty
             });
-            let empty: Vec<bool> = out.iter().map(|(empty, _)| *empty).collect();
             assert_eq!(empty, [false, false, true, true], "{b}");
             // Idle ranks never touched their buffers: the record is the
-            // one every rank has always returned.
-            for (_, rec) in &out {
-                assert_eq!((rec.procs, rec.bytes), (4, Some(1024)), "{b}");
-                assert!(rec.t_min_us() > 0.0, "{b}");
-            }
+            // one a full world has always reported.
+            let rec = run_native(b, 4, 1024, 3);
+            assert_eq!((rec.procs, rec.bytes), (4, Some(1024)), "{b}");
+            assert!(rec.t_min_us() > 0.0, "{b}");
         }
     }
 

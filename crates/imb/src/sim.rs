@@ -46,7 +46,7 @@ fn rounds_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Box<dyn Rounds>
 }
 
 /// The schedule of one benchmark invocation, materialised: an adaptor for
-/// tests and the benchmark's probes. Pricing reads [`rounds_for`] a round
+/// tests and the benchmark's probes. Pricing reads `rounds_for` a round
 /// at a time and never calls this.
 pub fn schedule_for(benchmark: Benchmark, procs: usize, bytes: u64) -> Schedule {
     Schedule::collect(rounds_for(benchmark, procs, bytes))

@@ -11,10 +11,10 @@
 //! reductions.
 //!
 //! Every algorithm states its geometry once, as a `<algo>_steps` function
-//! yielding the [`Step`]s one rank takes — which peer, which range, which
+//! yielding the `Step`s one rank takes — which peer, which range, which
 //! round — and [`crate::sched`] buckets the same steps of every rank by
 //! round into the schedule the fabric simulator prices. A call executes
-//! them as one hand-written future, [`Run`]: `Comm::<op>_async`
+//! them as one hand-written future, `Run`: `Comm::<op>_async`
 //! picks the algorithm synchronously, with the size/shape heuristics of
 //! those libraries (the pure `picks_*` predicates the schedule generators
 //! ask too), and its module's constructor returns a `Run` over an enum of

@@ -775,7 +775,6 @@ mod tests {
     use crate::block_on;
     use crate::msg::pack_tag;
     use crate::runtime::{ThreadWaker, SPIN_BUDGET};
-    use proptest::prelude::*;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -1404,22 +1403,58 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// The property tests' input source: xorshift64*, seeded through
+    /// splitmix64 so that neighbouring seeds draw unrelated inputs.
+    struct Rng(u64);
 
-        /// The indexed mailbox is observationally equivalent to the legacy
-        /// linear scan: same matched envelope and payload for every
-        /// interleaving of pushes with exact, half-wildcard and full
-        /// wildcard receives — FIFO per (src, tag), non-overtaking,
-        /// wildcard receives in global arrival order.
-        #[test]
-        fn indexed_mailbox_matches_linear_scan_semantics(
-            ops in prop::collection::vec((0u8..6, 0usize..3, 0u32..3), 1..120),
-        ) {
+    impl Rng {
+        fn new(seed: u64) -> Rng {
+            let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            Rng((z ^ (z >> 31)) | 1)
+        }
+
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        /// A uniform draw from `r`.
+        fn range(&mut self, r: std::ops::Range<u64>) -> u64 {
+            r.start + self.next() % (r.end - r.start)
+        }
+    }
+
+    /// The indexed mailbox is observationally equivalent to the legacy
+    /// linear scan: same matched envelope and payload for every
+    /// interleaving of pushes with exact, half-wildcard and full wildcard
+    /// receives — FIFO per (src, tag), non-overtaking, wildcard receives
+    /// in global arrival order. 256 seeded cases of 1 to 119 operations.
+    #[test]
+    fn indexed_mailbox_matches_linear_scan_semantics() {
+        for case in 0..256 {
+            let seed = 0x6d61_696c_0000 + case;
+            let mut rng = Rng::new(seed);
+            let at = format!("case {case}, seed {seed:#x}");
+            // Both sides answer a receive alike: both empty, or the same
+            // envelope and payload.
+            let same = |got: Option<Message>, want: Option<(usize, u64, Vec<u8>)>| {
+                assert_eq!(got.is_some(), want.is_some(), "{at}");
+                if let (Some(g), Some(w)) = (got, want) {
+                    assert_eq!(g.src, w.0, "{at}");
+                    assert_eq!(g.full_tag, w.1, "{at}");
+                    assert_eq!(g.data.bytes().unwrap(), &w.2[..], "{at}");
+                }
+            };
             let mb = Mailbox::new();
             let mut model = LinearModel::default();
             let mut payload = 0u8;
-            for (kind, src, tag) in ops {
+            for _ in 0..rng.range(1..120) {
+                let kind = rng.range(0..6);
+                let (src, tag) = (rng.range(0..3) as usize, rng.range(0..3) as u32);
                 match kind {
                     // Push: both sides enqueue the same message.
                     0..=2 => {
@@ -1430,52 +1465,28 @@ mod tests {
                     // Exact receive.
                     3 => {
                         let f = exact(src, tag);
-                        let got = mb.try_recv(f);
-                        let want = model.try_recv(f);
-                        prop_assert_eq!(got.is_some(), want.is_some());
-                        if let (Some(g), Some(w)) = (got, want) {
-                            prop_assert_eq!(g.src, w.0);
-                            prop_assert_eq!(g.full_tag, w.1);
-                            prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
-                        }
+                        same(mb.try_recv(f), model.try_recv(f));
                     }
                     // Wildcard source (tag pinned).
                     4 => {
-                        let f = Match { comm_id: 0, src: None, tag: Some(tag) };
-                        let got = mb.try_recv(f);
-                        let want = model.try_recv(f);
-                        prop_assert_eq!(got.is_some(), want.is_some());
-                        if let (Some(g), Some(w)) = (got, want) {
-                            prop_assert_eq!(g.src, w.0);
-                            prop_assert_eq!(g.full_tag, w.1);
-                            prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
-                        }
+                        let f = Match {
+                            comm_id: 0,
+                            src: None,
+                            tag: Some(tag),
+                        };
+                        same(mb.try_recv(f), model.try_recv(f));
                     }
                     // Full wildcard.
-                    _ => {
-                        let got = mb.try_recv(any());
-                        let want = model.try_recv(any());
-                        prop_assert_eq!(got.is_some(), want.is_some());
-                        if let (Some(g), Some(w)) = (got, want) {
-                            prop_assert_eq!(g.src, w.0);
-                            prop_assert_eq!(g.full_tag, w.1);
-                            prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
-                        }
-                    }
+                    _ => same(mb.try_recv(any()), model.try_recv(any())),
                 }
             }
             // Drain both completely; remainders must agree.
             loop {
                 let got = mb.try_recv(any());
-                let want = model.try_recv(any());
-                prop_assert_eq!(got.is_some(), want.is_some());
-                match (got, want) {
-                    (Some(g), Some(w)) => {
-                        prop_assert_eq!(g.src, w.0);
-                        prop_assert_eq!(g.full_tag, w.1);
-                        prop_assert_eq!(g.data.bytes().unwrap(), &w.2[..]);
-                    }
-                    _ => break,
+                let drained = got.is_none();
+                same(got, model.try_recv(any()));
+                if drained {
+                    break;
                 }
             }
         }

@@ -49,7 +49,8 @@ struct WindowStorage {
 /// * [`start`](Window::start)/[`complete`](Window::complete) +
 ///   [`post`](Window::post)/[`wait`](Window::wait) — active target,
 ///   generalised (PSCW);
-/// * [`lock`](Window::lock)/[`unlock`](Window::unlock) — passive target.
+/// * [`lock`](Window::lock), unlocked when its [`WindowGuard`] drops —
+///   passive target.
 pub struct Window<'c> {
     comm: &'c Comm,
     storage: Arc<WindowStorage>,

@@ -291,7 +291,7 @@ pub(crate) fn spin_before_parking(budget: Duration) {
 /// future is pending it watches its waker's flag for the thread's spin
 /// budget, then parks until a wake, and polls again. It keeps no clock
 /// past the budget: a wait that no sender will end is the world's stall,
-/// which its [`Runnable`] count names and whose poison wakes the wait to
+/// which its `Runnable` count names and whose poison wakes the wait to
 /// unwind. Inside a cooperative task this would park the whole executor,
 /// so it panics with a pointer at the async API instead.
 ///

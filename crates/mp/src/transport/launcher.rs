@@ -217,7 +217,7 @@ impl FleetOutcome {
 
 impl Fleet {
     /// Waits for every worker with a watchdog: when one worker fails,
-    /// the rest get [`FAIL_GRACE`] to finish (they may be unwinding from
+    /// the rest get `FAIL_GRACE` to finish (they may be unwinding from
     /// the same poison) and are then killed; when the overall deadline
     /// passes, everything is killed. Collects logs and removes the
     /// session directory.

@@ -1,25 +1,25 @@
 //! Cross-process message delivery: one matching-semantics contract, one
 //! wire.
 //!
-//! Everything above message delivery — [`Payload`](crate::payload),
+//! Everything above message delivery — `Payload`,
 //! per-(src, comm, tag) mailboxes with non-overtaking wildcard matching,
 //! rendezvous, the collectives, `mp::check` instrumentation — is
 //! transport-agnostic: a send terminates in
-//! [`World::deliver`](crate::runtime::World::deliver), and `deliver`
+//! `World::deliver`, and `deliver`
 //! routes on *residency*:
 //!
 //! * the destination rank lives in this process: the message is pushed
 //!   straight into its mailbox, exactly the seed runtime's path;
 //! * the destination rank lives in another process, on this host or
-//!   another: the message is framed ([`wire`]) and goes over a
-//!   length-prefixed socket (see [`tcp`]). A receive blocks on a stream,
+//!   another: the message is framed (`wire`) and goes over a
+//!   length-prefixed socket (see `tcp`). A receive blocks on a stream,
 //!   it never polls a file.
 //!
 //! # Sessions, worlds and epochs
 //!
 //! A *session* is this process's membership in a world of at least two
 //! processes: process index, the block rank→process map and a
-//! [`Transport`]. The process count is the only way to ask for one. It is
+//! `Transport`. The process count is the only way to ask for one. It is
 //! installed explicitly from the environment ([`init_from_env`]) — the
 //! variables are wired by the [`launcher`] — and every subsequent [`crate::run`]
 //! call in the process becomes one *epoch* of that world: all processes
@@ -51,7 +51,7 @@
 //! detection), and a `Confirm`/`ConfirmAck` round proves every process
 //! still has no runnable resident and the counts it reported, it assembles
 //! the global wait-for graph, reuses the single-process cycle finder, and
-//! broadcasts the [`Deadlock`](crate::check::Deadlock) as a `Poison` frame
+//! broadcasts the [`Deadlock`] as a `Poison` frame
 //! — blocked ranks on every process unwind with the diagnosis naming the
 //! cycle. The tick bounds reports at 100 a second per process; a report
 //! sent the moment the count reached zero would cost a tcp ping-pong one

@@ -423,7 +423,6 @@ pub(crate) fn decode_deadlock(buf: &[u8]) -> Deadlock {
 mod tests {
     use super::*;
     use crate::block_on;
-    use proptest::prelude::*;
 
     /// Decodes `bytes` as a stream: every frame up to a clean EOF.
     fn read_all(mut bytes: &[u8]) -> std::io::Result<Vec<Frame>> {
@@ -668,41 +667,61 @@ mod tests {
         assert_eq!(seen, table);
     }
 
-    // Satellite: encode -> frame -> decode is the identity over arbitrary
-    // payload sizes, including empty payloads and payloads past the
-    // rendezvous threshold (LONG_MSG_THRESHOLD = 32 KiB).
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// The property test's input source: xorshift64*, seeded through
+    /// splitmix64 so that neighbouring seeds draw unrelated inputs.
+    struct Rng(u64);
 
-        #[test]
-        fn frame_roundtrip_is_identity(
-            (kind, epoch, src_proc) in (0u8..7, 0u32..1000, 0u32..64),
-            (a, b, c) in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
-            len in 0usize..(crate::coll::LONG_MSG_THRESHOLD + 8192),
-            seed in 0u64..u64::MAX,
-        ) {
-            // Deterministic pseudo-random payload of the sampled length.
-            let mut state = seed | 1;
-            let payload: Vec<u8> = (0..len)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state as u8
-                })
-                .collect();
+    impl Rng {
+        fn new(seed: u64) -> Rng {
+            let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            Rng((z ^ (z >> 31)) | 1)
+        }
+
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        /// A uniform draw from `r`.
+        fn range(&mut self, r: std::ops::Range<u64>) -> u64 {
+            r.start + self.next() % (r.end - r.start)
+        }
+    }
+
+    /// Encode -> frame -> decode is the identity over arbitrary payload
+    /// sizes, including empty payloads and payloads past the rendezvous
+    /// threshold (LONG_MSG_THRESHOLD = 32 KiB). 48 seeded cases.
+    #[test]
+    fn frame_roundtrip_is_identity() {
+        let max_len = crate::coll::LONG_MSG_THRESHOLD as u64 + 8192;
+        for case in 0..48 {
+            let seed = 0x7769_7265_0000 + case;
+            let mut rng = Rng::new(seed);
+            let kind = rng.range(0..7) as u8;
+            let (epoch, src_proc) = (rng.range(0..1000) as u32, rng.range(0..64) as u32);
+            let (a, b, c) = (
+                rng.range(0..u64::MAX),
+                rng.range(0..u64::MAX),
+                rng.range(0..u64::MAX),
+            );
+            let len = rng.range(0..max_len);
             let frame = Frame {
-                kind: FrameKind::from_u8(kind).expect("sampled in range"),
+                kind: FrameKind::from_u8(kind).expect("drawn in range"),
                 epoch,
                 src_proc,
                 a,
                 b,
                 c,
-                payload,
+                payload: (0..len).map(|_| rng.range(0..256) as u8).collect(),
             };
+            let at = format!("case {case}, seed {seed:#x}");
             let bytes = frame.encode();
-            prop_assert_eq!(bytes.len(), HEADER_BYTES + frame.payload.len());
-            prop_assert_eq!(read_all(&bytes).expect("io ok"), vec![frame]);
+            assert_eq!(bytes.len(), HEADER_BYTES + frame.payload.len(), "{at}");
+            assert_eq!(read_all(&bytes).expect("io ok"), vec![frame], "{at}");
         }
     }
 }

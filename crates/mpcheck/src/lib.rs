@@ -31,7 +31,7 @@
 //!   code paths that start worlds (the harness's plan executor, bench
 //!   binaries) are checked without changing their signatures. This is
 //!   what `campaign --check` uses.
-//! - [`explore`] — the one way to see a second schedule: a DPOR explorer
+//! - [`explore`](mod@explore) — the one way to see a second schedule: a DPOR explorer
 //!   over the cooperative scheduler that installs the hook with a
 //!   [`Guided`] controller, so every ready-set pick and wildcard match is
 //!   an explicit decision; it enumerates the schedule space, prunes

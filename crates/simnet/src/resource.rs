@@ -34,7 +34,7 @@ use crate::time::Time;
 ///
 /// The timeline is a chunked sorted vector: disjoint `(start, end)`
 /// intervals in global order, split across contiguous chunks of at
-/// most [`MAX_CHUNK`] entries. Two production access patterns pull a
+/// most `MAX_CHUNK` entries. Two production access patterns pull a
 /// flat structure in opposite directions, and the chunks serve both:
 ///
 /// * Simulated-mode figure sweeps land at or just before the high-water

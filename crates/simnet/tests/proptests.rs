@@ -1,8 +1,6 @@
 //! Property tests for the simulator substrate: first-fit resource
 //! invariants, topology routing laws and fabric causality.
 
-use proptest::prelude::*;
-
 use simnet::{
     Clos, Crossbar, Fabric, FabricParams, FatTree, Hypercube, Resource, Time, Topology, Torus3D,
 };
@@ -17,15 +15,63 @@ fn build_topology(n: usize, kind: usize) -> Box<dyn Topology> {
     }
 }
 
-fn any_topology() -> impl Strategy<Value = (usize, usize)> {
-    (2usize..40, 0usize..5)
+/// The property tests' input source: xorshift64*, seeded through
+/// splitmix64 so that neighbouring seeds draw unrelated inputs.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Rng {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Rng((z ^ (z >> 31)) | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// A uniform draw from `r`.
+    fn range(&mut self, r: std::ops::Range<u64>) -> u64 {
+        r.start + self.next() % (r.end - r.start)
+    }
+
+    /// A node count and a [`build_topology`] kind.
+    fn topology(&mut self) -> (usize, usize) {
+        (self.range(2..40) as usize, self.range(0..5) as usize)
+    }
+
+    /// Between 1 and `max_len - 1` transfers whose endpoints are below
+    /// `ends` and whose sizes are drawn from `bytes`.
+    fn transfers(
+        &mut self,
+        max_len: u64,
+        ends: u64,
+        bytes: std::ops::Range<u64>,
+    ) -> Vec<(usize, usize, u64)> {
+        (0..self.range(1..max_len))
+            .map(|_| {
+                let (a, b) = (self.range(0..ends), self.range(0..ends));
+                (a as usize, b as usize, self.range(bytes.clone()))
+            })
+            .collect()
+    }
 }
 
 /// Prices `transfers` (endpoints taken modulo `n`, self-sends skipped) on
 /// topology `kind` with `n` nodes, checking that no arrival precedes the
 /// message's own serialisation plus pure path latency and that the stats
-/// account every byte. Returns how many transfers were priced.
-fn check_fabric_causality(n: usize, kind: usize, transfers: &[(usize, usize, u64)]) -> usize {
+/// account every byte. Returns how many transfers were priced; `at` names
+/// the inputs in every assertion message.
+fn check_fabric_causality(
+    n: usize,
+    kind: usize,
+    transfers: &[(usize, usize, u64)],
+    at: &str,
+) -> usize {
     let topo = build_topology(n, kind);
     let params = FabricParams {
         link_bw: 1e9,
@@ -50,7 +96,7 @@ fn check_fabric_causality(n: usize, kind: usize, transfers: &[(usize, usize, u64
         let floor = Time::from_secs(bytes as f64 / 1e9) + lat;
         assert!(
             arrival.as_secs() >= floor.as_secs() - 1e-12,
-            "arrival {arrival} below physical floor {floor}"
+            "{at}: arrival {arrival} below physical floor {floor}"
         );
         total_bytes += bytes;
         priced += 1;
@@ -58,14 +104,14 @@ fn check_fabric_causality(n: usize, kind: usize, transfers: &[(usize, usize, u64
     let stats = fabric.stats();
     assert_eq!(
         stats.bytes as u64, total_bytes,
-        "stats must account all bytes"
+        "{at}: stats must account all bytes"
     );
     priced
 }
 
 /// The one failure `fabric_causality` ever saved, as its shrunk inputs:
-/// replayed on every run, since the vendored proptest keeps no
-/// persistence file.
+/// replayed on every run, since the seeded property keeps no persistence
+/// file.
 #[test]
 fn fabric_causality_saved_counterexample() {
     let transfers = [
@@ -78,18 +124,21 @@ fn fabric_causality_saved_counterexample() {
         (32, 21, 993_072),
         (12, 21, 278_347),
     ];
-    assert_eq!(check_fabric_causality(4, 0, &transfers), transfers.len());
+    let priced = check_fabric_causality(4, 0, &transfers, "saved counterexample");
+    assert_eq!(priced, transfers.len());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// First-fit reservations never overlap, never start before ready,
-    /// and account busy time exactly.
-    #[test]
-    fn resource_first_fit_invariants(
-        reqs in prop::collection::vec((0u64..10_000, 1u64..1_000_000), 1..200),
-    ) {
+/// First-fit reservations never overlap, never start before ready, and
+/// account busy time exactly. 64 seeded cases.
+#[test]
+fn resource_first_fit_invariants() {
+    for case in 0..64 {
+        let seed = 0x7265_736f_0000 + case;
+        let mut rng = Rng::new(seed);
+        let at = format!("case {case}, seed {seed:#x}");
+        let reqs: Vec<(u64, u64)> = (0..rng.range(1..200))
+            .map(|_| (rng.range(0..10_000), rng.range(1..1_000_000)))
+            .collect();
         let bw = 1e9;
         let mut r = Resource::new(bw);
         let mut granted: Vec<(f64, f64)> = Vec::new();
@@ -97,64 +146,90 @@ proptest! {
         for &(ready_us, bytes) in &reqs {
             let ready = Time::from_us(ready_us as f64);
             let (s, e) = r.reserve(ready, bytes);
-            prop_assert!(s >= ready);
-            prop_assert!(e >= s);
+            assert!(s >= ready, "{at}");
+            assert!(e >= s, "{at}");
             let service = bytes as f64 / bw;
-            prop_assert!((e.as_secs() - s.as_secs() - service).abs() < 1e-12);
+            assert!((e.as_secs() - s.as_secs() - service).abs() < 1e-12, "{at}");
             granted.push((s.as_secs(), e.as_secs()));
             total_service += service;
         }
         granted.sort_by(|a, b| a.0.total_cmp(&b.0));
         for w in granted.windows(2) {
-            prop_assert!(w[0].1 <= w[1].0 + 1e-12, "overlap {w:?}");
+            assert!(w[0].1 <= w[1].0 + 1e-12, "{at}: overlap {w:?}");
         }
-        prop_assert!((r.busy_time().as_secs() - total_service).abs() < 1e-9);
-        prop_assert_eq!(r.reservations(), reqs.len() as u64);
+        assert!(
+            (r.busy_time().as_secs() - total_service).abs() < 1e-9,
+            "{at}"
+        );
+        assert_eq!(r.reservations(), reqs.len() as u64, "{at}");
     }
+}
 
-    /// Every topology satisfies the routing laws for arbitrary sizes:
-    /// self-routes empty, hop symmetry, in-range links, positive
-    /// bisection.
-    #[test]
-    fn topology_routing_laws((n, kind) in any_topology()) {
+/// Every topology satisfies the routing laws for arbitrary sizes:
+/// self-routes empty, hop symmetry, in-range links, positive bisection.
+/// 64 seeded cases.
+#[test]
+fn topology_routing_laws() {
+    for case in 0..64 {
+        let seed = 0x726f_7574_0000 + case;
+        let (n, kind) = Rng::new(seed).topology();
+        let at = format!("case {case}, seed {seed:#x}: n={n} kind={kind}");
         let topo = build_topology(n, kind);
         for a in 0..n {
-            prop_assert!(topo.route(a, a).is_empty());
+            assert!(topo.route(a, a).is_empty(), "{at}");
             for b in 0..n {
-                if a == b { continue; }
-                prop_assert_eq!(topo.hops(a, b), topo.hops(b, a));
+                if a == b {
+                    continue;
+                }
+                assert_eq!(topo.hops(a, b), topo.hops(b, a), "{at}");
                 for l in topo.route(a, b) {
-                    prop_assert!(l < topo.num_links());
-                    prop_assert!(topo.link_capacity_scale(l) > 0.0);
+                    assert!(l < topo.num_links(), "{at}");
+                    assert!(topo.link_capacity_scale(l) > 0.0, "{at}");
                 }
             }
         }
-        prop_assert!(topo.bisection_links() > 0.0);
-        prop_assert!(topo.diameter() <= n);
+        assert!(topo.bisection_links() > 0.0, "{at}");
+        assert!(topo.diameter() <= n, "{at}");
     }
+}
 
-    /// Fabric causality: arrivals never precede the message's own
-    /// serialisation plus pure latency, and stats account every byte.
-    #[test]
-    fn fabric_causality(
-        (n, kind) in any_topology(),
-        transfers in prop::collection::vec((0usize..40, 0usize..40, 1u64..1_000_000), 1..60),
-    ) {
-        check_fabric_causality(n, kind, &transfers);
+/// Fabric causality: arrivals never precede the message's own
+/// serialisation plus pure latency, and stats account every byte. 64
+/// seeded cases.
+#[test]
+fn fabric_causality() {
+    for case in 0..64 {
+        let seed = 0x6361_7573_0000 + case;
+        let mut rng = Rng::new(seed);
+        let (n, kind) = rng.topology();
+        let transfers = rng.transfers(60, 40, 1..1_000_000);
+        check_fabric_causality(n, kind, &transfers, &format!("case {case}, seed {seed:#x}"));
     }
+}
 
-    /// Reset really clears the fabric: repeating the same transfer list
-    /// after a reset yields identical arrivals.
-    #[test]
-    fn fabric_reset_is_deterministic(
-        transfers in prop::collection::vec((0usize..16, 0usize..16, 1u64..100_000), 1..30),
-    ) {
-        let build = || Fabric::new(Box::new(Crossbar::new(16)), FabricParams {
-            link_bw: 1e9, nic_bw: 1e9, nic_duplex: true,
-            base_latency: Time::from_us(1.0), per_hop_latency: Time::ZERO,
-        });
+/// Reset really clears the fabric: repeating the same transfer list after
+/// a reset yields identical arrivals. 64 seeded cases.
+#[test]
+fn fabric_reset_is_deterministic() {
+    for case in 0..64 {
+        let seed = 0x7265_7365_0000 + case;
+        let transfers = Rng::new(seed).transfers(30, 16, 1..100_000);
+        let build = || {
+            Fabric::new(
+                Box::new(Crossbar::new(16)),
+                FabricParams {
+                    link_bw: 1e9,
+                    nic_bw: 1e9,
+                    nic_duplex: true,
+                    base_latency: Time::from_us(1.0),
+                    per_hop_latency: Time::ZERO,
+                },
+            )
+        };
         let run = |f: &mut Fabric| -> Vec<f64> {
-            transfers.iter().filter(|(a, b, _)| a % 16 != b % 16)
+            transfers
+                .iter()
+                .filter(|(a, b, _)| a % 16 != b % 16)
                 .map(|&(a, b, bytes)| f.transfer(a % 16, b % 16, bytes, Time::ZERO).as_secs())
                 .collect()
         };
@@ -162,6 +237,6 @@ proptest! {
         let first = run(&mut f);
         f.reset();
         let second = run(&mut f);
-        prop_assert_eq!(first, second);
+        assert_eq!(first, second, "case {case}, seed {seed:#x}");
     }
 }

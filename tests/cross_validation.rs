@@ -12,15 +12,39 @@ fn sorted(mut t: Vec<Transfer>) -> Vec<Transfer> {
 }
 
 /// Every sized IMB benchmark's native execution matches its simulated
-/// schedule, message for message.
+/// schedule, message for message. The native run's world is checked
+/// through the ambient hook, and its sends are read from the log it sinks.
 #[test]
 fn imb_native_traces_match_sim_schedules() {
+    use mp::check::{install_scoped, Event, RunLog, ScopedCheck, Settings};
+    use std::sync::{Arc, Mutex};
+
     for bench in imb::Benchmark::ALL {
         let procs = 6usize.max(bench.min_procs());
         let bytes = 4096u64;
-        let (_, trace) = mp::run_traced(procs, Threads, |comm| async move {
-            imb::native::run_on(&comm, bench, bytes, 1);
+        let logs: Arc<Mutex<Vec<RunLog>>> = Arc::default();
+        let sink = Arc::clone(&logs);
+        let guard = install_scoped(ScopedCheck {
+            settings: Settings {
+                ring_capacity: usize::MAX,
+            },
+            controller: None,
+            sink: Arc::new(move |log| sink.lock().unwrap().push(log)),
         });
+        imb::run_native_with(bench, procs, bytes, &harness::Runner::fixed(1));
+        drop(guard);
+        let logs = std::mem::take(&mut *logs.lock().unwrap());
+        assert_eq!(logs.len(), 1, "{bench}: one world, one log");
+        assert!(logs[0].dropped.iter().all(|&d| d == 0), "{bench}");
+        let mut trace = Vec::new();
+        for (src, events) in logs[0].events.iter().enumerate() {
+            for event in events {
+                if let Event::Send { dst, bytes, .. } = *event {
+                    let bytes = bytes as u64;
+                    trace.push(Transfer { src, dst, bytes });
+                }
+            }
+        }
         // The native run has one warm-up and one timed iteration.
         let sched_procs = match bench.class() {
             imb::Class::SingleTransfer => 2,
@@ -103,10 +127,13 @@ fn allreduce_dispatch_agreement_across_shapes() {
 }
 
 /// Simulated timings respect byte monotonicity for every benchmark on
-/// every machine: more payload never finishes earlier.
+/// every machine model, the figures' seven variants and the five
+/// follow-up systems: more payload never finishes earlier.
 #[test]
 fn simulated_times_are_monotone_in_message_size() {
-    for m in machines::systems::paper_systems() {
+    let mut models = machines::systems::all_variants();
+    models.extend(machines::systems::future_systems());
+    for m in models {
         for bench in imb::Benchmark::ALL {
             if !bench.sized() {
                 continue;

@@ -4,7 +4,6 @@
 
 use harness::{Mode, ProcGrid, Record, RunPlan, Runner, Stats, Suite};
 use hpcbench::registry::{hpcc_names, imb_names, registry};
-use proptest::prelude::*;
 
 // ----------------------------------------------------------------------
 // Registry completeness
@@ -174,36 +173,74 @@ fn virtual_runs_are_identical_under_the_fifo_controller() {
 // Statistics invariants (property-based)
 // ----------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The property tests' input source: xorshift64*, seeded through
+/// splitmix64 so that neighbouring seeds draw unrelated inputs.
+struct Rng(u64);
 
-    /// For any set of per-rank timings, the IMB statistics are ordered
-    /// (t_min <= t_avg <= t_max) and best-of equals t_min.
-    #[test]
-    fn stats_are_ordered_and_best_of_is_min(
-        per_rank in prop::collection::vec(1e-3f64..1e7, 1..32),
-        reps in 1usize..2000,
-    ) {
-        let s = Stats::across(&per_rank, reps);
-        prop_assert!(s.is_ordered(), "{s:?}");
-        prop_assert_eq!(s.best_of_us(), s.t_min_us);
-        prop_assert_eq!(s.repetitions, reps);
-        let lo = per_rank.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = per_rank.iter().cloned().fold(0.0f64, f64::max);
-        prop_assert_eq!(s.t_min_us, lo);
-        prop_assert_eq!(s.t_max_us, hi);
+impl Rng {
+    fn new(seed: u64) -> Rng {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Rng((z ^ (z >> 31)) | 1)
     }
 
-    /// Degenerate (single-shot) stats collapse to one value and stay
-    /// ordered.
-    #[test]
-    fn deterministic_stats_collapse(t in 0.0f64..1e9) {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// A uniform draw from `r`.
+    fn range(&mut self, r: std::ops::Range<u64>) -> u64 {
+        r.start + self.next() % (r.end - r.start)
+    }
+
+    /// A uniform draw from `r`.
+    fn float(&mut self, r: std::ops::Range<f64>) -> f64 {
+        let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+        r.start + unit * (r.end - r.start)
+    }
+}
+
+/// For any set of per-rank timings, the IMB statistics are ordered
+/// (t_min <= t_avg <= t_max) and best-of equals t_min. 64 seeded cases.
+#[test]
+fn stats_are_ordered_and_best_of_is_min() {
+    for case in 0..64 {
+        let seed = 0x7374_6f72_0000 + case;
+        let mut rng = Rng::new(seed);
+        let per_rank: Vec<f64> = (0..rng.range(1..32))
+            .map(|_| rng.float(1e-3..1e7))
+            .collect();
+        let reps = rng.range(1..2000) as usize;
+        let at = format!("case {case}, seed {seed:#x}");
+        let s = Stats::across(&per_rank, reps);
+        assert!(s.is_ordered(), "{at}: {s:?}");
+        assert_eq!(s.best_of_us(), s.t_min_us, "{at}");
+        assert_eq!(s.repetitions, reps, "{at}");
+        let lo = per_rank.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = per_rank.iter().cloned().fold(0.0f64, f64::max);
+        assert_eq!(s.t_min_us, lo, "{at}");
+        assert_eq!(s.t_max_us, hi, "{at}");
+    }
+}
+
+/// Degenerate (single-shot) stats collapse to one value and stay ordered.
+/// 64 seeded cases.
+#[test]
+fn deterministic_stats_collapse() {
+    for case in 0..64 {
+        let seed = 0x636f_6c6c_0000 + case;
+        let t = Rng::new(seed).float(0.0..1e9);
+        let at = format!("case {case}, seed {seed:#x}");
         let s = Stats::deterministic(t);
-        prop_assert!(s.is_ordered());
-        prop_assert_eq!(s.t_min_us, t);
-        prop_assert_eq!(s.t_avg_us, t);
-        prop_assert_eq!(s.t_max_us, t);
-        prop_assert_eq!(s.best_of_us(), t);
+        assert!(s.is_ordered(), "{at}");
+        assert_eq!(s.t_min_us, t, "{at}");
+        assert_eq!(s.t_avg_us, t, "{at}");
+        assert_eq!(s.t_max_us, t, "{at}");
+        assert_eq!(s.best_of_us(), t, "{at}");
     }
 }
 

@@ -31,15 +31,12 @@ fn cells() -> Vec<(Benchmark, u64)> {
 }
 
 /// Runs every cell as one epoch of a 2-rank world and returns the record
-/// line of each rank resident in this process, cell by cell.
-fn record_lines() -> Vec<Vec<String>> {
+/// line of the lowest rank resident in this process, cell by cell.
+fn record_lines() -> Vec<String> {
+    let runner = harness::Runner::fixed(ITERS);
     cells()
         .into_iter()
-        .map(|(benchmark, bytes)| {
-            mp::run(2, move |comm| {
-                imb::native::run_on(comm, benchmark, bytes, ITERS).to_json()
-            })
-        })
+        .map(|(benchmark, bytes)| imb::run_native_with(benchmark, 2, bytes, &runner).to_json())
         .collect()
 }
 
@@ -65,8 +62,7 @@ fn worker_entry() {
     let proc = mp::transport::init_from_env().expect("workers are launched with a session");
     let lines = record_lines();
     if proc.resident(0) {
-        let rank0: Vec<&str> = lines.iter().map(|cell| cell[0].as_str()).collect();
-        std::fs::write(&out, rank0.join("\n")).expect("write the rank-0 records");
+        std::fs::write(&out, lines.join("\n")).expect("write the rank-0 records");
     }
 }
 
@@ -83,10 +79,7 @@ fn a_two_process_tcp_world_reports_what_the_in_process_world_reports() {
     let fleet = std::fs::read_to_string(&out).expect("the rank-0 host wrote its records");
     let _ = std::fs::remove_file(&out);
     let fleet: Vec<Value> = fleet.lines().map(untimed).collect();
-    let local: Vec<Value> = record_lines()
-        .iter()
-        .map(|cell| untimed(&cell[0]))
-        .collect();
+    let local: Vec<Value> = record_lines().iter().map(|line| untimed(line)).collect();
     assert_eq!(local.len(), cells().len());
     assert_eq!(fleet, local);
     for record in &fleet {
