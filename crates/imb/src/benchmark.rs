@@ -188,13 +188,6 @@ pub fn standard_sizes() -> Vec<u64> {
     v
 }
 
-/// IMB's repetition-count rule: 1000 iterations, scaled down for large
-/// messages to bound total time. Delegates to the harness policy so the
-/// rule has one definition.
-pub fn default_repetitions(bytes: u64) -> usize {
-    harness::RepetitionPolicy::Imb.repetitions(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,9 +222,10 @@ mod tests {
 
     #[test]
     fn repetition_rule_decreases() {
-        assert_eq!(default_repetitions(1024), 1000);
-        assert!(default_repetitions(1 << 20) < default_repetitions(1 << 14));
-        assert_eq!(default_repetitions(4 << 20), 20);
+        let reps = |bytes| harness::RepetitionPolicy::Imb.repetitions(bytes);
+        assert_eq!(reps(1024), 1000);
+        assert!(reps(1 << 20) < reps(1 << 14));
+        assert_eq!(reps(4 << 20), 20);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod native;
 pub mod sim;
 pub mod virtual_run;
 
-pub use benchmark::{default_repetitions, standard_sizes, Benchmark, Class};
+pub use benchmark::{standard_sizes, Benchmark, Class};
 pub use ext::{ExtBenchmark, ExtMeasurement, SyncScheme};
 pub use harness::{MetricKind, Mode, Record, Stats};
 pub use native::{run_native, run_native_with};

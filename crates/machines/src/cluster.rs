@@ -282,15 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_node_is_faster_than_inter_node() {
-        let m = nec_sx8();
-        let sim = ClusterSim::new(&m, 16);
-        let intra = sim.run_fresh(&one_transfer(16, 0, 1, 1 << 20));
-        let inter = sim.run_fresh(&one_transfer(16, 0, 8, 1 << 20));
-        assert!(intra < inter, "{intra} !< {inter}");
-    }
-
-    #[test]
     fn sx8_two_cpu_sendrecv_anchor() {
         // Paper Fig. 13: 47.4 GB/s reported for the 2-processor Sendrecv
         // (IMB counts 2 x message bytes). Check within 15%.
@@ -324,31 +315,6 @@ mod tests {
         let fast = ClusterSim::new(&nec_sx8(), 2).reduce_bw();
         let slow = ClusterSim::new(&dell_xeon(), 2).reduce_bw();
         assert!(fast > 10.0 * slow);
-    }
-
-    #[test]
-    fn half_duplex_myrinet_hurts_bidirectional_traffic() {
-        let m = cray_opteron();
-        let sim = ClusterSim::new(&m, 4);
-        let bytes = 1u64 << 20;
-        // Node 0 <-> node 1 simultaneous exchange (ranks 0,1 on node 0).
-        let mut s = Schedule::new(4);
-        s.push(Round::of(vec![
-            Transfer {
-                src: 0,
-                dst: 2,
-                bytes,
-            },
-            Transfer {
-                src: 2,
-                dst: 0,
-                bytes,
-            },
-        ]));
-        let t_both = sim.run_fresh(&s);
-        let t_one = sim.run_fresh(&one_transfer(4, 0, 2, bytes));
-        // Half duplex: the two directions serialise almost fully.
-        assert!(t_both.as_secs() > 1.7 * t_one.as_secs());
     }
 
     #[test]

@@ -125,17 +125,4 @@ mod tests {
         assert!(kept > 40_000, "the ring fragments: {kept}");
         assert!(retired * 4 < kept, "{retired} of {kept} intervals held");
     }
-
-    #[test]
-    fn compute_pricing_uses_the_node_model() {
-        let m = dell_xeon();
-        let net = SharedClusterNet::new(&m, 2);
-        let (_, clocks) = mp::run_virtual_coop(2, Box::new(net), |comm| async move {
-            if comm.rank() == 0 {
-                comm.v_compute(7.2e9, 1.0); // exactly 1 s at peak
-            }
-        });
-        assert!((clocks[0].as_secs() - 1.0).abs() < 1e-9);
-        assert_eq!(clocks[1].as_secs(), 0.0);
-    }
 }

@@ -6,7 +6,8 @@
 //! cargo run --example imb_native --release -- [ranks] [max_log2_bytes]
 //! ```
 
-use imb::{default_repetitions, Benchmark, MetricKind};
+use harness::RepetitionPolicy;
+use imb::{Benchmark, MetricKind};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -37,7 +38,7 @@ fn main() {
         let bench_sizes: &[u64] = if bench.sized() { &sizes } else { &[0] };
         for &bytes in bench_sizes {
             // Scale the IMB repetition rule down for in-process runs.
-            let reps = (default_repetitions(bytes) / 20).max(3);
+            let reps = (RepetitionPolicy::Imb.repetitions(bytes) / 20).max(3);
             let m = imb::run_native(bench, p, bytes, reps);
             match bench.metric() {
                 MetricKind::BandwidthMBs => println!(

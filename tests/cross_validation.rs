@@ -162,34 +162,6 @@ fn simulated_times_grow_with_procs() {
     }
 }
 
-/// Three-mode agreement: the real benchmark code *executed* under
-/// virtual time lands near the price of its generated schedule, for
-/// every collective benchmark on two very different machines.
-#[test]
-fn virtual_execution_agrees_with_schedule_replay() {
-    for machine in [
-        machines::systems::nec_sx8(),
-        machines::systems::cray_opteron(),
-    ] {
-        for bench in [
-            imb::Benchmark::Allreduce,
-            imb::Benchmark::Alltoall,
-            imb::Benchmark::Allgather,
-            imb::Benchmark::Bcast,
-            imb::Benchmark::ReduceScatter,
-        ] {
-            let executed = imb::run_virtual(&machine, bench, 8, 1 << 18, 3).t_max_us();
-            let replayed = imb::sim::simulate(&machine, bench, 8, 1 << 18).t_max_us();
-            let ratio = executed / replayed;
-            assert!(
-                (0.4..2.5).contains(&ratio),
-                "{bench} on {}: executed {executed} vs replayed {replayed}",
-                machine.name
-            );
-        }
-    }
-}
-
 /// Virtual execution preserves program semantics exactly: an HPCC PTRANS
 /// run on a modelled machine still verifies its closed-form result.
 #[test]
