@@ -248,14 +248,7 @@ pub(crate) async fn run_async(comm: &Comm, cfg: &FftConfig) -> FftResult {
     // reduced. (The old gather-to-rank-0 check needed O(n) memory on one
     // rank; it survives as a cross-check in the small-n tests.)
     distributed_ifft_unscaled_async(comm, &mut data).await;
-    let scale = 1.0 / n as f64;
-    let mut max_err = 0.0f64;
-    for (l, v) in data.iter().enumerate() {
-        let expect = input_element(base + l as u64);
-        let scaled = Complex::new(v.re * scale, v.im * scale);
-        max_err = max_err.max((scaled - expect).abs());
-    }
-    let mut stats = [max_err, time_s];
+    let mut stats = [roundtrip_error(&data, base, n), time_s];
     comm.allreduce_async(&mut stats, mp::Op::Max).await;
 
     FftResult {
@@ -265,6 +258,29 @@ pub(crate) async fn run_async(comm: &Comm, cfg: &FftConfig) -> FftResult {
         max_error: stats[0],
         passed: stats[0] < 1e-10,
     }
+}
+
+/// Largest |x / n - input| over a rank's block `data` (global offset
+/// `base`) after the unscaled inverse of a length-`n` transform; +∞ if it
+/// meets a NaN. It folds squared norms and takes one `hypot`, of the
+/// worst element: `hypot` grows with the squared norm, so up to a tie in
+/// the rounded squared norms that is the element a `hypot` per element
+/// picks, for one libm call instead of one per element.
+fn roundtrip_error(data: &[Complex], base: u64, n: u64) -> f64 {
+    let scale = 1.0 / n as f64;
+    let (mut worst, mut worst_sq) = (Complex::default(), 0.0f64);
+    for (l, v) in data.iter().enumerate() {
+        let expect = input_element(base + l as u64);
+        let d = Complex::new(v.re * scale, v.im * scale) - expect;
+        let sq = d.re * d.re + d.im * d.im;
+        if sq.is_nan() {
+            return f64::INFINITY;
+        }
+        if sq > worst_sq {
+            (worst, worst_sq) = (d, sq);
+        }
+    }
+    worst.abs()
 }
 
 #[cfg(test)]
@@ -338,13 +354,7 @@ mod tests {
                 let gather_err = gathered_roundtrip_error(comm, &data, log2_n);
 
                 mp::block_on(distributed_ifft_unscaled_async(comm, &mut data));
-                let mut dist_err = 0.0f64;
-                for (l, v) in data.iter().enumerate() {
-                    let expect = input_element(base + l as u64);
-                    let scaled = Complex::new(v.re / n as f64, v.im / n as f64);
-                    dist_err = dist_err.max((scaled - expect).abs());
-                }
-                let mut stats = [dist_err];
+                let mut stats = [roundtrip_error(&data, base, n as u64)];
                 mp::block_on(comm.allreduce_async(&mut stats, mp::Op::Max));
                 (gather_err, stats[0])
             });
@@ -353,6 +363,20 @@ mod tests {
                 assert!(dist_err <= 1e-10, "p={p}: distributed check {dist_err}");
             }
         }
+    }
+
+    #[test]
+    fn roundtrip_check_fails_a_nan_element() {
+        let (n, base) = (64u64, 16u64);
+        let mut data: Vec<Complex> = (0..16)
+            .map(|l| {
+                let c = input_element(base + l);
+                Complex::new(c.re * n as f64, c.im * n as f64)
+            })
+            .collect();
+        assert_eq!(roundtrip_error(&data, base, n), 0.0);
+        data[5].im = f64::NAN;
+        assert_eq!(roundtrip_error(&data, base, n), f64::INFINITY);
     }
 
     #[test]

@@ -32,3 +32,19 @@ pub mod suite;
 pub mod virtual_run;
 
 pub use suite::{Component, HpccSummary, SuiteConfig};
+
+/// The largest `|e|` over a check's errors, +∞ if one is NaN. `f64::max`
+/// drops a NaN, so a check folded with it passes a NaN result, and an
+/// `Op::Max` reduction of the check's value drops it again; +∞ fails the
+/// check and survives the reduction. The fold is an integer maximum of
+/// bit patterns: a non-negative `f64`'s bits order as its value does, and
+/// every NaN's lie above +∞'s, so it keeps a NaN and still vectorises (a
+/// branch on `is_nan` in the loop made G-PTRANS's check 2.6x slower).
+pub(crate) fn worst_error(errors: impl IntoIterator<Item = f64>) -> f64 {
+    let worst = f64::from_bits(errors.into_iter().fold(0, |m, e| m.max(e.abs().to_bits())));
+    if worst.is_nan() {
+        f64::INFINITY
+    } else {
+        worst
+    }
+}

@@ -47,21 +47,21 @@ fn b_elem(i: usize, j: usize) -> f64 {
 /// serial: a fork-join region costs more than a small tile's arithmetic.
 const PAR_MIN_ELEMS: usize = 64 * 64;
 
+/// Edge of the cache tiles the transpose-accumulate walks: a tile of `a`
+/// and the `src` lines it reads take 8 KiB each.
+const TILE: usize = 32;
+
 /// The local transpose-accumulate at the heart of PTRANS:
-/// `a[r][col0 + c] += incoming[c * rows + r]` over the `rows x rows`
-/// tile, fanned out over the rank's worker pool in contiguous row bands
-/// (`a` is row-major, so a row band is one contiguous `&mut` split).
-/// Every output element receives exactly one addition from exactly one
-/// worker — the same addition the serial loop performs — so the result
-/// is bitwise identical for any thread count.
-fn transpose_accumulate(a: &mut [f64], n: usize, rows: usize, col0: usize, incoming: &[f64]) {
+/// `a[r][col0 + c] += src[c * ld + r]` over the `rows x rows` block, in
+/// [`TILE`]-square tiles, fanned out over the rank's worker pool in
+/// contiguous row bands (`a` is row-major, so a row band is one contiguous
+/// `&mut` split). Every output element receives exactly one addition from
+/// exactly one worker — the same addition the serial loop performs — so
+/// the result is bitwise identical for any thread count.
+fn transpose_accumulate(a: &mut [f64], n: usize, rows: usize, col0: usize, src: &[f64], ld: usize) {
     let pool = smp::Pool::current();
     if pool.size() <= 1 || rows * rows < PAR_MIN_ELEMS {
-        for r in 0..rows {
-            for c in 0..rows {
-                a[r * n + col0 + c] += incoming[c * rows + r];
-            }
-        }
+        accumulate_band(&mut a[..rows * n], n, 0, rows, col0, src, ld);
         return;
     }
     let ranges = pool.chunk_ranges(rows, 1);
@@ -73,13 +73,44 @@ fn transpose_accumulate(a: &mut [f64], n: usize, rows: usize, col0: usize, incom
         rest = tail;
     }
     pool.run_parts(&mut bands, |_, (r0, band)| {
-        for (dr, row) in band.chunks_mut(n).enumerate() {
-            let r = *r0 + dr;
-            for c in 0..rows {
-                row[col0 + c] += incoming[c * rows + r];
+        accumulate_band(band, n, *r0, rows, col0, src, ld);
+    });
+}
+
+/// [`transpose_accumulate`] on the band of `a` whose first row is `r0`,
+/// one tile at a time.
+fn accumulate_band(
+    band: &mut [f64],
+    n: usize,
+    r0: usize,
+    rows: usize,
+    col0: usize,
+    src: &[f64],
+    ld: usize,
+) {
+    let band_rows = band.len() / n;
+    for t0 in (0..band_rows).step_by(TILE) {
+        for c0 in (0..rows).step_by(TILE) {
+            let c1 = (c0 + TILE).min(rows);
+            for dr in t0..(t0 + TILE).min(band_rows) {
+                let r = r0 + dr;
+                let row = &mut band[dr * n + col0..][c0..c1];
+                for (x, c) in row.iter_mut().zip(c0..c1) {
+                    *x += src[c * ld + r];
+                }
             }
         }
-    });
+    }
+}
+
+/// Largest |error| of my row block of `A + B^T` (rows from `my0`, `n`
+/// wide) against the closed form `a(i,j) + b(j,i)`; +∞ if it meets a NaN.
+fn max_error(a: &[f64], n: usize, my0: usize) -> f64 {
+    crate::worst_error(a.chunks_exact(n).enumerate().flat_map(|(r, row)| {
+        row.iter()
+            .enumerate()
+            .map(move |(j, &v)| v - (a_elem(my0 + r, j) + b_elem(j, my0 + r)))
+    }))
 }
 
 /// Runs G-PTRANS on `comm`.
@@ -101,39 +132,32 @@ pub async fn run_async(comm: &Comm, cfg: &PtransConfig) -> PtransResult {
     comm.barrier_async().await;
     let clock = harness::Stopwatch::start();
 
-    // Pairwise tile exchange: in step s I trade tiles with partner
-    // (me + s) mod p / (me - s) mod p.
-    let mut tile = vec![0.0f64; rows * rows];
-    let mut incoming = vec![0.0f64; rows * rows];
-    for s in 0..p {
-        let dst = (me + s) % p;
-        let src = (me + p - s) % p;
-        // Tile for dst: my rows, dst's column range.
-        for r in 0..rows {
-            let off = r * n + dst * rows;
-            tile[r * rows..(r + 1) * rows].copy_from_slice(&b[off..off + rows]);
-        }
-        if dst == me {
-            incoming.copy_from_slice(&tile);
-        } else {
+    // My own block needs no exchange: A[my rows][my cols] += its
+    // transpose, read straight out of B.
+    transpose_accumulate(&mut a, n, rows, my0, &b[my0..], n);
+    if p > 1 {
+        // Pairwise tile exchange: in step s I trade tiles with partner
+        // (me + s) mod p / (me - s) mod p.
+        let mut tile = vec![0.0f64; rows * rows];
+        let mut incoming = vec![0.0f64; rows * rows];
+        for s in 1..p {
+            let dst = (me + s) % p;
+            let src = (me + p - s) % p;
+            // Tile for dst: my rows, dst's column range.
+            for r in 0..rows {
+                let off = r * n + dst * rows;
+                tile[r * rows..(r + 1) * rows].copy_from_slice(&b[off..off + rows]);
+            }
             comm.sendrecv_async(&tile, dst, &mut incoming, src, 3).await;
+            // incoming = B[rows_src][cols_me]; A[my rows][cols_src] += its
+            // transpose, fanned over the rank's worker pool.
+            transpose_accumulate(&mut a, n, rows, src * rows, &incoming, rows);
         }
-        // incoming = B[rows_src][cols_me]; A[my rows][cols_src] += its
-        // transpose, fanned over the rank's worker pool.
-        transpose_accumulate(&mut a, n, rows, src * rows, &incoming);
     }
 
     let time_s = clock.elapsed_secs();
 
-    // Verify against the closed form A'[i][j] = a(i,j) + b(j,i).
-    let mut max_err = 0.0f64;
-    for r in 0..rows {
-        for j in 0..n {
-            let expect = a_elem(my0 + r, j) + b_elem(j, my0 + r);
-            max_err = max_err.max((a[r * n + j] - expect).abs());
-        }
-    }
-    let mut reduced = [max_err, time_s];
+    let mut reduced = [max_error(&a, n, my0), time_s];
     comm.allreduce_async(&mut reduced, mp::Op::Max).await;
 
     let bytes = 8.0 * (n as f64) * (n as f64);
@@ -152,13 +176,34 @@ mod tests {
 
     #[test]
     fn transpose_is_correct() {
-        for (p, n) in [(1, 16), (2, 16), (4, 32), (8, 64)] {
+        // Blocks of 16 and 8 rows sit inside one tile; 100, 65 and 50 rows
+        // end in a ragged tile, on their own and beside peers' blocks.
+        for (p, n) in [
+            (1, 16),
+            (2, 16),
+            (4, 32),
+            (8, 64),
+            (1, 100),
+            (2, 130),
+            (3, 150),
+        ] {
             let results = mp::run(p, |comm| mp::block_on(run_async(comm, &PtransConfig { n })));
             for r in &results {
                 assert!(r.passed, "p={p} n={n}: max error {}", r.max_error);
                 assert!(r.gb_per_s > 0.0);
             }
         }
+    }
+
+    #[test]
+    fn check_fails_a_nan_element() {
+        let (n, rows, my0) = (16, 8, 8);
+        let mut a: Vec<f64> = (0..rows * n)
+            .map(|k| a_elem(my0 + k / n, k % n) + b_elem(k % n, my0 + k / n))
+            .collect();
+        assert_eq!(max_error(&a, n, my0), 0.0);
+        a[rows * n / 2 + 3] = f64::NAN;
+        assert_eq!(max_error(&a, n, my0), f64::INFINITY);
     }
 
     #[test]
@@ -181,13 +226,13 @@ mod tests {
         let reference = {
             let _serial = smp::AmbientGuard::install(1);
             let mut a = mk();
-            transpose_accumulate(&mut a, n, rows, col0, &incoming);
+            transpose_accumulate(&mut a, n, rows, col0, &incoming, rows);
             a
         };
         for threads in [2usize, 3, 4, 8] {
             let _guard = smp::AmbientGuard::install(threads);
             let mut a = mk();
-            transpose_accumulate(&mut a, n, rows, col0, &incoming);
+            transpose_accumulate(&mut a, n, rows, col0, &incoming, rows);
             let identical = reference
                 .iter()
                 .zip(&a)
